@@ -4,8 +4,8 @@ package controller
 // fan-out — and every successive planner invocation between state
 // changes — used to recompute the same expensive inputs from scratch:
 // per-source SPF trees, Yen k-shortest-path sets, the believed-topology
-// compilation (fibbing.Evaluate: one SPF per router per prefix), and the
-// fluid load estimates behind PlanContext.Evaluate. PlanArtifacts
+// compilation (fibbing.Evaluate per prefix and lie set), and the fluid
+// load estimates behind PlanContext.Evaluate. PlanArtifacts
 // memoises all of them, keyed by value-complete cache keys (topology
 // binding by pointer, lie sets and demand volumes encoded into the key),
 // so a stale entry is impossible by construction; the controller
@@ -48,7 +48,7 @@ type ArtifactStats struct {
 }
 
 // viewsEntry caches one fibbing.Evaluate outcome (errors included, so a
-// failing prefix does not re-run the per-router SPF sweep every retry).
+// failing prefix is not re-evaluated every retry).
 type viewsEntry struct {
 	views map[topo.NodeID]fibbing.RouteView
 	err   error
@@ -100,6 +100,11 @@ type PlanArtifacts struct {
 	topo  *topo.Topology
 	graph *spf.Graph
 	skip  func(topo.NodeID) bool
+	// eval is the what-if evaluator every Views and CompileDAG miss goes
+	// through: it shares reverse SPF trees across strategies and lie
+	// sets, and lives and dies with the topology binding exactly like
+	// trees. Its internal tree cache is not a counted lookup.
+	eval  *fibbing.Evaluator
 	trees map[topo.NodeID]*spf.Tree
 	ksp   map[string][][]topo.NodeID
 	views map[string]viewsEntry
@@ -133,6 +138,7 @@ func newPlanArtifacts(t *topo.Topology, stats *ArtifactStats, lp *te.MinMaxSolve
 	}
 	return &PlanArtifacts{
 		topo:  t,
+		eval:  fibbing.NewEvaluator(t),
 		trees: make(map[topo.NodeID]*spf.Tree),
 		ksp:   make(map[string][][]topo.NodeID),
 		views: make(map[string]viewsEntry),
@@ -237,9 +243,9 @@ func (a *PlanArtifacts) KShortest(src, dst topo.NodeID, k, spurLimit int) [][]to
 }
 
 // Views returns the memoised believed-topology compilation for one
-// prefix under the given lie set (nil lies = the plain IGP view). This is
-// the planner's dominant repeated cost: fibbing.Evaluate runs one SPF per
-// router over the augmented graph.
+// prefix under the given lie set (nil lies = the plain IGP view). A miss
+// is a scan over the shared evaluator's reverse trees, plus one Dijkstra
+// per attach router it has not seen yet.
 func (a *PlanArtifacts) Views(prefix string, lies []fibbing.Lie) (map[topo.NodeID]fibbing.RouteView, error) {
 	var sb strings.Builder
 	sb.WriteString(prefix)
@@ -252,7 +258,7 @@ func (a *PlanArtifacts) Views(prefix string, lies []fibbing.Lie) (map[topo.NodeI
 		return e.views, e.err
 	}
 	a.mu.Unlock()
-	views, err := fibbing.Evaluate(a.topo, prefix, lies)
+	views, err := a.eval.Evaluate(prefix, lies)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if prev, ok := a.views[key]; ok {
@@ -351,9 +357,10 @@ func (a *PlanArtifacts) SolveMinMax(demands []topo.Demand) (*te.MinMaxResult, er
 
 // CompileDAG returns the memoised compileDAG outcome for a requirement
 // DAG on one prefix: the add-paths-then-pin-all compilation plus the
-// Verify sweep, each of which runs fibbing.Evaluate (one SPF per router)
-// internally. The KSP strategy's greedy path accumulation retries the
-// same candidate DAGs on every invocation, making this the planner's
+// Verify sweep, all against the shared evaluator (a pinned compile costs
+// at most one Dijkstra per router in total, however many removals
+// ReduceLies tries). The KSP strategy's greedy path accumulation retries
+// the same candidate DAGs on every invocation, making this the planner's
 // second-largest repeated cost after the view compilations. The returned
 // augmentation is shared — callers must treat it as read-only.
 func (a *PlanArtifacts) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Augmentation, bool, error) {
@@ -368,7 +375,7 @@ func (a *PlanArtifacts) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Aug
 		return e.aug, e.pinned, e.err
 	}
 	a.mu.Unlock()
-	aug, pinned, err := compileDAG(a.topo, prefix, dag)
+	aug, pinned, err := compileDAG(a.eval, prefix, dag)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if prev, ok := a.augs[key]; ok {

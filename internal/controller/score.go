@@ -111,12 +111,13 @@ func newQoEPredictor(arts *PlanArtifacts, t *topo.Topology, installed map[string
 		if arts != nil {
 			return arts.predictQoEKeyed(modelKey, merged, demands, model)
 		}
+		ev := fibbing.NewEvaluator(t)
 		views := make(map[string]map[topo.NodeID]fibbing.RouteView)
 		for _, d := range demands {
 			if _, ok := views[d.PrefixName]; ok {
 				continue
 			}
-			v, err := fibbing.Evaluate(t, d.PrefixName, merged[d.PrefixName])
+			v, err := ev.Evaluate(d.PrefixName, merged[d.PrefixName])
 			if err != nil {
 				return qoe.PlanQoE{}, err
 			}

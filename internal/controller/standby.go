@@ -455,13 +455,16 @@ func (s FailoverPinStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	if ctx.Event.Kind != EventLinkDown || ctx.BaseTopo == nil || len(ctx.Demands) == 0 {
 		return nil, nil
 	}
+	// One evaluator for what the routers still believe: the pin, reduce
+	// and verify steps of every prefix share its trees.
+	base := fibbing.NewEvaluator(ctx.BaseTopo)
 	overlay := make(map[string][]fibbing.Lie)
 	for _, prefix := range ctx.Prefixes {
 		views, err := ctx.PrefixViews(prefix, nil)
 		if err != nil {
 			return nil, nil // abstain whole-plan; the fallback planner owns it
 		}
-		lies, ok := failoverPinLies(ctx.BaseTopo, ctx.Topo, views, prefix, ctx.FailedLink)
+		lies, ok := failoverPinLies(base, ctx.Topo, views, prefix, ctx.FailedLink)
 		if !ok {
 			return nil, nil // abstain whole-plan; the fallback planner owns it
 		}
@@ -486,8 +489,8 @@ func (s FailoverPinStrategy) Propose(ctx PlanContext) (*Plan, error) {
 // failoverPinLies builds and compiles one prefix's pin DAG: the reduced
 // topology's IGP next hops for every transit router (views, fetched
 // memoised by the caller), widened at the failed link's endpoints,
-// compiled and verified against base.
-func failoverPinLies(base, reduced *topo.Topology, views map[topo.NodeID]fibbing.RouteView, prefix string, failed topo.Link) ([]fibbing.Lie, bool) {
+// compiled and verified against the base topology ev is bound to.
+func failoverPinLies(ev *fibbing.Evaluator, reduced *topo.Topology, views map[topo.NodeID]fibbing.RouteView, prefix string, failed topo.Link) ([]fibbing.Lie, bool) {
 	dag := fibbing.DAG{}
 	for n, v := range views {
 		if v.Local || len(v.NextHops) == 0 || reduced.Node(n).Host {
@@ -525,15 +528,15 @@ func failoverPinLies(base, reduced *topo.Topology, views map[topo.NodeID]fibbing
 			}
 		}
 	}
-	aug, err := fibbing.AugmentPinAll(base, prefix, dag)
+	aug, err := ev.AugmentPinAll(prefix, dag)
 	if err != nil {
 		return nil, false
 	}
-	aug, err = fibbing.ReduceLies(base, prefix, aug, dag)
+	aug, err = ev.ReduceLies(prefix, aug, dag)
 	if err != nil {
 		return nil, false
 	}
-	if err := fibbing.Verify(base, prefix, aug.Lies, dag); err != nil {
+	if err := ev.Verify(prefix, aug.Lies, dag); err != nil {
 		return nil, false
 	}
 	return aug.Lies, true

@@ -93,6 +93,15 @@ func (ctx *PlanContext) cachedArts() *PlanArtifacts {
 	return nil
 }
 
+// evaluator returns the what-if evaluator for the context's topology: the
+// artifact cache's when one is bound to it, a fresh one otherwise.
+func (ctx *PlanContext) evaluator() *fibbing.Evaluator {
+	if a := ctx.cachedArts(); a != nil {
+		return a.eval
+	}
+	return fibbing.NewEvaluator(ctx.Topo)
+}
+
 // SPFGraph returns the context topology's SPF graph and host-skip,
 // memoised when an artifact cache is bound.
 func (ctx *PlanContext) SPFGraph() (*spf.Graph, func(topo.NodeID) bool) {
@@ -151,7 +160,7 @@ func (ctx *PlanContext) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Aug
 	if a := ctx.cachedArts(); a != nil {
 		return a.CompileDAG(prefix, dag)
 	}
-	return compileDAG(ctx.Topo, prefix, dag)
+	return compileDAG(ctx.evaluator(), prefix, dag)
 }
 
 // Plan is one strategy's proposed reaction: typed per-prefix lie sets
@@ -298,13 +307,14 @@ func (s LocalECMPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 		return nil, nil
 	}
 	hot := ctx.Topo.Link(ctx.Event.Alarm.Link).From
+	ev := ctx.evaluator()
 	overlay := make(map[string][]fibbing.Lie)
 	for _, prefix := range ctx.Prefixes {
 		views, err := ctx.PrefixViews(prefix, nil)
 		if err != nil {
 			continue
 		}
-		lies, ok := localSpreadLies(ctx.Topo, views, prefix, hot)
+		lies, ok := localSpreadLies(ev, ctx.Topo, views, prefix, hot)
 		if ok {
 			overlay[prefix] = lies
 		}
@@ -328,9 +338,9 @@ func (s LocalECMPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 // localSpreadLies builds the local-spreading requirement for one prefix:
 // the hot router keeps its IGP next hops and adds every unused downhill
 // neighbor, evenly. views is the prefix's plain-IGP view set (the caller
-// fetches it, memoised, through ctx.PrefixViews). ok is false when no
-// spread exists or it fails to compile/verify.
-func localSpreadLies(t *topo.Topology, views map[topo.NodeID]fibbing.RouteView, prefix string, hot topo.NodeID) ([]fibbing.Lie, bool) {
+// fetches it, memoised, through ctx.PrefixViews); ev is the evaluator for
+// t. ok is false when no spread exists or it fails to compile/verify.
+func localSpreadLies(ev *fibbing.Evaluator, t *topo.Topology, views map[topo.NodeID]fibbing.RouteView, prefix string, hot topo.NodeID) ([]fibbing.Lie, bool) {
 	hv, ok := views[hot]
 	if !ok || hv.Local || len(hv.NextHops) == 0 {
 		return nil, false
@@ -358,11 +368,11 @@ func localSpreadLies(t *topo.Topology, views map[topo.NodeID]fibbing.RouteView, 
 		return nil, false
 	}
 	dag := fibbing.DAG{hot: desired}
-	aug, err := fibbing.AugmentAddPaths(t, prefix, dag)
+	aug, err := ev.AugmentAddPaths(prefix, dag)
 	if err != nil {
 		return nil, false
 	}
-	if err := fibbing.Verify(t, prefix, aug.Lies, dag); err != nil {
+	if err := ev.Verify(prefix, aug.Lies, dag); err != nil {
 		return nil, false
 	}
 	return aug.Lies, true
@@ -426,22 +436,23 @@ func (s LPOptimalStrategy) Propose(ctx PlanContext) (*Plan, error) {
 
 // compileDAG turns a requirement DAG into verified lies: first as pure
 // path additions, then — when the requirement removes IGP paths — by
-// pinning all constrained routers and reducing the lie set.
-func compileDAG(t *topo.Topology, prefix string, dag fibbing.DAG) (*fibbing.Augmentation, bool, error) {
-	aug, err := fibbing.AugmentAddPaths(t, prefix, dag)
+// pinning all constrained routers and reducing the lie set. Every step
+// asks the same evaluator, so the steps share their SPF trees.
+func compileDAG(ev *fibbing.Evaluator, prefix string, dag fibbing.DAG) (*fibbing.Augmentation, bool, error) {
+	aug, err := ev.AugmentAddPaths(prefix, dag)
 	pinned := false
 	if err != nil {
-		aug, err = fibbing.AugmentPinAll(t, prefix, dag)
+		aug, err = ev.AugmentPinAll(prefix, dag)
 		if err != nil {
 			return nil, false, err
 		}
-		aug, err = fibbing.ReduceLies(t, prefix, aug, dag)
+		aug, err = ev.ReduceLies(prefix, aug, dag)
 		if err != nil {
 			return nil, false, err
 		}
 		pinned = true
 	}
-	if err := fibbing.Verify(t, prefix, aug.Lies, dag); err != nil {
+	if err := ev.Verify(prefix, aug.Lies, dag); err != nil {
 		return nil, false, fmt.Errorf("refusing unverifiable augmentation: %w", err)
 	}
 	return aug, pinned, nil

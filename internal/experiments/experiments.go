@@ -1,7 +1,7 @@
 // Package experiments regenerates every figure and quantitative claim of
 // the paper. Each experiment returns a Result with a rendered table and
-// machine-checkable values; cmd/experiments prints them, EXPERIMENTS.md
-// records them, and the root benchmark suite times them.
+// machine-checkable values; cmd/experiments prints them (and exits 1 when
+// a paper-pinned check fails), and the root benchmark suite times them.
 package experiments
 
 import (

@@ -30,18 +30,16 @@ func (a *Augmentation) LieCount() int { return len(a.Lies) }
 // Requirements: for every constrained router, the desired next-hop set
 // must include all current IGP next hops (you cannot remove a path with an
 // equal-cost lie — use AugmentPinAll for that).
-func AugmentAddPaths(t *topo.Topology, prefixName string, dag DAG) (*Augmentation, error) {
+func (e *Evaluator) AugmentAddPaths(prefixName string, dag DAG) (*Augmentation, error) {
+	t := e.t
 	if err := dag.Validate(t); err != nil {
 		return nil, err
 	}
-	p, ok := t.PrefixByName(prefixName)
-	if !ok {
-		return nil, fmt.Errorf("fibbing: unknown prefix %q", prefixName)
-	}
-	igp, err := IGPView(t, prefixName)
+	ps, err := e.prefix(prefixName)
 	if err != nil {
 		return nil, err
 	}
+	p, igp := ps.p, e.igpView(ps)
 	aug := &Augmentation{Prefix: prefixName, Strategy: "add-paths"}
 	for _, u := range sortedRouters(dag) {
 		desired := dag[u]
@@ -80,6 +78,14 @@ func AugmentAddPaths(t *topo.Topology, prefixName string, dag DAG) (*Augmentatio
 	return aug, nil
 }
 
+// AugmentAddPaths is Evaluator.AugmentAddPaths on a fresh evaluator. Like
+// the other package-level wrappers it caches nothing across calls, so t
+// may be mutated between them; callers compiling several steps against
+// one topology should share an Evaluator.
+func AugmentAddPaths(t *topo.Topology, prefixName string, dag DAG) (*Augmentation, error) {
+	return NewEvaluator(t).AugmentAddPaths(prefixName, dag)
+}
+
 // AugmentPinAll realises an arbitrary acyclic forwarding DAG by pinning
 // every non-attachment router with cost-0 lies (the paper's "Simple"-style
 // global augmentation): a router whose announcements include a cost-0 fake
@@ -90,28 +96,22 @@ func AugmentAddPaths(t *topo.Topology, prefixName string, dag DAG) (*Augmentatio
 //
 // This realises any loop-free DAG — including ones that remove IGP paths —
 // at the price of lying to every router; ReduceLies then shrinks the set.
-func AugmentPinAll(t *topo.Topology, prefixName string, dag DAG) (*Augmentation, error) {
+func (e *Evaluator) AugmentPinAll(prefixName string, dag DAG) (*Augmentation, error) {
+	t := e.t
 	if err := dag.Validate(t); err != nil {
 		return nil, err
 	}
-	p, ok := t.PrefixByName(prefixName)
-	if !ok {
-		return nil, fmt.Errorf("fibbing: unknown prefix %q", prefixName)
-	}
-	igp, err := IGPView(t, prefixName)
+	ps, err := e.prefix(prefixName)
 	if err != nil {
 		return nil, err
 	}
-	attached := make(map[topo.NodeID]bool, len(p.Attachments))
-	for _, a := range p.Attachments {
-		attached[a.Node] = true
-	}
+	e.init()
+	p, igp := ps.p, e.igpView(ps)
 	aug := &Augmentation{Prefix: prefixName, Strategy: "pin-all"}
-	for _, n := range t.Nodes() {
-		if n.Host || attached[n.ID] {
+	for _, u := range e.routers {
+		if ps.local[u] {
 			continue
 		}
-		u := n.ID
 		nhs, constrained := dag[u]
 		if !constrained {
 			view := igp[u]
@@ -132,15 +132,18 @@ func AugmentPinAll(t *topo.Topology, prefixName string, dag DAG) (*Augmentation,
 			}
 		}
 	}
-	// Safety: the realised forwarding must deliver without loops.
-	views, err := Evaluate(t, prefixName, aug.Lies)
-	if err != nil {
-		return nil, err
-	}
-	if err := CheckDelivery(t, views); err != nil {
+	// Safety: the realised forwarding must deliver without loops. (The
+	// lies need no validation: every Via is a DAG next hop Validate found a
+	// link for, or an IGP next hop.)
+	if err := CheckDelivery(t, e.evaluate(ps, aug.Lies)); err != nil {
 		return nil, fmt.Errorf("fibbing: pin-all would not deliver: %w", err)
 	}
 	return aug, nil
+}
+
+// AugmentPinAll is Evaluator.AugmentPinAll on a fresh evaluator.
+func AugmentPinAll(t *topo.Topology, prefixName string, dag DAG) (*Augmentation, error) {
+	return NewEvaluator(t).AugmentPinAll(prefixName, dag)
 }
 
 func attachedLoopCheck(w NextHopWeights, u topo.NodeID) bool {
@@ -154,11 +157,12 @@ func attachedLoopCheck(w NextHopWeights, u topo.NodeID) bool {
 // network, and keeps the removal when every constrained router still
 // realises its desired split and every other router still matches the
 // routing it had under the full augmentation.
-func ReduceLies(t *topo.Topology, prefixName string, aug *Augmentation, dag DAG) (*Augmentation, error) {
-	target, err := Evaluate(t, prefixName, aug.Lies)
+func (e *Evaluator) ReduceLies(prefixName string, aug *Augmentation, dag DAG) (*Augmentation, error) {
+	ps, err := e.checked(prefixName, aug.Lies)
 	if err != nil {
 		return nil, err
 	}
+	target, igp := e.evaluate(ps, aug.Lies), e.igpView(ps)
 	current := append([]Lie(nil), aug.Lies...)
 
 	// Group lies by attachment router; removal is attempted per group
@@ -174,25 +178,16 @@ func ReduceLies(t *topo.Topology, prefixName string, aug *Augmentation, dag DAG)
 	slices.Sort(routers)
 
 	for _, u := range routers {
-		if _, constrained := dag[u]; constrained {
-			// Never drop a constrained router's lies wholesale if its
-			// IGP routing differs from the requirement; the check
-			// below would catch it, but skipping saves evaluations
-			// when the requirement is clearly non-default.
-			igp, err := IGPView(t, prefixName)
-			if err != nil {
-				return nil, err
-			}
-			if !igp[u].NextHops.Equal(dag[u]) {
-				continue
-			}
+		// Never drop a constrained router's lies wholesale if its IGP
+		// routing differs from the requirement; the check below would
+		// catch it, but skipping saves evaluations when the requirement
+		// is clearly non-default.
+		if want, constrained := dag[u]; constrained && !igp[u].NextHops.Equal(want) {
+			continue
 		}
-		trial := withoutGroup(current, u)
-		views, err := Evaluate(t, prefixName, trial)
-		if err != nil {
-			return nil, err
-		}
-		if viewsMatch(views, target) && CheckDelivery(t, views) == nil {
+		trial := withoutGroup(current, u) // a subset of the checked lies
+		views := e.evaluate(ps, trial)
+		if viewsMatch(views, target) && CheckDelivery(e.t, views) == nil {
 			current = trial
 		}
 	}
@@ -201,6 +196,11 @@ func ReduceLies(t *topo.Topology, prefixName string, aug *Augmentation, dag DAG)
 		Lies:     current,
 		Strategy: aug.Strategy + "+reduced",
 	}, nil
+}
+
+// ReduceLies is Evaluator.ReduceLies on a fresh evaluator.
+func ReduceLies(t *topo.Topology, prefixName string, aug *Augmentation, dag DAG) (*Augmentation, error) {
+	return NewEvaluator(t).ReduceLies(prefixName, aug, dag)
 }
 
 func withoutGroup(lies []Lie, u topo.NodeID) []Lie {
@@ -233,15 +233,13 @@ func viewsMatch(got, want map[topo.NodeID]RouteView) bool {
 // constrained router's evaluated next hops equal the desired weights (up
 // to scaling), every unconstrained router still matches plain IGP routing,
 // and forwarding delivers loop-free.
-func Verify(t *topo.Topology, prefixName string, lies []Lie, dag DAG) error {
-	views, err := Evaluate(t, prefixName, lies)
+func (e *Evaluator) Verify(prefixName string, lies []Lie, dag DAG) error {
+	t := e.t
+	ps, err := e.checked(prefixName, lies)
 	if err != nil {
 		return err
 	}
-	igp, err := IGPView(t, prefixName)
-	if err != nil {
-		return err
-	}
+	views, igp := e.evaluate(ps, lies), e.igpView(ps)
 	for u, want := range dag {
 		got, ok := views[u]
 		if !ok {
@@ -262,6 +260,11 @@ func Verify(t *topo.Topology, prefixName string, lies []Lie, dag DAG) error {
 		}
 	}
 	return CheckDelivery(t, views)
+}
+
+// Verify is Evaluator.Verify on a fresh evaluator.
+func Verify(t *topo.Topology, prefixName string, lies []Lie, dag DAG) error {
+	return NewEvaluator(t).Verify(prefixName, lies, dag)
 }
 
 func normalise(w NextHopWeights) NextHopWeights {

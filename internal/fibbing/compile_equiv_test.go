@@ -1,0 +1,157 @@
+package fibbing_test
+
+import (
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"fibbing.net/fibbing/internal/controller"
+	"fibbing.net/fibbing/internal/fibbing"
+	"fibbing.net/fibbing/internal/scenarios"
+	"fibbing.net/fibbing/internal/spf"
+	"fibbing.net/fibbing/internal/te"
+	"fibbing.net/fibbing/internal/topo"
+)
+
+// requirementDAGs draws the kinds of requirement the planner's strategies
+// hand to the compiler, on one prefix of one topology: the LP optimum's
+// quantised splits (lp-optimal), cumulative unions of k loopless paths
+// from a router to the attachment (ksp, qoe-greedy — these recruit uphill
+// detours, so they go through pin-all and ReduceLies), a downhill widening
+// at one router (local-ecmp, pure add-paths), and arbitrary next-hop picks
+// that mostly fail to compile, for the error paths.
+func requirementDAGs(t *testing.T, tp *topo.Topology, prefix string, rng *rand.Rand) []fibbing.DAG {
+	t.Helper()
+	p, _ := tp.PrefixByName(prefix)
+	igp, err := fibbing.ReferenceIGPView(tp, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routers []topo.NodeID
+	for _, n := range tp.Nodes() {
+		if v := igp[n.ID]; !n.Host && !v.Local && len(v.NextHops) > 0 {
+			routers = append(routers, n.ID)
+		}
+	}
+	var dags []fibbing.DAG
+
+	demands := []topo.Demand{
+		{Ingress: routers[rng.Intn(len(routers))], PrefixName: prefix, Volume: 14e6},
+		{Ingress: routers[rng.Intn(len(routers))], PrefixName: prefix, Volume: 5e6},
+	}
+	if opt, err := te.SolveMinMax(tp, demands); err == nil {
+		for _, denom := range []int{2, 8} {
+			if dag, err := fibbing.SplitsToDAG(opt.Splits[prefix], denom); err == nil {
+				for _, at := range p.Attachments {
+					delete(dag, at.Node)
+				}
+				dags = append(dags, dag)
+			}
+		}
+	}
+
+	g := spf.FromTopology(tp)
+	for range 3 {
+		src := routers[rng.Intn(len(routers))]
+		union := fibbing.DAG{}
+		for _, path := range spf.KShortestSpurLimit(g, src, p.Attachments[0].Node, 4, 8, spf.HostSkip(tp)) {
+			for i := 0; i+1 < len(path); i++ {
+				if union[path[i]] == nil {
+					union[path[i]] = fibbing.NextHopWeights{}
+				}
+				union[path[i]][path[i+1]]++
+			}
+			snapshot := make(fibbing.DAG, len(union))
+			for u, nhs := range union {
+				cp := make(fibbing.NextHopWeights, len(nhs))
+				for v, w := range nhs {
+					cp[v] = w
+				}
+				snapshot[u] = cp
+			}
+			dags = append(dags, snapshot)
+		}
+	}
+
+	for range 3 {
+		u := routers[rng.Intn(len(routers))]
+		want := fibbing.NextHopWeights{}
+		for nh := range igp[u].NextHops {
+			want[nh] = 1
+		}
+		for _, lid := range tp.OutLinks(u) {
+			v := tp.Link(lid).To
+			if vv, ok := igp[v]; ok && (vv.Local || vv.Dist < igp[u].Dist) {
+				want[v] = 1 + rng.Intn(2)
+			}
+		}
+		dags = append(dags, fibbing.DAG{u: want})
+	}
+
+	for range 4 {
+		dag := fibbing.DAG{}
+		for range 1 + rng.Intn(3) {
+			u := routers[rng.Intn(len(routers))]
+			out := tp.OutLinks(u)
+			dag[u] = fibbing.NextHopWeights{tp.Link(out[rng.Intn(len(out))]).To: 1 + rng.Intn(3)}
+		}
+		dags = append(dags, dag)
+	}
+	return dags
+}
+
+// sameError compares two compile errors. CheckDelivery walks a map, so
+// which router a loop report names varies from call to call on either
+// path; everything up to the name must still agree.
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	const loop = "forwarding loop through "
+	as, bs := a.Error(), b.Error()
+	if i := strings.Index(as, loop); i >= 0 {
+		return strings.HasPrefix(bs, as[:i+len(loop)])
+	}
+	return as == bs
+}
+
+// TestCompileDAGMatchesReferencePath: on every matrix topology, the
+// controller's compile pipeline over the shared evaluator returns the lie
+// lists, pinned flag and errors the per-router-Dijkstra pipeline returns,
+// lie for lie and in order — the plans the benchmark's digests and the
+// fiblab reports are made of.
+func TestCompileDAGMatchesReferencePath(t *testing.T) {
+	compiled, pinnedSeen, failed := 0, 0, 0
+	for ti, ts := range scenarios.MatrixTopologies() {
+		tp, prefix, err := ts.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		arts := controller.NewPlanArtifacts(tp) // one cache, so one evaluator, across all DAGs
+		rng := rand.New(rand.NewSource(int64(ti) + 21))
+		for di, dag := range requirementDAGs(t, tp, prefix, rng) {
+			want, wantPinned, wantErr := fibbing.ReferenceCompile(tp, prefix, dag)
+			got, gotPinned, gotErr := arts.CompileDAG(prefix, dag)
+			if !sameError(gotErr, wantErr) {
+				t.Fatalf("%s dag %d %v: error %v, reference %v", ts.Family, di, dag, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				failed++
+				continue
+			}
+			if gotPinned != wantPinned || got.Strategy != want.Strategy || !reflect.DeepEqual(got.Lies, want.Lies) {
+				t.Fatalf("%s dag %d %v:\n got  %s pinned=%v %v\n want %s pinned=%v %v",
+					ts.Family, di, dag, got.Strategy, gotPinned, got.Lies, want.Strategy, wantPinned, want.Lies)
+			}
+			compiled++
+			if gotPinned {
+				pinnedSeen++
+			}
+		}
+	}
+	// The comparison must have reached all three outcomes.
+	if compiled < 30 || pinnedSeen < 10 || failed < 5 {
+		t.Fatalf("weak coverage: %d compiled (%d pinned), %d rejected", compiled, pinnedSeen, failed)
+	}
+}

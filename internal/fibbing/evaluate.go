@@ -19,109 +19,15 @@ type RouteView struct {
 	NextHops NextHopWeights
 }
 
-// Evaluate computes, for every router, the route it would install for the
-// named prefix given a set of lies. It mirrors the route computation of
-// internal/ospf exactly (same announcement and next-hop-weight semantics)
-// but runs on the topology directly, without protocol machinery — this is
-// what the controller uses to predict the effect of an augmentation before
-// injecting it.
+// Evaluate is Evaluator.Evaluate on a fresh evaluator: nothing is cached
+// across calls, so t may be mutated between them.
 func Evaluate(t *topo.Topology, prefixName string, lies []Lie) (map[topo.NodeID]RouteView, error) {
-	p, ok := t.PrefixByName(prefixName)
-	if !ok {
-		return nil, fmt.Errorf("fibbing: unknown prefix %q", prefixName)
-	}
-	for _, l := range lies {
-		if l.Prefix != p.Prefix {
-			return nil, fmt.Errorf("fibbing: lie %v targets a different prefix than %v", l, p.Prefix)
-		}
-		if _, ok := t.FindLink(l.Attach, l.Via); !ok {
-			return nil, fmt.Errorf("fibbing: lie %v forwards via a non-neighbor", l)
-		}
-		if l.Cost < 0 {
-			return nil, fmt.Errorf("fibbing: lie %v has negative cost", l)
-		}
-	}
-
-	// Augmented graph: real topology plus one leaf node per lie.
-	g := spf.FromTopology(t)
-	lieNode := make(map[topo.NodeID]Lie, len(lies)) // graph node -> lie
-	for _, l := range lies {
-		idx := g.AddNode()
-		g.AddEdge(l.Attach, spf.Edge{To: idx, Weight: l.Cost, Link: topo.NoLink})
-		lieNode[idx] = l
-	}
-	attached := make(map[topo.NodeID]int64, len(p.Attachments))
-	for _, a := range p.Attachments {
-		attached[a.Node] = a.Cost
-	}
-
-	out := make(map[topo.NodeID]RouteView, t.NumNodes())
-	for _, n := range t.Nodes() {
-		if n.Host {
-			continue
-		}
-		u := n.ID
-		if _, ok := attached[u]; ok {
-			out[u] = RouteView{Local: true, NextHops: NextHopWeights{}}
-			continue
-		}
-		tree := spf.ComputeRouters(g, t, u)
-
-		best := spf.Infinity
-		for a, cost := range attached {
-			if tree.Reachable(a) && tree.Dist[a]+cost < best {
-				best = tree.Dist[a] + cost
-			}
-		}
-		for idx := range lieNode {
-			if tree.Reachable(idx) && tree.Dist[idx] < best {
-				best = tree.Dist[idx]
-			}
-		}
-		view := RouteView{Dist: best, NextHops: NextHopWeights{}}
-		if best == spf.Infinity {
-			out[u] = view
-			continue
-		}
-		set := make(map[topo.NodeID]bool)
-		for a, cost := range attached {
-			if !tree.Reachable(a) || tree.Dist[a]+cost != best {
-				continue
-			}
-			for _, nh := range tree.NextHops(a) {
-				set[nh.Node] = true
-			}
-		}
-		for idx, l := range lieNode {
-			if !tree.Reachable(idx) || tree.Dist[idx] != best {
-				continue
-			}
-			if l.Attach == u {
-				// Own fake: one extra RIB path to its forwarding
-				// address (additive — the Fibbing trick).
-				view.NextHops[l.Via]++
-				continue
-			}
-			for _, nh := range tree.NextHops(idx) {
-				if _, isLie := lieNode[nh.Node]; isLie {
-					// First hop is a fake node: only possible when
-					// u == attach, handled above.
-					continue
-				}
-				set[nh.Node] = true
-			}
-		}
-		for v := range set {
-			view.NextHops[v]++
-		}
-		out[u] = view
-	}
-	return out, nil
+	return NewEvaluator(t).Evaluate(prefixName, lies)
 }
 
 // IGPView computes the plain-IGP routes for a prefix (no lies).
 func IGPView(t *topo.Topology, prefixName string) (map[topo.NodeID]RouteView, error) {
-	return Evaluate(t, prefixName, nil)
+	return NewEvaluator(t).IGPView(prefixName)
 }
 
 // ForwardingGraph extracts the per-destination forwarding edges from a set

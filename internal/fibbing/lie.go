@@ -6,8 +6,55 @@
 //
 // The package is pure control-plane logic: it reasons about a topology and
 // produces lies. Turning lies into flooded LSAs is the southbound's job;
-// an analytic evaluator (Evaluate) mirrors the routers' route computation
-// so augmentations can be verified before touching the network.
+// an analytic evaluator (Evaluator, and the package-level Evaluate on top
+// of it) mirrors the routers' route computation so augmentations can be
+// verified before touching the network.
+//
+// # What-if evaluation is a lookup, not a Dijkstra per router
+//
+// A lie is a leaf: one fake node hung off its Attach router by one edge of
+// weight Cost, with no edge out. No path can pass through it, so no lie
+// set changes a distance between two real nodes. Two consequences carry
+// the whole evaluator:
+//
+//   - a router u reaches the lie at dist(u -> Attach) + Cost, and reaches
+//     a real attachment a at dist(u -> a) + a's cost: every distance a
+//     route computation needs is a distance to a real node, whatever the
+//     lies;
+//   - u's first hops on its shortest paths towards a real node d are the
+//     neighbours v with weight(u, v) + dist(v -> d) = dist(u -> d) — the
+//     predecessors of u in the shortest-path tree rooted at d over the
+//     transposed graph.
+//
+// So one reverse tree per destination (spf.Compute over Graph.Reverse with
+// the usual host-skip rule) answers "how far is every router from d, and
+// through which neighbours" for all routers at once. An Evaluator builds
+// those trees lazily, one per destination actually asked about (prefix
+// attachments and lie attach routers), keeps them, and answers
+// Evaluate(prefix, lies) with a scan: per router, the minimum over the
+// announcements, the union of the tied announcements' first hops, and the
+// router's own tied fakes added on top as extra RIB paths — the same
+// semantics internal/ospf implements, which the integration tests check
+// against a running IGP and evaluator_test.go checks against the retained
+// per-router-Dijkstra reference.
+//
+// Cost model, with R routers, A attachments, L lies and D distinct
+// destinations among them: a cold question costs D Dijkstras plus the
+// scan; a warm one costs the O(R x (A + L)) scan and allocates only the
+// views it returns. A pinned compile (AugmentPinAll, ReduceLies, Verify)
+// lies at every router and tries one removal per router, so it used to
+// cost about R Dijkstras per trial x R trials; over one Evaluator it
+// costs at most R Dijkstras in total. The plain-IGP view is computed once
+// per (evaluator, prefix) and shared by every compile step.
+//
+// Snapshot contract: an Evaluator is bound to one topology as it was at
+// first use and is valid until that topology is mutated (SetWeight is the
+// only mutation there is). It does not detect mutation. The package-level
+// functions (Evaluate, IGPView, AugmentAddPaths, AugmentPinAll,
+// ReduceLies, Verify) build a fresh Evaluator per call and so never
+// cache: code that mutates weights between calls (te's weight search)
+// uses those; code that asks many questions about one topology (the
+// planner, through controller.PlanArtifacts) shares an Evaluator.
 package fibbing
 
 import (

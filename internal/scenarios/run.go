@@ -297,8 +297,9 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 		// simulated stalls move together.
 		views := make(map[string]map[topo.NodeID]fibbing.RouteView, len(tp.Prefixes()))
 		var viewErr error
+		ev := fibbing.NewEvaluator(tp)
 		for _, pr := range tp.Prefixes() {
-			v, err := fibbing.Evaluate(tp, pr.Name, liesNow[pr.Name])
+			v, err := ev.Evaluate(pr.Name, liesNow[pr.Name])
 			if err != nil {
 				viewErr = err
 				break

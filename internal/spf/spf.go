@@ -24,15 +24,31 @@ import (
 )
 
 // scratch is the reusable working state of one SPF run: the visited set
-// (Compute), the per-node flag vector (Incremental), and the binary-heap
-// backing array. The parallel simulation core runs many per-router SPF
-// computations per tick on worker goroutines, so the scratch is pooled —
-// effectively per worker — instead of allocated per run. Results (Dist,
-// preds) never alias scratch memory.
+// (Compute), the per-node flag vector (Incremental), the binary-heap
+// backing array, and the DAG-walk state of Tree.NextHops. The parallel
+// simulation core runs many per-router SPF computations per tick on
+// worker goroutines, so the scratch is pooled — effectively per worker —
+// instead of allocated per run. Results (Dist, preds) never alias scratch
+// memory.
 type scratch struct {
 	done  []bool
 	flags []uint8
 	h     heap
+
+	// NextHops state. seen and cnt are all-zero between uses: a walk
+	// resets exactly the entries it touched (the nodes in order), so a
+	// query costs its ancestor closure, not the graph.
+	seen  []bool
+	cnt   []int64
+	order []topo.NodeID
+	stack []dagFrame
+}
+
+// dagFrame is one level of NextHops' iterative depth-first walk: a node
+// and the index of its next unvisited predecessor edge.
+type dagFrame struct {
+	node topo.NodeID
+	next int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -51,6 +67,17 @@ func (s *scratch) boolSlice(n int) []bool {
 	s.done = s.done[:n]
 	clear(s.done)
 	return s.done
+}
+
+// walkSlices returns the NextHops visited and path-count vectors, grown
+// to n nodes (fresh memory is zero, kept memory was reset by its last
+// user).
+func (s *scratch) walkSlices(n int) ([]bool, []int64) {
+	if len(s.seen) < n {
+		s.seen = make([]bool, n)
+		s.cnt = make([]int64, n)
+	}
+	return s.seen, s.cnt
 }
 
 func (s *scratch) flagSlice(n int) []uint8 {
@@ -99,6 +126,34 @@ func (g *Graph) AddEdge(from topo.NodeID, e Edge) {
 func (g *Graph) AddNode() topo.NodeID {
 	g.Out = append(g.Out, nil)
 	return topo.NodeID(len(g.Out) - 1)
+}
+
+// Reverse returns the transpose graph: one edge v -> u (same weight and
+// link) for every edge u -> v. A shortest-path tree over it rooted at d
+// holds every node's distance *to* d, and the tree's predecessors of u are
+// u's first hops towards d — the destination-rooted view that answers
+// "how does everyone reach d" with one Dijkstra instead of one per source.
+func (g *Graph) Reverse() *Graph {
+	n := g.NumNodes()
+	indeg := make([]int, n)
+	total := 0
+	for _, es := range g.Out {
+		for _, e := range es {
+			indeg[e.To]++
+		}
+		total += len(es)
+	}
+	r := NewGraph(n)
+	backing := make([]Edge, total)
+	for v, d := range indeg {
+		r.Out[v], backing = backing[:0:d], backing[d:]
+	}
+	for u, es := range g.Out {
+		for _, e := range es {
+			r.Out[e.To] = append(r.Out[e.To], Edge{To: topo.NodeID(u), Weight: e.Weight, Link: e.Link})
+		}
+	}
+	return r
 }
 
 // Clone returns a deep copy; edge slices are copied so the clone can be
@@ -338,6 +393,21 @@ func (t *Tree) Equal(o *Tree) bool {
 	return true
 }
 
+// AppendParents appends to buf the distinct predecessor nodes of v in the
+// shortest-path DAG, ascending (parallel links collapse to one entry), and
+// returns the extended slice. Over a Reverse graph these are v's first
+// hops towards the root.
+func (t *Tree) AppendParents(buf []topo.NodeID, v topo.NodeID) []topo.NodeID {
+	last := topo.NoNode
+	for _, p := range t.preds[v] { // canonical order: equal froms are adjacent
+		if p.from != last {
+			buf = append(buf, p.from)
+			last = p.from
+		}
+	}
+	return buf
+}
+
 // Reachable reports whether dst was reached.
 func (t *Tree) Reachable(dst topo.NodeID) bool {
 	return t.Dist[dst] != Infinity
@@ -361,40 +431,55 @@ func (t *Tree) NextHops(dst topo.NodeID) []NextHop {
 	if dst == t.Src || !t.Reachable(dst) {
 		return nil
 	}
-	// Count, for each node on the DAG, the number of shortest paths from
-	// Src, memoised over the predecessor DAG; and attribute each complete
-	// path to the first hop it uses.
-	type agg struct {
-		counts map[topo.NodeID]int64 // first-hop node -> #paths
-		link   map[topo.NodeID]topo.LinkID
-	}
-	memo := make(map[topo.NodeID]agg)
-	var walk func(v topo.NodeID) agg
-	walk = func(v topo.NodeID) agg {
-		if a, ok := memo[v]; ok {
-			return a
+	// A shortest path Src -> h -> ... -> dst is one of the parallel edges
+	// Src -> h followed by one of the DAG paths h -> dst, so h's
+	// multiplicity is (#edges Src -> h) x (#paths h -> dst). Count the
+	// latter for every ancestor of dst in one backward sweep: depth-first
+	// post-order over the predecessor edges lists ancestors first, so its
+	// reverse hands each node its final count before passing it upstream.
+	sc := getScratch()
+	defer sc.release()
+	seen, cnt := sc.walkSlices(len(t.preds))
+	order, stack := sc.order[:0], sc.stack[:0]
+	seen[dst] = true
+	stack = append(stack, dagFrame{node: dst})
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if ps := t.preds[f.node]; f.next < len(ps) {
+			u := ps[f.next].from
+			f.next++
+			if u != t.Src && !seen[u] {
+				seen[u] = true
+				stack = append(stack, dagFrame{node: u})
+			}
+			continue
 		}
-		a := agg{counts: make(map[topo.NodeID]int64), link: make(map[topo.NodeID]topo.LinkID)}
+		order = append(order, f.node)
+		stack = stack[:len(stack)-1]
+	}
+	var out []NextHop
+	cnt[dst] = 1
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		nh, first := NextHop{Node: v}, false
 		for _, p := range t.preds[v] {
 			if p.from == t.Src {
-				a.counts[v] += 1
-				a.link[v] = p.link
+				// Canonical pred order makes the highest parallel link
+				// the one reported.
+				nh.Link, first = p.link, true
+				nh.Paths += cnt[v]
 				continue
 			}
-			sub := walk(p.from)
-			for nh, c := range sub.counts {
-				a.counts[nh] += c
-				a.link[nh] = sub.link[nh]
-			}
+			cnt[p.from] += cnt[v]
 		}
-		memo[v] = a
-		return a
+		if first {
+			out = append(out, nh)
+		}
 	}
-	a := walk(dst)
-	out := make([]NextHop, 0, len(a.counts))
-	for nh, c := range a.counts {
-		out = append(out, NextHop{Node: nh, Link: a.link[nh], Paths: c})
+	for _, v := range order {
+		seen[v], cnt[v] = false, 0
 	}
+	sc.order, sc.stack = order, stack
 	sortNextHops(out)
 	return out
 }

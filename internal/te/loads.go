@@ -103,28 +103,20 @@ func propagate(t *topo.Topology, views map[topo.NodeID]fibbing.RouteView, ingres
 
 // IGPLoads is a convenience: route demands over plain IGP shortest paths.
 func IGPLoads(t *topo.Topology, demands []topo.Demand) (map[topo.LinkID]float64, error) {
-	views := make(map[string]map[topo.NodeID]fibbing.RouteView)
-	for _, d := range demands {
-		if _, ok := views[d.PrefixName]; ok {
-			continue
-		}
-		v, err := fibbing.IGPView(t, d.PrefixName)
-		if err != nil {
-			return nil, err
-		}
-		views[d.PrefixName] = v
-	}
-	return LinkLoads(t, views, demands)
+	return LoadsWithLies(t, nil, demands)
 }
 
-// LoadsWithLies routes demands over the Fibbing-augmented network.
+// LoadsWithLies routes demands over the Fibbing-augmented network. The
+// prefixes share one evaluator, so a router that anchors lies for several
+// of them costs one SPF tree, not one per prefix.
 func LoadsWithLies(t *topo.Topology, liesByPrefix map[string][]fibbing.Lie, demands []topo.Demand) (map[topo.LinkID]float64, error) {
+	ev := fibbing.NewEvaluator(t)
 	views := make(map[string]map[topo.NodeID]fibbing.RouteView)
 	for _, d := range demands {
 		if _, ok := views[d.PrefixName]; ok {
 			continue
 		}
-		v, err := fibbing.Evaluate(t, d.PrefixName, liesByPrefix[d.PrefixName])
+		v, err := ev.Evaluate(d.PrefixName, liesByPrefix[d.PrefixName])
 		if err != nil {
 			return nil, err
 		}

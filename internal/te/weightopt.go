@@ -179,6 +179,7 @@ func RealizeMinMax(t *topo.Topology, demands []topo.Demand, maxDenom int) (*Fibb
 		Optimal:       opt.MaxUtilisation,
 		PerPrefixLies: make(map[string][]fibbing.Lie),
 	}
+	ev := fibbing.NewEvaluator(t)
 	for name, splits := range opt.Splits {
 		dag, err := fibbing.SplitsToDAG(splits, maxDenom)
 		if err != nil {
@@ -193,13 +194,13 @@ func RealizeMinMax(t *topo.Topology, demands []topo.Demand, maxDenom int) (*Fibb
 		// Prefer minimal equal-cost additions (cheap, provably
 		// non-disruptive); fall back to global pinning when the optimum
 		// removes IGP paths.
-		aug, err := fibbing.AugmentAddPaths(t, name, dag)
+		aug, err := ev.AugmentAddPaths(name, dag)
 		if err != nil {
-			aug, err = fibbing.AugmentPinAll(t, name, dag)
+			aug, err = ev.AugmentPinAll(name, dag)
 			if err != nil {
 				return nil, err
 			}
-			aug, err = fibbing.ReduceLies(t, name, aug, dag)
+			aug, err = ev.ReduceLies(name, aug, dag)
 			if err != nil {
 				return nil, err
 			}
