@@ -27,11 +27,10 @@ type Diff struct {
 	Changes []RouteChange
 }
 
-// NewDiff returns a diff builder for router with capacity for n changes
-// preallocated, so hot-path builders (the per-SPF-run diff) size the
-// change list once instead of growing it append by append.
-func NewDiff(router topo.NodeID, n int) *Diff {
-	return &Diff{Router: router, Changes: make([]RouteChange, 0, n)}
+// NewDiff returns an empty diff for router. The change list grows on
+// append: most SPF runs change no route, and the rest change a few.
+func NewDiff(router topo.NodeID) *Diff {
+	return &Diff{Router: router}
 }
 
 // Empty reports whether the diff carries no changes.
@@ -77,18 +76,12 @@ func (r Route) Equal(o Route) bool {
 	return true
 }
 
-// Clone returns a table with the same router identity, salt, and routes.
-// Route values are copied (next-hop slices included), so mutating the
-// clone never perturbs snapshots of the original held by observers.
+// Clone returns a table with the same router identity, salt, and routes
+// in O(1): the copy-on-write trie is shared until either side changes a
+// route, and stored routes are immutable, so neither table ever observes
+// the other's later Install, Remove or ApplyDiff.
 func (t *Table) Clone() *Table {
-	c := NewTable(t.Router)
-	c.Salt = t.Salt
-	t.lpm.Walk(func(p netip.Prefix, r Route) bool {
-		r.NextHops = append([]NextHop(nil), r.NextHops...)
-		c.lpm.Insert(p, r)
-		return true
-	})
-	return c
+	return &Table{Router: t.Router, Salt: t.Salt, lpm: t.lpm.Clone()}
 }
 
 // ApplyDiff applies every change in order. Upserts are validated like
@@ -113,7 +106,7 @@ func (t *Table) ApplyDiff(d *Diff) error {
 // prefix order, so the diff is deterministic). Either table may be nil,
 // meaning empty.
 func DiffTables(router topo.NodeID, old, new *Table) *Diff {
-	d := &Diff{Router: router}
+	d := NewDiff(router)
 	var oldRoutes, newRoutes []Route
 	if old != nil {
 		oldRoutes = old.Routes()

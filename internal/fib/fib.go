@@ -8,11 +8,17 @@
 // Weight 2 and splits traffic 2/3 : 1/3 with plain ECMP hashing.
 //
 // Tables also move by delta (diff.go): routers emit Diffs (per-prefix
-// RouteChanges), ApplyDiff patches a table in place, and DiffTables
-// derives the delta between two tables. The data plane decides which
-// path-classes a diff can have re-pathed by overlapping the changed
-// prefixes with each class's per-hop matched prefix (netsim's
-// Aggregate.touchedBy).
+// RouteChanges), ApplyDiff patches a table, and DiffTables derives the
+// delta between two tables. The data plane decides which path-classes a
+// diff can have re-pathed by overlapping the changed prefixes with each
+// class's per-hop matched prefix (netsim's Aggregate.touchedBy).
+//
+// Snapshot contract: a table that has been handed out (ospf's OnFIBDelta,
+// a Plane, Router.FIB) never changes afterwards. Its owner derives the
+// next table with Clone, which is O(1) over a copy-on-write trie, and
+// patches the clone; the patch costs the routes it changes, not the table.
+// A stored Route's NextHops slice is immutable: the package never writes
+// to it after Install, clones share it, and callers must not either.
 package fib
 
 import (
@@ -105,8 +111,22 @@ func NewTable(router topo.NodeID) *Table {
 	return &Table{Router: router, Salt: 0x9e3779b97f4a7c15 * (uint64(router) + 1), lpm: lpm.New[Route]()}
 }
 
+// normalized reports whether Normalize would leave the next hops as they are.
+func (r Route) normalized() bool {
+	for i := 1; i < len(r.NextHops); i++ {
+		a, b := r.NextHops[i-1], r.NextHops[i]
+		if a.Node > b.Node || a.Node == b.Node && a.Link >= b.Link {
+			return false
+		}
+	}
+	return true
+}
+
 // Install adds or replaces the route for route.Prefix. Routes with no next
-// hops and Local unset are rejected.
+// hops and Local unset are rejected. The table keeps route.NextHops when it
+// is already normalized (the caller must not write to it afterwards) and a
+// normalized copy otherwise, so a slice another table stores — a route
+// read back with Get, or one carried by a Diff — is never written here.
 func (t *Table) Install(route Route) error {
 	if !route.Prefix.IsValid() {
 		return fmt.Errorf("fib: invalid prefix")
@@ -119,7 +139,10 @@ func (t *Table) Install(route Route) error {
 			return fmt.Errorf("fib: route to %v has next hop with weight %d", route.Prefix, nh.Weight)
 		}
 	}
-	route.Normalize()
+	if !route.normalized() {
+		route.NextHops = slices.Clone(route.NextHops)
+		route.Normalize()
+	}
 	t.lpm.Insert(route.Prefix, route)
 	return nil
 }

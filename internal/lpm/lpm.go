@@ -3,13 +3,17 @@
 // network. It supports IPv4 and IPv6 prefixes (in separate tries keyed by
 // address family), insertion, exact removal, longest-match lookup, and
 // ordered walking.
+//
+// The trie is copy-on-write: Clone is O(1) and shares every node with the
+// original; a later Insert or Remove on either table copies only the nodes
+// on its own path, so a clone is a snapshot that costs what is changed
+// after it, not what the table holds.
 package lpm
 
 import (
-	"cmp"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"slices"
 )
 
 // Table is a longest-prefix-match table mapping prefixes to values.
@@ -17,33 +21,120 @@ import (
 type Table[V any] struct {
 	v4, v6 *node[V]
 	size   int
+	// owner marks the nodes this table may write in place: those it
+	// created since it was last on either side of a Clone. Every other
+	// node may be shared with another table and is copied before a write.
+	owner *byte
 }
 
 type node[V any] struct {
 	child [2]*node[V]
-	val   V
-	set   bool
+	val   *V // nil when no prefix ends here; the pointee is never written
+	owner *byte
 }
 
 // New returns an empty table.
 func New[V any]() *Table[V] {
-	return &Table[V]{v4: &node[V]{}, v6: &node[V]{}}
+	return &Table[V]{owner: new(byte)}
+}
+
+// Clone returns an independent table with the same contents in O(1).
+// Neither table's later mutations are visible to the other. Clone itself
+// writes to t (both sides give up ownership of the shared nodes), so it
+// must not run concurrently with other calls on t; afterwards the two
+// tables may be used from different goroutines.
+func (t *Table[V]) Clone() *Table[V] {
+	t.owner = new(byte)
+	return &Table[V]{v4: t.v4, v6: t.v6, size: t.size, owner: new(byte)}
 }
 
 // Len returns the number of installed prefixes.
 func (t *Table[V]) Len() int { return t.size }
 
-func (t *Table[V]) root(is4 bool) *node[V] {
+func (t *Table[V]) root(is4 bool) **node[V] {
 	if is4 {
-		return t.v4
+		return &t.v4
 	}
-	return t.v6
+	return &t.v6
 }
 
-// bitAt returns bit i (0 = most significant) of the address.
-func bitAt(a netip.Addr, i int) int {
-	s := a.AsSlice()
-	return int(s[i/8]>>(7-uint(i%8))) & 1
+// key is an address left-aligned in 128 bits: bit 0, the most significant
+// bit of the address, is the top bit of hi.
+type key struct{ hi, lo uint64 }
+
+// keyOf returns the key of an address and its family's address length.
+func keyOf(a netip.Addr) (key, int) {
+	if a.Is4() {
+		b := a.As4()
+		return key{hi: uint64(binary.BigEndian.Uint32(b[:])) << 32}, 32
+	}
+	b := a.As16()
+	return key{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}, 128
+}
+
+func (k key) bit(i int) uint64 {
+	if i < 64 {
+		return k.hi >> (63 - uint(i)) & 1
+	}
+	return k.lo >> (127 - uint(i)) & 1
+}
+
+// withBit returns k with bit i set; i == 128, one past a host route, sets
+// nothing (an oversized shift yields zero).
+func (k key) withBit(i int) key {
+	if i < 64 {
+		k.hi |= 1 << (63 - uint(i))
+	} else {
+		k.lo |= 1 << (127 - uint(i))
+	}
+	return k
+}
+
+func (k key) addr(is4 bool) netip.Addr {
+	if is4 {
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], uint32(k.hi>>32))
+		return netip.AddrFrom4(b)
+	}
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], k.hi)
+	binary.BigEndian.PutUint64(b[8:], k.lo)
+	return netip.AddrFrom16(b)
+}
+
+// find returns the node of an exact (masked) prefix, or nil.
+func (t *Table[V]) find(p netip.Prefix) *node[V] {
+	k, _ := keyOf(p.Addr())
+	n := *t.root(p.Addr().Is4())
+	for i := 0; n != nil && i < p.Bits(); i++ {
+		n = n.child[k.bit(i)]
+	}
+	return n
+}
+
+// writable returns the node of an exact (masked) prefix for writing: every
+// node on the path that is missing is created, and every one this table
+// does not own is replaced by an owned copy.
+func (t *Table[V]) writable(p netip.Prefix) *node[V] {
+	k, _ := keyOf(p.Addr())
+	at := t.root(p.Addr().Is4())
+	for i := 0; ; i++ {
+		n := *at
+		switch {
+		case n == nil:
+			n = &node[V]{owner: t.owner}
+			*at = n
+		case n.owner != t.owner:
+			c := *n
+			c.owner = t.owner
+			n = &c
+			*at = n
+		}
+		if i == p.Bits() {
+			return n
+		}
+		at = &n.child[k.bit(i)]
+	}
 }
 
 // Insert adds or replaces the value for an exact prefix.
@@ -51,151 +142,82 @@ func (t *Table[V]) Insert(p netip.Prefix, v V) {
 	if !p.IsValid() {
 		panic(fmt.Sprintf("lpm: invalid prefix %v", p))
 	}
-	p = p.Masked()
-	n := t.root(p.Addr().Is4())
-	for i := 0; i < p.Bits(); i++ {
-		b := bitAt(p.Addr(), i)
-		if n.child[b] == nil {
-			n.child[b] = &node[V]{}
-		}
-		n = n.child[b]
-	}
-	if !n.set {
+	n := t.writable(p.Masked())
+	if n.val == nil {
 		t.size++
 	}
-	n.val, n.set = v, true
+	n.val = &v
 }
 
 // Remove deletes an exact prefix, reporting whether it was present.
-// Trie nodes are not compacted: tables in this system are small and
-// compaction would complicate concurrent walking.
+// Trie nodes are not compacted: tables in this system are small and the
+// same prefixes come and go.
 func (t *Table[V]) Remove(p netip.Prefix) bool {
 	if !p.IsValid() {
 		return false
 	}
 	p = p.Masked()
-	n := t.root(p.Addr().Is4())
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bitAt(p.Addr(), i)]
-		if n == nil {
-			return false
-		}
-	}
-	if !n.set {
+	if n := t.find(p); n == nil || n.val == nil {
 		return false
 	}
-	var zero V
-	n.val, n.set = zero, false
+	t.writable(p).val = nil
 	t.size--
 	return true
 }
 
 // Get returns the value stored for the exact prefix.
 func (t *Table[V]) Get(p netip.Prefix) (V, bool) {
-	var zero V
-	if !p.IsValid() {
-		return zero, false
-	}
-	p = p.Masked()
-	n := t.root(p.Addr().Is4())
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bitAt(p.Addr(), i)]
-		if n == nil {
-			return zero, false
+	if p.IsValid() {
+		if n := t.find(p.Masked()); n != nil && n.val != nil {
+			return *n.val, true
 		}
 	}
-	if !n.set {
-		return zero, false
-	}
-	return n.val, true
+	var zero V
+	return zero, false
 }
 
 // Lookup performs longest-prefix-match for an address, returning the value
 // of the most specific covering prefix.
 func (t *Table[V]) Lookup(a netip.Addr) (V, netip.Prefix, bool) {
-	var (
-		zero  V
-		best  V
-		bestP netip.Prefix
-		found bool
-	)
-	if !a.IsValid() {
+	var best *V
+	bestBits := 0
+	if a.IsValid() {
+		k, max := keyOf(a)
+		n := *t.root(a.Is4())
+		for i := 0; n != nil; i++ {
+			if n.val != nil {
+				best, bestBits = n.val, i
+			}
+			if i == max {
+				break
+			}
+			n = n.child[k.bit(i)]
+		}
+	}
+	if best == nil {
+		var zero V
 		return zero, netip.Prefix{}, false
 	}
-	n := t.root(a.Is4())
-	maxBits := 128
-	if a.Is4() {
-		maxBits = 32
-	}
-	for i := 0; ; i++ {
-		if n.set {
-			best = n.val
-			bestP = netip.PrefixFrom(a, i).Masked()
-			found = true
-		}
-		if i == maxBits {
-			break
-		}
-		n = n.child[bitAt(a, i)]
-		if n == nil {
-			break
-		}
-	}
-	if !found {
-		return zero, netip.Prefix{}, false
-	}
-	return best, bestP, true
+	return *best, netip.PrefixFrom(a, bestBits).Masked(), true
 }
 
-// Walk visits every installed prefix in sorted order (shorter prefixes of
-// the same address first). The walk stops early if fn returns false.
+// Walk visits every installed prefix in sorted order: IPv4 before IPv6,
+// then by address, shorter prefixes of the same address first — which is
+// the trie's pre-order, so nothing is collected or sorted. The walk stops
+// early if fn returns false. fn must not mutate t.
 func (t *Table[V]) Walk(fn func(p netip.Prefix, v V) bool) {
-	type entry struct {
-		p netip.Prefix
-		v V
+	_ = walk(t.v4, true, key{}, 0, fn) && walk(t.v6, false, key{}, 0, fn)
+}
+
+// walk visits the subtree of n, whose prefix is the first bits bits of k.
+func walk[V any](n *node[V], is4 bool, k key, bits int, fn func(netip.Prefix, V) bool) bool {
+	if n == nil {
+		return true
 	}
-	var all []entry
-	var collect func(n *node[V], addr [16]byte, bits int, is4 bool)
-	collect = func(n *node[V], addr [16]byte, bits int, is4 bool) {
-		if n == nil {
-			return
-		}
-		if n.set {
-			var a netip.Addr
-			if is4 {
-				var b4 [4]byte
-				copy(b4[:], addr[:4])
-				a = netip.AddrFrom4(b4)
-			} else {
-				a = netip.AddrFrom16(addr)
-			}
-			all = append(all, entry{p: netip.PrefixFrom(a, bits), v: n.val})
-		}
-		maxBits := 128
-		if is4 {
-			maxBits = 32
-		}
-		if bits == maxBits {
-			return
-		}
-		collect(n.child[0], addr, bits+1, is4)
-		addr[bits/8] |= 1 << (7 - uint(bits%8))
-		collect(n.child[1], addr, bits+1, is4)
+	if n.val != nil && !fn(netip.PrefixFrom(k.addr(is4), bits), *n.val) {
+		return false
 	}
-	collect(t.v4, [16]byte{}, 0, true)
-	collect(t.v6, [16]byte{}, 0, false)
-	slices.SortFunc(all, func(x, y entry) int {
-		ax, ay := x.p.Addr(), y.p.Addr()
-		if ax != ay {
-			return ax.Compare(ay)
-		}
-		return cmp.Compare(x.p.Bits(), y.p.Bits())
-	})
-	for _, e := range all {
-		if !fn(e.p, e.v) {
-			return
-		}
-	}
+	return walk(n.child[0], is4, k, bits+1, fn) && walk(n.child[1], is4, k.withBit(bits), bits+1, fn)
 }
 
 // Prefixes returns all installed prefixes in sorted order.

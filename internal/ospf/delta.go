@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"strings"
 
 	"fibbing.net/fibbing/internal/fib"
 	"fibbing.net/fibbing/internal/spf"
@@ -125,6 +126,76 @@ type spfCache struct {
 	fakeIdx map[Key]topo.NodeID      // fake LSA key -> slot
 	live    int
 	tree    *spf.Tree // rooted at this router's own slot
+
+	// The announcer index: who announces each prefix, kept in step with
+	// the LSDB by applyChange so an SPF run never rescans the database.
+	// prefixes holds the entries of byPrefix sorted by string form, the
+	// order in which routes are computed, diffed and their errors raised.
+	byPrefix map[netip.Prefix]*prefixEntry
+	prefixes []*prefixEntry
+}
+
+// prefixEntry lists the Prefix and Fake LSAs naming one prefix, in LSDB
+// key order (Prefix LSAs first). It holds LSAs, not graph slots: those are
+// resolved at use (announcers), so routers and fakes may come and go
+// without touching the index.
+type prefixEntry struct {
+	prefix netip.Prefix
+	str    string // prefix.String(), computed once
+	lsas   []*LSA
+}
+
+func (e *prefixEntry) compareStr(s string) int { return strings.Compare(e.str, s) }
+
+func lsaCompareKey(l *LSA, k Key) int { return keyCompare(l.Header.Key(), k) }
+
+// entry returns the index entry of p and whether it had to be created; a
+// created entry is not yet in c.prefixes.
+func (c *spfCache) entry(p netip.Prefix) (e *prefixEntry, created bool) {
+	if e = c.byPrefix[p]; e != nil {
+		return e, false
+	}
+	e = &prefixEntry{prefix: p, str: p.String()}
+	c.byPrefix[p] = e
+	return e, true
+}
+
+// announce files a Prefix or Fake LSA under its prefix.
+func (c *spfCache) announce(l *LSA) {
+	e, created := c.entry(l.Prefix)
+	if created {
+		at, _ := slices.BinarySearchFunc(c.prefixes, e.str, (*prefixEntry).compareStr)
+		c.prefixes = slices.Insert(c.prefixes, at, e)
+	}
+	at, _ := slices.BinarySearchFunc(e.lsas, l.Header.Key(), lsaCompareKey)
+	e.lsas = slices.Insert(e.lsas, at, l)
+}
+
+// withdraw removes the LSA with l's key from l's prefix, reporting whether
+// it was filed there. An entry left empty stays until the end of the SPF
+// run (prune), which still has to delete its route.
+func (c *spfCache) withdraw(l *LSA) bool {
+	e := c.byPrefix[l.Prefix]
+	if e == nil {
+		return false
+	}
+	at, ok := slices.BinarySearchFunc(e.lsas, l.Header.Key(), lsaCompareKey)
+	if ok {
+		e.lsas = slices.Delete(e.lsas, at, at+1)
+	}
+	return ok
+}
+
+// prune drops the entry of p if no LSA names the prefix any more.
+func (c *spfCache) prune(p netip.Prefix) {
+	e := c.byPrefix[p]
+	if e == nil || len(e.lsas) > 0 {
+		return
+	}
+	delete(c.byPrefix, p)
+	if at, ok := slices.BinarySearchFunc(c.prefixes, e.str, (*prefixEntry).compareStr); ok {
+		c.prefixes = slices.Delete(c.prefixes, at, at+1)
+	}
 }
 
 func (c *spfCache) allocSlot(s slot) topo.NodeID {
@@ -171,12 +242,22 @@ func listsNeighbor(l *LSA, id RouterID) bool {
 // buildCache materialises the LSDB into a fresh cache: real routers first
 // (two-way-checked adjacencies), then one leaf slot per fake LSA. Fakes
 // whose attachment router is unknown keep a slot but no edge, so a later
-// appearance of the router links them incrementally.
+// appearance of the router links them incrementally. The announcer index
+// is filled in bulk: LSAs arrive in key order, so each is appended, and
+// the prefixes are sorted once at the end.
 func (r *Router) buildCache() *spfCache {
 	c := &spfCache{
-		g:       spf.NewGraph(0),
-		index:   make(map[RouterID]topo.NodeID),
-		fakeIdx: make(map[Key]topo.NodeID),
+		g:        spf.NewGraph(0),
+		index:    make(map[RouterID]topo.NodeID),
+		fakeIdx:  make(map[Key]topo.NodeID),
+		byPrefix: make(map[netip.Prefix]*prefixEntry),
+	}
+	file := func(l *LSA) {
+		e, created := c.entry(l.Prefix)
+		if created {
+			c.prefixes = append(c.prefixes, e)
+		}
+		e.lsas = append(e.lsas, l)
 	}
 	routerLSAs := r.db.ByType(TypeRouter)
 	byRouter := make(map[RouterID]*LSA, len(routerLSAs))
@@ -197,20 +278,25 @@ func (r *Router) buildCache() *spfCache {
 			c.g.AddEdge(u, spf.Edge{To: v, Weight: int64(rl.Metric), Link: topo.NoLink})
 		}
 	}
+	for _, l := range r.db.ByType(TypePrefix) {
+		file(l)
+	}
 	for _, l := range r.db.ByType(TypeFake) {
 		idx := c.allocSlot(slot{kind: slotFake, fake: l})
 		c.fakeIdx[l.Header.Key()] = idx
 		if attach, ok := c.index[l.AttachedTo]; ok {
 			c.g.AddEdge(attach, spf.Edge{To: idx, Weight: int64(l.AttachCost), Link: topo.NoLink})
 		}
+		file(l)
 	}
+	slices.SortFunc(c.prefixes, func(a, b *prefixEntry) int { return a.compareStr(b.str) })
 	return c
 }
 
 // effects accumulates what a change-log replay did to the cache.
 type effects struct {
 	edges         []spf.GraphChange
-	dirtyPrefixes map[string]bool
+	dirtyPrefixes map[netip.Prefix]bool
 	rebuild       bool // cache inconsistent: fall back to a full rebuild
 }
 
@@ -276,10 +362,14 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange, eff *effects) {
 			}
 		}
 		if added || removed {
-			// Prefixes announced by X appear or disappear with it.
-			for _, pl := range r.db.ByType(TypePrefix) {
-				if pl.Header.AdvRouter == x {
-					eff.dirtyPrefixes[pl.Prefix.String()] = true
+			// Prefixes announced by X appear or disappear with it. The
+			// index is as of this point of the replay; a Prefix LSA of X
+			// that comes or goes later in the log dirties its prefix then.
+			for _, e := range c.prefixes {
+				for _, pl := range e.lsas {
+					if pl.Header.Type == TypePrefix && pl.Header.AdvRouter == x {
+						eff.dirtyPrefixes[e.prefix] = true
+					}
 				}
 			}
 		}
@@ -295,7 +385,7 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange, eff *effects) {
 			if f == nil || f.AttachedTo != x {
 				continue
 			}
-			eff.dirtyPrefixes[f.Prefix.String()] = true
+			eff.dirtyPrefixes[f.Prefix] = true
 			if attachIdx, ok := c.index[x]; ok {
 				if c.g.ReplaceEdges(attachIdx, fi, []spf.Edge{{Weight: int64(f.AttachCost), Link: topo.NoLink}}) {
 					eff.edges = append(eff.edges, spf.GraphChange{From: attachIdx, To: fi})
@@ -304,20 +394,25 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange, eff *effects) {
 		}
 	case TypePrefix:
 		if ch.old != nil {
-			eff.dirtyPrefixes[ch.old.Prefix.String()] = true
+			eff.dirtyPrefixes[ch.old.Prefix] = true
+			if !c.withdraw(ch.old) {
+				eff.rebuild = true
+				return
+			}
 		}
 		if ch.new != nil {
-			eff.dirtyPrefixes[ch.new.Prefix.String()] = true
+			eff.dirtyPrefixes[ch.new.Prefix] = true
+			c.announce(ch.new)
 		}
 	case TypeFake:
 		k := l.Header.Key()
 		if ch.old != nil {
 			idx, ok := c.fakeIdx[k]
-			if !ok {
+			if !ok || !c.withdraw(ch.old) {
 				eff.rebuild = true
 				return
 			}
-			eff.dirtyPrefixes[ch.old.Prefix.String()] = true
+			eff.dirtyPrefixes[ch.old.Prefix] = true
 			if attach, aok := c.index[ch.old.AttachedTo]; aok {
 				if c.g.ReplaceEdges(attach, idx, nil) {
 					eff.edges = append(eff.edges, spf.GraphChange{From: attach, To: idx})
@@ -333,7 +428,8 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange, eff *effects) {
 			c.fakeIdx[k] = c.allocSlot(slot{kind: slotFake, fake: ch.new})
 		}
 		idx := c.fakeIdx[k]
-		eff.dirtyPrefixes[ch.new.Prefix.String()] = true
+		c.announce(ch.new)
+		eff.dirtyPrefixes[ch.new.Prefix] = true
 		if attach, ok := c.index[ch.new.AttachedTo]; ok {
 			if c.g.ReplaceEdges(attach, idx, []spf.Edge{{Weight: int64(ch.new.AttachCost), Link: topo.NoLink}}) {
 				eff.edges = append(eff.edges, spf.GraphChange{From: attach, To: idx})
@@ -388,33 +484,23 @@ type announcer struct {
 	fake   *LSA
 }
 
-// collectAnnouncers groups announcements per prefix string.
-func (r *Router) collectAnnouncers(c *spfCache) (map[string][]announcer, map[string]netip.Prefix) {
-	byPrefix := make(map[string][]announcer)
-	prefixOf := make(map[string]netip.Prefix)
-	for _, l := range r.db.ByType(TypePrefix) {
-		aIdx, ok := c.index[l.Header.AdvRouter]
-		if !ok {
-			continue
+// announcers appends to buf the announcers of one prefix, in the entry's
+// LSDB key order (so the errors routeFor raises while scanning them come in
+// the same order on every run). An LSA whose node has no graph slot — a
+// Prefix LSA of a router the cache does not know, a fake it never saw — is
+// skipped; a prefix left with no announcer at all has no route.
+func (c *spfCache) announcers(e *prefixEntry, buf []announcer) []announcer {
+	for _, l := range e.lsas {
+		if l.Header.Type == TypePrefix {
+			if idx, ok := c.index[l.Header.AdvRouter]; ok {
+				buf = append(buf, announcer{idx: idx, metric: l.Metric})
+			}
+		} else if fi, ok := c.fakeIdx[l.Header.Key()]; ok {
+			f := c.slots[fi].fake
+			buf = append(buf, announcer{idx: fi, metric: f.Metric, fake: f})
 		}
-		k := l.Prefix.String()
-		byPrefix[k] = append(byPrefix[k], announcer{idx: aIdx, metric: l.Metric})
-		prefixOf[k] = l.Prefix
 	}
-	// Fakes are walked via the LSDB's sorted key order, not the fakeIdx
-	// map, so the per-prefix announcer lists (and any errors routeFor
-	// raises while scanning them) are ordered identically on every run.
-	for _, l := range r.db.ByType(TypeFake) {
-		fi, ok := c.fakeIdx[l.Header.Key()]
-		if !ok {
-			continue
-		}
-		l = c.slots[fi].fake
-		k := l.Prefix.String()
-		byPrefix[k] = append(byPrefix[k], announcer{idx: fi, metric: l.Metric, fake: l})
-		prefixOf[k] = l.Prefix
-	}
-	return byPrefix, prefixOf
+	return buf
 }
 
 // routeFor computes the route this router installs for one prefix: best
@@ -423,6 +509,11 @@ func (r *Router) collectAnnouncers(c *spfCache) (map[string][]announcer, map[str
 // splitting). ok is false when no route is installable.
 func (r *Router) routeFor(c *spfCache, p netip.Prefix, anns []announcer, selfIdx topo.NodeID) (fib.Route, bool) {
 	tree := c.tree
+	// A slot allocated since the tree was last patched has no edge yet (an
+	// edge would have forced an SPF run), so the tree does not cover it.
+	reachable := func(idx topo.NodeID) bool {
+		return int(idx) < len(tree.Dist) && tree.Reachable(idx)
+	}
 	best := spf.Infinity
 	local := false
 	for _, a := range anns {
@@ -430,7 +521,7 @@ func (r *Router) routeFor(c *spfCache, p netip.Prefix, anns []announcer, selfIdx
 			local = true
 			break
 		}
-		if !tree.Reachable(a.idx) {
+		if !reachable(a.idx) {
 			continue
 		}
 		if d := tree.Dist[a.idx] + int64(a.metric); d < best {
@@ -446,7 +537,7 @@ func (r *Router) routeFor(c *spfCache, p netip.Prefix, anns []announcer, selfIdx
 	setNH := make(map[topo.NodeID]bool)
 	extra := make(map[topo.NodeID]int)
 	for _, a := range anns {
-		if !tree.Reachable(a.idx) || tree.Dist[a.idx]+int64(a.metric) != best {
+		if !reachable(a.idx) || tree.Dist[a.idx]+int64(a.metric) != best {
 			continue
 		}
 		if a.fake != nil && a.fake.AttachedTo == r.id {

@@ -12,9 +12,11 @@ import (
 
 // The delta pipeline's contract: after any sequence of topology and lie
 // mutations, every router's incrementally maintained FIB is byte-identical
-// to a from-scratch recompute of its LSDB (buildFullState). 50 seeded
-// random mutation sequences sweep the topology zoo with link failures,
-// heals, weight changes, and lie installs/withdraws.
+// to a from-scratch recompute of its LSDB (buildFullState), and its
+// persistent announcer index equal to a from-scratch scan of the LSDB
+// (collectAnnouncers, index_test.go). 50 seeded random mutation sequences
+// sweep the topology zoo with link failures, heals, weight changes, and
+// lie installs/withdraws.
 
 // equivTopology builds the zoo member for one sequence.
 func equivTopology(i int) (*topo.Topology, string) {
@@ -115,6 +117,7 @@ func TestDeltaPipelineEquivalence(t *testing.T) {
 			t.Fatalf("seq %d (%s): %v", seq, name, err)
 		}
 		assertFIBsMatchFull(t, fmt.Sprintf("seq %d (%s) after start", seq, name), d)
+		assertIndexesMatchOracle(t, fmt.Sprintf("seq %d (%s) after start", seq, name), d)
 
 		links := routerLinks(tp)
 		prefixes := tp.Prefixes()
@@ -190,6 +193,7 @@ func TestDeltaPipelineEquivalence(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			assertFIBsMatchFull(t, label, d)
+			assertIndexesMatchOracle(t, label, d)
 		}
 		s := d.Stats()
 		totalInc += s.SPFIncrementalRuns

@@ -526,7 +526,7 @@ func (r *Router) computeRoutes() {
 		return
 	}
 	c := r.cache
-	eff := &effects{dirtyPrefixes: make(map[string]bool)}
+	eff := &effects{dirtyPrefixes: make(map[netip.Prefix]bool)}
 	for _, ch := range changes {
 		r.applyChange(c, ch, eff)
 		if eff.rebuild {
@@ -570,47 +570,44 @@ func (r *Router) computeRoutes() {
 		r.spfIncRuns++ // prefix-only change: no SPF work at all
 	}
 
-	anns, prefixOf := r.collectAnnouncers(c)
-	// Iterate prefixes in sorted order: the diff's change order and any
-	// routeFor error order are output-visible, and map order is not
-	// reproducible across runs.
-	keys := make([]string, 0, len(anns))
-	for k := range anns {
-		keys = append(keys, k)
+	if !touchedAll && len(touchedSet) == 0 && len(eff.dirtyPrefixes) == 0 {
+		return // the changed edges carry none of our shortest paths
 	}
-	slices.Sort(keys)
-	diff := fib.NewDiff(r.node, len(keys))
-	for _, k := range keys {
-		alist := anns[k]
-		if !touchedAll && !eff.dirtyPrefixes[k] && !announcerTouched(alist, touchedSet) {
+	// Scan the index for prefixes to recompute. Its order (sorted by string
+	// form) is output-visible: it is the diff's change order and the order
+	// of any routeFor errors. This scan is the one per-run cost that grows
+	// with the number of prefixes; it allocates nothing.
+	diff := fib.NewDiff(r.node)
+	var gone []netip.Prefix // dirty prefixes no live node announces any more
+	anns := make([]announcer, 0, 8)
+	for _, e := range c.prefixes {
+		anns = c.announcers(e, anns[:0])
+		dirty := eff.dirtyPrefixes[e.prefix]
+		if len(anns) == 0 {
+			if dirty {
+				gone = append(gone, e.prefix)
+			}
 			continue
 		}
-		p := prefixOf[k]
-		route, ok := r.routeFor(c, p, alist, selfIdx)
-		old, had := r.fib.Get(p)
+		if !touchedAll && !dirty && !announcerTouched(anns, touchedSet) {
+			continue
+		}
+		route, ok := r.routeFor(c, e.prefix, anns, selfIdx)
+		old, had := r.fib.Get(e.prefix)
 		switch {
 		case ok && (!had || !route.Equal(old)):
 			diff.Upsert(route)
 		case !ok && had:
-			diff.Delete(p)
+			diff.Delete(e.prefix)
 		}
 	}
-	// Prefixes whose last announcement vanished from the LSDB.
-	gone := make([]string, 0, len(eff.dirtyPrefixes))
-	for k := range eff.dirtyPrefixes {
-		if _, still := anns[k]; !still {
-			gone = append(gone, k)
-		}
-	}
-	slices.Sort(gone)
-	for _, k := range gone {
-		p, err := netip.ParsePrefix(k)
-		if err != nil {
-			continue
-		}
+	for _, p := range gone {
 		if _, had := r.fib.Get(p); had {
 			diff.Delete(p)
 		}
+	}
+	for p := range eff.dirtyPrefixes {
+		c.prune(p)
 	}
 	if diff.Empty() {
 		return
@@ -647,9 +644,12 @@ func (r *Router) buildFullState() (c *spfCache, table *fib.Table, ok bool) {
 	}
 	c.tree = spf.Compute(c.g, selfIdx, nil)
 	table = fib.NewTable(r.node)
-	anns, prefixOf := r.collectAnnouncers(c)
-	for k, alist := range anns {
-		route, ok := r.routeFor(c, prefixOf[k], alist, selfIdx)
+	var anns []announcer
+	for _, e := range c.prefixes {
+		if anns = c.announcers(e, anns[:0]); len(anns) == 0 {
+			continue
+		}
+		route, ok := r.routeFor(c, e.prefix, anns, selfIdx)
 		if !ok {
 			continue
 		}
