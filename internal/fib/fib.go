@@ -13,6 +13,12 @@
 // diff can have re-pathed by overlapping the changed prefixes with each
 // class's per-hop matched prefix (netsim's Aggregate.touchedBy).
 //
+// FlowKey.Hash is pinned bit for bit: every ECMP pick in every report and
+// benchmark digest is a function of it, so it may get faster but never
+// different (the tests compare it with a standard-library FNV reference).
+// The forwarding walk — Hash, Select, WalkTrace — allocates nothing: the
+// data plane runs it once per viewer per touched hop.
+//
 // Snapshot contract: a table that has been handed out (ospf's OnFIBDelta,
 // a Plane, Router.FIB) never changes afterwards. Its owner derives the
 // next table with Clone, which is O(1) over a copy-on-write trie, and
@@ -24,7 +30,6 @@ package fib
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"slices"
 	"strings"
@@ -185,24 +190,44 @@ type FlowKey struct {
 // low bit is the parity of the input's low bits, so without it a flow
 // population whose ports and addresses increment in lockstep can land
 // entirely in one bucket of `hash % 2` — every flow on one ECMP member.
+//
+// Hashed are the salt (little-endian), each address as netip marshals it
+// (4 bytes for IPv4, 16 plus the zone for IPv6, none for the zero Addr),
+// the ports (big-endian) and the protocol.
 func (k FlowKey) Hash(salt uint64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := uint64(fnvOffset)
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(salt >> (8 * i))
+		h = (h ^ uint64(byte(salt>>(8*i)))) * fnvPrime
 	}
-	h.Write(buf[:])
-	src, _ := k.Src.MarshalBinary()
-	dst, _ := k.Dst.MarshalBinary()
-	h.Write(src)
-	h.Write(dst)
-	buf[0] = byte(k.SrcPort >> 8)
-	buf[1] = byte(k.SrcPort)
-	buf[2] = byte(k.DstPort >> 8)
-	buf[3] = byte(k.DstPort)
-	buf[4] = k.Proto
-	h.Write(buf[:5])
-	return mix64(h.Sum64())
+	h = hashAddr(hashAddr(h, k.Src), k.Dst)
+	for _, b := range [5]byte{byte(k.SrcPort >> 8), byte(k.SrcPort), byte(k.DstPort >> 8), byte(k.DstPort), k.Proto} {
+		h = (h ^ uint64(b)) * fnvPrime
+	}
+	return mix64(h)
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashAddr folds an address's binary marshalling into an FNV-1a state.
+func hashAddr(h uint64, a netip.Addr) uint64 {
+	switch {
+	case a.Is4():
+		for _, b := range a.As4() {
+			h = (h ^ uint64(b)) * fnvPrime
+		}
+	case a.Is6():
+		for _, b := range a.As16() {
+			h = (h ^ uint64(b)) * fnvPrime
+		}
+		zone := a.Zone()
+		for i := 0; i < len(zone); i++ {
+			h = (h ^ uint64(zone[i])) * fnvPrime
+		}
+	}
+	return h
 }
 
 // mix64 is the splitmix64/murmur3 finalizer: full avalanche so every
@@ -217,11 +242,15 @@ func mix64(x uint64) uint64 {
 }
 
 // Select picks the next hop for a flow: the flow hash indexes the weighted
-// next-hop list, so a next hop with weight w receives w/total of flows.
+// next-hop list, so a next hop with weight w receives w/total of flows. A
+// route with a single next hop is not hashed — every hash picks it.
 func (t *Table) Select(dst netip.Addr, key FlowKey) (NextHop, Route, bool) {
 	r, ok := t.Lookup(dst)
 	if !ok || len(r.NextHops) == 0 {
 		return NextHop{}, r, ok && r.Local
+	}
+	if len(r.NextHops) == 1 {
+		return r.NextHops[0], r, true
 	}
 	total := r.TotalWeight()
 	x := int(key.Hash(t.Salt) % uint64(total))
@@ -262,6 +291,10 @@ func NewPlane() *Plane {
 	return &Plane{Tables: make(map[topo.NodeID]*Table)}
 }
 
+// MaxHops is the hop limit of the forwarding walk; with at most 64 routers
+// consulted, a path's hop indices fit the data plane's 64-bit hop sets.
+const MaxHops = 64
+
 // WalkTrace walks a flow hop by hop from the ingress router, invoking
 // visit at every consulted router with the matched route and the chosen
 // next hop (zero NextHop when the route is Local — the delivery hop).
@@ -271,10 +304,10 @@ func NewPlane() *Plane {
 // single implementation of the forwarding walk: Trace and the data
 // plane's aggregate classifier are both built on it.
 func (p *Plane) WalkTrace(ingress topo.NodeID, key FlowKey, visit func(cur topo.NodeID, route Route, nh NextHop) bool) error {
-	const maxHops = 64
 	cur := ingress
-	seen := map[topo.NodeID]bool{ingress: true}
-	for hop := 0; hop < maxHops; hop++ {
+	var seen [MaxHops]topo.NodeID // routers consulted so far; cur is seen[hop]
+	for hop := 0; hop < MaxHops; hop++ {
+		seen[hop] = cur
 		tbl, ok := p.Tables[cur]
 		if !ok {
 			return fmt.Errorf("fib: no table for node %d", cur)
@@ -290,10 +323,9 @@ func (p *Plane) WalkTrace(ingress topo.NodeID, key FlowKey, visit func(cur topo.
 		if !visit(cur, route, nh) {
 			return nil
 		}
-		if seen[nh.Node] {
+		if slices.Contains(seen[:hop+1], nh.Node) {
 			return fmt.Errorf("fib: forwarding loop at node %d", nh.Node)
 		}
-		seen[nh.Node] = true
 		cur = nh.Node
 	}
 	return fmt.Errorf("fib: hop limit exceeded towards %v", key.Dst)

@@ -8,6 +8,7 @@ package netsim
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"net/netip"
 	"slices"
 
@@ -38,13 +39,30 @@ func shareEps(share float64) float64 {
 // prefix matched at every hop (the "FIB key class" — two flows with equal
 // matches react identically to any route delta at aggregate granularity),
 // and the link path split into all links (for counters) and capacitated
-// links (for fair sharing). A blocked trace has nil slices.
+// links (for fair sharing). A blocked trace has empty slices. Hop j is
+// the router nodes[j]: it matched matched[j] and, unless it is the last
+// (delivering) hop, forwarded over links[j] to nodes[j+1].
 type trace struct {
 	blocked  bool
 	nodes    []topo.NodeID
 	matched  []netip.Prefix
 	links    []topo.LinkID
 	capLinks []topo.LinkID
+}
+
+// allHops is the touched-hop set "every hop": one bit per router the
+// forwarding walk can consult.
+const allHops uint64 = 1<<fib.MaxHops - 1
+
+// reset empties the trace for refilling, keeping its slices' arrays.
+func (tr *trace) reset(blocked bool) {
+	*tr = trace{blocked: blocked, nodes: tr.nodes[:0], matched: tr.matched[:0], links: tr.links[:0], capLinks: tr.capLinks[:0]}
+}
+
+// clone copies a trace out of the scratch for an aggregate to keep.
+func (tr *trace) clone() trace {
+	return trace{blocked: tr.blocked, nodes: slices.Clone(tr.nodes), matched: slices.Clone(tr.matched),
+		links: slices.Clone(tr.links), capLinks: slices.Clone(tr.capLinks)}
 }
 
 // Aggregate is one path-class of identical flows: same ingress, same rate
@@ -60,6 +78,11 @@ type Aggregate struct {
 
 	weight  int
 	members map[FlowID]*Flow
+
+	// touched is the set of hops (bit j = hop j) at which an invalidation
+	// since the last recompute can have changed a member's forwarding;
+	// non-zero exactly while the aggregate is queued in Network.invalid.
+	touched uint64
 
 	rate        float64 // per-member allocated rate, bit/s
 	perFlowBits float64 // integrated per-member delivered volume, bits
@@ -80,37 +103,72 @@ func (a *Aggregate) uses(link topo.LinkID) bool {
 	return slices.Contains(a.links, link)
 }
 
-// touchedBy reports whether a diff at the given router can have re-pathed
-// this aggregate: the router is on the path and some changed prefix is
-// nested with the prefix the aggregate matched there. Two prefixes that
-// both cover a member's destination are necessarily nested, so this is a
-// superset of a per-flow "does a change cover the destination at least
-// as specifically as its current match" test — conservative
-// invalidation, exact re-trace.
-func (a *Aggregate) touchedBy(node topo.NodeID, d *fib.Diff) bool {
+// touchedBy returns the hops at which a diff at the given router can have
+// re-pathed this aggregate: the router's own, when it is on the path and
+// some changed prefix is nested with the prefix the aggregate matched
+// there. Two prefixes that both cover a member's destination are
+// necessarily nested, so a changed prefix that does not overlap the match
+// leaves every member's lookup at that hop as it was — conservative
+// invalidation, exact member check. A blocked aggregate has no recorded
+// path: any change may open one, so it answers with every hop.
+func (a *Aggregate) touchedBy(node topo.NodeID, d *fib.Diff) uint64 {
+	if a.blocked {
+		return allHops
+	}
 	for i, v := range a.nodes {
 		if v != node {
 			continue
 		}
 		for _, c := range d.Changes {
 			if c.Prefix.Overlaps(a.matched[i]) {
-				return true
+				return 1 << i
 			}
 		}
-		return false
+		return 0
 	}
-	return false
+	return 0
 }
 
 // sameTrace reports whether a freshly computed trace matches the
 // aggregate's identity (ingress and cap are the member's own and need no
 // comparison).
-func (a *Aggregate) sameTrace(tr trace) bool {
+func (a *Aggregate) sameTrace(tr *trace) bool {
 	if a.blocked != tr.blocked || len(a.nodes) != len(tr.nodes) {
 		return false
 	}
 	for i := range a.nodes {
 		if a.nodes[i] != tr.nodes[i] || a.matched[i] != tr.matched[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// forwardsAsRecorded reports whether member f of a still forwards along
+// a's trace, consulting only the given hops: at each, the router's table
+// must select the recorded matched prefix and next node for f over a link
+// that is up (or deliver, at the last hop). Hops outside the set forward
+// every member as recorded, so a member that passes has the trace it had.
+// It reads tables and link state only and allocates nothing. A blocked
+// aggregate records no hops to compare: its members always need the full
+// trace. Callers hold n.mu.
+func (n *Network) forwardsAsRecorded(a *Aggregate, f *Flow, hops uint64) bool {
+	if a.blocked {
+		return false
+	}
+	last := len(a.nodes) - 1
+	for ; hops != 0; hops &= hops - 1 {
+		j := bits.TrailingZeros64(hops)
+		if j > last {
+			break
+		}
+		tbl := n.tables[a.nodes[j]]
+		if tbl == nil {
+			return false
+		}
+		nh, route, ok := tbl.Select(f.Key.Dst, f.Key)
+		if !ok || route.Prefix != a.matched[j] || route.Local != (j == last) ||
+			j < last && (nh.Node != a.nodes[j+1] || n.linkDown[a.links[j]]) {
 			return false
 		}
 	}
@@ -173,9 +231,12 @@ func (n *Network) linkFor(lid topo.LinkID) *linkState {
 // path, the matched prefix per hop, and the link path. The walk itself is
 // fib.Plane.WalkTrace — the data plane only adds the link resolution and
 // its own link-failure state. Any failure (no table, no route, loop,
-// failed link) yields the canonical blocked trace. Callers hold n.mu.
-func (n *Network) traceFlow(f *Flow) trace {
-	var tr trace
+// failed link) yields the canonical blocked trace. The result is the
+// network's scratch trace, valid until the next call; rebucket clones it
+// when an aggregate has to keep it. Callers hold n.mu.
+func (n *Network) traceFlow(f *Flow) *trace {
+	tr := &n.scratch
+	tr.reset(false)
 	plane := fib.Plane{Tables: n.tables}
 	linkOK := true
 	err := plane.WalkTrace(f.Ingress, f.Key, func(cur topo.NodeID, route fib.Route, nh fib.NextHop) bool {
@@ -196,14 +257,14 @@ func (n *Network) traceFlow(f *Flow) trace {
 		return true
 	})
 	if err != nil || !linkOK {
-		return trace{blocked: true}
+		tr.reset(true)
 	}
 	return tr
 }
 
 // rebucket joins a flow to the aggregate matching the trace, creating it
-// if absent. Callers hold n.mu.
-func (n *Network) rebucket(f *Flow, tr trace) {
+// (around its own copy of the trace) if absent. Callers hold n.mu.
+func (n *Network) rebucket(f *Flow, tr *trace) {
 	sig := tr.sigOf(f.Ingress, f.MaxRate)
 	for _, a := range n.aggs[sig] {
 		if a.ingress == f.Ingress && a.maxRate == f.MaxRate && a.sameTrace(tr) {
@@ -216,16 +277,16 @@ func (n *Network) rebucket(f *Flow, tr trace) {
 		sig:     sig,
 		ingress: f.Ingress,
 		maxRate: f.MaxRate,
-		trace:   tr,
+		trace:   tr.clone(),
 		members: make(map[FlowID]*Flow),
 	}
 	n.nextAgg++
 	n.aggs[sig] = append(n.aggs[sig], a)
 	n.aggByID[a.id] = a
 	switch {
-	case tr.blocked:
+	case a.blocked:
 		a.rate = 0
-	case len(tr.capLinks) == 0:
+	case len(a.capLinks) == 0:
 		// No capacitated link constrains it: the rate is decided here,
 		// outside the solver.
 		a.rate = a.maxRate
@@ -233,7 +294,7 @@ func (n *Network) rebucket(f *Flow, tr trace) {
 			a.rate = uncappedRate
 		}
 	}
-	for _, lid := range tr.capLinks {
+	for _, lid := range a.capLinks {
 		n.linkFor(lid).aggs[a.id] = a
 	}
 	n.join(f, a)

@@ -234,6 +234,42 @@ func TestCapChangeInheritsPendingInvalidation(t *testing.T) {
 	if err := net.VerifyMaxMin(1e-9); err != nil {
 		t.Fatal(err)
 	}
+
+	// The same race against a FIB delta: heal the link, let a second
+	// flow join the aggregate, then re-path the prefix at the ingress
+	// (one touched hop) and change the first flow's cap before the
+	// recompute. The cap-sibling must inherit the touched hop along with
+	// the queue entry, or its member is never checked there and keeps
+	// forwarding via u.
+	if err := net.SetLinkState(s, u, true); err != nil {
+		t.Fatal(err)
+	}
+	stay := net.AddFlow(s, key("10.50.0.1", 2), 2e6)
+	sched.RunUntil(3 * time.Second)
+	v, d := tp.MustNode("v"), tp.MustNode("d")
+	lsv, _ := tp.FindLink(s, v)
+	lvd, _ := tp.FindLink(v, d)
+	tv := fib.NewTable(v)
+	if err := tv.Install(fib.Route{Prefix: mustPfx("10.50.0.0/16"), NextHops: []fib.NextHop{{Node: d, Link: lvd.ID, Weight: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	net.ApplyDiff(v, tv, fib.DiffTables(v, nil, tv))
+	sched.RunUntil(3100 * time.Millisecond)
+	ns := net.tables[s].Clone()
+	if err := ns.Install(fib.Route{Prefix: mustPfx("10.50.0.0/16"), NextHops: []fib.NextHop{{Node: v, Link: lsv.ID, Weight: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	net.ApplyDiff(s, ns, fib.DiffTables(s, net.tables[s], ns))
+	net.SetFlowMaxRate(id, 3e6)
+	sched.RunUntil(4 * time.Second)
+	for _, f := range []FlowID{id, stay} {
+		if p := net.Flow(f).Path(); len(p) != 3 || p[1] != v {
+			t.Fatalf("flow %d path %v after the re-path, want via v: cap change lost the touched hop", f, p)
+		}
+	}
+	if err := net.VerifyMaxMin(1e-9); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAggregateCompression checks the memory story head on: 10k identical

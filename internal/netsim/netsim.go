@@ -17,11 +17,18 @@
 // fluid integration (advance) walks aggregates, not flows.
 //
 // Both planes move by delta. Routing: ApplyDiff consumes a router's
-// fib.Diff and re-traces only the aggregates whose per-hop matched
-// prefixes the diff can have re-pathed (plus blocked aggregates, which any
-// change may unblock). Sharing: a link<->aggregate incidence index tracks
-// which links changed membership; reshare closes the dirty link set over
-// the bottleneck-dependency component (the connected component of the
+// fib.Diff and queues only the aggregates whose per-hop matched prefixes
+// the diff can have re-pathed, each with the hop the router sits at. The
+// cost model of a re-route: a new flow pays one trace, O(hops); a delta
+// pays, per member of a queued aggregate, one table lookup per touched hop
+// and no allocation, plus one full trace, a leave and a join per member
+// that actually moves. SetTable (no diff to read) and a link failure check
+// their members at every hop; a blocked aggregate records no path, so any
+// change re-traces its members in full.
+//
+// Sharing: a link<->aggregate incidence index tracks which links changed
+// membership; reshare closes the dirty link set over the
+// bottleneck-dependency component (the connected component of the
 // incidence graph) and re-runs weighted max-min progressive filling only
 // there, falling back to a full solve when more than half the active links
 // are dirty — the data-plane sibling of spf.Incremental's dirty region.
@@ -120,8 +127,10 @@ type Network struct {
 	// tables is the live routing state; replaced entries re-route flows.
 	tables map[topo.NodeID]*fib.Table
 
-	flows  map[FlowID]*Flow
-	nextID FlowID
+	// flows is indexed by FlowID: ids are dense and never reused, so a
+	// finished flow leaves a nil slot; live counts the others.
+	flows []*Flow
+	live  int
 
 	// Aggregate plane: aggregates indexed by class signature (chained on
 	// the rare hash collision) and by id, plus the link<->aggregate
@@ -134,10 +143,16 @@ type Network struct {
 	// pending flows await their first trace at the next recompute.
 	pending []*Flow
 
-	// invalid aggregates are re-traced member by member at the next
-	// recompute; invalidAll forces a re-trace of everything (SetTable).
+	// invalid aggregates have their members checked at the next recompute,
+	// at the hops in Aggregate.touched; invalidAll queues every aggregate
+	// at every hop (SetTable).
 	invalid    map[int64]*Aggregate
 	invalidAll bool
+
+	// scratch is the trace traceFlow fills, movers the members one
+	// aggregate's check displaced; both are reused across recomputes.
+	scratch trace
+	movers  []*Flow
 
 	// dirty is the set of capacitated links whose aggregate membership
 	// changed since the last reshare; dirtyAll forces a global solve.
@@ -174,7 +189,6 @@ func New(t *topo.Topology, sched *event.Scheduler, sampleEvery time.Duration) *N
 		topo:        t,
 		sched:       sched,
 		tables:      make(map[topo.NodeID]*fib.Table),
-		flows:       make(map[FlowID]*Flow),
 		aggs:        make(map[uint64][]*Aggregate),
 		aggByID:     make(map[int64]*Aggregate),
 		links:       make(map[topo.LinkID]*linkState),
@@ -205,11 +219,12 @@ func (n *Network) Stats() Stats {
 	defer n.mu.Unlock()
 	s := n.stats
 	s.Aggregates = len(n.aggByID)
-	s.Flows = len(n.flows)
+	s.Flows = n.live
 	return s
 }
 
-// SetTable installs a router's FIB and schedules a re-route of all flows.
+// SetTable installs a router's FIB and schedules a re-route of all flows
+// (no diff: every member of every aggregate is checked at every hop).
 // Safe to call from OnFIBChange inside scheduler events. ApplyDiff is the
 // cheaper delta-aware alternative.
 func (n *Network) SetTable(node topo.NodeID, t *fib.Table) {
@@ -224,27 +239,30 @@ func (n *Network) SetTable(node topo.NodeID, t *fib.Table) {
 // invalidates only the aggregates the diff can have re-pathed: those whose
 // path crosses the router and whose matched prefix at that hop overlaps a
 // changed prefix, plus every blocked aggregate (any change may have opened
-// a path). Invalidated aggregates re-trace their members at the next
-// recompute; members whose trace is unchanged stay put without touching
-// the fair-share state.
+// a path). The invalidation records the hop the router sits at, adding to
+// the hops of an aggregate already queued, so the next recompute checks
+// each member there and nowhere else; members that forward as before stay
+// put without touching the fair-share state.
 func (n *Network) ApplyDiff(node topo.NodeID, t *fib.Table, d *fib.Diff) {
 	n.mu.Lock()
 	n.tables[node] = t
-	changed := false
 	for _, a := range n.aggByID {
-		if _, ok := n.invalid[a.id]; ok {
-			changed = true
-			continue
-		}
-		if a.blocked || a.touchedBy(node, d) {
-			n.invalid[a.id] = a
-			changed = true
+		if hops := a.touchedBy(node, d); hops != 0 {
+			n.invalidate(a, hops)
 		}
 	}
+	queued := len(n.invalid) > 0
 	n.mu.Unlock()
-	if changed {
+	if queued {
 		n.scheduleRecompute()
 	}
+}
+
+// invalidate queues an aggregate for the next recompute's member check at
+// the given hops, on top of any it is already queued for. Callers hold n.mu.
+func (n *Network) invalidate(a *Aggregate, hops uint64) {
+	a.touched |= hops
+	n.invalid[a.id] = a
 }
 
 // AddFlow injects a flow now and returns its ID: an O(1) join — the flow
@@ -252,10 +270,10 @@ func (n *Network) ApplyDiff(node topo.NodeID, t *fib.Table, d *fib.Diff) {
 func (n *Network) AddFlow(ingress topo.NodeID, key fib.FlowKey, maxRate float64) FlowID {
 	n.advance()
 	n.mu.Lock()
-	id := n.nextID
-	n.nextID++
+	id := FlowID(len(n.flows))
 	f := &Flow{ID: id, Key: key, Ingress: ingress, MaxRate: maxRate}
-	n.flows[id] = f
+	n.flows = append(n.flows, f)
+	n.live++
 	n.pending = append(n.pending, f)
 	n.mu.Unlock()
 	n.scheduleRecompute()
@@ -269,23 +287,20 @@ func (n *Network) AddFlow(ingress topo.NodeID, key fib.FlowKey, maxRate float64)
 func (n *Network) SetFlowMaxRate(id FlowID, maxRate float64) {
 	n.advance()
 	n.mu.Lock()
-	f, ok := n.flows[id]
-	changed := ok && f.MaxRate != maxRate
+	f := n.flow(id)
+	changed := f != nil && f.MaxRate != maxRate
 	if changed {
 		f.MaxRate = maxRate
 		if a := f.agg; a != nil {
-			// The old aggregate's trace may be queued for re-tracing (a
-			// diff or link failure invalidated it, the recompute has not
-			// fired yet). The cap-sibling inherits that trace verbatim,
-			// so it must inherit the invalidation too — leave() drops the
-			// old aggregate (and its queue entry) when f was the last
-			// member.
-			_, wasInvalid := n.invalid[a.id]
-			tr := a.trace
+			// The old aggregate may be queued for its member check (a diff
+			// or link failure invalidated it, the recompute has not fired
+			// yet). The cap-sibling inherits its trace verbatim, so it must
+			// inherit the touched hops too — leave() drops the old
+			// aggregate (and its queue entry) when f was the last member.
 			n.leave(f)
-			n.rebucket(f, tr)
-			if wasInvalid {
-				n.invalid[f.agg.id] = f.agg
+			n.rebucket(f, &a.trace)
+			if a.touched != 0 {
+				n.invalidate(f.agg, a.touched)
 			}
 		}
 	}
@@ -299,9 +314,10 @@ func (n *Network) SetFlowMaxRate(id FlowID, maxRate float64) {
 func (n *Network) RemoveFlow(id FlowID) {
 	n.advance()
 	n.mu.Lock()
-	f := n.flows[id]
+	f := n.flow(id)
 	if f != nil {
-		delete(n.flows, id)
+		n.flows[id] = nil
+		n.live--
 		if f.agg != nil {
 			n.leave(f)
 		} else {
@@ -319,29 +335,53 @@ func (n *Network) RemoveFlow(id FlowID) {
 func (n *Network) Flow(id FlowID) *Flow {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.flow(id)
+}
+
+// flow is the flow table lookup. Callers hold n.mu.
+func (n *Network) flow(id FlowID) *Flow {
+	if id < 0 || int(id) >= len(n.flows) {
+		return nil
+	}
 	return n.flows[id]
 }
 
 // Delivered returns the volume (bytes) a flow has delivered so far; ok is
-// false when the flow has finished. It is the accessor demand sources
-// (video sessions) poll, so they never hold flow structs themselves.
-// Like Octets, it advances the fluid model first so the value is current.
+// false when the flow has finished. It is the one-flow form of
+// DeliveredInto.
 func (n *Network) Delivered(id FlowID) (bytes float64, ok bool) {
+	var buf [1]float64
+	out := n.DeliveredInto([]FlowID{id}, buf[:0])
+	return max(out[0], 0), out[0] >= 0
+}
+
+// DeliveredInto returns out[:0] with one value appended per id: the
+// volume (bytes) that flow has delivered so far, or -1 when it has
+// finished. It is the accessor demand sources (video sessions) poll, so
+// they never hold flow structs themselves: a whole pool reads under one
+// lock, into the buffer it kept from its last tick, and runs its players
+// afterwards. Like Octets, it advances the fluid model first so the values
+// are current.
+func (n *Network) DeliveredInto(ids []FlowID, out []float64) []float64 {
 	n.advance()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	f := n.flows[id]
-	if f == nil {
-		return 0, false
+	out = out[:0]
+	for _, id := range ids {
+		if f := n.flow(id); f != nil {
+			out = append(out, f.deliveredBits()/8)
+		} else {
+			out = append(out, -1)
+		}
 	}
-	return f.deliveredBits() / 8, true
+	return out
 }
 
 // FlowCount returns the number of live flows.
 func (n *Network) FlowCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.flows)
+	return n.live
 }
 
 // AggregateCount returns the number of live aggregates (path-classes).
@@ -390,7 +430,7 @@ func (n *Network) SeriesBetween(a, b string) (*metrics.Series, error) {
 // until routing steers them elsewhere (the control plane learns of the
 // failure separately through its own hello timeouts). Only aggregates
 // crossing the link — plus, on heal, blocked aggregates that may now have
-// a path — are re-traced.
+// a path — are checked, at every hop.
 func (n *Network) SetLinkState(a, b topo.NodeID, up bool) error {
 	l, ok := n.topo.FindLink(a, b)
 	if !ok {
@@ -403,11 +443,8 @@ func (n *Network) SetLinkState(a, b topo.NodeID, up bool) error {
 		n.linkDown[l.Reverse] = !up
 	}
 	for _, ag := range n.aggByID {
-		switch {
-		case !up && (ag.uses(l.ID) || ag.uses(l.Reverse)):
-			n.invalid[ag.id] = ag
-		case up && ag.blocked:
-			n.invalid[ag.id] = ag
+		if up && ag.blocked || !up && (ag.uses(l.ID) || ag.uses(l.Reverse)) {
+			n.invalidate(ag, allHops)
 		}
 	}
 	n.mu.Unlock()
@@ -455,10 +492,13 @@ func (n *Network) advance() {
 	n.lastUpdate = now
 }
 
-// reroute re-traces invalidated aggregates member by member from the
-// current tables, and buckets pending flows into their aggregates.
-// Members whose trace is unchanged stay in place without dirtying any
-// link; movers leave and join, dirtying exactly the links of both paths.
+// reroute checks the members of invalidated aggregates against the current
+// tables, and buckets pending flows into their aggregates. A member is
+// looked at only at its aggregate's touched hops and, when it forwards
+// there as recorded, stays in place without a trace, an allocation or a
+// dirtied link; the others are traced in full, leave and join, dirtying
+// exactly the links of both paths. Checking is read-only and follows map
+// order; moving mints aggregate ids, so movers go in FlowID order.
 func (n *Network) reroute() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -467,34 +507,39 @@ func (n *Network) reroute() {
 		n.invalidAll = false
 		n.dirtyAll = true
 		for _, a := range n.aggByID {
+			a.touched = allHops
 			work = append(work, a)
 		}
-		clear(n.invalid)
 	} else {
 		for _, a := range n.invalid {
 			work = append(work, a)
 		}
-		clear(n.invalid)
 	}
+	clear(n.invalid)
 	slices.SortFunc(work, func(x, y *Aggregate) int { return cmp.Compare(x.id, y.id) })
 	for _, a := range work {
+		hops := a.touched
+		a.touched = 0
 		if a.weight == 0 {
 			continue // emptied while queued
 		}
-		ids := make([]FlowID, 0, len(a.members))
-		for id := range a.members {
-			ids = append(ids, id)
+		movers := n.movers[:0]
+		for _, f := range a.members {
+			if !n.forwardsAsRecorded(a, f, hops) {
+				movers = append(movers, f)
+			}
 		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			f := a.members[id]
+		slices.SortFunc(movers, func(x, y *Flow) int { return cmp.Compare(x.ID, y.ID) })
+		for _, f := range movers {
 			tr := n.traceFlow(f)
 			if a.sameTrace(tr) {
-				continue
+				continue // still blocked
 			}
 			n.leave(f)
 			n.rebucket(f, tr)
 		}
+		clear(movers)
+		n.movers = movers
 	}
 	for _, f := range n.pending {
 		if f.gone {
@@ -502,7 +547,8 @@ func (n *Network) reroute() {
 		}
 		n.rebucket(f, n.traceFlow(f))
 	}
-	n.pending = nil
+	clear(n.pending)
+	n.pending = n.pending[:0]
 }
 
 // sample appends a throughput point (byte/s over the last interval) to

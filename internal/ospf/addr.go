@@ -28,13 +28,20 @@ func LoopbackPrefix(n topo.NodeID) netip.Prefix {
 
 // HostAddr synthesises the i-th host address inside a destination prefix
 // (i starts at 0). It is used to give simulated clients distinct addresses
-// within the prefix the flash crowd targets.
+// within the prefix the flash crowd targets. Hosts wrap around inside the
+// prefix's own host space, skipping its network and broadcast addresses (a
+// /31 or /32 has neither). The space is capped at 16 bits — 65534 hosts,
+// ample for the demo — so only the two low bytes ever change.
 func HostAddr(p netip.Prefix, i int) netip.Addr {
 	a := p.Addr().As4()
-	// Skip the network address; wrap within the host space of a /16-ish
-	// prefix. Two low bytes give 65534 usable hosts, ample for the demo.
+	hostBits := min(32-p.Bits(), 16)
+	first, usable := 1, 1<<hostBits-2
+	if usable < 1 {
+		first, usable = 0, 1<<hostBits
+	}
+	mask := uint32(1)<<hostBits - 1
 	v := uint32(a[2])<<8 | uint32(a[3])
-	v += uint32(i%65534) + 1
+	v = v&^mask | (v+uint32(i%usable+first))&mask
 	a[2], a[3] = byte(v>>8), byte(v)
 	return netip.AddrFrom4(a)
 }

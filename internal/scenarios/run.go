@@ -124,8 +124,9 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 			waveQueue[w.At] = append(waveQueue[w.At], i)
 		}
 	}
-	tracks := make(map[netsim.FlowID]*flowTrack)
+	// order and tracks are parallel: tracks[i] follows flow order[i].
 	var order []netsim.FlowID
+	var tracks []*flowTrack
 	prevStarted := sim.Runner.OnFlowStarted
 	sim.Runner.OnFlowStarted = func(id netsim.FlowID, rate float64) {
 		if prevStarted != nil {
@@ -141,8 +142,7 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 		if n := len(sim.Sessions); n > 0 {
 			tr.session = sim.Sessions[n-1]
 		}
-		tracks[id] = tr
-		order = append(order, id)
+		order, tracks = append(order, id), append(tracks, tr)
 		// Departing viewers stop watching: freeze the session's QoE and
 		// take a final delivery reading when the hold expires (the Runner
 		// removes the flow at the same instant, after this event).
@@ -192,6 +192,17 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 		}
 		return s
 	}
+	// readDelivered refreshes every live flow's delivery reading through
+	// one batched read of the fluid model (finished flows keep theirs).
+	var deliveredBuf []float64
+	readDelivered := func() {
+		deliveredBuf = sim.Net.DeliveredInto(order, deliveredBuf)
+		for i, d := range deliveredBuf {
+			if d >= 0 {
+				tracks[i].delivered = d
+			}
+		}
+	}
 	var stallAtSettle float64
 	var demandsAtSettle []topo.Demand
 	sim.Sched.NewTicker(250*time.Millisecond, func() {
@@ -206,11 +217,7 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 		if rep.FirstHotAt < 0 && u >= hotThreshold {
 			rep.FirstHotAt = now
 		}
-		for id, tr := range tracks {
-			if d, ok := sim.Net.Delivered(id); ok {
-				tr.delivered = d
-			}
-		}
+		readDelivered()
 	})
 	sim.Sched.At(settleStart, func() {
 		stallAtSettle = stallTotal()
@@ -241,12 +248,7 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 	}
 	sim.Run(spec.Duration)
 
-	// Final delivery reading for flows still alive.
-	for id, tr := range tracks {
-		if d, ok := sim.Net.Delivered(id); ok {
-			tr.delivered = d
-		}
-	}
+	readDelivered() // final reading for flows still alive
 
 	rep.FinalUtilisation = sim.Net.MaxUtilisation()
 	rep.Events = sim.Sched.Ran()
@@ -396,8 +398,7 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 			Expected: w.Rate * life.Seconds() * float64(w.Flows) / 1e6,
 		}
 	}
-	for _, id := range order {
-		tr := tracks[id]
+	for _, tr := range tracks {
 		rep.DeliveredMbit += tr.delivered * 8 / 1e6
 		if tr.wave >= 0 {
 			rep.Waves[tr.wave].Delivered += tr.delivered * 8 / 1e6

@@ -162,7 +162,10 @@ func (s *ABRSimSession) tick(now time.Duration) {
 }
 
 // ABRSessionPool drives adaptive sessions from one shared ticker, the
-// ABR counterpart of SessionPool.
+// ABR counterpart of SessionPool. Its sessions keep their one-flow reads
+// (netsim.Delivered): a tick also writes rate caps back through
+// SetFlowMaxRate, which takes the network's lock per session anyway, so a
+// batched read would not make this pool's tick one lock.
 type ABRSessionPool struct {
 	sched    *event.Scheduler
 	net      *netsim.Network
@@ -175,7 +178,15 @@ type ABRSessionPool struct {
 func NewABRSessionPool(sched *event.Scheduler, net *netsim.Network, cfg ABRConfig) *ABRSessionPool {
 	p := &ABRSessionPool{sched: sched, net: net, cfg: cfg.withDefaults()}
 	sched.NewTicker(100*time.Millisecond, func() {
-		p.sessions = tickSessions(p.sessions, sched.Now())
+		// Stopped sessions are compacted out in place, as in SessionPool.
+		now, live := sched.Now(), p.sessions[:0]
+		for _, s := range p.sessions {
+			if !s.done {
+				s.tick(now)
+				live = append(live, s)
+			}
+		}
+		p.sessions = live
 	})
 	return p
 }
@@ -216,8 +227,6 @@ func (s *ABRSimSession) Stop() {
 		s.ticker.Stop()
 	}
 }
-
-func (s *ABRSimSession) finished() bool { return s.done }
 
 // QoE returns playback and quality metrics.
 func (s *ABRSimSession) QoE() ABRQoE {

@@ -12,6 +12,12 @@ import (
 	"fibbing.net/fibbing/internal/topo"
 )
 
+// abrKey is the rig's flow; tests adding more vary its source port.
+var abrKey = fib.FlowKey{
+	Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.100.0.1"),
+	SrcPort: 42, DstPort: 8080, Proto: 6,
+}
+
 // abrRig builds a 2-router network with a configurable bottleneck and one
 // ABR session across it.
 func abrRig(t *testing.T, capacity float64) (*event.Scheduler, *netsim.Network, *ABRSimSession) {
@@ -36,11 +42,7 @@ func abrRig(t *testing.T, capacity float64) (*event.Scheduler, *netsim.Network, 
 	net.SetTable(a, ta)
 	net.SetTable(b, tb)
 
-	key := fib.FlowKey{
-		Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.100.0.1"),
-		SrcPort: 42, DstPort: 8080, Proto: 6,
-	}
-	id := net.AddFlow(a, key, 0)
+	id := net.AddFlow(a, abrKey, 0)
 	sess := NewABRSimSession(sched, net, id, ABRConfig{})
 	return sched, net, sess
 }

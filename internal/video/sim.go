@@ -52,7 +52,14 @@ func (s *SimSession) tick(now time.Duration) {
 	if s.done {
 		return
 	}
-	if delivered, ok := s.net.Delivered(s.flow); ok {
+	delivered, live := s.net.Delivered(s.flow)
+	s.credit(delivered, live, now)
+}
+
+// credit hands the player what the flow delivered since the last reading
+// (nothing once the flow has finished) and advances playback to now.
+func (s *SimSession) credit(delivered float64, live bool, now time.Duration) {
+	if live {
 		if d := delivered - s.lastSeen; d > 0 {
 			s.Player.OnDownloadedBytes(d)
 		}
@@ -70,19 +77,22 @@ func (s *SimSession) Stop() {
 	}
 }
 
-func (s *SimSession) finished() bool { return s.done }
-
 // QoE returns the session's playback metrics so far.
 func (s *SimSession) QoE() QoE { return s.Player.QoE() }
 
-// SessionPool drives any number of SimSessions from one shared ticker:
-// the per-viewer cost of a tick is a delivered-bytes poll plus a player
-// advance, with no per-session scheduler events. This is what keeps
-// 100k-viewer flash crowds inside the event budget.
+// SessionPool drives any number of SimSessions from one shared ticker and
+// one read of the fluid model per tick (netsim.DeliveredInto: one advance,
+// one lock), then runs the players on the buffer: the per-viewer cost is a
+// slice read plus a player advance, with no per-session scheduler events.
+// This is what keeps 100k-viewer flash crowds inside the event budget.
 type SessionPool struct {
 	sched    *event.Scheduler
 	net      *netsim.Network
 	sessions []*SimSession
+
+	// flows[i] is sessions[i]'s flow, read[i] its reading; rebuilt per tick.
+	flows []netsim.FlowID
+	read  []float64
 }
 
 // NewSessionPool starts a pool ticking every interval (default 250 ms).
@@ -91,30 +101,28 @@ func NewSessionPool(sched *event.Scheduler, net *netsim.Network, interval time.D
 		interval = 250 * time.Millisecond
 	}
 	p := &SessionPool{sched: sched, net: net}
-	sched.NewTicker(interval, func() {
-		p.sessions = tickSessions(p.sessions, sched.Now())
-	})
+	sched.NewTicker(interval, p.tick)
 	return p
 }
 
-// tickSessions advances every live session and compacts stopped ones out
-// in place, so a departed crowd stops costing anything (the QoE lives on
-// in whoever kept the session from Attach). Shared by SessionPool and
-// ABRSessionPool — the ticker itself stays armed because Attach may add
-// sessions later, and an empty pool's tick is a no-op.
-func tickSessions[S interface {
-	tick(now time.Duration)
-	finished() bool
-}](sessions []S, now time.Duration) []S {
-	live := sessions[:0]
-	for _, s := range sessions {
-		if s.finished() {
-			continue
+// tick compacts stopped sessions out in place, so a departed crowd stops
+// costing anything (the QoE lives on in whoever kept the session from
+// Attach), then reads and credits the live ones. The ticker itself stays
+// armed because Attach may add sessions later, and an empty pool's tick
+// is a no-op.
+func (p *SessionPool) tick() {
+	live, flows := p.sessions[:0], p.flows[:0]
+	for _, s := range p.sessions {
+		if !s.done {
+			live, flows = append(live, s), append(flows, s.flow)
 		}
-		s.tick(now)
-		live = append(live, s)
 	}
-	return live
+	p.sessions, p.flows = live, flows
+	p.read = p.net.DeliveredInto(flows, p.read)
+	now := p.sched.Now()
+	for i, s := range live {
+		s.credit(p.read[i], p.read[i] >= 0, now)
+	}
 }
 
 // Attach joins a new session for the flow to the pool and returns it.
