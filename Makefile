@@ -69,16 +69,16 @@ bench:
 # failover reaction path, the planner amortisation layer, and the
 # parallel simulation core: fails when ns/op of the incremental-SPF
 # benchmark, the aggregate traffic plane's 100k-viewer join benchmark,
-# the planner fan-out at 1 Gbit/s, the failover-cell runs (BFD+standby
+# a planning round at 1 Gbit/s, the failover-cell runs (BFD+standby
 # and SNMP-poll detection), the repeated-planning benchmark (cold
 # rebuild vs warm PlanArtifacts reuse — the warm row's baseline sits
 # far below cold, so losing the memoisation trips the gate; the
 # warm-qoe row is the same warm path with QoE scoring on — stall
-# predictor plus qoe-greedy in the fan-out — whose baseline sits within
+# predictor plus qoe-greedy in the round — whose baseline sits within
 # 10% of plain warm, so the QoE memoisation cannot silently rot), the
-# component-partitioned reshare at both pool widths, or the worker-pool
-# churn benchmarks (fat-tree k=8 and the scale tier's k=16, both pool
-# widths) regresses >2x against the committed baseline. The planner
+# component-partitioned reshare, or the worker-pool churn benchmarks
+# (fat-tree k=8 and the scale tier's k=16, both pool widths) regresses
+# >2x against the committed baseline. The planner
 # benchmark also asserts a plan commits (so the numerics ceiling cannot
 # silently return) and the failover benchmarks assert the failure was
 # detected and a plan committed after it, so the fast-failover pipeline
@@ -87,7 +87,7 @@ bench:
 # garbage. -count 5 + best-of in benchjson filters scheduler noise.
 bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalVsFull|BenchmarkReshareIncremental|BenchmarkPlannerGbit|BenchmarkPlannerRepeat|BenchmarkReactionLatency/failover' -benchtime 1x -count 5 . > bench.gate.tmp || { rm -f bench.gate.tmp; exit 1; }
-	$(GO) run ./cmd/benchjson -baseline BENCH_baseline.json -gate 'IncrementalVsFull.*/incremental$$|ReshareIncremental/viewers=100000/join$$|ReshareIncremental/viewers=100000/components/workers=(1|4)$$|PlannerGbit/1G$$|PlannerRepeat/(cold|warm|warm-qoe)$$|ReactionLatency/failover/(bfd|snmp)$$' -max-ratio 2 < bench.gate.tmp; s=$$?; rm -f bench.gate.tmp; exit $$s
+	$(GO) run ./cmd/benchjson -baseline BENCH_baseline.json -gate 'IncrementalVsFull.*/incremental$$|ReshareIncremental/viewers=100000/join$$|ReshareIncremental/viewers=100000/components/workers=1$$|PlannerGbit/1G$$|PlannerRepeat/(cold|warm|warm-qoe)$$|ReactionLatency/failover/(bfd|snmp)$$' -max-ratio 2 < bench.gate.tmp; s=$$?; rm -f bench.gate.tmp; exit $$s
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelSPF|BenchmarkScaleTier' -benchtime 1x -count 5 -benchmem . > bench.gate.tmp || { rm -f bench.gate.tmp; exit 1; }
 	$(GO) run ./cmd/benchjson -baseline BENCH_baseline.json -gate 'ParallelSPF/(seq|par)$$|ScaleTier/(seq|par)$$' -max-ratio 2 -max-allocs-ratio 1.05 < bench.gate.tmp; s=$$?; rm -f bench.gate.tmp; exit $$s
 

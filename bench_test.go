@@ -467,15 +467,11 @@ func BenchmarkReshareIncremental(b *testing.B) {
 		})
 	}
 
-	// Parallel component path: 8 disjoint diamonds, 100k viewers total,
-	// ~250 distinct rate classes per diamond (so each component's
-	// progressive filling runs hundreds of freeze rounds — the work the
-	// pool amortises). One churn flow joins and leaves per diamond per op:
-	// the dirty closure splits into 8 independent components, which the
-	// reshare fans across the worker pool. The rates, the partition, and
-	// the component count are identical at every width; only wall-clock
-	// changes, and the committed baseline records the workers=4-vs-1 gap
-	// the CI bench gate protects.
+	// Component path: 8 disjoint diamonds, 100k viewers total, ~250
+	// distinct rate classes per diamond (so each component's progressive
+	// filling runs hundreds of freeze rounds). One churn flow joins and
+	// leaves per diamond per op: the dirty closure splits into 8
+	// independent components, solved one after another.
 	const diamonds = 8
 	buildMulti := func() (*netsim.Network, *event.Scheduler, []topo.NodeID, []fib.FlowKey) {
 		const viewers = 100_000
@@ -549,49 +545,47 @@ func BenchmarkReshareIncremental(b *testing.B) {
 		sched.RunUntil(time.Second)
 		return net, sched, ingresses, churnKeys
 	}
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("viewers=100000/components/workers=%d", workers), func(b *testing.B) {
-			net, sched, ingresses, churnKeys := buildMulti()
-			sched.SetWorkers(workers)
-			// One untimed warm-up churn cycle, then retire the setup
-			// garbage (100k flow inserts): with -benchtime 1x a GC
-			// assist landing inside the single timed op would swamp the
-			// reshare being measured.
-			churn := func() {
-				ids := make([]netsim.FlowID, diamonds)
-				for di := range ingresses {
-					ids[di] = net.AddFlow(ingresses[di], churnKeys[di], 0)
-				}
-				sched.RunUntil(sched.Now()) // one recompute: 8 dirty components
-				for _, id := range ids {
-					net.RemoveFlow(id)
-				}
-				sched.RunUntil(sched.Now())
+	// The row keeps its workers=1 suffix: it is the name of its committed
+	// baseline row, which the bench gate looks up.
+	b.Run("viewers=100000/components/workers=1", func(b *testing.B) {
+		net, sched, ingresses, churnKeys := buildMulti()
+		// One untimed warm-up churn cycle, then retire the setup
+		// garbage (100k flow inserts): with -benchtime 1x a GC
+		// assist landing inside the single timed op would swamp the
+		// reshare being measured.
+		churn := func() {
+			ids := make([]netsim.FlowID, diamonds)
+			for di := range ingresses {
+				ids[di] = net.AddFlow(ingresses[di], churnKeys[di], 0)
 			}
+			sched.RunUntil(sched.Now()) // one recompute: 8 dirty components
+			for _, id := range ids {
+				net.RemoveFlow(id)
+			}
+			sched.RunUntil(sched.Now())
+		}
+		churn()
+		runtime.GC()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			churn()
-			runtime.GC()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				churn()
-			}
-			b.StopTimer()
-			st := net.Stats()
-			if st.ReshareIncremental == 0 {
-				b.Fatal("component churn never ran incrementally")
-			}
-			if st.ReshareComponents < uint64(diamonds) {
-				b.Fatalf("components = %d, want >= %d per solve", st.ReshareComponents, diamonds)
-			}
-		})
-	}
+		}
+		b.StopTimer()
+		st := net.Stats()
+		if st.ReshareIncremental == 0 {
+			b.Fatal("component churn never ran incrementally")
+		}
+		if st.ReshareComponents < uint64(diamonds) {
+			b.Fatalf("components = %d, want >= %d per solve", st.ReshareComponents, diamonds)
+		}
+	})
 }
 
 // --- Planner benchmarks -------------------------------------------------
 
-// BenchmarkPlanner times the controller's strategy fan-out: all stock
-// strategies proposing concurrently plus scoring, on the paper's gadget
+// BenchmarkPlanner times one planning round: all stock strategies
+// proposing in registration order plus scoring, on the paper's gadget
 // and a fat-tree fabric. This is the per-alarm control-loop cost.
 func BenchmarkPlanner(b *testing.B) {
 	type plannerCase struct {
@@ -629,7 +623,7 @@ func BenchmarkPlanner(b *testing.B) {
 	}
 }
 
-// BenchmarkPlannerGbit times the strategy fan-out at production traffic
+// BenchmarkPlannerGbit times a planning round at production traffic
 // magnitudes — Abilene at 1 Gbit/s and 10 Gbit/s uniform capacity with
 // proportional demands. Before the planner numerics went scale-invariant
 // this configuration was the ROADMAP ceiling (alarms fired, no plan was
@@ -681,7 +675,7 @@ func BenchmarkPlannerGbit(b *testing.B) {
 // CI bench gate protects (the acceptance bar is >= 3x warm over cold).
 // "warm-qoe" is the warm path with QoE scoring switched on — the stall
 // predictor consulted per candidate plus the qoe-greedy strategy in the
-// fan-out — and its baseline must stay within 10% of plain warm: on hits
+// round — and its baseline must stay within 10% of plain warm: on hits
 // the QoE memo reduces scoring to one cache lookup per candidate, so
 // QoE-aware planning rides the amortisation layer nearly for free.
 func BenchmarkPlannerRepeat(b *testing.B) {

@@ -62,7 +62,7 @@ func main() {
 		viewers  = flag.Int("viewers", 0, "scale the crowd to about this many sessions (exact for surge; same total demand, finer slices; 0 keeps the default sizing)")
 		workers  = flag.Int("workers", 0, "simulation worker-pool width: 0 uses GOMAXPROCS, 1 forces the sequential core (output is byte-identical either way)")
 
-		cacheStats = flag.Bool("cache-stats", false, "after each cell, print the planner amortisation telemetry: plan-cache hit/miss, warm-LP warm/cold/fallback solves, parallel reshare component count, and per-strategy propose timings (always present in -json output)")
+		cacheStats = flag.Bool("cache-stats", false, "after each cell, print the planner amortisation telemetry: plan-cache hit/miss, warm-LP warm/cold/fallback solves, reshare component count, and per-strategy propose timings (always present in -json output)")
 
 		failover = flag.Bool("failover", false, "run the fast-failover cells: each compares BFD+standby against SNMP-poll failure detection")
 		qoeCells = flag.Bool("qoe", false, "run the score-mode comparison cells: each runs qoe scoring against util scoring (and plain IGP) on the same schedule")

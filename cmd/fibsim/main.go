@@ -124,7 +124,7 @@ func run(topoFile string, demandSpecs []string, denom int, strategies string) er
 
 // planWhatIf runs the controller's strategy planner analytically: it
 // synthesises an alarm on the hottest link of the plain-IGP routing,
-// fans the selected strategies out, and prints every proposal plus the
+// asks the selected strategies, and prints every proposal plus the
 // plan the planner would commit.
 func planWhatIf(t *topo.Topology, demands []topo.Demand, loads map[topo.LinkID]float64, strategies string) error {
 	set, err := controller.ParseStrategies(strategies)

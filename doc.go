@@ -12,11 +12,11 @@
 // The controller is a policy engine with a pluggable reaction-strategy
 // API: a Strategy proposes, a Plan is the typed proposal (per-prefix lie
 // sets plus predicted max utilisation), and a southbound.Transaction
-// commits the winner all-or-nothing. The Planner fans registered
-// strategies out concurrently and scores them; the paper's tiers are the
-// stock strategies (local-ecmp, lp-optimal, ksp, withdraw) and custom
-// policies register via controller.New(..., WithStrategies(...)). See
-// README.md ("The reaction-strategy API").
+// commits the winner all-or-nothing. The Planner asks the registered
+// strategies in registration order and scores them; the paper's tiers
+// are the stock strategies (local-ecmp, lp-optimal, ksp, withdraw) and
+// custom policies register via controller.New(..., WithStrategies(...)).
+// See README.md ("The reaction-strategy API").
 //
 // All traffic magnitudes are bit/s and the planning pipeline is
 // scale-invariant: the LP is normalised by te.ProblemScale and every

@@ -67,9 +67,9 @@ func main() {
 		fmt.Println("  " + line)
 	}
 
-	// 6. The controller's pluggable reaction-strategy API: fan the stock
-	//    strategies out concurrently against the surge and see which plan
-	//    the planner would commit. Custom policies implement
+	// 6. The controller's pluggable reaction-strategy API: ask the stock
+	//    strategies about the surge and see which plan the planner would
+	//    commit. Custom policies implement
 	//    controller.Strategy and register via WithStrategies.
 	alarm, _ := controller.HottestLinkAlarm(network, loads)
 	planner := controller.NewPlanner(controller.DefaultStrategies()...)

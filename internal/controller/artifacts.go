@@ -1,24 +1,23 @@
 package controller
 
-// The planner's amortisation layer. Every strategy in a ProposeAll
-// fan-out — and every successive planner invocation between state
-// changes — used to recompute the same expensive inputs from scratch:
-// per-source SPF trees, Yen k-shortest-path sets, the believed-topology
-// compilation (fibbing.Evaluate per prefix and lie set), and the fluid
-// load estimates behind PlanContext.Evaluate. PlanArtifacts
-// memoises all of them, keyed by value-complete cache keys (topology
-// binding by pointer, lie sets and demand volumes encoded into the key),
-// so a stale entry is impossible by construction; the controller
-// additionally drops the whole cache whenever its generation triple
-// (topology gen, demand gen, lie gen — the same triple the standby cache
-// tracks) moves, which bounds memory to one planning epoch.
+// The planner's amortisation layer. Every strategy of a planning round —
+// and every successive planner invocation between state changes — used
+// to recompute the same expensive inputs from scratch: per-source SPF
+// trees, Yen k-shortest-path sets, the believed-topology compilation
+// (fibbing.Evaluate per prefix and lie set), and the fluid load estimates
+// behind PlanContext.Evaluate. PlanArtifacts memoises all of them, keyed
+// by value-complete cache keys (topology binding by pointer, lie sets and
+// demand volumes encoded into the key), so a stale entry is impossible by
+// construction; the controller additionally drops the whole cache
+// whenever its generation triple (topology gen, demand gen, lie gen — the
+// same triple the standby cache tracks) moves, which bounds memory to one
+// planning epoch.
 //
-// Hit/miss accounting is deterministic under concurrency: a lookup that
-// finds an entry counts a hit immediately, and a computed result counts
-// a miss only if it inserts a new key at store time — when two strategies
-// race to compute the same key, exactly one miss is recorded regardless
-// of interleaving, so the counters are byte-identical across scheduler
-// worker widths and safe to publish in scenario Reports.
+// Hit/miss accounting is deterministic because planning is: the Planner
+// proposes strategy by strategy in registration order on the control
+// loop's goroutine, so one event sequence produces exactly one sequence
+// of lookups — the counters are byte-identical across scheduler worker
+// widths and core counts and safe to publish in scenario Reports.
 
 import (
 	"slices"
@@ -35,7 +34,7 @@ import (
 
 // ArtifactStats counts PlanArtifacts cache traffic. Hits and Misses are
 // deterministic for a given event sequence (see the package comment on
-// store-time accounting), so they appear in scenario Reports unscrubbed.
+// the single lookup order), so they appear in scenario Reports unscrubbed.
 type ArtifactStats struct {
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
@@ -47,11 +46,30 @@ type ArtifactStats struct {
 	QoEMisses uint64 `json:"qoe_misses"`
 }
 
-// viewsEntry caches one fibbing.Evaluate outcome (errors included, so a
-// failing prefix is not re-evaluated every retry).
-type viewsEntry struct {
-	views map[topo.NodeID]fibbing.RouteView
-	err   error
+// counters is the hit/miss pair one memo table accounts to: the plan
+// counters or the QoE counters of the shared ArtifactStats.
+type counters struct{ hits, misses *uint64 }
+
+// result is a memoised (value, error) outcome: errors are cached too, so
+// a failing key is not recomputed on every retry.
+type result[V any] struct {
+	val V
+	err error
+}
+
+func pair[V any](val V, err error) result[V] { return result[V]{val, err} }
+
+func (r result[V]) get() (V, error) { return r.val, r.err }
+
+// graphEntry is the bound topology's SPF graph and host-skip.
+type graphEntry struct {
+	g    *spf.Graph
+	skip func(topo.NodeID) bool
+}
+
+type kspKey struct {
+	src, dst     topo.NodeID
+	k, spurLimit int
 }
 
 // loadsEntry caches one fluid routing of a full lie set: the per-link
@@ -62,11 +80,6 @@ type loadsEntry struct {
 	err   error
 }
 
-type minmaxEntry struct {
-	res *te.MinMaxResult
-	err error
-}
-
 // augEntry caches one compileDAG outcome: the verified augmentation (or
 // the compile/verify error) for a requirement DAG on one prefix.
 type augEntry struct {
@@ -75,10 +88,10 @@ type augEntry struct {
 	err    error
 }
 
-// qoeEntry caches one plan-level QoE prediction.
-type qoeEntry struct {
-	q   qoe.PlanQoE
-	err error
+type candKey struct {
+	prefix string
+	hot    topo.NodeID
+	k      int
 }
 
 // qoePropEntry caches one qoe-greedy descent outcome: the chosen overlay
@@ -90,29 +103,27 @@ type qoePropEntry struct {
 }
 
 // PlanArtifacts memoises the expensive planner inputs for one topology.
-// It is safe for concurrent use (the strategy fan-out shares one
-// instance); computations run outside the lock, so concurrent strategies
-// never serialise on each other's cache fills. Cached values are shared —
-// callers must treat returned trees, paths, views and load maps as
-// read-only.
+// The planner itself uses it from one goroutine; the mutex keeps it safe
+// to share and to snapshot (Stats) from another. Cached values are
+// shared — callers must treat returned trees, paths, views and load maps
+// as read-only.
 type PlanArtifacts struct {
-	mu    sync.Mutex
-	topo  *topo.Topology
-	graph *spf.Graph
-	skip  func(topo.NodeID) bool
+	mu   sync.Mutex
+	topo *topo.Topology
 	// eval is the what-if evaluator every Views and CompileDAG miss goes
 	// through: it shares reverse SPF trees across strategies and lie
 	// sets, and lives and dies with the topology binding exactly like
 	// trees. Its internal tree cache is not a counted lookup.
 	eval  *fibbing.Evaluator
+	graph map[struct{}]graphEntry // at most one entry: a table, so memo serves it
 	trees map[topo.NodeID]*spf.Tree
-	ksp   map[string][][]topo.NodeID
-	views map[string]viewsEntry
+	ksp   map[kspKey][][]topo.NodeID
+	views map[string]result[map[topo.NodeID]fibbing.RouteView]
 	loads map[string]loadsEntry
-	mmx   map[string]minmaxEntry
+	mmx   map[string]result[*te.MinMaxResult]
 	augs  map[string]augEntry
-	qoe   map[string]qoeEntry
-	cands map[string][][]fibbing.Lie
+	qoe   map[string]result[qoe.PlanQoE]
+	cands map[candKey][][]fibbing.Lie
 	props map[string]qoePropEntry
 
 	// lp and stats are shared across cache generations (and with the
@@ -121,46 +132,67 @@ type PlanArtifacts struct {
 	// and the counters are cumulative per controller.
 	lp    *te.MinMaxSolver
 	stats *ArtifactStats
+	// planCount and qoeCount point into stats.
+	planCount, qoeCount counters
 }
 
 // NewPlanArtifacts returns an empty cache bound to t, with fresh stats
 // and a fresh warm-LP solver.
 func NewPlanArtifacts(t *topo.Topology) *PlanArtifacts {
-	return newPlanArtifacts(t, &ArtifactStats{}, te.NewMinMaxSolver())
+	return newPlanArtifacts(t, &ArtifactStats{}, nil)
 }
 
+// newPlanArtifacts returns an empty cache bound to t that accounts to
+// stats and solves through lp (nil = a private fresh solver).
 func newPlanArtifacts(t *topo.Topology, stats *ArtifactStats, lp *te.MinMaxSolver) *PlanArtifacts {
-	if stats == nil {
-		stats = &ArtifactStats{}
-	}
 	if lp == nil {
 		lp = te.NewMinMaxSolver()
 	}
 	return &PlanArtifacts{
-		topo:  t,
-		eval:  fibbing.NewEvaluator(t),
-		trees: make(map[topo.NodeID]*spf.Tree),
-		ksp:   make(map[string][][]topo.NodeID),
-		views: make(map[string]viewsEntry),
-		loads: make(map[string]loadsEntry),
-		mmx:   make(map[string]minmaxEntry),
-		augs:  make(map[string]augEntry),
-		qoe:   make(map[string]qoeEntry),
-		cands: make(map[string][][]fibbing.Lie),
-		props: make(map[string]qoePropEntry),
-		lp:    lp,
-		stats: stats,
+		topo:      t,
+		eval:      fibbing.NewEvaluator(t),
+		graph:     make(map[struct{}]graphEntry),
+		trees:     make(map[topo.NodeID]*spf.Tree),
+		ksp:       make(map[kspKey][][]topo.NodeID),
+		views:     make(map[string]result[map[topo.NodeID]fibbing.RouteView]),
+		loads:     make(map[string]loadsEntry),
+		mmx:       make(map[string]result[*te.MinMaxResult]),
+		augs:      make(map[string]augEntry),
+		qoe:       make(map[string]result[qoe.PlanQoE]),
+		cands:     make(map[candKey][][]fibbing.Lie),
+		props:     make(map[string]qoePropEntry),
+		lp:        lp,
+		stats:     stats,
+		planCount: counters{&stats.Hits, &stats.Misses},
+		qoeCount:  counters{&stats.QoEHits, &stats.QoEMisses},
 	}
 }
 
-// rebind returns a fresh cache for t carrying over the cumulative stats
-// and the warm-LP solver (its structure key decides reusability itself).
-func (a *PlanArtifacts) rebind(t *topo.Topology) *PlanArtifacts {
-	return newPlanArtifacts(t, a.stats, a.lp)
+// memo is the one lookup every table goes through. A found key counts a
+// hit; a computed value counts a miss when it is stored. compute runs
+// with the lock released because it makes nested lookups through this
+// same function (Tree reads Graph, a load estimate reads Views) and the
+// mutex is not reentrant; if a caller on another goroutine stored the
+// key meanwhile, its value wins and the late result is dropped.
+func memo[K comparable, V any](a *PlanArtifacts, table map[K]V, key K, c counters, compute func() V) V {
+	a.mu.Lock()
+	if v, ok := table[key]; ok {
+		*c.hits++
+		a.mu.Unlock()
+		return v
+	}
+	a.mu.Unlock()
+	v := compute()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if prev, ok := table[key]; ok {
+		*c.hits++
+		return prev
+	}
+	*c.misses++
+	table[key] = v
+	return v
 }
-
-// Topology returns the topology this cache is bound to.
-func (a *PlanArtifacts) Topology() *topo.Topology { return a.topo }
 
 // Stats snapshots the cumulative hit/miss counters.
 func (a *PlanArtifacts) Stats() ArtifactStats {
@@ -175,71 +207,26 @@ func (a *PlanArtifacts) LPStats() te.WarmLPStats { return a.lp.Stats() }
 // Graph returns the memoised spf.Graph and host-skip for the bound
 // topology.
 func (a *PlanArtifacts) Graph() (*spf.Graph, func(topo.NodeID) bool) {
-	a.mu.Lock()
-	if a.graph != nil {
-		a.stats.Hits++
-		g, skip := a.graph, a.skip
-		a.mu.Unlock()
-		return g, skip
-	}
-	a.mu.Unlock()
-	g := spf.FromTopology(a.topo)
-	skip := spf.HostSkip(a.topo)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.graph != nil {
-		a.stats.Hits++
-		return a.graph, a.skip
-	}
-	a.stats.Misses++
-	a.graph, a.skip = g, skip
-	return g, skip
+	e := memo(a, a.graph, struct{}{}, a.planCount, func() graphEntry {
+		return graphEntry{spf.FromTopology(a.topo), spf.HostSkip(a.topo)}
+	})
+	return e.g, e.skip
 }
 
 // Tree returns the memoised SPF tree rooted at src.
 func (a *PlanArtifacts) Tree(src topo.NodeID) *spf.Tree {
-	a.mu.Lock()
-	if t, ok := a.trees[src]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return t
-	}
-	a.mu.Unlock()
-	g, skip := a.Graph()
-	t := spf.Compute(g, src, skip)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.trees[src]; ok {
-		a.stats.Hits++
-		return prev
-	}
-	a.stats.Misses++
-	a.trees[src] = t
-	return t
+	return memo(a, a.trees, src, a.planCount, func() *spf.Tree {
+		g, skip := a.Graph()
+		return spf.Compute(g, src, skip)
+	})
 }
 
 // KShortest returns the memoised Yen k-shortest-path set.
 func (a *PlanArtifacts) KShortest(src, dst topo.NodeID, k, spurLimit int) [][]topo.NodeID {
-	key := strconv.FormatInt(int64(src), 10) + "|" + strconv.FormatInt(int64(dst), 10) +
-		"|" + strconv.Itoa(k) + "|" + strconv.Itoa(spurLimit)
-	a.mu.Lock()
-	if p, ok := a.ksp[key]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return p
-	}
-	a.mu.Unlock()
-	g, skip := a.Graph()
-	paths := spf.KShortestSpurLimit(g, src, dst, k, spurLimit, skip)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.ksp[key]; ok {
-		a.stats.Hits++
-		return prev
-	}
-	a.stats.Misses++
-	a.ksp[key] = paths
-	return paths
+	return memo(a, a.ksp, kspKey{src, dst, k, spurLimit}, a.planCount, func() [][]topo.NodeID {
+		g, skip := a.Graph()
+		return spf.KShortestSpurLimit(g, src, dst, k, spurLimit, skip)
+	})
 }
 
 // Views returns the memoised believed-topology compilation for one
@@ -250,31 +237,32 @@ func (a *PlanArtifacts) Views(prefix string, lies []fibbing.Lie) (map[topo.NodeI
 	var sb strings.Builder
 	sb.WriteString(prefix)
 	encodeLies(&sb, lies)
-	key := sb.String()
-	a.mu.Lock()
-	if e, ok := a.views[key]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return e.views, e.err
+	return memo(a, a.views, sb.String(), a.planCount, func() result[map[topo.NodeID]fibbing.RouteView] {
+		return pair(a.eval.Evaluate(prefix, lies))
+	}).get()
+}
+
+// demandViews returns the believed views of every demanded prefix under
+// the full lie set, each through Views — so two lie sets differing in one
+// prefix share the other prefixes' compilations.
+func (a *PlanArtifacts) demandViews(lies map[string][]fibbing.Lie, demands []topo.Demand) (map[string]map[topo.NodeID]fibbing.RouteView, error) {
+	views := make(map[string]map[topo.NodeID]fibbing.RouteView)
+	for _, d := range demands {
+		if _, ok := views[d.PrefixName]; ok {
+			continue
+		}
+		v, err := a.Views(d.PrefixName, lies[d.PrefixName])
+		if err != nil {
+			return nil, err
+		}
+		views[d.PrefixName] = v
 	}
-	a.mu.Unlock()
-	views, err := a.eval.Evaluate(prefix, lies)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.views[key]; ok {
-		a.stats.Hits++
-		return prev.views, prev.err
-	}
-	a.stats.Misses++
-	a.views[key] = viewsEntry{views: views, err: err}
-	return views, err
+	return views, nil
 }
 
 // MaxUtil routes demands over the full lie set (all prefixes, merged)
 // with the fluid model and returns the max link utilisation, memoised on
-// the (lies, demands) value. The per-prefix views inside the routing go
-// through Views, so two lie sets differing in one prefix share the other
-// prefixes' compilations.
+// the (lies, demands) value.
 func (a *PlanArtifacts) MaxUtil(lies map[string][]fibbing.Lie, demands []topo.Demand) (float64, error) {
 	e := a.loadsFor(lies, demands)
 	return e.util, e.err
@@ -288,43 +276,17 @@ func (a *PlanArtifacts) Loads(lies map[string][]fibbing.Lie, demands []topo.Dema
 }
 
 func (a *PlanArtifacts) loadsFor(lies map[string][]fibbing.Lie, demands []topo.Demand) loadsEntry {
-	key := loadsKey(lies, demands)
-	a.mu.Lock()
-	if e, ok := a.loads[key]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return e
-	}
-	a.mu.Unlock()
-	e := a.computeLoads(lies, demands)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.loads[key]; ok {
-		a.stats.Hits++
-		return prev
-	}
-	a.stats.Misses++
-	a.loads[key] = e
-	return e
-}
-
-func (a *PlanArtifacts) computeLoads(lies map[string][]fibbing.Lie, demands []topo.Demand) loadsEntry {
-	views := make(map[string]map[topo.NodeID]fibbing.RouteView)
-	for _, d := range demands {
-		if _, ok := views[d.PrefixName]; ok {
-			continue
-		}
-		v, err := a.Views(d.PrefixName, lies[d.PrefixName])
+	return memo(a, a.loads, loadsKey(lies, demands), a.planCount, func() loadsEntry {
+		views, err := a.demandViews(lies, demands)
 		if err != nil {
 			return loadsEntry{err: err}
 		}
-		views[d.PrefixName] = v
-	}
-	loads, err := te.LinkLoads(a.topo, views, demands)
-	if err != nil {
-		return loadsEntry{err: err}
-	}
-	return loadsEntry{loads: loads, util: te.MaxUtilOfLoads(a.topo, loads)}
+		loads, err := te.LinkLoads(a.topo, views, demands)
+		if err != nil {
+			return loadsEntry{err: err}
+		}
+		return loadsEntry{loads: loads, util: te.MaxUtilOfLoads(a.topo, loads)}
+	})
 }
 
 // SolveMinMax returns the memoised min-max LP optimum for the demand
@@ -335,24 +297,9 @@ func (a *PlanArtifacts) computeLoads(lies map[string][]fibbing.Lie, demands []to
 func (a *PlanArtifacts) SolveMinMax(demands []topo.Demand) (*te.MinMaxResult, error) {
 	var sb strings.Builder
 	encodeDemands(&sb, demands)
-	key := sb.String()
-	a.mu.Lock()
-	if e, ok := a.mmx[key]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return e.res, e.err
-	}
-	a.mu.Unlock()
-	res, err := a.lp.Solve(a.topo, demands)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.mmx[key]; ok {
-		a.stats.Hits++
-		return prev.res, prev.err
-	}
-	a.stats.Misses++
-	a.mmx[key] = minmaxEntry{res: res, err: err}
-	return res, err
+	return memo(a, a.mmx, sb.String(), a.planCount, func() result[*te.MinMaxResult] {
+		return pair(a.lp.Solve(a.topo, demands))
+	}).get()
 }
 
 // CompileDAG returns the memoised compileDAG outcome for a requirement
@@ -367,64 +314,29 @@ func (a *PlanArtifacts) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Aug
 	var sb strings.Builder
 	sb.WriteString(prefix)
 	encodeDAG(&sb, dag)
-	key := sb.String()
-	a.mu.Lock()
-	if e, ok := a.augs[key]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return e.aug, e.pinned, e.err
-	}
-	a.mu.Unlock()
-	aug, pinned, err := compileDAG(a.eval, prefix, dag)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.augs[key]; ok {
-		a.stats.Hits++
-		return prev.aug, prev.pinned, prev.err
-	}
-	a.stats.Misses++
-	a.augs[key] = augEntry{aug: aug, pinned: pinned, err: err}
-	return aug, pinned, err
+	e := memo(a, a.augs, sb.String(), a.planCount, func() augEntry {
+		aug, pinned, err := compileDAG(a.eval, prefix, dag)
+		return augEntry{aug, pinned, err}
+	})
+	return e.aug, e.pinned, e.err
 }
 
-// PredictQoE maps the full lie set and demand set to the analytic
+// predictQoEKeyed maps the full lie set and demand set to the analytic
 // plan-level QoE prediction (qoe.PredictPlan over the memoised per-prefix
-// views), memoised on the (lies, demands, model) value with its own
-// hit/miss counters. Accounting follows the store-time rule, so
-// QoEHits/QoEMisses are byte-identical across scheduler worker widths.
-func (a *PlanArtifacts) PredictQoE(lies map[string][]fibbing.Lie, demands []topo.Demand, model qoe.Model) (qoe.PlanQoE, error) {
-	var sb strings.Builder
-	encodeModel(&sb, model)
-	return a.predictQoEKeyed(sb.String(), lies, demands, model)
-}
-
-// predictQoEKeyed is PredictQoE with the model's key encoding hoisted
-// out: the planner consults the predictor once per candidate overlay
-// under an unchanging model, so newQoEPredictor encodes the model once
-// per planning context instead of once per lookup.
+// views), memoised on the (lies, demands, model) value under the QoE
+// counters. modelKey is encodeModel's output for model: the planner
+// consults the predictor once per candidate overlay under an unchanging
+// model, so WithQoE encodes it once per planning context instead of once
+// per lookup.
 func (a *PlanArtifacts) predictQoEKeyed(modelKey string, lies map[string][]fibbing.Lie, demands []topo.Demand, model qoe.Model) (qoe.PlanQoE, error) {
-	var sb strings.Builder
-	sb.WriteString(loadsKey(lies, demands))
-	sb.WriteByte('!')
-	sb.WriteString(modelKey)
-	key := sb.String()
-	a.mu.Lock()
-	if e, ok := a.qoe[key]; ok {
-		a.stats.QoEHits++
-		a.mu.Unlock()
-		return e.q, e.err
-	}
-	a.mu.Unlock()
-	e := a.computeQoE(lies, demands, model)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.qoe[key]; ok {
-		a.stats.QoEHits++
-		return prev.q, prev.err
-	}
-	a.stats.QoEMisses++
-	a.qoe[key] = e
-	return e.q, e.err
+	key := loadsKey(lies, demands) + "!" + modelKey
+	return memo(a, a.qoe, key, a.qoeCount, func() result[qoe.PlanQoE] {
+		views, err := a.demandViews(lies, demands)
+		if err != nil {
+			return result[qoe.PlanQoE]{err: err}
+		}
+		return pair(qoe.PredictPlan(a.topo, views, demands, model))
+	}).get()
 }
 
 // QoECandidates memoises the qoe-greedy strategy's per-prefix candidate
@@ -433,27 +345,9 @@ func (a *PlanArtifacts) predictQoEKeyed(modelKey string, lies map[string][]fibbi
 // count — all fixed within one cache generation — while building them
 // costs k DAG constructions plus k compile-memo key encodings per
 // planning round. An alarm train re-planning the same hot link skips all
-// of it. build runs outside the lock; accounting is store-time, like
-// every other table here.
+// of it.
 func (a *PlanArtifacts) QoECandidates(prefix string, hot topo.NodeID, k int, build func() [][]fibbing.Lie) [][]fibbing.Lie {
-	key := prefix + "|" + strconv.FormatInt(int64(hot), 10) + "|" + strconv.Itoa(k)
-	a.mu.Lock()
-	if c, ok := a.cands[key]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return c
-	}
-	a.mu.Unlock()
-	c := build()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.cands[key]; ok {
-		a.stats.Hits++
-		return prev
-	}
-	a.stats.Misses++
-	a.cands[key] = c
-	return c
+	return memo(a, a.cands, candKey{prefix, hot, k}, a.planCount, build)
 }
 
 // qoeProposal memoises the qoe-greedy strategy's whole greedy descent.
@@ -461,42 +355,10 @@ func (a *PlanArtifacts) QoECandidates(prefix string, hot topo.NodeID, k int, bui
 // see QoECandidates), the installed lies, the demand set and the viewer
 // model — exactly what the key encodes — so an alarm train re-raising
 // the same hot link replays the chosen overlay (or the abstention) with
-// one lookup instead of a per-candidate predictor sweep. Accounting is
-// store-time, under the QoE counters.
+// one lookup instead of a per-candidate predictor sweep. Accounted under
+// the QoE counters.
 func (a *PlanArtifacts) qoeProposal(key string, build func() qoePropEntry) qoePropEntry {
-	a.mu.Lock()
-	if e, ok := a.props[key]; ok {
-		a.stats.QoEHits++
-		a.mu.Unlock()
-		return e
-	}
-	a.mu.Unlock()
-	e := build()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.props[key]; ok {
-		a.stats.QoEHits++
-		return prev
-	}
-	a.stats.QoEMisses++
-	a.props[key] = e
-	return e
-}
-
-func (a *PlanArtifacts) computeQoE(lies map[string][]fibbing.Lie, demands []topo.Demand, model qoe.Model) qoeEntry {
-	views := make(map[string]map[topo.NodeID]fibbing.RouteView)
-	for _, d := range demands {
-		if _, ok := views[d.PrefixName]; ok {
-			continue
-		}
-		v, err := a.Views(d.PrefixName, lies[d.PrefixName])
-		if err != nil {
-			return qoeEntry{err: err}
-		}
-		views[d.PrefixName] = v
-	}
-	q, err := qoe.PredictPlan(a.topo, views, demands, model)
-	return qoeEntry{q: q, err: err}
+	return memo(a, a.props, key, a.qoeCount, build)
 }
 
 // encodeModel appends a value-complete encoding of a qoe.Model: member

@@ -9,9 +9,9 @@
 // The control loop is a policy engine built from three first-class types:
 // a Strategy proposes, a Plan is the typed proposal (per-prefix lie sets
 // plus a predicted max utilisation), and a southbound.Transaction commits
-// the winning plan all-or-nothing. The Planner fans every registered
-// strategy out concurrently and scores the proposals; the paper's tiered
-// reactions (local ECMP, LP-optimal splits, withdrawal) are stock
+// the winning plan all-or-nothing. The Planner asks every registered
+// strategy in registration order and scores the proposals; the paper's
+// tiered reactions (local ECMP, LP-optimal splits, withdrawal) are stock
 // strategies, and new reaction policies plug in through
 // New(..., WithStrategies(...)) without touching the engine.
 package controller
@@ -182,13 +182,12 @@ type Controller struct {
 
 	// Artifact cache for the planner hot path: arts memoises SPF trees,
 	// believed-topology compilations, k-shortest paths, load estimates
-	// and LP solves for the current (planning topology, gens) epoch;
-	// artStats and lpSolver survive epoch changes so the counters stay
-	// cumulative and the warm LP basis carries across demand bumps.
+	// and LP solves for the current (planning topology, gens) epoch. Its
+	// stats and LP solver are handed on to the next epoch's cache, so the
+	// counters stay cumulative and the warm LP basis carries across
+	// demand bumps.
 	arts     *PlanArtifacts
 	artsGens planGens
-	artStats *ArtifactStats
-	lpSolver *te.MinMaxSolver
 
 	// planningTopo memo: building the reduced clone is O(topology) and
 	// planning happens per alarm, so the clone is cached per failure
@@ -214,7 +213,7 @@ type Controller struct {
 	// is a pure function of (event link, demands, installed lies), so
 	// while none of those change, repeated alarms (the monitor's
 	// RepeatEvery, or many saturated links alarming round-robin) would
-	// redo the identical fan-out only to reject the identical proposals.
+	// redo the identical round only to reject the identical proposals.
 	// A commit or a demand change clears the whole memo, so it never
 	// holds more than one entry per alarmed link between changes.
 	futile map[string]bool
@@ -232,8 +231,8 @@ func WithConfig(cfg Config) Option {
 	return func(c *Controller) { c.cfg = cfg.resolve() }
 }
 
-// WithStrategies replaces the stock strategy set. Strategies are proposed
-// concurrently and scored in registration order on ties.
+// WithStrategies replaces the stock strategy set. Strategies propose in
+// registration order, which is also the scoring tie-break.
 func WithStrategies(strategies ...Strategy) Option {
 	return func(c *Controller) {
 		if len(strategies) > 0 {
@@ -257,8 +256,7 @@ func New(t *topo.Topology, lies *southbound.LieManager, now func() time.Duration
 		raised:     make(map[topo.LinkID]bool),
 		failed:     make(map[topo.LinkID]bool),
 		futile:     make(map[string]bool),
-		artStats:   &ArtifactStats{},
-		lpSolver:   te.NewMinMaxSolver(),
+		arts:       NewPlanArtifacts(t),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -307,19 +305,18 @@ func (c *Controller) Handle(ev Event) {
 // topology instance or the gens triple moved since the cache was built.
 // The cumulative stats and the warm-LP solver survive the rebind.
 func (c *Controller) ensureArtifacts(pt *topo.Topology) *PlanArtifacts {
-	if c.arts != nil && c.arts.topo == pt && c.artsGens == c.gens {
-		return c.arts
+	if c.arts.topo != pt || c.artsGens != c.gens {
+		c.arts = newPlanArtifacts(pt, c.arts.stats, c.arts.lp)
+		c.artsGens = c.gens
 	}
-	c.arts = newPlanArtifacts(pt, c.artStats, c.lpSolver)
-	c.artsGens = c.gens
 	return c.arts
 }
 
 // ArtifactStats snapshots the cumulative plan-cache hit/miss counters.
-func (c *Controller) ArtifactStats() ArtifactStats { return *c.artStats }
+func (c *Controller) ArtifactStats() ArtifactStats { return c.arts.Stats() }
 
 // LPStats snapshots the warm-started LP solver's counters.
-func (c *Controller) LPStats() te.WarmLPStats { return c.lpSolver.Stats() }
+func (c *Controller) LPStats() te.WarmLPStats { return c.arts.LPStats() }
 
 // ClientJoined registers a new video session (convenience wrapper around
 // a demand event).

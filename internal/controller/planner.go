@@ -9,7 +9,6 @@ import (
 
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/monitor"
-	"fibbing.net/fibbing/internal/te"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -31,12 +30,12 @@ func utilEps(vals ...float64) float64 {
 	return utilEpsilon * scale
 }
 
-// Planner runs a registered strategy set against a PlanContext: all
-// strategies propose concurrently (Propose is pure), the resulting plans
-// are scored, and the best plan wins. Scoring order: target-utilisation
-// satisfaction first, then lie budget (total live lies after commit),
-// then predicted utilisation, then registration order as the
-// deterministic tie-break.
+// Planner runs a registered strategy set against a PlanContext: the
+// strategies propose one after another in registration order, the
+// resulting plans are scored, and the best plan wins. Scoring order:
+// target-utilisation satisfaction first, then lie budget (total live lies
+// after commit), then predicted utilisation, then registration order as
+// the deterministic tie-break.
 type Planner struct {
 	strategies []Strategy
 
@@ -92,51 +91,36 @@ func (p *Planner) perfFor(name string) *StrategyPerf {
 	return sp
 }
 
-// ProposeAll fans every registered strategy out concurrently and returns
-// their plans in registration order (strategies that abstain contribute
+// ProposeAll asks every registered strategy in registration order and
+// returns their plans in that order (strategies that abstain contribute
 // nothing). Errors are collected per strategy, never aborting the others.
+// It runs on the caller's goroutine, so a panicking strategy unwinds
+// through the caller like any other call.
 func (p *Planner) ProposeAll(ctx PlanContext) ([]*Plan, []error) {
-	plans := make([]*Plan, len(p.strategies))
-	errs := make([]error, len(p.strategies))
-	var wg sync.WaitGroup
-	for i, s := range p.strategies {
-		wg.Add(1)
-		go func(i int, s Strategy) {
-			defer wg.Done()
-			start := time.Now()
-			plan, err := s.Propose(ctx)
-			elapsed := time.Since(start)
-			p.perfMu.Lock()
-			sp := p.perfFor(s.Name())
-			sp.Nanos += elapsed.Nanoseconds()
-			if plan != nil && err == nil {
-				sp.Proposals++
-			}
-			p.perfMu.Unlock()
-			if err != nil {
-				errs[i] = fmt.Errorf("strategy %s: %w", s.Name(), err)
-				return
-			}
-			plans[i] = plan
-		}(i, s)
-	}
-	wg.Wait()
-	var outPlans []*Plan
-	for _, plan := range plans {
-		if plan != nil {
-			outPlans = append(outPlans, plan)
+	var plans []*Plan
+	var errs []error
+	for _, s := range p.strategies {
+		start := time.Now()
+		plan, err := s.Propose(ctx)
+		elapsed := time.Since(start)
+		p.perfMu.Lock()
+		sp := p.perfFor(s.Name())
+		sp.Nanos += elapsed.Nanoseconds()
+		if plan != nil && err == nil {
+			sp.Proposals++
+		}
+		p.perfMu.Unlock()
+		switch {
+		case err != nil:
+			errs = append(errs, fmt.Errorf("strategy %s: %w", s.Name(), err))
+		case plan != nil:
+			plans = append(plans, plan)
 		}
 	}
-	var outErrs []error
-	for _, err := range errs {
-		if err != nil {
-			outErrs = append(outErrs, err)
-		}
-	}
-	return outPlans, outErrs
+	return plans, errs
 }
 
-// Plan proposes concurrently, scores, and returns the winning plan (nil
+// Plan proposes, scores, and returns the winning plan (nil
 // when no strategy has an admissible proposal). For congestion reactions
 // (EventAlarmRaised) a plan is admissible only if it satisfies the target
 // utilisation or strictly improves on the no-op plan — a committed plan
@@ -151,7 +135,7 @@ func (p *Planner) Plan(ctx PlanContext) (*Plan, []error) {
 // returned by ProposeAll) and returns the admissible winner, filling
 // each plan's LieCost. What-if tools that want both the proposals and
 // the verdict call ProposeAll once and Select on the result instead of
-// paying the strategy fan-out twice.
+// running every strategy twice.
 func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
 	qoeActive := ctx.ScoreMode != ScoreUtil && ctx.PredictQoE != nil
 	var best *Plan
@@ -280,9 +264,10 @@ func liveLiesAfter(installed map[string][]fibbing.Lie, plan *Plan) int {
 // AnalyticPlanContext builds a PlanContext outside a running simulation —
 // for one-shot what-if planning (cmd/fibsim), tests, and benchmarks. The
 // installed map may be nil; cfg uses its usual defaults. The context
-// carries a fresh artifact cache, so one fan-out shares its SPF and
-// evaluation work; repeat callers who want cross-invocation reuse pass a
-// persistent cache to AnalyticPlanContextCached instead.
+// carries a fresh artifact cache, so the strategies of one planning round
+// share their SPF and evaluation work; repeat callers who want
+// cross-invocation reuse pass a persistent cache to
+// AnalyticPlanContextCached instead.
 func AnalyticPlanContext(t *topo.Topology, demands []topo.Demand,
 	installed map[string][]fibbing.Lie, ev Event, cfg Config) PlanContext {
 	return AnalyticPlanContextCached(NewPlanArtifacts(t), t, demands, installed, ev, cfg)
@@ -306,14 +291,18 @@ func AnalyticPlanContextCached(arts *PlanArtifacts, t *topo.Topology, demands []
 // buildPlanContext is the single assembly point for PlanContexts: the
 // running controller and the analytic what-if path both go through it,
 // so the evaluator wiring and base-utilisation semantics cannot diverge.
-// arts may be nil (everything computes directly) or bound to a different
-// topology (helpers fall back per call).
+// It guarantees what every strategy and helper relies on: the context's
+// Artifacts is a cache bound to its Topo (a nil cache, or one bound to
+// another topology, is replaced by a fresh one).
 func buildPlanContext(arts *PlanArtifacts, t *topo.Topology, demands []topo.Demand,
 	installed map[string][]fibbing.Lie, ev Event, r resolved, raisedAlarms int) PlanContext {
+	if arts == nil || arts.topo != t {
+		arts = NewPlanArtifacts(t)
+	}
 	if installed == nil {
 		installed = map[string][]fibbing.Lie{}
 	}
-	eval := newEvaluator(arts, t, installed, demands)
+	eval := newEvaluator(arts, installed, demands)
 	base := 0.0
 	if len(demands) > 0 {
 		if u, err := eval(nil); err == nil {
@@ -365,36 +354,32 @@ func HottestLinkAlarm(t *topo.Topology, loads map[topo.LinkID]float64) (monitor.
 }
 
 // newEvaluator builds the PlanContext.Evaluate closure: overlay-aware
-// fluid routing of demands over installed lies. Safe for concurrent use.
-// With an artifact cache bound to t, evaluations are memoised on the
+// fluid routing of demands over installed lies, memoised by arts on the
 // merged lie set (per-prefix believed views and whole-set load maps), so
 // repeated evaluations of the same overlay — across strategies or across
 // planner invocations — cost a lookup.
-func newEvaluator(arts *PlanArtifacts, t *topo.Topology, installed map[string][]fibbing.Lie, demands []topo.Demand) func(map[string][]fibbing.Lie) (float64, error) {
-	if arts != nil && arts.topo != t {
-		arts = nil // bound elsewhere; compute directly
-	}
+func newEvaluator(arts *PlanArtifacts, installed map[string][]fibbing.Lie, demands []topo.Demand) func(map[string][]fibbing.Lie) (float64, error) {
 	return func(overlay map[string][]fibbing.Lie) (float64, error) {
-		merged := make(map[string][]fibbing.Lie, len(installed)+len(overlay))
-		for prefix, lies := range installed {
-			merged[prefix] = lies
-		}
-		for prefix, lies := range overlay {
-			if len(lies) == 0 {
-				delete(merged, prefix)
-				continue
-			}
-			merged[prefix] = lies
-		}
-		if arts != nil {
-			return arts.MaxUtil(merged, demands)
-		}
-		loads, err := te.LoadsWithLies(t, merged, demands)
-		if err != nil {
-			return 0, err
-		}
-		return te.MaxUtilOfLoads(t, loads), nil
+		return arts.MaxUtil(mergeOverlay(installed, overlay), demands)
 	}
+}
+
+// mergeOverlay applies Evaluate's overlay semantics: a present key
+// replaces that prefix's installed lies (empty clears them), absent
+// prefixes keep theirs.
+func mergeOverlay(installed, overlay map[string][]fibbing.Lie) map[string][]fibbing.Lie {
+	merged := make(map[string][]fibbing.Lie, len(installed)+len(overlay))
+	for prefix, lies := range installed {
+		merged[prefix] = lies
+	}
+	for prefix, lies := range overlay {
+		if len(lies) == 0 {
+			delete(merged, prefix)
+			continue
+		}
+		merged[prefix] = lies
+	}
+	return merged
 }
 
 func prefixNamesOf(demands []topo.Demand) []string {

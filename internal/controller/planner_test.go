@@ -121,43 +121,76 @@ func TestStockStrategySelection(t *testing.T) {
 	}
 }
 
-// rendezvousStrategy blocks until its partner is proposing too, proving
-// the planner fans strategies out concurrently (a sequential planner
-// deadlocks here and trips the timeout).
-type rendezvousStrategy struct {
-	name string
-	in   chan<- string
-	out  <-chan struct{}
-}
+// TestPlannerProposesInRegistrationOrder pins the planner's one code
+// path: strategies are called in registration order on the caller's
+// goroutine, plans and errors come back in that order, and neither an
+// erroring nor an abstaining strategy in the middle stops the rest.
+func TestPlannerProposesInRegistrationOrder(t *testing.T) {
+	var calls []string
+	record := func(name string, plan bool, err error) Strategy {
+		return strategyFunc{name: name, propose: func(PlanContext) (*Plan, error) {
+			calls = append(calls, name)
+			if plan {
+				return &Plan{Strategy: name}, err
+			}
+			return nil, err
+		}}
+	}
+	planner := NewPlanner(
+		record("p1", true, nil),
+		record("e1", false, fmt.Errorf("boom one")),
+		record("abstains", false, nil),
+		record("p2", true, nil),
+		record("e2", true, fmt.Errorf("boom two")), // a plan beside an error is dropped
+		record("p3", true, nil),
+	)
+	fig1 := topo.Fig1(topo.Fig1Opts{})
+	ctx := AnalyticPlanContext(fig1, nil, nil, Event{Kind: EventAlarmCleared}, Config{})
+	plans, errs := planner.ProposeAll(ctx)
 
-func (s rendezvousStrategy) Name() string { return s.name }
-
-func (s rendezvousStrategy) Propose(PlanContext) (*Plan, error) {
-	s.in <- s.name
-	select {
-	case <-s.out:
-		return nil, nil
-	case <-time.After(5 * time.Second):
-		return nil, fmt.Errorf("%s: partner never proposed concurrently", s.name)
+	if got, want := fmt.Sprint(calls), "[p1 e1 abstains p2 e2 p3]"; got != want {
+		t.Fatalf("call order = %s, want registration order %s", got, want)
+	}
+	var planned []string
+	for _, p := range plans {
+		planned = append(planned, p.Strategy)
+	}
+	if got, want := fmt.Sprint(planned), "[p1 p2 p3]"; got != want {
+		t.Fatalf("plans = %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(errs), "[strategy e1: boom one strategy e2: boom two]"; got != want {
+		t.Fatalf("errors = %s, want %s", got, want)
+	}
+	perf := planner.Perf()
+	for name, want := range map[string]int{"p1": 1, "e1": 0, "abstains": 0, "p2": 1, "e2": 0, "p3": 1} {
+		if sp, ok := perf[name]; !ok || sp.Proposals != want {
+			t.Fatalf("perf[%s] = %+v (present %v), want %d proposals", name, sp, ok, want)
+		}
 	}
 }
 
-func TestPlannerProposesConcurrently(t *testing.T) {
-	arrived := make(chan string, 2)
-	release := make(chan struct{})
-	go func() {
-		<-arrived
-		<-arrived // both strategies are inside Propose at once
-		close(release)
-	}()
+// TestStrategyPanicReachesCaller: a panicking strategy unwinds through
+// Plan's caller, where the scheduler's panic capture (or any deferred
+// recover) can see it. On a planner-owned goroutine it could not be
+// recovered by anyone and took the whole process down.
+func TestStrategyPanicReachesCaller(t *testing.T) {
+	ran := false
 	planner := NewPlanner(
-		rendezvousStrategy{name: "s1", in: arrived, out: release},
-		rendezvousStrategy{name: "s2", in: arrived, out: release},
+		strategyFunc{name: "fine", propose: func(PlanContext) (*Plan, error) { ran = true; return nil, nil }},
+		strategyFunc{name: "bad", propose: func(PlanContext) (*Plan, error) { panic("strategy bug") }},
 	)
 	fig1 := topo.Fig1(topo.Fig1Opts{})
-	ctx := AnalyticPlanContext(fig1, nil, nil, Event{Kind: EventAlarmRaised}, Config{})
-	if _, errs := planner.Plan(ctx); len(errs) > 0 {
-		t.Fatalf("strategies did not run concurrently: %v", errs)
+	ctx := AnalyticPlanContext(fig1, nil, nil, Event{Kind: EventAlarmCleared}, Config{})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		planner.Plan(ctx)
+	}()
+	if got != "strategy bug" {
+		t.Fatalf("recovered %v, want the strategy's panic", got)
+	}
+	if !ran {
+		t.Fatal("the strategy registered before the panicking one never ran")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/qoe"
-	"fibbing.net/fibbing/internal/topo"
 )
 
 // ScoreMode selects what the planner optimises when scoring admissible
@@ -65,7 +64,18 @@ func ParseScoreMode(s string) (ScoreMode, error) {
 // utilisation terms).
 func (ctx PlanContext) WithQoE(model qoe.Model) PlanContext {
 	ctx.QoEModel = model
-	ctx.PredictQoE, ctx.qoeModelKey = newQoEPredictor(ctx.Artifacts, ctx.Topo, ctx.Installed, ctx.Demands, model)
+	// The model never changes within one planning context: encode its
+	// part of the memo keys once instead of on every candidate lookup.
+	var sb strings.Builder
+	encodeModel(&sb, model)
+	ctx.qoeModelKey = sb.String()
+	// PredictQoE has Evaluate's overlay semantics, mapped through the
+	// analytic delivery model to a plan-level QoE prediction and memoised
+	// on the merged lie set.
+	arts, installed, demands, modelKey := ctx.Artifacts, ctx.Installed, ctx.Demands, ctx.qoeModelKey
+	ctx.PredictQoE = func(overlay map[string][]fibbing.Lie) (qoe.PlanQoE, error) {
+		return arts.predictQoEKeyed(modelKey, mergeOverlay(installed, overlay), demands, model)
+	}
 	if len(ctx.Demands) == 0 {
 		return ctx
 	}
@@ -75,55 +85,4 @@ func (ctx PlanContext) WithQoE(model qoe.Model) PlanContext {
 		ctx.BaseStall = math.Inf(1)
 	}
 	return ctx
-}
-
-// newQoEPredictor builds the PlanContext.PredictQoE closure: the same
-// overlay semantics as Evaluate (a present key replaces that prefix's
-// installed lies, empty clears them), mapped through the analytic
-// delivery model to a plan-level QoE prediction. Memoised on the merged
-// lie set when an artifact cache is bound to t; the returned modelKey is
-// that cache's encoding of the model (empty without a usable cache).
-func newQoEPredictor(arts *PlanArtifacts, t *topo.Topology, installed map[string][]fibbing.Lie,
-	demands []topo.Demand, model qoe.Model) (func(map[string][]fibbing.Lie) (qoe.PlanQoE, error), string) {
-	if arts != nil && arts.topo != t {
-		arts = nil // bound elsewhere; compute directly
-	}
-	var modelKey string
-	if arts != nil {
-		// The model never changes within one planning context: encode its
-		// part of the memo key once instead of on every candidate lookup.
-		var sb strings.Builder
-		encodeModel(&sb, model)
-		modelKey = sb.String()
-	}
-	predict := func(overlay map[string][]fibbing.Lie) (qoe.PlanQoE, error) {
-		merged := make(map[string][]fibbing.Lie, len(installed)+len(overlay))
-		for prefix, lies := range installed {
-			merged[prefix] = lies
-		}
-		for prefix, lies := range overlay {
-			if len(lies) == 0 {
-				delete(merged, prefix)
-				continue
-			}
-			merged[prefix] = lies
-		}
-		if arts != nil {
-			return arts.predictQoEKeyed(modelKey, merged, demands, model)
-		}
-		ev := fibbing.NewEvaluator(t)
-		views := make(map[string]map[topo.NodeID]fibbing.RouteView)
-		for _, d := range demands {
-			if _, ok := views[d.PrefixName]; ok {
-				continue
-			}
-			v, err := ev.Evaluate(d.PrefixName, merged[d.PrefixName])
-			if err != nil {
-				return qoe.PlanQoE{}, err
-			}
-			views[d.PrefixName] = v
-		}
-		return qoe.PredictPlan(t, views, demands, model)
-	}
-	return predict, modelKey
 }

@@ -2,7 +2,7 @@ package controller
 
 // Fast failover: react to liveness-detected link failures (internal/bfd
 // feeding EventLinkDown/EventLinkUp) by committing a *precomputed*
-// standby plan instead of running the strategy fan-out from scratch.
+// standby plan instead of running every strategy from scratch.
 //
 // During idle time the controller ranks links by carried aggregate rate,
 // computes an admissibility-checked failover plan for the top-k single
@@ -399,7 +399,7 @@ func (c *Controller) failoverPlan(link topo.Link) (*Plan, error) {
 	// own — but shares the controller's cumulative stats; the LP solver
 	// is private so reduced-topology structure keys do not thrash the
 	// main planning basis.
-	arts := newPlanArtifacts(reduced, c.artStats, nil)
+	arts := newPlanArtifacts(reduced, c.arts.stats, nil)
 	ctx := buildPlanContext(arts, reduced, demands, c.lies.InstalledAll(), LinkDownEvent(bl), c.cfg, len(c.raised))
 	ctx.FailedLink = bl
 	ctx.BaseTopo = base
@@ -409,7 +409,7 @@ func (c *Controller) failoverPlan(link topo.Link) (*Plan, error) {
 		plan.LieCost = liveLiesAfter(ctx.Installed, plan)
 		return plan, nil
 	}
-	// Fallback (cache miss semantics): from-scratch strategy fan-out over
+	// Fallback (cache miss semantics): a from-scratch planning round over
 	// the reduced topology, triggered by its hottest link. These lies
 	// only steer correctly once the IGP has converged on the reduced
 	// topology, which is exactly the slow path being replaced.

@@ -15,17 +15,15 @@ import (
 // PlanContext is everything a Strategy may consult when proposing a
 // reaction: the topology, the demand model, the lies currently installed,
 // the triggering event (with its alarm), the controller's policy knobs,
-// and a predicted-utilisation evaluator. The context is immutable and
-// Evaluate is safe for concurrent use, so the Planner can fan strategies
-// out in parallel.
+// and a predicted-utilisation evaluator. The context is immutable:
+// strategies read it and never write through it.
 type PlanContext struct {
 	Topo *topo.Topology
 	// Artifacts is the shared memoisation layer for the expensive
 	// planner inputs (SPF trees, k-shortest paths, believed-topology
-	// compilations, LP solves, load estimates). May be nil, or bound to
-	// a different topology than Topo; strategies access it through the
-	// SPFTree/KShortestPaths/PrefixViews/SolveMinMax helpers, which fall
-	// back to direct computation in either case.
+	// compilations, LP solves, load estimates), always bound to Topo
+	// (buildPlanContext guarantees it); strategies read it through the
+	// SPFTree/KShortestPaths/PrefixViews/SolveMinMax/CompileDAG helpers.
 	Artifacts *PlanArtifacts
 	// Event is what triggered planning; Event.Alarm carries the hot link
 	// for raise events.
@@ -78,89 +76,37 @@ type PlanContext struct {
 	// qoeModelKey is the memo-key encoding of QoEModel, computed once by
 	// WithQoE so per-candidate and per-proposal cache lookups never
 	// re-encode the (unchanging) viewer model. Empty when PredictQoE is
-	// nil or no artifact cache is bound.
+	// nil.
 	qoeModelKey string
 }
 
-// cachedArts returns the artifact cache when it is usable for this
-// context's topology, nil otherwise (e.g. a failover context whose
-// cache is bound to the reduced topology while a helper is asked about
-// BaseTopo would miss the binding check and compute directly).
-func (ctx *PlanContext) cachedArts() *PlanArtifacts {
-	if ctx.Artifacts != nil && ctx.Artifacts.topo == ctx.Topo {
-		return ctx.Artifacts
-	}
-	return nil
-}
-
-// evaluator returns the what-if evaluator for the context's topology: the
-// artifact cache's when one is bound to it, a fresh one otherwise.
-func (ctx *PlanContext) evaluator() *fibbing.Evaluator {
-	if a := ctx.cachedArts(); a != nil {
-		return a.eval
-	}
-	return fibbing.NewEvaluator(ctx.Topo)
-}
-
-// SPFGraph returns the context topology's SPF graph and host-skip,
-// memoised when an artifact cache is bound.
-func (ctx *PlanContext) SPFGraph() (*spf.Graph, func(topo.NodeID) bool) {
-	if a := ctx.cachedArts(); a != nil {
-		return a.Graph()
-	}
-	return spf.FromTopology(ctx.Topo), spf.HostSkip(ctx.Topo)
-}
-
-// SPFTree returns the shortest-path tree rooted at src, memoised per
-// source when an artifact cache is bound.
-func (ctx *PlanContext) SPFTree(src topo.NodeID) *spf.Tree {
-	if a := ctx.cachedArts(); a != nil {
-		return a.Tree(src)
-	}
-	g, skip := ctx.SPFGraph()
-	return spf.Compute(g, src, skip)
-}
+// SPFTree returns the memoised shortest-path tree rooted at src.
+func (ctx *PlanContext) SPFTree(src topo.NodeID) *spf.Tree { return ctx.Artifacts.Tree(src) }
 
 // KShortestPaths returns up to k loopless shortest paths src->dst (Yen
-// with the given spur limit), memoised per query when an artifact cache
-// is bound.
+// with the given spur limit), memoised per query.
 func (ctx *PlanContext) KShortestPaths(src, dst topo.NodeID, k, spurLimit int) [][]topo.NodeID {
-	if a := ctx.cachedArts(); a != nil {
-		return a.KShortest(src, dst, k, spurLimit)
-	}
-	g, skip := ctx.SPFGraph()
-	return spf.KShortestSpurLimit(g, src, dst, k, spurLimit, skip)
+	return ctx.Artifacts.KShortest(src, dst, k, spurLimit)
 }
 
-// PrefixViews returns the believed-topology route views for one prefix
-// under the given lie set (nil lies = the plain IGP view), memoised when
-// an artifact cache is bound. The returned map is shared: read-only.
+// PrefixViews returns the memoised believed-topology route views for one
+// prefix under the given lie set (nil lies = the plain IGP view). The
+// returned map is shared: read-only.
 func (ctx *PlanContext) PrefixViews(prefix string, lies []fibbing.Lie) (map[topo.NodeID]fibbing.RouteView, error) {
-	if a := ctx.cachedArts(); a != nil {
-		return a.Views(prefix, lies)
-	}
-	return fibbing.Evaluate(ctx.Topo, prefix, lies)
+	return ctx.Artifacts.Views(prefix, lies)
 }
 
 // SolveMinMax returns the min-max LP optimum for the context's demands,
-// memoised — and warm-started across demand changes — when an artifact
-// cache is bound.
+// memoised, and warm-started across demand changes.
 func (ctx *PlanContext) SolveMinMax() (*te.MinMaxResult, error) {
-	if a := ctx.cachedArts(); a != nil {
-		return a.SolveMinMax(ctx.Demands)
-	}
-	return te.SolveMinMax(ctx.Topo, ctx.Demands)
+	return ctx.Artifacts.SolveMinMax(ctx.Demands)
 }
 
 // CompileDAG compiles and verifies a requirement DAG into lies (add-paths
-// first, pin-all + reduction when paths must be removed), memoised when
-// an artifact cache is bound. The returned augmentation is shared with
-// the cache — treat it as read-only.
+// first, pin-all + reduction when paths must be removed), memoised. The
+// returned augmentation is shared with the cache — treat it as read-only.
 func (ctx *PlanContext) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Augmentation, bool, error) {
-	if a := ctx.cachedArts(); a != nil {
-		return a.CompileDAG(prefix, dag)
-	}
-	return compileDAG(ctx.evaluator(), prefix, dag)
+	return ctx.Artifacts.CompileDAG(prefix, dag)
 }
 
 // Plan is one strategy's proposed reaction: typed per-prefix lie sets
@@ -209,7 +155,8 @@ func (p *Plan) Prefixes() []string {
 // Strategy is one pluggable reaction policy. Propose must be pure: it
 // reads the context and returns a candidate plan (nil when the strategy
 // has nothing to offer for this event), never touching shared state — the
-// Planner runs all registered strategies concurrently.
+// artifact cache replays memoised proposals and their inputs, which is
+// only sound when the same context always yields the same plan.
 type Strategy interface {
 	Name() string
 	Propose(ctx PlanContext) (*Plan, error)
@@ -307,14 +254,13 @@ func (s LocalECMPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 		return nil, nil
 	}
 	hot := ctx.Topo.Link(ctx.Event.Alarm.Link).From
-	ev := ctx.evaluator()
 	overlay := make(map[string][]fibbing.Lie)
 	for _, prefix := range ctx.Prefixes {
 		views, err := ctx.PrefixViews(prefix, nil)
 		if err != nil {
 			continue
 		}
-		lies, ok := localSpreadLies(ev, ctx.Topo, views, prefix, hot)
+		lies, ok := localSpreadLies(ctx.Artifacts.eval, ctx.Topo, views, prefix, hot)
 		if ok {
 			overlay[prefix] = lies
 		}

@@ -46,14 +46,9 @@ func (s QoEGreedyStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	// installed lies, demands, viewer model): on an alarm train
 	// re-raising the same hot link, replay the outcome from the artifact
 	// cache instead of re-sweeping the candidates.
-	var e qoePropEntry
-	if arts := ctx.cachedArts(); arts != nil && ctx.qoeModelKey != "" {
-		key := strconv.FormatInt(int64(hot), 10) + "|" + strconv.Itoa(k) + "|" +
-			loadsKey(ctx.Installed, ctx.Demands) + "!" + ctx.qoeModelKey
-		e = arts.qoeProposal(key, func() qoePropEntry { return s.descend(ctx, hot, k) })
-	} else {
-		e = s.descend(ctx, hot, k)
-	}
+	key := strconv.FormatInt(int64(hot), 10) + "|" + strconv.Itoa(k) + "|" +
+		loadsKey(ctx.Installed, ctx.Demands) + "!" + ctx.qoeModelKey
+	e := ctx.Artifacts.qoeProposal(key, func() qoePropEntry { return s.descend(ctx, hot, k) })
 	if e.overlay == nil {
 		return nil, nil // nothing strictly improves the no-op plan
 	}
@@ -84,8 +79,14 @@ func (s QoEGreedyStrategy) descend(ctx PlanContext, hot topo.NodeID, k int) qoeP
 	overlay := make(map[string][]fibbing.Lie)
 	bestScore := ctx.BaseStall
 	for _, prefix := range ctx.Prefixes {
+		// The sweep depends only on (topology, prefix, hot, k): an alarm
+		// train re-planning the same hot link reuses the compiled lie sets
+		// without rebuilding or re-keying the candidate DAGs.
+		cands := ctx.Artifacts.QoECandidates(prefix, hot, k, func() [][]fibbing.Lie {
+			return s.candidates(ctx, prefix, hot, tree, k)
+		})
 		var bestLies []fibbing.Lie
-		for _, lies := range s.candidates(ctx, prefix, hot, tree, k) {
+		for _, lies := range cands {
 			overlay[prefix] = lies
 			q, err := ctx.PredictQoE(overlay)
 			if err != nil {
@@ -114,18 +115,6 @@ func (s QoEGreedyStrategy) descend(ctx PlanContext, hot topo.NodeID, k int) qoeP
 // disjoint detours, the single paths what moves it wholesale. Candidates
 // that fail to compile or verify are dropped.
 func (s QoEGreedyStrategy) candidates(ctx PlanContext, prefix string, hot topo.NodeID, tree *spf.Tree, k int) [][]fibbing.Lie {
-	if arts := ctx.Artifacts; arts != nil && arts.topo == ctx.Topo {
-		// The sweep depends only on (topology, prefix, hot, k): an alarm
-		// train re-planning the same hot link reuses the compiled lie sets
-		// without rebuilding or re-keying the candidate DAGs.
-		return arts.QoECandidates(prefix, hot, k, func() [][]fibbing.Lie {
-			return s.buildCandidates(ctx, prefix, hot, tree, k)
-		})
-	}
-	return s.buildCandidates(ctx, prefix, hot, tree, k)
-}
-
-func (s QoEGreedyStrategy) buildCandidates(ctx PlanContext, prefix string, hot topo.NodeID, tree *spf.Tree, k int) [][]fibbing.Lie {
 	p, ok := ctx.Topo.PrefixByName(prefix)
 	if !ok {
 		return nil

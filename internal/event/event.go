@@ -32,8 +32,8 @@ import (
 )
 
 // Scheduler is a discrete-event loop driven from one goroutine; worker
-// goroutines exist only inside StepBatch and RunParallel, between fan-out
-// and the WaitGroup barrier. It is not safe for concurrent use; simulations drive
+// goroutines exist only inside StepBatch, between fan-out and the
+// WaitGroup barrier. It is not safe for concurrent use; simulations drive
 // it from one goroutine and expose snapshots to others behind their own
 // locks.
 type Scheduler struct {
@@ -323,64 +323,6 @@ func (s *Scheduler) runBatch(batch []*scheduled) {
 		s.release(ev)
 		if fn != nil {
 			fn()
-		}
-	}
-}
-
-// RunParallel executes independent tasks on a transient worker pool of the
-// scheduler's configured width and returns when all have completed. It is
-// the worker-pool primitive behind runBatch, exposed for simulation
-// components (the netsim reshare fans per-component max-min solves through
-// it) that need a join inside a single event rather than across a batch.
-// Tasks must be mutually independent: no task may write state another task
-// reads, and none may touch the scheduler. With Workers() <= 1 or a single
-// task the tasks run inline, in slice order, on the calling goroutine — the
-// deterministic core. A panicking task is re-panicked on the caller after
-// the pool drains.
-func (s *Scheduler) RunParallel(tasks []func()) {
-	n := len(tasks)
-	if n == 0 {
-		return
-	}
-	w := s.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for _, task := range tasks {
-			task()
-		}
-		return
-	}
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	panics := make([]any, w)
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func(slot int) {
-			defer wg.Done()
-			for {
-				j := cursor.Add(1) - 1
-				if j >= int64(n) {
-					return
-				}
-				func() {
-					defer func() {
-						if p := recover(); p != nil && panics[slot] == nil {
-							panics[slot] = p
-						}
-					}()
-					tasks[j]()
-				}()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
 		}
 	}
 }

@@ -460,21 +460,16 @@ type component struct {
 }
 
 // solve partitions the scope into connected components of the
-// link<->aggregate incidence graph and solves each independently, fanning
-// the per-component progressive fillings across the scheduler's worker
-// pool. Rates couple only through shared links, and the max-min allocation
-// is unique, so the partitioned solve equals the combined solve exactly —
-// at every pool width, including the sequential core, which runs the same
-// components inline in the same (min-aggregate-id) order.
+// link<->aggregate incidence graph and solves each independently, in
+// min-aggregate-id order. Rates couple only through shared links, and the
+// max-min allocation is unique, so the partitioned solve equals the
+// combined solve exactly — and a reshare costs the components it touches,
+// not the whole scope's freeze rounds.
 //
 // Every aggregate incident to a scope link must be in aggs (guaranteed by
 // component closure), so allocations outside the scope are untouched. An
 // aggregate of weight w behaves exactly like w identical per-flow shares:
 // the solution equals the per-flow global solve restricted to the scope.
-//
-// Components touch disjoint aggregates and pre-materialized links, so the
-// parallel tasks are race-free; no shared Network state (maps included) is
-// read inside them.
 func (n *Network) solve(aggs []*Aggregate, linkIDs []topo.LinkID) {
 	slices.SortFunc(aggs, func(x, y *Aggregate) int { return cmp.Compare(x.id, y.id) })
 	slices.Sort(linkIDs)
@@ -505,9 +500,7 @@ func (n *Network) solve(aggs []*Aggregate, linkIDs []topo.LinkID) {
 		for _, a := range ls.aggs {
 			members = append(members, a)
 		}
-		// Members stay map-ordered here; solveComponent sorts them. The
-		// sort is the scope materialisation's dominant cost, and inside
-		// the component task it rides the worker pool.
+		// Members stay map-ordered here; solveComponent sorts them.
 		links = append(links, solveLink{capacity: ls.capacity, members: members})
 		root := find(members[0].solveIdx)
 		for _, m := range members[1:] {
@@ -534,21 +527,14 @@ func (n *Network) solve(aggs []*Aggregate, linkIDs []topo.LinkID) {
 		c.links = append(c.links, l)
 	}
 	n.stats.ReshareComponents += uint64(len(comps))
-	if len(comps) == 1 {
-		n.solveComponent(comps[0])
-		return
+	for _, c := range comps {
+		n.solveComponent(c)
 	}
-	tasks := make([]func(), len(comps))
-	for i := range comps {
-		c := comps[i]
-		tasks[i] = func() { n.solveComponent(c) }
-	}
-	n.sched.RunParallel(tasks)
 }
 
 // solveComponent runs weighted max-min progressive filling over one
 // component. It touches only the component's own aggregates and
-// materialized links, so concurrent calls on disjoint components are safe.
+// materialized links.
 func (n *Network) solveComponent(comp *component) {
 	aggs, links := comp.aggs, comp.links
 	for i, a := range aggs {

@@ -105,9 +105,9 @@ type Stats struct {
 	ReshareFull        uint64
 	ReshareIncremental uint64
 	// ReshareComponents counts the connected incidence components solved
-	// across all reshares. Components are independent max-min problems and
-	// fan out across the scheduler's worker pool; the count is the same at
-	// every pool width (the partition depends only on the incidence graph).
+	// across all reshares. Components are independent max-min problems,
+	// solved one after another; the partition depends only on the
+	// incidence graph.
 	ReshareComponents uint64
 	// Aggregates and Flows are the current population sizes; their ratio
 	// is the compression the aggregate plane achieves.

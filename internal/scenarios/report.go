@@ -68,16 +68,16 @@ type Report struct {
 	// Strategies is the registered reaction-strategy set; StrategyWins
 	// counts committed plans per winning strategy (each Decision also
 	// carries its winner's name).
-	Strategies      []string              `json:"strategies,omitempty"`
-	StrategyWins    map[string]int        `json:"strategy_wins,omitempty"`
+	Strategies   []string       `json:"strategies,omitempty"`
+	StrategyWins map[string]int `json:"strategy_wins,omitempty"`
 	// StrategyPerf is the planner's per-strategy telemetry: proposals,
 	// wins, and cumulative Propose wall-time. Nanos is real time, so the
 	// determinism harness scrubs it alongside Workers before comparing.
-	StrategyPerf map[string]controller.StrategyPerf `json:"strategy_perf,omitempty"`
-	Decisions       []controller.Decision `json:"decisions,omitempty"`
-	FirstHotAt      time.Duration         `json:"first_hot_at"`      // first sample >= alarm threshold; -1 if never
-	FirstReactionAt time.Duration         `json:"first_reaction_at"` // first decision; -1 if none
-	ReactionLatency time.Duration         `json:"reaction_latency"`  // FirstReactionAt - FirstHotAt; -1 if n/a
+	StrategyPerf    map[string]controller.StrategyPerf `json:"strategy_perf,omitempty"`
+	Decisions       []controller.Decision              `json:"decisions,omitempty"`
+	FirstHotAt      time.Duration                      `json:"first_hot_at"`      // first sample >= alarm threshold; -1 if never
+	FirstReactionAt time.Duration                      `json:"first_reaction_at"` // first decision; -1 if none
+	ReactionLatency time.Duration                      `json:"reaction_latency"`  // FirstReactionAt - FirstHotAt; -1 if n/a
 
 	// Simulation cost telemetry: scheduler events executed, the SPF
 	// strategy split, and the reshare strategy split, so scaling runs
@@ -93,22 +93,23 @@ type Report struct {
 	ReshareIncremental uint64 `json:"reshare_incremental_runs,omitempty"`
 	ReshareFull        uint64 `json:"reshare_full_runs,omitempty"`
 	// ReshareComponents counts the independent max-min components solved
-	// across all reshares; the count is worker-width invariant because the
-	// partition depends only on the incidence graph.
+	// across all reshares; the partition depends only on the incidence
+	// graph.
 	ReshareComponents uint64 `json:"reshare_components,omitempty"`
 	Aggregates        int    `json:"aggregates,omitempty"`
 
 	// Planner amortisation telemetry: the PlanContext artifact cache's
-	// hit/miss split (deterministic by store-time accounting, so it is
-	// compared across worker widths) and the warm-started LP solver's
-	// warm/cold/fallback solve counts.
-	PlanCacheHits    uint64 `json:"plan_cache_hits,omitempty"`
-	PlanCacheMisses  uint64 `json:"plan_cache_misses,omitempty"`
+	// hit/miss split (deterministic because strategies propose one after
+	// another in registration order, so it is compared across worker
+	// widths) and the warm-started LP solver's warm/cold/fallback solve
+	// counts.
+	PlanCacheHits   uint64 `json:"plan_cache_hits,omitempty"`
+	PlanCacheMisses uint64 `json:"plan_cache_misses,omitempty"`
 	// QoECacheHits/Misses split the artifact cache's memoised QoE
-	// predictions (populated only when a QoE-aware score mode runs);
-	// store-time accounting keeps them worker-width deterministic too.
-	QoECacheHits   uint64 `json:"qoe_cache_hits,omitempty"`
-	QoECacheMisses uint64 `json:"qoe_cache_misses,omitempty"`
+	// predictions (populated only when a QoE-aware score mode runs),
+	// deterministic for the same reason.
+	QoECacheHits     uint64 `json:"qoe_cache_hits,omitempty"`
+	QoECacheMisses   uint64 `json:"qoe_cache_misses,omitempty"`
 	LPWarmSolves     uint64 `json:"lp_warm_solves,omitempty"`
 	LPColdSolves     uint64 `json:"lp_cold_solves,omitempty"`
 	LPFallbackSolves uint64 `json:"lp_fallback_solves,omitempty"`
@@ -200,10 +201,9 @@ func (c *Comparison) Render(b *strings.Builder) {
 
 // RenderCacheStats writes the planner amortisation telemetry — the
 // PlanContext artifact cache's hit/miss split, the warm-started LP
-// solver's warm/cold/fallback counts, the parallel reshare's component
-// count, and the per-strategy propose timings — as indented lines.
-// fiblab prints it under -cache-stats; all fields are also present in
-// the JSON report.
+// solver's warm/cold/fallback counts, the reshare's component count, and
+// the per-strategy propose timings — as indented lines. fiblab prints it
+// under -cache-stats; all fields are also present in the JSON report.
 func (r *Report) RenderCacheStats(b *strings.Builder, indent string) {
 	fmt.Fprintf(b, "%splan-cache %d hit / %d miss; qoe %d hit / %d miss; lp %d warm / %d cold / %d fallback; reshare components %d\n",
 		indent, r.PlanCacheHits, r.PlanCacheMisses,
