@@ -24,12 +24,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Short fuzz passes over the BER decoder, the topology parser and the
-# analytic QoE session predictor.
+# Short fuzz passes over the BER decoder, the topology parser, the
+# analytic QoE session predictor and the simplex core (against the dense
+# reference solver its tests keep).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/snmp
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/topo
 	$(GO) test -fuzz='^FuzzPredictSession$$' -fuzztime=30s ./internal/qoe
+	$(GO) test -fuzz='^FuzzSolveLP$$' -fuzztime=30s ./internal/te
 
 # The scenario-matrix stress harness as a CI gate.
 matrix:

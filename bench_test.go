@@ -262,7 +262,7 @@ func BenchmarkAugmentationStrategies(b *testing.B) {
 }
 
 // BenchmarkLPScaling measures min-max LP solve time as topology size
-// grows (design choice: dense two-phase simplex on stdlib only).
+// grows (design choice: a full-tableau two-phase simplex on stdlib only).
 func BenchmarkLPScaling(b *testing.B) {
 	for _, nodes := range []int{8, 16, 24} {
 		nodes := nodes

@@ -48,7 +48,7 @@ const DefaultTargetUtilisation = 0.75
 
 // DefaultMaxLPRouters is the default topology-size bound for LP-based
 // machinery (the lp-optimal strategy here, the LP reporting bound in
-// internal/scenarios): the dense simplex is vastly superlinear in
+// internal/scenarios): the full-tableau simplex is vastly superlinear in
 // routers x links and stalls the control loop beyond this size.
 const DefaultMaxLPRouters = 48
 

@@ -330,8 +330,8 @@ func localSpreadLies(ev *fibbing.Evaluator, t *topo.Topology, views map[topo.Nod
 // solve the min-max utilisation LP over all demands, quantise the splits,
 // and realise them with equal-cost lies (or pin-all when the optimum
 // removes IGP paths). The MaxLPRouters guard is folded in: on larger
-// topologies the dense simplex would stall the control loop, so the
-// strategy abstains.
+// topologies the full-tableau simplex would stall the control loop, so
+// the strategy abstains.
 type LPOptimalStrategy struct{}
 
 // Name implements Strategy.

@@ -267,11 +267,11 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 	rep.SequentialSPFRuns = par.SoloParallel
 	rep.MaxBatch = par.MaxBatch
 	if len(demandsAtSettle) > 0 {
-		// The dense-simplex LP bound is for reporting only; beyond the
-		// controller's own LP size limit it would dominate the cell's
-		// wall-clock (the scale cells would take hours), so skip it and
-		// note the degradation. The LP-optimality invariant only fires
-		// when LPOptimum is set.
+		// The LP bound (a full-tableau simplex solve, quadratic in the
+		// topology) is for reporting only; beyond the controller's own LP
+		// size limit it would dominate the cell's wall-clock (the scale
+		// cells would take hours), so skip it and note the degradation.
+		// The LP-optimality invariant only fires when LPOptimum is set.
 		routers := 0
 		for _, n := range tp.Nodes() {
 			if !n.Host {

@@ -7,8 +7,13 @@
 // The package contains five solvers; the planner and the experiments use
 // each for a different job:
 //
-//   - SolveLP (simplex.go) is the substrate: a dense two-phase primal
-//     simplex with Bland's anti-cycling rule, assembled via LPBuilder.
+//   - SolveLP (simplex.go) is the substrate: a two-phase primal simplex
+//     with Bland's anti-cycling rule on one flat full tableau, assembled
+//     via LPBuilder. The storage is dense; the steps are not — reduced
+//     costs sum only over rows whose basic variable has a cost, a pivot
+//     touches only the pivot row's non-zero columns, and artificial
+//     columns are frozen after phase 1 — with the pivot sequence held
+//     bit for bit to the textbook dense iteration (reference_test.go).
 //     Everything LP-shaped goes through it; nothing else in the
 //     repository links an external solver.
 //   - SolveMinMax (minmax.go) is the paper's §2 optimum: the min-max
@@ -16,7 +21,7 @@
 //     per destination prefix. Its Splits output is what
 //     fibbing.SplitsToDAG quantises into ECMP weights — the lp-optimal
 //     strategy's whole pipeline. The controller guards it with
-//     MaxLPRouters because the dense tableau grows quadratically.
+//     MaxLPRouters because the tableau grows quadratically.
 //   - SolveGreedy (greedy.go) is the anytime middle ground: chunked
 //     greedy path placement under a Fortz-Thorup congestion cost,
 //     within tens of percent of the LP at a fraction of the cost. The

@@ -35,9 +35,9 @@ type MinMaxResult struct {
 // problem produce the same routing). θ* is dimensionless and needs no
 // rescaling.
 //
-// Host nodes never transit: their links are excluded from the flow graph
-// except as demand entry points is not needed because demands enter at
-// routers directly.
+// Host nodes never transit: only router-to-router links enter the flow
+// graph. Host access links are not needed even as entry points, because
+// every demand names the router it enters at.
 func SolveMinMax(t *topo.Topology, demands []topo.Demand) (*MinMaxResult, error) {
 	p, err := buildMinMax(t, demands)
 	if err != nil {
@@ -217,84 +217,103 @@ func (p *minMaxProblem) extract(t *topo.Topology, sol []float64, obj float64) *M
 // zero-impact circulations that would confuse split extraction). eps is
 // the caller's noise threshold: flow at or below it is treated as absent.
 func removeCycles(t *topo.Topology, links []topo.Link, flow map[topo.LinkID]float64, eps float64) {
-	out := make(map[topo.NodeID][]topo.Link)
-	rebuild := func() {
-		for k := range out {
-			delete(out, k)
-		}
-		for _, l := range links {
-			if flow[l.ID] > eps {
-				out[l.From] = append(out[l.From], l)
-			}
+	// The support graph is built once, in links order. Cancelling a cycle
+	// only ever removes flow, so the search skips the links that have
+	// dropped out since instead of rebuilding the graph.
+	s := cycleSearch{
+		links: links,
+		flow:  flow,
+		eps:   eps,
+		out:   make([][]int32, t.NumNodes()),
+		state: make([]uint8, t.NumNodes()),
+	}
+	for i, l := range links {
+		if flow[l.ID] > eps {
+			s.out[l.From] = append(s.out[l.From], int32(i))
 		}
 	}
 	for iter := 0; iter < len(links)+1; iter++ {
-		rebuild()
-		cycle := findCycle(out)
+		cycle := s.find()
 		if cycle == nil {
 			return
 		}
 		min := math.Inf(1)
-		for _, l := range cycle {
-			if flow[l.ID] < min {
-				min = flow[l.ID]
+		for _, i := range cycle {
+			if v := flow[links[i].ID]; v < min {
+				min = v
 			}
 		}
-		for _, l := range cycle {
-			flow[l.ID] -= min
-			if flow[l.ID] <= eps {
-				delete(flow, l.ID)
+		for _, i := range cycle {
+			id := links[i].ID
+			flow[id] -= min
+			if flow[id] <= eps {
+				delete(flow, id)
 			}
 		}
 	}
 }
 
-// findCycle returns the links of one directed cycle in the support graph,
-// or nil.
-func findCycle(out map[topo.NodeID][]topo.Link) []topo.Link {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	state := map[topo.NodeID]int{}
-	var stack []topo.Link
-	var found []topo.Link
-	var dfs func(u topo.NodeID) bool
-	dfs = func(u topo.NodeID) bool {
-		state[u] = grey
-		for _, l := range out[u] {
-			switch state[l.To] {
-			case grey:
-				// Unwind the stack to the cycle start.
-				found = append(found, l)
-				for i := len(stack) - 1; i >= 0; i-- {
-					found = append(found, stack[i])
-					if stack[i].From == l.To {
-						break
-					}
-				}
-				return true
-			case white:
-				stack = append(stack, l)
-				if dfs(l.To) {
-					return true
-				}
-				stack = stack[:len(stack)-1]
-			}
-		}
-		state[u] = black
-		return false
-	}
-	for u := range out {
-		if state[u] == white {
-			stack = stack[:0]
-			if dfs(u) {
-				return found
+// cycleSearch is the depth-first search removeCycles repeats, with the
+// support graph and the scratch it reuses from one search to the next.
+type cycleSearch struct {
+	links []topo.Link
+	flow  map[topo.LinkID]float64
+	eps   float64
+	out   [][]int32 // per node, its out-links that carried flow at the start (indices into links)
+	state []uint8   // per node: white, grey (on the current path) or black
+	stack []int32   // the current path
+}
+
+const (
+	white = iota
+	grey
+	black
+)
+
+// find returns the links of one directed cycle in the support graph, or
+// nil. Roots are tried in the order nodes first appear in links, never in
+// map order, so which cycle comes first is a function of the input alone.
+func (s *cycleSearch) find() []int32 {
+	clear(s.state)
+	for i := range s.links {
+		if u := s.links[i].From; s.state[u] == white {
+			s.stack = s.stack[:0]
+			if s.visit(u) {
+				return s.stack
 			}
 		}
 	}
 	return nil
+}
+
+// visit walks on from u; on true, s.stack holds exactly the cycle found.
+func (s *cycleSearch) visit(u topo.NodeID) bool {
+	s.state[u] = grey
+	for _, i := range s.out[u] {
+		l := &s.links[i]
+		if s.flow[l.ID] <= s.eps {
+			continue // cancelled by an earlier cycle
+		}
+		switch s.state[l.To] {
+		case grey:
+			// l closes a cycle: drop the path that led to l.To.
+			s.stack = append(s.stack, i)
+			start := 0
+			for s.links[s.stack[start]].From != l.To {
+				start++
+			}
+			s.stack = s.stack[start:]
+			return true
+		case white:
+			s.stack = append(s.stack, i)
+			if s.visit(l.To) {
+				return true
+			}
+			s.stack = s.stack[:len(s.stack)-1]
+		}
+	}
+	s.state[u] = black
+	return false
 }
 
 // extractSplits converts per-link flow into per-router next-hop fractions,

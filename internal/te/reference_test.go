@@ -1,0 +1,371 @@
+package te
+
+// The parent's dense solver, kept verbatim as the oracle for the
+// sparse-stepped core in simplex.go (only the ref prefix on the names is
+// new): solveLP, warmSolveLP, runSimplex, pivot and LPBuilder.dense exactly
+// as they were when every reduced cost walked all m rows and every pivot
+// updated all n+m+1 columns of every row. TestSimplexMatchesReference and
+// FuzzSolveLP hold the new core to the same status, basis and float bits.
+
+import (
+	"fmt"
+	"math"
+)
+
+// refSolveLP is SolveLP plus the final basis (one column index per row;
+// artificial columns appear as indices >= len(c) on redundant rows).
+func refSolveLP(c []float64, a [][]float64, b []float64) ([]float64, float64, SimplexStatus, []int) {
+	m := len(a)
+	if m == 0 {
+		return make([]float64, len(c)), 0, Optimal, []int{}
+	}
+	n := len(c)
+	for i := range a {
+		if len(a[i]) != n {
+			panic(fmt.Sprintf("te: row %d has %d cols, want %d", i, len(a[i]), n))
+		}
+	}
+	if len(b) != m {
+		panic("te: len(b) != rows")
+	}
+
+	// Normalise to b >= 0.
+	A := make([][]float64, m)
+	B := make([]float64, m)
+	for i := range a {
+		A[i] = append([]float64(nil), a[i]...)
+		B[i] = b[i]
+		if B[i] < 0 {
+			for j := range A[i] {
+				A[i][j] = -A[i][j]
+			}
+			B[i] = -B[i]
+		}
+	}
+
+	// Phase 1: artificial variables n..n+m-1, minimise their sum.
+	total := n + m
+	tab := make([][]float64, m)
+	basis := make([]int, m)
+	for i := 0; i < m; i++ {
+		tab[i] = make([]float64, total+1)
+		copy(tab[i], A[i])
+		tab[i][n+i] = 1
+		tab[i][total] = B[i]
+		basis[i] = n + i
+	}
+	phase1 := make([]float64, total)
+	for j := n; j < total; j++ {
+		phase1[j] = 1
+	}
+	switch refRunSimplex(tab, basis, phase1, total) {
+	case simplexStalled:
+		return nil, 0, Stalled, nil
+	case simplexUnbounded:
+		return nil, 0, Unbounded, nil // cannot happen in phase 1, defensive
+	}
+	// Check feasibility, relative to the problem's right-hand-side
+	// magnitude: residual artificial mass that is pure roundoff at scale
+	// 1e9 must not read as infeasibility (and would, against an absolute
+	// cutoff).
+	bScale := 1.0
+	for _, bi := range B {
+		if bi > bScale {
+			bScale = bi
+		}
+	}
+	sum := 0.0
+	for i, bi := range basis {
+		if bi >= n {
+			sum += tab[i][total]
+		}
+	}
+	if sum > FeasibilityRelTol*bScale {
+		return nil, 0, Infeasible, nil
+	}
+	// Drive remaining artificial variables out of the basis. The pivot
+	// element must be significant relative to its row, not in absolute
+	// terms: a 1e-9 entry in a row of 1e9-sized coefficients is noise,
+	// and pivoting on it would blow the tableau up.
+	for i, bi := range basis {
+		if bi < n {
+			continue
+		}
+		rowScale := 1.0
+		for j := 0; j < n; j++ {
+			if v := math.Abs(tab[i][j]); v > rowScale {
+				rowScale = v
+			}
+		}
+		pivoted := false
+		for j := 0; j < n; j++ {
+			if math.Abs(tab[i][j]) > simplexEps*rowScale {
+				refPivot(tab, basis, i, j, total)
+				pivoted = true
+				break
+			}
+		}
+		if !pivoted {
+			// Redundant row; harmless (stays with artificial at 0).
+			_ = i
+		}
+	}
+
+	// Phase 2: original objective, artificial columns frozen at zero.
+	phase2 := make([]float64, total)
+	copy(phase2, c)
+	for j := n; j < total; j++ {
+		phase2[j] = math.Inf(1) // never re-enter
+	}
+	switch refRunSimplex(tab, basis, phase2, total) {
+	case simplexStalled:
+		return nil, 0, Stalled, nil
+	case simplexUnbounded:
+		return nil, 0, Unbounded, nil
+	}
+
+	x := make([]float64, n)
+	for i, bi := range basis {
+		if bi < n {
+			x[bi] = tab[i][total]
+		}
+	}
+	obj := 0.0
+	for j := 0; j < n; j++ {
+		obj += c[j] * x[j]
+	}
+	return x, obj, Optimal, basis
+}
+
+// refWarmSolveLP re-solves min c·x, A·x = b, x >= 0 starting from a prior
+// optimal basis instead of a two-phase cold start. start is the column
+// set from a previous refSolveLP of a structurally identical problem (same
+// variable/constraint layout — see LPBuilder.StructureKey); coefficient
+// and right-hand-side values are free to differ, because the tableau is
+// refactorised onto the stored columns by Gauss-Jordan elimination before
+// phase-2 simplex resumes. ok = false means the basis could not be
+// reused — singular on the new coefficients, basic solution infeasible,
+// or the re-solve failed — and the caller must fall back to a cold solve.
+func refWarmSolveLP(c []float64, a [][]float64, b []float64, start []int) ([]float64, float64, SimplexStatus, []int, bool) {
+	m := len(a)
+	n := len(c)
+	if len(start) != m {
+		return nil, 0, Infeasible, nil, false
+	}
+	for _, j := range start {
+		if j < 0 || j >= n {
+			return nil, 0, Infeasible, nil, false
+		}
+	}
+	if m == 0 {
+		return make([]float64, n), 0, Optimal, []int{}, true
+	}
+	// Copy, normalised to b >= 0 (matching refSolveLP's row convention).
+	tab := make([][]float64, m)
+	for i := range a {
+		tab[i] = make([]float64, n+1)
+		copy(tab[i], a[i])
+		tab[i][n] = b[i]
+		if b[i] < 0 {
+			for j := range tab[i] {
+				tab[i][j] = -tab[i][j]
+			}
+		}
+	}
+	bScale := 1.0
+	for i := range tab {
+		if v := math.Abs(tab[i][n]); v > bScale {
+			bScale = v
+		}
+	}
+	// Refactorise: drive every stored basis column to a unit column,
+	// choosing the largest remaining pivot per column. Pivot significance
+	// is judged relative to the chosen row's magnitude, like the
+	// artificial drive-out in refSolveLP: a noise-sized pivot would blow the
+	// tableau up rather than reproduce the old basis.
+	basis := make([]int, m)
+	used := make([]bool, m)
+	for _, col := range start {
+		best, bestV := -1, 0.0
+		for i := 0; i < m; i++ {
+			if used[i] {
+				continue
+			}
+			if v := math.Abs(tab[i][col]); v > bestV {
+				best, bestV = i, v
+			}
+		}
+		if best == -1 {
+			return nil, 0, Infeasible, nil, false // duplicate or vanished column
+		}
+		rowScale := 1.0
+		for j := 0; j < n; j++ {
+			if v := math.Abs(tab[best][j]); v > rowScale {
+				rowScale = v
+			}
+		}
+		if bestV <= simplexEps*rowScale {
+			return nil, 0, Infeasible, nil, false // singular on the new coefficients
+		}
+		refPivot(tab, basis, best, col, n)
+		used[best] = true
+	}
+	// The refactorised basic solution must be (near-)feasible; clamp pure
+	// roundoff negatives, bail on real ones.
+	for i := 0; i < m; i++ {
+		if tab[i][n] < 0 {
+			if tab[i][n] < -FeasibilityRelTol*bScale {
+				return nil, 0, Infeasible, nil, false
+			}
+			tab[i][n] = 0
+		}
+	}
+	// Phase 2 directly: no artificials exist, so total is just n.
+	switch refRunSimplex(tab, basis, c, n) {
+	case simplexStalled:
+		return nil, 0, Stalled, nil, false
+	case simplexUnbounded:
+		return nil, 0, Unbounded, nil, false
+	}
+	x := make([]float64, n)
+	for i, bi := range basis {
+		x[bi] = tab[i][n]
+	}
+	obj := 0.0
+	for j := 0; j < n; j++ {
+		obj += c[j] * x[j]
+	}
+	return x, obj, Optimal, basis, true
+}
+
+// refRunSimplex performs primal simplex iterations on the tableau in place.
+func refRunSimplex(tab [][]float64, basis []int, c []float64, total int) simplexOutcome {
+	m := len(tab)
+	// Generous bound on pivots: Bland's rule terminates in exact
+	// arithmetic, but floating-point ties can stall large degenerate
+	// problems; those report Stalled rather than spinning forever.
+	limit := 200 * (m + total)
+	if limit < 200000 {
+		limit = 200000
+	}
+	// Reduced costs are computed on demand: z_j - c_j using the basis.
+	// Every "is this zero?" decision below is made relative to the
+	// magnitude of the terms that produced the value — an absolute
+	// epsilon misreads cancellation noise as signal once coefficients
+	// leave O(1).
+	for iter := 0; ; iter++ {
+		if iter > limit {
+			return simplexStalled
+		}
+		// Entering column (Bland: smallest index with negative reduced cost).
+		enter := -1
+		for j := 0; j < total; j++ {
+			if math.IsInf(c[j], 1) {
+				continue // frozen artificial
+			}
+			rc := c[j]
+			rcScale := math.Abs(c[j])
+			for i := 0; i < m; i++ {
+				cb := c[basis[i]]
+				if math.IsInf(cb, 1) {
+					cb = 0 // artificial in basis sits at value 0
+				}
+				term := cb * tab[i][j]
+				rc -= term
+				if v := math.Abs(term); v > rcScale {
+					rcScale = v
+				}
+			}
+			if rcScale < 1 {
+				rcScale = 1
+			}
+			if rc < -simplexEps*rcScale {
+				enter = j
+				break
+			}
+		}
+		if enter == -1 {
+			return simplexOptimal
+		}
+		// Leaving row (Bland: min ratio, ties by smallest basis index).
+		// Pivot eligibility is relative to the column's largest entry:
+		// pivoting on an element that is noise at the column's scale
+		// corrupts the basis.
+		colScale := 1.0
+		for i := 0; i < m; i++ {
+			if v := math.Abs(tab[i][enter]); v > colScale {
+				colScale = v
+			}
+		}
+		pivotEps := simplexEps * colScale
+		leave := -1
+		best := math.Inf(1)
+		for i := 0; i < m; i++ {
+			if tab[i][enter] > pivotEps {
+				ratio := tab[i][total] / tab[i][enter]
+				if leave == -1 {
+					best, leave = ratio, i
+					continue
+				}
+				ratioEps := simplexEps * math.Max(1, math.Max(math.Abs(best), math.Abs(ratio)))
+				if ratio < best-ratioEps ||
+					(math.Abs(ratio-best) <= ratioEps && basis[i] < basis[leave]) {
+					best = ratio
+					leave = i
+				}
+			}
+		}
+		if leave == -1 {
+			return simplexUnbounded
+		}
+		refPivot(tab, basis, leave, enter, total)
+	}
+}
+
+func refPivot(tab [][]float64, basis []int, row, col, total int) {
+	p := tab[row][col]
+	for j := 0; j <= total; j++ {
+		tab[row][j] /= p
+	}
+	for i := range tab {
+		if i == row {
+			continue
+		}
+		f := tab[i][col]
+		if f == 0 {
+			continue
+		}
+		for j := 0; j <= total; j++ {
+			tab[i][j] -= f * tab[row][j]
+		}
+	}
+	basis[row] = col
+}
+
+// refDense materialises the problem in standard form, adding one slack per
+// <= row after the declared variables.
+func refDense(bld *LPBuilder) (c []float64, a [][]float64, b []float64) {
+	slacks := 0
+	for _, t := range bld.types {
+		if t == 'l' {
+			slacks++
+		}
+	}
+	n := bld.nvars + slacks
+	c = make([]float64, n)
+	copy(c, bld.obj)
+	a = make([][]float64, len(bld.terms))
+	b = append([]float64(nil), bld.rhs...)
+	si := bld.nvars
+	for i, row := range bld.terms {
+		a[i] = make([]float64, n)
+		for _, t := range row {
+			a[i][t.idx] += t.coef
+		}
+		if bld.types[i] == 'l' {
+			a[i][si] = 1
+			si++
+		}
+	}
+	return c, a, b
+}

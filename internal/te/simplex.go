@@ -1,6 +1,7 @@
-// The dense two-phase primal simplex underneath SolveMinMax and the
-// LPBuilder. All tolerances are relative to the magnitudes of the tableau
-// entries they judge (see scale.go), so the solver keeps working on
+// The two-phase primal simplex underneath SolveMinMax and the LPBuilder:
+// Bland's rule on one flat tableau, each step costing what the tableau's
+// non-zeros cost. All tolerances are relative to the magnitudes of the
+// tableau entries they judge (see scale.go), so the solver keeps working on
 // ill-conditioned inputs — coefficients spanning 1e-3..1e11 — instead of
 // pivoting on noise and terminating at a wrong vertex.
 
@@ -48,65 +49,133 @@ const simplexEps = SolverRelTol
 
 // SolveLP minimises c·x subject to A·x = b, x >= 0, using the two-phase
 // primal simplex method with Bland's anti-cycling rule. A is dense with
-// one row per equality constraint. Inequalities must be converted by the
-// caller by adding slack variables (see LPBuilder).
+// one row per equality constraint; it is copied once, into the solve's
+// tableau. Inequalities must be converted by the caller by adding slack
+// variables (see LPBuilder). All inputs must be finite.
 //
 // Tolerances are relative: feasibility is judged against the largest
 // right-hand-side magnitude (FeasibilityRelTol) and pivot decisions
 // against the magnitudes of the entries involved (SolverRelTol), so the
 // solve is invariant under uniform rescaling of the problem.
 func SolveLP(c []float64, a [][]float64, b []float64) ([]float64, float64, SimplexStatus) {
-	x, obj, status, _ := solveLP(c, a, b)
-	return x, obj, status
-}
-
-// solveLP is SolveLP plus the final basis (one column index per row;
-// artificial columns appear as indices >= len(c) on redundant rows).
-func solveLP(c []float64, a [][]float64, b []float64) ([]float64, float64, SimplexStatus, []int) {
-	m := len(a)
-	if m == 0 {
-		return make([]float64, len(c)), 0, Optimal, []int{}
+	m, n := len(a), len(c)
+	if m > 0 && len(b) != m {
+		panic("te: len(b) != rows")
 	}
-	n := len(c)
+	t := newTableau(m, n, m)
 	for i := range a {
 		if len(a[i]) != n {
 			panic(fmt.Sprintf("te: row %d has %d cols, want %d", i, len(a[i]), n))
 		}
+		row := t.row(i)
+		copy(row, a[i])
+		row[t.rhs()] = b[i]
 	}
-	if len(b) != m {
-		panic("te: len(b) != rows")
-	}
+	x, obj, status, _ := t.solveCold(c)
+	return x, obj, status
+}
 
-	// Normalise to b >= 0.
-	A := make([][]float64, m)
-	B := make([]float64, m)
-	for i := range a {
-		A[i] = append([]float64(nil), a[i]...)
-		B[i] = b[i]
-		if B[i] < 0 {
-			for j := range A[i] {
-				A[i][j] = -A[i][j]
+// tableau is the working state of one solve, and the only copy of the
+// constraint matrix a solve makes: m rows in one flat backing array. A row
+// holds the n structural columns (declared variables, then slacks), the
+// spare columns a cold start needs for its artificials (none on a warm
+// start), and the right-hand side in its last slot.
+type tableau struct {
+	a      []float64
+	m, n   int
+	stride int   // row length: n + spare + 1
+	basis  []int // basic column of each row
+
+	// Scratch reused across iterations: the rows whose basic variable has a
+	// non-zero cost, and the pivot row's non-zero entries.
+	costRows []int
+	nz       []entry
+}
+
+// entry is one non-zero of a tableau row.
+type entry struct {
+	col int
+	val float64
+}
+
+// newTableau returns a zeroed tableau; the caller fills every row's
+// structural columns and right-hand side before solving.
+func newTableau(m, n, spare int) *tableau {
+	stride := n + spare + 1
+	return &tableau{
+		a:        make([]float64, m*stride),
+		m:        m,
+		n:        n,
+		stride:   stride,
+		basis:    make([]int, m),
+		costRows: make([]int, 0, m),
+		nz:       make([]entry, 0, stride),
+	}
+}
+
+func (t *tableau) row(i int) []float64 { return t.a[i*t.stride : (i+1)*t.stride] }
+
+// rhs is the index of the right-hand side within a row.
+func (t *tableau) rhs() int { return t.stride - 1 }
+
+// normalise flips, in place, every row with a negative right-hand side so
+// that b >= 0, and returns the largest right-hand-side magnitude (at least
+// 1): the scale feasibility is judged against.
+func (t *tableau) normalise() float64 {
+	bScale := 1.0
+	for i := 0; i < t.m; i++ {
+		row := t.row(i)
+		if row[t.rhs()] < 0 {
+			for j := 0; j < t.n; j++ {
+				row[j] = -row[j]
 			}
-			B[i] = -B[i]
+			row[t.rhs()] = -row[t.rhs()]
+		}
+		if row[t.rhs()] > bScale {
+			bScale = row[t.rhs()]
 		}
 	}
+	return bScale
+}
 
-	// Phase 1: artificial variables n..n+m-1, minimise their sum.
+// solution reads the basic solution off the tableau.
+func (t *tableau) solution(c []float64) ([]float64, float64) {
+	x := make([]float64, t.n)
+	for i, bi := range t.basis {
+		if bi < t.n {
+			x[bi] = t.row(i)[t.rhs()]
+		}
+	}
+	obj := 0.0
+	for j := 0; j < t.n; j++ {
+		obj += c[j] * x[j]
+	}
+	return x, obj
+}
+
+// solveCold runs the two-phase method on a filled tableau whose spare
+// columns (one per row) become the artificial variables n..n+m-1. It
+// returns the solution over the structural columns and the final basis
+// (one column index per row; artificial columns appear as indices >= n on
+// redundant rows).
+func (t *tableau) solveCold(c []float64) ([]float64, float64, SimplexStatus, []int) {
+	m, n := t.m, t.n
+	if m == 0 {
+		return make([]float64, n), 0, Optimal, []int{}
+	}
+	bScale := t.normalise()
+
+	// Phase 1: minimise the sum of the artificial variables.
 	total := n + m
-	tab := make([][]float64, m)
-	basis := make([]int, m)
 	for i := 0; i < m; i++ {
-		tab[i] = make([]float64, total+1)
-		copy(tab[i], A[i])
-		tab[i][n+i] = 1
-		tab[i][total] = B[i]
-		basis[i] = n + i
+		t.row(i)[n+i] = 1
+		t.basis[i] = n + i
 	}
 	phase1 := make([]float64, total)
 	for j := n; j < total; j++ {
 		phase1[j] = 1
 	}
-	switch runSimplex(tab, basis, phase1, total) {
+	switch t.simplex(phase1) {
 	case simplexStalled:
 		return nil, 0, Stalled, nil
 	case simplexUnbounded:
@@ -116,16 +185,10 @@ func solveLP(c []float64, a [][]float64, b []float64) ([]float64, float64, Simpl
 	// magnitude: residual artificial mass that is pure roundoff at scale
 	// 1e9 must not read as infeasibility (and would, against an absolute
 	// cutoff).
-	bScale := 1.0
-	for _, bi := range B {
-		if bi > bScale {
-			bScale = bi
-		}
-	}
 	sum := 0.0
-	for i, bi := range basis {
+	for i, bi := range t.basis {
 		if bi >= n {
-			sum += tab[i][total]
+			sum += t.row(i)[t.rhs()]
 		}
 	}
 	if sum > FeasibilityRelTol*bScale {
@@ -134,69 +197,52 @@ func solveLP(c []float64, a [][]float64, b []float64) ([]float64, float64, Simpl
 	// Drive remaining artificial variables out of the basis. The pivot
 	// element must be significant relative to its row, not in absolute
 	// terms: a 1e-9 entry in a row of 1e9-sized coefficients is noise,
-	// and pivoting on it would blow the tableau up.
-	for i, bi := range basis {
+	// and pivoting on it would blow the tableau up. A row with no such
+	// element is redundant and keeps its artificial, basic at 0. From here
+	// on the artificial columns are frozen — never priced, never read — so
+	// no pivot updates them any more.
+	for i, bi := range t.basis {
 		if bi < n {
 			continue
 		}
+		row := t.row(i)[:n]
 		rowScale := 1.0
-		for j := 0; j < n; j++ {
-			if v := math.Abs(tab[i][j]); v > rowScale {
+		for _, v := range row {
+			if v := math.Abs(v); v > rowScale {
 				rowScale = v
 			}
 		}
-		pivoted := false
-		for j := 0; j < n; j++ {
-			if math.Abs(tab[i][j]) > simplexEps*rowScale {
-				pivot(tab, basis, i, j, total)
-				pivoted = true
+		for j, v := range row {
+			if math.Abs(v) > simplexEps*rowScale {
+				t.pivot(i, j, n)
 				break
 			}
 		}
-		if !pivoted {
-			// Redundant row; harmless (stays with artificial at 0).
-			_ = i
-		}
 	}
 
-	// Phase 2: original objective, artificial columns frozen at zero.
-	phase2 := make([]float64, total)
-	copy(phase2, c)
-	for j := n; j < total; j++ {
-		phase2[j] = math.Inf(1) // never re-enter
-	}
-	switch runSimplex(tab, basis, phase2, total) {
+	// Phase 2: the original objective over the structural columns.
+	switch t.simplex(c) {
 	case simplexStalled:
 		return nil, 0, Stalled, nil
 	case simplexUnbounded:
 		return nil, 0, Unbounded, nil
 	}
-
-	x := make([]float64, n)
-	for i, bi := range basis {
-		if bi < n {
-			x[bi] = tab[i][total]
-		}
-	}
-	obj := 0.0
-	for j := 0; j < n; j++ {
-		obj += c[j] * x[j]
-	}
-	return x, obj, Optimal, basis
+	x, obj := t.solution(c)
+	return x, obj, Optimal, t.basis
 }
 
-// warmSolveLP re-solves min c·x, A·x = b, x >= 0 starting from a prior
-// optimal basis instead of a two-phase cold start. start is the column
-// set from a previous solveLP of a structurally identical problem (same
-// variable/constraint layout — see LPBuilder.StructureKey); coefficient
-// and right-hand-side values are free to differ, because the tableau is
-// refactorised onto the stored columns by Gauss-Jordan elimination before
-// phase-2 simplex resumes. ok = false means the basis could not be
-// reused — singular on the new coefficients, basic solution infeasible,
-// or the re-solve failed — and the caller must fall back to a cold solve.
-func warmSolveLP(c []float64, a [][]float64, b []float64, start []int) ([]float64, float64, SimplexStatus, []int, bool) {
-	m := len(a)
-	n := len(c)
+// solveWarm re-solves from a prior optimal basis instead of a two-phase
+// cold start, on a filled tableau without spare columns. start is the
+// column set from a previous solveCold of a structurally identical problem
+// (same variable/constraint layout — see LPBuilder.StructureKey);
+// coefficient and right-hand-side values are free to differ, because the
+// tableau is refactorised onto the stored columns by Gauss-Jordan
+// elimination before phase-2 simplex resumes. ok = false means the basis
+// could not be reused — singular on the new coefficients, basic solution
+// infeasible, or the re-solve failed — and the caller must fall back to a
+// cold solve.
+func (t *tableau) solveWarm(c []float64, start []int) ([]float64, float64, SimplexStatus, []int, bool) {
+	m, n := t.m, t.n
 	if len(start) != m {
 		return nil, 0, Infeasible, nil, false
 	}
@@ -208,30 +254,12 @@ func warmSolveLP(c []float64, a [][]float64, b []float64, start []int) ([]float6
 	if m == 0 {
 		return make([]float64, n), 0, Optimal, []int{}, true
 	}
-	// Copy, normalised to b >= 0 (matching solveLP's row convention).
-	tab := make([][]float64, m)
-	for i := range a {
-		tab[i] = make([]float64, n+1)
-		copy(tab[i], a[i])
-		tab[i][n] = b[i]
-		if b[i] < 0 {
-			for j := range tab[i] {
-				tab[i][j] = -tab[i][j]
-			}
-		}
-	}
-	bScale := 1.0
-	for i := range tab {
-		if v := math.Abs(tab[i][n]); v > bScale {
-			bScale = v
-		}
-	}
+	bScale := t.normalise()
 	// Refactorise: drive every stored basis column to a unit column,
 	// choosing the largest remaining pivot per column. Pivot significance
 	// is judged relative to the chosen row's magnitude, like the
-	// artificial drive-out in solveLP: a noise-sized pivot would blow the
+	// artificial drive-out in solveCold: a noise-sized pivot would blow the
 	// tableau up rather than reproduce the old basis.
-	basis := make([]int, m)
 	used := make([]bool, m)
 	for _, col := range start {
 		best, bestV := -1, 0.0
@@ -239,7 +267,7 @@ func warmSolveLP(c []float64, a [][]float64, b []float64, start []int) ([]float6
 			if used[i] {
 				continue
 			}
-			if v := math.Abs(tab[i][col]); v > bestV {
+			if v := math.Abs(t.a[i*t.stride+col]); v > bestV {
 				best, bestV = i, v
 			}
 		}
@@ -247,46 +275,40 @@ func warmSolveLP(c []float64, a [][]float64, b []float64, start []int) ([]float6
 			return nil, 0, Infeasible, nil, false // duplicate or vanished column
 		}
 		rowScale := 1.0
-		for j := 0; j < n; j++ {
-			if v := math.Abs(tab[best][j]); v > rowScale {
+		for _, v := range t.row(best)[:n] {
+			if v := math.Abs(v); v > rowScale {
 				rowScale = v
 			}
 		}
 		if bestV <= simplexEps*rowScale {
 			return nil, 0, Infeasible, nil, false // singular on the new coefficients
 		}
-		pivot(tab, basis, best, col, n)
+		t.pivot(best, col, n)
 		used[best] = true
 	}
 	// The refactorised basic solution must be (near-)feasible; clamp pure
 	// roundoff negatives, bail on real ones.
 	for i := 0; i < m; i++ {
-		if tab[i][n] < 0 {
-			if tab[i][n] < -FeasibilityRelTol*bScale {
+		row := t.row(i)
+		if row[t.rhs()] < 0 {
+			if row[t.rhs()] < -FeasibilityRelTol*bScale {
 				return nil, 0, Infeasible, nil, false
 			}
-			tab[i][n] = 0
+			row[t.rhs()] = 0
 		}
 	}
-	// Phase 2 directly: no artificials exist, so total is just n.
-	switch runSimplex(tab, basis, c, n) {
+	// Phase 2 directly: no artificials exist.
+	switch t.simplex(c) {
 	case simplexStalled:
 		return nil, 0, Stalled, nil, false
 	case simplexUnbounded:
 		return nil, 0, Unbounded, nil, false
 	}
-	x := make([]float64, n)
-	for i, bi := range basis {
-		x[bi] = tab[i][n]
-	}
-	obj := 0.0
-	for j := 0; j < n; j++ {
-		obj += c[j] * x[j]
-	}
-	return x, obj, Optimal, basis, true
+	x, obj := t.solution(c)
+	return x, obj, Optimal, t.basis, true
 }
 
-// simplexOutcome is runSimplex's termination reason.
+// simplexOutcome is simplex's termination reason.
 type simplexOutcome int
 
 const (
@@ -295,17 +317,25 @@ const (
 	simplexStalled
 )
 
-// runSimplex performs primal simplex iterations on the tableau in place.
-func runSimplex(tab [][]float64, basis []int, c []float64, total int) simplexOutcome {
-	m := len(tab)
+// simplex performs primal simplex iterations on the tableau in place,
+// minimising c over the first len(c) columns. Columns beyond len(c) are
+// frozen: they are never priced and no pivot updates them, and a frozen
+// variable left basic (an artificial on a redundant row) costs nothing.
+//
+// The pivot sequence is pinned: Bland's rule, every tolerance and every
+// floating-point operation on a non-zero tableau entry are those of the
+// textbook dense iteration (reference_test.go keeps one), so a solve
+// returns the same status, basis and float bits. What is skipped is only
+// arithmetic whose result is an exact zero.
+func (t *tableau) simplex(c []float64) simplexOutcome {
+	m, stride, rhs := t.m, t.stride, t.rhs()
 	// Generous bound on pivots: Bland's rule terminates in exact
 	// arithmetic, but floating-point ties can stall large degenerate
 	// problems; those report Stalled rather than spinning forever.
-	limit := 200 * (m + total)
+	limit := 200 * (m + stride - 1)
 	if limit < 200000 {
 		limit = 200000
 	}
-	// Reduced costs are computed on demand: z_j - c_j using the basis.
 	// Every "is this zero?" decision below is made relative to the
 	// magnitude of the terms that produced the value — an absolute
 	// epsilon misreads cancellation noise as signal once coefficients
@@ -314,33 +344,7 @@ func runSimplex(tab [][]float64, basis []int, c []float64, total int) simplexOut
 		if iter > limit {
 			return simplexStalled
 		}
-		// Entering column (Bland: smallest index with negative reduced cost).
-		enter := -1
-		for j := 0; j < total; j++ {
-			if math.IsInf(c[j], 1) {
-				continue // frozen artificial
-			}
-			rc := c[j]
-			rcScale := math.Abs(c[j])
-			for i := 0; i < m; i++ {
-				cb := c[basis[i]]
-				if math.IsInf(cb, 1) {
-					cb = 0 // artificial in basis sits at value 0
-				}
-				term := cb * tab[i][j]
-				rc -= term
-				if v := math.Abs(term); v > rcScale {
-					rcScale = v
-				}
-			}
-			if rcScale < 1 {
-				rcScale = 1
-			}
-			if rc < -simplexEps*rcScale {
-				enter = j
-				break
-			}
-		}
+		enter := t.entering(c)
 		if enter == -1 {
 			return simplexOptimal
 		}
@@ -350,7 +354,7 @@ func runSimplex(tab [][]float64, basis []int, c []float64, total int) simplexOut
 		// corrupts the basis.
 		colScale := 1.0
 		for i := 0; i < m; i++ {
-			if v := math.Abs(tab[i][enter]); v > colScale {
+			if v := math.Abs(t.a[i*stride+enter]); v > colScale {
 				colScale = v
 			}
 		}
@@ -358,15 +362,15 @@ func runSimplex(tab [][]float64, basis []int, c []float64, total int) simplexOut
 		leave := -1
 		best := math.Inf(1)
 		for i := 0; i < m; i++ {
-			if tab[i][enter] > pivotEps {
-				ratio := tab[i][total] / tab[i][enter]
+			if v := t.a[i*stride+enter]; v > pivotEps {
+				ratio := t.a[i*stride+rhs] / v
 				if leave == -1 {
 					best, leave = ratio, i
 					continue
 				}
 				ratioEps := simplexEps * math.Max(1, math.Max(math.Abs(best), math.Abs(ratio)))
 				if ratio < best-ratioEps ||
-					(math.Abs(ratio-best) <= ratioEps && basis[i] < basis[leave]) {
+					(math.Abs(ratio-best) <= ratioEps && t.basis[i] < t.basis[leave]) {
 					best = ratio
 					leave = i
 				}
@@ -375,28 +379,92 @@ func runSimplex(tab [][]float64, basis []int, c []float64, total int) simplexOut
 		if leave == -1 {
 			return simplexUnbounded
 		}
-		pivot(tab, basis, leave, enter, total)
+		t.pivot(leave, enter, len(c))
 	}
 }
 
-func pivot(tab [][]float64, basis []int, row, col, total int) {
-	p := tab[row][col]
-	for j := 0; j <= total; j++ {
-		tab[row][j] /= p
+// rcBlock is how many columns entering prices at a time.
+const rcBlock = 32
+
+// entering returns Bland's entering column — the smallest index whose
+// reduced cost c_j - Σ_i c_B(i)·a_ij is negative relative to the largest
+// term that produced it — or -1 at optimality. The sum runs, in row order,
+// over the rows whose basic variable has a non-zero cost only: the min-max
+// objective is the single variable θ, so in phase 2 that is one row. The
+// terms skipped are exact zeros, so each reduced cost is the all-rows sum
+// bit for bit. Columns are priced a block at a time, row-major within the
+// block, so the walk follows the tableau's memory layout and still stops
+// at the first block holding a negative.
+func (t *tableau) entering(c []float64) int {
+	t.costRows = t.costRows[:0]
+	for i, b := range t.basis {
+		if b < len(c) && c[b] != 0 {
+			t.costRows = append(t.costRows, i)
+		}
 	}
-	for i := range tab {
+	var rcBuf, rcScaleBuf [rcBlock]float64
+	for j0 := 0; j0 < len(c); j0 += rcBlock {
+		blk := c[j0:min(j0+rcBlock, len(c))]
+		rc, rcScale := rcBuf[:len(blk)], rcScaleBuf[:len(blk)]
+		for k, cj := range blk {
+			rc[k], rcScale[k] = cj, math.Abs(cj)
+		}
+		for _, i := range t.costRows {
+			cb := c[t.basis[i]]
+			for k, v := range t.a[i*t.stride+j0:][:len(blk)] {
+				term := cb * v
+				rc[k] -= term
+				if v := math.Abs(term); v > rcScale[k] {
+					rcScale[k] = v
+				}
+			}
+		}
+		for k := range blk {
+			scale := rcScale[k]
+			if scale < 1 {
+				scale = 1
+			}
+			if rc[k] < -simplexEps*scale {
+				return j0 + k
+			}
+		}
+	}
+	return -1
+}
+
+// pivot makes col basic in row. Only the pivot row's non-zero entries
+// among the first live columns — and the right-hand side, always — are
+// divided and eliminated: where the pivot row holds a zero the all-columns
+// update subtracts f·0 and changes nothing, so every non-zero of the
+// tableau, and the whole right-hand side, comes out the same.
+func (t *tableau) pivot(row, col, live int) {
+	pr := t.row(row)
+	p := pr[col]
+	nz := t.nz[:0]
+	for j, v := range pr[:live] {
+		if v != 0 {
+			v /= p
+			pr[j] = v
+			nz = append(nz, entry{j, v})
+		}
+	}
+	pr[t.rhs()] /= p
+	nz = append(nz, entry{t.rhs(), pr[t.rhs()]})
+	for i := 0; i < t.m; i++ {
 		if i == row {
 			continue
 		}
-		f := tab[i][col]
+		ri := t.row(i)
+		f := ri[col]
 		if f == 0 {
 			continue
 		}
-		for j := 0; j <= total; j++ {
-			tab[i][j] -= f * tab[row][j]
+		for _, e := range nz {
+			ri[e.col] -= f * e.val
 		}
 	}
-	basis[row] = col
+	t.basis[row] = col
+	t.nz = nz
 }
 
 // LPBuilder assembles an LP incrementally: named variables, equality and
@@ -404,10 +472,9 @@ func pivot(tab [][]float64, basis []int, row, col, total int) {
 type LPBuilder struct {
 	nvars int
 	obj   []float64
-	rows  [][]float64 // sparse as (idx,coef) pairs flattened at Build
-	types []byte      // 'e' or 'l'
+	types []byte // 'e' or 'l'
 	rhs   []float64
-	terms [][]lpTerm
+	terms [][]lpTerm // per row, its non-zero coefficients
 }
 
 type lpTerm struct {
@@ -454,43 +521,40 @@ func (bld *LPBuilder) addRow(kind byte, terms map[int]float64, rhs float64) {
 	bld.rhs = append(bld.rhs, rhs)
 }
 
-// dense materialises the problem in standard form, adding one slack per
-// <= row after the declared variables.
-func (bld *LPBuilder) dense() (c []float64, a [][]float64, b []float64) {
+// tableau writes the problem in standard form — the declared variables,
+// then one slack per <= row — straight into a fresh tableau with the given
+// number of spare columns, and returns it with the objective over the
+// structural columns.
+func (bld *LPBuilder) tableau(spare int) ([]float64, *tableau) {
 	slacks := 0
 	for _, t := range bld.types {
 		if t == 'l' {
 			slacks++
 		}
 	}
-	n := bld.nvars + slacks
-	c = make([]float64, n)
+	c := make([]float64, bld.nvars+slacks)
 	copy(c, bld.obj)
-	a = make([][]float64, len(bld.terms))
-	b = append([]float64(nil), bld.rhs...)
+	t := newTableau(len(bld.terms), len(c), spare)
 	si := bld.nvars
-	for i, row := range bld.terms {
-		a[i] = make([]float64, n)
-		for _, t := range row {
-			a[i][t.idx] += t.coef
+	for i, terms := range bld.terms {
+		row := t.row(i)
+		for _, term := range terms {
+			row[term.idx] += term.coef
 		}
 		if bld.types[i] == 'l' {
-			a[i][si] = 1
+			row[si] = 1
 			si++
 		}
+		row[t.rhs()] = bld.rhs[i]
 	}
-	return c, a, b
+	return c, t
 }
 
-// Solve materialises the dense problem (adding slacks for <= rows) and
-// runs SolveLP. The returned vector contains only the original variables.
+// Solve runs the cold two-phase solve (adding slacks for <= rows). The
+// returned vector contains only the original variables.
 func (bld *LPBuilder) Solve() ([]float64, float64, SimplexStatus) {
-	c, a, b := bld.dense()
-	x, obj, status := SolveLP(c, a, b)
-	if status != Optimal {
-		return nil, 0, status
-	}
-	return x[:bld.nvars], obj, status
+	x, obj, status, _ := bld.SolveBasis()
+	return x, obj, status
 }
 
 // SolveBasis is Solve plus the final simplex basis, for warm-starting a
@@ -499,8 +563,8 @@ func (bld *LPBuilder) Solve() ([]float64, float64, SimplexStatus) {
 // artificial variable stayed basic on a redundant row (the warm tableau
 // has no artificial columns to refactorise onto).
 func (bld *LPBuilder) SolveBasis() ([]float64, float64, SimplexStatus, []int) {
-	c, a, b := bld.dense()
-	x, obj, status, basis := solveLP(c, a, b)
+	c, t := bld.tableau(len(bld.terms))
+	x, obj, status, basis := t.solveCold(c)
 	if status != Optimal {
 		return nil, 0, status, nil
 	}
@@ -520,8 +584,8 @@ func (bld *LPBuilder) SolveBasis() ([]float64, float64, SimplexStatus, []int) {
 // refactorisation, infeasible basic point, or a failed re-solve); the
 // caller should fall back to SolveBasis.
 func (bld *LPBuilder) SolveFromBasis(start []int) ([]float64, float64, SimplexStatus, []int, bool) {
-	c, a, b := bld.dense()
-	x, obj, status, basis, ok := warmSolveLP(c, a, b, start)
+	c, t := bld.tableau(0)
+	x, obj, status, basis, ok := t.solveWarm(c, start)
 	if !ok || status != Optimal {
 		return nil, 0, status, nil, false
 	}

@@ -1,6 +1,7 @@
 package te
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -325,6 +326,36 @@ func TestMinMaxOnRandomTopologies(t *testing.T) {
 					t.Fatalf("seed %d: splits at %d sum to %v", seed, u, sum)
 				}
 			}
+		}
+	}
+}
+
+// TestRemoveCyclesDeterministic cancels two circulations that overlap on
+// the link a->b — a->b->c->a and a->b->d->a — 200 times over. Cancelling
+// one starves the other of the shared link, so which goes first decides
+// what survives (d's branch or c's); the search tries roots and out-links
+// in links order, never map order, so it is a->b->c->a every time.
+func TestRemoveCyclesDeterministic(t *testing.T) {
+	tp := topo.New()
+	a, b, c, d := tp.AddNode("a"), tp.AddNode("b"), tp.AddNode("c"), tp.AddNode("d")
+	ab := tp.AddDirectedLink(a, b, 1, topo.LinkOpts{})
+	bc := tp.AddDirectedLink(b, c, 1, topo.LinkOpts{})
+	ca := tp.AddDirectedLink(c, a, 1, topo.LinkOpts{})
+	bd := tp.AddDirectedLink(b, d, 1, topo.LinkOpts{})
+	da := tp.AddDirectedLink(d, a, 1, topo.LinkOpts{})
+	links := tp.Links()
+
+	for run := 0; run < 200; run++ {
+		flow := map[topo.LinkID]float64{ab: 5, bc: 3, ca: 3, bd: 4, da: 4}
+		removeCycles(tp, links, flow, 1e-9)
+		// a->b->c->a takes 3 of a->b's 5, a->b->d->a the 2 that are left.
+		want := map[topo.LinkID]float64{bd: 2, da: 2}
+		if !maps.Equal(flow, want) {
+			t.Fatalf("run %d: flow %v, want %v", run, flow, want)
+		}
+		splits := extractSplits(tp, links, flow, 1e-9)
+		if len(splits) != 2 || splits[b][d] != 1 || splits[d][a] != 1 {
+			t.Fatalf("run %d: splits %v, want b->d and d->a", run, splits)
 		}
 	}
 }
