@@ -29,10 +29,10 @@
 // and docs/ARCHITECTURE.md for how the paper's concepts (fibbing lies,
 // augmented topology, min-max LP, the reaction loop) map onto the
 // packages and how data flows between them.
-// The root-level benchmarks (bench_test.go) regenerate every figure of
-// the paper and time the scenario-matrix stress harness:
+// cmd/experiments regenerates every figure of the paper, checked; the
+// repository's benchmark is bench/ (BENCHMARK.json):
 //
-//	go test -bench=. -benchmem .
+//	bash bench/run.sh
 //
 // Runnable entry points:
 //

@@ -30,18 +30,6 @@ func IGPView(t *topo.Topology, prefixName string) (map[topo.NodeID]RouteView, er
 	return NewEvaluator(t).IGPView(prefixName)
 }
 
-// ForwardingGraph extracts the per-destination forwarding edges from a set
-// of route views: one edge per (router, next hop).
-func ForwardingGraph(views map[topo.NodeID]RouteView) map[topo.NodeID][]topo.NodeID {
-	out := make(map[topo.NodeID][]topo.NodeID, len(views))
-	for u, v := range views {
-		for nh := range v.NextHops {
-			out[u] = append(out[u], nh)
-		}
-	}
-	return out
-}
-
 // CheckDelivery verifies that the forwarding graph induced by views is
 // loop-free and that every router with a route eventually reaches a Local
 // router. This is the safety property every augmentation must preserve.

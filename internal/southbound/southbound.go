@@ -2,15 +2,12 @@
 // turns computed lies into fake LSAs, originates them at the controller's
 // attachment router (the point of presence, R3 in the demo), tracks what
 // is installed, and reconciles towards new desired lie sets with minimal
-// churn. A wire protocol (length-prefixed frames) lets the controller run
-// remotely from its PoP; a direct in-process injector serves simulations.
+// churn, through an in-process injector.
 package southbound
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"slices"
 
 	"fibbing.net/fibbing/internal/fibbing"
@@ -31,83 +28,6 @@ type DirectInjector struct {
 func (d DirectInjector) Inject(l *ospf.LSA) error {
 	return d.Router.OriginateForeign(l)
 }
-
-// --- Wire protocol ------------------------------------------------------
-
-// Frame ops.
-const (
-	OpInject    = 1
-	OpKeepalive = 2
-)
-
-// WriteFrame writes one frame: uint32 length, uint8 op, payload.
-func WriteFrame(w io.Writer, op uint8, payload []byte) error {
-	hdr := make([]byte, 5)
-	binary.BigEndian.PutUint32(hdr, uint32(len(payload))+1)
-	hdr[4] = op
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one frame.
-func ReadFrame(r io.Reader) (op uint8, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n == 0 || n > 1<<20 {
-		return 0, nil, fmt.Errorf("southbound: bad frame length %d", n)
-	}
-	payload = make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[4], payload, nil
-}
-
-// RemoteInjector sends LSAs over a wire session to a PoP.
-type RemoteInjector struct {
-	W io.Writer
-}
-
-// Inject implements Injector.
-func (r RemoteInjector) Inject(l *ospf.LSA) error {
-	return WriteFrame(r.W, OpInject, l.Encode())
-}
-
-// ServePoP runs the point-of-presence side: it reads frames and floods
-// received LSAs through the attached router. Returns on read error/EOF.
-func ServePoP(r io.Reader, router *ospf.Router) error {
-	for {
-		op, payload, err := ReadFrame(r)
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		switch op {
-		case OpKeepalive:
-			// liveness only
-		case OpInject:
-			lsa, err := ospf.DecodeLSA(payload)
-			if err != nil {
-				return fmt.Errorf("southbound: bad LSA frame: %w", err)
-			}
-			if err := router.OriginateForeign(lsa); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("southbound: unknown op %d", op)
-		}
-	}
-}
-
-// --- Lie lifecycle ------------------------------------------------------
 
 type lieEntry struct {
 	lsid uint32

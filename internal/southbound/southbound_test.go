@@ -1,7 +1,6 @@
 package southbound
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -136,71 +135,4 @@ func TestLieManagerRequiresControllerID(t *testing.T) {
 		}
 	}()
 	NewLieManager(DirectInjector{}, ospf.RouterID(5))
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	go func() {
-		_ = WriteFrame(c1, OpInject, []byte("hello"))
-		_ = WriteFrame(c1, OpKeepalive, nil)
-	}()
-	op, payload, err := ReadFrame(c2)
-	if err != nil || op != OpInject || string(payload) != "hello" {
-		t.Fatalf("frame 1: %v %q %v", op, payload, err)
-	}
-	op, payload, err = ReadFrame(c2)
-	if err != nil || op != OpKeepalive || len(payload) != 0 {
-		t.Fatalf("frame 2: %v %q %v", op, payload, err)
-	}
-}
-
-// TestRemoteInjection drives the full wire path: controller side encodes
-// lies into frames over a pipe; the PoP side decodes and floods them.
-func TestRemoteInjection(t *testing.T) {
-	tp, d := fig1Domain(t)
-	lies := fig1Lies(t, tp)
-
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-
-	pop := d.Router(tp.MustNode("R3"))
-	done := make(chan error, 1)
-	go func() {
-		done <- ServePoP(c2, pop)
-	}()
-
-	inj := RemoteInjector{W: c1}
-	for i, lie := range lies {
-		if err := inj.Inject(lie.ToLSA(ospf.ControllerIDBase, uint32(i)+1, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := WriteFrame(c1, OpKeepalive, nil); err != nil {
-		t.Fatal(err)
-	}
-	c1.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("PoP: %v", err)
-	}
-
-	if _, err := d.RunUntilConverged(d.Scheduler().Now() + 120*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := blueWeights(tp, d, "A"); got["B"] != 1 || got["R1"] != 2 {
-		t.Fatalf("A after remote injection = %v", got)
-	}
-}
-
-func TestReadFrameRejectsGarbage(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	go func() {
-		_, _ = c1.Write([]byte{0, 0, 0, 0, 0}) // zero length
-	}()
-	if _, _, err := ReadFrame(c2); err == nil {
-		t.Fatalf("zero-length frame accepted")
-	}
 }

@@ -248,7 +248,7 @@ func Incremental(g *Graph, prev *Tree, changes []GraphChange, skip func(topo.Nod
 		}
 	}
 	// Close touched over the new DAG's descendants: a node's derived next
-	// hops (NextHops, Paths, PathCount) depend on the predecessor sets of
+	// hops (NextHops, Paths) depend on the predecessor sets of
 	// every node on its shortest-path DAG, so a change anywhere upstream
 	// counts as a change for all nodes routing through it. Building the
 	// CSR here doubles as priming t's cache for the next patch.

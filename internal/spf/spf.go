@@ -530,18 +530,6 @@ func (t *Tree) Paths(dst topo.NodeID, limit int) [][]topo.NodeID {
 	return out
 }
 
-// PathCount returns the number of distinct shortest paths from Src to dst.
-func (t *Tree) PathCount(dst topo.NodeID) int64 {
-	var total int64
-	for _, nh := range t.NextHops(dst) {
-		total += nh.Paths
-	}
-	if dst == t.Src {
-		return 1
-	}
-	return total
-}
-
 // FormatPath renders a node path using topology names, e.g. "A>B>R2>C".
 func FormatPath(t *topo.Topology, path []topo.NodeID) string {
 	var b strings.Builder
@@ -571,19 +559,6 @@ func HostSkip(t *topo.Topology) func(topo.NodeID) bool {
 // evaluation.
 func ComputeRouters(g *Graph, t *topo.Topology, src topo.NodeID) *Tree {
 	return Compute(g, src, HostSkip(t))
-}
-
-// AllPairs computes one Tree per router (hosts excluded as sources).
-func AllPairs(t *topo.Topology) map[topo.NodeID]*Tree {
-	g := FromTopology(t)
-	out := make(map[topo.NodeID]*Tree, t.NumNodes())
-	for _, n := range t.Nodes() {
-		if n.Host {
-			continue
-		}
-		out[n.ID] = ComputeRouters(g, t, n.ID)
-	}
-	return out
 }
 
 // Validate sanity-checks a tree against its graph: every predecessor edge

@@ -38,10 +38,7 @@
 //
 // LinkLoads/IGPLoads/LoadsWithLies (loads.go) propagate a demand set
 // over route views to per-link bit/s loads — the shared evaluator under
-// the planner's predictions and every experiment. EstimateDemands
-// (estimate.go) inverts that propagation: non-negative multiplicative
-// updates recover ingress demands from observed link loads when no
-// server-side notifications exist.
+// the planner's predictions and every experiment.
 //
 // # Numerical conditioning
 //

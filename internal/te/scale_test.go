@@ -8,12 +8,10 @@ package te
 // survive badly-conditioned tableaus.
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"time"
 
-	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -183,40 +181,5 @@ func TestMinMaxGbitAbilene(t *testing.T) {
 		if math.Abs(res.MaxUtilisation-0.75) > 1e-6 {
 			t.Fatalf("capacity %s: θ* = %v, want 0.75", topo.FormatBits(capacity), res.MaxUtilisation)
 		}
-	}
-}
-
-// TestEstimateDemandsAtScale checks the demand estimator recovers
-// Gbit-scale demands (its internal cutoffs used to be absolute).
-func TestEstimateDemandsAtScale(t *testing.T) {
-	for _, scale := range []float64{1, 1e9} {
-		scale := scale
-		t.Run(fmt.Sprintf("scale=%g", scale), func(t *testing.T) {
-			tp := topo.Abilene(10e6*scale, 0)
-			truth := []topo.Demand{
-				{Ingress: tp.MustNode("Seattle"), PrefixName: "cdn-east", Volume: 4e6 * scale},
-				{Ingress: tp.MustNode("Denver"), PrefixName: "cdn-east", Volume: 2e6 * scale},
-			}
-			v, err := fibbing.IGPView(tp, "cdn-east")
-			if err != nil {
-				t.Fatal(err)
-			}
-			views := map[string]map[topo.NodeID]fibbing.RouteView{"cdn-east": v}
-			observed, err := LinkLoads(tp, views, truth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cands := []DemandCandidate{
-				{Ingress: tp.MustNode("Seattle"), PrefixName: "cdn-east"},
-				{Ingress: tp.MustNode("Denver"), PrefixName: "cdn-east"},
-			}
-			est, err := EstimateDemands(tp, views, cands, observed, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e := EstimationError(est, truth); e > 1e-3 {
-				t.Fatalf("estimation error %v at scale %g", e, scale)
-			}
-		})
 	}
 }

@@ -3,9 +3,8 @@
 // metrics (startup delay, stalls, rebuffer ratio) that distinguish
 // "smooth" from "stuttering" playback — the paper's qualitative result.
 //
-// Two bindings share the same Player buffer model: SimSession consumes
-// delivered bytes from the fluid simulator inside virtual time, and the
-// TCP server/client pair in stream.go runs over real sockets.
+// SimSession drives the Player buffer model with bytes delivered by the
+// fluid simulator inside virtual time.
 package video
 
 import (
