@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz matrix failover qoe quickstart bench-e2e bench-check scale cover docs-check
+.PHONY: all build test race vet fuzz matrix failover qoe quickstart bench-e2e bench-check reports-cmp scale cover docs-check
 
 all: vet build test
 
@@ -19,13 +19,15 @@ vet:
 	$(GO) vet ./...
 
 # Short fuzz passes over the BER decoder, the topology parser, the
-# analytic QoE session predictor and the simplex core (against the dense
-# reference solver its tests keep).
+# analytic QoE session predictor, the simplex core (against the dense
+# reference solver its tests keep) and the IGP's wire codec (a live router
+# fed arbitrary bytes, against the one-pass reference decoder).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/snmp
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/topo
 	$(GO) test -fuzz='^FuzzPredictSession$$' -fuzztime=30s ./internal/qoe
 	$(GO) test -fuzz='^FuzzSolveLP$$' -fuzztime=30s ./internal/te
+	$(GO) test -fuzz='^FuzzHandlePacket$$' -fuzztime=30s ./internal/ospf
 
 # The scenario-matrix stress harness as a CI gate.
 matrix:
@@ -59,6 +61,26 @@ bench-e2e:
 # root `./...` patterns never reach it.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# The "same reports" check of a change that claims to keep behaviour:
+# builds cmd/fiblab here and in a checkout of the parent commit (PARENT=
+# <dir>, e.g. a `git clone` at the parent), runs the matrix, failover and
+# QoE cells as JSON on both and compares byte for byte, wall-clock "nanos"
+# lines dropped. Binaries and outputs go to a temporary directory.
+reports-cmp:
+	@test -n "$(PARENT)" && test -d "$(PARENT)/cmd/fiblab" \
+	  || { echo "reports-cmp: set PARENT=<checkout of the parent commit>" >&2; exit 1; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/fiblab.change" ./cmd/fiblab; \
+	(cd "$(PARENT)" && $(GO) build -o "$$tmp/fiblab.parent" ./cmd/fiblab); \
+	for mode in matrix failover qoe; do \
+	  for side in parent change; do \
+	    "$$tmp/fiblab.$$side" -$$mode -json | grep -v '"nanos"' > "$$tmp/$$mode.$$side"; \
+	  done; \
+	  cmp "$$tmp/$$mode.parent" "$$tmp/$$mode.change" \
+	    || { echo "reports-cmp: -$$mode -json differs from the parent's" >&2; exit 1; }; \
+	  echo "reports-cmp: -$$mode identical ($$(wc -l < "$$tmp/$$mode.change") lines)"; \
+	done
 
 # The large-topology scaling cells with wall-clock/event telemetry
 # (Gbit-capacity defaults; override with -capacity via `go run`).

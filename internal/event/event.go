@@ -23,7 +23,6 @@
 package event
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime"
 	"sync"
@@ -38,7 +37,7 @@ import (
 // locks.
 type Scheduler struct {
 	now     time.Duration
-	queue   eventHeap
+	queue   []*scheduled // binary min-heap on (at, seq); see push/pop/remove
 	seq     uint64
 	ran     uint64
 	pending int
@@ -137,7 +136,7 @@ func (s *Scheduler) newEvent(t time.Duration, compute, fn func()) Handle {
 	}
 	ev.at, ev.seq, ev.fn, ev.compute = t, s.seq, fn, compute
 	s.seq++
-	heap.Push(&s.queue, ev)
+	s.push(ev)
 	s.pending++
 	return Handle{ev: ev, seq: ev.seq}
 }
@@ -195,9 +194,9 @@ func (s *Scheduler) Cancel(h Handle) bool {
 	if h.ev == nil || h.ev.index < 0 || h.ev.seq != h.seq {
 		return false
 	}
-	ev := heap.Remove(&s.queue, h.ev.index).(*scheduled)
+	s.remove(h.ev.index)
 	s.pending--
-	s.release(ev)
+	s.release(h.ev)
 	return true
 }
 
@@ -220,10 +219,10 @@ func (s *Scheduler) runOne(ev *scheduled) {
 // It returns false when the queue is empty. Parallel events run both
 // phases inline, preserving the sequential core's exact semantics.
 func (s *Scheduler) Step() bool {
-	if s.queue.Len() == 0 {
+	if len(s.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&s.queue).(*scheduled)
+	ev := s.pop()
 	s.now = ev.at
 	s.runOne(ev)
 	return true
@@ -235,10 +234,10 @@ func (s *Scheduler) Step() bool {
 // worker pool before committing in FIFO order. With Workers() == 1 it is
 // exactly Step. Returns false when the queue is empty.
 func (s *Scheduler) StepBatch() bool {
-	if s.queue.Len() == 0 {
+	if len(s.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&s.queue).(*scheduled)
+	ev := s.pop()
 	s.now = ev.at
 	if ev.compute == nil || s.workers <= 1 {
 		s.runOne(ev)
@@ -248,13 +247,12 @@ func (s *Scheduler) StepBatch() bool {
 	// event interleaved in FIFO order (the heap head is always the next
 	// FIFO event, so stopping at the first mismatch preserves ordering).
 	batch := append(s.batch[:0], ev)
-	for s.queue.Len() > 0 {
+	for len(s.queue) > 0 {
 		next := s.queue[0]
 		if next.at != ev.at || next.compute == nil {
 			break
 		}
-		heap.Pop(&s.queue)
-		batch = append(batch, next)
+		batch = append(batch, s.pop())
 	}
 	s.batch = batch[:0] // retain scratch capacity, drop references below
 	if len(batch) == 1 {
@@ -330,7 +328,7 @@ func (s *Scheduler) runBatch(batch []*scheduled) {
 // RunUntil executes events until the clock would pass t; the clock is left
 // at exactly t. Events scheduled for t itself do fire.
 func (s *Scheduler) RunUntil(t time.Duration) {
-	for s.queue.Len() > 0 && s.queue[0].at <= t {
+	for len(s.queue) > 0 && s.queue[0].at <= t {
 		s.StepBatch()
 	}
 	if s.now < t {
@@ -344,34 +342,88 @@ func (s *Scheduler) Run() {
 	}
 }
 
-// eventHeap orders by (time, sequence) so same-instant events fire FIFO.
-type eventHeap []*scheduled
+// The queue is a binary min-heap over []*scheduled, ordered by (time,
+// sequence) so same-instant events fire FIFO. seq is unique, so the order
+// is total and the pop sequence does not depend on the heap's internal
+// layout. The sift loops move a hole instead of swapping: the displaced
+// event is written once, at its final slot, and every event's index field
+// tracks its slot so Cancel can remove it in O(log n).
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a fires ahead of b.
+func before(a, b *scheduled) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+func (s *Scheduler) push(ev *scheduled) {
+	s.queue = append(s.queue, ev)
+	s.up(len(s.queue)-1, ev)
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*scheduled)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+
+// pop removes and returns the earliest event.
+func (s *Scheduler) pop() *scheduled {
+	top := s.queue[0]
+	s.remove(0)
+	return top
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+// remove deletes the event at slot i, refilling the slot with the heap's
+// last event sifted to where it belongs.
+func (s *Scheduler) remove(i int) {
+	q := s.queue
+	n := len(q) - 1
+	q[i].index = -1
+	last := q[n]
+	q[n] = nil
+	s.queue = q[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && before(last, q[(i-1)/2]) {
+		s.up(i, last)
+	} else {
+		s.down(i, last)
+	}
+}
+
+// up places ev at the hole i or above it, pulling later parents down.
+func (s *Scheduler) up(i int, ev *scheduled) {
+	q := s.queue
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(ev, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// down places ev at the hole i or below it, pulling earlier children up.
+func (s *Scheduler) down(i int, ev *scheduled) {
+	q := s.queue
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && before(q[c+1], q[c]) {
+			c++
+		}
+		if !before(q[c], ev) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = i
+		i = c
+	}
+	q[i] = ev
+	ev.index = i
 }
 
 // Ticker fires a callback at a fixed period until stopped, mirroring

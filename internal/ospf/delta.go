@@ -48,9 +48,7 @@ func (r *Router) noteDBChange(old, new *LSA) {
 
 // dbInstall stores an LSA and logs the transition.
 func (r *Router) dbInstall(l *LSA) {
-	old, _ := r.db.Get(l.Header.Key())
-	r.db.Install(l)
-	r.noteDBChange(old, l)
+	r.noteDBChange(r.db.Install(l), l)
 }
 
 // dbRemove deletes an LSA and logs the transition.
@@ -64,8 +62,10 @@ func (r *Router) dbRemove(k Key) {
 }
 
 // lsaContentEqual compares the routing-relevant payload of two instances
-// of the same key. Router links are compared as multisets: origination
-// iterates a map, so identical adjacency sets may serialise in any order.
+// of the same key. Router links are compared as multisets. Routers
+// originate them in (Neighbor, Metric) order — originateRouterLSA walks
+// nbrList — so the usual case is compared in place; foreign LSAs may list
+// the same adjacencies in any order and take the sorting path.
 func lsaContentEqual(a, b *LSA) bool {
 	if a.Header.Type != b.Header.Type {
 		return false
@@ -75,22 +75,13 @@ func lsaContentEqual(a, b *LSA) bool {
 		if len(a.RouterLinks) != len(b.RouterLinks) {
 			return false
 		}
-		as := append([]RouterLink(nil), a.RouterLinks...)
-		bs := append([]RouterLink(nil), b.RouterLinks...)
-		compare := func(a, b RouterLink) int {
-			if c := cmp.Compare(a.Neighbor, b.Neighbor); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.Metric, b.Metric)
+		as, bs := a.RouterLinks, b.RouterLinks
+		if !slices.IsSortedFunc(as, compareLinks) || !slices.IsSortedFunc(bs, compareLinks) {
+			as, bs = slices.Clone(as), slices.Clone(bs)
+			slices.SortFunc(as, compareLinks)
+			slices.SortFunc(bs, compareLinks)
 		}
-		slices.SortFunc(as, compare)
-		slices.SortFunc(bs, compare)
-		for i := range as {
-			if as[i] != bs[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(as, bs)
 	case TypePrefix:
 		return a.Prefix == b.Prefix && a.Metric == b.Metric
 	case TypeFake:
@@ -99,6 +90,13 @@ func lsaContentEqual(a, b *LSA) bool {
 			a.ForwardVia == b.ForwardVia
 	}
 	return false
+}
+
+func compareLinks(a, b RouterLink) int {
+	if c := cmp.Compare(a.Neighbor, b.Neighbor); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Metric, b.Metric)
 }
 
 // --- Cached SPF state ---------------------------------------------------

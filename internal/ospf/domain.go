@@ -19,9 +19,10 @@ type Domain struct {
 
 	routers map[topo.NodeID]*Router
 
-	// linkDown marks administratively failed links (both directions are
-	// keyed individually so asymmetric failures are expressible).
-	linkDown map[topo.LinkID]bool
+	// linkDown marks administratively failed links, indexed by LinkID
+	// (both directions are marked individually so asymmetric failures are
+	// expressible).
+	linkDown []bool
 
 	inflight   int // undelivered or in-processing protocol messages
 	spfPending int
@@ -55,31 +56,46 @@ type Domain struct {
 	// Errors collects protocol-level errors (bad packets, invalid lies).
 	Errors []error
 
-	// bufPool recycles packet encode buffers: a delivered packet's bytes
-	// are dead once HandlePacket returns (DecodePacket copies every field
-	// out), so flooding stops churning the allocator. The pool is touched
-	// only from scheduler events — never from SPF compute phases — so no
-	// locking is needed.
+	// bufPool recycles packet buffers: a delivered packet's bytes are dead
+	// once HandlePacket returns — it reads headers and acks in place and
+	// keeps nothing but the LSAs it installs, which materialiseLSA copies
+	// out field by field — so flooding stops churning the allocator. The
+	// pool is touched only from scheduler events — never from SPF compute
+	// phases — so no locking is needed.
 	bufPool [][]byte
+
+	// lsaScratch holds the wire form of the LSA being sent, so one flood
+	// encodes and checksums its instance once however many neighbors get
+	// a copy. Sends never nest, so one buffer serves the whole domain.
+	lsaScratch []byte
 
 	defaultDelay time.Duration
 }
 
-// getBuf returns an empty slice with recycled capacity for AppendEncode.
-func (d *Domain) getBuf() []byte {
+// getBuf returns an empty slice to build a packet of the given size in:
+// recycled capacity when the pool has any (append grows it if it falls
+// short), one exact allocation otherwise.
+func (d *Domain) getBuf(size int) []byte {
 	if n := len(d.bufPool); n > 0 {
 		b := d.bufPool[n-1]
 		d.bufPool[n-1] = nil
 		d.bufPool = d.bufPool[:n-1]
 		return b[:0]
 	}
-	return nil
+	return make([]byte, 0, size)
 }
 
 func (d *Domain) putBuf(b []byte) {
 	if cap(b) > 0 {
 		d.bufPool = append(d.bufPool, b)
 	}
+}
+
+// encodeLSA returns l's wire form in the domain's scratch buffer, valid
+// until the next call.
+func (d *Domain) encodeLSA(l *LSA) []byte {
+	d.lsaScratch = l.AppendEncode(d.lsaScratch[:0])
+	return d.lsaScratch
 }
 
 // NewDomain builds the IGP domain for a topology: one router per non-host
@@ -91,7 +107,7 @@ func NewDomain(t *topo.Topology, sched *event.Scheduler, cfg Config) *Domain {
 		sched:        sched,
 		cfg:          cfg.withDefaults(),
 		routers:      make(map[topo.NodeID]*Router),
-		linkDown:     make(map[topo.LinkID]bool),
+		linkDown:     make([]bool, t.NumLinks()),
 		defaultDelay: time.Millisecond,
 	}
 	for _, n := range t.Nodes() {
@@ -151,13 +167,18 @@ func (d *Domain) Start() {
 	}
 }
 
-// deliver schedules a packet for processing at the receiving router after
-// the link's propagation delay. Packets on failed links are dropped.
-func (d *Domain) deliver(from RouterID, n *neighbor, data []byte, counts bool) {
+// deliver puts a packet on the wire towards n: it is processed by the
+// receiving router after the link's propagation delay. Packets on failed
+// links are dropped. A link's delay is constant, so its packets arrive in
+// send order: the adjacency queues them and every arrival is the same
+// pre-built event body taking the oldest — one scheduler event per packet,
+// no closure per packet.
+func (d *Domain) deliver(n *neighbor, data []byte) {
 	if d.linkDown[n.link.ID] {
 		d.putBuf(data)
 		return
 	}
+	counts := PacketType(data[0]) != PktHello
 	if d.LossRate > 0 && counts {
 		if d.lossRng == nil {
 			d.lossRng = rand.New(rand.NewSource(0xf1bb))
@@ -174,16 +195,49 @@ func (d *Domain) deliver(from RouterID, n *neighbor, data []byte, counts bool) {
 	if counts {
 		d.inflight++
 	}
-	to := d.routers[n.node]
-	d.sched.After(delay, func() {
-		if counts {
-			d.inflight--
+	n.wire.push(data)
+	d.sched.After(delay, n.rx)
+}
+
+// receive is the arrival of the oldest packet in flight from router from
+// towards n: the body of every n.rx event.
+func (d *Domain) receive(from RouterID, n *neighbor) {
+	data := n.wire.pop()
+	if PacketType(data[0]) != PktHello {
+		d.inflight--
+	}
+	if !d.linkDown[n.link.ID] {
+		n.peer.HandlePacket(from, data)
+	}
+	d.putBuf(data)
+}
+
+// pktRing is a FIFO of packets in flight on one adjacency. It grows to the
+// link's own peak and stays there.
+type pktRing struct {
+	buf  [][]byte // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *pktRing) push(data []byte) {
+	if q.n == len(q.buf) {
+		grown := make([][]byte, max(4, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 		}
-		if to != nil && !d.linkDown[n.link.ID] {
-			to.HandlePacket(from, data)
-		}
-		d.putBuf(data)
-	})
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = data
+	q.n++
+}
+
+func (q *pktRing) pop() []byte {
+	data := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return data
 }
 
 func (d *Domain) protocolError(at RouterID, err error) {
@@ -252,7 +306,9 @@ func (d *Domain) SetLinkState(a, b topo.NodeID, up bool) error {
 // (packets on it are silently dropped). Liveness probes (internal/bfd)
 // use it as the transport ground truth instead of exchanging real
 // packets through the flooding machinery.
-func (d *Domain) LinkBlocked(id topo.LinkID) bool { return d.linkDown[id] }
+func (d *Domain) LinkBlocked(id topo.LinkID) bool {
+	return uint(id) < uint(len(d.linkDown)) && d.linkDown[id]
+}
 
 // Converged reports whether no protocol messages are in flight, no SPF
 // runs are pending, and every flooded LSA has been acknowledged (so lost

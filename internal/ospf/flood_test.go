@@ -1,0 +1,192 @@
+package ospf
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"fibbing.net/fibbing/internal/event"
+	"fibbing.net/fibbing/internal/topo"
+)
+
+// convergedFatTree returns a converged fat-tree k=4 domain on the
+// sequential core (so SPF batches spawn no goroutines under AllocsPerRun)
+// and one of its adjacencies: router a, its neighbor entry for b, and b.
+func convergedFatTree(t testing.TB) (d *Domain, a *Router, n *neighbor, b *Router) {
+	t.Helper()
+	tp := topo.FatTree(topo.FatTreeOpts{K: 4, Capacity: 10e6, MaxWeight: 3, Seed: 2})
+	sched := event.NewScheduler()
+	sched.SetWorkers(1)
+	d = NewDomain(tp, sched, Config{})
+	d.Start()
+	if _, err := d.RunUntilConverged(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range tp.Links() {
+		if !tp.Node(l.From).Host && !tp.Node(l.To).Host {
+			a, b = d.Router(l.From), d.Router(l.To)
+			return d, a, a.nbrs[b.id], b
+		}
+	}
+	t.Fatal("fat-tree has no router link")
+	return
+}
+
+// floodBudgetPerInstall is what one installation of a flooded instance may
+// allocate, everything included. Measured on fat-tree k=4: 107 objects for
+// 19 installs, 5.6 each — the decoded LSA and its link slice (2), one
+// retransmit closure per update sent (45 sends, 2.4), and the debounced
+// SPF run's bookkeeping (1.2). Putting one &Packet{} back on the update
+// send path makes it 152 objects, 8.0 per install, and trips the guard.
+const floodBudgetPerInstall = 7
+
+// TestFloodingAllocations holds the per-packet path to its allocation
+// contract on a converged fat-tree k=4: receptions that change nothing
+// cost no heap objects, and a flood costs the routers that install it.
+func TestFloodingAllocations(t *testing.T) {
+	d, a, n, b := convergedFatTree(t)
+	sched := d.sched
+	own, ok := b.db.Get(Key{Type: TypeRouter, AdvRouter: a.id})
+	if !ok {
+		t.Fatal("b does not hold a's router LSA")
+	}
+	settle := func() { sched.RunUntil(sched.Now() + 2*time.Millisecond) }
+
+	// A duplicate: b checks it, judges it by its header and acks; the ack
+	// travels back and a finds nothing to clear.
+	dup := appendUpdateLSA(appendPacketHeader(nil, PktLSUpdate, a.id, 1), own.Encode())
+	acksSent := b.PacketsSent
+	if got := testing.AllocsPerRun(200, func() {
+		b.HandlePacket(a.id, dup)
+		settle()
+	}); got != 0 {
+		t.Errorf("duplicate update: %v objects per reception, want 0", got)
+	}
+	if b.PacketsSent-acksSent < 200 {
+		t.Fatalf("duplicates were not acked: %d acks for 200 receptions", b.PacketsSent-acksSent)
+	}
+
+	ack := appendAck(appendPacketHeader(nil, PktLSAck, b.id, 1), own.Header)
+	if got := testing.AllocsPerRun(200, func() { a.HandlePacket(b.id, ack) }); got != 0 {
+		t.Errorf("ack: %v objects per reception, want 0", got)
+	}
+
+	// One packet end to end: onto the wire, one scheduler event, into the
+	// receiver.
+	ack = appendAck(appendPacketHeader(nil, PktLSAck, a.id, 1), own.Header)
+	rcvd := b.PacketsRcvd
+	if got := testing.AllocsPerRun(200, func() {
+		d.deliver(n, append(d.getBuf(len(ack)), ack...))
+		settle()
+	}); got != 0 {
+		t.Errorf("delivery: %v objects per packet, want 0", got)
+	}
+	if b.PacketsRcvd-rcvd < 200 {
+		t.Fatalf("deliveries did not arrive: %d of 200", b.PacketsRcvd-rcvd)
+	}
+
+	// One full flood: a re-originates its Router LSA and every other
+	// router installs the new instance exactly once.
+	installs := float64(len(d.routers) - 1)
+	got := testing.AllocsPerRun(20, func() {
+		a.originateRouterLSA()
+		if _, err := d.RunUntilConverged(sched.Now() + time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("flood of one Router LSA: %.0f objects, %.1f per install", got, got/installs)
+	if got > floodBudgetPerInstall*installs {
+		t.Errorf("flood of one Router LSA: %.0f objects for %.0f installs, over the budget of %d per install",
+			got, installs, floodBudgetPerInstall)
+	}
+	if len(d.Errors) > 0 {
+		t.Fatalf("protocol errors: %v", d.Errors)
+	}
+}
+
+// TestInFlightPacketsAndLinkState pins the transport semantics of the
+// per-adjacency in-flight queue: packets on the wire when the link fails
+// are dropped on arrival and their buffers recycled, packets sent while it
+// is down never enter the queue, and a healed link delivers in send order.
+func TestInFlightPacketsAndLinkState(t *testing.T) {
+	d, a, n, b := convergedFatTree(t)
+	sched := d.sched
+	// Packets of unknown types 100, 101, …: the receiver rejects each with
+	// an error naming the type, which makes arrival order observable.
+	probe := func(i int) []byte {
+		return appendPacketHeader(d.getBuf(packetHeaderLen), PacketType(100+i), a.id, 0)
+	}
+	const k = 6 // past the queue's first allocation of 4
+
+	for i := 0; i < k; i++ {
+		a.transmit(n, probe(i))
+	}
+	if n.wire.n != k || d.inflight != k {
+		t.Fatalf("%d queued, %d in flight, want %d", n.wire.n, d.inflight, k)
+	}
+	if err := d.SetLinkState(a.node, b.node, false); err != nil {
+		t.Fatal(err)
+	}
+	pooled, rcvd := len(d.bufPool), b.PacketsRcvd
+	a.transmit(n, probe(k)) // dropped at the sender: the link is down
+	if n.wire.n != k {
+		t.Fatalf("packet sent on a failed link was queued")
+	}
+	sched.RunUntil(sched.Now() + 2*time.Millisecond)
+	if n.wire.n != 0 || d.inflight != 0 {
+		t.Fatalf("after the delay: %d queued, %d in flight, want none", n.wire.n, d.inflight)
+	}
+	if len(d.Errors) != 0 || b.PacketsRcvd != rcvd {
+		t.Fatalf("packets crossed a failed link: %v", d.Errors)
+	}
+	if got := len(d.bufPool) - pooled; got != k {
+		t.Fatalf("%d buffers recycled, want %d", got, k)
+	}
+
+	if err := d.SetLinkState(a.node, b.node, true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		a.transmit(n, probe(i))
+		if i == k/2 {
+			// Part of the burst arrives before the rest is sent, so the
+			// queue's head is mid-buffer when it next wraps.
+			sched.RunUntil(sched.Now() + 2*time.Millisecond)
+		}
+	}
+	sched.RunUntil(sched.Now() + 2*time.Millisecond)
+	if len(d.Errors) != k {
+		t.Fatalf("%d packets arrived after the heal, want %d: %v", len(d.Errors), k, d.Errors)
+	}
+	for i, err := range d.Errors {
+		want := fmt.Sprintf("router %d: ospf: unknown packet type %d", b.id, 100+i)
+		if err.Error() != want {
+			t.Fatalf("arrival %d: %q, want %q", i, err, want)
+		}
+	}
+}
+
+// TestPktRingFIFO drives the ring against a slice through random pushes
+// and pops, so it grows while its head is anywhere in the buffer.
+func TestPktRingFIFO(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var q pktRing
+	var model [][]byte
+	for i := 0; i < 5000; i++ {
+		if len(model) == 0 || rng.Intn(100) < 55 {
+			p := []byte{byte(i), byte(i >> 8)}
+			q.push(p)
+			model = append(model, p)
+		} else {
+			got, want := q.pop(), model[0]
+			model = model[1:]
+			if &got[0] != &want[0] {
+				t.Fatalf("op %d: popped %v, want %v", i, got, want)
+			}
+		}
+		if q.n != len(model) {
+			t.Fatalf("op %d: ring holds %d, model %d", i, q.n, len(model))
+		}
+	}
+}

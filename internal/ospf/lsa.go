@@ -231,97 +231,135 @@ func appendAddr(dst []byte, a netip.Addr) []byte {
 	return append(dst, b[:]...)
 }
 
-// DecodeLSA parses one encoded LSA, verifying length and checksum.
-func DecodeLSA(buf []byte) (*LSA, error) {
-	if len(buf) < headerLen {
-		return nil, fmt.Errorf("ospf: LSA truncated (%d bytes)", len(buf))
+// The decoder is split in two so a receiver can judge an LSA by its header
+// before paying for the decoded form: checkLSA verifies everything there is
+// to verify without allocating, materialiseLSA then builds the *LSA from
+// bytes already known to be well-formed. Flooding materialises only the
+// instances it installs; duplicates are acked from the header alone.
+
+// wireHeader reads the fixed header fields of an encoded LSA. buf must hold
+// at least headerLen bytes.
+func wireHeader(buf []byte) Header {
+	return Header{
+		Type:      LSAType(buf[0]),
+		Age:       binary.BigEndian.Uint16(buf[2:]),
+		AdvRouter: RouterID(binary.BigEndian.Uint32(buf[4:])),
+		LSID:      binary.BigEndian.Uint32(buf[8:]),
+		Seq:       binary.BigEndian.Uint32(buf[12:]),
+		Checksum:  binary.BigEndian.Uint16(buf[18:]),
 	}
-	l := &LSA{}
-	l.Header.Type = LSAType(buf[0])
-	flags := buf[1]
-	l.Header.Age = binary.BigEndian.Uint16(buf[2:])
-	l.Header.AdvRouter = RouterID(binary.BigEndian.Uint32(buf[4:]))
-	l.Header.LSID = binary.BigEndian.Uint32(buf[8:])
-	l.Header.Seq = binary.BigEndian.Uint32(buf[12:])
-	length := int(binary.BigEndian.Uint16(buf[16:]))
-	l.Header.Checksum = binary.BigEndian.Uint16(buf[18:])
-	if length != len(buf) {
-		return nil, fmt.Errorf("ospf: LSA length field %d != buffer %d", length, len(buf))
+}
+
+// wireAddrLen returns the prefix address size the header's flags select.
+func wireAddrLen(buf []byte) int {
+	if buf[1]&flagV6 != 0 {
+		return 16
+	}
+	return 4
+}
+
+// checkLSA validates one encoded LSA — length field, checksum, body shape
+// for its type, prefix length — and returns its header. It allocates
+// nothing on success.
+func checkLSA(buf []byte) (Header, error) {
+	if len(buf) < headerLen {
+		return Header{}, fmt.Errorf("ospf: LSA truncated (%d bytes)", len(buf))
+	}
+	h := wireHeader(buf)
+	if length := int(binary.BigEndian.Uint16(buf[16:])); length != len(buf) {
+		return Header{}, fmt.Errorf("ospf: LSA length field %d != buffer %d", length, len(buf))
 	}
 	body := buf[headerLen:]
-	if got := Fletcher16(body); got != l.Header.Checksum {
-		return nil, fmt.Errorf("ospf: LSA checksum mismatch (got %04x, want %04x)", got, l.Header.Checksum)
+	if got := Fletcher16(body); got != h.Checksum {
+		return Header{}, fmt.Errorf("ospf: LSA checksum mismatch (got %04x, want %04x)", got, h.Checksum)
 	}
-	addrLen := 4
-	if flags&flagV6 != 0 {
-		addrLen = 16
-	}
-	switch l.Header.Type {
+	addrLen := wireAddrLen(buf)
+	switch h.Type {
 	case TypeRouter:
 		if len(body) < 2 {
-			return nil, fmt.Errorf("ospf: router LSA body truncated")
+			return Header{}, fmt.Errorf("ospf: router LSA body truncated")
 		}
 		n := int(binary.BigEndian.Uint16(body))
 		if len(body) != 2+8*n {
-			return nil, fmt.Errorf("ospf: router LSA body size %d for %d links", len(body), n)
+			return Header{}, fmt.Errorf("ospf: router LSA body size %d for %d links", len(body), n)
 		}
-		l.RouterLinks = make([]RouterLink, n)
-		for i := 0; i < n; i++ {
+	case TypePrefix, TypeFake:
+		want, name := addrLen+5, "prefix"
+		if h.Type == TypeFake {
+			want, name = addrLen+5+12, "fake"
+		}
+		if len(body) != want {
+			return Header{}, fmt.Errorf("ospf: %s LSA body size %d", name, len(body))
+		}
+		if bits := int(body[addrLen]); bits > 8*addrLen {
+			return Header{}, fmt.Errorf("ospf: bad prefix length %d", bits)
+		}
+	default:
+		return Header{}, fmt.Errorf("ospf: unknown LSA type %d", buf[0])
+	}
+	return h, nil
+}
+
+// materialiseLSA builds the decoded form of an encoding checkLSA accepted.
+// Every field is copied out, so the result does not alias buf.
+func materialiseLSA(buf []byte) *LSA {
+	l := &LSA{Header: wireHeader(buf)}
+	body := buf[headerLen:]
+	if l.Header.Type == TypeRouter {
+		l.RouterLinks = make([]RouterLink, binary.BigEndian.Uint16(body))
+		for i := range l.RouterLinks {
 			off := 2 + 8*i
 			l.RouterLinks[i] = RouterLink{
 				Neighbor: RouterID(binary.BigEndian.Uint32(body[off:])),
 				Metric:   binary.BigEndian.Uint32(body[off+4:]),
 			}
 		}
-	case TypePrefix:
-		if len(body) != addrLen+5 {
-			return nil, fmt.Errorf("ospf: prefix LSA body size %d", len(body))
-		}
-		p, err := decodePrefix(body, addrLen)
-		if err != nil {
-			return nil, err
-		}
-		l.Prefix = p
-		l.Metric = binary.BigEndian.Uint32(body[addrLen+1:])
-	case TypeFake:
-		if len(body) != addrLen+5+12 {
-			return nil, fmt.Errorf("ospf: fake LSA body size %d", len(body))
-		}
-		p, err := decodePrefix(body, addrLen)
-		if err != nil {
-			return nil, err
-		}
-		l.Prefix = p
-		off := addrLen + 1
-		l.Metric = binary.BigEndian.Uint32(body[off:])
+		return l
+	}
+	addrLen := wireAddrLen(buf)
+	addr, _ := netip.AddrFromSlice(body[:addrLen])
+	l.Prefix = netip.PrefixFrom(addr, int(body[addrLen])).Masked()
+	off := addrLen + 1
+	l.Metric = binary.BigEndian.Uint32(body[off:])
+	if l.Header.Type == TypeFake {
 		l.AttachedTo = RouterID(binary.BigEndian.Uint32(body[off+4:]))
 		l.AttachCost = binary.BigEndian.Uint32(body[off+8:])
 		l.ForwardVia = RouterID(binary.BigEndian.Uint32(body[off+12:]))
-	default:
-		return nil, fmt.Errorf("ospf: unknown LSA type %d", buf[0])
 	}
-	return l, nil
+	return l
 }
 
-func decodePrefix(body []byte, addrLen int) (netip.Prefix, error) {
-	addr, ok := netip.AddrFromSlice(body[:addrLen])
-	if !ok {
-		return netip.Prefix{}, fmt.Errorf("ospf: bad prefix address")
+// DecodeLSA parses one encoded LSA, verifying length and checksum.
+func DecodeLSA(buf []byte) (*LSA, error) {
+	if _, err := checkLSA(buf); err != nil {
+		return nil, err
 	}
-	bits := int(body[addrLen])
-	if bits > addr.BitLen() {
-		return netip.Prefix{}, fmt.Errorf("ospf: bad prefix length %d", bits)
-	}
-	return netip.PrefixFrom(addr, bits).Masked(), nil
+	return materialiseLSA(buf), nil
 }
+
+// fletcherBlock is how many bytes Fletcher16 sums between reductions: the
+// largest power of two for which neither accumulator can overflow 32 bits
+// starting from reduced values (the exact bound is 5802).
+const fletcherBlock = 4096
 
 // Fletcher16 computes the Fletcher checksum over data, as used by OSPF for
-// LSA integrity (RFC 905 variant without the check-octet placement).
+// LSA integrity (RFC 905 variant without the check-octet placement). The
+// modulo-255 reduction is deferred to block boundaries; sums mod 255 are a
+// ring homomorphism, so the result equals reducing after every byte.
 func Fletcher16(data []byte) uint16 {
 	var c0, c1 uint32
-	for _, b := range data {
-		c0 = (c0 + uint32(b)) % 255
-		c1 = (c1 + c0) % 255
+	for len(data) > 0 {
+		block := data
+		if len(block) > fletcherBlock {
+			block = block[:fletcherBlock]
+		}
+		data = data[len(block):]
+		for _, b := range block {
+			c0 += uint32(b)
+			c1 += c0
+		}
+		c0 %= 255
+		c1 %= 255
 	}
 	return uint16(c1<<8 | c0)
 }
@@ -350,41 +388,74 @@ type Packet struct {
 	Acks []Header
 }
 
+// packetHeaderLen is type(1) from(4) count(2); ackLen is one acknowledged
+// header: type(1) advRouter(4) lsid(4) seq(4).
+const (
+	packetHeaderLen = 7
+	ackLen          = 13
+)
+
+// appendPacketHeader starts a packet of the given type carrying count LSAs
+// or acks.
+func appendPacketHeader(dst []byte, t PacketType, from RouterID, count int) []byte {
+	var hdr [packetHeaderLen]byte
+	hdr[0] = byte(t)
+	binary.BigEndian.PutUint32(hdr[1:], uint32(from))
+	binary.BigEndian.PutUint16(hdr[5:], uint16(count))
+	return append(dst, hdr[:]...)
+}
+
+// appendUpdateLSA appends one length-prefixed, already encoded LSA to an
+// update packet.
+func appendUpdateLSA(dst, enc []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(enc)))
+	return append(dst, enc...)
+}
+
+// appendAck appends one acknowledged header to an ack packet.
+func appendAck(dst []byte, h Header) []byte {
+	var a [ackLen]byte
+	a[0] = byte(h.Type)
+	binary.BigEndian.PutUint32(a[1:], uint32(h.AdvRouter))
+	binary.BigEndian.PutUint32(a[5:], h.LSID)
+	binary.BigEndian.PutUint32(a[9:], h.Seq)
+	return append(dst, a[:]...)
+}
+
+// wireAck reads the i-th header of a checked ack's payload.
+func wireAck(rest []byte, i int) Header {
+	a := rest[ackLen*i:]
+	return Header{
+		Type:      LSAType(a[0]),
+		AdvRouter: RouterID(binary.BigEndian.Uint32(a[1:])),
+		LSID:      binary.BigEndian.Uint32(a[5:]),
+		Seq:       binary.BigEndian.Uint32(a[9:]),
+	}
+}
+
+// nextUpdateLSA splits the first length-prefixed LSA off a checked
+// update's payload.
+func nextUpdateLSA(rest []byte) (enc, tail []byte) {
+	ll := int(binary.BigEndian.Uint16(rest))
+	return rest[2 : 2+ll], rest[2+ll:]
+}
+
 // Encode serialises the packet: type(1) from(4) count(2) then
 // length-prefixed LSAs or fixed-size ack headers.
-func (p *Packet) Encode() []byte { return p.AppendEncode(nil) }
-
-// AppendEncode serialises the packet onto dst and returns the extended
-// slice; the domain's buffer pool feeds it recycled capacity.
-func (p *Packet) AppendEncode(dst []byte) []byte {
-	var hdr [7]byte
-	hdr[0] = byte(p.Type)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(p.From))
+func (p *Packet) Encode() []byte {
 	switch p.Type {
 	case PktHello:
-		return append(dst, hdr[:]...)
+		return appendPacketHeader(nil, PktHello, p.From, 0)
 	case PktLSUpdate:
-		binary.BigEndian.PutUint16(hdr[5:], uint16(len(p.LSAs)))
-		out := append(dst, hdr[:]...)
+		out := appendPacketHeader(nil, PktLSUpdate, p.From, len(p.LSAs))
 		for _, l := range p.LSAs {
-			// Length-prefix backfilled after encoding in place.
-			lenAt := len(out)
-			out = append(out, 0, 0)
-			start := len(out)
-			out = l.AppendEncode(out)
-			binary.BigEndian.PutUint16(out[lenAt:], uint16(len(out)-start))
+			out = appendUpdateLSA(out, l.Encode())
 		}
 		return out
 	case PktLSAck:
-		binary.BigEndian.PutUint16(hdr[5:], uint16(len(p.Acks)))
-		out := append(dst, hdr[:]...)
+		out := appendPacketHeader(nil, PktLSAck, p.From, len(p.Acks))
 		for _, h := range p.Acks {
-			var a [13]byte
-			a[0] = byte(h.Type)
-			binary.BigEndian.PutUint32(a[1:], uint32(h.AdvRouter))
-			binary.BigEndian.PutUint32(a[5:], h.LSID)
-			binary.BigEndian.PutUint32(a[9:], h.Seq)
-			out = append(out, a[:]...)
+			out = appendAck(out, h)
 		}
 		return out
 	default:
@@ -392,57 +463,80 @@ func (p *Packet) AppendEncode(dst []byte) []byte {
 	}
 }
 
-// DecodePacket parses one protocol message.
-func DecodePacket(buf []byte) (*Packet, error) {
-	if len(buf) < 7 {
-		return nil, fmt.Errorf("ospf: packet truncated")
+// wirePacket is a checked protocol message read in place: the payload of
+// an update is walked with nextUpdateLSA, of an ack with wireAck.
+type wirePacket struct {
+	Type  PacketType
+	From  RouterID
+	Count int    // LSAs or acks carried
+	rest  []byte // payload after the packet header
+}
+
+// checkPacket validates a whole protocol message — framing, and for
+// updates every LSA it carries, so nothing is acted on unless all of it is
+// sound. It allocates nothing on success.
+func checkPacket(buf []byte) (wirePacket, error) {
+	if len(buf) < packetHeaderLen {
+		return wirePacket{}, fmt.Errorf("ospf: packet truncated")
 	}
-	p := &Packet{
-		Type: PacketType(buf[0]),
-		From: RouterID(binary.BigEndian.Uint32(buf[1:])),
+	p := wirePacket{
+		Type:  PacketType(buf[0]),
+		From:  RouterID(binary.BigEndian.Uint32(buf[1:])),
+		Count: int(binary.BigEndian.Uint16(buf[5:])),
+		rest:  buf[packetHeaderLen:],
 	}
-	n := int(binary.BigEndian.Uint16(buf[5:]))
-	rest := buf[7:]
 	switch p.Type {
 	case PktHello:
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("ospf: hello with payload")
+		if len(p.rest) != 0 {
+			return wirePacket{}, fmt.Errorf("ospf: hello with payload")
 		}
 	case PktLSUpdate:
-		for i := 0; i < n; i++ {
-			if len(rest) < 2 {
-				return nil, fmt.Errorf("ospf: update truncated")
+		tail := p.rest
+		for i := 0; i < p.Count; i++ {
+			if len(tail) < 2 {
+				return wirePacket{}, fmt.Errorf("ospf: update truncated")
 			}
-			ll := int(binary.BigEndian.Uint16(rest))
-			rest = rest[2:]
-			if len(rest) < ll {
-				return nil, fmt.Errorf("ospf: update LSA truncated")
+			ll := int(binary.BigEndian.Uint16(tail))
+			if len(tail)-2 < ll {
+				return wirePacket{}, fmt.Errorf("ospf: update LSA truncated")
 			}
-			l, err := DecodeLSA(rest[:ll])
-			if err != nil {
-				return nil, err
+			if _, err := checkLSA(tail[2 : 2+ll]); err != nil {
+				return wirePacket{}, err
 			}
-			p.LSAs = append(p.LSAs, l)
-			rest = rest[ll:]
+			tail = tail[2+ll:]
 		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("ospf: update trailing bytes")
+		if len(tail) != 0 {
+			return wirePacket{}, fmt.Errorf("ospf: update trailing bytes")
 		}
 	case PktLSAck:
-		if len(rest) != 13*n {
-			return nil, fmt.Errorf("ospf: ack size %d for %d acks", len(rest), n)
-		}
-		for i := 0; i < n; i++ {
-			a := rest[13*i:]
-			p.Acks = append(p.Acks, Header{
-				Type:      LSAType(a[0]),
-				AdvRouter: RouterID(binary.BigEndian.Uint32(a[1:])),
-				LSID:      binary.BigEndian.Uint32(a[5:]),
-				Seq:       binary.BigEndian.Uint32(a[9:]),
-			})
+		if len(p.rest) != ackLen*p.Count {
+			return wirePacket{}, fmt.Errorf("ospf: ack size %d for %d acks", len(p.rest), p.Count)
 		}
 	default:
-		return nil, fmt.Errorf("ospf: unknown packet type %d", buf[0])
+		return wirePacket{}, fmt.Errorf("ospf: unknown packet type %d", buf[0])
+	}
+	return p, nil
+}
+
+// DecodePacket parses one protocol message.
+func DecodePacket(buf []byte) (*Packet, error) {
+	w, err := checkPacket(buf)
+	if err != nil {
+		return nil, err
+	}
+	p := &Packet{Type: w.Type, From: w.From}
+	switch w.Type {
+	case PktLSUpdate:
+		rest := w.rest
+		for i := 0; i < w.Count; i++ {
+			var enc []byte
+			enc, rest = nextUpdateLSA(rest)
+			p.LSAs = append(p.LSAs, materialiseLSA(enc))
+		}
+	case PktLSAck:
+		for i := 0; i < w.Count; i++ {
+			p.Acks = append(p.Acks, wireAck(w.rest, i))
+		}
 	}
 	return p, nil
 }

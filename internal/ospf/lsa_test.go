@@ -1,6 +1,7 @@
 package ospf
 
 import (
+	"bytes"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -140,6 +141,38 @@ func TestFletcher16(t *testing.T) {
 	c := Fletcher16([]byte{1, 3, 2}) // order matters for Fletcher
 	if a == b || a == c {
 		t.Fatalf("checksum collisions on trivial changes: %x %x %x", a, b, c)
+	}
+}
+
+// refFletcher16 is the parent's loop, verbatim: two reductions per byte.
+func refFletcher16(data []byte) uint16 {
+	var c0, c1 uint32
+	for _, b := range data {
+		c0 = (c0 + uint32(b)) % 255
+		c1 = (c1 + c0) % 255
+	}
+	return uint16(c1<<8 | c0)
+}
+
+// TestFletcher16MatchesPerByteReduction holds the block-deferred reduction
+// to the per-byte loop on every length from 0 to 6000 (past one block
+// boundary), on random contents and on all-0xff, the input that drives the
+// accumulators highest.
+func TestFletcher16MatchesPerByteReduction(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	random := make([]byte, 6000)
+	rng.Read(random)
+	ones := bytes.Repeat([]byte{0xff}, 3*fletcherBlock)
+	for n := 0; n <= len(random); n++ {
+		if got, want := Fletcher16(random[:n]), refFletcher16(random[:n]); got != want {
+			t.Fatalf("random[:%d]: %04x, want %04x", n, got, want)
+		}
+		if got, want := Fletcher16(ones[:n]), refFletcher16(ones[:n]); got != want {
+			t.Fatalf("0xff x %d: %04x, want %04x", n, got, want)
+		}
+	}
+	if got, want := Fletcher16(ones), refFletcher16(ones); got != want {
+		t.Fatalf("0xff x %d: %04x, want %04x", len(ones), got, want)
 	}
 }
 

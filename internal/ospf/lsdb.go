@@ -12,54 +12,58 @@ import (
 
 // LSDB is a router's link-state database.
 type LSDB struct {
-	entries map[Key]*LSA
-	// installedAt records the local virtual time each instance arrived,
-	// for aging (effective age = Header.Age + time since installation).
-	installedAt map[Key]time.Duration
-	now         func() time.Duration
+	entries map[Key]dbEntry
+	now     func() time.Duration
+}
+
+// dbEntry is one stored instance and the local virtual time it arrived,
+// for aging (effective age = Header.Age + time since installation).
+type dbEntry struct {
+	lsa *LSA
+	at  time.Duration
 }
 
 // NewLSDB returns an empty database. The clock (used for aging) may be
 // nil, in which case ages are static.
 func NewLSDB() *LSDB {
-	return &LSDB{
-		entries:     make(map[Key]*LSA),
-		installedAt: make(map[Key]time.Duration),
-	}
+	return &LSDB{entries: make(map[Key]dbEntry)}
 }
 
-// SetClock wires the database to a virtual clock for aging.
+// SetClock wires the database to a virtual clock for aging. Set it before
+// the first Install: arrival times are read from it.
 func (db *LSDB) SetClock(now func() time.Duration) { db.now = now }
 
 // Get returns the stored instance for a key.
 func (db *LSDB) Get(k Key) (*LSA, bool) {
-	l, ok := db.entries[k]
-	return l, ok
+	e, ok := db.entries[k]
+	return e.lsa, ok
 }
 
 // Install stores an LSA unconditionally (freshness decisions are the
-// router's job). The LSA is stored as-is; callers must not mutate it after.
-func (db *LSDB) Install(l *LSA) {
+// router's job) and returns the instance it replaced, nil if none. The LSA
+// is stored as-is; callers must not mutate it after.
+func (db *LSDB) Install(l *LSA) (old *LSA) {
 	k := l.Header.Key()
-	db.entries[k] = l
+	old = db.entries[k].lsa
+	e := dbEntry{lsa: l}
 	if db.now != nil {
-		db.installedAt[k] = db.now()
+		e.at = db.now()
 	}
+	db.entries[k] = e
+	return old
 }
 
 // EffectiveAge returns the instance's current age in seconds: the age it
 // carried on arrival plus the time it has sat in this database, saturating
 // at MaxAgeSeconds (OSPF aging semantics).
 func (db *LSDB) EffectiveAge(k Key) uint16 {
-	l, ok := db.entries[k]
+	e, ok := db.entries[k]
 	if !ok {
 		return MaxAgeSeconds
 	}
-	age := uint32(l.Header.Age)
+	age := uint32(e.lsa.Header.Age)
 	if db.now != nil {
-		if at, ok := db.installedAt[k]; ok {
-			age += uint32((db.now() - at) / time.Second)
-		}
+		age += uint32((db.now() - e.at) / time.Second)
 	}
 	if age > uint32(MaxAgeSeconds) {
 		return MaxAgeSeconds
@@ -83,7 +87,6 @@ func (db *LSDB) Expired() []Key {
 // Remove deletes the instance for a key.
 func (db *LSDB) Remove(k Key) {
 	delete(db.entries, k)
-	delete(db.installedAt, k)
 }
 
 // Len returns the number of stored LSAs.
@@ -92,8 +95,8 @@ func (db *LSDB) Len() int { return len(db.entries) }
 // All returns all LSAs sorted by key (deterministic iteration).
 func (db *LSDB) All() []*LSA {
 	out := make([]*LSA, 0, len(db.entries))
-	for _, l := range db.entries {
-		out = append(out, l)
+	for _, e := range db.entries {
+		out = append(out, e.lsa)
 	}
 	slices.SortFunc(out, func(a, b *LSA) int { return keyCompare(a.Header.Key(), b.Header.Key()) })
 	return out
@@ -102,9 +105,9 @@ func (db *LSDB) All() []*LSA {
 // ByType returns all LSAs of one type, sorted by key.
 func (db *LSDB) ByType(t LSAType) []*LSA {
 	var out []*LSA
-	for _, l := range db.entries {
-		if l.Header.Type == t {
-			out = append(out, l)
+	for _, e := range db.entries {
+		if e.lsa.Header.Type == t {
+			out = append(out, e.lsa)
 		}
 	}
 	slices.SortFunc(out, func(a, b *LSA) int { return keyCompare(a.Header.Key(), b.Header.Key()) })
@@ -134,7 +137,7 @@ func (db *LSDB) Digest() [32]byte {
 	h := sha256.New()
 	var buf [14]byte
 	for _, k := range keys {
-		l := db.entries[k]
+		l := db.entries[k].lsa
 		buf[0] = byte(k.Type)
 		binary.BigEndian.PutUint32(buf[1:], uint32(k.AdvRouter))
 		binary.BigEndian.PutUint32(buf[5:], k.LSID)

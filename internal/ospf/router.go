@@ -49,14 +49,22 @@ func (c Config) withDefaults() Config {
 // neighbor is the per-adjacency state.
 type neighbor struct {
 	id        RouterID
-	node      topo.NodeID
 	link      topo.Link // directed link self -> neighbor
 	up        bool
 	wasDown   bool // declared dead at least once (gates the up callback)
 	lastHello time.Duration
-	unacked   map[Key]*pendingLSA
+	unacked   map[Key]pendingLSA
+
+	// The transport half of the adjacency (see Domain.deliver): peer is the
+	// router at the far end, wire the packets travelling towards it in send
+	// order, rx the one event body that receives the oldest of them.
+	peer *Router
+	wire pktRing
+	rx   func()
 }
 
+// pendingLSA is an update awaiting its ack: the instance to retransmit and
+// the timer that will do it.
 type pendingLSA struct {
 	lsa    *LSA
 	handle event.Handle
@@ -231,11 +239,12 @@ func (r *Router) addNeighbor(link topo.Link) {
 	id := NodeRouterID(link.To)
 	n := &neighbor{
 		id:      id,
-		node:    link.To,
 		link:    link,
 		up:      true,
-		unacked: make(map[Key]*pendingLSA),
+		unacked: make(map[Key]pendingLSA),
+		peer:    r.dom.routers[link.To],
 	}
+	n.rx = func() { r.dom.receive(r.id, n) }
 	r.nbrs[id] = n
 	r.nbrList = append(r.nbrList, n)
 	slices.SortFunc(r.nbrList, func(a, b *neighbor) int { return cmp.Compare(a.id, b.id) })
@@ -314,27 +323,45 @@ func (r *Router) refreshOwn() {
 
 // --- Flooding ----------------------------------------------------------
 
+// floodExcept sends l to every live neighbor but one. The instance is
+// encoded and checksummed once; each neighbor's packet is a copy.
 func (r *Router) floodExcept(l *LSA, except RouterID) {
+	enc := r.dom.encodeLSA(l)
 	for _, n := range r.nbrList {
 		if !n.up || n.id == except {
 			continue
 		}
-		r.sendUpdate(n, l)
+		r.sendEncoded(n, l, enc)
 	}
 }
 
 func (r *Router) sendUpdate(n *neighbor, l *LSA) {
-	pkt := &Packet{Type: PktLSUpdate, From: r.id, LSAs: []*LSA{l}}
-	r.send(n, pkt)
-	// Track for retransmission until acked. MaxAge flushes are also
-	// retransmitted; the ack carries the seq so either instance clears it.
+	r.sendEncoded(n, l, r.dom.encodeLSA(l))
+}
+
+// sendEncoded sends l, whose wire form is enc, as a one-LSA update and
+// tracks it for retransmission until acked. MaxAge flushes are also
+// retransmitted; the ack carries the seq so either instance clears it.
+func (r *Router) sendEncoded(n *neighbor, l *LSA, enc []byte) {
+	r.transmitUpdate(n, enc)
 	k := l.Header.Key()
 	if old, ok := n.unacked[k]; ok {
 		r.dom.sched.Cancel(old.handle)
 	}
-	p := &pendingLSA{lsa: l}
-	p.handle = r.dom.sched.After(r.cfg.RxmtInterval, func() { r.retransmit(n, k) })
-	n.unacked[k] = p
+	r.armRetransmit(n, k, l)
+}
+
+func (r *Router) transmitUpdate(n *neighbor, enc []byte) {
+	buf := r.dom.getBuf(packetHeaderLen + 2 + len(enc))
+	buf = appendPacketHeader(buf, PktLSUpdate, r.id, 1)
+	r.transmit(n, appendUpdateLSA(buf, enc))
+}
+
+// armRetransmit (re)starts the retransmission timer of l towards n. Each
+// timer is its own scheduler event, RxmtInterval after the send.
+func (r *Router) armRetransmit(n *neighbor, k Key, l *LSA) {
+	h := r.dom.sched.After(r.cfg.RxmtInterval, func() { r.retransmit(n, k) })
+	n.unacked[k] = pendingLSA{lsa: l, handle: h}
 }
 
 func (r *Router) retransmit(n *neighbor, k Key) {
@@ -342,25 +369,43 @@ func (r *Router) retransmit(n *neighbor, k Key) {
 	if !ok || !n.up {
 		return
 	}
-	pkt := &Packet{Type: PktLSUpdate, From: r.id, LSAs: []*LSA{p.lsa}}
-	r.send(n, pkt)
-	p.handle = r.dom.sched.After(r.cfg.RxmtInterval, func() { r.retransmit(n, k) })
+	r.transmitUpdate(n, r.dom.encodeLSA(p.lsa))
+	r.armRetransmit(n, k, p.lsa)
 }
 
-func (r *Router) sendAck(n *neighbor, hs ...Header) {
-	r.send(n, &Packet{Type: PktLSAck, From: r.id, Acks: hs})
+// clearAcked stops retransmitting the instance of h's key to n if the
+// neighbor has proved it holds one at least as fresh.
+func (r *Router) clearAcked(n *neighbor, h Header) {
+	k := h.Key()
+	if p, ok := n.unacked[k]; ok && p.lsa.Header.Seq <= h.Seq {
+		r.dom.sched.Cancel(p.handle)
+		delete(n.unacked, k)
+	}
 }
 
-func (r *Router) send(n *neighbor, pkt *Packet) {
-	data := pkt.AppendEncode(r.dom.getBuf())
+func (r *Router) sendAck(n *neighbor, h Header) {
+	buf := r.dom.getBuf(packetHeaderLen + ackLen)
+	buf = appendPacketHeader(buf, PktLSAck, r.id, 1)
+	r.transmit(n, appendAck(buf, h))
+}
+
+func (r *Router) sendHello(n *neighbor) {
+	r.transmit(n, appendPacketHeader(r.dom.getBuf(packetHeaderLen), PktHello, r.id, 0))
+}
+
+// transmit hands an encoded packet (a pooled buffer) to the link.
+func (r *Router) transmit(n *neighbor, data []byte) {
 	r.PacketsSent++
 	r.BytesSent += uint64(len(data))
-	r.dom.deliver(r.id, n, data, pkt.Type != PktHello)
+	r.dom.deliver(n, data)
 }
 
-// HandlePacket processes one received protocol message (wire format).
+// HandlePacket processes one received protocol message (wire format). The
+// whole packet is checked before any of it is acted on; LSAs and acks are
+// then read in place, and only an LSA that gets installed is decoded, so
+// data is dead once HandlePacket returns.
 func (r *Router) HandlePacket(from RouterID, data []byte) {
-	pkt, err := DecodePacket(data)
+	pkt, err := checkPacket(data)
 	if err != nil {
 		r.dom.protocolError(r.id, err)
 		return
@@ -379,9 +424,16 @@ func (r *Router) HandlePacket(from RouterID, data []byte) {
 	case PktHello:
 		r.handleHello(n)
 	case PktLSUpdate:
-		r.handleUpdate(n, pkt)
+		rest := pkt.rest
+		for i := 0; i < pkt.Count; i++ {
+			var enc []byte
+			enc, rest = nextUpdateLSA(rest)
+			r.handleLSA(n, enc)
+		}
 	case PktLSAck:
-		r.handleAck(n, pkt)
+		for i := 0; i < pkt.Count; i++ {
+			r.clearAcked(n, wireAck(pkt.rest, i))
+		}
 	}
 }
 
@@ -402,38 +454,36 @@ func (r *Router) handleHello(n *neighbor) {
 	}
 }
 
-func (r *Router) handleUpdate(n *neighbor, pkt *Packet) {
-	for _, l := range pkt.LSAs {
-		// Implied acknowledgment (as in OSPF): receiving an instance at
-		// least as fresh as one we are retransmitting to this neighbor
-		// proves the neighbor has it — stop retransmitting, or a
-		// stale-for-newer exchange ping-pongs forever.
-		if p, ok := n.unacked[l.Header.Key()]; ok && p.lsa.Header.Seq <= l.Header.Seq {
-			r.dom.sched.Cancel(p.handle)
-			delete(n.unacked, l.Header.Key())
-		}
-		old, have := r.db.Get(l.Header.Key())
-		switch {
-		case !have && l.Header.Age >= MaxAgeSeconds:
-			// Flush for an LSA we do not have: remember it and ack, so a
-			// positive instance still retransmitting somewhere cannot
-			// resurrect the withdrawal.
-			r.noteFlush(l.Header)
-			r.sendAck(n, l.Header)
-		case !have && l.Header.Seq <= r.flushed[l.Header.Key()].seq:
-			// A stale retransmission of an instance we already flushed:
-			// ack it away instead of resurrecting the withdrawn LSA.
-			r.sendAck(n, l.Header)
-		case !have || l.Header.Newer(old.Header):
-			r.sendAck(n, l.Header)
-			r.installAndFlood(l, n.id)
-		case l.Header.Seq == old.Header.Seq:
-			// Duplicate: ack, do not re-flood.
-			r.sendAck(n, l.Header)
-		default:
-			// Neighbor is behind: send it our newer instance.
-			r.sendUpdate(n, old)
-		}
+// handleLSA processes one checked LSA of an update from n. Everything but
+// installation is decided by the header.
+func (r *Router) handleLSA(n *neighbor, enc []byte) {
+	h := wireHeader(enc)
+	// Implied acknowledgment (as in OSPF): receiving an instance at least
+	// as fresh as one we are retransmitting to this neighbor proves the
+	// neighbor has it — stop retransmitting, or a stale-for-newer exchange
+	// ping-pongs forever.
+	r.clearAcked(n, h)
+	old, have := r.db.Get(h.Key())
+	switch {
+	case !have && h.Age >= MaxAgeSeconds:
+		// Flush for an LSA we do not have: remember it and ack, so a
+		// positive instance still retransmitting somewhere cannot
+		// resurrect the withdrawal.
+		r.noteFlush(h)
+		r.sendAck(n, h)
+	case !have && h.Seq <= r.flushed[h.Key()].seq:
+		// A stale retransmission of an instance we already flushed:
+		// ack it away instead of resurrecting the withdrawn LSA.
+		r.sendAck(n, h)
+	case !have || h.Newer(old.Header):
+		r.sendAck(n, h)
+		r.installAndFlood(materialiseLSA(enc), n.id)
+	case h.Seq == old.Header.Seq:
+		// Duplicate: ack, do not re-flood.
+		r.sendAck(n, h)
+	default:
+		// Neighbor is behind: send it our newer instance.
+		r.sendUpdate(n, old)
 	}
 }
 
@@ -462,16 +512,6 @@ func (r *Router) noteFlush(h Header) {
 	}
 }
 
-func (r *Router) handleAck(n *neighbor, pkt *Packet) {
-	for _, h := range pkt.Acks {
-		k := h.Key()
-		if p, ok := n.unacked[k]; ok && p.lsa.Header.Seq <= h.Seq {
-			r.dom.sched.Cancel(p.handle)
-			delete(n.unacked, k)
-		}
-	}
-}
-
 // --- Liveness ----------------------------------------------------------
 
 func (r *Router) helloTick() {
@@ -489,7 +529,7 @@ func (r *Router) helloTick() {
 		}
 		// Hellos are sent even on down adjacencies so a healed link
 		// re-forms the adjacency.
-		r.send(n, &Packet{Type: PktHello, From: r.id})
+		r.sendHello(n)
 	}
 }
 
