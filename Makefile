@@ -18,10 +18,11 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Short fuzz passes over the BER decoder, the topology parser, the
-# analytic QoE session predictor, the simplex core (against the dense
-# reference solver its tests keep) and the IGP's wire codec (a live router
-# fed arbitrary bytes, against the one-pass reference decoder).
+# Short fuzz passes over the BER decoder (against the reference decoder
+# its tests keep), the topology parser, the analytic QoE session
+# predictor, the simplex core (against the dense reference solver its
+# tests keep) and the IGP's wire codec (a live router fed arbitrary bytes,
+# against the one-pass reference decoder).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/snmp
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/topo

@@ -16,6 +16,14 @@
 // Everything runs on the event.Scheduler and draws randomness from
 // per-endpoint seeded PRNGs, so runs are deterministic and byte-identical
 // at any worker-pool width (BFD events are plain sequential events).
+//
+// A hello is three scheduler events — the sender's next tx tick, the
+// delivery, the receiver's re-armed detection timer — and on an
+// established session nothing else: each endpoint binds the three event
+// bodies once at Start, and because a link's delay is constant its hellos
+// arrive in send order, so the one thing a packet in flight carries that
+// the engine's config does not (the sender's state) rides a FIFO per
+// direction and the delivery event pops it.
 package bfd
 
 import (
@@ -176,12 +184,9 @@ func (e *Engine) Start() {
 			continue // hosts run no IGP, so no liveness sessions either
 		}
 		s := &Session{eng: e, link: l}
-		s.a = endpoint{sess: s, out: l.ID}
-		s.b = endpoint{sess: s, out: l.Reverse}
-		s.a.peer, s.b.peer = &s.b, &s.a
 		seed := e.cfg.Seed*1_000_003 + int64(l.ID)
-		s.a.rng = rand.New(rand.NewSource(seed*2 + 1))
-		s.b.rng = rand.New(rand.NewSource(seed*2 + 2))
+		s.a.init(s, l.ID, &s.b, seed*2+1)
+		s.b.init(s, l.Reverse, &s.a, seed*2+2)
 		e.sessions[l.ID] = s
 		e.stats.Sessions++
 		s.a.armTx()
@@ -250,6 +255,20 @@ type endpoint struct {
 	haveRemote  bool
 	detect      event.Handle
 	detectArmed bool
+
+	// inFlight holds the State field of every hello sent and not yet
+	// delivered, oldest first; the three funcs are the endpoint's event
+	// bodies, bound once so that scheduling one allocates nothing.
+	inFlight event.Ring[State]
+	onTx     func()
+	onArrive func()
+	onDetect func()
+}
+
+func (ep *endpoint) init(s *Session, out topo.LinkID, peer *endpoint, seed int64) {
+	ep.sess, ep.out, ep.peer = s, out, peer
+	ep.rng = rand.New(rand.NewSource(seed))
+	ep.onTx, ep.onArrive, ep.onDetect = ep.txTick, ep.arrive, ep.detectExpired
 }
 
 // transition applies RFC 5880 §6.8.6's three-state machine to a received
@@ -284,7 +303,7 @@ func transition(local, remote State) State {
 func (ep *endpoint) armTx() {
 	iv := ep.sess.eng.cfg.TxInterval
 	d := time.Duration((0.75 + 0.25*ep.rng.Float64()) * float64(iv))
-	ep.sess.eng.sched.After(d, ep.txTick)
+	ep.sess.eng.sched.After(d, ep.onTx)
 }
 
 func (ep *endpoint) txTick() {
@@ -301,18 +320,23 @@ func (ep *endpoint) transmit() {
 	if eng.Blocked != nil && eng.Blocked(ep.out) {
 		return
 	}
-	pkt := ControlPacket{
-		State:      ep.state,
+	ep.inFlight.Push(ep.state)
+	eng.sched.After(eng.topo.Link(ep.out).Delay, ep.onArrive)
+}
+
+// arrive is the far end of transmit: the oldest hello in flight reaches
+// the peer, carrying the state it was sent with and the engine's timers.
+func (ep *endpoint) arrive() {
+	eng := ep.sess.eng
+	sent := ep.inFlight.Pop()
+	if eng.Blocked != nil && eng.Blocked(ep.out) {
+		return // the link failed while the packet was in flight
+	}
+	ep.peer.receive(ControlPacket{
+		State:      sent,
 		TxInterval: eng.cfg.TxInterval,
 		MinRx:      eng.cfg.MinRx,
 		DetectMult: eng.cfg.DetectMult,
-	}
-	delay := eng.topo.Link(ep.out).Delay
-	eng.sched.After(delay, func() {
-		if eng.Blocked != nil && eng.Blocked(ep.out) {
-			return // the link failed while the packet was in flight
-		}
-		ep.peer.receive(pkt)
 	})
 }
 
@@ -346,7 +370,7 @@ func (ep *endpoint) armDetect() {
 	if ep.detectArmed {
 		eng.sched.Cancel(ep.detect)
 	}
-	ep.detect = eng.sched.After(ep.detectTime(), ep.detectExpired)
+	ep.detect = eng.sched.After(ep.detectTime(), ep.onDetect)
 	ep.detectArmed = true
 }
 

@@ -265,3 +265,84 @@ func TestHostLinksSkipped(t *testing.T) {
 		t.Fatalf("reverse-half lookup failed")
 	}
 }
+
+// slowPairTopo is pairTopo with a link delay of several tx intervals, so
+// that each direction has several hellos in flight at once.
+func slowPairTopo(t *testing.T) *topo.Topology {
+	t.Helper()
+	tp := topo.New()
+	a := tp.AddNode("a")
+	b := tp.AddNode("b")
+	tp.AddLink(a, b, 1, topo.LinkOpts{Capacity: 1e6, Delay: 200 * time.Millisecond})
+	return tp
+}
+
+// TestInFlightHellosCarryTheirSendState: a hello delivers the state its
+// sender had when it was sent, in send order, whatever the sender has
+// become since; one that is in flight when the link fails is dropped on
+// arrival, and the FIFO stays in step with the events through all of it.
+func TestInFlightHellosCarryTheirSendState(t *testing.T) {
+	// No hello of the engine's own within the test: an hour's tx interval.
+	h := newHarness(t, slowPairTopo(t), Config{TxInterval: time.Hour})
+	sess, _ := h.eng.Session(0)
+	a, b := &sess.a, &sess.b
+	for _, st := range []State{StateInit, StateUp, StateDown, StateUp} {
+		a.state = st
+		a.transmit()
+		h.sched.RunUntil(h.sched.Now() + 10*time.Millisecond)
+	}
+	a.state = StateDown
+	if a.inFlight.Len() != 4 {
+		t.Fatalf("%d hellos in flight, want 4", a.inFlight.Len())
+	}
+	for i, want := range []State{StateInit, StateUp} {
+		h.sched.Step()
+		if !b.haveRemote || b.remote.State != want || b.remote.TxInterval != time.Hour || b.remote.DetectMult != 3 {
+			t.Fatalf("arrival %d delivered %+v, want state %v with the engine's timers", i, b.remote, want)
+		}
+	}
+	h.setLink(sess.Link(), false)
+	rx := h.eng.Stats().PacketsRx
+	h.sched.Step() // the third arrives on a dead link
+	if h.eng.Stats().PacketsRx != rx || b.remote.State != StateUp || a.inFlight.Len() != 1 {
+		t.Fatalf("a hello crossed a failed link: rx %d -> %d, remote %+v, %d left in flight",
+			rx, h.eng.Stats().PacketsRx, b.remote, a.inFlight.Len())
+	}
+	h.setLink(sess.Link(), true)
+	h.sched.Step() // the fourth was sent before the failure and outlives it
+	if h.eng.Stats().PacketsRx != rx+1 || b.remote.State != StateUp || a.inFlight.Len() != 0 {
+		t.Fatalf("after the heal: rx %d, remote %+v, %d in flight", h.eng.Stats().PacketsRx, b.remote, a.inFlight.Len())
+	}
+
+	// End to end with several in flight per direction: the handshake still
+	// completes, and what was sent and not yet heard is what the FIFOs hold.
+	h = newHarness(t, slowPairTopo(t), Config{})
+	h.sched.RunUntil(2 * time.Second)
+	sess, _ = h.eng.Session(0)
+	st := h.eng.Stats()
+	inFlight := sess.a.inFlight.Len() + sess.b.inFlight.Len()
+	if !sess.Up() || inFlight < 6 || st.PacketsTx-st.PacketsRx != uint64(inFlight) {
+		t.Fatalf("up=%v, tx %d, rx %d, %d in flight", sess.Up(), st.PacketsTx, st.PacketsRx, inFlight)
+	}
+}
+
+// TestHelloAllocations: on an established session a hello — tx tick,
+// delivery, the peer's re-armed detection timer — allocates nothing.
+func TestHelloAllocations(t *testing.T) {
+	h := newHarness(t, slowPairTopo(t), Config{})
+	h.sched.RunUntil(5 * time.Second) // established; rings and event freelist at their peak
+	sess, _ := h.eng.Session(0)
+	if !sess.Up() {
+		t.Fatalf("session not up")
+	}
+	rx := h.eng.Stats().PacketsRx
+	allocs := testing.AllocsPerRun(1, func() {
+		h.sched.RunUntil(h.sched.Now() + 30*time.Second) // >= 600 hellos per direction
+	})
+	if got := h.eng.Stats().PacketsRx - rx; got < 2*1000 || !sess.Up() || len(h.downs) > 0 {
+		t.Fatalf("%d hellos heard over two runs, up=%v, downs=%v", got, sess.Up(), h.downs)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v objects allocated over >= 1000 steady-state hello exchanges, want 0", allocs)
+	}
+}

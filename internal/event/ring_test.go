@@ -1,0 +1,30 @@
+package event
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// TestRingFIFO drives the ring against a slice through random pushes and
+// pops, so it grows while its head is anywhere in the buffer.
+func TestRingFIFO(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var q Ring[[]byte]
+	var model [][]byte
+	for i := 0; i < 5000; i++ {
+		if len(model) == 0 || rng.Intn(100) < 55 {
+			p := []byte{byte(i), byte(i >> 8)}
+			q.Push(p)
+			model = append(model, p)
+		} else {
+			got, want := q.Pop(), model[0]
+			model = model[1:]
+			if &got[0] != &want[0] {
+				t.Fatalf("op %d: popped %v, want %v", i, got, want)
+			}
+		}
+		if q.Len() != len(model) {
+			t.Fatalf("op %d: ring holds %d, model %d", i, q.Len(), len(model))
+		}
+	}
+}

@@ -3,6 +3,12 @@
 // smooths them with an EWMA, and raises/clears utilisation alarms with
 // hysteresis. This is the "monitors link loads using SNMP" component of
 // the paper's demo setup.
+//
+// A poll reads every watched counter up front — snmp.Client.GetCounters,
+// a few dozen counters per GET — and then walks the links in watch-list
+// order over the values. The counters are functions of the instant, so an
+// alarm handler that reroutes traffic mid-walk changes nothing the walk
+// still has to read; a quiet poll costs its requests, not its links.
 package monitor
 
 import (
@@ -129,7 +135,12 @@ type Poller struct {
 	// OnAlarm fires on threshold crossings (after hysteresis).
 	OnAlarm func(Alarm)
 
-	state  map[topo.LinkID]*linkState
+	// Parallel to links: the OIDs handed to GetCounters, what it read,
+	// and each link's rate and alarm state.
+	oids   []snmp.OID
+	counts []uint64
+	errs   []error
+	state  []linkState
 	ticker *event.Ticker
 	// Errors keeps the first maxPollErrors poll failures for diagnosis
 	// (an unreachable agent must not kill the loop — nor, over a long
@@ -163,10 +174,14 @@ func NewPoller(client *snmp.Client, sched *event.Scheduler, cfg Config, links []
 		sched:  sched,
 		cfg:    cfg.withDefaults(),
 		links:  links,
-		state:  make(map[topo.LinkID]*linkState, len(links)),
+		oids:   make([]snmp.OID, len(links)),
+		counts: make([]uint64, len(links)),
+		errs:   make([]error, len(links)),
+		state:  make([]linkState, len(links)),
 	}
-	for _, l := range links {
-		p.state[l.Link] = &linkState{ewma: metrics.EWMA{Alpha: p.cfg.Alpha}}
+	for i, l := range links {
+		p.oids[i] = l.OID
+		p.state[i].ewma.Alpha = p.cfg.Alpha
 	}
 	return p
 }
@@ -189,10 +204,11 @@ func (p *Poller) Stop() {
 
 func (p *Poller) poll() {
 	now := p.sched.Now()
-	report := Report{At: now}
-	for _, wl := range p.links {
-		st := p.state[wl.Link]
-		count, err := p.client.GetCounter(wl.OID)
+	p.client.GetCounters(p.oids, p.counts, p.errs)
+	report := Report{At: now, Loads: make([]LinkLoad, 0, len(p.links))}
+	for i, wl := range p.links {
+		st := &p.state[i]
+		count, err := p.counts[i], p.errs[i]
 		if err != nil {
 			p.PollFailures.Add(1)
 			if len(p.Errors) < maxPollErrors {

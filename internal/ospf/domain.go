@@ -195,14 +195,14 @@ func (d *Domain) deliver(n *neighbor, data []byte) {
 	if counts {
 		d.inflight++
 	}
-	n.wire.push(data)
+	n.wire.Push(data)
 	d.sched.After(delay, n.rx)
 }
 
 // receive is the arrival of the oldest packet in flight from router from
 // towards n: the body of every n.rx event.
 func (d *Domain) receive(from RouterID, n *neighbor) {
-	data := n.wire.pop()
+	data := n.wire.Pop()
 	if PacketType(data[0]) != PktHello {
 		d.inflight--
 	}
@@ -210,34 +210,6 @@ func (d *Domain) receive(from RouterID, n *neighbor) {
 		n.peer.HandlePacket(from, data)
 	}
 	d.putBuf(data)
-}
-
-// pktRing is a FIFO of packets in flight on one adjacency. It grows to the
-// link's own peak and stays there.
-type pktRing struct {
-	buf  [][]byte // len is zero or a power of two
-	head int
-	n    int
-}
-
-func (q *pktRing) push(data []byte) {
-	if q.n == len(q.buf) {
-		grown := make([][]byte, max(4, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-		}
-		q.buf, q.head = grown, 0
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = data
-	q.n++
-}
-
-func (q *pktRing) pop() []byte {
-	data := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return data
 }
 
 func (d *Domain) protocolError(at RouterID, err error) {

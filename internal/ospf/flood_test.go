@@ -2,7 +2,6 @@ package ospf
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -122,20 +121,20 @@ func TestInFlightPacketsAndLinkState(t *testing.T) {
 	for i := 0; i < k; i++ {
 		a.transmit(n, probe(i))
 	}
-	if n.wire.n != k || d.inflight != k {
-		t.Fatalf("%d queued, %d in flight, want %d", n.wire.n, d.inflight, k)
+	if n.wire.Len() != k || d.inflight != k {
+		t.Fatalf("%d queued, %d in flight, want %d", n.wire.Len(), d.inflight, k)
 	}
 	if err := d.SetLinkState(a.node, b.node, false); err != nil {
 		t.Fatal(err)
 	}
 	pooled, rcvd := len(d.bufPool), b.PacketsRcvd
 	a.transmit(n, probe(k)) // dropped at the sender: the link is down
-	if n.wire.n != k {
+	if n.wire.Len() != k {
 		t.Fatalf("packet sent on a failed link was queued")
 	}
 	sched.RunUntil(sched.Now() + 2*time.Millisecond)
-	if n.wire.n != 0 || d.inflight != 0 {
-		t.Fatalf("after the delay: %d queued, %d in flight, want none", n.wire.n, d.inflight)
+	if n.wire.Len() != 0 || d.inflight != 0 {
+		t.Fatalf("after the delay: %d queued, %d in flight, want none", n.wire.Len(), d.inflight)
 	}
 	if len(d.Errors) != 0 || b.PacketsRcvd != rcvd {
 		t.Fatalf("packets crossed a failed link: %v", d.Errors)
@@ -163,30 +162,6 @@ func TestInFlightPacketsAndLinkState(t *testing.T) {
 		want := fmt.Sprintf("router %d: ospf: unknown packet type %d", b.id, 100+i)
 		if err.Error() != want {
 			t.Fatalf("arrival %d: %q, want %q", i, err, want)
-		}
-	}
-}
-
-// TestPktRingFIFO drives the ring against a slice through random pushes
-// and pops, so it grows while its head is anywhere in the buffer.
-func TestPktRingFIFO(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var q pktRing
-	var model [][]byte
-	for i := 0; i < 5000; i++ {
-		if len(model) == 0 || rng.Intn(100) < 55 {
-			p := []byte{byte(i), byte(i >> 8)}
-			q.push(p)
-			model = append(model, p)
-		} else {
-			got, want := q.pop(), model[0]
-			model = model[1:]
-			if &got[0] != &want[0] {
-				t.Fatalf("op %d: popped %v, want %v", i, got, want)
-			}
-		}
-		if q.n != len(model) {
-			t.Fatalf("op %d: ring holds %d, model %d", i, q.n, len(model))
 		}
 	}
 }

@@ -59,7 +59,7 @@ type neighbor struct {
 	// router at the far end, wire the packets travelling towards it in send
 	// order, rx the one event body that receives the oldest of them.
 	peer *Router
-	wire pktRing
+	wire event.Ring[[]byte]
 	rx   func()
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 
 	"fibbing.net/fibbing/internal/netsim"
@@ -15,33 +14,38 @@ import (
 // at query time (so counters read live state).
 type MIB struct {
 	mu   sync.RWMutex
-	oids []OID // sorted
-	get  map[string]func() Value
+	oids []OID          // sorted; Get and Next binary-search it
+	fns  []func() Value // fns[i] serves oids[i]
 }
 
 // NewMIB returns an empty MIB.
 func NewMIB() *MIB {
-	return &MIB{get: make(map[string]func() Value)}
+	return &MIB{}
 }
 
 // Register binds an OID to a callback. Re-registering replaces.
 func (m *MIB) Register(oid OID, fn func() Value) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := oid.String()
-	if _, exists := m.get[key]; !exists {
-		m.oids = append(m.oids, oid.Append()) // copy
-		slices.SortFunc(m.oids, OID.Cmp)
+	i, found := slices.BinarySearchFunc(m.oids, oid, OID.Cmp)
+	if found {
+		m.fns[i] = fn
+		return
 	}
-	m.get[key] = fn
+	m.oids = slices.Insert(m.oids, i, oid.Append()) // copy
+	m.fns = slices.Insert(m.fns, i, fn)
 }
 
 // Get returns the value at an exact OID.
 func (m *MIB) Get(oid OID) (Value, bool) {
 	m.mu.RLock()
-	fn, ok := m.get[oid.String()]
+	i, found := slices.BinarySearchFunc(m.oids, oid, OID.Cmp)
+	var fn func() Value
+	if found {
+		fn = m.fns[i]
+	}
 	m.mu.RUnlock()
-	if !ok {
+	if !found {
 		return Value{Kind: KindNoSuchObject}, false
 	}
 	return fn(), true
@@ -51,12 +55,14 @@ func (m *MIB) Get(oid OID) (Value, bool) {
 func (m *MIB) Next(oid OID) (OID, Value, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	i := sort.Search(len(m.oids), func(i int) bool { return m.oids[i].Cmp(oid) > 0 })
+	i, found := slices.BinarySearchFunc(m.oids, oid, OID.Cmp)
+	if found {
+		i++
+	}
 	if i == len(m.oids) {
 		return nil, Value{Kind: KindEndOfMibView}, false
 	}
-	next := m.oids[i]
-	return next, m.get[next.String()](), true
+	return m.oids[i], m.fns[i](), true
 }
 
 // Len returns the number of registered objects.
@@ -70,7 +76,9 @@ func (m *MIB) Len() int {
 type Agent struct {
 	Community string
 	MIB       *MIB
-	// MaxVarBinds caps response size (tooBig guard).
+	// MaxVarBinds caps response size (tooBig guard): a GET or GETNEXT
+	// carrying more varbinds is answered tooBig with an empty list
+	// (RFC 3416 §4.2.1), a GETBULK stops repeating at the cap.
 	MaxVarBinds int
 }
 
@@ -83,20 +91,24 @@ func NewAgent(community string, mib *MIB) *Agent {
 // response (nil for undecodable or unauthenticated requests, which SNMP
 // agents silently drop).
 func (a *Agent) HandleRequest(req []byte) []byte {
-	msg, err := DecodeMessage(req)
+	x := exchanges.Get().(*exchange)
+	defer exchanges.Put(x)
+	msg, err := x.in.decode(req)
 	if err != nil {
 		return nil
 	}
 	if msg.Version != Version2c || msg.Community != a.Community {
 		return nil // silent drop, as real agents do for bad communities
 	}
-	resp := &Message{
-		Version:   Version2c,
-		Community: a.Community,
-		PDU:       PDU{Type: GetResponse, RequestID: msg.PDU.RequestID},
-	}
+	resp := &x.out
+	resp.Version, resp.Community = Version2c, a.Community
+	resp.PDU = PDU{Type: GetResponse, RequestID: msg.PDU.RequestID, VarBinds: resp.PDU.VarBinds[:0]}
 	switch msg.PDU.Type {
 	case GetRequest:
+		if len(msg.PDU.VarBinds) > a.MaxVarBinds {
+			resp.PDU.ErrorStatus = ErrTooBig
+			break
+		}
 		for _, vb := range msg.PDU.VarBinds {
 			v, ok := a.MIB.Get(vb.OID)
 			if !ok {
@@ -105,6 +117,10 @@ func (a *Agent) HandleRequest(req []byte) []byte {
 			resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: vb.OID, Value: v})
 		}
 	case GetNextRequest:
+		if len(msg.PDU.VarBinds) > a.MaxVarBinds {
+			resp.PDU.ErrorStatus = ErrTooBig
+			break
+		}
 		for _, vb := range msg.PDU.VarBinds {
 			next, v, ok := a.MIB.Next(vb.OID)
 			if !ok {
@@ -146,7 +162,7 @@ func (a *Agent) HandleRequest(req []byte) []byte {
 	case SetRequest:
 		// Read-only agent.
 		resp.PDU.ErrorStatus = ErrReadOnly
-		resp.PDU.VarBinds = msg.PDU.VarBinds
+		resp.PDU.VarBinds = append(resp.PDU.VarBinds, msg.PDU.VarBinds...)
 	default:
 		resp.PDU.ErrorStatus = ErrGenErr
 	}

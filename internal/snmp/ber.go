@@ -7,11 +7,23 @@
 // The paper's controller "monitors link loads using SNMP"; this package
 // keeps that code path real — PDUs are encoded and decoded byte for byte —
 // while allowing the counter source to be the fluid simulator.
+//
+// What polling costs. Client.GetCounters reads a watch list in as few GET
+// requests as fit one chunk (getChunk varbinds) and checks that each
+// response echoes the names asked, in order. The codec allocates nothing
+// per value: Message.appendTo computes every length first and writes the
+// message in one pass into one buffer; a decoder parses into a Message
+// whose varbinds, OIDs and octet strings are slices of the decoder's own
+// arenas, valid until its next decode (DecodeMessage and Client.Get, whose
+// results the caller keeps, decode through a fresh one). Agent and client
+// take that scratch from a pool per call, so both stay safe under
+// concurrent callers. The MIB is a sorted OID table with a parallel
+// callback slice, binary-searched by Get and Next alike; OID.String is for
+// logs and error texts only.
 package snmp
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -188,96 +200,150 @@ func StringValue(s string) Value { return Value{Kind: KindOctetString, Bytes: []
 func IntegerValue(v int64) Value { return Value{Kind: KindInteger, Int: v} }
 
 // --- BER primitives ----------------------------------------------------
+//
+// Encoding is size-first: every length is computed from the values before
+// the first byte is written, so a message goes out in one pass into one
+// buffer. Each append* below has a *Len twin that returns the size of the
+// content it writes.
 
-func appendLength(b []byte, n int) []byte {
+func lengthLen(n int) int {
 	switch {
 	case n < 0x80:
-		return append(b, byte(n))
+		return 1
 	case n <= 0xFF:
-		return append(b, 0x81, byte(n))
+		return 2
 	case n <= 0xFFFF:
-		return append(b, 0x82, byte(n>>8), byte(n))
+		return 3
 	default:
-		return append(b, 0x83, byte(n>>16), byte(n>>8), byte(n))
+		return 4
 	}
 }
 
-func appendTLV(b []byte, tag byte, content []byte) []byte {
-	b = append(b, tag)
-	b = appendLength(b, len(content))
-	return append(b, content...)
+// tlvLen is the encoded size of a TLV whose content is n bytes.
+func tlvLen(n int) int { return 1 + lengthLen(n) + n }
+
+// appendHeader writes a tag and the length of the content that follows.
+func appendHeader(b []byte, tag byte, n int) []byte {
+	switch {
+	case n < 0x80:
+		return append(b, tag, byte(n))
+	case n <= 0xFF:
+		return append(b, tag, 0x81, byte(n))
+	case n <= 0xFFFF:
+		return append(b, tag, 0x82, byte(n>>8), byte(n))
+	default:
+		return append(b, tag, 0x83, byte(n>>16), byte(n>>8), byte(n))
+	}
+}
+
+// intLen is the minimal two's-complement length of v.
+func intLen(v int64) int {
+	n := 1
+	for v > 0x7F || v < -0x80 {
+		v >>= 8
+		n++
+	}
+	return n
 }
 
 func appendInt(b []byte, tag byte, v int64) []byte {
-	// Two's complement, minimal length.
-	var content []byte
-	for {
-		content = append([]byte{byte(v)}, content...)
-		next := v >> 8
-		if (next == 0 && v >= 0 && content[0] < 0x80) ||
-			(next == -1 && v < 0 && content[0] >= 0x80) {
-			break
-		}
-		v = next
+	n := intLen(v)
+	b = append(b, tag, byte(n))
+	for i := n - 1; i >= 0; i-- {
+		b = append(b, byte(v>>(8*i)))
 	}
-	return appendTLV(b, tag, content)
+	return b
+}
+
+// uintLen is the length of v as a non-negative integer: minimal, plus a
+// leading zero where the top bit would read as a sign.
+func uintLen(v uint64) int {
+	n := 1
+	for v > 0x7F {
+		v >>= 8
+		n++
+	}
+	return n
 }
 
 func appendUint(b []byte, tag byte, v uint64) []byte {
-	var content []byte
-	for {
-		content = append([]byte{byte(v)}, content...)
-		v >>= 8
-		if v == 0 {
-			break
-		}
+	n := uintLen(v)
+	b = append(b, tag, byte(n))
+	for i := n - 1; i >= 0; i-- {
+		b = append(b, byte(v>>(8*i))) // i == 8 shifts everything out: the leading zero
 	}
-	if content[0] >= 0x80 {
-		content = append([]byte{0}, content...)
+	return b
+}
+
+func arcLen(v uint32) int {
+	switch {
+	case v < 1<<7:
+		return 1
+	case v < 1<<14:
+		return 2
+	case v < 1<<21:
+		return 3
+	case v < 1<<28:
+		return 4
+	default:
+		return 5
 	}
-	return appendTLV(b, tag, content)
+}
+
+func oidLen(o OID) int {
+	if len(o) < 2 {
+		return 1
+	}
+	n := 1
+	for _, arc := range o[2:] {
+		n += arcLen(arc)
+	}
+	return n
 }
 
 func appendOID(b []byte, o OID) []byte {
+	b = appendHeader(b, tagOID, oidLen(o))
 	if len(o) < 2 {
 		// Encode degenerate OIDs as 0.0 to stay well-formed.
-		o = OID{0, 0}
+		return append(b, 0)
 	}
-	content := []byte{byte(o[0]*40 + o[1])}
+	b = append(b, byte(o[0]*40+o[1]))
 	for _, arc := range o[2:] {
-		content = append(content, encodeBase128(arc)...)
+		for i := arcLen(arc) - 1; i > 0; i-- {
+			b = append(b, byte(arc>>(7*i))|0x80)
+		}
+		b = append(b, byte(arc&0x7F))
 	}
-	return appendTLV(b, tagOID, content)
+	return b
 }
 
-func encodeBase128(v uint32) []byte {
-	if v == 0 {
-		return []byte{0}
+func valueLen(v Value) int {
+	switch v.Kind {
+	case KindNull, KindNoSuchObject, KindNoSuchInstance, KindEndOfMibView:
+		return 0
+	case KindInteger:
+		return intLen(v.Int)
+	case KindOctetString:
+		return len(v.Bytes)
+	case KindOID:
+		return oidLen(v.OID)
+	case KindCounter32, KindGauge32, KindTimeTicks:
+		return uintLen(v.Uint & 0xFFFFFFFF)
+	case KindCounter64:
+		return uintLen(v.Uint)
+	default:
+		panic(fmt.Sprintf("snmp: encoding unknown kind %v", v.Kind))
 	}
-	var tmp [5]byte
-	i := len(tmp)
-	last := true
-	for v > 0 {
-		i--
-		b := byte(v & 0x7F)
-		if !last {
-			b |= 0x80
-		}
-		tmp[i] = b
-		last = false
-		v >>= 7
-	}
-	return tmp[i:]
 }
 
 func appendValue(b []byte, v Value) []byte {
 	switch v.Kind {
 	case KindNull:
-		return appendTLV(b, tagNull, nil)
+		return append(b, tagNull, 0)
 	case KindInteger:
 		return appendInt(b, tagInteger, v.Int)
 	case KindOctetString:
-		return appendTLV(b, tagOctetString, v.Bytes)
+		return append(appendHeader(b, tagOctetString, len(v.Bytes)), v.Bytes...)
 	case KindOID:
 		return appendOID(b, v.OID)
 	case KindCounter32:
@@ -289,11 +355,11 @@ func appendValue(b []byte, v Value) []byte {
 	case KindCounter64:
 		return appendUint(b, tagCounter64, v.Uint)
 	case KindNoSuchObject:
-		return appendTLV(b, tagNoSuchObject, nil)
+		return append(b, tagNoSuchObject, 0)
 	case KindNoSuchInstance:
-		return appendTLV(b, tagNoSuchInstance, nil)
+		return append(b, tagNoSuchInstance, 0)
 	case KindEndOfMibView:
-		return appendTLV(b, tagEndOfMibView, nil)
+		return append(b, tagEndOfMibView, 0)
 	default:
 		panic(fmt.Sprintf("snmp: encoding unknown kind %v", v.Kind))
 	}
@@ -366,66 +432,4 @@ func decodeUint(content []byte) (uint64, error) {
 		v = v<<8 | uint64(b)
 	}
 	return v, nil
-}
-
-func decodeOIDContent(content []byte) (OID, error) {
-	if len(content) == 0 {
-		return nil, fmt.Errorf("snmp: empty OID")
-	}
-	out := OID{uint32(content[0] / 40), uint32(content[0] % 40)}
-	var cur uint32
-	inArc := false
-	for _, b := range content[1:] {
-		cur = cur<<7 | uint32(b&0x7F)
-		inArc = true
-		if b&0x80 == 0 {
-			out = append(out, cur)
-			cur = 0
-			inArc = false
-		}
-	}
-	if inArc {
-		return nil, fmt.Errorf("snmp: OID ends mid-arc")
-	}
-	return out, nil
-}
-
-func decodeValue(tag byte, content []byte) (Value, error) {
-	switch tag {
-	case tagNull:
-		return Value{Kind: KindNull}, nil
-	case tagInteger:
-		v, err := decodeInt(content)
-		return Value{Kind: KindInteger, Int: v}, err
-	case tagOctetString:
-		return Value{Kind: KindOctetString, Bytes: append([]byte(nil), content...)}, nil
-	case tagOID:
-		o, err := decodeOIDContent(content)
-		return Value{Kind: KindOID, OID: o}, err
-	case tagCounter32:
-		v, err := decodeUint(content)
-		return Value{Kind: KindCounter32, Uint: v}, err
-	case tagGauge32:
-		v, err := decodeUint(content)
-		return Value{Kind: KindGauge32, Uint: v}, err
-	case tagTimeTicks:
-		v, err := decodeUint(content)
-		return Value{Kind: KindTimeTicks, Uint: v}, err
-	case tagCounter64:
-		v, err := decodeUint(content)
-		return Value{Kind: KindCounter64, Uint: v}, err
-	case tagNoSuchObject:
-		return Value{Kind: KindNoSuchObject}, nil
-	case tagNoSuchInstance:
-		return Value{Kind: KindNoSuchInstance}, nil
-	case tagEndOfMibView:
-		return Value{Kind: KindEndOfMibView}, nil
-	default:
-		return Value{}, fmt.Errorf("snmp: unknown value tag %#x", tag)
-	}
-}
-
-// SortOIDs sorts a slice of OIDs in MIB order (helper for MIB walks).
-func SortOIDs(oids []OID) {
-	slices.SortFunc(oids, OID.Cmp)
 }

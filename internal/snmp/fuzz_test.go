@@ -6,8 +6,11 @@ import (
 )
 
 // FuzzDecodeMessage drives the hand-rolled BER decoder with arbitrary
-// bytes: it must never panic, and anything it accepts must survive a
-// canonical re-encode/decode round trip bit-for-bit.
+// bytes: it must never panic, must agree with the reference decoder
+// (reference_test.go) on verdict, error text and message — fresh and
+// through a decoder reused across inputs — and anything it accepts must
+// survive a canonical re-encode/decode round trip bit-for-bit, the
+// re-encoding being the reference encoder's too.
 func FuzzDecodeMessage(f *testing.F) {
 	// Seed corpus: one well-formed message per PDU type and value kind.
 	req := &Message{
@@ -55,12 +58,17 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{0x30, 0x84, 0xff, 0xff, 0xff, 0xff})
 	f.Add(resp.Encode()[:10])
 
+	var reused decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameDecode(t, &reused, data)
 		m, err := DecodeMessage(data)
 		if err != nil {
 			return // rejected input is fine; panicking is not
 		}
 		enc := m.Encode()
+		if want := refEncode(m); !bytes.Equal(enc, want) {
+			t.Fatalf("re-encode differs from the reference encoder:\n got %x\nwant %x", enc, want)
+		}
 		m2, err := DecodeMessage(enc)
 		if err != nil {
 			t.Fatalf("canonical re-encode does not decode: %v\nencoded: %x", err, enc)

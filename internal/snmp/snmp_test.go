@@ -3,6 +3,9 @@ package snmp
 import (
 	"math/rand"
 	"net"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -297,6 +300,16 @@ func TestUDPLoopback(t *testing.T) {
 	if walked != 2 {
 		t.Fatalf("UDP walk = %d", walked)
 	}
+	walked = 0
+	if err := client.BulkWalk(MustOID("1.3.6.1.2.1.2"), 4, func(VarBind) error {
+		walked++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if walked != 2 {
+		t.Fatalf("UDP bulk walk = %d", walked)
+	}
 }
 
 func TestUDPTimeout(t *testing.T) {
@@ -348,4 +361,269 @@ func BenchmarkAgentRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestMIBRegisterKeepsOrder registers out of order and re-registers: the
+// table stays sorted by insertion (no re-sort per Register), Get finds
+// every OID, Next walks them in MIB order, and a re-registration replaces
+// the callback without adding an entry.
+func TestMIBRegisterKeepsOrder(t *testing.T) {
+	mib := NewMIB()
+	rng := rand.New(rand.NewSource(5))
+	root := MustOID("1.3.6.1.2.1.2.2.1")
+	const n = 300
+	for _, i := range rng.Perm(n) {
+		i := uint64(i)
+		// Two columns, so that index order and MIB order differ.
+		mib.Register(root.Append(uint32(10+i%2), uint32(i)), func() Value { return Counter64Value(i) })
+	}
+	for i := uint64(0); i < n; i += 7 {
+		i := i
+		mib.Register(root.Append(uint32(10+i%2), uint32(i)), func() Value { return Counter64Value(i + 1000) })
+	}
+	if mib.Len() != n {
+		t.Fatalf("Len = %d after re-registrations, want %d", mib.Len(), n)
+	}
+	if !slices.IsSortedFunc(mib.oids, OID.Cmp) {
+		t.Fatalf("oids not in MIB order")
+	}
+	seen := 0
+	for cur := root; ; seen++ {
+		next, v, ok := mib.Next(cur)
+		if !ok {
+			break
+		}
+		if next.Cmp(cur) <= 0 {
+			t.Fatalf("Next(%v) = %v: not after it", cur, next)
+		}
+		want := uint64(next[len(next)-1])
+		if want%7 == 0 {
+			want += 1000
+		}
+		if got, ok := mib.Get(next); !ok || got.Uint != want || v.Uint != want {
+			t.Fatalf("%v: Get = %v %v, Next value %v, want %d", next, got.Uint, ok, v.Uint, want)
+		}
+		cur = next
+	}
+	if seen != n {
+		t.Fatalf("walk saw %d objects, want %d", seen, n)
+	}
+	if _, ok := mib.Get(root.Append(10)); ok {
+		t.Fatalf("Get of an unregistered prefix succeeded")
+	}
+	// Register copies the OID it is given.
+	o := root.Append(99, 1)
+	mib.Register(o, func() Value { return Counter64Value(1) })
+	o[len(o)-1] = 2
+	if _, ok := mib.Get(root.Append(99, 1)); !ok {
+		t.Fatalf("MIB shares storage with the caller's OID")
+	}
+}
+
+// counterMIB serves n Counter64 objects valued 1000+index under
+// ifHCOutOctets.
+func counterMIB(n int) (*MIB, []OID) {
+	mib := NewMIB()
+	oids := make([]OID, n)
+	for i := range oids {
+		v := uint64(1000 + i)
+		oids[i] = OIDIfHCOutOctets.Append(uint32(i + 1))
+		mib.Register(oids[i], func() Value { return Counter64Value(v) })
+	}
+	return mib, oids
+}
+
+// TestAgentTooBig: a GET or GETNEXT with more varbinds than MaxVarBinds
+// is answered tooBig with an empty varbind list (RFC 3416 §4.2.1); one at
+// the cap is served.
+func TestAgentTooBig(t *testing.T) {
+	mib, oids := counterMIB(9)
+	agent := NewAgent("c", mib)
+	agent.MaxVarBinds = 8
+	for _, typ := range []PDUType{GetRequest, GetNextRequest} {
+		for _, n := range []int{8, 9} {
+			req := &Message{Version: Version2c, Community: "c", PDU: PDU{Type: typ, RequestID: 3}}
+			for _, o := range oids[:n] {
+				req.PDU.VarBinds = append(req.PDU.VarBinds, VarBind{OID: o})
+			}
+			resp, err := DecodeMessage(agent.HandleRequest(req.Encode()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantStatus, wantVBs := int32(ErrNoError), n
+			if n > agent.MaxVarBinds {
+				wantStatus, wantVBs = ErrTooBig, 0
+			}
+			if resp.PDU.ErrorStatus != wantStatus || resp.PDU.ErrorIndex != 0 || len(resp.PDU.VarBinds) != wantVBs || resp.PDU.RequestID != 3 {
+				t.Fatalf("%v with %d varbinds at cap %d: %+v", typ, n, agent.MaxVarBinds, resp.PDU)
+			}
+		}
+	}
+	client := NewClient(DirectTransport{Agent: agent}, "c")
+	if _, err := client.Get(oids...); err == nil || !strings.Contains(err.Error(), "error status 1") {
+		t.Fatalf("Get past the cap: %v", err)
+	}
+}
+
+// countingTransport counts the requests it forwards and their varbinds.
+type countingTransport struct {
+	next     Transport
+	requests int
+	most     int
+}
+
+func (c *countingTransport) RoundTrip(req []byte) ([]byte, error) {
+	m, err := DecodeMessage(req)
+	if err != nil {
+		return nil, err
+	}
+	c.requests++
+	c.most = max(c.most, len(m.PDU.VarBinds))
+	return c.next.RoundTrip(req)
+}
+
+// TestGetCountersChunks: a long list goes out in ceil(n/getChunk) GETs,
+// none of which trips the default agent's tooBig guard; against an agent
+// with a smaller cap every OID of a too-big request reports it, and the
+// requests under the cap are still served.
+func TestGetCountersChunks(t *testing.T) {
+	if getChunk >= NewAgent("", nil).MaxVarBinds {
+		t.Fatalf("getChunk %d is not under the default MaxVarBinds", getChunk)
+	}
+	const n = 2*getChunk + 5
+	mib, oids := counterMIB(n)
+	agent := NewAgent("c", mib)
+	tr := &countingTransport{next: DirectTransport{Agent: agent}}
+	client := NewClient(tr, "c")
+	vals, errs := make([]uint64, n), make([]error, n)
+	client.GetCounters(oids, vals, errs)
+	for i := range oids {
+		if errs[i] != nil || vals[i] != uint64(1000+i) {
+			t.Fatalf("counter %d = %d, %v", i, vals[i], errs[i])
+		}
+	}
+	if tr.requests != 3 || tr.most != getChunk {
+		t.Fatalf("%d counters took %d requests of at most %d varbinds, want 3 of %d", n, tr.requests, tr.most, getChunk)
+	}
+
+	agent.MaxVarBinds = 10 // the two full chunks are too big, the 5-counter tail is not
+	client.GetCounters(oids, vals, errs)
+	for i := range oids {
+		if tooBig := i < 2*getChunk; tooBig != (errs[i] != nil) {
+			t.Fatalf("counter %d at cap 10: %d, %v", i, vals[i], errs[i])
+		} else if tooBig && (vals[i] != 0 || !strings.Contains(errs[i].Error(), "error status 1")) {
+			t.Fatalf("counter %d at cap 10: %d, %v", i, vals[i], errs[i])
+		}
+	}
+}
+
+// tamperTransport rewrites the decoded response before the client sees it.
+type tamperTransport struct {
+	next   Transport
+	tamper func(*Message)
+}
+
+func (tt tamperTransport) RoundTrip(req []byte) ([]byte, error) {
+	raw, err := tt.next.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	m, err := DecodeMessage(raw)
+	if err != nil {
+		return nil, err
+	}
+	tt.tamper(m)
+	return m.Encode(), nil
+}
+
+// TestGetVerifiesEchoedOIDs: a response whose names are not the requested
+// ones in the requested order — two swapped, one dropped, one renamed —
+// fails the whole request; a noSuchObject or a string fails only its OID.
+func TestGetVerifiesEchoedOIDs(t *testing.T) {
+	mib, oids := counterMIB(6)
+	mib.Register(oids[2], func() Value { return StringValue("not a counter") })
+	oids = append(oids, OIDIfHCOutOctets.Append(999)) // not served
+	direct := DirectTransport{Agent: NewAgent("c", mib)}
+	vals, errs := make([]uint64, len(oids)), make([]error, len(oids))
+
+	NewClient(direct, "c").GetCounters(oids, vals, errs)
+	for i := range oids {
+		if bad := i == 2 || i == 6; bad != (errs[i] != nil) || (!bad && vals[i] != uint64(1000+i)) {
+			t.Fatalf("honest agent, counter %d = %d, %v", i, vals[i], errs[i])
+		}
+	}
+
+	for name, tamper := range map[string]func(*Message){
+		"swapped": func(m *Message) { m.PDU.VarBinds[0], m.PDU.VarBinds[1] = m.PDU.VarBinds[1], m.PDU.VarBinds[0] },
+		"short":   func(m *Message) { m.PDU.VarBinds = m.PDU.VarBinds[:len(m.PDU.VarBinds)-1] },
+		"renamed": func(m *Message) { m.PDU.VarBinds[4].OID = OIDIfOutOctets.Append(5) },
+	} {
+		client := NewClient(tamperTransport{next: direct, tamper: tamper}, "c")
+		client.GetCounters(oids, vals, errs)
+		for i := range oids {
+			if errs[i] == nil || vals[i] != 0 {
+				t.Fatalf("%s response credited counter %d = %d, %v", name, i, vals[i], errs[i])
+			}
+		}
+		if _, err := client.Get(oids...); err == nil {
+			t.Fatalf("Get accepted a %s response", name)
+		}
+	}
+}
+
+// TestConcurrentAgentAndClient hammers one agent and one client from
+// several goroutines — GetCounters, Get, Walk and raw HandleRequest at
+// once, with Register running beside them — so that the race detector
+// sees the pooled exchange scratch and the MIB's tables shared.
+func TestConcurrentAgentAndClient(t *testing.T) {
+	const n = getChunk + 10
+	mib, oids := counterMIB(n)
+	agent := NewAgent("c", mib)
+	client := NewClient(DirectTransport{Agent: agent}, "c")
+	raw := (&Message{Version: Version2c, Community: "c",
+		PDU: PDU{Type: GetRequest, RequestID: 1, VarBinds: []VarBind{{OID: oids[3]}}}}).Encode()
+	rounds := 200
+	if testing.Short() {
+		rounds = 50
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			vals, errs := make([]uint64, n), make([]error, n)
+			for r := 0; r < rounds; r++ {
+				switch g % 4 {
+				case 0:
+					client.GetCounters(oids, vals, errs)
+					for i := range oids {
+						if errs[i] != nil || vals[i] != uint64(1000+i) {
+							t.Errorf("goroutine %d: counter %d = %d, %v", g, i, vals[i], errs[i])
+							return
+						}
+					}
+				case 1:
+					vbs, err := client.Get(oids[g], oids[g+1])
+					if err != nil || vbs[1].Value.Uint != uint64(1000+g+1) {
+						t.Errorf("goroutine %d: Get = %v, %v", g, vbs, err)
+						return
+					}
+				case 2:
+					seen := 0
+					if err := client.Walk(OIDIfHCOutOctets, func(VarBind) error { seen++; return nil }); err != nil || seen < n {
+						t.Errorf("goroutine %d: walk saw %d, %v", g, seen, err)
+						return
+					}
+				case 3:
+					resp, err := DecodeMessage(agent.HandleRequest(raw))
+					if err != nil || resp.PDU.VarBinds[0].Value.Uint != 1003 {
+						t.Errorf("goroutine %d: raw request: %v, %v", g, resp, err)
+						return
+					}
+					mib.Register(OIDIfHCOutOctets.Append(uint32(5000+g*rounds+r)), func() Value { return Counter64Value(0) })
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
