@@ -67,21 +67,29 @@ bench-check:
 # builds cmd/fiblab here and in a checkout of the parent commit (PARENT=
 # <dir>, e.g. a `git clone` at the parent), runs the matrix, failover and
 # QoE cells as JSON on both and compares byte for byte, wall-clock "nanos"
-# lines dropped. Binaries and outputs go to a temporary directory.
+# lines dropped; then does the same for the whole output of cmd/experiments
+# and examples/quickstart. Every comparison runs and each difference is
+# shown; any one fails the target. Binaries and outputs go to a temporary
+# directory.
 reports-cmp:
 	@test -n "$(PARENT)" && test -d "$(PARENT)/cmd/fiblab" \
 	  || { echo "reports-cmp: set PARENT=<checkout of the parent commit>" >&2; exit 1; }
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/fiblab.change" ./cmd/fiblab; \
-	(cd "$(PARENT)" && $(GO) build -o "$$tmp/fiblab.parent" ./cmd/fiblab); \
-	for mode in matrix failover qoe; do \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; status=0; \
+	for cmd in cmd/fiblab cmd/experiments examples/quickstart; do \
+	  $(GO) build -o "$$tmp/$${cmd##*/}.change" "./$$cmd"; \
+	  (cd "$(PARENT)" && $(GO) build -o "$$tmp/$${cmd##*/}.parent" "./$$cmd"); \
+	done; \
+	for run in "fiblab -matrix -json" "fiblab -failover -json" "fiblab -qoe -json" experiments quickstart; do \
+	  set -- $$run; bin=$$1; shift; out="$$tmp/out.$$(echo $$run | tr -d ' ')"; \
 	  for side in parent change; do \
-	    "$$tmp/fiblab.$$side" -$$mode -json | grep -v '"nanos"' > "$$tmp/$$mode.$$side"; \
+	    "$$tmp/$$bin.$$side" "$$@" | grep -v '"nanos"' > "$$out.$$side"; \
 	  done; \
-	  cmp "$$tmp/$$mode.parent" "$$tmp/$$mode.change" \
-	    || { echo "reports-cmp: -$$mode -json differs from the parent's" >&2; exit 1; }; \
-	  echo "reports-cmp: -$$mode identical ($$(wc -l < "$$tmp/$$mode.change") lines)"; \
-	done
+	  if diff "$$out.parent" "$$out.change"; then \
+	    echo "reports-cmp: $$run identical ($$(wc -l < "$$out.change") lines)"; \
+	  else \
+	    echo "reports-cmp: $$run differs from the parent's" >&2; status=1; \
+	  fi; \
+	done; exit $$status
 
 # The large-topology scaling cells with wall-clock/event telemetry
 # (Gbit-capacity defaults; override with -capacity via `go run`).

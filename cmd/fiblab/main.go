@@ -1,39 +1,30 @@
-// Command fiblab runs the scenario-matrix stress harness: a named
-// scenario cell, an ad-hoc spec, or the whole matrix, with the Fibbing
-// controller on and off, and reports the comparison as text or JSON.
-//
-// Usage:
+// Command fiblab runs the scenario-matrix stress harness — a named cell,
+// an ad-hoc spec, the whole matrix, or the failover, score-mode and
+// scaling cells — and reports each cell as text or JSON.
 //
 //	fiblab -list                    # print the matrix cells
-//	fiblab -run ring/surge          # one cell, both controller modes
-//	fiblab -matrix                  # the full matrix
+//	fiblab -run ring/surge          # one cell, controller on and off
+//	fiblab -matrix -json > out.json # the full matrix, machine-readable
 //	fiblab -topo waxman -size 20 -seed 4 -workload flash -failure flap
-//	fiblab -matrix -json > out.json # machine-readable reports
-//	fiblab -run ring/surge -strategies=localecmp,ksp
-//	                                # restrict the reaction-strategy set
-//	fiblab -run ring/surge -viewers 100000
-//	                                # same demand sliced into 100k sessions
-//	fiblab -run abilene/surge -capacity 10G
-//	                                # the same relative problem at 10 Gbit/s
-//	fiblab -scale                   # scaling cells (Gbit-capacity defaults)
-//	fiblab -failover                # BFD+standby vs SNMP failover cells
-//	fiblab -qoe                     # qoe vs util score-mode comparison cells
-//	fiblab -run ring/surge -score-mode qoe
-//	                                # plan for fewer stalls, not cooler links
-//	fiblab -topo fig1 -workload steady -failure hotlink -bfd -standby-k 3
-//	                                # ad-hoc run with fast failover enabled
-//	fiblab -run ring/surge -cache-stats
-//	                                # plus planner amortisation telemetry
+//	fiblab -failover | -qoe | -scale
+//	fiblab -run ring/surge -strategies=localecmp,ksp -viewers 100000 -capacity 10G
 //
-// The exit status is non-zero when any executed cell violates its
-// invariants, so fiblab doubles as a CI gate.
+// One mode flag picks the cells; every other flag overrides the same Spec
+// field of every cell in every mode, or is a usage error where the mode's
+// own arms set that field (-score-mode under -qoe; -bfd, -standby-k under
+// -failover). Exit status: 1 when a cell violates its invariants (fiblab
+// doubles as a CI gate), 2 on a usage error.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -42,255 +33,35 @@ import (
 	"fibbing.net/fibbing/internal/topo"
 )
 
-func main() {
-	var (
-		list     = flag.Bool("list", false, "list the matrix cells and exit")
-		run      = flag.String("run", "", "run one matrix cell by name (e.g. ring/surge)")
-		matrix   = flag.Bool("matrix", false, "run the full scenario matrix")
-		scale    = flag.Bool("scale", false, "run the large-topology scaling cells (controller on), reporting wall-clock and events executed")
-		jsonOut  = flag.Bool("json", false, "emit JSON instead of text")
-		duration = flag.Duration("duration", 0, "override the scenario duration")
-		strats   = flag.String("strategies", "", "comma-separated reaction strategies (e.g. localecmp,ksp,lpoptimal); empty keeps the stock set")
-		scoreMd  = flag.String("score-mode", "", "planner scoring objective: util (default), qoe (predicted stall-seconds first) or blended")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		topoF    = flag.String("topo", "", "ad-hoc run: topology family (fig1, abilene, fattree, ring, grid, waxman, random)")
-		capacity = flag.String("capacity", "", "uniform link capacity, e.g. 1G or 10G (ad-hoc runs and overriding matrix/scale cells; empty keeps the cell's own)")
-		size     = flag.Int("size", 0, "ad-hoc run: topology size knob")
-		seed     = flag.Int64("seed", 0, "ad-hoc run: seed")
-		workload = flag.String("workload", "surge", "ad-hoc run: workload (surge, flash, ramp, dual, steady, skew)")
-		failure  = flag.String("failure", "", "ad-hoc run: failure schedule (hotlink, flap)")
-		viewers  = flag.Int("viewers", 0, "scale the crowd to about this many sessions (exact for surge; same total demand, finer slices; 0 keeps the default sizing)")
-		workers  = flag.Int("workers", 0, "simulation worker-pool width: 0 uses GOMAXPROCS, 1 forces the sequential core (output is byte-identical either way)")
-
-		cacheStats = flag.Bool("cache-stats", false, "after each cell, print the planner amortisation telemetry: plan-cache hit/miss, warm-LP warm/cold/fallback solves, reshare component count, and per-strategy propose timings (always present in -json output)")
-
-		failover = flag.Bool("failover", false, "run the fast-failover cells: each compares BFD+standby against SNMP-poll failure detection")
-		qoeCells = flag.Bool("qoe", false, "run the score-mode comparison cells: each runs qoe scoring against util scoring (and plain IGP) on the same schedule")
-		bfd      = flag.Bool("bfd", false, "attach BFD-style per-link liveness sessions (50ms hellos, detect multiplier 3) feeding the controller")
-		standbyK = flag.Int("standby-k", 0, "with -bfd, precompute failover plans for the K busiest links during controller idle time (0 disables the cache)")
-	)
-	flag.Parse()
-
-	// Parse the capacity override once (topo.ParseBits understands the
-	// 1G/10G/100M suffix forms FormatBits emits).
-	capOverride := 0.0
-	if *capacity != "" {
-		v, err := topo.ParseBits(*capacity)
-		if err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr, "fiblab: bad -capacity %q (want e.g. 100M, 1G, 10G)\n", *capacity)
-			os.Exit(2)
-		}
-		capOverride = v
-	}
-
-	// Validate the score mode up front so a typo is a usage error, not a
-	// per-cell runtime failure.
-	if _, err := controller.ParseScoreMode(*scoreMd); err != nil {
-		fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-		os.Exit(2)
-	}
-
-	// Resolve the strategy set once, up front: a bad name is a usage
-	// error, and the canonical names feed Spec.Strategies.
-	var strategyNames []string
-	if *strats != "" {
-		set, err := controller.ParseStrategies(*strats)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-			os.Exit(2)
-		}
-		strategyNames = controller.StrategyNames(set)
-	}
-
-	if *list {
-		for _, s := range scenarios.MatrixSpecs() {
-			fmt.Println(s.Name)
-		}
-		return
-	}
-
-	if *scale {
-		runScale(*duration, *jsonOut, strategyNames, *viewers, capOverride, *workers, *cacheStats)
-		return
-	}
-
-	if *failover {
-		runFailover(*duration, *jsonOut, *workers)
-		return
-	}
-
-	if *qoeCells {
-		runQoE(*duration, *jsonOut, *workers, *cacheStats)
-		return
-	}
-
-	var specs []scenarios.Spec
-	switch {
-	case *run != "":
-		s, ok := scenarios.SpecByName(*run)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "fiblab: no matrix cell %q (see -list)\n", *run)
-			os.Exit(2)
-		}
-		specs = append(specs, s)
-	case *topoF != "":
-		specs = append(specs, scenarios.Spec{
-			Topo:     scenarios.TopoSpec{Family: *topoF, Size: *size, Seed: *seed, Capacity: capOverride},
-			Workload: *workload,
-			Failure:  *failure,
-			Seed:     *seed,
-		})
-	case *matrix:
-		specs = scenarios.MatrixSpecs()
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	var results []*scenarios.Comparison
-	failed := false
-	start := time.Now()
-	for _, spec := range specs {
-		if *duration > 0 {
-			spec.Duration = *duration
-		}
-		if len(strategyNames) > 0 {
-			spec.Strategies = strategyNames
-		}
-		if *viewers > 0 {
-			spec.Viewers = *viewers
-		}
-		if capOverride > 0 {
-			spec.Topo.Capacity = capOverride
-		}
-		spec.Workers = *workers
-		if *scoreMd != "" {
-			spec.ScoreMode = *scoreMd
-		}
-		if *bfd {
-			spec.BFD = true
-		}
-		if *standbyK > 0 {
-			spec.StandbyK = *standbyK
-		}
-		cmp, err := scenarios.Compare(spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-			os.Exit(1)
-		}
-		results = append(results, cmp)
-		if len(cmp.Violations) > 0 {
-			failed = true
-		}
-		if !*jsonOut {
-			var b strings.Builder
-			cmp.Render(&b)
-			if *cacheStats {
-				cmp.On.RenderCacheStats(&b, "  ")
-			}
-			fmt.Print(b.String())
-		}
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Printf("%d cells in %.1fs\n", len(results), time.Since(start).Seconds())
-	}
-	if failed {
-		fmt.Fprintln(os.Stderr, "fiblab: invariant violations (see above)")
-		os.Exit(1)
-	}
+// options is the command line: the Spec fields to lay over every cell's own (zero keeps it), and how to print.
+type options struct {
+	over                scenarios.Spec
+	jsonOut, cacheStats bool
 }
 
-// runFailover executes the fast-failover cells: each spec runs twice
-// with the controller on — BFD + standby cache against SNMP-poll
-// detection — and the comparison checks the order-of-magnitude latency
-// and stall-ratio invariants between them.
-func runFailover(duration time.Duration, jsonOut bool, workers int) {
-	var results []*scenarios.FailoverComparison
-	failed := false
-	for _, spec := range scenarios.FailoverSpecs() {
-		if duration > 0 {
-			spec.Duration = duration
-		}
-		spec.Workers = workers
-		cmp, err := scenarios.CompareFailover(spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-			os.Exit(1)
-		}
-		results = append(results, cmp)
-		if len(cmp.Violations) > 0 {
-			failed = true
-		}
-		if !jsonOut {
-			var b strings.Builder
-			cmp.Render(&b)
-			fmt.Print(b.String())
-		}
+// apply is the one place a flag reaches a cell's Spec.
+func (o options) apply(s scenarios.Spec) scenarios.Spec {
+	s.Duration = cmp.Or(o.over.Duration, s.Duration)
+	s.Viewers = cmp.Or(o.over.Viewers, s.Viewers)
+	s.Topo.Capacity = cmp.Or(o.over.Topo.Capacity, s.Topo.Capacity)
+	s.ScoreMode = cmp.Or(o.over.ScoreMode, s.ScoreMode)
+	s.StandbyK = cmp.Or(o.over.StandbyK, s.StandbyK)
+	s.BFD = s.BFD || o.over.BFD
+	s.Workers = o.over.Workers
+	if len(o.over.Strategies) > 0 {
+		s.Strategies = o.over.Strategies
 	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if failed {
-		fmt.Fprintln(os.Stderr, "fiblab: failover invariant violations (see above)")
-		os.Exit(1)
-	}
+	return s
 }
 
-// runQoE executes the score-mode comparison cells: each spec runs three
-// times — controller off, utilisation scoring, QoE scoring — and the
-// comparison checks that stall-aware planning buys strictly fewer
-// stalled viewer-seconds (predicted and simulated) without worsening on
-// plain IGP.
-func runQoE(duration time.Duration, jsonOut bool, workers int, cacheStats bool) {
-	var results []*scenarios.ScoreModeComparison
-	failed := false
-	for _, spec := range scenarios.QoESpecs() {
-		if duration > 0 {
-			spec.Duration = duration
-		}
-		spec.Workers = workers
-		cmp, err := scenarios.CompareScoreModes(spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-			os.Exit(1)
-		}
-		results = append(results, cmp)
-		if len(cmp.Violations) > 0 {
-			failed = true
-		}
-		if !jsonOut {
-			var b strings.Builder
-			cmp.Render(&b)
-			if cacheStats {
-				cmp.QoE.RenderCacheStats(&b, "  ")
-			}
-			fmt.Print(b.String())
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if failed {
-		fmt.Fprintln(os.Stderr, "fiblab: score-mode invariant violations (see above)")
-		os.Exit(1)
-	}
+// view is what the loop needs of a finished cell besides its JSON value:
+// the text block, the violated invariants, the report -cache-stats prints.
+type view struct {
+	render     func(*strings.Builder)
+	violations []string
+	stats      *scenarios.Report
 }
 
 // scaleResult is one scaling cell's cost record.
@@ -299,54 +70,151 @@ type scaleResult struct {
 	WallClock float64           `json:"wall_clock_seconds"`
 }
 
-// runScale executes the large-topology cells (controller on, no
-// counterfactual side: these measure cost, not invariants) and prints
-// per-cell wall-clock and scheduler events executed.
-func runScale(duration time.Duration, jsonOut bool, strategyNames []string, viewers int, capOverride float64, workers int, cacheStats bool) {
-	var results []scaleResult
-	for _, spec := range scenarios.ScaleSpecs() {
-		if duration > 0 {
-			spec.Duration = duration
+// runScale runs a scaling cell once, controller on: it measures cost, so there is no counterfactual arm.
+func runScale(s scenarios.Spec) (scaleResult, error) {
+	start := time.Now()
+	rep, err := scenarios.Run(s, true)
+	return scaleResult{rep, time.Since(start).Seconds()}, err
+}
+
+func (r scaleResult) view() view {
+	rep := r.Report
+	return view{func(b *strings.Builder) {
+		fmt.Fprintf(b, "%-24s wall=%8.2fs events=%9d spf=%d inc/%d full reshare=%d inc/%d full sessions=%d aggs=%d settled=%.2f lies=%d workers=%d batches=%d par-spf=%d/%d max-batch=%d\n",
+			rep.Scenario, r.WallClock, rep.Events, rep.SPFIncrementalRuns, rep.SPFFullRuns, rep.ReshareIncremental, rep.ReshareFull, rep.Sessions, rep.Aggregates,
+			rep.SettledUtilisation, rep.Lies, rep.Workers, rep.ParallelBatches, rep.ParallelSPFRuns, rep.ParallelSPFRuns+rep.SequentialSPFRuns, rep.MaxBatch)
+	}, nil, rep}
+}
+
+// run is main without the process: it parses args, picks the mode's cells
+// and arms, and returns the exit status of the loop over them.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fiblab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		list     = fs.Bool("list", false, "list the matrix cells and exit")
+		runCell  = fs.String("run", "", "run one matrix cell by name (e.g. ring/surge)")
+		matrix   = fs.Bool("matrix", false, "run the full scenario matrix")
+		scale    = fs.Bool("scale", false, "run the large-topology scaling cells (controller on), reporting wall-clock and events executed")
+		failover = fs.Bool("failover", false, "run the fast-failover cells: each compares BFD+standby against SNMP-poll failure detection")
+		qoeCells = fs.Bool("qoe", false, "run the score-mode comparison cells: each runs qoe scoring against util scoring (and plain IGP) on the same schedule")
+		topoF    = fs.String("topo", "", "ad-hoc run: topology family (fig1, abilene, fattree, ring, grid, waxman, random)")
+		size     = fs.Int("size", 0, "ad-hoc run: topology size knob")
+		seed     = fs.Int64("seed", 0, "ad-hoc run: seed")
+		workload = fs.String("workload", "surge", "ad-hoc run: workload (surge, flash, ramp, dual, steady, skew)")
+		failure  = fs.String("failure", "", "ad-hoc run: failure schedule (hotlink, flap)")
+		o        options
+	)
+	fs.BoolVar(&o.jsonOut, "json", false, "emit JSON instead of text")
+	fs.BoolVar(&o.cacheStats, "cache-stats", false, "after each cell, print the planner amortisation telemetry: plan-cache hit/miss, warm-LP warm/cold/fallback solves, reshare component count, and per-strategy propose timings (always present in -json output)")
+	fs.DurationVar(&o.over.Duration, "duration", 0, "override the scenario duration")
+	fs.IntVar(&o.over.Viewers, "viewers", 0, "scale the crowd to about this many sessions (exact for surge; same total demand, finer slices; 0 keeps the default sizing)")
+	fs.IntVar(&o.over.Workers, "workers", 0, "simulation worker-pool width: 0 uses GOMAXPROCS, 1 forces the sequential core (output is byte-identical either way)")
+	fs.BoolVar(&o.over.BFD, "bfd", false, "attach BFD-style per-link liveness sessions (50ms hellos, detect multiplier 3) feeding the controller; a usage error with -failover")
+	fs.IntVar(&o.over.StandbyK, "standby-k", 0, "with -bfd, precompute failover plans for the K busiest links during controller idle time (0 disables the cache); a usage error with -failover")
+	// Resolved while the flags parse: a typo is a usage error, not a per-cell failure.
+	fs.Func("capacity", "uniform link capacity, e.g. 100M, 1G or 10G (unset keeps the cell's own)", func(v string) (err error) {
+		if o.over.Topo.Capacity, err = topo.ParseBits(v); err == nil && o.over.Topo.Capacity <= 0 {
+			err = errors.New("capacity must be positive")
 		}
-		if len(strategyNames) > 0 {
-			spec.Strategies = strategyNames
+		return err
+	})
+	fs.Func("score-mode", "planner scoring objective: util (default) or qoe (predicted stall-seconds first); a usage error with -qoe", func(v string) error {
+		_, err := controller.ParseScoreMode(v)
+		o.over.ScoreMode = v
+		return err
+	})
+	fs.Func("strategies", "comma-separated reaction strategies (e.g. localecmp,ksp,lpoptimal); unset keeps the stock set", func(v string) error {
+		set, err := controller.ParseStrategies(v)
+		o.over.Strategies = controller.StrategyNames(set)
+		return err
+	})
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		if viewers > 0 {
-			spec.Viewers = viewers
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "fiblab: "+format+"\n", a...)
+		return 2
+	}
+	modes := []bool{*list, *runCell != "", *topoF != "", *matrix, *failover, *qoeCells, *scale}
+	if len(slices.DeleteFunc(modes, func(on bool) bool { return !on })) != 1 {
+		return usage("pick exactly one of -list, -run, -topo, -matrix, -failover, -qoe, -scale (-h lists every flag)")
+	}
+
+	var cells []scenarios.Spec
+	switch {
+	case *list:
+		for _, s := range scenarios.MatrixSpecs() {
+			fmt.Fprintln(stdout, s.Name)
 		}
-		if capOverride > 0 {
-			spec.Topo.Capacity = capOverride
+		return 0
+	case *failover && (o.over.BFD || o.over.StandbyK != 0), *qoeCells && o.over.ScoreMode != "":
+		return usage("-bfd and -standby-k with -failover, and -score-mode with -qoe, do not apply: the mode's own arms set those fields")
+	case *failover:
+		return loop(scenarios.FailoverSpecs(), o, scenarios.CompareFailover,
+			func(c *scenarios.FailoverComparison) view { return view{c.Render, c.Violations, c.Fast} }, stdout, stderr)
+	case *qoeCells:
+		return loop(scenarios.QoESpecs(), o, scenarios.CompareScoreModes,
+			func(c *scenarios.ScoreModeComparison) view { return view{c.Render, c.Violations, c.QoE} }, stdout, stderr)
+	case *scale:
+		return loop(scenarios.ScaleSpecs(), o, runScale, scaleResult.view, stdout, stderr)
+	case *matrix:
+		cells = scenarios.MatrixSpecs()
+	case *topoF != "":
+		adhoc := scenarios.TopoSpec{Family: *topoF, Size: *size, Seed: *seed}
+		cells = []scenarios.Spec{{Topo: adhoc, Workload: *workload, Failure: *failure, Seed: *seed}}
+	default:
+		s, ok := scenarios.SpecByName(*runCell)
+		if !ok {
+			return usage("no matrix cell %q (see -list)", *runCell)
 		}
-		spec.Workers = workers
-		start := time.Now()
-		rep, err := scenarios.Run(spec, true)
+		cells = []scenarios.Spec{s}
+	}
+	return loop(cells, o, scenarios.Compare,
+		func(c *scenarios.Comparison) view { return view{c.Render, c.Violations, c.On} }, stdout, stderr)
+}
+
+// loop is the one way fiblab runs cells: lay the overrides over each spec,
+// run it through the mode's arms, render it or keep it for the JSON array,
+// and turn violated invariants into the exit status.
+func loop[C any](cells []scenarios.Spec, o options, run func(scenarios.Spec) (C, error), see func(C) view, stdout, stderr io.Writer) int {
+	var results []C
+	failed := false
+	start := time.Now()
+	for _, spec := range cells {
+		c, err := run(o.apply(spec))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "fiblab: %v\n", err)
+			return 1
 		}
-		wall := time.Since(start)
-		results = append(results, scaleResult{Report: rep, WallClock: wall.Seconds()})
-		if !jsonOut {
-			fmt.Printf("%-24s wall=%8.2fs events=%9d spf=%d inc/%d full reshare=%d inc/%d full sessions=%d aggs=%d settled=%.2f lies=%d workers=%d batches=%d par-spf=%d/%d max-batch=%d\n",
-				spec.Name, wall.Seconds(), rep.Events,
-				rep.SPFIncrementalRuns, rep.SPFFullRuns,
-				rep.ReshareIncremental, rep.ReshareFull,
-				rep.Sessions, rep.Aggregates, rep.SettledUtilisation, rep.Lies,
-				rep.Workers, rep.ParallelBatches, rep.ParallelSPFRuns,
-				rep.ParallelSPFRuns+rep.SequentialSPFRuns, rep.MaxBatch)
-			if cacheStats {
-				var b strings.Builder
-				rep.RenderCacheStats(&b, "  ")
-				fmt.Print(b.String())
+		results = append(results, c)
+		v := see(c)
+		failed = failed || len(v.violations) > 0
+		if !o.jsonOut {
+			var b strings.Builder
+			v.render(&b)
+			if o.cacheStats {
+				v.stats.RenderCacheStats(&b, "  ")
 			}
+			fmt.Fprint(stdout, b.String())
 		}
 	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+	if o.jsonOut {
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "fiblab: %v\n", err)
+			return 1
 		}
+	} else {
+		fmt.Fprintf(stdout, "%d cells in %.1fs\n", len(results), time.Since(start).Seconds())
 	}
+	if failed {
+		fmt.Fprintln(stderr, "fiblab: invariant violations (see above)")
+		return 1
+	}
+	return 0
 }

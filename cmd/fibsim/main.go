@@ -148,7 +148,7 @@ func planWhatIf(t *topo.Topology, demands []topo.Demand, loads map[topo.LinkID]f
 	tb := metrics.NewTable("strategy", "lies", "predicted util", "meets target", "rationale")
 	for _, p := range plans {
 		tb.AddRow(p.Strategy, p.TotalLies(), fmt.Sprintf("%.3f", p.PredictedUtil),
-			p.PredictedUtil <= ctx.Target, p.Rationale)
+			p.PredictedUtil <= controller.TargetUtil, p.Rationale)
 	}
 	if err := tb.Render(os.Stdout); err != nil {
 		return err

@@ -86,19 +86,20 @@ type Config struct {
 	DetectMult int
 	// Seed drives the per-endpoint jitter PRNGs.
 	Seed int64
-
-	// Flap damping: every session down adds FlapPenalty to a decaying
-	// penalty (half-life HalfLife); while the penalty is at or above
-	// SuppressAt, up-notifications are withheld until it decays below
-	// ReuseBelow. Down-notifications are never suppressed — a consumer
-	// must always learn the link is gone. Defaults: 1000 / 2000 / 750 /
-	// 8s, i.e. a single failure never suppresses, rapid repeated flaps
-	// do.
-	FlapPenalty float64
-	SuppressAt  float64
-	ReuseBelow  float64
-	HalfLife    time.Duration
 }
+
+// Flap damping: every session down adds flapPenalty to a decaying penalty
+// (half-life penaltyHalfLife); while the penalty is at or above
+// suppressAt, up-notifications are withheld until it decays below
+// reuseBelow. Down-notifications are never suppressed — a consumer must
+// always learn the link is gone. A single failure never suppresses, rapid
+// repeated flaps do.
+const (
+	flapPenalty     = 1000.0
+	suppressAt      = 2000.0
+	reuseBelow      = 750.0
+	penaltyHalfLife = 8 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.TxInterval <= 0 {
@@ -109,18 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DetectMult <= 0 {
 		c.DetectMult = 3
-	}
-	if c.FlapPenalty <= 0 {
-		c.FlapPenalty = 1000
-	}
-	if c.SuppressAt <= 0 {
-		c.SuppressAt = 2000
-	}
-	if c.ReuseBelow <= 0 {
-		c.ReuseBelow = 750
-	}
-	if c.HalfLife <= 0 {
-		c.HalfLife = 8 * time.Second
 	}
 	return c
 }
@@ -419,7 +408,7 @@ func (s *Session) refresh() {
 		s.everUp, s.announced = true, true
 		return
 	}
-	if s.decayedPenalty(now) >= s.eng.cfg.SuppressAt {
+	if s.decayedPenalty(now) >= suppressAt {
 		s.suppressed = true
 		s.eng.stats.SuppressedUps++
 		s.scheduleReuse(now)
@@ -442,9 +431,9 @@ func (s *Session) announceUp() {
 func (s *Session) scheduleReuse(now time.Duration) {
 	p := s.decayedPenalty(now)
 	wait := time.Millisecond
-	if p > s.eng.cfg.ReuseBelow {
-		// Solve p · 2^(-t/halfLife) = ReuseBelow for t.
-		wait = time.Duration(math.Log2(p/s.eng.cfg.ReuseBelow) * float64(s.eng.cfg.HalfLife))
+	if p > reuseBelow {
+		// Solve p · 2^(-t/halfLife) = reuseBelow for t.
+		wait = time.Duration(math.Log2(p/reuseBelow) * float64(penaltyHalfLife))
 		if wait < time.Millisecond {
 			wait = time.Millisecond
 		}
@@ -453,7 +442,7 @@ func (s *Session) scheduleReuse(now time.Duration) {
 		if !s.suppressed || !s.up {
 			return // went down again (down was announced) or already reused
 		}
-		if n := s.eng.sched.Now(); s.decayedPenalty(n) >= s.eng.cfg.ReuseBelow {
+		if n := s.eng.sched.Now(); s.decayedPenalty(n) >= reuseBelow {
 			s.scheduleReuse(n) // numeric slack: not quite below yet
 			return
 		}
@@ -466,11 +455,11 @@ func (s *Session) decayedPenalty(now time.Duration) float64 {
 		return 0
 	}
 	dt := now - s.penaltyAt
-	return s.penalty * math.Exp2(-float64(dt)/float64(s.eng.cfg.HalfLife))
+	return s.penalty * math.Exp2(-float64(dt)/float64(penaltyHalfLife))
 }
 
 func (s *Session) addPenalty(now time.Duration) {
-	s.penalty = s.decayedPenalty(now) + s.eng.cfg.FlapPenalty
+	s.penalty = s.decayedPenalty(now) + flapPenalty
 	s.penaltyAt = now
 }
 

@@ -112,7 +112,7 @@ func TestSessionEstablishAndDetect(t *testing.T) {
 		t.Fatalf("session still up after failure")
 	}
 
-	// Heal: one OnUp (a single flap's penalty stays below SuppressAt).
+	// Heal: one OnUp (a single flap's penalty stays below suppressAt).
 	h.sched.At(6*time.Second, func() { h.setLink(tp.Link(0), true) })
 	h.sched.RunUntil(8 * time.Second)
 	if len(h.ups) != 1 {
@@ -149,7 +149,7 @@ func TestFlapDamping(t *testing.T) {
 	h.sched.RunUntil(1 * time.Second)
 
 	// Three rapid flaps, 700ms apart: penalties stack well past
-	// SuppressAt (2000) long before the 8s half-life decays them.
+	// suppressAt (2000) long before the 8s half-life decays them.
 	for i := 0; i < 3; i++ {
 		at := 2*time.Second + time.Duration(i)*700*time.Millisecond
 		h.sched.At(at, func() { h.setLink(tp.Link(0), false) })
@@ -161,7 +161,7 @@ func TestFlapDamping(t *testing.T) {
 		t.Fatalf("downs are never suppressed: want 3, got %d", len(h.downs))
 	}
 	// The first two re-ups (decayed penalty ≈1000 then ≈1940, both below
-	// SuppressAt 2000) are announced; the third (≈2830) is suppressed.
+	// suppressAt 2000) are announced; the third (≈2830) is suppressed.
 	if len(h.ups) != 2 {
 		t.Fatalf("want 2 announced ups mid-flap, got %d", len(h.ups))
 	}
@@ -173,7 +173,7 @@ func TestFlapDamping(t *testing.T) {
 		t.Fatalf("stats should count suppressed ups")
 	}
 
-	// Decay: once the penalty falls below ReuseBelow the withheld up is
+	// Decay: once the penalty falls below reuseBelow the withheld up is
 	// announced. Penalty peaked ≈ 2830 ⇒ below 750 within ~2 half-lives
 	// (16s); allow slack.
 	h.sched.RunUntil(40 * time.Second)

@@ -68,8 +68,8 @@ type graphEntry struct {
 }
 
 type kspKey struct {
-	src, dst     topo.NodeID
-	k, spurLimit int
+	src, dst topo.NodeID
+	k        int
 }
 
 // loadsEntry caches one fluid routing of a full lie set: the per-link
@@ -86,12 +86,6 @@ type augEntry struct {
 	aug    *fibbing.Augmentation
 	pinned bool
 	err    error
-}
-
-type candKey struct {
-	prefix string
-	hot    topo.NodeID
-	k      int
 }
 
 // qoePropEntry caches one qoe-greedy descent outcome: the chosen overlay
@@ -123,7 +117,6 @@ type PlanArtifacts struct {
 	mmx   map[string]result[*te.MinMaxResult]
 	augs  map[string]augEntry
 	qoe   map[string]result[qoe.PlanQoE]
-	cands map[candKey][][]fibbing.Lie
 	props map[string]qoePropEntry
 
 	// lp and stats are shared across cache generations (and with the
@@ -159,7 +152,6 @@ func newPlanArtifacts(t *topo.Topology, stats *ArtifactStats, lp *te.MinMaxSolve
 		mmx:       make(map[string]result[*te.MinMaxResult]),
 		augs:      make(map[string]augEntry),
 		qoe:       make(map[string]result[qoe.PlanQoE]),
-		cands:     make(map[candKey][][]fibbing.Lie),
 		props:     make(map[string]qoePropEntry),
 		lp:        lp,
 		stats:     stats,
@@ -221,11 +213,16 @@ func (a *PlanArtifacts) Tree(src topo.NodeID) *spf.Tree {
 	})
 }
 
+// spurScan bounds Yen's spur scan to the first nodes of each parent
+// path: deviations near the hot router are the exploitable ones, and the
+// bound keeps the per-alarm search cheap on large sparse topologies.
+const spurScan = 8
+
 // KShortest returns the memoised Yen k-shortest-path set.
-func (a *PlanArtifacts) KShortest(src, dst topo.NodeID, k, spurLimit int) [][]topo.NodeID {
-	return memo(a, a.ksp, kspKey{src, dst, k, spurLimit}, a.planCount, func() [][]topo.NodeID {
+func (a *PlanArtifacts) KShortest(src, dst topo.NodeID, k int) [][]topo.NodeID {
+	return memo(a, a.ksp, kspKey{src, dst, k}, a.planCount, func() [][]topo.NodeID {
 		g, skip := a.Graph()
-		return spf.KShortestSpurLimit(g, src, dst, k, spurLimit, skip)
+		return spf.KShortestSpurLimit(g, src, dst, k, spurScan, skip)
 	})
 }
 
@@ -339,24 +336,12 @@ func (a *PlanArtifacts) predictQoEKeyed(modelKey string, lies map[string][]fibbi
 	}).get()
 }
 
-// QoECandidates memoises the qoe-greedy strategy's per-prefix candidate
-// sweep. The candidate lie sets depend only on the topology (through the
-// SPF tree and attachment set), the prefix, the hot router and the path
-// count — all fixed within one cache generation — while building them
-// costs k DAG constructions plus k compile-memo key encodings per
-// planning round. An alarm train re-planning the same hot link skips all
-// of it.
-func (a *PlanArtifacts) QoECandidates(prefix string, hot topo.NodeID, k int, build func() [][]fibbing.Lie) [][]fibbing.Lie {
-	return memo(a, a.cands, candKey{prefix, hot, k}, a.planCount, build)
-}
-
 // qoeProposal memoises the qoe-greedy strategy's whole greedy descent.
-// The descent is a pure function of the candidate sets (topology-bound,
-// see QoECandidates), the installed lies, the demand set and the viewer
-// model — exactly what the key encodes — so an alarm train re-raising
-// the same hot link replays the chosen overlay (or the abstention) with
-// one lookup instead of a per-candidate predictor sweep. Accounted under
-// the QoE counters.
+// The descent is a pure function of the topology, the hot router, the
+// installed lies, the demand set and the viewer model — exactly what the
+// key encodes — so an alarm train re-raising the same hot link replays
+// the chosen overlay (or the abstention) with one lookup instead of a
+// per-candidate predictor sweep. Accounted under the QoE counters.
 func (a *PlanArtifacts) qoeProposal(key string, build func() qoePropEntry) qoePropEntry {
 	return memo(a, a.props, key, a.qoeCount, build)
 }

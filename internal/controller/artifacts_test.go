@@ -46,7 +46,7 @@ func TestArtifactMemo(t *testing.T) {
 			return outcome{val: a.Tree(b)}
 		}},
 		{name: "KShortest reads Graph", misses: ArtifactStats{Misses: 2}, lookup: func(a *PlanArtifacts) outcome {
-			return outcome{val: a.KShortest(b, c, 3, 8)}
+			return outcome{val: a.KShortest(b, c, 3)}
 		}},
 		{name: "Views", misses: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			v, err := a.Views(blue, nil)
@@ -79,9 +79,6 @@ func TestArtifactMemo(t *testing.T) {
 		{name: "CompileDAG fails", misses: ArtifactStats{Misses: 1}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
 			aug, _, err := a.CompileDAG(blue, fibbing.DAG{b: {c: 1}}) // C is no neighbour of B
 			return outcome{aug, err}
-		}},
-		{name: "QoECandidates", misses: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
-			return outcome{val: a.QoECandidates(blue, b, 3, func() [][]fibbing.Lie { return [][]fibbing.Lie{{}} })}
 		}},
 		{name: "predictQoE reads Views", misses: ArtifactStats{Misses: 1, QoEMisses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			q, err := a.predictQoEKeyed("m", nil, demands, model)

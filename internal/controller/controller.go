@@ -40,11 +40,15 @@ type planGens struct {
 	lie    uint64
 }
 
-// DefaultTargetUtilisation is the post-reaction utilisation the
-// controller aims for when Config.TargetUtilisation is unset. Exported
-// so harnesses (internal/scenarios) can bound their invariants against
-// the same value.
-const DefaultTargetUtilisation = 0.75
+// TargetUtil is the post-reaction utilisation the controller aims for:
+// a plan at or below it satisfies the reaction, and the planner stops
+// optimising there. Exported so harnesses (internal/scenarios) can bound
+// their invariants against the same value.
+const TargetUtil = 0.75
+
+// maxDenom bounds the ECMP weight denominator when realising fractional
+// splits: at most 16 fake nodes per router per destination.
+const maxDenom = 16
 
 // DefaultMaxLPRouters is the default topology-size bound for LP-based
 // machinery (the lp-optimal strategy here, the LP reporting bound in
@@ -60,15 +64,6 @@ const DefaultWithdrawBelow = 0.2
 // is a legitimate setting are pointers (Float builds them); nil means
 // "use the default", so an explicit zero is never silently replaced.
 type Config struct {
-	// TargetUtilisation is the post-reaction utilisation the controller
-	// aims for (nil: DefaultTargetUtilisation). Float(0) makes every
-	// reaction purely best-effort: no plan ever "satisfies" the target,
-	// so the planner always minimises predicted utilisation.
-	TargetUtilisation *float64
-	// MaxDenom bounds the ECMP weight denominator when realising
-	// fractional splits (default 16, i.e. at most 16 fake nodes per
-	// router per destination).
-	MaxDenom int
 	// WithdrawBelow: when every alarm has cleared and plain IGP routing
 	// would stay below this utilisation, lies are withdrawn (nil:
 	// DefaultWithdrawBelow). Float(0) disables withdrawal entirely.
@@ -78,10 +73,10 @@ type Config struct {
 	// and the cheaper strategies compete.
 	MaxLPRouters int
 	// ScoreMode selects what the planner optimises: ScoreUtil (the zero
-	// value: max link utilisation, the historical behaviour), ScoreQoE
-	// (predicted viewer stall-seconds first) or ScoreBlended. Under
-	// ScoreQoE/ScoreBlended the controller equips every planning round
-	// with the QoE predictor over its tracked member counts.
+	// value: max link utilisation, the historical behaviour) or ScoreQoE
+	// (predicted viewer stall-seconds first). Under ScoreQoE the
+	// controller equips every planning round with the QoE predictor over
+	// its tracked member counts.
 	ScoreMode ScoreMode
 }
 
@@ -90,8 +85,6 @@ func Float(v float64) *float64 { return &v }
 
 // resolved carries the policy knobs with every sentinel resolved.
 type resolved struct {
-	target        float64
-	maxDenom      int
 	withdrawBelow float64
 	maxLPRouters  int
 	scoreMode     ScoreMode
@@ -99,16 +92,8 @@ type resolved struct {
 
 func (c Config) resolve() resolved {
 	r := resolved{
-		target:        DefaultTargetUtilisation,
-		maxDenom:      16,
 		withdrawBelow: DefaultWithdrawBelow,
 		maxLPRouters:  DefaultMaxLPRouters,
-	}
-	if c.TargetUtilisation != nil {
-		r.target = *c.TargetUtilisation
-	}
-	if c.MaxDenom > 0 {
-		r.maxDenom = c.MaxDenom
 	}
 	if c.WithdrawBelow != nil {
 		r.withdrawBelow = *c.WithdrawBelow
@@ -449,7 +434,7 @@ func (c *Controller) plan(ev Event) {
 		return
 	}
 	ctx := buildPlanContext(c.ensureArtifacts(pt), pt, demands, c.lies.InstalledAll(), ev, c.cfg, len(c.raised))
-	if ev.Kind == EventAlarmRaised && ctx.BaseUtil <= c.cfg.target {
+	if ev.Kind == EventAlarmRaised && ctx.BaseUtil <= TargetUtil {
 		return // stale alarm
 	}
 	if c.cfg.scoreMode != ScoreUtil {

@@ -137,7 +137,7 @@ func (p *Planner) Plan(ctx PlanContext) (*Plan, []error) {
 // the verdict call ProposeAll once and Select on the result instead of
 // running every strategy twice.
 func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
-	qoeActive := ctx.ScoreMode != ScoreUtil && ctx.PredictQoE != nil
+	qoeActive := ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil
 	var best *Plan
 	for _, plan := range plans {
 		plan.LieCost = liveLiesAfter(ctx.Installed, plan)
@@ -176,9 +176,8 @@ func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
 // All comparisons use the relative utilEps, so the verdict is identical
 // for rescaled versions of the same problem.
 func admissible(ctx PlanContext, plan *Plan) bool {
-	if ctx.ScoreMode != ScoreUtil && ctx.PredictQoE != nil &&
-		plan.PredictedUtil > ctx.Target+utilEps(plan.PredictedUtil, ctx.Target) {
-		// QoE modes, above the target: only a strict stall improvement
+	if ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil && !meetsTarget(plan.PredictedUtil) {
+		// QoE mode, above the target: only a strict stall improvement
 		// admits the plan. In particular a plan that merely improves the
 		// predicted utilisation (the util-mode gate below) is rejected when
 		// it gives those cooler links back by re-starving viewers — without
@@ -189,9 +188,13 @@ func admissible(ctx PlanContext, plan *Plan) bool {
 	if plan.PredictedUtil < ctx.BaseUtil-utilEps(plan.PredictedUtil, ctx.BaseUtil) {
 		return true
 	}
-	return plan.PredictedUtil <= ctx.Target+utilEps(plan.PredictedUtil, ctx.Target) &&
+	return meetsTarget(plan.PredictedUtil) &&
 		plan.PredictedUtil <= ctx.BaseUtil+utilEps(plan.PredictedUtil, ctx.BaseUtil)
 }
+
+// meetsTarget reports whether a predicted utilisation satisfies the
+// reaction target, within comparison noise.
+func meetsTarget(util float64) bool { return util <= TargetUtil+utilEps(util, TargetUtil) }
 
 // better reports whether a beats b under the scoring order. Strict: on a
 // full tie the earlier-registered plan (b) is kept.
@@ -199,36 +202,18 @@ func admissible(ctx PlanContext, plan *Plan) bool {
 // ScoreUtil orders by target satisfaction, lie cost, predicted
 // utilisation. ScoreQoE puts the predicted stall score first — fewer
 // stalled viewer-seconds beat everything, with the utilisation order as
-// the tie-break. ScoreBlended keeps target satisfaction first (a plan
-// that cools the network below target still wins) and breaks ties on
-// the stall score before lie cost.
+// the tie-break.
 func better(ctx PlanContext, a, b *Plan) bool {
-	if ctx.ScoreMode != ScoreUtil && ctx.PredictQoE != nil {
-		if ctx.ScoreMode == ScoreQoE {
-			if stallDiffers(a, b) {
-				return a.PredictedStall < b.PredictedStall
-			}
-			return betterUtil(ctx, a, b)
-		}
-		// Blended: target satisfaction first, then the stall score.
-		satA := a.PredictedUtil <= ctx.Target+utilEps(a.PredictedUtil, ctx.Target)
-		satB := b.PredictedUtil <= ctx.Target+utilEps(b.PredictedUtil, ctx.Target)
-		if satA != satB {
-			return satA
-		}
-		if stallDiffers(a, b) {
-			return a.PredictedStall < b.PredictedStall
-		}
+	if ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil && stallDiffers(a, b) {
+		return a.PredictedStall < b.PredictedStall
 	}
-	return betterUtil(ctx, a, b)
+	return betterUtil(a, b)
 }
 
 // betterUtil is the utilisation scoring order: target satisfaction, lie
 // cost, predicted utilisation.
-func betterUtil(ctx PlanContext, a, b *Plan) bool {
-	satA := a.PredictedUtil <= ctx.Target+utilEps(a.PredictedUtil, ctx.Target)
-	satB := b.PredictedUtil <= ctx.Target+utilEps(b.PredictedUtil, ctx.Target)
-	if satA != satB {
+func betterUtil(a, b *Plan) bool {
+	if satA := meetsTarget(a.PredictedUtil); satA != meetsTarget(b.PredictedUtil) {
 		return satA
 	}
 	if a.LieCost != b.LieCost {
@@ -320,9 +305,7 @@ func buildPlanContext(arts *PlanArtifacts, t *topo.Topology, demands []topo.Dema
 		Installed:     installed,
 		RaisedAlarms:  raisedAlarms,
 		BaseUtil:      base,
-		Target:        r.target,
 		WithdrawBelow: r.withdrawBelow,
-		MaxDenom:      r.maxDenom,
 		MaxLPRouters:  r.maxLPRouters,
 		ScoreMode:     r.scoreMode,
 		Evaluate:      eval,

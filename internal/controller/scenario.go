@@ -82,23 +82,6 @@ func NewSim(o SimOpts) (*Sim, error) {
 	if o.AttachAt == "" {
 		o.AttachAt = topo.Fig1R3
 	}
-	if o.Monitor.Interval <= 0 {
-		o.Monitor.Interval = 2 * time.Second
-	}
-	if o.Monitor.HighThreshold <= 0 {
-		o.Monitor.HighThreshold = 0.85
-	}
-	// nil means unset: an explicit monitor.Float(0)/monitor.Int(0) is a
-	// legitimate setting and passes through untouched.
-	if o.Monitor.LowThreshold == nil {
-		o.Monitor.LowThreshold = monitor.Float(0.1)
-	}
-	if o.Monitor.Alpha <= 0 {
-		o.Monitor.Alpha = 0.7
-	}
-	if o.Monitor.RepeatEvery == nil {
-		o.Monitor.RepeatEvery = monitor.Int(2)
-	}
 
 	s := &Sim{Topo: o.Topology, Sched: event.NewScheduler()}
 	s.Sched.SetWorkers(o.Workers)

@@ -24,22 +24,14 @@ const (
 	// terms — a plan may exceed the utilisation target only if its
 	// predicted stall-seconds strictly improve on the no-op plan.
 	ScoreQoE
-	// ScoreBlended keeps utilisation-target satisfaction as the first
-	// criterion (as ScoreUtil) but breaks ties on predicted
-	// stall-seconds before lie cost.
-	ScoreBlended
 )
 
-// String returns the flag-format name ("util", "qoe", "blended").
+// String returns the flag-format name ("util" or "qoe").
 func (m ScoreMode) String() string {
-	switch m {
-	case ScoreQoE:
+	if m == ScoreQoE {
 		return "qoe"
-	case ScoreBlended:
-		return "blended"
-	default:
-		return "util"
 	}
+	return "util"
 }
 
 // ParseScoreMode resolves the flag-format name, case-insensitively.
@@ -50,10 +42,8 @@ func ParseScoreMode(s string) (ScoreMode, error) {
 		return ScoreUtil, nil
 	case "qoe":
 		return ScoreQoE, nil
-	case "blended", "blend":
-		return ScoreBlended, nil
 	}
-	return ScoreUtil, fmt.Errorf("controller: unknown score mode %q (want util, qoe or blended)", s)
+	return ScoreUtil, fmt.Errorf("controller: unknown score mode %q (want util or qoe)", s)
 }
 
 // WithQoE equips a context with the viewer model: it installs the

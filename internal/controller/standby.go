@@ -460,7 +460,7 @@ func (s FailoverPinStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	base := fibbing.NewEvaluator(ctx.BaseTopo)
 	overlay := make(map[string][]fibbing.Lie)
 	for _, prefix := range ctx.Prefixes {
-		views, err := ctx.PrefixViews(prefix, nil)
+		views, err := ctx.Artifacts.Views(prefix, nil)
 		if err != nil {
 			return nil, nil // abstain whole-plan; the fallback planner owns it
 		}

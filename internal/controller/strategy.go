@@ -8,7 +8,6 @@ import (
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/qoe"
 	"fibbing.net/fibbing/internal/spf"
-	"fibbing.net/fibbing/internal/te"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -22,8 +21,7 @@ type PlanContext struct {
 	// Artifacts is the shared memoisation layer for the expensive
 	// planner inputs (SPF trees, k-shortest paths, believed-topology
 	// compilations, LP solves, load estimates), always bound to Topo
-	// (buildPlanContext guarantees it); strategies read it through the
-	// SPFTree/KShortestPaths/PrefixViews/SolveMinMax/CompileDAG helpers.
+	// (buildPlanContext guarantees it).
 	Artifacts *PlanArtifacts
 	// Event is what triggered planning; Event.Alarm carries the hot link
 	// for raise events.
@@ -48,17 +46,15 @@ type PlanContext struct {
 	// current demands routed over the installed lies.
 	BaseUtil float64
 	// Policy knobs (resolved, no sentinels).
-	Target        float64
 	WithdrawBelow float64
-	MaxDenom      int
 	MaxLPRouters  int
 	// Evaluate predicts the max link utilisation of routing Demands with
 	// the installed lies overlaid by the given per-prefix sets: a present
 	// key replaces that prefix's installed lies (empty clears them),
 	// absent prefixes keep theirs. Evaluate(nil) == BaseUtil.
 	Evaluate func(overlay map[string][]fibbing.Lie) (float64, error)
-	// ScoreMode selects the planner's scoring order (utilisation, QoE,
-	// or blended); see the ScoreMode constants.
+	// ScoreMode selects the planner's scoring order (utilisation or
+	// QoE); see the ScoreMode constants.
 	ScoreMode ScoreMode
 	// QoEModel describes the viewer population (member counts per
 	// aggregate, playback model) when QoE scoring is active; zero
@@ -78,35 +74,6 @@ type PlanContext struct {
 	// re-encode the (unchanging) viewer model. Empty when PredictQoE is
 	// nil.
 	qoeModelKey string
-}
-
-// SPFTree returns the memoised shortest-path tree rooted at src.
-func (ctx *PlanContext) SPFTree(src topo.NodeID) *spf.Tree { return ctx.Artifacts.Tree(src) }
-
-// KShortestPaths returns up to k loopless shortest paths src->dst (Yen
-// with the given spur limit), memoised per query.
-func (ctx *PlanContext) KShortestPaths(src, dst topo.NodeID, k, spurLimit int) [][]topo.NodeID {
-	return ctx.Artifacts.KShortest(src, dst, k, spurLimit)
-}
-
-// PrefixViews returns the memoised believed-topology route views for one
-// prefix under the given lie set (nil lies = the plain IGP view). The
-// returned map is shared: read-only.
-func (ctx *PlanContext) PrefixViews(prefix string, lies []fibbing.Lie) (map[topo.NodeID]fibbing.RouteView, error) {
-	return ctx.Artifacts.Views(prefix, lies)
-}
-
-// SolveMinMax returns the min-max LP optimum for the context's demands,
-// memoised, and warm-started across demand changes.
-func (ctx *PlanContext) SolveMinMax() (*te.MinMaxResult, error) {
-	return ctx.Artifacts.SolveMinMax(ctx.Demands)
-}
-
-// CompileDAG compiles and verifies a requirement DAG into lies (add-paths
-// first, pin-all + reduction when paths must be removed), memoised. The
-// returned augmentation is shared with the cache — treat it as read-only.
-func (ctx *PlanContext) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Augmentation, bool, error) {
-	return ctx.Artifacts.CompileDAG(prefix, dag)
 }
 
 // Plan is one strategy's proposed reaction: typed per-prefix lie sets
@@ -256,7 +223,7 @@ func (s LocalECMPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	hot := ctx.Topo.Link(ctx.Event.Alarm.Link).From
 	overlay := make(map[string][]fibbing.Lie)
 	for _, prefix := range ctx.Prefixes {
-		views, err := ctx.PrefixViews(prefix, nil)
+		views, err := ctx.Artifacts.Views(prefix, nil)
 		if err != nil {
 			continue
 		}
@@ -284,7 +251,7 @@ func (s LocalECMPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 // localSpreadLies builds the local-spreading requirement for one prefix:
 // the hot router keeps its IGP next hops and adds every unused downhill
 // neighbor, evenly. views is the prefix's plain-IGP view set (the caller
-// fetches it, memoised, through ctx.PrefixViews); ev is the evaluator for
+// fetches it, memoised, through ctx.Artifacts.Views); ev is the evaluator for
 // t. ok is false when no spread exists or it fails to compile/verify.
 func localSpreadLies(ev *fibbing.Evaluator, t *topo.Topology, views map[topo.NodeID]fibbing.RouteView, prefix string, hot topo.NodeID) ([]fibbing.Lie, bool) {
 	hv, ok := views[hot]
@@ -345,14 +312,14 @@ func (s LPOptimalStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	if n := routerCount(ctx.Topo); n > ctx.MaxLPRouters {
 		return nil, nil // guard: abstain rather than stall
 	}
-	opt, err := ctx.SolveMinMax()
+	opt, err := ctx.Artifacts.SolveMinMax(ctx.Demands)
 	if err != nil {
 		return nil, fmt.Errorf("lp-optimal: %w", err)
 	}
 	overlay := make(map[string][]fibbing.Lie)
 	pinned := false
 	for _, prefix := range ctx.Prefixes {
-		dag, err := fibbing.SplitsToDAG(opt.Splits[prefix], ctx.MaxDenom)
+		dag, err := fibbing.SplitsToDAG(opt.Splits[prefix], maxDenom)
 		if err != nil {
 			return nil, fmt.Errorf("lp-optimal: %s: %w", prefix, err)
 		}
@@ -361,7 +328,7 @@ func (s LPOptimalStrategy) Propose(ctx PlanContext) (*Plan, error) {
 		for _, at := range p.Attachments {
 			delete(dag, at.Node)
 		}
-		aug, wasPinned, err := ctx.CompileDAG(prefix, dag)
+		aug, wasPinned, err := ctx.Artifacts.CompileDAG(prefix, dag)
 		if err != nil {
 			return nil, fmt.Errorf("lp-optimal: %s: %w", prefix, err)
 		}
@@ -426,11 +393,6 @@ func routerCount(t *topo.Topology) int {
 type KSPStrategy struct {
 	// K is the number of loopless paths to consider (default 4).
 	K int
-	// SpurLimit bounds Yen's spur scan to the first nodes of each parent
-	// path (default 8; negative means unbounded). Deviations near the
-	// hot router are the exploitable ones, and the bound keeps the
-	// per-alarm search cheap on large sparse topologies.
-	SpurLimit int
 }
 
 // Name implements Strategy.
@@ -445,15 +407,8 @@ func (s KSPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	if k <= 0 {
 		k = 4
 	}
-	spurLimit := s.SpurLimit
-	switch {
-	case spurLimit == 0:
-		spurLimit = 8
-	case spurLimit < 0:
-		spurLimit = 0 // unbounded
-	}
 	hot := ctx.Topo.Link(ctx.Event.Alarm.Link).From
-	tree := ctx.SPFTree(hot)
+	tree := ctx.Artifacts.Tree(hot)
 
 	overlay := make(map[string][]fibbing.Lie)
 	pathsUsed := 0
@@ -466,7 +421,7 @@ func (s KSPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 		if !ok || dst == hot {
 			continue
 		}
-		paths := ctx.KShortestPaths(hot, dst, k, spurLimit)
+		paths := ctx.Artifacts.KShortest(hot, dst, k)
 		if len(paths) < 2 {
 			continue // no alternative beyond the IGP path
 		}
@@ -478,7 +433,7 @@ func (s KSPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 		accepted := 0
 		for _, path := range paths {
 			cand := addPathToDAG(dag, path)
-			a, _, err := ctx.CompileDAG(prefix, normalizeDAG(cand))
+			a, _, err := ctx.Artifacts.CompileDAG(prefix, normalizeDAG(cand))
 			if err != nil {
 				continue
 			}

@@ -75,18 +75,12 @@ func (s QoEGreedyStrategy) Propose(ctx PlanContext) (*Plan, error) {
 // Prefixes is sorted, so the descent order is deterministic. A nil
 // overlay in the returned entry means abstain.
 func (s QoEGreedyStrategy) descend(ctx PlanContext, hot topo.NodeID, k int) qoePropEntry {
-	tree := ctx.SPFTree(hot)
+	tree := ctx.Artifacts.Tree(hot)
 	overlay := make(map[string][]fibbing.Lie)
 	bestScore := ctx.BaseStall
 	for _, prefix := range ctx.Prefixes {
-		// The sweep depends only on (topology, prefix, hot, k): an alarm
-		// train re-planning the same hot link reuses the compiled lie sets
-		// without rebuilding or re-keying the candidate DAGs.
-		cands := ctx.Artifacts.QoECandidates(prefix, hot, k, func() [][]fibbing.Lie {
-			return s.candidates(ctx, prefix, hot, tree, k)
-		})
 		var bestLies []fibbing.Lie
-		for _, lies := range cands {
+		for _, lies := range s.candidates(ctx, prefix, hot, tree, k) {
 			overlay[prefix] = lies
 			q, err := ctx.PredictQoE(overlay)
 			if err != nil {
@@ -123,13 +117,13 @@ func (s QoEGreedyStrategy) candidates(ctx PlanContext, prefix string, hot topo.N
 	if !ok || dst == hot {
 		return nil
 	}
-	paths := ctx.KShortestPaths(hot, dst, k, 8)
+	paths := ctx.Artifacts.KShortest(hot, dst, k)
 	if len(paths) == 0 {
 		return nil
 	}
 	var out [][]fibbing.Lie
 	add := func(dag fibbing.DAG) {
-		aug, _, err := ctx.CompileDAG(prefix, normalizeDAG(dag))
+		aug, _, err := ctx.Artifacts.CompileDAG(prefix, normalizeDAG(dag))
 		if err == nil {
 			out = append(out, aug.Lies)
 		}

@@ -71,11 +71,11 @@ type Alarm struct {
 // default", so an explicit zero is never silently replaced.
 type Config struct {
 	Interval time.Duration // poll period (default 2s)
-	// Alpha is the EWMA smoothing factor (default 0.5).
+	// Alpha is the EWMA smoothing factor (default 0.7).
 	Alpha float64
-	// HighThreshold raises an alarm (default 0.7).
+	// HighThreshold raises an alarm (default 0.85).
 	HighThreshold float64
-	// LowThreshold clears a raised alarm (nil: default 0.3); hysteresis
+	// LowThreshold clears a raised alarm (nil: default 0.1); hysteresis
 	// avoids flapping. Float(0) clears only on a fully idle link; a
 	// negative threshold never clears.
 	LowThreshold *float64
@@ -86,9 +86,8 @@ type Config struct {
 	// RepeatEvery re-fires the raised alarm every k consecutive
 	// above-threshold polls while the alarm stays raised, so the
 	// controller learns that its last reaction was insufficient (or a
-	// new surge hit the same link). nil or Int(0) disables repeats
-	// (callers layering their own default, e.g. controller.NewSim,
-	// distinguish the two).
+	// new surge hit the same link). nil: default 2; Int(0) disables
+	// repeats.
 	RepeatEvery *int
 }
 
@@ -103,13 +102,13 @@ func (c Config) withDefaults() Config {
 		c.Interval = 2 * time.Second
 	}
 	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.5
+		c.Alpha = 0.7
 	}
 	if c.HighThreshold <= 0 {
-		c.HighThreshold = 0.7
+		c.HighThreshold = 0.85
 	}
 	if c.LowThreshold == nil {
-		c.LowThreshold = Float(0.3)
+		c.LowThreshold = Float(0.1)
 	}
 	if c.RaiseAfter <= 0 {
 		c.RaiseAfter = 1
@@ -118,7 +117,7 @@ func (c Config) withDefaults() Config {
 		c.ClearAfter = 2
 	}
 	if c.RepeatEvery == nil {
-		c.RepeatEvery = Int(0)
+		c.RepeatEvery = Int(2)
 	}
 	return c
 }

@@ -91,7 +91,7 @@ func TestAlarmRaiseAndClearWithHysteresis(t *testing.T) {
 	r := newRig(t, Config{
 		Interval: time.Second, Alpha: 1,
 		HighThreshold: 0.7, LowThreshold: Float(0.3),
-		RaiseAfter: 2, ClearAfter: 2,
+		RaiseAfter: 2, ClearAfter: 2, RepeatEvery: Int(0),
 	})
 	var alarms []Alarm
 	r.pol.OnAlarm = func(a Alarm) { alarms = append(alarms, a) }

@@ -151,7 +151,7 @@ func (d *Domain) Start() {
 		}
 		r.originateRouterLSA()
 		r.originatePrefix(0, topo.Prefix{Prefix: LoopbackPrefix(r.node)}, 0)
-		d.sched.NewTicker(d.cfg.HelloInterval, r.helloTick)
+		d.sched.NewTicker(helloInterval, r.helloTick)
 		d.sched.NewTicker(d.cfg.RefreshPeriod, r.refreshOwn)
 		d.sched.NewTicker(d.cfg.AgeSweep, r.ageSweep)
 	}

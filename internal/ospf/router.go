@@ -13,29 +13,24 @@ import (
 	"fibbing.net/fibbing/internal/topo"
 )
 
-// Config carries the protocol timers. Zero values select defaults suited
-// to the demo's time scale.
+// The fixed protocol timers, suited to the demo's time scale.
+const (
+	helloInterval = time.Second
+	deadInterval  = 4 * helloInterval
+	spfDelay      = 10 * time.Millisecond // debounce between LSDB change and SPF
+)
+
+// Config carries the settable protocol timers. Zero values select
+// defaults suited to the demo's time scale.
 type Config struct {
-	HelloInterval time.Duration // default 1s
-	DeadInterval  time.Duration // default 4 * HelloInterval
 	RxmtInterval  time.Duration // retransmission of unacked LSAs, default 1s
-	SPFDelay      time.Duration // debounce between LSDB change and SPF, default 10ms
 	RefreshPeriod time.Duration // re-origination of self LSAs, default 1800s
 	AgeSweep      time.Duration // purge of MaxAge LSAs, default 60s
 }
 
 func (c Config) withDefaults() Config {
-	if c.HelloInterval <= 0 {
-		c.HelloInterval = time.Second
-	}
-	if c.DeadInterval <= 0 {
-		c.DeadInterval = 4 * c.HelloInterval
-	}
 	if c.RxmtInterval <= 0 {
 		c.RxmtInterval = time.Second
-	}
-	if c.SPFDelay <= 0 {
-		c.SPFDelay = 10 * time.Millisecond
 	}
 	if c.RefreshPeriod <= 0 {
 		c.RefreshPeriod = 1800 * time.Second
@@ -517,7 +512,7 @@ func (r *Router) noteFlush(h Header) {
 func (r *Router) helloTick() {
 	now := r.dom.sched.Now()
 	for _, n := range r.nbrList {
-		if n.up && now-n.lastHello > r.cfg.DeadInterval && n.lastHello >= 0 {
+		if n.up && now-n.lastHello > deadInterval && n.lastHello >= 0 {
 			n.up = false
 			n.wasDown = true
 			for k, p := range n.unacked {
@@ -538,7 +533,7 @@ func (r *Router) helloTick() {
 // scheduleSPF arms the debounced recomputation as a two-phase parallel
 // event: when several routers' debounce windows expire at the same
 // instant (the common case after a flood round — every router schedules
-// at flood-arrival + SPFDelay), the scheduler fans their compute phases
+// at flood-arrival + spfDelay), the scheduler fans their compute phases
 // out to the worker pool and then commits (FIB deltas, protocol errors,
 // spfPending bookkeeping) sequentially in FIFO order, so the output is
 // byte-identical to the sequential core.
@@ -548,7 +543,7 @@ func (r *Router) scheduleSPF() {
 	}
 	r.spfScheduled = true
 	r.dom.spfPending++
-	r.dom.sched.AfterParallel(r.cfg.SPFDelay, r.spfCompute, r.spfCommit)
+	r.dom.sched.AfterParallel(spfDelay, r.spfCompute, r.spfCommit)
 }
 
 // computeRoutes updates the FIB from the LSDB. The default path is the

@@ -1,11 +1,27 @@
 package scenarios
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fibbing.net/fibbing/internal/controller"
 )
+
+// runWatched is Run with a caller between its build and drive steps:
+// watch arms its tickers and callbacks on the assembled simulation before
+// anything of the cell's own is scheduled.
+func runWatched(spec Spec, withCtrl bool, watch func(*controller.Sim)) (*Report, error) {
+	c, err := build(spec, withCtrl)
+	if err != nil {
+		return nil, err
+	}
+	watch(c.sim)
+	if err := c.drive(); err != nil {
+		return nil, err
+	}
+	return c.collect(), nil
+}
 
 // TestAggregateReshareMatchesGlobalSolve is the traffic-plane equivalence
 // property over the zoo: every matrix cell (all 6 topology families x 3
@@ -14,43 +30,38 @@ import (
 // while a ticker repeatedly compares the live aggregate/incremental
 // allocation against a from-scratch per-flow global max-min solve. Any
 // drift beyond 1e-9 (relative) fails the cell.
-//
-// It must not run in parallel: it arms the package test hook, which the
-// parallel matrix tests would otherwise observe (Go runs all serial tests
-// before any parallel one starts, so ordering is guaranteed).
 func TestAggregateReshareMatchesGlobalSolve(t *testing.T) {
-	defer func() { testHookSimBuilt = nil }()
-	incrementalCells := 0
-	for _, spec := range MatrixSpecs() {
-		spec := spec
-		var checks int
-		testHookSimBuilt = func(sim *controller.Sim) {
-			// An off-grid period keeps the checks interleaved between the
-			// samplers and wave events rather than synchronised with them.
-			sim.Sched.NewTicker(333*time.Millisecond, func() {
-				checks++
-				if err := sim.Net.VerifyMaxMin(1e-9); err != nil {
-					t.Errorf("%s @%v: %v", spec.Name, sim.Sched.Now(), err)
+	var incrementalCells atomic.Int32
+	t.Run("cells", func(t *testing.T) {
+		for _, spec := range MatrixSpecs() {
+			t.Run(spec.Name, func(t *testing.T) {
+				t.Parallel()
+				checks := 0
+				rep, err := runWatched(spec, true, func(sim *controller.Sim) {
+					// An off-grid period keeps the checks interleaved between the
+					// samplers and wave events rather than synchronised with them.
+					sim.Sched.NewTicker(333*time.Millisecond, func() {
+						checks++
+						if err := sim.Net.VerifyMaxMin(1e-9); err != nil {
+							t.Errorf("@%v: %v", sim.Sched.Now(), err)
+						}
+					})
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if checks == 0 {
+					t.Fatal("equivalence ticker never fired")
+				}
+				if rep.ReshareIncremental > 0 {
+					incrementalCells.Add(1)
 				}
 			})
 		}
-		rep, err := Run(spec, true)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
-		if checks == 0 {
-			t.Fatalf("%s: equivalence ticker never fired", spec.Name)
-		}
-		if rep.ReshareIncremental > 0 {
-			incrementalCells++
-		}
-		if t.Failed() {
-			t.Fatalf("%s: aggregate allocation diverged from the per-flow global solve", spec.Name)
-		}
-	}
+	})
 	// The property must actually exercise the incremental path, not pass
 	// vacuously because every cell fell back to full solves.
-	if incrementalCells == 0 {
+	if incrementalCells.Load() == 0 {
 		t.Fatal("no matrix cell ran a component-scoped reshare")
 	}
 }
@@ -60,7 +71,6 @@ func TestAggregateReshareMatchesGlobalSolve(t *testing.T) {
 // ticker: thousands of members per aggregate, joins in bulk, and the
 // allocation still matches the per-flow solve.
 func TestViewerScaledCellEquivalence(t *testing.T) {
-	defer func() { testHookSimBuilt = nil }()
 	spec := Spec{
 		Name:     "flashcrowd-mini",
 		Topo:     TopoSpec{Family: "fattree", Size: 4, Seed: 2, Capacity: 100e6},
@@ -68,14 +78,13 @@ func TestViewerScaledCellEquivalence(t *testing.T) {
 		Viewers:  5000,
 		Seed:     4,
 	}
-	testHookSimBuilt = func(sim *controller.Sim) {
+	rep, err := runWatched(spec, true, func(sim *controller.Sim) {
 		sim.Sched.NewTicker(time.Second, func() {
 			if err := sim.Net.VerifyMaxMin(1e-9); err != nil {
 				t.Errorf("@%v: %v", sim.Sched.Now(), err)
 			}
 		})
-	}
-	rep, err := Run(spec, true)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

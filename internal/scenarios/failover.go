@@ -36,18 +36,14 @@ const (
 // three topology families, each with BFD liveness and a 3-deep standby
 // cache. CompareFailover runs each against its SNMP-timescale twin.
 func FailoverSpecs() []Spec {
-	specs := []Spec{
+	return named([]Spec{
 		{Topo: TopoSpec{Family: "fig1"}, Workload: "steady", Failure: "hotlink",
 			Seed: 21, BFD: true, StandbyK: 3},
 		{Topo: TopoSpec{Family: "abilene"}, Workload: "steady", Failure: "cascade",
 			Seed: 22, BFD: true, StandbyK: 3},
 		{Topo: TopoSpec{Family: "fattree", Size: 4, Seed: 2}, Workload: "steady", Failure: "hotlink",
 			Seed: 23, BFD: true, StandbyK: 3},
-	}
-	for i := range specs {
-		specs[i] = specs[i].withDefaults()
-	}
-	return specs
+	})
 }
 
 // FailoverComparison pairs the BFD+standby run of a failover cell with
@@ -66,21 +62,14 @@ type FailoverComparison struct {
 // suffix for "+snmp".
 func CompareFailover(spec Spec) (*FailoverComparison, error) {
 	spec = spec.withDefaults()
-	fast, err := Run(spec, true)
+	r, err := runArms(spec, arm{"fast", nil, true}, arm{"slow", func(s *Spec) {
+		s.BFD, s.StandbyK = false, 0
+		s.Name = strings.TrimSuffix(spec.Name, "+bfd") + "+snmp"
+	}, true})
 	if err != nil {
-		return nil, fmt.Errorf("fast run: %w", err)
+		return nil, err
 	}
-	slow := spec
-	slow.BFD = false
-	slow.StandbyK = 0
-	slow.Name = strings.TrimSuffix(spec.Name, "+bfd") + "+snmp"
-	slowRep, err := Run(slow, true)
-	if err != nil {
-		return nil, fmt.Errorf("slow run: %w", err)
-	}
-	c := &FailoverComparison{Spec: spec, Fast: fast, Slow: slowRep}
-	c.Violations = FailoverViolations(spec, fast, slowRep)
-	return c, nil
+	return &FailoverComparison{Spec: spec, Fast: r[0], Slow: r[1], Violations: FailoverViolations(spec, r[0], r[1])}, nil
 }
 
 // failoverSummary renders one run's failover line for Render.

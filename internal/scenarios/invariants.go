@@ -31,22 +31,7 @@ const (
 	// maxReactionLatency bounds alarm-to-decision time (two monitor poll
 	// intervals plus scheduling slack).
 	maxReactionLatency = 10 * time.Second
-	// targetUtilisation is the controller's reaction target, below which
-	// it stops optimising.
-	targetUtilisation = controller.DefaultTargetUtilisation
 )
-
-// MaxStallSeconds checks a single run's total stall time against a
-// budget, returning a violation line when it is exceeded (empty slice
-// means the budget holds). The score-mode cells use it to bound what a
-// QoE-scored run may leave on the table.
-func MaxStallSeconds(r *Report, budget float64) []string {
-	if r.StallSeconds > budget {
-		return []string{fmt.Sprintf("%s: %.2fs of stalls exceed the %.2fs budget",
-			r.Scenario, r.StallSeconds, budget)}
-	}
-	return nil
-}
 
 // StallNoWorseThan checks the never-worsen admissibility contract in QoE
 // terms: run r's simulated stall time may not exceed the baseline's by
@@ -93,11 +78,7 @@ func Violations(spec Spec, on, off *Report) []string {
 	// because the measured one carries per-flow hash noise and saturates
 	// at 1.0.
 	if on.LPOptimum > 0 {
-		bound := on.LPOptimum
-		if bound < targetUtilisation {
-			bound = targetUtilisation
-		}
-		if on.AnalyticUtilisation > bound+lpSlack {
+		if bound := max(on.LPOptimum, controller.TargetUtil); on.AnalyticUtilisation > bound+lpSlack {
 			fail("analytic utilisation %.3f exceeds LP optimum %.3f (+%.2f slack)",
 				on.AnalyticUtilisation, on.LPOptimum, lpSlack)
 		}

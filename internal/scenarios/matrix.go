@@ -18,26 +18,18 @@ func MatrixTopologies() []TopoSpec {
 	}
 }
 
-// MatrixSchedules is the workload x failure set of the matrix: a step
-// surge, a Poisson flash crowd, and a ramp with a link flap mid-run.
-func MatrixSchedules() []struct{ Workload, Failure string } {
-	return []struct{ Workload, Failure string }{
-		{"surge", ""},
-		{"flash", ""},
-		{"ramp", "flap"},
-	}
-}
-
-// MatrixSpecs returns the full cross product (topologies x schedules),
-// one Spec per cell, each with a per-cell seed.
+// MatrixSpecs returns the full cross product of the zoo and the matrix's
+// workload x failure set — a step surge, a Poisson flash crowd, and a ramp
+// with a link flap mid-run — one Spec per cell, each with a per-cell seed.
 func MatrixSpecs() []Spec {
+	schedules := []struct{ workload, failure string }{{"surge", ""}, {"flash", ""}, {"ramp", "flap"}}
 	var specs []Spec
 	for ti, ts := range MatrixTopologies() {
-		for si, sc := range MatrixSchedules() {
+		for si, sc := range schedules {
 			specs = append(specs, Spec{
 				Topo:     ts,
-				Workload: sc.Workload,
-				Failure:  sc.Failure,
+				Workload: sc.workload,
+				Failure:  sc.failure,
 				Seed:     int64(100*ti + si + 1),
 			}.withDefaults())
 		}
@@ -63,7 +55,7 @@ func SpecByName(name string) (Spec, bool) {
 // scheduler-events-executed so slowdowns stay visible; they are not part
 // of the CI matrix gate.
 func ScaleSpecs() []Spec {
-	specs := []Spec{
+	return named([]Spec{
 		{Topo: TopoSpec{Family: "fattree", Size: 8, Seed: 2}, Workload: "surge", Seed: 1},
 		{Topo: TopoSpec{Family: "ring", Size: 64}, Workload: "surge", Seed: 2},
 		{Topo: TopoSpec{Family: "waxman", Size: 200, Seed: 7}, Workload: "surge", Seed: 3},
@@ -98,9 +90,5 @@ func ScaleSpecs() []Spec {
 			Workload: "surge", Viewers: 1_000_000, Seed: 8},
 		{Name: "fattree16-1m", Topo: TopoSpec{Family: "fattree", Size: 16, Seed: 2, Capacity: 10e9},
 			Workload: "surge", Viewers: 1_000_000, Seed: 9},
-	}
-	for i := range specs {
-		specs[i] = specs[i].withDefaults()
-	}
-	return specs
+	})
 }

@@ -25,8 +25,7 @@ type parallelCapture struct {
 }
 
 // runCaptured runs one cell at the given worker-pool width and snapshots
-// the determinism artifacts. It arms the package test hook, so callers
-// must be serial tests.
+// the determinism artifacts.
 func runCaptured(t *testing.T, spec Spec, workers int) parallelCapture {
 	t.Helper()
 	spec.Workers = workers
@@ -34,7 +33,7 @@ func runCaptured(t *testing.T, spec Spec, workers int) parallelCapture {
 		sim   *controller.Sim
 		trace strings.Builder
 	)
-	testHookSimBuilt = func(s *controller.Sim) {
+	rep, err := runWatched(spec, true, func(s *controller.Sim) {
 		sim = s
 		// Chain-wrap the delta callback: record the diff, then forward it
 		// to the data plane as before.
@@ -45,9 +44,7 @@ func runCaptured(t *testing.T, spec Spec, workers int) parallelCapture {
 				prev(n, tb, d)
 			}
 		}
-	}
-	defer func() { testHookSimBuilt = nil }()
-	rep, err := Run(spec, true)
+	})
 	if err != nil {
 		t.Fatalf("%s workers=%d: %v", spec.Name, workers, err)
 	}
@@ -113,9 +110,6 @@ func diffLine(a, b string) string {
 // is a spec knob (not GOMAXPROCS), the parallel batch path is exercised
 // even on a single-CPU host, and `go test -race` interleaves the worker
 // goroutines over the shared SPF scratch pools and flood-buffer freelist.
-//
-// Serial on purpose: it arms the package test hook (see
-// TestAggregateReshareMatchesGlobalSolve for the ordering argument).
 func TestParallelCoreDeterminism(t *testing.T) {
 	specs := MatrixSpecs()
 	// A second seed per cell: reseeding shifts the Poisson arrivals and

@@ -18,16 +18,12 @@ import (
 // at 1 Gbit/s links, driving the score-mode machinery through the
 // aggregate traffic plane.
 func QoESpecs() []Spec {
-	specs := []Spec{
+	return named([]Spec{
 		{Topo: TopoSpec{Family: "ring", Size: 9}, Workload: "skew", Seed: 31},
 		{Name: "ring5/skew", Topo: TopoSpec{Family: "ring", Size: 5}, Workload: "skew", Seed: 32},
 		{Name: "flashcrowd-qoe-100k", Topo: TopoSpec{Family: "ring", Size: 9, Capacity: 1e9},
 			Workload: "skew", Viewers: 100_000, Seed: 33},
-	}
-	for i := range specs {
-		specs[i] = specs[i].withDefaults()
-	}
-	return specs
+	})
 }
 
 // ScoreModeComparison is the outcome of one spec run under both scoring
@@ -61,27 +57,15 @@ func (c *ScoreModeComparison) Render(b *strings.Builder) {
 // — and checks the score-mode invariants.
 func CompareScoreModes(spec Spec) (*ScoreModeComparison, error) {
 	spec = spec.withDefaults()
-	withMode := func(mode string) Spec {
-		s := spec
-		s.ScoreMode = mode
-		s.Name = spec.Name + "@" + mode
-		return s
+	scored := func(mode string) func(*Spec) {
+		return func(s *Spec) { s.ScoreMode, s.Name = mode, spec.Name+"@"+mode }
 	}
-	off, err := Run(spec, false)
+	r, err := runArms(spec, arm{"off", nil, false}, arm{"util", scored("util"), true}, arm{"qoe", scored("qoe"), true})
 	if err != nil {
 		return nil, err
 	}
-	util, err := Run(withMode("util"), true)
-	if err != nil {
-		return nil, err
-	}
-	qoe, err := Run(withMode("qoe"), true)
-	if err != nil {
-		return nil, err
-	}
-	c := &ScoreModeComparison{Spec: spec, Util: util, QoE: qoe, Off: off}
-	c.Violations = ScoreModeViolations(spec, util, qoe, off)
-	return c, nil
+	return &ScoreModeComparison{Spec: spec, Util: r[1], QoE: r[2], Off: r[0],
+		Violations: ScoreModeViolations(spec, r[1], r[2], r[0])}, nil
 }
 
 // ScoreModeViolations checks the cross-mode invariants of one score-mode

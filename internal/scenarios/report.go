@@ -27,7 +27,7 @@ type Report struct {
 	// the only prefix lies may touch).
 	TargetPrefix string `json:"target_prefix"`
 	// ScoreMode is the planner's plan-scoring objective the run used
-	// ("util", "qoe" or "blended"; see controller.ScoreMode).
+	// ("util" or "qoe"; see controller.ScoreMode).
 	ScoreMode string `json:"score_mode,omitempty"`
 
 	// Utilisation. The fluid data plane caps link rates at capacity, so

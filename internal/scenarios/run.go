@@ -7,6 +7,7 @@ import (
 	"fibbing.net/fibbing/internal/bfd"
 	"fibbing.net/fibbing/internal/controller"
 	"fibbing.net/fibbing/internal/fibbing"
+	"fibbing.net/fibbing/internal/flashcrowd"
 	"fibbing.net/fibbing/internal/monitor"
 	"fibbing.net/fibbing/internal/netsim"
 	"fibbing.net/fibbing/internal/qoe"
@@ -15,23 +16,55 @@ import (
 	"fibbing.net/fibbing/internal/video"
 )
 
+// hotThreshold is the monitor's alarm threshold, set explicitly so the
+// report's first-hot detection measures against the value the monitor uses.
+const hotThreshold = 0.85
+
 // flowTrack follows one flow through its life for delivery accounting.
 type flowTrack struct {
 	wave      int
-	rate      float64
 	delivered float64 // bytes, high-water from sampling
 	session   *video.SimSession
 }
 
-// testHookSimBuilt, when set (property tests only), observes the freshly
-// assembled simulation before any wave is scheduled — e.g. to arm a
-// fair-share equivalence checker on the data plane.
-var testHookSimBuilt func(*controller.Sim)
+// cell is one scenario run in flight. Run takes it through three steps —
+// build, drive, collect — and whatever needs to watch the running
+// simulation (the equivalence and determinism tests today) arms its own
+// tickers and callbacks on sim between build and drive.
+type cell struct {
+	spec     Spec
+	waves    []flashcrowd.Wave
+	failures []FailureEvent
+	sim      *controller.Sim
+	rep      *Report
+
+	// order and tracks are parallel: tracks[i] follows flow order[i].
+	order  []netsim.FlowID
+	tracks []*flowTrack
+	// What drive's snapshots hand to collect: stall totals at the settle
+	// start and around the failover window, and the settled demand set.
+	stallAtSettle, stallAtFailure, stallAfterFailover float64
+	demandsAtSettle                                   []topo.Demand
+}
 
 // Run executes one scenario with or without the Fibbing controller and
 // returns its report. Each call builds a fresh topology and simulation,
 // so concurrent Runs (the matrix test's parallel cells) are independent.
 func Run(spec Spec, withCtrl bool) (*Report, error) {
+	c, err := build(spec, withCtrl)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.drive(); err != nil {
+		return nil, err
+	}
+	return c.collect(), nil
+}
+
+// build validates the spec and assembles everything the run needs: the
+// topology, the wave and failure schedules, the simulation (IGP started,
+// nothing scheduled yet) and the empty report.
+func build(spec Spec, withCtrl bool) (*cell, error) {
 	spec = spec.withDefaults()
 	if spec.Viewers < 0 {
 		return nil, fmt.Errorf("%s: negative viewer count %d", spec.Name, spec.Viewers)
@@ -64,14 +97,10 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 	// scenario's meaning, so reject it instead.
 	var lastEvent time.Duration
 	for _, w := range waves {
-		if w.At > lastEvent {
-			lastEvent = w.At
-		}
+		lastEvent = max(lastEvent, w.At)
 	}
 	for _, f := range failures {
-		if f.At > lastEvent {
-			lastEvent = f.At
-		}
+		lastEvent = max(lastEvent, f.At)
 	}
 	if spec.Duration <= lastEvent {
 		return nil, fmt.Errorf("%s: duration %v too short: last scheduled event at %v",
@@ -87,9 +116,6 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	// The alarm threshold is set explicitly so the report's first-hot
-	// detection below measures against the same value the monitor uses.
-	const hotThreshold = 0.85
 	var bfdCfg *bfd.Config
 	if spec.BFD {
 		bfdCfg = &bfd.Config{Seed: spec.Seed}
@@ -112,53 +138,6 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	if testHookSimBuilt != nil {
-		testHookSimBuilt(sim)
-	}
-
-	// Map started flows back to their wave: wave w contributes exactly
-	// w.Flows OnFlowStarted callbacks at time w.At.
-	waveQueue := make(map[time.Duration][]int)
-	for i, w := range waves {
-		for f := 0; f < w.Flows; f++ {
-			waveQueue[w.At] = append(waveQueue[w.At], i)
-		}
-	}
-	// order and tracks are parallel: tracks[i] follows flow order[i].
-	var order []netsim.FlowID
-	var tracks []*flowTrack
-	prevStarted := sim.Runner.OnFlowStarted
-	sim.Runner.OnFlowStarted = func(id netsim.FlowID, rate float64) {
-		if prevStarted != nil {
-			prevStarted(id, rate) // attaches the video session
-		}
-		now := sim.Sched.Now()
-		q := waveQueue[now]
-		wi := -1
-		if len(q) > 0 {
-			wi, waveQueue[now] = q[0], q[1:]
-		}
-		tr := &flowTrack{wave: wi, rate: rate}
-		if n := len(sim.Sessions); n > 0 {
-			tr.session = sim.Sessions[n-1]
-		}
-		order, tracks = append(order, id), append(tracks, tr)
-		// Departing viewers stop watching: freeze the session's QoE and
-		// take a final delivery reading when the hold expires (the Runner
-		// removes the flow at the same instant, after this event).
-		if wi >= 0 && waves[wi].Hold > 0 {
-			hold := waves[wi].Hold
-			sim.Sched.After(hold, func() {
-				if d, ok := sim.Net.Delivered(id); ok {
-					tr.delivered = d
-				}
-				if tr.session != nil {
-					tr.session.Stop()
-				}
-			})
-		}
-	}
-
 	rep := &Report{
 		Scenario:         spec.Name,
 		Controller:       withCtrl,
@@ -172,10 +151,77 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 		FailoverCommitAt: -1,
 		FailoverLatency:  -1,
 	}
+	return &cell{spec: spec, waves: waves, failures: failures, sim: sim, rep: rep}, nil
+}
+
+// stallTotal sums the stall time of every session started so far.
+func (c *cell) stallTotal() float64 {
+	var s float64
+	for _, sess := range c.sim.Sessions {
+		s += sess.QoE().StallTime.Seconds()
+	}
+	return s
+}
+
+// readDelivered refreshes every live flow's delivery reading through one
+// batched read of the fluid model (finished flows keep theirs).
+func (c *cell) readDelivered(buf []float64) []float64 {
+	buf = c.sim.Net.DeliveredInto(c.order, buf)
+	for i, d := range buf {
+		if d >= 0 {
+			c.tracks[i].delivered = d
+		}
+	}
+	return buf
+}
+
+// drive arms the run — flow tracking, the failure schedule, the samplers,
+// the settle and failover snapshots, the waves — and advances virtual
+// time to the end of the spec's duration.
+func (c *cell) drive() error {
+	sim, rep, waves := c.sim, c.rep, c.waves
+
+	// Map started flows back to their wave: wave w contributes exactly
+	// w.Flows OnFlowStarted callbacks at time w.At.
+	waveQueue := make(map[time.Duration][]int)
+	for i, w := range waves {
+		for f := 0; f < w.Flows; f++ {
+			waveQueue[w.At] = append(waveQueue[w.At], i)
+		}
+	}
+	prevStarted := sim.Runner.OnFlowStarted
+	sim.Runner.OnFlowStarted = func(id netsim.FlowID, rate float64) {
+		if prevStarted != nil {
+			prevStarted(id, rate) // attaches the video session
+		}
+		now := sim.Sched.Now()
+		q := waveQueue[now]
+		wi := -1
+		if len(q) > 0 {
+			wi, waveQueue[now] = q[0], q[1:]
+		}
+		tr := &flowTrack{wave: wi}
+		if n := len(sim.Sessions); n > 0 {
+			tr.session = sim.Sessions[n-1]
+		}
+		c.order, c.tracks = append(c.order, id), append(c.tracks, tr)
+		// Departing viewers stop watching: freeze the session's QoE and
+		// take a final delivery reading when the hold expires (the Runner
+		// removes the flow at the same instant, after this event).
+		if wi >= 0 && waves[wi].Hold > 0 {
+			sim.Sched.After(waves[wi].Hold, func() {
+				if d, ok := sim.Net.Delivered(id); ok {
+					tr.delivered = d
+				}
+				if tr.session != nil {
+					tr.session.Stop()
+				}
+			})
+		}
+	}
 
 	// Failure schedule.
-	for _, f := range failures {
-		f := f
+	for _, f := range c.failures {
 		sim.Sched.At(f.At, func() {
 			if err := sim.SetLinkState(f.A, f.B, f.Up); err != nil {
 				rep.ProtocolErrors = append(rep.ProtocolErrors, err.Error())
@@ -184,71 +230,51 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 	}
 
 	// Samplers: utilisation peaks, first-hot detection, per-flow delivery.
-	settleStart := spec.settleStart()
-	stallTotal := func() float64 {
-		var s float64
-		for _, sess := range sim.Sessions {
-			s += sess.QoE().StallTime.Seconds()
-		}
-		return s
-	}
-	// readDelivered refreshes every live flow's delivery reading through
-	// one batched read of the fluid model (finished flows keep theirs).
+	settleStart := c.spec.settleStart()
 	var deliveredBuf []float64
-	readDelivered := func() {
-		deliveredBuf = sim.Net.DeliveredInto(order, deliveredBuf)
-		for i, d := range deliveredBuf {
-			if d >= 0 {
-				tracks[i].delivered = d
-			}
-		}
-	}
-	var stallAtSettle float64
-	var demandsAtSettle []topo.Demand
 	sim.Sched.NewTicker(250*time.Millisecond, func() {
 		u := sim.Net.MaxUtilisation()
-		if u > rep.PeakUtilisation {
-			rep.PeakUtilisation = u
-		}
+		rep.PeakUtilisation = max(rep.PeakUtilisation, u)
 		now := sim.Sched.Now()
-		if now >= settleStart && u > rep.SettledUtilisation {
-			rep.SettledUtilisation = u
+		if now >= settleStart {
+			rep.SettledUtilisation = max(rep.SettledUtilisation, u)
 		}
 		if rep.FirstHotAt < 0 && u >= hotThreshold {
 			rep.FirstHotAt = now
 		}
-		readDelivered()
+		deliveredBuf = c.readDelivered(deliveredBuf)
 	})
 	sim.Sched.At(settleStart, func() {
-		stallAtSettle = stallTotal()
-		demandsAtSettle = sim.Ctrl.Demands()
+		c.stallAtSettle = c.stallTotal()
+		c.demandsAtSettle = sim.Ctrl.Demands()
 	})
 
 	// Failover window accounting: stall totals at the first link-down
 	// instant and failoverWindow later bracket the stalls the failure
 	// itself causes — the figure the fast-failover invariant compares.
-	var stallAtFailure, stallAfterFailover float64
-	for _, f := range failures {
+	for _, f := range c.failures {
 		if !f.Up {
 			rep.FailureAt = f.At
 			break
 		}
 	}
 	if rep.FailureAt >= 0 {
-		sim.Sched.At(rep.FailureAt, func() { stallAtFailure = stallTotal() })
-		end := rep.FailureAt + failoverWindow
-		if end > spec.Duration {
-			end = spec.Duration
-		}
-		sim.Sched.At(end, func() { stallAfterFailover = stallTotal() })
+		sim.Sched.At(rep.FailureAt, func() { c.stallAtFailure = c.stallTotal() })
+		end := min(rep.FailureAt+failoverWindow, c.spec.Duration)
+		sim.Sched.At(end, func() { c.stallAfterFailover = c.stallTotal() })
 	}
 
 	if err := sim.Runner.Schedule(waves); err != nil {
-		return nil, fmt.Errorf("%s: %w", spec.Name, err)
+		return fmt.Errorf("%s: %w", c.spec.Name, err)
 	}
-	sim.Run(spec.Duration)
+	sim.Run(c.spec.Duration)
+	return nil
+}
 
-	readDelivered() // final reading for flows still alive
+// collect reads the finished simulation into the report.
+func (c *cell) collect() *Report {
+	sim, rep, tp := c.sim, c.rep, c.sim.Topo
+	c.readDelivered(nil) // final reading for flows still alive
 
 	rep.FinalUtilisation = sim.Net.MaxUtilisation()
 	rep.Events = sim.Sched.Ran()
@@ -266,66 +292,16 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 	rep.ParallelSPFRuns = par.BatchedEvents
 	rep.SequentialSPFRuns = par.SoloParallel
 	rep.MaxBatch = par.MaxBatch
-	if len(demandsAtSettle) > 0 {
-		// The LP bound (a full-tableau simplex solve, quadratic in the
-		// topology) is for reporting only; beyond the controller's own LP
-		// size limit it would dominate the cell's wall-clock (the scale
-		// cells would take hours), so skip it and note the degradation.
-		// The LP-optimality invariant only fires when LPOptimum is set.
-		routers := 0
-		for _, n := range tp.Nodes() {
-			if !n.Host {
-				routers++
-			}
-		}
-		if routers > controller.DefaultMaxLPRouters {
-			rep.Notes = append(rep.Notes, fmt.Sprintf("LP bound skipped: %d routers", routers))
-		} else if opt, err := te.SolveMinMax(tp, demandsAtSettle); err == nil {
-			rep.LPOptimum = opt.MaxUtilisation
-		} else {
-			rep.Notes = append(rep.Notes, fmt.Sprintf("LP bound unavailable: %v", err))
-		}
-		liesNow := map[string][]fibbing.Lie{prefix: sim.Lies.Installed(prefix)}
-		if loads, err := te.LoadsWithLies(tp, liesNow, demandsAtSettle); err == nil {
-			rep.AnalyticUtilisation = te.MaxUtilOfLoads(tp, loads)
-		} else {
-			rep.Notes = append(rep.Notes, fmt.Sprintf("analytic bound unavailable: %v", err))
-		}
-		// Predicted QoE of the final routing state: the analytic stall
-		// predictor over the settled demands and the controller's member
-		// census — the same estimate the qoe score mode plans against.
-		// Reported for every run (any score mode, controller on or off)
-		// so the score-mode comparison cells can check that predicted and
-		// simulated stalls move together.
-		views := make(map[string]map[topo.NodeID]fibbing.RouteView, len(tp.Prefixes()))
-		var viewErr error
-		ev := fibbing.NewEvaluator(tp)
-		for _, pr := range tp.Prefixes() {
-			v, err := ev.Evaluate(pr.Name, liesNow[pr.Name])
-			if err != nil {
-				viewErr = err
-				break
-			}
-			views[pr.Name] = v
-		}
-		if viewErr == nil {
-			if q, err := qoe.PredictPlan(tp, views, demandsAtSettle, sim.Ctrl.QoEModel()); err == nil {
-				rep.PredictedStallSeconds = q.StallSeconds
-			} else {
-				viewErr = err
-			}
-		}
-		if viewErr != nil {
-			rep.Notes = append(rep.Notes, fmt.Sprintf("QoE prediction unavailable: %v", viewErr))
-		}
+	if len(c.demandsAtSettle) > 0 {
+		c.settledBounds()
 	}
 
 	agg := video.AggregateQoE(sim.QoE())
 	rep.Sessions = agg.Sessions
 	rep.SmoothSessions = agg.SmoothSessions
 	rep.MeanRebuffer = agg.MeanRebuffer
-	rep.StallSeconds = stallTotal()
-	rep.LateStallSeconds = rep.StallSeconds - stallAtSettle
+	rep.StallSeconds = c.stallTotal()
+	rep.LateStallSeconds = rep.StallSeconds - c.stallAtSettle
 
 	rep.Lies = sim.Lies.LieCount()
 	rep.LiesByPrefix = make(map[string]int)
@@ -353,7 +329,7 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 		}
 	}
 	if rep.FailureAt >= 0 {
-		rep.FailoverStallSeconds = stallAfterFailover - stallAtFailure
+		rep.FailoverStallSeconds = c.stallAfterFailover - c.stallAtFailure
 		for _, d := range rep.Decisions {
 			if d.At >= rep.FailureAt {
 				rep.FailoverCommitAt = d.At
@@ -383,12 +359,9 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 
 	// Per-wave delivery accounting. A wave scheduled past the end of a
 	// shortened run never fires: its lifetime clamps to zero.
-	rep.Waves = make([]WaveDelivery, len(waves))
-	for i, w := range waves {
-		life := spec.Duration - w.At
-		if life < 0 {
-			life = 0
-		}
+	rep.Waves = make([]WaveDelivery, len(c.waves))
+	for i, w := range c.waves {
+		life := max(c.spec.Duration-w.At, 0)
 		if w.Hold > 0 && w.Hold < life {
 			life = w.Hold
 		}
@@ -398,7 +371,7 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 			Expected: w.Rate * life.Seconds() * float64(w.Flows) / 1e6,
 		}
 	}
-	for _, tr := range tracks {
+	for _, tr := range c.tracks {
 		rep.DeliveredMbit += tr.delivered * 8 / 1e6
 		if tr.wave >= 0 {
 			rep.Waves[tr.wave].Delivered += tr.delivered * 8 / 1e6
@@ -409,26 +382,99 @@ func Run(spec Spec, withCtrl bool) (*Report, error) {
 			rep.Waves[i].Fraction = rep.Waves[i].Delivered / rep.Waves[i].Expected
 		}
 	}
-	return rep, nil
+	return rep
 }
 
-// RunPair executes the spec with and without the controller.
-func RunPair(spec Spec) (on, off *Report, err error) {
-	if on, err = Run(spec, true); err != nil {
-		return nil, nil, err
+// settledBounds fills the report's analytic figures for the demand set
+// snapshotted at the settle start: the LP optimum, the uncapped
+// utilisation of the final routing state, and its predicted stalls.
+func (c *cell) settledBounds() {
+	sim, rep, tp, demands := c.sim, c.rep, c.sim.Topo, c.demandsAtSettle
+	// The LP bound (a full-tableau simplex solve, quadratic in the
+	// topology) is for reporting only; beyond the controller's own LP
+	// size limit it would dominate the cell's wall-clock (the scale
+	// cells would take hours), so skip it and note the degradation.
+	// The LP-optimality invariant only fires when LPOptimum is set.
+	routers := 0
+	for _, n := range tp.Nodes() {
+		if !n.Host {
+			routers++
+		}
 	}
-	if off, err = Run(spec, false); err != nil {
-		return nil, nil, err
+	if routers > controller.DefaultMaxLPRouters {
+		rep.Notes = append(rep.Notes, fmt.Sprintf("LP bound skipped: %d routers", routers))
+	} else if opt, err := te.SolveMinMax(tp, demands); err == nil {
+		rep.LPOptimum = opt.MaxUtilisation
+	} else {
+		rep.Notes = append(rep.Notes, fmt.Sprintf("LP bound unavailable: %v", err))
 	}
-	return on, off, nil
+	liesNow := map[string][]fibbing.Lie{rep.TargetPrefix: sim.Lies.Installed(rep.TargetPrefix)}
+	if loads, err := te.LoadsWithLies(tp, liesNow, demands); err == nil {
+		rep.AnalyticUtilisation = te.MaxUtilOfLoads(tp, loads)
+	} else {
+		rep.Notes = append(rep.Notes, fmt.Sprintf("analytic bound unavailable: %v", err))
+	}
+	// Predicted QoE of the final routing state: the analytic stall
+	// predictor over the settled demands and the controller's member
+	// census — the same estimate the qoe score mode plans against.
+	// Reported for every run (any score mode, controller on or off)
+	// so the score-mode comparison cells can check that predicted and
+	// simulated stalls move together.
+	if stalls, err := predictedStalls(tp, liesNow, demands, sim.Ctrl.QoEModel()); err == nil {
+		rep.PredictedStallSeconds = stalls
+	} else {
+		rep.Notes = append(rep.Notes, fmt.Sprintf("QoE prediction unavailable: %v", err))
+	}
+}
+
+// predictedStalls is the analytic stall predictor's figure for demands
+// routed over the topology with the given lies installed.
+func predictedStalls(tp *topo.Topology, lies map[string][]fibbing.Lie, demands []topo.Demand, model qoe.Model) (float64, error) {
+	views := make(map[string]map[topo.NodeID]fibbing.RouteView, len(tp.Prefixes()))
+	ev := fibbing.NewEvaluator(tp)
+	for _, pr := range tp.Prefixes() {
+		v, err := ev.Evaluate(pr.Name, lies[pr.Name])
+		if err != nil {
+			return 0, err
+		}
+		views[pr.Name] = v
+	}
+	q, err := qoe.PredictPlan(tp, views, demands, model)
+	return q.StallSeconds, err
+}
+
+// arm is one run of a comparison cell: the edit that turns the cell's
+// spec into this arm's (nil keeps it) and whether the controller is on.
+type arm struct {
+	label    string
+	edit     func(*Spec)
+	withCtrl bool
+}
+
+// runArms runs the arms of a comparison cell one after another, each from
+// a fresh simulation, and returns their reports in arm order.
+func runArms(spec Spec, arms ...arm) ([]*Report, error) {
+	reps := make([]*Report, len(arms))
+	for i, a := range arms {
+		s := spec
+		if a.edit != nil {
+			a.edit(&s)
+		}
+		rep, err := Run(s, a.withCtrl)
+		if err != nil {
+			return nil, fmt.Errorf("%s run: %w", a.label, err)
+		}
+		reps[i] = rep
+	}
+	return reps, nil
 }
 
 // Compare runs both sides of a spec and checks the invariants.
 func Compare(spec Spec) (*Comparison, error) {
 	spec = spec.withDefaults()
-	on, off, err := RunPair(spec)
+	r, err := runArms(spec, arm{"on", nil, true}, arm{"off", nil, false})
 	if err != nil {
 		return nil, err
 	}
-	return &Comparison{Spec: spec, On: on, Off: off, Violations: Violations(spec, on, off)}, nil
+	return &Comparison{Spec: spec, On: r[0], Off: r[1], Violations: Violations(spec, r[0], r[1])}, nil
 }

@@ -9,9 +9,9 @@
 // A Spec names a topology family from the zoo (Fig1, Abilene, fat-tree,
 // ring, grid, Waxman, random), a workload (surge, flash crowd, ramp), an
 // optional link-failure schedule and a duration; Run executes it with or
-// without the controller and produces a Report. RunPair runs both and
-// Violations compares them. MatrixSpecs is the cross product the matrix
-// test and cmd/fiblab sweep.
+// without the controller and produces a Report. Compare runs both and
+// checks Violations between them. MatrixSpecs is the cross product the
+// matrix test and cmd/fiblab sweep.
 package scenarios
 
 import (
@@ -176,9 +176,9 @@ type Spec struct {
 	// Empty keeps controller.DefaultStrategies.
 	Strategies []string `json:"strategies,omitempty"`
 	// ScoreMode selects the planner's plan-scoring objective: "util"
-	// (default — the historical max-utilisation ordering), "qoe"
-	// (predicted stall score first, utilisation as tie-break) or
-	// "blended". Parsed with controller.ParseScoreMode.
+	// (default — the historical max-utilisation ordering) or "qoe"
+	// (predicted stall score first, utilisation as tie-break). Parsed
+	// with controller.ParseScoreMode.
 	ScoreMode string `json:"score_mode,omitempty"`
 	// Workers sets the simulation core's worker-pool width: 0 means
 	// GOMAXPROCS, 1 forces the sequential core. The run's outcome is
@@ -213,6 +213,14 @@ func (s Spec) withDefaults() Spec {
 		}
 	}
 	return s
+}
+
+// named fills in every spec's defaults, the derived name among them.
+func named(specs []Spec) []Spec {
+	for i := range specs {
+		specs[i] = specs[i].withDefaults()
+	}
+	return specs
 }
 
 // settleStart is the instant after which the network is expected to have

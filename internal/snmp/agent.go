@@ -202,9 +202,6 @@ var (
 // transmitting router (1-based, as ifIndex must be).
 func IfIndex(l topo.LinkID) uint32 { return uint32(l) + 1 }
 
-// LinkFromIfIndex inverts IfIndex.
-func LinkFromIfIndex(i uint32) topo.LinkID { return topo.LinkID(i) - 1 }
-
 // BindIFMIB registers the IF-MIB subset for every directed link whose
 // transmitting side is the given router, reading live octet counters from
 // the fluid simulator. If node is topo.NoNode, all links are exported (a

@@ -77,16 +77,6 @@ func (m *LieManager) InstalledAll() map[string][]fibbing.Lie {
 	return out
 }
 
-// InstalledPrefixes returns the sorted names of prefixes with live lies.
-func (m *LieManager) InstalledPrefixes() []string {
-	out := make([]string, 0, len(m.installed))
-	for prefix := range m.installed {
-		out = append(out, prefix)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // LieCount returns the total number of live lies.
 func (m *LieManager) LieCount() int {
 	n := 0

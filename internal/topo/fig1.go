@@ -34,9 +34,6 @@ type Fig1Opts struct {
 	// The paper's demo uses links that one video wave can saturate;
 	// DefaultFig1Capacity matches Figure 2's ~2 MB/s scale.
 	LinkCapacity float64
-	// AccessCapacity is the capacity of host access links. Zero means
-	// 10x LinkCapacity (never the bottleneck, as in the demo).
-	AccessCapacity float64
 	// Delay is the per-link propagation delay (flooding realism).
 	Delay time.Duration
 	// WithHosts adds S1, S2, D1, D2 stub hosts.
@@ -61,11 +58,9 @@ func Fig1(o Fig1Opts) *Topology {
 	if o.LinkCapacity == 0 {
 		o.LinkCapacity = DefaultFig1Capacity
 	}
-	if o.AccessCapacity == 0 {
-		o.AccessCapacity = 10 * o.LinkCapacity
-	}
 	core := LinkOpts{Capacity: o.LinkCapacity, Delay: o.Delay}
-	access := LinkOpts{Capacity: o.AccessCapacity, Delay: o.Delay}
+	// Host access links are never the bottleneck, as in the demo.
+	access := LinkOpts{Capacity: 10 * o.LinkCapacity, Delay: o.Delay}
 
 	t := New()
 	a := t.AddNode(Fig1A)

@@ -161,9 +161,6 @@ type WaxmanOpts struct {
 	Nodes int
 	// Alpha scales the overall link probability (default 0.7).
 	Alpha float64
-	// Beta controls the distance falloff: larger favours long links
-	// (default 0.4).
-	Beta float64
 	// Capacity is the uniform link capacity in bit/s (default 10 Mbit/s).
 	Capacity float64
 	// MaxWeight > 1 draws link weights uniformly from [1, MaxWeight];
@@ -173,13 +170,17 @@ type WaxmanOpts struct {
 	Seed int64
 }
 
+// waxmanFalloff is the model's distance falloff: larger favours long
+// links.
+const waxmanFalloff = 0.4
+
 // WaxmanPrefixName is the destination prefix Waxman attaches at the node
 // closest to the unit square's centre (a well-connected sink).
 const WaxmanPrefixName = "sink"
 
 // Waxman builds a Waxman random geometric graph: nodes are placed
 // uniformly on the unit square and each pair is linked with probability
-// alpha * exp(-d / (beta * sqrt(2))). Components are then stitched
+// alpha * exp(-d / (waxmanFalloff * sqrt(2))). Components are then stitched
 // together by their closest node pairs, so the result is always
 // connected. Deterministic for a given option set.
 func Waxman(o WaxmanOpts) *Topology {
@@ -188,9 +189,6 @@ func Waxman(o WaxmanOpts) *Topology {
 	}
 	if o.Alpha == 0 {
 		o.Alpha = 0.7
-	}
-	if o.Beta == 0 {
-		o.Beta = 0.4
 	}
 	if o.Capacity == 0 {
 		o.Capacity = 10e6
@@ -214,7 +212,7 @@ func Waxman(o WaxmanOpts) *Topology {
 	dist := func(i, j int) float64 {
 		return math.Hypot(xs[i]-xs[j], ys[i]-ys[j])
 	}
-	scale := o.Beta * math.Sqrt2
+	scale := waxmanFalloff * math.Sqrt2
 	for i := 0; i < o.Nodes; i++ {
 		for j := i + 1; j < o.Nodes; j++ {
 			if rng.Float64() < o.Alpha*math.Exp(-dist(i, j)/scale) {

@@ -47,15 +47,6 @@ func Parse(r io.Reader) (*Topology, error) {
 	return t, nil
 }
 
-// MustParse parses a literal topology string and panics on error.
-func MustParse(s string) *Topology {
-	t, err := Parse(strings.NewReader(s))
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 func (t *Topology) parseLine(f []string) error {
 	switch f[0] {
 	case "router":
