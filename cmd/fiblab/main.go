@@ -6,6 +6,7 @@
 //	fiblab -run ring/surge          # one cell, controller on and off
 //	fiblab -matrix -json > out.json # the full matrix, machine-readable
 //	fiblab -topo waxman -size 20 -seed 4 -workload flash -failure flap
+//	fiblab -topo fig1 -workload fig2 -duration 60s  # the paper's demo
 //	fiblab -failover | -qoe | -scale
 //	fiblab -run ring/surge -strategies=localecmp,ksp -viewers 100000 -capacity 10G
 //
@@ -101,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		topoF    = fs.String("topo", "", "ad-hoc run: topology family (fig1, abilene, fattree, ring, grid, waxman, random)")
 		size     = fs.Int("size", 0, "ad-hoc run: topology size knob")
 		seed     = fs.Int64("seed", 0, "ad-hoc run: seed")
-		workload = fs.String("workload", "surge", "ad-hoc run: workload (surge, flash, ramp, dual, steady, skew)")
+		workload = fs.String("workload", "surge", "ad-hoc run: workload (surge, flash, ramp, dual, steady, skew, or fig2: the paper's demo, -topo fig1 only, with -duration 60s)")
 		failure  = fs.String("failure", "", "ad-hoc run: failure schedule (hotlink, flap)")
 		o        options
 	)

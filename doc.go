@@ -37,7 +37,7 @@
 // Runnable entry points:
 //
 //	go run ./examples/quickstart     # topology -> requirement -> lies
-//	go run ./examples/videodelivery  # the paper's Figure 2 timeline
+//	go run ./examples/videodelivery  # the paper's Figure 2 demo as a scenario cell
 //	go run ./examples/unevenlb       # uneven ECMP ratios on the wire
 //	go run ./examples/flashcrowd     # Poisson crowd on a random network
 //	go run ./cmd/experiments         # every figure/table, checked
@@ -45,4 +45,5 @@
 //	go run ./cmd/fibbingd            # live demo daemon with real SNMP/UDP
 //	go run ./cmd/fiblab -matrix      # the scenario-matrix stress harness
 //	go run ./cmd/fiblab -scale       # large-topology cells with cost telemetry
+//	go run ./cmd/fiblab -topo fig1 -workload fig2 -duration 60s
 package fibbing

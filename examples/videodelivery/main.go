@@ -1,9 +1,10 @@
 // Videodelivery replays the paper's demo (Figure 2): video waves arrive
 // at t=0, t=15s and t=35s; the Fibbing controller reacts to SNMP alarms
-// by injecting fake nodes. The example runs the timeline twice — with and
-// without the controller — and prints the link-throughput series and the
-// per-session playback quality, reproducing "smooth with Fibbing,
-// stuttering without".
+// by injecting fake nodes. The example runs the demo's scenario cell
+// (fig1/fig2) twice — with and without the controller — and prints the
+// link-throughput series and the per-session playback quality,
+// reproducing "smooth with Fibbing, stuttering without", then checks the
+// scenario matrix invariants between the two runs.
 //
 // The -viewers flag scales the same demand to an arbitrary crowd size
 // (e.g. -viewers 100000): per-session bitrate shrinks so the total stays
@@ -19,8 +20,8 @@ import (
 	"time"
 
 	"fibbing.net/fibbing/internal/controller"
-	"fibbing.net/fibbing/internal/flashcrowd"
 	"fibbing.net/fibbing/internal/metrics"
+	"fibbing.net/fibbing/internal/scenarios"
 	"fibbing.net/fibbing/internal/topo"
 	"fibbing.net/fibbing/internal/video"
 )
@@ -28,79 +29,53 @@ import (
 func main() {
 	viewers := flag.Int("viewers", 0, "scale the demo crowd to this many sessions (0 keeps the paper's 62)")
 	flag.Parse()
-	if *viewers > 0 {
-		runScaled(*viewers)
-		return
+	spec := scenarios.Spec{
+		Topo:     scenarios.TopoSpec{Family: "fig1"},
+		Workload: "fig2",
+		Duration: 60 * time.Second,
+		Viewers:  *viewers,
 	}
+	var reps []*scenarios.Report
 	for _, withCtrl := range []bool{true, false} {
 		label := "WITH Fibbing controller"
 		if !withCtrl {
 			label = "WITHOUT controller"
 		}
-		fmt.Printf("==== %s ====\n", label)
-		sim, res, err := controller.RunFig2(withCtrl, 60*time.Second, 0)
+		var sim *controller.Sim
+		rep, err := scenarios.RunWatched(spec, withCtrl, func(s *controller.Sim) { sim = s })
 		if err != nil {
 			log.Fatal(err)
 		}
+		reps = append(reps, rep)
+		fmt.Printf("==== %s, %d viewers ====\n", label, rep.Sessions)
 
 		fmt.Println("link throughput (byte/s), as in the paper's Figure 2:")
-		if err := metrics.SeriesTable(5*time.Second, res.Series...).Render(os.Stdout); err != nil {
+		var series []*metrics.Series
+		for _, l := range [][2]string{{topo.Fig1A, topo.Fig1R1}, {topo.Fig1B, topo.Fig1R2}, {topo.Fig1B, topo.Fig1R3}} {
+			s, err := sim.Net.SeriesBetween(l[0], l[1])
+			if err != nil {
+				log.Fatal(err)
+			}
+			series = append(series, s)
+		}
+		if err := metrics.SeriesTable(5*time.Second, series...).Render(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 
-		for _, d := range res.Decisions {
+		for _, d := range rep.Decisions {
 			fmt.Printf("controller @%-4v: %s (%d lies) — %s\n", d.At, d.Strategy, d.Lies, d.Detail)
 		}
 
-		agg := video.AggregateQoE(res.QoE)
+		agg := video.AggregateQoE(sim.QoE())
+		stats := sim.Net.Stats()
 		fmt.Printf("\nplayback: %d sessions, %d smooth, %d stalls, mean rebuffer %.1f%% (worst %.1f%%)\n",
 			agg.Sessions, agg.SmoothSessions, agg.TotalStalls,
 			100*agg.MeanRebuffer, 100*agg.WorstRebuffer)
-		fmt.Printf("delivered %.1f of %.1f Mbit/s demanded; max link utilisation %.2f; %d live lies\n\n",
-			sim.Net.TotalThroughput()/1e6, 62*0.5, res.MaxUtilisation, res.LiveLies)
+		fmt.Printf("delivered %.1f of 31.0 Mbit/s demanded; max link utilisation %.2f; %d live lies; %d flows in %d aggregates\n\n",
+			sim.Net.TotalThroughput()/1e6, rep.FinalUtilisation, rep.Lies, stats.Flows, stats.Aggregates)
 	}
-}
-
-// runScaled replays the Figure 2 timeline with the demo's total demand
-// sliced into the requested number of sessions — the aggregate traffic
-// plane carries them in a handful of path-classes.
-func runScaled(viewers int) {
-	// The demo's totals: 31 sessions behind B, 31 behind A, 0.5 Mbit/s
-	// each. Keep the aggregate demand, shrink the per-session rate.
-	rate := flashcrowd.DefaultVideoRate * 62 / float64(viewers)
-	fromB := viewers / 2
-	fromA := viewers - fromB - 1
-	var waves []flashcrowd.Wave
-	for _, w := range []flashcrowd.Wave{
-		{At: 0, Ingress: topo.Fig1B, Flows: 1, Rate: rate},
-		{At: 15 * time.Second, Ingress: topo.Fig1B, Flows: fromB, Rate: rate},
-		{At: 35 * time.Second, Ingress: topo.Fig1A, Flows: fromA, Rate: rate},
-	} {
-		if w.Flows > 0 { // tiny -viewers can empty a surge step
-			waves = append(waves, w)
-		}
+	if v := scenarios.Violations(spec, reps[0], reps[1]); len(v) > 0 {
+		log.Fatalf("%s violates its invariants: %v", reps[0].Scenario, v)
 	}
-	for _, withCtrl := range []bool{true, false} {
-		label := "WITH Fibbing controller"
-		if !withCtrl {
-			label = "WITHOUT controller"
-		}
-		fmt.Printf("==== %s, %d viewers ====\n", label, viewers)
-		sim, err := controller.NewSim(controller.SimOpts{WithCtrl: withCtrl, TrackPlayers: true})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sim.Runner.Schedule(waves); err != nil {
-			log.Fatal(err)
-		}
-		sim.Run(60 * time.Second)
-
-		agg := video.AggregateQoE(sim.QoE())
-		stats := sim.Net.Stats()
-		fmt.Printf("playback: %d sessions, %d smooth, %d stalls, mean rebuffer %.1f%%\n",
-			agg.Sessions, agg.SmoothSessions, agg.TotalStalls, 100*agg.MeanRebuffer)
-		fmt.Printf("traffic plane: %d flows in %d aggregates; reshare %d incremental / %d full; max utilisation %.2f; %d lies\n\n",
-			stats.Flows, stats.Aggregates, stats.ReshareIncremental, stats.ReshareFull,
-			sim.Net.MaxUtilisation(), sim.Lies.LieCount())
-	}
+	fmt.Printf("%s: every scenario invariant holds\n", reps[0].Scenario)
 }

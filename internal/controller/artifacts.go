@@ -218,6 +218,13 @@ func (a *PlanArtifacts) Tree(src topo.NodeID) *spf.Tree {
 // bound keeps the per-alarm search cheap on large sparse topologies.
 const spurScan = 8
 
+// kspPaths and qoeGreedyPaths are how many loopless paths the ksp and
+// qoe-greedy strategies consider.
+const (
+	kspPaths       = 4
+	qoeGreedyPaths = 3
+)
+
 // KShortest returns the memoised Yen k-shortest-path set.
 func (a *PlanArtifacts) KShortest(src, dst topo.NodeID, k int) [][]topo.NodeID {
 	return memo(a, a.ksp, kspKey{src, dst, k}, a.planCount, func() [][]topo.NodeID {

@@ -8,7 +8,6 @@ import (
 	"fibbing.net/fibbing/internal/event"
 	"fibbing.net/fibbing/internal/fib"
 	"fibbing.net/fibbing/internal/flashcrowd"
-	"fibbing.net/fibbing/internal/metrics"
 	"fibbing.net/fibbing/internal/monitor"
 	"fibbing.net/fibbing/internal/netsim"
 	"fibbing.net/fibbing/internal/ospf"
@@ -33,8 +32,7 @@ type Sim struct {
 	// BFD is the liveness engine (nil unless SimOpts.BFD enables it).
 	BFD *bfd.Engine
 
-	Sessions    []*video.SimSession
-	ABRSessions []*video.ABRSimSession
+	Sessions []*video.SimSession
 }
 
 // SimOpts parameterises NewSim.
@@ -51,9 +49,6 @@ type SimOpts struct {
 	SampleEvery  time.Duration // throughput series sampling, default 1s
 	VideoSample  time.Duration // player tick, default 250ms
 	TrackPlayers bool          // attach a SimSession per flow
-	// ABR, when set, attaches adaptive-bitrate players instead of
-	// fixed-rate ones (the ABR extension experiment).
-	ABR *video.ABRConfig
 	// Workers sets the scheduler's parallel-batch pool width: 0 means
 	// GOMAXPROCS, 1 selects the pure sequential core. Output is
 	// byte-identical either way; only wall-clock changes.
@@ -152,13 +147,7 @@ func NewSim(o SimOpts) (*Sim, error) {
 	// Sessions attach through shared-ticker pools: one scheduler event
 	// stream per sim instead of one per viewer, which is what lets the
 	// flashcrowd-100k scale cells track every player's QoE.
-	switch {
-	case o.ABR != nil:
-		pool := video.NewABRSessionPool(s.Sched, s.Net, *o.ABR)
-		s.Runner.OnFlowStarted = func(id netsim.FlowID, _ float64) {
-			s.ABRSessions = append(s.ABRSessions, pool.Attach(id))
-		}
-	case o.TrackPlayers:
+	if o.TrackPlayers {
 		pool := video.NewSessionPool(s.Sched, s.Net, o.VideoSample)
 		s.Runner.OnFlowStarted = func(id netsim.FlowID, rate float64) {
 			s.Sessions = append(s.Sessions, pool.Attach(id, rate))
@@ -196,95 +185,4 @@ func (s *Sim) QoE() []video.QoE {
 		out[i] = sess.QoE()
 	}
 	return out
-}
-
-// ABRQoE collects adaptive sessions' metrics.
-func (s *Sim) ABRQoE() []video.ABRQoE {
-	out := make([]video.ABRQoE, len(s.ABRSessions))
-	for i, sess := range s.ABRSessions {
-		out[i] = sess.QoE()
-	}
-	return out
-}
-
-// RunFig2ABR runs the Figure 2 timeline with adaptive-bitrate players:
-// the ABR extension experiment. The wave rate is the ladder's top rung so
-// the controller's demand model plans for full-quality delivery.
-func RunFig2ABR(withController bool, until time.Duration, cfg video.ABRConfig) (*Sim, video.ABRAggregate, error) {
-	if until <= 0 {
-		until = 60 * time.Second
-	}
-	sim, err := NewSim(SimOpts{WithCtrl: withController, ABR: &cfg})
-	if err != nil {
-		return nil, video.ABRAggregate{}, err
-	}
-	ladder := cfg.Ladder
-	if len(ladder) == 0 {
-		ladder = video.DefaultLadder
-	}
-	top := ladder[len(ladder)-1]
-	if err := sim.Runner.Schedule(flashcrowd.Fig2Schedule(top)); err != nil {
-		return nil, video.ABRAggregate{}, err
-	}
-	sim.Run(until)
-	return sim, video.AggregateABRQoE(sim.ABRQoE()), nil
-}
-
-// Fig2Result is everything the Figure 2 experiment reports.
-type Fig2Result struct {
-	// Series holds the byte/s throughput of the figure's three links:
-	// A-R1, B-R2, B-R3.
-	Series []*metrics.Series
-	// QoE per video session (empty if players were not tracked).
-	QoE []video.QoE
-	// Decisions taken by the controller.
-	Decisions []Decision
-	// Lies live at the end of the run.
-	LiveLies int
-	// MaxUtilisation at the end of the run.
-	MaxUtilisation float64
-	// ProtocolStats from the IGP.
-	ProtocolStats ospf.ControlPlaneStats
-}
-
-// RunFig2 executes the paper's Figure 2 timeline: one video flow from S1
-// (behind B) at t=0, thirty more at t=15 s, thirty-one from S2 (behind A)
-// at t=35 s, measured until `until` (default 60 s). With the controller
-// enabled the maximum link load stays bounded as fake nodes add paths;
-// without it, the B-R2 path saturates and playback stutters.
-func RunFig2(withController bool, until time.Duration, videoRate float64) (*Sim, *Fig2Result, error) {
-	if until <= 0 {
-		until = 60 * time.Second
-	}
-	sim, err := NewSim(SimOpts{WithCtrl: withController, TrackPlayers: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := sim.Runner.Schedule(flashcrowd.Fig2Schedule(videoRate)); err != nil {
-		return nil, nil, err
-	}
-	sim.Run(until)
-
-	res := &Fig2Result{
-		QoE:            sim.QoE(),
-		Decisions:      sim.Ctrl.Decisions,
-		LiveLies:       sim.Lies.LieCount(),
-		MaxUtilisation: sim.Net.MaxUtilisation(),
-		ProtocolStats:  sim.Domain.Stats(),
-	}
-	for _, pair := range [][2]string{
-		{topo.Fig1A, topo.Fig1R1},
-		{topo.Fig1B, topo.Fig1R2},
-		{topo.Fig1B, topo.Fig1R3},
-	} {
-		s, err := sim.Net.SeriesBetween(pair[0], pair[1])
-		if err != nil {
-			return nil, nil, err
-		}
-		res.Series = append(res.Series, s)
-	}
-	if len(sim.Domain.Errors) > 0 {
-		return nil, nil, fmt.Errorf("controller: protocol errors: %v", sim.Domain.Errors)
-	}
-	return sim, res, nil
 }

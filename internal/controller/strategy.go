@@ -383,17 +383,14 @@ func routerCount(t *topo.Topology) int {
 
 // --- ksp ----------------------------------------------------------------
 
-// KSPStrategy spreads over up to K loopless shortest paths (Yen's
+// KSPStrategy spreads over up to kspPaths loopless shortest paths (Yen's
 // algorithm on spf.KShortest) from the hot link's head router towards
 // each prefix's nearest attachment, pinning the detour paths hop by hop.
 // Unlike local-ecmp it can recruit *uphill* detours — paths whose first
 // hop is further from the destination — which is what rings and other
 // low-diversity topologies need; unlike lp-optimal it stays cheap on
 // topologies beyond the LP guard.
-type KSPStrategy struct {
-	// K is the number of loopless paths to consider (default 4).
-	K int
-}
+type KSPStrategy struct{}
 
 // Name implements Strategy.
 func (KSPStrategy) Name() string { return "ksp" }
@@ -402,10 +399,6 @@ func (KSPStrategy) Name() string { return "ksp" }
 func (s KSPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	if ctx.Event.Kind != EventAlarmRaised || len(ctx.Demands) == 0 {
 		return nil, nil
-	}
-	k := s.K
-	if k <= 0 {
-		k = 4
 	}
 	hot := ctx.Topo.Link(ctx.Event.Alarm.Link).From
 	tree := ctx.Artifacts.Tree(hot)
@@ -421,7 +414,7 @@ func (s KSPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 		if !ok || dst == hot {
 			continue
 		}
-		paths := ctx.Artifacts.KShortest(hot, dst, k)
+		paths := ctx.Artifacts.KShortest(hot, dst, kspPaths)
 		if len(paths) < 2 {
 			continue // no alternative beyond the IGP path
 		}

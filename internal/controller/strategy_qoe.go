@@ -12,9 +12,9 @@ import (
 
 // QoEGreedyStrategy places viewer crowds for minimum predicted pain: per
 // prefix it enumerates detour candidates — keep the installed routing,
-// each of K loopless shortest paths from the hot router, and their
-// cumulative unions (splitting the crowd over several paths at once) —
-// and greedily keeps whichever the stall predictor scores best. Unlike
+// each of qoeGreedyPaths loopless shortest paths from the hot router, and
+// their cumulative unions (splitting the crowd over several paths at
+// once) — and greedily keeps whichever the stall predictor scores best. Unlike
 // the utilisation strategies it will accept a hotter link when that
 // concentrates the shortfall on fewer (or fatter) sessions: under
 // max-min fair sharing, moving a thin crowd onto a shared path can
@@ -22,11 +22,7 @@ import (
 // invisible to max-utilisation scoring. It abstains without a QoE
 // predictor (utilisation score modes) and when no candidate strictly
 // improves the no-op plan's predicted stall score.
-type QoEGreedyStrategy struct {
-	// K is the number of loopless paths to consider per prefix
-	// (default 3).
-	K int
-}
+type QoEGreedyStrategy struct{}
 
 // Name implements Strategy.
 func (QoEGreedyStrategy) Name() string { return "qoe-greedy" }
@@ -36,19 +32,14 @@ func (s QoEGreedyStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	if ctx.Event.Kind != EventAlarmRaised || ctx.PredictQoE == nil || len(ctx.Demands) == 0 {
 		return nil, nil
 	}
-	k := s.K
-	if k <= 0 {
-		k = 3
-	}
 	hot := ctx.Topo.Link(ctx.Event.Alarm.Link).From
 
-	// The whole descent is a pure function of (topology, hot, k,
-	// installed lies, demands, viewer model): on an alarm train
+	// The whole descent is a pure function of (topology, hot, installed
+	// lies, demands, viewer model): on an alarm train
 	// re-raising the same hot link, replay the outcome from the artifact
 	// cache instead of re-sweeping the candidates.
-	key := strconv.FormatInt(int64(hot), 10) + "|" + strconv.Itoa(k) + "|" +
-		loadsKey(ctx.Installed, ctx.Demands) + "!" + ctx.qoeModelKey
-	e := ctx.Artifacts.qoeProposal(key, func() qoePropEntry { return s.descend(ctx, hot, k) })
+	key := strconv.FormatInt(int64(hot), 10) + "|" + loadsKey(ctx.Installed, ctx.Demands) + "!" + ctx.qoeModelKey
+	e := ctx.Artifacts.qoeProposal(key, func() qoePropEntry { return s.descend(ctx, hot) })
 	if e.overlay == nil {
 		return nil, nil // nothing strictly improves the no-op plan
 	}
@@ -74,13 +65,13 @@ func (s QoEGreedyStrategy) Propose(ctx PlanContext) (*Plan, error) {
 // minimises the combined predicted pain given the earlier choices.
 // Prefixes is sorted, so the descent order is deterministic. A nil
 // overlay in the returned entry means abstain.
-func (s QoEGreedyStrategy) descend(ctx PlanContext, hot topo.NodeID, k int) qoePropEntry {
+func (s QoEGreedyStrategy) descend(ctx PlanContext, hot topo.NodeID) qoePropEntry {
 	tree := ctx.Artifacts.Tree(hot)
 	overlay := make(map[string][]fibbing.Lie)
 	bestScore := ctx.BaseStall
 	for _, prefix := range ctx.Prefixes {
 		var bestLies []fibbing.Lie
-		for _, lies := range s.candidates(ctx, prefix, hot, tree, k) {
+		for _, lies := range s.candidates(ctx, prefix, hot, tree) {
 			overlay[prefix] = lies
 			q, err := ctx.PredictQoE(overlay)
 			if err != nil {
@@ -103,12 +94,12 @@ func (s QoEGreedyStrategy) descend(ctx PlanContext, hot topo.NodeID, k int) qoeP
 }
 
 // candidates builds one prefix's compiled lie-set candidates: each of
-// the k loopless shortest paths from the hot router to the prefix's
-// nearest attachment alone, plus their cumulative unions (path 1, paths
-// 1+2, paths 1+2+3, ...) — the unions are what split a crowd across
+// the qoeGreedyPaths loopless shortest paths from the hot router to the
+// prefix's nearest attachment alone, plus their cumulative unions (path
+// 1, paths 1+2, paths 1+2+3, ...) — the unions are what split a crowd across
 // disjoint detours, the single paths what moves it wholesale. Candidates
 // that fail to compile or verify are dropped.
-func (s QoEGreedyStrategy) candidates(ctx PlanContext, prefix string, hot topo.NodeID, tree *spf.Tree, k int) [][]fibbing.Lie {
+func (s QoEGreedyStrategy) candidates(ctx PlanContext, prefix string, hot topo.NodeID, tree *spf.Tree) [][]fibbing.Lie {
 	p, ok := ctx.Topo.PrefixByName(prefix)
 	if !ok {
 		return nil
@@ -117,7 +108,7 @@ func (s QoEGreedyStrategy) candidates(ctx PlanContext, prefix string, hot topo.N
 	if !ok || dst == hot {
 		return nil
 	}
-	paths := ctx.Artifacts.KShortest(hot, dst, k)
+	paths := ctx.Artifacts.KShortest(hot, dst, qoeGreedyPaths)
 	if len(paths) == 0 {
 		return nil
 	}

@@ -1,20 +1,26 @@
 // Package experiments regenerates every figure and quantitative claim of
 // the paper. Each experiment returns a Result with a rendered table and
-// machine-checkable values; cmd/experiments prints them (and exits 1 when
-// a paper-pinned check fails), and the root benchmark suite times them.
+// machine-checkable values; cmd/experiments prints them and exits 1 when a
+// paper-pinned check fails, the fig1/fig2 demo cell's invariants included.
 package experiments
 
 import (
 	"fmt"
+	"io"
+	"maps"
 	"net/netip"
+	"slices"
 	"strings"
 	"time"
 
 	"fibbing.net/fibbing/internal/controller"
 	"fibbing.net/fibbing/internal/event"
 	"fibbing.net/fibbing/internal/fibbing"
+	"fibbing.net/fibbing/internal/flashcrowd"
 	"fibbing.net/fibbing/internal/metrics"
+	"fibbing.net/fibbing/internal/netsim"
 	"fibbing.net/fibbing/internal/ospf"
+	"fibbing.net/fibbing/internal/scenarios"
 	"fibbing.net/fibbing/internal/spf"
 	"fibbing.net/fibbing/internal/te"
 	"fibbing.net/fibbing/internal/topo"
@@ -40,7 +46,7 @@ func (r *Result) failf(format string, args ...any) {
 }
 
 // Render writes the result in the experiment report format.
-func (r *Result) Render(w *strings.Builder) {
+func (r *Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", r.ID, r.Caption)
 	if r.Table != nil {
 		_ = r.Table.Render(w)
@@ -51,7 +57,7 @@ func (r *Result) Render(w *strings.Builder) {
 	for _, c := range r.Check {
 		fmt.Fprintf(w, "CHECK FAILED: %s\n", c)
 	}
-	w.WriteByte('\n')
+	fmt.Fprintln(w)
 }
 
 // Fig1a reproduces Figure 1a: the IGP shortest paths from A and B towards
@@ -87,18 +93,23 @@ func Fig1b() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{ID: "fig1b", Caption: "pre-Fibbing loads: the surge overloads B-R2-C"}
-	res.Table = metrics.NewTable("link", "relative load")
-	for _, line := range te.FormatLoads(tp, loads) {
-		parts := strings.SplitN(line, ": ", 2)
-		res.Table.AddRow(parts[0], parts[1])
-	}
+	res := &Result{ID: "fig1b", Caption: "pre-Fibbing loads: the surge overloads B-R2-C", Table: loadTable(tp, loads)}
 	max := te.MaxUtilOfLoads(tp, loads) * topo.DefaultFig1Capacity
 	if max != 200 {
 		res.failf("max load = %v, want 200", max)
 	}
 	res.note("max relative load 200 on B-R2 and R2-C (paper: overloaded links)")
 	return res, nil
+}
+
+// loadTable renders per-link relative loads, one row per loaded link.
+func loadTable(tp *topo.Topology, loads map[topo.LinkID]float64) *metrics.Table {
+	t := metrics.NewTable("link", "relative load")
+	for _, line := range te.FormatLoads(tp, loads) {
+		link, load, _ := strings.Cut(line, ": ")
+		t.AddRow(link, load)
+	}
+	return t
 }
 
 // Fig1c reproduces Figure 1c: the augmentation computes exactly the
@@ -140,18 +151,8 @@ func Fig1d() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{ID: "fig1d", Caption: "post-Fibbing loads: uneven splits cut the max load to 66.7"}
-	res.Table = metrics.NewTable("link", "relative load")
-	var max float64
-	for _, line := range te.FormatLoads(tp, loads) {
-		parts := strings.SplitN(line, ": ", 2)
-		res.Table.AddRow(parts[0], parts[1])
-	}
-	for _, v := range loads {
-		if v > max {
-			max = v
-		}
-	}
+	res := &Result{ID: "fig1d", Caption: "post-Fibbing loads: uneven splits cut the max load to 66.7", Table: loadTable(tp, loads)}
+	max := slices.Max(slices.Collect(maps.Values(loads)))
 	if diff := max - 200.0/3; diff > 1e-6 || diff < -1e-6 {
 		res.failf("max load = %v, want 66.67", max)
 	}
@@ -159,53 +160,86 @@ func Fig1d() (*Result, error) {
 	return res, nil
 }
 
-// Fig2 reproduces Figure 2: link throughput over time under the demo's
-// flow schedule, with the controller enabled.
-func Fig2(withController bool, until time.Duration) (*Result, error) {
-	sim, out, err := controller.RunFig2(withController, until, 0)
-	if err != nil {
-		return nil, err
+// demoArm is one run of the paper's demo cell: its report, and the
+// finished simulation the series and QoE tables read.
+type demoArm struct {
+	rep *scenarios.Report
+	sim *controller.Sim
+}
+
+// demo is the paper's Figure 2 demo as a scenario cell — the Figure 1
+// network under flashcrowd.Fig2Schedule — run once per arm, with the
+// matrix invariants between the two runs. Every Figure 2 result reads it.
+type demo struct {
+	spec       scenarios.Spec
+	on, off    demoArm
+	violations []string
+}
+
+func runDemo(until time.Duration) (*demo, error) {
+	d := &demo{spec: scenarios.Spec{Topo: scenarios.TopoSpec{Family: "fig1"}, Workload: "fig2", Duration: until}}
+	for _, a := range []*demoArm{&d.on, &d.off} {
+		rep, err := scenarios.RunWatched(d.spec, a == &d.on, func(s *controller.Sim) { a.sim = s })
+		if err != nil {
+			return nil, err
+		}
+		a.rep = rep
 	}
+	d.violations = scenarios.Violations(d.spec, d.on.rep, d.off.rep)
+	return d, nil
+}
+
+// series reads the throughput series of the named links.
+func series(sim *controller.Sim, links ...[2]string) []*metrics.Series {
+	out := make([]*metrics.Series, len(links))
+	for i, l := range links {
+		out[i] = sim.Net.Series(sim.Topo.MustLinkBetween(l[0], l[1]).ID)
+	}
+	return out
+}
+
+// fig2Links are the links Figure 2 plots.
+var fig2Links = [][2]string{{topo.Fig1A, topo.Fig1R1}, {topo.Fig1B, topo.Fig1R2}, {topo.Fig1B, topo.Fig1R3}}
+
+// fig2 reproduces Figure 2: link throughput over time under the demo's
+// flow schedule, in one of the demo's arms.
+func (d *demo) fig2(a demoArm) *Result {
 	mode := "with"
-	if !withController {
+	if !a.rep.Controller {
 		mode = "without"
 	}
 	res := &Result{
 		ID:      "fig2-" + mode,
 		Caption: fmt.Sprintf("throughput over time (%s Fibbing controller), byte/s", mode),
 	}
-	res.Table = metrics.SeriesTable(5*time.Second, out.Series...)
-	for _, d := range out.Decisions {
-		res.note("t=%-4v %-18s lies=%d  %s", d.At, d.Strategy, d.Lies, d.Detail)
+	res.Table = metrics.SeriesTable(5*time.Second, series(a.sim, fig2Links...)...)
+	for _, dec := range a.rep.Decisions {
+		res.note("t=%-4v %-18s lies=%d  %s", dec.At, dec.Strategy, dec.Lies, dec.Detail)
 	}
+	util := a.rep.FinalUtilisation
 	res.note("final max utilisation %.2f, live lies %d, delivered %.1f Mbit/s",
-		out.MaxUtilisation, out.LiveLies, sim.Net.TotalThroughput()/1e6)
-	if withController {
-		if out.LiveLies != 3 {
-			res.failf("live lies = %d, want 3", out.LiveLies)
+		util, a.rep.Lies, a.sim.Net.TotalThroughput()/1e6)
+	if a.rep.Controller {
+		if a.rep.Lies != 3 {
+			res.failf("live lies = %d, want 3", a.rep.Lies)
 		}
-		if out.MaxUtilisation > 0.95 {
-			res.failf("max utilisation %v: congestion not prevented", out.MaxUtilisation)
+		if util > 0.95 {
+			res.failf("max utilisation %v: congestion not prevented", util)
 		}
-	} else if out.MaxUtilisation < 0.99 {
-		res.failf("without controller the bottleneck should saturate (got %v)", out.MaxUtilisation)
+		for _, v := range d.violations {
+			res.failf("%s: %s", d.spec.Name, v)
+		}
+	} else if util < 0.99 {
+		res.failf("without controller the bottleneck should saturate (got %v)", util)
 	}
-	return res, nil
+	return res
 }
 
-// DemoQoE reproduces the demo's observable: smooth playback with the
+// qoe reproduces the demo's observable: smooth playback with the
 // controller, stutter without.
-func DemoQoE(until time.Duration) (*Result, error) {
-	_, with, err := controller.RunFig2(true, until, 0)
-	if err != nil {
-		return nil, err
-	}
-	_, without, err := controller.RunFig2(false, until, 0)
-	if err != nil {
-		return nil, err
-	}
-	aw := video.AggregateQoE(with.QoE)
-	ao := video.AggregateQoE(without.QoE)
+func (d *demo) qoe() *Result {
+	aw := video.AggregateQoE(d.on.sim.QoE())
+	ao := video.AggregateQoE(d.off.sim.QoE())
 	res := &Result{ID: "demo-qoe", Caption: "video QoE with vs. without the Fibbing controller"}
 	res.Table = metrics.NewTable("controller", "sessions", "smooth", "stalls", "mean rebuffer %", "worst rebuffer %", "mean startup")
 	res.Table.AddRow("fibbing", aw.Sessions, aw.SmoothSessions, aw.TotalStalls,
@@ -219,7 +253,32 @@ func DemoQoE(until time.Duration) (*Result, error) {
 		res.failf("without controller: rebuffer %.3f, want substantial", ao.MeanRebuffer)
 	}
 	res.note("the paper reports: playbacks smooth with Fibbing, stuttering without")
-	return res, nil
+	return res
+}
+
+// teCase is one demand set on one topology for the §2 comparisons.
+type teCase struct {
+	name    string
+	t       *topo.Topology
+	demands []topo.Demand
+}
+
+// teCases is Figure 1 under an 8 Mbit/s surge at A and B, then random
+// topologies of the given size (seeds 1-3) carrying that many random
+// demands each.
+func teCases(nodes, demands int) []teCase {
+	fig1 := topo.Fig1(topo.Fig1Opts{})
+	cases := []teCase{{"fig1", fig1, topo.Fig1Demands(fig1, 8e6)}}
+	for seed := int64(1); seed <= 3; seed++ {
+		tp := topo.RandomConnected(topo.RandomOpts{
+			Nodes: nodes, Degree: 3, MaxWeight: 5, Prefixes: 2, Capacity: 10e6, Seed: seed,
+		})
+		cases = append(cases, teCase{
+			fmt.Sprintf("rand%d-seed%d", nodes, seed), tp,
+			topo.RandomDemands(tp, demands, 1e6, 4e6, seed),
+		})
+	}
+	return cases
 }
 
 // OverheadVsRSVPTE quantifies the §2 comparison: Fibbing lies vs RSVP-TE
@@ -228,26 +287,7 @@ func OverheadVsRSVPTE() (*Result, error) {
 	res := &Result{ID: "overhead-rsvpte", Caption: "control/data-plane overhead: Fibbing vs MPLS RSVP-TE"}
 	res.Table = metrics.NewTable("topology", "fib lies", "fib LSA bytes", "fib encap B/pkt",
 		"tunnels", "signal msgs", "state entries", "mpls encap B/pkt")
-
-	type tc struct {
-		name    string
-		t       *topo.Topology
-		demands []topo.Demand
-	}
-	fig1 := topo.Fig1(topo.Fig1Opts{})
-	cases := []tc{
-		{"fig1", fig1, topo.Fig1Demands(fig1, 8e6)},
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		tp := topo.RandomConnected(topo.RandomOpts{
-			Nodes: 15, Degree: 3, MaxWeight: 5, Prefixes: 2, Capacity: 10e6, Seed: seed,
-		})
-		cases = append(cases, tc{
-			fmt.Sprintf("rand15-seed%d", seed), tp,
-			topo.RandomDemands(tp, 6, 1e6, 4e6, seed),
-		})
-	}
-	for _, c := range cases {
+	for _, c := range teCases(15, 6) {
 		cmp, err := te.CompareOverheads(c.t, c.demands, 16)
 		if err != nil {
 			res.note("%s: %v (skipped)", c.name, err)
@@ -268,24 +308,7 @@ func OverheadVsRSVPTE() (*Result, error) {
 func MinMaxOptimality() (*Result, error) {
 	res := &Result{ID: "minmax-optimality", Caption: "max link utilisation: IGP ECMP vs weight search vs greedy vs LP optimum vs Fibbing"}
 	res.Table = metrics.NewTable("topology", "igp ecmp", "weight-opt", "greedy", "lp optimum", "fibbing realised", "lies", "weight changes")
-
-	type tc struct {
-		name    string
-		t       *topo.Topology
-		demands []topo.Demand
-	}
-	fig1 := topo.Fig1(topo.Fig1Opts{})
-	cases := []tc{{"fig1", fig1, topo.Fig1Demands(fig1, 8e6)}}
-	for seed := int64(1); seed <= 3; seed++ {
-		tp := topo.RandomConnected(topo.RandomOpts{
-			Nodes: 12, Degree: 3, MaxWeight: 5, Prefixes: 2, Capacity: 10e6, Seed: seed,
-		})
-		cases = append(cases, tc{
-			fmt.Sprintf("rand12-seed%d", seed), tp,
-			topo.RandomDemands(tp, 5, 1e6, 4e6, seed),
-		})
-	}
-	for _, c := range cases {
+	for _, c := range teCases(12, 5) {
 		igp, err := te.ECMPOnlyUtilisation(c.t, c.demands)
 		if err != nil {
 			return nil, err
@@ -416,37 +439,20 @@ func greenPrefix() netip.Prefix {
 	return netip.MustParsePrefix("10.77.0.0/16")
 }
 
-// ReactionLatency quantifies the demo's "quickly removing the congestion"
+// reactionLatency quantifies the demo's "quickly removing the congestion"
 // claim: for each wave of the Figure 2 timeline, how long from the wave's
 // arrival to the controller's decision, and to full delivery of the
 // demand. Without the controller, the third wave never recovers.
-func ReactionLatency(until time.Duration) (*Result, error) {
+func (d *demo) reactionLatency() *Result {
 	res := &Result{ID: "reaction-latency", Caption: "time from surge to reaction to full delivery (Fig2 timeline)"}
 	res.Table = metrics.NewTable("controller", "wave", "at", "demand Mbit/s", "decision at", "full delivery at")
 
-	type wave struct {
-		at     time.Duration
-		demand float64 // total offered bit/s after the wave
-	}
-	waves := []wave{
-		{0, 0.5e6},
-		{15 * time.Second, 15.5e6},
-		{35 * time.Second, 31e6},
-	}
-	for _, withCtrl := range []bool{true, false} {
-		sim, out, err := controller.RunFig2(withCtrl, until, 0)
-		if err != nil {
-			return nil, err
-		}
+	until := d.spec.Duration
+	waves := flashcrowd.Fig2Schedule(0)
+	for _, a := range []demoArm{d.on, d.off} {
+		withCtrl := a.rep.Controller
 		// Delivered-to-destination = sum of the three C-facing links.
-		var delivered []*metrics.Series
-		for _, pair := range [][2]string{{"R2", "C"}, {"R3", "C"}, {"R4", "C"}} {
-			s, err := sim.Net.SeriesBetween(pair[0], pair[1])
-			if err != nil {
-				return nil, err
-			}
-			delivered = append(delivered, s)
-		}
+		delivered := series(a.sim, [2]string{"R2", "C"}, [2]string{"R3", "C"}, [2]string{"R4", "C"})
 		deliveredAt := func(t time.Duration) float64 {
 			sum := 0.0
 			for _, s := range delivered {
@@ -458,26 +464,28 @@ func ReactionLatency(until time.Duration) (*Result, error) {
 		if !withCtrl {
 			name = "disabled"
 		}
+		demand := 0.0 // total offered bit/s after the wave
 		for i, w := range waves {
+			demand += float64(w.Flows) * w.Rate
 			windowEnd := until
 			if i+1 < len(waves) {
-				windowEnd = waves[i+1].at
+				windowEnd = waves[i+1].At
 			}
 			decision := "-"
-			for _, d := range out.Decisions {
-				if d.At >= w.at && d.At < windowEnd {
-					decision = d.At.String()
+			for _, dec := range a.rep.Decisions {
+				if dec.At >= w.At && dec.At < windowEnd {
+					decision = dec.At.String()
 					break
 				}
 			}
 			recovery := "never"
-			for t := w.at; t <= until; t += time.Second {
-				if deliveredAt(t) >= 0.99*w.demand {
+			for t := w.At; t <= until; t += time.Second {
+				if deliveredAt(t) >= 0.99*demand {
 					recovery = t.String()
 					break
 				}
 			}
-			res.Table.AddRow(name, i+1, w.at.String(), w.demand/1e6, decision, recovery)
+			res.Table.AddRow(name, i+1, w.At.String(), demand/1e6, decision, recovery)
 			if withCtrl && recovery == "never" {
 				res.failf("wave %d never fully delivered with the controller", i+1)
 			}
@@ -487,57 +495,77 @@ func ReactionLatency(until time.Duration) (*Result, error) {
 		}
 	}
 	res.note("the controller restores full delivery within seconds of each surge (monitor poll + SPF); without it the third wave starves forever")
-	return res, nil
+	return res
 }
 
 // ABRExtension is the "what if the application adapts?" extension: the
 // Figure 2 timeline replayed with DASH-style adaptive-bitrate players.
 // ABR avoids most stalls on its own by downshifting quality — Fibbing's
-// value then shows up as delivered bitrate instead of stall counts.
+// value then shows up as delivered bitrate instead of stall counts. The
+// scenario cells have no adaptive players, so each arm attaches a pool to
+// a plain simulation itself.
 func ABRExtension(until time.Duration) (*Result, error) {
 	res := &Result{ID: "abr-extension", Caption: "Figure 2 with adaptive-bitrate players (extension)"}
 	res.Table = metrics.NewTable("controller", "sessions", "mean bitrate kbit/s", "top-rung %", "stalls", "switches")
-	var withBitrate, withoutBitrate float64
+	bitrate := map[bool]float64{} // mean delivered bitrate by controller on/off
 	for _, withCtrl := range []bool{true, false} {
-		_, agg, err := controller.RunFig2ABR(withCtrl, until, video.ABRConfig{})
+		sim, err := controller.NewSim(controller.SimOpts{WithCtrl: withCtrl})
 		if err != nil {
 			return nil, err
 		}
+		pool := video.NewABRSessionPool(sim.Sched, sim.Net, video.ABRConfig{})
+		var sessions []*video.ABRSimSession
+		sim.Runner.OnFlowStarted = func(id netsim.FlowID, _ float64) {
+			sessions = append(sessions, pool.Attach(id))
+		}
+		// The waves run at the ladder's top rung so the controller's
+		// demand model plans for full-quality delivery.
+		top := video.DefaultLadder[len(video.DefaultLadder)-1]
+		if err := sim.Runner.Schedule(flashcrowd.Fig2Schedule(top)); err != nil {
+			return nil, err
+		}
+		sim.Run(until)
+		qs := make([]video.ABRQoE, len(sessions))
+		for i, s := range sessions {
+			qs[i] = s.QoE()
+		}
+		agg := video.AggregateABRQoE(qs)
+		bitrate[withCtrl] = agg.MeanBitrate
 		name := "fibbing"
 		if !withCtrl {
 			name = "disabled"
-			withoutBitrate = agg.MeanBitrate
-		} else {
-			withBitrate = agg.MeanBitrate
 		}
 		res.Table.AddRow(name, agg.Sessions, agg.MeanBitrate/1e3,
 			100*agg.TopRungShare, agg.TotalStalls, agg.Switches)
 	}
-	if withBitrate <= withoutBitrate*1.3 {
-		res.failf("fibbing should lift ABR bitrate substantially: %0.f vs %0.f",
-			withBitrate, withoutBitrate)
+	if bitrate[true] <= bitrate[false]*1.3 {
+		res.failf("fibbing should lift ABR bitrate substantially: %0.f vs %0.f", bitrate[true], bitrate[false])
 	}
-	res.note("with ABR the congestion shows as quality loss, not stalls; Fibbing lifts the mean delivered bitrate by ~%.1fx", withBitrate/withoutBitrate)
+	res.note("with ABR the congestion shows as quality loss, not stalls; Fibbing lifts the mean delivered bitrate by ~%.1fx", bitrate[true]/bitrate[false])
 	return res, nil
 }
 
-// All runs every experiment in paper order.
+// All runs every experiment in paper order. The Figure 2 results share
+// one demo run per arm.
 func All(fig2Duration time.Duration) ([]*Result, error) {
 	if fig2Duration <= 0 {
 		fig2Duration = 60 * time.Second
 	}
+	d, err := runDemo(fig2Duration)
+	if err != nil {
+		return nil, err
+	}
 	type gen func() (*Result, error)
+	done := func(r *Result) gen { return func() (*Result, error) { return r, nil } }
 	gens := []gen{
 		Fig1a, Fig1b, Fig1c, Fig1d,
-		func() (*Result, error) { return Fig2(true, fig2Duration) },
-		func() (*Result, error) { return Fig2(false, fig2Duration) },
-		func() (*Result, error) { return DemoQoE(fig2Duration) },
+		done(d.fig2(d.on)), done(d.fig2(d.off)), done(d.qoe()),
 		OverheadVsRSVPTE,
 		MinMaxOptimality,
 		WeightChangeVsLie,
 		PerDestinationIsolation,
 		func() (*Result, error) { return ABRExtension(fig2Duration) },
-		func() (*Result, error) { return ReactionLatency(fig2Duration) },
+		done(d.reactionLatency()),
 	}
 	var out []*Result
 	for _, g := range gens {
@@ -567,21 +595,8 @@ func fmtNH(tp *topo.Topology, v fibbing.RouteView) string {
 		return "-"
 	}
 	parts := make([]string, 0, len(v.NextHops))
-	for _, n := range sortedNodes(v.NextHops) {
+	for _, n := range slices.Sorted(maps.Keys(v.NextHops)) {
 		parts = append(parts, fmt.Sprintf("%s:%d", tp.Name(n), v.NextHops[n]))
 	}
 	return strings.Join(parts, ",")
-}
-
-func sortedNodes(w fibbing.NextHopWeights) []topo.NodeID {
-	out := make([]topo.NodeID, 0, len(w))
-	for n := range w {
-		out = append(out, n)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -8,21 +8,6 @@ import (
 	"fibbing.net/fibbing/internal/controller"
 )
 
-// runWatched is Run with a caller between its build and drive steps:
-// watch arms its tickers and callbacks on the assembled simulation before
-// anything of the cell's own is scheduled.
-func runWatched(spec Spec, withCtrl bool, watch func(*controller.Sim)) (*Report, error) {
-	c, err := build(spec, withCtrl)
-	if err != nil {
-		return nil, err
-	}
-	watch(c.sim)
-	if err := c.drive(); err != nil {
-		return nil, err
-	}
-	return c.collect(), nil
-}
-
 // TestAggregateReshareMatchesGlobalSolve is the traffic-plane equivalence
 // property over the zoo: every matrix cell (all 6 topology families x 3
 // workload/failure schedules) runs with the controller on — so lie churn,
@@ -37,7 +22,7 @@ func TestAggregateReshareMatchesGlobalSolve(t *testing.T) {
 			t.Run(spec.Name, func(t *testing.T) {
 				t.Parallel()
 				checks := 0
-				rep, err := runWatched(spec, true, func(sim *controller.Sim) {
+				rep, err := RunWatched(spec, true, func(sim *controller.Sim) {
 					// An off-grid period keeps the checks interleaved between the
 					// samplers and wave events rather than synchronised with them.
 					sim.Sched.NewTicker(333*time.Millisecond, func() {
@@ -78,7 +63,7 @@ func TestViewerScaledCellEquivalence(t *testing.T) {
 		Viewers:  5000,
 		Seed:     4,
 	}
-	rep, err := runWatched(spec, true, func(sim *controller.Sim) {
+	rep, err := RunWatched(spec, true, func(sim *controller.Sim) {
 		sim.Sched.NewTicker(time.Second, func() {
 			if err := sim.Net.VerifyMaxMin(1e-9); err != nil {
 				t.Errorf("@%v: %v", sim.Sched.Now(), err)

@@ -33,7 +33,7 @@ func runCaptured(t *testing.T, spec Spec, workers int) parallelCapture {
 		sim   *controller.Sim
 		trace strings.Builder
 	)
-	rep, err := runWatched(spec, true, func(s *controller.Sim) {
+	rep, err := RunWatched(spec, true, func(s *controller.Sim) {
 		sim = s
 		// Chain-wrap the delta callback: record the diff, then forward it
 		// to the data plane as before.
@@ -137,6 +137,12 @@ func TestParallelCoreDeterminism(t *testing.T) {
 		spec.Name += "@qoe"
 		specs = append(specs, spec)
 	}
+	// The paper's demo cell rides along, at its own 62 viewers and sliced
+	// into 1000.
+	demo1k := fig2Cell
+	demo1k.Viewers = 1000
+	demo1k.Name = "fig1/fig2/1000"
+	specs = append(specs, fig2Cell, demo1k)
 	var batched uint64
 	for _, spec := range specs {
 		seq := runCaptured(t, spec, 1)

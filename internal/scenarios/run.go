@@ -27,10 +27,9 @@ type flowTrack struct {
 	session   *video.SimSession
 }
 
-// cell is one scenario run in flight. Run takes it through three steps —
-// build, drive, collect — and whatever needs to watch the running
-// simulation (the equivalence and determinism tests today) arms its own
-// tickers and callbacks on sim between build and drive.
+// cell is one scenario run in flight. RunWatched takes it through three
+// steps — build, drive, collect — and hands the assembled simulation to
+// its watcher between build and drive.
 type cell struct {
 	spec     Spec
 	waves    []flashcrowd.Wave
@@ -51,9 +50,20 @@ type cell struct {
 // returns its report. Each call builds a fresh topology and simulation,
 // so concurrent Runs (the matrix test's parallel cells) are independent.
 func Run(spec Spec, withCtrl bool) (*Report, error) {
+	return RunWatched(spec, withCtrl, nil)
+}
+
+// RunWatched is Run with a caller between its build and drive steps:
+// watch (nil for none) receives the assembled simulation — IGP started,
+// nothing scheduled yet — and may arm its own tickers and callbacks or
+// keep the simulation to read it after the run.
+func RunWatched(spec Spec, withCtrl bool, watch func(*controller.Sim)) (*Report, error) {
 	c, err := build(spec, withCtrl)
 	if err != nil {
 		return nil, err
+	}
+	if watch != nil {
+		watch(c.sim)
 	}
 	if err := c.drive(); err != nil {
 		return nil, err
@@ -74,6 +84,9 @@ func build(spec Spec, withCtrl bool) (*cell, error) {
 		// indivisible flow: no routing can spread it, so every
 		// controller-beats-IGP invariant would fail by construction.
 		return nil, fmt.Errorf("%s: a single viewer cannot be load-balanced; use Viewers >= 2", spec.Name)
+	}
+	if spec.Workload == "fig2" && spec.Topo.Family != "fig1" {
+		return nil, fmt.Errorf("%s: the fig2 workload is the paper's demo and needs the fig1 topology", spec.Name)
 	}
 	tp, prefix, err := spec.Topo.Build()
 	if err != nil {

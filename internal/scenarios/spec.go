@@ -7,11 +7,13 @@
 // touch only the target prefix", "no stalls after convergence").
 //
 // A Spec names a topology family from the zoo (Fig1, Abilene, fat-tree,
-// ring, grid, Waxman, random), a workload (surge, flash crowd, ramp), an
-// optional link-failure schedule and a duration; Run executes it with or
-// without the controller and produces a Report. Compare runs both and
-// checks Violations between them. MatrixSpecs is the cross product the
-// matrix test and cmd/fiblab sweep.
+// ring, grid, Waxman, random), a workload (surge, flash crowd, ramp, the
+// paper's Figure 2 demo, …), an optional link-failure schedule and a
+// duration; Run executes it with or without the controller and produces a
+// Report, and RunWatched does the same with a caller hooked onto the
+// assembled simulation. Compare runs both and checks Violations between
+// them. MatrixSpecs is the cross product the matrix test and cmd/fiblab
+// sweep.
 package scenarios
 
 import (
@@ -151,7 +153,9 @@ type Spec struct {
 	Topo TopoSpec `json:"topo"`
 	// Workload is one of "surge", "flash", "ramp", "dual", "steady",
 	// "skew" (a thin crowd and a fat crowd with very different
-	// per-session rates — the score-mode comparison cells' schedule).
+	// per-session rates — the score-mode comparison cells' schedule) or
+	// "fig2" (the paper's demo timeline, flashcrowd.Fig2Schedule; fig1
+	// topology only, and its last wave at 35 s needs a longer Duration).
 	Workload string `json:"workload"`
 	// Failure is "" (none), "hotlink" (fail the primary ingress's
 	// shortest-path first hop mid-run), "flap" (fail then heal it) or
@@ -165,9 +169,10 @@ type Spec struct {
 	// Viewers scales the crowd to an explicit session count: the total
 	// demand stays ~1.7x the primary path's bottleneck capacity, sliced
 	// into equal-rate sessions (0 keeps the default ~42-session sizing).
-	// The surge workload honours the count exactly; flash/ramp/dual
-	// derive their per-wave counts from capacity fractions and land near
-	// it. The flashcrowd-100k scale cells use it to push a hundred
+	// The surge workload honours the count exactly, and so does fig2,
+	// slicing the demo's own 31 Mbit/s instead; flash/ramp/dual derive
+	// their per-wave counts from capacity fractions and land near it.
+	// The flashcrowd-100k scale cells use it to push a hundred
 	// thousand viewers through the aggregate traffic plane at 1 Gbit/s
 	// link capacity.
 	Viewers int `json:"viewers,omitempty"`

@@ -32,7 +32,7 @@ type env struct {
 	// would funnel the whole crowd through.
 	pathCap float64
 	// viewers, when positive, slices the crowd's demand into that many
-	// equal-rate sessions (exact for surge, approximate for the
+	// equal-rate sessions (exact for surge and fig2, approximate for the
 	// fraction-derived workloads; see Spec.Viewers).
 	viewers int
 	// hop1A/hop1B name the first link of that shortest path (the failure
@@ -187,6 +187,18 @@ func buildWaves(kind string, e *env, duration time.Duration, seed int64) ([]flas
 			{At: 1 * time.Second, Ingress: e.primary, Flows: 1, Rate: rate},
 			{At: 5 * time.Second, Ingress: e.primary, Flows: first, Rate: rate},
 			{At: 12 * time.Second, Ingress: e.primary, Flows: second, Rate: rate},
+		}
+		return nonEmptyWaves(waves), nil
+	case "fig2":
+		// The paper's demo (build rejects topologies but fig1): 1, +30 and
+		// +31 sessions of 0.5 Mbit/s at 0, 15 and 35 s from B, B, A. A
+		// viewer count N slices the same 31 Mbit/s into 1 + round(30·N/62)
+		// + the rest.
+		waves := flashcrowd.Fig2Schedule(0)
+		if n := e.viewers; n > 0 {
+			second := int(math.Round(30 * float64(n) / 62))
+			waves = flashcrowd.Fig2Schedule(flashcrowd.DefaultVideoRate * 62 / float64(n))
+			waves[1].Flows, waves[2].Flows = second, n-1-second
 		}
 		return nonEmptyWaves(waves), nil
 	case "flash":

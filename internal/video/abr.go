@@ -1,7 +1,6 @@
 package video
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -70,9 +69,8 @@ type ABRSimSession struct {
 	Player *Player
 	cfg    ABRConfig
 
-	port   deliveryPort
-	ticker *event.Ticker
-	done   bool
+	port deliveryPort
+	done bool
 
 	rung     int
 	estimate metrics.EWMA
@@ -85,21 +83,6 @@ type ABRSimSession struct {
 
 	switches    int
 	mediaByRung []float64
-}
-
-// NewABRSimSession attaches an adaptive player to a flow. The session
-// manages the flow's rate cap: 4x the current rung, modelling the bursty
-// segment fetches of real players (and leaving the estimator headroom to
-// observe rates above the current rung, without which no player could
-// ever justify an up-switch).
-func NewABRSimSession(sched *event.Scheduler, net *netsim.Network, flow netsim.FlowID, cfg ABRConfig) *ABRSimSession {
-	s := newABRSimSession(sched, net, flow, cfg.withDefaults())
-	s.ticker = sched.NewTicker(100*time.Millisecond, func() { s.tick(sched.Now()) })
-	return s
-}
-
-func newABRSimSession(sched *event.Scheduler, net *netsim.Network, flow netsim.FlowID, cfg ABRConfig) *ABRSimSession {
-	return newABRPortSession(sched, flowPort{net: net, flow: flow}, cfg)
 }
 
 // newABRPortSession builds a session against any delivery port — the
@@ -191,9 +174,14 @@ func NewABRSessionPool(sched *event.Scheduler, net *netsim.Network, cfg ABRConfi
 	return p
 }
 
-// Attach joins a new adaptive session for the flow to the pool.
+// Attach joins a new adaptive session for the flow to the pool: the one
+// way an adaptive player joins a fluid flow. The session manages the
+// flow's rate cap: 4x the current rung, modelling the bursty segment
+// fetches of real players (and leaving the estimator headroom to observe
+// rates above the current rung, without which no player could ever
+// justify an up-switch).
 func (p *ABRSessionPool) Attach(flow netsim.FlowID) *ABRSimSession {
-	s := newABRSimSession(p.sched, p.net, flow, p.cfg)
+	s := newABRPortSession(p.sched, flowPort{net: p.net, flow: flow}, p.cfg)
 	p.sessions = append(p.sessions, s)
 	return s
 }
@@ -223,9 +211,6 @@ func (s *ABRSimSession) Rung() int { return s.rung }
 // Stop halts the session.
 func (s *ABRSimSession) Stop() {
 	s.done = true
-	if s.ticker != nil {
-		s.ticker.Stop()
-	}
 }
 
 // QoE returns playback and quality metrics.
@@ -269,9 +254,4 @@ func AggregateABRQoE(qs []ABRQoE) ABRAggregate {
 		out.TopRungShare = top / float64(len(qs))
 	}
 	return out
-}
-
-func (a ABRAggregate) String() string {
-	return fmt.Sprintf("%d sessions, mean bitrate %.0f kbit/s, top-rung %.0f%%, %d stalls, %d switches",
-		a.Sessions, a.MeanBitrate/1e3, 100*a.TopRungShare, a.TotalStalls, a.Switches)
 }

@@ -43,7 +43,7 @@ func abrRig(t *testing.T, capacity float64) (*event.Scheduler, *netsim.Network, 
 	net.SetTable(b, tb)
 
 	id := net.AddFlow(a, abrKey, 0)
-	sess := NewABRSimSession(sched, net, id, ABRConfig{})
+	sess := NewABRSessionPool(sched, net, ABRConfig{}).Attach(id)
 	return sched, net, sess
 }
 
@@ -102,7 +102,7 @@ func TestABRDownshiftsWhenCapacityDrops(t *testing.T) {
 	net.SetTable(b, tb)
 	key := fib.FlowKey{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.100.0.1"), SrcPort: 1, DstPort: 1, Proto: 6}
 	id := net.AddFlow(a, key, 0)
-	sess := NewABRSimSession(sched, net, id, ABRConfig{})
+	sess := NewABRSessionPool(sched, net, ABRConfig{}).Attach(id)
 
 	sched.RunUntil(30 * time.Second)
 	if sess.Rung() != 2 {

@@ -74,8 +74,7 @@ func RunConstantRate(cfg ABRConfig, rate float64, horizon time.Duration) ABRQoE 
 	sched := event.NewScheduler()
 	port := &constRatePort{sched: sched, rate: rate}
 	s := newABRPortSession(sched, port, cfg.withDefaults())
-	s.ticker = sched.NewTicker(100*time.Millisecond, func() { s.tick(sched.Now()) })
+	sched.NewTicker(100*time.Millisecond, func() { s.tick(sched.Now()) })
 	sched.RunUntil(horizon)
-	s.Stop()
 	return s.QoE()
 }
