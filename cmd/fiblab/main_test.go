@@ -62,8 +62,9 @@ func runJSON(t *testing.T, args ...string) (int, []map[string]json.RawMessage, s
 // TestOverridesReachEveryArm is the mode x override-flag table: in every
 // mode, each override flag either lands in the Spec of every arm of every
 // cell or makes the invocation a usage error — never silently dropped. It
-// also pins the top-level JSON keys of each mode's cells, the shape `make
-// reports-cmp` and downstream readers rely on.
+// also pins the top-level JSON keys of each mode's cells, the shape
+// TestGoldenReports' testdata/ files (rewritten with -update) and
+// downstream readers rely on.
 func TestOverridesReachEveryArm(t *testing.T) {
 	modes := []struct {
 		name    string
