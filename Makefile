@@ -73,14 +73,14 @@ scale:
 # Per-package statement coverage with CI-failing floors on the packages
 # whose correctness rests on analytic claims rather than exercised
 # plumbing: internal/qoe (the stall predictor the planner trusts) and
-# internal/controller (admissibility and scoring). Floors sit a few
-# points under the seed numbers — 92.6% for internal/qoe and 69.6% for
-# internal/controller at the time the floors were pinned — so organic
-# refactors don't trip them but a dropped test file does.
+# internal/controller (admissibility and scoring). Measured when the
+# qoe-greedy strategy was deleted: 92.6% for internal/qoe and 86.6% for
+# internal/controller. The floors sit 2.6 points under that: dropping
+# artifacts_test.go alone takes internal/controller to 81.1%.
 cover:
 	@$(GO) test -cover ./... > cover.out.tmp; s=$$?; cat cover.out.tmp; \
 	if [ $$s -ne 0 ]; then rm -f cover.out.tmp; exit $$s; fi; \
-	for want in internal/qoe:88.0 internal/controller:68.0; do \
+	for want in internal/qoe:90.0 internal/controller:84.0; do \
 	  pkg=$${want%%:*}; floor=$${want##*:}; \
 	  pct=$$(grep -E "fibbing.net/fibbing/$$pkg	" cover.out.tmp \
 	    | grep -oE '[0-9.]+% of statements' | cut -d'%' -f1); \

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fibbing.net/fibbing/internal/controller"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from this run's output")
@@ -89,5 +91,38 @@ func golden(t *testing.T, name string, got []byte) {
 		}
 		t.Errorf("%s differs from this run at line %d:\n  golden: %q\n  run:    %q\nrerun with -update and commit the diff if the change is intended",
 			path, i+1, w[i], g[i])
+	}
+}
+
+// TestStockStrategiesWin is the earn-or-delete audit of the stock
+// strategy set: summed over the matrix and QoE goldens, every strategy
+// DefaultStrategies registers wins at least one arm's decision, or it is
+// code no reported cell needs. withdraw is exempt: no cell's crowd leaves
+// (ROADMAP item 4), so it has no proposal to win with yet.
+func TestStockStrategiesWin(t *testing.T) {
+	wins := map[string]int{}
+	for mode, arms := range map[string][]string{"matrix": {"on", "off"}, "qoe": {"util", "qoe", "off"}} {
+		raw, err := os.ReadFile(filepath.Join("testdata", mode+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cells []map[string]struct {
+			StrategyPerf map[string]controller.StrategyPerf `json:"strategy_perf"`
+		}
+		if err := json.Unmarshal(raw, &cells); err != nil {
+			t.Fatal(err)
+		}
+		for _, cell := range cells {
+			for _, arm := range arms {
+				for name, perf := range cell[arm].StrategyPerf {
+					wins[name] += perf.Wins
+				}
+			}
+		}
+	}
+	for _, name := range controller.StrategyNames(controller.DefaultStrategies()) {
+		if wins[name] == 0 && name != "withdraw" {
+			t.Errorf("stock strategy %s wins no decision in the matrix or QoE cells (wins: %v)", name, wins)
+		}
 	}
 }

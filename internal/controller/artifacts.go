@@ -88,14 +88,6 @@ type augEntry struct {
 	err    error
 }
 
-// qoePropEntry caches one qoe-greedy descent outcome: the chosen overlay
-// (nil = the strategy abstained) and its predicted stall score. Shared —
-// the overlay map and lie lists are read-only, like every cached value.
-type qoePropEntry struct {
-	overlay map[string][]fibbing.Lie
-	score   float64
-}
-
 // PlanArtifacts memoises the expensive planner inputs for one topology.
 // The planner itself uses it from one goroutine; the mutex keeps it safe
 // to share and to snapshot (Stats) from another. Cached values are
@@ -117,7 +109,6 @@ type PlanArtifacts struct {
 	mmx   map[string]result[*te.MinMaxResult]
 	augs  map[string]augEntry
 	qoe   map[string]result[qoe.PlanQoE]
-	props map[string]qoePropEntry
 
 	// lp and stats are shared across cache generations (and with the
 	// ephemeral failover artifacts): the warm-start basis must survive a
@@ -152,7 +143,6 @@ func newPlanArtifacts(t *topo.Topology, stats *ArtifactStats, lp *te.MinMaxSolve
 		mmx:       make(map[string]result[*te.MinMaxResult]),
 		augs:      make(map[string]augEntry),
 		qoe:       make(map[string]result[qoe.PlanQoE]),
-		props:     make(map[string]qoePropEntry),
 		lp:        lp,
 		stats:     stats,
 		planCount: counters{&stats.Hits, &stats.Misses},
@@ -218,12 +208,8 @@ func (a *PlanArtifacts) Tree(src topo.NodeID) *spf.Tree {
 // bound keeps the per-alarm search cheap on large sparse topologies.
 const spurScan = 8
 
-// kspPaths and qoeGreedyPaths are how many loopless paths the ksp and
-// qoe-greedy strategies consider.
-const (
-	kspPaths       = 4
-	qoeGreedyPaths = 3
-)
+// kspPaths is how many loopless paths the ksp strategy considers.
+const kspPaths = 4
 
 // KShortest returns the memoised Yen k-shortest-path set.
 func (a *PlanArtifacts) KShortest(src, dst topo.NodeID, k int) [][]topo.NodeID {
@@ -341,16 +327,6 @@ func (a *PlanArtifacts) predictQoEKeyed(modelKey string, lies map[string][]fibbi
 		}
 		return pair(qoe.PredictPlan(a.topo, views, demands, model))
 	}).get()
-}
-
-// qoeProposal memoises the qoe-greedy strategy's whole greedy descent.
-// The descent is a pure function of the topology, the hot router, the
-// installed lies, the demand set and the viewer model — exactly what the
-// key encodes — so an alarm train re-raising the same hot link replays
-// the chosen overlay (or the abstention) with one lookup instead of a
-// per-candidate predictor sweep. Accounted under the QoE counters.
-func (a *PlanArtifacts) qoeProposal(key string, build func() qoePropEntry) qoePropEntry {
-	return memo(a, a.props, key, a.qoeCount, build)
 }
 
 // encodeModel appends a value-complete encoding of a qoe.Model: member

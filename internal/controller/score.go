@@ -50,19 +50,17 @@ func ParseScoreMode(s string) (ScoreMode, error) {
 // memoised stall predictor (the QoE sibling of Evaluate) and the no-op
 // plan's baseline score the admissibility restatement compares against.
 // Call it after buildPlanContext, before planning; contexts without it
-// plan exactly as before (qoe-greedy abstains, scoring falls back to
-// utilisation terms).
+// score on utilisation terms alone.
 func (ctx PlanContext) WithQoE(model qoe.Model) PlanContext {
 	ctx.QoEModel = model
 	// The model never changes within one planning context: encode its
 	// part of the memo keys once instead of on every candidate lookup.
 	var sb strings.Builder
 	encodeModel(&sb, model)
-	ctx.qoeModelKey = sb.String()
 	// PredictQoE has Evaluate's overlay semantics, mapped through the
 	// analytic delivery model to a plan-level QoE prediction and memoised
 	// on the merged lie set.
-	arts, installed, demands, modelKey := ctx.Artifacts, ctx.Installed, ctx.Demands, ctx.qoeModelKey
+	arts, installed, demands, modelKey := ctx.Artifacts, ctx.Installed, ctx.Demands, sb.String()
 	ctx.PredictQoE = func(overlay map[string][]fibbing.Lie) (qoe.PlanQoE, error) {
 		return arts.predictQoEKeyed(modelKey, mergeOverlay(installed, overlay), demands, model)
 	}

@@ -69,11 +69,6 @@ type PlanContext struct {
 	// Nil unless WithQoE equipped the context; strategies and scoring
 	// must treat nil as "QoE unavailable" and fall back to utilisation.
 	PredictQoE func(overlay map[string][]fibbing.Lie) (qoe.PlanQoE, error)
-	// qoeModelKey is the memo-key encoding of QoEModel, computed once by
-	// WithQoE so per-candidate and per-proposal cache lookups never
-	// re-encode the (unchanging) viewer model. Empty when PredictQoE is
-	// nil.
-	qoeModelKey string
 }
 
 // Plan is one strategy's proposed reaction: typed per-prefix lie sets
@@ -122,8 +117,8 @@ func (p *Plan) Prefixes() []string {
 // Strategy is one pluggable reaction policy. Propose must be pure: it
 // reads the context and returns a candidate plan (nil when the strategy
 // has nothing to offer for this event), never touching shared state — the
-// artifact cache replays memoised proposals and their inputs, which is
-// only sound when the same context always yields the same plan.
+// artifact cache replays memoised planning inputs, which is only sound
+// when the same context always yields the same plan.
 type Strategy interface {
 	Name() string
 	Propose(ctx PlanContext) (*Plan, error)
@@ -131,10 +126,11 @@ type Strategy interface {
 
 // DefaultStrategies is the stock strategy set, in priority (registration)
 // order: local ECMP spreading, the LP-optimal splits, k-shortest-path
-// spreading, QoE-greedy crowd placement (active only under QoE scoring),
-// and lie withdrawal.
+// spreading, and lie withdrawal. There is no QoE strategy: under
+// ScoreQoE the planner re-ranks these strategies' candidates by
+// predicted stall instead.
 func DefaultStrategies() []Strategy {
-	return []Strategy{LocalECMPStrategy{}, LPOptimalStrategy{}, KSPStrategy{}, QoEGreedyStrategy{}, WithdrawStrategy{}}
+	return []Strategy{LocalECMPStrategy{}, LPOptimalStrategy{}, KSPStrategy{}, WithdrawStrategy{}}
 }
 
 // StrategyByName resolves a stock strategy from its name. Matching is

@@ -126,9 +126,9 @@ func TestParallelCoreDeterminism(t *testing.T) {
 	specs = append(specs, FailoverSpecs()...)
 	// The QoE-scored cells ride along too: the stall predictor's memoised
 	// artifacts (QoE hit/miss counters included — store-time accounting,
-	// like the plan cache's) and the qoe-greedy candidate sweep must not
-	// introduce worker-width dependence. The 100k-viewer scale cell stays
-	// out; the small cells carry the property.
+	// like the plan cache's) and the re-ranking of every candidate by
+	// predicted stall must not introduce worker-width dependence. The
+	// 100k-viewer scale cell stays out; the small cells carry the property.
 	for _, spec := range QoESpecs() {
 		if spec.Viewers >= 100_000 {
 			continue
