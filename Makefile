@@ -36,7 +36,7 @@ fuzz:
 matrix:
 	$(GO) run ./cmd/fiblab -matrix
 
-# The fast-failover cells: BFD+standby vs SNMP-poll twins with 10x
+# The fast-failover cells: BFD vs SNMP-poll twins with 10x
 # failure-to-commit latency and stall-ratio invariants.
 failover:
 	$(GO) run ./cmd/fiblab -failover
@@ -74,13 +74,14 @@ scale:
 # whose correctness rests on analytic claims rather than exercised
 # plumbing: internal/qoe (the stall predictor the planner trusts) and
 # internal/controller (admissibility and scoring). Measured when the
-# qoe-greedy strategy was deleted: 92.6% for internal/qoe and 86.6% for
-# internal/controller. The floors sit 2.6 points under that: dropping
-# artifacts_test.go alone takes internal/controller to 81.1%.
+# standby-plan cache and its tests were deleted: 92.6% for internal/qoe
+# and 85.7% for internal/controller. The floors sit 2.6 and 2.7 points
+# under that: dropping artifacts_test.go alone takes internal/controller
+# to 79.7%.
 cover:
 	@$(GO) test -cover ./... > cover.out.tmp; s=$$?; cat cover.out.tmp; \
 	if [ $$s -ne 0 ]; then rm -f cover.out.tmp; exit $$s; fi; \
-	for want in internal/qoe:90.0 internal/controller:84.0; do \
+	for want in internal/qoe:90.0 internal/controller:83.0; do \
 	  pkg=$${want%%:*}; floor=$${want##*:}; \
 	  pct=$$(grep -E "fibbing.net/fibbing/$$pkg	" cover.out.tmp \
 	    | grep -oE '[0-9.]+% of statements' | cut -d'%' -f1); \

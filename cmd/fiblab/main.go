@@ -12,9 +12,9 @@
 //
 // One mode flag picks the cells; every other flag overrides the same Spec
 // field of every cell in every mode, or is a usage error where the mode's
-// own arms set that field (-score-mode under -qoe; -bfd, -standby-k under
-// -failover). Exit status: 1 when a cell violates its invariants (fiblab
-// doubles as a CI gate), 2 on a usage error.
+// own arms set that field (-score-mode under -qoe; -bfd under -failover).
+// Exit status: 1 when a cell violates its invariants (fiblab doubles as a
+// CI gate), 2 on a usage error.
 package main
 
 import (
@@ -48,7 +48,6 @@ func (o options) apply(s scenarios.Spec) scenarios.Spec {
 	s.Viewers = cmp.Or(o.over.Viewers, s.Viewers)
 	s.Topo.Capacity = cmp.Or(o.over.Topo.Capacity, s.Topo.Capacity)
 	s.ScoreMode = cmp.Or(o.over.ScoreMode, s.ScoreMode)
-	s.StandbyK = cmp.Or(o.over.StandbyK, s.StandbyK)
 	s.BFD = s.BFD || o.over.BFD
 	s.Workers = o.over.Workers
 	if len(o.over.Strategies) > 0 {
@@ -97,13 +96,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runCell  = fs.String("run", "", "run one matrix cell by name (e.g. ring/surge)")
 		matrix   = fs.Bool("matrix", false, "run the full scenario matrix")
 		scale    = fs.Bool("scale", false, "run the large-topology scaling cells (controller on), reporting wall-clock and events executed")
-		failover = fs.Bool("failover", false, "run the fast-failover cells: each compares BFD+standby against SNMP-poll failure detection")
+		failover = fs.Bool("failover", false, "run the fast-failover cells: each compares BFD liveness detection against SNMP-poll failure detection")
 		qoeCells = fs.Bool("qoe", false, "run the score-mode comparison cells: each runs qoe scoring against util scoring (and plain IGP) on the same schedule")
 		topoF    = fs.String("topo", "", "ad-hoc run: topology family (fig1, abilene, fattree, ring, grid, waxman, random)")
 		size     = fs.Int("size", 0, "ad-hoc run: topology size knob")
 		seed     = fs.Int64("seed", 0, "ad-hoc run: seed")
 		workload = fs.String("workload", "surge", "ad-hoc run: workload (surge, flash, ramp, dual, steady, skew, or fig2: the paper's demo, -topo fig1 only, with -duration 60s)")
-		failure  = fs.String("failure", "", "ad-hoc run: failure schedule (hotlink, flap)")
+		failure  = fs.String("failure", "", "ad-hoc run: failure schedule (hotlink, flap, cascade)")
 		o        options
 	)
 	fs.BoolVar(&o.jsonOut, "json", false, "emit JSON instead of text")
@@ -112,7 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.over.Viewers, "viewers", 0, "scale the crowd to about this many sessions (exact for surge; same total demand, finer slices; 0 keeps the default sizing)")
 	fs.IntVar(&o.over.Workers, "workers", 0, "simulation worker-pool width: 0 uses GOMAXPROCS, 1 forces the sequential core (output is byte-identical either way)")
 	fs.BoolVar(&o.over.BFD, "bfd", false, "attach BFD-style per-link liveness sessions (50ms hellos, detect multiplier 3) feeding the controller; a usage error with -failover")
-	fs.IntVar(&o.over.StandbyK, "standby-k", 0, "with -bfd, precompute failover plans for the K busiest links during controller idle time (0 disables the cache); a usage error with -failover")
 	// Resolved while the flags parse: a typo is a usage error, not a per-cell failure.
 	fs.Func("capacity", "uniform link capacity, e.g. 100M, 1G or 10G (unset keeps the cell's own)", func(v string) (err error) {
 		if o.over.Topo.Capacity, err = topo.ParseBits(v); err == nil && o.over.Topo.Capacity <= 0 {
@@ -152,8 +150,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, s.Name)
 		}
 		return 0
-	case *failover && (o.over.BFD || o.over.StandbyK != 0), *qoeCells && o.over.ScoreMode != "":
-		return usage("-bfd and -standby-k with -failover, and -score-mode with -qoe, do not apply: the mode's own arms set those fields")
+	case *failover && o.over.BFD, *qoeCells && o.over.ScoreMode != "":
+		return usage("-bfd with -failover, and -score-mode with -qoe, do not apply: the mode's own arms set those fields")
 	case *failover:
 		return loop(scenarios.FailoverSpecs(), o, scenarios.CompareFailover,
 			func(c *scenarios.FailoverComparison) view { return view{c.Render, c.Violations, c.Fast} }, stdout, stderr)

@@ -15,7 +15,7 @@ import (
 // has of its own, so one run per mode shows where each of them landed.
 var overrideArgs = []string{
 	"-duration", "31s", "-strategies", "ksp", "-viewers", "60", "-capacity", "20M",
-	"-workers", "1", "-score-mode", "qoe", "-bfd", "-standby-k", "2",
+	"-workers", "1", "-score-mode", "qoe", "-bfd",
 }
 
 // without drops the named flags (and their values) from overrideArgs.
@@ -75,7 +75,7 @@ func TestOverridesReachEveryArm(t *testing.T) {
 		{"run", []string{"-run", "fig1/surge"}, []string{"on", "off"}, nil},
 		{"topo", []string{"-topo", "ring", "-size", "5"}, []string{"on", "off"}, nil},
 		{"matrix", []string{"-matrix"}, []string{"on", "off"}, nil},
-		{"failover", []string{"-failover"}, []string{"fast", "slow"}, []string{"-bfd", "-standby-k"}},
+		{"failover", []string{"-failover"}, []string{"fast", "slow"}, []string{"-bfd"}},
 		{"qoe", []string{"-qoe"}, []string{"util", "qoe", "off"}, []string{"-score-mode"}},
 	}
 	for _, m := range modes {
@@ -119,8 +119,8 @@ func TestOverridesReachEveryArm(t *testing.T) {
 				if !rejected("-score-mode") && spec.ScoreMode != "qoe" {
 					t.Errorf("%s: -score-mode missing from the spec: %+v", spec.Name, spec)
 				}
-				if !rejected("-bfd") && (!spec.BFD || spec.StandbyK != 2) {
-					t.Errorf("%s: -bfd/-standby-k missing from the spec: %+v", spec.Name, spec)
+				if !rejected("-bfd") && !spec.BFD {
+					t.Errorf("%s: -bfd missing from the spec: %+v", spec.Name, spec)
 				}
 				for _, key := range m.arms {
 					var arm armJSON

@@ -9,9 +9,8 @@ package controller
 // by value-complete cache keys (topology binding by pointer, lie sets and
 // demand volumes encoded into the key), so a stale entry is impossible by
 // construction; the controller additionally drops the whole cache
-// whenever its generation triple (topology gen, demand gen, lie gen — the
-// same triple the standby cache tracks) moves, which bounds memory to one
-// planning epoch.
+// whenever its generation triple (topology gen, demand gen, lie gen)
+// moves, which bounds memory to one planning epoch.
 //
 // Hit/miss accounting is deterministic because planning is: the Planner
 // proposes strategy by strategy in registration order on the control

@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"fibbing.net/fibbing/internal/event"
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/qoe"
 	"fibbing.net/fibbing/internal/southbound"
@@ -159,10 +158,8 @@ type Controller struct {
 
 	// gens is the planning-input generation triple: demand changes,
 	// lie-set changes (commits) and topology changes (liveness failures
-	// and heals) each bump their own counter. A standby entry or an
-	// artifact cache stamped with an older triple is stale. Maintained
-	// unconditionally (the artifact cache needs it even without the
-	// standby feature).
+	// and heals) each bump their own counter. An artifact cache stamped
+	// with an older triple is stale.
 	gens planGens
 
 	// Artifact cache for the planner hot path: arts memoises SPF trees,
@@ -173,26 +170,6 @@ type Controller struct {
 	// demand bumps.
 	arts     *PlanArtifacts
 	artsGens planGens
-
-	// planningTopo memo: building the reduced clone is O(topology) and
-	// planning happens per alarm, so the clone is cached per failure
-	// epoch (failedEpoch bumps whenever the failed-link set changes).
-	ptCache     *topo.Topology
-	ptEpoch     uint64
-	failedEpoch uint64
-
-	// Fast-failover state (zero unless WithStandby enables the cache):
-	// sched drives the idle-precompute debounce; standby caches one plan
-	// per likely failed link, stamped with the gens triple it was
-	// computed from.
-	sched           *event.Scheduler
-	standbyK        int
-	standby         map[topo.LinkID]*standbyEntry
-	precompute      event.Handle
-	precomputeArmed bool
-
-	// Standby counts the cache's life (see StandbyStats).
-	Standby StandbyStats
 
 	// futile memoises planning rounds that produced no plan: planning
 	// is a pure function of (event link, demands, installed lies), so
@@ -279,8 +256,6 @@ func (c *Controller) Handle(ev Event) {
 	case EventLinkUp:
 		if c.markFailed(ev.Link, false) {
 			c.reactToRecovery()
-			c.gens.topo++
-			c.armPrecompute()
 		}
 	}
 }
@@ -356,10 +331,8 @@ func (c *Controller) applyDemand(ev Event) {
 		delete(mem, ev.Ingress)
 	}
 	clear(c.futile) // changed demands may make a rejected plan viable
-	// Standby plans and cached artifacts were computed for the old
-	// demands.
+	// Cached artifacts were computed for the old demands.
 	c.gens.demand++
-	c.armPrecompute()
 }
 
 // Demands snapshots the current demand model.
@@ -484,10 +457,9 @@ func (c *Controller) commit(plan *Plan) {
 		return // the plan was already installed; the IGP saw no traffic
 	}
 	c.log(strings.Join(prefixes, ","), plan.Strategy, plan.TotalLies(), plan.Rationale)
-	// The installed lie set changed; standby plans and cached artifacts
-	// were computed over the previous one.
+	// The installed lie set changed; cached artifacts were computed over
+	// the previous one.
 	c.gens.lie++
-	c.armPrecompute()
 }
 
 func (c *Controller) log(prefix, strategy string, lies int, detail string) {

@@ -1,18 +1,10 @@
 package controller
 
 // Fast failover: react to liveness-detected link failures (internal/bfd
-// feeding EventLinkDown/EventLinkUp) by committing a *precomputed*
-// standby plan instead of running every strategy from scratch.
-//
-// During idle time the controller ranks links by carried aggregate rate,
-// computes an admissibility-checked failover plan for the top-k single
-// failures, and caches them keyed by failed link. When BFD declares a
-// link dead — milliseconds after the failure, long before the IGP dead
-// interval — the matching plan commits as one southbound transaction.
-// Cache entries carry the generation of the inputs they were computed
-// from; any demand change, commit, or topology change bumps the
-// generation, so a stale entry is detected on read and the from-scratch
-// planner takes over (a miss, not a wrong plan).
+// feeding EventLinkDown/EventLinkUp) the moment they are declared. When
+// BFD declares a link dead — milliseconds after the failure, long before
+// the IGP dead interval — the controller computes a failover plan for
+// that link and commits it as one southbound transaction.
 //
 // The plans themselves are TI-LFA-flavoured: pin the post-failure IGP
 // paths with lies compiled against the topology the routers still
@@ -22,56 +14,14 @@ package controller
 import (
 	"fmt"
 	"slices"
-	"time"
 
-	"fibbing.net/fibbing/internal/event"
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/te"
 	"fibbing.net/fibbing/internal/topo"
 )
 
-// standbyIdleDelay debounces precompute: cache refills run this long
-// after the last state change, so event bursts (a joining flash crowd)
-// do not recompute k plans per event.
-const standbyIdleDelay = 500 * time.Millisecond
-
-// StandbyStats counts the standby cache's life: plans precomputed, and
-// how failures were served.
-type StandbyStats struct {
-	// Precomputed counts plans computed into the cache over the run.
-	Precomputed int
-	// Hits: failures answered by a current cached plan.
-	Hits int
-	// Stale: a cached plan existed but its generation was outdated.
-	Stale int
-	// Misses: failures planned from scratch (includes the stale ones).
-	Misses int
-}
-
-// standbyEntry is one cached failover reaction. plan may be nil: the
-// failure was examined and needs no lie change (still a valid hit).
-type standbyEntry struct {
-	gen  planGens
-	plan *Plan
-}
-
-// WithStandby enables the fast-failover cache: during idle time the
-// controller precomputes failover plans for the k links carrying the
-// highest aggregate rate, keyed by failed link. sched drives the idle
-// debounce; nil sched or k <= 0 leaves the feature off.
-func WithStandby(sched *event.Scheduler, k int) Option {
-	return func(c *Controller) {
-		if sched == nil || k <= 0 {
-			return
-		}
-		c.sched = sched
-		c.standbyK = k
-		c.standby = make(map[topo.LinkID]*standbyEntry)
-	}
-}
-
 // canonicalLink names a symmetric link pair by its lower-numbered half,
-// so both directions of a failure share one cache key.
+// so both directions of a failure share one key in the failed set.
 func canonicalLink(l topo.Link) topo.LinkID {
 	if l.Reverse != topo.NoLink && l.Reverse < l.ID {
 		return l.Reverse
@@ -83,8 +33,8 @@ func canonicalLink(l topo.Link) topo.LinkID {
 // whether it changed. Duplicates are expected — both endpoints detect a
 // symmetric failure, and BFD and the IGP dead interval announce the
 // same event at different timescales — and must not re-trigger the
-// reaction. On a change the futile memo is cleared: the planning
-// universe moved.
+// reaction. On a change the futile memo is cleared and the topology
+// generation bumped: the planning universe moved.
 func (c *Controller) markFailed(l topo.Link, down bool) bool {
 	id := canonicalLink(l)
 	if c.failed[id] == down {
@@ -96,172 +46,27 @@ func (c *Controller) markFailed(l topo.Link, down bool) bool {
 		delete(c.failed, id)
 	}
 	clear(c.futile)
-	// The reduced-clone memo is for the previous failed set. Note this
-	// bumps only failedEpoch, never gens.topo: standby entries must stay
-	// servable at the very failure they were precomputed for —
-	// reactToFailure bumps gens.topo after consuming the entry.
-	c.failedEpoch++
+	c.gens.topo++
 	return true
 }
 
 // planningTopo is the topology the controller should plan over: the
 // configured one minus every link the liveness layer has declared dead.
-// The reduced clone is memoised per failure epoch — alarms arrive far
-// more often than the failed set changes.
 func (c *Controller) planningTopo() *topo.Topology {
 	if len(c.failed) == 0 {
 		return c.topo
-	}
-	if c.ptCache != nil && c.ptEpoch == c.failedEpoch {
-		return c.ptCache
 	}
 	ids := make([]topo.LinkID, 0, len(c.failed))
 	for id := range c.failed {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	c.ptCache = c.topo.CloneWithoutLinks(ids...)
-	c.ptEpoch = c.failedEpoch
-	return c.ptCache
+	return c.topo.CloneWithoutLinks(ids...)
 }
 
-// armPrecompute (re)schedules the idle-time cache refill. Each call
-// pushes the deadline out, so the refill runs once per quiet period.
-func (c *Controller) armPrecompute() {
-	if c.standby == nil {
-		return
-	}
-	if c.precomputeArmed {
-		c.sched.Cancel(c.precompute)
-	}
-	gens := c.gens
-	c.precomputeArmed = true
-	c.precompute = c.sched.After(standbyIdleDelay, func() {
-		c.precomputeArmed = false
-		if gens != c.gens {
-			return // superseded by later churn; a newer timer is armed
-		}
-		c.PrecomputeStandby()
-	})
-}
-
-// PrecomputeStandby refills the standby cache synchronously: rank links
-// by carried aggregate rate, compute a failover plan for each of the
-// top-k, and cache the admissible results. Normally driven by the idle
-// debounce; exported so harnesses can warm the cache deterministically.
-func (c *Controller) PrecomputeStandby() {
-	if c.standby == nil {
-		return
-	}
-	clear(c.standby)
-	gens := c.gens
-	for _, l := range c.topCarriedLinks(c.standbyK) {
-		plan, err := c.failoverPlan(l)
-		if err != nil {
-			continue // unprotectable (e.g. failure would partition)
-		}
-		c.standby[canonicalLink(l)] = &standbyEntry{gen: gens, plan: plan}
-		c.Standby.Precomputed++
-	}
-}
-
-// StandbyPlans lists the links with a currently valid cached plan.
-func (c *Controller) StandbyPlans() []topo.LinkID {
-	var out []topo.LinkID
-	for id, e := range c.standby {
-		if e.gen == c.gens {
-			out = append(out, id)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// topCarriedLinks ranks router-router link pairs by carried aggregate
-// rate (max of the two directions) under the current demands and lies,
-// and returns the top k in the controller topology's ID space.
-func (c *Controller) topCarriedLinks(k int) []topo.Link {
-	demands := c.Demands()
-	if len(demands) == 0 {
-		return nil
-	}
-	pt := c.planningTopo()
-	loads, err := c.ensureArtifacts(pt).Loads(c.lies.InstalledAll(), demands)
-	if err != nil {
-		return nil
-	}
-	type cand struct {
-		l    topo.Link
-		load float64
-	}
-	var cands []cand
-	for _, l := range pt.Links() {
-		if pt.Node(l.From).Host || pt.Node(l.To).Host {
-			continue
-		}
-		if l.Reverse != topo.NoLink && l.Reverse < l.ID {
-			continue // one candidate per symmetric pair
-		}
-		load := loads[l.ID]
-		if l.Reverse != topo.NoLink && loads[l.Reverse] > load {
-			load = loads[l.Reverse]
-		}
-		if load <= 0 {
-			continue
-		}
-		// Map back into the controller topology's ID space (node IDs are
-		// shared between the clone and the original).
-		rl, ok := c.topo.FindLink(l.From, l.To)
-		if !ok {
-			continue
-		}
-		cands = append(cands, cand{l: rl, load: load})
-	}
-	slices.SortFunc(cands, func(a, b cand) int {
-		switch {
-		case a.load > b.load:
-			return -1
-		case a.load < b.load:
-			return 1
-		case a.l.ID < b.l.ID:
-			return -1
-		case a.l.ID > b.l.ID:
-			return 1
-		}
-		return 0
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make([]topo.Link, len(cands))
-	for i, cd := range cands {
-		out[i] = cd.l
-	}
-	return out
-}
-
-// reactToFailure answers a liveness-detected link failure: commit the
-// cached standby plan when one is current, otherwise plan from scratch.
-// Either way the cache is invalidated (its plans assumed this link was
-// alive) and a refill is armed for the new topology.
+// reactToFailure answers a liveness-detected link failure: plan the
+// failover for the dead link and commit it.
 func (c *Controller) reactToFailure(ev Event) {
-	if c.standby != nil {
-		key := canonicalLink(ev.Link)
-		if e, ok := c.standby[key]; ok {
-			delete(c.standby, key)
-			if e.gen == c.gens {
-				c.Standby.Hits++
-				if e.plan != nil {
-					c.commit(e.plan)
-				}
-				c.gens.topo++
-				c.armPrecompute()
-				return
-			}
-			c.Standby.Stale++
-		}
-		c.Standby.Misses++
-	}
 	plan, err := c.failoverPlan(ev.Link)
 	switch {
 	case err != nil:
@@ -270,8 +75,6 @@ func (c *Controller) reactToFailure(ev Event) {
 	case plan != nil:
 		c.commit(plan)
 	}
-	c.gens.topo++
-	c.armPrecompute()
 }
 
 // reactToRecovery reassesses routing the moment a failed link returns.
@@ -409,10 +212,10 @@ func (c *Controller) failoverPlan(link topo.Link) (*Plan, error) {
 		plan.LieCost = liveLiesAfter(ctx.Installed, plan)
 		return plan, nil
 	}
-	// Fallback (cache miss semantics): a from-scratch planning round over
-	// the reduced topology, triggered by its hottest link. These lies
-	// only steer correctly once the IGP has converged on the reduced
-	// topology, which is exactly the slow path being replaced.
+	// Fallback: a from-scratch planning round over the reduced topology,
+	// triggered by its hottest link. These lies only steer correctly once
+	// the IGP has converged on the reduced topology, which is exactly the
+	// slow path being replaced.
 	loads, err := arts.Loads(c.lies.InstalledAll(), demands)
 	if err != nil {
 		return nil, err

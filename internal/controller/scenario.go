@@ -59,9 +59,8 @@ type SimOpts struct {
 	// (50ms hellos, detect multiplier 3): pass &bfd.Config{} to enable
 	// with defaults.
 	BFD *bfd.Config
-	// StandbyK, with BFD, precomputes failover plans for the K links
-	// carrying the highest aggregate rate (see WithStandby); 0 plans
-	// every failure from scratch.
+	// Deprecated: no effect (always zero); kept only because bench/
+	// reads it until ROADMAP item 1.
 	StandbyK int
 }
 
@@ -101,11 +100,7 @@ func NewSim(o SimOpts) (*Sim, error) {
 		return nil, fmt.Errorf("controller: attach node %q is not a router", o.AttachAt)
 	}
 	s.Lies = southbound.NewLieManager(southbound.DirectInjector{Router: pop}, ospf.ControllerIDBase)
-	ctrlOpts := []Option{WithConfig(o.Controller), WithStrategies(o.Strategies...)}
-	if o.BFD != nil && o.StandbyK > 0 {
-		ctrlOpts = append(ctrlOpts, WithStandby(s.Sched, o.StandbyK))
-	}
-	s.Ctrl = New(s.Topo, s.Lies, s.Sched.Now, ctrlOpts...)
+	s.Ctrl = New(s.Topo, s.Lies, s.Sched.Now, WithConfig(o.Controller), WithStrategies(o.Strategies...))
 	if o.WithCtrl {
 		// The monitor's bare callback becomes a typed controller event.
 		s.Poller.OnAlarm = func(a monitor.Alarm) { s.Ctrl.Handle(AlarmEvent(a)) }

@@ -35,7 +35,7 @@ type PlanContext struct {
 	// RaisedAlarms counts links with an active congestion alarm.
 	RaisedAlarms int
 	// FailedLink and BaseTopo are set for EventLinkDown planning
-	// (standby.go): Topo is then the reduced topology (failed link
+	// (failover.go): Topo is then the reduced topology (failed link
 	// removed, where traffic will physically flow) and BaseTopo the
 	// pre-failure one the routers still believe in — failover lies must
 	// compile and verify against BaseTopo to take effect before the IGP

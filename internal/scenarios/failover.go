@@ -1,10 +1,10 @@
 package scenarios
 
 // Fast failover comparison: each failover cell runs twice with the
-// controller on — once with BFD liveness and the standby-plan cache
-// (the fast path), once detecting failures at SNMP-poll/IGP timescale
-// (the slow path) — and the invariants demand an order-of-magnitude
-// gap in both failure-to-commit latency and viewer stall time.
+// controller on — once with BFD liveness (the fast path), once detecting
+// failures at SNMP-poll/IGP timescale (the slow path) — and the
+// invariants demand an order-of-magnitude gap in both failure-to-commit
+// latency and viewer stall time.
 
 import (
 	"fmt"
@@ -33,37 +33,36 @@ const (
 )
 
 // FailoverSpecs returns the fast-failover cells: failure schedules over
-// three topology families, each with BFD liveness and a 3-deep standby
-// cache. CompareFailover runs each against its SNMP-timescale twin.
+// three topology families, each with BFD liveness. CompareFailover runs
+// each against its SNMP-timescale twin.
 func FailoverSpecs() []Spec {
 	return named([]Spec{
 		{Topo: TopoSpec{Family: "fig1"}, Workload: "steady", Failure: "hotlink",
-			Seed: 21, BFD: true, StandbyK: 3},
+			Seed: 21, BFD: true},
 		{Topo: TopoSpec{Family: "abilene"}, Workload: "steady", Failure: "cascade",
-			Seed: 22, BFD: true, StandbyK: 3},
+			Seed: 22, BFD: true},
 		{Topo: TopoSpec{Family: "fattree", Size: 4, Seed: 2}, Workload: "steady", Failure: "hotlink",
-			Seed: 23, BFD: true, StandbyK: 3},
+			Seed: 23, BFD: true},
 	})
 }
 
-// FailoverComparison pairs the BFD+standby run of a failover cell with
-// its SNMP-poll twin and the invariant violations found between them.
+// FailoverComparison pairs the BFD run of a failover cell with its
+// SNMP-poll twin and the invariant violations found between them.
 type FailoverComparison struct {
 	Spec Spec    `json:"spec"`
-	Fast *Report `json:"fast"` // BFD + standby cache
+	Fast *Report `json:"fast"` // BFD liveness
 	Slow *Report `json:"slow"` // SNMP poll + IGP dead interval
 	// Violations lists the failed failover invariants (empty: cell holds).
 	Violations []string `json:"violations,omitempty"`
 }
 
 // CompareFailover runs a failover cell both ways (controller on in
-// both): as specified with BFD and the standby cache, and stripped back
-// to SNMP-poll failure detection. The slow twin's name swaps the "+bfd"
-// suffix for "+snmp".
+// both): as specified with BFD, and stripped back to SNMP-poll failure
+// detection. The slow twin's name swaps the "+bfd" suffix for "+snmp".
 func CompareFailover(spec Spec) (*FailoverComparison, error) {
 	spec = spec.withDefaults()
 	r, err := runArms(spec, arm{"fast", nil, true}, arm{"slow", func(s *Spec) {
-		s.BFD, s.StandbyK = false, 0
+		s.BFD = false
 		s.Name = strings.TrimSuffix(spec.Name, "+bfd") + "+snmp"
 	}, true})
 	if err != nil {
@@ -84,8 +83,7 @@ func failoverSummary(r *Report) string {
 	s := fmt.Sprintf("%-28s commit=%s latency=%s window-stalls=%.1fs",
 		r.Scenario, commit, lat, r.FailoverStallSeconds)
 	if r.BFDSessions > 0 {
-		s += fmt.Sprintf(" bfd-downs=%d standby=%d/%d/%d (hit/stale/miss)",
-			r.BFDLinkDowns, r.StandbyHits, r.StandbyStale, r.StandbyMisses)
+		s += fmt.Sprintf(" bfd-downs=%d", r.BFDLinkDowns)
 	}
 	return s
 }
@@ -99,7 +97,7 @@ func (c *FailoverComparison) Render(b *strings.Builder) {
 }
 
 // FailoverViolations checks the fast-failover invariants between the
-// BFD+standby run and its SNMP-poll twin.
+// BFD run and its SNMP-poll twin.
 func FailoverViolations(spec Spec, fast, slow *Report) []string {
 	var v []string
 	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
@@ -121,8 +119,8 @@ func FailoverViolations(spec Spec, fast, slow *Report) []string {
 		return v
 	}
 
-	// The tentpole ratio: BFD + standby must cut failure-to-commit
-	// latency by an order of magnitude.
+	// The headline ratio: BFD must cut failure-to-commit latency by an
+	// order of magnitude.
 	if fast.FailoverLatency <= 0 {
 		fail("fast failover latency %v is not positive", fast.FailoverLatency)
 	} else if ratio := float64(slow.FailoverLatency) / float64(fast.FailoverLatency); ratio < failoverLatencyFactor {
@@ -141,17 +139,10 @@ func FailoverViolations(spec Spec, fast, slow *Report) []string {
 			failoverStallFactor, fast.FailoverStallSeconds, slow.FailoverStallSeconds)
 	}
 
-	// The fast path must have gone through the machinery it claims:
-	// BFD detected the failure(s) and the standby cache was primed and
-	// consulted (every down-event is a hit, a stale entry or a miss).
+	// The fast path must have gone through the machinery it claims: BFD
+	// detected the failure(s).
 	if fast.BFDLinkDowns == 0 {
 		fail("fast run recorded no BFD down events")
-	}
-	if fast.StandbyPrecomputed == 0 {
-		fail("standby cache never precomputed a plan")
-	}
-	if fast.StandbyHits+fast.StandbyStale+fast.StandbyMisses == 0 {
-		fail("standby cache never consulted on failure")
 	}
 
 	// Neither run may corrupt the stack.

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestFailoverInvariants runs every failover cell both ways (BFD +
-// standby cache vs SNMP-poll detection) and checks the 10x latency and
-// stall-ratio invariants between them.
+// TestFailoverInvariants runs every failover cell both ways (BFD vs
+// SNMP-poll detection) and checks the 10x latency and stall-ratio
+// invariants between them.
 func TestFailoverInvariants(t *testing.T) {
 	for _, spec := range FailoverSpecs() {
 		t.Run(spec.Name, func(t *testing.T) {

@@ -120,9 +120,9 @@ func TestParallelCoreDeterminism(t *testing.T) {
 		spec.Name += "/reseed"
 		specs = append(specs, spec)
 	}
-	// The failover cells ride along: BFD's jittered per-link hellos and
-	// the standby cache's idle precompute add two more event sources the
-	// worker pool must keep in deterministic order.
+	// The failover cells ride along: BFD's jittered per-link hellos add
+	// one more event source the worker pool must keep in deterministic
+	// order.
 	specs = append(specs, FailoverSpecs()...)
 	// The QoE-scored cells ride along too: the stall predictor's memoised
 	// artifacts (QoE hit/miss counters included — store-time accounting,

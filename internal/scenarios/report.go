@@ -128,19 +128,20 @@ type Report struct {
 	// Fast failover (meaningful when the spec schedules a failure).
 	// FailureAt is the first scheduled link-down instant; FailoverCommitAt
 	// the first plan committed at or after it; FailoverLatency their
-	// difference — the failure-to-commit reaction time the BFD + standby
-	// path is built to shrink. FailoverStallSeconds is the viewer stall
+	// difference — the failure-to-commit reaction time the BFD path is
+	// built to shrink. FailoverStallSeconds is the viewer stall
 	// time accrued inside the failover window (failure to failure +
 	// failoverWindow). All durations are -1 when not applicable.
 	FailureAt            time.Duration `json:"failure_at"`
 	FailoverCommitAt     time.Duration `json:"failover_commit_at"`
 	FailoverLatency      time.Duration `json:"failover_latency"`
 	FailoverStallSeconds float64       `json:"failover_stall_seconds,omitempty"`
-	// Standby cache counters (zero unless Spec.StandbyK enabled it).
+	// Deprecated: no effect (always zero); kept only because bench/
+	// reads it until ROADMAP item 1.
 	StandbyPrecomputed int `json:"standby_precomputed,omitempty"`
-	StandbyHits        int `json:"standby_hits,omitempty"`
-	StandbyMisses      int `json:"standby_misses,omitempty"`
-	StandbyStale       int `json:"standby_stale,omitempty"`
+	// Deprecated: no effect (always zero); kept only because bench/
+	// reads it until ROADMAP item 1.
+	StandbyHits int `json:"standby_hits,omitempty"`
 	// BFD liveness counters (zero unless Spec.BFD enabled the engine).
 	BFDSessions  int    `json:"bfd_sessions,omitempty"`
 	BFDLinkDowns uint64 `json:"bfd_link_downs,omitempty"`

@@ -146,7 +146,6 @@ func build(spec Spec, withCtrl bool) (*cell, error) {
 		Controller:   controller.Config{ScoreMode: scoreMode},
 		Workers:      spec.Workers,
 		BFD:          bfdCfg,
-		StandbyK:     spec.StandbyK,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", spec.Name, err)
@@ -353,10 +352,6 @@ func (c *cell) collect() *Report {
 			rep.FailoverLatency = rep.FailoverCommitAt - rep.FailureAt
 		}
 	}
-	rep.StandbyPrecomputed = sim.Ctrl.Standby.Precomputed
-	rep.StandbyHits = sim.Ctrl.Standby.Hits
-	rep.StandbyMisses = sim.Ctrl.Standby.Misses
-	rep.StandbyStale = sim.Ctrl.Standby.Stale
 	if sim.BFD != nil {
 		bfdStats := sim.BFD.Stats()
 		rep.BFDSessions = bfdStats.Sessions

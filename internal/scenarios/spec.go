@@ -194,11 +194,6 @@ type Spec struct {
 	// detect multiplier 3): link failures reach the controller in
 	// milliseconds instead of at SNMP-poll timescale.
 	BFD bool `json:"bfd,omitempty"`
-	// StandbyK, with BFD, precomputes failover plans for the K links
-	// carrying the most traffic during controller idle time; a BFD down
-	// event then commits the cached plan instead of planning from
-	// scratch. 0 disables the cache.
-	StandbyK int `json:"standby_k,omitempty"`
 }
 
 func (s Spec) withDefaults() Spec {

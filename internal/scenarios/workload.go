@@ -308,8 +308,8 @@ func buildFailures(kind string, e *env, duration time.Duration) ([]FailureEvent,
 	case "cascade":
 		// Two correlated failures: the primary path's first hop, then —
 		// once traffic has rerouted onto it — the backup path's first hop.
-		// Exercises the standby cache's miss + repopulation cycle: the
-		// second failure invalidated every plan computed before the first.
+		// The second failover plans over a topology already missing the
+		// first link, pinning paths the routers believe after one failure.
 		if e.hop2A == "" {
 			return nil, fmt.Errorf("scenarios: no second path from %s survives losing %s-%s; cascade impossible",
 				e.primary, e.hop1A, e.hop1B)

@@ -1,6 +1,6 @@
 // Warm-started min-max solves. The planner re-solves the same LP over
-// and over — every alarm, every standby recompute, every debounced
-// demand bump — and between consecutive solves only the demand volumes
+// and over — every alarm, every failover, every demand bump — and
+// between consecutive solves only the demand volumes
 // (right-hand sides) usually change. MinMaxSolver keeps the previous
 // optimal basis keyed by the problem's structure and re-enters phase-2
 // simplex from it, which typically converges in a handful of pivots
