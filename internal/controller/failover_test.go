@@ -84,11 +84,35 @@ func (r *failoverRig) link(t *testing.T, a, b string) topo.Link {
 	return l
 }
 
-// TestLinkDownCommitsFailoverPin: a liveness failure is planned at the
-// failure instant and commits exactly one failover-pin decision that
-// installs lies; a duplicate announcement of the same failure (the
-// other endpoint, or the IGP dead interval after BFD) changes nothing.
-func TestLinkDownCommitsFailoverPin(t *testing.T) {
+// TestStandbyHitCommitsPrecomputedPlan: a failover plan computed ahead of
+// the failure — what the deleted standby cache precomputed in idle time —
+// is exactly the plan a LinkDown commits at the failure instant, which is
+// why the cache moved no simulated number.
+func TestStandbyHitCommitsPrecomputedPlan(t *testing.T) {
+	r := newFailoverRig(t)
+	v := r.link(t, topo.Fig1B, topo.Fig1R2)
+	pre, err := r.c.failoverPlan(v)
+	if err != nil || pre == nil {
+		t.Fatalf("precomputed plan = %v, %v; want a plan", pre, err)
+	}
+	r.c.Handle(LinkDownEvent(v))
+	if len(r.c.Errors) != 0 {
+		t.Fatalf("errors: %v", r.c.Errors)
+	}
+	if len(r.c.Decisions) != 1 || r.c.Decisions[0].Strategy != pre.Strategy {
+		t.Fatalf("decisions = %v, want one %s commit", r.c.Decisions, pre.Strategy)
+	}
+	if got, want := lieSetFingerprint(r.mgr.InstalledAll()), lieSetFingerprint(pre.Lies); got != want {
+		t.Fatalf("committed lies differ from the precomputed plan:\n got  %s\n want %s", got, want)
+	}
+}
+
+// TestStandbyColdMissReplans: every liveness failure is now the cold-miss
+// case — planned from scratch at the failure instant — and commits
+// exactly one failover-pin decision that installs lies; a duplicate
+// announcement of the same failure (the other endpoint, or the IGP dead
+// interval after BFD) changes nothing.
+func TestStandbyColdMissReplans(t *testing.T) {
 	r := newFailoverRig(t)
 	v := r.link(t, topo.Fig1B, topo.Fig1R2)
 	r.c.Handle(LinkDownEvent(v))
