@@ -3,10 +3,14 @@ package ospf
 // This file is the IGP stage of the delta pipeline. Every LSDB mutation is
 // logged between SPF runs; when the debounced recomputation fires, the log
 // is replayed onto a cached SPF graph as edge-level GraphChanges, the
-// shortest-path tree is patched with spf.Incremental, and only prefixes
-// whose announcers were touched (or whose LSAs changed) have their routes
+// shortest-path tree is patched with spf.IncrementalInto (into the storage
+// of the tree it replaced the run before), and only prefixes whose
+// announcers were touched (or whose LSAs changed) have their routes
 // recomputed. The result leaves the router as a fib.Diff instead of a
 // whole table, which the data plane uses to re-path only affected flows.
+// The replay's working state lives in the cache between runs, so a
+// steady-state run allocates only what it hands on: the predecessor lists
+// the patch rewrote, the changed routes, the diff and the new table.
 //
 // The cached graph uses stable slot indices: a router or fake node keeps
 // its graph index for as long as it lives, and freed slots are tombstoned
@@ -124,6 +128,11 @@ type spfCache struct {
 	fakeIdx map[Key]topo.NodeID      // fake LSA key -> slot
 	live    int
 	tree    *spf.Tree // rooted at this router's own slot
+	spare   *spf.Tree // the tree that tree replaced: the next patch's storage
+
+	// routerGen counts router slot allocations and frees: the announcer
+	// memos of the prefix entries are valid for one generation.
+	routerGen uint64
 
 	// The announcer index: who announces each prefix, kept in step with
 	// the LSDB by applyChange so an SPF run never rescans the database.
@@ -131,16 +140,34 @@ type spfCache struct {
 	// order in which routes are computed, diffed and their errors raised.
 	byPrefix map[netip.Prefix]*prefixEntry
 	prefixes []*prefixEntry
+
+	// Per-run working state, kept between runs so that a steady-state run
+	// allocates only what it hands on: the replay's effects, the neighbors
+	// a Router LSA change names, the slots the patch touched (a bitset),
+	// an announcer's next hops and a route's real next-hop routers, and
+	// the prefixes left without announcer.
+	eff     effects
+	nbrs    []RouterID
+	touched []uint64
+	nhs     []spf.NextHop
+	nodes   []topo.NodeID
+	gone    []netip.Prefix
 }
 
 // prefixEntry lists the Prefix and Fake LSAs naming one prefix, in LSDB
 // key order (Prefix LSAs first). It holds LSAs, not graph slots: those are
-// resolved at use (announcers), so routers and fakes may come and go
-// without touching the index.
+// resolved on first use and memoised in anns until the entry's own LSAs
+// change (announce, withdraw) or a router slot comes or goes. A fake's
+// slot comes and goes only with an announce or withdraw of the fake on its
+// own entry, so it needs no invalidation of its own.
 type prefixEntry struct {
 	prefix netip.Prefix
 	str    string // prefix.String(), computed once
 	lsas   []*LSA
+
+	anns    []announcer
+	annsGen uint64 // the routerGen anns was resolved at; 0: not resolved
+	dirty   bool   // listed in the current replay's effects
 }
 
 func (e *prefixEntry) compareStr(s string) int { return strings.Compare(e.str, s) }
@@ -158,7 +185,8 @@ func (c *spfCache) entry(p netip.Prefix) (e *prefixEntry, created bool) {
 	return e, true
 }
 
-// announce files a Prefix or Fake LSA under its prefix.
+// announce files a Prefix or Fake LSA under its prefix and marks the
+// prefix dirty.
 func (c *spfCache) announce(l *LSA) {
 	e, created := c.entry(l.Prefix)
 	if created {
@@ -167,11 +195,14 @@ func (c *spfCache) announce(l *LSA) {
 	}
 	at, _ := slices.BinarySearchFunc(e.lsas, l.Header.Key(), lsaCompareKey)
 	e.lsas = slices.Insert(e.lsas, at, l)
+	e.annsGen = 0
+	c.markDirty(e)
 }
 
 // withdraw removes the LSA with l's key from l's prefix, reporting whether
-// it was filed there. An entry left empty stays until the end of the SPF
-// run (prune), which still has to delete its route.
+// it was filed there, and marks the prefix dirty. An entry left empty
+// stays until the end of the SPF run (prune), which still has to delete
+// its route.
 func (c *spfCache) withdraw(l *LSA) bool {
 	e := c.byPrefix[l.Prefix]
 	if e == nil {
@@ -180,17 +211,27 @@ func (c *spfCache) withdraw(l *LSA) bool {
 	at, ok := slices.BinarySearchFunc(e.lsas, l.Header.Key(), lsaCompareKey)
 	if ok {
 		e.lsas = slices.Delete(e.lsas, at, at+1)
+		e.annsGen = 0
 	}
+	c.markDirty(e)
 	return ok
 }
 
-// prune drops the entry of p if no LSA names the prefix any more.
-func (c *spfCache) prune(p netip.Prefix) {
-	e := c.byPrefix[p]
-	if e == nil || len(e.lsas) > 0 {
+// markDirty lists e in the replay's effects: its route is recomputed
+// whatever the tree patch touched.
+func (c *spfCache) markDirty(e *prefixEntry) {
+	if !e.dirty {
+		e.dirty = true
+		c.eff.dirty = append(c.eff.dirty, e)
+	}
+}
+
+// prune drops e from the index if no LSA names its prefix any more.
+func (c *spfCache) prune(e *prefixEntry) {
+	if len(e.lsas) > 0 {
 		return
 	}
-	delete(c.byPrefix, p)
+	delete(c.byPrefix, e.prefix)
 	if at, ok := slices.BinarySearchFunc(c.prefixes, e.str, (*prefixEntry).compareStr); ok {
 		c.prefixes = slices.Delete(c.prefixes, at, at+1)
 	}
@@ -200,10 +241,16 @@ func (c *spfCache) allocSlot(s slot) topo.NodeID {
 	idx := c.g.AddNode()
 	c.slots = append(c.slots, s)
 	c.live++
+	if s.kind == slotRouter {
+		c.routerGen++
+	}
 	return idx
 }
 
 func (c *spfCache) freeSlot(idx topo.NodeID) {
+	if c.slots[idx].kind == slotRouter {
+		c.routerGen++
+	}
 	c.slots[idx] = slot{}
 	c.live--
 }
@@ -245,10 +292,11 @@ func listsNeighbor(l *LSA, id RouterID) bool {
 // the prefixes are sorted once at the end.
 func (r *Router) buildCache() *spfCache {
 	c := &spfCache{
-		g:        spf.NewGraph(0),
-		index:    make(map[RouterID]topo.NodeID),
-		fakeIdx:  make(map[Key]topo.NodeID),
-		byPrefix: make(map[netip.Prefix]*prefixEntry),
+		g:         spf.NewGraph(0),
+		index:     make(map[RouterID]topo.NodeID),
+		fakeIdx:   make(map[Key]topo.NodeID),
+		byPrefix:  make(map[netip.Prefix]*prefixEntry),
+		routerGen: 1, // 0 marks an entry as never resolved
 	}
 	file := func(l *LSA) {
 		e, created := c.entry(l.Prefix)
@@ -293,13 +341,31 @@ func (r *Router) buildCache() *spfCache {
 
 // effects accumulates what a change-log replay did to the cache.
 type effects struct {
-	edges         []spf.GraphChange
-	dirtyPrefixes map[netip.Prefix]bool
-	rebuild       bool // cache inconsistent: fall back to a full rebuild
+	edges   []spf.GraphChange
+	dirty   []*prefixEntry // entries whose routes must be recomputed, each flagged dirty
+	rebuild bool           // cache inconsistent: fall back to a full rebuild
+}
+
+// reset empties the effects after a replay, clearing the entries' dirty
+// flags.
+func (eff *effects) reset() {
+	for _, e := range eff.dirty {
+		e.dirty = false
+	}
+	clear(eff.dirty)
+	eff.edges, eff.dirty, eff.rebuild = eff.edges[:0], eff.dirty[:0], false
+}
+
+// addEdge records a GraphChange if ReplaceEdges reported one.
+func (eff *effects) addEdge(changed bool, from, to topo.NodeID) {
+	if changed {
+		eff.edges = append(eff.edges, spf.GraphChange{From: from, To: to})
+	}
 }
 
 // applyChange replays one LSDB mutation onto the cached graph.
-func (r *Router) applyChange(c *spfCache, ch lsaChange, eff *effects) {
+func (r *Router) applyChange(c *spfCache, ch lsaChange) {
+	eff := &c.eff
 	l := ch.new
 	if l == nil {
 		l = ch.old
@@ -321,17 +387,20 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange, eff *effects) {
 		}
 		// Adjacencies of X against every neighbor mentioned before or
 		// after: presence, weight, and the two-way check can all flip.
-		pairs := make(map[RouterID]bool)
+		nbrs := c.nbrs[:0]
 		if ch.old != nil {
 			for _, rl := range ch.old.RouterLinks {
-				pairs[rl.Neighbor] = true
+				nbrs = append(nbrs, rl.Neighbor)
 			}
 		}
 		if ch.new != nil {
 			for _, rl := range ch.new.RouterLinks {
-				pairs[rl.Neighbor] = true
+				nbrs = append(nbrs, rl.Neighbor)
 			}
 		}
+		slices.Sort(nbrs)
+		nbrs = slices.Compact(nbrs)
+		c.nbrs = nbrs
 		if removed {
 			// Clear the slot's edges explicitly instead of reconciling
 			// from the LSDB: when X was removed and re-added within one
@@ -340,23 +409,20 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange, eff *effects) {
 			// the slot we are about to tombstone (the re-add then wires
 			// a fresh slot, leaving a live phantom copy of X).
 			xi := c.index[x]
-			for y := range pairs {
+			for _, y := range nbrs {
 				yi, ok := c.index[y]
 				if !ok {
 					continue
 				}
-				if c.g.ReplaceEdges(xi, yi, nil) {
-					eff.edges = append(eff.edges, spf.GraphChange{From: xi, To: yi})
-				}
-				if c.g.ReplaceEdges(yi, xi, nil) {
-					eff.edges = append(eff.edges, spf.GraphChange{From: yi, To: xi})
-				}
+				eff.addEdge(c.g.ReplaceEdges(xi, yi, nil), xi, yi)
+				eff.addEdge(c.g.ReplaceEdges(yi, xi, nil), yi, xi)
 			}
 			c.freeSlot(xi)
 			delete(c.index, x)
 		} else {
-			for y := range pairs {
-				r.reconcileAdjacency(c, x, y, eff)
+			xl := r.routerLSA(x)
+			for _, y := range nbrs {
+				r.reconcileAdjacency(c, x, xl, y)
 			}
 		}
 		if added || removed {
@@ -366,7 +432,7 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange, eff *effects) {
 			for _, e := range c.prefixes {
 				for _, pl := range e.lsas {
 					if pl.Header.Type == TypePrefix && pl.Header.AdvRouter == x {
-						eff.dirtyPrefixes[e.prefix] = true
+						c.markDirty(e)
 					}
 				}
 			}
@@ -383,23 +449,19 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange, eff *effects) {
 			if f == nil || f.AttachedTo != x {
 				continue
 			}
-			eff.dirtyPrefixes[f.Prefix] = true
+			if e := c.byPrefix[f.Prefix]; e != nil {
+				c.markDirty(e)
+			}
 			if attachIdx, ok := c.index[x]; ok {
-				if c.g.ReplaceEdges(attachIdx, fi, []spf.Edge{{Weight: int64(f.AttachCost), Link: topo.NoLink}}) {
-					eff.edges = append(eff.edges, spf.GraphChange{From: attachIdx, To: fi})
-				}
+				eff.addEdge(c.g.ReplaceEdges(attachIdx, fi, []spf.Edge{{Weight: int64(f.AttachCost), Link: topo.NoLink}}), attachIdx, fi)
 			}
 		}
 	case TypePrefix:
-		if ch.old != nil {
-			eff.dirtyPrefixes[ch.old.Prefix] = true
-			if !c.withdraw(ch.old) {
-				eff.rebuild = true
-				return
-			}
+		if ch.old != nil && !c.withdraw(ch.old) {
+			eff.rebuild = true
+			return
 		}
 		if ch.new != nil {
-			eff.dirtyPrefixes[ch.new.Prefix] = true
 			c.announce(ch.new)
 		}
 	case TypeFake:
@@ -410,11 +472,8 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange, eff *effects) {
 				eff.rebuild = true
 				return
 			}
-			eff.dirtyPrefixes[ch.old.Prefix] = true
 			if attach, aok := c.index[ch.old.AttachedTo]; aok {
-				if c.g.ReplaceEdges(attach, idx, nil) {
-					eff.edges = append(eff.edges, spf.GraphChange{From: attach, To: idx})
-				}
+				eff.addEdge(c.g.ReplaceEdges(attach, idx, nil), attach, idx)
 			}
 			if ch.new == nil {
 				c.freeSlot(idx)
@@ -427,19 +486,17 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange, eff *effects) {
 		}
 		idx := c.fakeIdx[k]
 		c.announce(ch.new)
-		eff.dirtyPrefixes[ch.new.Prefix] = true
 		if attach, ok := c.index[ch.new.AttachedTo]; ok {
-			if c.g.ReplaceEdges(attach, idx, []spf.Edge{{Weight: int64(ch.new.AttachCost), Link: topo.NoLink}}) {
-				eff.edges = append(eff.edges, spf.GraphChange{From: attach, To: idx})
-			}
+			eff.addEdge(c.g.ReplaceEdges(attach, idx, []spf.Edge{{Weight: int64(ch.new.AttachCost), Link: topo.NoLink}}), attach, idx)
 		}
 	}
 }
 
 // reconcileAdjacency re-derives the graph edges between routers x and y
-// from their current LSAs (two-way check included) and records a
-// GraphChange per direction that differed.
-func (r *Router) reconcileAdjacency(c *spfCache, x, y RouterID, eff *effects) {
+// from their current LSAs (two-way check included; xl is x's) and records
+// a GraphChange per direction that differed. The edge lists are built on
+// the stack: parallel links between two routers are few.
+func (r *Router) reconcileAdjacency(c *spfCache, x RouterID, xl *LSA, y RouterID) {
 	if x == y {
 		return
 	}
@@ -448,8 +505,9 @@ func (r *Router) reconcileAdjacency(c *spfCache, x, y RouterID, eff *effects) {
 	if !xok || !yok {
 		return // a missing slot has no edges to reconcile
 	}
-	xl, yl := r.routerLSA(x), r.routerLSA(y)
-	var xy, yx []spf.Edge
+	yl := r.routerLSA(y)
+	var xyBuf, yxBuf [4]spf.Edge
+	xy, yx := xyBuf[:0], yxBuf[:0]
 	if listsNeighbor(yl, x) && xl != nil {
 		for _, rl := range xl.RouterLinks {
 			if rl.Neighbor == y {
@@ -464,12 +522,8 @@ func (r *Router) reconcileAdjacency(c *spfCache, x, y RouterID, eff *effects) {
 			}
 		}
 	}
-	if c.g.ReplaceEdges(xi, yi, xy) {
-		eff.edges = append(eff.edges, spf.GraphChange{From: xi, To: yi})
-	}
-	if c.g.ReplaceEdges(yi, xi, yx) {
-		eff.edges = append(eff.edges, spf.GraphChange{From: yi, To: xi})
-	}
+	c.eff.addEdge(c.g.ReplaceEdges(xi, yi, xy), xi, yi)
+	c.eff.addEdge(c.g.ReplaceEdges(yi, xi, yx), yi, xi)
 }
 
 // --- Route computation over the cache -----------------------------------
@@ -480,6 +534,16 @@ type announcer struct {
 	idx    topo.NodeID // graph slot of the announcing node
 	metric uint32
 	fake   *LSA
+}
+
+// resolved returns e's announcers, resolving them only when the memo is
+// stale (see prefixEntry).
+func (c *spfCache) resolved(e *prefixEntry) []announcer {
+	if e.annsGen != c.routerGen {
+		e.anns = c.announcers(e, e.anns[:0])
+		e.annsGen = c.routerGen
+	}
+	return e.anns
 }
 
 // announcers appends to buf the announcers of one prefix, in the entry's
@@ -532,15 +596,19 @@ func (r *Router) routeFor(c *spfCache, p netip.Prefix, anns []announcer, selfIdx
 	if best == spf.Infinity {
 		return fib.Route{}, false
 	}
-	setNH := make(map[topo.NodeID]bool)
-	extra := make(map[topo.NodeID]int)
+	// Real next hops count once however many announcers share them;
+	// every local fake adds one unit of weight to its forwarding neighbor,
+	// summed by Normalize, which merges equal (node, link) entries.
+	var nhs []fib.NextHop
+	nodes := c.nodes[:0]
 	for _, a := range anns {
 		if !reachable(a.idx) || tree.Dist[a.idx]+int64(a.metric) != best {
 			continue
 		}
 		if a.fake != nil && a.fake.AttachedTo == r.id {
 			via := RouterNode(a.fake.ForwardVia)
-			if _, ok := r.dom.topo.FindLink(r.node, via); !ok {
+			l, ok := r.dom.topo.FindLink(r.node, via)
+			if !ok {
 				r.spfError(fmt.Errorf(
 					"ospf: fake LSA %s forwards via non-neighbor %d",
 					a.fake.Header.Key(), a.fake.ForwardVia))
@@ -552,28 +620,25 @@ func (r *Router) routeFor(c *spfCache, p netip.Prefix, anns []announcer, selfIdx
 			if nb := r.nbrs[a.fake.ForwardVia]; nb == nil || !nb.up {
 				continue
 			}
-			extra[via]++
+			nhs = append(nhs, fib.NextHop{Node: via, Link: l.ID, Weight: 1})
 			continue
 		}
-		for _, nh := range tree.NextHops(a.idx) {
-			node, ok := c.routerNode(nh.Node)
-			if !ok {
-				continue
+		c.nhs = tree.AppendNextHops(c.nhs[:0], a.idx)
+		for _, nh := range c.nhs {
+			if node, ok := c.routerNode(nh.Node); ok {
+				nodes = append(nodes, node)
 			}
-			setNH[node] = true
 		}
 	}
-	var nhs []fib.NextHop
-	for node := range setNH {
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
+	c.nodes = nodes
+	for _, node := range nodes {
 		l, ok := r.dom.topo.FindLink(r.node, node)
 		if !ok {
 			continue
 		}
 		nhs = append(nhs, fib.NextHop{Node: node, Link: l.ID, Weight: 1})
-	}
-	for node, w := range extra {
-		l, _ := r.dom.topo.FindLink(r.node, node)
-		nhs = append(nhs, fib.NextHop{Node: node, Link: l.ID, Weight: w})
 	}
 	if len(nhs) == 0 {
 		return fib.Route{}, false

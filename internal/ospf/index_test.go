@@ -45,7 +45,8 @@ func (r *Router) collectAnnouncers(c *spfCache) (map[string][]announcer, map[str
 // checkIndex compares a router's announcer index, as its SPF run left it,
 // with the oracle: the same prefixes in the same (string) order, each with
 // the same announcers in the same order — so also the same LSAs skipped
-// for want of a graph slot — and the index's own ordering invariants.
+// for want of a graph slot — and the index's own ordering invariants. A
+// memo of the current router generation must equal a fresh resolution.
 func checkIndex(r *Router) error {
 	c := r.cache
 	if c == nil {
@@ -78,6 +79,12 @@ func checkIndex(r *Router) error {
 			}
 		}
 		got := c.announcers(e, nil)
+		if e.annsGen == c.routerGen && !slices.Equal(e.anns, got) {
+			return fmt.Errorf("entry %s: memoised announcers are stale:\n memo  %+v\n fresh %+v", e.str, e.anns, got)
+		}
+		if e.dirty {
+			return fmt.Errorf("entry %s is still flagged dirty after the run", e.str)
+		}
 		if len(got) == 0 {
 			continue // announced only by nodes without a slot: the oracle has no key
 		}

@@ -3,7 +3,6 @@ package ospf
 import (
 	"cmp"
 	"fmt"
-	"net/netip"
 	"slices"
 	"time"
 
@@ -552,18 +551,29 @@ func (r *Router) scheduleSPF() {
 // for prefixes whose announcers were touched, and emit the result as a
 // fib.Diff. It falls back to recomputeFull when no cache exists, the
 // replay detects an inconsistency, or tombstoned slots dominate the cache.
+// The change log's storage and the cache's per-run state are kept, empty,
+// for the next run.
 func (r *Router) computeRoutes() {
 	r.spfRuns++
 	changes := r.changeLog
-	r.changeLog = nil
+	r.replayChanges(changes)
+	if r.cache != nil {
+		r.cache.eff.reset()
+	}
+	clear(changes)
+	r.changeLog = changes[:0]
+}
+
+// replayChanges is computeRoutes' body: one run over the logged changes.
+func (r *Router) replayChanges(changes []lsaChange) {
 	if r.cache == nil {
 		r.recomputeFull()
 		return
 	}
 	c := r.cache
-	eff := &effects{dirtyPrefixes: make(map[netip.Prefix]bool)}
+	eff := &c.eff
 	for _, ch := range changes {
-		r.applyChange(c, ch, eff)
+		r.applyChange(c, ch)
 		if eff.rebuild {
 			r.recomputeFull()
 			return
@@ -574,7 +584,7 @@ func (r *Router) computeRoutes() {
 		r.recomputeFull()
 		return
 	}
-	if len(eff.edges) == 0 && len(eff.dirtyPrefixes) == 0 {
+	if len(eff.edges) == 0 && len(eff.dirty) == 0 {
 		return // sequence-number noise only: routing cannot have changed
 	}
 	selfIdx, ok := c.index[r.id]
@@ -583,11 +593,16 @@ func (r *Router) computeRoutes() {
 		return
 	}
 
+	// The patch is written into c.spare, the tree c.tree replaced. touched
+	// is nil when the patch touched no slot or fell back to a full
+	// Dijkstra (touchedAll); otherwise c.touched holds it as a bitset.
 	touchedAll := false
-	var touchedSet map[topo.NodeID]bool
+	var touched []topo.NodeID
 	if len(eff.edges) > 0 {
-		tree, touched, full := spf.Incremental(c.g, c.tree, eff.edges, nil)
-		c.tree = tree
+		tree, t, full := spf.IncrementalInto(c.spare, c.g, c.tree, eff.edges, nil)
+		if tree != c.tree {
+			c.spare, c.tree = c.tree, tree
+		}
 		if full {
 			// The dirty region was too large: Incremental ran a whole
 			// Dijkstra. Count it as a full run so the telemetry split
@@ -595,36 +610,33 @@ func (r *Router) computeRoutes() {
 			touchedAll = true
 			r.spfFullRuns++
 		} else {
-			touchedSet = make(map[topo.NodeID]bool, len(touched))
-			for _, v := range touched {
-				touchedSet[v] = true
-			}
+			touched = t
+			c.markTouched(touched)
 			r.spfIncRuns++
 		}
 	} else {
 		r.spfIncRuns++ // prefix-only change: no SPF work at all
 	}
 
-	if !touchedAll && len(touchedSet) == 0 && len(eff.dirtyPrefixes) == 0 {
+	if !touchedAll && len(touched) == 0 && len(eff.dirty) == 0 {
 		return // the changed edges carry none of our shortest paths
 	}
 	// Scan the index for prefixes to recompute. Its order (sorted by string
 	// form) is output-visible: it is the diff's change order and the order
 	// of any routeFor errors. This scan is the one per-run cost that grows
-	// with the number of prefixes; it allocates nothing.
+	// with the number of prefixes; it reads each entry's memoised
+	// announcers and allocates nothing.
 	diff := fib.NewDiff(r.node)
-	var gone []netip.Prefix // dirty prefixes no live node announces any more
-	anns := make([]announcer, 0, 8)
+	gone := c.gone[:0] // dirty prefixes no live node announces any more
 	for _, e := range c.prefixes {
-		anns = c.announcers(e, anns[:0])
-		dirty := eff.dirtyPrefixes[e.prefix]
+		anns := c.resolved(e)
 		if len(anns) == 0 {
-			if dirty {
+			if e.dirty {
 				gone = append(gone, e.prefix)
 			}
 			continue
 		}
-		if !touchedAll && !dirty && !announcerTouched(anns, touchedSet) {
+		if !touchedAll && !e.dirty && (len(touched) == 0 || !c.announcerTouched(anns)) {
 			continue
 		}
 		route, ok := r.routeFor(c, e.prefix, anns, selfIdx)
@@ -641,8 +653,9 @@ func (r *Router) computeRoutes() {
 			diff.Delete(p)
 		}
 	}
-	for p := range eff.dirtyPrefixes {
-		c.prune(p)
+	c.gone = gone
+	for _, e := range eff.dirty {
+		c.prune(e)
 	}
 	if diff.Empty() {
 		return
@@ -657,10 +670,22 @@ func (r *Router) computeRoutes() {
 	r.pendingTable, r.pendingDiff = table, diff
 }
 
+// markTouched loads the touched slots into the cache's bitset.
+func (c *spfCache) markTouched(touched []topo.NodeID) {
+	n := (len(c.slots) + 63) / 64
+	bits := slices.Grow(c.touched[:0], n)[:n]
+	clear(bits)
+	for _, v := range touched {
+		bits[v/64] |= 1 << (v % 64)
+	}
+	c.touched = bits
+}
+
 // announcerTouched reports whether any announcer sits in the touched set.
-func announcerTouched(anns []announcer, touched map[topo.NodeID]bool) bool {
+// An announcer's slot may postdate the patch (no edge yet, so untouched).
+func (c *spfCache) announcerTouched(anns []announcer) bool {
 	for _, a := range anns {
-		if touched[a.idx] {
+		if w := int(a.idx / 64); w < len(c.touched) && c.touched[w]&(1<<(a.idx%64)) != 0 {
 			return true
 		}
 	}

@@ -50,8 +50,25 @@ const MaxDirtyFraction = 0.5
 // Compute or Incremental on the earlier graph with the same skip function,
 // and changes covers every adjacency that differs between the two graphs.
 func Incremental(g *Graph, prev *Tree, changes []GraphChange, skip func(topo.NodeID) bool) (t *Tree, touched []topo.NodeID, full bool) {
+	return IncrementalInto(nil, g, prev, changes, skip)
+}
+
+// IncrementalInto is Incremental writing the patched tree into dst's
+// storage — its distance and predecessor arrays, its children CSR and the
+// backing of the touched list — instead of fresh memory; a nil dst
+// allocates. dst must not be prev, and is consumed whenever the result is
+// neither prev (nothing was dirty) nor a full recompute's fresh tree. Its
+// predecessor lists are never written, so they may still be shared with
+// prev: the natural dst is the tree prev replaced. The touched slice lives
+// in the result's storage and stays valid until the result is itself
+// passed as dst. Arrays that must grow get headroom, because a graph whose
+// nodes come and go keeps growing by a few nodes between compactions.
+func IncrementalInto(dst *Tree, g *Graph, prev *Tree, changes []GraphChange, skip func(topo.NodeID) bool) (t *Tree, touched []topo.NodeID, full bool) {
 	if prev == nil {
 		panic("spf: Incremental without a previous tree")
+	}
+	if dst == prev {
+		panic("spf: IncrementalInto into its own previous tree")
 	}
 	src := prev.Src
 	n := g.NumNodes()
@@ -85,7 +102,8 @@ func Incremental(g *Graph, prev *Tree, changes []GraphChange, skip func(topo.Nod
 	for v := pn; v < n; v++ {
 		mark(topo.NodeID(v))
 	}
-	var worse []topo.NodeID
+	// queue collects the worse seeds, then runs their closure.
+	queue := sc.queue[:0]
 	for _, c := range changes {
 		u, v := c.From, c.To
 		if int(u) >= n || int(v) >= n || v == src {
@@ -105,7 +123,10 @@ func Incremental(g *Graph, prev *Tree, changes []GraphChange, skip func(topo.Nod
 			// The changed edge carried shortest paths: v and its old-DAG
 			// descendants must be re-settled.
 			mark(v)
-			worse = append(worse, v)
+			if flags[v]&fSeen == 0 {
+				flags[v] |= fSeen
+				queue = append(queue, v)
+			}
 			continue
 		}
 		// The edge was off the shortest paths. Only an improvement (or a
@@ -125,18 +146,13 @@ func Incremental(g *Graph, prev *Tree, changes []GraphChange, skip func(topo.Nod
 			}
 		}
 	}
-	if len(worse) > 0 {
+	if len(queue) > 0 {
 		// Transitive closure of the worse seeds over the old predecessor
 		// DAG (children = nodes listing the seed as a predecessor). The
 		// CSR is cached on prev, so chained patches pay for it once.
 		children := prev.childrenCSR()
-		queue := append([]topo.NodeID(nil), worse...)
-		for _, v := range worse {
-			flags[v] |= fSeen
-		}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		for i := 0; i < len(queue); i++ {
+			u := queue[i]
 			mark(u)
 			for _, w := range children.of(u) {
 				if flags[w]&fSeen == 0 {
@@ -148,20 +164,28 @@ func Incremental(g *Graph, prev *Tree, changes []GraphChange, skip func(topo.Nod
 	}
 
 	if nDirty == 0 {
+		sc.queue = queue
 		return prev, nil, false
 	}
 	if float64(nDirty) > MaxDirtyFraction*float64(n) {
+		sc.queue = queue
 		return Compute(g, src, skip), nil, true
 	}
 
-	t = &Tree{Src: src, Dist: make([]int64, n), preds: make([][]pred, n)}
-	copy(t.Dist, prev.Dist)
-	for v := pn; v < n; v++ {
-		t.Dist[v] = Infinity
+	if dst == nil {
+		dst = new(Tree)
 	}
+	t = dst
+	t.Src = src
+	t.Dist = fit(t.Dist, n)
+	t.preds = fit(t.preds, n)
+	t.kidsOK = false
+	copy(t.Dist, prev.Dist)
 	copy(t.preds, prev.preds)
 	// fOwned marks predecessor lists this tree may mutate; everything
-	// else is shared with prev and must be copied before writing.
+	// else is shared with prev and must be copied before writing. Every
+	// node appended since prev is dirty, so no entry of dst survives past
+	// pn.
 	for v := range flags {
 		if flags[v]&fDirty != 0 {
 			t.Dist[v] = Infinity
@@ -253,53 +277,69 @@ func Incremental(g *Graph, prev *Tree, changes []GraphChange, skip func(topo.Nod
 	// counts as a change for all nodes routing through it. Building the
 	// CSR here doubles as priming t's cache for the next patch.
 	children := t.childrenCSR()
-	var queue []topo.NodeID
+	queue = queue[:0]
 	for v := 0; v < n; v++ {
 		if flags[v]&fTouched != 0 {
 			queue = append(queue, topo.NodeID(v))
 		}
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range children.of(u) {
+	for i := 0; i < len(queue); i++ {
+		for _, w := range children.of(queue[i]) {
 			if flags[w]&fTouched == 0 {
 				flags[w] |= fTouched
 				queue = append(queue, w)
 			}
 		}
 	}
+	sc.queue = queue
+	touched = t.touched[:0]
 	for v := 0; v < n; v++ {
 		if flags[v]&fTouched != 0 {
 			touched = append(touched, topo.NodeID(v))
 		}
 	}
+	t.touched = touched
 	return t, touched, false
+}
+
+// fit returns s resized to n elements, in place when its capacity allows.
+// Fresh storage gets half as much again as headroom. Kept elements are not
+// cleared: callers overwrite the first n.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/2)
+	}
+	return s[:n]
 }
 
 // childrenCSR returns (building lazily and caching) the CSR inversion of
 // the tree's predecessor DAG.
 func (t *Tree) childrenCSR() dagChildren {
 	if !t.kidsOK {
-		t.kids = newDAGChildren(t.preds, len(t.preds))
+		t.kids = t.kids.rebuild(t.preds)
 		t.kidsOK = true
 	}
 	return t.kids
 }
 
 // dagChildren is a compact CSR (offset + flat array) inversion of a
-// predecessor DAG: two allocations instead of one slice per node, which
-// keeps the closure passes off the allocator on the hot path.
+// predecessor DAG: two arrays instead of one slice per node, rebuilt in
+// place when a tree's storage is reused, which keeps the closure passes
+// off the allocator on the hot path.
 type dagChildren struct {
 	off  []int32
 	kids []topo.NodeID
 }
 
-func newDAGChildren(preds [][]pred, n int) dagChildren {
+// rebuild returns the CSR of preds, written into d's arrays when they are
+// large enough.
+func (d dagChildren) rebuild(preds [][]pred) dagChildren {
 	// Counting sort with the cursor-shift trick: counts land at off[v+2],
 	// the fill pass advances off[v+1] from start(v) to end(v), leaving
 	// off[u]:off[u+1] as u's final extent — no separate cursor array.
-	off := make([]int32, n+2)
+	n := len(preds)
+	off := fit(d.off, n+2)
+	clear(off)
 	for v := 0; v < n; v++ {
 		for _, p := range preds[v] {
 			off[p.from+2]++
@@ -308,7 +348,7 @@ func newDAGChildren(preds [][]pred, n int) dagChildren {
 	for i := 2; i <= n+1; i++ {
 		off[i] += off[i-1]
 	}
-	kids := make([]topo.NodeID, off[n+1])
+	kids := fit(d.kids, int(off[n+1]))
 	for v := 0; v < n; v++ {
 		for _, p := range preds[v] {
 			kids[off[p.from+1]] = topo.NodeID(v)

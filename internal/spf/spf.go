@@ -11,7 +11,10 @@
 // instead of re-running Dijkstra, falling back to a full recompute when
 // the dirty region exceeds MaxDirtyFraction of the graph. It is the first
 // stage of the delta pipeline: IGP change → patched tree → FIB diff →
-// selective flow re-routing.
+// selective flow re-routing. A caller that patches one tree after another
+// keeps two: the current tree and the one it replaced. IncrementalInto
+// writes the next patch into the replaced tree's arrays, so a steady-state
+// patch allocates only the predecessor lists it rewrites.
 package spf
 
 import (
@@ -24,15 +27,16 @@ import (
 )
 
 // scratch is the reusable working state of one SPF run: the visited set
-// (Compute), the per-node flag vector (Incremental), the binary-heap
-// backing array, and the DAG-walk state of Tree.NextHops. The parallel
-// simulation core runs many per-router SPF computations per tick on
-// worker goroutines, so the scratch is pooled — effectively per worker —
-// instead of allocated per run. Results (Dist, preds) never alias scratch
-// memory.
+// (Compute), the per-node flag vector and closure queue (Incremental), the
+// binary-heap backing array, and the DAG-walk state of Tree.NextHops. The
+// parallel simulation core runs many per-router SPF computations per tick
+// on worker goroutines, so the scratch is pooled — effectively per worker
+// — instead of allocated per run. Results (Dist, preds) never alias
+// scratch memory.
 type scratch struct {
 	done  []bool
 	flags []uint8
+	queue []topo.NodeID
 	h     heap
 
 	// NextHops state. seen and cnt are all-zero between uses: a walk
@@ -170,13 +174,39 @@ func (g *Graph) Clone() *Graph {
 // given ones (each edge's To field is forced to to). It reports whether the
 // edge set actually differed, so incremental graph maintainers can build
 // GraphChange lists for Incremental without tracking weights themselves.
+// The kept edges stay in order, followed by the new ones; nothing is
+// allocated unless the adjacency list has to grow.
 func (g *Graph) ReplaceEdges(from, to topo.NodeID, edges []Edge) bool {
-	var old []Edge
-	kept := g.Out[from][:0]
-	for _, e := range g.Out[from] {
+	out := g.Out[from]
+	nOld := 0
+	for _, e := range out {
 		if e.To == to {
-			old = append(old, e)
-		} else {
+			nOld++
+		}
+	}
+	// Multiset comparison on (Weight, Link), in place: with as many old
+	// edges as new, the sets are equal iff every new edge occurs as often
+	// among the old ones as among the new. Edge lists here are tiny
+	// (parallel links between one node pair).
+	changed := nOld != len(edges)
+	for i := 0; i < len(edges) && !changed; i++ {
+		w, l := edges[i].Weight, edges[i].Link
+		inNew, inOld := 0, 0
+		for _, e := range edges {
+			if e.Weight == w && e.Link == l {
+				inNew++
+			}
+		}
+		for _, e := range out {
+			if e.To == to && e.Weight == w && e.Link == l {
+				inOld++
+			}
+		}
+		changed = inNew != inOld
+	}
+	kept := out[:0]
+	for _, e := range out {
+		if e.To != to {
 			kept = append(kept, e)
 		}
 	}
@@ -185,26 +215,7 @@ func (g *Graph) ReplaceEdges(from, to topo.NodeID, edges []Edge) bool {
 		kept = append(kept, e)
 	}
 	g.Out[from] = kept
-	if len(old) != len(edges) {
-		return true
-	}
-	// Multiset comparison on (Weight, Link); edge lists here are tiny
-	// (parallel links between one node pair).
-	matched := make([]bool, len(old))
-	for _, e := range edges {
-		found := false
-		for i, o := range old {
-			if !matched[i] && o.Weight == e.Weight && o.Link == e.Link {
-				matched[i] = true
-				found = true
-				break
-			}
-		}
-		if !found {
-			return true
-		}
-	}
-	return false
+	return changed
 }
 
 // FromTopology builds the SPF graph of the router-level topology. Host
@@ -235,6 +246,9 @@ type Tree struct {
 	// tree gets the old-DAG closure for free.
 	kids   dagChildren
 	kidsOK bool
+	// touched backs the touched list IncrementalInto returns with this
+	// tree, so a reused tree brings that storage along too.
+	touched []topo.NodeID
 }
 
 type pred struct {
@@ -428,8 +442,14 @@ type NextHop struct {
 // per-next-hop shortest-path multiplicity. The result is sorted by node ID
 // for determinism. Returns nil if dst is unreachable or dst == Src.
 func (t *Tree) NextHops(dst topo.NodeID) []NextHop {
+	return t.AppendNextHops(nil, dst)
+}
+
+// AppendNextHops appends NextHops(dst) to buf and returns the extended
+// slice, so a caller that only reads the next hops can reuse one buffer.
+func (t *Tree) AppendNextHops(buf []NextHop, dst topo.NodeID) []NextHop {
 	if dst == t.Src || !t.Reachable(dst) {
-		return nil
+		return buf
 	}
 	// A shortest path Src -> h -> ... -> dst is one of the parallel edges
 	// Src -> h followed by one of the DAG paths h -> dst, so h's
@@ -457,7 +477,7 @@ func (t *Tree) NextHops(dst topo.NodeID) []NextHop {
 		order = append(order, f.node)
 		stack = stack[:len(stack)-1]
 	}
-	var out []NextHop
+	out, base := buf, len(buf)
 	cnt[dst] = 1
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
@@ -480,7 +500,7 @@ func (t *Tree) NextHops(dst topo.NodeID) []NextHop {
 		seen[v], cnt[v] = false, 0
 	}
 	sc.order, sc.stack = order, stack
-	sortNextHops(out)
+	sortNextHops(out[base:])
 	return out
 }
 
