@@ -1,8 +1,15 @@
-// Package lpm implements a longest-prefix-match binary trie over IP
-// prefixes, the lookup structure backing every router FIB in the emulated
-// network. It supports IPv4 and IPv6 prefixes (in separate tries keyed by
-// address family), insertion, exact removal, longest-match lookup, and
-// ordered walking.
+// Package lpm implements a longest-prefix-match path-compressed trie over
+// IP prefixes, the lookup structure backing every router FIB in the
+// emulated network. It supports IPv4 and IPv6 prefixes (in separate tries
+// keyed by address family), insertion, exact removal, longest-match
+// lookup, and ordered walking.
+//
+// A node exists only where an installed prefix ends or where two
+// installed prefixes part: each node stores its whole prefix, so a walk
+// from the root skips every bit on which nothing branches, and a lookup
+// visits about log2 of the installed prefixes rather than one node per
+// address bit. Remove keeps that shape by splicing out a node left with no
+// value and one child.
 //
 // The trie is copy-on-write: Clone is O(1) and shares every node with the
 // original; a later Insert or Remove on either table copies only the nodes
@@ -13,6 +20,7 @@ package lpm
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -27,7 +35,12 @@ type Table[V any] struct {
 	owner *byte
 }
 
+// node is the prefix of its first bits bits of key (the rest zero). A
+// node without a value has two children; a child's prefix extends its
+// parent's by at least one bit, and that next bit is the child's index.
 type node[V any] struct {
+	key   key
+	bits  int
 	child [2]*node[V]
 	val   *V // nil when no prefix ends here; the pointee is never written
 	owner *byte
@@ -58,6 +71,19 @@ func (t *Table[V]) root(is4 bool) **node[V] {
 	return &t.v6
 }
 
+// own returns the node *at for writing, first replacing it with an owned
+// copy if it may be shared. The node holding at must be owned already.
+func (t *Table[V]) own(at **node[V]) *node[V] {
+	n := *at
+	if n.owner != t.owner {
+		c := *n
+		c.owner = t.owner
+		n = &c
+		*at = n
+	}
+	return n
+}
+
 // key is an address left-aligned in 128 bits: bit 0, the most significant
 // bit of the address, is the top bit of hi.
 type key struct{ hi, lo uint64 }
@@ -79,15 +105,30 @@ func (k key) bit(i int) uint64 {
 	return k.lo >> (127 - uint(i)) & 1
 }
 
-// withBit returns k with bit i set; i == 128, one past a host route, sets
-// nothing (an oversized shift yields zero).
-func (k key) withBit(i int) key {
-	if i < 64 {
-		k.hi |= 1 << (63 - uint(i))
-	} else {
-		k.lo |= 1 << (127 - uint(i))
+// hasPrefix reports whether the first n bits of k equal those of p.
+// Oversized shifts yield zero, so n == 0 and n == 64 need no case.
+func (k key) hasPrefix(p key, n int) bool {
+	if n <= 64 {
+		return (k.hi^p.hi)>>(64-uint(n)) == 0
 	}
-	return k
+	return k.hi == p.hi && (k.lo^p.lo)>>(128-uint(n)) == 0
+}
+
+// common returns the number of leading bits k and p share, at most limit.
+func (k key) common(p key, limit int) int {
+	n := bits.LeadingZeros64(k.hi ^ p.hi)
+	if n == 64 {
+		n += bits.LeadingZeros64(k.lo ^ p.lo)
+	}
+	return min(n, limit)
+}
+
+// masked returns k with every bit from n on cleared.
+func (k key) masked(n int) key {
+	if n <= 64 {
+		return key{hi: k.hi &^ (^uint64(0) >> uint(n))}
+	}
+	return key{k.hi, k.lo &^ (^uint64(0) >> uint(n-64))}
 }
 
 func (k key) addr(is4 bool) netip.Addr {
@@ -106,35 +147,16 @@ func (k key) addr(is4 bool) netip.Addr {
 func (t *Table[V]) find(p netip.Prefix) *node[V] {
 	k, _ := keyOf(p.Addr())
 	n := *t.root(p.Addr().Is4())
-	for i := 0; n != nil && i < p.Bits(); i++ {
-		n = n.child[k.bit(i)]
+	for n != nil && n.bits < p.Bits() {
+		if !k.hasPrefix(n.key, n.bits) {
+			return nil
+		}
+		n = n.child[k.bit(n.bits)]
+	}
+	if n == nil || n.bits != p.Bits() || n.key != k {
+		return nil
 	}
 	return n
-}
-
-// writable returns the node of an exact (masked) prefix for writing: every
-// node on the path that is missing is created, and every one this table
-// does not own is replaced by an owned copy.
-func (t *Table[V]) writable(p netip.Prefix) *node[V] {
-	k, _ := keyOf(p.Addr())
-	at := t.root(p.Addr().Is4())
-	for i := 0; ; i++ {
-		n := *at
-		switch {
-		case n == nil:
-			n = &node[V]{owner: t.owner}
-			*at = n
-		case n.owner != t.owner:
-			c := *n
-			c.owner = t.owner
-			n = &c
-			*at = n
-		}
-		if i == p.Bits() {
-			return n
-		}
-		at = &n.child[k.bit(i)]
-	}
 }
 
 // Insert adds or replaces the value for an exact prefix.
@@ -142,16 +164,51 @@ func (t *Table[V]) Insert(p netip.Prefix, v V) {
 	if !p.IsValid() {
 		panic(fmt.Sprintf("lpm: invalid prefix %v", p))
 	}
-	n := t.writable(p.Masked())
-	if n.val == nil {
+	p = p.Masked()
+	k, _ := keyOf(p.Addr())
+	plen := p.Bits()
+	at := t.root(p.Addr().Is4())
+	for {
+		n := *at
+		if n == nil {
+			*at = &node[V]{key: k, bits: plen, val: &v, owner: t.owner}
+			t.size++
+			return
+		}
+		c := k.common(n.key, min(plen, n.bits))
+		if c == n.bits {
+			n = t.own(at)
+			if c == plen {
+				if n.val == nil {
+					t.size++
+				}
+				n.val = &v
+				return
+			}
+			at = &n.child[k.bit(c)] // n covers p: descend
+			continue
+		}
+		// p and n part at bit c, or p covers n (c == plen): either way a
+		// new node goes in n's place, with n below it.
+		leaf := &node[V]{key: k, bits: plen, val: &v, owner: t.owner}
+		if c == plen {
+			leaf.child[n.key.bit(c)] = n
+			*at = leaf
+		} else {
+			fork := &node[V]{key: k.masked(c), bits: c, owner: t.owner}
+			fork.child[k.bit(c)] = leaf
+			fork.child[n.key.bit(c)] = n
+			*at = fork
+		}
 		t.size++
+		return
 	}
-	n.val = &v
 }
 
-// Remove deletes an exact prefix, reporting whether it was present.
-// Trie nodes are not compacted: tables in this system are small and the
-// same prefixes come and go.
+// Remove deletes an exact prefix, reporting whether it was present. The
+// node goes with its value unless it still forks, and a parent left
+// with no value and one child is spliced out too, so the trie keeps
+// only nodes that end a prefix or fork.
 func (t *Table[V]) Remove(p netip.Prefix) bool {
 	if !p.IsValid() {
 		return false
@@ -160,8 +217,33 @@ func (t *Table[V]) Remove(p netip.Prefix) bool {
 	if n := t.find(p); n == nil || n.val == nil {
 		return false
 	}
-	t.writable(p).val = nil
+	k, _ := keyOf(p.Addr())
+	var parent **node[V]
+	at := t.root(p.Addr().Is4())
+	for (*at).bits < p.Bits() {
+		n := t.own(at)
+		parent, at = at, &n.child[k.bit(n.bits)]
+	}
 	t.size--
+	n := *at
+	switch {
+	case n.child[0] != nil && n.child[1] != nil:
+		t.own(at).val = nil
+	case n.child[0] != nil:
+		*at = n.child[0]
+	case n.child[1] != nil:
+		*at = n.child[1]
+	default:
+		*at = nil
+		if parent != nil && (*parent).val == nil {
+			// A node without a value forks, so the sibling is there.
+			par := *parent
+			*parent = par.child[0]
+			if *parent == nil {
+				*parent = par.child[1]
+			}
+		}
+	}
 	return true
 }
 
@@ -179,26 +261,32 @@ func (t *Table[V]) Get(p netip.Prefix) (V, bool) {
 // Lookup performs longest-prefix-match for an address, returning the value
 // of the most specific covering prefix.
 func (t *Table[V]) Lookup(a netip.Addr) (V, netip.Prefix, bool) {
-	var best *V
-	bestBits := 0
-	if a.IsValid() {
-		k, max := keyOf(a)
-		n := *t.root(a.Is4())
-		for i := 0; n != nil; i++ {
+	// A full-length prefix has no children, and the bit past it reads as
+	// 0 (an oversized shift), so neither walk needs a length check to stop.
+	var best *node[V]
+	switch {
+	case a.Is4():
+		// IPv4 keys live in hi alone.
+		b := a.As4()
+		hi := uint64(binary.BigEndian.Uint32(b[:])) << 32
+		for n := t.v4; n != nil && (hi^n.key.hi)>>(64-uint(n.bits)) == 0; n = n.child[hi>>(63-uint(n.bits))&1] {
 			if n.val != nil {
-				best, bestBits = n.val, i
+				best = n
 			}
-			if i == max {
-				break
+		}
+	case a.Is6():
+		k, _ := keyOf(a)
+		for n := t.v6; n != nil && k.hasPrefix(n.key, n.bits); n = n.child[k.bit(n.bits)] {
+			if n.val != nil {
+				best = n
 			}
-			n = n.child[k.bit(i)]
 		}
 	}
 	if best == nil {
 		var zero V
 		return zero, netip.Prefix{}, false
 	}
-	return *best, netip.PrefixFrom(a, bestBits).Masked(), true
+	return *best.val, netip.PrefixFrom(a, best.bits).Masked(), true
 }
 
 // Walk visits every installed prefix in sorted order: IPv4 before IPv6,
@@ -206,18 +294,18 @@ func (t *Table[V]) Lookup(a netip.Addr) (V, netip.Prefix, bool) {
 // the trie's pre-order, so nothing is collected or sorted. The walk stops
 // early if fn returns false. fn must not mutate t.
 func (t *Table[V]) Walk(fn func(p netip.Prefix, v V) bool) {
-	_ = walk(t.v4, true, key{}, 0, fn) && walk(t.v6, false, key{}, 0, fn)
+	_ = walk(t.v4, true, fn) && walk(t.v6, false, fn)
 }
 
-// walk visits the subtree of n, whose prefix is the first bits bits of k.
-func walk[V any](n *node[V], is4 bool, k key, bits int, fn func(netip.Prefix, V) bool) bool {
+// walk visits the subtree of n.
+func walk[V any](n *node[V], is4 bool, fn func(netip.Prefix, V) bool) bool {
 	if n == nil {
 		return true
 	}
-	if n.val != nil && !fn(netip.PrefixFrom(k.addr(is4), bits), *n.val) {
+	if n.val != nil && !fn(netip.PrefixFrom(n.key.addr(is4), n.bits), *n.val) {
 		return false
 	}
-	return walk(n.child[0], is4, k, bits+1, fn) && walk(n.child[1], is4, k.withBit(bits), bits+1, fn)
+	return walk(n.child[0], is4, fn) && walk(n.child[1], is4, fn)
 }
 
 // Prefixes returns all installed prefixes in sorted order.

@@ -76,8 +76,10 @@ type Aggregate struct {
 	maxRate float64
 	trace
 
+	// weight is len(members), kept beside it for the solver's inner
+	// loops; members[f.slot] == f for every member f.
 	weight  int
-	members map[FlowID]*Flow
+	members []*Flow
 
 	// touched is the set of hops (bit j = hop j) at which an invalidation
 	// since the last recompute can have changed a member's forwarding;
@@ -278,7 +280,6 @@ func (n *Network) rebucket(f *Flow, tr *trace) {
 		ingress: f.Ingress,
 		maxRate: f.MaxRate,
 		trace:   tr.clone(),
-		members: make(map[FlowID]*Flow),
 	}
 	n.nextAgg++
 	n.aggs[sig] = append(n.aggs[sig], a)
@@ -305,18 +306,24 @@ func (n *Network) rebucket(f *Flow, tr *trace) {
 func (n *Network) join(f *Flow, a *Aggregate) {
 	f.agg = a
 	f.joinRef = a.perFlowBits
-	a.members[f.ID] = f
+	f.slot = len(a.members)
+	a.members = append(a.members, f)
 	a.weight++
 	n.markDirty(a)
 }
 
 // leave removes a member, folding its delivered volume into the flow, and
-// drops the aggregate when it empties. Callers hold n.mu.
+// drops the aggregate when it empties. The aggregate's last member takes
+// the leaver's slot. Callers hold n.mu.
 func (n *Network) leave(f *Flow) {
 	a := f.agg
 	f.carried += a.perFlowBits - f.joinRef
 	f.agg = nil
-	delete(a.members, f.ID)
+	end := len(a.members) - 1
+	last := a.members[end]
+	a.members[f.slot], last.slot = last, f.slot
+	a.members[end] = nil
+	a.members = a.members[:end]
 	a.weight--
 	n.markDirty(a)
 	if a.weight == 0 {

@@ -185,10 +185,10 @@ func TestCrowdRerouteTracesOnlyMovers(t *testing.T) {
 		t.Helper()
 		fails := make(map[FlowID]bool)
 		for _, a := range net.invalid {
-			for id, f := range a.members {
+			for _, f := range a.members {
 				checkedTotal++
 				if !net.forwardsAsRecorded(a, f, a.touched) {
-					fails[id] = true
+					fails[f.ID] = true
 				}
 			}
 		}

@@ -62,6 +62,7 @@ type Flow struct {
 	MaxRate float64
 
 	agg     *Aggregate
+	slot    int     // index in agg.members
 	carried float64 // bits delivered in aggregates already left
 	joinRef float64 // agg.perFlowBits when this flow joined
 	gone    bool    // removed while still awaiting its first trace

@@ -252,6 +252,42 @@ func TestRemoveFlowFreesCapacity(t *testing.T) {
 	}
 }
 
+// TestVerifyMaxMinChecksMembership: leaves from the front, middle and back
+// of one aggregate keep its slot index whole, and VerifyMaxMin catches a
+// member in the wrong slot and a weight that is not the member count.
+func TestVerifyMaxMinChecksMembership(t *testing.T) {
+	tp := lineTopo()
+	sched := event.NewScheduler()
+	net := New(tp, sched, time.Second)
+	installLineTables(t, net, tp)
+	var ids []FlowID
+	for i := 0; i < 8; i++ {
+		ids = append(ids, net.AddFlow(tp.MustNode("n1"), key("10.100.0.1", uint16(i)), 1e5))
+	}
+	sched.RunUntil(time.Second)
+	for _, i := range []int{0, 4, 7} {
+		net.RemoveFlow(ids[i])
+	}
+	sched.RunUntil(2 * time.Second)
+	if err := net.VerifyMaxMin(1e-9); err != nil {
+		t.Fatal(err)
+	}
+	a := net.Flow(ids[1]).agg
+	if a.weight != 5 {
+		t.Fatalf("aggregate of %d members after 3 of 8 left, want 5", a.weight)
+	}
+	m := a.members
+	m[0], m[1] = m[1], m[0]
+	if err := net.VerifyMaxMin(1e-9); err == nil {
+		t.Fatal("two members in each other's slots passed")
+	}
+	m[0], m[1] = m[1], m[0]
+	a.weight++
+	if err := net.VerifyMaxMin(1e-9); err == nil {
+		t.Fatal("a weight above the member count passed")
+	}
+}
+
 func TestDeliveredBytesAccumulate(t *testing.T) {
 	tp := lineTopo()
 	sched := event.NewScheduler()

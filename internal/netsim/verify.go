@@ -19,6 +19,10 @@ import (
 // still awaiting their first trace (added at this very instant) are
 // skipped — they carry no rate yet by definition.
 //
+// It also checks the membership index every leave and join keeps: each
+// aggregate's weight is its member count, and each member sits in the
+// slot it records, pointing back at the aggregate.
+//
 // When the plane is quiescent (no recompute outstanding), the oracle also
 // re-traces every flow from the live tables and requires the aggregate's
 // classification to match: a stale path — an invalidation the plane lost
@@ -43,7 +47,14 @@ func (n *Network) VerifyMaxMin(rel float64) error {
 	var active []*refFlow
 	links := make(map[topo.LinkID]*refLink)
 	for _, a := range n.aggByID {
-		for _, f := range a.members {
+		if a.weight != len(a.members) {
+			return fmt.Errorf("netsim: aggregate %d has weight %d and %d members", a.id, a.weight, len(a.members))
+		}
+		for slot, f := range a.members {
+			if f.agg != a || f.slot != slot {
+				return fmt.Errorf("netsim: aggregate %d slot %d holds flow %d, which records aggregate %p slot %d",
+					a.id, slot, f.ID, f.agg, f.slot)
+			}
 			if quiescent {
 				if tr := n.traceFlow(f); !a.sameTrace(tr) {
 					return fmt.Errorf("netsim: flow %d classified on a stale trace (blocked=%v nodes=%v, fresh trace blocked=%v nodes=%v)",
