@@ -6,11 +6,17 @@ package controller
 // trees, Yen k-shortest-path sets, the believed-topology compilation
 // (fibbing.Evaluate per prefix and lie set), and the fluid load estimates
 // behind PlanContext.Evaluate. PlanArtifacts memoises all of them, keyed
-// by value-complete cache keys (topology binding by pointer, lie sets and
-// demand volumes encoded into the key), so a stale entry is impossible by
-// construction; the controller additionally drops the whole cache
-// whenever its generation triple (topology gen, demand gen, lie gen)
-// moves, which bounds memory to one planning epoch.
+// by value-complete cache keys (topology binding by pointer and
+// Topology.Version, lie sets and demand volumes encoded into the key), so
+// a stale entry is impossible by construction. The tables come in two
+// lifetimes. The topology tables (the evaluator, the SPF graph, the SPF
+// trees and the Yen path sets) depend on the binding alone and are
+// bounded by the topology's size, so they live until the controller plans
+// over another topology instance or the bound one's weights change. The
+// epoch tables (views, loads, LP optima, compiled DAGs, QoE predictions)
+// have keys that grow with lie sets, DAGs and demands, so the controller
+// empties them whenever its generation triple (topology gen, demand gen,
+// lie gen) moves, which bounds their memory to one planning epoch.
 //
 // Hit/miss accounting is deterministic because planning is: the Planner
 // proposes strategy by strategy in registration order on the control
@@ -93,16 +99,25 @@ type augEntry struct {
 // shared — callers must treat returned trees, paths, views and load maps
 // as read-only.
 type PlanArtifacts struct {
-	mu   sync.Mutex
-	topo *topo.Topology
-	// eval is the what-if evaluator every Views and CompileDAG miss goes
-	// through: it shares reverse SPF trees across strategies and lie
-	// sets, and lives and dies with the topology binding exactly like
-	// trees. Its internal tree cache is not a counted lookup.
+	mu sync.Mutex
+	// topo and version are the binding: the topology and the
+	// Topology.Version the cache was built against.
+	topo    *topo.Topology
+	version uint64
+
+	// The topology tables: each a function of the binding alone, bounded
+	// by the topology's size, so they live as long as the binding. eval
+	// is the what-if evaluator every Views and CompileDAG miss goes
+	// through: it shares reverse SPF trees across strategies, lie sets
+	// and epochs. Its internal tree cache is not a counted lookup.
 	eval  *fibbing.Evaluator
 	graph map[struct{}]graphEntry // at most one entry: a table, so memo serves it
 	trees map[topo.NodeID]*spf.Tree
 	ksp   map[kspKey][][]topo.NodeID
+
+	// The epoch tables: their keys grow with lie sets, DAGs and demands,
+	// so newEpoch empties them whenever the controller's planning inputs
+	// move.
 	views map[string]result[map[topo.NodeID]fibbing.RouteView]
 	loads map[string]loadsEntry
 	mmx   map[string]result[*te.MinMaxResult]
@@ -131,22 +146,37 @@ func newPlanArtifacts(t *topo.Topology, stats *ArtifactStats, lp *te.MinMaxSolve
 	if lp == nil {
 		lp = te.NewMinMaxSolver()
 	}
-	return &PlanArtifacts{
+	a := &PlanArtifacts{
 		topo:      t,
+		version:   t.Version(),
 		eval:      fibbing.NewEvaluator(t),
 		graph:     make(map[struct{}]graphEntry),
 		trees:     make(map[topo.NodeID]*spf.Tree),
 		ksp:       make(map[kspKey][][]topo.NodeID),
-		views:     make(map[string]result[map[topo.NodeID]fibbing.RouteView]),
-		loads:     make(map[string]loadsEntry),
-		mmx:       make(map[string]result[*te.MinMaxResult]),
-		augs:      make(map[string]augEntry),
-		qoe:       make(map[string]result[qoe.PlanQoE]),
 		lp:        lp,
 		stats:     stats,
 		planCount: counters{&stats.Hits, &stats.Misses},
 		qoeCount:  counters{&stats.QoEHits, &stats.QoEMisses},
 	}
+	a.newEpoch()
+	return a
+}
+
+// boundTo reports whether the cache answers for t as it is now: the same
+// topology, not mutated since the cache was built.
+func (a *PlanArtifacts) boundTo(t *topo.Topology) bool {
+	return a.topo == t && a.version == t.Version()
+}
+
+// newEpoch empties the epoch tables and keeps the topology tables.
+func (a *PlanArtifacts) newEpoch() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.views = make(map[string]result[map[topo.NodeID]fibbing.RouteView])
+	a.loads = make(map[string]loadsEntry)
+	a.mmx = make(map[string]result[*te.MinMaxResult])
+	a.augs = make(map[string]augEntry)
+	a.qoe = make(map[string]result[qoe.PlanQoE])
 }
 
 // memo is the one lookup every table goes through. A found key counts a

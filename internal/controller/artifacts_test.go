@@ -115,6 +115,60 @@ func TestArtifactMemo(t *testing.T) {
 	}
 }
 
+// TestArtifactsRebindOnWeightChange: a Sim's controller and IGP domain
+// share one topology, and Domain.SetLinkWeight rewrites it in place
+// without moving any planning generation. The SPF trees and the
+// evaluator outlive epochs, so only the topology's version tells the
+// controller they are stale: after the change, the cache it plans
+// through answers Tree and Views exactly as a fresh cache over the
+// mutated topology does.
+func TestArtifactsRebindOnWeightChange(t *testing.T) {
+	s, err := NewSim(SimOpts{WithCtrl: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, c, blue := s.Topo, s.Ctrl, topo.Fig1BluePrefixName
+	b, r2 := tp.MustNode(topo.Fig1B), tp.MustNode(topo.Fig1R2)
+	c.Handle(DemandEvent(blue, b, 10e6))
+	c.Handle(DemandEvent(blue, tp.MustNode(topo.Fig1A), 6e6))
+	alarm := AlarmEvent(alarmOn(t, tp, topo.Fig1B, topo.Fig1R2, 1.2))
+
+	c.Handle(alarm)
+	if len(c.Decisions) == 0 {
+		t.Fatal("the first plan committed nothing")
+	}
+	before, err := c.ensureArtifacts(tp).Views(blue, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range tp.Nodes() {
+		c.ensureArtifacts(tp).Tree(n.ID)
+	}
+
+	if err := s.Domain.SetLinkWeight(b, r2, 9); err != nil {
+		t.Fatal(err)
+	}
+	c.Handle(alarm)
+
+	arts, fresh := c.ensureArtifacts(tp), NewPlanArtifacts(tp)
+	for _, n := range tp.Nodes() {
+		if got, want := arts.Tree(n.ID), fresh.Tree(n.ID); !reflect.DeepEqual(got, want) {
+			t.Fatalf("tree from %s after the weight change:\n got  %+v\n want %+v", tp.Name(n.ID), got, want)
+		}
+	}
+	got, err := arts.Views(blue, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := fresh.Views(blue, nil)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("IGP views after the weight change:\n got  %v\n want %v", got, want)
+	}
+	if reflect.DeepEqual(want, before) {
+		t.Fatal("the weight change moved no route; the test compares nothing")
+	}
+}
+
 // repeatProblem is one planning question TestArtifactStatsRepeat and the
 // shared-cache test re-ask.
 type repeatProblem struct {

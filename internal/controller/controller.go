@@ -162,12 +162,12 @@ type Controller struct {
 	// with an older triple is stale.
 	gens planGens
 
-	// Artifact cache for the planner hot path: arts memoises SPF trees,
-	// believed-topology compilations, k-shortest paths, load estimates
-	// and LP solves for the current (planning topology, gens) epoch. Its
-	// stats and LP solver are handed on to the next epoch's cache, so the
-	// counters stay cumulative and the warm LP basis carries across
-	// demand bumps.
+	// Artifact cache for the planner hot path: arts memoises SPF trees
+	// and k-shortest paths for the planning topology, and
+	// believed-topology compilations, load estimates and LP solves for the
+	// current gens epoch (see ensureArtifacts). Its stats and LP solver
+	// are handed on when it rebinds, so the counters stay cumulative and
+	// the warm LP basis carries across demand bumps.
 	arts     *PlanArtifacts
 	artsGens planGens
 
@@ -261,14 +261,18 @@ func (c *Controller) Handle(ev Event) {
 }
 
 // ensureArtifacts returns the artifact cache for the given planning
-// topology, rebinding (and thereby dropping every memo) when the
-// topology instance or the gens triple moved since the cache was built.
-// The cumulative stats and the warm-LP solver survive the rebind.
+// topology. A new topology instance, or a weight change on the bound one,
+// rebinds it and drops every memo; a move of the gens triple alone starts
+// a new epoch, which drops the epoch tables and keeps the topology ones.
+// The cumulative stats and the warm-LP solver survive both.
 func (c *Controller) ensureArtifacts(pt *topo.Topology) *PlanArtifacts {
-	if c.arts.topo != pt || c.artsGens != c.gens {
+	switch {
+	case !c.arts.boundTo(pt):
 		c.arts = newPlanArtifacts(pt, c.arts.stats, c.arts.lp)
-		c.artsGens = c.gens
+	case c.artsGens != c.gens:
+		c.arts.newEpoch()
 	}
+	c.artsGens = c.gens
 	return c.arts
 }
 

@@ -210,16 +210,36 @@ func TestFailoverCommitRollbackByteIdentical(t *testing.T) {
 // TestEnsureArtifactsRebindsOnEachGeneration: a demand change, a
 // committed lie change and a liveness change each move the generation
 // triple on their own — landing in the same instant included — so the
-// artifact cache over an unchanged topology instance rebinds after each,
-// and only after one.
+// artifact cache over an unchanged topology instance starts a new epoch
+// after each, and only after one. A new epoch recomputes the epoch
+// tables (the plain-IGP view probed here) and keeps the topology binding
+// and its tables (the SPF tree probed here).
 func TestEnsureArtifactsRebindsOnEachGeneration(t *testing.T) {
 	r := newFailoverRig(t)
+	b := r.tp.MustNode(topo.Fig1B)
+	probe := func() (*PlanArtifacts, uint64) {
+		t.Helper()
+		a := r.c.ensureArtifacts(r.tp)
+		misses := a.Stats().Misses
+		a.Tree(b)
+		if _, err := a.Views(topo.Fig1BluePrefixName, nil); err != nil {
+			t.Fatal(err)
+		}
+		return a, a.Stats().Misses - misses
+	}
 	rebinds := func(what string, want bool, step func()) {
 		t.Helper()
-		before := r.c.ensureArtifacts(r.tp)
+		before, _ := probe()
 		step()
-		if got := r.c.ensureArtifacts(r.tp) != before; got != want {
-			t.Fatalf("%s: artifact cache rebound = %v, want %v", what, got, want)
+		after, misses := probe()
+		if after != before {
+			t.Fatalf("%s: the topology binding was dropped", what)
+		}
+		if got := misses > 0; got != want {
+			t.Fatalf("%s: new epoch = %v, want %v", what, got, want)
+		}
+		if misses > 1 {
+			t.Fatalf("%s: %d misses, want only the view's: the SPF tree did not survive", what, misses)
 		}
 	}
 	rebinds("nothing", false, func() {})

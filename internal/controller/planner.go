@@ -277,11 +277,12 @@ func AnalyticPlanContextCached(arts *PlanArtifacts, t *topo.Topology, demands []
 // running controller and the analytic what-if path both go through it,
 // so the evaluator wiring and base-utilisation semantics cannot diverge.
 // It guarantees what every strategy and helper relies on: the context's
-// Artifacts is a cache bound to its Topo (a nil cache, or one bound to
-// another topology, is replaced by a fresh one).
+// Artifacts is a cache bound to its Topo as it is now (a nil cache, or
+// one bound to another topology or to weights since changed, is replaced
+// by a fresh one).
 func buildPlanContext(arts *PlanArtifacts, t *topo.Topology, demands []topo.Demand,
 	installed map[string][]fibbing.Lie, ev Event, r resolved, raisedAlarms int) PlanContext {
-	if arts == nil || arts.topo != t {
+	if arts == nil || !arts.boundTo(t) {
 		arts = NewPlanArtifacts(t)
 	}
 	if installed == nil {

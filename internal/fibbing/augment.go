@@ -2,8 +2,10 @@ package fibbing
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
+	"fibbing.net/fibbing/internal/spf"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -153,30 +155,44 @@ func attachedLoopCheck(w NextHopWeights, u topo.NodeID) bool {
 
 // ReduceLies greedily removes lies whose removal keeps the network
 // consistent with the requirement (the Merger-style minimisation pass):
-// it drops one router's lie group at a time, re-evaluates the whole
-// network, and keeps the removal when every constrained router still
-// realises its desired split and every other router still matches the
-// routing it had under the full augmentation.
+// it drops one router's lie group at a time, and keeps the removal when
+// every router still routes as it did under the full augmentation — so
+// every constrained router still realises its desired split — and the
+// network still delivers.
+//
+// A trial re-derives only the routers the dropped group can move. The
+// trial's announcements are a subset of the accepted set's, so a router
+// whose best distance none of the group's lies reaches keeps its best
+// distance, its tie set and so its route. ReduceLies keeps the accepted
+// set's views, patches the routers some dropped lie reaches at exactly
+// their best distance, and rolls the patch back when the trial is
+// rejected: the lies kept, and their order, are those a full
+// re-evaluation per trial keeps.
 func (e *Evaluator) ReduceLies(prefixName string, aug *Augmentation, dag DAG) (*Augmentation, error) {
 	ps, err := e.checked(prefixName, aug.Lies)
 	if err != nil {
 		return nil, err
 	}
-	target, igp := e.evaluate(ps, aug.Lies), e.igpView(ps)
+	goal, igp := e.evaluate(ps, aug.Lies), e.igpView(ps)
 	current := append([]Lie(nil), aug.Lies...)
+	views := maps.Clone(goal) // current's views, patched trial by trial
 
 	// Group lies by attachment router; removal is attempted per group
-	// (removing half a router's lies changes its split).
-	groups := make(map[topo.NodeID][]Lie)
+	// (removing half a router's lies changes its split). minCost is the
+	// cheapest lie of each group: the one that reaches every router first.
+	minCost := make(map[topo.NodeID]int64)
 	for _, l := range current {
-		groups[l.Attach] = append(groups[l.Attach], l)
+		if c, ok := minCost[l.Attach]; !ok || l.Cost < c {
+			minCost[l.Attach] = l.Cost
+		}
 	}
-	routers := make([]topo.NodeID, 0, len(groups))
-	for u := range groups {
-		routers = append(routers, u)
-	}
-	slices.Sort(routers)
+	routers := slices.Sorted(maps.Keys(minCost))
 
+	var (
+		trial   []Lie
+		targets []target
+		undo    []routerView
+	)
 	for _, u := range routers {
 		// Never drop a constrained router's lies wholesale if its IGP
 		// routing differs from the requirement; the check below would
@@ -185,10 +201,32 @@ func (e *Evaluator) ReduceLies(prefixName string, aug *Augmentation, dag DAG) (*
 		if want, constrained := dag[u]; constrained && !igp[u].NextHops.Equal(want) {
 			continue
 		}
-		trial := withoutGroup(current, u) // a subset of the checked lies
-		views := e.evaluate(ps, trial)
-		if viewsMatch(views, target) && CheckDelivery(e.t, views) == nil {
-			current = trial
+		trial = appendWithoutGroup(trial[:0], current, u) // a subset of the checked lies
+		undo = undo[:0]
+		match := true
+		if !e.host[u] { // a fake hung off a host reaches no router
+			targets = e.targets(ps, trial, targets)
+			dropped := target{tree: e.tree(u), cost: minCost[u]}
+			for _, r := range e.routers {
+				old := views[r]
+				if d := dropped.via(r); old.Local || d == spf.Infinity || d != old.Dist {
+					continue
+				}
+				v := route(ps, trial, targets, r)
+				undo = append(undo, routerView{r, old})
+				views[r] = v
+				if !v.NextHops.Equal(goal[r].NextHops) {
+					match = false
+					break
+				}
+			}
+		}
+		if match && CheckDelivery(e.t, views) == nil {
+			current, trial = trial, current
+			continue
+		}
+		for _, rv := range undo {
+			views[rv.router] = rv.view
 		}
 	}
 	return &Augmentation{
@@ -198,35 +236,25 @@ func (e *Evaluator) ReduceLies(prefixName string, aug *Augmentation, dag DAG) (*
 	}, nil
 }
 
+// routerView is one router's view as it was before a trial patched it.
+type routerView struct {
+	router topo.NodeID
+	view   RouteView
+}
+
 // ReduceLies is Evaluator.ReduceLies on a fresh evaluator.
 func ReduceLies(t *topo.Topology, prefixName string, aug *Augmentation, dag DAG) (*Augmentation, error) {
 	return NewEvaluator(t).ReduceLies(prefixName, aug, dag)
 }
 
-func withoutGroup(lies []Lie, u topo.NodeID) []Lie {
-	out := make([]Lie, 0, len(lies))
+// appendWithoutGroup appends to dst the lies not attached at u.
+func appendWithoutGroup(dst, lies []Lie, u topo.NodeID) []Lie {
 	for _, l := range lies {
 		if l.Attach != u {
-			out = append(out, l)
+			dst = append(dst, l)
 		}
 	}
-	return out
-}
-
-func viewsMatch(got, want map[topo.NodeID]RouteView) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for u, w := range want {
-		g, ok := got[u]
-		if !ok || g.Local != w.Local {
-			return false
-		}
-		if !g.NextHops.Equal(w.NextHops) {
-			return false
-		}
-	}
-	return true
+	return dst
 }
 
 // Verify checks that a set of lies realises the requirement: every

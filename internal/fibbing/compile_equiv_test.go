@@ -3,6 +3,7 @@ package fibbing_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,5 +154,112 @@ func TestCompileDAGMatchesReferencePath(t *testing.T) {
 	// The comparison must have reached all three outcomes.
 	if compiled < 30 || pinnedSeen < 10 || failed < 5 {
 		t.Fatalf("weak coverage: %d compiled (%d pinned), %d rejected", compiled, pinnedSeen, failed)
+	}
+}
+
+// reduceInputs draws the augmentations TestReduceLiesMatchesReference
+// hands to ReduceLies for one requirement: its pin-all, the same with
+// some lies stacked twice (a group whose lies tie), with a lie hung off a
+// host, and with one pinned router re-pointed at a random neighbour (its
+// goal may loop, so every trial fails delivery); then its add-paths; then
+// lie sets ReduceLies must refuse.
+func reduceInputs(tp *topo.Topology, prefix string, dag fibbing.DAG, rng *rand.Rand) (inputs []*fibbing.Augmentation, hostLies int) {
+	p, _ := tp.PrefixByName(prefix)
+	with := func(base *fibbing.Augmentation, lies []fibbing.Lie) *fibbing.Augmentation {
+		return &fibbing.Augmentation{Prefix: base.Prefix, Lies: lies, Strategy: base.Strategy}
+	}
+	if pin, err := fibbing.ReferenceAugmentPinAll(tp, prefix, dag); err == nil && len(pin.Lies) > 0 {
+		inputs = append(inputs, pin)
+
+		var dup []fibbing.Lie
+		for _, l := range pin.Lies {
+			dup = append(dup, l)
+			if rng.Intn(3) == 0 {
+				dup = append(dup, l)
+			}
+		}
+		inputs = append(inputs, with(pin, dup))
+
+		for _, n := range tp.Nodes() {
+			if out := tp.OutLinks(n.ID); n.Host && len(out) > 0 {
+				lies := slices.Clone(pin.Lies)
+				at := rng.Intn(len(lies) + 1)
+				lies = slices.Insert(lies, at, fibbing.Lie{Prefix: p.Prefix, Attach: n.ID, Via: tp.Link(out[0]).To, Cost: rng.Int63n(3)})
+				inputs = append(inputs, with(pin, lies))
+				hostLies++
+				break
+			}
+		}
+
+		lies := slices.Clone(pin.Lies)
+		l := &lies[rng.Intn(len(lies))]
+		out := tp.OutLinks(l.Attach)
+		l.Via = tp.Link(out[rng.Intn(len(out))]).To
+		inputs = append(inputs, with(pin, lies))
+	}
+	if add, err := fibbing.ReferenceAugmentAddPaths(tp, prefix, dag); err == nil {
+		inputs = append(inputs, add)
+		if len(add.Lies) > 0 {
+			bad := slices.Clone(add.Lies)
+			bad[len(bad)-1].Cost = -1
+			inputs = append(inputs, with(add, bad))
+		}
+	}
+	return inputs, hostLies
+}
+
+// TestReduceLiesMatchesReference holds the incremental reduction, which
+// re-derives only the routers a dropped lie group can move, to the
+// reference, which re-evaluates every router on every trial: over the
+// matrix topologies and random graphs, and every requirement
+// requirementDAGs draws, ReduceLies on one shared evaluator returns the
+// reference's lies, lie for lie and in order, and its errors.
+func TestReduceLiesMatchesReference(t *testing.T) {
+	specs := scenarios.MatrixTopologies()
+	for seed := int64(1); seed <= 3; seed++ {
+		specs = append(specs,
+			scenarios.TopoSpec{Family: "random", Size: 8 + 3*int(seed), Seed: 40 + seed},
+			scenarios.TopoSpec{Family: "waxman", Size: 10 + 3*int(seed), Seed: 50 + seed})
+	}
+	var compared, shrunk, kept, failed, hostLies int
+	for ti, ts := range specs {
+		tp, prefix, err := ts.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(ti) + 77))
+		// A stub host to hang lies off; it transits nothing, so no route moves.
+		tp.AddLink(tp.AddHost("stub"), topo.NodeID(rng.Intn(tp.NumNodes())), 1, topo.LinkOpts{})
+		ev := fibbing.NewEvaluator(tp)
+		for di, dag := range requirementDAGs(t, tp, prefix, rng) {
+			inputs, hosts := reduceInputs(tp, prefix, dag, rng)
+			hostLies += hosts
+			for ii, in := range inputs {
+				want, wantErr := fibbing.ReferenceReduceLies(tp, prefix, in, dag)
+				got, gotErr := ev.ReduceLies(prefix, in, dag)
+				if !sameError(gotErr, wantErr) {
+					t.Fatalf("%s/%d dag %d input %d %v: error %v, reference %v", ts.Family, ts.Seed, di, ii, in.Lies, gotErr, wantErr)
+				}
+				compared++
+				if gotErr != nil {
+					failed++
+					continue
+				}
+				if got.Strategy != want.Strategy || !reflect.DeepEqual(got.Lies, want.Lies) {
+					t.Fatalf("%s/%d dag %d input %d %v:\n got  %s %v\n want %s %v",
+						ts.Family, ts.Seed, di, ii, in.Lies, got.Strategy, got.Lies, want.Strategy, want.Lies)
+				}
+				if len(got.Lies) < len(in.Lies) {
+					shrunk++
+				} else {
+					kept++
+				}
+			}
+		}
+	}
+	// Removals accepted and refused, errors and host lies must all occur.
+	if shrunk < 400 || kept < 100 || failed < 30 || hostLies < 100 {
+		t.Fatalf("weak coverage over %d inputs: %d shrunk, %d kept whole, %d rejected, %d with a host lie",
+			compared, shrunk, kept, failed, hostLies)
 	}
 }

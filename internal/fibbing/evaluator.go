@@ -208,61 +208,75 @@ func (tg *target) via(u topo.NodeID) int64 {
 // evaluate is Evaluate past validation: lies must be ones checked passes.
 func (e *Evaluator) evaluate(ps *prefixState, lies []Lie) map[topo.NodeID]RouteView {
 	e.init()
-	targets := make([]target, 0, len(ps.att)+len(lies))
+	targets := e.targets(ps, lies, nil)
+	out := make(map[topo.NodeID]RouteView, len(e.routers))
+	for _, u := range e.routers {
+		out[u] = route(ps, lies, targets, u)
+	}
+	return out
+}
+
+// targets lists the announcements a scan weighs under the lies — the
+// prefix's real attachments, then every lie a router can reach — reusing
+// buf's storage. The evaluator must be initialised.
+func (e *Evaluator) targets(ps *prefixState, lies []Lie, buf []target) []target {
+	if n := len(ps.att) + len(lies); cap(buf) < n {
+		buf = make([]target, 0, n)
+	}
+	buf = buf[:0]
 	for _, a := range ps.att {
-		targets = append(targets, target{tree: e.tree(a.Node), cost: a.Cost, lie: -1})
+		buf = append(buf, target{tree: e.tree(a.Node), cost: a.Cost, lie: -1})
 	}
 	for i, l := range lies {
 		if e.host[l.Attach] {
 			continue // a host never transits, so no router reaches its fake
 		}
-		targets = append(targets, target{tree: e.tree(l.Attach), cost: l.Cost, lie: i})
+		buf = append(buf, target{tree: e.tree(l.Attach), cost: l.Cost, lie: i})
 	}
+	return buf
+}
 
-	out := make(map[topo.NodeID]RouteView, len(e.routers))
-	for _, u := range e.routers {
-		if ps.local[u] {
-			out[u] = RouteView{Local: true, NextHops: NextHopWeights{}}
+// route derives router u's view from the announcements targets built for
+// lies.
+func route(ps *prefixState, lies []Lie, targets []target, u topo.NodeID) RouteView {
+	if ps.local[u] {
+		return RouteView{Local: true, NextHops: NextHopWeights{}}
+	}
+	best := spf.Infinity
+	for i := range targets {
+		if d := targets[i].via(u); d < best {
+			best = d
+		}
+	}
+	view := RouteView{Dist: best, NextHops: NextHopWeights{}}
+	if best == spf.Infinity {
+		return view
+	}
+	// Transit first: the deduplicated first hops towards every tied
+	// announcement, one RIB path each.
+	own := false
+	for i := range targets {
+		tg := &targets[i]
+		if tg.via(u) != best {
 			continue
 		}
-		best := spf.Infinity
-		for i := range targets {
-			if d := targets[i].via(u); d < best {
-				best = d
-			}
-		}
-		view := RouteView{Dist: best, NextHops: NextHopWeights{}}
-		if best == spf.Infinity {
-			out[u] = view
+		if tg.lie >= 0 && lies[tg.lie].Attach == u {
+			own = true
 			continue
 		}
-		// Transit first: the deduplicated first hops towards every tied
-		// announcement, one RIB path each.
-		own := false
+		for _, nh := range tg.tree.firstHops(u) {
+			view.NextHops[nh] = 1
+		}
+	}
+	// Own fakes on top: one extra RIB path each to its forwarding
+	// address (additive — the Fibbing trick).
+	if own {
 		for i := range targets {
 			tg := &targets[i]
-			if tg.via(u) != best {
-				continue
-			}
-			if tg.lie >= 0 && lies[tg.lie].Attach == u {
-				own = true
-				continue
-			}
-			for _, nh := range tg.tree.firstHops(u) {
-				view.NextHops[nh] = 1
+			if tg.lie >= 0 && lies[tg.lie].Attach == u && tg.via(u) == best {
+				view.NextHops[lies[tg.lie].Via]++
 			}
 		}
-		// Own fakes on top: one extra RIB path each to its forwarding
-		// address (additive — the Fibbing trick).
-		if own {
-			for i := range targets {
-				tg := &targets[i]
-				if tg.lie >= 0 && lies[tg.lie].Attach == u && tg.via(u) == best {
-					view.NextHops[lies[tg.lie].Via]++
-				}
-			}
-		}
-		out[u] = view
 	}
-	return out
+	return view
 }

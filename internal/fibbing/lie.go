@@ -44,8 +44,12 @@
 // views it returns. A pinned compile (AugmentPinAll, ReduceLies, Verify)
 // lies at every router and tries one removal per router, so it used to
 // cost about R Dijkstras per trial x R trials; over one Evaluator it
-// costs at most R Dijkstras in total. The plain-IGP view is computed once
-// per (evaluator, prefix) and shared by every compile step.
+// costs at most R Dijkstras in total. A ReduceLies trial does not rescan
+// every router either: it keeps the accepted set's views and re-derives
+// only the routers the dropped group reaches at exactly their best
+// distance, so it costs an O(R) test plus the scan of those routers. The
+// plain-IGP view is computed once per (evaluator, prefix) and shared by
+// every compile step.
 //
 // Snapshot contract: an Evaluator is bound to one topology as it was at
 // first use and is valid until that topology is mutated (SetWeight is the

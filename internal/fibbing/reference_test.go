@@ -4,8 +4,10 @@ package fibbing
 // verbatim as the oracle: ReferenceEvaluate builds the augmented graph
 // (one leaf node per lie) and runs one forward SPF per router, and the
 // Reference* compilers are the augmentation algorithms as they ran on top
-// of it, IGP sweeps included. The names are exported so the external test
-// package (compile_equiv_test.go) can reach them; the file is test-only.
+// of it, IGP sweeps included; ReferenceReduceLies re-evaluates the whole
+// network on every trial removal. The names are exported so the external
+// test package (compile_equiv_test.go) can reach them; the file is
+// test-only.
 
 import (
 	"fmt"
@@ -263,6 +265,32 @@ func ReferenceReduceLies(t *topo.Topology, prefixName string, aug *Augmentation,
 		Lies:     current,
 		Strategy: aug.Strategy + "+reduced",
 	}, nil
+}
+
+func withoutGroup(lies []Lie, u topo.NodeID) []Lie {
+	out := make([]Lie, 0, len(lies))
+	for _, l := range lies {
+		if l.Attach != u {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+func viewsMatch(got, want map[topo.NodeID]RouteView) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for u, w := range want {
+		g, ok := got[u]
+		if !ok || g.Local != w.Local {
+			return false
+		}
+		if !g.NextHops.Equal(w.NextHops) {
+			return false
+		}
+	}
+	return true
 }
 
 func ReferenceVerify(t *topo.Topology, prefixName string, lies []Lie, dag DAG) error {

@@ -127,7 +127,14 @@ func buildMinMax(t *topo.Topology, demands []topo.Demand) (*minMaxProblem, error
 	}
 
 	// Conservation: for every commodity and every non-sink router:
-	// out - in = ingress volume at that router.
+	// out - in = ingress volume at that router. incident lists each node's
+	// links (indices into links, ascending), so a row costs its router's
+	// degree rather than a scan of every link.
+	incident := make([][]int, t.NumNodes())
+	for i, l := range links {
+		incident[l.From] = append(incident[l.From], i)
+		incident[l.To] = append(incident[l.To], i)
+	}
 	for _, name := range order {
 		c := byName[name]
 		for _, n := range t.Nodes() {
@@ -135,11 +142,10 @@ func buildMinMax(t *topo.Topology, demands []topo.Demand) (*minMaxProblem, error
 				continue
 			}
 			terms := map[int]float64{}
-			for i, l := range links {
-				if l.From == n.ID {
+			for _, i := range incident[n.ID] {
+				if links[i].From == n.ID {
 					terms[x[name][i]] += 1
-				}
-				if l.To == n.ID {
+				} else {
 					terms[x[name][i]] -= 1
 				}
 			}

@@ -6,10 +6,16 @@ package te
 // as they were when every reduced cost walked all m rows and every pivot
 // updated all n+m+1 columns of every row. TestSimplexMatchesReference and
 // FuzzSolveLP hold the new core to the same status, basis and float bits.
+// The min-max builder is kept the same way: refBuildMinMax is buildMinMax
+// as it was when each conservation row scanned every link, and
+// TestBuildMinMaxMatchesReference holds the new one to its rows.
 
 import (
 	"fmt"
 	"math"
+	"slices"
+
+	"fibbing.net/fibbing/internal/topo"
 )
 
 // refSolveLP is SolveLP plus the final basis (one column index per row;
@@ -368,4 +374,111 @@ func refDense(bld *LPBuilder) (c []float64, a [][]float64, b []float64) {
 		}
 	}
 	return c, a, b
+}
+
+// refBuildMinMax is buildMinMax as it was when every conservation row
+// scanned every link.
+func refBuildMinMax(t *topo.Topology, demands []topo.Demand) (*minMaxProblem, error) {
+	// Collect commodities: destination prefix -> ingress -> volume.
+	byName := make(map[string]*minMaxCommodity)
+	var order []string
+	for _, d := range demands {
+		p, ok := t.PrefixByName(d.PrefixName)
+		if !ok {
+			return nil, fmt.Errorf("te: unknown prefix %q", d.PrefixName)
+		}
+		c := byName[d.PrefixName]
+		if c == nil {
+			c = &minMaxCommodity{
+				name:    d.PrefixName,
+				sinks:   make(map[topo.NodeID]bool),
+				ingress: make(map[topo.NodeID]float64),
+			}
+			for _, a := range p.Attachments {
+				c.sinks[a.Node] = true
+			}
+			byName[d.PrefixName] = c
+			order = append(order, d.PrefixName)
+		}
+		if c.sinks[d.Ingress] {
+			continue // demand at the attachment is delivered locally
+		}
+		c.ingress[d.Ingress] += d.Volume
+	}
+	slices.Sort(order)
+
+	// Router-router links only, with finite capacity required.
+	var links []topo.Link
+	for _, l := range t.Links() {
+		if t.Node(l.From).Host || t.Node(l.To).Host {
+			continue
+		}
+		links = append(links, l)
+	}
+	if len(links) == 0 {
+		return nil, fmt.Errorf("te: no router links")
+	}
+
+	scale := ProblemScale(t, demands)
+
+	bld := NewLPBuilder()
+	theta := bld.AddVar(1) // minimise θ
+
+	// x[k][i]: flow of commodity k on links[i].
+	x := make(map[string][]int, len(order))
+	for _, name := range order {
+		vars := make([]int, len(links))
+		for i := range links {
+			vars[i] = bld.AddVar(0)
+		}
+		x[name] = vars
+	}
+
+	// Conservation: for every commodity and every non-sink router:
+	// out - in = ingress volume at that router.
+	for _, name := range order {
+		c := byName[name]
+		for _, n := range t.Nodes() {
+			if n.Host || c.sinks[n.ID] {
+				continue
+			}
+			terms := map[int]float64{}
+			for i, l := range links {
+				if l.From == n.ID {
+					terms[x[name][i]] += 1
+				}
+				if l.To == n.ID {
+					terms[x[name][i]] -= 1
+				}
+			}
+			if len(terms) == 0 {
+				if c.ingress[n.ID] > 0 {
+					return nil, fmt.Errorf("te: ingress %s has no links", t.Name(n.ID))
+				}
+				continue
+			}
+			bld.AddEq(terms, c.ingress[n.ID]/scale)
+		}
+	}
+
+	// Capacity: Σ_k x_k,e <= cap_e · θ.
+	for i, l := range links {
+		if l.Capacity <= 0 {
+			continue // uncapacitated
+		}
+		terms := map[int]float64{theta: -l.Capacity / scale}
+		for _, name := range order {
+			terms[x[name][i]] += 1
+		}
+		bld.AddLe(terms, 0)
+	}
+
+	return &minMaxProblem{
+		bld:    bld,
+		links:  links,
+		order:  order,
+		byName: byName,
+		x:      x,
+		scale:  scale,
+	}, nil
 }

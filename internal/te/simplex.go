@@ -84,12 +84,21 @@ type tableau struct {
 	a      []float64
 	m, n   int
 	stride int   // row length: n + spare + 1
-	basis  []int // basic column of each row
+	basis  []int // basic column of each row, -1 before one is chosen
+	// basic marks, by column, the columns in basis. pivot turns the
+	// entering column into an exact unit vector, and no later pivot
+	// touches it while it stays basic, so its reduced cost is an exact
+	// zero and entering need not price it.
+	basic []bool
 
 	// Scratch reused across iterations: the rows whose basic variable has a
 	// non-zero cost, and the pivot row's non-zero entries.
-	costRows []int
+	costRows []costRow
 	nz       []entry
+
+	// onPivot, when set, runs after every pivot with its live column
+	// count; the solver's tests use it to check invariants mid-solve.
+	onPivot func(live int)
 }
 
 // entry is one non-zero of a tableau row.
@@ -102,15 +111,20 @@ type entry struct {
 // structural columns and right-hand side before solving.
 func newTableau(m, n, spare int) *tableau {
 	stride := n + spare + 1
-	return &tableau{
+	t := &tableau{
 		a:        make([]float64, m*stride),
 		m:        m,
 		n:        n,
 		stride:   stride,
 		basis:    make([]int, m),
-		costRows: make([]int, 0, m),
+		basic:    make([]bool, stride-1),
+		costRows: make([]costRow, 0, m),
 		nz:       make([]entry, 0, stride),
 	}
+	for i := range t.basis {
+		t.basis[i] = -1
+	}
+	return t
 }
 
 func (t *tableau) row(i int) []float64 { return t.a[i*t.stride : (i+1)*t.stride] }
@@ -170,6 +184,7 @@ func (t *tableau) solveCold(c []float64) ([]float64, float64, SimplexStatus, []i
 	for i := 0; i < m; i++ {
 		t.row(i)[n+i] = 1
 		t.basis[i] = n + i
+		t.basic[n+i] = true
 	}
 	phase1 := make([]float64, total)
 	for j := n; j < total; j++ {
@@ -383,53 +398,83 @@ func (t *tableau) simplex(c []float64) simplexOutcome {
 	}
 }
 
-// rcBlock is how many columns entering prices at a time.
-const rcBlock = 32
-
 // entering returns Bland's entering column — the smallest index whose
 // reduced cost c_j - Σ_i c_B(i)·a_ij is negative relative to the largest
 // term that produced it — or -1 at optimality. The sum runs, in row order,
 // over the rows whose basic variable has a non-zero cost only: the min-max
 // objective is the single variable θ, so in phase 2 that is one row. The
 // terms skipped are exact zeros, so each reduced cost is the all-rows sum
-// bit for bit. Columns are priced a block at a time, row-major within the
-// block, so the walk follows the tableau's memory layout and still stops
-// at the first block holding a negative.
+// bit for bit.
+//
+// Basic columns are not priced. A basic column is an exact unit vector
+// (see pivot), so its reduced cost is c_j - c_j·1 = 0 exactly and it can
+// never enter; Bland's rule makes the low columns basic first, so on the
+// min-max problems most of the columns before the entering one are basic.
+// The others are priced four at a time in column order, each group's sums
+// held in registers across the cost rows, so the walk prices at most
+// three non-basic columns past the entering one.
 func (t *tableau) entering(c []float64) int {
 	t.costRows = t.costRows[:0]
 	for i, b := range t.basis {
 		if b < len(c) && c[b] != 0 {
-			t.costRows = append(t.costRows, i)
+			t.costRows = append(t.costRows, costRow{off: i * t.stride, cb: c[b]})
 		}
 	}
-	var rcBuf, rcScaleBuf [rcBlock]float64
-	for j0 := 0; j0 < len(c); j0 += rcBlock {
-		blk := c[j0:min(j0+rcBlock, len(c))]
-		rc, rcScale := rcBuf[:len(blk)], rcScaleBuf[:len(blk)]
-		for k, cj := range blk {
-			rc[k], rcScale[k] = cj, math.Abs(cj)
-		}
-		for _, i := range t.costRows {
-			cb := c[t.basis[i]]
-			for k, v := range t.a[i*t.stride+j0:][:len(blk)] {
-				term := cb * v
-				rc[k] -= term
-				if v := math.Abs(term); v > rcScale[k] {
-					rcScale[k] = v
-				}
+	for j := 0; j < len(c); {
+		// The next four non-basic columns; a short last group repeats its
+		// last column.
+		var cols [4]int
+		k := 0
+		for ; j < len(c) && k < len(cols); j++ {
+			if !t.basic[j] {
+				cols[k] = j
+				k++
 			}
 		}
-		for k := range blk {
-			scale := rcScale[k]
-			if scale < 1 {
-				scale = 1
+		if k == 0 {
+			break
+		}
+		for g := k; g < len(cols); g++ {
+			cols[g] = cols[k-1]
+		}
+		j0, j1, j2, j3 := cols[0], cols[1], cols[2], cols[3]
+		rc0, rc1, rc2, rc3 := c[j0], c[j1], c[j2], c[j3]
+		s0, s1, s2, s3 := math.Abs(rc0), math.Abs(rc1), math.Abs(rc2), math.Abs(rc3)
+		for _, cr := range t.costRows {
+			row := t.a[cr.off : cr.off+t.stride]
+			t0, t1, t2, t3 := cr.cb*row[j0], cr.cb*row[j1], cr.cb*row[j2], cr.cb*row[j3]
+			rc0 -= t0
+			rc1 -= t1
+			rc2 -= t2
+			rc3 -= t3
+			if v := math.Abs(t0); v > s0 {
+				s0 = v
 			}
-			if rc[k] < -simplexEps*scale {
-				return j0 + k
+			if v := math.Abs(t1); v > s1 {
+				s1 = v
+			}
+			if v := math.Abs(t2); v > s2 {
+				s2 = v
+			}
+			if v := math.Abs(t3); v > s3 {
+				s3 = v
+			}
+		}
+		rcs, scales := [4]float64{rc0, rc1, rc2, rc3}, [4]float64{s0, s1, s2, s3}
+		for g := 0; g < k; g++ {
+			if rcs[g] < -simplexEps*max(scales[g], 1) {
+				return cols[g]
 			}
 		}
 	}
 	return -1
+}
+
+// costRow is one row entering sums over: its offset in the tableau and
+// the cost of its basic variable.
+type costRow struct {
+	off int
+	cb  float64
 }
 
 // pivot makes col basic in row. Only the pivot row's non-zero entries
@@ -437,6 +482,10 @@ func (t *tableau) entering(c []float64) int {
 // divided and eliminated: where the pivot row holds a zero the all-columns
 // update subtracts f·0 and changes nothing, so every non-zero of the
 // tableau, and the whole right-hand side, comes out the same.
+//
+// The entering column comes out an exact unit vector: p/p is 1 and
+// f − f·1 is 0 in IEEE arithmetic. While it stays basic every later pivot
+// row holds a zero in it, so no pivot touches it again.
 func (t *tableau) pivot(row, col, live int) {
 	pr := t.row(row)
 	p := pr[col]
@@ -463,8 +512,15 @@ func (t *tableau) pivot(row, col, live int) {
 			ri[e.col] -= f * e.val
 		}
 	}
+	if old := t.basis[row]; old >= 0 {
+		t.basic[old] = false
+	}
 	t.basis[row] = col
+	t.basic[col] = true
 	t.nz = nz
+	if t.onPivot != nil {
+		t.onPivot(live)
+	}
 }
 
 // LPBuilder assembles an LP incrementally: named variables, equality and

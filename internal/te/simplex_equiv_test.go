@@ -179,18 +179,10 @@ func TestSimplexMatchesReference(t *testing.T) {
 // enough that it does not — and returns how many of the solves were warm.
 func matchReference(t *testing.T, tp *topo.Topology, base []topo.Demand, seed int64) uint64 {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
 	var gotCarry, wantCarry []int
 	var gotStats, wantStats WarmLPStats
 	solver := NewMinMaxSolver()
-	for round, f := range []float64{1, 1.7, 0.3, 1} {
-		demands := slices.Clone(base)
-		for i := range demands {
-			demands[i].Volume *= f
-			if round > 1 {
-				demands[i].Volume *= 0.5 + rng.Float64()
-			}
-		}
+	for round, demands := range demandTrain(base, seed) {
 		p, err := buildMinMax(tp, demands)
 		if err != nil {
 			t.Fatal(err)
@@ -214,6 +206,117 @@ func matchReference(t *testing.T, tp *topo.Topology, base []topo.Demand, seed in
 		}
 	}
 	return wantStats.Warm
+}
+
+// demandTrain is the train matchReference drives through one demand set:
+// the set itself, a uniform ×1.7, then two rounds that move every volume
+// on its own.
+func demandTrain(base []topo.Demand, seed int64) [][]topo.Demand {
+	rng := rand.New(rand.NewSource(seed))
+	var train [][]topo.Demand
+	for round, f := range []float64{1, 1.7, 0.3, 1} {
+		demands := slices.Clone(base)
+		for i := range demands {
+			demands[i].Volume *= f
+			if round > 1 {
+				demands[i].Volume *= 0.5 + rng.Float64()
+			}
+		}
+		train = append(train, demands)
+	}
+	return train
+}
+
+// TestBasicColumnsStayUnitVectors checks, after every pivot of the solves
+// TestSimplexMatchesReference compares on the six matrix topologies — cold
+// phase 1, the artificial drive-out, phase 2, and the warm refactorisation
+// and re-solve — the invariant entering's pricing skip rests on: every
+// basic column among the live ones is an exact unit vector, 1 in its own
+// row and 0 in every other, and the basic marks name exactly the basis.
+// Were a pivot to leave p·(1/p) in its own row, or a residue elsewhere, a
+// basic column's reduced cost would no longer be an exact zero.
+func TestBasicColumnsStayUnitVectors(t *testing.T) {
+	t.Parallel()
+	var what string
+	pivots := 0
+	check := func(tab *tableau) *tableau {
+		tab.onPivot = func(live int) {
+			pivots++
+			marked := 0
+			for _, b := range tab.basic {
+				if b {
+					marked++
+				}
+			}
+			for i, col := range tab.basis {
+				if col < 0 {
+					continue // the warm refactorisation has not reached this row yet
+				}
+				if !tab.basic[col] {
+					t.Fatalf("%s: basic column %d of row %d is not marked basic", what, col, i)
+				}
+				marked--
+				if col >= live {
+					continue // frozen: an artificial left basic on a redundant row
+				}
+				for r := 0; r < tab.m; r++ {
+					want := 0.0
+					if r == i {
+						want = 1
+					}
+					if v := tab.a[r*tab.stride+col]; v != want {
+						t.Fatalf("%s: basic column %d (row %d) holds %v in row %d, want %v", what, col, i, v, r, want)
+					}
+				}
+			}
+			if marked != 0 {
+				t.Fatalf("%s: %d columns marked basic outside the basis", what, marked)
+			}
+		}
+		return tab
+	}
+	checked := lpSolver{
+		cold: func(bld *LPBuilder) lpRun {
+			c, tab := bld.tableau(len(bld.terms))
+			x, obj, status, basis := check(tab).solveCold(c)
+			return lpRun{x, obj, status, basis}
+		},
+		warm: func(bld *LPBuilder, start []int) (lpRun, bool) {
+			c, tab := bld.tableau(0)
+			x, obj, status, basis, ok := check(tab).solveWarm(c, start)
+			return lpRun{x, obj, status, basis}, ok
+		},
+	}
+	scales := []float64{1e6, 1e7, 1e8, 1e9, 1e10, 1e11}
+	if testing.Short() {
+		scales = []float64{1e6, 1e11} // seconds under -race otherwise
+	}
+	var stats WarmLPStats
+	for _, z := range oracleZoo {
+		if z.large {
+			continue // the check is O(m²) a pivot; the matrix sizes suffice
+		}
+		for _, scale := range scales {
+			capacity := 10 * scale
+			tp := z.build(capacity)
+			for _, nd := range []int{2, 5, 12} {
+				for seed := int64(1); seed <= 4; seed++ {
+					var carry []int
+					for round, demands := range demandTrain(topo.RandomDemands(tp, nd, 0.1*capacity, 0.6*capacity, seed), seed) {
+						p, err := buildMinMax(tp, demands)
+						if err != nil {
+							t.Fatal(err)
+						}
+						what = fmt.Sprintf("%s/%g %d demands, seed %d, round %d", z.name, scale, nd, seed, round)
+						checked.step(p.bld, &carry, &stats)
+					}
+				}
+			}
+		}
+	}
+	if pivots < 10000 || stats.Warm == 0 || stats.Fallback == 0 {
+		t.Fatalf("weak coverage: %d pivots checked over %+v solves", pivots, stats)
+	}
 }
 
 // TestColdSolveAllocatesOneTableau pins the min-max path to one copy of

@@ -1,8 +1,11 @@
 package te
 
 import (
+	"fmt"
 	"maps"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"fibbing.net/fibbing/internal/fibbing"
@@ -288,6 +291,63 @@ func TestMinMaxRejectsUnknownPrefix(t *testing.T) {
 	_, err := SolveMinMax(tp, []topo.Demand{{Ingress: tp.MustNode("A"), PrefixName: "nope", Volume: 1}})
 	if err == nil {
 		t.Fatalf("unknown prefix accepted")
+	}
+}
+
+// TestBuildMinMaxMatchesReference holds the min-max builder, whose
+// conservation rows walk each router's own links, to the one that scanned
+// every link for every router and commodity (reference_test.go): over the
+// oracle zoo and random demand sets — demands at a sink and an unknown
+// prefix included — both build the same StructureKey, the same objective,
+// every coefficient and every right-hand side to the bit, the same
+// variable layout, or the same error.
+func TestBuildMinMaxMatchesReference(t *testing.T) {
+	built := 0
+	for _, z := range oracleZoo {
+		tp := z.build(1e9)
+		for _, nd := range []int{1, 2, 5, 12} {
+			for seed := int64(1); seed <= 3; seed++ {
+				demands := topo.RandomDemands(tp, nd, 1e8, 6e8, seed)
+				switch seed {
+				case 2:
+					p := tp.Prefixes()[0]
+					demands = append(demands, topo.Demand{Ingress: p.Attachments[0].Node, PrefixName: p.Name, Volume: 1e8})
+				case 3:
+					demands = append(demands, topo.Demand{Ingress: 0, PrefixName: "nope", Volume: 1e8})
+				}
+				what := fmt.Sprintf("%s, %d demands, seed %d", z.name, nd, seed)
+				got, gotErr := buildMinMax(tp, demands)
+				want, wantErr := refBuildMinMax(tp, demands)
+				if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+					t.Fatalf("%s: error %v, reference %v", what, gotErr, wantErr)
+				}
+				if gotErr != nil {
+					continue
+				}
+				if g, w := got.bld.StructureKey(), want.bld.StructureKey(); g != w {
+					t.Fatalf("%s: structure key\n %s\nreference\n %s", what, g, w)
+				}
+				if !slices.Equal(got.bld.types, want.bld.types) {
+					t.Fatalf("%s: row types %q, reference %q", what, got.bld.types, want.bld.types)
+				}
+				gc, ga, gb := refDense(got.bld)
+				wc, wa, wb := refDense(want.bld)
+				same := func(x, y []float64) bool {
+					return slices.EqualFunc(x, y, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
+				}
+				if !same(gc, wc) || !same(gb, wb) || !slices.EqualFunc(ga, wa, same) {
+					t.Fatalf("%s: the tableaus differ", what)
+				}
+				if !reflect.DeepEqual(got.x, want.x) || !reflect.DeepEqual(got.order, want.order) ||
+					!reflect.DeepEqual(got.links, want.links) || got.scale != want.scale {
+					t.Fatalf("%s: the variable layout differs", what)
+				}
+				built++
+			}
+		}
+	}
+	if built < 60 {
+		t.Fatalf("only %d problems built", built)
 	}
 }
 

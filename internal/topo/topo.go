@@ -83,6 +83,7 @@ type Topology struct {
 	in       [][]LinkID
 	byName   map[string]NodeID
 	prefixes []Prefix
+	version  uint64 // SetWeight calls so far
 }
 
 // New returns an empty topology.
@@ -299,7 +300,14 @@ func (t *Topology) SetWeight(id LinkID, w int64) {
 		panic("topo: weight < 1")
 	}
 	t.links[id].Weight = w
+	t.version++
 }
+
+// Version counts the SetWeight calls the topology has seen. A derived
+// structure (SPF trees, a fibbing.Evaluator) built at one version is
+// stale once the version moves: holders compare it with the version they
+// built against, as the controller's planner cache does.
+func (t *Topology) Version() uint64 { return t.version }
 
 // Clone returns a deep copy of the topology.
 func (t *Topology) Clone() *Topology {

@@ -357,9 +357,13 @@ func TestRandomDemands(t *testing.T) {
 func TestSetWeight(t *testing.T) {
 	tp := Fig1(Fig1Opts{})
 	l := tp.MustLinkBetween(Fig1A, Fig1B)
+	before := tp.Version()
 	tp.SetWeight(l.ID, 7)
 	if tp.Link(l.ID).Weight != 7 {
 		t.Fatalf("SetWeight did not apply")
+	}
+	if tp.Version() != before+1 {
+		t.Fatalf("version %d after one SetWeight from %d", tp.Version(), before)
 	}
 	defer func() {
 		if recover() == nil {
