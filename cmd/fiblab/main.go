@@ -106,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		o        options
 	)
 	fs.BoolVar(&o.jsonOut, "json", false, "emit JSON instead of text")
-	fs.BoolVar(&o.cacheStats, "cache-stats", false, "after each cell, print the planner amortisation telemetry: plan-cache hit/miss, warm-LP warm/cold/fallback solves, reshare component count, and per-strategy propose timings (always present in -json output)")
+	fs.BoolVar(&o.cacheStats, "cache-stats", false, "after each cell, print the planner amortisation telemetry: plan-cache hit/miss, LP solves, reshare component count, and per-strategy propose timings (always present in -json output)")
 	fs.DurationVar(&o.over.Duration, "duration", 0, "override the scenario duration")
 	fs.IntVar(&o.over.Viewers, "viewers", 0, "scale the crowd to about this many sessions (exact for surge; same total demand, finer slices; 0 keeps the default sizing)")
 	fs.IntVar(&o.over.Workers, "workers", 0, "simulation worker-pool width: 0 uses GOMAXPROCS, 1 forces the sequential core (output is byte-identical either way)")

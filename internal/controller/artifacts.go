@@ -124,10 +124,9 @@ type PlanArtifacts struct {
 	augs  map[string]augEntry
 	qoe   map[string]result[qoe.PlanQoE]
 
-	// lp and stats are shared across cache generations (and with the
-	// ephemeral failover artifacts): the warm-start basis must survive a
-	// demand-gen reset — volume-only changes are exactly the warm case —
-	// and the counters are cumulative per controller.
+	// lp and stats are shared across cache generations (stats also with
+	// the ephemeral failover artifacts): the counters are cumulative per
+	// controller.
 	lp    *te.MinMaxSolver
 	stats *ArtifactStats
 	// planCount and qoeCount point into stats.
@@ -135,7 +134,7 @@ type PlanArtifacts struct {
 }
 
 // NewPlanArtifacts returns an empty cache bound to t, with fresh stats
-// and a fresh warm-LP solver.
+// and a fresh LP solve counter.
 func NewPlanArtifacts(t *topo.Topology) *PlanArtifacts {
 	return newPlanArtifacts(t, &ArtifactStats{}, nil)
 }
@@ -212,7 +211,7 @@ func (a *PlanArtifacts) Stats() ArtifactStats {
 	return *a.stats
 }
 
-// LPStats snapshots the warm-LP solver's counters.
+// LPStats snapshots the LP solve counter.
 func (a *PlanArtifacts) LPStats() te.WarmLPStats { return a.lp.Stats() }
 
 // Graph returns the memoised spf.Graph and host-skip for the bound
@@ -310,9 +309,7 @@ func (a *PlanArtifacts) loadsFor(lies map[string][]fibbing.Lie, demands []topo.D
 
 // SolveMinMax returns the memoised min-max LP optimum for the demand
 // set. A repeated demand set within one cache generation is a pure
-// lookup; a changed one re-solves through the shared warm-start solver,
-// which re-enters simplex from the previous basis when only volumes
-// moved.
+// lookup; a changed one is solved afresh and counted.
 func (a *PlanArtifacts) SolveMinMax(demands []topo.Demand) (*te.MinMaxResult, error) {
 	var sb strings.Builder
 	encodeDemands(&sb, demands)

@@ -49,11 +49,15 @@ const TargetUtil = 0.75
 // splits: at most 16 fake nodes per router per destination.
 const maxDenom = 16
 
-// DefaultMaxLPRouters is the default topology-size bound for LP-based
-// machinery (the lp-optimal strategy here, the LP reporting bound in
-// internal/scenarios): the full-tableau simplex is vastly superlinear in
-// routers x links and stalls the control loop beyond this size.
-const DefaultMaxLPRouters = 48
+// DefaultMaxLPRouters is the topology-size bound for LP-based machinery
+// (the lp-optimal strategy here, the LP reporting bound in
+// internal/scenarios). One cold te.SolveMinMax on a 1.7x + 0.37x surge
+// (2-vCPU host): fat-tree k=8 (80 routers) 0.3 ms, k=10 0.4 ms, k=16
+// (320) 1.9 ms; Waxman 120 6.4 ms, Waxman 200 57 ms; Waxman 1000 56 s
+// (2 448 generated paths, a 2 936-row master). Every in-tree topology up
+// to fat-tree k=16 plans well under a second; Waxman 1000 is the one
+// above the bound.
+const DefaultMaxLPRouters = 500
 
 // DefaultWithdrawBelow is the IGP utilisation under which lies are
 // withdrawn once every alarm has cleared.
@@ -67,10 +71,6 @@ type Config struct {
 	// would stay below this utilisation, lies are withdrawn (nil:
 	// DefaultWithdrawBelow). Float(0) disables withdrawal entirely.
 	WithdrawBelow *float64
-	// MaxLPRouters bounds the topology size for the lp-optimal strategy
-	// (default DefaultMaxLPRouters); on larger networks the LP abstains
-	// and the cheaper strategies compete.
-	MaxLPRouters int
 	// ScoreMode selects what the planner optimises: ScoreUtil (the zero
 	// value: max link utilisation, the historical behaviour) or ScoreQoE
 	// (predicted viewer stall-seconds first). Under ScoreQoE the
@@ -85,20 +85,13 @@ func Float(v float64) *float64 { return &v }
 // resolved carries the policy knobs with every sentinel resolved.
 type resolved struct {
 	withdrawBelow float64
-	maxLPRouters  int
 	scoreMode     ScoreMode
 }
 
 func (c Config) resolve() resolved {
-	r := resolved{
-		withdrawBelow: DefaultWithdrawBelow,
-		maxLPRouters:  DefaultMaxLPRouters,
-	}
+	r := resolved{withdrawBelow: DefaultWithdrawBelow}
 	if c.WithdrawBelow != nil {
 		r.withdrawBelow = *c.WithdrawBelow
-	}
-	if c.MaxLPRouters > 0 {
-		r.maxLPRouters = c.MaxLPRouters
 	}
 	r.scoreMode = c.ScoreMode
 	return r
@@ -166,8 +159,7 @@ type Controller struct {
 	// and k-shortest paths for the planning topology, and
 	// believed-topology compilations, load estimates and LP solves for the
 	// current gens epoch (see ensureArtifacts). Its stats and LP solver
-	// are handed on when it rebinds, so the counters stay cumulative and
-	// the warm LP basis carries across demand bumps.
+	// are handed on when it rebinds, so the counters stay cumulative.
 	arts     *PlanArtifacts
 	artsGens planGens
 
@@ -264,7 +256,7 @@ func (c *Controller) Handle(ev Event) {
 // topology. A new topology instance, or a weight change on the bound one,
 // rebinds it and drops every memo; a move of the gens triple alone starts
 // a new epoch, which drops the epoch tables and keeps the topology ones.
-// The cumulative stats and the warm-LP solver survive both.
+// The cumulative stats and the LP solve counter survive both.
 func (c *Controller) ensureArtifacts(pt *topo.Topology) *PlanArtifacts {
 	switch {
 	case !c.arts.boundTo(pt):
@@ -279,7 +271,7 @@ func (c *Controller) ensureArtifacts(pt *topo.Topology) *PlanArtifacts {
 // ArtifactStats snapshots the cumulative plan-cache hit/miss counters.
 func (c *Controller) ArtifactStats() ArtifactStats { return c.arts.Stats() }
 
-// LPStats snapshots the warm-started LP solver's counters.
+// LPStats snapshots the LP solve counter.
 func (c *Controller) LPStats() te.WarmLPStats { return c.arts.LPStats() }
 
 // ClientJoined registers a new video session (convenience wrapper around

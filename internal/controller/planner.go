@@ -307,7 +307,6 @@ func buildPlanContext(arts *PlanArtifacts, t *topo.Topology, demands []topo.Dema
 		RaisedAlarms:  raisedAlarms,
 		BaseUtil:      base,
 		WithdrawBelow: r.withdrawBelow,
-		MaxLPRouters:  r.maxLPRouters,
 		ScoreMode:     r.scoreMode,
 		Evaluate:      eval,
 	}

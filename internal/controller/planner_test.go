@@ -47,8 +47,9 @@ func TestStockStrategySelection(t *testing.T) {
 		demands   []topo.Demand
 		installed map[string][]fibbing.Lie
 		event     func() Event
-		cfg       Config
-		want      string
+		// strategies is the planner's set; nil is the stock one.
+		strategies []Strategy
+		want       string
 	}{
 		{
 			// A single surge at B: spreading at the hot router reaches the
@@ -74,14 +75,13 @@ func TestStockStrategySelection(t *testing.T) {
 		{
 			// The ring is the worst case for local spreading (the only
 			// alternative is uphill, the long way around), and the LP is
-			// gated out by MaxLPRouters: only ksp can recruit the reverse
-			// path.
-			name:    "ksp",
-			topo:    ring,
-			demands: []topo.Demand{{Ingress: r4, PrefixName: topo.RingPrefixName, Volume: 14e6}},
-			event:   func() Event { return AlarmEvent(alarmOn(t, ring, "r4", "r3", 0.99)) },
-			cfg:     Config{MaxLPRouters: 4},
-			want:    "ksp",
+			// left out: only ksp can recruit the reverse path.
+			name:       "ksp",
+			topo:       ring,
+			demands:    []topo.Demand{{Ingress: r4, PrefixName: topo.RingPrefixName, Volume: 14e6}},
+			event:      func() Event { return AlarmEvent(alarmOn(t, ring, "r4", "r3", 0.99)) },
+			strategies: []Strategy{LocalECMPStrategy{}, KSPStrategy{}, WithdrawStrategy{}},
+			want:       "ksp",
 		},
 		{
 			// The surge is over: the last alarm cleared and plain IGP
@@ -100,8 +100,8 @@ func TestStockStrategySelection(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := AnalyticPlanContext(tc.topo, tc.demands, tc.installed, tc.event(), tc.cfg)
-			planner := NewPlanner()
+			ctx := AnalyticPlanContext(tc.topo, tc.demands, tc.installed, tc.event(), Config{})
+			planner := NewPlanner(tc.strategies...)
 			plan, errs := planner.Plan(ctx)
 			for _, err := range errs {
 				t.Logf("strategy error: %v", err)

@@ -47,7 +47,6 @@ type PlanContext struct {
 	BaseUtil float64
 	// Policy knobs (resolved, no sentinels).
 	WithdrawBelow float64
-	MaxLPRouters  int
 	// Evaluate predicts the max link utilisation of routing Demands with
 	// the installed lies overlaid by the given per-prefix sets: a present
 	// key replaces that prefix's installed lies (empty clears them),
@@ -292,9 +291,8 @@ func localSpreadLies(ev *fibbing.Evaluator, t *topo.Topology, views map[topo.Nod
 // LPOptimalStrategy is the demo's second move (Figure 1d's fA pair):
 // solve the min-max utilisation LP over all demands, quantise the splits,
 // and realise them with equal-cost lies (or pin-all when the optimum
-// removes IGP paths). The MaxLPRouters guard is folded in: on larger
-// topologies the full-tableau simplex would stall the control loop, so
-// the strategy abstains.
+// removes IGP paths). Above DefaultMaxLPRouters routers the LP's pricing
+// rounds would stall the control loop, so the strategy abstains.
 type LPOptimalStrategy struct{}
 
 // Name implements Strategy.
@@ -305,7 +303,7 @@ func (s LPOptimalStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	if ctx.Event.Kind != EventAlarmRaised || len(ctx.Demands) == 0 {
 		return nil, nil
 	}
-	if n := routerCount(ctx.Topo); n > ctx.MaxLPRouters {
+	if n := routerCount(ctx.Topo); n > DefaultMaxLPRouters {
 		return nil, nil // guard: abstain rather than stall
 	}
 	opt, err := ctx.Artifacts.SolveMinMax(ctx.Demands)

@@ -1,6 +1,7 @@
 package scenarios
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -92,6 +93,50 @@ func TestScenarioWaveAccounting(t *testing.T) {
 	}
 	if rep.Sessions != flows {
 		t.Fatalf("sessions %d != scheduled flows %d", rep.Sessions, flows)
+	}
+}
+
+// TestFatTree8PlansOptimally is the witness for the LP size guard. Fat-tree
+// k=8 has 80 routers, more than any matrix topology, and while lp-optimal
+// abstained above 48 routers the cell `fiblab -topo fattree -size 8` ran
+// (seed 0) failed its settle invariant: settled 1.00 with 21.3 s of
+// stalls inside the settle window, 47.7 s with -failure flap. That cell,
+// the scale tier's fat-tree k=8 cell, and each with a flapping link must
+// hold every invariant with lp-optimal winning at least once. The
+// +hotlink variant is not gated: its controller-off twin settles at 0.88,
+// so the workload does not stress the IGP path and the "does not stress"
+// invariant fires whatever the controller does.
+func TestFatTree8PlansOptimally(t *testing.T) {
+	t.Parallel()
+	i := slices.IndexFunc(ScaleSpecs(), func(s Spec) bool { return s.Topo.Family == "fattree" && s.Topo.Size == 8 })
+	if i < 0 {
+		t.Fatal("no fat-tree k=8 scale cell")
+	}
+	scale := ScaleSpecs()[i]
+	scale.Name = "scale/" + scale.Name
+	adhoc := Spec{Topo: TopoSpec{Family: "fattree", Size: 8}, Workload: "surge"}.withDefaults()
+	for _, surge := range []Spec{adhoc, scale} {
+		flap := surge
+		flap.Name, flap.Failure = surge.Name+"+flap", "flap"
+		for _, spec := range []Spec{surge, flap} {
+			t.Run(spec.Name, func(t *testing.T) {
+				t.Parallel()
+				cmp, err := Compare(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range cmp.Violations {
+					t.Errorf("invariant violated: %s", v)
+				}
+				if cmp.On.StrategyWins["lp-optimal"] == 0 {
+					t.Errorf("lp-optimal never won: %v", cmp.On.StrategyWins)
+				}
+				if t.Failed() {
+					t.Logf("on:  %s", cmp.On.Summary())
+					t.Logf("off: %s", cmp.Off.Summary())
+				}
+			})
+		}
 	}
 }
 

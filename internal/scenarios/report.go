@@ -101,17 +101,19 @@ type Report struct {
 	// Planner amortisation telemetry: the PlanContext artifact cache's
 	// hit/miss split (deterministic because strategies propose one after
 	// another in registration order, so it is compared across worker
-	// widths) and the warm-started LP solver's warm/cold/fallback solve
-	// counts.
+	// widths) and the number of min-max LP solves.
 	PlanCacheHits   uint64 `json:"plan_cache_hits,omitempty"`
 	PlanCacheMisses uint64 `json:"plan_cache_misses,omitempty"`
 	// QoECacheHits/Misses split the artifact cache's memoised QoE
 	// predictions (populated only when a QoE-aware score mode runs),
 	// deterministic for the same reason.
-	QoECacheHits     uint64 `json:"qoe_cache_hits,omitempty"`
-	QoECacheMisses   uint64 `json:"qoe_cache_misses,omitempty"`
-	LPWarmSolves     uint64 `json:"lp_warm_solves,omitempty"`
-	LPColdSolves     uint64 `json:"lp_cold_solves,omitempty"`
+	QoECacheHits   uint64 `json:"qoe_cache_hits,omitempty"`
+	QoECacheMisses uint64 `json:"qoe_cache_misses,omitempty"`
+	// Deprecated: no effect (always zero): the LP has no warm start.
+	// Kept only because bench/ reads it until ROADMAP item 1.
+	LPWarmSolves uint64 `json:"lp_warm_solves,omitempty"`
+	LPColdSolves uint64 `json:"lp_cold_solves,omitempty"`
+	// Deprecated: no effect (always zero), as LPWarmSolves.
 	LPFallbackSolves uint64 `json:"lp_fallback_solves,omitempty"`
 
 	// Parallel-core telemetry: the scheduler's worker-pool width, how many
@@ -201,16 +203,15 @@ func (c *Comparison) Render(b *strings.Builder) {
 }
 
 // RenderCacheStats writes the planner amortisation telemetry — the
-// PlanContext artifact cache's hit/miss split, the warm-started LP
-// solver's warm/cold/fallback counts, the reshare's component count, and
+// PlanContext artifact cache's hit/miss split, the LP solve count, the
+// reshare's component count, and
 // the per-strategy propose timings — as indented lines. fiblab prints it
 // under -cache-stats; all fields are also present in the JSON report.
 func (r *Report) RenderCacheStats(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%splan-cache %d hit / %d miss; qoe %d hit / %d miss; lp %d warm / %d cold / %d fallback; reshare components %d\n",
+	fmt.Fprintf(b, "%splan-cache %d hit / %d miss; qoe %d hit / %d miss; lp %d solves; reshare components %d\n",
 		indent, r.PlanCacheHits, r.PlanCacheMisses,
 		r.QoECacheHits, r.QoECacheMisses,
-		r.LPWarmSolves, r.LPColdSolves, r.LPFallbackSolves,
-		r.ReshareComponents)
+		r.LPColdSolves, r.ReshareComponents)
 	names := make([]string, 0, len(r.StrategyPerf))
 	for name := range r.StrategyPerf {
 		names = append(names, name)

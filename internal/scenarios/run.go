@@ -328,8 +328,7 @@ func (c *cell) collect() *Report {
 	artStats := sim.Ctrl.ArtifactStats()
 	rep.PlanCacheHits, rep.PlanCacheMisses = artStats.Hits, artStats.Misses
 	rep.QoECacheHits, rep.QoECacheMisses = artStats.QoEHits, artStats.QoEMisses
-	lpStats := sim.Ctrl.LPStats()
-	rep.LPWarmSolves, rep.LPColdSolves, rep.LPFallbackSolves = lpStats.Warm, lpStats.Cold, lpStats.Fallback
+	rep.LPColdSolves = sim.Ctrl.LPStats().Cold
 	if len(rep.Decisions) > 0 {
 		rep.FirstReactionAt = rep.Decisions[0].At
 		if rep.FirstHotAt >= 0 && rep.FirstReactionAt >= rep.FirstHotAt {
@@ -398,11 +397,10 @@ func (c *cell) collect() *Report {
 // utilisation of the final routing state, and its predicted stalls.
 func (c *cell) settledBounds() {
 	sim, rep, tp, demands := c.sim, c.rep, c.sim.Topo, c.demandsAtSettle
-	// The LP bound (a full-tableau simplex solve, quadratic in the
-	// topology) is for reporting only; beyond the controller's own LP
-	// size limit it would dominate the cell's wall-clock (the scale
-	// cells would take hours), so skip it and note the degradation.
-	// The LP-optimality invariant only fires when LPOptimum is set.
+	// The LP bound is for reporting only; beyond the controller's own LP
+	// size limit its pricing rounds would dominate the cell's wall-clock
+	// (a minute on Waxman 1000), so skip it and note the degradation. The
+	// LP-optimality invariant only fires when LPOptimum is set.
 	routers := 0
 	for _, n := range tp.Nodes() {
 		if !n.Host {

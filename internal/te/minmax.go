@@ -1,9 +1,8 @@
 package te
 
 import (
-	"fmt"
 	"math"
-	"slices"
+	"sync"
 
 	"fibbing.net/fibbing/internal/topo"
 )
@@ -23,198 +22,83 @@ type MinMaxResult struct {
 }
 
 // SolveMinMax computes the optimal min-max link utilisation routing for
-// the demand set using an arc-flow LP per destination (commodities to the
-// same destination aggregate). Demands to prefixes with multiple
-// attachments may be absorbed at any attachment.
+// the demand set. The LP is in path form — one flow variable per
+// (prefix, ingress) path — and solved by column generation (colgen.go):
+// each commodity starts on its IGP shortest path, and pricing adds the
+// shortest path under the dual link prices until none has a negative
+// reduced cost. LP duality makes θ* the optimum of the arc-flow LP over
+// every path, so demands to prefixes with multiple attachments may be
+// absorbed at any attachment.
 //
 // The LP is solved in normalised units: every capacity and demand volume
-// is divided by ProblemScale(t, demands) before the tableau is built and
+// is divided by ProblemScale(t, demands) before the master is built and
 // the flows are multiplied back afterwards, so the solve — and therefore
 // the splits Fibbing realises — is invariant under uniform rescaling of
 // the traffic (Mbit/s and 100 Gbit/s versions of the same relative
 // problem produce the same routing). θ* is dimensionless and needs no
 // rescaling.
 //
-// Host nodes never transit: only router-to-router links enter the flow
-// graph. Host access links are not needed even as entry points, because
-// every demand names the router it enters at.
+// Host nodes never transit: only router-to-router links carry flow, and a
+// demand names the router it enters at. The result does not depend on the
+// order of demands.
 func SolveMinMax(t *topo.Topology, demands []topo.Demand) (*MinMaxResult, error) {
-	p, err := buildMinMax(t, demands)
+	p, err := newPathLP(t, demands)
 	if err != nil {
 		return nil, err
 	}
-	sol, obj, status := p.bld.Solve()
-	if status != Optimal {
-		return nil, fmt.Errorf("te: min-max LP %v", status)
+	if err := p.solve(); err != nil {
+		return nil, err
 	}
-	return p.extract(t, sol, obj), nil
+	return p.result(), nil
 }
 
-// minMaxCommodity is one destination prefix's aggregated demand.
-type minMaxCommodity struct {
-	name    string
-	sinks   map[topo.NodeID]bool
-	ingress map[topo.NodeID]float64
-}
-
-// minMaxProblem is a built min-max LP plus the metadata needed to turn
-// its solution vector back into flows and splits.
-type minMaxProblem struct {
-	bld    *LPBuilder
-	links  []topo.Link
-	order  []string
-	byName map[string]*minMaxCommodity
-	x      map[string][]int
-	scale  float64
-}
-
-// buildMinMax assembles the min-max LP for the demand set without solving
-// it, so cold (Solve) and warm (SolveFromBasis) paths share one build.
-func buildMinMax(t *topo.Topology, demands []topo.Demand) (*minMaxProblem, error) {
-	// Collect commodities: destination prefix -> ingress -> volume.
-	byName := make(map[string]*minMaxCommodity)
-	var order []string
-	for _, d := range demands {
-		p, ok := t.PrefixByName(d.PrefixName)
-		if !ok {
-			return nil, fmt.Errorf("te: unknown prefix %q", d.PrefixName)
-		}
-		c := byName[d.PrefixName]
-		if c == nil {
-			c = &minMaxCommodity{
-				name:    d.PrefixName,
-				sinks:   make(map[topo.NodeID]bool),
-				ingress: make(map[topo.NodeID]float64),
-			}
-			for _, a := range p.Attachments {
-				c.sinks[a.Node] = true
-			}
-			byName[d.PrefixName] = c
-			order = append(order, d.PrefixName)
-		}
-		if c.sinks[d.Ingress] {
-			continue // demand at the attachment is delivered locally
-		}
-		c.ingress[d.Ingress] += d.Volume
+// result converts the master's optimum back into a MinMaxResult in bit/s:
+// a prefix's flow on a link is the sum of its paths' flows there.
+func (p *pathLP) result() *MinMaxResult {
+	tab := p.tab
+	x := make([]float64, tab.n)
+	for i, b := range tab.basis {
+		x[b] = tab.row(i)[tab.rhs()]
 	}
-	slices.Sort(order)
-
-	// Router-router links only, with finite capacity required.
-	var links []topo.Link
-	for _, l := range t.Links() {
-		if t.Node(l.From).Host || t.Node(l.To).Host {
-			continue
-		}
-		links = append(links, l)
-	}
-	if len(links) == 0 {
-		return nil, fmt.Errorf("te: no router links")
-	}
-
-	scale := ProblemScale(t, demands)
-
-	bld := NewLPBuilder()
-	theta := bld.AddVar(1) // minimise θ
-
-	// x[k][i]: flow of commodity k on links[i].
-	x := make(map[string][]int, len(order))
-	for _, name := range order {
-		vars := make([]int, len(links))
-		for i := range links {
-			vars[i] = bld.AddVar(0)
-		}
-		x[name] = vars
-	}
-
-	// Conservation: for every commodity and every non-sink router:
-	// out - in = ingress volume at that router. incident lists each node's
-	// links (indices into links, ascending), so a row costs its router's
-	// degree rather than a scan of every link.
-	incident := make([][]int, t.NumNodes())
-	for i, l := range links {
-		incident[l.From] = append(incident[l.From], i)
-		incident[l.To] = append(incident[l.To], i)
-	}
-	for _, name := range order {
-		c := byName[name]
-		for _, n := range t.Nodes() {
-			if n.Host || c.sinks[n.ID] {
-				continue
-			}
-			terms := map[int]float64{}
-			for _, i := range incident[n.ID] {
-				if links[i].From == n.ID {
-					terms[x[name][i]] += 1
-				} else {
-					terms[x[name][i]] -= 1
-				}
-			}
-			if len(terms) == 0 {
-				if c.ingress[n.ID] > 0 {
-					return nil, fmt.Errorf("te: ingress %s has no links", t.Name(n.ID))
-				}
-				continue
-			}
-			bld.AddEq(terms, c.ingress[n.ID]/scale)
-		}
-	}
-
-	// Capacity: Σ_k x_k,e <= cap_e · θ.
-	for i, l := range links {
-		if l.Capacity <= 0 {
-			continue // uncapacitated
-		}
-		terms := map[int]float64{theta: -l.Capacity / scale}
-		for _, name := range order {
-			terms[x[name][i]] += 1
-		}
-		bld.AddLe(terms, 0)
-	}
-
-	return &minMaxProblem{
-		bld:    bld,
-		links:  links,
-		order:  order,
-		byName: byName,
-		x:      x,
-		scale:  scale,
-	}, nil
-}
-
-// extract converts an optimal solution vector of the built LP back into a
-// MinMaxResult in bit/s.
-func (p *minMaxProblem) extract(t *topo.Topology, sol []float64, obj float64) *MinMaxResult {
-	links, order, byName, x, scale := p.links, p.order, p.byName, p.x, p.scale
 	res := &MinMaxResult{
-		MaxUtilisation: obj,
-		Flow:           make(map[string]map[topo.LinkID]float64, len(order)),
-		Splits:         make(map[string]map[topo.NodeID]map[topo.NodeID]float64, len(order)),
+		MaxUtilisation: x[p.theta],
+		Flow:           make(map[string]map[topo.LinkID]float64, len(p.dests)),
+		Splits:         make(map[string]map[topo.NodeID]map[topo.NodeID]float64, len(p.dests)),
 	}
-	for _, name := range order {
+	for _, dest := range p.dests {
 		// Per-link flow below SolverRelTol of the commodity's own volume
 		// is solver noise, whatever the absolute traffic scale; keeping it
 		// would fabricate spurious split ratios for the quantiser to
 		// honour with real ECMP weights.
 		volume := 0.0
-		for _, v := range byName[name].ingress {
-			volume += v / scale
+		flow := make(map[topo.LinkID]float64)
+		for _, k := range dest.comms {
+			volume += p.comms[k].volume
+			for _, i := range p.comms[k].paths {
+				path := p.paths[i]
+				if f := x[path.col]; f > 0 {
+					for _, l := range path.links {
+						flow[p.links[l].ID] += f
+					}
+				}
+			}
 		}
 		eps := SolverRelTol * volume
 		if eps == 0 {
 			eps = SolverRelTol // zero-volume commodity: any flow is noise
 		}
-		flow := make(map[topo.LinkID]float64, len(links))
-		for i, l := range links {
-			if v := sol[x[name][i]]; v > eps {
-				flow[l.ID] = v
+		for id, v := range flow {
+			if v <= eps {
+				delete(flow, id)
 			}
 		}
-		removeCycles(t, links, flow, eps)
-		res.Splits[name] = extractSplits(t, links, flow, eps)
+		// Paths of two ingresses can cross a link in opposite directions.
+		removeCycles(p.topo, p.links, flow, eps)
+		res.Splits[dest.name] = extractSplits(p.topo, p.links, flow, eps)
 		for id := range flow {
-			flow[id] *= scale // back to bit/s
+			flow[id] *= p.scale // back to bit/s
 		}
-		res.Flow[name] = flow
+		res.Flow[dest.name] = flow
 	}
 	return res
 }
@@ -362,4 +246,44 @@ func MaxUtilOfLoads(t *topo.Topology, loads map[topo.LinkID]float64) float64 {
 		}
 	}
 	return max
+}
+
+// WarmLPStats counts a MinMaxSolver's solves.
+type WarmLPStats struct {
+	// Deprecated: always zero. The LP has no warm-start path: column
+	// generation rebuilds its master for every solve. Kept because bench/
+	// reads it.
+	Warm uint64 `json:"warm"`
+	// Cold counts successful solves.
+	Cold uint64 `json:"cold"`
+	// Deprecated: always zero, as Warm.
+	Fallback uint64 `json:"fallback"`
+}
+
+// MinMaxSolver is SolveMinMax with a solve counter. The zero value is
+// ready to use; methods are safe for concurrent callers.
+type MinMaxSolver struct {
+	mu    sync.Mutex
+	stats WarmLPStats
+}
+
+// NewMinMaxSolver returns a solver with zeroed counters.
+func NewMinMaxSolver() *MinMaxSolver { return &MinMaxSolver{} }
+
+// Solve is SolveMinMax, counted.
+func (s *MinMaxSolver) Solve(t *topo.Topology, demands []topo.Demand) (*MinMaxResult, error) {
+	res, err := SolveMinMax(t, demands)
+	if err == nil {
+		s.mu.Lock()
+		s.stats.Cold++
+		s.mu.Unlock()
+	}
+	return res, err
+}
+
+// Stats returns a snapshot of the solve counters.
+func (s *MinMaxSolver) Stats() WarmLPStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }

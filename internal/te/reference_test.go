@@ -2,13 +2,18 @@ package te
 
 // The parent's dense solver, kept verbatim as the oracle for the
 // sparse-stepped core in simplex.go (only the ref prefix on the names is
-// new): solveLP, warmSolveLP, runSimplex, pivot and LPBuilder.dense exactly
-// as they were when every reduced cost walked all m rows and every pivot
-// updated all n+m+1 columns of every row. TestSimplexMatchesReference and
+// new): solveLP, runSimplex, pivot and LPBuilder.dense exactly as they
+// were when every reduced cost walked all m rows and every pivot updated
+// all n+m+1 columns of every row. TestSimplexMatchesReference and
 // FuzzSolveLP hold the new core to the same status, basis and float bits.
-// The min-max builder is kept the same way: refBuildMinMax is buildMinMax
-// as it was when each conservation row scanned every link, and
-// TestBuildMinMaxMatchesReference holds the new one to its rows.
+//
+// The node-link min-max LP is kept as the θ* oracle for the column
+// generation in colgen.go: buildMinMax is the arc-flow builder SolveMinMax
+// used before, one flow variable per prefix per link and one conservation
+// row per router, and nodeLinkOptimum solves it. TestMinMaxMatchesNodeLinkOracle
+// and FuzzMinMax hold SolveMinMax to its optimum. refBuildMinMax is that
+// builder as it was when each conservation row scanned every link, and
+// TestBuildMinMaxMatchesReference holds buildMinMax to its rows.
 
 import (
 	"fmt"
@@ -143,107 +148,6 @@ func refSolveLP(c []float64, a [][]float64, b []float64) ([]float64, float64, Si
 	return x, obj, Optimal, basis
 }
 
-// refWarmSolveLP re-solves min c·x, A·x = b, x >= 0 starting from a prior
-// optimal basis instead of a two-phase cold start. start is the column
-// set from a previous refSolveLP of a structurally identical problem (same
-// variable/constraint layout — see LPBuilder.StructureKey); coefficient
-// and right-hand-side values are free to differ, because the tableau is
-// refactorised onto the stored columns by Gauss-Jordan elimination before
-// phase-2 simplex resumes. ok = false means the basis could not be
-// reused — singular on the new coefficients, basic solution infeasible,
-// or the re-solve failed — and the caller must fall back to a cold solve.
-func refWarmSolveLP(c []float64, a [][]float64, b []float64, start []int) ([]float64, float64, SimplexStatus, []int, bool) {
-	m := len(a)
-	n := len(c)
-	if len(start) != m {
-		return nil, 0, Infeasible, nil, false
-	}
-	for _, j := range start {
-		if j < 0 || j >= n {
-			return nil, 0, Infeasible, nil, false
-		}
-	}
-	if m == 0 {
-		return make([]float64, n), 0, Optimal, []int{}, true
-	}
-	// Copy, normalised to b >= 0 (matching refSolveLP's row convention).
-	tab := make([][]float64, m)
-	for i := range a {
-		tab[i] = make([]float64, n+1)
-		copy(tab[i], a[i])
-		tab[i][n] = b[i]
-		if b[i] < 0 {
-			for j := range tab[i] {
-				tab[i][j] = -tab[i][j]
-			}
-		}
-	}
-	bScale := 1.0
-	for i := range tab {
-		if v := math.Abs(tab[i][n]); v > bScale {
-			bScale = v
-		}
-	}
-	// Refactorise: drive every stored basis column to a unit column,
-	// choosing the largest remaining pivot per column. Pivot significance
-	// is judged relative to the chosen row's magnitude, like the
-	// artificial drive-out in refSolveLP: a noise-sized pivot would blow the
-	// tableau up rather than reproduce the old basis.
-	basis := make([]int, m)
-	used := make([]bool, m)
-	for _, col := range start {
-		best, bestV := -1, 0.0
-		for i := 0; i < m; i++ {
-			if used[i] {
-				continue
-			}
-			if v := math.Abs(tab[i][col]); v > bestV {
-				best, bestV = i, v
-			}
-		}
-		if best == -1 {
-			return nil, 0, Infeasible, nil, false // duplicate or vanished column
-		}
-		rowScale := 1.0
-		for j := 0; j < n; j++ {
-			if v := math.Abs(tab[best][j]); v > rowScale {
-				rowScale = v
-			}
-		}
-		if bestV <= simplexEps*rowScale {
-			return nil, 0, Infeasible, nil, false // singular on the new coefficients
-		}
-		refPivot(tab, basis, best, col, n)
-		used[best] = true
-	}
-	// The refactorised basic solution must be (near-)feasible; clamp pure
-	// roundoff negatives, bail on real ones.
-	for i := 0; i < m; i++ {
-		if tab[i][n] < 0 {
-			if tab[i][n] < -FeasibilityRelTol*bScale {
-				return nil, 0, Infeasible, nil, false
-			}
-			tab[i][n] = 0
-		}
-	}
-	// Phase 2 directly: no artificials exist, so total is just n.
-	switch refRunSimplex(tab, basis, c, n) {
-	case simplexStalled:
-		return nil, 0, Stalled, nil, false
-	case simplexUnbounded:
-		return nil, 0, Unbounded, nil, false
-	}
-	x := make([]float64, n)
-	for i, bi := range basis {
-		x[bi] = tab[i][n]
-	}
-	obj := 0.0
-	for j := 0; j < n; j++ {
-		obj += c[j] * x[j]
-	}
-	return x, obj, Optimal, basis, true
-}
-
 // refRunSimplex performs primal simplex iterations on the tableau in place.
 func refRunSimplex(tab [][]float64, basis []int, c []float64, total int) simplexOutcome {
 	m := len(tab)
@@ -374,6 +278,150 @@ func refDense(bld *LPBuilder) (c []float64, a [][]float64, b []float64) {
 		}
 	}
 	return c, a, b
+}
+
+// minMaxCommodity is one destination prefix's aggregated demand.
+type minMaxCommodity struct {
+	name    string
+	sinks   map[topo.NodeID]bool
+	ingress map[topo.NodeID]float64
+}
+
+// minMaxProblem is a built node-link min-max LP plus its variable layout.
+type minMaxProblem struct {
+	bld    *LPBuilder
+	links  []topo.Link
+	order  []string
+	byName map[string]*minMaxCommodity
+	x      map[string][]int
+	scale  float64
+}
+
+// nodeLinkOptimum solves the node-link LP and returns θ*, with the errors
+// SolveMinMax returned when it solved this LP.
+func nodeLinkOptimum(t *topo.Topology, demands []topo.Demand) (float64, error) {
+	p, err := buildMinMax(t, demands)
+	if err != nil {
+		return 0, err
+	}
+	_, obj, status := p.bld.Solve()
+	if status != Optimal {
+		return 0, fmt.Errorf("te: min-max LP %v", status)
+	}
+	return obj, nil
+}
+
+// buildMinMax assembles the node-link min-max LP for the demand set
+// without solving it.
+func buildMinMax(t *topo.Topology, demands []topo.Demand) (*minMaxProblem, error) {
+	// Collect commodities: destination prefix -> ingress -> volume.
+	byName := make(map[string]*minMaxCommodity)
+	var order []string
+	for _, d := range demands {
+		p, ok := t.PrefixByName(d.PrefixName)
+		if !ok {
+			return nil, fmt.Errorf("te: unknown prefix %q", d.PrefixName)
+		}
+		c := byName[d.PrefixName]
+		if c == nil {
+			c = &minMaxCommodity{
+				name:    d.PrefixName,
+				sinks:   make(map[topo.NodeID]bool),
+				ingress: make(map[topo.NodeID]float64),
+			}
+			for _, a := range p.Attachments {
+				c.sinks[a.Node] = true
+			}
+			byName[d.PrefixName] = c
+			order = append(order, d.PrefixName)
+		}
+		if c.sinks[d.Ingress] {
+			continue // demand at the attachment is delivered locally
+		}
+		c.ingress[d.Ingress] += d.Volume
+	}
+	slices.Sort(order)
+
+	// Router-router links only, with finite capacity required.
+	var links []topo.Link
+	for _, l := range t.Links() {
+		if t.Node(l.From).Host || t.Node(l.To).Host {
+			continue
+		}
+		links = append(links, l)
+	}
+	if len(links) == 0 {
+		return nil, fmt.Errorf("te: no router links")
+	}
+
+	scale := ProblemScale(t, demands)
+
+	bld := NewLPBuilder()
+	theta := bld.AddVar(1) // minimise θ
+
+	// x[k][i]: flow of commodity k on links[i].
+	x := make(map[string][]int, len(order))
+	for _, name := range order {
+		vars := make([]int, len(links))
+		for i := range links {
+			vars[i] = bld.AddVar(0)
+		}
+		x[name] = vars
+	}
+
+	// Conservation: for every commodity and every non-sink router:
+	// out - in = ingress volume at that router. incident lists each node's
+	// links (indices into links, ascending), so a row costs its router's
+	// degree rather than a scan of every link.
+	incident := make([][]int, t.NumNodes())
+	for i, l := range links {
+		incident[l.From] = append(incident[l.From], i)
+		incident[l.To] = append(incident[l.To], i)
+	}
+	for _, name := range order {
+		c := byName[name]
+		for _, n := range t.Nodes() {
+			if n.Host || c.sinks[n.ID] {
+				continue
+			}
+			terms := map[int]float64{}
+			for _, i := range incident[n.ID] {
+				if links[i].From == n.ID {
+					terms[x[name][i]] += 1
+				} else {
+					terms[x[name][i]] -= 1
+				}
+			}
+			if len(terms) == 0 {
+				if c.ingress[n.ID] > 0 {
+					return nil, fmt.Errorf("te: ingress %s has no links", t.Name(n.ID))
+				}
+				continue
+			}
+			bld.AddEq(terms, c.ingress[n.ID]/scale)
+		}
+	}
+
+	// Capacity: Σ_k x_k,e <= cap_e · θ.
+	for i, l := range links {
+		if l.Capacity <= 0 {
+			continue // uncapacitated
+		}
+		terms := map[int]float64{theta: -l.Capacity / scale}
+		for _, name := range order {
+			terms[x[name][i]] += 1
+		}
+		bld.AddLe(terms, 0)
+	}
+
+	return &minMaxProblem{
+		bld:    bld,
+		links:  links,
+		order:  order,
+		byName: byName,
+		x:      x,
+		scale:  scale,
+	}, nil
 }
 
 // refBuildMinMax is buildMinMax as it was when every conservation row

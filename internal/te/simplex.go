@@ -1,17 +1,18 @@
-// The two-phase primal simplex underneath SolveMinMax and the LPBuilder:
-// Bland's rule on one flat tableau, each step costing what the tableau's
-// non-zeros cost. All tolerances are relative to the magnitudes of the
-// tableau entries they judge (see scale.go), so the solver keeps working on
-// ill-conditioned inputs — coefficients spanning 1e-3..1e11 — instead of
-// pivoting on noise and terminating at a wrong vertex.
+// The primal simplex underneath SolveMinMax and the LPBuilder: Bland's
+// rule on one flat tableau, each step costing what the tableau's non-zeros
+// cost. LPBuilder problems run the two-phase method; SolveMinMax's
+// column-generation master (colgen.go) starts from a feasible basis and
+// grows the tableau between phase-2 runs. All tolerances are relative to
+// the magnitudes of the tableau entries they judge (see scale.go), so the
+// solver keeps working on ill-conditioned inputs — coefficients spanning
+// 1e-3..1e11 — instead of pivoting on noise and terminating at a wrong
+// vertex.
 
 package te
 
 import (
 	"fmt"
 	"math"
-	"slices"
-	"strconv"
 )
 
 // SimplexStatus reports the outcome of an LP solve.
@@ -78,8 +79,9 @@ func SolveLP(c []float64, a [][]float64, b []float64) ([]float64, float64, Simpl
 // tableau is the working state of one solve, and the only copy of the
 // constraint matrix a solve makes: m rows in one flat backing array. A row
 // holds the n structural columns (declared variables, then slacks), the
-// spare columns a cold start needs for its artificials (none on a warm
-// start), and the right-hand side in its last slot.
+// spare columns — a cold start's artificials, or the room the
+// column-generation master appends columns into — and the right-hand side
+// in its last slot.
 type tableau struct {
 	a      []float64
 	m, n   int
@@ -90,15 +92,20 @@ type tableau struct {
 	// touches it while it stays basic, so its reduced cost is an exact
 	// zero and entering need not price it.
 	basic []bool
+	// first is the first column entering prices. The columns before it
+	// are the master's demand-row identity columns: every pivot updates
+	// them, so they hold B⁻¹, but they never enter.
+	first int
 
 	// Scratch reused across iterations: the rows whose basic variable has a
 	// non-zero cost, and the pivot row's non-zero entries.
 	costRows []costRow
 	nz       []entry
 
-	// onPivot, when set, runs after every pivot with its live column
-	// count; the solver's tests use it to check invariants mid-solve.
-	onPivot func(live int)
+	// onChange, when set, runs after every pivot and every appended row or
+	// column with the live column count; the solver's tests use it to check
+	// invariants mid-solve.
+	onChange func(live int)
 }
 
 // entry is one non-zero of a tableau row.
@@ -131,6 +138,52 @@ func (t *tableau) row(i int) []float64 { return t.a[i*t.stride : (i+1)*t.stride]
 
 // rhs is the index of the right-hand side within a row.
 func (t *tableau) rhs() int { return t.stride - 1 }
+
+// addColumn appends a column and returns its index; col holds one entry
+// per row. When the spare columns run out, the rows are re-laid out with
+// twice the room.
+func (t *tableau) addColumn(col []float64) int {
+	if t.n == t.stride-1 {
+		stride := 2*t.stride + 1
+		a := make([]float64, t.m*stride, cap(t.a)/t.stride*stride)
+		for i := 0; i < t.m; i++ {
+			row := t.row(i)
+			copy(a[i*stride:], row[:t.n])
+			a[i*stride+stride-1] = row[t.rhs()]
+		}
+		t.a, t.stride = a, stride
+		t.basic = append(t.basic, make([]bool, stride-1-len(t.basic))...)
+	}
+	j := t.n
+	for i, v := range col {
+		t.a[i*t.stride+j] = v
+	}
+	t.n++
+	if t.onChange != nil {
+		t.onChange(t.n)
+	}
+	return j
+}
+
+// addRow appends a zero row and returns it for the caller to fill; the
+// caller also names its basic column with setBasic.
+func (t *tableau) addRow() []float64 {
+	n := len(t.a)
+	t.a = append(t.a, make([]float64, t.stride)...)
+	t.m++
+	t.basis = append(t.basis, -1)
+	return t.a[n:]
+}
+
+// setBasic makes col, an exact unit vector with its 1 in row, basic there
+// without a pivot.
+func (t *tableau) setBasic(row, col int) {
+	t.basis[row] = col
+	t.basic[col] = true
+	if t.onChange != nil {
+		t.onChange(t.n)
+	}
+}
 
 // normalise flips, in place, every row with a negative right-hand side so
 // that b >= 0, and returns the largest right-hand-side magnitude (at least
@@ -246,83 +299,6 @@ func (t *tableau) solveCold(c []float64) ([]float64, float64, SimplexStatus, []i
 	return x, obj, Optimal, t.basis
 }
 
-// solveWarm re-solves from a prior optimal basis instead of a two-phase
-// cold start, on a filled tableau without spare columns. start is the
-// column set from a previous solveCold of a structurally identical problem
-// (same variable/constraint layout — see LPBuilder.StructureKey);
-// coefficient and right-hand-side values are free to differ, because the
-// tableau is refactorised onto the stored columns by Gauss-Jordan
-// elimination before phase-2 simplex resumes. ok = false means the basis
-// could not be reused — singular on the new coefficients, basic solution
-// infeasible, or the re-solve failed — and the caller must fall back to a
-// cold solve.
-func (t *tableau) solveWarm(c []float64, start []int) ([]float64, float64, SimplexStatus, []int, bool) {
-	m, n := t.m, t.n
-	if len(start) != m {
-		return nil, 0, Infeasible, nil, false
-	}
-	for _, j := range start {
-		if j < 0 || j >= n {
-			return nil, 0, Infeasible, nil, false
-		}
-	}
-	if m == 0 {
-		return make([]float64, n), 0, Optimal, []int{}, true
-	}
-	bScale := t.normalise()
-	// Refactorise: drive every stored basis column to a unit column,
-	// choosing the largest remaining pivot per column. Pivot significance
-	// is judged relative to the chosen row's magnitude, like the
-	// artificial drive-out in solveCold: a noise-sized pivot would blow the
-	// tableau up rather than reproduce the old basis.
-	used := make([]bool, m)
-	for _, col := range start {
-		best, bestV := -1, 0.0
-		for i := 0; i < m; i++ {
-			if used[i] {
-				continue
-			}
-			if v := math.Abs(t.a[i*t.stride+col]); v > bestV {
-				best, bestV = i, v
-			}
-		}
-		if best == -1 {
-			return nil, 0, Infeasible, nil, false // duplicate or vanished column
-		}
-		rowScale := 1.0
-		for _, v := range t.row(best)[:n] {
-			if v := math.Abs(v); v > rowScale {
-				rowScale = v
-			}
-		}
-		if bestV <= simplexEps*rowScale {
-			return nil, 0, Infeasible, nil, false // singular on the new coefficients
-		}
-		t.pivot(best, col, n)
-		used[best] = true
-	}
-	// The refactorised basic solution must be (near-)feasible; clamp pure
-	// roundoff negatives, bail on real ones.
-	for i := 0; i < m; i++ {
-		row := t.row(i)
-		if row[t.rhs()] < 0 {
-			if row[t.rhs()] < -FeasibilityRelTol*bScale {
-				return nil, 0, Infeasible, nil, false
-			}
-			row[t.rhs()] = 0
-		}
-	}
-	// Phase 2 directly: no artificials exist.
-	switch t.simplex(c) {
-	case simplexStalled:
-		return nil, 0, Stalled, nil, false
-	case simplexUnbounded:
-		return nil, 0, Unbounded, nil, false
-	}
-	x, obj := t.solution(c)
-	return x, obj, Optimal, t.basis, true
-}
-
 // simplexOutcome is simplex's termination reason.
 type simplexOutcome int
 
@@ -420,7 +396,7 @@ func (t *tableau) entering(c []float64) int {
 			t.costRows = append(t.costRows, costRow{off: i * t.stride, cb: c[b]})
 		}
 	}
-	for j := 0; j < len(c); {
+	for j := t.first; j < len(c); {
 		// The next four non-basic columns; a short last group repeats its
 		// last column.
 		var cols [4]int
@@ -518,8 +494,8 @@ func (t *tableau) pivot(row, col, live int) {
 	t.basis[row] = col
 	t.basic[col] = true
 	t.nz = nz
-	if t.onPivot != nil {
-		t.onPivot(live)
+	if t.onChange != nil {
+		t.onChange(live)
 	}
 }
 
@@ -609,67 +585,10 @@ func (bld *LPBuilder) tableau(spare int) ([]float64, *tableau) {
 // Solve runs the cold two-phase solve (adding slacks for <= rows). The
 // returned vector contains only the original variables.
 func (bld *LPBuilder) Solve() ([]float64, float64, SimplexStatus) {
-	x, obj, status, _ := bld.SolveBasis()
-	return x, obj, status
-}
-
-// SolveBasis is Solve plus the final simplex basis, for warm-starting a
-// later solve of a structurally identical problem via SolveFromBasis. The
-// basis is nil when it cannot seed a warm start — the solve failed, or an
-// artificial variable stayed basic on a redundant row (the warm tableau
-// has no artificial columns to refactorise onto).
-func (bld *LPBuilder) SolveBasis() ([]float64, float64, SimplexStatus, []int) {
 	c, t := bld.tableau(len(bld.terms))
-	x, obj, status, basis := t.solveCold(c)
+	x, obj, status, _ := t.solveCold(c)
 	if status != Optimal {
-		return nil, 0, status, nil
+		return nil, 0, status
 	}
-	for _, bi := range basis {
-		if bi >= len(c) {
-			basis = nil
-			break
-		}
-	}
-	return x[:bld.nvars], obj, status, basis
-}
-
-// SolveFromBasis solves the problem warm, re-entering phase-2 simplex
-// from a basis returned by a previous SolveBasis of a problem with the
-// same StructureKey. Coefficient and right-hand-side values may differ.
-// ok = false means the basis was unusable (structure drifted, singular
-// refactorisation, infeasible basic point, or a failed re-solve); the
-// caller should fall back to SolveBasis.
-func (bld *LPBuilder) SolveFromBasis(start []int) ([]float64, float64, SimplexStatus, []int, bool) {
-	c, t := bld.tableau(0)
-	x, obj, status, basis, ok := t.solveWarm(c, start)
-	if !ok || status != Optimal {
-		return nil, 0, status, nil, false
-	}
-	return x[:bld.nvars], obj, status, basis, true
-}
-
-// StructureKey canonically encodes the problem's shape — the variable
-// count and, per row, its type and sorted variable indices — ignoring
-// coefficient and right-hand-side values. Two builds with equal keys have
-// identical tableau layouts, so a simplex basis from one is meaningful in
-// the other (values may differ; SolveFromBasis refactorises).
-func (bld *LPBuilder) StructureKey() string {
-	sb := make([]byte, 0, 16*len(bld.terms))
-	sb = strconv.AppendInt(sb, int64(bld.nvars), 10)
-	var idx []int
-	for i, row := range bld.terms {
-		sb = append(sb, '|', bld.types[i], ':')
-		idx = idx[:0]
-		for _, t := range row {
-			idx = append(idx, t.idx)
-		}
-		// addRow fills rows from map iteration, so sort for a canonical
-		// encoding.
-		slices.Sort(idx)
-		for _, v := range idx {
-			sb = strconv.AppendInt(sb, int64(v), 10)
-			sb = append(sb, ',')
-		}
-	}
-	return string(sb)
+	return x[:bld.nvars], obj, status
 }

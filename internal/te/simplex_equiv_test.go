@@ -20,59 +20,18 @@ type lpRun struct {
 	basis  []int
 }
 
-// lpSolver is one side of the comparison: a cold and a warm entry point
-// over the same built problem.
-type lpSolver struct {
-	cold func(bld *LPBuilder) lpRun
-	warm func(bld *LPBuilder, start []int) (lpRun, bool)
+// coreCold and refCold are the two sides of the comparison: the
+// sparse-stepped core and the dense reference, on the same built problem.
+func coreCold(bld *LPBuilder) lpRun {
+	c, t := bld.tableau(len(bld.terms))
+	x, obj, status, basis := t.solveCold(c)
+	return lpRun{x, obj, status, basis}
 }
 
-var (
-	coreSolver = lpSolver{
-		cold: func(bld *LPBuilder) lpRun {
-			c, t := bld.tableau(len(bld.terms))
-			x, obj, status, basis := t.solveCold(c)
-			return lpRun{x, obj, status, basis}
-		},
-		warm: func(bld *LPBuilder, start []int) (lpRun, bool) {
-			c, t := bld.tableau(0)
-			x, obj, status, basis, ok := t.solveWarm(c, start)
-			return lpRun{x, obj, status, basis}, ok
-		},
-	}
-	referenceSolver = lpSolver{
-		cold: func(bld *LPBuilder) lpRun {
-			c, a, b := refDense(bld)
-			x, obj, status, basis := refSolveLP(c, a, b)
-			return lpRun{x, obj, status, basis}
-		},
-		warm: func(bld *LPBuilder, start []int) (lpRun, bool) {
-			c, a, b := refDense(bld)
-			x, obj, status, basis, ok := refWarmSolveLP(c, a, b, start)
-			return lpRun{x, obj, status, basis}, ok
-		},
-	}
-)
-
-// step is one MinMaxSolver.Solve in miniature: warm from *carry when there
-// is one, cold on a miss or a failed warm attempt, counting each the way
-// the solver does and leaving the next solve's start basis in *carry.
-func (s lpSolver) step(bld *LPBuilder, carry *[]int, st *WarmLPStats) lpRun {
-	if *carry != nil {
-		if run, ok := s.warm(bld, slices.Clone(*carry)); ok && run.status == Optimal {
-			st.Warm++
-			*carry = run.basis
-			return run
-		}
-		st.Fallback++
-	}
-	run := s.cold(bld)
-	st.Cold++
-	*carry = nil
-	if run.status == Optimal && !slices.ContainsFunc(run.basis, func(j int) bool { return j >= len(run.x) }) {
-		*carry = run.basis
-	}
-	return run
+func refCold(bld *LPBuilder) lpRun {
+	c, a, b := refDense(bld)
+	x, obj, status, basis := refSolveLP(c, a, b)
+	return lpRun{x, obj, status, basis}
 }
 
 // sameRun fails unless both sides returned the same status, the same basis
@@ -100,15 +59,18 @@ func sameRun(t *testing.T, what string, got, want lpRun) {
 	}
 }
 
+// zooTopo is a topology generator at a given uniform capacity.
+type zooTopo struct {
+	name  string
+	large bool
+	build func(capacity float64) *topo.Topology
+}
+
 // oracleZoo is the scenario matrix's six topologies, built straight from
 // the generators with the matrix's sizes and seeds (this package cannot
 // import scenarios), then four larger ones on which the dense reference
 // takes seconds.
-var oracleZoo = []struct {
-	name  string
-	large bool
-	build func(capacity float64) *topo.Topology
-}{
+var oracleZoo = []zooTopo{
 	{"fig1", false, func(c float64) *topo.Topology { return topo.Fig1(topo.Fig1Opts{LinkCapacity: c}) }},
 	{"abilene", false, func(c float64) *topo.Topology { return topo.Abilene(c, 0) }},
 	{"fattree4", false, func(c float64) *topo.Topology {
@@ -134,14 +96,13 @@ var oracleZoo = []struct {
 }
 
 // TestSimplexMatchesReference holds the sparse-stepped core to the parent's
-// dense solver (reference_test.go) over the topology zoo × random demand
-// sets (2, 5 and 12 demands, four seeds) × traffic scales 1e6..1e11: cold,
-// and then through three warm re-solves at perturbed volumes, status,
-// basis and every float bit must be equal — the same pivots were taken —
-// and a real MinMaxSolver driven through the same train must count the
-// same warm, cold and fallback solves and report the same θ*. The matrix
-// topologies meet every demand set at every scale; on the large ones the
-// twelve demand sets take the six scales in turn.
+// dense solver (reference_test.go) over the node-link min-max LPs of the
+// topology zoo × random demand sets (2, 5 and 12 demands, four seeds) ×
+// traffic scales 1e6..1e11, each solved at the four volume settings of
+// demandTrain: status, basis and every float bit must be equal — the same
+// pivots were taken. The matrix topologies meet every demand set at every
+// scale; on the large ones the twelve demand sets take the six scales in
+// turn.
 func TestSimplexMatchesReference(t *testing.T) {
 	t.Parallel()
 	scales := []float64{1e6, 1e7, 1e8, 1e9, 1e10, 1e11}
@@ -154,7 +115,6 @@ func TestSimplexMatchesReference(t *testing.T) {
 				t.Parallel()
 				capacity := 10 * scale
 				tp := z.build(capacity)
-				var warmSeen uint64
 				problem := 0
 				for _, nd := range []int{2, 5, 12} {
 					for seed := int64(1); seed <= 4; seed++ {
@@ -162,55 +122,24 @@ func TestSimplexMatchesReference(t *testing.T) {
 						if z.large && problem%len(scales) != si {
 							continue
 						}
-						warmSeen += matchReference(t, tp, topo.RandomDemands(tp, nd, 0.1*capacity, 0.6*capacity, seed), seed)
+						base := topo.RandomDemands(tp, nd, 0.1*capacity, 0.6*capacity, seed)
+						for round, demands := range demandTrain(base, seed) {
+							p, err := buildMinMax(tp, demands)
+							if err != nil {
+								t.Fatal(err)
+							}
+							what := fmt.Sprintf("%d demands, seed %d, round %d", nd, seed, round)
+							sameRun(t, what, coreCold(p.bld), refCold(p.bld))
+						}
 					}
-				}
-				if warmSeen == 0 {
-					t.Fatalf("no warm solve on %s: the warm path went uncompared", z.name)
 				}
 			})
 		}
 	}
 }
 
-// matchReference drives both solvers and a MinMaxSolver through one train
-// on one demand set — a cold solve, a uniform ×1.7 that the old basis
-// survives, then two rounds that move every volume on its own, often far
-// enough that it does not — and returns how many of the solves were warm.
-func matchReference(t *testing.T, tp *topo.Topology, base []topo.Demand, seed int64) uint64 {
-	t.Helper()
-	var gotCarry, wantCarry []int
-	var gotStats, wantStats WarmLPStats
-	solver := NewMinMaxSolver()
-	for round, demands := range demandTrain(base, seed) {
-		p, err := buildMinMax(tp, demands)
-		if err != nil {
-			t.Fatal(err)
-		}
-		what := fmt.Sprintf("%d demands, seed %d, round %d", len(base), seed, round)
-		want := referenceSolver.step(p.bld, &wantCarry, &wantStats)
-		got := coreSolver.step(p.bld, &gotCarry, &gotStats)
-		sameRun(t, what, got, want)
-		if gotStats != wantStats {
-			t.Fatalf("%s: solves %+v, reference %+v", what, gotStats, wantStats)
-		}
-		res, err := solver.Solve(tp, demands)
-		if (err == nil) != (want.status == Optimal) {
-			t.Fatalf("%s: MinMaxSolver err = %v, reference status %v", what, err, want.status)
-		}
-		if err == nil && math.Float64bits(res.MaxUtilisation) != math.Float64bits(want.obj) {
-			t.Fatalf("%s: MinMaxSolver θ* = %v, reference %v", what, res.MaxUtilisation, want.obj)
-		}
-		if st := solver.Stats(); st != wantStats {
-			t.Fatalf("%s: MinMaxSolver stats %+v, reference %+v", what, st, wantStats)
-		}
-	}
-	return wantStats.Warm
-}
-
-// demandTrain is the train matchReference drives through one demand set:
-// the set itself, a uniform ×1.7, then two rounds that move every volume
-// on its own.
+// demandTrain is one demand set at four volume settings: the set itself,
+// a uniform ×1.7, then two rounds that move every volume on its own.
 func demandTrain(base []topo.Demand, seed int64) [][]topo.Demand {
 	rng := rand.New(rand.NewSource(seed))
 	var train [][]topo.Demand
@@ -227,71 +156,57 @@ func demandTrain(base []topo.Demand, seed int64) [][]topo.Demand {
 	return train
 }
 
-// TestBasicColumnsStayUnitVectors checks, after every pivot of the solves
+// TestBasicColumnsStayUnitVectors checks the invariant entering's pricing
+// skip rests on: every basic column among the live ones is an exact unit
+// vector, 1 in its own row and 0 in every other, and the basic marks name
+// exactly the basis. Were a pivot to leave p·(1/p) in its own row, or a
+// residue elsewhere, a basic column's reduced cost would no longer be an
+// exact zero. It is checked after every pivot of the node-link solves
 // TestSimplexMatchesReference compares on the six matrix topologies — cold
-// phase 1, the artificial drive-out, phase 2, and the warm refactorisation
-// and re-solve — the invariant entering's pricing skip rests on: every
-// basic column among the live ones is an exact unit vector, 1 in its own
-// row and 0 in every other, and the basic marks name exactly the basis.
-// Were a pivot to leave p·(1/p) in its own row, or a residue elsewhere, a
-// basic column's reduced cost would no longer be an exact zero.
+// phase 1, the artificial drive-out, phase 2 — and after every pivot and
+// every appended row or column of SolveMinMax's column-generation master
+// on the same problems: the crash basis, the phase-2 runs, and each new
+// capacity row and path column between them.
 func TestBasicColumnsStayUnitVectors(t *testing.T) {
 	t.Parallel()
 	var what string
-	pivots := 0
-	check := func(tab *tableau) *tableau {
-		tab.onPivot = func(live int) {
-			pivots++
-			marked := 0
-			for _, b := range tab.basic {
-				if b {
-					marked++
-				}
-			}
-			for i, col := range tab.basis {
-				if col < 0 {
-					continue // the warm refactorisation has not reached this row yet
-				}
-				if !tab.basic[col] {
-					t.Fatalf("%s: basic column %d of row %d is not marked basic", what, col, i)
-				}
-				marked--
-				if col >= live {
-					continue // frozen: an artificial left basic on a redundant row
-				}
-				for r := 0; r < tab.m; r++ {
-					want := 0.0
-					if r == i {
-						want = 1
-					}
-					if v := tab.a[r*tab.stride+col]; v != want {
-						t.Fatalf("%s: basic column %d (row %d) holds %v in row %d, want %v", what, col, i, v, r, want)
-					}
-				}
-			}
-			if marked != 0 {
-				t.Fatalf("%s: %d columns marked basic outside the basis", what, marked)
+	pivots, steps, generated := 0, 0, 0
+	check := func(tab *tableau, live int) {
+		marked := 0
+		for _, b := range tab.basic {
+			if b {
+				marked++
 			}
 		}
-		return tab
-	}
-	checked := lpSolver{
-		cold: func(bld *LPBuilder) lpRun {
-			c, tab := bld.tableau(len(bld.terms))
-			x, obj, status, basis := check(tab).solveCold(c)
-			return lpRun{x, obj, status, basis}
-		},
-		warm: func(bld *LPBuilder, start []int) (lpRun, bool) {
-			c, tab := bld.tableau(0)
-			x, obj, status, basis, ok := check(tab).solveWarm(c, start)
-			return lpRun{x, obj, status, basis}, ok
-		},
+		for i, col := range tab.basis {
+			if col < 0 {
+				continue // the crash basis has not reached this row yet
+			}
+			if !tab.basic[col] {
+				t.Fatalf("%s: basic column %d of row %d is not marked basic", what, col, i)
+			}
+			marked--
+			if col >= live {
+				continue // frozen: an artificial left basic on a redundant row
+			}
+			for r := 0; r < tab.m; r++ {
+				want := 0.0
+				if r == i {
+					want = 1
+				}
+				if v := tab.a[r*tab.stride+col]; v != want {
+					t.Fatalf("%s: basic column %d (row %d) holds %v in row %d, want %v", what, col, i, v, r, want)
+				}
+			}
+		}
+		if marked != 0 {
+			t.Fatalf("%s: %d columns marked basic outside the basis", what, marked)
+		}
 	}
 	scales := []float64{1e6, 1e7, 1e8, 1e9, 1e10, 1e11}
 	if testing.Short() {
 		scales = []float64{1e6, 1e11} // seconds under -race otherwise
 	}
-	var stats WarmLPStats
 	for _, z := range oracleZoo {
 		if z.large {
 			continue // the check is O(m²) a pivot; the matrix sizes suffice
@@ -301,26 +216,47 @@ func TestBasicColumnsStayUnitVectors(t *testing.T) {
 			tp := z.build(capacity)
 			for _, nd := range []int{2, 5, 12} {
 				for seed := int64(1); seed <= 4; seed++ {
-					var carry []int
 					for round, demands := range demandTrain(topo.RandomDemands(tp, nd, 0.1*capacity, 0.6*capacity, seed), seed) {
-						p, err := buildMinMax(tp, demands)
+						what = fmt.Sprintf("%s/%g %d demands, seed %d, round %d", z.name, scale, nd, seed, round)
+						nl, err := buildMinMax(tp, demands)
 						if err != nil {
 							t.Fatal(err)
 						}
-						what = fmt.Sprintf("%s/%g %d demands, seed %d, round %d", z.name, scale, nd, seed, round)
-						checked.step(p.bld, &carry, &stats)
+						c, tab := nl.bld.tableau(len(nl.bld.terms))
+						tab.onChange = func(live int) {
+							pivots++
+							check(tab, live)
+						}
+						if _, _, status, _ := tab.solveCold(c); status != Optimal {
+							t.Fatalf("%s: node-link %v", what, status)
+						}
+
+						what += " (column generation)"
+						p, err := newPathLP(tp, demands)
+						if err != nil {
+							t.Fatal(err)
+						}
+						p.onChange = func(live int) {
+							steps++
+							check(p.tab, live)
+						}
+						if err := p.solve(); err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+						generated += len(p.paths) - len(p.comms)
 					}
 				}
 			}
 		}
 	}
-	if pivots < 10000 || stats.Warm == 0 || stats.Fallback == 0 {
-		t.Fatalf("weak coverage: %d pivots checked over %+v solves", pivots, stats)
+	if pivots < 10000 || steps < 1000 || generated < 100 {
+		t.Fatalf("weak coverage: %d node-link pivots, %d master steps, %d generated paths", pivots, steps, generated)
 	}
+	t.Logf("%d node-link pivots, %d master steps, %d generated paths checked", pivots, steps, generated)
 }
 
-// TestColdSolveAllocatesOneTableau pins the min-max path to one copy of
-// the constraint matrix: the LP solve of a cold fat-tree k=4 SolveMinMax
+// TestColdSolveAllocatesOneTableau pins LPBuilder.Solve to one copy of the
+// constraint matrix: a cold solve of fat-tree k=4's node-link min-max LP
 // must allocate no more than 1.25 tableaus, so a reintroduced dense matrix
 // or second tableau fails here rather than in a benchmark.
 func TestColdSolveAllocatesOneTableau(t *testing.T) {
