@@ -2,14 +2,11 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the testdata goldens from this run's output")
+	"fibbing.net/fibbing/internal/golden"
+)
 
 // TestGoldenOutput: the whole default report, every experiment's table
 // and check, equals testdata/all.txt byte for byte and exits 0. A change
@@ -20,7 +17,7 @@ func TestGoldenOutput(t *testing.T) {
 	if status := run(nil, &stdout, &stderr); status != 0 {
 		t.Fatalf("exit %d: %s", status, stderr.String())
 	}
-	golden(t, "all.txt", stdout.Bytes())
+	golden.Check(t, "all.txt", stdout.Bytes())
 }
 
 // TestUnknownOnlyIsUsageError: a mistyped -only id exits 2 with nothing on
@@ -74,33 +71,5 @@ func TestShortFig2IsAnError(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if status := run([]string{"-fig2", "30s"}, &stdout, &stderr); status != 1 || !strings.Contains(stderr.String(), "too short") {
 		t.Fatalf("exit %d, stderr %q; want 1 and the duration error", status, stderr.String())
-	}
-}
-
-// golden compares got with testdata/name, or rewrites the file under
-// -update.
-func golden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (go test -update writes it)", err)
-	}
-	if !bytes.Equal(got, want) {
-		// Both end in a sentinel line, so the first difference is in range.
-		g := append(strings.Split(string(got), "\n"), "<end of file>")
-		w := append(strings.Split(string(want), "\n"), "<end of file>")
-		i := 0
-		for g[i] == w[i] {
-			i++
-		}
-		t.Errorf("%s differs from this run at line %d:\n  golden: %q\n  run:    %q\nrerun with -update and commit the diff if the change is intended",
-			path, i+1, w[i], g[i])
 	}
 }

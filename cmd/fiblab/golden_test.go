@@ -3,21 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"fibbing.net/fibbing/internal/controller"
+	"fibbing.net/fibbing/internal/golden"
 )
-
-var update = flag.Bool("update", false, "rewrite the testdata goldens from this run's output")
 
 // scrubbed are the report keys whose values depend on wall-clock time or
 // on the worker width, the set TestParallelCoreDeterminism scrubs too.
 // Everything else a cell reports is a pure function of its spec.
-var scrubbed = []string{"nanos", "workers", "max_batch", "parallel_batches", "parallel_spf_runs", "sequential_spf_runs"}
+var scrubbed = []string{"nanos", "max_batch", "parallel_batches"}
 
 // TestGoldenReports is the "same reports" tripwire: the matrix, failover
 // and QoE cells' JSON, scrubbed, must equal testdata/<mode>.json byte for
@@ -44,7 +41,7 @@ func TestGoldenReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			golden(t, mode+".json", append(out, '\n'))
+			golden.Check(t, mode+".json", append(out, '\n'))
 		})
 	}
 }
@@ -63,34 +60,6 @@ func scrub(v any) {
 		for _, e := range v {
 			scrub(e)
 		}
-	}
-}
-
-// golden compares got with testdata/name, or rewrites the file under
-// -update.
-func golden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (go test -update writes it)", err)
-	}
-	if !bytes.Equal(got, want) {
-		// Both end in a sentinel line, so the first difference is in range.
-		g := append(strings.Split(string(got), "\n"), "<end of file>")
-		w := append(strings.Split(string(want), "\n"), "<end of file>")
-		i := 0
-		for g[i] == w[i] {
-			i++
-		}
-		t.Errorf("%s differs from this run at line %d:\n  golden: %q\n  run:    %q\nrerun with -update and commit the diff if the change is intended",
-			path, i+1, w[i], g[i])
 	}
 }
 

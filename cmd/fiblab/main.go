@@ -49,7 +49,6 @@ func (o options) apply(s scenarios.Spec) scenarios.Spec {
 	s.Topo.Capacity = cmp.Or(o.over.Topo.Capacity, s.Topo.Capacity)
 	s.ScoreMode = cmp.Or(o.over.ScoreMode, s.ScoreMode)
 	s.BFD = s.BFD || o.over.BFD
-	s.Workers = o.over.Workers
 	if len(o.over.Strategies) > 0 {
 		s.Strategies = o.over.Strategies
 	}
@@ -80,9 +79,9 @@ func runScale(s scenarios.Spec) (scaleResult, error) {
 func (r scaleResult) view() view {
 	rep := r.Report
 	return view{func(b *strings.Builder) {
-		fmt.Fprintf(b, "%-24s wall=%8.2fs events=%9d spf=%d inc/%d full reshare=%d inc/%d full sessions=%d aggs=%d settled=%.2f lies=%d workers=%d batches=%d par-spf=%d/%d max-batch=%d\n",
+		fmt.Fprintf(b, "%-24s wall=%8.2fs events=%9d spf=%d inc/%d full reshare=%d inc/%d full sessions=%d aggs=%d settled=%.2f lies=%d batches=%d max-batch=%d\n",
 			rep.Scenario, r.WallClock, rep.Events, rep.SPFIncrementalRuns, rep.SPFFullRuns, rep.ReshareIncremental, rep.ReshareFull, rep.Sessions, rep.Aggregates,
-			rep.SettledUtilisation, rep.Lies, rep.Workers, rep.ParallelBatches, rep.ParallelSPFRuns, rep.ParallelSPFRuns+rep.SequentialSPFRuns, rep.MaxBatch)
+			rep.SettledUtilisation, rep.Lies, rep.ParallelBatches, rep.MaxBatch)
 	}, nil, rep}
 }
 
@@ -109,7 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.cacheStats, "cache-stats", false, "after each cell, print the planner amortisation telemetry: plan-cache hit/miss, LP solves, reshare component count, and per-strategy propose timings (always present in -json output)")
 	fs.DurationVar(&o.over.Duration, "duration", 0, "override the scenario duration")
 	fs.IntVar(&o.over.Viewers, "viewers", 0, "scale the crowd to about this many sessions (exact for surge; same total demand, finer slices; 0 keeps the default sizing)")
-	fs.IntVar(&o.over.Workers, "workers", 0, "simulation worker-pool width: 0 uses GOMAXPROCS, 1 forces the sequential core (output is byte-identical either way)")
 	fs.BoolVar(&o.over.BFD, "bfd", false, "attach BFD-style per-link liveness sessions (50ms hellos, detect multiplier 3) feeding the controller; a usage error with -failover")
 	// Resolved while the flags parse: a typo is a usage error, not a per-cell failure.
 	fs.Func("capacity", "uniform link capacity, e.g. 100M, 1G or 10G (unset keeps the cell's own)", func(v string) (err error) {

@@ -15,7 +15,7 @@ import (
 // has of its own, so one run per mode shows where each of them landed.
 var overrideArgs = []string{
 	"-duration", "31s", "-strategies", "ksp", "-viewers", "60", "-capacity", "20M",
-	"-workers", "1", "-score-mode", "qoe", "-bfd",
+	"-score-mode", "qoe", "-bfd",
 }
 
 // without drops the named flags (and their values) from overrideArgs.
@@ -41,7 +41,6 @@ type armJSON struct {
 	ScoreMode   string   `json:"score_mode"`
 	Strategies  []string `json:"strategies"`
 	Sessions    int      `json:"sessions"`
-	Workers     int      `json:"workers"`
 	BFDSessions int      `json:"bfd_sessions"`
 }
 
@@ -113,7 +112,7 @@ func TestOverridesReachEveryArm(t *testing.T) {
 					t.Fatal(err)
 				}
 				if spec.Duration.String() != "31s" || !slices.Equal(spec.Strategies, []string{"ksp", "withdraw"}) ||
-					spec.Viewers != 60 || spec.Topo.Capacity != 20e6 || spec.Workers != 1 {
+					spec.Viewers != 60 || spec.Topo.Capacity != 20e6 {
 					t.Errorf("%s: overrides missing from the spec: %+v", spec.Name, spec)
 				}
 				if !rejected("-score-mode") && spec.ScoreMode != "qoe" {
@@ -127,7 +126,7 @@ func TestOverridesReachEveryArm(t *testing.T) {
 					if err := json.Unmarshal(cell[key], &arm); err != nil {
 						t.Fatal(err)
 					}
-					if arm.Duration != spec.Duration.Nanoseconds() || !slices.Equal(arm.Strategies, spec.Strategies) || arm.Workers != 1 {
+					if arm.Duration != spec.Duration.Nanoseconds() || !slices.Equal(arm.Strategies, spec.Strategies) {
 						t.Errorf("%s: arm %q ran without an override: %+v", spec.Name, key, arm)
 					}
 					// Only the surge workload honours the viewer count exactly.
@@ -152,7 +151,7 @@ func TestOverridesReachEveryArm(t *testing.T) {
 func TestScaleMode(t *testing.T) {
 	t.Parallel()
 	small := []scenarios.Spec{{Name: "mini", Topo: scenarios.TopoSpec{Family: "fig1"}, Workload: "surge"}}
-	o := options{jsonOut: true, over: scenarios.Spec{Viewers: 60, Workers: 1, ScoreMode: "qoe", BFD: true}}
+	o := options{jsonOut: true, over: scenarios.Spec{Viewers: 60, ScoreMode: "qoe", BFD: true}}
 	var stdout, stderr bytes.Buffer
 	if status := loop(small, o, runScale, scaleResult.view, &stdout, &stderr); status != 0 {
 		t.Fatalf("exit %d: %s", status, stderr.String())
@@ -168,7 +167,7 @@ func TestScaleMode(t *testing.T) {
 	if err := json.Unmarshal(cells[0]["report"], &arm); err != nil {
 		t.Fatal(err)
 	}
-	if arm.Scenario != "mini" || arm.Sessions != 60 || arm.Workers != 1 || arm.ScoreMode != "qoe" || arm.BFDSessions == 0 {
+	if arm.Scenario != "mini" || arm.Sessions != 60 || arm.ScoreMode != "qoe" || arm.BFDSessions == 0 {
 		t.Fatalf("overrides missing from the scaling arm: %+v", arm)
 	}
 
@@ -193,6 +192,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-matrix", "-strategies", "nosuch"},
 		{"-matrix", "-capacity", "0"},
 		{"-matrix", "-qoe"},
+		{"-matrix", "-workers", "1"},
 		{"-no-such-flag"},
 		{},
 	} {

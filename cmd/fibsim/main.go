@@ -10,13 +10,19 @@
 //	fibsim [-topo file] [-demand ingress:prefix:bps]... [-denom 16]
 //	fibsim -demand B:blue:8M -demand A:blue:8M
 //	fibsim -strategies localecmp,ksp,lpoptimal   # what-if planner run
+//
+// Exit status: 1 when the inputs cannot be read or solved, 2 on a usage
+// error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
-	"strings"
+	"slices"
 
 	"fibbing.net/fibbing/internal/controller"
 	"fibbing.net/fibbing/internal/metrics"
@@ -24,30 +30,38 @@ import (
 	"fibbing.net/fibbing/internal/topo"
 )
 
-type demandFlags []string
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func (d *demandFlags) String() string { return strings.Join(*d, ",") }
-func (d *demandFlags) Set(s string) error {
-	*d = append(*d, s)
-	return nil
-}
-
-func main() {
-	topoFile := flag.String("topo", "", "topology file (default: the paper's Figure 1)")
-	denom := flag.Int("denom", 16, "max ECMP weight denominator for split quantisation")
-	strategies := flag.String("strategies", "localecmp,lpoptimal,ksp",
+// run is main without the process: it parses args, prints the comparison
+// and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fibsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	topoFile := fs.String("topo", "", "topology file (default: the paper's Figure 1)")
+	denom := fs.Int("denom", 16, "max ECMP weight denominator for split quantisation")
+	strategies := fs.String("strategies", "localecmp,lpoptimal,ksp",
 		"reaction strategies for the planner what-if section (empty disables it)")
-	var demands demandFlags
-	flag.Var(&demands, "demand", "demand as ingress:prefix:bps (repeatable), e.g. B:blue:8M")
-	flag.Parse()
-
-	if err := run(*topoFile, demands, *denom, *strategies); err != nil {
-		fmt.Fprintf(os.Stderr, "fibsim: %v\n", err)
-		os.Exit(1)
+	var demands []string
+	fs.Func("demand", "demand as ingress:prefix:bps (repeatable), e.g. B:blue:8M", func(v string) error {
+		demands = append(demands, v)
+		return nil
+	})
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if err := compare(stdout, *topoFile, demands, *denom, *strategies); err != nil {
+		fmt.Fprintf(stderr, "fibsim: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
-func run(topoFile string, demandSpecs []string, denom int, strategies string) error {
+// compare prints the plain-IGP, Fibbing and RSVP-TE comparison for one
+// topology and demand set, then the planner what-if.
+func compare(w io.Writer, topoFile string, demandSpecs []string, denom int, strategies string) error {
 	var t *topo.Topology
 	if topoFile == "" {
 		t = topo.Fig1(topo.Fig1Opts{})
@@ -66,7 +80,7 @@ func run(topoFile string, demandSpecs []string, denom int, strategies string) er
 	var demands []topo.Demand
 	if len(demandSpecs) == 0 {
 		demands = topo.Fig1Demands(t, 8e6)
-		fmt.Println("no -demand given: using the Figure 1 surge (8 Mbit/s at A and B)")
+		fmt.Fprintln(w, "no -demand given: using the Figure 1 surge (8 Mbit/s at A and B)")
 	}
 	for _, spec := range demandSpecs {
 		d, err := topo.ParseDemandSpec(t, spec)
@@ -81,24 +95,24 @@ func run(topoFile string, demandSpecs []string, denom int, strategies string) er
 	if err != nil {
 		return err
 	}
-	fmt.Println("\n-- plain IGP (ECMP shortest paths) --")
+	fmt.Fprintln(w, "\n-- plain IGP (ECMP shortest paths) --")
 	for _, line := range te.FormatLoads(t, loads) {
-		fmt.Println("  ", line)
+		fmt.Fprintln(w, "  ", line)
 	}
-	fmt.Printf("  max utilisation: %.3f\n", te.MaxUtilOfLoads(t, loads))
+	fmt.Fprintf(w, "  max utilisation: %.3f\n", te.MaxUtilOfLoads(t, loads))
 
 	// LP + Fibbing.
 	fb, err := te.RealizeMinMax(t, demands, denom)
 	if err != nil {
 		return err
 	}
-	fmt.Println("\n-- Fibbing (LP-optimal splits realised with fake nodes) --")
-	fmt.Printf("  LP optimum θ*: %.3f\n", fb.Optimal)
-	fmt.Printf("  realised:      %.3f (quantised to ECMP weights, denominator <= %d)\n", fb.Realised, denom)
-	fmt.Printf("  lies injected: %d\n", fb.Lies)
-	for prefix, lies := range fb.PerPrefixLies {
-		for _, l := range lies {
-			fmt.Printf("    %s: fake node at %s via %s cost %d\n",
+	fmt.Fprintln(w, "\n-- Fibbing (LP-optimal splits realised with fake nodes) --")
+	fmt.Fprintf(w, "  LP optimum θ*: %.3f\n", fb.Optimal)
+	fmt.Fprintf(w, "  realised:      %.3f (quantised to ECMP weights, denominator <= %d)\n", fb.Realised, denom)
+	fmt.Fprintf(w, "  lies injected: %d\n", fb.Lies)
+	for _, prefix := range slices.Sorted(maps.Keys(fb.PerPrefixLies)) {
+		for _, l := range fb.PerPrefixLies[prefix] {
+			fmt.Fprintf(w, "    %s: fake node at %s via %s cost %d\n",
 				prefix, t.Name(l.Attach), t.Name(l.Via), l.Cost)
 		}
 	}
@@ -108,25 +122,25 @@ func run(topoFile string, demandSpecs []string, denom int, strategies string) er
 	if err != nil {
 		return err
 	}
-	fmt.Println("\n-- MPLS RSVP-TE baseline (CSPF tunnels) --")
+	fmt.Fprintln(w, "\n-- MPLS RSVP-TE baseline (CSPF tunnels) --")
 	tb := metrics.NewTable("tunnels", "signal msgs", "state entries", "encap B/pkt", "max util")
 	tb.AddRow(len(rsvp.Tunnels), rsvp.SignalingMessages, rsvp.StateEntries,
 		rsvp.EncapBytesPerPacket, rsvp.MaxUtilisation)
-	if err := tb.Render(os.Stdout); err != nil {
+	if err := tb.Render(w); err != nil {
 		return err
 	}
 	if len(rsvp.Unplaced) > 0 {
-		fmt.Printf("  unplaced demands: %v\n", rsvp.Unplaced)
+		fmt.Fprintf(w, "  unplaced demands: %v\n", rsvp.Unplaced)
 	}
 
-	return planWhatIf(t, demands, loads, strategies)
+	return planWhatIf(w, t, demands, loads, strategies)
 }
 
 // planWhatIf runs the controller's strategy planner analytically: it
 // synthesises an alarm on the hottest link of the plain-IGP routing,
 // asks the selected strategies, and prints every proposal plus the
 // plan the planner would commit.
-func planWhatIf(t *topo.Topology, demands []topo.Demand, loads map[topo.LinkID]float64, strategies string) error {
+func planWhatIf(w io.Writer, t *topo.Topology, demands []topo.Demand, loads map[topo.LinkID]float64, strategies string) error {
 	set, err := controller.ParseStrategies(strategies)
 	if err != nil {
 		return err
@@ -141,7 +155,7 @@ func planWhatIf(t *topo.Topology, demands []topo.Demand, loads map[topo.LinkID]f
 	planner := controller.NewPlanner(set...)
 	ctx := controller.AnalyticPlanContext(t, demands, nil,
 		controller.AlarmEvent(alarm), controller.Config{})
-	fmt.Printf("\n-- reaction-strategy planner (alarm on %s at %.0f%%, base util %.3f) --\n",
+	fmt.Fprintf(w, "\n-- reaction-strategy planner (alarm on %s at %.0f%%, base util %.3f) --\n",
 		alarm.Name, 100*alarm.Utilisation, ctx.BaseUtil)
 
 	plans, errs := planner.ProposeAll(ctx)
@@ -150,17 +164,17 @@ func planWhatIf(t *topo.Topology, demands []topo.Demand, loads map[topo.LinkID]f
 		tb.AddRow(p.Strategy, p.TotalLies(), fmt.Sprintf("%.3f", p.PredictedUtil),
 			p.PredictedUtil <= controller.TargetUtil, p.Rationale)
 	}
-	if err := tb.Render(os.Stdout); err != nil {
+	if err := tb.Render(w); err != nil {
 		return err
 	}
 	for _, e := range errs {
-		fmt.Printf("  strategy error: %v\n", e)
+		fmt.Fprintf(w, "  strategy error: %v\n", e)
 	}
 	if winner := planner.Select(ctx, plans); winner != nil {
-		fmt.Printf("  planner would commit: %s (%d lies, predicted util %.3f)\n",
+		fmt.Fprintf(w, "  planner would commit: %s (%d lies, predicted util %.3f)\n",
 			winner.Strategy, winner.TotalLies(), winner.PredictedUtil)
 	} else {
-		fmt.Println("  planner would commit: nothing (no admissible plan)")
+		fmt.Fprintln(w, "  planner would commit: nothing (no admissible plan)")
 	}
 	return nil
 }

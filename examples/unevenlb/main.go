@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"fibbing.net/fibbing/internal/event"
@@ -21,6 +23,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is main without the process: it walks the target splits and prints
+// one line per split, then the withdrawal, to w.
+func run(w io.Writer) error {
 	network := topo.Fig1(topo.Fig1Opts{})
 	sched := event.NewScheduler()
 	net := netsim.New(network, sched, time.Second)
@@ -28,7 +38,7 @@ func main() {
 	domain.OnFIBChange = func(n topo.NodeID, t *fib.Table) { net.SetTable(n, t) }
 	domain.Start()
 	if _, err := domain.RunUntilConverged(30 * time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	pop := domain.Router(network.MustNode("R3"))
@@ -49,18 +59,18 @@ func main() {
 		// Quantise the target into ECMP weights.
 		weights, err := fibbing.ApproxWeights([]float64{target.fracB, target.fracR1}, 16)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		dag := fibbing.DAG{a: fibbing.NextHopWeights{b: weights[0], r1: weights[1]}}
 		aug, err := fibbing.AugmentAddPaths(network, topo.Fig1BluePrefixName, dag)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if _, err := mgr.Apply(topo.Fig1BluePrefixName, aug.Lies); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if _, err := domain.RunUntilConverged(sched.Now() + 60*time.Second); err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		// Measure the actual split over 4000 hashed flows.
@@ -75,24 +85,25 @@ func main() {
 			}
 			nh, _, ok := table.Select(key.Dst, key)
 			if !ok {
-				log.Fatalf("flow %d has no route", i)
+				return fmt.Errorf("flow %d has no route", i)
 			}
 			if nh.Node == r1 {
 				viaR1++
 			}
 		}
 		measured := float64(viaR1) / flows
-		fmt.Printf("target %4.0f%% via R1 -> weights {B:%d, R1:%d} (%d fake nodes) -> measured %5.1f%% via R1\n",
+		fmt.Fprintf(w, "target %4.0f%% via R1 -> weights {B:%d, R1:%d} (%d fake nodes) -> measured %5.1f%% via R1\n",
 			100*target.fracR1, weights[0], weights[1], aug.LieCount(), 100*measured)
 	}
 
 	// Clean up: withdraw everything; A reverts to single-path routing.
 	if err := mgr.WithdrawAll(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := domain.RunUntilConverged(sched.Now() + 60*time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	route, _ := domain.Router(a).FIB().Lookup(topo.Fig1BluePrefix.Addr())
-	fmt.Printf("after withdrawal, A's next hops: %d (plain IGP again)\n", len(route.NextHops))
+	fmt.Fprintf(w, "after withdrawal, A's next hops: %d (plain IGP again)\n", len(route.NextHops))
+	return nil
 }

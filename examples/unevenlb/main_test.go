@@ -1,0 +1,20 @@
+package main
+
+import (
+	"bytes"
+	"testing"
+
+	"fibbing.net/fibbing/internal/golden"
+)
+
+// TestGoldenOutput: every target split is realised in the running IGP,
+// measured on the wire and withdrawn, and the walkthrough prints exactly
+// testdata/out.txt. A change that moves a number on purpose reruns with
+// -update and commits the moved lines.
+func TestGoldenOutput(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out); err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "out.txt", out.Bytes())
+}

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -29,11 +30,20 @@ import (
 func main() {
 	viewers := flag.Int("viewers", 0, "scale the demo crowd to this many sessions (0 keeps the paper's 62)")
 	flag.Parse()
+	if err := run(os.Stdout, *viewers); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is main without the process: it runs the demo cell at the given
+// crowd size (0 keeps the paper's 62 viewers), both ways, and prints
+// each run and the invariant check to w.
+func run(w io.Writer, viewers int) error {
 	spec := scenarios.Spec{
 		Topo:     scenarios.TopoSpec{Family: "fig1"},
 		Workload: "fig2",
 		Duration: 60 * time.Second,
-		Viewers:  *viewers,
+		Viewers:  viewers,
 	}
 	var reps []*scenarios.Report
 	for _, withCtrl := range []bool{true, false} {
@@ -44,38 +54,39 @@ func main() {
 		var sim *controller.Sim
 		rep, err := scenarios.RunWatched(spec, withCtrl, func(s *controller.Sim) { sim = s })
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		reps = append(reps, rep)
-		fmt.Printf("==== %s, %d viewers ====\n", label, rep.Sessions)
+		fmt.Fprintf(w, "==== %s, %d viewers ====\n", label, rep.Sessions)
 
-		fmt.Println("link throughput (byte/s), as in the paper's Figure 2:")
+		fmt.Fprintln(w, "link throughput (byte/s), as in the paper's Figure 2:")
 		var series []*metrics.Series
 		for _, l := range [][2]string{{topo.Fig1A, topo.Fig1R1}, {topo.Fig1B, topo.Fig1R2}, {topo.Fig1B, topo.Fig1R3}} {
 			s, err := sim.Net.SeriesBetween(l[0], l[1])
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			series = append(series, s)
 		}
-		if err := metrics.SeriesTable(5*time.Second, series...).Render(os.Stdout); err != nil {
-			log.Fatal(err)
+		if err := metrics.SeriesTable(5*time.Second, series...).Render(w); err != nil {
+			return err
 		}
 
 		for _, d := range rep.Decisions {
-			fmt.Printf("controller @%-4v: %s (%d lies) — %s\n", d.At, d.Strategy, d.Lies, d.Detail)
+			fmt.Fprintf(w, "controller @%-4v: %s (%d lies) — %s\n", d.At, d.Strategy, d.Lies, d.Detail)
 		}
 
 		agg := video.AggregateQoE(sim.QoE())
 		stats := sim.Net.Stats()
-		fmt.Printf("\nplayback: %d sessions, %d smooth, %d stalls, mean rebuffer %.1f%% (worst %.1f%%)\n",
+		fmt.Fprintf(w, "\nplayback: %d sessions, %d smooth, %d stalls, mean rebuffer %.1f%% (worst %.1f%%)\n",
 			agg.Sessions, agg.SmoothSessions, agg.TotalStalls,
 			100*agg.MeanRebuffer, 100*agg.WorstRebuffer)
-		fmt.Printf("delivered %.1f of 31.0 Mbit/s demanded; max link utilisation %.2f; %d live lies; %d flows in %d aggregates\n\n",
+		fmt.Fprintf(w, "delivered %.1f of 31.0 Mbit/s demanded; max link utilisation %.2f; %d live lies; %d flows in %d aggregates\n\n",
 			sim.Net.TotalThroughput()/1e6, rep.FinalUtilisation, rep.Lies, stats.Flows, stats.Aggregates)
 	}
 	if v := scenarios.Violations(spec, reps[0], reps[1]); len(v) > 0 {
-		log.Fatalf("%s violates its invariants: %v", reps[0].Scenario, v)
+		return fmt.Errorf("%s violates its invariants: %v", reps[0].Scenario, v)
 	}
-	fmt.Printf("%s: every scenario invariant holds\n", reps[0].Scenario)
+	fmt.Fprintf(w, "%s: every scenario invariant holds\n", reps[0].Scenario)
+	return nil
 }

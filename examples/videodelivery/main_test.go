@@ -1,0 +1,20 @@
+package main
+
+import (
+	"bytes"
+	"testing"
+
+	"fibbing.net/fibbing/internal/golden"
+)
+
+// TestGoldenOutput: the paper's demo at its own 62 viewers runs with and
+// without the controller, holds every scenario invariant, and prints
+// exactly testdata/out.txt. A change that moves a number on purpose
+// reruns with -update and commits the moved lines.
+func TestGoldenOutput(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out, 0); err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "out.txt", out.Bytes())
+}

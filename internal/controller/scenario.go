@@ -49,10 +49,6 @@ type SimOpts struct {
 	SampleEvery  time.Duration // throughput series sampling, default 1s
 	VideoSample  time.Duration // player tick, default 250ms
 	TrackPlayers bool          // attach a SimSession per flow
-	// Workers sets the scheduler's parallel-batch pool width: 0 means
-	// GOMAXPROCS, 1 selects the pure sequential core. Output is
-	// byte-identical either way; only wall-clock changes.
-	Workers int
 	// BFD enables per-link liveness sessions; link failures then reach
 	// the controller as LinkDown/LinkUp events milliseconds after the
 	// fact, instead of at SNMP-poll timescale. The zero Config is valid
@@ -78,7 +74,6 @@ func NewSim(o SimOpts) (*Sim, error) {
 	}
 
 	s := &Sim{Topo: o.Topology, Sched: event.NewScheduler()}
-	s.Sched.SetWorkers(o.Workers)
 	s.Net = netsim.New(s.Topo, s.Sched, o.SampleEvery)
 	s.Domain = ospf.NewDomain(s.Topo, s.Sched, ospf.Config{})
 	// The delta pipeline end to end: routers emit FIB diffs, the data

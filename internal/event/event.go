@@ -10,7 +10,7 @@
 // Most events are opaque closures and must run one at a time. Events
 // scheduled with AtParallel/AfterParallel instead declare two phases: a
 // compute phase that only reads shared state and writes state owned by the
-// event, and a commit phase that publishes the result. When StepBatch finds
+// event, and a commit phase that publishes the result. When Step finds
 // a contiguous run of such events at the head instant it fans the compute
 // phases out to a worker pool and then runs the commit phases sequentially
 // in FIFO order — exactly the order the sequential core would have used, so
@@ -31,7 +31,7 @@ import (
 )
 
 // Scheduler is a discrete-event loop driven from one goroutine; worker
-// goroutines exist only inside StepBatch, between fan-out and the
+// goroutines exist only inside Step, between fan-out and the
 // WaitGroup barrier. It is not safe for concurrent use; simulations drive
 // it from one goroutine and expose snapshots to others behind their own
 // locks.
@@ -43,22 +43,15 @@ type Scheduler struct {
 	pending int
 
 	workers int
-	batch   []*scheduled // scratch reused across StepBatch calls
+	batch   []*scheduled // scratch reused across Step calls
 	free    []*scheduled // recycled event structs: At is allocation-free
 	stats   ParallelStats
 }
 
 // ParallelStats is the scheduler's parallel-execution telemetry.
 type ParallelStats struct {
-	// Workers is the configured pool width (1 = sequential core).
-	Workers int `json:"workers"`
 	// Batches counts multi-event parallel batches executed.
 	Batches uint64 `json:"batches"`
-	// BatchedEvents counts events that ran inside those batches.
-	BatchedEvents uint64 `json:"batched_events"`
-	// SoloParallel counts parallel-capable events that ran alone (no
-	// same-instant sibling to batch with).
-	SoloParallel uint64 `json:"solo_parallel"`
 	// MaxBatch is the largest batch seen.
 	MaxBatch int `json:"max_batch"`
 }
@@ -82,32 +75,18 @@ type scheduled struct {
 
 // NewScheduler returns a scheduler with the clock at zero and a worker
 // pool sized by GOMAXPROCS.
-func NewScheduler() *Scheduler {
-	s := &Scheduler{}
-	s.SetWorkers(0)
-	return s
-}
+func NewScheduler() *Scheduler { return &Scheduler{workers: runtime.GOMAXPROCS(0)} }
 
-// SetWorkers sets the parallel-batch pool width. n <= 0 means GOMAXPROCS;
-// 1 selects the pure sequential core (parallel events still run, one at a
-// time, in FIFO order). Changing the width mid-run is allowed but not
-// between a batch's compute and commit phases (i.e. not from callbacks).
-func (s *Scheduler) SetWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	s.workers = n
-}
-
-// Workers returns the configured pool width.
-func (s *Scheduler) Workers() int { return s.workers }
+// SetWorkers sets the parallel-batch pool width. It is a test seam, not a
+// tuning knob: the determinism and allocation tests use it to compare the
+// pure sequential core (n = 1: parallel events still run, one at a time,
+// in FIFO order) with a wider pool; program code keeps the GOMAXPROCS
+// width NewScheduler picks. It must not be called between a batch's
+// compute and commit phases (i.e. from callbacks).
+func (s *Scheduler) SetWorkers(n int) { s.workers = n }
 
 // Parallel returns a snapshot of the parallel-execution telemetry.
-func (s *Scheduler) Parallel() ParallelStats {
-	st := s.stats
-	st.Workers = s.workers
-	return st
-}
+func (s *Scheduler) Parallel() ParallelStats { return s.stats }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
@@ -216,24 +195,12 @@ func (s *Scheduler) runOne(ev *scheduled) {
 }
 
 // Step runs the earliest pending event, advancing the clock to its time.
-// It returns false when the queue is empty. Parallel events run both
-// phases inline, preserving the sequential core's exact semantics.
+// When that event is parallel-capable it also drains the maximal
+// contiguous FIFO run of same-instant parallel events, fanning their
+// compute phases out to the worker pool before committing in FIFO order,
+// so the observable order is the sequential core's. It returns false when
+// the queue is empty.
 func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
-		return false
-	}
-	ev := s.pop()
-	s.now = ev.at
-	s.runOne(ev)
-	return true
-}
-
-// StepBatch runs the earliest pending event like Step, but when that event
-// is parallel-capable it also drains the maximal contiguous FIFO run of
-// same-instant parallel events, fanning their compute phases out to the
-// worker pool before committing in FIFO order. With Workers() == 1 it is
-// exactly Step. Returns false when the queue is empty.
-func (s *Scheduler) StepBatch() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
@@ -256,7 +223,6 @@ func (s *Scheduler) StepBatch() bool {
 	}
 	s.batch = batch[:0] // retain scratch capacity, drop references below
 	if len(batch) == 1 {
-		s.stats.SoloParallel++
 		s.runOne(ev)
 		return true
 	}
@@ -275,14 +241,8 @@ func (s *Scheduler) StepBatch() bool {
 func (s *Scheduler) runBatch(batch []*scheduled) {
 	n := len(batch)
 	s.stats.Batches++
-	s.stats.BatchedEvents += uint64(n)
-	if n > s.stats.MaxBatch {
-		s.stats.MaxBatch = n
-	}
-	w := s.workers
-	if w > n {
-		w = n
-	}
+	s.stats.MaxBatch = max(s.stats.MaxBatch, n)
+	w := min(s.workers, n)
 	var (
 		cursor atomic.Int64
 		wg     sync.WaitGroup
@@ -315,13 +275,8 @@ func (s *Scheduler) runBatch(batch []*scheduled) {
 		}
 	}
 	for _, ev := range batch {
-		s.ran++
-		s.pending--
-		fn := ev.fn
-		s.release(ev)
-		if fn != nil {
-			fn()
-		}
+		ev.compute = nil // already ran
+		s.runOne(ev)
 	}
 }
 
@@ -329,7 +284,7 @@ func (s *Scheduler) runBatch(batch []*scheduled) {
 // at exactly t. Events scheduled for t itself do fire.
 func (s *Scheduler) RunUntil(t time.Duration) {
 	for len(s.queue) > 0 && s.queue[0].at <= t {
-		s.StepBatch()
+		s.Step()
 	}
 	if s.now < t {
 		s.now = t
@@ -338,7 +293,7 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 
 // Run executes events until the queue drains.
 func (s *Scheduler) Run() {
-	for s.StepBatch() {
+	for s.Step() {
 	}
 }
 

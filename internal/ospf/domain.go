@@ -304,7 +304,7 @@ func (d *Domain) Converged() bool {
 // virtual clock passes limit. It returns the convergence time.
 func (d *Domain) RunUntilConverged(limit time.Duration) (time.Duration, error) {
 	for !d.Converged() {
-		if !d.sched.StepBatch() {
+		if !d.sched.Step() {
 			break
 		}
 		if d.sched.Now() > limit {

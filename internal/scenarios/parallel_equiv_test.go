@@ -28,13 +28,14 @@ type parallelCapture struct {
 // the determinism artifacts.
 func runCaptured(t *testing.T, spec Spec, workers int) parallelCapture {
 	t.Helper()
-	spec.Workers = workers
 	var (
 		sim   *controller.Sim
 		trace strings.Builder
 	)
 	rep, err := RunWatched(spec, true, func(s *controller.Sim) {
 		sim = s
+		// No event has fired yet, so the whole run uses this width.
+		s.Sched.SetWorkers(workers)
 		// Chain-wrap the delta callback: record the diff, then forward it
 		// to the data plane as before.
 		prev := s.Domain.OnFIBDelta
@@ -49,8 +50,7 @@ func runCaptured(t *testing.T, spec Spec, workers int) parallelCapture {
 		t.Fatalf("%s workers=%d: %v", spec.Name, workers, err)
 	}
 	batches := rep.ParallelBatches
-	rep.Workers, rep.MaxBatch = 0, 0
-	rep.ParallelBatches, rep.ParallelSPFRuns, rep.SequentialSPFRuns = 0, 0, 0
+	rep.ParallelBatches, rep.MaxBatch = 0, 0
 	// Strategy wall-time is real time, not virtual: scrub it. The proposal
 	// and win counts — and every cache/LP/component counter — stay in the
 	// compared payload; they are deterministic by construction.
@@ -106,10 +106,11 @@ func diffLine(a, b string) string {
 // under a different seed — a run with a 4-wide worker pool must be
 // byte-identical to the sequential core in (a) the full ordered sequence
 // of OnFIBDelta emissions, (b) every router's final FIB, and (c) the
-// whole Report except the parallelism telemetry. Because the pool width
-// is a spec knob (not GOMAXPROCS), the parallel batch path is exercised
-// even on a single-CPU host, and `go test -race` interleaves the worker
-// goroutines over the shared SPF scratch pools and flood-buffer freelist.
+// whole Report except the parallelism telemetry. Because the test sets
+// the pool width through the scheduler (not GOMAXPROCS), the parallel
+// batch path is exercised even on a single-CPU host, and `go test -race`
+// interleaves the worker goroutines over the shared SPF scratch pools and
+// flood-buffer freelist.
 func TestParallelCoreDeterminism(t *testing.T) {
 	specs := MatrixSpecs()
 	// A second seed per cell: reseeding shifts the Poisson arrivals and

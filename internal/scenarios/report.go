@@ -72,7 +72,8 @@ type Report struct {
 	StrategyWins map[string]int `json:"strategy_wins,omitempty"`
 	// StrategyPerf is the planner's per-strategy telemetry: proposals,
 	// wins, and cumulative Propose wall-time. Nanos is real time, so the
-	// determinism harness scrubs it alongside Workers before comparing.
+	// determinism harness scrubs it alongside the pool telemetry before
+	// comparing.
 	StrategyPerf    map[string]controller.StrategyPerf `json:"strategy_perf,omitempty"`
 	Decisions       []controller.Decision              `json:"decisions,omitempty"`
 	FirstHotAt      time.Duration                      `json:"first_hot_at"`      // first sample >= alarm threshold; -1 if never
@@ -116,16 +117,15 @@ type Report struct {
 	// Deprecated: no effect (always zero), as LPWarmSolves.
 	LPFallbackSolves uint64 `json:"lp_fallback_solves,omitempty"`
 
-	// Parallel-core telemetry: the scheduler's worker-pool width, how many
-	// multi-event SPF batches it executed, how many SPF runs rode inside
-	// them versus firing alone, and the largest batch. These fields are
-	// the only report content allowed to differ between worker counts —
-	// everything else is byte-identical by the determinism contract.
-	Workers           int    `json:"workers,omitempty"`
-	ParallelBatches   uint64 `json:"parallel_batches,omitempty"`
-	ParallelSPFRuns   uint64 `json:"parallel_spf_runs,omitempty"`
-	SequentialSPFRuns uint64 `json:"sequential_spf_runs,omitempty"`
-	MaxBatch          int    `json:"max_batch,omitempty"`
+	// Deprecated: no effect (always zero): the pool width is not
+	// reported. Kept only because bench/ writes it until ROADMAP item 1.
+	Workers int `json:"workers,omitempty"`
+	// Parallel-core telemetry: how many multi-event SPF batches the
+	// scheduler executed and the largest batch. These fields are the only
+	// report content allowed to differ between worker widths — everything
+	// else is byte-identical by the determinism contract.
+	ParallelBatches uint64 `json:"parallel_batches,omitempty"`
+	MaxBatch        int    `json:"max_batch,omitempty"`
 
 	// Fast failover (meaningful when the spec schedules a failure).
 	// FailureAt is the first scheduled link-down instant; FailoverCommitAt

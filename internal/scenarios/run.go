@@ -144,7 +144,6 @@ func build(spec Spec, withCtrl bool) (*cell, error) {
 		VideoSample:  250 * time.Millisecond,
 		Monitor:      monitor.Config{HighThreshold: hotThreshold},
 		Controller:   controller.Config{ScoreMode: scoreMode},
-		Workers:      spec.Workers,
 		BFD:          bfdCfg,
 	})
 	if err != nil {
@@ -299,10 +298,7 @@ func (c *cell) collect() *Report {
 	rep.ReshareComponents = netStats.ReshareComponents
 	rep.Aggregates = netStats.Aggregates
 	par := sim.Sched.Parallel()
-	rep.Workers = par.Workers
 	rep.ParallelBatches = par.Batches
-	rep.ParallelSPFRuns = par.BatchedEvents
-	rep.SequentialSPFRuns = par.SoloParallel
 	rep.MaxBatch = par.MaxBatch
 	if len(c.demandsAtSettle) > 0 {
 		c.settledBounds()

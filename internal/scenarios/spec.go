@@ -185,11 +185,6 @@ type Spec struct {
 	// (predicted stall score first, utilisation as tie-break). Parsed
 	// with controller.ParseScoreMode.
 	ScoreMode string `json:"score_mode,omitempty"`
-	// Workers sets the simulation core's worker-pool width: 0 means
-	// GOMAXPROCS, 1 forces the sequential core. The run's outcome is
-	// byte-identical either way (only wall-clock and the parallelism
-	// telemetry change), so cells never need to pin it for determinism.
-	Workers int `json:"workers,omitempty"`
 	// BFD attaches per-link liveness sessions (default 50 ms hellos,
 	// detect multiplier 3): link failures reach the controller in
 	// milliseconds instead of at SNMP-poll timescale.
