@@ -36,11 +36,17 @@ import (
 // it from one goroutine and expose snapshots to others behind their own
 // locks.
 type Scheduler struct {
-	now     time.Duration
-	queue   []*scheduled // binary min-heap on (at, seq); see push/pop/remove
-	seq     uint64
-	ran     uint64
-	pending int
+	now time.Duration
+	// queue is a binary min-heap of chain heads on (at, seq): each entry
+	// leads a FIFO chain of same-instant events (see push/pop/unlink).
+	queue []*scheduled
+	// tails holds the open chains' tails, at most one per instant; a push
+	// at one of their instants is appended without touching the heap.
+	tails    [tailSlots]*scheduled
+	tailNext int // the slot the next new chain evicts when none is free
+	seq      uint64
+	ran      uint64
+	pending  int
 
 	workers int
 	batch   []*scheduled // scratch reused across Step calls
@@ -70,8 +76,19 @@ type scheduled struct {
 	seq     uint64
 	fn      func() // the event body; for parallel events, the commit phase
 	compute func() // non-nil marks a parallel-capable event
-	index   int
+	// prev/next link the event into its instant's FIFO chain; index is
+	// its heap slot while it heads the chain and -1 otherwise; queued
+	// holds from push until the event fires or is cancelled.
+	prev, next *scheduled
+	index      int
+	queued     bool
 }
+
+// tailSlots is the number of open chains. It is more than one because
+// pushes alternate between instants: every LSA send schedules its
+// delivery (now+delay) and then its retransmit timer (now+1s), so a
+// one-slot table would close each chain after one event.
+const tailSlots = 4
 
 // NewScheduler returns a scheduler with the clock at zero and a worker
 // pool sized by GOMAXPROCS.
@@ -124,7 +141,6 @@ func (s *Scheduler) newEvent(t time.Duration, compute, fn func()) Handle {
 // is the Handle.seq check: a stale handle never matches a recycled struct.
 func (s *Scheduler) release(ev *scheduled) {
 	ev.fn, ev.compute = nil, nil
-	ev.index = -1
 	s.free = append(s.free, ev)
 }
 
@@ -164,16 +180,23 @@ func (s *Scheduler) AfterParallel(d time.Duration, compute, commit func()) Handl
 	return s.AtParallel(s.now+d, compute, commit)
 }
 
+// Scheduled reports whether the event is still queued: scheduled, not
+// yet fired and not cancelled.
+func (h Handle) Scheduled() bool {
+	return h.ev != nil && h.ev.queued && h.ev.seq == h.seq
+}
+
 // Cancel prevents a scheduled event from firing. Cancelling an event that
 // already fired (or was already cancelled) is a no-op returning false.
-// The entry is removed from the heap immediately, so cancel-heavy
-// workloads (ticker stops, SPF debounce re-arms, retransmit acks) don't
-// grow the queue unboundedly.
+// The event is unlinked from its chain immediately, in O(1) unless it was
+// its chain's last event, which leaves the heap in O(log n); so
+// cancel-heavy workloads (ticker stops, SPF debounce re-arms, retransmit
+// acks) don't grow the queue unboundedly.
 func (s *Scheduler) Cancel(h Handle) bool {
-	if h.ev == nil || h.ev.index < 0 || h.ev.seq != h.seq {
+	if !h.Scheduled() {
 		return false
 	}
-	s.remove(h.ev.index)
+	s.unlink(h.ev)
 	s.pending--
 	s.release(h.ev)
 	return true
@@ -297,14 +320,26 @@ func (s *Scheduler) Run() {
 	}
 }
 
-// The queue is a binary min-heap over []*scheduled, ordered by (time,
-// sequence) so same-instant events fire FIFO. seq is unique, so the order
-// is total and the pop sequence does not depend on the heap's internal
-// layout. The sift loops move a hole instead of swapping: the displaced
-// event is written once, at its final slot, and every event's index field
-// tracks its slot so Cancel can remove it in O(log n).
+// The queue fires events in (time, sequence) order, so same-instant
+// events fire FIFO; seq is unique, so the order is total. Events are
+// linked into FIFO chains of one instant each, and a binary min-heap
+// orders the chain heads by (time, sequence). A push whose instant has an
+// open chain (one whose tail is in s.tails) is appended to it; any other
+// push starts a new chain, whose head enters the heap and whose tail
+// takes a free table slot, or else evicts the slots in turn. A chain
+// accepts appends only while it is open, and an instant gets a new chain
+// only while none of its chains is open, so every event of an older chain
+// at an instant precedes every event of a newer one: heads in heap order,
+// then each chain in link order, is exactly the (time, sequence) order.
+// Popping or cancelling a head hands its heap slot to its follower
+// without sifting: the follower fires at the same instant, before every
+// newer chain there, so it is still no later than the slot's children.
+// The heap is touched only when a chain empties. The sift loops move a
+// hole instead of swapping: the displaced head is written once, at its
+// final slot, and every head's index field tracks its slot so an emptied
+// chain leaves the heap in O(log n).
 
-// before reports whether a fires ahead of b.
+// before reports whether chain head a fires ahead of chain head b.
 func before(a, b *scheduled) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -313,6 +348,26 @@ func before(a, b *scheduled) bool {
 }
 
 func (s *Scheduler) push(ev *scheduled) {
+	ev.queued = true
+	free := -1
+	for i, tail := range &s.tails {
+		switch {
+		case tail == nil:
+			if free < 0 {
+				free = i
+			}
+		case tail.at == ev.at:
+			tail.next, ev.prev = ev, tail
+			ev.index = -1
+			s.tails[i] = ev
+			return
+		}
+	}
+	if free < 0 {
+		free = s.tailNext
+		s.tailNext = (free + 1) % tailSlots
+	}
+	s.tails[free] = ev
 	s.queue = append(s.queue, ev)
 	s.up(len(s.queue)-1, ev)
 }
@@ -320,16 +375,46 @@ func (s *Scheduler) push(ev *scheduled) {
 // pop removes and returns the earliest event.
 func (s *Scheduler) pop() *scheduled {
 	top := s.queue[0]
-	s.remove(0)
+	s.unlink(top)
 	return top
 }
 
-// remove deletes the event at slot i, refilling the slot with the heap's
-// last event sifted to where it belongs.
+// unlink takes a queued event out of its chain, and the chain out of the
+// heap if that empties it.
+func (s *Scheduler) unlink(ev *scheduled) {
+	prev, next := ev.prev, ev.next
+	ev.prev, ev.next, ev.queued = nil, nil, false
+	if next != nil {
+		next.prev = prev
+	} else {
+		// ev was its chain's tail; if the chain is open, prev is its tail
+		// now, and an emptied chain frees the slot.
+		for i, tail := range &s.tails {
+			if tail == ev {
+				s.tails[i] = prev
+				break
+			}
+		}
+	}
+	if prev != nil {
+		prev.next = next
+		return
+	}
+	i := ev.index
+	ev.index = -1
+	if next != nil {
+		next.index = i
+		s.queue[i] = next
+		return
+	}
+	s.remove(i)
+}
+
+// remove deletes the chain head at slot i, refilling the slot with the
+// heap's last head sifted to where it belongs.
 func (s *Scheduler) remove(i int) {
 	q := s.queue
 	n := len(q) - 1
-	q[i].index = -1
 	last := q[n]
 	q[n] = nil
 	s.queue = q[:n]

@@ -176,10 +176,16 @@ func TestNilCallbackPanics(t *testing.T) {
 }
 
 // pendingScan is the O(n) definition Pending replaced: the number of
-// queued events. Since Cancel now removes its entry from the heap
-// immediately, every queued entry is live.
+// queued events, the chain lengths summed over the heap's heads. Since
+// Cancel unlinks its event immediately, every queued event is live.
 func pendingScan(s *Scheduler) int {
-	return len(s.queue)
+	n := 0
+	for _, head := range s.queue {
+		for ev := head; ev != nil; ev = ev.next {
+			n++
+		}
+	}
+	return n
 }
 
 // TestPendingCounterMatchesScan churns the scheduler through random

@@ -196,7 +196,8 @@ func TestTickerTickAllocFree(t *testing.T) {
 }
 
 // TestSchedulingAllocFree: At on a warmed scheduler reuses freelist
-// structs — the flood hot path schedules millions of events.
+// structs — the flood hot path schedules millions of events — and
+// neither an append to a chain nor a mid-chain Cancel allocates.
 func TestSchedulingAllocFree(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
@@ -207,8 +208,15 @@ func TestSchedulingAllocFree(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		s.After(time.Millisecond, fn)
+		mid := s.After(time.Millisecond, fn) // appended to the chain
+		s.After(time.Millisecond, fn)
+		s.Cancel(mid)
+		s.Step()
 		s.Step()
 	})
+	if s.Pending() != 0 {
+		t.Fatalf("Pending() = %d after each run fired what it scheduled", s.Pending())
+	}
 	if allocs > 0 {
 		t.Fatalf("schedule+step allocates %.1f times, want 0", allocs)
 	}

@@ -27,6 +27,13 @@ func (q *Ring[T]) Push(v T) {
 	q.n++
 }
 
+// Cap returns the number of items the ring holds before it grows.
+func (q *Ring[T]) Cap() int { return len(q.buf) }
+
+// Peek returns the oldest item without removing it; the ring must not be
+// empty.
+func (q *Ring[T]) Peek() T { return q.buf[q.head] }
+
 // Pop removes and returns the oldest item; the ring must not be empty.
 func (q *Ring[T]) Pop() T {
 	v := q.buf[q.head]

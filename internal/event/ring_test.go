@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestRingFIFO drives the ring against a slice through random pushes and
-// pops, so it grows while its head is anywhere in the buffer.
+// TestRingFIFO drives the ring against a slice through random pushes,
+// peeks and pops, so it grows while its head is anywhere in the buffer.
 func TestRingFIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var q Ring[[]byte]
@@ -17,10 +17,10 @@ func TestRingFIFO(t *testing.T) {
 			q.Push(p)
 			model = append(model, p)
 		} else {
-			got, want := q.Pop(), model[0]
+			peeked, got, want := q.Peek(), q.Pop(), model[0]
 			model = model[1:]
-			if &got[0] != &want[0] {
-				t.Fatalf("op %d: popped %v, want %v", i, got, want)
+			if &got[0] != &want[0] || &peeked[0] != &want[0] {
+				t.Fatalf("op %d: peeked %v, popped %v, want %v", i, peeked, got, want)
 			}
 		}
 		if q.Len() != len(model) {

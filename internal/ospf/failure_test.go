@@ -40,6 +40,56 @@ func TestConvergenceUnderPacketLoss(t *testing.T) {
 	}
 }
 
+// TestRetransmitTimersFireInArmOrder floods a fat-tree k=4 under 30 %
+// loss, so retransmit timers fire, are re-armed and are cancelled by acks
+// all through the run. The timers towards a neighbor share one body that
+// retransmits the oldest timer's key in the neighbor's ring; that is the
+// timer firing only if the ring's front is always still armed, which is
+// checked after every event. Once the domain converges every ring is
+// empty.
+func TestRetransmitTimersFireInArmOrder(t *testing.T) {
+	tp := topo.FatTree(topo.FatTreeOpts{K: 4, Capacity: 10e6, MaxWeight: 3, Seed: 2})
+	clean := NewDomain(tp, event.NewScheduler(), Config{RxmtInterval: 500 * time.Millisecond})
+	clean.Start()
+	if _, err := clean.RunUntilConverged(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+
+	d := NewDomain(tp, event.NewScheduler(), Config{RxmtInterval: 500 * time.Millisecond})
+	d.LossRate = 0.3
+	d.Start()
+	for steps := 0; !d.Converged(); steps++ {
+		if !d.sched.Step() {
+			t.Fatal("the queue drained before the domain converged")
+		}
+		for _, r := range d.routers {
+			for _, n := range r.nbrList {
+				if n.rxmt.Len() == 0 {
+					continue
+				}
+				front := n.rxmt.Peek()
+				if p, ok := n.unacked[front.key]; !front.handle.Scheduled() || !ok || p.handle != front.handle {
+					t.Fatalf("event %d: router %d's ring towards %d starts with a timer for %v that is not armed",
+						steps, r.id, n.id, front.key)
+				}
+			}
+		}
+	}
+	for _, r := range d.routers {
+		for _, n := range r.nbrList {
+			if n.rxmt.Len() != 0 {
+				t.Fatalf("router %d holds %d keys towards %d after convergence", r.id, n.rxmt.Len(), n.id)
+			}
+		}
+	}
+	if err := d.ConvergedIdentically(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.Stats().PacketsSent, clean.Stats().PacketsSent; got <= want {
+		t.Fatalf("lossy run sent %d packets, clean %d: no retransmission fired", got, want)
+	}
+}
+
 // TestLieInjectionUnderPacketLoss verifies the Fibbing-specific path also
 // survives loss: the fake LSA reaches B through retransmissions.
 func TestLieInjectionUnderPacketLoss(t *testing.T) {

@@ -33,12 +33,13 @@ func convergedFatTree(t testing.TB) (d *Domain, a *Router, n *neighbor, b *Route
 }
 
 // floodBudgetPerInstall is what one installation of a flooded instance may
-// allocate, everything included. Measured on fat-tree k=4: 107 objects for
-// 19 installs, 5.6 each — the decoded LSA and its link slice (2), one
-// retransmit closure per update sent (45 sends, 2.4), and the debounced
-// SPF run's bookkeeping (1.2). Putting one &Packet{} back on the update
-// send path makes it 152 objects, 8.0 per install, and trips the guard.
-const floodBudgetPerInstall = 7
+// allocate, everything included. Measured on fat-tree k=4: 42 objects for
+// 19 installs, 2.2 each — the decoded LSA and its link slice, and the
+// debounced SPF run's bookkeeping; the 45 updates sent arm their
+// retransmit timers with each adjacency's shared body. One closure per
+// update sent, as the timers had before, makes it 87 objects, 4.6 per
+// install, and trips the guard.
+const floodBudgetPerInstall = 3
 
 // TestFloodingAllocations holds the per-packet path to its allocation
 // contract on a converged fat-tree k=4: receptions that change nothing

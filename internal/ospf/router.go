@@ -49,6 +49,14 @@ type neighbor struct {
 	lastHello time.Duration
 	unacked   map[Key]pendingLSA
 
+	// The retransmit timers towards the neighbor all last RxmtInterval, so
+	// they fire in the order they were armed: rxmt holds them in that
+	// order and every one runs the same event body, rxmtFire, which
+	// retransmits the oldest. A cancelled timer stays in the ring until it
+	// reaches the front (see popRxmt).
+	rxmt     event.Ring[rxmtTimer]
+	rxmtFire func()
+
 	// The transport half of the adjacency (see Domain.deliver): peer is the
 	// router at the far end, wire the packets travelling towards it in send
 	// order, rx the one event body that receives the oldest of them.
@@ -63,6 +71,20 @@ type pendingLSA struct {
 	lsa    *LSA
 	handle event.Handle
 }
+
+// rxmtTimer is one retransmit timer in a neighbor's ring: the key it
+// retransmits and its scheduler event.
+type rxmtTimer struct {
+	key    Key
+	handle event.Handle
+}
+
+// rxmtKeep is the largest ring buffer a neighbor keeps once its
+// retransmit timers are all gone. A cold start's full-database flood grows
+// the rings of a fat-tree k=8 to 67 840 timers across its 512 adjacencies,
+// 2.1 MB that would stay resident; the floods of an igp-churn op fit in
+// 16, so no op regrows a ring.
+const rxmtKeep = 16
 
 // Router is one IGP speaker. Routers are owned by a Domain and driven by
 // its event scheduler; they are not safe for concurrent use.
@@ -239,6 +261,7 @@ func (r *Router) addNeighbor(link topo.Link) {
 		peer:    r.dom.routers[link.To],
 	}
 	n.rx = func() { r.dom.receive(r.id, n) }
+	n.rxmtFire = func() { r.retransmit(n, n.popRxmt()) }
 	r.nbrs[id] = n
 	r.nbrList = append(r.nbrList, n)
 	slices.SortFunc(r.nbrList, func(a, b *neighbor) int { return cmp.Compare(a.id, b.id) })
@@ -343,6 +366,7 @@ func (r *Router) sendEncoded(n *neighbor, l *LSA, enc []byte) {
 		r.dom.sched.Cancel(old.handle)
 	}
 	r.armRetransmit(n, k, l)
+	n.dropCancelled()
 }
 
 func (r *Router) transmitUpdate(n *neighbor, enc []byte) {
@@ -352,10 +376,35 @@ func (r *Router) transmitUpdate(n *neighbor, enc []byte) {
 }
 
 // armRetransmit (re)starts the retransmission timer of l towards n. Each
-// timer is its own scheduler event, RxmtInterval after the send.
+// timer is its own scheduler event, RxmtInterval after the send, running
+// the neighbor's shared body; n.rxmt says which key it is for.
 func (r *Router) armRetransmit(n *neighbor, k Key, l *LSA) {
-	h := r.dom.sched.After(r.cfg.RxmtInterval, func() { r.retransmit(n, k) })
+	h := r.dom.sched.After(r.cfg.RxmtInterval, n.rxmtFire)
 	n.unacked[k] = pendingLSA{lsa: l, handle: h}
+	n.rxmt.Push(rxmtTimer{key: k, handle: h})
+}
+
+// popRxmt pops the oldest timer off n.rxmt, then every cancelled one
+// behind it, so the front is always the next timer to fire and the ring
+// spans no more than the timers armed in the last RxmtInterval. It
+// returns the popped timer's key.
+func (n *neighbor) popRxmt() Key {
+	k := n.rxmt.Pop().key
+	for n.rxmt.Len() > 0 && !n.rxmt.Peek().handle.Scheduled() {
+		n.rxmt.Pop()
+	}
+	if n.rxmt.Len() == 0 && n.rxmt.Cap() > rxmtKeep {
+		n.rxmt = event.Ring[rxmtTimer]{}
+	}
+	return k
+}
+
+// dropCancelled follows the cancellation of timers towards n: if the
+// oldest was one of them, it goes, with the cancelled ones behind it.
+func (n *neighbor) dropCancelled() {
+	if n.rxmt.Len() > 0 && !n.rxmt.Peek().handle.Scheduled() {
+		n.popRxmt()
+	}
 }
 
 func (r *Router) retransmit(n *neighbor, k Key) {
@@ -374,6 +423,7 @@ func (r *Router) clearAcked(n *neighbor, h Header) {
 	if p, ok := n.unacked[k]; ok && p.lsa.Header.Seq <= h.Seq {
 		r.dom.sched.Cancel(p.handle)
 		delete(n.unacked, k)
+		n.dropCancelled()
 	}
 }
 
@@ -518,6 +568,7 @@ func (r *Router) helloTick() {
 				r.dom.sched.Cancel(p.handle)
 				delete(n.unacked, k)
 			}
+			n.dropCancelled() // every timer was cancelled: the ring empties
 			r.originateRouterLSA()
 			r.dom.adjacencyChanged(n.link, false)
 		}
