@@ -25,8 +25,10 @@ vet:
 # LP its tests keep), the IGP's wire codec (a live router fed arbitrary bytes,
 # against the one-pass reference decoder), the FIB's path-compressed
 # trie (operation sequences over clone families, against the one-bit trie
-# its tests keep) and the event queue's same-instant chains
+# its tests keep), the event queue's same-instant chains
 # (At/Cancel/Step programs, against the container/heap queue its tests
+# keep) and the data plane's per-route classifier (FIB, link and weight
+# programs over the topology zoo, against the WalkTrace walk its tests
 # keep).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/snmp
@@ -37,6 +39,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzHandlePacket$$' -fuzztime=30s ./internal/ospf
 	$(GO) test -fuzz='^FuzzTable$$' -fuzztime=30s ./internal/lpm
 	$(GO) test -fuzz='^FuzzScheduler$$' -fuzztime=30s ./internal/event
+	$(GO) test -fuzz='^FuzzResolvedTrace$$' -fuzztime=30s ./internal/netsim
 
 # The scenario-matrix stress harness, printed as text. `go test
 # ./cmd/fiblab` holds this mode, -failover and -qoe to their exit status
@@ -106,12 +109,15 @@ scale:
 # floor is unchanged. internal/event (the scheduler every simulation
 # runs on, its same-instant chains held to the container/heap queue)
 # measured 97.1% when same-instant events started sharing a heap entry;
-# floor 2.5 points under.
+# floor 2.5 points under. Measured when the data plane started
+# classifying per route (resolved forwarding entries, held to the
+# WalkTrace walk): 94.2% for internal/netsim and 98.6% for internal/lpm
+# (93.7% and 98.5% before); floors raised to 2.5 points under.
 cover:
 	@$(GO) test -cover ./... > cover.out.tmp; s=$$?; cat cover.out.tmp; \
 	if [ $$s -ne 0 ]; then rm -f cover.out.tmp; exit $$s; fi; \
 	for want in internal/qoe:90.0 internal/controller:83.0 internal/spf:94.1 internal/ospf:89.3 \
-	    internal/lpm:96.0 internal/video:86.5 internal/netsim:91.2 \
+	    internal/lpm:96.1 internal/video:86.5 internal/netsim:91.7 \
 	    internal/fibbing:92.0 internal/te:86.8 internal/event:94.6; do \
 	  pkg=$${want%%:*}; floor=$${want##*:}; \
 	  pct=$$(grep -E "fibbing.net/fibbing/$$pkg	" cover.out.tmp \

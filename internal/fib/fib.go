@@ -16,8 +16,11 @@
 // FlowKey.Hash is pinned bit for bit: every ECMP pick in every report and
 // benchmark digest is a function of it, so it may get faster but never
 // different (the tests compare it with a standard-library FNV reference).
-// The forwarding walk — Hash, Select, WalkTrace — allocates nothing: the
-// data plane runs it once per viewer per touched hop.
+// The forwarding walk — Hash, Select, Pick, WalkTrace — allocates nothing.
+// The data plane classifies per route, not per address: it resolves each
+// router's matched route once (LookupLeaf says when one route answers for
+// a whole prefix) and runs only Pick, the ECMP hash, per viewer, at the
+// hops whose route has more than one next hop.
 //
 // Snapshot contract: a table that has been handed out (ospf's OnFIBDelta,
 // a Plane, Router.FIB) never changes afterwards. Its owner derives the
@@ -164,6 +167,15 @@ func (t *Table) Lookup(dst netip.Addr) (Route, bool) {
 	return r, ok
 }
 
+// LookupLeaf is Lookup that also reports whether the matched route is a
+// leaf: no installed prefix lies strictly inside its prefix, so the route
+// is the longest match of every address the prefix covers and a caller
+// may reuse it for all of them while it holds this table.
+func (t *Table) LookupLeaf(dst netip.Addr) (r Route, leaf, ok bool) {
+	r, _, leaf, ok = t.lpm.LookupLeaf(dst)
+	return r, leaf, ok
+}
+
 // Get returns the route installed for the exact prefix.
 func (t *Table) Get(p netip.Prefix) (Route, bool) { return t.lpm.Get(p) }
 
@@ -241,27 +253,33 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Select picks the next hop for a flow: the flow hash indexes the weighted
-// next-hop list, so a next hop with weight w receives w/total of flows. A
-// route with a single next hop is not hashed — every hash picks it.
+// Select picks the next hop for a flow: Lookup, then Pick.
 func (t *Table) Select(dst netip.Addr, key FlowKey) (NextHop, Route, bool) {
 	r, ok := t.Lookup(dst)
 	if !ok || len(r.NextHops) == 0 {
 		return NextHop{}, r, ok && r.Local
 	}
+	return r.NextHops[t.Pick(r, r.TotalWeight(), key)], r, true
+}
+
+// Pick returns the index in r.NextHops of the next hop this table assigns
+// a flow, given total = r.TotalWeight() and at least one next hop: the
+// flow hash indexes the weighted next-hop list, so a next hop with weight
+// w receives w/total of flows. A route with a single next hop is not
+// hashed — every hash picks it.
+func (t *Table) Pick(r Route, total int, key FlowKey) int {
 	if len(r.NextHops) == 1 {
-		return r.NextHops[0], r, true
+		return 0
 	}
-	total := r.TotalWeight()
 	x := int(key.Hash(t.Salt) % uint64(total))
-	for _, nh := range r.NextHops {
+	for i, nh := range r.NextHops {
 		x -= nh.Weight
 		if x < 0 {
-			return nh, r, true
+			return i
 		}
 	}
-	// Unreachable given TotalWeight > 0.
-	return r.NextHops[len(r.NextHops)-1], r, true
+	// Unreachable given total > 0.
+	return len(r.NextHops) - 1
 }
 
 // String renders the table like "show ip route".
@@ -301,8 +319,10 @@ const MaxHops = 64
 // The walk ends on delivery (nil error), on a lookup miss, missing table,
 // forwarding loop or the hop limit (descriptive error), or when visit
 // returns false (nil error; the visitor keeps its own verdict). It is the
-// single implementation of the forwarding walk: Trace and the data
-// plane's aggregate classifier are both built on it.
+// reference walk, one Select per hop: Trace is built on it, and the data
+// plane, which classifies per route (a router's resolved route answers for
+// every address its leaf prefix covers, and only ECMP hops hash), is held
+// to it by its tests and by netsim.VerifyMaxMin's re-trace.
 func (p *Plane) WalkTrace(ingress topo.NodeID, key FlowKey, visit func(cur topo.NodeID, route Route, nh NextHop) bool) error {
 	cur := ingress
 	var seen [MaxHops]topo.NodeID // routers consulted so far; cur is seen[hop]

@@ -29,6 +29,31 @@ func TestInstallAndLookup(t *testing.T) {
 	if _, ok := tb.Lookup(mustAddr("10.67.0.1")); ok {
 		t.Fatalf("should miss")
 	}
+	// LookupLeaf: the /16 answers for all of itself until a more-specific
+	// lands inside it; the more-specific, holding nothing inside, is a leaf.
+	leafOf := func(dst string) (netip.Prefix, bool) {
+		t.Helper()
+		r, leaf, ok := tb.LookupLeaf(mustAddr(dst))
+		if !ok {
+			t.Fatalf("LookupLeaf(%s) missed", dst)
+		}
+		return r.Prefix, leaf
+	}
+	if p, leaf := leafOf("10.66.1.1"); p != mustPfx("10.66.0.0/16") || !leaf {
+		t.Fatalf("lone /16: LookupLeaf = %v, leaf=%v", p, leaf)
+	}
+	if err := tb.Install(Route{Prefix: mustPfx("10.66.7.0/24"), NextHops: []NextHop{{Node: 3, Weight: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if p, leaf := leafOf("10.66.1.1"); p != mustPfx("10.66.0.0/16") || leaf {
+		t.Fatalf("/16 covering a /24: LookupLeaf = %v, leaf=%v", p, leaf)
+	}
+	if p, leaf := leafOf("10.66.7.9"); p != mustPfx("10.66.7.0/24") || !leaf {
+		t.Fatalf("/24 inside the /16: LookupLeaf = %v, leaf=%v", p, leaf)
+	}
+	if _, _, ok := tb.LookupLeaf(mustAddr("10.67.0.1")); ok {
+		t.Fatalf("LookupLeaf should miss")
+	}
 }
 
 func TestInstallRejectsBadRoutes(t *testing.T) {

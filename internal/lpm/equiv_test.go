@@ -63,7 +63,8 @@ func checkShape[V any](t *Table[V]) error {
 // matchesReference compares everything a caller can observe of tb with
 // the reference trie holding the same operations: Len, Walk order and
 // values (and early stop), Prefixes, Get on every given prefix, and
-// Lookup on every probe.
+// Lookup and LookupLeaf on every probe. A match is a leaf when no prefix
+// the reference walks lies strictly inside it.
 func matchesReference(tb *Table[int], ref *refTable[int], prefixes []netip.Prefix, probes []netip.Addr) error {
 	if tb.Len() != ref.Len() {
 		return fmt.Errorf("Len = %d, reference %d", tb.Len(), ref.Len())
@@ -104,6 +105,11 @@ func matchesReference(tb *Table[int], ref *refTable[int], prefixes []netip.Prefi
 		rv, rp, rok := ref.Lookup(a)
 		if v != rv || p != rp || ok != rok {
 			return fmt.Errorf("Lookup(%v) = %d, %v, %v; reference %d, %v, %v", a, v, p, ok, rv, rp, rok)
+		}
+		v, p, leaf, ok := tb.LookupLeaf(a)
+		rleaf := rok && !slices.ContainsFunc(want, func(e entry) bool { return e.p.Bits() > rp.Bits() && rp.Overlaps(e.p) })
+		if v != rv || p != rp || leaf != rleaf || ok != rok {
+			return fmt.Errorf("LookupLeaf(%v) = %d, %v, leaf=%v, %v; reference %d, %v, leaf=%v, %v", a, v, p, leaf, ok, rv, rp, rleaf, rok)
 		}
 	}
 	return checkShape(tb)

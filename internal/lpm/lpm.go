@@ -2,7 +2,8 @@
 // IP prefixes, the lookup structure backing every router FIB in the
 // emulated network. It supports IPv4 and IPv6 prefixes (in separate tries
 // keyed by address family), insertion, exact removal, longest-match
-// lookup, and ordered walking.
+// lookup (optionally reporting whether the match is a leaf, with no
+// installed prefix inside it), and ordered walking.
 //
 // A node exists only where an installed prefix ends or where two
 // installed prefixes part: each node stores its whole prefix, so a walk
@@ -261,6 +262,15 @@ func (t *Table[V]) Get(p netip.Prefix) (V, bool) {
 // Lookup performs longest-prefix-match for an address, returning the value
 // of the most specific covering prefix.
 func (t *Table[V]) Lookup(a netip.Addr) (V, netip.Prefix, bool) {
+	v, p, _, ok := t.LookupLeaf(a)
+	return v, p, ok
+}
+
+// LookupLeaf is Lookup that also reports whether the match is a leaf: no
+// installed prefix lies strictly inside the matched one, so every address
+// the matched prefix covers has the same longest match. The matched node
+// answers it: a leaf is a node without children.
+func (t *Table[V]) LookupLeaf(a netip.Addr) (v V, p netip.Prefix, leaf, ok bool) {
 	// A full-length prefix has no children, and the bit past it reads as
 	// 0 (an oversized shift), so neither walk needs a length check to stop.
 	var best *node[V]
@@ -283,10 +293,10 @@ func (t *Table[V]) Lookup(a netip.Addr) (V, netip.Prefix, bool) {
 		}
 	}
 	if best == nil {
-		var zero V
-		return zero, netip.Prefix{}, false
+		return v, p, false, false
 	}
-	return *best.val, netip.PrefixFrom(a, best.bits).Masked(), true
+	leaf = best.child[0] == nil && best.child[1] == nil
+	return *best.val, netip.PrefixFrom(a, best.bits).Masked(), leaf, true
 }
 
 // Walk visits every installed prefix in sorted order: IPv4 before IPv6,

@@ -1,14 +1,14 @@
 package netsim
 
 // This file is the aggregate plane: the path-class data structures flows
-// collapse into, the FIB trace that classifies them, the link<->aggregate
-// incidence index, and the incremental weighted max-min solver scoped to
-// the dirty bottleneck-dependency component.
+// collapse into, the link<->aggregate incidence index, and the incremental
+// weighted max-min solver scoped to the dirty bottleneck-dependency
+// component. classify.go holds the forwarding walk that sorts flows into
+// aggregates.
 
 import (
 	"cmp"
 	"math"
-	"math/bits"
 	"net/netip"
 	"slices"
 
@@ -48,6 +48,10 @@ type trace struct {
 	matched  []netip.Prefix
 	links    []topo.LinkID
 	capLinks []topo.LinkID
+	// path folds the hop words of nodes and matched, in hop order: the
+	// trace's share of the aggregate signature, built during the walk (0
+	// when blocked).
+	path uint64
 }
 
 // allHops is the touched-hop set "every hop": one bit per router the
@@ -62,7 +66,7 @@ func (tr *trace) reset(blocked bool) {
 // clone copies a trace out of the scratch for an aggregate to keep.
 func (tr *trace) clone() trace {
 	return trace{blocked: tr.blocked, nodes: slices.Clone(tr.nodes), matched: slices.Clone(tr.matched),
-		links: slices.Clone(tr.links), capLinks: slices.Clone(tr.capLinks)}
+		links: slices.Clone(tr.links), capLinks: slices.Clone(tr.capLinks), path: tr.path}
 }
 
 // Aggregate is one path-class of identical flows: same ingress, same rate
@@ -146,74 +150,6 @@ func (a *Aggregate) sameTrace(tr *trace) bool {
 	return true
 }
 
-// forwardsAsRecorded reports whether member f of a still forwards along
-// a's trace, consulting only the given hops: at each, the router's table
-// must select the recorded matched prefix and next node for f over a link
-// that is up (or deliver, at the last hop). Hops outside the set forward
-// every member as recorded, so a member that passes has the trace it had.
-// It reads tables and link state only and allocates nothing. A blocked
-// aggregate records no hops to compare: its members always need the full
-// trace. Callers hold n.mu.
-func (n *Network) forwardsAsRecorded(a *Aggregate, f *Flow, hops uint64) bool {
-	if a.blocked {
-		return false
-	}
-	last := len(a.nodes) - 1
-	for ; hops != 0; hops &= hops - 1 {
-		j := bits.TrailingZeros64(hops)
-		if j > last {
-			break
-		}
-		tbl := n.tables[a.nodes[j]]
-		if tbl == nil {
-			return false
-		}
-		nh, route, ok := tbl.Select(f.Key.Dst, f.Key)
-		if !ok || route.Prefix != a.matched[j] || route.Local != (j == last) ||
-			j < last && (nh.Node != a.nodes[j+1] || n.linkDown[a.links[j]]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sig hashes the aggregate class key (FNV-1a over the identity words,
-// finished with an avalanche mixer). Collisions chain in Network.aggs and
-// are resolved by full comparison.
-func (tr *trace) sigOf(ingress topo.NodeID, maxRate float64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	word := func(v uint64) {
-		h ^= v
-		h *= prime
-	}
-	word(uint64(ingress))
-	word(math.Float64bits(maxRate))
-	if tr.blocked {
-		word(1)
-	}
-	for i, v := range tr.nodes {
-		word(uint64(v))
-		a16 := tr.matched[i].Addr().As16()
-		for o := 0; o < 16; o += 8 {
-			var w uint64
-			for b := 0; b < 8; b++ {
-				w = w<<8 | uint64(a16[o+b])
-			}
-			word(w)
-		}
-		word(uint64(tr.matched[i].Bits()))
-	}
-	// splitmix64 finalizer: avalanche so bucket chains stay short.
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
 // linkState is one capacitated link's side of the incidence index.
 type linkState struct {
 	capacity float64
@@ -227,41 +163,6 @@ func (n *Network) linkFor(lid topo.LinkID) *linkState {
 		n.links[lid] = ls
 	}
 	return ls
-}
-
-// traceFlow classifies one flow against the current tables: the node
-// path, the matched prefix per hop, and the link path. The walk itself is
-// fib.Plane.WalkTrace — the data plane only adds the link resolution and
-// its own link-failure state. Any failure (no table, no route, loop,
-// failed link) yields the canonical blocked trace. The result is the
-// network's scratch trace, valid until the next call; rebucket clones it
-// when an aggregate has to keep it. Callers hold n.mu.
-func (n *Network) traceFlow(f *Flow) *trace {
-	tr := &n.scratch
-	tr.reset(false)
-	plane := fib.Plane{Tables: n.tables}
-	linkOK := true
-	err := plane.WalkTrace(f.Ingress, f.Key, func(cur topo.NodeID, route fib.Route, nh fib.NextHop) bool {
-		tr.nodes = append(tr.nodes, cur)
-		tr.matched = append(tr.matched, route.Prefix)
-		if route.Local {
-			return true
-		}
-		l, found := n.topo.FindLink(cur, nh.Node)
-		if !found || n.linkDown[l.ID] {
-			linkOK = false
-			return false
-		}
-		tr.links = append(tr.links, l.ID)
-		if l.Capacity > 0 {
-			tr.capLinks = append(tr.capLinks, l.ID)
-		}
-		return true
-	})
-	if err != nil || !linkOK {
-		tr.reset(true)
-	}
-	return tr
 }
 
 // rebucket joins a flow to the aggregate matching the trace, creating it

@@ -18,13 +18,18 @@
 //
 // Both planes move by delta. Routing: ApplyDiff consumes a router's
 // fib.Diff and queues only the aggregates whose per-hop matched prefixes
-// the diff can have re-pathed, each with the hop the router sits at. The
-// cost model of a re-route: a new flow pays one trace, O(hops); a delta
-// pays, per member of a queued aggregate, one table lookup per touched hop
-// and no allocation, plus one full trace, a leave and a join per member
-// that actually moves. SetTable (no diff to read) and a link failure check
-// their members at every hop; a blocked aggregate records no path, so any
-// change re-traces its members in full.
+// the diff can have re-pathed, each with the hop the router sits at.
+// Classification is per route, not per address: each router keeps one
+// resolved forwarding entry (classify.go), which answers for every
+// destination its matched prefix covers when no more-specific route lies
+// inside it, so a hop costs a longest-prefix match only where the entry
+// does not answer, and a hash only where the route has several next hops.
+// The cost model of a re-route: a new flow pays one trace, O(hops); a
+// delta pays, per member of a queued aggregate, one entry read per
+// touched hop and no allocation, plus one full trace, a leave and a join
+// per member that actually moves. SetTable (no diff to read) and a link
+// failure check their members at every hop; a blocked aggregate records
+// no path, so any change re-traces its members in full.
 //
 // Sharing: a link<->aggregate incidence index tracks which links changed
 // membership; reshare closes the dirty link set over the
@@ -128,6 +133,12 @@ type Network struct {
 	// tables is the live routing state; replaced entries re-route flows.
 	tables map[topo.NodeID]*fib.Table
 
+	// fwd holds each router's resolved route (classify.go), indexed by
+	// NodeID; installing a table drops the router's entry, and a move of
+	// the topology's version (fwdVersion when resolved) drops them all.
+	fwd        []fwdEntry
+	fwdVersion uint64
+
 	// flows is indexed by FlowID: ids are dense and never reused, so a
 	// finished flow leaves a nil slot; live counts the others.
 	flows []*Flow
@@ -154,6 +165,7 @@ type Network struct {
 	// aggregate's check displaced; both are reused across recomputes.
 	scratch trace
 	movers  []*Flow
+	byID    []*Aggregate // eachByID's sort scratch
 
 	// dirty is the set of capacitated links whose aggregate membership
 	// changed since the last reshare; dirtyAll forces a global solve.
@@ -171,7 +183,7 @@ type Network struct {
 	lastUpdate time.Duration
 	recompute  bool // a reroute+reshare is scheduled for this instant
 
-	linkDown map[topo.LinkID]bool
+	linkDown []bool // by LinkID
 
 	sampleEvery time.Duration
 
@@ -198,7 +210,9 @@ func New(t *topo.Topology, sched *event.Scheduler, sampleEvery time.Duration) *N
 		counters:    make(map[topo.LinkID]*metrics.Counter),
 		series:      make(map[topo.LinkID]*metrics.Series),
 		lastOct:     make(map[topo.LinkID]uint64),
-		linkDown:    make(map[topo.LinkID]bool),
+		fwd:         make([]fwdEntry, t.NumNodes()),
+		fwdVersion:  t.Version(),
+		linkDown:    make([]bool, t.NumLinks()),
 		sampleEvery: sampleEvery,
 	}
 	for _, l := range t.Links() {
@@ -231,6 +245,7 @@ func (n *Network) Stats() Stats {
 func (n *Network) SetTable(node topo.NodeID, t *fib.Table) {
 	n.mu.Lock()
 	n.tables[node] = t
+	n.dropEntry(node)
 	n.invalidAll = true
 	n.mu.Unlock()
 	n.scheduleRecompute()
@@ -247,6 +262,7 @@ func (n *Network) SetTable(node topo.NodeID, t *fib.Table) {
 func (n *Network) ApplyDiff(node topo.NodeID, t *fib.Table, d *fib.Diff) {
 	n.mu.Lock()
 	n.tables[node] = t
+	n.dropEntry(node)
 	for _, a := range n.aggByID {
 		if hops := a.touchedBy(node, d); hops != 0 {
 			n.invalidate(a, hops)
@@ -571,19 +587,21 @@ func (n *Network) sample() {
 }
 
 // LinkRates returns the instantaneous offered rate (bit/s) per link,
-// summing allocated aggregate rates. Useful for assertions.
+// summing allocated aggregate rates in aggregate-id order: float addition
+// does not associate, and the sums feed the byte-identical reports.
+// Useful for assertions.
 func (n *Network) LinkRates() map[topo.LinkID]float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out := make(map[topo.LinkID]float64)
-	for _, a := range n.aggByID {
+	n.eachByID(func(a *Aggregate) {
 		if a.rate <= 0 {
-			continue
+			return
 		}
 		for _, lid := range a.links {
 			out[lid] += a.rate * float64(a.weight)
 		}
-	}
+	})
 	return out
 }
 
@@ -603,13 +621,27 @@ func (n *Network) MaxUtilisation() float64 {
 	return max
 }
 
-// TotalThroughput sums all flows' current rates (bit/s).
+// TotalThroughput sums all flows' current rates (bit/s), in aggregate-id
+// order.
 func (n *Network) TotalThroughput() float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	sum := 0.0
-	for _, a := range n.aggByID {
-		sum += a.rate * float64(a.weight)
-	}
+	n.eachByID(func(a *Aggregate) { sum += a.rate * float64(a.weight) })
 	return sum
+}
+
+// eachByID calls fn on every live aggregate in id order, sorting into a
+// scratch slice it empties afterwards. Callers hold n.mu.
+func (n *Network) eachByID(fn func(*Aggregate)) {
+	s := n.byID[:0]
+	for _, a := range n.aggByID {
+		s = append(s, a)
+	}
+	slices.SortFunc(s, func(x, y *Aggregate) int { return cmp.Compare(x.id, y.id) })
+	for _, a := range s {
+		fn(a)
+	}
+	clear(s)
+	n.byID = s[:0]
 }

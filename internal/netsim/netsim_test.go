@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -338,5 +339,52 @@ func BenchmarkReshare100Flows(b *testing.B) {
 		net.dirtyAll = true
 		net.mu.Unlock()
 		net.reshare()
+	}
+}
+
+// TestRateSumsIgnoreMapOrder puts seven aggregates whose rates do not add
+// associatively on one link and requires LinkRates, MaxUtilisation and
+// TotalThroughput to return the same bits on every call, equal to the sum
+// in aggregate-id order: the reports' utilisation figures derive from
+// these sums, and map order would move their last bits run to run.
+func TestRateSumsIgnoreMapOrder(t *testing.T) {
+	tp := lineTopo()
+	sched := event.NewScheduler()
+	net := New(tp, sched, time.Second)
+	installLineTables(t, net, tp)
+	caps := []float64{1e6 / 3, 1e6 / 7, 1e5 + 0.1, 1e6 / 11, 2e5 + 0.2, 1e6 / 13, 3e5 + 0.3}
+	for i, c := range caps {
+		net.AddFlow(tp.MustNode("n1"), key("10.101.0.7", uint16(i)), c)
+	}
+	sched.RunUntil(time.Second)
+	if got := net.AggregateCount(); got != len(caps) {
+		t.Fatalf("%d aggregates, want one per cap (%d)", got, len(caps))
+	}
+	sum := func(order []float64) float64 {
+		s := 0.0
+		for _, c := range order {
+			s += c
+		}
+		return s
+	}
+	idOrder := sum(caps) // the flows' aggregates were minted in cap order
+	sensitive := false
+	for i := range caps {
+		sensitive = sensitive || sum(append(slices.Clone(caps[i:]), caps[:i]...)) != idOrder
+	}
+	if !sensitive {
+		t.Fatal("the caps sum to the same bits in every rotation: the test cannot fail")
+	}
+	l23, _ := tp.FindLink(tp.MustNode("n2"), tp.MustNode("n3"))
+	for i := 0; i < 100; i++ {
+		if got := net.LinkRates()[l23.ID]; got != idOrder {
+			t.Fatalf("call %d: LinkRates on n2-n3 = %v, sum in aggregate-id order %v", i, got, idOrder)
+		}
+		if got := net.TotalThroughput(); got != idOrder {
+			t.Fatalf("call %d: TotalThroughput = %v, sum in aggregate-id order %v", i, got, idOrder)
+		}
+		if got, want := net.MaxUtilisation(), idOrder/l23.Capacity; got != want {
+			t.Fatalf("call %d: MaxUtilisation = %v, want %v", i, got, want)
+		}
 	}
 }

@@ -4,12 +4,15 @@ package netsim
 // per-flow global max-min solve (the pre-aggregation algorithm, one share
 // per flow) compared against the live aggregate allocation. The zoo
 // property tests call it after every churn step; it is deliberately naive
-// and O(flows x links) — the point is to be an independent oracle.
+// and O(flows x links) — the point is to be an independent oracle. Its
+// re-trace is referenceTrace, the classifier the data plane ran before it
+// resolved forwarding per route: one fib.Plane.WalkTrace per flow.
 
 import (
 	"fmt"
 	"math"
 
+	"fibbing.net/fibbing/internal/fib"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -56,7 +59,7 @@ func (n *Network) VerifyMaxMin(rel float64) error {
 					a.id, slot, f.ID, f.agg, f.slot)
 			}
 			if quiescent {
-				if tr := n.traceFlow(f); !a.sameTrace(tr) {
+				if tr := n.referenceTrace(f); !a.sameTrace(tr) {
 					return fmt.Errorf("netsim: flow %d classified on a stale trace (blocked=%v nodes=%v, fresh trace blocked=%v nodes=%v)",
 						f.ID, a.blocked, a.nodes, tr.blocked, tr.nodes)
 				}
@@ -166,4 +169,41 @@ func (n *Network) VerifyMaxMin(rel float64) error {
 		}
 	}
 	return nil
+}
+
+// referenceTrace classifies one flow against the current tables: the node
+// path, the matched prefix per hop, and the link path. The walk itself is
+// fib.Plane.WalkTrace — one table lookup and one Select per hop, for every
+// flow — and this only adds the link resolution and the network's own
+// link-failure state. Any failure (no table, no route, loop, failed link)
+// yields the canonical blocked trace. It fills the network's scratch
+// trace, valid until the next call, and leaves its path word unset: it
+// is the oracle traceFlow is held to, not a classifier rebucket uses.
+// Callers hold n.mu.
+func (n *Network) referenceTrace(f *Flow) *trace {
+	tr := &n.scratch
+	tr.reset(false)
+	plane := fib.Plane{Tables: n.tables}
+	linkOK := true
+	err := plane.WalkTrace(f.Ingress, f.Key, func(cur topo.NodeID, route fib.Route, nh fib.NextHop) bool {
+		tr.nodes = append(tr.nodes, cur)
+		tr.matched = append(tr.matched, route.Prefix)
+		if route.Local {
+			return true
+		}
+		l, found := n.topo.FindLink(cur, nh.Node)
+		if !found || n.linkDown[l.ID] {
+			linkOK = false
+			return false
+		}
+		tr.links = append(tr.links, l.ID)
+		if l.Capacity > 0 {
+			tr.capLinks = append(tr.capLinks, l.ID)
+		}
+		return true
+	})
+	if err != nil || !linkOK {
+		tr.reset(true)
+	}
+	return tr
 }
