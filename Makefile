@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz matrix failover qoe quickstart bench-e2e bench-check scale cover docs-check
+.PHONY: all build test race vet fuzz goldens matrix failover qoe quickstart bench-e2e bench-check scale cover docs-check
 
 all: vet build test
 
@@ -40,6 +40,10 @@ fuzz:
 	$(GO) test -fuzz='^FuzzTable$$' -fuzztime=30s ./internal/lpm
 	$(GO) test -fuzz='^FuzzScheduler$$' -fuzztime=30s ./internal/event
 	$(GO) test -fuzz='^FuzzResolvedTrace$$' -fuzztime=30s ./internal/netsim
+
+# Rewrite every golden file from this tree; `git diff` is the record of what moved.
+goldens:
+	$(GO) test -run TestGolden -count=1 ./cmd/... ./examples/... -update
 
 # The scenario-matrix stress harness, printed as text. `go test
 # ./cmd/fiblab` holds this mode, -failover and -qoe to their exit status

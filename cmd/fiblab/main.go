@@ -8,7 +8,7 @@
 //	fiblab -topo waxman -size 20 -seed 4 -workload flash -failure flap
 //	fiblab -topo fig1 -workload fig2 -duration 60s  # the paper's demo
 //	fiblab -failover | -qoe | -scale
-//	fiblab -run ring/surge -strategies=localecmp,ksp -viewers 100000 -capacity 10G
+//	fiblab -run ring/surge -strategies=localecmp,lpoptimal -viewers 100000 -capacity 10G
 //
 // One mode flag picks the cells; every other flag overrides the same Spec
 // field of every cell in every mode, or is a usage error where the mode's
@@ -121,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		o.over.ScoreMode = v
 		return err
 	})
-	fs.Func("strategies", "comma-separated reaction strategies (e.g. localecmp,ksp,lpoptimal); unset keeps the stock set", func(v string) error {
+	fs.Func("strategies", "comma-separated reaction strategies (e.g. localecmp,lpoptimal; ksp proposes only under -score-mode qoe); unset keeps the stock set", func(v string) error {
 		set, err := controller.ParseStrategies(v)
 		o.over.Strategies = controller.StrategyNames(set)
 		return err

@@ -9,7 +9,7 @@
 //
 //	fibsim [-topo file] [-demand ingress:prefix:bps]... [-denom 16]
 //	fibsim -demand B:blue:8M -demand A:blue:8M
-//	fibsim -strategies localecmp,ksp,lpoptimal   # what-if planner run
+//	fibsim -strategies localecmp,lpoptimal   # what-if planner run
 //
 // Exit status: 1 when the inputs cannot be read or solved, 2 on a usage
 // error.
@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	topoFile := fs.String("topo", "", "topology file (default: the paper's Figure 1)")
 	denom := fs.Int("denom", 16, "max ECMP weight denominator for split quantisation")
-	strategies := fs.String("strategies", "localecmp,lpoptimal,ksp",
+	strategies := fs.String("strategies", "localecmp,lpoptimal",
 		"reaction strategies for the planner what-if section (empty disables it)")
 	var demands []string
 	fs.Func("demand", "demand as ingress:prefix:bps (repeatable), e.g. B:blue:8M", func(v string) error {

@@ -50,7 +50,7 @@ func run(w io.Writer) error {
 	// Pick the reaction-strategy set explicitly (the same set the
 	// -strategies flags of fiblab/fibbingd select); any custom
 	// controller.Strategy implementation could ride along here.
-	strategies, err := controller.ParseStrategies("localecmp,ksp,lpoptimal")
+	strategies, err := controller.ParseStrategies("localecmp,lpoptimal")
 	if err != nil {
 		return err
 	}

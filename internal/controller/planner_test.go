@@ -8,6 +8,7 @@ import (
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/monitor"
 	"fibbing.net/fibbing/internal/ospf"
+	"fibbing.net/fibbing/internal/qoe"
 	"fibbing.net/fibbing/internal/southbound"
 	"fibbing.net/fibbing/internal/te"
 	"fibbing.net/fibbing/internal/topo"
@@ -23,7 +24,9 @@ func alarmOn(t *testing.T, tp *topo.Topology, a, b string, util float64) monitor
 }
 
 // TestStockStrategySelection is the table-driven selection test: each
-// stock strategy wins on a topology crafted for it.
+// stock strategy wins on a topology crafted for it, and ksp, a
+// QoE-scoring candidate, abstains on its own problem unless QoE scoring
+// is live.
 func TestStockStrategySelection(t *testing.T) {
 	fig1 := topo.Fig1(topo.Fig1Opts{})
 	blue := topo.Fig1BluePrefixName
@@ -40,6 +43,14 @@ func TestStockStrategySelection(t *testing.T) {
 
 	ring := topo.Ring(topo.RingOpts{N: 9, Capacity: 10e6})
 	r4 := ring.MustNode("r4")
+	ringSurge := []topo.Demand{{Ingress: r4, PrefixName: topo.RingPrefixName, Volume: 14e6}}
+	ringAlarm := func() Event { return AlarmEvent(alarmOn(t, ring, "r4", "r3", 0.99)) }
+	ringSet := []Strategy{LocalECMPStrategy{}, KSPStrategy{}, WithdrawStrategy{}}
+	// The ring surge is 80 thin sessions.
+	thinCrowd := qoe.Model{
+		Members: map[string]map[topo.NodeID]int{topo.RingPrefixName: {r4: 80}},
+		Horizon: qoe.DefaultHorizon,
+	}
 
 	cases := []struct {
 		name      string
@@ -49,7 +60,12 @@ func TestStockStrategySelection(t *testing.T) {
 		event     func() Event
 		// strategies is the planner's set; nil is the stock one.
 		strategies []Strategy
-		want       string
+		mode       ScoreMode
+		// model, when set, equips the context with this viewer model
+		// (WithQoE); nil leaves PredictQoE nil.
+		model *qoe.Model
+		// want is the winner; empty wants no plan and no ksp proposal.
+		want string
 	}{
 		{
 			// A single surge at B: spreading at the hot router reaches the
@@ -78,10 +94,29 @@ func TestStockStrategySelection(t *testing.T) {
 			// left out: only ksp can recruit the reverse path.
 			name:       "ksp",
 			topo:       ring,
-			demands:    []topo.Demand{{Ingress: r4, PrefixName: topo.RingPrefixName, Volume: 14e6}},
-			event:      func() Event { return AlarmEvent(alarmOn(t, ring, "r4", "r3", 0.99)) },
-			strategies: []Strategy{LocalECMPStrategy{}, KSPStrategy{}, WithdrawStrategy{}},
+			demands:    ringSurge,
+			event:      ringAlarm,
+			strategies: ringSet,
+			mode:       ScoreQoE,
+			model:      &thinCrowd,
 			want:       "ksp",
+		},
+		{
+			name:       "ksp abstains under util scoring",
+			topo:       ring,
+			demands:    ringSurge,
+			event:      ringAlarm,
+			strategies: ringSet,
+		},
+		{
+			// ScoreQoE without a stall predictor falls back to
+			// utilisation, as PlanContext.PredictQoE says.
+			name:       "ksp abstains without a predictor",
+			topo:       ring,
+			demands:    ringSurge,
+			event:      ringAlarm,
+			strategies: ringSet,
+			mode:       ScoreQoE,
 		},
 		{
 			// The surge is over: the last alarm cleared and plain IGP
@@ -100,11 +135,20 @@ func TestStockStrategySelection(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := AnalyticPlanContext(tc.topo, tc.demands, tc.installed, tc.event(), Config{})
+			ctx := AnalyticPlanContext(tc.topo, tc.demands, tc.installed, tc.event(), Config{ScoreMode: tc.mode})
+			if tc.model != nil {
+				ctx = ctx.WithQoE(*tc.model)
+			}
 			planner := NewPlanner(tc.strategies...)
 			plan, errs := planner.Plan(ctx)
 			for _, err := range errs {
 				t.Logf("strategy error: %v", err)
+			}
+			if tc.want == "" {
+				if n := planner.Perf()["ksp"].Proposals; plan != nil || n != 0 {
+					t.Fatalf("committed %+v, ksp proposed %d times; want no plan and no ksp proposal", plan, n)
+				}
+				return
 			}
 			if plan == nil {
 				t.Fatalf("no plan committed (base %.3f)", ctx.BaseUtil)

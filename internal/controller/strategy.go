@@ -127,7 +127,8 @@ type Strategy interface {
 // order: local ECMP spreading, the LP-optimal splits, k-shortest-path
 // spreading, and lie withdrawal. There is no QoE strategy: under
 // ScoreQoE the planner re-ranks these strategies' candidates by
-// predicted stall instead.
+// predicted stall instead. ksp is a QoE-scoring candidate and abstains
+// under utilisation scoring.
 func DefaultStrategies() []Strategy {
 	return []Strategy{LocalECMPStrategy{}, LPOptimalStrategy{}, KSPStrategy{}, WithdrawStrategy{}}
 }
@@ -377,13 +378,17 @@ func routerCount(t *topo.Topology) int {
 
 // --- ksp ----------------------------------------------------------------
 
-// KSPStrategy spreads over up to kspPaths loopless shortest paths (Yen's
-// algorithm on spf.KShortest) from the hot link's head router towards
-// each prefix's nearest attachment, pinning the detour paths hop by hop.
-// Unlike local-ecmp it can recruit *uphill* detours — paths whose first
-// hop is further from the destination — which is what rings and other
-// low-diversity topologies need; unlike lp-optimal it stays cheap on
-// topologies beyond the LP guard.
+// KSPStrategy is a QoE-scoring candidate: it proposes only when the
+// context scores on predicted stalls (ScoreQoE with PredictQoE set) and
+// abstains under utilisation scoring, where it won no scenario
+// decision. It spreads over up to kspPaths loopless shortest paths
+// (Yen's algorithm on spf.KShortest) from the hot link's head router
+// towards each prefix's nearest attachment, pinning the detour paths hop
+// by hop. Unlike local-ecmp it can recruit *uphill* detours —
+// paths whose first hop is further from the destination — and on a
+// skewed crowd such a detour can move the thin sessions off the fat
+// crowd's bottleneck, which the stall predictor rewards and the
+// utilisation score does not.
 type KSPStrategy struct{}
 
 // Name implements Strategy.
@@ -391,6 +396,9 @@ func (KSPStrategy) Name() string { return "ksp" }
 
 // Propose implements Strategy.
 func (s KSPStrategy) Propose(ctx PlanContext) (*Plan, error) {
+	if ctx.ScoreMode != ScoreQoE || ctx.PredictQoE == nil {
+		return nil, nil
+	}
 	if ctx.Event.Kind != EventAlarmRaised || len(ctx.Demands) == 0 {
 		return nil, nil
 	}

@@ -180,6 +180,48 @@ func TestWeightOptWorseThanFibbing(t *testing.T) {
 	}
 }
 
+// TestNetworkCostIgnoresMapOrder: networkCost sums its Fortz-Thorup terms
+// in link-id order, so repeated calls return bit-identical costs, equal to
+// the sorted-order reference sum. The instance is one where the order
+// matters: some rotation of its terms sums to different bits.
+func TestNetworkCostIgnoresMapOrder(t *testing.T) {
+	tp := topo.RandomConnected(topo.RandomOpts{Nodes: 16, Degree: 3, Prefixes: 3, Seed: 5})
+	demands := topo.RandomDemands(tp, 24, 1e6, 9e6, 5)
+	loads, err := IGPLoads(tp, demands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var terms []float64
+	for _, id := range slices.Sorted(maps.Keys(loads)) {
+		terms = append(terms, FortzThorupCost(loads[id]/tp.Link(id).Capacity))
+	}
+	sum := func(xs []float64) float64 {
+		s := 0.0
+		for _, x := range xs {
+			s += x
+		}
+		return s
+	}
+	want := sum(terms)
+	orderMatters := false
+	for r := 1; r < len(terms) && !orderMatters; r++ {
+		orderMatters = sum(slices.Concat(terms[r:], terms[:r])) != want
+	}
+	if !orderMatters {
+		t.Fatalf("every rotation of the %d terms sums to the same bits; the test checks nothing", len(terms))
+	}
+	for i := 0; i < 100; i++ {
+		got, _, err := networkCost(tp, demands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: cost = %v (%#x), want the link-id-order sum %v (%#x)",
+				i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestOptimizeWeightsValidation(t *testing.T) {
 	tp, demands := fig1Stress()
 	if _, err := OptimizeWeights(tp, demands, 1, 1); err == nil {

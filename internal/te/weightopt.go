@@ -2,7 +2,9 @@ package te
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/topo"
@@ -46,13 +48,17 @@ func FortzThorupCost(util float64) float64 {
 }
 
 // networkCost evaluates the summed Fortz-Thorup cost of routing demands
-// over ECMP shortest paths under the current weights.
+// over ECMP shortest paths under the current weights. It sums in link-id
+// order, so the same weights always cost the same bits: OptimizeWeights
+// compares costs with a 1e-12 slack, and a map-order sum can differ by
+// more than that between two evaluations of one setting.
 func networkCost(t *topo.Topology, demands []topo.Demand) (cost, maxUtil float64, err error) {
 	loads, err := IGPLoads(t, demands)
 	if err != nil {
 		return 0, 0, err
 	}
-	for id, load := range loads {
+	for _, id := range slices.Sorted(maps.Keys(loads)) {
+		load := loads[id]
 		l := t.Link(id)
 		if l.Capacity <= 0 {
 			continue
