@@ -33,13 +33,14 @@ func IGPView(t *topo.Topology, prefixName string) (map[topo.NodeID]RouteView, er
 // CheckDelivery verifies that the forwarding graph induced by views is
 // loop-free and that every router with a route eventually reaches a Local
 // router. This is the safety property every augmentation must preserve.
+// The views' routers and next hops must be nodes of t.
 func CheckDelivery(t *topo.Topology, views map[topo.NodeID]RouteView) error {
 	const (
 		white = 0 // unvisited
 		grey  = 1 // on stack
 		black = 2 // proven to deliver
 	)
-	state := make(map[topo.NodeID]int, len(views))
+	state := make([]uint8, t.NumNodes()) // by NodeID
 	var visit func(u topo.NodeID) error
 	visit = func(u topo.NodeID) error {
 		v, ok := views[u]

@@ -79,8 +79,11 @@ type linkShare struct {
 //     of independent losses — and at DAG merge points the per-path min
 //     factors combine by volume-weighted mean.
 //
-// Every iteration order is explicitly sorted, so the result is
-// byte-identical regardless of map layout or worker width.
+// Each prefix's views compile once per call into a fibbing.Walk, the
+// forwarding walk te.LinkLoads uses too: routers in topological order,
+// smallest ready NodeID first, next hops in NodeID order. Every other
+// iteration order is explicitly sorted, so the result is byte-identical
+// regardless of map layout or worker width.
 func PredictPlan(t *topo.Topology, views map[string]map[topo.NodeID]fibbing.RouteView, demands []topo.Demand, m Model) (PlanQoE, error) {
 	aggs := collectAggregates(demands, m)
 	if len(aggs) == 0 {
@@ -91,14 +94,22 @@ func PredictPlan(t *topo.Topology, views map[string]map[topo.NodeID]fibbing.Rout
 		horizon = DefaultHorizon
 	}
 
-	// Pass 1: per-aggregate offered volume on every link.
+	// Pass 1: per-aggregate offered volume on every link. Aggregates
+	// come sorted by prefix, so each prefix's views compile once.
+	walks := make([]*fibbing.Walk, len(aggs))
 	offers := make(map[topo.LinkID][]linkShare)
+	scratch := make([]float64, 2*t.NumNodes())
 	for i, a := range aggs {
-		v, ok := views[a.prefix]
-		if !ok {
-			return PlanQoE{}, fmt.Errorf("qoe: no route views for prefix %q", a.prefix)
+		if i > 0 && a.prefix == aggs[i-1].prefix {
+			walks[i] = walks[i-1]
+		} else {
+			v, ok := views[a.prefix]
+			if !ok {
+				return PlanQoE{}, fmt.Errorf("qoe: no route views for prefix %q", a.prefix)
+			}
+			walks[i] = fibbing.NewWalk(t, v)
 		}
-		if err := offerVolumes(t, v, a.ingress, a.volume, i, offers); err != nil {
+		if err := offerVolumes(t, walks[i], a.ingress, a.volume, i, offers, scratch); err != nil {
 			return PlanQoE{}, fmt.Errorf("qoe: prefix %s: %w", a.prefix, err)
 		}
 	}
@@ -111,7 +122,7 @@ func PredictPlan(t *topo.Topology, views map[string]map[topo.NodeID]fibbing.Rout
 	// its DAG to a delivered fraction, then predict the member sessions.
 	var out PlanQoE
 	for i, a := range aggs {
-		frac := survivingFraction(t, views[a.prefix], a.ingress, i, factors)
+		frac := survivingFraction(walks[i], a.ingress, i, factors, scratch)
 		cfg := m.Session
 		if cfg.Ladder == nil {
 			cfg.Ladder = []float64{a.rate}
@@ -165,87 +176,38 @@ func collectAggregates(demands []topo.Demand, m Model) []aggregate {
 	return aggs
 }
 
-// topoWalk visits the forwarding DAG reachable from the rooted volume in
-// a deterministic topological order, calling visit(u) for every node
-// with the node's processing deferred until all its in-DAG predecessors
-// ran. It mirrors te.propagate's indegree walk but always pops the
-// smallest NodeID, so float accumulation order is reproducible.
-func topoWalk(views map[topo.NodeID]fibbing.RouteView, visit func(u topo.NodeID) error) error {
-	indeg := make(map[topo.NodeID]int, len(views))
-	for u, v := range views {
-		if _, ok := indeg[u]; !ok {
-			indeg[u] = 0
-		}
-		for nh := range v.NextHops {
-			indeg[nh]++
-		}
+// offerVolumes pushes one aggregate's volume through its compiled
+// forwarding DAG (ECMP-weight-proportional splits) and records the
+// per-link offered volume under the aggregate's index. scratch holds at
+// least one slot per router of w.
+func offerVolumes(t *topo.Topology, w *fibbing.Walk, ingress topo.NodeID, volume float64, agg int, offers map[topo.LinkID][]linkShare, scratch []float64) error {
+	vol := scratch[:len(w.Routes)]
+	clear(vol)
+	if uint(ingress) < uint(len(vol)) {
+		vol[ingress] = volume
 	}
-	queue := make([]topo.NodeID, 0, len(indeg))
-	for u, d := range indeg {
-		if d == 0 {
-			queue = append(queue, u)
+	for _, u := range w.Order {
+		r := &w.Routes[u]
+		x := vol[u]
+		if x <= 0 || r.Local {
+			continue
 		}
-	}
-	slices.Sort(queue)
-	processed := 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		processed++
-		if err := visit(u); err != nil {
-			return err
+		if r.Total == 0 {
+			return fmt.Errorf("traffic stranded at %s", t.Name(u))
 		}
-		nhs := sortedHops(views[u].NextHops)
-		for _, nh := range nhs {
-			indeg[nh]--
-			if indeg[nh] == 0 {
-				at, _ := slices.BinarySearch(queue, nh)
-				queue = slices.Insert(queue, at, nh)
+		for _, h := range r.Hops {
+			share := x * float64(h.Weight) / float64(r.Total)
+			if h.Link == topo.NoLink {
+				return fmt.Errorf("no link %s->%s", t.Name(u), t.Name(h.To))
 			}
+			offers[h.Link] = append(offers[h.Link], linkShare{agg: agg, vol: share})
+			vol[h.To] += share
 		}
 	}
-	if processed != len(indeg) {
+	if w.Cycle {
 		return fmt.Errorf("forwarding graph contains a cycle")
 	}
 	return nil
-}
-
-// sortedHops returns the next hops in NodeID order.
-func sortedHops(w fibbing.NextHopWeights) []topo.NodeID {
-	out := make([]topo.NodeID, 0, len(w))
-	for nh := range w {
-		out = append(out, nh)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// offerVolumes pushes one aggregate's volume through its forwarding DAG
-// (ECMP-weight-proportional splits) and records the per-link offered
-// volume under the aggregate's index.
-func offerVolumes(t *topo.Topology, views map[topo.NodeID]fibbing.RouteView, ingress topo.NodeID, volume float64, agg int, offers map[topo.LinkID][]linkShare) error {
-	vol := map[topo.NodeID]float64{ingress: volume}
-	return topoWalk(views, func(u topo.NodeID) error {
-		view := views[u]
-		x := vol[u]
-		if x <= 0 || view.Local {
-			return nil
-		}
-		total := view.NextHops.Total()
-		if total == 0 {
-			return fmt.Errorf("traffic stranded at %s", t.Name(u))
-		}
-		for _, nh := range sortedHops(view.NextHops) {
-			share := x * float64(view.NextHops[nh]) / float64(total)
-			l, ok := t.FindLink(u, nh)
-			if !ok {
-				return fmt.Errorf("no link %s->%s", t.Name(u), t.Name(nh))
-			}
-			offers[l.ID] = append(offers[l.ID], linkShare{agg: agg, vol: share})
-			vol[nh] += share
-		}
-		return nil
-	})
 }
 
 // linkFactors water-fills every capacity-constrained link and returns,
@@ -330,51 +292,53 @@ func linkFactors(t *topo.Topology, aggs []aggregate, offers map[topo.LinkID][]li
 }
 
 // survivingFraction bottleneck-combines the per-link survival factors
-// along one aggregate's forwarding DAG: traffic entering a link is
-// damped to min(carried-so-far, link factor); at merge points the
+// along one aggregate's compiled forwarding DAG: traffic entering a link
+// is damped to min(carried-so-far, link factor); at merge points the
 // per-path minima combine by volume-weighted mean. The result is the
-// fraction of a member session's rate that reaches the prefix.
-func survivingFraction(t *topo.Topology, views map[topo.NodeID]fibbing.RouteView, ingress topo.NodeID, agg int, factors map[topo.LinkID]map[int]float64) float64 {
-	arrived := map[topo.NodeID]float64{ingress: 1}
-	damp := map[topo.NodeID]float64{ingress: 1} // arrival-weighted mean min-factor
+// fraction of a member session's rate that reaches the prefix. scratch
+// holds at least two slots per router of w.
+func survivingFraction(w *fibbing.Walk, ingress topo.NodeID, agg int, factors map[topo.LinkID]map[int]float64, scratch []float64) float64 {
+	if w.Cycle {
+		return 0 // offerVolumes already rejected this DAG
+	}
+	n := len(w.Routes)
+	arrived, damp := scratch[:n], scratch[n:2*n] // damp: arrival-weighted mean min-factor
+	clear(arrived)
+	clear(damp)
+	if uint(ingress) < uint(n) {
+		arrived[ingress], damp[ingress] = 1, 1
+	}
 	delivered := 0.0
-	err := topoWalk(views, func(u topo.NodeID) error {
-		view := views[u]
+	for _, u := range w.Order {
+		r := &w.Routes[u]
 		a := arrived[u]
 		if a <= 0 {
-			return nil
+			continue
 		}
-		if view.Local {
+		if r.Local {
 			delivered += a * damp[u]
-			return nil
+			continue
 		}
-		total := view.NextHops.Total()
-		if total == 0 {
-			return nil // stranded; offerVolumes already rejected this DAG
+		if r.Total == 0 {
+			continue // stranded; offerVolumes already rejected this DAG
 		}
-		for _, nh := range sortedHops(view.NextHops) {
-			share := a * float64(view.NextHops[nh]) / float64(total)
+		for _, h := range r.Hops {
+			share := a * float64(h.Weight) / float64(r.Total)
 			phi := 1.0
-			if l, ok := t.FindLink(u, nh); ok {
-				if f, ok := factors[l.ID]; ok {
-					if v, ok := f[agg]; ok {
-						phi = v
-					}
+			if f, ok := factors[h.Link]; ok {
+				if v, ok := f[agg]; ok {
+					phi = v
 				}
 			}
 			m := math.Min(damp[u], phi)
 			// Volume-weighted mean of the per-path min factors at the
 			// merge point: damp holds sum(a_e*m_e)/sum(a_e).
-			prev := arrived[nh]
-			arrived[nh] = prev + share
-			if arrived[nh] > 0 {
-				damp[nh] = (damp[nh]*prev + m*share) / arrived[nh]
+			prev := arrived[h.To]
+			arrived[h.To] = prev + share
+			if arrived[h.To] > 0 {
+				damp[h.To] = (damp[h.To]*prev + m*share) / arrived[h.To]
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return 0
 	}
 	if delivered < 0 {
 		return 0

@@ -41,61 +41,35 @@ func LinkLoads(t *topo.Topology, viewsByPrefix map[string]map[topo.NodeID]fibbin
 	return loads, nil
 }
 
-// propagate pushes per-ingress volumes through the forwarding DAG.
+// propagate pushes per-ingress volumes through the forwarding DAG in
+// walk order, so a merge router sums its upstream shares in the same
+// order on every call. Views are loop-free per CheckDelivery, but a
+// cycle is still reported.
 func propagate(t *topo.Topology, views map[topo.NodeID]fibbing.RouteView, ingress map[topo.NodeID]float64, loads map[topo.LinkID]float64) error {
-	// Node volume = injected + received; process in topological order of
-	// the forwarding DAG (views are loop-free per CheckDelivery, but we
-	// guard against cycles anyway).
-	indeg := make(map[topo.NodeID]int)
-	for u, v := range views {
-		if _, ok := indeg[u]; !ok {
-			indeg[u] = 0
-		}
-		for nh := range v.NextHops {
-			indeg[nh]++
-		}
-	}
-	vol := make(map[topo.NodeID]float64, len(ingress))
+	w := fibbing.NewWalk(t, views)
+	vol := make([]float64, len(w.Routes))
 	for u, x := range ingress {
-		vol[u] += x
-	}
-	queue := make([]topo.NodeID, 0, len(indeg))
-	for u, d := range indeg {
-		if d == 0 {
-			queue = append(queue, u)
+		if uint(u) < uint(len(vol)) { // an ingress outside t carries nothing
+			vol[u] = x
 		}
 	}
-	slices.Sort(queue)
-	processed := 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		processed++
-		view := views[u]
-		x := vol[u]
-		if x > 0 && !view.Local {
-			total := view.NextHops.Total()
-			if total == 0 {
+	for _, u := range w.Order {
+		r := &w.Routes[u]
+		if x := vol[u]; x > 0 && !r.Local {
+			if r.Total == 0 {
 				return fmt.Errorf("traffic stranded at %s", t.Name(u))
 			}
-			for nh, w := range view.NextHops {
-				share := x * float64(w) / float64(total)
-				l, ok := t.FindLink(u, nh)
-				if !ok {
-					return fmt.Errorf("no link %s->%s", t.Name(u), t.Name(nh))
+			for _, h := range r.Hops {
+				share := x * float64(h.Weight) / float64(r.Total)
+				if h.Link == topo.NoLink {
+					return fmt.Errorf("no link %s->%s", t.Name(u), t.Name(h.To))
 				}
-				loads[l.ID] += share
-				vol[nh] += share
-			}
-		}
-		for nh := range view.NextHops {
-			indeg[nh]--
-			if indeg[nh] == 0 {
-				queue = append(queue, nh)
+				loads[h.Link] += share
+				vol[h.To] += share
 			}
 		}
 	}
-	if processed != len(indeg) {
+	if w.Cycle {
 		return fmt.Errorf("forwarding graph contains a cycle")
 	}
 	return nil

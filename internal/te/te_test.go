@@ -222,6 +222,73 @@ func TestNetworkCostIgnoresMapOrder(t *testing.T) {
 	}
 }
 
+// TestLinkLoadsIgnoreMapOrder: a merge router sums its upstream shares
+// in walk order (smallest NodeID first), so repeated calls return
+// bit-identical loads. s splits 1:3:7 over a, b and c; they merge at x,
+// which has its own ingress volume and forwards everything to the
+// attachment d. The volumes are ones where the order matters: every
+// other rotation of x's three incoming shares sums to different bits.
+func TestLinkLoadsIgnoreMapOrder(t *testing.T) {
+	tp := topo.New()
+	s, a, b, c := tp.AddNode("s"), tp.AddNode("a"), tp.AddNode("b"), tp.AddNode("c")
+	x, d := tp.AddNode("x"), tp.AddNode("d")
+	opts := topo.LinkOpts{Capacity: 100e6}
+	for _, mid := range []topo.NodeID{a, b, c} {
+		tp.AddLink(s, mid, 1, opts)
+		tp.AddLink(mid, x, 1, opts)
+	}
+	tp.AddLink(x, d, 1, opts)
+	hop := func(to topo.NodeID) fibbing.RouteView {
+		return fibbing.RouteView{Dist: 1, NextHops: fibbing.NextHopWeights{to: 1}}
+	}
+	views := map[string]map[topo.NodeID]fibbing.RouteView{"p": {
+		s: {Dist: 3, NextHops: fibbing.NextHopWeights{a: 1, b: 3, c: 7}},
+		a: hop(x), b: hop(x), c: hop(x), x: hop(d),
+		d: {Local: true, NextHops: fibbing.NextHopWeights{}},
+	}}
+	const fromS, fromX = 10e6, 2.5e6
+	demands := []topo.Demand{
+		{Ingress: s, PrefixName: "p", Volume: fromS},
+		{Ingress: x, PrefixName: "p", Volume: fromX},
+	}
+	shares := []float64{fromS * 1 / 11, fromS * 3 / 11, fromS * 7 / 11} // a, b, c
+	mergeSum := func(order []float64) float64 {
+		v := fromX
+		for _, sh := range order {
+			v += sh
+		}
+		return v
+	}
+	want := map[topo.LinkID]float64{}
+	for i, mid := range []topo.NodeID{a, b, c} {
+		want[tp.MustLinkBetween("s", tp.Name(mid)).ID] = shares[i]
+		want[tp.MustLinkBetween(tp.Name(mid), "x").ID] = shares[i]
+	}
+	xd := tp.MustLinkBetween("x", "d").ID
+	want[xd] = mergeSum(shares)
+	for r := 1; r < len(shares); r++ {
+		if mergeSum(slices.Concat(shares[r:], shares[:r])) == want[xd] {
+			t.Fatalf("rotation %d of the shares into x sums to the NodeID-order bits; the test checks nothing", r)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		got, err := LinkLoads(tp, views, demands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("call %d: %d loaded links, want %d", i, len(got), len(want))
+		}
+		for id, w := range want {
+			if math.Float64bits(got[id]) != math.Float64bits(w) {
+				l := tp.Link(id)
+				t.Fatalf("call %d: load %s->%s = %v (%#x), want the NodeID-order sum %v (%#x)",
+					i, tp.Name(l.From), tp.Name(l.To), got[id], math.Float64bits(got[id]), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
 func TestOptimizeWeightsValidation(t *testing.T) {
 	tp, demands := fig1Stress()
 	if _, err := OptimizeWeights(tp, demands, 1, 1); err == nil {
