@@ -18,10 +18,11 @@ type zooEntry struct {
 }
 
 // gadget is a hand-built topology with everything the generators never
-// produce: asymmetric directed weights, parallel links of equal and
-// unequal weight, a two-attachment prefix with different costs (one node
-// attached twice), a prefix attached at a host, stub hosts, and a router
-// (x) the network can reach but that has no way back, so it has no route.
+// produce: asymmetric directed weights, a two-attachment prefix with
+// different costs (one node attached twice), a prefix attached at a host,
+// stub hosts, and a router (x) the network can reach but that has no way
+// back, so it has no route. It has no parallel links: topo allows one
+// link per ordered pair.
 func gadget() *topo.Topology {
 	t := topo.New()
 	n := make(map[string]topo.NodeID)
@@ -30,9 +31,7 @@ func gadget() *topo.Topology {
 	}
 	h1, h2 := t.AddHost("h1"), t.AddHost("h2")
 	t.AddLink(n["a"], n["b"], 2, topo.LinkOpts{})
-	t.AddLink(n["a"], n["b"], 2, topo.LinkOpts{}) // equal-weight parallel pair
 	t.AddLink(n["b"], n["c"], 1, topo.LinkOpts{})
-	t.AddLink(n["b"], n["c"], 3, topo.LinkOpts{}) // heavier parallel pair
 	t.AddLink(n["a"], n["d"], 1, topo.LinkOpts{})
 	t.AddLink(n["d"], n["c"], 2, topo.LinkOpts{})
 	t.AddLink(n["c"], n["e"], 1, topo.LinkOpts{})
@@ -198,7 +197,7 @@ func TestEvaluatorCornerCases(t *testing.T) {
 		{"lie ties with real attachment elsewhere", "multi", []Lie{lie(multi, "d", "e", 4), lie(multi, "b", "a", 3)}},
 		{"own fake and transit through the same via", "multi", []Lie{lie(multi, "a", "d", 5), lie(multi, "d", "c", 4), lie(multi, "d", "c", 4)}},
 		{"cost-0 pins", "single", []Lie{lie(single, "a", "b", 0), lie(single, "b", "c", 0), lie(single, "c", "e", 0)}},
-		{"fake over a parallel link", "single", []Lie{lie(single, "b", "a", 2), lie(single, "c", "b", 1)}},
+		{"fakes over the a-b and b-c links", "single", []Lie{lie(single, "b", "a", 2), lie(single, "c", "b", 1)}},
 		{"fake hung off a host", "athost", []Lie{lie(athost, "h1", "a", 0), lie(athost, "a", "d", 1)}},
 		{"fake on the router with no route", "single", []Lie{lie(single, "b", "x", 0)}},
 		{"cost near overflow", "single", []Lie{lie(single, "a", "b", spf.Infinity-1)}},

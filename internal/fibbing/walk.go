@@ -44,8 +44,8 @@ type WalkRoute struct {
 type Hop struct {
 	To     topo.NodeID
 	Weight int
-	// Link is the link topo.FindLink resolves for the hop, topo.NoLink
-	// when To is not a neighbour.
+	// Link is the one link from the router to To (topo.FindLink),
+	// topo.NoLink when To is not a neighbour.
 	Link topo.LinkID
 }
 

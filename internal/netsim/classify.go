@@ -35,8 +35,9 @@ type fwdEntry struct {
 }
 
 // fwdHop is one next hop of a resolved route, parallel to
-// route.NextHops: the node it leads to and the link topo.FindLink picks
-// towards it (NoLink when there is none).
+// route.NextHops: the node it leads to and the one link towards it
+// (NoLink when there is none). A pair of routers has at most one link, so
+// neither the link nor its capacitated bit moves under SetWeight.
 type fwdHop struct {
 	node        topo.NodeID
 	link        topo.LinkID
@@ -52,22 +53,10 @@ func (n *Network) dropEntry(node topo.NodeID) {
 	}
 }
 
-// syncEntries drops every entry when the topology's link weights moved
-// since they were resolved: FindLink prefers the lighter of parallel
-// links. Callers hold n.mu.
-func (n *Network) syncEntries() {
-	if v := n.topo.Version(); v != n.fwdVersion {
-		n.fwdVersion = v
-		for node := range n.fwd {
-			n.dropEntry(topo.NodeID(node))
-		}
-	}
-}
-
 // entry returns the router's forwarding entry for dst, resolving it from
 // the live table when the one held does not answer for dst; nil when the
 // router has no table (or lies outside the topology) or no route to dst.
-// Callers hold n.mu and have run syncEntries.
+// Callers hold n.mu.
 func (n *Network) entry(node topo.NodeID, dst netip.Addr) *fwdEntry {
 	if uint(node) >= uint(len(n.fwd)) {
 		return nil
@@ -118,7 +107,6 @@ func (e *fwdEntry) next(key fib.FlowKey) *fwdHop {
 // valid until the next call; rebucket clones it when an aggregate has to
 // keep it. Callers hold n.mu.
 func (n *Network) traceFlow(f *Flow) *trace {
-	n.syncEntries()
 	tr := &n.scratch
 	tr.reset(false)
 	path := uint64(fnvOffset)
@@ -161,7 +149,6 @@ func (n *Network) forwardsAsRecorded(a *Aggregate, f *Flow, hops uint64) bool {
 	if a.blocked {
 		return false
 	}
-	n.syncEntries()
 	last := len(a.nodes) - 1
 	for ; hops != 0; hops &= hops - 1 {
 		j := bits.TrailingZeros64(hops)

@@ -134,10 +134,8 @@ type Network struct {
 	tables map[topo.NodeID]*fib.Table
 
 	// fwd holds each router's resolved route (classify.go), indexed by
-	// NodeID; installing a table drops the router's entry, and a move of
-	// the topology's version (fwdVersion when resolved) drops them all.
-	fwd        []fwdEntry
-	fwdVersion uint64
+	// NodeID; installing a table drops the router's entry.
+	fwd []fwdEntry
 
 	// flows is indexed by FlowID: ids are dense and never reused, so a
 	// finished flow leaves a nil slot; live counts the others.
@@ -211,7 +209,6 @@ func New(t *topo.Topology, sched *event.Scheduler, sampleEvery time.Duration) *N
 		series:      make(map[topo.LinkID]*metrics.Series),
 		lastOct:     make(map[topo.LinkID]uint64),
 		fwd:         make([]fwdEntry, t.NumNodes()),
-		fwdVersion:  t.Version(),
 		linkDown:    make([]bool, t.NumLinks()),
 		sampleEvery: sampleEvery,
 	}

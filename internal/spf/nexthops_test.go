@@ -54,22 +54,28 @@ func referenceNextHops(t *Tree, dst topo.NodeID) []NextHop {
 // hop and deeper, each also with zero-cost leaf nodes grafted on the way
 // Fibbing's fakes are (distance ties between a leaf and its parent).
 func nextHopsZoo() map[string]*Graph {
-	multi := topo.New()
-	var n [6]topo.NodeID
-	for i, name := range []string{"s", "a", "b", "c", "d", "e"} {
-		n[i] = multi.AddNode(name)
+	// A topology has one link per ordered pair, so the multigraph is built
+	// as an spf.Graph, the shape LSAs can give it: edge by edge, each with
+	// its own link ID.
+	multi := NewGraph(6)
+	var id topo.LinkID
+	edge := func(u, v topo.NodeID, w int64) {
+		multi.AddEdge(u, Edge{To: v, Weight: w, Link: id})
+		id++
 	}
-	multi.AddLink(n[0], n[1], 1, topo.LinkOpts{})
-	multi.AddLink(n[0], n[1], 1, topo.LinkOpts{})
-	multi.AddLink(n[0], n[2], 1, topo.LinkOpts{})
-	multi.AddLink(n[1], n[3], 2, topo.LinkOpts{})
-	multi.AddLink(n[2], n[3], 2, topo.LinkOpts{})
-	multi.AddLink(n[2], n[3], 2, topo.LinkOpts{})
-	multi.AddLink(n[2], n[3], 5, topo.LinkOpts{})
-	multi.AddLink(n[3], n[4], 1, topo.LinkOpts{})
-	multi.AddLink(n[0], n[4], 4, topo.LinkOpts{})
-	multi.AddDirectedLink(n[4], n[5], 1, topo.LinkOpts{})
-	multi.AddDirectedLink(n[5], n[0], 7, topo.LinkOpts{})
+	both := func(u, v topo.NodeID, w int64) { edge(u, v, w); edge(v, u, w) }
+	const s, a, b, c, d, e = 0, 1, 2, 3, 4, 5
+	both(s, a, 1)
+	both(s, a, 1)
+	both(s, b, 1)
+	both(a, c, 2)
+	both(b, c, 2)
+	both(b, c, 2)
+	both(b, c, 5)
+	both(c, d, 1)
+	both(s, d, 4)
+	edge(d, e, 1)
+	edge(e, s, 7)
 
 	zoo := map[string]*Graph{
 		"fig1":            FromTopology(topo.Fig1(topo.Fig1Opts{})),
@@ -78,7 +84,7 @@ func nextHopsZoo() map[string]*Graph {
 		"ring9-chords":    FromTopology(topo.Ring(topo.RingOpts{N: 9, MaxWeight: 4, Seed: 5, Chords: 3})),
 		"waxman16":        FromTopology(topo.Waxman(topo.WaxmanOpts{Nodes: 16, MaxWeight: 6, Seed: 13})),
 		"abilene":         FromTopology(topo.Abilene(10e6, 0)),
-		"multigraph":      FromTopology(multi),
+		"multigraph":      multi,
 	}
 	for name, g := range zoo {
 		fakes := g.Clone()

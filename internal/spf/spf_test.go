@@ -83,9 +83,11 @@ func TestNextHopsECMPMultiplicity(t *testing.T) {
 	tp.AddLink(u1, d, 1, topo.LinkOpts{})
 	tp.AddLink(u2, d, 1, topo.LinkOpts{})
 	tp.AddLink(v, d, 1, topo.LinkOpts{})
-	tp.AddLink(v, d, 1, topo.LinkOpts{}) // parallel link doubles v's paths
 
 	g := FromTopology(tp)
+	// A parallel edge doubles v's paths. The topology cannot hold a second
+	// v->d link, but an LSA-built graph can.
+	g.AddEdge(v, Edge{To: d, Weight: 1, Link: topo.LinkID(tp.NumLinks())})
 	tree := Compute(g, s, nil)
 	nhs := tree.NextHops(d)
 	if len(nhs) != 3 {

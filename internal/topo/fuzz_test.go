@@ -7,9 +7,10 @@ import (
 )
 
 // FuzzParse drives the textual topology parser with arbitrary input: it
-// must never panic, and any topology it accepts must render (String) to
-// a form that reparses, with the rendering stable from the second pass
-// on (String is the canonical form).
+// must never panic, any topology it accepts must have at most one link
+// per ordered pair and render (String) to a form that reparses into one
+// that has too, with the rendering stable from the second pass on
+// (String is the canonical form).
 func FuzzParse(f *testing.F) {
 	f.Add("router A\nrouter B\nlink A B weight 2 capacity 10M delay 1ms\n" +
 		"prefix 10.66.0.0/16 name blue at A cost 0\n")
@@ -20,17 +21,20 @@ func FuzzParse(f *testing.F) {
 	f.Add("link A B")
 	f.Add("prefix nope name x at A")
 	f.Add("router A\nrouter A\n")
+	f.Add("router A\nrouter B\nlink A B weight 2\ndlink B A weight 1\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
 		tp, err := Parse(strings.NewReader(input))
 		if err != nil {
 			return // rejected input is fine; panicking is not
 		}
+		onePerPair(t, tp)
 		r1 := tp.String()
 		tp2, err := Parse(strings.NewReader(r1))
 		if err != nil {
 			t.Fatalf("rendering of accepted topology does not reparse: %v\n%s", err, r1)
 		}
+		onePerPair(t, tp2)
 		if tp2.NumNodes() != tp.NumNodes() || tp2.NumLinks() != tp.NumLinks() ||
 			len(tp2.Prefixes()) != len(tp.Prefixes()) {
 			t.Fatalf("round trip changed shape: %d/%d/%d -> %d/%d/%d",
@@ -46,6 +50,19 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("canonical form not stable:\n--- r2 ---\n%s\n--- r3 ---\n%s", r2, r3)
 		}
 	})
+}
+
+// onePerPair fails the test when two links join one ordered pair.
+func onePerPair(t *testing.T, tp *Topology) {
+	t.Helper()
+	seen := make(map[[2]NodeID]bool, tp.NumLinks())
+	for _, l := range tp.Links() {
+		pair := [2]NodeID{l.From, l.To}
+		if seen[pair] {
+			t.Fatalf("two links %s->%s:\n%s", tp.Name(l.From), tp.Name(l.To), tp)
+		}
+		seen[pair] = true
+	}
 }
 
 // FuzzParseBits checks the bit-rate scanner against its formatter.

@@ -20,6 +20,8 @@ import (
 //	prefix 10.66.0.0/16 name blue at C cost 0 [at R4 cost 5]
 //
 // '#' starts a comment; blank lines are ignored. Weight defaults to 1.
+// There is at most one link per ordered pair: a link or dlink over a pair
+// that already has one (either pair, for link) is an error.
 func Parse(r io.Reader) (*Topology, error) {
 	t := New()
 	sc := bufio.NewScanner(r)
@@ -90,6 +92,12 @@ func (t *Topology) parseLink(f []string) error {
 	}
 	if a == b {
 		return fmt.Errorf("self-loop link on %q", f[1])
+	}
+	if _, dup := t.FindLink(a, b); dup {
+		return fmt.Errorf("link %s->%s already exists", f[1], f[2])
+	}
+	if _, dup := t.FindLink(b, a); dup && f[0] == "link" {
+		return fmt.Errorf("link %s->%s already exists", f[2], f[1])
 	}
 	weight := int64(1)
 	opts := LinkOpts{}

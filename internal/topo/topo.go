@@ -2,9 +2,10 @@
 // link-state interior gateway protocols (IGPs).
 //
 // A Topology is a set of named nodes (routers and stub hosts) connected by
-// directed links. Undirected (symmetric) links are stored as two directed
-// half-links that reference each other. Destination prefixes are attached to
-// one or more nodes, mirroring how an IGP router originates a prefix.
+// directed links, at most one per ordered pair of nodes. Undirected
+// (symmetric) links are stored as two directed half-links that reference
+// each other. Destination prefixes are attached to one or more nodes,
+// mirroring how an IGP router originates a prefix.
 //
 // The package also ships the canonical topology of the paper's Figure 1
 // (see Fig1) and deterministic random-topology generators used by the
@@ -124,7 +125,9 @@ type LinkOpts struct {
 	Delay    time.Duration // one-way propagation delay
 }
 
-// AddDirectedLink adds a single directed link and returns its ID.
+// AddDirectedLink adds a single directed link and returns its ID. A
+// second link between the same ordered pair panics: forwarding names the
+// next router, so one link per pair is what lets FindLink recover it.
 func (t *Topology) AddDirectedLink(from, to NodeID, weight int64, opts LinkOpts) LinkID {
 	t.checkNode(from)
 	t.checkNode(to)
@@ -133,6 +136,9 @@ func (t *Topology) AddDirectedLink(from, to NodeID, weight int64, opts LinkOpts)
 	}
 	if weight < 1 {
 		panic(fmt.Sprintf("topo: link weight %d < 1", weight))
+	}
+	if _, dup := t.FindLink(from, to); dup {
+		panic(fmt.Sprintf("topo: parallel link %s->%s", t.nodes[from].Name, t.nodes[to].Name))
 	}
 	id := LinkID(len(t.links))
 	t.links = append(t.links, Link{
@@ -264,22 +270,15 @@ func (t *Topology) PrefixByName(name string) (Prefix, bool) {
 	return Prefix{}, false
 }
 
-// FindLink returns the directed link from a to b, if one exists. When
-// parallel links exist, the lowest-weight one is returned.
+// FindLink returns the directed link from a to b, if one exists; there is
+// at most one per ordered pair.
 func (t *Topology) FindLink(a, b NodeID) (Link, bool) {
-	best := Link{}
-	found := false
 	for _, id := range t.OutLinks(a) {
-		l := t.links[id]
-		if l.To != b {
-			continue
-		}
-		if !found || l.Weight < best.Weight {
-			best = l
-			found = true
+		if l := t.links[id]; l.To == b {
+			return l, true
 		}
 	}
-	return best, found
+	return Link{}, false
 }
 
 // MustLinkBetween returns the directed link between two named nodes, and
@@ -494,8 +493,6 @@ func (t *Topology) String() string {
 			rev := t.Link(l.Reverse)
 			if rev.Weight == l.Weight && rev.Capacity == l.Capacity && rev.Delay == l.Delay && l.Reverse > l.ID {
 				kind = "link"
-			} else if l.Reverse < l.ID {
-				// asymmetric pair, second half: emit as dlink
 			}
 		}
 		fmt.Fprintf(&b, "%s %s %s weight %d", kind, t.Name(l.From), t.Name(l.To), l.Weight)

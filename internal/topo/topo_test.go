@@ -82,14 +82,42 @@ func TestBadWeightPanics(t *testing.T) {
 	tp.AddDirectedLink(a, b, 0, LinkOpts{})
 }
 
-func TestFindLinkPicksLowestWeight(t *testing.T) {
+// TestParallelLinksRejected: a second link between one ordered pair is
+// refused by every way in, so FindLink has exactly one answer.
+func TestParallelLinksRejected(t *testing.T) {
+	mustPanic := func(what string, add func(tp *Topology, a, b NodeID)) {
+		t.Helper()
+		tp := New()
+		a, b := tp.AddNode("A"), tp.AddNode("B")
+		tp.AddDirectedLink(a, b, 5, LinkOpts{})
+		defer func() {
+			t.Helper()
+			if recover() == nil {
+				t.Errorf("%s should panic", what)
+			}
+		}()
+		add(tp, a, b)
+	}
+	mustPanic("AddDirectedLink a->b twice", func(tp *Topology, a, b NodeID) { tp.AddDirectedLink(a, b, 2, LinkOpts{}) })
+	mustPanic("AddLink over a->b", func(tp *Topology, a, b NodeID) { tp.AddLink(a, b, 2, LinkOpts{}) })
+	mustPanic("AddLink over b->a", func(tp *Topology, a, b NodeID) { tp.AddLink(b, a, 2, LinkOpts{}) })
+
+	for _, c := range []struct{ src, line string }{
+		{"router A\nrouter B\nlink A B\ndlink B A weight 2\n", "line 4"},
+		{"router A\nrouter B\ndlink B A\n\nlink A B\n", "line 5"},
+		{"router A\nrouter B\ndlink A B\ndlink A B weight 3\n", "line 4"},
+	} {
+		_, err := Parse(strings.NewReader(c.src))
+		if err == nil || !strings.Contains(err.Error(), c.line) {
+			t.Errorf("Parse(%q) = %v; want an error naming %s", c.src, err, c.line)
+		}
+	}
+
 	tp := New()
 	a, b := tp.AddNode("A"), tp.AddNode("B")
-	tp.AddDirectedLink(a, b, 5, LinkOpts{})
-	tp.AddDirectedLink(a, b, 2, LinkOpts{})
-	l, ok := tp.FindLink(a, b)
-	if !ok || l.Weight != 2 {
-		t.Fatalf("FindLink = %+v, %v; want weight 2", l, ok)
+	ab := tp.AddDirectedLink(a, b, 5, LinkOpts{})
+	if l, ok := tp.FindLink(a, b); !ok || l.ID != ab {
+		t.Fatalf("FindLink(a, b) = %+v, %v; want link %d", l, ok, ab)
 	}
 	if _, ok := tp.FindLink(b, a); ok {
 		t.Fatalf("no reverse link expected")
