@@ -121,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		o.over.ScoreMode = v
 		return err
 	})
-	fs.Func("strategies", "comma-separated reaction strategies (e.g. localecmp,lpoptimal; ksp proposes only under -score-mode qoe); unset keeps the stock set", func(v string) error {
+	fs.Func("strategies", "comma-separated reaction strategies (e.g. localecmp,lpoptimal); unset keeps the stock set", func(v string) error {
 		set, err := controller.ParseStrategies(v)
 		o.over.Strategies = controller.StrategyNames(set)
 		return err

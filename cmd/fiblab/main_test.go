@@ -14,7 +14,7 @@ import (
 // overrideArgs sets every override flag at once, each to a value no cell
 // has of its own, so one run per mode shows where each of them landed.
 var overrideArgs = []string{
-	"-duration", "31s", "-strategies", "ksp", "-viewers", "60", "-capacity", "20M",
+	"-duration", "31s", "-strategies", "localecmp", "-viewers", "60", "-capacity", "20M",
 	"-score-mode", "qoe", "-bfd",
 }
 
@@ -111,7 +111,7 @@ func TestOverridesReachEveryArm(t *testing.T) {
 				if err := json.Unmarshal(cell["spec"], &spec); err != nil {
 					t.Fatal(err)
 				}
-				if spec.Duration.String() != "31s" || !slices.Equal(spec.Strategies, []string{"ksp", "withdraw"}) ||
+				if spec.Duration.String() != "31s" || !slices.Equal(spec.Strategies, []string{"local-ecmp", "withdraw"}) ||
 					spec.Viewers != 60 || spec.Topo.Capacity != 20e6 {
 					t.Errorf("%s: overrides missing from the spec: %+v", spec.Name, spec)
 				}

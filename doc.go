@@ -14,7 +14,7 @@
 // sets plus predicted max utilisation), and a southbound.Transaction
 // commits the winner all-or-nothing. The Planner asks the registered
 // strategies in registration order and scores them; the paper's tiers
-// are the stock strategies (local-ecmp, lp-optimal, ksp, withdraw) and
+// are the stock strategies (local-ecmp, lp-optimal, withdraw) and
 // custom policies register via controller.New(..., WithStrategies(...)).
 // See README.md ("The reaction-strategy API").
 //

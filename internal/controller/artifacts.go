@@ -3,20 +3,20 @@ package controller
 // The planner's amortisation layer. Every strategy of a planning round —
 // and every successive planner invocation between state changes — used
 // to recompute the same expensive inputs from scratch: per-source SPF
-// trees, Yen k-shortest-path sets, the believed-topology compilation
-// (fibbing.Evaluate per prefix and lie set), and the fluid load estimates
-// behind PlanContext.Evaluate. PlanArtifacts memoises all of them, keyed
-// by value-complete cache keys (topology binding by pointer and
-// Topology.Version, lie sets and demand volumes encoded into the key), so
-// a stale entry is impossible by construction. The tables come in two
-// lifetimes. The topology tables (the evaluator, the SPF graph, the SPF
-// trees and the Yen path sets) depend on the binding alone and are
-// bounded by the topology's size, so they live until the controller plans
-// over another topology instance or the bound one's weights change. The
-// epoch tables (views, loads, LP optima, compiled DAGs, QoE predictions)
-// have keys that grow with lie sets, DAGs and demands, so the controller
-// empties them whenever its generation triple (topology gen, demand gen,
-// lie gen) moves, which bounds their memory to one planning epoch.
+// trees, the believed-topology compilation (fibbing.Evaluate per prefix
+// and lie set), and the fluid load estimates behind PlanContext.Evaluate.
+// PlanArtifacts memoises all of them, keyed by value-complete cache keys
+// (topology binding by pointer and Topology.Version, lie sets and demand
+// volumes encoded into the key), so a stale entry is impossible by
+// construction. The tables come in two lifetimes. The topology tables
+// (the evaluator, the SPF graph and the SPF trees) depend on the binding
+// alone and are bounded by the topology's size, so they live until the
+// controller plans over another topology instance or the bound one's
+// weights change. The epoch tables (views, loads, LP optima, compiled
+// DAGs, QoE predictions) have keys that grow with lie sets, DAGs and
+// demands, so the controller empties them whenever its generation triple
+// (topology gen, demand gen, lie gen) moves, which bounds their memory to
+// one planning epoch.
 //
 // Hit/miss accounting is deterministic because planning is: the Planner
 // proposes strategy by strategy in registration order on the control
@@ -72,11 +72,6 @@ type graphEntry struct {
 	skip func(topo.NodeID) bool
 }
 
-type kspKey struct {
-	src, dst topo.NodeID
-	k        int
-}
-
 // loadsEntry caches one fluid routing of a full lie set: the per-link
 // loads and the max utilisation derived from them.
 type loadsEntry struct {
@@ -96,8 +91,8 @@ type augEntry struct {
 // PlanArtifacts memoises the expensive planner inputs for one topology.
 // The planner itself uses it from one goroutine; the mutex keeps it safe
 // to share and to snapshot (Stats) from another. Cached values are
-// shared — callers must treat returned trees, paths, views and load maps
-// as read-only.
+// shared — callers must treat returned trees, views and load maps as
+// read-only.
 type PlanArtifacts struct {
 	mu sync.Mutex
 	// topo and version are the binding: the topology and the
@@ -113,7 +108,6 @@ type PlanArtifacts struct {
 	eval  *fibbing.Evaluator
 	graph map[struct{}]graphEntry // at most one entry: a table, so memo serves it
 	trees map[topo.NodeID]*spf.Tree
-	ksp   map[kspKey][][]topo.NodeID
 
 	// The epoch tables: their keys grow with lie sets, DAGs and demands,
 	// so newEpoch empties them whenever the controller's planning inputs
@@ -151,7 +145,6 @@ func newPlanArtifacts(t *topo.Topology, stats *ArtifactStats, lp *te.MinMaxSolve
 		eval:      fibbing.NewEvaluator(t),
 		graph:     make(map[struct{}]graphEntry),
 		trees:     make(map[topo.NodeID]*spf.Tree),
-		ksp:       make(map[kspKey][][]topo.NodeID),
 		lp:        lp,
 		stats:     stats,
 		planCount: counters{&stats.Hits, &stats.Misses},
@@ -231,22 +224,6 @@ func (a *PlanArtifacts) Tree(src topo.NodeID) *spf.Tree {
 	})
 }
 
-// spurScan bounds Yen's spur scan to the first nodes of each parent
-// path: deviations near the hot router are the exploitable ones, and the
-// bound keeps the per-alarm search cheap on large sparse topologies.
-const spurScan = 8
-
-// kspPaths is how many loopless paths the ksp strategy considers.
-const kspPaths = 4
-
-// KShortest returns the memoised Yen k-shortest-path set.
-func (a *PlanArtifacts) KShortest(src, dst topo.NodeID, k int) [][]topo.NodeID {
-	return memo(a, a.ksp, kspKey{src, dst, k}, a.planCount, func() [][]topo.NodeID {
-		g, skip := a.Graph()
-		return spf.KShortestSpurLimit(g, src, dst, k, spurScan, skip)
-	})
-}
-
 // Views returns the memoised believed-topology compilation for one
 // prefix under the given lie set (nil lies = the plain IGP view). A miss
 // is a scan over the shared evaluator's reverse trees, plus one Dijkstra
@@ -322,10 +299,9 @@ func (a *PlanArtifacts) SolveMinMax(demands []topo.Demand) (*te.MinMaxResult, er
 // DAG on one prefix: the add-paths-then-pin-all compilation plus the
 // Verify sweep, all against the shared evaluator (a pinned compile costs
 // at most one Dijkstra per router in total, however many removals
-// ReduceLies tries). The KSP strategy's greedy path accumulation retries
-// the same candidate DAGs on every invocation, making this the planner's
-// second-largest repeated cost after the view compilations. The returned
-// augmentation is shared — callers must treat it as read-only.
+// ReduceLies tries). The LP strategy compiles the same split DAGs on
+// every invocation within an epoch. The returned augmentation is
+// shared — callers must treat it as read-only.
 func (a *PlanArtifacts) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Augmentation, bool, error) {
 	var sb strings.Builder
 	sb.WriteString(prefix)

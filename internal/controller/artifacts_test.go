@@ -45,9 +45,6 @@ func TestArtifactMemo(t *testing.T) {
 		{name: "Tree reads Graph", misses: ArtifactStats{Misses: 2}, lookup: func(a *PlanArtifacts) outcome {
 			return outcome{val: a.Tree(b)}
 		}},
-		{name: "KShortest reads Graph", misses: ArtifactStats{Misses: 2}, lookup: func(a *PlanArtifacts) outcome {
-			return outcome{val: a.KShortest(b, c, 3)}
-		}},
 		{name: "Views", misses: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			v, err := a.Views(blue, nil)
 			return outcome{v, err}
@@ -190,9 +187,9 @@ func (p repeatProblem) context(arts *PlanArtifacts, mode ScoreMode) PlanContext 
 // repeatProblems is every zoo context (20 viewers per demand) plus the
 // problem shaped like the ring/skew@qoe cell: on a 9-ring, a crowd of 80
 // thin sessions one hop downstream of 5 fat ones, each crowd worth 1.1x a
-// link, so they saturate a shared path and the two score modes pick
-// different winners: lp-optimal's cooler plan under utilisation scoring,
-// ksp's two-path union split under QoE scoring.
+// link, so they saturate a shared path. The fat crowd's router r5 routes
+// through the hot router r6, so it is no loop-free alternate and
+// lp-optimal wins under both score modes.
 func repeatProblems(t *testing.T) []repeatProblem {
 	t.Helper()
 	var out []repeatProblem

@@ -102,7 +102,7 @@ type Decision struct {
 	At     time.Duration
 	Prefix string
 	// Strategy is the winning strategy's name ("local-ecmp",
-	// "lp-optimal", "ksp", "withdraw", or a custom strategy's Name()).
+	// "lp-optimal", "withdraw", or a custom strategy's Name()).
 	Strategy string
 	Lies     int
 	Detail   string
@@ -156,10 +156,10 @@ type Controller struct {
 	gens planGens
 
 	// Artifact cache for the planner hot path: arts memoises SPF trees
-	// and k-shortest paths for the planning topology, and
-	// believed-topology compilations, load estimates and LP solves for the
-	// current gens epoch (see ensureArtifacts). Its stats and LP solver
-	// are handed on when it rebinds, so the counters stay cumulative.
+	// for the planning topology, and believed-topology compilations,
+	// load estimates and LP solves for the current gens epoch (see
+	// ensureArtifacts). Its stats and LP solver are handed on when it
+	// rebinds, so the counters stay cumulative.
 	arts     *PlanArtifacts
 	artsGens planGens
 

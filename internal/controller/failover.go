@@ -309,8 +309,8 @@ func failoverPinLies(ev *fibbing.Evaluator, reduced *topo.Topology, views map[to
 		return nil, false
 	}
 	// Widen at the failure's endpoints: recruit every unused downhill
-	// neighbour (same criterion as local-ecmp) so the rerouted aggregate
-	// does not all land on one backup path.
+	// neighbour (local-ecmp's downstream criterion) so the rerouted
+	// aggregate does not all land on one backup path.
 	for _, end := range [2]topo.NodeID{failed.From, failed.To} {
 		v, ok := views[end]
 		nhs := dag[end]

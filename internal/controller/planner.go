@@ -261,8 +261,7 @@ func AnalyticPlanContext(t *topo.Topology, demands []topo.Demand,
 // AnalyticPlanContextCached is AnalyticPlanContext with a caller-owned
 // artifact cache: successive contexts built over the same cache (same
 // topology, unchanged demands/lies) reuse each other's SPF trees,
-// believed-topology compilations, k-shortest-path sets, LP bases and
-// load estimates. The caller owns invalidation — pass a fresh or rebound
+// believed-topology compilations, LP bases and load estimates. The caller owns invalidation — pass a fresh or rebound
 // cache whenever topology, demands or installed lies change.
 func AnalyticPlanContextCached(arts *PlanArtifacts, t *topo.Topology, demands []topo.Demand,
 	installed map[string][]fibbing.Lie, ev Event, cfg Config) PlanContext {

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,9 +25,9 @@ func alarmOn(t *testing.T, tp *topo.Topology, a, b string, util float64) monitor
 }
 
 // TestStockStrategySelection is the table-driven selection test: each
-// stock strategy wins on a topology crafted for it, and ksp, a
-// QoE-scoring candidate, abstains on its own problem unless QoE scoring
-// is live.
+// stock strategy wins on a topology crafted for it, and local-ecmp
+// recruits an uphill loop-free alternate only when QoE scoring is live,
+// and never a neighbour whose route runs back through the hot router.
 func TestStockStrategySelection(t *testing.T) {
 	fig1 := topo.Fig1(topo.Fig1Opts{})
 	blue := topo.Fig1BluePrefixName
@@ -45,12 +46,28 @@ func TestStockStrategySelection(t *testing.T) {
 	r4 := ring.MustNode("r4")
 	ringSurge := []topo.Demand{{Ingress: r4, PrefixName: topo.RingPrefixName, Volume: 14e6}}
 	ringAlarm := func() Event { return AlarmEvent(alarmOn(t, ring, "r4", "r3", 0.99)) }
-	ringSet := []Strategy{LocalECMPStrategy{}, KSPStrategy{}, WithdrawStrategy{}}
+	ringSet := []Strategy{LocalECMPStrategy{}, WithdrawStrategy{}}
 	// The ring surge is 80 thin sessions.
 	thinCrowd := qoe.Model{
 		Members: map[string]map[topo.NodeID]int{topo.RingPrefixName: {r4: 80}},
 		Horizon: qoe.DefaultHorizon,
 	}
+	// Two crowds one hop apart behind r6: r5's shortest route runs
+	// through r6 (4 = 1 + 3 hops), so r5 is no loop-free alternate for
+	// the hot router r6.
+	r5, r6 := ring.MustNode("r5"), ring.MustNode("r6")
+	backCrowds := []topo.Demand{
+		{Ingress: r5, PrefixName: topo.RingPrefixName, Volume: 11e6},
+		{Ingress: r6, PrefixName: topo.RingPrefixName, Volume: 11e6},
+	}
+	backModel := qoe.Model{
+		Members: map[string]map[topo.NodeID]int{topo.RingPrefixName: {r6: 80, r5: 5}},
+		Horizon: qoe.DefaultHorizon,
+	}
+	// The same ring with a stub router hanging off r4: its only route
+	// runs through r4, so recruiting it next to r5 would loop the spread.
+	spur := topo.Ring(topo.RingOpts{N: 9, Capacity: 10e6})
+	spur.AddLink(spur.MustNode("r4"), spur.AddNode("x"), 1, topo.LinkOpts{Capacity: 10e6})
 
 	cases := []struct {
 		name      string
@@ -64,8 +81,11 @@ func TestStockStrategySelection(t *testing.T) {
 		// model, when set, equips the context with this viewer model
 		// (WithQoE); nil leaves PredictQoE nil.
 		model *qoe.Model
-		// want is the winner; empty wants no plan and no ksp proposal.
+		// want is the winner; empty wants no plan.
 		want string
+		// wantLie, when set, is the winner's only lie, as "@attach via
+		// next-hop" in node IDs.
+		wantLie string
 	}{
 		{
 			// A single surge at B: spreading at the hot router reaches the
@@ -89,19 +109,23 @@ func TestStockStrategySelection(t *testing.T) {
 			want:  "lp-optimal",
 		},
 		{
-			// The ring is the worst case for local spreading (the only
-			// alternative is uphill, the long way around), and the LP is
-			// left out: only ksp can recruit the reverse path.
-			name:       "ksp",
+			// The ring is the worst case for local spreading: r5, the only
+			// alternative, is uphill (4 hops to r0, as from r4), the long
+			// way around. It is a loop-free alternate (4 < 1 + 4), and the
+			// LP is left out, so only the widened test can recruit it.
+			name:       "local-ecmp recruits an uphill loop-free alternate under QoE scoring",
 			topo:       ring,
 			demands:    ringSurge,
 			event:      ringAlarm,
 			strategies: ringSet,
 			mode:       ScoreQoE,
 			model:      &thinCrowd,
-			want:       "ksp",
+			want:       "local-ecmp",
+			wantLie:    "@4 via 5",
 		},
 		{
+			// "ksp" names the uphill detour a k-shortest-path plan would
+			// take around the ring; under util scoring nothing places it.
 			name:       "ksp abstains under util scoring",
 			topo:       ring,
 			demands:    ringSurge,
@@ -110,13 +134,34 @@ func TestStockStrategySelection(t *testing.T) {
 		},
 		{
 			// ScoreQoE without a stall predictor falls back to
-			// utilisation, as PlanContext.PredictQoE says.
+			// utilisation, as PlanContext.PredictQoE says, so the uphill
+			// detour stays off here too.
 			name:       "ksp abstains without a predictor",
 			topo:       ring,
 			demands:    ringSurge,
 			event:      ringAlarm,
 			strategies: ringSet,
 			mode:       ScoreQoE,
+		},
+		{
+			name:       "local-ecmp recruits the alternate but not a stub behind the hot router",
+			topo:       spur,
+			demands:    ringSurge,
+			event:      func() Event { return AlarmEvent(alarmOn(t, spur, "r4", "r3", 0.99)) },
+			strategies: ringSet,
+			mode:       ScoreQoE,
+			model:      &thinCrowd,
+			want:       "local-ecmp",
+			wantLie:    "@4 via 5",
+		},
+		{
+			name:       "local-ecmp never recruits a neighbour routing through the hot router",
+			topo:       ring,
+			demands:    backCrowds,
+			event:      func() Event { return AlarmEvent(alarmOn(t, ring, "r6", "r7", 0.99)) },
+			strategies: ringSet,
+			mode:       ScoreQoE,
+			model:      &backModel,
 		},
 		{
 			// The surge is over: the last alarm cleared and plain IGP
@@ -145,8 +190,8 @@ func TestStockStrategySelection(t *testing.T) {
 				t.Logf("strategy error: %v", err)
 			}
 			if tc.want == "" {
-				if n := planner.Perf()["ksp"].Proposals; plan != nil || n != 0 {
-					t.Fatalf("committed %+v, ksp proposed %d times; want no plan and no ksp proposal", plan, n)
+				if plan != nil {
+					t.Fatalf("committed %+v, want no plan", plan)
 				}
 				return
 			}
@@ -156,6 +201,17 @@ func TestStockStrategySelection(t *testing.T) {
 			if plan.Strategy != tc.want {
 				t.Fatalf("winner = %s (util %.3f, %d lies), want %s",
 					plan.Strategy, plan.PredictedUtil, plan.TotalLies(), tc.want)
+			}
+			if tc.wantLie != "" {
+				var got []string
+				for _, lies := range plan.Lies {
+					for _, l := range lies {
+						got = append(got, fmt.Sprintf("@%d via %d", l.Attach, l.Via))
+					}
+				}
+				if len(got) != 1 || got[0] != tc.wantLie {
+					t.Fatalf("lies = %v, want [%s]", got, tc.wantLie)
+				}
 			}
 			if ctx.Event.Kind == EventAlarmRaised && plan.PredictedUtil > ctx.BaseUtil+1e-6 {
 				t.Fatalf("winning plan worsens predicted util: %.3f > base %.3f",
@@ -443,12 +499,12 @@ func (s strategyFunc) Propose(ctx PlanContext) (*Plan, error) { return s.propose
 // TestStrategyNameResolution covers the flag-format parsing used by
 // fiblab/fibsim/fibbingd, including the implied withdraw strategy.
 func TestStrategyNameResolution(t *testing.T) {
-	set, err := ParseStrategies("localecmp,ksp,lpoptimal")
+	set, err := ParseStrategies("localecmp,lpoptimal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := StrategyNames(set)
-	want := []string{"local-ecmp", "ksp", "lp-optimal", "withdraw"}
+	want := []string{"local-ecmp", "lp-optimal", "withdraw"}
 	if len(got) != len(want) {
 		t.Fatalf("strategies = %v, want %v", got, want)
 	}
@@ -459,6 +515,10 @@ func TestStrategyNameResolution(t *testing.T) {
 	}
 	if _, err := ParseStrategies("nope"); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+	// ksp is not a stock strategy: the error names the stock set.
+	if _, err := ParseStrategies("ksp"); err == nil || !strings.Contains(err.Error(), "local-ecmp, lp-optimal, withdraw") {
+		t.Fatalf("ksp: err = %v, want an unknown-strategy error listing the stock set", err)
 	}
 	if set, err := ParseStrategies(""); err != nil || set != nil {
 		t.Fatalf("empty csv: set=%v err=%v", set, err)

@@ -7,7 +7,6 @@ import (
 
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/qoe"
-	"fibbing.net/fibbing/internal/spf"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -19,9 +18,9 @@ import (
 type PlanContext struct {
 	Topo *topo.Topology
 	// Artifacts is the shared memoisation layer for the expensive
-	// planner inputs (SPF trees, k-shortest paths, believed-topology
-	// compilations, LP solves, load estimates), always bound to Topo
-	// (buildPlanContext guarantees it).
+	// planner inputs (SPF trees, believed-topology compilations, LP
+	// solves, load estimates), always bound to Topo (buildPlanContext
+	// guarantees it).
 	Artifacts *PlanArtifacts
 	// Event is what triggered planning; Event.Alarm carries the hot link
 	// for raise events.
@@ -124,13 +123,13 @@ type Strategy interface {
 }
 
 // DefaultStrategies is the stock strategy set, in priority (registration)
-// order: local ECMP spreading, the LP-optimal splits, k-shortest-path
-// spreading, and lie withdrawal. There is no QoE strategy: under
-// ScoreQoE the planner re-ranks these strategies' candidates by
-// predicted stall instead. ksp is a QoE-scoring candidate and abstains
-// under utilisation scoring.
+// order: local ECMP spreading, the LP-optimal splits, and lie withdrawal.
+// There is no QoE strategy: under ScoreQoE the planner re-ranks these
+// strategies' candidates by predicted stall instead, and local-ecmp
+// widens its neighbour test to loop-free alternates (see
+// LocalECMPStrategy).
 func DefaultStrategies() []Strategy {
-	return []Strategy{LocalECMPStrategy{}, LPOptimalStrategy{}, KSPStrategy{}, WithdrawStrategy{}}
+	return []Strategy{LocalECMPStrategy{}, LPOptimalStrategy{}, WithdrawStrategy{}}
 }
 
 // StrategyByName resolves a stock strategy from its name. Matching is
@@ -169,7 +168,7 @@ func StrategiesByName(names []string) ([]Strategy, error) {
 }
 
 // ParseStrategies resolves a comma-separated strategy list (the cmd-line
-// flag format, e.g. "localecmp,ksp,lpoptimal").
+// flag format, e.g. "localecmp,lpoptimal").
 func ParseStrategies(csv string) ([]Strategy, error) {
 	if strings.TrimSpace(csv) == "" {
 		return nil, nil
@@ -204,8 +203,16 @@ func normalizeStrategyName(name string) string {
 // --- local-ecmp ---------------------------------------------------------
 
 // LocalECMPStrategy is the demo's first move (Figure 1c's fB): at the hot
-// link's head router, add every unused downhill neighbor as an equal-cost
-// path, for each prefix with demand.
+// link's head router S, add unused neighbours as equal-cost paths, for
+// each prefix D with demand. Under utilisation scoring it recruits only
+// downstream neighbours N, dist(N,D) < dist(S,D). When QoE scoring is
+// live (ScoreQoE with PredictQoE set) it also recruits loop-free
+// alternates (RFC 5286), dist(N,D) < dist(N,S) + dist(S,D): a one-hop
+// uphill detour whose route to D does not come back through S. On a
+// skewed crowd such a detour can move the thin sessions off the fat
+// crowd's bottleneck, which the stall predictor rewards and the
+// utilisation score does not. Every downstream neighbour is a loop-free
+// alternate, so the QoE set contains the utilisation one.
 type LocalECMPStrategy struct{}
 
 // Name implements Strategy.
@@ -223,7 +230,7 @@ func (s LocalECMPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 		if err != nil {
 			continue
 		}
-		lies, ok := localSpreadLies(ctx.Artifacts.eval, ctx.Topo, views, prefix, hot)
+		lies, ok := localSpreadLies(ctx, views, prefix, hot)
 		if ok {
 			overlay[prefix] = lies
 		}
@@ -245,11 +252,14 @@ func (s LocalECMPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 }
 
 // localSpreadLies builds the local-spreading requirement for one prefix:
-// the hot router keeps its IGP next hops and adds every unused downhill
-// neighbor, evenly. views is the prefix's plain-IGP view set (the caller
-// fetches it, memoised, through ctx.Artifacts.Views); ev is the evaluator for
-// t. ok is false when no spread exists or it fails to compile/verify.
-func localSpreadLies(ev *fibbing.Evaluator, t *topo.Topology, views map[topo.NodeID]fibbing.RouteView, prefix string, hot topo.NodeID) ([]fibbing.Lie, bool) {
+// the hot router keeps its IGP next hops and adds every unused downstream
+// neighbour (and, when QoE scoring is live, every loop-free alternate),
+// evenly. views is the prefix's plain-IGP view set (the caller fetches
+// it, memoised, through ctx.Artifacts.Views). ok is false when no spread
+// exists or it fails to compile/verify.
+func localSpreadLies(ctx PlanContext, views map[topo.NodeID]fibbing.RouteView, prefix string, hot topo.NodeID) ([]fibbing.Lie, bool) {
+	t, ev := ctx.Topo, ctx.Artifacts.eval
+	lfa := ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil
 	hv, ok := views[hot]
 	if !ok || hv.Local || len(hv.NextHops) == 0 {
 		return nil, false
@@ -268,7 +278,8 @@ func localSpreadLies(ev *fibbing.Evaluator, t *topo.Topology, views map[topo.Nod
 		if !ok {
 			continue
 		}
-		if vv.Local || (len(vv.NextHops) > 0 && vv.Dist < hv.Dist) {
+		if vv.Local || len(vv.NextHops) > 0 && (vv.Dist < hv.Dist ||
+			lfa && vv.Dist < ctx.Artifacts.Tree(v).Dist[hot]+hv.Dist) {
 			desired[v] = 1
 			added = true
 		}
@@ -374,152 +385,6 @@ func routerCount(t *topo.Topology) int {
 		}
 	}
 	return n
-}
-
-// --- ksp ----------------------------------------------------------------
-
-// KSPStrategy is a QoE-scoring candidate: it proposes only when the
-// context scores on predicted stalls (ScoreQoE with PredictQoE set) and
-// abstains under utilisation scoring, where it won no scenario
-// decision. It spreads over up to kspPaths loopless shortest paths
-// (Yen's algorithm on spf.KShortest) from the hot link's head router
-// towards each prefix's nearest attachment, pinning the detour paths hop
-// by hop. Unlike local-ecmp it can recruit *uphill* detours —
-// paths whose first hop is further from the destination — and on a
-// skewed crowd such a detour can move the thin sessions off the fat
-// crowd's bottleneck, which the stall predictor rewards and the
-// utilisation score does not.
-type KSPStrategy struct{}
-
-// Name implements Strategy.
-func (KSPStrategy) Name() string { return "ksp" }
-
-// Propose implements Strategy.
-func (s KSPStrategy) Propose(ctx PlanContext) (*Plan, error) {
-	if ctx.ScoreMode != ScoreQoE || ctx.PredictQoE == nil {
-		return nil, nil
-	}
-	if ctx.Event.Kind != EventAlarmRaised || len(ctx.Demands) == 0 {
-		return nil, nil
-	}
-	hot := ctx.Topo.Link(ctx.Event.Alarm.Link).From
-	tree := ctx.Artifacts.Tree(hot)
-
-	overlay := make(map[string][]fibbing.Lie)
-	pathsUsed := 0
-	for _, prefix := range ctx.Prefixes {
-		p, ok := ctx.Topo.PrefixByName(prefix)
-		if !ok {
-			continue
-		}
-		dst, ok := nearestAttachment(tree, p)
-		if !ok || dst == hot {
-			continue
-		}
-		paths := ctx.Artifacts.KShortest(hot, dst, kspPaths)
-		if len(paths) < 2 {
-			continue // no alternative beyond the IGP path
-		}
-		// Greedy accumulation: add paths in cost order, keeping each only
-		// if the combined DAG still compiles and verifies (a detour that
-		// would loop against an already-accepted path is skipped).
-		var dag fibbing.DAG
-		var aug *fibbing.Augmentation
-		accepted := 0
-		for _, path := range paths {
-			cand := addPathToDAG(dag, path)
-			a, _, err := ctx.Artifacts.CompileDAG(prefix, normalizeDAG(cand))
-			if err != nil {
-				continue
-			}
-			dag, aug, accepted = cand, a, accepted+1
-		}
-		if accepted < 2 || aug == nil {
-			continue
-		}
-		overlay[prefix] = aug.Lies
-		pathsUsed += accepted
-	}
-	if len(overlay) == 0 {
-		return nil, nil
-	}
-	util, err := ctx.Evaluate(overlay)
-	if err != nil {
-		return nil, fmt.Errorf("ksp: %w", err)
-	}
-	return &Plan{
-		Strategy:      s.Name(),
-		Lies:          overlay,
-		PredictedUtil: util,
-		Rationale: fmt.Sprintf("%d loopless paths from %s after %s hit %.0f%%",
-			pathsUsed, ctx.Topo.Name(hot), ctx.Event.Alarm.Name, 100*ctx.Event.Alarm.Utilisation),
-	}, nil
-}
-
-// nearestAttachment picks the prefix attachment closest to the tree's
-// source (the hot router).
-func nearestAttachment(tree *spf.Tree, p topo.Prefix) (topo.NodeID, bool) {
-	best, bestDist := topo.NodeID(0), spf.Infinity
-	found := false
-	for _, at := range p.Attachments {
-		if int(at.Node) >= len(tree.Dist) {
-			continue
-		}
-		if d := tree.Dist[at.Node]; d < bestDist {
-			best, bestDist, found = at.Node, d, true
-		}
-	}
-	return best, found
-}
-
-// addPathToDAG overlays one path onto a copy of the DAG: every hop gets
-// weight proportional to the number of accepted paths crossing it.
-func addPathToDAG(dag fibbing.DAG, path []topo.NodeID) fibbing.DAG {
-	out := make(fibbing.DAG, len(dag)+len(path))
-	for u, nhs := range dag {
-		cp := make(fibbing.NextHopWeights, len(nhs))
-		for v, w := range nhs {
-			cp[v] = w
-		}
-		out[u] = cp
-	}
-	for i := 0; i+1 < len(path); i++ {
-		u, v := path[i], path[i+1]
-		if out[u] == nil {
-			out[u] = fibbing.NextHopWeights{}
-		}
-		out[u][v]++
-	}
-	return out
-}
-
-// normalizeDAG divides each router's weights by their GCD, so shared path
-// segments do not inflate the lie count (weight {2} ≡ weight {1}).
-func normalizeDAG(dag fibbing.DAG) fibbing.DAG {
-	out := make(fibbing.DAG, len(dag))
-	for u, nhs := range dag {
-		g := 0
-		for _, w := range nhs {
-			g = gcd(g, w)
-		}
-		if g <= 1 {
-			out[u] = nhs
-			continue
-		}
-		cp := make(fibbing.NextHopWeights, len(nhs))
-		for v, w := range nhs {
-			cp[v] = w / g
-		}
-		out[u] = cp
-	}
-	return out
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 // --- withdraw -----------------------------------------------------------

@@ -18,9 +18,9 @@ import (
 // requirementDAGs draws the kinds of requirement the planner's strategies
 // hand to the compiler, on one prefix of one topology: the LP optimum's
 // quantised splits (lp-optimal), cumulative unions of k loopless paths
-// from a router to the attachment (ksp — these recruit uphill detours,
-// so they go through pin-all and ReduceLies), a downhill widening
-// at one router (local-ecmp, pure add-paths), and arbitrary next-hop picks
+// from a router to the attachment (multi-hop uphill detours, so they go
+// through pin-all and ReduceLies), a one-hop widening at one router
+// (local-ecmp, pure add-paths), and arbitrary next-hop picks
 // that mostly fail to compile, for the error paths.
 func requirementDAGs(t *testing.T, tp *topo.Topology, prefix string, rng *rand.Rand) []fibbing.DAG {
 	t.Helper()

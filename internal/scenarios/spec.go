@@ -177,7 +177,7 @@ type Spec struct {
 	// link capacity.
 	Viewers int `json:"viewers,omitempty"`
 	// Strategies names the controller's reaction-strategy set (stock
-	// names, e.g. "localecmp,ksp"; the withdraw strategy is implied).
+	// names, e.g. "localecmp,lpoptimal"; the withdraw strategy is implied).
 	// Empty keeps controller.DefaultStrategies.
 	Strategies []string `json:"strategies,omitempty"`
 	// ScoreMode selects the planner's plan-scoring objective: "util"

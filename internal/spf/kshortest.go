@@ -22,8 +22,7 @@ func KShortest(g *Graph, src, dst topo.NodeID, k int, skip func(topo.NodeID) boo
 // instead of O(path length): deviations near the source are the ones
 // load-balancing can exploit, and on long sparse paths (a 64-node ring)
 // the unbounded scan spends thousands of Dijkstras proving no further
-// path exists. The controller's ksp strategy runs this on every alarm,
-// so the bound is what keeps the control loop cheap at scale.
+// path exists.
 func KShortestSpurLimit(g *Graph, src, dst topo.NodeID, k, spurLimit int, skip func(topo.NodeID) bool) [][]topo.NodeID {
 	if k <= 0 || src == dst {
 		return nil
