@@ -28,7 +28,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/qoe"
@@ -89,12 +88,11 @@ type augEntry struct {
 }
 
 // PlanArtifacts memoises the expensive planner inputs for one topology.
-// The planner itself uses it from one goroutine; the mutex keeps it safe
-// to share and to snapshot (Stats) from another. Cached values are
+// It is not safe for concurrent use: the planner runs on the scheduler's
+// one goroutine, and so does every reader of Stats. Cached values are
 // shared — callers must treat returned trees, views and load maps as
 // read-only.
 type PlanArtifacts struct {
-	mu sync.Mutex
 	// topo and version are the binding: the topology and the
 	// Topology.Version the cache was built against.
 	topo    *topo.Topology
@@ -162,8 +160,6 @@ func (a *PlanArtifacts) boundTo(t *topo.Topology) bool {
 
 // newEpoch empties the epoch tables and keeps the topology tables.
 func (a *PlanArtifacts) newEpoch() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.views = make(map[string]result[map[topo.NodeID]fibbing.RouteView])
 	a.loads = make(map[string]loadsEntry)
 	a.mmx = make(map[string]result[*te.MinMaxResult])
@@ -171,38 +167,23 @@ func (a *PlanArtifacts) newEpoch() {
 	a.qoe = make(map[string]result[qoe.PlanQoE])
 }
 
-// memo is the one lookup every table goes through. A found key counts a
-// hit; a computed value counts a miss when it is stored. compute runs
-// with the lock released because it makes nested lookups through this
-// same function (Tree reads Graph, a load estimate reads Views) and the
-// mutex is not reentrant; if a caller on another goroutine stored the
-// key meanwhile, its value wins and the late result is dropped.
-func memo[K comparable, V any](a *PlanArtifacts, table map[K]V, key K, c counters, compute func() V) V {
-	a.mu.Lock()
+// memo is the one lookup every table goes through: a found key counts a
+// hit; otherwise compute runs, its value is stored and counts a miss.
+// compute may make nested lookups through memo (Tree reads Graph, a load
+// estimate reads Views) but never of its own key.
+func memo[K comparable, V any](table map[K]V, key K, c counters, compute func() V) V {
 	if v, ok := table[key]; ok {
 		*c.hits++
-		a.mu.Unlock()
 		return v
 	}
-	a.mu.Unlock()
 	v := compute()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := table[key]; ok {
-		*c.hits++
-		return prev
-	}
 	*c.misses++
 	table[key] = v
 	return v
 }
 
 // Stats snapshots the cumulative hit/miss counters.
-func (a *PlanArtifacts) Stats() ArtifactStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return *a.stats
-}
+func (a *PlanArtifacts) Stats() ArtifactStats { return *a.stats }
 
 // LPStats snapshots the LP solve counter.
 func (a *PlanArtifacts) LPStats() te.WarmLPStats { return a.lp.Stats() }
@@ -210,7 +191,7 @@ func (a *PlanArtifacts) LPStats() te.WarmLPStats { return a.lp.Stats() }
 // Graph returns the memoised spf.Graph and host-skip for the bound
 // topology.
 func (a *PlanArtifacts) Graph() (*spf.Graph, func(topo.NodeID) bool) {
-	e := memo(a, a.graph, struct{}{}, a.planCount, func() graphEntry {
+	e := memo(a.graph, struct{}{}, a.planCount, func() graphEntry {
 		return graphEntry{spf.FromTopology(a.topo), spf.HostSkip(a.topo)}
 	})
 	return e.g, e.skip
@@ -218,7 +199,7 @@ func (a *PlanArtifacts) Graph() (*spf.Graph, func(topo.NodeID) bool) {
 
 // Tree returns the memoised SPF tree rooted at src.
 func (a *PlanArtifacts) Tree(src topo.NodeID) *spf.Tree {
-	return memo(a, a.trees, src, a.planCount, func() *spf.Tree {
+	return memo(a.trees, src, a.planCount, func() *spf.Tree {
 		g, skip := a.Graph()
 		return spf.Compute(g, src, skip)
 	})
@@ -232,7 +213,7 @@ func (a *PlanArtifacts) Views(prefix string, lies []fibbing.Lie) (map[topo.NodeI
 	var sb strings.Builder
 	sb.WriteString(prefix)
 	encodeLies(&sb, lies)
-	return memo(a, a.views, sb.String(), a.planCount, func() result[map[topo.NodeID]fibbing.RouteView] {
+	return memo(a.views, sb.String(), a.planCount, func() result[map[topo.NodeID]fibbing.RouteView] {
 		return pair(a.eval.Evaluate(prefix, lies))
 	}).get()
 }
@@ -271,7 +252,7 @@ func (a *PlanArtifacts) Loads(lies map[string][]fibbing.Lie, demands []topo.Dema
 }
 
 func (a *PlanArtifacts) loadsFor(lies map[string][]fibbing.Lie, demands []topo.Demand) loadsEntry {
-	return memo(a, a.loads, loadsKey(lies, demands), a.planCount, func() loadsEntry {
+	return memo(a.loads, loadsKey(lies, demands), a.planCount, func() loadsEntry {
 		views, err := a.demandViews(lies, demands)
 		if err != nil {
 			return loadsEntry{err: err}
@@ -290,7 +271,7 @@ func (a *PlanArtifacts) loadsFor(lies map[string][]fibbing.Lie, demands []topo.D
 func (a *PlanArtifacts) SolveMinMax(demands []topo.Demand) (*te.MinMaxResult, error) {
 	var sb strings.Builder
 	encodeDemands(&sb, demands)
-	return memo(a, a.mmx, sb.String(), a.planCount, func() result[*te.MinMaxResult] {
+	return memo(a.mmx, sb.String(), a.planCount, func() result[*te.MinMaxResult] {
 		return pair(a.lp.Solve(a.topo, demands))
 	}).get()
 }
@@ -306,7 +287,7 @@ func (a *PlanArtifacts) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Aug
 	var sb strings.Builder
 	sb.WriteString(prefix)
 	encodeDAG(&sb, dag)
-	e := memo(a, a.augs, sb.String(), a.planCount, func() augEntry {
+	e := memo(a.augs, sb.String(), a.planCount, func() augEntry {
 		aug, pinned, err := compileDAG(a.eval, prefix, dag)
 		return augEntry{aug, pinned, err}
 	})
@@ -322,7 +303,7 @@ func (a *PlanArtifacts) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Aug
 // per lookup.
 func (a *PlanArtifacts) predictQoEKeyed(modelKey string, lies map[string][]fibbing.Lie, demands []topo.Demand, model qoe.Model) (qoe.PlanQoE, error) {
 	key := loadsKey(lies, demands) + "!" + modelKey
-	return memo(a, a.qoe, key, a.qoeCount, func() result[qoe.PlanQoE] {
+	return memo(a.qoe, key, a.qoeCount, func() result[qoe.PlanQoE] {
 		views, err := a.demandViews(lies, demands)
 		if err != nil {
 			return result[qoe.PlanQoE]{err: err}

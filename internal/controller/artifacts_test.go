@@ -3,7 +3,6 @@ package controller
 import (
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"fibbing.net/fibbing/internal/fibbing"
@@ -268,46 +267,5 @@ func TestArtifactStatsRepeat(t *testing.T) {
 	}
 	if planned == 0 {
 		t.Fatal("no problem produced a plan; the test compares nothing")
-	}
-}
-
-// TestArtifactsSharedAcrossGoroutines keeps the lock honest now that the
-// planner itself no longer needs it: two goroutines planning the same
-// problems through one cache and one planner must be race-free (run
-// under -race) and reach the plans a single goroutine reaches.
-func TestArtifactsSharedAcrossGoroutines(t *testing.T) {
-	problems := repeatProblems(t)
-	problems = problems[len(problems)-4:] // three random12 contexts and the ring
-	want := make([]string, len(problems))
-	for i, p := range problems {
-		plan, _ := NewPlanner().Plan(p.context(NewPlanArtifacts(p.tp), ScoreQoE))
-		want[i] = planOutcome(plan)
-	}
-	planner := NewPlanner()
-	caches := make([]*PlanArtifacts, len(problems))
-	for i, p := range problems {
-		caches[i] = NewPlanArtifacts(p.tp)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 5; round++ {
-				for i, p := range problems {
-					plan, _ := planner.Plan(p.context(caches[i], ScoreQoE))
-					if got := planOutcome(plan); got != want[i] {
-						t.Errorf("problem %d: shared-cache plan %s, want %s", i, got, want[i])
-					}
-					caches[i].Stats() // the snapshot fibbingd's socket goroutine takes
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i, a := range caches {
-		if st := a.Stats(); st.Hits == 0 || st.QoEHits == 0 {
-			t.Fatalf("problem %d: the goroutines never shared an entry: %+v", i, st)
-		}
 	}
 }

@@ -63,38 +63,14 @@ const DefaultMaxLPRouters = 500
 // withdrawn once every alarm has cleared.
 const DefaultWithdrawBelow = 0.2
 
-// Config parameterises the controller's policy. Fields whose zero value
-// is a legitimate setting are pointers (Float builds them); nil means
-// "use the default", so an explicit zero is never silently replaced.
+// Config parameterises the controller's policy.
 type Config struct {
-	// WithdrawBelow: when every alarm has cleared and plain IGP routing
-	// would stay below this utilisation, lies are withdrawn (nil:
-	// DefaultWithdrawBelow). Float(0) disables withdrawal entirely.
-	WithdrawBelow *float64
 	// ScoreMode selects what the planner optimises: ScoreUtil (the zero
 	// value: max link utilisation, the historical behaviour) or ScoreQoE
 	// (predicted viewer stall-seconds first). Under ScoreQoE the
 	// controller equips every planning round with the QoE predictor over
 	// its tracked member counts.
 	ScoreMode ScoreMode
-}
-
-// Float wraps a float64 for Config's optional fields.
-func Float(v float64) *float64 { return &v }
-
-// resolved carries the policy knobs with every sentinel resolved.
-type resolved struct {
-	withdrawBelow float64
-	scoreMode     ScoreMode
-}
-
-func (c Config) resolve() resolved {
-	r := resolved{withdrawBelow: DefaultWithdrawBelow}
-	if c.WithdrawBelow != nil {
-		r.withdrawBelow = *c.WithdrawBelow
-	}
-	r.scoreMode = c.ScoreMode
-	return r
 }
 
 // Decision records one committed plan, for logs and experiments.
@@ -115,7 +91,7 @@ type Decision struct {
 type Controller struct {
 	topo    *topo.Topology
 	lies    *southbound.LieManager
-	cfg     resolved
+	cfg     Config
 	now     func() time.Duration
 	planner *Planner
 
@@ -182,7 +158,7 @@ type Option func(*Controller)
 
 // WithConfig sets the policy knobs.
 func WithConfig(cfg Config) Option {
-	return func(c *Controller) { c.cfg = cfg.resolve() }
+	return func(c *Controller) { c.cfg = cfg }
 }
 
 // WithStrategies replaces the stock strategy set. Strategies propose in
@@ -201,7 +177,6 @@ func New(t *topo.Topology, lies *southbound.LieManager, now func() time.Duration
 	c := &Controller{
 		topo:       t,
 		lies:       lies,
-		cfg:        Config{}.resolve(),
 		now:        now,
 		planner:    NewPlanner(),
 		demand:     make(map[string]map[topo.NodeID]float64),
@@ -406,7 +381,7 @@ func (c *Controller) plan(ev Event) {
 	if ev.Kind == EventAlarmRaised && ctx.BaseUtil <= TargetUtil {
 		return // stale alarm
 	}
-	if c.cfg.scoreMode != ScoreUtil {
+	if c.cfg.ScoreMode != ScoreUtil {
 		ctx = ctx.WithQoE(c.QoEModel())
 	}
 	plan, errs := c.planner.Plan(ctx)

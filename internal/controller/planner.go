@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"fibbing.net/fibbing/internal/fibbing"
@@ -43,8 +42,7 @@ type Planner struct {
 	// proposals made, wins, and cumulative Propose wall-time. Proposals
 	// and Wins are deterministic for a given event sequence; Nanos is
 	// wall-clock and scrubbed from determinism comparisons.
-	perfMu sync.Mutex
-	perf   map[string]*StrategyPerf
+	perf map[string]*StrategyPerf
 }
 
 // StrategyPerf is one strategy's cumulative planner telemetry.
@@ -73,8 +71,6 @@ func (p *Planner) Strategies() []string { return StrategyNames(p.strategies) }
 
 // Perf snapshots the per-strategy telemetry accumulated so far.
 func (p *Planner) Perf() map[string]StrategyPerf {
-	p.perfMu.Lock()
-	defer p.perfMu.Unlock()
 	out := make(map[string]StrategyPerf, len(p.perf))
 	for name, sp := range p.perf {
 		out[name] = *sp
@@ -103,13 +99,11 @@ func (p *Planner) ProposeAll(ctx PlanContext) ([]*Plan, []error) {
 		start := time.Now()
 		plan, err := s.Propose(ctx)
 		elapsed := time.Since(start)
-		p.perfMu.Lock()
 		sp := p.perfFor(s.Name())
 		sp.Nanos += elapsed.Nanoseconds()
 		if plan != nil && err == nil {
 			sp.Proposals++
 		}
-		p.perfMu.Unlock()
 		switch {
 		case err != nil:
 			errs = append(errs, fmt.Errorf("strategy %s: %w", s.Name(), err))
@@ -159,9 +153,7 @@ func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
 		}
 	}
 	if best != nil {
-		p.perfMu.Lock()
 		p.perfFor(best.Strategy).Wins++
-		p.perfMu.Unlock()
 	}
 	return best
 }
@@ -269,7 +261,7 @@ func AnalyticPlanContextCached(arts *PlanArtifacts, t *topo.Topology, demands []
 	if ev.Kind == EventAlarmRaised {
 		raised = 1
 	}
-	return buildPlanContext(arts, t, demands, installed, ev, cfg.resolve(), raised)
+	return buildPlanContext(arts, t, demands, installed, ev, cfg, raised)
 }
 
 // buildPlanContext is the single assembly point for PlanContexts: the
@@ -280,7 +272,7 @@ func AnalyticPlanContextCached(arts *PlanArtifacts, t *topo.Topology, demands []
 // one bound to another topology or to weights since changed, is replaced
 // by a fresh one).
 func buildPlanContext(arts *PlanArtifacts, t *topo.Topology, demands []topo.Demand,
-	installed map[string][]fibbing.Lie, ev Event, r resolved, raisedAlarms int) PlanContext {
+	installed map[string][]fibbing.Lie, ev Event, cfg Config, raisedAlarms int) PlanContext {
 	if arts == nil || !arts.boundTo(t) {
 		arts = NewPlanArtifacts(t)
 	}
@@ -297,17 +289,16 @@ func buildPlanContext(arts *PlanArtifacts, t *topo.Topology, demands []topo.Dema
 		}
 	}
 	return PlanContext{
-		Topo:          t,
-		Artifacts:     arts,
-		Event:         ev,
-		Demands:       demands,
-		Prefixes:      prefixNamesOf(demands),
-		Installed:     installed,
-		RaisedAlarms:  raisedAlarms,
-		BaseUtil:      base,
-		WithdrawBelow: r.withdrawBelow,
-		ScoreMode:     r.scoreMode,
-		Evaluate:      eval,
+		Topo:         t,
+		Artifacts:    arts,
+		Event:        ev,
+		Demands:      demands,
+		Prefixes:     prefixNamesOf(demands),
+		Installed:    installed,
+		RaisedAlarms: raisedAlarms,
+		BaseUtil:     base,
+		ScoreMode:    cfg.ScoreMode,
+		Evaluate:     eval,
 	}
 }
 

@@ -525,29 +525,21 @@ func TestStrategyNameResolution(t *testing.T) {
 	}
 }
 
-// TestWithdrawBelowZeroSentinel: an explicit Float(0) disables
-// withdrawal (the zero is no longer conflated with "unset").
-func TestWithdrawBelowZeroSentinel(t *testing.T) {
+// TestWithdrawBelowDefault: once the alarm clears and plain IGP routing
+// stays under DefaultWithdrawBelow, the stock planner withdraws every lie.
+func TestWithdrawBelowDefault(t *testing.T) {
 	fig1 := topo.Fig1(topo.Fig1Opts{})
 	blue := topo.Fig1BluePrefixName
 	aug, err := fibbing.AugmentAddPaths(fig1, blue, fibbing.Fig1DAG(fig1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clearEvent := func() Event {
-		a := alarmOn(t, fig1, "B", "R2", 0.01)
-		a.Raised = false
-		return AlarmEvent(a)
-	}
+	cleared := alarmOn(t, fig1, "B", "R2", 0.01)
+	cleared.Raised = false
 	installed := map[string][]fibbing.Lie{blue: aug.Lies}
-
-	ctx := AnalyticPlanContext(fig1, nil, installed, clearEvent(), Config{WithdrawBelow: Float(0)})
-	if plan, _ := NewPlanner().Plan(ctx); plan != nil {
-		t.Fatalf("WithdrawBelow=Float(0) still withdrew: %+v", plan)
-	}
-	ctx = AnalyticPlanContext(fig1, nil, installed, clearEvent(), Config{})
+	ctx := AnalyticPlanContext(fig1, nil, installed, AlarmEvent(cleared), Config{})
 	plan, _ := NewPlanner().Plan(ctx)
-	if plan == nil || plan.Strategy != "withdraw" {
-		t.Fatalf("default WithdrawBelow did not withdraw: %+v", plan)
+	if plan == nil || plan.Strategy != "withdraw" || len(plan.Lies[blue]) != 0 {
+		t.Fatalf("the default threshold did not withdraw: %+v", plan)
 	}
 }

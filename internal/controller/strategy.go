@@ -44,8 +44,6 @@ type PlanContext struct {
 	// BaseUtil is the predicted max utilisation of the no-op plan:
 	// current demands routed over the installed lies.
 	BaseUtil float64
-	// Policy knobs (resolved, no sentinels).
-	WithdrawBelow float64
 	// Evaluate predicts the max link utilisation of routing Demands with
 	// the installed lies overlaid by the given per-prefix sets: a present
 	// key replaces that prefix's installed lies (empty clears them),
@@ -390,7 +388,7 @@ func routerCount(t *topo.Topology) int {
 // --- withdraw -----------------------------------------------------------
 
 // WithdrawStrategy is the lifecycle exit: once every alarm has cleared
-// and plain IGP routing would stay below the withdraw threshold for the
+// and plain IGP routing would stay below DefaultWithdrawBelow for the
 // current demands, it proposes clearing every installed lie, returning
 // the network to pure IGP routing (as Fibbing prescribes).
 type WithdrawStrategy struct{}
@@ -403,9 +401,6 @@ func (s WithdrawStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	if ctx.Event.Kind != EventAlarmCleared || ctx.RaisedAlarms > 0 || len(ctx.Installed) == 0 {
 		return nil, nil
 	}
-	if ctx.WithdrawBelow <= 0 {
-		return nil, nil // explicit zero: never withdraw
-	}
 	overlay := make(map[string][]fibbing.Lie, len(ctx.Installed))
 	for prefix := range ctx.Installed {
 		overlay[prefix] = nil
@@ -414,7 +409,7 @@ func (s WithdrawStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("withdraw: %w", err)
 	}
-	if len(ctx.Demands) > 0 && util > ctx.WithdrawBelow {
+	if len(ctx.Demands) > 0 && util > DefaultWithdrawBelow {
 		return nil, nil // IGP alone would congest again; keep the lies
 	}
 	return &Plan{

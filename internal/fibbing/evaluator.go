@@ -2,8 +2,6 @@ package fibbing
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"fibbing.net/fibbing/internal/spf"
 	"fibbing.net/fibbing/internal/topo"
@@ -17,23 +15,22 @@ import (
 // per router; see the package comment for why that is exact.
 //
 // An Evaluator is valid until its topology is mutated (SetWeight): it
-// never notices a change, so build a new one afterwards. It is safe for
-// concurrent use. The views IGPView returns are shared with the
-// evaluator and read-only; Evaluate returns maps the caller owns.
+// never notices a change, so build a new one afterwards. It is not safe
+// for concurrent use: like the rest of the planner it runs on the
+// scheduler's one goroutine. The views IGPView returns are shared with
+// the evaluator and read-only; Evaluate returns maps the caller owns.
 type Evaluator struct {
 	t *topo.Topology
 
-	// Snapshot state, built by init on the first question that needs it.
-	once    sync.Once
+	// Snapshot state, built by init on the first question that needs it;
+	// rev is nil until then.
 	routers []topo.NodeID // non-host nodes, ascending
 	host    []bool        // by node
 	rev     *spf.Graph    // transpose of the topology's SPF graph
 	skip    func(topo.NodeID) bool
 	// trees[d] is the reverse tree rooted at d, nil until asked for.
-	// Racing builders compute the same tree; the first store wins.
-	trees []atomic.Pointer[revTree]
+	trees []*revTree
 
-	mu       sync.Mutex
 	prefixes map[string]*prefixState
 }
 
@@ -59,8 +56,7 @@ type prefixState struct {
 	att   []topo.Attachment
 	local []bool // by node: announces the prefix itself
 
-	igpOnce sync.Once
-	igp     map[topo.NodeID]RouteView
+	igp map[topo.NodeID]RouteView // plain-IGP routes, nil until asked for
 }
 
 // NewEvaluator binds an evaluator to t as it is now. Nothing is computed
@@ -70,19 +66,20 @@ func NewEvaluator(t *topo.Topology) *Evaluator {
 }
 
 func (e *Evaluator) init() {
-	e.once.Do(func() {
-		nodes := e.t.Nodes()
-		e.host = make([]bool, len(nodes))
-		for _, n := range nodes {
-			e.host[n.ID] = n.Host
-			if !n.Host {
-				e.routers = append(e.routers, n.ID)
-			}
+	if e.rev != nil {
+		return
+	}
+	nodes := e.t.Nodes()
+	e.host = make([]bool, len(nodes))
+	for _, n := range nodes {
+		e.host[n.ID] = n.Host
+		if !n.Host {
+			e.routers = append(e.routers, n.ID)
 		}
-		e.rev = spf.FromTopology(e.t).Reverse()
-		e.skip = spf.HostSkip(e.t)
-		e.trees = make([]atomic.Pointer[revTree], len(nodes))
-	})
+	}
+	e.rev = spf.FromTopology(e.t).Reverse()
+	e.skip = spf.HostSkip(e.t)
+	e.trees = make([]*revTree, len(nodes))
 }
 
 // tree returns the reverse tree rooted at d. Running Compute over the
@@ -91,7 +88,7 @@ func (e *Evaluator) init() {
 // it is a host (a destination may be one), every intermediate node must
 // be a router, and a host is reached only as a leaf (a source).
 func (e *Evaluator) tree(d topo.NodeID) *revTree {
-	if tr := e.trees[d].Load(); tr != nil {
+	if tr := e.trees[d]; tr != nil {
 		return tr
 	}
 	full := spf.Compute(e.rev, d, e.skip)
@@ -101,15 +98,11 @@ func (e *Evaluator) tree(d topo.NodeID) *revTree {
 		tr.hops = full.AppendParents(tr.hops, topo.NodeID(u))
 		tr.off[u+1] = int32(len(tr.hops))
 	}
-	if !e.trees[d].CompareAndSwap(nil, tr) {
-		return e.trees[d].Load()
-	}
+	e.trees[d] = tr
 	return tr
 }
 
 func (e *Evaluator) prefix(name string) (*prefixState, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if ps, ok := e.prefixes[name]; ok {
 		return ps, nil
 	}
@@ -180,7 +173,9 @@ func (e *Evaluator) IGPView(prefixName string) (map[topo.NodeID]RouteView, error
 }
 
 func (e *Evaluator) igpView(ps *prefixState) map[topo.NodeID]RouteView {
-	ps.igpOnce.Do(func() { ps.igp = e.evaluate(ps, nil) })
+	if ps.igp == nil {
+		ps.igp = e.evaluate(ps, nil)
+	}
 	return ps.igp
 }
 

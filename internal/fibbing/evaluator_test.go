@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
-	"sync"
 	"testing"
 
 	"fibbing.net/fibbing/internal/spf"
@@ -286,51 +285,6 @@ func fatTreeLies(tb testing.TB, tp *topo.Topology) []Lie {
 		tb.Fatalf("built %d lies, want 20", len(lies))
 	}
 	return lies
-}
-
-// TestEvaluatorSharedAcrossGoroutines hammers one evaluator from eight
-// goroutines — the planner's strategy fan-out shares one — each walking
-// the same questions from a different starting point so tree builds
-// race. Every answer must equal the reference. Run under -race.
-func TestEvaluatorSharedAcrossGoroutines(t *testing.T) {
-	tp := topo.FatTree(topo.FatTreeOpts{K: 4, MaxWeight: 3, Seed: 4})
-	p, _ := tp.PrefixByName(topo.FatTreePrefixName)
-	igp, _ := ReferenceIGPView(tp, p.Name)
-	rng := rand.New(rand.NewSource(11))
-	type question struct {
-		lies []Lie
-		want map[topo.NodeID]RouteView
-	}
-	qs := make([]question, 40)
-	for i := range qs {
-		lies := randomLies(rng, tp, p, igp)
-		want, err := ReferenceEvaluate(tp, p.Name, lies)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs[i] = question{lies, want}
-	}
-	ev := NewEvaluator(tp)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := range qs {
-				q := qs[(i+5*g)%len(qs)]
-				got, err := ev.Evaluate(p.Name, q.lies)
-				if err := sameOutcome(got, err, q.want, nil); err != nil {
-					t.Errorf("goroutine %d, %v: %v", g, q.lies, err)
-					return
-				}
-				if got, err := ev.IGPView(p.Name); err != nil || !reflect.DeepEqual(got, igp) {
-					t.Errorf("goroutine %d: IGP view differs (err %v)", g, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // TestWarmEvaluateAllocations is the cost guard: once an evaluator holds

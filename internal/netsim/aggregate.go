@@ -166,7 +166,7 @@ func (n *Network) linkFor(lid topo.LinkID) *linkState {
 }
 
 // rebucket joins a flow to the aggregate matching the trace, creating it
-// (around its own copy of the trace) if absent. Callers hold n.mu.
+// (around its own copy of the trace) if absent.
 func (n *Network) rebucket(f *Flow, tr *trace) {
 	sig := tr.sigOf(f.Ingress, f.MaxRate)
 	for _, a := range n.aggs[sig] {
@@ -203,7 +203,7 @@ func (n *Network) rebucket(f *Flow, tr *trace) {
 }
 
 // join adds a member and dirties the aggregate's capacitated links (its
-// fair share changes with its weight). Callers hold n.mu.
+// fair share changes with its weight).
 func (n *Network) join(f *Flow, a *Aggregate) {
 	f.agg = a
 	f.joinRef = a.perFlowBits
@@ -215,7 +215,7 @@ func (n *Network) join(f *Flow, a *Aggregate) {
 
 // leave removes a member, folding its delivered volume into the flow, and
 // drops the aggregate when it empties. The aggregate's last member takes
-// the leaver's slot. Callers hold n.mu.
+// the leaver's slot.
 func (n *Network) leave(f *Flow) {
 	a := f.agg
 	f.carried += a.perFlowBits - f.joinRef
@@ -274,8 +274,6 @@ func (n *Network) dropAgg(a *Aggregate) {
 // links, so aggregates outside the closure keep their allocation exactly.
 // A full solve handles the rest (>50% of active links dirty, SetTable).
 func (n *Network) reshare() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	// Fallback denominator: links currently carrying aggregates. When
 	// most of the active incidence graph is dirty, the closure would
 	// re-solve nearly everything anyway, and counting that as

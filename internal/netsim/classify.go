@@ -45,7 +45,7 @@ type fwdHop struct {
 }
 
 // dropEntry forgets a router's resolved route, keeping the hop array for
-// the next resolution. Callers hold n.mu.
+// the next resolution.
 func (n *Network) dropEntry(node topo.NodeID) {
 	if uint(node) < uint(len(n.fwd)) {
 		e := &n.fwd[node]
@@ -56,7 +56,6 @@ func (n *Network) dropEntry(node topo.NodeID) {
 // entry returns the router's forwarding entry for dst, resolving it from
 // the live table when the one held does not answer for dst; nil when the
 // router has no table (or lies outside the topology) or no route to dst.
-// Callers hold n.mu.
 func (n *Network) entry(node topo.NodeID, dst netip.Addr) *fwdEntry {
 	if uint(node) >= uint(len(n.fwd)) {
 		return nil
@@ -105,7 +104,7 @@ func (e *fwdEntry) next(key fib.FlowKey) *fwdHop {
 // no route, loop, the hop limit, a missing or failed link) yields the
 // canonical blocked trace. The result is the network's scratch trace,
 // valid until the next call; rebucket clones it when an aggregate has to
-// keep it. Callers hold n.mu.
+// keep it.
 func (n *Network) traceFlow(f *Flow) *trace {
 	tr := &n.scratch
 	tr.reset(false)
@@ -144,7 +143,7 @@ func (n *Network) traceFlow(f *Flow) *trace {
 // forward every member as recorded, so a member that passes has the trace
 // it had. It reads entries, tables and link state only and allocates
 // nothing. A blocked aggregate records no hops to compare: its members
-// always need the full trace. Callers hold n.mu.
+// always need the full trace.
 func (n *Network) forwardsAsRecorded(a *Aggregate, f *Flow, hops uint64) bool {
 	if a.blocked {
 		return false

@@ -246,10 +246,8 @@ func (g *classifyRig) step() {
 // and every member check to the Select-based one.
 func (g *classifyRig) compare(step int) {
 	t, n := g.t, g.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for _, id := range g.live {
-		f := n.flow(id)
+		f := n.Flow(id)
 		got := n.traceFlow(f).clone()
 		want := n.referenceTrace(f)
 		if got.blocked != want.blocked || !slices.Equal(got.nodes, want.nodes) || !slices.Equal(got.matched, want.matched) ||

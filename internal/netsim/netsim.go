@@ -43,7 +43,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"fibbing.net/fibbing/internal/event"
@@ -121,12 +120,11 @@ type Stats struct {
 	Flows      int
 }
 
-// Network is the fluid data plane. All mutation happens on the event
-// scheduler's goroutine; the mutex guards the read-only snapshots taken by
-// concurrent observers (the SNMP agent running under Go's testing harness).
+// Network is the fluid data plane. It is not safe for concurrent use:
+// every call, reads included, runs on the event scheduler's goroutine or
+// under a lock that also stops the scheduler (cmd/fibbingd's SNMP agent
+// reads counters under the daemon's pacing mutex).
 type Network struct {
-	mu sync.Mutex
-
 	topo  *topo.Topology
 	sched *event.Scheduler
 
@@ -227,8 +225,6 @@ func (n *Network) Topology() *topo.Topology { return n.topo }
 
 // Stats returns the traffic plane's cost counters.
 func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s := n.stats
 	s.Aggregates = len(n.aggByID)
 	s.Flows = n.live
@@ -240,11 +236,9 @@ func (n *Network) Stats() Stats {
 // Safe to call from OnFIBChange inside scheduler events. ApplyDiff is the
 // cheaper delta-aware alternative.
 func (n *Network) SetTable(node topo.NodeID, t *fib.Table) {
-	n.mu.Lock()
 	n.tables[node] = t
 	n.dropEntry(node)
 	n.invalidAll = true
-	n.mu.Unlock()
 	n.scheduleRecompute()
 }
 
@@ -257,7 +251,6 @@ func (n *Network) SetTable(node topo.NodeID, t *fib.Table) {
 // each member there and nowhere else; members that forward as before stay
 // put without touching the fair-share state.
 func (n *Network) ApplyDiff(node topo.NodeID, t *fib.Table, d *fib.Diff) {
-	n.mu.Lock()
 	n.tables[node] = t
 	n.dropEntry(node)
 	for _, a := range n.aggByID {
@@ -266,14 +259,13 @@ func (n *Network) ApplyDiff(node topo.NodeID, t *fib.Table, d *fib.Diff) {
 		}
 	}
 	queued := len(n.invalid) > 0
-	n.mu.Unlock()
 	if queued {
 		n.scheduleRecompute()
 	}
 }
 
 // invalidate queues an aggregate for the next recompute's member check at
-// the given hops, on top of any it is already queued for. Callers hold n.mu.
+// the given hops, on top of any it is already queued for.
 func (n *Network) invalidate(a *Aggregate, hops uint64) {
 	a.touched |= hops
 	n.invalid[a.id] = a
@@ -283,13 +275,11 @@ func (n *Network) invalidate(a *Aggregate, hops uint64) {
 // is traced and bucketed into its aggregate at the next recompute instant.
 func (n *Network) AddFlow(ingress topo.NodeID, key fib.FlowKey, maxRate float64) FlowID {
 	n.advance()
-	n.mu.Lock()
 	id := FlowID(len(n.flows))
 	f := &Flow{ID: id, Key: key, Ingress: ingress, MaxRate: maxRate}
 	n.flows = append(n.flows, f)
 	n.live++
 	n.pending = append(n.pending, f)
-	n.mu.Unlock()
 	n.scheduleRecompute()
 	return id
 }
@@ -300,8 +290,7 @@ func (n *Network) AddFlow(ingress topo.NodeID, key fib.FlowKey, maxRate float64)
 // use this when they switch rungs.
 func (n *Network) SetFlowMaxRate(id FlowID, maxRate float64) {
 	n.advance()
-	n.mu.Lock()
-	f := n.flow(id)
+	f := n.Flow(id)
 	changed := f != nil && f.MaxRate != maxRate
 	if changed {
 		f.MaxRate = maxRate
@@ -318,7 +307,6 @@ func (n *Network) SetFlowMaxRate(id FlowID, maxRate float64) {
 			}
 		}
 	}
-	n.mu.Unlock()
 	if changed {
 		n.scheduleRecompute()
 	}
@@ -327,8 +315,7 @@ func (n *Network) SetFlowMaxRate(id FlowID, maxRate float64) {
 // RemoveFlow terminates a flow: an O(1) leave from its aggregate.
 func (n *Network) RemoveFlow(id FlowID) {
 	n.advance()
-	n.mu.Lock()
-	f := n.flow(id)
+	f := n.Flow(id)
 	if f != nil {
 		n.flows[id] = nil
 		n.live--
@@ -338,7 +325,6 @@ func (n *Network) RemoveFlow(id FlowID) {
 			f.gone = true
 		}
 	}
-	n.mu.Unlock()
 	if f != nil {
 		n.scheduleRecompute()
 	}
@@ -347,13 +333,6 @@ func (n *Network) RemoveFlow(id FlowID) {
 // Flow returns a live flow (nil if finished/unknown). The returned struct
 // is owned by the network; read it only from scheduler context.
 func (n *Network) Flow(id FlowID) *Flow {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.flow(id)
-}
-
-// flow is the flow table lookup. Callers hold n.mu.
-func (n *Network) flow(id FlowID) *Flow {
 	if id < 0 || int(id) >= len(n.flows) {
 		return nil
 	}
@@ -372,17 +351,15 @@ func (n *Network) Delivered(id FlowID) (bytes float64, ok bool) {
 // DeliveredInto returns out[:0] with one value appended per id: the
 // volume (bytes) that flow has delivered so far, or -1 when it has
 // finished. It is the accessor demand sources (video sessions) poll, so
-// they never hold flow structs themselves: a whole pool reads under one
-// lock, into the buffer it kept from its last tick, and runs its players
+// they never hold flow structs themselves: a whole pool reads in one
+// call, into the buffer it kept from its last tick, and runs its players
 // afterwards. Like Octets, it advances the fluid model first so the values
 // are current.
 func (n *Network) DeliveredInto(ids []FlowID, out []float64) []float64 {
 	n.advance()
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	out = out[:0]
 	for _, id := range ids {
-		if f := n.flow(id); f != nil {
+		if f := n.Flow(id); f != nil {
 			out = append(out, f.deliveredBits()/8)
 		} else {
 			out = append(out, -1)
@@ -393,15 +370,11 @@ func (n *Network) DeliveredInto(ids []FlowID, out []float64) []float64 {
 
 // FlowCount returns the number of live flows.
 func (n *Network) FlowCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.live
 }
 
 // AggregateCount returns the number of live aggregates (path-classes).
 func (n *Network) AggregateCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return len(n.aggByID)
 }
 
@@ -410,15 +383,11 @@ func (n *Network) AggregateCount() int {
 // is current.
 func (n *Network) Octets(link topo.LinkID) uint64 {
 	n.advance()
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.counters[link].Value()
 }
 
 // Series returns the sampled throughput series (byte/s) of a link.
 func (n *Network) Series(link topo.LinkID) *metrics.Series {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.series[link]
 }
 
@@ -451,7 +420,6 @@ func (n *Network) SetLinkState(a, b topo.NodeID, up bool) error {
 		return fmt.Errorf("netsim: no link %d-%d", a, b)
 	}
 	n.advance()
-	n.mu.Lock()
 	n.linkDown[l.ID] = !up
 	if l.Reverse != topo.NoLink {
 		n.linkDown[l.Reverse] = !up
@@ -461,7 +429,6 @@ func (n *Network) SetLinkState(a, b topo.NodeID, up bool) error {
 			n.invalidate(ag, allHops)
 		}
 	}
-	n.mu.Unlock()
 	n.scheduleRecompute()
 	return nil
 }
@@ -489,8 +456,6 @@ func (n *Network) advance() {
 	if dt <= 0 {
 		return
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	secs := dt.Seconds()
 	for _, a := range n.aggByID {
 		if a.rate <= 0 {
@@ -514,8 +479,6 @@ func (n *Network) advance() {
 // exactly the links of both paths. Checking is read-only and follows map
 // order; moving mints aggregate ids, so movers go in FlowID order.
 func (n *Network) reroute() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	var work []*Aggregate
 	if n.invalidAll {
 		n.invalidAll = false
@@ -569,8 +532,6 @@ func (n *Network) reroute() {
 // every link's series.
 func (n *Network) sample() {
 	n.advance()
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.DropSeries {
 		return
 	}
@@ -588,8 +549,6 @@ func (n *Network) sample() {
 // does not associate, and the sums feed the byte-identical reports.
 // Useful for assertions.
 func (n *Network) LinkRates() map[topo.LinkID]float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	out := make(map[topo.LinkID]float64)
 	n.eachByID(func(a *Aggregate) {
 		if a.rate <= 0 {
@@ -621,15 +580,13 @@ func (n *Network) MaxUtilisation() float64 {
 // TotalThroughput sums all flows' current rates (bit/s), in aggregate-id
 // order.
 func (n *Network) TotalThroughput() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	sum := 0.0
 	n.eachByID(func(a *Aggregate) { sum += a.rate * float64(a.weight) })
 	return sum
 }
 
 // eachByID calls fn on every live aggregate in id order, sorting into a
-// scratch slice it empties afterwards. Callers hold n.mu.
+// scratch slice it empties afterwards.
 func (n *Network) eachByID(fn func(*Aggregate)) {
 	s := n.byID[:0]
 	for _, a := range n.aggByID {

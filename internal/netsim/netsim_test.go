@@ -335,9 +335,7 @@ func BenchmarkReshare100Flows(b *testing.B) {
 	sched.RunUntil(time.Second)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.mu.Lock()
 		net.dirtyAll = true
-		net.mu.Unlock()
 		net.reshare()
 	}
 }

@@ -32,9 +32,6 @@ import (
 // — fails here even though the fair-share arithmetic over the stale
 // incidence would be self-consistent.
 func (n *Network) VerifyMaxMin(rel float64) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-
 	quiescent := !n.recompute && !n.invalidAll && len(n.invalid) == 0 && len(n.pending) == 0
 
 	type refFlow struct {
@@ -179,7 +176,6 @@ func (n *Network) VerifyMaxMin(rel float64) error {
 // yields the canonical blocked trace. It fills the network's scratch
 // trace, valid until the next call, and leaves its path word unset: it
 // is the oracle traceFlow is held to, not a classifier rebucket uses.
-// Callers hold n.mu.
 func (n *Network) referenceTrace(f *Flow) *trace {
 	tr := &n.scratch
 	tr.reset(false)

@@ -224,8 +224,8 @@ type Transaction struct {
 	closed bool
 }
 
-// Begin opens a transaction on the manager. Transactions are not
-// concurrent-safe with each other or with direct Apply calls.
+// Begin opens a transaction on the manager. Transactions must not
+// interleave with each other or with direct Apply calls.
 func (m *LieManager) Begin() *Transaction {
 	return &Transaction{m: m, prev: make(map[string][]fibbing.Lie)}
 }
@@ -255,8 +255,8 @@ func (t *Transaction) Apply(prefix string, desired []fibbing.Lie) error {
 }
 
 // Commit finalises the transaction and returns the accumulated on-wire
-// delta. Committing a transaction that already failed (auto-rollback) or
-// was rolled back returns an error: the work was reverted, not applied.
+// delta. Committing a transaction that already failed (and so rolled
+// back) returns an error: the work was reverted, not applied.
 // Further calls on the transaction fail.
 func (t *Transaction) Commit() (Delta, error) {
 	if t.closed {
@@ -264,15 +264,6 @@ func (t *Transaction) Commit() (Delta, error) {
 	}
 	t.closed = true
 	return t.delta, nil
-}
-
-// Rollback restores every touched prefix to its pre-transaction lie set
-// and closes the transaction.
-func (t *Transaction) Rollback() error {
-	if t.closed {
-		return fmt.Errorf("southbound: transaction already closed")
-	}
-	return t.rollback()
 }
 
 func (t *Transaction) rollback() error {

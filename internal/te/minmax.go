@@ -2,7 +2,6 @@ package te
 
 import (
 	"math"
-	"sync"
 
 	"fibbing.net/fibbing/internal/topo"
 )
@@ -261,9 +260,9 @@ type WarmLPStats struct {
 }
 
 // MinMaxSolver is SolveMinMax with a solve counter. The zero value is
-// ready to use; methods are safe for concurrent callers.
+// ready to use. It is not safe for concurrent use: the planner calls it
+// from the scheduler's one goroutine.
 type MinMaxSolver struct {
-	mu    sync.Mutex
 	stats WarmLPStats
 }
 
@@ -274,16 +273,12 @@ func NewMinMaxSolver() *MinMaxSolver { return &MinMaxSolver{} }
 func (s *MinMaxSolver) Solve(t *topo.Topology, demands []topo.Demand) (*MinMaxResult, error) {
 	res, err := SolveMinMax(t, demands)
 	if err == nil {
-		s.mu.Lock()
 		s.stats.Cold++
-		s.mu.Unlock()
 	}
 	return res, err
 }
 
 // Stats returns a snapshot of the solve counters.
 func (s *MinMaxSolver) Stats() WarmLPStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.stats
 }

@@ -147,8 +147,8 @@ func (s *ABRSimSession) tick(now time.Duration) {
 // ABRSessionPool drives adaptive sessions from one shared ticker, the
 // ABR counterpart of SessionPool. Its sessions keep their one-flow reads
 // (netsim.Delivered): a tick also writes rate caps back through
-// SetFlowMaxRate, which takes the network's lock per session anyway, so a
-// batched read would not make this pool's tick one lock.
+// SetFlowMaxRate, one network call per session anyway, so a batched read
+// would not make this pool's tick one call.
 type ABRSessionPool struct {
 	sched    *event.Scheduler
 	net      *netsim.Network

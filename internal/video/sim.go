@@ -91,7 +91,7 @@ func (c *cohort) credit(delivered float64, now time.Duration) {
 
 // SessionPool drives any number of SimSessions from one shared ticker and
 // one read of the fluid model per tick (netsim.DeliveredInto: one advance,
-// one lock), then runs one player per cohort of sessions in lockstep: the
+// one call), then runs one player per cohort of sessions in lockstep: the
 // per-viewer cost is a slice read and a comparison, with no per-session
 // scheduler events and no per-session player advance. This is what keeps
 // 100k-viewer flash crowds inside the event budget.

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -54,17 +55,28 @@ func goTool() string {
 	return filepath.Join(runtime.GOROOT(), "bin", "go")
 }
 
-// listPackages returns the packages the patterns match, and an importer
-// that reads every package in their import graph from export data.
-func listPackages(t *testing.T, fset *token.FileSet, patterns ...string) ([]listedPackage, types.Importer) {
-	t.Helper()
-	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,DepOnly"}, patterns...)
+// goList lists every program package under cmd/, internal/ and examples/
+// with its dependencies, plus the standard packages the map-order fixture
+// imports. It runs once per test binary: every tree check reads it.
+var goList = sync.OnceValues(func() ([]byte, error) {
 	var stderr bytes.Buffer
-	cmd := exec.Command(goTool(), args...)
+	cmd := exec.Command(goTool(), "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,DepOnly",
+		"./cmd/...", "./internal/...", "./examples/...", "fmt", "strings")
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list: %v\n%s", err, stderr.Bytes())
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
+	}
+	return out, nil
+})
+
+// listPackages returns the packages goList names, and an importer that
+// reads every package in their import graph from export data.
+func listPackages(t *testing.T, fset *token.FileSet) ([]listedPackage, types.Importer) {
+	t.Helper()
+	out, err := goList()
+	if err != nil {
+		t.Fatal(err)
 	}
 	var pkgs []listedPackage
 	exports := make(map[string]string)
@@ -275,7 +287,7 @@ func f(m map[string]float64, w *strings.Builder, a *acc) float64 {
 // program package.
 func TestMapRangesAreOrderFree(t *testing.T) {
 	fset := token.NewFileSet()
-	pkgs, imp := listPackages(t, fset, "./cmd/...", "./internal/...", "./examples/...", "fmt", "strings")
+	pkgs, imp := listPackages(t, fset)
 
 	fixture, err := parser.ParseFile(fset, "fixture.go", mapOrderFixture, parser.ParseComments)
 	if err != nil {
