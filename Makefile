@@ -45,8 +45,12 @@ fuzz:
 	$(GO) test -fuzz='^FuzzForwardingWalk$$' -fuzztime=30s ./internal/te
 
 # Rewrite every golden file from this tree; `git diff` is the record of what moved.
+# Then hold the rewritten goldens to the hand-edited paper-number ledger
+# (cmd/fiblab/testdata/ledger.txt, which -update never writes): a figure
+# that got worse fails here by its ledger line, and -v prints the totals.
 goldens:
 	$(GO) test -run TestGolden -count=1 ./cmd/... ./examples/... -update
+	$(GO) test -run TestPaperLedger -count=1 -v ./cmd/fiblab
 
 # The scenario-matrix stress harness, printed as text. `go test
 # ./cmd/fiblab` holds this mode, -failover and -qoe to their exit status
