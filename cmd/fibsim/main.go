@@ -1,13 +1,15 @@
 // Command fibsim is a one-shot analytic what-if tool: given a topology
 // (the paper's Figure 1 by default, or a topology file) and a demand set,
 // it prints the plain-IGP link loads, the LP-optimal min-max utilisation,
-// the Fibbing realisation (lies and achieved utilisation), the RSVP-TE
-// baseline — the full §2 comparison for arbitrary inputs — and what the
-// controller's strategy planner would do about the hottest link.
+// the Fibbing realisation (the verified lies the controller would compile
+// from the LP's splits, quantised at fibbing.MaxDenom, and the
+// utilisation they achieve), the RSVP-TE baseline — the full §2
+// comparison for arbitrary inputs — and what the controller's strategy
+// planner would do about the hottest link.
 //
 // Usage:
 //
-//	fibsim [-topo file] [-demand ingress:prefix:bps]... [-denom 16]
+//	fibsim [-topo file] [-demand ingress:prefix:bps]... [-strategies list]
 //	fibsim -demand B:blue:8M -demand A:blue:8M
 //	fibsim -strategies localecmp,lpoptimal   # what-if planner run
 //
@@ -25,6 +27,7 @@ import (
 	"slices"
 
 	"fibbing.net/fibbing/internal/controller"
+	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/metrics"
 	"fibbing.net/fibbing/internal/te"
 	"fibbing.net/fibbing/internal/topo"
@@ -38,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fibsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	topoFile := fs.String("topo", "", "topology file (default: the paper's Figure 1)")
-	denom := fs.Int("denom", 16, "max ECMP weight denominator for split quantisation")
 	strategies := fs.String("strategies", "localecmp,lpoptimal",
 		"reaction strategies for the planner what-if section (empty disables it)")
 	var demands []string
@@ -52,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if err := compare(stdout, *topoFile, demands, *denom, *strategies); err != nil {
+	if err := compare(stdout, *topoFile, demands, *strategies); err != nil {
 		fmt.Fprintf(stderr, "fibsim: %v\n", err)
 		return 1
 	}
@@ -61,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // compare prints the plain-IGP, Fibbing and RSVP-TE comparison for one
 // topology and demand set, then the planner what-if.
-func compare(w io.Writer, topoFile string, demandSpecs []string, denom int, strategies string) error {
+func compare(w io.Writer, topoFile string, demandSpecs []string, strategies string) error {
 	var t *topo.Topology
 	if topoFile == "" {
 		t = topo.Fig1(topo.Fig1Opts{})
@@ -102,13 +104,13 @@ func compare(w io.Writer, topoFile string, demandSpecs []string, denom int, stra
 	fmt.Fprintf(w, "  max utilisation: %.3f\n", te.MaxUtilOfLoads(t, loads))
 
 	// LP + Fibbing.
-	fb, err := te.RealizeMinMax(t, demands, denom)
+	fb, err := te.RealizeMinMax(t, demands)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n-- Fibbing (LP-optimal splits realised with fake nodes) --")
 	fmt.Fprintf(w, "  LP optimum θ*: %.3f\n", fb.Optimal)
-	fmt.Fprintf(w, "  realised:      %.3f (quantised to ECMP weights, denominator <= %d)\n", fb.Realised, denom)
+	fmt.Fprintf(w, "  realised:      %.3f (quantised to ECMP weights, denominator <= %d)\n", fb.Realised, fibbing.MaxDenom)
 	fmt.Fprintf(w, "  lies injected: %d\n", fb.Lies)
 	for _, prefix := range slices.Sorted(maps.Keys(fb.PerPrefixLies)) {
 		for _, l := range fb.PerPrefixLies[prefix] {

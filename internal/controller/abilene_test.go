@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -66,7 +67,10 @@ func TestAbileneFlashCrowd(t *testing.T) {
 }
 
 // TestAbileneMinMaxPipeline checks the analytic pipeline end to end on
-// Abilene: LP optimum realised by lies within quantisation error.
+// Abilene: LP optimum realised by lies within quantisation error, and
+// those lies are the ones the controller commits. te.RealizeMinMax
+// prints the paper tables' lie columns, so they must equal the overlay
+// lp-optimal proposes for the same demands, prefix for prefix.
 func TestAbileneMinMaxPipeline(t *testing.T) {
 	network := topo.Abilene(10e6, 0)
 	demands := []topo.Demand{
@@ -78,7 +82,7 @@ func TestAbileneMinMaxPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := te.RealizeMinMax(network, demands, 16)
+	fb, err := te.RealizeMinMax(network, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +94,23 @@ func TestAbileneMinMaxPipeline(t *testing.T) {
 	}
 	if fb.Lies == 0 {
 		t.Fatalf("no lies needed? igp=%v optimal=%v", igp, fb.Optimal)
+	}
+
+	loads, err := te.IGPLoads(network, demands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alarm, ok := HottestLinkAlarm(network, loads)
+	if !ok {
+		t.Fatal("no capacitated link to raise an alarm on")
+	}
+	ctx := AnalyticPlanContext(network, demands, nil, AlarmEvent(alarm), Config{})
+	plan, err := LPOptimalStrategy{}.Propose(ctx)
+	if err != nil || plan == nil {
+		t.Fatalf("lp-optimal proposed %v, %v", plan, err)
+	}
+	if !reflect.DeepEqual(plan.Lies, fb.PerPrefixLies) {
+		t.Fatalf("lp-optimal commits %v, the tables print %v", plan.Lies, fb.PerPrefixLies)
 	}
 }
 

@@ -79,8 +79,9 @@ type loadsEntry struct {
 	err   error
 }
 
-// augEntry caches one compileDAG outcome: the verified augmentation (or
-// the compile/verify error) for a requirement DAG on one prefix.
+// augEntry caches one Evaluator.Compile outcome: the verified
+// augmentation (or the compile/verify error) for a requirement DAG on one
+// prefix.
 type augEntry struct {
 	aug    *fibbing.Augmentation
 	pinned bool
@@ -276,11 +277,11 @@ func (a *PlanArtifacts) SolveMinMax(demands []topo.Demand) (*te.MinMaxResult, er
 	}).get()
 }
 
-// CompileDAG returns the memoised compileDAG outcome for a requirement
-// DAG on one prefix: the add-paths-then-pin-all compilation plus the
-// Verify sweep, all against the shared evaluator (a pinned compile costs
-// at most one Dijkstra per router in total, however many removals
-// ReduceLies tries). The LP strategy compiles the same split DAGs on
+// CompileDAG returns the memoised Evaluator.Compile outcome for a
+// requirement DAG on one prefix: the add-paths-then-pin-all compilation
+// plus the Verify sweep, all against the shared evaluator (a pinned
+// compile costs at most one Dijkstra per router in total, however many
+// removals ReduceLies tries). The LP strategy compiles the same split DAGs on
 // every invocation within an epoch. The returned augmentation is
 // shared — callers must treat it as read-only.
 func (a *PlanArtifacts) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Augmentation, bool, error) {
@@ -288,7 +289,7 @@ func (a *PlanArtifacts) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Aug
 	sb.WriteString(prefix)
 	encodeDAG(&sb, dag)
 	e := memo(a.augs, sb.String(), a.planCount, func() augEntry {
-		aug, pinned, err := compileDAG(a.eval, prefix, dag)
+		aug, pinned, err := a.eval.Compile(prefix, dag)
 		return augEntry{aug, pinned, err}
 	})
 	return e.aug, e.pinned, e.err

@@ -45,10 +45,6 @@ type planGens struct {
 // their invariants against the same value.
 const TargetUtil = 0.75
 
-// maxDenom bounds the ECMP weight denominator when realising fractional
-// splits: at most 16 fake nodes per router per destination.
-const maxDenom = 16
-
 // DefaultMaxLPRouters is the topology-size bound for LP-based machinery
 // (the lp-optimal strategy here, the LP reporting bound in
 // internal/scenarios). One cold te.SolveMinMax on a 1.7x + 0.37x surge

@@ -258,8 +258,8 @@ func (s FailoverPinStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	if ctx.Event.Kind != EventLinkDown || ctx.BaseTopo == nil || len(ctx.Demands) == 0 {
 		return nil, nil
 	}
-	// One evaluator for what the routers still believe: the pin, reduce
-	// and verify steps of every prefix share its trees.
+	// One evaluator for what the routers still believe: every prefix's
+	// compile shares its trees.
 	base := fibbing.NewEvaluator(ctx.BaseTopo)
 	overlay := make(map[string][]fibbing.Lie)
 	for _, prefix := range ctx.Prefixes {
@@ -331,15 +331,8 @@ func failoverPinLies(ev *fibbing.Evaluator, reduced *topo.Topology, views map[to
 			}
 		}
 	}
-	aug, err := ev.AugmentPinAll(prefix, dag)
+	aug, _, err := ev.Compile(prefix, dag)
 	if err != nil {
-		return nil, false
-	}
-	aug, err = ev.ReduceLies(prefix, aug, dag)
-	if err != nil {
-		return nil, false
-	}
-	if err := ev.Verify(prefix, aug.Lies, dag); err != nil {
 		return nil, false
 	}
 	return aug.Lies, true

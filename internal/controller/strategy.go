@@ -323,14 +323,9 @@ func (s LPOptimalStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	overlay := make(map[string][]fibbing.Lie)
 	pinned := false
 	for _, prefix := range ctx.Prefixes {
-		dag, err := fibbing.SplitsToDAG(opt.Splits[prefix], maxDenom)
+		dag, err := fibbing.Requirement(ctx.Topo, prefix, opt.Splits[prefix])
 		if err != nil {
 			return nil, fmt.Errorf("lp-optimal: %s: %w", prefix, err)
-		}
-		// Drop attachment routers from the DAG: their delivery is local.
-		p, _ := ctx.Topo.PrefixByName(prefix)
-		for _, at := range p.Attachments {
-			delete(dag, at.Node)
 		}
 		aug, wasPinned, err := ctx.Artifacts.CompileDAG(prefix, dag)
 		if err != nil {
@@ -349,30 +344,6 @@ func (s LPOptimalStrategy) Propose(ctx PlanContext) (*Plan, error) {
 		rationale += " (pinned)"
 	}
 	return &Plan{Strategy: s.Name(), Lies: overlay, PredictedUtil: util, Rationale: rationale}, nil
-}
-
-// compileDAG turns a requirement DAG into verified lies: first as pure
-// path additions, then — when the requirement removes IGP paths — by
-// pinning all constrained routers and reducing the lie set. Every step
-// asks the same evaluator, so the steps share their SPF trees.
-func compileDAG(ev *fibbing.Evaluator, prefix string, dag fibbing.DAG) (*fibbing.Augmentation, bool, error) {
-	aug, err := ev.AugmentAddPaths(prefix, dag)
-	pinned := false
-	if err != nil {
-		aug, err = ev.AugmentPinAll(prefix, dag)
-		if err != nil {
-			return nil, false, err
-		}
-		aug, err = ev.ReduceLies(prefix, aug, dag)
-		if err != nil {
-			return nil, false, err
-		}
-		pinned = true
-	}
-	if err := ev.Verify(prefix, aug.Lies, dag); err != nil {
-		return nil, false, fmt.Errorf("refusing unverifiable augmentation: %w", err)
-	}
-	return aug, pinned, nil
 }
 
 func routerCount(t *topo.Topology) int {

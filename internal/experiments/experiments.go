@@ -288,7 +288,7 @@ func OverheadVsRSVPTE() (*Result, error) {
 	res.Table = metrics.NewTable("topology", "fib lies", "fib LSA bytes", "fib encap B/pkt",
 		"tunnels", "signal msgs", "state entries", "mpls encap B/pkt")
 	for _, c := range teCases(15, 6) {
-		cmp, err := te.CompareOverheads(c.t, c.demands, 16)
+		cmp, err := te.CompareOverheads(c.t, c.demands)
 		if err != nil {
 			res.note("%s: %v (skipped)", c.name, err)
 			continue
@@ -321,7 +321,7 @@ func MinMaxOptimality() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		fb, err := te.RealizeMinMax(c.t, c.demands, 16)
+		fb, err := te.RealizeMinMax(c.t, c.demands)
 		if err != nil {
 			res.note("%s: fibbing realisation failed: %v", c.name, err)
 			continue

@@ -295,6 +295,30 @@ func Verify(t *topo.Topology, prefixName string, lies []Lie, dag DAG) error {
 	return NewEvaluator(t).Verify(prefixName, lies, dag)
 }
 
+// Compile turns a requirement DAG into verified lies: first as pure path
+// additions, then, when the requirement removes IGP paths, by pinning
+// every router and reducing the lie set (pinned reports which). Either
+// way the lies pass Verify or Compile refuses them. Every step asks the
+// same evaluator, so the steps share their SPF trees.
+func (e *Evaluator) Compile(prefix string, dag DAG) (aug *Augmentation, pinned bool, err error) {
+	aug, err = e.AugmentAddPaths(prefix, dag)
+	if err != nil {
+		aug, err = e.AugmentPinAll(prefix, dag)
+		if err != nil {
+			return nil, false, err
+		}
+		aug, err = e.ReduceLies(prefix, aug, dag)
+		if err != nil {
+			return nil, false, err
+		}
+		pinned = true
+	}
+	if err := e.Verify(prefix, aug.Lies, dag); err != nil {
+		return nil, false, fmt.Errorf("refusing unverifiable augmentation: %w", err)
+	}
+	return aug, pinned, nil
+}
+
 func normalise(w NextHopWeights) NextHopWeights {
 	g := w.gcd()
 	if g <= 1 {

@@ -3,6 +3,8 @@ package fibbing
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -158,6 +160,39 @@ func TestPinAllOverridesIGP(t *testing.T) {
 	a := views[tp.MustNode("A")]
 	if a.NextHops[tp.MustNode("B")] == 0 {
 		t.Fatalf("A = %v", a.NextHops)
+	}
+
+	// Compile takes the same fallback: add-paths cannot remove B's IGP
+	// next hop, so it pins, reduces and verifies, and says it pinned.
+	ev := NewEvaluator(tp)
+	red, err := ReduceLies(tp, topo.Fig1BluePrefixName, aug, dag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, pinned, err := ev.Compile(topo.Fig1BluePrefixName, dag)
+	if err != nil || !pinned || !reflect.DeepEqual(got.Lies, red.Lies) {
+		t.Fatalf("Compile = %v, pinned %v, %v; want the reduced pin-all %v", got, pinned, err, red.Lies)
+	}
+	// The Figure 1c requirement only adds paths: no pin, the paper's
+	// three lies.
+	got, pinned, err = ev.Compile(topo.Fig1BluePrefixName, Fig1DAG(tp))
+	if err != nil || pinned || got.LieCount() != 3 {
+		t.Fatalf("Compile(Fig1DAG) = %v, pinned %v, %v; want 3 add-paths lies", got, pinned, err)
+	}
+	// B also forwarding to A is a valid add-paths requirement, but A's
+	// own route runs through B: Verify finds the loop and Compile
+	// refuses the lies. A requirement over a non-link fails both
+	// compilers.
+	loop := DAG{tp.MustNode("B"): {tp.MustNode("R2"): 1, tp.MustNode("A"): 1}}
+	if _, err := AugmentAddPaths(tp, topo.Fig1BluePrefixName, loop); err != nil {
+		t.Fatalf("add-paths refused the looping requirement itself: %v", err)
+	}
+	if got, _, err := ev.Compile(topo.Fig1BluePrefixName, loop); err == nil || !strings.Contains(err.Error(), "refusing unverifiable augmentation") {
+		t.Fatalf("Compile(loop) = %v, %v; want a Verify refusal", got, err)
+	}
+	bad := DAG{tp.MustNode("B"): {tp.MustNode("C"): 1}}
+	if got, _, err := ev.Compile(topo.Fig1BluePrefixName, bad); err == nil || !strings.Contains(err.Error(), "is not a link") {
+		t.Fatalf("Compile(B->C) = %v, %v; want the DAG error", got, err)
 	}
 }
 
@@ -369,6 +404,29 @@ func TestSplitsToDAG(t *testing.T) {
 	}
 	if dag[a][b] != 1 || dag[a][r1] != 2 {
 		t.Fatalf("dag = %v", dag)
+	}
+
+	// Requirement quantises the same way and drops the prefix's
+	// attachment router C, which delivers locally.
+	c, r2 := tp.MustNode("C"), tp.MustNode("R2")
+	splits[c] = map[topo.NodeID]float64{r2: 1}
+	req, err := Requirement(tp, topo.Fig1BluePrefixName, splits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(req, DAG{a: {b: 1, r1: 2}}) {
+		t.Fatalf("Requirement = %v, want A's row alone", req)
+	}
+	if _, err := Requirement(tp, "nosuch", splits); err == nil || !strings.Contains(err.Error(), `unknown prefix "nosuch"`) {
+		t.Fatalf("unknown prefix: %v", err)
+	}
+	// More next hops than MaxDenom fakes can weigh is the quantiser's error.
+	wide := map[topo.NodeID]float64{}
+	for i := range MaxDenom + 1 {
+		wide[topo.NodeID(100+i)] = 1
+	}
+	if _, err := Requirement(tp, topo.Fig1BluePrefixName, map[topo.NodeID]map[topo.NodeID]float64{a: wide}); err == nil {
+		t.Fatalf("%d-way split accepted at MaxDenom %d", len(wide), MaxDenom)
 	}
 }
 

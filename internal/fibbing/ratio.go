@@ -170,6 +170,28 @@ func WeightsError(weights []int, fractions []float64) float64 {
 	return e
 }
 
+// MaxDenom bounds the ECMP weight denominator when realising fractional
+// splits: at most 16 fake nodes per router per destination.
+const MaxDenom = 16
+
+// Requirement turns one prefix's fractional splits (from a TE solver)
+// into the requirement DAG Compile realises: SplitsToDAG at MaxDenom,
+// without the prefix's attachment routers, which deliver locally.
+func Requirement(t *topo.Topology, prefix string, splits map[topo.NodeID]map[topo.NodeID]float64) (DAG, error) {
+	p, ok := t.PrefixByName(prefix)
+	if !ok {
+		return nil, fmt.Errorf("fibbing: unknown prefix %q", prefix)
+	}
+	dag, err := SplitsToDAG(splits, MaxDenom)
+	if err != nil {
+		return nil, err
+	}
+	for _, a := range p.Attachments {
+		delete(dag, a.Node)
+	}
+	return dag, nil
+}
+
 // SplitsToDAG converts per-router fractional splits (from a TE solver)
 // into a weighted forwarding DAG using ApproxWeights per router.
 func SplitsToDAG(splits map[topo.NodeID]map[topo.NodeID]float64, maxDenom int) (DAG, error) {

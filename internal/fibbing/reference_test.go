@@ -324,9 +324,9 @@ func ReferenceVerify(t *topo.Topology, prefixName string, lies []Lie, dag DAG) e
 	return CheckDelivery(t, views)
 }
 
-// ReferenceCompile is the controller's compileDAG pipeline on the
-// reference path: add-paths first, pin-all + reduction when the
-// requirement removes IGP paths, then the verification sweep.
+// ReferenceCompile is Evaluator.Compile on the reference path: add-paths
+// first, pin-all + reduction when the requirement removes IGP paths, then
+// the verification sweep.
 func ReferenceCompile(t *topo.Topology, prefix string, dag DAG) (*Augmentation, bool, error) {
 	aug, err := ReferenceAugmentAddPaths(t, prefix, dag)
 	pinned := false

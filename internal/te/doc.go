@@ -7,15 +7,16 @@
 // The package contains five solvers; the planner and the experiments use
 // each for a different job:
 //
-//   - SolveLP (simplex.go) is the substrate: a primal simplex with
+//   - The simplex (simplex.go) is the substrate: a primal simplex with
 //     Bland's anti-cycling rule on one flat full tableau. The storage is
 //     dense; the steps are not — reduced costs sum only over rows whose
-//     basic variable has a cost, a pivot touches only the pivot row's
-//     non-zero columns, and artificial columns are frozen after phase 1 —
-//     with the two-phase pivot sequence of LPBuilder problems held bit for
-//     bit to the textbook dense iteration (reference_test.go). Everything
-//     LP-shaped goes through it; nothing else in the repository links an
-//     external solver.
+//     basic variable has a cost, and a pivot touches only the pivot row's
+//     non-zero columns. Its two-phase cold start (SolveLP, LPBuilder) is
+//     test code (twophase_test.go): the node-link oracle solves with it,
+//     and its pivot sequence is held bit for bit to the textbook dense
+//     iteration (reference_test.go). Everything LP-shaped goes through
+//     the one simplex; nothing else in the repository links an external
+//     solver.
 //   - SolveMinMax (minmax.go, colgen.go) is the paper's §2 optimum: the
 //     min-max link-utilisation multicommodity-flow LP, solved in path
 //     form by column generation. Each (prefix, ingress) commodity starts
@@ -23,8 +24,10 @@
 //     link some path uses and starts from a feasible crash basis, and
 //     pricing is one Dijkstra per prefix under the dual link prices. Its
 //     θ* is the arc-flow LP's, which reference_test.go keeps as the
-//     oracle. Its Splits output is what fibbing.SplitsToDAG quantises
-//     into ECMP weights — the lp-optimal strategy's whole pipeline. The
+//     oracle. Its Splits output is what fibbing.Requirement quantises
+//     into a requirement DAG and fibbing.Evaluator.Compile turns into
+//     verified lies: the one pipeline the lp-optimal strategy and
+//     RealizeMinMax (fibsim, the experiments' tables) share. The
 //     controller skips it above DefaultMaxLPRouters routers, where a
 //     solve takes up to a minute.
 //   - SolveGreedy (greedy.go) is the anytime middle ground: chunked
@@ -55,8 +58,9 @@
 // construction (see scale.go): SolveMinMax normalises every problem by
 // ProblemScale (a power of two, so rescaling is exact) before building
 // its master, and every tolerance in the solvers is relative —
-// SolverRelTol against the magnitudes being compared, FeasibilityRelTol
-// against the right-hand side for the phase-1 feasibility verdict.
+// SolverRelTol against the magnitudes being compared (and, in the
+// two-phase cold start the tests keep, FeasibilityRelTol against the
+// right-hand side for the phase-1 feasibility verdict).
 // Solving the same relative problem at 1 Mbit/s and 100 Gbit/s yields
 // the same θ*, the same splits, and therefore the same lies.
 package te

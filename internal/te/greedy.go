@@ -15,7 +15,7 @@ import (
 type GreedyResult struct {
 	MaxUtilisation float64
 	// Splits per destination prefix and router, same shape as
-	// MinMaxResult.Splits (feedable into fibbing.SplitsToDAG).
+	// MinMaxResult.Splits (feedable into fibbing.Requirement).
 	Splits map[string]map[topo.NodeID]map[topo.NodeID]float64
 	// Chunks is the number of placed demand chunks.
 	Chunks int

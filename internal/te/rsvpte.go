@@ -163,8 +163,8 @@ type OverheadComparison struct {
 }
 
 // CompareOverheads runs both machineries on the same input.
-func CompareOverheads(t *topo.Topology, demands []topo.Demand, maxDenom int) (*OverheadComparison, error) {
-	fb, err := RealizeMinMax(t, demands, maxDenom)
+func CompareOverheads(t *topo.Topology, demands []topo.Demand) (*OverheadComparison, error) {
+	fb, err := RealizeMinMax(t, demands)
 	if err != nil {
 		return nil, err
 	}
@@ -183,11 +183,10 @@ func CompareOverheads(t *topo.Topology, demands []topo.Demand, maxDenom int) (*O
 		FibbingOptimal:     fb.Optimal,
 		FibbingRealised:    fb.Realised,
 	}
-	for name, lies := range fb.PerPrefixLies {
+	for _, lies := range fb.PerPrefixLies {
 		for i, lie := range lies {
 			cmp.FibbingLSABytes += len(lie.ToLSA(0xFFFF0000, uint32(i), 1).Encode())
 		}
-		_ = name
 	}
 	return cmp, nil
 }

@@ -15,10 +15,10 @@ package te
 //     O(1) problem regardless of absolute traffic magnitudes, and
 //     multiplies the flows back afterwards. The scale factor is a power
 //     of two, so the round trip is exact in binary floating point.
-//   - SolveLP itself measures the magnitudes it is handed (objective,
+//   - The simplex itself measures the magnitudes it is handed (objective,
 //     right-hand side, pivot columns) and applies its tolerances
 //     relative to them, so even directly-built ill-conditioned problems
-//     solve correctly.
+//     (the two-phase SolveLP the tests keep) solve correctly.
 //
 // The knobs below are the package's tolerance family. They are consts,
 // not variables: every solver result in tests and production is meant to
@@ -36,12 +36,6 @@ import (
 // relative cutoff under which SolveMinMax discards per-link flow as
 // solver noise (relative to the commodity's total volume).
 const SolverRelTol = 1e-9
-
-// FeasibilityRelTol is the phase-1 feasibility slack of the simplex,
-// relative to the largest right-hand-side magnitude: an LP whose
-// artificial variables cannot be driven below this fraction of the
-// problem scale is reported Infeasible.
-const FeasibilityRelTol = 1e-6
 
 // ProblemScale returns the normalisation factor SolveMinMax divides
 // capacities and demand volumes by before building the LP: the largest

@@ -136,7 +136,7 @@ func TestMinMaxFig1Optimal(t *testing.T) {
 // (the ratios 1/3:2/3 and 1/2:1/2 quantise exactly).
 func TestFibbingRealisesOptimum(t *testing.T) {
 	tp, demands := fig1Stress()
-	fb, err := RealizeMinMax(tp, demands, 16)
+	fb, err := RealizeMinMax(tp, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestPlaceTunnelsLocalDemandFree(t *testing.T) {
 
 func TestCompareOverheads(t *testing.T) {
 	tp, demands := fig1Stress()
-	cmp, err := CompareOverheads(tp, demands, 16)
+	cmp, err := CompareOverheads(tp, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func BenchmarkTESolvers(b *testing.B) {
 	})
 	b.Run("fibbing-realize", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := RealizeMinMax(tp, demands, 16); err != nil {
+			if _, err := RealizeMinMax(tp, demands); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -188,8 +188,8 @@ func walkZoo(t *testing.T) []zooCase {
 }
 
 // zooViewSets returns the routings a planner scores on c: the IGP's, the
-// lies the min-max LP's splits compile to (lp-optimal's path: add paths,
-// else pin all and reduce) and the lies pin-all-then-reduce compiles
+// lies the min-max LP's splits compile to (lp-optimal's path,
+// fibbing.Evaluator.Compile) and the lies pin-all-then-reduce compiles
 // the same DAGs to.
 func zooViewSets(t *testing.T, c zooCase) map[string]viewSet {
 	ev := fibbing.NewEvaluator(c.tp)
@@ -204,12 +204,9 @@ func zooViewSets(t *testing.T, c zooCase) map[string]viewSet {
 			t.Fatal(err)
 		}
 		sets["igp"][p.Name] = igp
-		dag, err := fibbing.SplitsToDAG(opt.Splits[p.Name], 16)
+		dag, err := fibbing.Requirement(c.tp, p.Name, opt.Splits[p.Name])
 		if err != nil {
 			t.Fatalf("%s: %s: %v", c.name, p.Name, err)
-		}
-		for _, a := range p.Attachments {
-			delete(dag, a.Node)
 		}
 		pinned, err := ev.AugmentPinAll(p.Name, dag)
 		if err == nil {
@@ -218,9 +215,9 @@ func zooViewSets(t *testing.T, c zooCase) map[string]viewSet {
 		if err != nil {
 			t.Fatalf("%s: %s: pin all: %v", c.name, p.Name, err)
 		}
-		lp, err := ev.AugmentAddPaths(p.Name, dag)
+		lp, _, err := ev.Compile(p.Name, dag)
 		if err != nil {
-			lp = pinned
+			t.Fatalf("%s: %s: compile: %v", c.name, p.Name, err)
 		}
 		for name, aug := range map[string]*fibbing.Augmentation{"lp": lp, "pinned": pinned} {
 			views, err := ev.Evaluate(p.Name, aug.Lies)

@@ -163,11 +163,12 @@ func ECMPOnlyUtilisation(t *topo.Topology, demands []topo.Demand) (float64, erro
 	return MaxUtilOfLoads(t, loads), nil
 }
 
-// FibbingUtilisation computes the utilisation Fibbing achieves when
-// realising the LP-optimal splits with denominator-bounded ECMP weights:
-// solve the LP, quantise the splits (ApproxWeights), compile lies, and
-// route the demands over the augmented network. The gap to the LP optimum
-// is purely the ratio-quantisation error.
+// FibbingRealisation reports the utilisation Fibbing achieves when realising
+// the LP-optimal splits with denominator-bounded ECMP weights: solve the
+// LP, turn each prefix's splits into a requirement (fibbing.Requirement),
+// compile verified lies (fibbing.Evaluator.Compile, as the controller
+// does), and route the demands over the augmented network. The gap to
+// the LP optimum is purely the ratio-quantisation error.
 type FibbingRealisation struct {
 	Optimal       float64 // LP optimum θ*
 	Realised      float64 // utilisation with quantised ECMP weights
@@ -175,8 +176,10 @@ type FibbingRealisation struct {
 	PerPrefixLies map[string][]fibbing.Lie
 }
 
-// RealizeMinMax runs the full pipeline LP -> splits -> weights -> lies.
-func RealizeMinMax(t *topo.Topology, demands []topo.Demand, maxDenom int) (*FibbingRealisation, error) {
+// RealizeMinMax runs the full pipeline LP -> splits -> requirement ->
+// verified lies, one prefix at a time in name order, so a failure always
+// names the same prefix.
+func RealizeMinMax(t *topo.Topology, demands []topo.Demand) (*FibbingRealisation, error) {
 	opt, err := SolveMinMax(t, demands)
 	if err != nil {
 		return nil, err
@@ -186,30 +189,14 @@ func RealizeMinMax(t *topo.Topology, demands []topo.Demand, maxDenom int) (*Fibb
 		PerPrefixLies: make(map[string][]fibbing.Lie),
 	}
 	ev := fibbing.NewEvaluator(t)
-	for name, splits := range opt.Splits {
-		dag, err := fibbing.SplitsToDAG(splits, maxDenom)
+	for _, name := range slices.Sorted(maps.Keys(opt.Splits)) {
+		dag, err := fibbing.Requirement(t, name, opt.Splits[name])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("te: realising %s: %w", name, err)
 		}
-		// Attachment routers deliver locally; they need no constraint.
-		if p, ok := t.PrefixByName(name); ok {
-			for _, a := range p.Attachments {
-				delete(dag, a.Node)
-			}
-		}
-		// Prefer minimal equal-cost additions (cheap, provably
-		// non-disruptive); fall back to global pinning when the optimum
-		// removes IGP paths.
-		aug, err := ev.AugmentAddPaths(name, dag)
+		aug, _, err := ev.Compile(name, dag)
 		if err != nil {
-			aug, err = ev.AugmentPinAll(name, dag)
-			if err != nil {
-				return nil, err
-			}
-			aug, err = ev.ReduceLies(name, aug, dag)
-			if err != nil {
-				return nil, err
-			}
+			return nil, fmt.Errorf("te: realising %s: %w", name, err)
 		}
 		out.PerPrefixLies[name] = aug.Lies
 		out.Lies += len(aug.Lies)
