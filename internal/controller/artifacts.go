@@ -4,19 +4,22 @@ package controller
 // and every successive planner invocation between state changes — used
 // to recompute the same expensive inputs from scratch: per-source SPF
 // trees, the believed-topology compilation (fibbing.Evaluate per prefix
-// and lie set), and the fluid load estimates behind PlanContext.Evaluate.
-// PlanArtifacts memoises all of them, keyed by value-complete cache keys
-// (topology binding by pointer and Topology.Version, lie sets and demand
-// volumes encoded into the key), so a stale entry is impossible by
-// construction. The tables come in two lifetimes. The topology tables
-// (the evaluator, the SPF graph and the SPF trees) depend on the binding
-// alone and are bounded by the topology's size, so they live until the
-// controller plans over another topology instance or the bound one's
-// weights change. The epoch tables (views, loads, LP optima, compiled
-// DAGs, QoE predictions) have keys that grow with lie sets, DAGs and
-// demands, so the controller empties them whenever its generation triple
-// (topology gen, demand gen, lie gen) moves, which bounds their memory to
-// one planning epoch.
+// and lie set), the strategies' compiled and verified lie sets, and the
+// fluid load estimates behind PlanContext.Evaluate. PlanArtifacts
+// memoises all of them, keyed by value-complete cache keys (topology
+// binding by pointer and Topology.Version, lie sets and demand volumes
+// encoded into the key), so a stale entry is impossible by construction.
+// The tables come in two lifetimes. The topology tables (the evaluator,
+// the SPF graph, the SPF trees and local-ecmp's verified spreads) depend
+// on the binding alone and are bounded by the topology's size, so they
+// live until the controller plans over another topology instance or the
+// bound one's weights change. The epoch tables (views, loads,
+// lp-optimal's compiled overlays, QoE predictions) have keys that grow
+// with lie sets and demands, so the controller empties them whenever its
+// generation triple (topology gen, demand gen, lie gen) moves, which
+// bounds their memory to one planning epoch. A warm re-plan — the same
+// question asked again while nothing moved — is then one lookup per
+// strategy plus the scoring lookups.
 //
 // Hit/miss accounting is deterministic because planning is: the Planner
 // proposes strategy by strategy in registration order on the control
@@ -25,6 +28,7 @@ package controller
 // widths and core counts and safe to publish in scenario Reports.
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -79,13 +83,31 @@ type loadsEntry struct {
 	err   error
 }
 
-// augEntry caches one Evaluator.Compile outcome: the verified
-// augmentation (or the compile/verify error) for a requirement DAG on one
-// prefix.
-type augEntry struct {
-	aug    *fibbing.Augmentation
-	pinned bool
-	err    error
+// lpEntry caches lp-optimal's whole derivation for one demand set: the
+// min-max LP optimum, and its splits quantised and compiled (Verify
+// included), prefix by prefix, into one overlay. pinned is set when any
+// prefix needed pin-all; err is the LP's error, or the first failing
+// prefix's, named.
+type lpEntry struct {
+	opt     *te.MinMaxResult
+	overlay map[string][]fibbing.Lie
+	pinned  bool
+	err     error
+}
+
+// spreadKey names one local-ecmp spread: the prefix, the hot router that
+// widens, and whether loop-free alternates are recruited.
+type spreadKey struct {
+	prefix string
+	hot    topo.NodeID
+	lfa    bool
+}
+
+// spreadEntry caches one localSpreadLies outcome; ok is false when no
+// spread exists or it fails to compile/verify.
+type spreadEntry struct {
+	lies []fibbing.Lie
+	ok   bool
 }
 
 // PlanArtifacts memoises the expensive planner inputs for one topology.
@@ -101,27 +123,29 @@ type PlanArtifacts struct {
 
 	// The topology tables: each a function of the binding alone, bounded
 	// by the topology's size, so they live as long as the binding. eval
-	// is the what-if evaluator every Views and CompileDAG miss goes
+	// is the what-if evaluator every Views, lp and spreads miss goes
 	// through: it shares reverse SPF trees across strategies, lie sets
 	// and epochs. Its internal tree cache is not a counted lookup.
-	eval  *fibbing.Evaluator
-	graph map[struct{}]graphEntry // at most one entry: a table, so memo serves it
-	trees map[topo.NodeID]*spf.Tree
+	// spreads holds one entry per (prefix, router, LFA mode) at most: a
+	// spread reads only the plain-IGP views, the trees and eval.
+	eval    *fibbing.Evaluator
+	graph   map[struct{}]graphEntry // at most one entry: a table, so memo serves it
+	trees   map[topo.NodeID]*spf.Tree
+	spreads map[spreadKey]spreadEntry
 
-	// The epoch tables: their keys grow with lie sets, DAGs and demands,
-	// so newEpoch empties them whenever the controller's planning inputs
+	// The epoch tables: their keys grow with lie sets and demands, so
+	// newEpoch empties them whenever the controller's planning inputs
 	// move.
 	views map[string]result[map[topo.NodeID]fibbing.RouteView]
 	loads map[string]loadsEntry
-	mmx   map[string]result[*te.MinMaxResult]
-	augs  map[string]augEntry
+	lp    map[string]lpEntry
 	qoe   map[string]result[qoe.PlanQoE]
 
-	// lp and stats are shared across cache generations (stats also with
-	// the ephemeral failover artifacts): the counters are cumulative per
-	// controller.
-	lp    *te.MinMaxSolver
-	stats *ArtifactStats
+	// solver and stats are shared across cache generations (stats also
+	// with the ephemeral failover artifacts): the counters are cumulative
+	// per controller.
+	solver *te.MinMaxSolver
+	stats  *ArtifactStats
 	// planCount and qoeCount point into stats.
 	planCount, qoeCount counters
 }
@@ -133,10 +157,10 @@ func NewPlanArtifacts(t *topo.Topology) *PlanArtifacts {
 }
 
 // newPlanArtifacts returns an empty cache bound to t that accounts to
-// stats and solves through lp (nil = a private fresh solver).
-func newPlanArtifacts(t *topo.Topology, stats *ArtifactStats, lp *te.MinMaxSolver) *PlanArtifacts {
-	if lp == nil {
-		lp = te.NewMinMaxSolver()
+// stats and solves through solver (nil = a private fresh solver).
+func newPlanArtifacts(t *topo.Topology, stats *ArtifactStats, solver *te.MinMaxSolver) *PlanArtifacts {
+	if solver == nil {
+		solver = te.NewMinMaxSolver()
 	}
 	a := &PlanArtifacts{
 		topo:      t,
@@ -144,7 +168,8 @@ func newPlanArtifacts(t *topo.Topology, stats *ArtifactStats, lp *te.MinMaxSolve
 		eval:      fibbing.NewEvaluator(t),
 		graph:     make(map[struct{}]graphEntry),
 		trees:     make(map[topo.NodeID]*spf.Tree),
-		lp:        lp,
+		spreads:   make(map[spreadKey]spreadEntry),
+		solver:    solver,
 		stats:     stats,
 		planCount: counters{&stats.Hits, &stats.Misses},
 		qoeCount:  counters{&stats.QoEHits, &stats.QoEMisses},
@@ -163,8 +188,7 @@ func (a *PlanArtifacts) boundTo(t *topo.Topology) bool {
 func (a *PlanArtifacts) newEpoch() {
 	a.views = make(map[string]result[map[topo.NodeID]fibbing.RouteView])
 	a.loads = make(map[string]loadsEntry)
-	a.mmx = make(map[string]result[*te.MinMaxResult])
-	a.augs = make(map[string]augEntry)
+	a.lp = make(map[string]lpEntry)
 	a.qoe = make(map[string]result[qoe.PlanQoE])
 }
 
@@ -187,7 +211,7 @@ func memo[K comparable, V any](table map[K]V, key K, c counters, compute func() 
 func (a *PlanArtifacts) Stats() ArtifactStats { return *a.stats }
 
 // LPStats snapshots the LP solve counter.
-func (a *PlanArtifacts) LPStats() te.WarmLPStats { return a.lp.Stats() }
+func (a *PlanArtifacts) LPStats() te.WarmLPStats { return a.solver.Stats() }
 
 // Graph returns the memoised spf.Graph and host-skip for the bound
 // topology.
@@ -266,33 +290,47 @@ func (a *PlanArtifacts) loadsFor(lies map[string][]fibbing.Lie, demands []topo.D
 	})
 }
 
-// SolveMinMax returns the memoised min-max LP optimum for the demand
-// set. A repeated demand set within one cache generation is a pure
-// lookup; a changed one is solved afresh and counted.
-func (a *PlanArtifacts) SolveMinMax(demands []topo.Demand) (*te.MinMaxResult, error) {
+// lpOptimal returns lp-optimal's derivation for the demand set (see
+// lpEntry), memoised on the demands' value: a miss solves the min-max LP,
+// then quantises and compiles every demanded prefix's splits in sorted
+// order against the shared evaluator (a pinned compile costs at most one
+// Dijkstra per router in total, however many removals ReduceLies
+// tries). The returned overlay is shared — callers must copy the map
+// before handing it on and treat the lie lists as read-only.
+func (a *PlanArtifacts) lpOptimal(demands []topo.Demand) lpEntry {
 	var sb strings.Builder
 	encodeDemands(&sb, demands)
-	return memo(a.mmx, sb.String(), a.planCount, func() result[*te.MinMaxResult] {
-		return pair(a.lp.Solve(a.topo, demands))
-	}).get()
+	return memo(a.lp, sb.String(), a.planCount, func() lpEntry {
+		opt, err := a.solver.Solve(a.topo, demands)
+		if err != nil {
+			return lpEntry{err: err}
+		}
+		e := lpEntry{opt: opt, overlay: make(map[string][]fibbing.Lie)}
+		for _, prefix := range prefixNamesOf(demands) {
+			dag, err := fibbing.Requirement(a.topo, prefix, opt.Splits[prefix])
+			if err != nil {
+				return lpEntry{err: fmt.Errorf("%s: %w", prefix, err)}
+			}
+			aug, pinned, err := a.eval.Compile(prefix, dag)
+			if err != nil {
+				return lpEntry{err: fmt.Errorf("%s: %w", prefix, err)}
+			}
+			e.pinned = e.pinned || pinned
+			e.overlay[prefix] = aug.Lies
+		}
+		return e
+	})
 }
 
-// CompileDAG returns the memoised Evaluator.Compile outcome for a
-// requirement DAG on one prefix: the add-paths-then-pin-all compilation
-// plus the Verify sweep, all against the shared evaluator (a pinned
-// compile costs at most one Dijkstra per router in total, however many
-// removals ReduceLies tries). The LP strategy compiles the same split DAGs on
-// every invocation within an epoch. The returned augmentation is
-// shared — callers must treat it as read-only.
-func (a *PlanArtifacts) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Augmentation, bool, error) {
-	var sb strings.Builder
-	sb.WriteString(prefix)
-	encodeDAG(&sb, dag)
-	e := memo(a.augs, sb.String(), a.planCount, func() augEntry {
-		aug, pinned, err := a.eval.Compile(prefix, dag)
-		return augEntry{aug, pinned, err}
+// spread returns local-ecmp's verified spread for one prefix at the hot
+// router (see localSpreadLies), memoised for the binding's life. The
+// returned lies are shared — callers must treat them as read-only.
+func (a *PlanArtifacts) spread(prefix string, hot topo.NodeID, lfa bool) ([]fibbing.Lie, bool) {
+	e := memo(a.spreads, spreadKey{prefix, hot, lfa}, a.planCount, func() spreadEntry {
+		lies, ok := localSpreadLies(a, prefix, hot, lfa)
+		return spreadEntry{lies, ok}
 	})
-	return e.aug, e.pinned, e.err
+	return e.lies, e.ok
 }
 
 // predictQoEKeyed maps the full lie set and demand set to the analytic
@@ -350,34 +388,6 @@ func encodeModel(sb *strings.Builder, m qoe.Model) {
 	sb.WriteString(strconv.FormatFloat(m.Session.StartupBuffer, 'x', -1, 64))
 	sb.WriteByte('/')
 	sb.WriteString(strconv.FormatInt(int64(m.Horizon), 10))
-}
-
-// encodeDAG appends a canonical encoding of a requirement DAG: routers in
-// id order, each with its next-hop weights in id order. Weights are kept
-// un-normalised — {B:1,R1:2} and {B:2,R1:4} would compile to the same
-// lies, but a duplicate entry is cheaper than normalising here.
-func encodeDAG(sb *strings.Builder, dag fibbing.DAG) {
-	routers := make([]topo.NodeID, 0, len(dag))
-	for u := range dag {
-		routers = append(routers, u)
-	}
-	slices.Sort(routers)
-	for _, u := range routers {
-		sb.WriteByte('|')
-		sb.WriteString(strconv.FormatInt(int64(u), 10))
-		sb.WriteByte('=')
-		nhs := make([]topo.NodeID, 0, len(dag[u]))
-		for v := range dag[u] {
-			nhs = append(nhs, v)
-		}
-		slices.Sort(nhs)
-		for _, v := range nhs {
-			sb.WriteByte(',')
-			sb.WriteString(strconv.FormatInt(int64(v), 10))
-			sb.WriteByte(':')
-			sb.WriteString(strconv.Itoa(dag[u][v]))
-		}
-	}
 }
 
 // encodeLies appends a value-complete encoding of one prefix's lie list.

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -11,6 +12,23 @@ import (
 	"fibbing.net/fibbing/internal/topo"
 )
 
+// outcome is one TestArtifactMemo lookup's replayable result.
+type outcome struct {
+	val any
+	err error
+}
+
+// errNoSpread stands for a spread lookup that found none, so a
+// TestArtifactMemo row can state that outcome as an expected error.
+var errNoSpread = errors.New("no spread")
+
+func spreadOutcome(lies []fibbing.Lie, ok bool) outcome {
+	if !ok {
+		return outcome{lies, errNoSpread}
+	}
+	return outcome{val: lies}
+}
+
 // TestArtifactMemo drives the one memo helper through every public face
 // of the cache: a first lookup stores (counting one miss per table it
 // fills, nested lookups included, without deadlocking on the cache's own
@@ -20,15 +38,11 @@ import (
 func TestArtifactMemo(t *testing.T) {
 	fig1 := topo.Fig1(topo.Fig1Opts{})
 	blue := topo.Fig1BluePrefixName
-	b, r2, c := fig1.MustNode("B"), fig1.MustNode("R2"), fig1.MustNode("C")
+	b := fig1.MustNode("B")
 	demands := []topo.Demand{{Ingress: b, PrefixName: blue, Volume: 15e6}}
 	ghost := []topo.Demand{{Ingress: b, PrefixName: "no-such-prefix", Volume: 1e6}}
 	model := qoe.Model{Members: map[string]map[topo.NodeID]int{blue: {b: 30}}, Horizon: qoe.DefaultHorizon}
 
-	type outcome struct {
-		val any
-		err error
-	}
 	cases := []struct {
 		name string
 		// misses is what the first lookup on an empty cache stores: its own
@@ -60,21 +74,22 @@ func TestArtifactMemo(t *testing.T) {
 			l, err := a.Loads(nil, ghost)
 			return outcome{l, err}
 		}},
-		{name: "SolveMinMax", misses: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
-			r, err := a.SolveMinMax(demands)
-			return outcome{r, err}
+		{name: "lp", misses: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
+			e := a.lpOptimal(demands)
+			return outcome{e, e.err}
 		}},
-		{name: "SolveMinMax fails", misses: ArtifactStats{Misses: 1}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
-			r, err := a.SolveMinMax(ghost)
-			return outcome{r, err}
+		{name: "lp fails on a ghost prefix", misses: ArtifactStats{Misses: 1}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
+			e := a.lpOptimal(ghost)
+			return outcome{e, e.err}
 		}},
-		{name: "CompileDAG", misses: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
-			aug, _, err := a.CompileDAG(blue, fibbing.DAG{b: {r2: 1, fig1.MustNode("R3"): 1}})
-			return outcome{aug, err}
+		{name: "spread reads Views", misses: ArtifactStats{Misses: 2}, lookup: func(a *PlanArtifacts) outcome {
+			return spreadOutcome(a.spread(blue, b, false))
 		}},
-		{name: "CompileDAG fails", misses: ArtifactStats{Misses: 1}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
-			aug, _, err := a.CompileDAG(blue, fibbing.DAG{b: {c: 1}}) // C is no neighbour of B
-			return outcome{aug, err}
+		{name: "spread finds none", misses: ArtifactStats{Misses: 2}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
+			return spreadOutcome(a.spread(blue, fig1.MustNode("A"), false)) // A's one uphill neighbour R1 is no downstream
+		}},
+		{name: "spread under LFA reads Trees", misses: ArtifactStats{Misses: 4}, lookup: func(a *PlanArtifacts) outcome {
+			return spreadOutcome(a.spread(blue, fig1.MustNode("A"), true)) // but R1 is a loop-free alternate
 		}},
 		{name: "predictQoE reads Views", misses: ArtifactStats{Misses: 1, QoEMisses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			q, err := a.predictQoEKeyed("m", nil, demands, model)
@@ -116,8 +131,8 @@ func TestArtifactMemo(t *testing.T) {
 // without moving any planning generation. The SPF trees and the
 // evaluator outlive epochs, so only the topology's version tells the
 // controller they are stale: after the change, the cache it plans
-// through answers Tree and Views exactly as a fresh cache over the
-// mutated topology does.
+// through answers Tree, Views and spread exactly as a fresh cache over
+// the mutated topology does.
 func TestArtifactsRebindOnWeightChange(t *testing.T) {
 	s, err := NewSim(SimOpts{WithCtrl: true})
 	if err != nil {
@@ -140,6 +155,7 @@ func TestArtifactsRebindOnWeightChange(t *testing.T) {
 	for _, n := range tp.Nodes() {
 		c.ensureArtifacts(tp).Tree(n.ID)
 	}
+	spreadBefore, _ := c.ensureArtifacts(tp).spread(blue, b, false)
 
 	if err := s.Domain.SetLinkWeight(b, r2, 9); err != nil {
 		t.Fatal(err)
@@ -162,6 +178,14 @@ func TestArtifactsRebindOnWeightChange(t *testing.T) {
 	}
 	if reflect.DeepEqual(want, before) {
 		t.Fatal("the weight change moved no route; the test compares nothing")
+	}
+	gotSpread, gotOK := arts.spread(blue, b, false)
+	wantSpread, wantOK := fresh.spread(blue, b, false)
+	if gotOK != wantOK || !reflect.DeepEqual(gotSpread, wantSpread) {
+		t.Fatalf("spread at B after the weight change:\n got  %v %v\n want %v %v", gotOK, gotSpread, wantOK, wantSpread)
+	}
+	if reflect.DeepEqual(wantSpread, spreadBefore) {
+		t.Fatal("the weight change moved no spread; the test compares nothing")
 	}
 }
 

@@ -128,8 +128,9 @@ type Controller struct {
 	gens planGens
 
 	// Artifact cache for the planner hot path: arts memoises SPF trees
-	// for the planning topology, and believed-topology compilations,
-	// load estimates and LP solves for the current gens epoch (see
+	// and local-ecmp spreads for the planning topology, and
+	// believed-topology compilations, load estimates and lp-optimal's
+	// compiled overlays for the current gens epoch (see
 	// ensureArtifacts). Its stats and LP solver are handed on when it
 	// rebinds, so the counters stay cumulative.
 	arts     *PlanArtifacts
@@ -231,7 +232,7 @@ func (c *Controller) Handle(ev Event) {
 func (c *Controller) ensureArtifacts(pt *topo.Topology) *PlanArtifacts {
 	switch {
 	case !c.arts.boundTo(pt):
-		c.arts = newPlanArtifacts(pt, c.arts.stats, c.arts.lp)
+		c.arts = newPlanArtifacts(pt, c.arts.stats, c.arts.solver)
 	case c.artsGens != c.gens:
 		c.arts.newEpoch()
 	}

@@ -136,9 +136,9 @@ func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
 	for _, plan := range plans {
 		plan.LieCost = liveLiesAfter(ctx.Installed, plan)
 		if qoeActive {
-			// Usually a memo hit: every overlay here was already predicted
-			// once, either by the proposing strategy or by an earlier
-			// planning round over the same state.
+			// No stock strategy predicts QoE itself, so this is the
+			// overlay's first prediction in a round; it is a memo hit when
+			// an earlier round over the same state scored the same overlay.
 			if q, err := ctx.PredictQoE(plan.Lies); err == nil {
 				plan.PredictedStall = q.Score()
 			} else {
@@ -253,8 +253,10 @@ func AnalyticPlanContext(t *topo.Topology, demands []topo.Demand,
 // AnalyticPlanContextCached is AnalyticPlanContext with a caller-owned
 // artifact cache: successive contexts built over the same cache (same
 // topology, unchanged demands/lies) reuse each other's SPF trees,
-// believed-topology compilations, LP bases and load estimates. The caller owns invalidation — pass a fresh or rebound
-// cache whenever topology, demands or installed lies change.
+// believed-topology compilations, local-ecmp spreads, lp-optimal's
+// compiled overlays, load estimates and QoE predictions. The caller owns
+// invalidation — pass a fresh or rebound cache whenever topology,
+// demands or installed lies change.
 func AnalyticPlanContextCached(arts *PlanArtifacts, t *topo.Topology, demands []topo.Demand,
 	installed map[string][]fibbing.Lie, ev Event, cfg Config) PlanContext {
 	raised := 0

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -18,9 +19,9 @@ import (
 type PlanContext struct {
 	Topo *topo.Topology
 	// Artifacts is the shared memoisation layer for the expensive
-	// planner inputs (SPF trees, believed-topology compilations, LP
-	// solves, load estimates), always bound to Topo (buildPlanContext
-	// guarantees it).
+	// planner inputs (SPF trees, believed-topology compilations, the
+	// stock strategies' compiled lies, load estimates), always bound to
+	// Topo (buildPlanContext guarantees it).
 	Artifacts *PlanArtifacts
 	// Event is what triggered planning; Event.Alarm carries the hot link
 	// for raise events.
@@ -222,14 +223,10 @@ func (s LocalECMPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 		return nil, nil
 	}
 	hot := ctx.Topo.Link(ctx.Event.Alarm.Link).From
+	lfa := ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil
 	overlay := make(map[string][]fibbing.Lie)
 	for _, prefix := range ctx.Prefixes {
-		views, err := ctx.Artifacts.Views(prefix, nil)
-		if err != nil {
-			continue
-		}
-		lies, ok := localSpreadLies(ctx, views, prefix, hot)
-		if ok {
+		if lies, ok := ctx.Artifacts.spread(prefix, hot, lfa); ok {
 			overlay[prefix] = lies
 		}
 	}
@@ -251,13 +248,17 @@ func (s LocalECMPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 
 // localSpreadLies builds the local-spreading requirement for one prefix:
 // the hot router keeps its IGP next hops and adds every unused downstream
-// neighbour (and, when QoE scoring is live, every loop-free alternate),
-// evenly. views is the prefix's plain-IGP view set (the caller fetches
-// it, memoised, through ctx.Artifacts.Views). ok is false when no spread
-// exists or it fails to compile/verify.
-func localSpreadLies(ctx PlanContext, views map[topo.NodeID]fibbing.RouteView, prefix string, hot topo.NodeID) ([]fibbing.Lie, bool) {
-	t, ev := ctx.Topo, ctx.Artifacts.eval
-	lfa := ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil
+// neighbour (and, with lfa, every loop-free alternate), evenly, then
+// compiles and verifies it. It reads only the binding's plain-IGP views,
+// SPF trees and evaluator, so PlanArtifacts.spread keeps its outcome for
+// the binding's life. ok is false when no spread exists or it fails to
+// compile/verify.
+func localSpreadLies(a *PlanArtifacts, prefix string, hot topo.NodeID, lfa bool) ([]fibbing.Lie, bool) {
+	t := a.topo
+	views, err := a.Views(prefix, nil)
+	if err != nil {
+		return nil, false
+	}
 	hv, ok := views[hot]
 	if !ok || hv.Local || len(hv.NextHops) == 0 {
 		return nil, false
@@ -277,7 +278,7 @@ func localSpreadLies(ctx PlanContext, views map[topo.NodeID]fibbing.RouteView, p
 			continue
 		}
 		if vv.Local || len(vv.NextHops) > 0 && (vv.Dist < hv.Dist ||
-			lfa && vv.Dist < ctx.Artifacts.Tree(v).Dist[hot]+hv.Dist) {
+			lfa && vv.Dist < a.Tree(v).Dist[hot]+hv.Dist) {
 			desired[v] = 1
 			added = true
 		}
@@ -286,11 +287,11 @@ func localSpreadLies(ctx PlanContext, views map[topo.NodeID]fibbing.RouteView, p
 		return nil, false
 	}
 	dag := fibbing.DAG{hot: desired}
-	aug, err := ev.AugmentAddPaths(prefix, dag)
+	aug, err := a.eval.AugmentAddPaths(prefix, dag)
 	if err != nil {
 		return nil, false
 	}
-	if err := ev.Verify(prefix, aug.Lies, dag); err != nil {
+	if err := a.eval.Verify(prefix, aug.Lies, dag); err != nil {
 		return nil, false
 	}
 	return aug.Lies, true
@@ -316,34 +317,20 @@ func (s LPOptimalStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	if n := routerCount(ctx.Topo); n > DefaultMaxLPRouters {
 		return nil, nil // guard: abstain rather than stall
 	}
-	opt, err := ctx.Artifacts.SolveMinMax(ctx.Demands)
-	if err != nil {
-		return nil, fmt.Errorf("lp-optimal: %w", err)
+	e := ctx.Artifacts.lpOptimal(ctx.Demands)
+	if e.err != nil {
+		return nil, fmt.Errorf("lp-optimal: %w", e.err)
 	}
-	overlay := make(map[string][]fibbing.Lie)
-	pinned := false
-	for _, prefix := range ctx.Prefixes {
-		dag, err := fibbing.Requirement(ctx.Topo, prefix, opt.Splits[prefix])
-		if err != nil {
-			return nil, fmt.Errorf("lp-optimal: %s: %w", prefix, err)
-		}
-		aug, wasPinned, err := ctx.Artifacts.CompileDAG(prefix, dag)
-		if err != nil {
-			return nil, fmt.Errorf("lp-optimal: %s: %w", prefix, err)
-		}
-		pinned = pinned || wasPinned
-		overlay[prefix] = aug.Lies
-	}
-	util, err := ctx.Evaluate(overlay)
+	util, err := ctx.Evaluate(e.overlay)
 	if err != nil {
 		return nil, fmt.Errorf("lp-optimal: %w", err)
 	}
 	rationale := fmt.Sprintf("θ*=%.3f after %s hit %.0f%%",
-		opt.MaxUtilisation, ctx.Event.Alarm.Name, 100*ctx.Event.Alarm.Utilisation)
-	if pinned {
+		e.opt.MaxUtilisation, ctx.Event.Alarm.Name, 100*ctx.Event.Alarm.Utilisation)
+	if e.pinned {
 		rationale += " (pinned)"
 	}
-	return &Plan{Strategy: s.Name(), Lies: overlay, PredictedUtil: util, Rationale: rationale}, nil
+	return &Plan{Strategy: s.Name(), Lies: maps.Clone(e.overlay), PredictedUtil: util, Rationale: rationale}, nil
 }
 
 func routerCount(t *topo.Topology) int {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"fibbing.net/fibbing/internal/controller"
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/scenarios"
 	"fibbing.net/fibbing/internal/spf"
@@ -117,11 +116,11 @@ func sameError(a, b error) bool {
 	return as == bs
 }
 
-// TestCompileDAGMatchesReferencePath: on every matrix topology, the
-// controller's compile pipeline over the shared evaluator returns the lie
-// lists, pinned flag and errors the per-router-Dijkstra pipeline returns,
-// lie for lie and in order — the plans the benchmark's digests and the
-// fiblab reports are made of.
+// TestCompileDAGMatchesReferencePath: on every matrix topology, Compile
+// over one shared evaluator (as the planner's cache holds it) returns the
+// lie lists, pinned flag and errors the per-router-Dijkstra pipeline
+// returns, lie for lie and in order — the plans the benchmark's digests
+// and the fiblab reports are made of.
 func TestCompileDAGMatchesReferencePath(t *testing.T) {
 	compiled, pinnedSeen, failed := 0, 0, 0
 	for ti, ts := range scenarios.MatrixTopologies() {
@@ -129,11 +128,11 @@ func TestCompileDAGMatchesReferencePath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arts := controller.NewPlanArtifacts(tp) // one cache, so one evaluator, across all DAGs
+		ev := fibbing.NewEvaluator(tp) // one evaluator across all DAGs
 		rng := rand.New(rand.NewSource(int64(ti) + 21))
 		for di, dag := range requirementDAGs(t, tp, prefix, rng) {
 			want, wantPinned, wantErr := fibbing.ReferenceCompile(tp, prefix, dag)
-			got, gotPinned, gotErr := arts.CompileDAG(prefix, dag)
+			got, gotPinned, gotErr := ev.Compile(prefix, dag)
 			if !sameError(gotErr, wantErr) {
 				t.Fatalf("%s dag %d %v: error %v, reference %v", ts.Family, di, dag, gotErr, wantErr)
 			}
