@@ -145,7 +145,10 @@ scale:
 # 84.7% before); floors unchanged. Measured when lp-optimal's compiled
 # overlay and local-ecmp's verified spread became one memo lookup each:
 # 85.0% for internal/controller and 95.6% for internal/fibbing (84.8%
-# and 95.6% before); floors unchanged.
+# and 95.6% before); floors unchanged. Measured when withdrawal and the
+# failover pin left the strategy portfolio and became fixed controller
+# reactions: 84.5% for internal/controller (85.0% before: the deleted
+# withdraw strategy's statements were all covered); floor unchanged.
 cover:
 	@$(GO) test -cover ./... > cover.out.tmp; s=$$?; cat cover.out.tmp; \
 	if [ $$s -ne 0 ]; then rm -f cover.out.tmp; exit $$s; fi; \

@@ -66,8 +66,7 @@ func scrub(v any) {
 // TestStockStrategiesWin is the earn-or-delete audit of the stock
 // strategy set: summed over the matrix and QoE goldens, every strategy
 // DefaultStrategies registers wins at least one arm's decision, or it is
-// code no reported cell needs. withdraw is exempt: no cell's crowd leaves
-// (ROADMAP item 4), so it has no proposal to win with yet.
+// code no reported cell needs.
 func TestStockStrategiesWin(t *testing.T) {
 	wins := map[string]int{}
 	for mode, arms := range map[string][]string{"matrix": {"on", "off"}, "qoe": {"util", "qoe", "off"}} {
@@ -90,7 +89,7 @@ func TestStockStrategiesWin(t *testing.T) {
 		}
 	}
 	for _, name := range controller.StrategyNames(controller.DefaultStrategies()) {
-		if wins[name] == 0 && name != "withdraw" {
+		if wins[name] == 0 {
 			t.Errorf("stock strategy %s wins no decision in the matrix or QoE cells (wins: %v)", name, wins)
 		}
 	}

@@ -111,7 +111,7 @@ func TestOverridesReachEveryArm(t *testing.T) {
 				if err := json.Unmarshal(cell["spec"], &spec); err != nil {
 					t.Fatal(err)
 				}
-				if spec.Duration.String() != "31s" || !slices.Equal(spec.Strategies, []string{"local-ecmp", "withdraw"}) ||
+				if spec.Duration.String() != "31s" || !slices.Equal(spec.Strategies, []string{"local-ecmp"}) ||
 					spec.Viewers != 60 || spec.Topo.Capacity != 20e6 {
 					t.Errorf("%s: overrides missing from the spec: %+v", spec.Name, spec)
 				}

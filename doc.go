@@ -10,13 +10,15 @@
 // RSVP-TE/CSPF), and the Fibbing controller itself.
 //
 // The controller is a policy engine with a pluggable reaction-strategy
-// API: a Strategy proposes, a Plan is the typed proposal (per-prefix lie
-// sets plus predicted max utilisation), and a southbound.Transaction
-// commits the winner all-or-nothing. The Planner asks the registered
-// strategies in registration order and scores them; the paper's tiers
-// are the stock strategies (local-ecmp, lp-optimal, withdraw) and
-// custom policies register via controller.New(..., WithStrategies(...)).
-// See README.md ("The reaction-strategy API").
+// API: on a raised alarm a Strategy proposes, a Plan is the typed
+// proposal (per-prefix lie sets plus predicted max utilisation), and a
+// southbound.Transaction commits the winner all-or-nothing. The Planner
+// asks the registered strategies in registration order and scores them;
+// the paper's congestion tiers are the stock strategies (local-ecmp,
+// lp-optimal) and custom policies register via controller.New(...,
+// WithStrategies(...)). Withdrawal, the failover pin and its revert are
+// fixed controller reactions that run whatever set is registered. See
+// README.md ("The reaction-strategy API").
 //
 // All traffic magnitudes are bit/s and the planning pipeline is
 // scale-invariant: the LP is normalised by te.ProblemScale and every

@@ -2,11 +2,12 @@
 // Poisson flash crowd of video sessions hits a random 12-router network,
 // and the controller reacts to whatever congestion emerges — showing
 // that the machinery is not specific to the Figure 1 gadget. The lies
-// stay installed after the crowd drains: withdrawal runs only once every
-// alarm has cleared (utilisation under 10 %) and plain IGP routing would
-// stay under 20 %, and this crowd's tail does not get there before the
-// run ends, so the output ends with the reaction's lies still live
-// (ROADMAP item 4).
+// stay installed after the crowd drains: the controller's withdraw
+// reaction (a fixed rule that runs under any strategy set, this one
+// included) fires only once every alarm has cleared (utilisation under
+// 10 %) and plain IGP routing would stay under 20 %, and this crowd's
+// tail does not get there before the run ends, so the output ends with
+// the reaction's lies still live (ROADMAP item 4).
 package main
 
 import (

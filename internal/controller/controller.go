@@ -6,14 +6,17 @@
 // When the surge subsides it withdraws the lies, returning the network to
 // pure IGP routing.
 //
-// The control loop is a policy engine built from three first-class types:
-// a Strategy proposes, a Plan is the typed proposal (per-prefix lie sets
-// plus a predicted max utilisation), and a southbound.Transaction commits
-// the winning plan all-or-nothing. The Planner asks every registered
-// strategy in registration order and scores the proposals; the paper's
-// tiered reactions (local ECMP, LP-optimal splits, withdrawal) are stock
-// strategies, and new reaction policies plug in through
-// New(..., WithStrategies(...)) without touching the engine.
+// The controller has two parts. The Planner chooses between competing
+// congestion reactions: on a raised alarm every registered Strategy
+// proposes a Plan (typed per-prefix lie sets plus a predicted max
+// utilisation), in registration order, and the best admissible plan
+// wins. The paper's tiered reactions (local ECMP, LP-optimal splits) are
+// the stock strategies, and new reaction policies plug in through
+// New(..., WithStrategies(...)) without touching the engine. The fixed
+// lifecycle rules are controller reactions that choose nothing:
+// withdrawal when the last alarm clears, the failover pin when a link
+// dies, and the revert when it heals. Either way a
+// southbound.Transaction commits the plan all-or-nothing.
 package controller
 
 import (
@@ -73,16 +76,19 @@ type Config struct {
 type Decision struct {
 	At     time.Duration
 	Prefix string
-	// Strategy is the winning strategy's name ("local-ecmp",
-	// "lp-optimal", "withdraw", or a custom strategy's Name()).
+	// Strategy names what committed the plan: the winning strategy
+	// ("local-ecmp", "lp-optimal", or a custom strategy's Name()), or a
+	// controller reaction ("withdraw", "failover-pin",
+	// "failover-revert").
 	Strategy string
 	Lies     int
 	Detail   string
 }
 
 // Controller is the policy engine. It consumes typed Events (monitor
-// alarms, demand changes) and reacts by planning over its registered
-// strategies and committing the winning plan transactionally; all event
+// alarms, demand changes, link liveness) and reacts: a raised alarm plans
+// over its registered strategies, every other trigger runs a fixed
+// reaction, and the resulting plan commits transactionally; all event
 // handling runs on the simulation scheduler's goroutine.
 type Controller struct {
 	topo    *topo.Topology
@@ -137,7 +143,7 @@ type Controller struct {
 	artsGens planGens
 
 	// futile memoises planning rounds that produced no plan: planning
-	// is a pure function of (event link, demands, installed lies), so
+	// is a pure function of (alarmed link, demands, installed lies), so
 	// while none of those change, repeated alarms (the monitor's
 	// RepeatEvery, or many saturated links alarming round-robin) would
 	// redo the identical round only to reject the identical proposals.
@@ -194,8 +200,8 @@ func New(t *topo.Topology, lies *southbound.LieManager, now func() time.Duration
 func (c *Controller) Planner() *Planner { return c.planner }
 
 // Handle is the controller's single entry point: it consumes one typed
-// event, updates the demand/alarm state, and plans a reaction when the
-// event calls for one.
+// event, updates the demand/alarm/liveness state, and plans or runs the
+// reaction the event calls for.
 func (c *Controller) Handle(ev Event) {
 	switch ev.Kind {
 	case EventDemandChanged:
@@ -205,9 +211,7 @@ func (c *Controller) Handle(ev Event) {
 		c.plan(ev)
 	case EventAlarmCleared:
 		delete(c.raised, ev.Alarm.Link)
-		if len(c.raised) == 0 {
-			c.plan(ev)
-		}
+		c.reactToClear()
 	case EventLinkDown:
 		if c.markFailed(ev.Link, true) {
 			if len(c.failed) == 1 {
@@ -344,14 +348,14 @@ func (c *Controller) QoEModel() qoe.Model {
 	return qoe.Model{Members: members, Horizon: qoe.DefaultHorizon}
 }
 
-// plan runs the planner for the event and commits the winning plan. A
-// raised alarm whose installed lies already keep the prediction at target
-// is stale and ignored. Strategy errors are soft as long as some plan
-// commits (mirroring the old tier fallbacks); with no plan they are
+// plan runs the planner for a raised alarm and commits the winning
+// plan. An alarm whose installed lies already keep the prediction at
+// target is stale and ignored. Strategy errors are soft as long as some
+// plan commits (mirroring the old tier fallbacks); with no plan they are
 // surfaced.
 func (c *Controller) plan(ev Event) {
 	demands := c.Demands()
-	if ev.Kind == EventAlarmRaised && len(demands) == 0 {
+	if len(demands) == 0 {
 		return
 	}
 	// Plan over the topology minus liveness-failed links, remapping the
@@ -370,12 +374,12 @@ func (c *Controller) plan(ev Event) {
 	// Check the memo before building the context: a hit means identical
 	// inputs to an earlier no-plan round, so even the base-utilisation
 	// evaluation (a full fluid routing) would come out the same.
-	key := c.planKey(ev, demands)
+	key := c.planKey(ev.Alarm.Link, demands)
 	if c.futile[key] {
 		return
 	}
-	ctx := buildPlanContext(c.ensureArtifacts(pt), pt, demands, c.lies.InstalledAll(), ev, c.cfg, len(c.raised))
-	if ev.Kind == EventAlarmRaised && ctx.BaseUtil <= TargetUtil {
+	ctx := buildPlanContext(c.ensureArtifacts(pt), pt, demands, c.lies.InstalledAll(), ev, c.cfg)
+	if ctx.BaseUtil <= TargetUtil {
 		return // stale alarm
 	}
 	if c.cfg.ScoreMode != ScoreUtil {
@@ -389,16 +393,15 @@ func (c *Controller) plan(ev Event) {
 		c.futile[key] = true
 		return
 	}
-	clear(c.futile)
 	c.commit(plan)
 }
 
 // planKey fingerprints a planning round's inputs. Installed lies are
 // covered implicitly: they only change through commits, which clear the
 // memo.
-func (c *Controller) planKey(ev Event, demands []topo.Demand) string {
+func (c *Controller) planKey(link topo.LinkID, demands []topo.Demand) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%v|%d", ev.Alarm.Link, ev.Kind, c.lies.LieCount())
+	fmt.Fprintf(&b, "%d|%d", link, c.lies.LieCount())
 	for _, d := range demands {
 		fmt.Fprintf(&b, "|%s:%d:%g", d.PrefixName, d.Ingress, d.Volume)
 	}
@@ -406,8 +409,10 @@ func (c *Controller) planKey(ev Event, demands []topo.Demand) string {
 }
 
 // commit applies the plan's per-prefix lie sets through one southbound
-// transaction: either every prefix reconciles or none does.
+// transaction: either every prefix reconciles or none does. Any commit
+// attempt clears the futile memo, since it may change the installed lies.
 func (c *Controller) commit(plan *Plan) {
+	clear(c.futile)
 	tx := c.lies.Begin()
 	prefixes := plan.Prefixes()
 	for _, prefix := range prefixes {

@@ -29,12 +29,14 @@ func utilEps(vals ...float64) float64 {
 	return utilEpsilon * scale
 }
 
-// Planner runs a registered strategy set against a PlanContext: the
-// strategies propose one after another in registration order, the
-// resulting plans are scored, and the best plan wins. Scoring order:
-// target-utilisation satisfaction first, then lie budget (total live lies
-// after commit), then predicted utilisation, then registration order as
-// the deterministic tie-break.
+// Planner chooses between competing congestion reactions: the
+// registered strategies propose one after another in registration order
+// for a raised alarm, the resulting plans are scored, and the best
+// admissible plan wins. Scoring order: target-utilisation satisfaction
+// first, then lie budget (total live lies after commit), then predicted
+// utilisation, then registration order as the deterministic tie-break.
+// Fixed lifecycle rules (withdrawal, failover, revert) are controller
+// reactions, not strategies.
 type Planner struct {
 	strategies []Strategy
 
@@ -115,11 +117,10 @@ func (p *Planner) ProposeAll(ctx PlanContext) ([]*Plan, []error) {
 }
 
 // Plan proposes, scores, and returns the winning plan (nil
-// when no strategy has an admissible proposal). For congestion reactions
-// (EventAlarmRaised) a plan is admissible only if it satisfies the target
-// utilisation or strictly improves on the no-op plan — a committed plan
-// never worsens the predicted max utilisation. Clear-triggered plans
-// (withdrawal) self-guard against the withdraw threshold instead.
+// when no strategy has an admissible proposal). A plan is admissible only
+// if it satisfies the target utilisation or strictly improves on the
+// no-op plan — a committed plan never worsens the predicted max
+// utilisation.
 func (p *Planner) Plan(ctx PlanContext) (*Plan, []error) {
 	plans, errs := p.ProposeAll(ctx)
 	return p.Select(ctx, plans), errs
@@ -145,7 +146,7 @@ func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
 				plan.PredictedStall = math.Inf(1)
 			}
 		}
-		if ctx.Event.Kind == EventAlarmRaised && !admissible(ctx, plan) {
+		if !admissible(ctx, plan) {
 			continue
 		}
 		if best == nil || better(ctx, plan, best) {
@@ -158,7 +159,7 @@ func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
 	return best
 }
 
-// admissible gates congestion-reaction plans: strictly improve on the
+// admissible gates plans: strictly improve on the
 // no-op plan, or reach the target without worsening it. Either way a
 // committed plan never increases the predicted max utilisation. Under
 // QoE scoring the never-worsen rule is restated in viewer terms: a plan
@@ -259,11 +260,7 @@ func AnalyticPlanContext(t *topo.Topology, demands []topo.Demand,
 // demands or installed lies change.
 func AnalyticPlanContextCached(arts *PlanArtifacts, t *topo.Topology, demands []topo.Demand,
 	installed map[string][]fibbing.Lie, ev Event, cfg Config) PlanContext {
-	raised := 0
-	if ev.Kind == EventAlarmRaised {
-		raised = 1
-	}
-	return buildPlanContext(arts, t, demands, installed, ev, cfg, raised)
+	return buildPlanContext(arts, t, demands, installed, ev, cfg)
 }
 
 // buildPlanContext is the single assembly point for PlanContexts: the
@@ -274,7 +271,7 @@ func AnalyticPlanContextCached(arts *PlanArtifacts, t *topo.Topology, demands []
 // one bound to another topology or to weights since changed, is replaced
 // by a fresh one).
 func buildPlanContext(arts *PlanArtifacts, t *topo.Topology, demands []topo.Demand,
-	installed map[string][]fibbing.Lie, ev Event, cfg Config, raisedAlarms int) PlanContext {
+	installed map[string][]fibbing.Lie, ev Event, cfg Config) PlanContext {
 	if arts == nil || !arts.boundTo(t) {
 		arts = NewPlanArtifacts(t)
 	}
@@ -291,16 +288,15 @@ func buildPlanContext(arts *PlanArtifacts, t *topo.Topology, demands []topo.Dema
 		}
 	}
 	return PlanContext{
-		Topo:         t,
-		Artifacts:    arts,
-		Event:        ev,
-		Demands:      demands,
-		Prefixes:     prefixNamesOf(demands),
-		Installed:    installed,
-		RaisedAlarms: raisedAlarms,
-		BaseUtil:     base,
-		ScoreMode:    cfg.ScoreMode,
-		Evaluate:     eval,
+		Topo:      t,
+		Artifacts: arts,
+		Event:     ev,
+		Demands:   demands,
+		Prefixes:  prefixNamesOf(demands),
+		Installed: installed,
+		BaseUtil:  base,
+		ScoreMode: cfg.ScoreMode,
+		Evaluate:  eval,
 	}
 }
 

@@ -34,19 +34,11 @@ func TestStockStrategySelection(t *testing.T) {
 	b := fig1.MustNode("B")
 	a := fig1.MustNode("A")
 
-	fig1Lies := func() []fibbing.Lie {
-		aug, err := fibbing.AugmentAddPaths(fig1, blue, fibbing.Fig1DAG(fig1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return aug.Lies
-	}
-
 	ring := topo.Ring(topo.RingOpts{N: 9, Capacity: 10e6})
 	r4 := ring.MustNode("r4")
 	ringSurge := []topo.Demand{{Ingress: r4, PrefixName: topo.RingPrefixName, Volume: 14e6}}
 	ringAlarm := func() Event { return AlarmEvent(alarmOn(t, ring, "r4", "r3", 0.99)) }
-	ringSet := []Strategy{LocalECMPStrategy{}, WithdrawStrategy{}}
+	ringSet := []Strategy{LocalECMPStrategy{}}
 	// The ring surge is 80 thin sessions.
 	thinCrowd := qoe.Model{
 		Members: map[string]map[topo.NodeID]int{topo.RingPrefixName: {r4: 80}},
@@ -70,11 +62,10 @@ func TestStockStrategySelection(t *testing.T) {
 	spur.AddLink(spur.MustNode("r4"), spur.AddNode("x"), 1, topo.LinkOpts{Capacity: 10e6})
 
 	cases := []struct {
-		name      string
-		topo      *topo.Topology
-		demands   []topo.Demand
-		installed map[string][]fibbing.Lie
-		event     func() Event
+		name    string
+		topo    *topo.Topology
+		demands []topo.Demand
+		event   func() Event
 		// strategies is the planner's set; nil is the stock one.
 		strategies []Strategy
 		mode       ScoreMode
@@ -163,24 +154,10 @@ func TestStockStrategySelection(t *testing.T) {
 			mode:       ScoreQoE,
 			model:      &backModel,
 		},
-		{
-			// The surge is over: the last alarm cleared and plain IGP
-			// routing stays below the withdraw threshold.
-			name:      "withdraw",
-			topo:      fig1,
-			demands:   []topo.Demand{{Ingress: b, PrefixName: blue, Volume: 0.5e6}},
-			installed: map[string][]fibbing.Lie{blue: fig1Lies()},
-			event: func() Event {
-				a := alarmOn(t, fig1, "B", "R2", 0.05)
-				a.Raised = false
-				return AlarmEvent(a)
-			},
-			want: "withdraw",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := AnalyticPlanContext(tc.topo, tc.demands, tc.installed, tc.event(), Config{ScoreMode: tc.mode})
+			ctx := AnalyticPlanContext(tc.topo, tc.demands, nil, tc.event(), Config{ScoreMode: tc.mode})
 			if tc.model != nil {
 				ctx = ctx.WithQoE(*tc.model)
 			}
@@ -213,7 +190,7 @@ func TestStockStrategySelection(t *testing.T) {
 					t.Fatalf("lies = %v, want [%s]", got, tc.wantLie)
 				}
 			}
-			if ctx.Event.Kind == EventAlarmRaised && plan.PredictedUtil > ctx.BaseUtil+1e-6 {
+			if plan.PredictedUtil > ctx.BaseUtil+1e-6 {
 				t.Fatalf("winning plan worsens predicted util: %.3f > base %.3f",
 					plan.PredictedUtil, ctx.BaseUtil)
 			}
@@ -245,7 +222,7 @@ func TestPlannerProposesInRegistrationOrder(t *testing.T) {
 		record("p3", true, nil),
 	)
 	fig1 := topo.Fig1(topo.Fig1Opts{})
-	ctx := AnalyticPlanContext(fig1, nil, nil, Event{Kind: EventAlarmCleared}, Config{})
+	ctx := AnalyticPlanContext(fig1, nil, nil, Event{Kind: EventAlarmRaised}, Config{})
 	plans, errs := planner.ProposeAll(ctx)
 
 	if got, want := fmt.Sprint(calls), "[p1 e1 abstains p2 e2 p3]"; got != want {
@@ -280,7 +257,7 @@ func TestStrategyPanicReachesCaller(t *testing.T) {
 		strategyFunc{name: "bad", propose: func(PlanContext) (*Plan, error) { panic("strategy bug") }},
 	)
 	fig1 := topo.Fig1(topo.Fig1Opts{})
-	ctx := AnalyticPlanContext(fig1, nil, nil, Event{Kind: EventAlarmCleared}, Config{})
+	ctx := AnalyticPlanContext(fig1, nil, nil, Event{Kind: EventAlarmRaised}, Config{})
 	var got any
 	func() {
 		defer func() { got = recover() }()
@@ -497,14 +474,14 @@ func (s strategyFunc) Name() string                           { return s.name }
 func (s strategyFunc) Propose(ctx PlanContext) (*Plan, error) { return s.propose(ctx) }
 
 // TestStrategyNameResolution covers the flag-format parsing used by
-// fiblab/fibsim/fibbingd, including the implied withdraw strategy.
+// fiblab/fibsim/fibbingd: a parsed set is exactly the named strategies.
 func TestStrategyNameResolution(t *testing.T) {
 	set, err := ParseStrategies("localecmp,lpoptimal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := StrategyNames(set)
-	want := []string{"local-ecmp", "lp-optimal", "withdraw"}
+	want := []string{"local-ecmp", "lp-optimal"}
 	if len(got) != len(want) {
 		t.Fatalf("strategies = %v, want %v", got, want)
 	}
@@ -517,29 +494,10 @@ func TestStrategyNameResolution(t *testing.T) {
 		t.Fatal("unknown strategy accepted")
 	}
 	// ksp is not a stock strategy: the error names the stock set.
-	if _, err := ParseStrategies("ksp"); err == nil || !strings.Contains(err.Error(), "local-ecmp, lp-optimal, withdraw") {
+	if _, err := ParseStrategies("ksp"); err == nil || !strings.Contains(err.Error(), "(stock: local-ecmp, lp-optimal)") {
 		t.Fatalf("ksp: err = %v, want an unknown-strategy error listing the stock set", err)
 	}
 	if set, err := ParseStrategies(""); err != nil || set != nil {
 		t.Fatalf("empty csv: set=%v err=%v", set, err)
-	}
-}
-
-// TestWithdrawBelowDefault: once the alarm clears and plain IGP routing
-// stays under DefaultWithdrawBelow, the stock planner withdraws every lie.
-func TestWithdrawBelowDefault(t *testing.T) {
-	fig1 := topo.Fig1(topo.Fig1Opts{})
-	blue := topo.Fig1BluePrefixName
-	aug, err := fibbing.AugmentAddPaths(fig1, blue, fibbing.Fig1DAG(fig1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleared := alarmOn(t, fig1, "B", "R2", 0.01)
-	cleared.Raised = false
-	installed := map[string][]fibbing.Lie{blue: aug.Lies}
-	ctx := AnalyticPlanContext(fig1, nil, installed, AlarmEvent(cleared), Config{})
-	plan, _ := NewPlanner().Plan(ctx)
-	if plan == nil || plan.Strategy != "withdraw" || len(plan.Lies[blue]) != 0 {
-		t.Fatalf("the default threshold did not withdraw: %+v", plan)
 	}
 }

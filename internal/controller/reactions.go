@@ -1,22 +1,27 @@
 package controller
 
-// Fast failover: react to liveness-detected link failures (internal/bfd
-// feeding EventLinkDown/EventLinkUp) the moment they are declared. When
-// BFD declares a link dead — milliseconds after the failure, long before
-// the IGP dead interval — the controller computes a failover plan for
-// that link and commits it as one southbound transaction.
+// The controller's fixed reactions: lifecycle rules that choose nothing,
+// so they run beside the Planner rather than as strategies in it.
 //
-// The plans themselves are TI-LFA-flavoured: pin the post-failure IGP
-// paths with lies compiled against the topology the routers still
-// believe in (pre-failure), so traffic leaves the dead link immediately
-// instead of blackholing until the IGP converges.
+//   - Withdrawal (reactToClear): once the last alarm clears and plain IGP
+//     routing stays at or below DefaultWithdrawBelow, every lie goes and
+//     the network is back to pure IGP, as Fibbing prescribes.
+//   - Fast failover (reactToFailure): when the liveness layer
+//     (internal/bfd feeding EventLinkDown) declares a link dead —
+//     milliseconds after the failure, long before the IGP dead interval —
+//     the controller pins the post-failure IGP paths with lies compiled
+//     against the topology the routers still believe in (pre-failure),
+//     TI-LFA style, so traffic leaves the dead link immediately instead
+//     of blackholing until the IGP converges.
+//   - Revert (reactToRecovery): when the last failed link heals, the
+//     pre-failure lie set comes back if it evaluates better than the
+//     detour.
 
 import (
 	"fmt"
 	"slices"
 
 	"fibbing.net/fibbing/internal/fibbing"
-	"fibbing.net/fibbing/internal/te"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -62,6 +67,36 @@ func (c *Controller) planningTopo() *topo.Topology {
 	}
 	slices.Sort(ids)
 	return c.topo.CloneWithoutLinks(ids...)
+}
+
+// reactToClear is the withdrawal rule, run on every alarm clear: with
+// no alarm left raised, lies installed, and plain IGP routing of the
+// current demands over the planning topology at or below
+// DefaultWithdrawBelow, every installed lie is withdrawn. Otherwise the
+// lies stay: an alarm is still up, or IGP alone would congest again.
+func (c *Controller) reactToClear() {
+	installed := c.lies.InstalledAll()
+	if len(c.raised) > 0 || len(installed) == 0 {
+		return
+	}
+	util, err := c.ensureArtifacts(c.planningTopo()).MaxUtil(nil, c.Demands())
+	if err != nil {
+		c.Errors = append(c.Errors, fmt.Errorf("controller: withdraw: %w", err))
+		return
+	}
+	if util > DefaultWithdrawBelow {
+		return
+	}
+	overlay := make(map[string][]fibbing.Lie, len(installed))
+	for prefix := range installed {
+		overlay[prefix] = nil
+	}
+	c.commit(&Plan{
+		Strategy:      "withdraw",
+		Lies:          overlay,
+		PredictedUtil: util,
+		Rationale:     "surge over; network back to pure IGP",
+	})
 }
 
 // reactToFailure answers a liveness-detected link failure: plan the
@@ -123,9 +158,11 @@ func (c *Controller) reactToRecovery() {
 }
 
 // revertPlan builds the plan restoring the pre-failure lie set, if doing
-// so strictly improves the analytic utilisation under current demands.
-// Prefixes that gained lies during the failure episode get explicit
-// empty entries so the commit withdraws them.
+// so strictly improves the analytic utilisation under current demands,
+// evaluated through the healed topology's artifact cache (the alarm path
+// after it reads the same loads). Prefixes that gained lies during the
+// failure episode get explicit empty entries so the commit withdraws
+// them.
 func (c *Controller) revertPlan(snap, installed map[string][]fibbing.Lie, demands []topo.Demand) *Plan {
 	overlay := make(map[string][]fibbing.Lie, len(snap))
 	for prefix, lies := range snap {
@@ -136,11 +173,12 @@ func (c *Controller) revertPlan(snap, installed map[string][]fibbing.Lie, demand
 			overlay[prefix] = nil
 		}
 	}
-	cur, err := analyticMaxUtil(c.topo, installed, demands)
+	arts := c.ensureArtifacts(c.topo)
+	cur, err := arts.MaxUtil(installed, demands)
 	if err != nil {
 		return nil
 	}
-	old, err := analyticMaxUtil(c.topo, overlay, demands)
+	old, err := arts.MaxUtil(overlay, demands)
 	if err != nil || old >= cur {
 		return nil
 	}
@@ -151,16 +189,6 @@ func (c *Controller) revertPlan(snap, installed map[string][]fibbing.Lie, demand
 		LieCost:       liveLiesAfter(installed, &Plan{Lies: overlay}),
 		Rationale:     fmt.Sprintf("restored pre-failure plan after heal (%.2f -> %.2f)", cur, old),
 	}
-}
-
-// analyticMaxUtil evaluates a lie set's max link utilisation for the
-// demands over a topology with the fluid routing model.
-func analyticMaxUtil(t *topo.Topology, lies map[string][]fibbing.Lie, demands []topo.Demand) (float64, error) {
-	loads, err := te.LoadsWithLies(t, lies, demands)
-	if err != nil {
-		return 0, err
-	}
-	return te.MaxUtilOfLoads(t, loads), nil
 }
 
 // failoverPlan computes the reaction to one link pair's failure. The
@@ -203,20 +231,16 @@ func (c *Controller) failoverPlan(link topo.Link) (*Plan, error) {
 	// is private so reduced-topology structure keys do not thrash the
 	// main planning basis.
 	arts := newPlanArtifacts(reduced, c.arts.stats, nil)
-	ctx := buildPlanContext(arts, reduced, demands, c.lies.InstalledAll(), LinkDownEvent(bl), c.cfg, len(c.raised))
-	ctx.FailedLink = bl
-	ctx.BaseTopo = base
-
-	plan, perr := (FailoverPinStrategy{}).Propose(ctx)
+	installed := c.lies.InstalledAll()
+	plan, perr := failoverPin(arts, base, bl, installed, demands)
 	if perr == nil && plan != nil {
-		plan.LieCost = liveLiesAfter(ctx.Installed, plan)
 		return plan, nil
 	}
 	// Fallback: a from-scratch planning round over the reduced topology,
 	// triggered by its hottest link. These lies only steer correctly once
 	// the IGP has converged on the reduced topology, which is exactly the
 	// slow path being replaced.
-	loads, err := arts.Loads(c.lies.InstalledAll(), demands)
+	loads, err := arts.Loads(installed, demands)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +248,7 @@ func (c *Controller) failoverPlan(link topo.Link) (*Plan, error) {
 	if !ok {
 		return nil, perr
 	}
-	ctx.Event = AlarmEvent(alarm)
+	ctx := buildPlanContext(arts, reduced, demands, installed, AlarmEvent(alarm), c.cfg)
 	p2, errs := c.planner.Plan(ctx)
 	if p2 == nil {
 		if perr != nil {
@@ -238,55 +262,49 @@ func (c *Controller) failoverPlan(link topo.Link) (*Plan, error) {
 	return p2, nil
 }
 
-// --- failover-pin -------------------------------------------------------
-
-// FailoverPinStrategy pins the post-failure IGP paths: for each prefix it
-// reads the IGP's routing on the reduced topology (ctx.Topo, without the
-// failed link), widens the split at the failed link's endpoints — the
-// routers inheriting the rerouted traffic — with their unused downhill
-// neighbours, and compiles the resulting DAG into lies against
-// ctx.BaseTopo, the topology the routers still believe in. The result
-// steers traffic off the dead link immediately and keeps steering it
-// after the IGP converges.
-type FailoverPinStrategy struct{}
-
-// Name implements Strategy.
-func (FailoverPinStrategy) Name() string { return "failover-pin" }
-
-// Propose implements Strategy.
-func (s FailoverPinStrategy) Propose(ctx PlanContext) (*Plan, error) {
-	if ctx.Event.Kind != EventLinkDown || ctx.BaseTopo == nil || len(ctx.Demands) == 0 {
-		return nil, nil
-	}
+// failoverPin pins the post-failure IGP paths: for each demanded prefix
+// it reads the IGP's routing on the reduced topology (arts' binding,
+// without the failed link), widens the split at the failed link's
+// endpoints — the routers inheriting the rerouted traffic — with their
+// unused downhill neighbours, and compiles the resulting DAG into lies
+// against base, the topology the routers still believe in (failed lives
+// in base's ID space). The result steers traffic off the dead link
+// immediately and keeps steering it after the IGP converges. It returns
+// no plan when some prefix cannot be pinned; the caller's fallback
+// planner owns that case.
+func failoverPin(arts *PlanArtifacts, base *topo.Topology, failed topo.Link,
+	installed map[string][]fibbing.Lie, demands []topo.Demand) (*Plan, error) {
 	// One evaluator for what the routers still believe: every prefix's
 	// compile shares its trees.
-	base := fibbing.NewEvaluator(ctx.BaseTopo)
+	ev := fibbing.NewEvaluator(base)
 	overlay := make(map[string][]fibbing.Lie)
-	for _, prefix := range ctx.Prefixes {
-		views, err := ctx.Artifacts.Views(prefix, nil)
+	for _, prefix := range prefixNamesOf(demands) {
+		views, err := arts.Views(prefix, nil)
 		if err != nil {
-			return nil, nil // abstain whole-plan; the fallback planner owns it
+			return nil, nil
 		}
-		lies, ok := failoverPinLies(base, ctx.Topo, views, prefix, ctx.FailedLink)
+		lies, ok := failoverPinLies(ev, arts.topo, views, prefix, failed)
 		if !ok {
-			return nil, nil // abstain whole-plan; the fallback planner owns it
+			return nil, nil
 		}
 		overlay[prefix] = lies
 	}
 	if len(overlay) == 0 {
 		return nil, nil
 	}
-	util, err := ctx.Evaluate(overlay)
+	util, err := arts.MaxUtil(mergeOverlay(installed, overlay), demands)
 	if err != nil {
 		return nil, fmt.Errorf("failover-pin: %w", err)
 	}
-	return &Plan{
-		Strategy:      s.Name(),
+	plan := &Plan{
+		Strategy:      "failover-pin",
 		Lies:          overlay,
 		PredictedUtil: util,
 		Rationale: fmt.Sprintf("pinned post-failure paths around %s-%s",
-			ctx.BaseTopo.Name(ctx.FailedLink.From), ctx.BaseTopo.Name(ctx.FailedLink.To)),
-	}, nil
+			base.Name(failed.From), base.Name(failed.To)),
+	}
+	plan.LieCost = liveLiesAfter(installed, plan)
+	return plan, nil
 }
 
 // failoverPinLies builds and compiles one prefix's pin DAG: the reduced

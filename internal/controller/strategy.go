@@ -12,10 +12,10 @@ import (
 )
 
 // PlanContext is everything a Strategy may consult when proposing a
-// reaction: the topology, the demand model, the lies currently installed,
-// the triggering event (with its alarm), the controller's policy knobs,
-// and a predicted-utilisation evaluator. The context is immutable:
-// strategies read it and never write through it.
+// congestion reaction: the topology, the demand model, the lies currently
+// installed, the raised alarm that triggered planning, the controller's
+// policy knobs, and a predicted-utilisation evaluator. The context is
+// immutable: strategies read it and never write through it.
 type PlanContext struct {
 	Topo *topo.Topology
 	// Artifacts is the shared memoisation layer for the expensive
@@ -23,8 +23,8 @@ type PlanContext struct {
 	// stock strategies' compiled lies, load estimates), always bound to
 	// Topo (buildPlanContext guarantees it).
 	Artifacts *PlanArtifacts
-	// Event is what triggered planning; Event.Alarm carries the hot link
-	// for raise events.
+	// Event is what triggered planning: an EventAlarmRaised whose Alarm
+	// carries the hot link.
 	Event Event
 	// Demands is the current demand model snapshot; Prefixes the sorted
 	// prefix names with non-zero demand.
@@ -32,16 +32,6 @@ type PlanContext struct {
 	Prefixes []string
 	// Installed snapshots the live lies per prefix.
 	Installed map[string][]fibbing.Lie
-	// RaisedAlarms counts links with an active congestion alarm.
-	RaisedAlarms int
-	// FailedLink and BaseTopo are set for EventLinkDown planning
-	// (failover.go): Topo is then the reduced topology (failed link
-	// removed, where traffic will physically flow) and BaseTopo the
-	// pre-failure one the routers still believe in — failover lies must
-	// compile and verify against BaseTopo to take effect before the IGP
-	// converges. FailedLink lives in BaseTopo's ID space.
-	FailedLink topo.Link
-	BaseTopo   *topo.Topology
 	// BaseUtil is the predicted max utilisation of the no-op plan:
 	// current demands routed over the installed lies.
 	BaseUtil float64
@@ -111,9 +101,9 @@ func (p *Plan) Prefixes() []string {
 	return out
 }
 
-// Strategy is one pluggable reaction policy. Propose must be pure: it
+// Strategy is one pluggable congestion reaction. Propose must be pure: it
 // reads the context and returns a candidate plan (nil when the strategy
-// has nothing to offer for this event), never touching shared state — the
+// has nothing to offer for this alarm), never touching shared state — the
 // artifact cache replays memoised planning inputs, which is only sound
 // when the same context always yields the same plan.
 type Strategy interface {
@@ -122,13 +112,14 @@ type Strategy interface {
 }
 
 // DefaultStrategies is the stock strategy set, in priority (registration)
-// order: local ECMP spreading, the LP-optimal splits, and lie withdrawal.
-// There is no QoE strategy: under ScoreQoE the planner re-ranks these
-// strategies' candidates by predicted stall instead, and local-ecmp
-// widens its neighbour test to loop-free alternates (see
-// LocalECMPStrategy).
+// order: local ECMP spreading and the LP-optimal splits. Withdrawal is
+// not a strategy: it is a fixed controller reaction to the last alarm
+// clearing, whatever set is configured. There is no QoE strategy: under
+// ScoreQoE the planner re-ranks these strategies' candidates by
+// predicted stall instead, and local-ecmp widens its neighbour test to
+// loop-free alternates (see LocalECMPStrategy).
 func DefaultStrategies() []Strategy {
-	return []Strategy{LocalECMPStrategy{}, LPOptimalStrategy{}, WithdrawStrategy{}}
+	return []Strategy{LocalECMPStrategy{}, LPOptimalStrategy{}}
 }
 
 // StrategyByName resolves a stock strategy from its name. Matching is
@@ -142,26 +133,16 @@ func StrategyByName(name string) (Strategy, bool) {
 	return nil, false
 }
 
-// StrategiesByName resolves a list of stock strategy names. The withdraw
-// strategy is appended when absent: it is the lie lifecycle's exit path,
-// not a reaction choice, so selecting reaction strategies must not leak
-// lies forever.
+// StrategiesByName resolves a list of stock strategy names.
 func StrategiesByName(names []string) ([]Strategy, error) {
 	var out []Strategy
-	haveWithdraw := false
 	for _, name := range names {
 		s, ok := StrategyByName(name)
 		if !ok {
 			return nil, fmt.Errorf("controller: unknown strategy %q (stock: %s)",
 				name, strings.Join(StrategyNames(DefaultStrategies()), ", "))
 		}
-		if _, isW := s.(WithdrawStrategy); isW {
-			haveWithdraw = true
-		}
 		out = append(out, s)
-	}
-	if len(out) > 0 && !haveWithdraw {
-		out = append(out, WithdrawStrategy{})
 	}
 	return out, nil
 }
@@ -341,39 +322,4 @@ func routerCount(t *topo.Topology) int {
 		}
 	}
 	return n
-}
-
-// --- withdraw -----------------------------------------------------------
-
-// WithdrawStrategy is the lifecycle exit: once every alarm has cleared
-// and plain IGP routing would stay below DefaultWithdrawBelow for the
-// current demands, it proposes clearing every installed lie, returning
-// the network to pure IGP routing (as Fibbing prescribes).
-type WithdrawStrategy struct{}
-
-// Name implements Strategy.
-func (WithdrawStrategy) Name() string { return "withdraw" }
-
-// Propose implements Strategy.
-func (s WithdrawStrategy) Propose(ctx PlanContext) (*Plan, error) {
-	if ctx.Event.Kind != EventAlarmCleared || ctx.RaisedAlarms > 0 || len(ctx.Installed) == 0 {
-		return nil, nil
-	}
-	overlay := make(map[string][]fibbing.Lie, len(ctx.Installed))
-	for prefix := range ctx.Installed {
-		overlay[prefix] = nil
-	}
-	util, err := ctx.Evaluate(overlay) // pure IGP routing
-	if err != nil {
-		return nil, fmt.Errorf("withdraw: %w", err)
-	}
-	if len(ctx.Demands) > 0 && util > DefaultWithdrawBelow {
-		return nil, nil // IGP alone would congest again; keep the lies
-	}
-	return &Plan{
-		Strategy:      s.Name(),
-		Lies:          overlay,
-		PredictedUtil: util,
-		Rationale:     "surge over; network back to pure IGP",
-	}, nil
 }

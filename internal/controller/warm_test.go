@@ -299,7 +299,7 @@ func TestMemoisedStrategiesMatchReferences(t *testing.T) {
 						}
 					}
 					got, _ := controller.NewPlanner().Plan(ctx)
-					want, _ := controller.NewPlanner(refLocalECMP{}, refLPOptimal{}, controller.WithdrawStrategy{}).Plan(refCtx)
+					want, _ := controller.NewPlanner(refLocalECMP{}, refLPOptimal{}).Plan(refCtx)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s mode %v: winner\n got  %+v\n want %+v", p.name, mode, got, want)
 					}

@@ -410,39 +410,30 @@ func (c *cell) settledBounds() {
 	} else {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("LP bound unavailable: %v", err))
 	}
+	// The final routing state, compiled once: the uncapped utilisation
+	// walks it, and so does the analytic stall predictor over the settled
+	// demands and the controller's member census — the same estimate the
+	// qoe score mode plans against. The prediction is reported for every
+	// run (any score mode, controller on or off) so the score-mode
+	// comparison cells can check that predicted and simulated stalls move
+	// together.
 	liesNow := map[string][]fibbing.Lie{rep.TargetPrefix: sim.Lies.Installed(rep.TargetPrefix)}
-	if loads, err := te.LoadsWithLies(tp, liesNow, demands); err == nil {
+	views, err := te.DemandViews(tp, liesNow, demands)
+	if err != nil {
+		rep.Notes = append(rep.Notes, fmt.Sprintf("analytic bound unavailable: %v", err),
+			fmt.Sprintf("QoE prediction unavailable: %v", err))
+		return
+	}
+	if loads, err := te.LinkLoads(tp, views, demands); err == nil {
 		rep.AnalyticUtilisation = te.MaxUtilOfLoads(tp, loads)
 	} else {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("analytic bound unavailable: %v", err))
 	}
-	// Predicted QoE of the final routing state: the analytic stall
-	// predictor over the settled demands and the controller's member
-	// census — the same estimate the qoe score mode plans against.
-	// Reported for every run (any score mode, controller on or off)
-	// so the score-mode comparison cells can check that predicted and
-	// simulated stalls move together.
-	if stalls, err := predictedStalls(tp, liesNow, demands, sim.Ctrl.QoEModel()); err == nil {
-		rep.PredictedStallSeconds = stalls
+	if q, err := qoe.PredictPlan(tp, views, demands, sim.Ctrl.QoEModel()); err == nil {
+		rep.PredictedStallSeconds = q.StallSeconds
 	} else {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("QoE prediction unavailable: %v", err))
 	}
-}
-
-// predictedStalls is the analytic stall predictor's figure for demands
-// routed over the topology with the given lies installed.
-func predictedStalls(tp *topo.Topology, lies map[string][]fibbing.Lie, demands []topo.Demand, model qoe.Model) (float64, error) {
-	views := make(map[string]map[topo.NodeID]fibbing.RouteView, len(tp.Prefixes()))
-	ev := fibbing.NewEvaluator(tp)
-	for _, pr := range tp.Prefixes() {
-		v, err := ev.Evaluate(pr.Name, lies[pr.Name])
-		if err != nil {
-			return 0, err
-		}
-		views[pr.Name] = v
-	}
-	q, err := qoe.PredictPlan(tp, views, demands, model)
-	return q.StallSeconds, err
 }
 
 // arm is one run of a comparison cell: the edit that turns the cell's

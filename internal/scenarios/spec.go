@@ -177,8 +177,9 @@ type Spec struct {
 	// link capacity.
 	Viewers int `json:"viewers,omitempty"`
 	// Strategies names the controller's reaction-strategy set (stock
-	// names, e.g. "localecmp,lpoptimal"; the withdraw strategy is implied).
-	// Empty keeps controller.DefaultStrategies.
+	// names, e.g. "localecmp,lpoptimal"). Empty keeps
+	// controller.DefaultStrategies. Withdrawal is a controller reaction
+	// and runs under any set.
 	Strategies []string `json:"strategies,omitempty"`
 	// ScoreMode selects the planner's plan-scoring objective: "util"
 	// (default — the historical max-utilisation ordering) or "qoe"

@@ -80,10 +80,21 @@ func IGPLoads(t *topo.Topology, demands []topo.Demand) (map[topo.LinkID]float64,
 	return LoadsWithLies(t, nil, demands)
 }
 
-// LoadsWithLies routes demands over the Fibbing-augmented network. The
-// prefixes share one evaluator, so a router that anchors lies for several
-// of them costs one SPF tree, not one per prefix.
+// LoadsWithLies routes demands over the Fibbing-augmented network.
 func LoadsWithLies(t *topo.Topology, liesByPrefix map[string][]fibbing.Lie, demands []topo.Demand) (map[topo.LinkID]float64, error) {
+	views, err := DemandViews(t, liesByPrefix, demands)
+	if err != nil {
+		return nil, err
+	}
+	return LinkLoads(t, views, demands)
+}
+
+// DemandViews compiles the believed routing of every demanded prefix
+// under its lies: the view set LinkLoads and qoe.PredictPlan walk. The
+// prefixes share one evaluator, so a router that anchors lies for
+// several of them costs one SPF tree, not one per prefix. The first
+// failing prefix in demand order names the error.
+func DemandViews(t *topo.Topology, liesByPrefix map[string][]fibbing.Lie, demands []topo.Demand) (map[string]map[topo.NodeID]fibbing.RouteView, error) {
 	ev := fibbing.NewEvaluator(t)
 	views := make(map[string]map[topo.NodeID]fibbing.RouteView)
 	for _, d := range demands {
@@ -96,7 +107,7 @@ func LoadsWithLies(t *topo.Topology, liesByPrefix map[string][]fibbing.Lie, dema
 		}
 		views[d.PrefixName] = v
 	}
-	return LinkLoads(t, views, demands)
+	return views, nil
 }
 
 // FormatLoads renders loads as "A->B: v" lines sorted by link name,
