@@ -149,10 +149,15 @@ scale:
 # failover pin left the strategy portfolio and became fixed controller
 # reactions: 84.5% for internal/controller (85.0% before: the deleted
 # withdraw strategy's statements were all covered); floor unchanged.
+# Measured when OSPF retransmission moved to one timer per adjacency and
+# crossing duplicates stopped drawing acks: 92.1% for internal/ospf at
+# GOMAXPROCS 1, 2, 4 and 8 (91.9% before; the timer body's
+# down-adjacency, stale-entry, re-arm and resend branches all covered);
+# floor raised to the measured value.
 cover:
 	@$(GO) test -cover ./... > cover.out.tmp; s=$$?; cat cover.out.tmp; \
 	if [ $$s -ne 0 ]; then rm -f cover.out.tmp; exit $$s; fi; \
-	for want in internal/qoe:90.0 internal/controller:83.0 internal/spf:94.1 internal/ospf:89.3 \
+	for want in internal/qoe:90.0 internal/controller:83.0 internal/spf:94.1 internal/ospf:92.1 \
 	    internal/lpm:96.1 internal/video:86.5 internal/netsim:91.7 \
 	    internal/fibbing:92.0 internal/te:86.8 internal/event:94.6; do \
 	  pkg=$${want%%:*}; floor=$${want##*:}; \

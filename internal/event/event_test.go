@@ -64,11 +64,17 @@ func TestCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
 	h := s.At(time.Second, func() { fired = true })
+	if at, ok := h.When(); !ok || at != time.Second {
+		t.Fatalf("When() = %v, %v before Cancel, want 1s, true", at, ok)
+	}
 	if !s.Cancel(h) {
 		t.Fatalf("Cancel failed")
 	}
 	if s.Cancel(h) {
 		t.Fatalf("double Cancel succeeded")
+	}
+	if _, ok := h.When(); ok {
+		t.Fatalf("When() reports a cancelled event as queued")
 	}
 	s.Run()
 	if fired {

@@ -1,6 +1,7 @@
 package ospf
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -41,12 +42,11 @@ func TestConvergenceUnderPacketLoss(t *testing.T) {
 }
 
 // TestRetransmitTimersFireInArmOrder floods a fat-tree k=4 under 30 %
-// loss, so retransmit timers fire, are re-armed and are cancelled by acks
-// all through the run. The timers towards a neighbor share one body that
-// retransmits the oldest timer's key in the neighbor's ring; that is the
-// timer firing only if the ring's front is always still armed, which is
-// checked after every event. Once the domain converges every ring is
-// empty.
+// loss, so retransmissions fire, entries are resent and acks clear them
+// all through the run. Each adjacency's retransmission list runs on one
+// timer; after every event checkRetransmitLists holds the list to its ring
+// and its timer, and once the domain converges every ring is empty and
+// every timer idle.
 func TestRetransmitTimersFireInArmOrder(t *testing.T) {
 	tp := topo.FatTree(topo.FatTreeOpts{K: 4, Capacity: 10e6, MaxWeight: 3, Seed: 2})
 	clean := NewDomain(tp, event.NewScheduler(), Config{RxmtInterval: 500 * time.Millisecond})
@@ -58,27 +58,18 @@ func TestRetransmitTimersFireInArmOrder(t *testing.T) {
 	d := NewDomain(tp, event.NewScheduler(), Config{RxmtInterval: 500 * time.Millisecond})
 	d.LossRate = 0.3
 	d.Start()
+	var ring []rxmtEntry
 	for steps := 0; !d.Converged(); steps++ {
 		if !d.sched.Step() {
 			t.Fatal("the queue drained before the domain converged")
 		}
-		for _, r := range d.routers {
-			for _, n := range r.nbrList {
-				if n.rxmt.Len() == 0 {
-					continue
-				}
-				front := n.rxmt.Peek()
-				if p, ok := n.unacked[front.key]; !front.handle.Scheduled() || !ok || p.handle != front.handle {
-					t.Fatalf("event %d: router %d's ring towards %d starts with a timer for %v that is not armed",
-						steps, r.id, n.id, front.key)
-				}
-			}
-		}
+		checkRetransmitLists(t, d, steps, &ring)
 	}
 	for _, r := range d.routers {
 		for _, n := range r.nbrList {
-			if n.rxmt.Len() != 0 {
-				t.Fatalf("router %d holds %d keys towards %d after convergence", r.id, n.rxmt.Len(), n.id)
+			if n.rxmt.Len() != 0 || n.rxmtTimer.Scheduled() {
+				t.Fatalf("router %d holds %d entries towards %d after convergence (timer armed: %v)",
+					r.id, n.rxmt.Len(), n.id, n.rxmtTimer.Scheduled())
 			}
 		}
 	}
@@ -87,6 +78,156 @@ func TestRetransmitTimersFireInArmOrder(t *testing.T) {
 	}
 	if got, want := d.Stats().PacketsSent, clean.Stats().PacketsSent; got <= want {
 		t.Fatalf("lossy run sent %d packets, clean %d: no retransmission fired", got, want)
+	}
+}
+
+// checkRetransmitLists holds every adjacency's retransmission list to the
+// invariants its one timer rests on: the ring is in due order, every
+// listed instance has a ring entry with its due, a live adjacency with
+// anything listed has its timer armed at or before the ring's front, and
+// an empty list leaves neither entries nor a timer behind. ring is
+// scratch storage reused across calls.
+func checkRetransmitLists(t *testing.T, d *Domain, step int, ring *[]rxmtEntry) {
+	t.Helper()
+	for _, r := range d.routers {
+		for _, n := range r.nbrList {
+			entries := ringEntries(n, (*ring)[:0])
+			*ring = entries
+			if len(n.unacked) == 0 {
+				if len(entries) != 0 || n.rxmtTimer.Scheduled() {
+					t.Fatalf("event %d: router %d lists nothing towards %d but holds %d entries (timer armed: %v)",
+						step, r.id, n.id, len(entries), n.rxmtTimer.Scheduled())
+				}
+				continue
+			}
+			// Count the listed keys that have their entry. A key sent twice
+			// at one instant has two equal entries, both in the run of
+			// entries due at that instant, which starts at run: only the
+			// first counts.
+			listed, run := 0, 0
+			for i, e := range entries {
+				if i > 0 && e.due != entries[i-1].due {
+					if e.due < entries[i-1].due {
+						t.Fatalf("event %d: router %d's ring towards %d is out of due order at %d", step, r.id, n.id, i)
+					}
+					run = i
+				}
+				if p, ok := n.unacked[e.key]; ok && p.due == e.due && !slices.Contains(entries[run:i], e) {
+					listed++
+				}
+			}
+			if listed != len(n.unacked) {
+				t.Fatalf("event %d: router %d lists %d keys towards %d, %d of them with a ring entry at their due",
+					step, r.id, len(n.unacked), n.id, listed)
+			}
+			if !n.up {
+				continue
+			}
+			if at, ok := n.rxmtTimer.When(); !ok || at > entries[0].due {
+				t.Fatalf("event %d: router %d's timer towards %d is at %v (armed: %v), after the front's due %v",
+					step, r.id, n.id, at, ok, entries[0].due)
+			}
+		}
+	}
+}
+
+// ringEntries appends n's ring, front first, to buf. It pops every entry
+// and pushes it back, which leaves the ring holding what it held.
+func ringEntries(n *neighbor, buf []rxmtEntry) []rxmtEntry {
+	for range n.rxmt.Len() {
+		buf = append(buf, n.rxmt.Pop())
+	}
+	for _, e := range buf {
+		n.rxmt.Push(e)
+	}
+	return buf
+}
+
+// TestColdStartHoldsOneTimerPerAdjacency converges a fat-tree k=8 from
+// cold and counts, after every event, the scheduler events the
+// retransmission lists hold: everything queued but the packets in flight,
+// the three tickers per router and the debounced SPF runs. Each
+// adjacency's list runs on one timer, so that is at most one per
+// adjacency, however many updates the flood has unacked. The first hellos
+// go out at one second, after the domain converged, so the in-flight
+// count is every packet on the wire; every 1024 events the count is also
+// matched to the timers the adjacencies hold armed.
+func TestColdStartHoldsOneTimerPerAdjacency(t *testing.T) {
+	tp := topo.FatTree(topo.FatTreeOpts{K: 8, Capacity: 10e6, MaxWeight: 3, Seed: 2})
+	d := NewDomain(tp, event.NewScheduler(), Config{})
+	d.Start()
+	adjacencies, peak := 0, 0
+	for _, r := range d.routers {
+		adjacencies += len(r.nbrList)
+	}
+	for steps := 0; !d.Converged(); steps++ {
+		if !d.sched.Step() {
+			t.Fatal("the queue drained before the domain converged")
+		}
+		timers := d.sched.Pending() - d.inflight - 3*len(d.routers) - d.spfPending
+		if timers > adjacencies {
+			t.Fatalf("event %d: the retransmission lists hold %d scheduler events over %d adjacencies",
+				steps, timers, adjacencies)
+		}
+		peak = max(peak, timers)
+		if steps%1024 != 0 {
+			continue
+		}
+		armed := 0
+		for _, r := range d.routers {
+			for _, n := range r.nbrList {
+				if n.rxmtTimer.Scheduled() {
+					armed++
+				}
+			}
+		}
+		if armed != timers {
+			t.Fatalf("event %d: %d timers armed, %d events counted", steps, armed, timers)
+		}
+	}
+	if now := d.sched.Now(); now >= helloInterval {
+		t.Fatalf("converged at %v, after the first hellos: the in-flight count missed them", now)
+	}
+	t.Logf("peak: %d retransmission timers over %d adjacencies", peak, adjacencies)
+	if peak == 0 {
+		t.Fatal("no retransmission timer was ever armed: the count is vacuous")
+	}
+}
+
+// TestRetransmitTimerOnDownAdjacency lists an update towards a neighbor
+// the router holds down — a reply to a packet that reached it before the
+// neighbor's hello did — and lets the timer fire: it resends nothing and
+// drops the list, as declaring the neighbor dead does.
+func TestRetransmitTimerOnDownAdjacency(t *testing.T) {
+	d, a, n, b := convergedFatTree(t)
+	sched := d.sched
+	own, ok := a.db.Get(Key{Type: TypeRouter, AdvRouter: a.id})
+	if !ok {
+		t.Fatal("a holds no router LSA of its own")
+	}
+	// The link is down, so nothing crosses it, and a holds b down.
+	if err := d.SetLinkState(a.node, b.node, false); err != nil {
+		t.Fatal(err)
+	}
+	n.up = false
+	// b's stale copy of a's Router LSA: a answers with its own instance.
+	stale := own.Clone()
+	stale.Header.Seq--
+	a.HandlePacket(b.id, appendUpdateLSA(appendPacketHeader(nil, PktLSUpdate, b.id, 1), stale.Encode()))
+	if p, ok := n.unacked[own.Header.Key()]; !ok || p.lsa != own || !n.rxmtTimer.Scheduled() {
+		t.Fatalf("a did not list its instance towards b: %+v, timer armed %v", p, n.rxmtTimer.Scheduled())
+	}
+	for n.rxmtTimer.Scheduled() {
+		sent := a.PacketsSent
+		if !sched.Step() {
+			t.Fatal("the queue drained before the timer fired")
+		}
+		if !n.rxmtTimer.Scheduled() && a.PacketsSent != sent {
+			t.Fatalf("the timer sent %d packets towards a neighbor held down", a.PacketsSent-sent)
+		}
+	}
+	if len(n.unacked) != 0 || n.rxmt.Len() != 0 {
+		t.Fatalf("after the timer: %d listed, %d ring entries, want none", len(n.unacked), n.rxmt.Len())
 	}
 }
 

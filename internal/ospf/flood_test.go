@@ -35,9 +35,9 @@ func convergedFatTree(t testing.TB) (d *Domain, a *Router, n *neighbor, b *Route
 // floodBudgetPerInstall is what one installation of a flooded instance may
 // allocate, everything included. Measured on fat-tree k=4: 42 objects for
 // 19 installs, 2.2 each — the decoded LSA and its link slice, and the
-// debounced SPF run's bookkeeping; the 45 updates sent arm their
-// retransmit timers with each adjacency's shared body. One closure per
-// update sent, as the timers had before, makes it 87 objects, 4.6 per
+// debounced SPF run's bookkeeping; the 45 updates sent join their
+// adjacency's retransmission ring, run by its one timer and pre-built
+// body. One closure per update sent makes it 87 objects, 4.6 per
 // install, and trips the guard.
 const floodBudgetPerInstall = 3
 
@@ -102,6 +102,78 @@ func TestFloodingAllocations(t *testing.T) {
 	}
 	if len(d.Errors) > 0 {
 		t.Fatalf("protocol errors: %v", d.Errors)
+	}
+}
+
+// TestDuplicateAcksFollowTable19 holds the ack a duplicate update draws
+// to RFC 2328 §13.5, Table 19, on a converged fat-tree k=4: a duplicate
+// that was an implied ack of the very instance pending towards its sender
+// draws no ack, any other duplicate does. Each case then converges with
+// nothing left to retransmit.
+func TestDuplicateAcksFollowTable19(t *testing.T) {
+	key := func(a *Router) Key { return Key{Type: TypeRouter, AdvRouter: a.id} }
+	// converge runs d to convergence and requires every list between a
+	// and b to be empty, with no protocol error on the way.
+	converge := func(t *testing.T, d *Domain, n, ba *neighbor) {
+		t.Helper()
+		if _, err := d.RunUntilConverged(d.sched.Now() + time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		for _, nb := range [2]*neighbor{n, ba} {
+			if len(nb.unacked) != 0 || nb.rxmt.Len() != 0 || nb.rxmtTimer.Scheduled() {
+				t.Fatalf("after convergence %d listed, %d ring entries, timer armed %v",
+					len(nb.unacked), nb.rxmt.Len(), nb.rxmtTimer.Scheduled())
+			}
+		}
+		if len(d.Errors) > 0 {
+			t.Fatalf("protocol errors: %v", d.Errors)
+		}
+	}
+
+	t.Run("crossing copy of the pending instance", func(t *testing.T) {
+		// a and b send each other a's Router LSA at once, so each lists
+		// the instance towards the other and receives the other's copy
+		// as a duplicate: both copies are implied acks and no ack is sent.
+		d, a, n, b := convergedFatTree(t)
+		ba := b.nbrs[a.id]
+		mine, _ := a.db.Get(key(a))
+		theirs, _ := b.db.Get(key(a))
+		a.sendUpdate(n, mine)
+		b.sendUpdate(ba, theirs)
+		sentA, sentB := a.PacketsSent, b.PacketsSent
+		converge(t, d, n, ba)
+		if a.PacketsSent != sentA || b.PacketsSent != sentB {
+			t.Errorf("the crossing drew %d acks from a and %d from b, want none",
+				a.PacketsSent-sentA, b.PacketsSent-sentB)
+		}
+	})
+
+	for _, tc := range []struct {
+		name  string
+		older bool // b lists an older instance of the key towards a first
+	}{
+		{name: "nothing pending"},
+		{name: "only an older instance pending", older: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, a, n, b := convergedFatTree(t)
+			ba := b.nbrs[a.id]
+			own, _ := b.db.Get(key(a))
+			if tc.older {
+				l := own.Clone()
+				l.Header.Seq--
+				b.sendUpdate(ba, l)
+			}
+			sent := b.PacketsSent
+			b.HandlePacket(a.id, appendUpdateLSA(appendPacketHeader(nil, PktLSUpdate, a.id, 1), own.Encode()))
+			if got := b.PacketsSent - sent; got != 1 {
+				t.Errorf("the duplicate drew %d acks, want 1", got)
+			}
+			if _, listed := ba.unacked[key(a)]; listed {
+				t.Errorf("b still lists the key towards a after the duplicate")
+			}
+			converge(t, d, n, ba)
+		})
 	}
 }
 

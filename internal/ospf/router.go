@@ -49,13 +49,17 @@ type neighbor struct {
 	lastHello time.Duration
 	unacked   map[Key]pendingLSA
 
-	// The retransmit timers towards the neighbor all last RxmtInterval, so
-	// they fire in the order they were armed: rxmt holds them in that
-	// order and every one runs the same event body, rxmtFire, which
-	// retransmits the oldest. A cancelled timer stays in the ring until it
-	// reaches the front (see popRxmt).
-	rxmt     event.Ring[rxmtTimer]
-	rxmtFire func()
+	// The retransmission list towards the neighbor runs on one timer
+	// (RFC 2328 §13.6). Every entry is due RxmtInterval after its send,
+	// so rxmt, which holds the entries in send order, holds them in due
+	// order too; rxmtTimer is armed at the front's due and its body,
+	// rxmtFire, resends whatever is due and re-arms. An entry whose key
+	// was acked or resent since stays in the ring until it reaches the
+	// front (see retransmitDue); the ring and the timer go when unacked
+	// empties.
+	rxmt      event.Ring[rxmtEntry]
+	rxmtTimer event.Handle
+	rxmtFire  func()
 
 	// The transport half of the adjacency (see Domain.deliver): peer is the
 	// router at the far end, wire the packets travelling towards it in send
@@ -66,24 +70,25 @@ type neighbor struct {
 }
 
 // pendingLSA is an update awaiting its ack: the instance to retransmit and
-// the timer that will do it.
+// the instant it is due to be resent.
 type pendingLSA struct {
-	lsa    *LSA
-	handle event.Handle
+	lsa *LSA
+	due time.Duration
 }
 
-// rxmtTimer is one retransmit timer in a neighbor's ring: the key it
-// retransmits and its scheduler event.
-type rxmtTimer struct {
-	key    Key
-	handle event.Handle
+// rxmtEntry is one send in a neighbor's retransmission ring: the key sent
+// and the instant it is due to be resent. It is live while the key's
+// pendingLSA has the same due; an ack or a newer send leaves it stale.
+type rxmtEntry struct {
+	key Key
+	due time.Duration
 }
 
 // rxmtKeep is the largest ring buffer a neighbor keeps once its
-// retransmit timers are all gone. A cold start's full-database flood grows
-// the rings of a fat-tree k=8 to 67 840 timers across its 512 adjacencies,
-// 2.1 MB that would stay resident; the floods of an igp-churn op fit in
-// 16, so no op regrows a ring.
+// retransmission list empties. A cold start's full-database flood grows
+// the rings of a fat-tree k=8 to 69 713 entries across its 512
+// adjacencies, 1.7 MB that would stay resident; the floods of an
+// igp-churn op fit in 16, so no op regrows a ring.
 const rxmtKeep = 16
 
 // Router is one IGP speaker. Routers are owned by a Domain and driven by
@@ -261,7 +266,7 @@ func (r *Router) addNeighbor(link topo.Link) {
 		peer:    r.dom.routers[link.To],
 	}
 	n.rx = func() { r.dom.receive(r.id, n) }
-	n.rxmtFire = func() { r.retransmit(n, n.popRxmt()) }
+	n.rxmtFire = func() { r.retransmitDue(n) }
 	r.nbrs[id] = n
 	r.nbrList = append(r.nbrList, n)
 	slices.SortFunc(r.nbrList, func(a, b *neighbor) int { return cmp.Compare(a.id, b.id) })
@@ -357,16 +362,15 @@ func (r *Router) sendUpdate(n *neighbor, l *LSA) {
 }
 
 // sendEncoded sends l, whose wire form is enc, as a one-LSA update and
-// tracks it for retransmission until acked. MaxAge flushes are also
+// lists it for retransmission until acked. MaxAge flushes are also
 // retransmitted; the ack carries the seq so either instance clears it.
 func (r *Router) sendEncoded(n *neighbor, l *LSA, enc []byte) {
 	r.transmitUpdate(n, enc)
-	k := l.Header.Key()
-	if old, ok := n.unacked[k]; ok {
-		r.dom.sched.Cancel(old.handle)
+	due := r.listRetransmit(n, l.Header.Key(), l)
+	if !n.rxmtTimer.Scheduled() {
+		// An idle timer means an empty ring: this entry is its front.
+		n.rxmtTimer = r.dom.sched.At(due, n.rxmtFire)
 	}
-	r.armRetransmit(n, k, l)
-	n.dropCancelled()
 }
 
 func (r *Router) transmitUpdate(n *neighbor, enc []byte) {
@@ -375,56 +379,75 @@ func (r *Router) transmitUpdate(n *neighbor, enc []byte) {
 	r.transmit(n, appendUpdateLSA(buf, enc))
 }
 
-// armRetransmit (re)starts the retransmission timer of l towards n. Each
-// timer is its own scheduler event, RxmtInterval after the send, running
-// the neighbor's shared body; n.rxmt says which key it is for.
-func (r *Router) armRetransmit(n *neighbor, k Key, l *LSA) {
-	h := r.dom.sched.After(r.cfg.RxmtInterval, n.rxmtFire)
-	n.unacked[k] = pendingLSA{lsa: l, handle: h}
-	n.rxmt.Push(rxmtTimer{key: k, handle: h})
+// listRetransmit lists l, just sent to n, for retransmission RxmtInterval
+// from now, superseding any earlier send of its key, and returns the due
+// instant. Arming the timer is the caller's.
+func (r *Router) listRetransmit(n *neighbor, k Key, l *LSA) time.Duration {
+	due := r.dom.sched.Now() + r.cfg.RxmtInterval
+	n.unacked[k] = pendingLSA{lsa: l, due: due}
+	n.rxmt.Push(rxmtEntry{key: k, due: due})
+	return due
 }
 
-// popRxmt pops the oldest timer off n.rxmt, then every cancelled one
-// behind it, so the front is always the next timer to fire and the ring
-// spans no more than the timers armed in the last RxmtInterval. It
-// returns the popped timer's key.
-func (n *neighbor) popRxmt() Key {
-	k := n.rxmt.Pop().key
-	for n.rxmt.Len() > 0 && !n.rxmt.Peek().handle.Scheduled() {
-		n.rxmt.Pop()
-	}
-	if n.rxmt.Len() == 0 && n.rxmt.Cap() > rxmtKeep {
-		n.rxmt = event.Ring[rxmtTimer]{}
-	}
-	return k
-}
-
-// dropCancelled follows the cancellation of timers towards n: if the
-// oldest was one of them, it goes, with the cancelled ones behind it.
-func (n *neighbor) dropCancelled() {
-	if n.rxmt.Len() > 0 && !n.rxmt.Peek().handle.Scheduled() {
-		n.popRxmt()
-	}
-}
-
-func (r *Router) retransmit(n *neighbor, k Key) {
-	p, ok := n.unacked[k]
-	if !ok || !n.up {
+// retransmitDue is the body of n's retransmission timer. It resends every
+// live entry that is due, in send order, pops the stale entries it meets
+// on the way, and re-arms at the first live entry still ahead. Each
+// instance is thus resent exactly RxmtInterval after its last send. The
+// timer is armed only while unacked is non-empty, and every listed key
+// has a live entry, so the walk always ends at one. A down adjacency
+// resends nothing: its list is dropped, as helloTick drops it when the
+// neighbor dies.
+func (r *Router) retransmitDue(n *neighbor) {
+	if !n.up {
+		r.dropRetransmits(n)
 		return
 	}
-	r.transmitUpdate(n, r.dom.encodeLSA(p.lsa))
-	r.armRetransmit(n, k, p.lsa)
+	now := r.dom.sched.Now()
+	for {
+		e := n.rxmt.Peek()
+		p, ok := n.unacked[e.key]
+		switch {
+		case !ok || p.due != e.due:
+			n.rxmt.Pop() // stale: acked or resent since
+		case e.due > now:
+			n.rxmtTimer = r.dom.sched.At(e.due, n.rxmtFire)
+			return
+		default:
+			n.rxmt.Pop()
+			r.transmitUpdate(n, r.dom.encodeLSA(p.lsa))
+			r.listRetransmit(n, e.key, p.lsa)
+		}
+	}
+}
+
+// dropRetransmits empties n's retransmission list, its ring and its timer.
+func (r *Router) dropRetransmits(n *neighbor) {
+	clear(n.unacked)
+	r.dom.sched.Cancel(n.rxmtTimer)
+	if n.rxmt.Cap() > rxmtKeep {
+		n.rxmt = event.Ring[rxmtEntry]{}
+		return
+	}
+	for n.rxmt.Len() > 0 {
+		n.rxmt.Pop()
+	}
 }
 
 // clearAcked stops retransmitting the instance of h's key to n if the
-// neighbor has proved it holds one at least as fresh.
-func (r *Router) clearAcked(n *neighbor, h Header) {
+// neighbor has proved it holds one at least as fresh. It reports whether
+// the entry it cleared held the very instance h describes: the same seq,
+// and a flush only if h is one.
+func (r *Router) clearAcked(n *neighbor, h Header) (same bool) {
 	k := h.Key()
-	if p, ok := n.unacked[k]; ok && p.lsa.Header.Seq <= h.Seq {
-		r.dom.sched.Cancel(p.handle)
-		delete(n.unacked, k)
-		n.dropCancelled()
+	p, ok := n.unacked[k]
+	if !ok || p.lsa.Header.Seq > h.Seq {
+		return false
 	}
+	delete(n.unacked, k)
+	if len(n.unacked) == 0 {
+		r.dropRetransmits(n)
+	}
+	return p.lsa.Header.Seq == h.Seq && (p.lsa.Header.Age >= MaxAgeSeconds) == (h.Age >= MaxAgeSeconds)
 }
 
 func (r *Router) sendAck(n *neighbor, h Header) {
@@ -506,7 +529,7 @@ func (r *Router) handleLSA(n *neighbor, enc []byte) {
 	// as fresh as one we are retransmitting to this neighbor proves the
 	// neighbor has it — stop retransmitting, or a stale-for-newer exchange
 	// ping-pongs forever.
-	r.clearAcked(n, h)
+	implied := r.clearAcked(n, h)
 	old, have := r.db.Get(h.Key())
 	switch {
 	case !have && h.Age >= MaxAgeSeconds:
@@ -523,8 +546,13 @@ func (r *Router) handleLSA(n *neighbor, enc []byte) {
 		r.sendAck(n, h)
 		r.installAndFlood(materialiseLSA(enc), n.id)
 	case h.Seq == old.Header.Seq:
-		// Duplicate: ack, do not re-flood.
-		r.sendAck(n, h)
+		// Duplicate: do not re-flood, and ack it unless it was an implied
+		// ack of the same instance (RFC 2328 §13.5, Table 19). Then the
+		// updates crossed: our copy is on the FIFO link ahead of the ack we
+		// would send, and clears the neighbor's retransmission on arrival.
+		if !implied {
+			r.sendAck(n, h)
+		}
 	default:
 		// Neighbor is behind: send it our newer instance.
 		r.sendUpdate(n, old)
@@ -564,11 +592,7 @@ func (r *Router) helloTick() {
 		if n.up && now-n.lastHello > deadInterval && n.lastHello >= 0 {
 			n.up = false
 			n.wasDown = true
-			for k, p := range n.unacked {
-				r.dom.sched.Cancel(p.handle)
-				delete(n.unacked, k)
-			}
-			n.dropCancelled() // every timer was cancelled: the ring empties
+			r.dropRetransmits(n)
 			r.originateRouterLSA()
 			r.dom.adjacencyChanged(n.link, false)
 		}
