@@ -7,6 +7,7 @@
 // Usage:
 //
 //	fibbingd [-listen 127.0.0.1:1161] [-duration 60s] [-rate 500K] [-no-controller]
+//	         [-pace 1] [-strategies localecmp,lpoptimal]
 //
 // While it runs, inspect the live counters with e.g.:
 //
@@ -16,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -38,7 +40,7 @@ func main() {
 	strategies := flag.String("strategies", "", "comma-separated reaction strategies (empty keeps the stock set)")
 	flag.Parse()
 
-	if err := run(*listen, *duration, *rate, !*noCtrl, *pace, *strategies); err != nil {
+	if err := run(os.Stdout, *listen, *duration, *rate, !*noCtrl, *pace, *strategies); err != nil {
 		fmt.Fprintf(os.Stderr, "fibbingd: %v\n", err)
 		os.Exit(1)
 	}
@@ -57,7 +59,10 @@ func (l lockedTransport) handle(req []byte) []byte {
 	return l.agent.HandleRequest(req)
 }
 
-func run(listen string, duration time.Duration, rateSpec string, withCtrl bool, pace float64, strategies string) error {
+// run is main without the flags and the process: it runs the demo and
+// prints to w. Every line after the first (which names the bound
+// address) is a function of the simulated timeline only.
+func run(w io.Writer, listen string, duration time.Duration, rateSpec string, withCtrl bool, pace float64, strategies string) error {
 	videoRate, err := topo.ParseBits(rateSpec)
 	if err != nil {
 		return err
@@ -94,7 +99,7 @@ func run(listen string, duration time.Duration, rateSpec string, withCtrl bool, 
 	}
 	defer conn.Close()
 	go serveLocked(conn, lt)
-	fmt.Printf("fibbingd: SNMP agent on %s (community public); controller=%v; running %v at %gx\n",
+	fmt.Fprintf(w, "fibbingd: SNMP agent on %s (community public); controller=%v; running %v at %gx\n",
 		conn.LocalAddr(), withCtrl, duration, pace)
 
 	start := time.Now()
@@ -109,7 +114,7 @@ func run(listen string, duration time.Duration, rateSpec string, withCtrl bool, 
 		mu.Lock()
 		sim.Run(virtual)
 		for _, d := range sim.Ctrl.Decisions[decisionsSeen:] {
-			fmt.Printf("t=%-6v %-18s lies=%d  %s\n", d.At, d.Strategy, d.Lies, d.Detail)
+			fmt.Fprintf(w, "t=%-6v %-18s lies=%d  %s\n", d.At, d.Strategy, d.Lies, d.Detail)
 			decisionsSeen++
 		}
 		mu.Unlock()
@@ -120,7 +125,7 @@ func run(listen string, duration time.Duration, rateSpec string, withCtrl bool, 
 
 	mu.Lock()
 	defer mu.Unlock()
-	fmt.Println("\nfinal link throughput (byte/s):")
+	fmt.Fprintln(w, "\nfinal link throughput (byte/s):")
 	var series []*metrics.Series
 	for _, pair := range [][2]string{{"A", "R1"}, {"B", "R2"}, {"B", "R3"}} {
 		s, err := sim.Net.SeriesBetween(pair[0], pair[1])
@@ -129,13 +134,13 @@ func run(listen string, duration time.Duration, rateSpec string, withCtrl bool, 
 		}
 		series = append(series, s)
 	}
-	if err := metrics.SeriesTable(5*time.Second, series...).Render(os.Stdout); err != nil {
+	if err := metrics.SeriesTable(5*time.Second, series...).Render(w); err != nil {
 		return err
 	}
 	agg := video.AggregateQoE(sim.QoE())
-	fmt.Printf("\nQoE: %d sessions, %d smooth, %d stalls, mean rebuffer %.1f%%\n",
+	fmt.Fprintf(w, "\nQoE: %d sessions, %d smooth, %d stalls, mean rebuffer %.1f%%\n",
 		agg.Sessions, agg.SmoothSessions, agg.TotalStalls, 100*agg.MeanRebuffer)
-	fmt.Printf("live lies: %d, max utilisation: %.2f\n", sim.Lies.LieCount(), sim.Net.MaxUtilisation())
+	fmt.Fprintf(w, "live lies: %d, max utilisation: %.2f\n", sim.Lies.LieCount(), sim.Net.MaxUtilisation())
 	return nil
 }
 

@@ -1,13 +1,15 @@
 // Package bfd implements BFD-style link liveness (RFC 5880's three-state
 // machine, asynchronous mode) for the simulated network: one session per
 // symmetric router-router link, two endpoint halves exchanging control
-// packets over the link at millisecond intervals, with tx-interval /
-// detect-multiplier negotiation, jittered hello timers on the virtual
-// scheduler, and flap damping on the session's aggregated liveness.
+// packets over the link at millisecond intervals, with jittered hello
+// timers on the virtual scheduler and flap damping on the session's
+// aggregated liveness. Every session runs the same fixed timers (50 ms
+// hellos, down after 3 missed): both halves of a session belong to one
+// Engine, so there is nothing to negotiate.
 //
 // The engine is the fast half of the failover subsystem: where the SNMP
 // poller notices a dead link only once EWMA'd counters stop moving (poll
-// timescale, seconds), a BFD session misses DetectMult consecutive hellos
+// timescale, seconds), a BFD session misses detectMult consecutive hellos
 // and reports the failure in a few tx intervals (milliseconds). Detected
 // transitions surface through the OnDown/OnUp callbacks, which
 // controller.NewSim wires straight into the controller's typed event
@@ -21,9 +23,9 @@
 // delivery, the receiver's re-armed detection timer — and on an
 // established session nothing else: each endpoint binds the three event
 // bodies once at Start, and because a link's delay is constant its hellos
-// arrive in send order, so the one thing a packet in flight carries that
-// the engine's config does not (the sender's state) rides a FIFO per
-// direction and the delivery event pops it.
+// arrive in send order, so the one thing a packet in flight carries (the
+// sender's state) rides a FIFO per direction and the delivery event pops
+// it.
 package bfd
 
 import (
@@ -61,29 +63,17 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// ControlPacket is one BFD control message: the sender's state plus its
-// timer parameters, from which the receiver negotiates its detection
-// time (max(local MinRx, remote TxInterval) × remote DetectMult).
-type ControlPacket struct {
-	State      State
-	TxInterval time.Duration // sender's desired min transmit interval
-	MinRx      time.Duration // sender's required min receive interval
-	DetectMult int
-}
+// The hello timers. txInterval is the desired transmit interval; actual
+// transmissions are jittered to 75–100% of it (RFC 5880 §6.8.7), so
+// sessions never phase-lock. A session end that hears nothing for
+// detectMult intervals declares the session down.
+const (
+	txInterval = 50 * time.Millisecond
+	detectMult = 3
+)
 
 // Config parameterises an Engine.
 type Config struct {
-	// TxInterval is the desired hello transmit interval (default 50ms).
-	// Actual transmissions are jittered to 75–100% of it (RFC 5880
-	// §6.8.7), so sessions never phase-lock.
-	TxInterval time.Duration
-	// MinRx is the slowest hello rate this end accepts (default =
-	// TxInterval). The detection time is max(MinRx, remote TxInterval) ×
-	// remote DetectMult.
-	MinRx time.Duration
-	// DetectMult is how many hello intervals may be missed before the
-	// session is declared down (default 3).
-	DetectMult int
 	// Seed drives the per-endpoint jitter PRNGs.
 	Seed int64
 }
@@ -100,19 +90,6 @@ const (
 	reuseBelow      = 750.0
 	penaltyHalfLife = 8 * time.Second
 )
-
-func (c Config) withDefaults() Config {
-	if c.TxInterval <= 0 {
-		c.TxInterval = 50 * time.Millisecond
-	}
-	if c.MinRx <= 0 {
-		c.MinRx = c.TxInterval
-	}
-	if c.DetectMult <= 0 {
-		c.DetectMult = 3
-	}
-	return c
-}
 
 // Stats counts what the engine has seen and reported.
 type Stats struct {
@@ -154,7 +131,7 @@ func New(t *topo.Topology, sched *event.Scheduler, cfg Config) *Engine {
 	return &Engine{
 		topo:     t,
 		sched:    sched,
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		sessions: make(map[topo.LinkID]*Session),
 	}
 }
@@ -240,8 +217,6 @@ type endpoint struct {
 	rng  *rand.Rand
 
 	state       State
-	remote      ControlPacket // last packet heard from the peer
-	haveRemote  bool
 	detect      event.Handle
 	detectArmed bool
 
@@ -290,8 +265,7 @@ func transition(local, remote State) State {
 // armTx schedules the next hello at 75–100% of the tx interval (RFC 5880
 // §6.8.7 jitter), drawn from this endpoint's deterministic PRNG.
 func (ep *endpoint) armTx() {
-	iv := ep.sess.eng.cfg.TxInterval
-	d := time.Duration((0.75 + 0.25*ep.rng.Float64()) * float64(iv))
+	d := time.Duration((0.75 + 0.25*ep.rng.Float64()) * float64(txInterval))
 	ep.sess.eng.sched.After(d, ep.onTx)
 }
 
@@ -314,44 +288,22 @@ func (ep *endpoint) transmit() {
 }
 
 // arrive is the far end of transmit: the oldest hello in flight reaches
-// the peer, carrying the state it was sent with and the engine's timers.
+// the peer, carrying the state it was sent with.
 func (ep *endpoint) arrive() {
 	eng := ep.sess.eng
 	sent := ep.inFlight.Pop()
 	if eng.Blocked != nil && eng.Blocked(ep.out) {
 		return // the link failed while the packet was in flight
 	}
-	ep.peer.receive(ControlPacket{
-		State:      sent,
-		TxInterval: eng.cfg.TxInterval,
-		MinRx:      eng.cfg.MinRx,
-		DetectMult: eng.cfg.DetectMult,
-	})
+	ep.peer.receive(sent)
 }
 
-// receive runs the state machine on one heard packet and re-arms the
-// negotiated detection timer.
-func (ep *endpoint) receive(pkt ControlPacket) {
+// receive runs the state machine on the state a heard packet was sent
+// with and re-arms the detection timer.
+func (ep *endpoint) receive(sent State) {
 	ep.sess.eng.stats.PacketsRx++
-	ep.remote, ep.haveRemote = pkt, true
-	ep.setState(transition(ep.state, pkt.State))
+	ep.setState(transition(ep.state, sent))
 	ep.armDetect()
-}
-
-// detectTime is the negotiated detection interval: the slower of what we
-// demand (MinRx) and what the peer offers (its TxInterval), times the
-// peer's detect multiplier.
-func (ep *endpoint) detectTime() time.Duration {
-	eng := ep.sess.eng
-	iv := ep.remote.TxInterval
-	if eng.cfg.MinRx > iv {
-		iv = eng.cfg.MinRx
-	}
-	mult := ep.remote.DetectMult
-	if mult <= 0 {
-		mult = 1
-	}
-	return time.Duration(mult) * iv
 }
 
 func (ep *endpoint) armDetect() {
@@ -359,13 +311,12 @@ func (ep *endpoint) armDetect() {
 	if ep.detectArmed {
 		eng.sched.Cancel(ep.detect)
 	}
-	ep.detect = eng.sched.After(ep.detectTime(), ep.onDetect)
+	ep.detect = eng.sched.After(eng.DetectTime(), ep.onDetect)
 	ep.detectArmed = true
 }
 
 func (ep *endpoint) detectExpired() {
 	ep.detectArmed = false
-	ep.haveRemote = false
 	ep.setState(StateDown)
 }
 
@@ -463,16 +414,10 @@ func (s *Session) addPenalty(now time.Duration) {
 	s.penaltyAt = now
 }
 
-// DetectTime reports the engine's nominal detection latency: how long a
-// failed link stays unnoticed in the worst case (with symmetric configs,
-// TxInterval × DetectMult).
-func (e *Engine) DetectTime() time.Duration {
-	iv := e.cfg.TxInterval
-	if e.cfg.MinRx > iv {
-		iv = e.cfg.MinRx
-	}
-	return time.Duration(e.cfg.DetectMult) * iv
-}
+// DetectTime reports the engine's detection time, detectMult ×
+// txInterval: how long a session end waits after the last hello it heard
+// before it declares the session down.
+func (e *Engine) DetectTime() time.Duration { return detectMult * txInterval }
 
 // String renders a compact engine summary for logs.
 func (e *Engine) String() string {

@@ -61,12 +61,18 @@ type harness struct {
 
 func newHarness(t *testing.T, tp *topo.Topology, cfg Config) *harness {
 	t.Helper()
+	h := newIdleHarness(tp, cfg)
+	h.eng.Start()
+	return h
+}
+
+// newIdleHarness is newHarness without Start: no session, no hello.
+func newIdleHarness(tp *topo.Topology, cfg Config) *harness {
 	h := &harness{tp: tp, sched: event.NewScheduler(), blocked: make(map[topo.LinkID]bool)}
 	h.eng = New(tp, h.sched, cfg)
 	h.eng.Blocked = func(id topo.LinkID) bool { return h.blocked[id] }
 	h.eng.OnDown = func(topo.Link) { h.downs = append(h.downs, h.sched.Now()) }
 	h.eng.OnUp = func(topo.Link) { h.ups = append(h.ups, h.sched.Now()) }
-	h.eng.Start()
 	return h
 }
 
@@ -105,7 +111,7 @@ func TestSessionEstablishAndDetect(t *testing.T) {
 	if len(h.downs) != 1 {
 		t.Fatalf("want exactly 1 down event, got %d", len(h.downs))
 	}
-	deadline := failAt + h.eng.DetectTime() + h.eng.cfg.TxInterval
+	deadline := failAt + h.eng.DetectTime() + txInterval
 	if h.downs[0] > deadline {
 		t.Fatalf("detection at %v, want <= %v", h.downs[0], deadline)
 	}
@@ -124,21 +130,27 @@ func TestSessionEstablishAndDetect(t *testing.T) {
 	}
 }
 
-func TestDetectTimeNegotiation(t *testing.T) {
-	tp := pairTopo(t)
-	h := newHarness(t, tp, Config{TxInterval: 20 * time.Millisecond, MinRx: 60 * time.Millisecond, DetectMult: 4})
-	h.sched.RunUntil(time.Second)
-	sess, _ := h.eng.Session(0)
-	if !sess.Up() {
-		t.Fatalf("session not up")
+// TestDetectTime: a failed link is announced down one detection time
+// (detectMult tx intervals, 150 ms) after the last hello heard, so at
+// most one detection time after the failure and at least one detection
+// time less one tx interval (the widest gap between hellos) after it.
+func TestDetectTime(t *testing.T) {
+	if got, want := New(pairTopo(t), event.NewScheduler(), Config{}).DetectTime(), 150*time.Millisecond; got != want {
+		t.Fatalf("detect time %v, want %v", got, want)
 	}
-	// Detection time = max(local MinRx, remote TxInterval) × remote
-	// DetectMult = max(60ms, 20ms) × 4 = 240ms.
-	if got := sess.a.detectTime(); got != 240*time.Millisecond {
-		t.Fatalf("negotiated detect time %v, want 240ms", got)
-	}
-	if got := h.eng.DetectTime(); got != 240*time.Millisecond {
-		t.Fatalf("engine detect time %v, want 240ms", got)
+	for seed := int64(1); seed <= 5; seed++ {
+		tp := pairTopo(t)
+		h := newHarness(t, tp, Config{Seed: seed})
+		failAt := 2*time.Second + time.Duration(seed)*7*time.Millisecond
+		h.sched.At(failAt, func() { h.setLink(tp.Link(0), false) })
+		h.sched.RunUntil(3 * time.Second)
+		if len(h.downs) != 1 {
+			t.Fatalf("seed %d: %d down events, want 1", seed, len(h.downs))
+		}
+		if d := h.downs[0] - failAt; d > h.eng.DetectTime() || d < h.eng.DetectTime()-txInterval {
+			t.Fatalf("seed %d: down %v after the failure, want within (%v, %v]",
+				seed, d, h.eng.DetectTime()-txInterval, h.eng.DetectTime())
+		}
 	}
 }
 
@@ -283,9 +295,12 @@ func slowPairTopo(t *testing.T) *topo.Topology {
 // become since; one that is in flight when the link fails is dropped on
 // arrival, and the FIFO stays in step with the events through all of it.
 func TestInFlightHellosCarryTheirSendState(t *testing.T) {
-	// No hello of the engine's own within the test: an hour's tx interval.
-	h := newHarness(t, slowPairTopo(t), Config{TxInterval: time.Hour})
-	sess, _ := h.eng.Session(0)
+	// A session the engine never starts, so no hello but the test's own.
+	h := newIdleHarness(slowPairTopo(t), Config{})
+	l := h.tp.Link(0)
+	sess := &Session{eng: h.eng, link: l}
+	sess.a.init(sess, l.ID, &sess.b, 1)
+	sess.b.init(sess, l.Reverse, &sess.a, 2)
 	a, b := &sess.a, &sess.b
 	for _, st := range []State{StateInit, StateUp, StateDown, StateUp} {
 		a.state = st
@@ -296,23 +311,31 @@ func TestInFlightHellosCarryTheirSendState(t *testing.T) {
 	if a.inFlight.Len() != 4 {
 		t.Fatalf("%d hellos in flight, want 4", a.inFlight.Len())
 	}
-	for i, want := range []State{StateInit, StateUp} {
+	// From Down, each remote state leads somewhere else: Down -> Init,
+	// Init -> Up, Up -> Down. So resetting the receiver to Down before an
+	// arrival and reading its state after names the state delivered;
+	// PacketsRx tells a hello heard from one dropped.
+	step := func() (delivered State, heard bool) {
+		rx := h.eng.Stats().PacketsRx
+		b.state = StateDown
 		h.sched.Step()
-		if !b.haveRemote || b.remote.State != want || b.remote.TxInterval != time.Hour || b.remote.DetectMult != 3 {
-			t.Fatalf("arrival %d delivered %+v, want state %v with the engine's timers", i, b.remote, want)
+		delivered = map[State]State{StateInit: StateDown, StateUp: StateInit, StateDown: StateUp}[b.state]
+		return delivered, h.eng.Stats().PacketsRx == rx+1
+	}
+	for i, want := range []State{StateInit, StateUp} {
+		if got, heard := step(); !heard || got != want {
+			t.Fatalf("arrival %d delivered %v (heard %v), want %v", i, got, heard, want)
 		}
 	}
 	h.setLink(sess.Link(), false)
-	rx := h.eng.Stats().PacketsRx
-	h.sched.Step() // the third arrives on a dead link
-	if h.eng.Stats().PacketsRx != rx || b.remote.State != StateUp || a.inFlight.Len() != 1 {
-		t.Fatalf("a hello crossed a failed link: rx %d -> %d, remote %+v, %d left in flight",
-			rx, h.eng.Stats().PacketsRx, b.remote, a.inFlight.Len())
+	if _, heard := step(); heard || b.state != StateDown || a.inFlight.Len() != 1 {
+		t.Fatalf("the third hello crossed a failed link: heard %v, receiver %v, %d left in flight",
+			heard, b.state, a.inFlight.Len())
 	}
 	h.setLink(sess.Link(), true)
-	h.sched.Step() // the fourth was sent before the failure and outlives it
-	if h.eng.Stats().PacketsRx != rx+1 || b.remote.State != StateUp || a.inFlight.Len() != 0 {
-		t.Fatalf("after the heal: rx %d, remote %+v, %d in flight", h.eng.Stats().PacketsRx, b.remote, a.inFlight.Len())
+	// The fourth was sent before the failure and outlives it.
+	if got, heard := step(); !heard || got != StateUp || a.inFlight.Len() != 0 {
+		t.Fatalf("after the heal: delivered %v (heard %v), %d in flight", got, heard, a.inFlight.Len())
 	}
 
 	// End to end with several in flight per direction: the handshake still

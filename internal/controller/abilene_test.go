@@ -133,10 +133,10 @@ func TestTwoPrefixSurge(t *testing.T) {
 	westRunner := *sim.Runner
 	westRunner.Prefix = "cdn-west"
 	westRunner.OnJoin = func(ingress topo.NodeID, rate float64) {
-		sim.Ctrl.ClientJoined("cdn-west", ingress, rate)
+		sim.Ctrl.Handle(DemandEvent("cdn-west", ingress, rate))
 	}
 	westRunner.OnLeave = func(ingress topo.NodeID, rate float64) {
-		sim.Ctrl.ClientLeft("cdn-west", ingress, rate)
+		sim.Ctrl.Handle(DemandEvent("cdn-west", ingress, -rate))
 	}
 	westRunner.OnFlowStarted = nil
 

@@ -144,8 +144,8 @@ type Controller struct {
 
 	// futile memoises planning rounds that produced no plan: planning
 	// is a pure function of (alarmed link, demands, installed lies), so
-	// while none of those change, repeated alarms (the monitor's
-	// RepeatEvery, or many saturated links alarming round-robin) would
+	// while none of those change, repeated alarms (the monitor re-firing
+	// a raised alarm, or many saturated links alarming round-robin) would
 	// redo the identical round only to reject the identical proposals.
 	// A commit or a demand change clears the whole memo, so it never
 	// holds more than one entry per alarmed link between changes.
@@ -249,17 +249,6 @@ func (c *Controller) ArtifactStats() ArtifactStats { return c.arts.Stats() }
 
 // LPStats snapshots the LP solve counter.
 func (c *Controller) LPStats() te.WarmLPStats { return c.arts.LPStats() }
-
-// ClientJoined registers a new video session (convenience wrapper around
-// a demand event).
-func (c *Controller) ClientJoined(prefix string, ingress topo.NodeID, rate float64) {
-	c.Handle(DemandEvent(prefix, ingress, rate))
-}
-
-// ClientLeft unregisters a finished session.
-func (c *Controller) ClientLeft(prefix string, ingress topo.NodeID, rate float64) {
-	c.Handle(DemandEvent(prefix, ingress, -rate))
-}
 
 func (c *Controller) applyDemand(ev Event) {
 	m := c.demand[ev.Prefix]

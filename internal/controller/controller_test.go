@@ -183,14 +183,14 @@ func TestDemandTracking(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := sim.Topo.MustNode("B")
-	sim.Ctrl.ClientJoined("blue", b, 1e6)
-	sim.Ctrl.ClientJoined("blue", b, 1e6)
+	sim.Ctrl.Handle(DemandEvent("blue", b, 1e6))
+	sim.Ctrl.Handle(DemandEvent("blue", b, 1e6))
 	d := sim.Ctrl.Demands()
 	if len(d) != 1 || d[0].Volume != 2e6 || d[0].Ingress != b {
 		t.Fatalf("demands = %+v", d)
 	}
-	sim.Ctrl.ClientLeft("blue", b, 1e6)
-	sim.Ctrl.ClientLeft("blue", b, 1e6)
+	sim.Ctrl.Handle(DemandEvent("blue", b, -1e6))
+	sim.Ctrl.Handle(DemandEvent("blue", b, -1e6))
 	if len(sim.Ctrl.Demands()) != 0 {
 		t.Fatalf("demands not drained: %+v", sim.Ctrl.Demands())
 	}

@@ -42,10 +42,9 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// Event is the controller's typed input: the monitor and the video
-// servers produce events, Controller.Handle consumes them. Replaces the
-// bare method callbacks (HandleAlarm / ClientJoined / ClientLeft) so
-// every harness drives one engine through one entry point.
+// Event is the controller's typed input: the monitor, BFD and the video
+// servers produce events, Controller.Handle consumes them, so every
+// harness drives one engine through one entry point.
 type Event struct {
 	Kind EventKind
 	// Alarm is set for EventAlarmRaised / EventAlarmCleared.

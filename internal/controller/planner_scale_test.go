@@ -88,11 +88,11 @@ func TestDemandDrainAtScale(t *testing.T) {
 	}
 	ingress := tp.MustNode("Seattle")
 	for _, rate := range rates {
-		ctrl.ClientJoined("cdn-east", ingress, rate)
+		ctrl.Handle(DemandEvent("cdn-east", ingress, rate))
 	}
 	r.Shuffle(sessions, func(i, j int) { rates[i], rates[j] = rates[j], rates[i] })
 	for _, rate := range rates {
-		ctrl.ClientLeft("cdn-east", ingress, rate)
+		ctrl.Handle(DemandEvent("cdn-east", ingress, -rate))
 	}
 	if ds := ctrl.Demands(); len(ds) != 0 {
 		t.Fatalf("demand model not empty after full drain: %+v", ds)

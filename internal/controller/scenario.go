@@ -51,9 +51,9 @@ type SimOpts struct {
 	TrackPlayers bool          // attach a SimSession per flow
 	// BFD enables per-link liveness sessions; link failures then reach
 	// the controller as LinkDown/LinkUp events milliseconds after the
-	// fact, instead of at SNMP-poll timescale. The zero Config is valid
-	// (50ms hellos, detect multiplier 3): pass &bfd.Config{} to enable
-	// with defaults.
+	// fact, instead of at SNMP-poll timescale. The timers are fixed
+	// (50ms hellos, detect multiplier 3) and Config only seeds the
+	// jitter: pass &bfd.Config{} to enable.
 	BFD *bfd.Config
 	// Deprecated: no effect (always zero); kept only because bench/
 	// reads it until ROADMAP item 1.

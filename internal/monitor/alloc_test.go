@@ -5,10 +5,7 @@ package monitor
 // Not built under the race detector: there sync.Pool drops a quarter of
 // its Puts at random, so how many exchanges a poll allocates says nothing.
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestPollAllocations: a steady-state poll costs its requests, not its
 // counters — at most 4 objects per GET (the agent's response buffer is
@@ -25,7 +22,7 @@ func TestPollAllocations(t *testing.T) {
 			reports++
 		}
 		p.Start()
-		sched.RunUntil(3 * time.Second) // seeded, scratch grown
+		sched.RunUntil(3 * pollInterval) // seeded, scratch grown
 		allocs := testing.AllocsPerRun(200, p.poll)
 		if len(p.Errors) > 0 || reports < 200 {
 			t.Fatalf("%d reports, errors %v", reports, p.Errors)

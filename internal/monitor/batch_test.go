@@ -16,11 +16,12 @@ import (
 )
 
 // chainRun polls a live three-router chain a-b-c (10 Mbit/s links, flows
-// a->c crossing both) for 40 s with the given poll body, and returns
+// a->c crossing both) 40 times with the given poll body, and returns
 // everything the poller said, stamped with the instant it said it. The
 // alarm handler reroutes mid-poll: a raise on the first link removes a
-// flow that also loads the link read after it, a clear puts it back. One
-// watched OID is not served, so one link fails every poll.
+// flow that also loads the link read after it, a repeat removes the
+// other, a clear puts both back. One watched OID is not served, so one
+// link fails every poll.
 func chainRun(t *testing.T, poll func(*Poller)) (log []string, failures uint64, errs []string) {
 	t.Helper()
 	tp := topo.New()
@@ -60,27 +61,28 @@ func chainRun(t *testing.T, poll func(*Poller)) (log []string, failures uint64, 
 	links = append(links[:1:1], append([]WatchedLink{{
 		Link: 77, OID: snmp.OIDIfHCOutOctets.Append(7777), Capacity: 1e6, Name: "ghost",
 	}}, links[1:]...)...)
-	p := NewPoller(client, sched, Config{
-		Interval: time.Second, Alpha: 0.6, HighThreshold: 0.7, LowThreshold: Float(0.5),
-		RaiseAfter: 1, ClearAfter: 1, RepeatEvery: Int(2),
-	}, links)
+	p := NewPoller(client, sched, Config{HighThreshold: 0.35}, links)
 
-	flow(1, 4e6)
-	surge := flow(2, 5e6)
+	base, surge := flow(1, 4e6), flow(2, 5e6)
+	raised := false
 	p.OnReport = func(r Report) { log = append(log, fmt.Sprintf("%v report %+v", sched.Now(), r)) }
 	p.OnAlarm = func(al Alarm) {
 		log = append(log, fmt.Sprintf("%v alarm %+v", sched.Now(), al))
 		if al.Link != ab {
 			return
 		}
-		if al.Raised {
+		switch {
+		case !al.Raised:
+			base, surge = flow(1, 4e6), flow(2, 5e6)
+		case raised:
+			net.RemoveFlow(base) // a repeat: removing the surge was not enough
+		default:
 			net.RemoveFlow(surge)
-		} else {
-			surge = flow(2, 5e6)
 		}
+		raised = al.Raised
 	}
-	p.ticker = sched.NewTicker(p.cfg.Interval, func() { poll(p) })
-	sched.RunUntil(40 * time.Second)
+	p.ticker = sched.NewTicker(pollInterval, func() { poll(p) })
+	sched.RunUntil(40 * pollInterval)
 	for _, err := range p.Errors {
 		errs = append(errs, err.Error())
 	}
@@ -137,7 +139,7 @@ func syntheticPoller(n int, wrap func(snmp.Transport) snmp.Transport) (*Poller, 
 		tr = wrap(tr)
 	}
 	client := snmp.NewClient(tr, "c")
-	return NewPoller(client, sched, Config{Interval: time.Second}, links), sched
+	return NewPoller(client, sched, Config{}, links), sched
 }
 
 // swapTransport swaps the first two varbinds of every response.
@@ -166,7 +168,7 @@ func TestMismatchedResponseFailsItsRequest(t *testing.T) {
 	p, sched := syntheticPoller(n, func(tr snmp.Transport) snmp.Transport { return swapTransport{tr} })
 	p.OnReport = func(r Report) { t.Fatalf("report from swapped responses: %+v", r) }
 	p.Start()
-	sched.RunUntil(3 * time.Second)
+	sched.RunUntil(3 * pollInterval)
 	if got := p.PollFailures.Value(); got != 3*n {
 		t.Fatalf("PollFailures = %d after 3 polls of %d links, want %d", got, n, 3*n)
 	}

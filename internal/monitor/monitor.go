@@ -66,58 +66,33 @@ type Alarm struct {
 	Raised bool
 }
 
-// Config parameterises a Poller. Fields whose zero value is a legitimate
-// setting are pointers (Float/Int build them); nil means "use the
-// default", so an explicit zero is never silently replaced.
+// The detection policy. Every program polls with it: a poll every
+// pollInterval, an EWMA with weight ewmaAlpha on the newest rate, an alarm
+// raised after raiseAfter consecutive polls at or above the high
+// threshold and cleared after clearAfter consecutive polls at or below
+// lowThreshold (the gap between the two is the hysteresis that keeps an
+// alarm from flapping). While an alarm stays raised it re-fires on every
+// repeatEvery-th consecutive hot poll, so the controller learns that its
+// last reaction was insufficient (or a new surge hit the same link).
+const (
+	pollInterval = 2 * time.Second
+	ewmaAlpha    = 0.7
+	lowThreshold = 0.1
+	raiseAfter   = 1
+	clearAfter   = 2
+	repeatEvery  = 2
+)
+
+// Config parameterises a Poller. The rest of the detection policy is
+// fixed (see pollInterval).
 type Config struct {
-	Interval time.Duration // poll period (default 2s)
-	// Alpha is the EWMA smoothing factor (default 0.7).
-	Alpha float64
 	// HighThreshold raises an alarm (default 0.85).
 	HighThreshold float64
-	// LowThreshold clears a raised alarm (nil: default 0.1); hysteresis
-	// avoids flapping. Float(0) clears only on a fully idle link; a
-	// negative threshold never clears.
-	LowThreshold *float64
-	// RaiseAfter / ClearAfter demand k consecutive polls beyond the
-	// threshold (default 1 / 2).
-	RaiseAfter int
-	ClearAfter int
-	// RepeatEvery re-fires the raised alarm every k consecutive
-	// above-threshold polls while the alarm stays raised, so the
-	// controller learns that its last reaction was insufficient (or a
-	// new surge hit the same link). nil: default 2; Int(0) disables
-	// repeats.
-	RepeatEvery *int
 }
 
-// Float wraps a float64 for Config's optional fields.
-func Float(v float64) *float64 { return &v }
-
-// Int wraps an int for Config's optional fields.
-func Int(v int) *int { return &v }
-
 func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Second
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.7
-	}
 	if c.HighThreshold <= 0 {
 		c.HighThreshold = 0.85
-	}
-	if c.LowThreshold == nil {
-		c.LowThreshold = Float(0.1)
-	}
-	if c.RaiseAfter <= 0 {
-		c.RaiseAfter = 1
-	}
-	if c.ClearAfter <= 0 {
-		c.ClearAfter = 2
-	}
-	if c.RepeatEvery == nil {
-		c.RepeatEvery = Int(2)
 	}
 	return c
 }
@@ -180,7 +155,7 @@ func NewPoller(client *snmp.Client, sched *event.Scheduler, cfg Config, links []
 	}
 	for i, l := range links {
 		p.oids[i] = l.OID
-		p.state[i].ewma.Alpha = p.cfg.Alpha
+		p.state[i].ewma.Alpha = ewmaAlpha
 	}
 	return p
 }
@@ -190,7 +165,7 @@ func (p *Poller) Start() {
 	if p.ticker != nil {
 		return
 	}
-	p.ticker = p.sched.NewTicker(p.cfg.Interval, p.poll)
+	p.ticker = p.sched.NewTicker(pollInterval, p.poll)
 }
 
 // Stop halts polling.
@@ -241,25 +216,24 @@ func (p *Poller) updateAlarm(wl WatchedLink, st *linkState, util float64) {
 	case util >= p.cfg.HighThreshold:
 		st.hiStreak++
 		st.loStreak = 0
-	case util <= *p.cfg.LowThreshold:
+	case util <= lowThreshold:
 		st.loStreak++
 		st.hiStreak = 0
 	default:
 		st.hiStreak = 0
 		st.loStreak = 0
 	}
-	if !st.raised && st.hiStreak >= p.cfg.RaiseAfter {
+	if !st.raised && st.hiStreak >= raiseAfter {
 		st.raised = true
 		if p.OnAlarm != nil {
 			p.OnAlarm(Alarm{Link: wl.Link, Name: wl.Name, Utilisation: util, Raised: true})
 		}
-	} else if st.raised && *p.cfg.RepeatEvery > 0 &&
-		st.hiStreak > 0 && st.hiStreak%*p.cfg.RepeatEvery == 0 {
+	} else if st.raised && st.hiStreak > 0 && st.hiStreak%repeatEvery == 0 {
 		if p.OnAlarm != nil {
 			p.OnAlarm(Alarm{Link: wl.Link, Name: wl.Name, Utilisation: util, Raised: true})
 		}
 	}
-	if st.raised && st.loStreak >= p.cfg.ClearAfter {
+	if st.raised && st.loStreak >= clearAfter {
 		st.raised = false
 		if p.OnAlarm != nil {
 			p.OnAlarm(Alarm{Link: wl.Link, Name: wl.Name, Utilisation: util, Raised: false})

@@ -2,6 +2,8 @@ package monitor
 
 import (
 	"math"
+	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,7 +12,6 @@ import (
 	"fibbing.net/fibbing/internal/netsim"
 	"fibbing.net/fibbing/internal/snmp"
 	"fibbing.net/fibbing/internal/topo"
-	"net/netip"
 )
 
 // rig builds a 2-router network with one 10 Mbit/s link, an SNMP agent
@@ -62,12 +63,12 @@ func (r *rig) addFlow(port uint16, rate float64) netsim.FlowID {
 }
 
 func TestPollerMeasuresRate(t *testing.T) {
-	r := newRig(t, Config{Interval: time.Second, Alpha: 1})
+	r := newRig(t, Config{})
 	var reports []Report
 	r.pol.OnReport = func(rep Report) { reports = append(reports, rep) }
 	r.pol.Start()
 	r.addFlow(1, 4e6)
-	r.sched.RunUntil(10 * time.Second)
+	r.sched.RunUntil(10 * pollInterval)
 	if len(r.pol.Errors) > 0 {
 		t.Fatalf("poll errors: %v", r.pol.Errors)
 	}
@@ -87,78 +88,133 @@ func TestPollerMeasuresRate(t *testing.T) {
 	}
 }
 
+// TestAlarmRaiseAndClearWithHysteresis: a hot link raises on its first
+// measured poll; a load that falls below the high threshold but stays
+// above lowThreshold keeps the alarm raised without repeats; once idle,
+// the alarm clears on exactly the clearAfter-th consecutive smoothed
+// utilisation at or below lowThreshold.
 func TestAlarmRaiseAndClearWithHysteresis(t *testing.T) {
-	r := newRig(t, Config{
-		Interval: time.Second, Alpha: 1,
-		HighThreshold: 0.7, LowThreshold: Float(0.3),
-		RaiseAfter: 2, ClearAfter: 2, RepeatEvery: Int(0),
-	})
+	r := newRig(t, Config{HighThreshold: 0.8})
 	var alarms []Alarm
-	r.pol.OnAlarm = func(a Alarm) { alarms = append(alarms, a) }
+	var alarmAt []time.Duration
+	r.pol.OnAlarm = func(a Alarm) {
+		alarms = append(alarms, a)
+		alarmAt = append(alarmAt, r.sched.Now())
+	}
+	var reports []Report
+	r.pol.OnReport = func(rep Report) { reports = append(reports, rep) }
 	r.pol.Start()
 
 	id := r.addFlow(1, 9e6) // util 0.9
-	r.sched.RunUntil(10 * time.Second)
-	if len(alarms) != 1 || !alarms[0].Raised {
-		t.Fatalf("alarms after surge = %+v", alarms)
+	r.sched.RunUntil(5 * time.Second)
+	// The first poll seeds the counter; the second measures and raises.
+	if want := (1 + raiseAfter) * pollInterval; len(alarms) != 1 || !alarms[0].Raised || alarmAt[0] != want {
+		t.Fatalf("alarms after surge = %+v at %v, want one raise at %v", alarms, alarmAt, want)
 	}
 
 	r.net.RemoveFlow(id)
-	r.sched.RunUntil(20 * time.Second)
+	id = r.addFlow(2, 5e6) // util 0.5: in the hysteresis band
+	r.sched.RunUntil(41 * time.Second)
+	if len(alarms) != 1 {
+		t.Fatalf("alarms in the hysteresis band = %+v", alarms)
+	}
+	band := reports[len(reports)-1].Loads[0].Utilisation
+	if band >= 0.8 || band <= lowThreshold {
+		t.Fatalf("smoothed utilisation %v is not in the band", band)
+	}
+
+	drained := len(reports)
+	r.net.RemoveFlow(id)
+	r.sched.RunUntil(60 * time.Second)
 	if len(alarms) != 2 || alarms[1].Raised {
 		t.Fatalf("alarms after drain = %+v", alarms)
+	}
+	var clearAt time.Duration
+	for i, streak := drained, 0; i < len(reports); i++ {
+		if reports[i].Loads[0].Utilisation > lowThreshold {
+			streak = 0
+			continue
+		}
+		if streak++; streak == clearAfter {
+			clearAt = reports[i].At
+			break
+		}
+	}
+	if clearAt == 0 || alarmAt[1] != clearAt {
+		t.Fatalf("cleared at %v, want the poll that completes %d cool polls (%v)", alarmAt[1], clearAfter, clearAt)
+	}
+}
+
+// TestRaisedAlarmRepeatsEverySecondHotPoll: while an alarm stays raised it
+// re-fires on every repeatEvery-th consecutive poll at or above the high
+// threshold; a poll below it restarts the count.
+func TestRaisedAlarmRepeatsEverySecondHotPoll(t *testing.T) {
+	r := newRig(t, Config{})
+	var alarmAt []time.Duration
+	r.pol.OnAlarm = func(a Alarm) {
+		if !a.Raised {
+			t.Fatalf("alarm cleared at %v", r.sched.Now())
+		}
+		alarmAt = append(alarmAt, r.sched.Now())
+	}
+	r.pol.Start()
+	surge := r.addFlow(1, 9e6) // util 0.9, above the 0.85 default
+	r.sched.RunUntil(19 * time.Second)
+	// Measured polls 1..8 at 4..18 s are hot: the raise on the first,
+	// repeats on hot streaks 2, 4, 6 and 8.
+	want := []time.Duration{4 * time.Second, 6 * time.Second, 10 * time.Second, 14 * time.Second, 18 * time.Second}
+	if !slices.Equal(alarmAt, want) {
+		t.Fatalf("alarms at %v, want %v", alarmAt, want)
+	}
+
+	// A cooler window breaks the streak: 0.5 from 19 s smooths to 0.76 at
+	// 20 s. Back at 0.9 just after that poll, 22 s (0.86) starts a new
+	// streak and 24 s completes it.
+	r.net.RemoveFlow(surge)
+	cool := r.addFlow(2, 5e6)
+	r.sched.RunUntil(20*time.Second + 1)
+	r.net.RemoveFlow(cool)
+	r.addFlow(3, 9e6)
+	alarmAt = alarmAt[:0]
+	r.sched.RunUntil(27 * time.Second)
+	want = []time.Duration{24 * time.Second}
+	if !slices.Equal(alarmAt, want) {
+		t.Fatalf("alarms after a cool poll at %v, want %v", alarmAt, want)
 	}
 }
 
 func TestAlarmNotRaisedBelowThreshold(t *testing.T) {
-	r := newRig(t, Config{Interval: time.Second, Alpha: 1, HighThreshold: 0.7})
+	r := newRig(t, Config{HighThreshold: 0.7})
 	var alarms []Alarm
 	r.pol.OnAlarm = func(a Alarm) { alarms = append(alarms, a) }
 	r.pol.Start()
 	r.addFlow(1, 5e6) // util 0.5: in the hysteresis band, no alarm
-	r.sched.RunUntil(10 * time.Second)
+	r.sched.RunUntil(10 * pollInterval)
 	if len(alarms) != 0 {
 		t.Fatalf("alarms = %+v", alarms)
 	}
 }
 
-func TestRaiseAfterRequiresConsecutivePolls(t *testing.T) {
-	r := newRig(t, Config{
-		Interval: time.Second, Alpha: 1,
-		HighThreshold: 0.7, RaiseAfter: 3,
-	})
-	var raisedAt time.Duration
-	r.pol.OnAlarm = func(a Alarm) {
-		if a.Raised && raisedAt == 0 {
-			raisedAt = r.sched.Now()
-		}
-	}
-	r.pol.Start()
-	r.addFlow(1, 9e6)
-	r.sched.RunUntil(12 * time.Second)
-	// Poll 1 seeds, polls 2-4 measure: raise on the 3rd measurement at 4s
-	// at the earliest.
-	if raisedAt < 4*time.Second {
-		t.Fatalf("alarm raised too early: %v", raisedAt)
-	}
-	if raisedAt == 0 {
-		t.Fatalf("alarm never raised")
-	}
-}
-
+// TestEWMASmoothsSpikes: one poll window at full line rate after an idle
+// start measures a raw utilisation of 1.0, above the default threshold,
+// but smooths to ewmaAlpha of it and raises nothing.
 func TestEWMASmoothsSpikes(t *testing.T) {
-	r := newRig(t, Config{Interval: time.Second, Alpha: 0.3, HighThreshold: 0.95})
+	r := newRig(t, Config{})
 	var alarms []Alarm
 	r.pol.OnAlarm = func(a Alarm) { alarms = append(alarms, a) }
+	peak := 0.0
+	r.pol.OnReport = func(rep Report) { peak = max(peak, rep.Loads[0].Utilisation) }
 	r.pol.Start()
-	// One-second 10 Mbit/s burst: raw util 1.0, smoothed well below 0.95.
-	r.sched.RunUntil(3 * time.Second)
+	r.sched.RunUntil(3 * pollInterval) // seeded, then two idle measurements
 	id := r.addFlow(1, 10e6)
-	r.sched.RunUntil(4 * time.Second)
+	r.sched.RunUntil(4 * pollInterval)
 	r.net.RemoveFlow(id)
-	r.sched.RunUntil(10 * time.Second)
+	r.sched.RunUntil(10 * pollInterval)
 	if len(alarms) != 0 {
 		t.Fatalf("EWMA did not absorb spike: %+v", alarms)
+	}
+	if math.Abs(peak-ewmaAlpha) > 1e-6 {
+		t.Fatalf("peak smoothed utilisation %v, want %v", peak, ewmaAlpha)
 	}
 }
 
@@ -178,15 +234,15 @@ func TestWatchAllLinksSkipsHostsAndUncapacitated(t *testing.T) {
 }
 
 func TestStopHaltsPolling(t *testing.T) {
-	r := newRig(t, Config{Interval: time.Second, Alpha: 1})
+	r := newRig(t, Config{})
 	count := 0
 	r.pol.OnReport = func(Report) { count++ }
 	r.pol.Start()
 	r.addFlow(1, 1e6)
-	r.sched.RunUntil(5 * time.Second)
+	r.sched.RunUntil(5 * pollInterval)
 	r.pol.Stop()
 	at := count
-	r.sched.RunUntil(10 * time.Second)
+	r.sched.RunUntil(10 * pollInterval)
 	if count != at {
 		t.Fatalf("polling continued after Stop: %d -> %d", at, count)
 	}
@@ -196,17 +252,17 @@ func TestStopHaltsPolling(t *testing.T) {
 // mismatched community: every poll fails, errors accumulate, and the loop
 // keeps running (an unreachable agent must never kill monitoring).
 func TestPollerSurvivesAgentErrors(t *testing.T) {
-	r := newRig(t, Config{Interval: time.Second, Alpha: 1})
+	r := newRig(t, Config{})
 	// Swap in a client with the wrong community.
 	mib := snmp.NewMIB()
 	snmp.BindIFMIB(mib, r.net, topo.NoNode)
 	badAgent := snmp.NewAgent("secret", mib)
 	badClient := snmp.NewClient(snmp.DirectTransport{Agent: badAgent}, "wrong")
-	pol := NewPoller(badClient, r.sched, Config{Interval: time.Second, Alpha: 1}, WatchAllLinks(r.tp))
+	pol := NewPoller(badClient, r.sched, Config{}, WatchAllLinks(r.tp))
 	reports := 0
 	pol.OnReport = func(Report) { reports++ }
 	pol.Start()
-	r.sched.RunUntil(10 * time.Second)
+	r.sched.RunUntil(10 * pollInterval)
 	if len(pol.Errors) < 5 {
 		t.Fatalf("errors = %d, want one per poll per link", len(pol.Errors))
 	}
@@ -215,7 +271,7 @@ func TestPollerSurvivesAgentErrors(t *testing.T) {
 	}
 	// Poller still ticking: more errors accrue.
 	before := len(pol.Errors)
-	r.sched.RunUntil(15 * time.Second)
+	r.sched.RunUntil(15 * pollInterval)
 	if len(pol.Errors) <= before {
 		t.Fatalf("poll loop died after errors")
 	}
@@ -231,11 +287,11 @@ func TestPollerHCCounterCrosses32BitBoundary(t *testing.T) {
 	oid := snmp.MustOID("1.3.6.1.2.1.2.2.1.16.1")
 	count := uint64(1<<32 - 2500) // crosses 2^32 on the third poll
 	mib.Register(oid, func() snmp.Value {
-		count += 1000 // 1000 octets/s at 1s polling
+		count += 1000 // 1000 octets per poll
 		return snmp.Counter64Value(count)
 	})
 	client := snmp.NewClient(snmp.DirectTransport{Agent: snmp.NewAgent("c", mib)}, "c")
-	pol := NewPoller(client, sched, Config{Interval: time.Second, Alpha: 1}, []WatchedLink{
+	pol := NewPoller(client, sched, Config{}, []WatchedLink{
 		{Link: 0, OID: oid, Capacity: 1e6, Name: "wrap"},
 	})
 	var rates []float64
@@ -245,15 +301,15 @@ func TestPollerHCCounterCrosses32BitBoundary(t *testing.T) {
 		}
 	}
 	pol.Start()
-	sched.RunUntil(6 * time.Second)
+	sched.RunUntil(6 * pollInterval)
 	if len(rates) < 3 {
 		t.Fatalf("rates = %v", rates)
 	}
 	for i, r := range rates {
-		// 1000 octets/s = 8000 bit/s; a wrap mishandled as signed delta
-		// would produce a huge or negative spike.
-		if math.Abs(r-8000) > 1 {
-			t.Fatalf("rate %d = %v across wrap, want 8000", i, r)
+		// 8000 bits per poll; a wrap mishandled as signed delta would
+		// produce a huge or negative spike.
+		if want := 8000 / pollInterval.Seconds(); math.Abs(r-want) > 1 {
+			t.Fatalf("rate %d = %v across wrap, want %v", i, r, want)
 		}
 	}
 }
@@ -262,13 +318,13 @@ func TestPollerHCCounterCrosses32BitBoundary(t *testing.T) {
 // failing every link on every tick; the retained error list stops at
 // maxPollErrors while the metrics counter keeps the true total.
 func TestPollErrorsCappedAndCounted(t *testing.T) {
-	r := newRig(t, Config{Interval: time.Second, Alpha: 1})
+	r := newRig(t, Config{})
 	mib := snmp.NewMIB()
 	snmp.BindIFMIB(mib, r.net, topo.NoNode)
 	badClient := snmp.NewClient(snmp.DirectTransport{Agent: snmp.NewAgent("secret", mib)}, "wrong")
-	pol := NewPoller(badClient, r.sched, Config{Interval: time.Second, Alpha: 1}, WatchAllLinks(r.tp))
+	pol := NewPoller(badClient, r.sched, Config{}, WatchAllLinks(r.tp))
 	pol.Start()
-	r.sched.RunUntil(60 * time.Second)
+	r.sched.RunUntil(60 * pollInterval)
 	if len(pol.Errors) != maxPollErrors {
 		t.Fatalf("retained errors = %d, want capped at %d", len(pol.Errors), maxPollErrors)
 	}

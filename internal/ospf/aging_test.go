@@ -50,16 +50,21 @@ func TestLSAAgingExpiresStaleLies(t *testing.T) {
 // its own state.
 func TestRefreshKeepsOwnLSAsAlive(t *testing.T) {
 	tp := topo.Fig1(topo.Fig1Opts{})
-	d := NewDomain(tp, newSched(), Config{
-		RefreshPeriod: 100 * time.Second, // refresh well before MaxAge
-		AgeSweep:      60 * time.Second,
-	})
+	d := NewDomain(tp, newSched(), Config{})
 	d.Start()
 	if _, err := d.RunUntilConverged(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	b := d.Router(tp.MustNode("B"))
+	key := Key{Type: TypeRouter, AdvRouter: b.ID(), LSID: 0}
+	first, ok := b.DB().Get(key)
+	if !ok {
+		t.Fatal("B holds no router LSA of its own")
+	}
+	firstSeq := first.Header.Seq
 	// Run one virtual hour: ages would hit MaxAge without refresh.
-	d.Scheduler().RunUntil(3700 * time.Second)
+	const run = 3700 * time.Second
+	d.Scheduler().RunUntil(run)
 	if _, err := d.RunUntilConverged(d.Scheduler().Now() + 120*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +75,10 @@ func TestRefreshKeepsOwnLSAsAlive(t *testing.T) {
 	if got := blueRoute(t, tp, d, "A"); len(got) != 1 || got["B"] != 1 {
 		t.Fatalf("routing decayed: %v", got)
 	}
-	// Seq numbers advanced by the refreshes.
-	b := d.Router(tp.MustNode("B"))
-	lsa, ok := b.DB().Get(Key{Type: TypeRouter, AdvRouter: b.ID(), LSID: 0})
-	if !ok || lsa.Header.Seq < 30 {
-		t.Fatalf("refresh did not advance seq: %+v", lsa)
+	// Seq numbers advanced by every refresh: one per refreshPeriod.
+	lsa, ok := b.DB().Get(key)
+	if want := firstSeq + uint32(run/refreshPeriod); !ok || lsa.Header.Seq < want {
+		t.Fatalf("refresh did not advance seq from %d to %d: %+v", firstSeq, want, lsa)
 	}
 }
 
@@ -102,5 +106,50 @@ func TestEffectiveAgeSaturates(t *testing.T) {
 	}
 	if got := db.EffectiveAge(Key{Type: TypeRouter, AdvRouter: 9}); got != MaxAgeSeconds {
 		t.Fatalf("missing key age = %d", got)
+	}
+}
+
+// TestFlushTombstonesLastOneAgeSweep: a withdrawn lie leaves a flush
+// tombstone on every router. The tombstone stays at least ageSweepEvery,
+// so a retransmission of the withdrawn instance still in flight cannot
+// resurrect it, and the sweep prunes it within two sweep periods.
+func TestFlushTombstonesLastOneAgeSweep(t *testing.T) {
+	tp, d := startFig1(t)
+	inj := d.Router(tp.MustNode("R3"))
+	lie := fig1cLies(tp)[0]
+	if err := inj.OriginateForeign(lie); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RunUntilConverged(d.Scheduler().Now() + 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	w := lie.Clone()
+	w.Header.Age = MaxAgeSeconds
+	if err := inj.OriginateForeign(w); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RunUntilConverged(d.Scheduler().Now() + 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	k := lie.Header.Key()
+	first, last := time.Duration(1<<62), time.Duration(0)
+	for n, r := range d.Routers() {
+		m, ok := r.flushed[k]
+		if !ok {
+			t.Fatalf("%s holds no tombstone for the withdrawn lie", tp.Name(n))
+		}
+		first, last = min(first, m.at), max(last, m.at)
+	}
+	d.Scheduler().RunUntil(first + ageSweepEvery - 1)
+	for n, r := range d.Routers() {
+		if _, ok := r.flushed[k]; !ok {
+			t.Fatalf("%s pruned its tombstone before ageSweepEvery (%v) passed", tp.Name(n), ageSweepEvery)
+		}
+	}
+	d.Scheduler().RunUntil(last + 2*ageSweepEvery)
+	for n, r := range d.Routers() {
+		if len(r.flushed) != 0 {
+			t.Fatalf("%s still holds %d tombstones two sweeps on", tp.Name(n), len(r.flushed))
+		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 type Domain struct {
 	topo  *topo.Topology
 	sched *event.Scheduler
-	cfg   Config
 
 	routers map[topo.NodeID]*Router
 
@@ -100,12 +99,11 @@ func (d *Domain) encodeLSA(l *LSA) []byte {
 
 // NewDomain builds the IGP domain for a topology: one router per non-host
 // node and one adjacency per directed link between routers. It does not
-// start the protocol; call Start.
-func NewDomain(t *topo.Topology, sched *event.Scheduler, cfg Config) *Domain {
+// start the protocol; call Start. The Config is ignored (see Config).
+func NewDomain(t *topo.Topology, sched *event.Scheduler, _ Config) *Domain {
 	d := &Domain{
 		topo:         t,
 		sched:        sched,
-		cfg:          cfg.withDefaults(),
 		routers:      make(map[topo.NodeID]*Router),
 		linkDown:     make([]bool, t.NumLinks()),
 		defaultDelay: time.Millisecond,
@@ -114,7 +112,7 @@ func NewDomain(t *topo.Topology, sched *event.Scheduler, cfg Config) *Domain {
 		if n.Host {
 			continue
 		}
-		d.routers[n.ID] = newRouter(d, n.ID, d.cfg)
+		d.routers[n.ID] = newRouter(d, n.ID)
 	}
 	for _, l := range t.Links() {
 		if d.routers[l.From] == nil || d.routers[l.To] == nil {
@@ -152,8 +150,8 @@ func (d *Domain) Start() {
 		r.originateRouterLSA()
 		r.originatePrefix(0, topo.Prefix{Prefix: LoopbackPrefix(r.node)}, 0)
 		d.sched.NewTicker(helloInterval, r.helloTick)
-		d.sched.NewTicker(d.cfg.RefreshPeriod, r.refreshOwn)
-		d.sched.NewTicker(d.cfg.AgeSweep, r.ageSweep)
+		d.sched.NewTicker(refreshPeriod, r.refreshOwn)
+		d.sched.NewTicker(ageSweepEvery, r.ageSweep)
 	}
 	for i, p := range d.topo.Prefixes() {
 		for _, a := range p.Attachments {

@@ -13,7 +13,7 @@ import (
 // loss: retransmissions must still converge every LSDB identically.
 func TestConvergenceUnderPacketLoss(t *testing.T) {
 	tp := topo.Fig1(topo.Fig1Opts{})
-	d := NewDomain(tp, event.NewScheduler(), Config{RxmtInterval: 500 * time.Millisecond})
+	d := NewDomain(tp, event.NewScheduler(), Config{})
 	d.LossRate = 0.3
 	d.Start()
 	if _, err := d.RunUntilConverged(300 * time.Second); err != nil {
@@ -49,13 +49,13 @@ func TestConvergenceUnderPacketLoss(t *testing.T) {
 // every timer idle.
 func TestRetransmitTimersFireInArmOrder(t *testing.T) {
 	tp := topo.FatTree(topo.FatTreeOpts{K: 4, Capacity: 10e6, MaxWeight: 3, Seed: 2})
-	clean := NewDomain(tp, event.NewScheduler(), Config{RxmtInterval: 500 * time.Millisecond})
+	clean := NewDomain(tp, event.NewScheduler(), Config{})
 	clean.Start()
 	if _, err := clean.RunUntilConverged(time.Minute); err != nil {
 		t.Fatal(err)
 	}
 
-	d := NewDomain(tp, event.NewScheduler(), Config{RxmtInterval: 500 * time.Millisecond})
+	d := NewDomain(tp, event.NewScheduler(), Config{})
 	d.LossRate = 0.3
 	d.Start()
 	var ring []rxmtEntry
@@ -235,7 +235,7 @@ func TestRetransmitTimerOnDownAdjacency(t *testing.T) {
 // survives loss: the fake LSA reaches B through retransmissions.
 func TestLieInjectionUnderPacketLoss(t *testing.T) {
 	tp := topo.Fig1(topo.Fig1Opts{})
-	d := NewDomain(tp, event.NewScheduler(), Config{RxmtInterval: 500 * time.Millisecond})
+	d := NewDomain(tp, event.NewScheduler(), Config{})
 	d.LossRate = 0.25
 	d.Start()
 	if _, err := d.RunUntilConverged(300 * time.Second); err != nil {

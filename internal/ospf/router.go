@@ -17,28 +17,16 @@ const (
 	helloInterval = time.Second
 	deadInterval  = 4 * helloInterval
 	spfDelay      = 10 * time.Millisecond // debounce between LSDB change and SPF
+	rxmtInterval  = time.Second           // retransmission of unacked LSAs
+	refreshPeriod = 1800 * time.Second    // re-origination of self LSAs
+	ageSweepEvery = 60 * time.Second      // purge of MaxAge LSAs
 )
 
-// Config carries the settable protocol timers. Zero values select
-// defaults suited to the demo's time scale.
-type Config struct {
-	RxmtInterval  time.Duration // retransmission of unacked LSAs, default 1s
-	RefreshPeriod time.Duration // re-origination of self LSAs, default 1800s
-	AgeSweep      time.Duration // purge of MaxAge LSAs, default 60s
-}
-
-func (c Config) withDefaults() Config {
-	if c.RxmtInterval <= 0 {
-		c.RxmtInterval = time.Second
-	}
-	if c.RefreshPeriod <= 0 {
-		c.RefreshPeriod = 1800 * time.Second
-	}
-	if c.AgeSweep <= 0 {
-		c.AgeSweep = 60 * time.Second
-	}
-	return c
-}
+// Config is empty: every protocol timer is a constant.
+//
+// Deprecated: pass Config{}; NewDomain keeps the parameter only for the
+// benchmark module, which passes it.
+type Config struct{}
 
 // neighbor is the per-adjacency state.
 type neighbor struct {
@@ -50,7 +38,7 @@ type neighbor struct {
 	unacked   map[Key]pendingLSA
 
 	// The retransmission list towards the neighbor runs on one timer
-	// (RFC 2328 §13.6). Every entry is due RxmtInterval after its send,
+	// (RFC 2328 §13.6). Every entry is due rxmtInterval after its send,
 	// so rxmt, which holds the entries in send order, holds them in due
 	// order too; rxmtTimer is armed at the front's due and its body,
 	// rxmtFire, resends whatever is due and re-arms. An entry whose key
@@ -97,7 +85,6 @@ type Router struct {
 	dom  *Domain
 	node topo.NodeID
 	id   RouterID
-	cfg  Config
 
 	nbrs map[RouterID]*neighbor
 	// nbrList holds the same adjacencies sorted by router ID: every
@@ -154,12 +141,11 @@ type flushMark struct {
 	at  time.Duration
 }
 
-func newRouter(dom *Domain, node topo.NodeID, cfg Config) *Router {
+func newRouter(dom *Domain, node topo.NodeID) *Router {
 	r := &Router{
 		dom:     dom,
 		node:    node,
 		id:      NodeRouterID(node),
-		cfg:     cfg,
 		nbrs:    make(map[RouterID]*neighbor),
 		db:      NewLSDB(),
 		fib:     fib.NewTable(node),
@@ -213,7 +199,7 @@ func (r *Router) ageSweep() {
 	}
 	now := r.dom.sched.Now()
 	for k, m := range r.flushed {
-		if now-m.at >= r.cfg.AgeSweep {
+		if now-m.at >= ageSweepEvery {
 			delete(r.flushed, k)
 		}
 	}
@@ -379,11 +365,11 @@ func (r *Router) transmitUpdate(n *neighbor, enc []byte) {
 	r.transmit(n, appendUpdateLSA(buf, enc))
 }
 
-// listRetransmit lists l, just sent to n, for retransmission RxmtInterval
+// listRetransmit lists l, just sent to n, for retransmission rxmtInterval
 // from now, superseding any earlier send of its key, and returns the due
 // instant. Arming the timer is the caller's.
 func (r *Router) listRetransmit(n *neighbor, k Key, l *LSA) time.Duration {
-	due := r.dom.sched.Now() + r.cfg.RxmtInterval
+	due := r.dom.sched.Now() + rxmtInterval
 	n.unacked[k] = pendingLSA{lsa: l, due: due}
 	n.rxmt.Push(rxmtEntry{key: k, due: due})
 	return due
@@ -392,7 +378,7 @@ func (r *Router) listRetransmit(n *neighbor, k Key, l *LSA) time.Duration {
 // retransmitDue is the body of n's retransmission timer. It resends every
 // live entry that is due, in send order, pops the stale entries it meets
 // on the way, and re-arms at the first live entry still ahead. Each
-// instance is thus resent exactly RxmtInterval after its last send. The
+// instance is thus resent exactly rxmtInterval after its last send. The
 // timer is armed only while unacked is non-empty, and every listed key
 // has a live entry, so the walk always ends at one. A down adjacency
 // resends nothing: its list is dropped, as helloTick drops it when the
