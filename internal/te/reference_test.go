@@ -4,8 +4,12 @@ package te
 // sparse-stepped core in simplex.go (only the ref prefix on the names is
 // new): solveLP, runSimplex, pivot and LPBuilder.dense exactly as they
 // were when every reduced cost walked all m rows and every pivot updated
-// all n+m+1 columns of every row. TestSimplexMatchesReference and
-// FuzzSolveLP hold the new core to the same status, basis and float bits.
+// all n+m+1 columns of every row. TestKernelMatchesReferenceOnMasters
+// holds the core to refRunSimplex, on the same outcome, basis and
+// right-hand-side bits, before every phase-2 run of SolveMinMax's
+// column-generation masters; FuzzSolveLP and TestSimplexMixedMagnitudes
+// hold the test-only two-phase cold start to refSolveLP on small dense
+// LPs.
 //
 // The node-link min-max LP is kept as the θ* oracle for the column
 // generation in colgen.go: buildMinMax is the arc-flow builder SolveMinMax

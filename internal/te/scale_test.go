@@ -147,6 +147,31 @@ func TestSimplexMixedMagnitudes(t *testing.T) {
 			}
 		}
 	})
+	// The two below are held to the reference bit for bit, basis included:
+	// each turns on one tolerance of the ratio test, and an absolute
+	// tolerance takes a different pivot there.
+	sameAsReference := func(t *testing.T, c []float64, a [][]float64, b []float64) {
+		var got, want lpRun
+		got.x, got.obj, got.status, got.basis = solveLP(c, a, b)
+		want.x, want.obj, want.status, want.basis = refSolveLP(c, a, b)
+		sameRun(t, "SolveLP", got, want)
+	}
+	t.Run("pivot-noise-at-column-scale", func(t *testing.T) {
+		// minimise -x s.t. 1e6 x + s1 = 1e6, 1e-7 x + s2 = 0: the 1e-7 is
+		// noise next to the column's 1e6 and must not be pivoted on, though
+		// its ratio 0 is the smaller.
+		sameAsReference(t, []float64{-1, 0, 0},
+			[][]float64{{1e6, 1, 0}, {1e-7, 0, 1}},
+			[]float64{1e6, 0})
+	})
+	t.Run("ratio-tie-at-scale", func(t *testing.T) {
+		// minimise -x s.t. x + s1 = 1e9 + 0.5, x + s2 = 1e9: the ratios
+		// differ by 0.5 in 1e9, a tie at their scale, so Bland's rule
+		// picks the leaving row by its basic column.
+		sameAsReference(t, []float64{-1, 0, 0},
+			[][]float64{{1, 1, 0}, {1, 0, 1}},
+			[]float64{1e9 + 0.5, 1e9})
+	})
 	t.Run("feasibility-at-scale", func(t *testing.T) {
 		// x + y = 1e9 with x, y >= 0 is feasible; the phase-1 residual
 		// at this magnitude is roundoff and must not read as Infeasible.

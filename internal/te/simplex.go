@@ -1,7 +1,10 @@
 // The primal simplex underneath SolveMinMax: Bland's rule on one flat
 // tableau, each step costing what the tableau's non-zeros cost.
 // SolveMinMax's column-generation master (colgen.go) starts from a
-// feasible basis and grows the tableau between phase-2 runs. The
+// feasible basis and grows the tableau between phase-2 runs; it is the
+// kernel's only program caller, and TestKernelMatchesReferenceOnMasters
+// holds its runs over the test topology zoo to the dense reference
+// solver. The
 // two-phase cold start (SolveLP, LPBuilder) has no program caller; it
 // lives in twophase_test.go beside the node-link oracle that solves with
 // it. All tolerances are relative to
@@ -175,9 +178,11 @@ const (
 //
 // The pivot sequence is pinned: Bland's rule, every tolerance and every
 // floating-point operation on a non-zero tableau entry are those of the
-// textbook dense iteration (reference_test.go keeps one), so a solve
-// returns the same status, basis and float bits. What is skipped is only
-// arithmetic whose result is an exact zero.
+// textbook dense iteration (reference_test.go keeps one), so a run returns
+// the same outcome, basis and right-hand-side bits.
+// TestKernelMatchesReferenceOnMasters checks that on the column-generation
+// masters SolveMinMax solves. What is skipped is only arithmetic whose
+// result is an exact zero.
 func (t *tableau) simplex(c []float64) simplexOutcome {
 	m, stride, rhs := t.m, t.stride, t.rhs()
 	// Generous bound on pivots: Bland's rule terminates in exact

@@ -20,20 +20,6 @@ type lpRun struct {
 	basis  []int
 }
 
-// coreCold and refCold are the two sides of the comparison: the
-// sparse-stepped core and the dense reference, on the same built problem.
-func coreCold(bld *LPBuilder) lpRun {
-	c, t := bld.tableau(len(bld.terms))
-	x, obj, status, basis := t.solveCold(c)
-	return lpRun{x, obj, status, basis}
-}
-
-func refCold(bld *LPBuilder) lpRun {
-	c, a, b := refDense(bld)
-	x, obj, status, basis := refSolveLP(c, a, b)
-	return lpRun{x, obj, status, basis}
-}
-
 // sameRun fails unless both sides returned the same status, the same basis
 // and the same bits in the objective and every x[j].
 func sameRun(t *testing.T, what string, got, want lpRun) {
@@ -95,45 +81,105 @@ var oracleZoo = []zooTopo{
 	{"ring15", true, func(c float64) *topo.Topology { return topo.Ring(topo.RingOpts{N: 15, Capacity: c}) }},
 }
 
-// TestSimplexMatchesReference holds the sparse-stepped core to the parent's
-// dense solver (reference_test.go) over the node-link min-max LPs of the
-// topology zoo × random demand sets (2, 5 and 12 demands, four seeds) ×
-// traffic scales 1e6..1e11, each solved at the four volume settings of
-// demandTrain: status, basis and every float bit must be equal — the same
-// pivots were taken. The matrix topologies meet every demand set at every
-// scale; on the large ones the twelve demand sets take the six scales in
-// turn.
-func TestSimplexMatchesReference(t *testing.T) {
+// TestKernelMatchesReferenceOnMasters holds the simplex kernel to the
+// parent's dense solver (reference_test.go) on the LPs the program solves:
+// SolveMinMax's column-generation masters over the topology zoo × random
+// demand sets (2, 5 and 12 demands, four seeds) × traffic scales
+// 1e6..1e11, each at the four volume settings of demandTrain. The test
+// drives the master as pathLP.solve does, and before every phase-2 run
+// hands a dense copy of the master to refRunSimplex. Both sides must end
+// with the same outcome and basis, every tableau entry numerically equal,
+// and the same bits in every right-hand side, the objective θ's among
+// them: the same pivots were taken. Entries are compared with ==, not by
+// their bits: where a pivot row holds a zero the reference subtracts f·0
+// and the kernel does not, which can flip the sign of a zero.
+func TestKernelMatchesReferenceOnMasters(t *testing.T) {
 	t.Parallel()
-	scales := []float64{1e6, 1e7, 1e8, 1e9, 1e10, 1e11}
+	runs := 0
 	for _, z := range oracleZoo {
-		if z.large && testing.Short() {
-			continue // the dense reference needs seconds on these, minutes under -race
-		}
-		for si, scale := range scales {
-			t.Run(fmt.Sprintf("%s/%g", z.name, scale), func(t *testing.T) {
-				t.Parallel()
-				capacity := 10 * scale
-				tp := z.build(capacity)
-				problem := 0
-				for _, nd := range []int{2, 5, 12} {
-					for seed := int64(1); seed <= 4; seed++ {
-						problem++
-						if z.large && problem%len(scales) != si {
-							continue
+		for _, scale := range []float64{1e6, 1e7, 1e8, 1e9, 1e10, 1e11} {
+			capacity := 10 * scale
+			tp := z.build(capacity)
+			for _, nd := range []int{2, 5, 12} {
+				for seed := int64(1); seed <= 4; seed++ {
+					base := topo.RandomDemands(tp, nd, 0.1*capacity, 0.6*capacity, seed)
+					for round, demands := range demandTrain(base, seed) {
+						what := fmt.Sprintf("%s/%g %d demands, seed %d, round %d", z.name, scale, nd, seed, round)
+						p, err := newPathLP(tp, demands)
+						if err != nil {
+							t.Fatalf("%s: %v", what, err)
 						}
-						base := topo.RandomDemands(tp, nd, 0.1*capacity, 0.6*capacity, seed)
-						for round, demands := range demandTrain(base, seed) {
-							p, err := buildMinMax(tp, demands)
-							if err != nil {
-								t.Fatal(err)
+						p.buildMaster()
+						for pricing := 0; ; pricing++ {
+							runs++
+							ref := newRefMaster(p)
+							want := refRunSimplex(ref.tab, ref.basis, ref.c, len(ref.c))
+							got := p.tab.simplex(p.c)
+							ref.compare(t, fmt.Sprintf("%s, pricing round %d", what, pricing), p, got, want)
+							if got != simplexOptimal || !p.priceOut() {
+								break
 							}
-							what := fmt.Sprintf("%d demands, seed %d, round %d", nd, seed, round)
-							sameRun(t, what, coreCold(p.bld), refCold(p.bld))
 						}
 					}
 				}
-			})
+			}
+		}
+	}
+	if runs < 10000 {
+		t.Fatalf("weak coverage: %d master runs compared", runs)
+	}
+	t.Logf("%d master runs compared", runs)
+}
+
+// refMaster is a dense copy of a column-generation master, laid out for
+// refRunSimplex: one row per tableau row, its live columns and then its
+// right-hand side. The demand rows' identity columns, which the kernel
+// never prices, cost +Inf, the reference's mark of a frozen column.
+type refMaster struct {
+	tab   [][]float64
+	basis []int
+	c     []float64
+}
+
+func newRefMaster(p *pathLP) refMaster {
+	tab, n := p.tab, len(p.c)
+	ref := refMaster{
+		tab:   make([][]float64, tab.m),
+		basis: slices.Clone(tab.basis),
+		c:     slices.Clone(p.c),
+	}
+	for i := range ref.tab {
+		row := tab.row(i)
+		ref.tab[i] = append(slices.Clone(row[:n]), row[tab.rhs()])
+	}
+	for j := 0; j < tab.first; j++ {
+		ref.c[j] = math.Inf(1)
+	}
+	return ref
+}
+
+// compare fails unless the kernel's run on p's master ended as the
+// reference's did.
+func (ref refMaster) compare(t *testing.T, what string, p *pathLP, got, want simplexOutcome) {
+	t.Helper()
+	tab, n := p.tab, len(p.c)
+	if got != want {
+		t.Fatalf("%s: outcome %d, reference %d", what, got, want)
+	}
+	if !slices.Equal(tab.basis, ref.basis) {
+		t.Fatalf("%s: basis differs from the reference\n got %v\nwant %v", what, tab.basis, ref.basis)
+	}
+	for i, refRow := range ref.tab {
+		row := tab.row(i)
+		for j, v := range refRow[:n] {
+			if row[j] != v {
+				t.Fatalf("%s: row %d column %d = %v, reference %v", what, i, j, row[j], v)
+			}
+		}
+		rhs, refRHS := row[tab.rhs()], refRow[n]
+		if math.Float64bits(rhs) != math.Float64bits(refRHS) {
+			t.Fatalf("%s: row %d right-hand side %v (%#x), reference %v (%#x)", what, i,
+				rhs, math.Float64bits(rhs), refRHS, math.Float64bits(refRHS))
 		}
 	}
 }
@@ -161,9 +207,9 @@ func demandTrain(base []topo.Demand, seed int64) [][]topo.Demand {
 // vector, 1 in its own row and 0 in every other, and the basic marks name
 // exactly the basis. Were a pivot to leave p·(1/p) in its own row, or a
 // residue elsewhere, a basic column's reduced cost would no longer be an
-// exact zero. It is checked after every pivot of the node-link solves
-// TestSimplexMatchesReference compares on the six matrix topologies — cold
-// phase 1, the artificial drive-out, phase 2 — and after every pivot and
+// exact zero. It is checked after every pivot of the node-link oracle's
+// cold solves on the six matrix topologies — phase 1, the artificial
+// drive-out, phase 2 — and after every pivot and
 // every appended row or column of SolveMinMax's column-generation master
 // on the same problems: the crash basis, the phase-2 runs, and each new
 // capacity row and path column between them.

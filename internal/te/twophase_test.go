@@ -31,6 +31,12 @@ const FeasibilityRelTol = 1e-6
 // against the magnitudes of the entries involved (SolverRelTol), so the
 // solve is invariant under uniform rescaling of the problem.
 func SolveLP(c []float64, a [][]float64, b []float64) ([]float64, float64, SimplexStatus) {
+	x, obj, status, _ := solveLP(c, a, b)
+	return x, obj, status
+}
+
+// solveLP is SolveLP plus the final basis, the counterpart of refSolveLP.
+func solveLP(c []float64, a [][]float64, b []float64) ([]float64, float64, SimplexStatus, []int) {
 	m, n := len(a), len(c)
 	if m > 0 && len(b) != m {
 		panic("te: len(b) != rows")
@@ -44,8 +50,7 @@ func SolveLP(c []float64, a [][]float64, b []float64) ([]float64, float64, Simpl
 		copy(row, a[i])
 		row[t.rhs()] = b[i]
 	}
-	x, obj, status, _ := t.solveCold(c)
-	return x, obj, status
+	return t.solveCold(c)
 }
 
 // normalise flips, in place, every row with a negative right-hand side so
