@@ -122,11 +122,6 @@ func (e *Evaluator) AugmentPinAll(prefixName string, dag DAG) (*Augmentation, er
 			}
 			nhs = view.NextHops
 		}
-		if constrained {
-			if v, ok := dag[u]; ok && attachedLoopCheck(v, u) {
-				return nil, fmt.Errorf("fibbing: %s lists itself as next hop", t.Name(u))
-			}
-		}
 		norm := normalise(nhs)
 		for _, v := range sortedNextHops(norm) {
 			for i := 0; i < norm[v]; i++ {
@@ -146,11 +141,6 @@ func (e *Evaluator) AugmentPinAll(prefixName string, dag DAG) (*Augmentation, er
 // AugmentPinAll is Evaluator.AugmentPinAll on a fresh evaluator.
 func AugmentPinAll(t *topo.Topology, prefixName string, dag DAG) (*Augmentation, error) {
 	return NewEvaluator(t).AugmentPinAll(prefixName, dag)
-}
-
-func attachedLoopCheck(w NextHopWeights, u topo.NodeID) bool {
-	_, ok := w[u]
-	return ok
 }
 
 // ReduceLies greedily removes lies whose removal keeps the network

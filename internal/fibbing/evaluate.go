@@ -2,6 +2,8 @@ package fibbing
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"fibbing.net/fibbing/internal/spf"
 	"fibbing.net/fibbing/internal/topo"
@@ -32,15 +34,16 @@ func IGPView(t *topo.Topology, prefixName string) (map[topo.NodeID]RouteView, er
 
 // CheckDelivery verifies that the forwarding graph induced by views is
 // loop-free and that every router with a route eventually reaches a Local
-// router. This is the safety property every augmentation must preserve.
-// The views' routers and next hops must be nodes of t.
+// router: the safety property Verify checks before every commit, and the
+// scenario tests' oracle on the routers' installed FIBs. Routers and next
+// hops are walked in NodeID order, so an error always names the same
+// router. The views' routers and next hops must be nodes of t.
 func CheckDelivery(t *topo.Topology, views map[topo.NodeID]RouteView) error {
 	const (
-		white = 0 // unvisited
 		grey  = 1 // on stack
 		black = 2 // proven to deliver
 	)
-	state := make([]uint8, t.NumNodes()) // by NodeID
+	state := make([]uint8, t.NumNodes()) // by NodeID, 0 while unvisited
 	var visit func(u topo.NodeID) error
 	visit = func(u topo.NodeID) error {
 		v, ok := views[u]
@@ -60,7 +63,10 @@ func CheckDelivery(t *topo.Topology, views map[topo.NodeID]RouteView) error {
 			return fmt.Errorf("fibbing: %s has no next hops and is not local", t.Name(u))
 		}
 		state[u] = grey
-		for nh := range v.NextHops {
+		var buf [16]topo.NodeID // no allocation up to 16 next hops
+		nhs := slices.AppendSeq(buf[:0], maps.Keys(v.NextHops))
+		slices.Sort(nhs)
+		for _, nh := range nhs {
 			if err := visit(nh); err != nil {
 				return err
 			}
@@ -68,8 +74,9 @@ func CheckDelivery(t *topo.Topology, views map[topo.NodeID]RouteView) error {
 		state[u] = black
 		return nil
 	}
-	for u, v := range views {
-		if v.Dist == spf.Infinity && !v.Local {
+	for u := range topo.NodeID(t.NumNodes()) {
+		v, ok := views[u]
+		if !ok || v.Dist == spf.Infinity && !v.Local {
 			continue // unreachable routers carry no traffic
 		}
 		if err := visit(u); err != nil {

@@ -196,7 +196,7 @@ func ReferenceAugmentPinAll(t *topo.Topology, prefixName string, dag DAG) (*Augm
 			nhs = view.NextHops
 		}
 		if constrained {
-			if v, ok := dag[u]; ok && attachedLoopCheck(v, u) {
+			if _, self := dag[u][u]; self {
 				return nil, fmt.Errorf("fibbing: %s lists itself as next hop", t.Name(u))
 			}
 		}

@@ -56,15 +56,18 @@ type FailoverComparison struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// CompareFailover runs a failover cell both ways (controller on in
-// both): as specified with BFD, and stripped back to SNMP-poll failure
-// detection. The slow twin's name swaps the "+bfd" suffix for "+snmp".
+// failoverArms are a failover cell's two runs, controller on in both: as
+// specified with BFD, and stripped back to SNMP-poll failure detection
+// (the slow twin's name swaps the "+bfd" suffix for "+snmp").
+var failoverArms = []arm{{"fast", nil, true}, {"slow", func(s *Spec) {
+	s.BFD = false
+	s.Name = strings.TrimSuffix(s.Name, "+bfd") + "+snmp"
+}, true}}
+
+// CompareFailover runs a failover cell's failoverArms.
 func CompareFailover(spec Spec) (*FailoverComparison, error) {
 	spec = spec.withDefaults()
-	r, err := runArms(spec, arm{"fast", nil, true}, arm{"slow", func(s *Spec) {
-		s.BFD = false
-		s.Name = strings.TrimSuffix(spec.Name, "+bfd") + "+snmp"
-	}, true})
+	r, err := runArms(spec, failoverArms...)
 	if err != nil {
 		return nil, err
 	}

@@ -16,9 +16,9 @@ var fig2Cell = Spec{Topo: TopoSpec{Family: "fig1"}, Workload: "fig2", Duration: 
 func TestFig2Cell(t *testing.T) {
 	t.Run("paper", func(t *testing.T) {
 		t.Parallel()
-		c, err := Compare(fig2Cell)
-		if err != nil {
-			t.Fatal(err)
+		c, checks := compareSafely(t, fig2Cell)
+		if checks < fig2CheckFloor {
+			t.Errorf("%d safety checks over the controller arm, want >= %d", checks, fig2CheckFloor)
 		}
 		if len(c.Violations) > 0 {
 			t.Fatalf("violations: %v", c.Violations)

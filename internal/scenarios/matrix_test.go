@@ -2,6 +2,7 @@ package scenarios
 
 import (
 	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -11,20 +12,29 @@ import (
 // invariants: the workload saturates plain IGP, the controller beats it
 // on settled utilisation or stall time, the realised routing approaches
 // the LP optimum, lies touch only the target prefix, playback is smooth
-// after convergence, and no protocol machinery errors.
+// after convergence, and no protocol machinery errors. The safety oracle
+// watches both runs: the controller's installed forwarding may loop or
+// drop only where plain IGP does at the same instant.
 func TestScenarioMatrix(t *testing.T) {
 	specs := MatrixSpecs()
 	if len(specs) < 12 {
 		t.Fatalf("matrix has %d cells, want >= 12", len(specs))
 	}
+	var cells, checks atomic.Int64
+	t.Cleanup(func() {
+		// Non-vacuity, once every cell has run: the oracle must look at
+		// the controller arms' forwarding at many instants.
+		if n := checks.Load(); cells.Load() == int64(len(specs)) && n < matrixCheckFloor {
+			t.Errorf("%d safety checks over the controller arms, want >= %d", n, matrixCheckFloor)
+		}
+	})
 	for _, spec := range specs {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			cmp, err := Compare(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cmp, n := compareSafely(t, spec)
+			cells.Add(1)
+			checks.Add(int64(n))
 			for _, v := range cmp.Violations {
 				t.Errorf("invariant violated: %s", v)
 			}

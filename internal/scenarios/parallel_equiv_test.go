@@ -3,6 +3,7 @@ package scenarios
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -14,13 +15,15 @@ import (
 
 // parallelCapture is everything the determinism property compares between
 // worker counts: the ordered OnFIBDelta sequence, the final FIB of every
-// router, and the whole Report (scrubbed of the parallelism telemetry,
-// the only fields the contract allows to differ). Batches carries the
-// unscrubbed parallel-batch count for the non-vacuity check.
+// router, the whole Report (scrubbed of the parallelism telemetry, the
+// only fields the contract allows to differ) and the safety oracle's
+// verdict log (instant, prefix, verdict). Batches carries the unscrubbed
+// parallel-batch count for the non-vacuity check.
 type parallelCapture struct {
 	Deltas  string
 	FIBs    string
 	Report  string
+	Safety  string
 	Batches uint64
 }
 
@@ -28,12 +31,18 @@ type parallelCapture struct {
 // the determinism artifacts.
 func runCaptured(t *testing.T, spec Spec, workers int) parallelCapture {
 	t.Helper()
+	failures, err := failureSchedule(spec)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
 	var (
-		sim   *controller.Sim
-		trace strings.Builder
+		sim    *controller.Sim
+		safety *safetyWatch
+		trace  strings.Builder
 	)
 	rep, err := RunWatched(spec, true, func(s *controller.Sim) {
 		sim = s
+		safety = watchSafety(s, failures)
 		// No event has fired yet, so the whole run uses this width.
 		s.Sched.SetWorkers(workers)
 		// Chain-wrap the delta callback: record the diff, then forward it
@@ -50,18 +59,6 @@ func runCaptured(t *testing.T, spec Spec, workers int) parallelCapture {
 		t.Fatalf("%s workers=%d: %v", spec.Name, workers, err)
 	}
 	batches := rep.ParallelBatches
-	rep.ParallelBatches, rep.MaxBatch = 0, 0
-	// Strategy wall-time is real time, not virtual: scrub it. The proposal
-	// and win counts — and every cache/LP/component counter — stay in the
-	// compared payload; they are deterministic by construction.
-	for name, perf := range rep.StrategyPerf {
-		perf.Nanos = 0
-		rep.StrategyPerf[name] = perf
-	}
-	repJSON, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatalf("%s workers=%d: marshal report: %v", spec.Name, workers, err)
-	}
 
 	plane := sim.Domain.Plane()
 	nodes := make([]topo.NodeID, 0, len(plane.Tables))
@@ -73,12 +70,37 @@ func runCaptured(t *testing.T, spec Spec, workers int) parallelCapture {
 	for _, n := range nodes {
 		fmt.Fprintf(&fibs, "# %s\n%s", sim.Topo.Name(n), plane.Tables[n].String())
 	}
+	var verdicts strings.Builder
+	for _, c := range safety.checks {
+		fmt.Fprintln(&verdicts, c)
+	}
 	return parallelCapture{
 		Deltas:  trace.String(),
 		FIBs:    fibs.String(),
-		Report:  string(repJSON),
+		Report:  scrubbedReport(t, rep),
+		Safety:  verdicts.String(),
 		Batches: batches,
 	}
+}
+
+// scrubbedReport is a report's JSON without the fields a run may vary in
+// by contract: the parallelism telemetry and the strategies' wall time.
+// The proposal and win counts, and every cache, LP and component counter,
+// stay; they are deterministic by construction.
+func scrubbedReport(t *testing.T, rep *Report) string {
+	t.Helper()
+	r := *rep
+	r.ParallelBatches, r.MaxBatch = 0, 0
+	r.StrategyPerf = maps.Clone(rep.StrategyPerf)
+	for name, perf := range r.StrategyPerf {
+		perf.Nanos = 0
+		r.StrategyPerf[name] = perf
+	}
+	j, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatalf("%s: marshal report: %v", rep.Scenario, err)
+	}
+	return string(j)
 }
 
 // diffLine points at the first divergent line of two multi-line strings,
@@ -154,6 +176,9 @@ func TestParallelCoreDeterminism(t *testing.T) {
 		}
 		if seq.FIBs != par.FIBs {
 			t.Errorf("%s: final FIBs diverged at %s", spec.Name, diffLine(seq.FIBs, par.FIBs))
+		}
+		if seq.Safety != par.Safety {
+			t.Errorf("%s: safety verdicts diverged at %s", spec.Name, diffLine(seq.Safety, par.Safety))
 		}
 		if seq.Report != par.Report {
 			t.Errorf("%s: reports diverged:\n seq=%s\n par=%s", spec.Name, seq.Report, par.Report)

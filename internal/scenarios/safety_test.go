@@ -1,0 +1,303 @@
+package scenarios
+
+// The safety oracle. Fibbing promises that lies never create forwarding
+// loops or blackholes, and fibbing.Verify holds every plan to that promise
+// before it commits. The oracle holds what the routers actually installed
+// to it, at every instant forwarding can change: after each instant at
+// which a router emits a FIB delta, and at each instant the cell's failure
+// schedule flips a link. It asks the predicate Verify asks,
+// fibbing.CheckDelivery, of every router's installed route for every
+// topology prefix, plus one rule a route view cannot express: a next hop
+// over a link the IGP transport reports failed drops the traffic.
+//
+// Plain IGP reconvergence has transients of its own (a link failure
+// blackholes until the dead interval, a reconverging flood can microloop),
+// so a controller arm is judged against its no-controller twin: it fails
+// where it loops and the twin does not, or drops where the twin delivers.
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"fibbing.net/fibbing/internal/controller"
+	"fibbing.net/fibbing/internal/fib"
+	"fibbing.net/fibbing/internal/fibbing"
+	"fibbing.net/fibbing/internal/topo"
+)
+
+// Non-vacuity floors: the oracle must look at the controller arms'
+// installed forwarding at least this often over the matrix (113 checks
+// when these were set), the failover cells' fast and slow arms (59) and
+// the paper's demo cell (3).
+const (
+	matrixCheckFloor   = 100
+	failoverCheckFloor = 50
+	fig2CheckFloor     = 3
+)
+
+// safetyCheck is one verdict of the oracle: at an instant, for a prefix,
+// empty when the installed forwarding delivers, else why it does not.
+type safetyCheck struct {
+	At      time.Duration
+	Prefix  string
+	Verdict string
+}
+
+func (c safetyCheck) String() string {
+	return fmt.Sprintf("@%v %s: %s", c.At, c.Prefix, c.Verdict)
+}
+
+// loops reports whether a verdict is a forwarding loop; any other
+// non-empty verdict drops traffic.
+func loops(verdict string) bool { return strings.Contains(verdict, "forwarding loop") }
+
+// safetyWatch is the oracle on one run.
+type safetyWatch struct {
+	sim *controller.Sim
+	// instants holds the instant of every check, in order; checks holds
+	// one verdict per topology prefix per check.
+	instants []time.Duration
+	checks   []safetyCheck
+	pending  bool // a check is scheduled for the current instant
+}
+
+// watchSafety arms the oracle on a simulation RunWatched hands its
+// watcher; failures is the cell's failure schedule.
+func watchSafety(sim *controller.Sim, failures []FailureEvent) *safetyWatch {
+	w := &safetyWatch{sim: sim}
+	prev := sim.Domain.OnFIBDelta
+	sim.Domain.OnFIBDelta = func(n topo.NodeID, tb *fib.Table, d *fib.Diff) {
+		if prev != nil {
+			prev(n, tb, d)
+		}
+		w.schedule()
+	}
+	// Registered before the run arms its failure schedule, so the check
+	// this schedules runs after the flip at the same instant.
+	for _, f := range failures {
+		sim.Sched.At(f.At, w.schedule)
+	}
+	return w
+}
+
+// schedule queues one check at the end of the current instant's events,
+// unless one is queued already.
+func (w *safetyWatch) schedule() {
+	if !w.pending {
+		w.pending = true
+		w.sim.Sched.After(0, w.check)
+	}
+}
+
+// check judges every topology prefix on the routers' installed FIBs.
+func (w *safetyWatch) check() {
+	w.pending = false
+	sim, tp := w.sim, w.sim.Topo
+	now := sim.Sched.Now()
+	w.instants = append(w.instants, now)
+	for _, p := range tp.Prefixes() {
+		views := make(map[topo.NodeID]fibbing.RouteView)
+		failed := ""
+		for u := range topo.NodeID(tp.NumNodes()) {
+			r := sim.Domain.Router(u)
+			if r == nil {
+				continue // a host
+			}
+			route, ok := r.FIB().Lookup(p.Prefix.Addr())
+			if !ok {
+				continue
+			}
+			nhs := make(fibbing.NextHopWeights, len(route.NextHops))
+			for _, nh := range route.NextHops {
+				nhs[nh.Node] += nh.Weight
+				if failed == "" && sim.Domain.LinkBlocked(nh.Link) {
+					failed = fmt.Sprintf("%s forwards over failed link %s-%s", tp.Name(u), tp.Name(u), tp.Name(nh.Node))
+				}
+			}
+			views[u] = fibbing.RouteView{Local: route.Local, Dist: route.Distance, NextHops: nhs}
+		}
+		verdict := failed
+		if err := fibbing.CheckDelivery(tp, views); err != nil {
+			verdict = err.Error()
+		}
+		w.checks = append(w.checks, safetyCheck{At: now, Prefix: p.Name, Verdict: verdict})
+	}
+}
+
+// checkedWithin reports whether a check ran in [from, from+d].
+func (w *safetyWatch) checkedWithin(from, d time.Duration) bool {
+	i, _ := slices.BinarySearch(w.instants, from)
+	return i < len(w.instants) && w.instants[i] <= from+d
+}
+
+// judgeTwin applies the twin rule to a controller arm's checks: the
+// returned unsafe checks loop where the twin does not, or drop where the
+// twin delivers; shared lists the arm's loops the twin has too. The
+// twin's verdict at an instant is its last check at or before it, which
+// is exact: a run's forwarding changes only at the instants it checks.
+func judgeTwin(on, twin *safetyWatch) (unsafe, shared []safetyCheck) {
+	last := map[string]string{} // prefix -> the twin's verdict so far
+	j := 0
+	for _, c := range on.checks {
+		for ; j < len(twin.checks) && twin.checks[j].At <= c.At; j++ {
+			last[twin.checks[j].Prefix] = twin.checks[j].Verdict
+		}
+		t := last[c.Prefix]
+		switch {
+		case loops(c.Verdict) && loops(t):
+			shared = append(shared, c)
+		case loops(c.Verdict), c.Verdict != "" && t == "":
+			unsafe = append(unsafe, c)
+		}
+	}
+	return unsafe, shared
+}
+
+// requireSafe holds a controller arm to the oracle: no check is unsafe
+// under the twin rule, and every decision the arm committed was checked
+// within a second (the flood takes milliseconds). Loops the twin shares
+// are logged. It returns the arm's check count.
+func requireSafe(t *testing.T, rep *Report, on, twin *safetyWatch) int {
+	t.Helper()
+	unsafe, shared := judgeTwin(on, twin)
+	for _, c := range unsafe {
+		t.Errorf("%s: installed forwarding less safe than the no-controller twin %s", rep.Scenario, c)
+	}
+	for _, c := range shared {
+		t.Logf("%s: the no-controller twin shares %s", rep.Scenario, c)
+	}
+	for _, d := range rep.Decisions {
+		if !on.checkedWithin(d.At, time.Second) {
+			t.Errorf("%s: no safety check within 1s of the %s decision at %v", rep.Scenario, d.Strategy, d.At)
+		}
+	}
+	return len(on.instants)
+}
+
+// failureSchedule rebuilds a cell's failure schedule the way build does.
+func failureSchedule(spec Spec) ([]FailureEvent, error) {
+	spec = spec.withDefaults()
+	tp, prefix, err := spec.Topo.Build()
+	if err != nil {
+		return nil, err
+	}
+	e, err := buildEnv(tp, prefix)
+	if err != nil {
+		return nil, err
+	}
+	return buildFailures(spec.Failure, e, spec.Duration)
+}
+
+// runWatchedArms is runArms with the safety oracle on every arm.
+func runWatchedArms(spec Spec, arms ...arm) ([]*Report, []*safetyWatch, error) {
+	reps := make([]*Report, len(arms))
+	watches := make([]*safetyWatch, len(arms))
+	for i, a := range arms {
+		s := spec
+		if a.edit != nil {
+			a.edit(&s)
+		}
+		failures, err := failureSchedule(s)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s run: %w", a.label, err)
+		}
+		rep, err := RunWatched(s, a.withCtrl, func(sim *controller.Sim) { watches[i] = watchSafety(sim, failures) })
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s run: %w", a.label, err)
+		}
+		reps[i] = rep
+	}
+	return reps, watches, nil
+}
+
+// compareSafely is Compare with the safety oracle on both arms: it holds
+// the controller arm to the twin rule and returns the arm's check count.
+func compareSafely(t *testing.T, spec Spec) (*Comparison, int) {
+	t.Helper()
+	spec = spec.withDefaults()
+	r, w, err := runWatchedArms(spec, arm{"on", nil, true}, arm{"off", nil, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := requireSafe(t, r[0], w[0], w[1])
+	return &Comparison{Spec: spec, On: r[0], Off: r[1], Violations: Violations(spec, r[0], r[1])}, n
+}
+
+// TestSafetyOracleSeesPlantedLoop shows the oracle can fail. On a fig1
+// controller arm, two cost-0 lies point B and R2, adjacent on blue's IGP
+// path A-B-R2-C, at each other before any viewer arrives: the first check
+// after the flood must report a loop on blue, while the no-controller
+// twin delivers, and the twin rule must call it unsafe.
+func TestSafetyOracleSeesPlantedLoop(t *testing.T) {
+	t.Parallel()
+	spec, ok := SpecByName("fig1/surge")
+	if !ok {
+		t.Fatal("fig1/surge not in matrix")
+	}
+	const plantAt = 5 * time.Second
+	var on, twin *safetyWatch
+	for _, withCtrl := range []bool{true, false} {
+		_, err := RunWatched(spec, withCtrl, func(sim *controller.Sim) {
+			w := watchSafety(sim, nil)
+			if !withCtrl {
+				twin = w
+				return
+			}
+			on = w
+			b, r2 := sim.Topo.MustNode(topo.Fig1B), sim.Topo.MustNode(topo.Fig1R2)
+			sim.Sched.At(plantAt, func() {
+				if _, err := sim.Lies.Apply(topo.Fig1BluePrefixName, []fibbing.Lie{
+					{Prefix: topo.Fig1BluePrefix, Attach: b, Via: r2, Cost: 0},
+					{Prefix: topo.Fig1BluePrefix, Attach: r2, Via: b, Cost: 0},
+				}); err != nil {
+					t.Errorf("planting the loop: %v", err)
+				}
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	unsafe, _ := judgeTwin(on, twin)
+	i, _ := slices.BinarySearch(on.instants, plantAt)
+	if i == len(on.instants) {
+		t.Fatalf("no check after the lies were planted at %v", plantAt)
+	}
+	first := on.instants[i]
+	hit := slices.IndexFunc(unsafe, func(c safetyCheck) bool {
+		return c.At == first && c.Prefix == topo.Fig1BluePrefixName && loops(c.Verdict)
+	})
+	if hit < 0 {
+		t.Fatalf("the first check after the planted lies (@%v) reports no loop on %s the twin lacks; unsafe: %v",
+			first, topo.Fig1BluePrefixName, unsafe)
+	}
+	t.Logf("planted at %v, flagged %s", plantAt, unsafe[hit])
+}
+
+// TestSafetyOracleIsReadOnly: watching a run changes nothing it reports
+// but its event count (the oracle's own checks) and the parallel-batch
+// counters (a check can end a same-instant batch).
+func TestSafetyOracleIsReadOnly(t *testing.T) {
+	t.Parallel()
+	spec := fig2Cell.withDefaults()
+	arms := []arm{{"on", nil, true}, {"off", nil, false}}
+	watched, _, err := runWatchedArms(spec, arms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := runArms(spec, arms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range plain {
+		watched[i].Events, plain[i].Events = 0, 0
+		w, p := scrubbedReport(t, watched[i]), scrubbedReport(t, plain[i])
+		if w != p {
+			t.Errorf("%s controller=%v: the watched report differs:\n watched=%s\n plain=%s",
+				spec.Name, plain[i].Controller, w, p)
+		}
+	}
+}

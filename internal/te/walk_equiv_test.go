@@ -73,8 +73,8 @@ func checkPredict(t *testing.T, tp *topo.Topology, views viewSet, demands []topo
 }
 
 // checkDelivery holds fibbing.CheckDelivery to the parent's: the same
-// verdict and, with exactErr, the same text. Both walk the views in map
-// order, so on a loop they may name different routers of it.
+// verdict and, with exactErr, the same text. The reference walks the
+// views in map order, so on a loop it may name another router of it.
 func checkDelivery(t *testing.T, tp *topo.Topology, views map[topo.NodeID]fibbing.RouteView, exactErr bool) {
 	t.Helper()
 	err := fibbing.CheckDelivery(tp, views)
