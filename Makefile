@@ -171,11 +171,15 @@ scale:
 # unchanged. All three measured at GOMAXPROCS 1, 2, 4 and 8. Measured
 # when the node-link sweep gave way to the kernel-vs-reference test on
 # the column-generation masters: 92.6% for internal/te (92.6% before);
-# floor unchanged.
+# floor unchanged. Measured when every reaction became one Reaction
+# record committed by Handle alone (the failover path's unreached
+# planning fallback deleted; the heal's hottest-link round tested):
+# 88.1% for internal/controller at GOMAXPROCS 1, 2, 4 and 8 (84.4%
+# before); floor raised to the measured value.
 cover:
 	@$(GO) test -cover ./... > cover.out.tmp; s=$$?; cat cover.out.tmp; \
 	if [ $$s -ne 0 ]; then rm -f cover.out.tmp; exit $$s; fi; \
-	for want in internal/qoe:90.0 internal/controller:83.0 internal/spf:94.1 internal/ospf:92.1 \
+	for want in internal/qoe:90.0 internal/controller:88.1 internal/spf:94.1 internal/ospf:92.1 \
 	    internal/lpm:96.1 internal/video:86.5 internal/netsim:91.7 \
 	    internal/fibbing:92.0 internal/te:86.8 internal/event:94.6 \
 	    internal/monitor:98.6 internal/bfd:91.5; do \

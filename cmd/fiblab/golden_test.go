@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"fibbing.net/fibbing/internal/controller"
@@ -91,6 +94,72 @@ func TestStockStrategiesWin(t *testing.T) {
 	for _, name := range controller.StrategyNames(controller.DefaultStrategies()) {
 		if wins[name] == 0 {
 			t.Errorf("stock strategy %s wins no decision in the matrix or QoE cells (wins: %v)", name, wins)
+		}
+	}
+}
+
+// TestReactionsProjectDecisions holds the reaction records to the report
+// fields that are their projections, over the three goldens (no cell
+// runs). In every arm the decisions are the committed reactions, in
+// order, on instant, strategy and lies; and each strategy's proposal and
+// win counts are its candidates and its won verdicts. A path that plans
+// or commits without writing its record fails here.
+func TestReactionsProjectDecisions(t *testing.T) {
+	type arm struct {
+		StrategyPerf map[string]controller.StrategyPerf `json:"strategy_perf"`
+		Decisions    []controller.Decision              `json:"decisions"`
+		Reactions    []controller.Reaction              `json:"reactions"`
+	}
+	for _, mode := range []string{"matrix", "failover", "qoe"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", mode+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cells []map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &cells); err != nil {
+			t.Fatal(err)
+		}
+		for i, cell := range cells {
+			for _, name := range slices.Sorted(maps.Keys(cell)) {
+				if name == "spec" {
+					continue
+				}
+				var a arm
+				if err := json.Unmarshal(cell[name], &a); err != nil {
+					t.Fatal(err)
+				}
+				where := fmt.Sprintf("%s cell %d, arm %s", mode, i, name)
+				var decided, committed []controller.Decision
+				for _, d := range a.Decisions {
+					decided = append(decided, controller.Decision{At: d.At, Strategy: d.Strategy, Lies: d.Lies})
+				}
+				proposals, wins := map[string]int{}, map[string]int{}
+				for _, r := range a.Reactions {
+					if r.Strategy != "" {
+						committed = append(committed, controller.Decision{At: r.At, Strategy: r.Strategy, Lies: r.Lies})
+					}
+					for _, c := range r.Candidates {
+						proposals[c.Strategy]++
+						if c.Verdict == "won" {
+							wins[c.Strategy]++
+						}
+					}
+				}
+				if !slices.Equal(decided, committed) {
+					t.Errorf("%s: decisions %+v, committed reactions %+v", where, decided, committed)
+				}
+				for _, s := range slices.Sorted(maps.Keys(proposals)) {
+					if _, ok := a.StrategyPerf[s]; !ok {
+						t.Errorf("%s: %d candidates of %s, which has no strategy_perf entry", where, proposals[s], s)
+					}
+				}
+				for _, s := range slices.Sorted(maps.Keys(a.StrategyPerf)) {
+					if perf := a.StrategyPerf[s]; perf.Proposals != proposals[s] || perf.Wins != wins[s] {
+						t.Errorf("%s: %s proposed %d and won %d times; its candidates %d, won %d",
+							where, s, perf.Proposals, perf.Wins, proposals[s], wins[s])
+					}
+				}
+			}
 		}
 	}
 }

@@ -15,12 +15,15 @@
 // New(..., WithStrategies(...)) without touching the engine. The fixed
 // lifecycle rules are controller reactions that choose nothing:
 // withdrawal when the last alarm clears, the failover pin when a link
-// dies, and the revert when it heals. Either way a
-// southbound.Transaction commits the plan all-or-nothing.
+// dies, and the revert when it heals; a failure the pin cannot answer and
+// a heal the revert does not undo run the one planning round on the
+// hottest link. Every reaction returns a Reaction, which Handle alone
+// commits (one southbound.Transaction, all-or-nothing) and records.
 package controller
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -76,13 +79,71 @@ type Config struct {
 type Decision struct {
 	At     time.Duration
 	Prefix string
-	// Strategy names what committed the plan: the winning strategy
-	// ("local-ecmp", "lp-optimal", or a custom strategy's Name()), or a
-	// controller reaction ("withdraw", "failover-pin",
-	// "failover-revert").
+	// Strategy names the winning strategy or the controller reaction
+	// ("withdraw", "failover-pin", "failover-revert") that committed.
 	Strategy string
 	Lies     int
 	Detail   string
+}
+
+// Reaction records a trigger that ran a planning round, committed or
+// failed; Decisions, Errors and the planner's proposal and win counts are
+// its projections. It holds simulated time and deterministic values only;
+// a non-finite number (a failed evaluation) is left out, as encoding/json
+// rejects it.
+type Reaction struct {
+	At      time.Duration `json:"at"`
+	Trigger string        `json:"trigger"` // the event kind's String()
+	Link    string        `json:"link"`    // the trigger's link, "From-To"
+	// The round, if one ran: the no-op plan's utilisation and (under
+	// ScoreQoE) stall score, and each proposal in registration order.
+	BaseUtil   *float64    `json:"base_util,omitempty"`
+	BaseStall  *float64    `json:"base_stall,omitempty"`
+	Candidates []Candidate `json:"candidates,omitempty"`
+	// What committed (empty when no lie changed), or what failed.
+	Strategy string   `json:"strategy,omitempty"`
+	Lies     int      `json:"lies,omitempty"`
+	Errors   []string `json:"errors,omitempty"`
+
+	plan *Plan   // for Handle to commit
+	errs []error // failures before the commit
+}
+
+// Candidate is one proposal with Select's verdict on it: won, outscored
+// or inadmissible. PredictedStall is set under ScoreQoE only.
+type Candidate struct {
+	Strategy       string   `json:"strategy"`
+	PredictedUtil  *float64 `json:"predicted_util,omitempty"`
+	LieCost        int      `json:"lie_cost"`
+	PredictedStall *float64 `json:"predicted_stall,omitempty"`
+	Verdict        string   `json:"verdict"`
+}
+
+// roundRecord records a planning round: its baseline and Select's
+// verdict on each proposal (best is the winner).
+func roundRecord(ctx PlanContext, plans []*Plan, best *Plan) *Reaction {
+	qoeActive := ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil
+	r := &Reaction{BaseUtil: finite(ctx.BaseUtil, true), BaseStall: finite(ctx.BaseStall, qoeActive)}
+	for _, p := range plans {
+		verdict := "outscored"
+		switch {
+		case p == best:
+			verdict = "won"
+		case !admissible(ctx, p):
+			verdict = "inadmissible"
+		}
+		r.Candidates = append(r.Candidates, Candidate{Strategy: p.Strategy, PredictedUtil: finite(p.PredictedUtil, true),
+			LieCost: p.LieCost, PredictedStall: finite(p.PredictedStall, qoeActive), Verdict: verdict})
+	}
+	return r
+}
+
+// finite points at v if it is wanted and finite, and is nil otherwise.
+func finite(v float64, want bool) *float64 {
+	if !want || math.IsInf(v, 0) || math.IsNaN(v) {
+		return nil
+	}
+	return &v
 }
 
 // Controller is the policy engine. It consumes typed Events (monitor
@@ -142,18 +203,18 @@ type Controller struct {
 	arts     *PlanArtifacts
 	artsGens planGens
 
-	// futile memoises planning rounds that produced no plan: planning
-	// is a pure function of (alarmed link, demands, installed lies), so
-	// while none of those change, repeated alarms (the monitor re-firing
-	// a raised alarm, or many saturated links alarming round-robin) would
-	// redo the identical round only to reject the identical proposals.
-	// A commit or a demand change clears the whole memo, so it never
-	// holds more than one entry per alarmed link between changes.
-	futile map[string]bool
+	// futile memoises the alarmed links whose planning round found no
+	// plan: while demands, installed lies and failed links stay put, a
+	// repeated alarm would redo the identical round. A demand change, a
+	// commit and a liveness change clear the memo, so the link alone
+	// keys it.
+	futile map[topo.LinkID]bool
 
+	// Reactions records every reaction; Decisions (the commits that
+	// changed the lies) and Errors are its projections.
 	Decisions []Decision
-	// Errors collects reaction failures (the controller keeps running).
-	Errors []error
+	Errors    []error
+	Reactions []Reaction
 }
 
 // Option configures a Controller at construction.
@@ -187,7 +248,7 @@ func New(t *topo.Topology, lies *southbound.LieManager, now func() time.Duration
 		members:    make(map[string]map[topo.NodeID]int),
 		raised:     make(map[topo.LinkID]bool),
 		failed:     make(map[topo.LinkID]bool),
-		futile:     make(map[string]bool),
+		futile:     make(map[topo.LinkID]bool),
 		arts:       NewPlanArtifacts(t),
 	}
 	for _, opt := range opts {
@@ -200,18 +261,19 @@ func New(t *topo.Topology, lies *southbound.LieManager, now func() time.Duration
 func (c *Controller) Planner() *Planner { return c.planner }
 
 // Handle is the controller's single entry point: it consumes one typed
-// event, updates the demand/alarm/liveness state, and plans or runs the
-// reaction the event calls for.
+// event, updates the demand/alarm/liveness state, runs the reaction the
+// event calls for, and is the one site that commits and records it.
 func (c *Controller) Handle(ev Event) {
+	var r *Reaction
 	switch ev.Kind {
 	case EventDemandChanged:
 		c.applyDemand(ev)
 	case EventAlarmRaised:
 		c.raised[ev.Alarm.Link] = true
-		c.plan(ev)
+		r = c.plan(ev)
 	case EventAlarmCleared:
 		delete(c.raised, ev.Alarm.Link)
-		c.reactToClear()
+		r = c.reactToClear()
 	case EventLinkDown:
 		if c.markFailed(ev.Link, true) {
 			if len(c.failed) == 1 {
@@ -219,13 +281,35 @@ func (c *Controller) Handle(ev Event) {
 				// lie set so heals can restore it.
 				c.preFailure = c.lies.InstalledAll()
 			}
-			c.reactToFailure(ev)
+			r = c.reactToFailure(ev)
 		}
 	case EventLinkUp:
 		if c.markFailed(ev.Link, false) {
-			c.reactToRecovery()
+			r = c.reactToRecovery()
 		}
 	}
+	if r == nil {
+		return // nothing planned, committed or failed
+	}
+	r.At, r.Trigger, r.Link = c.now(), ev.Kind.String(), ev.Alarm.Name
+	if ev.Kind == EventLinkDown || ev.Kind == EventLinkUp {
+		r.Link = c.topo.Name(ev.Link.From) + "-" + c.topo.Name(ev.Link.To)
+	}
+	if p := r.plan; p != nil {
+		if empty, err := c.commit(p); err != nil {
+			r.errs = append(r.errs, err)
+		} else if !empty {
+			r.Strategy, r.Lies = p.Strategy, p.TotalLies()
+			c.Decisions = append(c.Decisions, Decision{
+				At: r.At, Prefix: strings.Join(p.Prefixes(), ","), Strategy: p.Strategy, Lies: r.Lies, Detail: p.Rationale,
+			})
+		}
+	}
+	for _, err := range r.errs {
+		c.Errors = append(c.Errors, err)
+		r.Errors = append(r.Errors, err.Error())
+	}
+	c.Reactions = append(c.Reactions, *r)
 }
 
 // ensureArtifacts returns the artifact cache for the given planning
@@ -299,18 +383,8 @@ func (c *Controller) applyDemand(ev Event) {
 // Demands snapshots the current demand model.
 func (c *Controller) Demands() []topo.Demand {
 	var out []topo.Demand
-	names := make([]string, 0, len(c.demand))
-	for name := range c.demand {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
-		ingresses := make([]topo.NodeID, 0, len(c.demand[name]))
-		for in := range c.demand[name] {
-			ingresses = append(ingresses, in)
-		}
-		slices.Sort(ingresses)
-		for _, in := range ingresses {
+	for _, name := range slices.Sorted(maps.Keys(c.demand)) {
+		for _, in := range slices.Sorted(maps.Keys(c.demand[name])) {
 			out = append(out, topo.Demand{Ingress: in, PrefixName: name, Volume: c.demand[name][in]})
 		}
 	}
@@ -328,104 +402,104 @@ func (c *Controller) QoEModel() qoe.Model {
 		if len(mem) == 0 {
 			continue
 		}
-		cp := make(map[topo.NodeID]int, len(mem))
-		for n, v := range mem {
-			cp[n] = v
-		}
-		members[prefix] = cp
+		members[prefix] = maps.Clone(mem)
 	}
 	return qoe.Model{Members: members, Horizon: qoe.DefaultHorizon}
 }
 
-// plan runs the planner for a raised alarm and commits the winning
-// plan. An alarm whose installed lies already keep the prediction at
-// target is stale and ignored. Strategy errors are soft as long as some
-// plan commits (mirroring the old tier fallbacks); with no plan they are
-// surfaced.
-func (c *Controller) plan(ev Event) {
+// plan maps a raised alarm into the topology minus liveness-failed links
+// (node IDs are shared) and plans on it. An alarm on a failed link itself
+// is obsolete: the failover path owns it.
+func (c *Controller) plan(ev Event) *Reaction {
 	demands := c.Demands()
 	if len(demands) == 0 {
-		return
+		return nil
 	}
-	// Plan over the topology minus liveness-failed links, remapping the
-	// alarm into the clone's ID space (node IDs are shared). An alarm on
-	// a failed link itself is obsolete: the failover path owns it.
 	pt := c.topo
 	if len(c.failed) > 0 {
 		pt = c.planningTopo()
 		l := c.topo.Link(ev.Alarm.Link)
 		nl, ok := pt.FindLink(l.From, l.To)
 		if !ok {
-			return
+			return nil
 		}
 		ev.Alarm.Link = nl.ID
 	}
+	return c.planOn(pt, ev, demands)
+}
+
+// planOn is the one planning round, for an alarm on one of pt's links:
+// it returns the round's record with the winner for Handle to commit. A
+// futile-memo hit and a stale alarm (the installed lies already keep the
+// prediction at target) record nothing. Strategy errors are soft while
+// some plan wins; with no plan they are surfaced.
+func (c *Controller) planOn(pt *topo.Topology, ev Event, demands []topo.Demand) *Reaction {
 	// Check the memo before building the context: a hit means identical
 	// inputs to an earlier no-plan round, so even the base-utilisation
 	// evaluation (a full fluid routing) would come out the same.
-	key := c.planKey(ev.Alarm.Link, demands)
-	if c.futile[key] {
-		return
+	if c.futile[ev.Alarm.Link] {
+		return nil
 	}
 	ctx := buildPlanContext(c.ensureArtifacts(pt), pt, demands, c.lies.InstalledAll(), ev, c.cfg)
 	if ctx.BaseUtil <= TargetUtil {
-		return // stale alarm
+		return nil // stale alarm
 	}
 	if c.cfg.ScoreMode != ScoreUtil {
 		ctx = ctx.WithQoE(c.QoEModel())
 	}
-	plan, errs := c.planner.Plan(ctx)
-	if plan == nil {
+	plans, errs := c.planner.ProposeAll(ctx)
+	best := c.planner.Select(ctx, plans)
+	r := roundRecord(ctx, plans, best)
+	if best == nil {
 		for _, err := range errs {
-			c.Errors = append(c.Errors, fmt.Errorf("controller: %w", err))
+			r.errs = append(r.errs, fmt.Errorf("controller: %w", err))
 		}
-		c.futile[key] = true
-		return
+		c.futile[ev.Alarm.Link] = true
+		return r
 	}
-	c.commit(plan)
+	r.plan = best
+	return r
 }
 
-// planKey fingerprints a planning round's inputs. Installed lies are
-// covered implicitly: they only change through commits, which clear the
-// memo.
-func (c *Controller) planKey(link topo.LinkID, demands []topo.Demand) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%d", link, c.lies.LieCount())
-	for _, d := range demands {
-		fmt.Fprintf(&b, "|%s:%d:%g", d.PrefixName, d.Ingress, d.Volume)
+// planHottest plans on the hottest link of the planning topology: the
+// alarm path for a trigger that carries no alarm of its own.
+func (c *Controller) planHottest(demands []topo.Demand) *Reaction {
+	if len(demands) == 0 {
+		return nil
 	}
-	return b.String()
+	pt := c.planningTopo()
+	loads, err := c.ensureArtifacts(pt).Loads(c.lies.InstalledAll(), demands)
+	if err != nil {
+		return nil
+	}
+	alarm, ok := HottestLinkAlarm(pt, loads)
+	if !ok {
+		return nil
+	}
+	return c.planOn(pt, AlarmEvent(alarm), demands)
 }
 
 // commit applies the plan's per-prefix lie sets through one southbound
-// transaction: either every prefix reconciles or none does. Any commit
-// attempt clears the futile memo, since it may change the installed lies.
-func (c *Controller) commit(plan *Plan) {
+// transaction: either every prefix reconciles or none does. It reports an
+// empty delta (the plan was already installed). Any commit attempt clears
+// the futile memo, since it may change the installed lies.
+func (c *Controller) commit(plan *Plan) (empty bool, err error) {
 	clear(c.futile)
 	tx := c.lies.Begin()
-	prefixes := plan.Prefixes()
-	for _, prefix := range prefixes {
+	for _, prefix := range plan.Prefixes() {
 		if err := tx.Apply(prefix, plan.Lies[prefix]); err != nil {
-			c.Errors = append(c.Errors, fmt.Errorf("controller: commit %s: %w", plan.Strategy, err))
-			return
+			return false, fmt.Errorf("controller: commit %s: %w", plan.Strategy, err)
 		}
 	}
 	delta, err := tx.Commit()
 	if err != nil {
-		c.Errors = append(c.Errors, fmt.Errorf("controller: commit %s: %w", plan.Strategy, err))
-		return
+		return false, fmt.Errorf("controller: commit %s: %w", plan.Strategy, err)
 	}
 	if delta.Empty() {
-		return // the plan was already installed; the IGP saw no traffic
+		return true, nil
 	}
-	c.log(strings.Join(prefixes, ","), plan.Strategy, plan.TotalLies(), plan.Rationale)
 	// The installed lie set changed; cached artifacts were computed over
 	// the previous one.
 	c.gens.lie++
-}
-
-func (c *Controller) log(prefix, strategy string, lies int, detail string) {
-	c.Decisions = append(c.Decisions, Decision{
-		At: c.now(), Prefix: prefix, Strategy: strategy, Lies: lies, Detail: detail,
-	})
+	return false, nil
 }

@@ -1,7 +1,10 @@
 package controller
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -11,6 +14,7 @@ import (
 
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/ospf"
+	"fibbing.net/fibbing/internal/qoe"
 	"fibbing.net/fibbing/internal/southbound"
 	"fibbing.net/fibbing/internal/topo"
 )
@@ -307,4 +311,75 @@ func TestPlanningSkipsFailedLinks(t *testing.T) {
 		t.Fatalf("alarm after the second change committed nothing (decisions %v, errors %v)", r.c.Decisions, r.c.Errors)
 	}
 	steersOver(r1r4)
+}
+
+// TestHealReplansHottestLink: a heal the revert cannot improve on runs
+// the alarm path's planning round on the hottest link at once, instead
+// of waiting for the next SNMP alarm. The link dies before any demand
+// (no pin commits; the snapshot and the installed set are empty), demand
+// then overloads the healed topology (demand events never plan), and the
+// heal commits a plan, recorded as a link-up reaction with its
+// candidates.
+func TestHealReplansHottestLink(t *testing.T) {
+	tp := topo.Fig1(topo.Fig1Opts{})
+	mgr := southbound.NewLieManager(&recordingInjector{}, ospf.ControllerIDBase)
+	c := New(tp, mgr, func() time.Duration { return time.Second })
+	l, ok := tp.FindLink(tp.MustNode(topo.Fig1B), tp.MustNode(topo.Fig1R2))
+	if !ok {
+		t.Fatal("no link B-R2")
+	}
+	c.Handle(LinkDownEvent(l))
+	if len(c.Reactions) != 0 || len(c.preFailure) != 0 || mgr.LieCount() != 0 {
+		t.Fatalf("a failure with no demand reacted: reactions %+v, snapshot %v, %d lies",
+			c.Reactions, c.preFailure, mgr.LieCount())
+	}
+	c.Handle(DemandEvent(topo.Fig1BluePrefixName, tp.MustNode(topo.Fig1B), 10e6))
+	c.Handle(DemandEvent(topo.Fig1BluePrefixName, tp.MustNode(topo.Fig1A), 6e6))
+	if len(c.Reactions) != 0 {
+		t.Fatalf("demand events reacted: %+v", c.Reactions)
+	}
+	c.Handle(LinkUpEvent(l))
+	if len(c.Errors) != 0 {
+		t.Fatalf("errors: %v", c.Errors)
+	}
+	if len(c.Decisions) != 1 || mgr.LieCount() == 0 {
+		t.Fatalf("the heal committed %+v (%d lies), want one plan", c.Decisions, mgr.LieCount())
+	}
+	if len(c.Reactions) != 1 {
+		t.Fatalf("reactions = %+v, want the heal's", c.Reactions)
+	}
+	r := c.Reactions[0]
+	if r.Trigger != "link-up" || r.Link != "B-R2" || r.At != time.Second || len(r.Candidates) == 0 ||
+		r.Strategy != c.Decisions[0].Strategy || r.Lies != c.Decisions[0].Lies {
+		t.Fatalf("heal reaction %+v does not record the link-up round behind %+v", r, c.Decisions[0])
+	}
+}
+
+// TestReactionOmitsNonFiniteNumbers: a QoE round whose predictor fails
+// leaves a candidate's stall at +Inf, and an evaluator failure leaves the
+// base utilisation there; encoding/json rejects both, so the record
+// leaves them out and still marshals.
+func TestReactionOmitsNonFiniteNumbers(t *testing.T) {
+	ctx := PlanContext{
+		BaseUtil:  math.Inf(1),
+		BaseStall: 10,
+		ScoreMode: ScoreQoE,
+		PredictQoE: func(map[string][]fibbing.Lie) (qoe.PlanQoE, error) {
+			return qoe.PlanQoE{}, errors.New("no viewer model")
+		},
+	}
+	plans := []*Plan{{Strategy: "lp-optimal", PredictedUtil: 0.9}}
+	best := NewPlanner().Select(ctx, plans)
+	if best != nil || !math.IsInf(plans[0].PredictedStall, 1) {
+		t.Fatalf("Select picked %+v with stall %v; want no winner and a +Inf stall", best, plans[0].PredictedStall)
+	}
+	r := roundRecord(ctx, plans, best)
+	out, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"at":0,"trigger":"","link":"","base_stall":10,"candidates":[{"strategy":"lp-optimal","predicted_util":0.9,"lie_cost":0,"verdict":"inadmissible"}]}`
+	if string(out) != want {
+		t.Fatalf("record = %s\n want %s", out, want)
+	}
 }

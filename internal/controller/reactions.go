@@ -19,6 +19,7 @@ package controller
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"fibbing.net/fibbing/internal/fibbing"
@@ -61,12 +62,7 @@ func (c *Controller) planningTopo() *topo.Topology {
 	if len(c.failed) == 0 {
 		return c.topo
 	}
-	ids := make([]topo.LinkID, 0, len(c.failed))
-	for id := range c.failed {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return c.topo.CloneWithoutLinks(ids...)
+	return c.topo.CloneWithoutLinks(slices.Sorted(maps.Keys(c.failed))...)
 }
 
 // reactToClear is the withdrawal rule, run on every alarm clear: with
@@ -74,42 +70,42 @@ func (c *Controller) planningTopo() *topo.Topology {
 // current demands over the planning topology at or below
 // DefaultWithdrawBelow, every installed lie is withdrawn. Otherwise the
 // lies stay: an alarm is still up, or IGP alone would congest again.
-func (c *Controller) reactToClear() {
+func (c *Controller) reactToClear() *Reaction {
 	installed := c.lies.InstalledAll()
 	if len(c.raised) > 0 || len(installed) == 0 {
-		return
+		return nil
 	}
 	util, err := c.ensureArtifacts(c.planningTopo()).MaxUtil(nil, c.Demands())
 	if err != nil {
-		c.Errors = append(c.Errors, fmt.Errorf("controller: withdraw: %w", err))
-		return
+		return &Reaction{errs: []error{fmt.Errorf("controller: withdraw: %w", err)}}
 	}
 	if util > DefaultWithdrawBelow {
-		return
+		return nil
 	}
 	overlay := make(map[string][]fibbing.Lie, len(installed))
 	for prefix := range installed {
 		overlay[prefix] = nil
 	}
-	c.commit(&Plan{
+	return &Reaction{plan: &Plan{
 		Strategy:      "withdraw",
 		Lies:          overlay,
 		PredictedUtil: util,
 		Rationale:     "surge over; network back to pure IGP",
-	})
+	}}
 }
 
-// reactToFailure answers a liveness-detected link failure: plan the
-// failover for the dead link and commit it.
-func (c *Controller) reactToFailure(ev Event) {
+// reactToFailure answers a liveness-detected link failure with the
+// failover pin, or with the hottest-link round when nothing can be pinned.
+func (c *Controller) reactToFailure(ev Event) *Reaction {
 	plan, err := c.failoverPlan(ev.Link)
 	switch {
 	case err != nil:
-		c.Errors = append(c.Errors, fmt.Errorf("controller: failover %s-%s: %w",
-			c.topo.Name(ev.Link.From), c.topo.Name(ev.Link.To), err))
+		return &Reaction{errs: []error{fmt.Errorf("controller: failover %s-%s: %w",
+			c.topo.Name(ev.Link.From), c.topo.Name(ev.Link.To), err)}}
 	case plan != nil:
-		c.commit(plan)
+		return &Reaction{plan: plan}
 	}
+	return c.planHottest(c.Demands())
 }
 
 // reactToRecovery reassesses routing the moment a failed link returns.
@@ -119,42 +115,23 @@ func (c *Controller) reactToFailure(ev Event) {
 // failure heals, the pre-failure lie set is restored if it evaluates
 // better than the detour (the make-before-break revert of traditional
 // TE); otherwise the alarm path the monitor would eventually take runs
-// immediately — and plan() itself bails when the current state is
-// already at target, so a clean recovery commits nothing.
-func (c *Controller) reactToRecovery() {
+// immediately on the hottest link, and a clean recovery, already at
+// target, commits nothing.
+func (c *Controller) reactToRecovery() *Reaction {
 	demands := c.Demands()
 	snap := c.preFailure
 	if len(c.failed) == 0 {
 		c.preFailure = nil
 	}
 	if len(demands) == 0 {
-		return
+		return nil
 	}
-	installed := c.lies.InstalledAll()
 	if len(c.failed) == 0 && snap != nil {
-		if plan := c.revertPlan(snap, installed, demands); plan != nil {
-			c.commit(plan)
-			return
+		if plan := c.revertPlan(snap, c.lies.InstalledAll(), demands); plan != nil {
+			return &Reaction{plan: plan}
 		}
 	}
-	pt := c.planningTopo()
-	loads, err := c.ensureArtifacts(pt).Loads(installed, demands)
-	if err != nil {
-		return
-	}
-	alarm, ok := HottestLinkAlarm(pt, loads)
-	if !ok {
-		return
-	}
-	// Map into the controller topology's ID space; plan() maps back into
-	// the planning clone when other links are still down.
-	l := pt.Link(alarm.Link)
-	rl, ok := c.topo.FindLink(l.From, l.To)
-	if !ok {
-		return
-	}
-	alarm.Link = rl.ID
-	c.plan(AlarmEvent(alarm))
+	return c.planHottest(demands)
 }
 
 // revertPlan builds the plan restoring the pre-failure lie set, if doing
@@ -164,10 +141,7 @@ func (c *Controller) reactToRecovery() {
 // failure episode get explicit empty entries so the commit withdraws
 // them.
 func (c *Controller) revertPlan(snap, installed map[string][]fibbing.Lie, demands []topo.Demand) *Plan {
-	overlay := make(map[string][]fibbing.Lie, len(snap))
-	for prefix, lies := range snap {
-		overlay[prefix] = lies
-	}
+	overlay := maps.Clone(snap)
 	for prefix := range installed {
 		if _, ok := overlay[prefix]; !ok {
 			overlay[prefix] = nil
@@ -204,14 +178,9 @@ func (c *Controller) failoverPlan(link topo.Link) (*Plan, error) {
 	// base: the controller topology minus *other* already-failed links
 	// (the IGP has noticed or will notice those); the link under study
 	// stays in, because routers still route over it right now.
-	key := canonicalLink(link)
-	var others []topo.LinkID
-	for id := range c.failed {
-		if id != key {
-			others = append(others, id)
-		}
-	}
-	slices.Sort(others)
+	others := slices.DeleteFunc(slices.Sorted(maps.Keys(c.failed)), func(id topo.LinkID) bool {
+		return id == canonicalLink(link)
+	})
 	base, bl := c.topo, link
 	if len(others) > 0 {
 		base = c.topo.CloneWithoutLinks(others...)
@@ -227,39 +196,9 @@ func (c *Controller) failoverPlan(link topo.Link) (*Plan, error) {
 	// Evaluate over the reduced topology (where traffic will physically
 	// flow) but compile against base (what the routers believe). The
 	// artifact cache is ephemeral — the reduced topology is this call's
-	// own — but shares the controller's cumulative stats; the LP solver
-	// is private so reduced-topology structure keys do not thrash the
-	// main planning basis.
+	// own — but shares the controller's cumulative stats.
 	arts := newPlanArtifacts(reduced, c.arts.stats, nil)
-	installed := c.lies.InstalledAll()
-	plan, perr := failoverPin(arts, base, bl, installed, demands)
-	if perr == nil && plan != nil {
-		return plan, nil
-	}
-	// Fallback: a from-scratch planning round over the reduced topology,
-	// triggered by its hottest link. These lies only steer correctly once
-	// the IGP has converged on the reduced topology, which is exactly the
-	// slow path being replaced.
-	loads, err := arts.Loads(installed, demands)
-	if err != nil {
-		return nil, err
-	}
-	alarm, ok := HottestLinkAlarm(reduced, loads)
-	if !ok {
-		return nil, perr
-	}
-	ctx := buildPlanContext(arts, reduced, demands, installed, AlarmEvent(alarm), c.cfg)
-	p2, errs := c.planner.Plan(ctx)
-	if p2 == nil {
-		if perr != nil {
-			return nil, perr
-		}
-		if len(errs) > 0 {
-			return nil, errs[0]
-		}
-		return nil, nil
-	}
-	return p2, nil
+	return failoverPin(arts, base, bl, c.lies.InstalledAll(), demands)
 }
 
 // failoverPin pins the post-failure IGP paths: for each demanded prefix
@@ -270,8 +209,8 @@ func (c *Controller) failoverPlan(link topo.Link) (*Plan, error) {
 // against base, the topology the routers still believe in (failed lives
 // in base's ID space). The result steers traffic off the dead link
 // immediately and keeps steering it after the IGP converges. It returns
-// no plan when some prefix cannot be pinned; the caller's fallback
-// planner owns that case.
+// no plan when some prefix cannot be pinned; the hottest-link planning
+// round owns that case.
 func failoverPin(arts *PlanArtifacts, base *topo.Topology, failed topo.Link,
 	installed map[string][]fibbing.Lie, demands []topo.Demand) (*Plan, error) {
 	// One evaluator for what the routers still believe: every prefix's
@@ -317,11 +256,7 @@ func failoverPinLies(ev *fibbing.Evaluator, reduced *topo.Topology, views map[to
 		if v.Local || len(v.NextHops) == 0 || reduced.Node(n).Host {
 			continue
 		}
-		nhs := make(fibbing.NextHopWeights, len(v.NextHops))
-		for nh, w := range v.NextHops {
-			nhs[nh] = w
-		}
-		dag[n] = nhs
+		dag[n] = maps.Clone(v.NextHops)
 	}
 	if len(dag) == 0 {
 		return nil, false

@@ -93,12 +93,7 @@ func (p *Plan) TotalLies() int {
 
 // Prefixes returns the sorted prefixes the plan touches.
 func (p *Plan) Prefixes() []string {
-	out := make([]string, 0, len(p.Lies))
-	for prefix := range p.Lies {
-		out = append(out, prefix)
-	}
-	slices.Sort(out)
-	return out
+	return slices.Sorted(maps.Keys(p.Lies))
 }
 
 // Strategy is one pluggable congestion reaction. Propose must be pure: it

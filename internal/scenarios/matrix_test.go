@@ -4,6 +4,8 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+
+	"fibbing.net/fibbing/internal/controller"
 )
 
 // TestScenarioMatrix sweeps the full cross product (6 topology families x
@@ -138,8 +140,9 @@ func TestFatTree8PlansOptimally(t *testing.T) {
 				for _, v := range cmp.Violations {
 					t.Errorf("invariant violated: %s", v)
 				}
-				if cmp.On.StrategyWins["lp-optimal"] == 0 {
-					t.Errorf("lp-optimal never won: %v", cmp.On.StrategyWins)
+				lp := func(d controller.Decision) bool { return d.Strategy == "lp-optimal" }
+				if !slices.ContainsFunc(cmp.On.Decisions, lp) {
+					t.Errorf("lp-optimal never won: %+v", cmp.On.Decisions)
 				}
 				if t.Failed() {
 					t.Logf("on:  %s", cmp.On.Summary())

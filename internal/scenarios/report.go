@@ -2,6 +2,7 @@ package scenarios
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"time"
@@ -65,20 +66,20 @@ type Report struct {
 	// Controller activity.
 	Lies         int            `json:"lies"`
 	LiesByPrefix map[string]int `json:"lies_by_prefix,omitempty"`
-	// Strategies is the registered reaction-strategy set; StrategyWins
-	// counts committed plans per winning strategy (each Decision also
-	// carries its winner's name).
-	Strategies   []string       `json:"strategies,omitempty"`
-	StrategyWins map[string]int `json:"strategy_wins,omitempty"`
+	// Strategies is the registered reaction-strategy set.
+	Strategies []string `json:"strategies,omitempty"`
 	// StrategyPerf is the planner's per-strategy telemetry: proposals,
 	// wins, and cumulative Propose wall-time. Nanos is real time, so the
 	// determinism harness scrubs it alongside the pool telemetry before
 	// comparing.
-	StrategyPerf    map[string]controller.StrategyPerf `json:"strategy_perf,omitempty"`
-	Decisions       []controller.Decision              `json:"decisions,omitempty"`
-	FirstHotAt      time.Duration                      `json:"first_hot_at"`      // first sample >= alarm threshold; -1 if never
-	FirstReactionAt time.Duration                      `json:"first_reaction_at"` // first decision; -1 if none
-	ReactionLatency time.Duration                      `json:"reaction_latency"`  // FirstReactionAt - FirstHotAt; -1 if n/a
+	StrategyPerf map[string]controller.StrategyPerf `json:"strategy_perf,omitempty"`
+	// Reactions records the controller's reactions; the decisions, the
+	// controller errors and the planner's counts are its projections.
+	Decisions       []controller.Decision `json:"decisions,omitempty"`
+	Reactions       []controller.Reaction `json:"reactions,omitempty"`
+	FirstHotAt      time.Duration         `json:"first_hot_at"`      // first sample >= alarm threshold; -1 if never
+	FirstReactionAt time.Duration         `json:"first_reaction_at"` // first decision; -1 if none
+	ReactionLatency time.Duration         `json:"reaction_latency"`  // FirstReactionAt - FirstHotAt; -1 if n/a
 
 	// Simulation cost telemetry: scheduler events executed, the SPF
 	// strategy split, and the reshare strategy split, so scaling runs
@@ -170,15 +171,14 @@ func (r *Report) Summary() string {
 	s := fmt.Sprintf("%-28s %s settled=%.2f peak=%.2f analytic=%.2f lp=%.2f lies=%d stalls=%.1fs late=%.1fs react=%s delivered=%.0fMbit",
 		r.Scenario, mode, r.SettledUtilisation, r.PeakUtilisation, r.AnalyticUtilisation,
 		r.LPOptimum, r.Lies, r.StallSeconds, r.LateStallSeconds, lat, r.DeliveredMbit)
-	if len(r.StrategyWins) > 0 {
-		names := make([]string, 0, len(r.StrategyWins))
-		for name := range r.StrategyWins {
-			names = append(names, name)
+	if len(r.Decisions) > 0 {
+		wins := make(map[string]int)
+		for _, d := range r.Decisions {
+			wins[d.Strategy]++
 		}
-		slices.Sort(names)
-		parts := make([]string, len(names))
-		for i, name := range names {
-			parts[i] = fmt.Sprintf("%s:%d", name, r.StrategyWins[name])
+		var parts []string
+		for _, name := range slices.Sorted(maps.Keys(wins)) {
+			parts = append(parts, fmt.Sprintf("%s:%d", name, wins[name]))
 		}
 		s += " wins=" + strings.Join(parts, ",")
 	}
@@ -212,12 +212,7 @@ func (r *Report) RenderCacheStats(b *strings.Builder, indent string) {
 		indent, r.PlanCacheHits, r.PlanCacheMisses,
 		r.QoECacheHits, r.QoECacheMisses,
 		r.LPColdSolves, r.ReshareComponents)
-	names := make([]string, 0, len(r.StrategyPerf))
-	for name := range r.StrategyPerf {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(r.StrategyPerf)) {
 		p := r.StrategyPerf[name]
 		fmt.Fprintf(b, "%sstrategy %-10s proposals=%d wins=%d propose=%s\n",
 			indent, name, p.Proposals, p.Wins, time.Duration(p.Nanos))

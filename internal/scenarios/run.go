@@ -319,6 +319,7 @@ func (c *cell) collect() *Report {
 		}
 	}
 	rep.Decisions = sim.Ctrl.Decisions
+	rep.Reactions = sim.Ctrl.Reactions
 	rep.Strategies = sim.Ctrl.Planner().Strategies()
 	rep.StrategyPerf = sim.Ctrl.Planner().Perf()
 	artStats := sim.Ctrl.ArtifactStats()
@@ -329,10 +330,6 @@ func (c *cell) collect() *Report {
 		rep.FirstReactionAt = rep.Decisions[0].At
 		if rep.FirstHotAt >= 0 && rep.FirstReactionAt >= rep.FirstHotAt {
 			rep.ReactionLatency = rep.FirstReactionAt - rep.FirstHotAt
-		}
-		rep.StrategyWins = make(map[string]int)
-		for _, d := range rep.Decisions {
-			rep.StrategyWins[d.Strategy]++
 		}
 	}
 	if rep.FailureAt >= 0 {
