@@ -29,9 +29,11 @@ vet:
 # (At/Cancel/Step programs, against the container/heap queue its tests
 # keep), the data plane's per-route classifier (FIB, link and weight
 # programs over the topology zoo, against the WalkTrace walk its tests
-# keep) and the compiled forwarding walk under link loads, the QoE
+# keep), the compiled forwarding walk under link loads, the QoE
 # predictor and the delivery check (arbitrary view sets on up to 8
-# nodes, against the map walks its tests keep).
+# nodes, against the map walks its tests keep) and the quiet BFD engine
+# (fail/heal programs on up to 6 routers, against the event-driven
+# engine its tests keep).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/snmp
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/topo
@@ -43,6 +45,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzScheduler$$' -fuzztime=30s ./internal/event
 	$(GO) test -fuzz='^FuzzResolvedTrace$$' -fuzztime=30s ./internal/netsim
 	$(GO) test -fuzz='^FuzzForwardingWalk$$' -fuzztime=30s ./internal/te
+	$(GO) test -fuzz='^FuzzQuietBFD$$' -fuzztime=30s ./internal/bfd
 
 # The mutation check: every mutant in testdata/mutants.txt (a file, a
 # snippet in it, its replacement, the test that must fail) is compiled
@@ -175,14 +178,18 @@ scale:
 # record committed by Handle alone (the failover path's unreached
 # planning fallback deleted; the heal's hottest-link round tested):
 # 88.1% for internal/controller at GOMAXPROCS 1, 2, 4 and 8 (84.4%
-# before); floor raised to the measured value.
+# before); floor raised to the measured value. Measured when established
+# BFD sessions went quiet (no hello events on a live link, replayed on a
+# link change; held to the event-driven engine kept in its tests): 97.1%
+# for internal/bfd at GOMAXPROCS 1, 2, 4 and 8 (91.5% before); floor
+# raised to the measured value.
 cover:
 	@$(GO) test -cover ./... > cover.out.tmp; s=$$?; cat cover.out.tmp; \
 	if [ $$s -ne 0 ]; then rm -f cover.out.tmp; exit $$s; fi; \
 	for want in internal/qoe:90.0 internal/controller:88.1 internal/spf:94.1 internal/ospf:92.1 \
 	    internal/lpm:96.1 internal/video:86.5 internal/netsim:91.7 \
 	    internal/fibbing:92.0 internal/te:86.8 internal/event:94.6 \
-	    internal/monitor:98.6 internal/bfd:91.5; do \
+	    internal/monitor:98.6 internal/bfd:97.1; do \
 	  pkg=$${want%%:*}; floor=$${want##*:}; \
 	  pct=$$(grep -E "fibbing.net/fibbing/$$pkg	" cover.out.tmp \
 	    | grep -oE '[0-9.]+% of statements' | cut -d'%' -f1); \

@@ -19,13 +19,27 @@
 // per-endpoint seeded PRNGs, so runs are deterministic and byte-identical
 // at any worker-pool width (BFD events are plain sequential events).
 //
-// A hello is three scheduler events — the sender's next tx tick, the
-// delivery, the receiver's re-armed detection timer — and on an
-// established session nothing else: each endpoint binds the three event
-// bodies once at Start, and because a link's delay is constant its hellos
-// arrive in send order, so the one thing a packet in flight carries (the
-// sender's state) rides a FIFO per direction and the delivery event pops
-// it.
+// On an established session a hello changes nothing: both ends are Up,
+// each hears Up and re-arms a detection timer the next hello cancels. So
+// such a session goes quiet. Once both ends are Up, the link is up, every
+// hello in flight carries Up and each end's next hello is due before its
+// detection timer, the session cancels its tx, delivery and detection
+// events and keeps, per end, only the hellos in flight, the next tx
+// instant and the PRNG that draws the interval after it. Nothing but a
+// link change can disturb it, and SetLinkState wakes it: the engine
+// replays the quiet hellos up to now (counting each sent and heard one,
+// putting the rest back in flight), re-arms each end's detection timer
+// from the last hello it heard, and hands the session back to the
+// event-driven state machine. A hello due at the change instant, to be
+// sent or to arrive, comes after the change. Stats replays the same way.
+// The result is the engine that handles every hello as three scheduler
+// events (kept in reference_test.go), minus those events.
+//
+// While awake, a hello is those three events — the sender's next tx tick,
+// the delivery, the receiver's re-armed detection timer: each endpoint
+// binds the three event bodies once at Start, and because a link's delay
+// is constant its hellos arrive in send order, so what a packet in flight
+// carries rides a FIFO per direction and the delivery event pops it.
 package bfd
 
 import (
@@ -102,16 +116,13 @@ type Stats struct {
 }
 
 // Engine runs one liveness session per symmetric router-router link of a
-// topology. Construct with New, wire the callbacks, then Start.
+// topology. Construct with New, wire the callbacks, then Start; report
+// link changes through SetLinkState.
 type Engine struct {
 	topo  *topo.Topology
 	sched *event.Scheduler
 	cfg   Config
 
-	// Blocked reports whether a directed link currently drops packets —
-	// the transport ground truth, typically ospf.(*Domain).LinkBlocked.
-	// nil means "never blocked".
-	Blocked func(topo.LinkID) bool
 	// OnDown fires when a session that had been announced up loses
 	// liveness; the link is the session's canonical (lower-ID) half.
 	// Never suppressed by damping.
@@ -121,7 +132,8 @@ type Engine struct {
 	// was never reported down.
 	OnUp func(topo.Link)
 
-	sessions map[topo.LinkID]*Session // keyed by the pair's lower LinkID
+	down     []bool     // by directed LinkID: the link drops packets
+	sessions []*Session // by directed LinkID, both halves; nil off sessions
 	stats    Stats
 	started  bool
 }
@@ -132,7 +144,8 @@ func New(t *topo.Topology, sched *event.Scheduler, cfg Config) *Engine {
 		topo:     t,
 		sched:    sched,
 		cfg:      cfg,
-		sessions: make(map[topo.LinkID]*Session),
+		down:     make([]bool, t.NumLinks()),
+		sessions: make([]*Session, t.NumLinks()),
 	}
 }
 
@@ -151,32 +164,52 @@ func (e *Engine) Start() {
 		}
 		s := &Session{eng: e, link: l}
 		seed := e.cfg.Seed*1_000_003 + int64(l.ID)
-		s.a.init(s, l.ID, &s.b, seed*2+1)
-		s.b.init(s, l.Reverse, &s.a, seed*2+2)
-		e.sessions[l.ID] = s
+		s.a.init(s, l, &s.b, seed*2+1)
+		s.b.init(s, e.topo.Link(l.Reverse), &s.a, seed*2+2)
+		e.sessions[l.ID], e.sessions[l.Reverse] = s, s
 		e.stats.Sessions++
 		s.a.armTx()
 		s.b.armTx()
 	}
 }
 
-// Stats returns the engine's counters.
-func (e *Engine) Stats() Stats { return e.stats }
+// SetLinkState fails or heals both directions of the link with the given
+// ID (either half): the transport ground truth the hellos cross. Call it
+// at the instant the link changes. A quiet session on the link wakes
+// first, so the hellos due at this instant come after the change.
+func (e *Engine) SetLinkState(id topo.LinkID, up bool) {
+	if id < 0 || int(id) >= len(e.down) {
+		return
+	}
+	if s := e.sessions[id]; s != nil && s.quiet {
+		s.wake()
+	}
+	e.down[id] = !up
+	if r := e.topo.Link(id).Reverse; r != topo.NoLink {
+		e.down[r] = !up
+	}
+}
+
+// Stats returns the engine's counters. A quiet session's hellos count as
+// they would have fired: sent or heard once their instant is before Now.
+func (e *Engine) Stats() Stats {
+	now := e.sched.Now()
+	for _, s := range e.sessions { // each session twice: a replay to now is idempotent
+		if s != nil && s.quiet {
+			s.a.replay(now)
+			s.b.replay(now)
+		}
+	}
+	return e.stats
+}
 
 // Session returns the session covering the given directed link (either
 // half of the pair), if one exists.
 func (e *Engine) Session(id topo.LinkID) (*Session, bool) {
-	if id < 0 || int(id) >= e.topo.NumLinks() {
+	if id < 0 || int(id) >= len(e.sessions) || e.sessions[id] == nil {
 		return nil, false
 	}
-	if s, ok := e.sessions[id]; ok {
-		return s, true
-	}
-	if r := e.topo.Link(id).Reverse; r != topo.NoLink {
-		s, ok := e.sessions[r]
-		return s, ok
-	}
-	return nil, false
+	return e.sessions[id], true
 }
 
 // Session is the liveness session over one symmetric link: two endpoint
@@ -189,6 +222,7 @@ type Session struct {
 	up        bool // both endpoints Up
 	everUp    bool // handshake completed at least once
 	announced bool // what the consumer believes (true after first up)
+	quiet     bool // no hello event scheduled (see the package comment)
 
 	penalty    float64       // decaying flap penalty
 	penaltyAt  time.Duration // instant penalty was last folded
@@ -211,26 +245,38 @@ func (s *Session) Suppressed() bool { return s.suppressed }
 // endpoint is one half of a session: it transmits hellos on its directed
 // link and runs the RFC 5880 state machine on what it hears back.
 type endpoint struct {
-	sess *Session
-	out  topo.LinkID // directed link toward the peer
-	peer *endpoint
-	rng  *rand.Rand
+	sess  *Session
+	out   topo.LinkID   // directed link toward the peer
+	delay time.Duration // out's propagation delay
+	peer  *endpoint
+	rng   *rand.Rand
 
-	state       State
-	detect      event.Handle
-	detectArmed bool
+	state  State
+	nextTx time.Duration // instant of the next hello
+	heard  time.Duration // instant the last hello from the peer arrived
+	// tx and detect are the next hello's event and the detection timer
+	// armed when the last one was heard; a quiet session has neither.
+	tx, detect event.Handle
 
-	// inFlight holds the State field of every hello sent and not yet
-	// delivered, oldest first; the three funcs are the endpoint's event
-	// bodies, bound once so that scheduling one allocates nothing.
-	inFlight event.Ring[State]
+	// inFlight holds every hello sent and not yet delivered, oldest
+	// first; the three funcs are the endpoint's event bodies, bound once
+	// so that scheduling one allocates nothing.
+	inFlight event.Ring[hello]
 	onTx     func()
 	onArrive func()
 	onDetect func()
 }
 
-func (ep *endpoint) init(s *Session, out topo.LinkID, peer *endpoint, seed int64) {
-	ep.sess, ep.out, ep.peer = s, out, peer
+// hello is one control packet in flight: the state its sender had, when
+// it was sent, and its delivery event (none while the session is quiet).
+type hello struct {
+	state State
+	sent  time.Duration
+	ev    event.Handle
+}
+
+func (ep *endpoint) init(s *Session, out topo.Link, peer *endpoint, seed int64) {
+	ep.sess, ep.out, ep.delay, ep.peer = s, out.ID, out.Delay, peer
 	ep.rng = rand.New(rand.NewSource(seed))
 	ep.onTx, ep.onArrive, ep.onDetect = ep.txTick, ep.arrive, ep.detectExpired
 }
@@ -262,63 +308,60 @@ func transition(local, remote State) State {
 	}
 }
 
-// armTx schedules the next hello at 75–100% of the tx interval (RFC 5880
-// §6.8.7 jitter), drawn from this endpoint's deterministic PRNG.
+// interval draws the gap to the next hello, 75–100% of the tx interval
+// (RFC 5880 §6.8.7 jitter), from this endpoint's deterministic PRNG.
+func (ep *endpoint) interval() time.Duration {
+	return time.Duration((0.75 + 0.25*ep.rng.Float64()) * float64(txInterval))
+}
+
+// armTx schedules the first hello one jittered interval from now.
 func (ep *endpoint) armTx() {
-	d := time.Duration((0.75 + 0.25*ep.rng.Float64()) * float64(txInterval))
-	ep.sess.eng.sched.After(d, ep.onTx)
+	ep.nextTx = ep.sess.eng.sched.Now() + ep.interval()
+	ep.tx = ep.sess.eng.sched.At(ep.nextTx, ep.onTx)
 }
 
 func (ep *endpoint) txTick() {
 	ep.transmit()
-	ep.armTx()
+	ep.nextTx += ep.interval()
+	ep.tx = ep.sess.eng.sched.At(ep.nextTx, ep.onTx)
 }
 
-// transmit sends one control packet toward the peer. A blocked link eats
+// transmit sends one control packet toward the peer. A failed link eats
 // the packet — that is exactly how the peer's detection timer learns of
 // the failure.
 func (ep *endpoint) transmit() {
 	eng := ep.sess.eng
 	eng.stats.PacketsTx++
-	if eng.Blocked != nil && eng.Blocked(ep.out) {
+	if eng.down[ep.out] {
 		return
 	}
-	ep.inFlight.Push(ep.state)
-	eng.sched.After(eng.topo.Link(ep.out).Delay, ep.onArrive)
+	now := eng.sched.Now()
+	ep.inFlight.Push(hello{state: ep.state, sent: now, ev: eng.sched.At(now+ep.delay, ep.onArrive)})
 }
 
 // arrive is the far end of transmit: the oldest hello in flight reaches
 // the peer, carrying the state it was sent with.
 func (ep *endpoint) arrive() {
-	eng := ep.sess.eng
 	sent := ep.inFlight.Pop()
-	if eng.Blocked != nil && eng.Blocked(ep.out) {
+	if ep.sess.eng.down[ep.out] {
 		return // the link failed while the packet was in flight
 	}
-	ep.peer.receive(sent)
+	ep.peer.receive(sent.state)
 }
 
 // receive runs the state machine on the state a heard packet was sent
-// with and re-arms the detection timer.
+// with, re-arms the detection timer and lets the session go quiet.
 func (ep *endpoint) receive(sent State) {
-	ep.sess.eng.stats.PacketsRx++
-	ep.setState(transition(ep.state, sent))
-	ep.armDetect()
-}
-
-func (ep *endpoint) armDetect() {
 	eng := ep.sess.eng
-	if ep.detectArmed {
-		eng.sched.Cancel(ep.detect)
-	}
-	ep.detect = eng.sched.After(eng.DetectTime(), ep.onDetect)
-	ep.detectArmed = true
+	eng.stats.PacketsRx++
+	ep.heard = eng.sched.Now()
+	ep.setState(transition(ep.state, sent))
+	eng.sched.Cancel(ep.detect)
+	ep.detect = eng.sched.At(ep.heard+eng.DetectTime(), ep.onDetect)
+	ep.sess.quieten()
 }
 
-func (ep *endpoint) detectExpired() {
-	ep.detectArmed = false
-	ep.setState(StateDown)
-}
+func (ep *endpoint) detectExpired() { ep.setState(StateDown) }
 
 func (ep *endpoint) setState(next State) {
 	if next == ep.state {
@@ -326,6 +369,82 @@ func (ep *endpoint) setState(next State) {
 	}
 	ep.state = next
 	ep.sess.refresh()
+}
+
+// quieten puts the session to sleep once no hello can change it: both
+// ends Up, the link up in both directions, and each end's hellos — in
+// flight and to come — carrying Up and reaching the peer before its
+// detection timer fires. It cancels every hello event; wake replays them.
+func (s *Session) quieten() {
+	eng := s.eng
+	if !s.up || eng.down[s.a.out] || eng.down[s.b.out] || !s.a.steady() || !s.b.steady() {
+		return
+	}
+	for _, ep := range [2]*endpoint{&s.a, &s.b} {
+		eng.sched.Cancel(ep.tx)
+		eng.sched.Cancel(ep.detect)
+		for i := range ep.inFlight.Len() {
+			eng.sched.Cancel(ep.inFlight.At(i).ev)
+		}
+	}
+	s.quiet = true
+}
+
+// steady reports whether every hello ep has in flight carries Up and each
+// of them, then the next one ep sends, arrives within a detection time of
+// the one the peer heard before it. Later hellos are at most a tx
+// interval apart, so on a live link the peer's detection timer never
+// fires.
+func (ep *endpoint) steady() bool {
+	detect, last := ep.sess.eng.DetectTime(), ep.peer.heard
+	for i := range ep.inFlight.Len() {
+		h := ep.inFlight.At(i)
+		if h.state != StateUp || h.sent+ep.delay-last >= detect {
+			return false
+		}
+		last = h.sent + ep.delay
+	}
+	return ep.nextTx+ep.delay-last < detect
+}
+
+// replay runs a quiet ep's hellos up to now as the event-driven engine
+// would have: each one sent before now counts, each one that arrived
+// before now is heard, the rest stay in flight. They all carry Up and the
+// link is up, so nothing else changes.
+func (ep *endpoint) replay(now time.Duration) {
+	eng := ep.sess.eng
+	for {
+		for ep.inFlight.Len() > 0 && ep.inFlight.Peek().sent+ep.delay < now {
+			eng.stats.PacketsRx++
+			ep.peer.heard = ep.inFlight.Pop().sent + ep.delay
+		}
+		if ep.nextTx >= now {
+			return
+		}
+		eng.stats.PacketsTx++
+		ep.inFlight.Push(hello{state: StateUp, sent: ep.nextTx})
+		ep.nextTx += ep.interval()
+	}
+}
+
+// wake replays a quiet session up to now and schedules what is left: the
+// hellos in flight, each end's next hello and its detection timer, armed
+// from the last hello it heard. Everything due at now fires after the
+// caller's event.
+func (s *Session) wake() {
+	sched := s.eng.sched
+	now := sched.Now()
+	s.a.replay(now)
+	s.b.replay(now)
+	for _, ep := range [2]*endpoint{&s.a, &s.b} {
+		for i := range ep.inFlight.Len() {
+			h := ep.inFlight.At(i)
+			h.ev = sched.At(h.sent+ep.delay, ep.onArrive)
+		}
+		ep.tx = sched.At(ep.nextTx, ep.onTx)
+		ep.detect = sched.At(ep.heard+s.eng.DetectTime(), ep.onDetect)
+	}
+	s.quiet = false
 }
 
 // refresh recomputes the session's aggregated liveness and emits the

@@ -48,15 +48,13 @@ func pairTopo(t *testing.T) *topo.Topology {
 	return tp
 }
 
-// harness wires an engine over a blocked-map we control and records the
-// notifications.
+// harness wires an engine and records the notifications.
 type harness struct {
-	tp      *topo.Topology
-	sched   *event.Scheduler
-	eng     *Engine
-	blocked map[topo.LinkID]bool
-	downs   []time.Duration
-	ups     []time.Duration
+	tp    *topo.Topology
+	sched *event.Scheduler
+	eng   *Engine
+	downs []time.Duration
+	ups   []time.Duration
 }
 
 func newHarness(t *testing.T, tp *topo.Topology, cfg Config) *harness {
@@ -68,21 +66,15 @@ func newHarness(t *testing.T, tp *topo.Topology, cfg Config) *harness {
 
 // newIdleHarness is newHarness without Start: no session, no hello.
 func newIdleHarness(tp *topo.Topology, cfg Config) *harness {
-	h := &harness{tp: tp, sched: event.NewScheduler(), blocked: make(map[topo.LinkID]bool)}
+	h := &harness{tp: tp, sched: event.NewScheduler()}
 	h.eng = New(tp, h.sched, cfg)
-	h.eng.Blocked = func(id topo.LinkID) bool { return h.blocked[id] }
 	h.eng.OnDown = func(topo.Link) { h.downs = append(h.downs, h.sched.Now()) }
 	h.eng.OnUp = func(topo.Link) { h.ups = append(h.ups, h.sched.Now()) }
 	return h
 }
 
 // setLink fails or heals both directions of the harness link pair.
-func (h *harness) setLink(l topo.Link, up bool) {
-	h.blocked[l.ID] = !up
-	if l.Reverse != topo.NoLink {
-		h.blocked[l.Reverse] = !up
-	}
-}
+func (h *harness) setLink(l topo.Link, up bool) { h.eng.SetLinkState(l.ID, up) }
 
 func TestSessionEstablishAndDetect(t *testing.T) {
 	tp := pairTopo(t)
@@ -299,8 +291,8 @@ func TestInFlightHellosCarryTheirSendState(t *testing.T) {
 	h := newIdleHarness(slowPairTopo(t), Config{})
 	l := h.tp.Link(0)
 	sess := &Session{eng: h.eng, link: l}
-	sess.a.init(sess, l.ID, &sess.b, 1)
-	sess.b.init(sess, l.Reverse, &sess.a, 2)
+	sess.a.init(sess, l, &sess.b, 1)
+	sess.b.init(sess, h.tp.Link(l.Reverse), &sess.a, 2)
 	a, b := &sess.a, &sess.b
 	for _, st := range []State{StateInit, StateUp, StateDown, StateUp} {
 		a.state = st
@@ -350,25 +342,46 @@ func TestInFlightHellosCarryTheirSendState(t *testing.T) {
 	}
 }
 
-// TestHelloAllocations: on an established session a hello — tx tick,
-// delivery, the peer's re-armed detection timer — allocates nothing.
+// TestHelloAllocations: an established session on a live link is quiet.
+// Over 30 s of simulated time it schedules no event, and neither the
+// replay that brings its counters up to date nor the wake a failure
+// causes allocates; the failure is then detected as the hellos it
+// replayed say: one detection time after the last one heard.
 func TestHelloAllocations(t *testing.T) {
 	h := newHarness(t, slowPairTopo(t), Config{})
 	h.sched.RunUntil(5 * time.Second) // established; rings and event freelist at their peak
 	sess, _ := h.eng.Session(0)
-	if !sess.Up() {
-		t.Fatalf("session not up")
+	if !sess.Up() || !sess.quiet {
+		t.Fatalf("session up=%v quiet=%v after 5s", sess.Up(), sess.quiet)
 	}
-	rx := h.eng.Stats().PacketsRx
+	rx, ran := h.eng.Stats().PacketsRx, h.sched.Ran()
 	settleRuntime()
 	allocs := testing.AllocsPerRun(1, func() {
 		h.sched.RunUntil(h.sched.Now() + 30*time.Second) // >= 600 hellos per direction
+		h.eng.Stats()
 	})
-	if got := h.eng.Stats().PacketsRx - rx; got < 2*1000 || !sess.Up() || len(h.downs) > 0 {
-		t.Fatalf("%d hellos heard over two runs, up=%v, downs=%v", got, sess.Up(), h.downs)
+	if got := h.sched.Ran() - ran; got != 0 {
+		t.Fatalf("a quiet session fired %d events over two 30 s runs, want 0", got)
+	}
+	if got := h.eng.Stats().PacketsRx - rx; got < 2*1000 {
+		t.Fatalf("%d hellos heard over two 30 s runs", got)
 	}
 	if allocs != 0 {
-		t.Fatalf("%v objects allocated over >= 1000 steady-state hello exchanges, want 0", allocs)
+		t.Fatalf("%v objects allocated replaying >= 1000 hello exchanges, want 0", allocs)
+	}
+	var before, after runtime.MemStats
+	settleRuntime()
+	runtime.ReadMemStats(&before)
+	h.setLink(sess.Link(), false)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 || sess.quiet {
+		t.Fatalf("waking the session allocated %d objects (quiet=%v after), want 0", n, sess.quiet)
+	}
+	failAt := h.sched.Now()
+	heard := min(sess.a.heard, sess.b.heard) // the first end to stop hearing declares it
+	h.sched.RunUntil(failAt + time.Second)
+	if len(h.downs) != 1 || h.downs[0] != heard+h.eng.DetectTime() {
+		t.Fatalf("downs %v after a failure at %v, want one at %v", h.downs, failAt, heard+h.eng.DetectTime())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"fibbing.net/fibbing/internal/bfd"
 	"fibbing.net/fibbing/internal/flashcrowd"
 	"fibbing.net/fibbing/internal/topo"
 )
@@ -90,5 +91,32 @@ func TestLinkFailureDuringAugmentedState(t *testing.T) {
 	}
 	if len(sim.Domain.Errors) > 0 {
 		t.Fatalf("protocol errors: %v", sim.Domain.Errors)
+	}
+}
+
+// TestSimLinkChangesReachBFD: Sim.SetLinkState tells the BFD engine as
+// well as the IGP and the data plane, so a failure on an established
+// session is announced to the controller within one detection time, far
+// ahead of the IGP's dead interval, and the heal is announced too.
+func TestSimLinkChangesReachBFD(t *testing.T) {
+	sim, err := NewSim(SimOpts{WithCtrl: true, BFD: &bfd.Config{Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(2 * time.Second)
+	if err := sim.SetLinkState("B", "R3", false); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(2*time.Second + sim.BFD.DetectTime())
+	if st := sim.BFD.Stats(); st.DownEvents != 1 || len(sim.Ctrl.failed) != 1 {
+		t.Fatalf("%d BFD downs and failed set %v one detection time after the failure, want 1 and B-R3",
+			st.DownEvents, sim.Ctrl.failed)
+	}
+	if err := sim.SetLinkState("B", "R3", true); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(3 * time.Second)
+	if st := sim.BFD.Stats(); st.UpEvents != 1 || len(sim.Ctrl.failed) != 0 {
+		t.Fatalf("%d BFD ups and failed set %v after the heal, want 1 and none", st.UpEvents, sim.Ctrl.failed)
 	}
 }

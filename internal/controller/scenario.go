@@ -113,10 +113,10 @@ func NewSim(o SimOpts) (*Sim, error) {
 	}
 	if o.BFD != nil {
 		// Liveness sessions probe over the same administrative link state
-		// the IGP transport honours, and feed the controller directly —
-		// the fast path past both the SNMP poller and the dead interval.
+		// the IGP transport honours (SetLinkState tells both), and feed
+		// the controller directly — the fast path past both the SNMP
+		// poller and the dead interval.
 		s.BFD = bfd.New(s.Topo, s.Sched, *o.BFD)
-		s.BFD.Blocked = s.Domain.LinkBlocked
 		if o.WithCtrl {
 			s.BFD.OnDown = func(l topo.Link) { s.Ctrl.Handle(LinkDownEvent(l)) }
 			s.BFD.OnUp = func(l topo.Link) { s.Ctrl.Handle(LinkUpEvent(l)) }
@@ -157,13 +157,17 @@ func (s *Sim) Run(until time.Duration) {
 	s.Sched.RunUntil(until)
 }
 
-// SetLinkState fails or heals a link in both the control plane (the IGP
-// detects it through hello timeouts) and the data plane (flows crossing it
-// are blocked until rerouted).
+// SetLinkState fails or heals a link in the control plane (the IGP
+// detects it through hello timeouts, BFD through missed hellos) and the
+// data plane (flows crossing it are blocked until rerouted).
 func (s *Sim) SetLinkState(a, b string, up bool) error {
 	na, nb := s.Topo.MustNode(a), s.Topo.MustNode(b)
 	if err := s.Domain.SetLinkState(na, nb, up); err != nil {
 		return err
+	}
+	if s.BFD != nil {
+		l, _ := s.Topo.FindLink(na, nb)
+		s.BFD.SetLinkState(l.ID, up)
 	}
 	return s.Net.SetLinkState(na, nb, up)
 }

@@ -34,6 +34,10 @@ func (q *Ring[T]) Cap() int { return len(q.buf) }
 // empty.
 func (q *Ring[T]) Peek() T { return q.buf[q.head] }
 
+// At returns the i-th oldest item, 0 <= i < Len, in place: the pointer
+// holds until the next Push or Pop.
+func (q *Ring[T]) At(i int) *T { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
 // Pop removes and returns the oldest item; the ring must not be empty.
 func (q *Ring[T]) Pop() T {
 	v := q.buf[q.head]

@@ -6,7 +6,8 @@ import (
 )
 
 // TestRingFIFO drives the ring against a slice through random pushes,
-// peeks and pops, so it grows while its head is anywhere in the buffer.
+// peeks and pops, so it grows while its head is anywhere in the buffer;
+// At must name every item the slice holds, in order.
 func TestRingFIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var q Ring[[]byte]
@@ -25,6 +26,11 @@ func TestRingFIFO(t *testing.T) {
 		}
 		if q.Len() != len(model) {
 			t.Fatalf("op %d: ring holds %d, model %d", i, q.Len(), len(model))
+		}
+		for j, want := range model {
+			if got := *q.At(j); &got[0] != &want[0] {
+				t.Fatalf("op %d: At(%d) = %v, want %v", i, j, got, want)
+			}
 		}
 	}
 }

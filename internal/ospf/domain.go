@@ -273,9 +273,7 @@ func (d *Domain) SetLinkState(a, b topo.NodeID, up bool) error {
 }
 
 // LinkBlocked reports whether a directed link is administratively failed
-// (packets on it are silently dropped). Liveness probes (internal/bfd)
-// use it as the transport ground truth instead of exchanging real
-// packets through the flooding machinery.
+// (packets on it are silently dropped).
 func (d *Domain) LinkBlocked(id topo.LinkID) bool {
 	return uint(id) < uint(len(d.linkDown)) && d.linkDown[id]
 }

@@ -1,7 +1,10 @@
 package scenarios
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"fibbing.net/fibbing/internal/bfd"
@@ -387,9 +390,12 @@ func (c *cell) collect() *Report {
 
 // settledBounds fills the report's analytic figures for the demand set
 // snapshotted at the settle start: the LP optimum, the uncapped
-// utilisation of the final routing state, and its predicted stalls.
+// utilisation of the final routing state, and its predicted stalls. All
+// three are over the links that are live at the settle start: a link the
+// schedule has failed carries nothing and bounds nothing.
 func (c *cell) settledBounds() {
-	sim, rep, tp, demands := c.sim, c.rep, c.sim.Topo, c.demandsAtSettle
+	sim, rep, demands := c.sim, c.rep, c.demandsAtSettle
+	tp := c.liveTopo(c.spec.settleStart())
 	// The LP bound is for reporting only; beyond the controller's own LP
 	// size limit its pricing rounds would dominate the cell's wall-clock
 	// (a minute on Waxman 1000), so skip it and note the degradation. The
@@ -431,6 +437,36 @@ func (c *cell) settledBounds() {
 	} else {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("QoE prediction unavailable: %v", err))
 	}
+}
+
+// liveTopo returns the cell's topology without the links its failure
+// schedule has down at the instant at (a change at that instant has
+// happened: the schedule's events precede the run's snapshots), or the
+// topology itself when every link is up.
+func (c *cell) liveTopo(at time.Duration) *topo.Topology {
+	tp := c.sim.Topo
+	down := make(map[topo.LinkID]bool)
+	for _, f := range slices.SortedStableFunc(slices.Values(c.failures), func(a, b FailureEvent) int {
+		return cmp.Compare(a.At, b.At)
+	}) {
+		if l, ok := tp.FindLink(tp.MustNode(f.A), tp.MustNode(f.B)); ok && f.At <= at {
+			id := l.ID // either end order names the same link
+			if l.Reverse != topo.NoLink {
+				id = min(id, l.Reverse)
+			}
+			down[id] = !f.Up
+		}
+	}
+	var gone []topo.LinkID
+	for _, id := range slices.Sorted(maps.Keys(down)) {
+		if down[id] {
+			gone = append(gone, id)
+		}
+	}
+	if len(gone) == 0 {
+		return tp
+	}
+	return tp.CloneWithoutLinks(gone...)
 }
 
 // arm is one run of a comparison cell: the edit that turns the cell's
