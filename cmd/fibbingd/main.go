@@ -7,7 +7,7 @@
 // Usage:
 //
 //	fibbingd [-listen 127.0.0.1:1161] [-duration 60s] [-rate 500K] [-no-controller]
-//	         [-pace 1] [-strategies localecmp,lpoptimal]
+//	         [-pace 1]
 //
 // While it runs, inspect the live counters with e.g.:
 //
@@ -37,10 +37,9 @@ func main() {
 	rate := flag.String("rate", "500K", "per-video bitrate")
 	noCtrl := flag.Bool("no-controller", false, "disable the Fibbing controller (to see the stutter)")
 	pace := flag.Float64("pace", 1.0, "virtual seconds per wall second (e.g. 10 for a fast replay)")
-	strategies := flag.String("strategies", "", "comma-separated reaction strategies (empty keeps the stock set)")
 	flag.Parse()
 
-	if err := run(os.Stdout, *listen, *duration, *rate, !*noCtrl, *pace, *strategies); err != nil {
+	if err := run(os.Stdout, *listen, *duration, *rate, !*noCtrl, *pace); err != nil {
 		fmt.Fprintf(os.Stderr, "fibbingd: %v\n", err)
 		os.Exit(1)
 	}
@@ -62,7 +61,7 @@ func (l lockedTransport) handle(req []byte) []byte {
 // run is main without the flags and the process: it runs the demo and
 // prints to w. Every line after the first (which names the bound
 // address) is a function of the simulated timeline only.
-func run(w io.Writer, listen string, duration time.Duration, rateSpec string, withCtrl bool, pace float64, strategies string) error {
+func run(w io.Writer, listen string, duration time.Duration, rateSpec string, withCtrl bool, pace float64) error {
 	videoRate, err := topo.ParseBits(rateSpec)
 	if err != nil {
 		return err
@@ -70,14 +69,7 @@ func run(w io.Writer, listen string, duration time.Duration, rateSpec string, wi
 	if pace <= 0 {
 		return fmt.Errorf("pace must be positive")
 	}
-	strategySet, err := controller.ParseStrategies(strategies)
-	if err != nil {
-		return err
-	}
-
-	sim, err := controller.NewSim(controller.SimOpts{
-		WithCtrl: withCtrl, TrackPlayers: true, Strategies: strategySet,
-	})
+	sim, err := controller.NewSim(controller.SimOpts{WithCtrl: withCtrl, TrackPlayers: true})
 	if err != nil {
 		return err
 	}

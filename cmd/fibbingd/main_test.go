@@ -17,7 +17,7 @@ import (
 // testdata/out.txt whatever the wall clock did between ticks.
 func TestGoldenOutput(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "127.0.0.1:0", 40*time.Second, "500K", true, 200, ""); err != nil {
+	if err := run(&out, "127.0.0.1:0", 40*time.Second, "500K", true, 200); err != nil {
 		t.Fatal(err)
 	}
 	first, rest, _ := strings.Cut(out.String(), "\n")

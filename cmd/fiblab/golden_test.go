@@ -91,9 +91,9 @@ func TestStockStrategiesWin(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range controller.StrategyNames(controller.DefaultStrategies()) {
-		if wins[name] == 0 {
-			t.Errorf("stock strategy %s wins no decision in the matrix or QoE cells (wins: %v)", name, wins)
+	for _, s := range controller.DefaultStrategies() {
+		if wins[s.Name()] == 0 {
+			t.Errorf("stock strategy %s wins no decision in the matrix or QoE cells (wins: %v)", s.Name(), wins)
 		}
 	}
 }

@@ -8,7 +8,7 @@
 //	fiblab -topo waxman -size 20 -seed 4 -workload flash -failure flap
 //	fiblab -topo fig1 -workload fig2 -duration 60s  # the paper's demo
 //	fiblab -failover | -qoe | -scale
-//	fiblab -run ring/surge -strategies=localecmp,lpoptimal -viewers 100000 -capacity 10G
+//	fiblab -run ring/surge -viewers 100000 -capacity 10G
 //
 // One mode flag picks the cells; every other flag overrides the same Spec
 // field of every cell in every mode, or is a usage error where the mode's
@@ -49,9 +49,6 @@ func (o options) apply(s scenarios.Spec) scenarios.Spec {
 	s.Topo.Capacity = cmp.Or(o.over.Topo.Capacity, s.Topo.Capacity)
 	s.ScoreMode = cmp.Or(o.over.ScoreMode, s.ScoreMode)
 	s.BFD = s.BFD || o.over.BFD
-	if len(o.over.Strategies) > 0 {
-		s.Strategies = o.over.Strategies
-	}
 	return s
 }
 
@@ -119,11 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Func("score-mode", "planner scoring objective: util (default) or qoe (predicted stall-seconds first); a usage error with -qoe", func(v string) error {
 		_, err := controller.ParseScoreMode(v)
 		o.over.ScoreMode = v
-		return err
-	})
-	fs.Func("strategies", "comma-separated reaction strategies (e.g. localecmp,lpoptimal); unset keeps the stock set", func(v string) error {
-		set, err := controller.ParseStrategies(v)
-		o.over.Strategies = controller.StrategyNames(set)
 		return err
 	})
 	if err := fs.Parse(args); err != nil {

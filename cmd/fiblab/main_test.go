@@ -14,7 +14,7 @@ import (
 // overrideArgs sets every override flag at once, each to a value no cell
 // has of its own, so one run per mode shows where each of them landed.
 var overrideArgs = []string{
-	"-duration", "31s", "-strategies", "localecmp", "-viewers", "60", "-capacity", "20M",
+	"-duration", "31s", "-viewers", "60", "-capacity", "20M",
 	"-score-mode", "qoe", "-bfd",
 }
 
@@ -36,12 +36,11 @@ func without(names ...string) []string {
 // armJSON is the part of an arm's report the tests read: where each
 // override shows once it has reached the run.
 type armJSON struct {
-	Scenario    string   `json:"scenario"`
-	Duration    int64    `json:"duration"`
-	ScoreMode   string   `json:"score_mode"`
-	Strategies  []string `json:"strategies"`
-	Sessions    int      `json:"sessions"`
-	BFDSessions int      `json:"bfd_sessions"`
+	Scenario    string `json:"scenario"`
+	Duration    int64  `json:"duration"`
+	ScoreMode   string `json:"score_mode"`
+	Sessions    int    `json:"sessions"`
+	BFDSessions int    `json:"bfd_sessions"`
 }
 
 // runJSON runs fiblab with -json and decodes the cell array.
@@ -111,8 +110,7 @@ func TestOverridesReachEveryArm(t *testing.T) {
 				if err := json.Unmarshal(cell["spec"], &spec); err != nil {
 					t.Fatal(err)
 				}
-				if spec.Duration.String() != "31s" || !slices.Equal(spec.Strategies, []string{"local-ecmp"}) ||
-					spec.Viewers != 60 || spec.Topo.Capacity != 20e6 {
+				if spec.Duration.String() != "31s" || spec.Viewers != 60 || spec.Topo.Capacity != 20e6 {
 					t.Errorf("%s: overrides missing from the spec: %+v", spec.Name, spec)
 				}
 				if !rejected("-score-mode") && spec.ScoreMode != "qoe" {
@@ -126,7 +124,7 @@ func TestOverridesReachEveryArm(t *testing.T) {
 					if err := json.Unmarshal(cell[key], &arm); err != nil {
 						t.Fatal(err)
 					}
-					if arm.Duration != spec.Duration.Nanoseconds() || !slices.Equal(arm.Strategies, spec.Strategies) {
+					if arm.Duration != spec.Duration.Nanoseconds() {
 						t.Errorf("%s: arm %q ran without an override: %+v", spec.Name, key, arm)
 					}
 					// Only the surge workload honours the viewer count exactly.
@@ -189,7 +187,6 @@ func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-run", "nosuch/cell"},
 		{"-matrix", "-score-mode", "blended"},
-		{"-matrix", "-strategies", "nosuch"},
 		{"-matrix", "-capacity", "0"},
 		{"-matrix", "-qoe"},
 		{"-matrix", "-workers", "1"},

@@ -9,9 +9,8 @@
 //
 // Usage:
 //
-//	fibsim [-topo file] [-demand ingress:prefix:bps]... [-strategies list]
+//	fibsim [-topo file] [-demand ingress:prefix:bps]...
 //	fibsim -demand B:blue:8M -demand A:blue:8M
-//	fibsim -strategies localecmp,lpoptimal   # what-if planner run
 //
 // Exit status: 1 when the inputs cannot be read or solved, 2 on a usage
 // error.
@@ -41,8 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fibsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	topoFile := fs.String("topo", "", "topology file (default: the paper's Figure 1)")
-	strategies := fs.String("strategies", "localecmp,lpoptimal",
-		"reaction strategies for the planner what-if section (empty disables it)")
 	var demands []string
 	fs.Func("demand", "demand as ingress:prefix:bps (repeatable), e.g. B:blue:8M", func(v string) error {
 		demands = append(demands, v)
@@ -54,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if err := compare(stdout, *topoFile, demands, *strategies); err != nil {
+	if err := compare(stdout, *topoFile, demands); err != nil {
 		fmt.Fprintf(stderr, "fibsim: %v\n", err)
 		return 1
 	}
@@ -63,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // compare prints the plain-IGP, Fibbing and RSVP-TE comparison for one
 // topology and demand set, then the planner what-if.
-func compare(w io.Writer, topoFile string, demandSpecs []string, strategies string) error {
+func compare(w io.Writer, topoFile string, demandSpecs []string) error {
 	var t *topo.Topology
 	if topoFile == "" {
 		t = topo.Fig1(topo.Fig1Opts{})
@@ -135,26 +132,19 @@ func compare(w io.Writer, topoFile string, demandSpecs []string, strategies stri
 		fmt.Fprintf(w, "  unplaced demands: %v\n", rsvp.Unplaced)
 	}
 
-	return planWhatIf(w, t, demands, loads, strategies)
+	return planWhatIf(w, t, demands, loads)
 }
 
 // planWhatIf runs the controller's strategy planner analytically: it
 // synthesises an alarm on the hottest link of the plain-IGP routing,
-// asks the selected strategies, and prints every proposal plus the
-// plan the planner would commit.
-func planWhatIf(w io.Writer, t *topo.Topology, demands []topo.Demand, loads map[topo.LinkID]float64, strategies string) error {
-	set, err := controller.ParseStrategies(strategies)
-	if err != nil {
-		return err
-	}
-	if len(set) == 0 {
-		return nil
-	}
+// asks the stock strategies, and prints every proposal plus the plan the
+// planner would commit.
+func planWhatIf(w io.Writer, t *topo.Topology, demands []topo.Demand, loads map[topo.LinkID]float64) error {
 	alarm, ok := controller.HottestLinkAlarm(t, loads)
 	if !ok {
 		return nil // uncapacitated topology: nothing to react to
 	}
-	planner := controller.NewPlanner(set...)
+	planner := controller.NewPlanner()
 	ctx := controller.AnalyticPlanContext(t, demands, nil,
 		controller.AlarmEvent(alarm), controller.Config{})
 	fmt.Fprintf(w, "\n-- reaction-strategy planner (alarm on %s at %.0f%%, base util %.3f) --\n",

@@ -16,9 +16,10 @@
 // asks the registered strategies in registration order and scores them;
 // the paper's congestion tiers are the stock strategies (local-ecmp,
 // lp-optimal) and custom policies register via controller.New(...,
-// WithStrategies(...)). Withdrawal, the failover pin and its revert are
-// fixed controller reactions that run whatever set is registered. See
-// README.md ("The reaction-strategy API").
+// WithStrategies(...)); the commands and the scenario harness always run
+// the stock set. Withdrawal, the failover pin and its revert are fixed
+// controller reactions, not strategies. See README.md ("The
+// reaction-strategy API").
 //
 // All traffic magnitudes are bit/s and the planning pipeline is
 // scale-invariant: the LP is normalised by te.ProblemScale and every

@@ -3,11 +3,11 @@
 // and the controller reacts to whatever congestion emerges — showing
 // that the machinery is not specific to the Figure 1 gadget. The lies
 // stay installed after the crowd drains: the controller's withdraw
-// reaction (a fixed rule that runs under any strategy set, this one
-// included) fires only once every alarm has cleared (utilisation under
-// 10 %) and plain IGP routing would stay under 20 %, and this crowd's
-// tail does not get there before the run ends, so the output ends with
-// the reaction's lies still live (ROADMAP item 4).
+// reaction (a fixed rule, not one of the planner's strategies) fires
+// only once every alarm has cleared (utilisation under 10 %) and plain
+// IGP routing would stay under 20 %, and this crowd's tail does not get
+// there before the run ends, so the output ends with the reaction's lies
+// still live (ROADMAP item 4).
 package main
 
 import (
@@ -48,24 +48,15 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "random network: %d routers, %d links, content prefix %v\n",
 		network.NumNodes(), network.NumLinks()/2, p.Prefix)
 
-	// Pick the reaction-strategy set explicitly (the same set the
-	// -strategies flags of fiblab/fibbingd select); any custom
-	// controller.Strategy implementation could ride along here.
-	strategies, err := controller.ParseStrategies("localecmp,lpoptimal")
-	if err != nil {
-		return err
-	}
 	sim, err := controller.NewSim(controller.SimOpts{
-		Topology:   network,
-		Prefix:     "d0",
-		AttachAt:   network.Name(p.Attachments[0].Node), // PoP next to the content
-		WithCtrl:   true,
-		Strategies: strategies,
+		Topology: network,
+		Prefix:   "d0",
+		AttachAt: network.Name(p.Attachments[0].Node), // PoP next to the content
+		WithCtrl: true,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "reaction strategies: %v\n", sim.Ctrl.Planner().Strategies())
 
 	// A 90-second Poisson crowd from the two farthest routers (~0.8
 	// sessions/s each, mean hold 40 s, 400 kbit/s per session). Two

@@ -35,7 +35,7 @@ func run(w io.Writer) error {
 	sched := event.NewScheduler()
 	net := netsim.New(network, sched, time.Second)
 	domain := ospf.NewDomain(network, sched, ospf.Config{})
-	domain.OnFIBChange = func(n topo.NodeID, t *fib.Table) { net.SetTable(n, t) }
+	domain.OnFIBDelta = func(n topo.NodeID, t *fib.Table, d *fib.Diff) { net.ApplyDiff(n, t, d) }
 	domain.Start()
 	if _, err := domain.RunUntilConverged(30 * time.Second); err != nil {
 		return err

@@ -2,15 +2,15 @@ package controller
 
 // The planner's amortisation layer. Every strategy of a planning round —
 // and every successive planner invocation between state changes — used
-// to recompute the same expensive inputs from scratch: per-source SPF
+// to recompute the same expensive inputs from scratch: the reverse SPF
 // trees, the believed-topology compilation (fibbing.Evaluate per prefix
 // and lie set), the strategies' compiled and verified lie sets, and the
 // fluid load estimates behind PlanContext.Evaluate. PlanArtifacts
 // memoises all of them, keyed by value-complete cache keys (topology
 // binding by pointer and Topology.Version, lie sets and demand volumes
 // encoded into the key), so a stale entry is impossible by construction.
-// The tables come in two lifetimes. The topology tables (the evaluator,
-// the SPF graph, the SPF trees and local-ecmp's verified spreads) depend
+// The tables come in two lifetimes. The topology tables (the evaluator
+// and local-ecmp's verified spreads) depend
 // on the binding alone and are bounded by the topology's size, so they
 // live until the controller plans over another topology instance or the
 // bound one's weights change. The epoch tables (views, loads,
@@ -35,7 +35,6 @@ import (
 
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/qoe"
-	"fibbing.net/fibbing/internal/spf"
 	"fibbing.net/fibbing/internal/te"
 	"fibbing.net/fibbing/internal/topo"
 )
@@ -49,7 +48,7 @@ type ArtifactStats struct {
 	// QoEHits/QoEMisses count the QoE-prediction memo separately from the
 	// routing artifacts: the predictor is consulted once per candidate
 	// overlay per planning round, so its hit rate measures how much the
-	// QoE scoring path amortises, independent of the SPF/load caches.
+	// QoE scoring path amortises, independent of the view/load caches.
 	QoEHits   uint64 `json:"qoe_hits"`
 	QoEMisses uint64 `json:"qoe_misses"`
 }
@@ -68,12 +67,6 @@ type result[V any] struct {
 func pair[V any](val V, err error) result[V] { return result[V]{val, err} }
 
 func (r result[V]) get() (V, error) { return r.val, r.err }
-
-// graphEntry is the bound topology's SPF graph and host-skip.
-type graphEntry struct {
-	g    *spf.Graph
-	skip func(topo.NodeID) bool
-}
 
 // loadsEntry caches one fluid routing of a full lie set: the per-link
 // loads and the max utilisation derived from them.
@@ -113,8 +106,7 @@ type spreadEntry struct {
 // PlanArtifacts memoises the expensive planner inputs for one topology.
 // It is not safe for concurrent use: the planner runs on the scheduler's
 // one goroutine, and so does every reader of Stats. Cached values are
-// shared — callers must treat returned trees, views and load maps as
-// read-only.
+// shared — callers must treat returned views and load maps as read-only.
 type PlanArtifacts struct {
 	// topo and version are the binding: the topology and the
 	// Topology.Version the cache was built against.
@@ -127,10 +119,8 @@ type PlanArtifacts struct {
 	// through: it shares reverse SPF trees across strategies, lie sets
 	// and epochs. Its internal tree cache is not a counted lookup.
 	// spreads holds one entry per (prefix, router, LFA mode) at most: a
-	// spread reads only the plain-IGP views, the trees and eval.
+	// spread reads only the plain-IGP views, the topology and eval.
 	eval    *fibbing.Evaluator
-	graph   map[struct{}]graphEntry // at most one entry: a table, so memo serves it
-	trees   map[topo.NodeID]*spf.Tree
 	spreads map[spreadKey]spreadEntry
 
 	// The epoch tables: their keys grow with lie sets and demands, so
@@ -166,8 +156,6 @@ func newPlanArtifacts(t *topo.Topology, stats *ArtifactStats, solver *te.MinMaxS
 		topo:      t,
 		version:   t.Version(),
 		eval:      fibbing.NewEvaluator(t),
-		graph:     make(map[struct{}]graphEntry),
-		trees:     make(map[topo.NodeID]*spf.Tree),
 		spreads:   make(map[spreadKey]spreadEntry),
 		solver:    solver,
 		stats:     stats,
@@ -194,8 +182,8 @@ func (a *PlanArtifacts) newEpoch() {
 
 // memo is the one lookup every table goes through: a found key counts a
 // hit; otherwise compute runs, its value is stored and counts a miss.
-// compute may make nested lookups through memo (Tree reads Graph, a load
-// estimate reads Views) but never of its own key.
+// compute may make nested lookups through memo (a load estimate reads
+// Views) but never of its own key.
 func memo[K comparable, V any](table map[K]V, key K, c counters, compute func() V) V {
 	if v, ok := table[key]; ok {
 		*c.hits++
@@ -212,23 +200,6 @@ func (a *PlanArtifacts) Stats() ArtifactStats { return *a.stats }
 
 // LPStats snapshots the LP solve counter.
 func (a *PlanArtifacts) LPStats() te.WarmLPStats { return a.solver.Stats() }
-
-// Graph returns the memoised spf.Graph and host-skip for the bound
-// topology.
-func (a *PlanArtifacts) Graph() (*spf.Graph, func(topo.NodeID) bool) {
-	e := memo(a.graph, struct{}{}, a.planCount, func() graphEntry {
-		return graphEntry{spf.FromTopology(a.topo), spf.HostSkip(a.topo)}
-	})
-	return e.g, e.skip
-}
-
-// Tree returns the memoised SPF tree rooted at src.
-func (a *PlanArtifacts) Tree(src topo.NodeID) *spf.Tree {
-	return memo(a.trees, src, a.planCount, func() *spf.Tree {
-		g, skip := a.Graph()
-		return spf.Compute(g, src, skip)
-	})
-}
 
 // Views returns the memoised believed-topology compilation for one
 // prefix under the given lie set (nil lies = the plain IGP view). A miss

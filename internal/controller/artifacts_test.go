@@ -51,13 +51,6 @@ func TestArtifactMemo(t *testing.T) {
 		wantErr bool
 		lookup  func(a *PlanArtifacts) outcome
 	}{
-		{name: "Graph", misses: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
-			g, _ := a.Graph()
-			return outcome{val: g}
-		}},
-		{name: "Tree reads Graph", misses: ArtifactStats{Misses: 2}, lookup: func(a *PlanArtifacts) outcome {
-			return outcome{val: a.Tree(b)}
-		}},
 		{name: "Views", misses: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			v, err := a.Views(blue, nil)
 			return outcome{v, err}
@@ -88,7 +81,7 @@ func TestArtifactMemo(t *testing.T) {
 		{name: "spread finds none", misses: ArtifactStats{Misses: 2}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
 			return spreadOutcome(a.spread(blue, fig1.MustNode("A"), false)) // A's one uphill neighbour R1 is no downstream
 		}},
-		{name: "spread under LFA reads Trees", misses: ArtifactStats{Misses: 4}, lookup: func(a *PlanArtifacts) outcome {
+		{name: "spread under LFA reads Views", misses: ArtifactStats{Misses: 2}, lookup: func(a *PlanArtifacts) outcome {
 			return spreadOutcome(a.spread(blue, fig1.MustNode("A"), true)) // but R1 is a loop-free alternate
 		}},
 		{name: "predictQoE reads Views", misses: ArtifactStats{Misses: 1, QoEMisses: 1}, lookup: func(a *PlanArtifacts) outcome {
@@ -128,11 +121,11 @@ func TestArtifactMemo(t *testing.T) {
 
 // TestArtifactsRebindOnWeightChange: a Sim's controller and IGP domain
 // share one topology, and Domain.SetLinkWeight rewrites it in place
-// without moving any planning generation. The SPF trees and the
-// evaluator outlive epochs, so only the topology's version tells the
-// controller they are stale: after the change, the cache it plans
-// through answers Tree, Views and spread exactly as a fresh cache over
-// the mutated topology does.
+// without moving any planning generation. The evaluator and the spreads
+// outlive epochs, so only the topology's version tells the controller
+// they are stale: after the change, the cache it plans through answers
+// Views and spread (plain and loop-free-alternate) exactly as a fresh
+// cache over the mutated topology does.
 func TestArtifactsRebindOnWeightChange(t *testing.T) {
 	s, err := NewSim(SimOpts{WithCtrl: true})
 	if err != nil {
@@ -152,10 +145,10 @@ func TestArtifactsRebindOnWeightChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range tp.Nodes() {
-		c.ensureArtifacts(tp).Tree(n.ID)
-	}
 	spreadBefore, _ := c.ensureArtifacts(tp).spread(blue, b, false)
+	for _, n := range tp.Nodes() {
+		c.ensureArtifacts(tp).spread(blue, n.ID, true)
+	}
 
 	if err := s.Domain.SetLinkWeight(b, r2, 9); err != nil {
 		t.Fatal(err)
@@ -164,8 +157,10 @@ func TestArtifactsRebindOnWeightChange(t *testing.T) {
 
 	arts, fresh := c.ensureArtifacts(tp), NewPlanArtifacts(tp)
 	for _, n := range tp.Nodes() {
-		if got, want := arts.Tree(n.ID), fresh.Tree(n.ID); !reflect.DeepEqual(got, want) {
-			t.Fatalf("tree from %s after the weight change:\n got  %+v\n want %+v", tp.Name(n.ID), got, want)
+		got, gotOK := arts.spread(blue, n.ID, true)
+		want, wantOK := fresh.spread(blue, n.ID, true)
+		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("LFA spread at %s after the weight change:\n got  %v %v\n want %v %v", tp.Name(n.ID), gotOK, got, wantOK, want)
 		}
 	}
 	got, err := arts.Views(blue, nil)

@@ -18,22 +18,22 @@ import (
 // strategy set is configured — withdrawal is a controller reaction, not
 // a strategy a set could leave out.
 func TestWithdrawAfterSurge(t *testing.T) {
-	byName, err := ParseStrategies("localecmp,lpoptimal")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name       string
 		strategies []Strategy
 	}{
 		{"stock default", nil},
-		{"parsed by name", byName},
 		{"passed as values", []Strategy{LocalECMPStrategy{}, LPOptimalStrategy{}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sim, err := NewSim(SimOpts{WithCtrl: true, Strategies: tc.strategies})
+			sim, err := NewSim(SimOpts{WithCtrl: true})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.strategies != nil {
+				// The Sim's callbacks read sim.Ctrl when they fire, so a
+				// controller swapped in before the run gets every event.
+				sim.Ctrl = New(sim.Topo, sim.Lies, sim.Sched.Now, WithStrategies(tc.strategies...))
 			}
 			// A 20-second surge of 31 videos, then quiet.
 			err = sim.Runner.Schedule([]flashcrowd.Wave{

@@ -217,7 +217,7 @@ func TestFailoverCommitRollbackByteIdentical(t *testing.T) {
 // artifact cache over an unchanged topology instance starts a new epoch
 // after each, and only after one. A new epoch recomputes the epoch
 // tables (the plain-IGP view probed here) and keeps the topology binding
-// and its tables (the SPF tree probed here).
+// and its tables (local-ecmp's spread at B probed here).
 func TestEnsureArtifactsRebindsOnEachGeneration(t *testing.T) {
 	r := newFailoverRig(t)
 	b := r.tp.MustNode(topo.Fig1B)
@@ -225,7 +225,7 @@ func TestEnsureArtifactsRebindsOnEachGeneration(t *testing.T) {
 		t.Helper()
 		a := r.c.ensureArtifacts(r.tp)
 		misses := a.Stats().Misses
-		a.Tree(b)
+		a.spread(topo.Fig1BluePrefixName, b, false)
 		if _, err := a.Views(topo.Fig1BluePrefixName, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestEnsureArtifactsRebindsOnEachGeneration(t *testing.T) {
 			t.Fatalf("%s: new epoch = %v, want %v", what, got, want)
 		}
 		if misses > 1 {
-			t.Fatalf("%s: %d misses, want only the view's: the SPF tree did not survive", what, misses)
+			t.Fatalf("%s: %d misses, want only the view's: the spread did not survive", what, misses)
 		}
 	}
 	rebinds("nothing", false, func() {})

@@ -68,9 +68,6 @@ func NewPlanner(strategies ...Strategy) *Planner {
 	return &Planner{strategies: strategies, perf: make(map[string]*StrategyPerf)}
 }
 
-// Strategies returns the registered strategy names in order.
-func (p *Planner) Strategies() []string { return StrategyNames(p.strategies) }
-
 // Perf snapshots the per-strategy telemetry accumulated so far.
 func (p *Planner) Perf() map[string]StrategyPerf {
 	out := make(map[string]StrategyPerf, len(p.perf))

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -472,32 +471,3 @@ type strategyFunc struct {
 
 func (s strategyFunc) Name() string                           { return s.name }
 func (s strategyFunc) Propose(ctx PlanContext) (*Plan, error) { return s.propose(ctx) }
-
-// TestStrategyNameResolution covers the flag-format parsing used by
-// fiblab/fibsim/fibbingd: a parsed set is exactly the named strategies.
-func TestStrategyNameResolution(t *testing.T) {
-	set, err := ParseStrategies("localecmp,lpoptimal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := StrategyNames(set)
-	want := []string{"local-ecmp", "lp-optimal"}
-	if len(got) != len(want) {
-		t.Fatalf("strategies = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("strategies = %v, want %v", got, want)
-		}
-	}
-	if _, err := ParseStrategies("nope"); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-	// ksp is not a stock strategy: the error names the stock set.
-	if _, err := ParseStrategies("ksp"); err == nil || !strings.Contains(err.Error(), "(stock: local-ecmp, lp-optimal)") {
-		t.Fatalf("ksp: err = %v, want an unknown-strategy error listing the stock set", err)
-	}
-	if set, err := ParseStrategies(""); err != nil || set != nil {
-		t.Fatalf("empty csv: set=%v err=%v", set, err)
-	}
-}

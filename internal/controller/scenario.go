@@ -37,15 +37,12 @@ type Sim struct {
 
 // SimOpts parameterises NewSim.
 type SimOpts struct {
-	Topology   *topo.Topology // default: Fig1
-	Prefix     string         // default: blue
-	AttachAt   string         // controller PoP router, default R3
-	WithCtrl   bool           // false disables the Fibbing controller
-	Monitor    monitor.Config
-	Controller Config
-	// Strategies replaces the controller's stock strategy set (see
-	// WithStrategies); nil keeps DefaultStrategies.
-	Strategies   []Strategy
+	Topology     *topo.Topology // default: Fig1
+	Prefix       string         // default: blue
+	AttachAt     string         // controller PoP router, default R3
+	WithCtrl     bool           // false disables the Fibbing controller
+	Monitor      monitor.Config
+	Controller   Config
 	SampleEvery  time.Duration // throughput series sampling, default 1s
 	VideoSample  time.Duration // player tick, default 250ms
 	TrackPlayers bool          // attach a SimSession per flow
@@ -95,7 +92,7 @@ func NewSim(o SimOpts) (*Sim, error) {
 		return nil, fmt.Errorf("controller: attach node %q is not a router", o.AttachAt)
 	}
 	s.Lies = southbound.NewLieManager(southbound.DirectInjector{Router: pop}, ospf.ControllerIDBase)
-	s.Ctrl = New(s.Topo, s.Lies, s.Sched.Now, WithConfig(o.Controller), WithStrategies(o.Strategies...))
+	s.Ctrl = New(s.Topo, s.Lies, s.Sched.Now, WithConfig(o.Controller))
 	if o.WithCtrl {
 		// The monitor's bare callback becomes a typed controller event.
 		s.Poller.OnAlarm = func(a monitor.Alarm) { s.Ctrl.Handle(AlarmEvent(a)) }

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/qoe"
+	"fibbing.net/fibbing/internal/spf"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -117,64 +117,6 @@ func DefaultStrategies() []Strategy {
 	return []Strategy{LocalECMPStrategy{}, LPOptimalStrategy{}}
 }
 
-// StrategyByName resolves a stock strategy from its name. Matching is
-// case-insensitive and ignores '-'/'_', so "localecmp" == "local-ecmp".
-func StrategyByName(name string) (Strategy, bool) {
-	for _, s := range DefaultStrategies() {
-		if normalizeStrategyName(s.Name()) == normalizeStrategyName(name) {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
-// StrategiesByName resolves a list of stock strategy names.
-func StrategiesByName(names []string) ([]Strategy, error) {
-	var out []Strategy
-	for _, name := range names {
-		s, ok := StrategyByName(name)
-		if !ok {
-			return nil, fmt.Errorf("controller: unknown strategy %q (stock: %s)",
-				name, strings.Join(StrategyNames(DefaultStrategies()), ", "))
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// ParseStrategies resolves a comma-separated strategy list (the cmd-line
-// flag format, e.g. "localecmp,lpoptimal").
-func ParseStrategies(csv string) ([]Strategy, error) {
-	if strings.TrimSpace(csv) == "" {
-		return nil, nil
-	}
-	var names []string
-	for _, f := range strings.Split(csv, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			names = append(names, f)
-		}
-	}
-	return StrategiesByName(names)
-}
-
-// StrategyNames lists the names of a strategy set.
-func StrategyNames(strategies []Strategy) []string {
-	out := make([]string, len(strategies))
-	for i, s := range strategies {
-		out[i] = s.Name()
-	}
-	return out
-}
-
-func normalizeStrategyName(name string) string {
-	return strings.Map(func(r rune) rune {
-		if r == '-' || r == '_' {
-			return -1
-		}
-		return r
-	}, strings.ToLower(name))
-}
-
 // --- local-ecmp ---------------------------------------------------------
 
 // LocalECMPStrategy is the demo's first move (Figure 1c's fB): at the hot
@@ -225,10 +167,12 @@ func (s LocalECMPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 // localSpreadLies builds the local-spreading requirement for one prefix:
 // the hot router keeps its IGP next hops and adds every unused downstream
 // neighbour (and, with lfa, every loop-free alternate), evenly, then
-// compiles and verifies it. It reads only the binding's plain-IGP views,
-// SPF trees and evaluator, so PlanArtifacts.spread keeps its outcome for
-// the binding's life. ok is false when no spread exists or it fails to
-// compile/verify.
+// compiles and verifies it. It reads only the binding's topology,
+// plain-IGP views and evaluator, so PlanArtifacts.spread keeps its
+// outcome for the binding's life. The loop-free-alternate test runs one
+// SPF per candidate neighbour that is not downstream; the spread memo
+// makes that once per binding. ok is false when no spread exists or it
+// fails to compile/verify.
 func localSpreadLies(a *PlanArtifacts, prefix string, hot topo.NodeID, lfa bool) ([]fibbing.Lie, bool) {
 	t := a.topo
 	views, err := a.Views(prefix, nil)
@@ -243,6 +187,11 @@ func localSpreadLies(a *PlanArtifacts, prefix string, hot topo.NodeID, lfa bool)
 	for nh := range hv.NextHops {
 		desired[nh] = 1
 	}
+	var g *spf.Graph
+	var skip func(topo.NodeID) bool
+	if lfa {
+		g, skip = spf.FromTopology(t), spf.HostSkip(t)
+	}
 	added := false
 	for _, lid := range t.OutLinks(hot) {
 		v := t.Link(lid).To
@@ -254,7 +203,7 @@ func localSpreadLies(a *PlanArtifacts, prefix string, hot topo.NodeID, lfa bool)
 			continue
 		}
 		if vv.Local || len(vv.NextHops) > 0 && (vv.Dist < hv.Dist ||
-			lfa && vv.Dist < a.Tree(v).Dist[hot]+hv.Dist) {
+			lfa && vv.Dist < spf.Compute(g, v, skip).Dist[hot]+hv.Dist) {
 			desired[v] = 1
 			added = true
 		}

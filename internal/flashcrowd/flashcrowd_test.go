@@ -18,7 +18,7 @@ func rig(t *testing.T) (*topo.Topology, *event.Scheduler, *netsim.Network) {
 	sched := event.NewScheduler()
 	net := netsim.New(tp, sched, time.Second)
 	dom := ospf.NewDomain(tp, sched, ospf.Config{})
-	dom.OnFIBChange = func(n topo.NodeID, tab *fib.Table) { net.SetTable(n, tab) }
+	dom.OnFIBDelta = func(n topo.NodeID, tab *fib.Table, d *fib.Diff) { net.ApplyDiff(n, tab, d) }
 	dom.Start()
 	return tp, sched, net
 }

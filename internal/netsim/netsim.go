@@ -189,7 +189,8 @@ type Network struct {
 }
 
 // New builds a network over a topology. Routing tables start empty; feed
-// them with SetTable (e.g. from an ospf.Domain's OnFIBChange callback).
+// them with ApplyDiff (e.g. from an ospf.Domain's OnFIBDelta callback) or
+// SetTable.
 func New(t *topo.Topology, sched *event.Scheduler, sampleEvery time.Duration) *Network {
 	if sampleEvery <= 0 {
 		sampleEvery = time.Second
@@ -233,8 +234,8 @@ func (n *Network) Stats() Stats {
 
 // SetTable installs a router's FIB and schedules a re-route of all flows
 // (no diff: every member of every aggregate is checked at every hop).
-// Safe to call from OnFIBChange inside scheduler events. ApplyDiff is the
-// cheaper delta-aware alternative.
+// Safe to call from inside scheduler events. ApplyDiff is the cheaper
+// delta-aware alternative.
 func (n *Network) SetTable(node topo.NodeID, t *fib.Table) {
 	n.tables[node] = t
 	n.dropEntry(node)

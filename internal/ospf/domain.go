@@ -32,15 +32,11 @@ type Domain struct {
 	LossRate float64
 	lossRng  *rand.Rand
 
-	// OnFIBChange, when set, is invoked whenever a router installs a new
-	// FIB (the data-plane simulator subscribes to reroute flows).
-	OnFIBChange func(n topo.NodeID, t *fib.Table)
-
-	// OnFIBDelta, when set, additionally receives the diff that produced
-	// the new table, so subscribers can re-path only the flows whose
-	// destinations changed (netsim.Network.ApplyDiff). Routers only emit
-	// non-empty diffs: a recomputation that reproduces the same routes is
-	// silent.
+	// OnFIBDelta, when set, is invoked whenever a router installs a new
+	// FIB, with the diff that produced it, so subscribers can re-path only
+	// the flows whose destinations changed (netsim.Network.ApplyDiff).
+	// Routers only emit non-empty diffs: a recomputation that reproduces
+	// the same routes is silent.
 	OnFIBDelta func(n topo.NodeID, t *fib.Table, d *fib.Diff)
 
 	// OnAdjacencyChange, when set, is invoked when a router declares a
@@ -223,8 +219,6 @@ func (d *Domain) adjacencyChanged(l topo.Link, up bool) {
 func (d *Domain) fibChanged(n topo.NodeID, t *fib.Table, diff *fib.Diff) {
 	if d.OnFIBDelta != nil {
 		d.OnFIBDelta(n, t, diff)
-	} else if d.OnFIBChange != nil {
-		d.OnFIBChange(n, t)
 	}
 }
 

@@ -57,15 +57,21 @@ func (c *ScoreModeComparison) Render(b *strings.Builder) {
 // — and checks the score-mode invariants.
 func CompareScoreModes(spec Spec) (*ScoreModeComparison, error) {
 	spec = spec.withDefaults()
-	scored := func(mode string) func(*Spec) {
-		return func(s *Spec) { s.ScoreMode, s.Name = mode, spec.Name+"@"+mode }
-	}
-	r, err := runArms(spec, arm{"off", nil, false}, arm{"util", scored("util"), true}, arm{"qoe", scored("qoe"), true})
+	r, err := runArms(spec, scoreModeArms(spec)...)
 	if err != nil {
 		return nil, err
 	}
 	return &ScoreModeComparison{Spec: spec, Util: r[1], QoE: r[2], Off: r[0],
 		Violations: ScoreModeViolations(spec, r[1], r[2], r[0])}, nil
+}
+
+// scoreModeArms are a score-mode cell's three runs, in report order: off,
+// util-scored, qoe-scored. spec must have its defaults filled in.
+func scoreModeArms(spec Spec) []arm {
+	scored := func(mode string) func(*Spec) {
+		return func(s *Spec) { s.ScoreMode, s.Name = mode, spec.Name+"@"+mode }
+	}
+	return []arm{{"off", nil, false}, {"util", scored("util"), true}, {"qoe", scored("qoe"), true}}
 }
 
 // ScoreModeViolations checks the cross-mode invariants of one score-mode

@@ -66,8 +66,6 @@ type Report struct {
 	// Controller activity.
 	Lies         int            `json:"lies"`
 	LiesByPrefix map[string]int `json:"lies_by_prefix,omitempty"`
-	// Strategies is the registered reaction-strategy set.
-	Strategies []string `json:"strategies,omitempty"`
 	// StrategyPerf is the planner's per-strategy telemetry: proposals,
 	// wins, and cumulative Propose wall-time. Nanos is real time, so the
 	// determinism harness scrubs it alongside the pool telemetry before

@@ -124,10 +124,6 @@ func build(spec Spec, withCtrl bool) (*cell, error) {
 	}
 
 	p, _ := tp.PrefixByName(prefix)
-	strategies, err := controller.StrategiesByName(spec.Strategies)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", spec.Name, err)
-	}
 	scoreMode, err := controller.ParseScoreMode(spec.ScoreMode)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", spec.Name, err)
@@ -141,7 +137,6 @@ func build(spec Spec, withCtrl bool) (*cell, error) {
 		Prefix:       prefix,
 		AttachAt:     tp.Name(p.Attachments[0].Node),
 		WithCtrl:     withCtrl,
-		Strategies:   strategies,
 		TrackPlayers: true,
 		SampleEvery:  500 * time.Millisecond,
 		VideoSample:  250 * time.Millisecond,
@@ -323,7 +318,6 @@ func (c *cell) collect() *Report {
 	}
 	rep.Decisions = sim.Ctrl.Decisions
 	rep.Reactions = sim.Ctrl.Reactions
-	rep.Strategies = sim.Ctrl.Planner().Strategies()
 	rep.StrategyPerf = sim.Ctrl.Planner().Perf()
 	artStats := sim.Ctrl.ArtifactStats()
 	rep.PlanCacheHits, rep.PlanCacheMisses = artStats.Hits, artStats.Misses

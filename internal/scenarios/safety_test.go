@@ -17,8 +17,11 @@ package scenarios
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,14 +160,24 @@ func judgeTwin(on, twin *safetyWatch) (unsafe, shared []safetyCheck) {
 }
 
 // requireSafe holds a controller arm to the oracle: no check is unsafe
-// under the twin rule, and every decision the arm committed was checked
-// within a second (the flood takes milliseconds). Loops the twin shares
-// are logged. It returns the arm's check count.
-func requireSafe(t *testing.T, rep *Report, on, twin *safetyWatch) int {
+// under the twin rule but the known ones (each of which must still
+// occur), and every decision the arm committed was checked within a
+// second (the flood takes milliseconds). Known unsafe checks and loops
+// the twin shares are logged. It returns the arm's check count.
+func requireSafe(t *testing.T, rep *Report, on, twin *safetyWatch, known ...string) int {
 	t.Helper()
 	unsafe, shared := judgeTwin(on, twin)
+	known = slices.Clone(known)
 	for _, c := range unsafe {
+		if i := slices.Index(known, c.String()); i >= 0 {
+			known = slices.Delete(known, i, i+1)
+			t.Logf("%s: known unsafe check %s", rep.Scenario, c)
+			continue
+		}
 		t.Errorf("%s: installed forwarding less safe than the no-controller twin %s", rep.Scenario, c)
+	}
+	for _, k := range known {
+		t.Errorf("%s: the known unsafe check %s no longer occurs", rep.Scenario, k)
 	}
 	for _, c := range shared {
 		t.Logf("%s: the no-controller twin shares %s", rep.Scenario, c)
@@ -299,5 +312,109 @@ func TestSafetyOracleIsReadOnly(t *testing.T) {
 			t.Errorf("%s controller=%v: the watched report differs:\n watched=%s\n plain=%s",
 				spec.Name, plain[i].Controller, w, p)
 		}
+	}
+}
+
+// drawCells draws n small cells from the whole space — family and size,
+// workload, failure schedule, and one seed for both the generator and the
+// workload — with a fixed seed, so every run draws the same cells.
+func drawCells(seed uint64, n int) []Spec {
+	families := []struct {
+		family   string
+		min, max int // the size range, 0 for the fixed-size families
+	}{
+		{"ring", 5, 12}, {"waxman", 8, 16}, {"random", 8, 12}, {"grid", 3, 4},
+		{"abilene", 0, 0}, {"fattree", 4, 4}, {"fig1", 0, 0},
+	}
+	workloads := []string{"surge", "flash", "ramp", "dual"}
+	failures := []string{"", "flap", "hotlink"}
+	rng := rand.New(rand.NewPCG(seed, seed))
+	specs := make([]Spec, n)
+	for i := range specs {
+		f := families[rng.IntN(len(families))]
+		size := f.min + rng.IntN(f.max-f.min+1)
+		s := Spec{
+			Topo:     TopoSpec{Family: f.family, Size: size, Seed: rng.Int64N(1000) + 1},
+			Workload: workloads[rng.IntN(len(workloads))],
+			Failure:  failures[rng.IntN(len(failures))],
+		}
+		s.Seed = s.Topo.Seed
+		s.Name = f.family // ring7/surge+flap/seed412
+		if size > 0 {
+			s.Name += strconv.Itoa(size)
+		}
+		s.Name += "/" + s.Workload
+		if s.Failure != "" {
+			s.Name += "+" + s.Failure
+		}
+		s.Name += "/seed" + strconv.FormatInt(s.Seed, 10)
+		specs[i] = s.withDefaults()
+	}
+	return specs
+}
+
+// Non-vacuity floors of TestSafetyOverDrawnCells: over its 40 cells the
+// controller arms were checked 254 times when these were set, and 33
+// cells made at least one decision.
+const (
+	drawnCheckFloor   = 200
+	drawnDecidedFloor = 25
+)
+
+// knownUnsafeDraws are the drawn cells' checks the oracle finds unsafe
+// today, by cell. Each is a one-millisecond microloop while a pinned
+// lie set floods: lp-optimal's commit at 12 s and the failover revert's
+// restore of it at 19.001 s, seen by the routers that have the new lies
+// and by those that do not yet. A staged commit (ROADMAP item 6, step 2)
+// is what removes them; the test fails when one no longer occurs, so the
+// list shrinks as that lands.
+var knownUnsafeDraws = map[string][]string{
+	"waxman14/dual+flap/seed740": {
+		"@12.011s sink: fibbing: forwarding loop through w0",
+		"@19.011s sink: fibbing: forwarding loop through w0",
+	},
+}
+
+// TestSafetyOverDrawnCells runs the safety oracle off the matrix: 40
+// small cells drawn from every topology family, workload and failure
+// schedule, each run with and without the controller, and the controller
+// arm held to the twin rule (requireSafe, knownUnsafeDraws excepted).
+// Whether a drawn cell stresses the IGP path is left open (many do not,
+// by design), so Violations is not asserted. A draw the harness rejects
+// at build is logged and counted, never skipped silently.
+func TestSafetyOverDrawnCells(t *testing.T) {
+	specs := drawCells(50, 40)
+	var cells, rejected, checks, decided atomic.Int64
+	t.Cleanup(func() {
+		if cells.Load() != int64(len(specs)) {
+			return
+		}
+		t.Logf("%d cells (%d rejected at build), %d safety checks, %d cells decided",
+			cells.Load(), rejected.Load(), checks.Load(), decided.Load())
+		if n := checks.Load(); n < drawnCheckFloor {
+			t.Errorf("%d safety checks over the drawn cells, want >= %d", n, drawnCheckFloor)
+		}
+		if n := decided.Load(); n < drawnDecidedFloor {
+			t.Errorf("%d drawn cells made a decision, want >= %d", n, drawnDecidedFloor)
+		}
+	})
+	for _, spec := range specs {
+		t.Run(spec.Name, func(t *testing.T) {
+			t.Parallel()
+			defer cells.Add(1)
+			if _, err := build(spec, false); err != nil {
+				t.Logf("rejected at build: %v", err)
+				rejected.Add(1)
+				return
+			}
+			r, w, err := runWatchedArms(spec, arm{"on", nil, true}, arm{"off", nil, false})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checks.Add(int64(requireSafe(t, r[0], w[0], w[1], knownUnsafeDraws[spec.Name]...)))
+			if len(r[0].Decisions) > 0 {
+				decided.Add(1)
+			}
+		})
 	}
 }

@@ -176,11 +176,6 @@ type Spec struct {
 	// thousand viewers through the aggregate traffic plane at 1 Gbit/s
 	// link capacity.
 	Viewers int `json:"viewers,omitempty"`
-	// Strategies names the controller's reaction-strategy set (stock
-	// names, e.g. "localecmp,lpoptimal"). Empty keeps
-	// controller.DefaultStrategies. Withdrawal is a controller reaction
-	// and runs under any set.
-	Strategies []string `json:"strategies,omitempty"`
 	// ScoreMode selects the planner's plan-scoring objective: "util"
 	// (default — the historical max-utilisation ordering) or "qoe"
 	// (predicted stall score first, utilisation as tie-break). Parsed
