@@ -31,9 +31,11 @@ vet:
 # programs over the topology zoo, against the WalkTrace walk its tests
 # keep), the compiled forwarding walk under link loads, the QoE
 # predictor and the delivery check (arbitrary view sets on up to 8
-# nodes, against the map walks its tests keep) and the quiet BFD engine
+# nodes, against the map walks its tests keep), the quiet BFD engine
 # (fail/heal programs on up to 6 routers, against the event-driven
-# engine its tests keep).
+# engine its tests keep) and the IGP's synced start (change programs on
+# up to 8 routers with 0-3 ms links, against the flooded start its tests
+# keep).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/snmp
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/topo
@@ -46,6 +48,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzResolvedTrace$$' -fuzztime=30s ./internal/netsim
 	$(GO) test -fuzz='^FuzzForwardingWalk$$' -fuzztime=30s ./internal/te
 	$(GO) test -fuzz='^FuzzQuietBFD$$' -fuzztime=30s ./internal/bfd
+	$(GO) test -fuzz='^FuzzSyncedStart$$' -fuzztime=30s ./internal/ospf
 
 # The mutation check: every mutant in testdata/mutants.txt (a file, a
 # snippet in it, its replacement, the test that must fail) is compiled
@@ -182,11 +185,15 @@ scale:
 # BFD sessions went quiet (no hello events on a live link, replayed on a
 # link change; held to the event-driven engine kept in its tests): 97.1%
 # for internal/bfd at GOMAXPROCS 1, 2, 4 and 8 (91.5% before); floor
-# raised to the measured value.
+# raised to the measured value. Measured when the IGP started booting
+# synced (every originated LSA installed in every LSDB by Start, held to
+# the flooded start kept in its tests): 92.9% for internal/ospf at
+# GOMAXPROCS 1, 2, 4 and 8 (92.3% before); floor raised to the measured
+# value.
 cover:
 	@$(GO) test -cover ./... > cover.out.tmp; s=$$?; cat cover.out.tmp; \
 	if [ $$s -ne 0 ]; then rm -f cover.out.tmp; exit $$s; fi; \
-	for want in internal/qoe:90.0 internal/controller:88.1 internal/spf:94.1 internal/ospf:92.1 \
+	for want in internal/qoe:90.0 internal/controller:88.1 internal/spf:94.1 internal/ospf:92.9 \
 	    internal/lpm:96.1 internal/video:86.5 internal/netsim:91.7 \
 	    internal/fibbing:92.0 internal/te:86.8 internal/event:94.6 \
 	    internal/monitor:98.6 internal/bfd:97.1; do \

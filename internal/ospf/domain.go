@@ -28,7 +28,8 @@ type Domain struct {
 
 	// LossRate drops protocol packets at random (deterministic rng) to
 	// exercise the retransmission machinery. Hellos are never dropped so
-	// adjacencies stay up; set it before Start.
+	// adjacencies stay up. Start sends nothing, so the rate only touches
+	// the floods after it: lies, weight changes, failures and resyncs.
 	LossRate float64
 	lossRng  *rand.Rand
 
@@ -131,10 +132,28 @@ func (d *Domain) Scheduler() *event.Scheduler { return d.sched }
 // Topology returns the domain's topology.
 func (d *Domain) Topology() *topo.Topology { return d.topo }
 
-// Start brings the protocol up: every router originates its Router LSA,
-// the loopback prefix, and Prefix LSAs for topology prefixes attached to
-// it; hello and refresh timers start ticking.
+// Start brings the protocol up with the IGP already converged. Every
+// router originates its Router LSA, its loopback Prefix LSA and a Prefix
+// LSA for each topology prefix attached to it, as the boot flood would;
+// each is stamped with its first sequence number and that one instance
+// is installed in the LSDB of every router the flood would reach (those
+// joined to the originator by links not failed). Each router schedules
+// its own SPF run at spfDelay, and the hello, refresh and age tickers
+// start. Start sends no packet and lists nothing for retransmission;
+// every later change (lies, weight changes, failures, the resync when an
+// adjacency re-forms) floods as before.
+//
+// The routers thus hold what a flooded start leaves them once its flood
+// has converged, and where that flood would finish within spfDelay the
+// FIBs are the same from the first SPF run on. Where link delays make the
+// flood outlast spfDelay, a flooded start would run first SPFs on partial
+// databases; a synced start skips that boot transient. The installed
+// instances date from instant 0, not from their flood arrival. Aging
+// counts whole seconds from that date and acts only at the minute
+// sweeps, so this can move the purge of an LSA whose originator stopped
+// refreshing it by one sweep at most.
 func (d *Domain) Start() {
+	reach := d.floodReach()
 	// Walk routers in topology-node order, not map order: origination and
 	// ticker phase are output-visible, and two runs of the same scenario
 	// must schedule identical event sequences.
@@ -143,8 +162,8 @@ func (d *Domain) Start() {
 		if r == nil {
 			continue
 		}
-		r.originateRouterLSA()
-		r.originatePrefix(0, topo.Prefix{Prefix: LoopbackPrefix(r.node)}, 0)
+		r.boot(r.ownRouterLSA(), reach[r.node])
+		r.boot(r.prefixLSA(0, topo.Prefix{Prefix: LoopbackPrefix(r.node)}, 0), reach[r.node])
 		d.sched.NewTicker(helloInterval, r.helloTick)
 		d.sched.NewTicker(refreshPeriod, r.refreshOwn)
 		d.sched.NewTicker(ageSweepEvery, r.ageSweep)
@@ -156,9 +175,37 @@ func (d *Domain) Start() {
 				continue
 			}
 			// LSID 0 is the loopback; topology prefixes start at 1.
-			r.originatePrefix(uint32(i)+1, p, a.Cost)
+			r.boot(r.prefixLSA(uint32(i)+1, p, a.Cost), reach[r.node])
 		}
 	}
+}
+
+// floodReach maps each router's node to the routers a flood from it
+// reaches: its component of the adjacency graph over links not failed.
+// Members of a component share one slice. SetLinkState fails both
+// directions of a link, so reach is symmetric.
+func (d *Domain) floodReach() map[topo.NodeID][]*Router {
+	reach := make(map[topo.NodeID][]*Router, len(d.routers))
+	for _, n := range d.topo.Nodes() {
+		r := d.routers[n.ID]
+		if r == nil || reach[n.ID] != nil {
+			continue
+		}
+		comp := []*Router{r}
+		reach[n.ID] = comp // marks r as visited until the slice is final
+		for i := 0; i < len(comp); i++ {
+			for _, nb := range comp[i].nbrList {
+				if !d.linkDown[nb.link.ID] && reach[nb.peer.node] == nil {
+					reach[nb.peer.node] = comp
+					comp = append(comp, nb.peer)
+				}
+			}
+		}
+		for _, x := range comp {
+			reach[x.node] = comp
+		}
+	}
+	return reach
 }
 
 // deliver puts a packet on the wire towards n: it is processed by the

@@ -15,10 +15,17 @@ type fibFlowKey = fib.FlowKey
 // startFig1 builds and converges a Fig1 IGP domain.
 func startFig1(t testing.TB) (*topo.Topology, *Domain) {
 	t.Helper()
+	return startFig1With(t, (*Domain).Start)
+}
+
+// startFig1With builds a Fig1 IGP domain, brings it up with start (Start,
+// or the flooded refFloodedStart) and converges it.
+func startFig1With(t testing.TB, start func(*Domain)) (*topo.Topology, *Domain) {
+	t.Helper()
 	tp := topo.Fig1(topo.Fig1Opts{})
 	sched := event.NewScheduler()
 	d := NewDomain(tp, sched, Config{})
-	d.Start()
+	start(d)
 	if _, err := d.RunUntilConverged(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +314,10 @@ func TestInvalidForwardingAddressReported(t *testing.T) {
 	}
 }
 
+// TestStatsAccumulate counts the flooded start's boot flood: a synced
+// Start sends nothing.
 func TestStatsAccumulate(t *testing.T) {
-	_, d := startFig1(t)
+	_, d := startFig1With(t, refFloodedStart)
 	s := d.Stats()
 	if s.PacketsSent == 0 || s.BytesSent == 0 || s.SPFRuns == 0 {
 		t.Fatalf("stats empty: %+v", s)

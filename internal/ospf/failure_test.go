@@ -9,13 +9,15 @@ import (
 	"fibbing.net/fibbing/internal/topo"
 )
 
-// TestConvergenceUnderPacketLoss floods the Fig1 domain with 30% packet
-// loss: retransmissions must still converge every LSDB identically.
+// TestConvergenceUnderPacketLoss floods the Fig1 domain from cold with
+// 30% packet loss: retransmissions must still converge every LSDB
+// identically. It runs the flooded reference start, the one boot that
+// sends packets to lose.
 func TestConvergenceUnderPacketLoss(t *testing.T) {
 	tp := topo.Fig1(topo.Fig1Opts{})
 	d := NewDomain(tp, event.NewScheduler(), Config{})
 	d.LossRate = 0.3
-	d.Start()
+	refFloodedStart(d)
 	if _, err := d.RunUntilConverged(300 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func TestConvergenceUnderPacketLoss(t *testing.T) {
 	// Loss must have actually caused retransmissions (more packets than
 	// a clean run).
 	clean := NewDomain(topo.Fig1(topo.Fig1Opts{}), event.NewScheduler(), Config{})
-	clean.Start()
+	refFloodedStart(clean)
 	if _, err := clean.RunUntilConverged(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -41,23 +43,23 @@ func TestConvergenceUnderPacketLoss(t *testing.T) {
 	}
 }
 
-// TestRetransmitTimersFireInArmOrder floods a fat-tree k=4 under 30 %
-// loss, so retransmissions fire, entries are resent and acks clear them
-// all through the run. Each adjacency's retransmission list runs on one
-// timer; after every event checkRetransmitLists holds the list to its ring
-// and its timer, and once the domain converges every ring is empty and
-// every timer idle.
+// TestRetransmitTimersFireInArmOrder floods a fat-tree k=4 from cold
+// (the flooded reference start) under 30 % loss, so retransmissions fire,
+// entries are resent and acks clear them all through the run. Each
+// adjacency's retransmission list runs on one timer; after every event
+// checkRetransmitLists holds the list to its ring and its timer, and once
+// the domain converges every ring is empty and every timer idle.
 func TestRetransmitTimersFireInArmOrder(t *testing.T) {
 	tp := topo.FatTree(topo.FatTreeOpts{K: 4, Capacity: 10e6, MaxWeight: 3, Seed: 2})
 	clean := NewDomain(tp, event.NewScheduler(), Config{})
-	clean.Start()
+	refFloodedStart(clean)
 	if _, err := clean.RunUntilConverged(time.Minute); err != nil {
 		t.Fatal(err)
 	}
 
 	d := NewDomain(tp, event.NewScheduler(), Config{})
 	d.LossRate = 0.3
-	d.Start()
+	refFloodedStart(d)
 	var ring []rxmtEntry
 	for steps := 0; !d.Converged(); steps++ {
 		if !d.sched.Step() {
@@ -144,7 +146,7 @@ func ringEntries(n *neighbor, buf []rxmtEntry) []rxmtEntry {
 }
 
 // TestColdStartHoldsOneTimerPerAdjacency converges a fat-tree k=8 from
-// cold and counts, after every event, the scheduler events the
+// cold by flooding (the flooded reference start) and counts, after every event, the scheduler events the
 // retransmission lists hold: everything queued but the packets in flight,
 // the three tickers per router and the debounced SPF runs. Each
 // adjacency's list runs on one timer, so that is at most one per
@@ -155,7 +157,7 @@ func ringEntries(n *neighbor, buf []rxmtEntry) []rxmtEntry {
 func TestColdStartHoldsOneTimerPerAdjacency(t *testing.T) {
 	tp := topo.FatTree(topo.FatTreeOpts{K: 8, Capacity: 10e6, MaxWeight: 3, Seed: 2})
 	d := NewDomain(tp, event.NewScheduler(), Config{})
-	d.Start()
+	refFloodedStart(d)
 	adjacencies, peak := 0, 0
 	for _, r := range d.routers {
 		adjacencies += len(r.nbrList)
@@ -199,7 +201,7 @@ func TestColdStartHoldsOneTimerPerAdjacency(t *testing.T) {
 // neighbor's hello did — and lets the timer fire: it resends nothing and
 // drops the list, as declaring the neighbor dead does.
 func TestRetransmitTimerOnDownAdjacency(t *testing.T) {
-	d, a, n, b := convergedFatTree(t)
+	d, a, n, b := convergedFatTree(t, (*Domain).Start)
 	sched := d.sched
 	own, ok := a.db.Get(Key{Type: TypeRouter, AdvRouter: a.id})
 	if !ok {

@@ -9,16 +9,18 @@ import (
 	"fibbing.net/fibbing/internal/topo"
 )
 
-// convergedFatTree returns a converged fat-tree k=4 domain on the
-// sequential core (so SPF batches spawn no goroutines under AllocsPerRun)
-// and one of its adjacencies: router a, its neighbor entry for b, and b.
-func convergedFatTree(t testing.TB) (d *Domain, a *Router, n *neighbor, b *Router) {
+// convergedFatTree returns a fat-tree k=4 domain brought up by start
+// (Start, or the flooded refFloodedStart) and converged on the
+// sequential core (so SPF batches spawn no goroutines under
+// AllocsPerRun), and one of its adjacencies: router a, its neighbor entry
+// for b, and b.
+func convergedFatTree(t testing.TB, start func(*Domain)) (d *Domain, a *Router, n *neighbor, b *Router) {
 	t.Helper()
 	tp := topo.FatTree(topo.FatTreeOpts{K: 4, Capacity: 10e6, MaxWeight: 3, Seed: 2})
 	sched := event.NewScheduler()
 	sched.SetWorkers(1)
 	d = NewDomain(tp, sched, Config{})
-	d.Start()
+	start(d)
 	if _, err := d.RunUntilConverged(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ const floodBudgetPerInstall = 3
 // contract on a converged fat-tree k=4: receptions that change nothing
 // cost no heap objects, and a flood costs the routers that install it.
 func TestFloodingAllocations(t *testing.T) {
-	d, a, n, b := convergedFatTree(t)
+	d, a, n, b := convergedFatTree(t, (*Domain).Start)
 	sched := d.sched
 	own, ok := b.db.Get(Key{Type: TypeRouter, AdvRouter: a.id})
 	if !ok {
@@ -134,7 +136,7 @@ func TestDuplicateAcksFollowTable19(t *testing.T) {
 		// a and b send each other a's Router LSA at once, so each lists
 		// the instance towards the other and receives the other's copy
 		// as a duplicate: both copies are implied acks and no ack is sent.
-		d, a, n, b := convergedFatTree(t)
+		d, a, n, b := convergedFatTree(t, (*Domain).Start)
 		ba := b.nbrs[a.id]
 		mine, _ := a.db.Get(key(a))
 		theirs, _ := b.db.Get(key(a))
@@ -156,7 +158,7 @@ func TestDuplicateAcksFollowTable19(t *testing.T) {
 		{name: "only an older instance pending", older: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d, a, n, b := convergedFatTree(t)
+			d, a, n, b := convergedFatTree(t, (*Domain).Start)
 			ba := b.nbrs[a.id]
 			own, _ := b.db.Get(key(a))
 			if tc.older {
@@ -181,8 +183,10 @@ func TestDuplicateAcksFollowTable19(t *testing.T) {
 // per-adjacency in-flight queue: packets on the wire when the link fails
 // are dropped on arrival and their buffers recycled, packets sent while it
 // is down never enter the queue, and a healed link delivers in send order.
+// It converges by flooding (the flooded reference start), so the buffer
+// pool holds the boot flood's buffers and every probe is a recycled one.
 func TestInFlightPacketsAndLinkState(t *testing.T) {
-	d, a, n, b := convergedFatTree(t)
+	d, a, n, b := convergedFatTree(t, refFloodedStart)
 	sched := d.sched
 	// Packets of unknown types 100, 101, …: the receiver rejects each with
 	// an error naming the type, which makes arrival order observable.

@@ -6,6 +6,14 @@ package ospf
 // every reception built a Packet, an []*LSA and an LSA before looking at
 // it. TestCodecMatchesReference and FuzzHandlePacket hold the new codec to
 // the same verdict, the same error text and the same decoded values.
+//
+// Below them, the flooded start: Domain.Start's body from when every
+// router flooded its LSAs at boot, kept verbatim as refFloodedStart
+// (only the name and the receiver made a parameter are new), with the
+// originatePrefix it called. TestSyncedStartMatchesFloodedStart and
+// FuzzSyncedStart hold the synced Start to it, and the tests whose subject
+// is the boot flood itself — convergence under loss, one retransmission
+// timer per adjacency, the recycled packet buffers — run on it.
 
 import (
 	"encoding/binary"
@@ -14,6 +22,8 @@ import (
 	"net/netip"
 	"reflect"
 	"testing"
+
+	"fibbing.net/fibbing/internal/topo"
 )
 
 func refDecodeLSA(buf []byte) (*LSA, error) {
@@ -330,4 +340,40 @@ func TestCodecMatchesReference(t *testing.T) {
 		rng.Read(buf)
 		codecAgrees(t, buf)
 	}
+}
+
+// refFloodedStart brings the protocol up: every router originates its
+// Router LSA, the loopback prefix, and Prefix LSAs for topology prefixes
+// attached to it; hello and refresh timers start ticking.
+func refFloodedStart(d *Domain) {
+	// Walk routers in topology-node order, not map order: origination and
+	// ticker phase are output-visible, and two runs of the same scenario
+	// must schedule identical event sequences.
+	for _, n := range d.topo.Nodes() {
+		r := d.routers[n.ID]
+		if r == nil {
+			continue
+		}
+		r.originateRouterLSA()
+		r.originatePrefix(0, topo.Prefix{Prefix: LoopbackPrefix(r.node)}, 0)
+		d.sched.NewTicker(helloInterval, r.helloTick)
+		d.sched.NewTicker(refreshPeriod, r.refreshOwn)
+		d.sched.NewTicker(ageSweepEvery, r.ageSweep)
+	}
+	for i, p := range d.topo.Prefixes() {
+		for _, a := range p.Attachments {
+			r := d.routers[a.Node]
+			if r == nil {
+				continue
+			}
+			// LSID 0 is the loopback; topology prefixes start at 1.
+			r.originatePrefix(uint32(i)+1, p, a.Cost)
+		}
+	}
+}
+
+// originatePrefix floods a Prefix LSA for a locally attached prefix.
+// lsid must be unique per prefix within this router.
+func (r *Router) originatePrefix(lsid uint32, p topo.Prefix, cost int64) {
+	r.originate(r.prefixLSA(lsid, p, cost))
 }

@@ -73,10 +73,13 @@ type rxmtEntry struct {
 }
 
 // rxmtKeep is the largest ring buffer a neighbor keeps once its
-// retransmission list empties. A cold start's full-database flood grows
-// the rings of a fat-tree k=8 to 69 713 entries across its 512
-// adjacencies, 1.7 MB that would stay resident; the floods of an
-// igp-churn op fit in 16, so no op regrows a ring.
+// retransmission list empties. A full-database send grows a ring to the
+// size of the LSDB: the resync when an adjacency re-forms does, and the
+// flooded cold start the tests keep as Start's reference grows the rings
+// of a fat-tree k=8 to 69 713 entries across its 512 adjacencies, 1.7 MB
+// that would stay resident (Start itself boots synced and sends
+// nothing). The floods of an igp-churn op fit in 16, so no op regrows a
+// ring.
 const rxmtKeep = 16
 
 // Router is one IGP speaker. Routers are owned by a Domain and driven by
@@ -265,9 +268,8 @@ func (r *Router) nextSeq(k Key) uint32 {
 	return r.ownSeq[k]
 }
 
-// originateRouterLSA (re)builds and floods this router's Router LSA from
-// its live adjacencies.
-func (r *Router) originateRouterLSA() {
+// ownRouterLSA builds this router's Router LSA from its live adjacencies.
+func (r *Router) ownRouterLSA() *LSA {
 	l := &LSA{Header: Header{Type: TypeRouter, AdvRouter: r.id, LSID: 0}}
 	for _, n := range r.nbrList {
 		if !n.up {
@@ -278,18 +280,21 @@ func (r *Router) originateRouterLSA() {
 			Metric:   uint32(n.link.Weight),
 		})
 	}
-	r.originate(l)
+	return l
 }
 
-// originatePrefix floods a Prefix LSA for a locally attached prefix.
-// lsid must be unique per prefix within this router.
-func (r *Router) originatePrefix(lsid uint32, p topo.Prefix, cost int64) {
-	r.originate(&LSA{
+// prefixLSA builds a Prefix LSA for a locally attached prefix. lsid must
+// be unique per prefix within this router.
+func (r *Router) prefixLSA(lsid uint32, p topo.Prefix, cost int64) *LSA {
+	return &LSA{
 		Header: Header{Type: TypePrefix, AdvRouter: r.id, LSID: lsid},
 		Prefix: p.Prefix,
 		Metric: uint32(cost),
-	})
+	}
 }
+
+// originateRouterLSA (re)builds and floods this router's Router LSA.
+func (r *Router) originateRouterLSA() { r.originate(r.ownRouterLSA()) }
 
 // originate assigns the next sequence number, installs locally, floods,
 // and schedules SPF.
@@ -298,6 +303,18 @@ func (r *Router) originate(l *LSA) {
 	l.Header.Seq = r.nextSeq(k)
 	r.dbInstall(l)
 	r.floodExcept(l, 0)
+	r.scheduleSPF()
+}
+
+// boot originates l as Start does, with the network already synced:
+// stamped with its sequence number, the one instance is installed in the
+// LSDB of every router in reach, and this router's SPF run is scheduled.
+// Nothing is sent.
+func (r *Router) boot(l *LSA, reach []*Router) {
+	l.Header.Seq = r.nextSeq(l.Header.Key())
+	for _, x := range reach {
+		x.dbInstall(l)
+	}
 	r.scheduleSPF()
 }
 
