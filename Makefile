@@ -33,9 +33,11 @@ vet:
 # predictor and the delivery check (arbitrary view sets on up to 8
 # nodes, against the map walks its tests keep), the quiet BFD engine
 # (fail/heal programs on up to 6 routers, against the event-driven
-# engine its tests keep) and the IGP's synced start (change programs on
+# engine its tests keep), the IGP's synced start (change programs on
 # up to 8 routers with 0-3 ms links, against the flooded start its tests
-# keep).
+# keep) and the data plane's kept readings (join, leave, cap, FIB and
+# link programs over the topology zoo, against the per-call sums its
+# tests keep).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/snmp
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/topo
@@ -49,6 +51,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzForwardingWalk$$' -fuzztime=30s ./internal/te
 	$(GO) test -fuzz='^FuzzQuietBFD$$' -fuzztime=30s ./internal/bfd
 	$(GO) test -fuzz='^FuzzSyncedStart$$' -fuzztime=30s ./internal/ospf
+	$(GO) test -fuzz='^FuzzReadings$$' -fuzztime=30s ./internal/netsim
 
 # The mutation check: every mutant in testdata/mutants.txt (a file, a
 # snippet in it, its replacement, the test that must fail) is compiled
@@ -189,12 +192,15 @@ scale:
 # synced (every originated LSA installed in every LSDB by Start, held to
 # the flooded start kept in its tests): 92.9% for internal/ospf at
 # GOMAXPROCS 1, 2, 4 and 8 (92.3% before); floor raised to the measured
-# value.
+# value. Measured when the data plane started keeping its readings per
+# change (series on request, the rate vector held to the per-call sums
+# kept in its tests): 94.1% for internal/netsim at GOMAXPROCS 1, 2, 4 and
+# 8 (93.8% before); floor raised to the measured value.
 cover:
 	@$(GO) test -cover ./... > cover.out.tmp; s=$$?; cat cover.out.tmp; \
 	if [ $$s -ne 0 ]; then rm -f cover.out.tmp; exit $$s; fi; \
 	for want in internal/qoe:90.0 internal/controller:88.1 internal/spf:94.1 internal/ospf:92.9 \
-	    internal/lpm:96.1 internal/video:86.5 internal/netsim:91.7 \
+	    internal/lpm:96.1 internal/video:86.5 internal/netsim:94.1 \
 	    internal/fibbing:92.0 internal/te:86.8 internal/event:94.6 \
 	    internal/monitor:98.6 internal/bfd:97.1; do \
 	  pkg=$${want%%:*}; floor=$${want##*:}; \

@@ -85,6 +85,17 @@ func run(w io.Writer, listen string, duration time.Duration, rateSpec string, wi
 	agent := snmp.NewAgent("public", mib)
 	lt := lockedTransport{mu: &mu, agent: agent}
 
+	// The data plane records a link's series once asked for: ask before
+	// the run.
+	var series []*metrics.Series
+	for _, pair := range [][2]string{{"A", "R1"}, {"B", "R2"}, {"B", "R3"}} {
+		s, err := sim.Net.SeriesBetween(pair[0], pair[1])
+		if err != nil {
+			return err
+		}
+		series = append(series, s)
+	}
+
 	conn, err := net.ListenPacket("udp", listen)
 	if err != nil {
 		return err
@@ -118,14 +129,6 @@ func run(w io.Writer, listen string, duration time.Duration, rateSpec string, wi
 	mu.Lock()
 	defer mu.Unlock()
 	fmt.Fprintln(w, "\nfinal link throughput (byte/s):")
-	var series []*metrics.Series
-	for _, pair := range [][2]string{{"A", "R1"}, {"B", "R2"}, {"B", "R3"}} {
-		s, err := sim.Net.SeriesBetween(pair[0], pair[1])
-		if err != nil {
-			return err
-		}
-		series = append(series, s)
-	}
 	if err := metrics.SeriesTable(5*time.Second, series...).Render(w); err != nil {
 		return err
 	}

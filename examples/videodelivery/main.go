@@ -51,8 +51,16 @@ func run(w io.Writer, viewers int) error {
 		if !withCtrl {
 			label = "WITHOUT controller"
 		}
+		// The data plane records a link's series once asked for, so the
+		// watcher asks before the run starts.
 		var sim *controller.Sim
-		rep, err := scenarios.RunWatched(spec, withCtrl, func(s *controller.Sim) { sim = s })
+		var series []*metrics.Series
+		rep, err := scenarios.RunWatched(spec, withCtrl, func(s *controller.Sim) {
+			sim = s
+			for _, l := range [][2]string{{topo.Fig1A, topo.Fig1R1}, {topo.Fig1B, topo.Fig1R2}, {topo.Fig1B, topo.Fig1R3}} {
+				series = append(series, s.Net.Series(s.Topo.MustLinkBetween(l[0], l[1]).ID))
+			}
+		})
 		if err != nil {
 			return err
 		}
@@ -60,14 +68,6 @@ func run(w io.Writer, viewers int) error {
 		fmt.Fprintf(w, "==== %s, %d viewers ====\n", label, rep.Sessions)
 
 		fmt.Fprintln(w, "link throughput (byte/s), as in the paper's Figure 2:")
-		var series []*metrics.Series
-		for _, l := range [][2]string{{topo.Fig1A, topo.Fig1R1}, {topo.Fig1B, topo.Fig1R2}, {topo.Fig1B, topo.Fig1R3}} {
-			s, err := sim.Net.SeriesBetween(l[0], l[1])
-			if err != nil {
-				return err
-			}
-			series = append(series, s)
-		}
 		if err := metrics.SeriesTable(5*time.Second, series...).Render(w); err != nil {
 			return err
 		}

@@ -29,13 +29,13 @@ func TestLinkFailureDuringAugmentedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bR3, err := sim.Net.SeriesBetween("B", "R3") // recorded from here on
+	if err != nil {
+		t.Fatal(err)
+	}
 	sim.Run(15 * time.Second)
 	if sim.Lies.LieCount() == 0 {
 		t.Fatalf("controller did not react to the surge")
-	}
-	bR3, err := sim.Net.SeriesBetween("B", "R3")
-	if err != nil {
-		t.Fatal(err)
 	}
 	if bR3.At(14*time.Second) == 0 {
 		t.Fatalf("B-R3 idle despite the lie")

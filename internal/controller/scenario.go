@@ -43,7 +43,7 @@ type SimOpts struct {
 	WithCtrl     bool           // false disables the Fibbing controller
 	Monitor      monitor.Config
 	Controller   Config
-	SampleEvery  time.Duration // throughput series sampling, default 1s
+	SampleEvery  time.Duration // counter advance and series sampling, default 1s
 	VideoSample  time.Duration // player tick, default 250ms
 	TrackPlayers bool          // attach a SimSession per flow
 	// BFD enables per-link liveness sessions; link failures then reach

@@ -179,7 +179,11 @@ type demo struct {
 func runDemo(until time.Duration) (*demo, error) {
 	d := &demo{spec: scenarios.Spec{Topo: scenarios.TopoSpec{Family: "fig1"}, Workload: "fig2", Duration: until}}
 	for _, a := range []*demoArm{&d.on, &d.off} {
-		rep, err := scenarios.RunWatched(d.spec, a == &d.on, func(s *controller.Sim) { a.sim = s })
+		rep, err := scenarios.RunWatched(d.spec, a == &d.on, func(s *controller.Sim) {
+			a.sim = s
+			series(s, fig2Links...) // the data plane records only the series asked for
+			series(s, deliveryLinks...)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -189,7 +193,8 @@ func runDemo(until time.Duration) (*demo, error) {
 	return d, nil
 }
 
-// series reads the throughput series of the named links.
+// series returns the throughput series of the named links, asking the
+// data plane to record them if no one has yet.
 func series(sim *controller.Sim, links ...[2]string) []*metrics.Series {
 	out := make([]*metrics.Series, len(links))
 	for i, l := range links {
@@ -200,6 +205,10 @@ func series(sim *controller.Sim, links ...[2]string) []*metrics.Series {
 
 // fig2Links are the links Figure 2 plots.
 var fig2Links = [][2]string{{topo.Fig1A, topo.Fig1R1}, {topo.Fig1B, topo.Fig1R2}, {topo.Fig1B, topo.Fig1R3}}
+
+// deliveryLinks are the links into the destination C: their sum is the
+// delivered throughput reactionLatency reads.
+var deliveryLinks = [][2]string{{topo.Fig1R2, topo.Fig1C}, {topo.Fig1R3, topo.Fig1C}, {topo.Fig1R4, topo.Fig1C}}
 
 // fig2 reproduces Figure 2: link throughput over time under the demo's
 // flow schedule, in one of the demo's arms.
@@ -452,7 +461,7 @@ func (d *demo) reactionLatency() *Result {
 	for _, a := range []demoArm{d.on, d.off} {
 		withCtrl := a.rep.Controller
 		// Delivered-to-destination = sum of the three C-facing links.
-		delivered := series(a.sim, [2]string{"R2", "C"}, [2]string{"R3", "C"}, [2]string{"R4", "C"})
+		delivered := series(a.sim, deliveryLinks...)
 		deliveredAt := func(t time.Duration) float64 {
 			sum := 0.0
 			for _, s := range delivered {

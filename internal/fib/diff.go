@@ -104,16 +104,38 @@ func (t *Table) ApplyDiff(d *Diff) error {
 
 // DiffTables returns the changes that turn old into new (both walked in
 // prefix order, so the diff is deterministic). Either table may be nil,
-// meaning empty.
+// meaning empty. From an empty old table (a router's first SPF run) the
+// diff installs every route of new, built at its exact size straight from
+// new's walk.
 func DiffTables(router topo.NodeID, old, new *Table) *Diff {
-	d := NewDiff(router)
-	var oldRoutes, newRoutes []Route
-	if old != nil {
-		oldRoutes = old.Routes()
+	if old == nil || old.Len() == 0 {
+		return installAll(router, new)
 	}
+	var newRoutes []Route
 	if new != nil {
 		newRoutes = new.Routes()
 	}
+	return mergeDiff(router, old.Routes(), newRoutes)
+}
+
+// installAll is the diff from an empty table to t: one upsert per route,
+// in prefix order.
+func installAll(router topo.NodeID, t *Table) *Diff {
+	d := NewDiff(router)
+	if t == nil || t.Len() == 0 {
+		return d
+	}
+	d.Changes = make([]RouteChange, 0, t.Len())
+	t.lpm.Walk(func(_ netip.Prefix, r Route) bool {
+		d.Upsert(r)
+		return true
+	})
+	return d
+}
+
+// mergeDiff walks two prefix-ordered route lists side by side.
+func mergeDiff(router topo.NodeID, oldRoutes, newRoutes []Route) *Diff {
+	d := NewDiff(router)
 	i, j := 0, 0
 	for i < len(oldRoutes) && j < len(newRoutes) {
 		a, b := oldRoutes[i], newRoutes[j]

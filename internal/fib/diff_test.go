@@ -2,8 +2,12 @@ package fib
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
+
+	"fibbing.net/fibbing/internal/topo"
 )
 
 func mustPrefix(s string) netip.Prefix { return netip.MustParsePrefix(s) }
@@ -174,6 +178,54 @@ func TestSnapshotReadableWhilePatchingClone(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestDiffFromEmptyMatchesMerge holds DiffTables' empty-old path (a
+// router's first SPF run) to the general merge over random tables: the
+// same changes in the same order, built at their exact size, whether the
+// old table is nil, new, or emptied by removals.
+func TestDiffFromEmptyMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	emptied := NewTable(4)
+	if err := emptied.Install(Route{Prefix: mustPrefix("10.9.0.0/16"), Local: true}); err != nil {
+		t.Fatal(err)
+	}
+	emptied.Remove(mustPrefix("10.9.0.0/16"))
+	for trial := 0; trial < 200; trial++ {
+		tbl := NewTable(4)
+		for i := rng.Intn(40); i > 0; i-- {
+			var p netip.Prefix
+			if rng.Intn(4) == 0 {
+				p = netip.PrefixFrom(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(rng.Intn(4)), byte(rng.Intn(256))}), 32+rng.Intn(33)).Masked()
+			} else {
+				p = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(rng.Intn(4)), byte(rng.Intn(256)), 0}), 8+rng.Intn(17)).Masked()
+			}
+			r := Route{Prefix: p, Distance: int64(rng.Intn(20))}
+			if rng.Intn(5) == 0 {
+				r.Local = true
+			} else {
+				for h := 1 + rng.Intn(3); h > 0; h-- {
+					r.NextHops = append(r.NextHops, NextHop{Node: topo.NodeID(rng.Intn(6)), Link: topo.LinkID(rng.Intn(9)), Weight: 1 + rng.Intn(3)})
+				}
+			}
+			if err := tbl.Install(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := mergeDiff(4, nil, tbl.Routes())
+		for _, old := range []*Table{nil, NewTable(4), emptied} {
+			got := DiffTables(4, old, tbl)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, old %v: %v, merge %v", trial, old, got, want)
+			}
+			if cap(got.Changes) != len(got.Changes) {
+				t.Fatalf("trial %d: %d changes in a slice of capacity %d", trial, len(got.Changes), cap(got.Changes))
+			}
+		}
+		if got := DiffTables(4, tbl, nil); !reflect.DeepEqual(got, mergeDiff(4, tbl.Routes(), nil)) {
+			t.Fatalf("trial %d: diff to nil %v", trial, got)
 		}
 	}
 }

@@ -183,6 +183,37 @@ func TestRaisedAlarmRepeatsEverySecondHotPoll(t *testing.T) {
 	}
 }
 
+// TestOneCoolPollKeepsAlarmRaised: the clearing side of the hysteresis
+// takes more than one cool poll, so a load that dips below lowThreshold
+// for a single poll and comes back does not flap the alarm.
+func TestOneCoolPollKeepsAlarmRaised(t *testing.T) {
+	r := newRig(t, Config{})
+	var alarms []Alarm
+	r.pol.OnAlarm = func(a Alarm) { alarms = append(alarms, a) }
+	var reports []Report
+	r.pol.OnReport = func(rep Report) { reports = append(reports, rep) }
+	r.pol.Start()
+	surge := r.addFlow(1, 9e6) // util 0.9: raised at the 4 s poll
+	r.sched.RunUntil(4*time.Second + 1)
+	// Idle windows smooth to 0.27 at 6 s and 0.081 at 8 s: one cool poll.
+	r.net.RemoveFlow(surge)
+	r.sched.RunUntil(8*time.Second + 1)
+	r.addFlow(2, 9e6) // back hot: 0.65 at 10 s ends the cool streak
+	r.sched.RunUntil(10*time.Second + 1)
+	var cool int
+	for _, rep := range reports {
+		if rep.Loads[0].Utilisation <= lowThreshold {
+			cool++
+		}
+	}
+	if cool != 1 {
+		t.Fatalf("%d cool polls, want the one this test is about", cool)
+	}
+	if len(alarms) != 1 || !alarms[0].Raised {
+		t.Fatalf("alarms = %+v, want the one raise: a single cool poll must not clear", alarms)
+	}
+}
+
 func TestAlarmNotRaisedBelowThreshold(t *testing.T) {
 	r := newRig(t, Config{HighThreshold: 0.7})
 	var alarms []Alarm

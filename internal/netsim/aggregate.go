@@ -210,6 +210,7 @@ func (n *Network) join(f *Flow, a *Aggregate) {
 	f.slot = len(a.members)
 	a.members = append(a.members, f)
 	a.weight++
+	n.ratesStale = true
 	n.markDirty(a)
 }
 
@@ -226,6 +227,7 @@ func (n *Network) leave(f *Flow) {
 	a.members[end] = nil
 	a.members = a.members[:end]
 	a.weight--
+	n.ratesStale = true
 	n.markDirty(a)
 	if a.weight == 0 {
 		n.dropAgg(a)
@@ -329,6 +331,7 @@ func (n *Network) reshare() {
 // unconstrained ones their cap (or the greedy sentinel), the rest the
 // global progressive filling.
 func (n *Network) solveAll() {
+	n.ratesStale = true
 	var aggs []*Aggregate
 	for _, a := range n.aggByID {
 		switch {
@@ -443,6 +446,7 @@ func (n *Network) solve(aggs []*Aggregate, linkIDs []topo.LinkID) {
 // materialized links.
 func (n *Network) solveComponent(comp *component) {
 	aggs, links := comp.aggs, comp.links
+	n.ratesStale = true
 	for i, a := range aggs {
 		a.solveIdx = i
 	}

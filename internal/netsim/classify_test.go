@@ -292,6 +292,17 @@ func (g *classifyRig) compare(step int) {
 // operations, each followed by the comparison.
 func runClassify(t *testing.T, data []byte, cov *classifyCoverage) {
 	r := &classifyReader{data: data}
+	g := newClassifyRig(t, r, cov)
+	for step := 0; r.pos < len(r.data); step++ {
+		g.step()
+		g.compare(step)
+	}
+}
+
+// newClassifyRig draws a rig's setup from the program: the topology, the
+// routing model, the withheld router, the installed tables and the first
+// crowd of flows.
+func newClassifyRig(t *testing.T, r *classifyReader, cov *classifyCoverage) *classifyRig {
 	var tp *topo.Topology
 	if zoo := r.intn(7); zoo == 6 {
 		tp = squareTopology()
@@ -319,15 +330,11 @@ func runClassify(t *testing.T, data []byte, cov *classifyCoverage) {
 		pending: map[topo.NodeID]*fib.Table{node(): nil},
 		net:     New(tp, sched, time.Second), sched: sched, cov: cov,
 	}
-	g.net.DropSeries = true
 	g.install(routing.tables(t))
 	for i := 0; i < 40; i++ {
 		g.addFlow()
 	}
-	for step := 0; r.pos < len(r.data); step++ {
-		g.step()
-		g.compare(step)
-	}
+	return g
 }
 
 // TestResolvedTraceMatchesWalkTrace runs random programs over the zoo.

@@ -37,7 +37,6 @@ func TestRerouteCostFollowsMovers(t *testing.T) {
 	tp := diamondTopo()
 	sched := event.NewScheduler()
 	net := New(tp, sched, time.Second)
-	net.DropSeries = true
 	for n, tab := range diamondTables(t, tp, "u") {
 		net.SetTable(n, tab)
 	}
@@ -162,7 +161,6 @@ func TestCrowdRerouteTracesOnlyMovers(t *testing.T) {
 
 	sched := event.NewScheduler()
 	net := New(tp, sched, time.Second)
-	net.DropSeries = true
 	for n, tab := range tables {
 		net.ApplyDiff(n, tab, fib.DiffTables(n, nil, tab))
 	}

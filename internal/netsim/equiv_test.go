@@ -297,7 +297,6 @@ func TestTouchedHopRerouteMatchesSetTableTwin(t *testing.T) {
 		}
 		w.delta = New(tp, w.schedD, time.Second)
 		w.full = New(tp, w.schedF, time.Second)
-		w.delta.DropSeries, w.full.DropSeries = true, true
 		w.install(routing.tables(t))
 		for i := 0; i < flows; i++ {
 			w.live = append(w.live, w.addFlow())

@@ -5,6 +5,13 @@
 // octet counters feed the SNMP agents; sampled throughput series reproduce
 // the paper's Figure 2.
 //
+// Readings are kept per change, not rebuilt per read. The sample tick
+// advances every counter but appends a throughput point only to the
+// links someone asked for (Series). LinkRates, MaxUtilisation and
+// TotalThroughput read a per-link rate vector that the first reading
+// after an aggregate's rate, weight or existence changed re-sums, in
+// aggregate-id order so every float is the per-call sum's.
+//
 // It replaces the paper's Mininet emulation (kernel forwarding + iperf):
 // link throughput over time is fully determined by routing and fair
 // sharing, both modelled explicitly here.
@@ -172,9 +179,32 @@ type Network struct {
 
 	stats Stats
 
-	counters map[topo.LinkID]*metrics.Counter // octets forwarded
-	series   map[topo.LinkID]*metrics.Series  // sampled byte/s
-	lastOct  map[topo.LinkID]uint64
+	// counters holds every link's octets forwarded (SNMP ifOutOctets),
+	// indexed by LinkID.
+	counters []metrics.Counter
+
+	// Throughput series exist only for the links someone asked for
+	// (Series): series is indexed by LinkID, nil until asked. A sample
+	// tick appends to the links in sampled, reading lastOct, the counter
+	// at the previous tick; a link asked for after the first tick waits
+	// in arming for one tick that records its lastOct, so its first
+	// point spans a whole interval. ticked reports that a tick has run.
+	series  []*metrics.Series
+	lastOct []uint64
+	sampled []topo.LinkID
+	arming  []topo.LinkID
+	ticked  bool
+
+	// Readings of the current allocation, kept from one change to the
+	// next: linkRate is the offered rate per LinkID, summed in aggregate-id
+	// order; maxUtil and total are MaxUtilisation and TotalThroughput.
+	// ratesStale says some aggregate's rate, weight or existence changed
+	// since they were summed: join, leave and the solvers set it, and the
+	// next reading re-sums (readings).
+	linkRate   []float64
+	maxUtil    float64
+	total      float64
+	ratesStale bool
 
 	lastUpdate time.Duration
 	recompute  bool // a reroute+reshare is scheduled for this instant
@@ -182,10 +212,6 @@ type Network struct {
 	linkDown []bool // by LinkID
 
 	sampleEvery time.Duration
-
-	// DropSeries, when true, disables throughput series recording
-	// (benchmarks that only need counters).
-	DropSeries bool
 }
 
 // New builds a network over a topology. Routing tables start empty; feed
@@ -204,18 +230,13 @@ func New(t *topo.Topology, sched *event.Scheduler, sampleEvery time.Duration) *N
 		links:       make(map[topo.LinkID]*linkState),
 		invalid:     make(map[int64]*Aggregate),
 		dirty:       make(map[topo.LinkID]bool),
-		counters:    make(map[topo.LinkID]*metrics.Counter),
-		series:      make(map[topo.LinkID]*metrics.Series),
-		lastOct:     make(map[topo.LinkID]uint64),
+		counters:    make([]metrics.Counter, t.NumLinks()),
+		series:      make([]*metrics.Series, t.NumLinks()),
+		lastOct:     make([]uint64, t.NumLinks()),
+		linkRate:    make([]float64, t.NumLinks()),
 		fwd:         make([]fwdEntry, t.NumNodes()),
 		linkDown:    make([]bool, t.NumLinks()),
 		sampleEvery: sampleEvery,
-	}
-	for _, l := range t.Links() {
-		n.counters[l.ID] = &metrics.Counter{}
-		n.series[l.ID] = &metrics.Series{
-			Name: fmt.Sprintf("%s-%s", t.Name(l.From), t.Name(l.To)),
-		}
 	}
 	sched.NewTicker(sampleEvery, n.sample)
 	return n
@@ -387,12 +408,33 @@ func (n *Network) Octets(link topo.LinkID) uint64 {
 	return n.counters[link].Value()
 }
 
-// Series returns the sampled throughput series (byte/s) of a link.
+// Series returns the throughput series (byte/s) of a link, one point per
+// sample interval, and starts recording it if no one has asked before: a
+// link's series exists only once asked for. The series is live: it fills
+// as the run goes on. Asked for before the first sample tick, it holds
+// every interval from the network's creation on; asked for later, its
+// first point is the interval after the next tick, so no point ever spans
+// a partial interval. It is nil for a link the topology does not have.
 func (n *Network) Series(link topo.LinkID) *metrics.Series {
-	return n.series[link]
+	if link < 0 || int(link) >= len(n.series) {
+		return nil
+	}
+	if s := n.series[link]; s != nil {
+		return s
+	}
+	l := n.topo.Link(link)
+	s := &metrics.Series{Name: fmt.Sprintf("%s-%s", n.topo.Name(l.From), n.topo.Name(l.To))}
+	n.series[link] = s
+	if n.ticked {
+		n.arming = append(n.arming, link)
+	} else {
+		n.sampled = append(n.sampled, link) // lastOct 0: the counter at creation
+	}
+	return s
 }
 
-// SeriesBetween returns the series for the directed link a->b.
+// SeriesBetween returns the series for the directed link a->b, asking for
+// it as Series does.
 func (n *Network) SeriesBetween(a, b string) (*metrics.Series, error) {
 	na, ok := n.topo.NodeByName(a)
 	if !ok {
@@ -530,60 +572,77 @@ func (n *Network) reroute() {
 }
 
 // sample appends a throughput point (byte/s over the last interval) to
-// every link's series.
+// the series of every link asked for, and arms the links asked for since
+// the last tick. It advances the fluid model whether or not any series
+// exists: counter truncation depends on the instants advance runs at.
 func (n *Network) sample() {
 	n.advance()
-	if n.DropSeries {
-		return
-	}
 	now := n.sched.Now()
-	for id, c := range n.counters {
-		cur := c.Value()
+	for _, id := range n.sampled {
+		cur := n.counters[id].Value()
 		rate := metrics.Rate(n.lastOct[id], cur, n.sampleEvery)
 		n.lastOct[id] = cur
 		n.series[id].Add(now, rate)
 	}
+	for _, id := range n.arming {
+		n.lastOct[id] = n.counters[id].Value()
+	}
+	n.sampled = append(n.sampled, n.arming...)
+	n.arming = n.arming[:0]
+	n.ticked = true
 }
 
-// LinkRates returns the instantaneous offered rate (bit/s) per link,
-// summing allocated aggregate rates in aggregate-id order: float addition
-// does not associate, and the sums feed the byte-identical reports.
-// Useful for assertions.
-func (n *Network) LinkRates() map[topo.LinkID]float64 {
-	out := make(map[topo.LinkID]float64)
+// readings re-sums the allocation's readings if an aggregate changed since
+// the last sum: per link, the allocated rates of the aggregates crossing
+// it in aggregate-id order (float addition does not associate, and the
+// sums feed the byte-identical reports), their total in the same order,
+// and the utilisation of the busiest capacitated link.
+func (n *Network) readings() {
+	if !n.ratesStale {
+		return
+	}
+	n.ratesStale = false
+	clear(n.linkRate)
+	total := 0.0
 	n.eachByID(func(a *Aggregate) {
+		r := a.rate * float64(a.weight)
+		total += r
 		if a.rate <= 0 {
 			return
 		}
 		for _, lid := range a.links {
-			out[lid] += a.rate * float64(a.weight)
+			n.linkRate[lid] += r
 		}
 	})
-	return out
+	n.total = total
+	n.maxUtil = 0
+	for id, r := range n.linkRate {
+		if c := n.topo.Link(topo.LinkID(id)).Capacity; c > 0 && r/c > n.maxUtil {
+			n.maxUtil = r / c
+		}
+	}
+}
+
+// LinkRates returns the instantaneous offered rate (bit/s) per link,
+// indexed by LinkID: the sum of the allocated rates of the aggregates
+// crossing it, in aggregate-id order. The slice is a copy. Useful for
+// assertions.
+func (n *Network) LinkRates() []float64 {
+	n.readings()
+	return slices.Clone(n.linkRate)
 }
 
 // MaxUtilisation returns max over capacitated links of rate/capacity.
 func (n *Network) MaxUtilisation() float64 {
-	rates := n.LinkRates()
-	max := 0.0
-	for id, r := range rates {
-		l := n.topo.Link(id)
-		if l.Capacity <= 0 {
-			continue
-		}
-		if u := r / l.Capacity; u > max {
-			max = u
-		}
-	}
-	return max
+	n.readings()
+	return n.maxUtil
 }
 
 // TotalThroughput sums all flows' current rates (bit/s), in aggregate-id
 // order.
 func (n *Network) TotalThroughput() float64 {
-	sum := 0.0
-	n.eachByID(func(a *Aggregate) { sum += a.rate * float64(a.weight) })
-	return sum
+	n.readings()
+	return n.total
 }
 
 // eachByID calls fn on every live aggregate in id order, sorting into a

@@ -67,16 +67,16 @@ func TestSingleCappedFlow(t *testing.T) {
 	net := New(tp, sched, time.Second)
 	installLineTables(t, net, tp)
 	net.AddFlow(tp.MustNode("n1"), key("10.100.0.1", 1), 2e6)
+	l12, _ := tp.FindLink(tp.MustNode("n1"), tp.MustNode("n2"))
+	s := net.Series(l12.ID) // asked for before the run: recorded from 0
 	sched.RunUntil(10 * time.Second)
 
-	l12, _ := tp.FindLink(tp.MustNode("n1"), tp.MustNode("n2"))
 	// 2 Mbit/s for 10 s = 2.5e6 bytes.
 	oct := net.Octets(l12.ID)
 	if math.Abs(float64(oct)-2.5e6) > 1e4 {
 		t.Fatalf("octets = %d, want ~2.5e6", oct)
 	}
 	// Series sampled at 250 KB/s while the flow runs.
-	s := net.Series(l12.ID)
 	if v := s.At(5 * time.Second); math.Abs(v-250e3) > 1e3 {
 		t.Fatalf("series at 5s = %v, want 250e3", v)
 	}

@@ -154,6 +154,23 @@ func (d *Domain) Topology() *topo.Topology { return d.topo }
 // refreshing it by one sweep at most.
 func (d *Domain) Start() {
 	reach := d.floodReach()
+	// Size every LSDB for its component's LSAs: per router its Router LSA
+	// and loopback, plus one per prefix attachment. A component is keyed
+	// by its first router, the slice its members share.
+	lsas := make(map[*Router]int)
+	for node := range d.routers {
+		lsas[reach[node][0]] += 2
+	}
+	for _, p := range d.topo.Prefixes() {
+		for _, a := range p.Attachments {
+			if d.routers[a.Node] != nil {
+				lsas[reach[a.Node][0]]++
+			}
+		}
+	}
+	for node, r := range d.routers {
+		r.db.reserve(lsas[reach[node][0]])
+	}
 	// Walk routers in topology-node order, not map order: origination and
 	// ticker phase are output-visible, and two runs of the same scenario
 	// must schedule identical event sequences.

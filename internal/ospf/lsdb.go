@@ -29,6 +29,14 @@ func NewLSDB() *LSDB {
 	return &LSDB{entries: make(map[Key]dbEntry)}
 }
 
+// reserve sizes an empty database for n entries; Domain.Start knows how
+// many LSAs a router's component originates before it installs them.
+func (db *LSDB) reserve(n int) {
+	if len(db.entries) == 0 {
+		db.entries = make(map[Key]dbEntry, n)
+	}
+}
+
 // SetClock wires the database to a virtual clock for aging. Set it before
 // the first Install: arrival times are read from it.
 func (db *LSDB) SetClock(now func() time.Duration) { db.now = now }

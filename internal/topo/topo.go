@@ -424,7 +424,9 @@ func (t *Topology) Validate() error {
 }
 
 // checkConnected verifies that all routers are mutually reachable over the
-// directed graph (weak check: BFS from the first router must reach all).
+// directed graph between routers (weak check: BFS from the first router
+// must reach all). The search stops at hosts: the IGP forms no adjacency
+// across a host, so routers joined only through one are partitioned.
 func (t *Topology) checkConnected() error {
 	var start NodeID = NoNode
 	routers := 0
@@ -448,11 +450,9 @@ func (t *Topology) checkConnected() error {
 		queue = queue[1:]
 		for _, lid := range t.out[u] {
 			v := t.links[lid].To
-			if !seen[v] {
+			if !seen[v] && !t.nodes[v].Host {
 				seen[v] = true
-				if !t.nodes[v].Host {
-					reached++
-				}
+				reached++
 				queue = append(queue, v)
 			}
 		}

@@ -139,6 +139,22 @@ func TestValidateConnectivity(t *testing.T) {
 	}
 }
 
+// TestValidateStopsAtHosts: routers a and b joined only through host h
+// share no IGP adjacency, so the router graph is not connected.
+func TestValidateStopsAtHosts(t *testing.T) {
+	tp := New()
+	a, h, b := tp.AddNode("a"), tp.AddHost("h"), tp.AddNode("b")
+	tp.AddLink(a, h, 1, LinkOpts{})
+	tp.AddLink(h, b, 1, LinkOpts{})
+	if err := tp.Validate(); err == nil {
+		t.Fatal("routers joined only through a host passed validation")
+	}
+	tp.AddLink(a, b, 1, LinkOpts{})
+	if err := tp.Validate(); err != nil {
+		t.Fatalf("with a router link a-b: %v", err)
+	}
+}
+
 func TestValidatePrefixNeedsAttachment(t *testing.T) {
 	tp := New()
 	a, b := tp.AddNode("A"), tp.AddNode("B")
