@@ -62,11 +62,13 @@ mutants:
 	$(GO) test -tags mutants -run '^TestMutants$$' -count=1 -v .
 
 # Rewrite every golden file from this tree; `git diff` is the record of what moved.
+# internal/scenarios' golden is the drawn population's verdicts (400
+# draws on both arms under the safety oracle; ~2.4 s on a 2-vCPU host).
 # Then hold the rewritten goldens to the hand-edited paper-number ledger
 # (cmd/fiblab/testdata/ledger.txt, which -update never writes): a figure
 # that got worse fails here by its ledger line, and -v prints the totals.
 goldens:
-	$(GO) test -run TestGolden -count=1 ./cmd/... ./examples/... -update
+	$(GO) test -run TestGolden -count=1 ./cmd/... ./examples/... ./internal/scenarios -update
 	$(GO) test -run TestPaperLedger -count=1 -v ./cmd/fiblab
 
 # The scenario-matrix stress harness, printed as text. `go test

@@ -25,7 +25,10 @@ const (
 
 // ledgerBounds names every column the ledger bounds. Any other ledger
 // column is part of its row's key. The cmd/experiments columns are the
-// table headers with '_' for ' '.
+// table headers with '_' for ' '; the population columns are the count
+// table's of internal/scenarios/testdata/population.txt: each counts
+// draws that break something, or lies, so each is an upper bound but
+// withdraws_fired.
 var ledgerBounds = map[string]bound{
 	"lies":                upper,
 	"stall_seconds":       upper,
@@ -39,6 +42,21 @@ var ledgerBounds = map[string]bound{
 	"full_delivery_at":    upper,
 	"fib_lies":            upper,
 	"fibbing_realised":    upper,
+	"rejected":            upper,
+	"unstressed":          upper,
+	"off_lies":            upper,
+	"not_beat_igp":        upper,
+	"lp_slack":            upper,
+	"never_lies":          upper,
+	"other_prefix":        upper,
+	"slow_reaction":       upper,
+	"late_stall":          upper,
+	"protocol_errors":     upper,
+	"controller_errors":   upper,
+	"unsafe":              upper,
+	"arms_with_lies":      upper,
+	"lies_at_end":         upper,
+	"withdraws_fired":     lower,
 }
 
 // fiblabModes are the golden report files, and experimentTables the
@@ -58,11 +76,12 @@ type ledgerTable struct {
 // TestPaperLedger holds the numbers the paper would print to the
 // hand-edited bounds in testdata/ledger.txt: per fiblab cell and arm
 // the lies, stalls, decisions, latencies, settled utilisation, delivered
-// volume and smooth sessions, and the cmd/experiments tables' decision
-// and delivery times, lies and realised utilisation. The goldens' own
-// tests prove they equal the programs' output, so the pair gates those
-// outputs without running a simulation here. -update never writes the
-// ledger.
+// volume and smooth sessions, the cmd/experiments tables' decision
+// and delivery times, lies and realised utilisation, and the drawn
+// population's counts. The goldens' own tests prove they equal the
+// programs' output (the population's, the draws' verdicts), so the pair
+// gates those outputs without running a simulation here. -update never
+// writes the ledger.
 func TestPaperLedger(t *testing.T) {
 	ledger := parseLedger(t, filepath.Join("testdata", "ledger.txt"))
 	observed := map[string]ledgerTable{}
@@ -76,6 +95,7 @@ func TestPaperLedger(t *testing.T) {
 	for _, id := range experimentTables {
 		observed[id] = experimentFigures(t, string(all), id)
 	}
+	observed["population"] = populationFigures(t)
 	for _, name := range slices.Sorted(maps.Keys(observed)) {
 		if _, ok := ledger[name]; !ok {
 			t.Errorf("ledger has no section %q", name)
@@ -296,6 +316,32 @@ func experimentFigures(t *testing.T, all, id string) ledgerTable {
 			break
 		}
 		tab.rows = append(tab.rows, cut(line))
+	}
+	return tab
+}
+
+// populationFigures reads the count table that ends the drawn
+// population's golden, after its "== counts ==" line.
+func populationFigures(t *testing.T) ledgerTable {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "scenarios", "testdata", "population.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	at := slices.Index(lines, "== counts ==")
+	if at < 0 {
+		t.Fatal("the population golden has no == counts == table")
+	}
+	var tab ledgerTable
+	for _, line := range lines[at+1:] {
+		switch f := strings.Fields(line); {
+		case len(f) == 0:
+		case tab.cols == nil:
+			tab.cols = f
+		default:
+			tab.rows = append(tab.rows, f)
+		}
 	}
 	return tab
 }

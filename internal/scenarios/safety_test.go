@@ -375,13 +375,36 @@ var knownUnsafeDraws = map[string][]string{
 	},
 }
 
+// drawnRun is one drawn cell run on both arms under the safety oracle.
+// A cell build rejects has only rejected set.
+type drawnRun struct {
+	rejected    error
+	on, off     *Report
+	watch, twin *safetyWatch // the controller arm's oracle and its twin's
+}
+
+// runDrawn runs a drawn cell with and without the controller, each arm
+// watched by the safety oracle. build's rejection of the cell is a result,
+// not an error: every caller records it, none skips it.
+func runDrawn(spec Spec) (drawnRun, error) {
+	if _, err := build(spec, false); err != nil {
+		return drawnRun{rejected: err}, nil
+	}
+	r, w, err := runWatchedArms(spec, arm{"on", nil, true}, arm{"off", nil, false})
+	if err != nil {
+		return drawnRun{}, err
+	}
+	return drawnRun{on: r[0], off: r[1], watch: w[0], twin: w[1]}, nil
+}
+
 // TestSafetyOverDrawnCells runs the safety oracle off the matrix: 40
 // small cells drawn from every topology family, workload and failure
 // schedule, each run with and without the controller, and the controller
 // arm held to the twin rule (requireSafe, knownUnsafeDraws excepted).
 // Whether a drawn cell stresses the IGP path is left open (many do not,
-// by design), so Violations is not asserted. A draw the harness rejects
-// at build is logged and counted, never skipped silently.
+// by design), so Violations is not asserted; TestGoldenPopulation records
+// it over 400 draws. A draw the harness rejects at build is logged and
+// counted, never skipped silently.
 func TestSafetyOverDrawnCells(t *testing.T) {
 	specs := drawCells(50, 40)
 	var cells, rejected, checks, decided atomic.Int64
@@ -402,17 +425,17 @@ func TestSafetyOverDrawnCells(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			defer cells.Add(1)
-			if _, err := build(spec, false); err != nil {
-				t.Logf("rejected at build: %v", err)
-				rejected.Add(1)
-				return
-			}
-			r, w, err := runWatchedArms(spec, arm{"on", nil, true}, arm{"off", nil, false})
+			d, err := runDrawn(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checks.Add(int64(requireSafe(t, r[0], w[0], w[1], knownUnsafeDraws[spec.Name]...)))
-			if len(r[0].Decisions) > 0 {
+			if d.rejected != nil {
+				t.Logf("rejected at build: %v", d.rejected)
+				rejected.Add(1)
+				return
+			}
+			checks.Add(int64(requireSafe(t, d.on, d.watch, d.twin, knownUnsafeDraws[spec.Name]...)))
+			if len(d.on.Decisions) > 0 {
 				decided.Add(1)
 			}
 		})
