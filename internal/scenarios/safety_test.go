@@ -7,8 +7,10 @@ package scenarios
 // which a router emits a FIB delta, and at each instant the cell's failure
 // schedule flips a link. It asks the predicate Verify asks,
 // fibbing.CheckDelivery, of every router's installed route for every
-// topology prefix, plus one rule a route view cannot express: a next hop
-// over a link the IGP transport reports failed drops the traffic.
+// topology prefix, plus two rules a set of route views cannot express: a
+// next hop over a link the IGP transport reports failed drops the
+// traffic, and so does a router with no route (CheckDelivery skips it as
+// a source, but traffic entering there is dropped all the same).
 //
 // Plain IGP reconvergence has transients of its own (a link failure
 // blackholes until the dead interval, a reconverging flood can microloop),
@@ -103,7 +105,7 @@ func (w *safetyWatch) check() {
 	w.instants = append(w.instants, now)
 	for _, p := range tp.Prefixes() {
 		views := make(map[topo.NodeID]fibbing.RouteView)
-		failed := ""
+		dropped := ""
 		for u := range topo.NodeID(tp.NumNodes()) {
 			r := sim.Domain.Router(u)
 			if r == nil {
@@ -111,18 +113,21 @@ func (w *safetyWatch) check() {
 			}
 			route, ok := r.FIB().Lookup(p.Prefix.Addr())
 			if !ok {
+				if dropped == "" {
+					dropped = fmt.Sprintf("%s has no route", tp.Name(u))
+				}
 				continue
 			}
 			nhs := make(fibbing.NextHopWeights, len(route.NextHops))
 			for _, nh := range route.NextHops {
 				nhs[nh.Node] += nh.Weight
-				if failed == "" && sim.Domain.LinkBlocked(nh.Link) {
-					failed = fmt.Sprintf("%s forwards over failed link %s-%s", tp.Name(u), tp.Name(u), tp.Name(nh.Node))
+				if dropped == "" && sim.Domain.LinkBlocked(nh.Link) {
+					dropped = fmt.Sprintf("%s forwards over failed link %s-%s", tp.Name(u), tp.Name(u), tp.Name(nh.Node))
 				}
 			}
 			views[u] = fibbing.RouteView{Local: route.Local, Dist: route.Distance, NextHops: nhs}
 		}
-		verdict := failed
+		verdict := dropped
 		if err := fibbing.CheckDelivery(tp, views); err != nil {
 			verdict = err.Error()
 		}
@@ -239,34 +244,25 @@ func compareSafely(t *testing.T, spec Spec) (*Comparison, int) {
 	return &Comparison{Spec: spec, On: r[0], Off: r[1], Violations: Violations(spec, r[0], r[1])}, n
 }
 
-// TestSafetyOracleSeesPlantedLoop shows the oracle can fail. On a fig1
-// controller arm, two cost-0 lies point B and R2, adjacent on blue's IGP
-// path A-B-R2-C, at each other before any viewer arrives: the first check
-// after the flood must report a loop on blue, while the no-controller
-// twin delivers, and the twin rule must call it unsafe.
-func TestSafetyOracleSeesPlantedLoop(t *testing.T) {
-	t.Parallel()
+// plantedArms runs fig1/surge on both arms under the oracle, with plant
+// scheduled at plantAt on the controller arm only; failures are the
+// controller arm's extra check instants, as a failure schedule's.
+func plantedArms(t *testing.T, plantAt time.Duration, failures []FailureEvent, plant func(*controller.Sim) error) (on, twin *safetyWatch) {
+	t.Helper()
 	spec, ok := SpecByName("fig1/surge")
 	if !ok {
 		t.Fatal("fig1/surge not in matrix")
 	}
-	const plantAt = 5 * time.Second
-	var on, twin *safetyWatch
 	for _, withCtrl := range []bool{true, false} {
 		_, err := RunWatched(spec, withCtrl, func(sim *controller.Sim) {
-			w := watchSafety(sim, nil)
 			if !withCtrl {
-				twin = w
+				twin = watchSafety(sim, nil)
 				return
 			}
-			on = w
-			b, r2 := sim.Topo.MustNode(topo.Fig1B), sim.Topo.MustNode(topo.Fig1R2)
+			on = watchSafety(sim, failures)
 			sim.Sched.At(plantAt, func() {
-				if _, err := sim.Lies.Apply(topo.Fig1BluePrefixName, []fibbing.Lie{
-					{Prefix: topo.Fig1BluePrefix, Attach: b, Via: r2, Cost: 0},
-					{Prefix: topo.Fig1BluePrefix, Attach: r2, Via: b, Cost: 0},
-				}); err != nil {
-					t.Errorf("planting the loop: %v", err)
+				if err := plant(sim); err != nil {
+					t.Errorf("planting at %v: %v", plantAt, err)
 				}
 			})
 		})
@@ -274,6 +270,25 @@ func TestSafetyOracleSeesPlantedLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return on, twin
+}
+
+// TestSafetyOracleSeesPlantedLoop shows the oracle can fail. On a fig1
+// controller arm, two cost-0 lies point B and R2, adjacent on blue's IGP
+// path A-B-R2-C, at each other before any viewer arrives: the first check
+// after the flood must report a loop on blue, while the no-controller
+// twin delivers, and the twin rule must call it unsafe.
+func TestSafetyOracleSeesPlantedLoop(t *testing.T) {
+	t.Parallel()
+	const plantAt = 5 * time.Second
+	on, twin := plantedArms(t, plantAt, nil, func(sim *controller.Sim) error {
+		b, r2 := sim.Topo.MustNode(topo.Fig1B), sim.Topo.MustNode(topo.Fig1R2)
+		_, err := sim.Lies.Apply(topo.Fig1BluePrefixName, []fibbing.Lie{
+			{Prefix: topo.Fig1BluePrefix, Attach: b, Via: r2, Cost: 0},
+			{Prefix: topo.Fig1BluePrefix, Attach: r2, Via: b, Cost: 0},
+		})
+		return err
+	})
 	unsafe, _ := judgeTwin(on, twin)
 	i, _ := slices.BinarySearch(on.instants, plantAt)
 	if i == len(on.instants) {
@@ -286,6 +301,30 @@ func TestSafetyOracleSeesPlantedLoop(t *testing.T) {
 	if hit < 0 {
 		t.Fatalf("the first check after the planted lies (@%v) reports no loop on %s the twin lacks; unsafe: %v",
 			first, topo.Fig1BluePrefixName, unsafe)
+	}
+	t.Logf("planted at %v, flagged %s", plantAt, unsafe[hit])
+}
+
+// TestSafetyOracleSeesPlantedDrop shows the oracle still fails on a drop
+// the twin does not share, although a router with no route is now a drop
+// in both arms. On a fig1 controller arm only, B-R2, on blue's IGP path
+// A-B-R2-C, fails before any viewer arrives: the check at that instant
+// must report blue dropped over the failed link, while the twin, whose
+// link stays up, delivers, and the twin rule must call it unsafe.
+func TestSafetyOracleSeesPlantedDrop(t *testing.T) {
+	t.Parallel()
+	const plantAt = 5 * time.Second
+	fail := []FailureEvent{{At: plantAt, A: topo.Fig1B, B: topo.Fig1R2}}
+	on, twin := plantedArms(t, plantAt, fail, func(sim *controller.Sim) error {
+		return sim.SetLinkState(topo.Fig1B, topo.Fig1R2, false)
+	})
+	unsafe, _ := judgeTwin(on, twin)
+	hit := slices.IndexFunc(unsafe, func(c safetyCheck) bool {
+		return c.At == plantAt && c.Prefix == topo.Fig1BluePrefixName && c.Verdict != "" && !loops(c.Verdict)
+	})
+	if hit < 0 {
+		t.Fatalf("the check at the planted failure (@%v) reports no drop on %s the twin lacks; unsafe: %v",
+			plantAt, topo.Fig1BluePrefixName, unsafe)
 	}
 	t.Logf("planted at %v, flagged %s", plantAt, unsafe[hit])
 }
