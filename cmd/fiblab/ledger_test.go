@@ -25,10 +25,10 @@ const (
 
 // ledgerBounds names every column the ledger bounds. Any other ledger
 // column is part of its row's key. The cmd/experiments columns are the
-// table headers with '_' for ' '; the population columns are the count
-// table's of internal/scenarios/testdata/population.txt: each counts
-// draws that break something, or lies, so each is an upper bound but
-// withdraws_fired.
+// table headers with '_' for ' '. The population columns are those of
+// the count table in internal/scenarios/testdata/population.txt; each
+// counts draws that break something, or lies left installed, so each is
+// an upper bound, but for withdraws_fired.
 var ledgerBounds = map[string]bound{
 	"lies":                upper,
 	"stall_seconds":       upper,

@@ -305,12 +305,13 @@ func TestSafetyOracleSeesPlantedLoop(t *testing.T) {
 	t.Logf("planted at %v, flagged %s", plantAt, unsafe[hit])
 }
 
-// TestSafetyOracleSeesPlantedDrop shows the oracle still fails on a drop
-// the twin does not share, although a router with no route is now a drop
-// in both arms. On a fig1 controller arm only, B-R2, on blue's IGP path
-// A-B-R2-C, fails before any viewer arrives: the check at that instant
-// must report blue dropped over the failed link, while the twin, whose
-// link stays up, delivers, and the twin rule must call it unsafe.
+// TestSafetyOracleSeesPlantedDrop shows that a drop the twin does not
+// share is still unsafe, now that a router with no route is a drop in
+// both arms (which makes a partition's drop a shared one). On a fig1
+// controller arm only, B-R2, on blue's IGP path A-B-R2-C, fails before
+// any viewer arrives: the check at that instant must report blue dropped
+// over the failed link, while the twin, whose link stays up, delivers,
+// and the twin rule must call it unsafe.
 func TestSafetyOracleSeesPlantedDrop(t *testing.T) {
 	t.Parallel()
 	const plantAt = 5 * time.Second
