@@ -45,19 +45,6 @@ func main() {
 	}
 }
 
-// lockedTransport serialises SNMP agent access with the pacing loop, so
-// external snmpwalks observe a consistent simulation snapshot.
-type lockedTransport struct {
-	mu    *sync.Mutex
-	agent *snmp.Agent
-}
-
-func (l lockedTransport) handle(req []byte) []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.agent.HandleRequest(req)
-}
-
 // run is main without the flags and the process: it runs the demo and
 // prints to w. Every line after the first (which names the bound
 // address) is a function of the simulated timeline only.
@@ -78,12 +65,17 @@ func run(w io.Writer, listen string, duration time.Duration, rateSpec string, wi
 	}
 
 	// Real SNMP agent over the simulated counters, guarded by the pacing
-	// mutex: only one of (scheduler step, SNMP query) runs at a time.
+	// mutex: only one of (scheduler step, SNMP query) runs at a time, so
+	// external snmpwalks observe a consistent simulation snapshot.
 	var mu sync.Mutex
 	mib := snmp.NewMIB()
 	snmp.BindIFMIB(mib, sim.Net, topo.NoNode)
 	agent := snmp.NewAgent("public", mib)
-	lt := lockedTransport{mu: &mu, agent: agent}
+	handle := func(req []byte) []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		return agent.HandleRequest(req)
+	}
 
 	// The data plane records a link's series once asked for: ask before
 	// the run.
@@ -101,7 +93,9 @@ func run(w io.Writer, listen string, duration time.Duration, rateSpec string, wi
 		return err
 	}
 	defer conn.Close()
-	go serveLocked(conn, lt)
+	// The loop ends when the deferred Close shuts conn; its error then
+	// only says so.
+	go func() { _ = snmp.ServeUDP(conn, handle) }()
 	fmt.Fprintf(w, "fibbingd: SNMP agent on %s (community public); controller=%v; running %v at %gx\n",
 		conn.LocalAddr(), withCtrl, duration, pace)
 
@@ -137,19 +131,4 @@ func run(w io.Writer, listen string, duration time.Duration, rateSpec string, wi
 		agg.Sessions, agg.SmoothSessions, agg.TotalStalls, 100*agg.MeanRebuffer)
 	fmt.Fprintf(w, "live lies: %d, max utilisation: %.2f\n", sim.Lies.LieCount(), sim.Net.MaxUtilisation())
 	return nil
-}
-
-func serveLocked(conn net.PacketConn, lt lockedTransport) {
-	buf := make([]byte, 64*1024)
-	for {
-		n, addr, err := conn.ReadFrom(buf)
-		if err != nil {
-			return
-		}
-		if resp := lt.handle(buf[:n]); resp != nil {
-			if _, err := conn.WriteTo(resp, addr); err != nil {
-				return
-			}
-		}
-	}
 }

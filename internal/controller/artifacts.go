@@ -131,9 +131,8 @@ type PlanArtifacts struct {
 	lp    map[string]lpEntry
 	qoe   map[string]result[qoe.PlanQoE]
 
-	// solver and stats are shared across cache generations (stats also
-	// with the ephemeral failover artifacts): the counters are cumulative
-	// per controller.
+	// solver and stats are shared across cache generations: the counters
+	// are cumulative per controller.
 	solver *te.MinMaxSolver
 	stats  *ArtifactStats
 	// planCount and qoeCount point into stats.

@@ -104,6 +104,9 @@ type Reaction struct {
 	Strategy string   `json:"strategy,omitempty"`
 	Lies     int      `json:"lies,omitempty"`
 	Errors   []string `json:"errors,omitempty"`
+	// Stranded names ("prefix@ingress") the demand the round left out:
+	// ingresses with no route to their prefix on the live topology.
+	Stranded []string `json:"stranded,omitempty"`
 
 	plan *Plan   // for Handle to commit
 	errs []error // failures before the commit
@@ -179,9 +182,11 @@ type Controller struct {
 	raised map[topo.LinkID]bool
 
 	// failed tracks links the liveness layer (internal/bfd) has declared
-	// dead, keyed by the pair's canonical (lower) LinkID. Planning runs
-	// over the topology minus these links.
+	// dead, keyed by the pair's canonical (lower) LinkID. live is topo
+	// minus these links, rebuilt by markFailed: every reaction plans
+	// over it (node IDs are shared, link IDs are not).
 	failed map[topo.LinkID]bool
+	live   *topo.Topology
 	// preFailure snapshots the installed lie set at the first link
 	// failure: failover plans are temporary detours, and when every
 	// failed link has healed the controller reverts to this state if it
@@ -248,6 +253,7 @@ func New(t *topo.Topology, lies *southbound.LieManager, now func() time.Duration
 		members:    make(map[string]map[topo.NodeID]int),
 		raised:     make(map[topo.LinkID]bool),
 		failed:     make(map[topo.LinkID]bool),
+		live:       t,
 		futile:     make(map[topo.LinkID]bool),
 		arts:       NewPlanArtifacts(t),
 	}
@@ -264,34 +270,43 @@ func (c *Controller) Planner() *Planner { return c.planner }
 // event, updates the demand/alarm/liveness state, runs the reaction the
 // event calls for, and is the one site that commits and records it.
 func (c *Controller) Handle(ev Event) {
-	var r *Reaction
+	// What the routers still believe until the IGP hears of a failure:
+	// the live topology as it stands before this event.
+	believed := c.live
 	switch ev.Kind {
 	case EventDemandChanged:
 		c.applyDemand(ev)
+		return
 	case EventAlarmRaised:
 		c.raised[ev.Alarm.Link] = true
-		r = c.plan(ev)
 	case EventAlarmCleared:
 		delete(c.raised, ev.Alarm.Link)
-		r = c.reactToClear()
+	case EventLinkDown, EventLinkUp:
+		if !c.markFailed(ev.Link, ev.Kind == EventLinkDown) {
+			return // a duplicate announcement
+		}
+	}
+	demands, stranded := c.liveDemands()
+	var r *Reaction
+	switch ev.Kind {
+	case EventAlarmRaised:
+		r = c.plan(ev, demands)
+	case EventAlarmCleared:
+		r = c.reactToClear(demands)
 	case EventLinkDown:
-		if c.markFailed(ev.Link, true) {
-			if len(c.failed) == 1 {
-				// First failure of this episode: remember the healthy
-				// lie set so heals can restore it.
-				c.preFailure = c.lies.InstalledAll()
-			}
-			r = c.reactToFailure(ev)
+		if len(c.failed) == 1 {
+			// First failure of this episode: remember the healthy lie
+			// set so heals can restore it.
+			c.preFailure = c.lies.InstalledAll()
 		}
+		r = c.reactToFailure(ev.Link, believed, demands)
 	case EventLinkUp:
-		if c.markFailed(ev.Link, false) {
-			r = c.reactToRecovery()
-		}
+		r = c.reactToRecovery(demands)
 	}
 	if r == nil {
 		return // nothing planned, committed or failed
 	}
-	r.At, r.Trigger, r.Link = c.now(), ev.Kind.String(), ev.Alarm.Name
+	r.At, r.Trigger, r.Link, r.Stranded = c.now(), ev.Kind.String(), ev.Alarm.Name, stranded
 	if ev.Kind == EventLinkDown || ev.Kind == EventLinkUp {
 		r.Link = c.topo.Name(ev.Link.From) + "-" + c.topo.Name(ev.Link.To)
 	}
@@ -391,6 +406,33 @@ func (c *Controller) Demands() []topo.Demand {
 	return out
 }
 
+// liveDemands is the one demand filter every reaction plans from: the
+// demand model less each entry whose ingress has no plain-IGP route to
+// its prefix on the live topology, named ("prefix@ingress") as stranded.
+// The model keeps those entries, so a heal brings them back.
+func (c *Controller) liveDemands() (live []topo.Demand, stranded []string) {
+	demands := c.Demands()
+	if len(c.failed) == 0 {
+		return demands, nil
+	}
+	arts := c.ensureArtifacts(c.live)
+	for _, d := range demands {
+		if views, err := arts.Views(d.PrefixName, nil); err == nil && !routed(views, d.Ingress) {
+			stranded = append(stranded, d.PrefixName+"@"+c.topo.Name(d.Ingress))
+			continue
+		}
+		live = append(live, d)
+	}
+	return live, stranded
+}
+
+// routed reports whether router n has a route in a prefix's views (a
+// node the views do not cover, such as a host, counts as routed).
+func routed(views map[topo.NodeID]fibbing.RouteView, n topo.NodeID) bool {
+	v, ok := views[n]
+	return !ok || v.Local || len(v.NextHops) > 0
+}
+
 // QoEModel snapshots the controller's viewer model: the tracked member
 // counts per aggregate with the default playback config (each session
 // plays a fixed rate equal to its aggregate's per-session share) over
@@ -407,17 +449,14 @@ func (c *Controller) QoEModel() qoe.Model {
 	return qoe.Model{Members: members, Horizon: qoe.DefaultHorizon}
 }
 
-// plan maps a raised alarm into the topology minus liveness-failed links
-// (node IDs are shared) and plans on it. An alarm on a failed link itself
-// is obsolete: the failover path owns it.
-func (c *Controller) plan(ev Event) *Reaction {
-	demands := c.Demands()
+// plan maps a raised alarm into the live topology and plans on it. An
+// alarm on a failed link itself is obsolete: the failover path owns it.
+func (c *Controller) plan(ev Event, demands []topo.Demand) *Reaction {
 	if len(demands) == 0 {
 		return nil
 	}
-	pt := c.topo
+	pt := c.live
 	if len(c.failed) > 0 {
-		pt = c.planningTopo()
 		l := c.topo.Link(ev.Alarm.Link)
 		nl, ok := pt.FindLink(l.From, l.To)
 		if !ok {
@@ -461,13 +500,13 @@ func (c *Controller) planOn(pt *topo.Topology, ev Event, demands []topo.Demand) 
 	return r
 }
 
-// planHottest plans on the hottest link of the planning topology: the
-// alarm path for a trigger that carries no alarm of its own.
+// planHottest plans on the hottest link of the live topology: the alarm
+// path for a trigger that carries no alarm of its own.
 func (c *Controller) planHottest(demands []topo.Demand) *Reaction {
 	if len(demands) == 0 {
 		return nil
 	}
-	pt := c.planningTopo()
+	pt := c.live
 	loads, err := c.ensureArtifacts(pt).Loads(c.lies.InstalledAll(), demands)
 	if err != nil {
 		return nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/netip"
 	"reflect"
 	"slices"
 	"sort"
@@ -89,13 +90,16 @@ func (r *failoverRig) link(t *testing.T, a, b string) topo.Link {
 }
 
 // TestStandbyHitCommitsPrecomputedPlan: a failover plan computed ahead of
-// the failure — what the deleted standby cache precomputed in idle time —
-// is exactly the plan a LinkDown commits at the failure instant, which is
+// the failure — what the deleted standby cache precomputed in idle time,
+// over the same pair a LinkDown uses: evaluated on the topology without
+// the link, compiled against the one the routers still believe — is
+// exactly the plan a LinkDown commits at the failure instant, which is
 // why the cache moved no simulated number.
 func TestStandbyHitCommitsPrecomputedPlan(t *testing.T) {
 	r := newFailoverRig(t)
 	v := r.link(t, topo.Fig1B, topo.Fig1R2)
-	pre, err := r.c.failoverPlan(v)
+	live := NewPlanArtifacts(r.tp.CloneWithoutLinks(v.ID))
+	pre, err := failoverPin(live, r.tp, v, r.mgr.InstalledAll(), r.c.Demands())
 	if err != nil || pre == nil {
 		t.Fatalf("precomputed plan = %v, %v; want a plan", pre, err)
 	}
@@ -311,6 +315,67 @@ func TestPlanningSkipsFailedLinks(t *testing.T) {
 		t.Fatalf("alarm after the second change committed nothing (decisions %v, errors %v)", r.c.Decisions, r.c.Errors)
 	}
 	steersOver(r1r4)
+}
+
+// TestPartitionStrandsDemand: a BFD LinkDown that cuts a pendant
+// ingress off a ring is no controller error. Its reaction names the
+// demand it cuts off as stranded, plans the rest, and withdraws the lie
+// attached at the pendant, which no router can reach any more; after the
+// LinkUp the stranded demand is planned again.
+func TestPartitionStrandsDemand(t *testing.T) {
+	tp := topo.New()
+	ring := make([]topo.NodeID, 4)
+	for i := range ring {
+		ring[i] = tp.AddNode(fmt.Sprintf("r%d", i))
+	}
+	for i, w := range []int64{1, 1, 1, 2} {
+		tp.AddLink(ring[i], ring[(i+1)%len(ring)], w, topo.LinkOpts{Capacity: 10e6})
+	}
+	p := tp.AddNode("p")
+	tp.AddLink(p, ring[0], 1, topo.LinkOpts{Capacity: 100e6})
+	far := netip.MustParsePrefix("10.0.2.0/24")
+	tp.AddPrefix(netip.MustParsePrefix("10.0.1.0/24"), "near", topo.Attachment{Node: ring[2]})
+	tp.AddPrefix(far, "far", topo.Attachment{Node: ring[3]})
+	mgr := southbound.NewLieManager(&recordingInjector{}, ospf.ControllerIDBase)
+	c := New(tp, mgr, func() time.Duration { return time.Second })
+	c.Handle(DemandEvent("near", p, 16e6))
+	c.Handle(DemandEvent("near", ring[1], 1e6))
+	c.Handle(DemandEvent("far", p, 1e6))
+	if _, err := mgr.Apply("far", []fibbing.Lie{{Prefix: far, Attach: p, Via: ring[0], Cost: 1}}); err != nil {
+		t.Fatal(err)
+	}
+
+	cut, _ := tp.FindLink(p, ring[0])
+	c.Handle(LinkDownEvent(cut))
+	if len(c.Errors) != 0 || len(c.Reactions) != 1 {
+		t.Fatalf("the partition reacted %+v with errors %v, want one reaction and none", c.Reactions, c.Errors)
+	}
+	if r := c.Reactions[0]; !slices.Equal(r.Stranded, []string{"far@p", "near@p"}) || r.Strategy != "failover-pin" {
+		t.Fatalf("link-down reaction %+v, want a failover-pin with far@p and near@p stranded", r)
+	}
+	for prefix, lies := range mgr.InstalledAll() {
+		views, err := fibbing.IGPView(c.live, prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range lies {
+			if !routed(views, l.Attach) {
+				t.Fatalf("prefix %s: lie %+v is attached at %s, which has no route on the live topology",
+					prefix, l, tp.Name(l.Attach))
+			}
+		}
+	}
+
+	// The heal reconnects p, and its 16 Mbit/s is planned again: without
+	// it the ring would carry r1's 1 Mbit/s alone, and the hottest-link
+	// round would not run.
+	c.Handle(LinkUpEvent(cut))
+	if len(c.Errors) != 0 || len(c.Reactions) != 2 {
+		t.Fatalf("reactions = %+v with errors %v, want the heal's after the failure's", c.Reactions, c.Errors)
+	}
+	if r := c.Reactions[1]; len(r.Stranded) != 0 || r.BaseUtil == nil || *r.BaseUtil <= TargetUtil || len(r.Candidates) == 0 {
+		t.Fatalf("heal reaction %+v, want a planning round over p's demand with nothing stranded", r)
+	}
 }
 
 // TestHealReplansHottestLink: a heal the revert cannot improve on runs

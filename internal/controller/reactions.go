@@ -12,7 +12,9 @@ package controller
 //     the controller pins the post-failure IGP paths with lies compiled
 //     against the topology the routers still believe in (pre-failure),
 //     TI-LFA style, so traffic leaves the dead link immediately instead
-//     of blackholing until the IGP converges.
+//     of blackholing until the IGP converges. A failure that partitions
+//     the network strands the demand it cuts off, which every reaction
+//     leaves out (Controller.liveDemands) until a heal reconnects it.
 //   - Revert (reactToRecovery): when the last failed link heals, the
 //     pre-failure lie set comes back if it evaluates better than the
 //     detour.
@@ -39,8 +41,9 @@ func canonicalLink(l topo.Link) topo.LinkID {
 // whether it changed. Duplicates are expected — both endpoints detect a
 // symmetric failure, and BFD and the IGP dead interval announce the
 // same event at different timescales — and must not re-trigger the
-// reaction. On a change the futile memo is cleared and the topology
-// generation bumped: the planning universe moved.
+// reaction. On a change the live topology is rebuilt, the futile memo
+// cleared and the topology generation bumped: the planning universe
+// moved.
 func (c *Controller) markFailed(l topo.Link, down bool) bool {
 	id := canonicalLink(l)
 	if c.failed[id] == down {
@@ -51,31 +54,26 @@ func (c *Controller) markFailed(l topo.Link, down bool) bool {
 	} else {
 		delete(c.failed, id)
 	}
+	c.live = c.topo
+	if len(c.failed) > 0 {
+		c.live = c.topo.CloneWithoutLinks(slices.Sorted(maps.Keys(c.failed))...)
+	}
 	clear(c.futile)
 	c.gens.topo++
 	return true
 }
 
-// planningTopo is the topology the controller should plan over: the
-// configured one minus every link the liveness layer has declared dead.
-func (c *Controller) planningTopo() *topo.Topology {
-	if len(c.failed) == 0 {
-		return c.topo
-	}
-	return c.topo.CloneWithoutLinks(slices.Sorted(maps.Keys(c.failed))...)
-}
-
 // reactToClear is the withdrawal rule, run on every alarm clear: with
 // no alarm left raised, lies installed, and plain IGP routing of the
-// current demands over the planning topology at or below
-// DefaultWithdrawBelow, every installed lie is withdrawn. Otherwise the
-// lies stay: an alarm is still up, or IGP alone would congest again.
-func (c *Controller) reactToClear() *Reaction {
+// live demands over the live topology at or below DefaultWithdrawBelow,
+// every installed lie is withdrawn. Otherwise the lies stay: an alarm
+// is still up, or IGP alone would congest again.
+func (c *Controller) reactToClear(demands []topo.Demand) *Reaction {
 	installed := c.lies.InstalledAll()
 	if len(c.raised) > 0 || len(installed) == 0 {
 		return nil
 	}
-	util, err := c.ensureArtifacts(c.planningTopo()).MaxUtil(nil, c.Demands())
+	util, err := c.ensureArtifacts(c.live).MaxUtil(nil, demands)
 	if err != nil {
 		return &Reaction{errs: []error{fmt.Errorf("controller: withdraw: %w", err)}}
 	}
@@ -96,16 +94,21 @@ func (c *Controller) reactToClear() *Reaction {
 
 // reactToFailure answers a liveness-detected link failure with the
 // failover pin, or with the hottest-link round when nothing can be pinned.
-func (c *Controller) reactToFailure(ev Event) *Reaction {
-	plan, err := c.failoverPlan(ev.Link)
+// The pin evaluates over the live topology (where traffic will
+// physically flow) and compiles against believed, the live topology
+// before this failure: what the routers route on until the IGP dead
+// interval expires, so traffic leaves the dead link the moment the plan
+// commits instead of blackholing through the convergence window.
+func (c *Controller) reactToFailure(link topo.Link, believed *topo.Topology, demands []topo.Demand) *Reaction {
+	plan, err := failoverPin(c.ensureArtifacts(c.live), believed, link, c.lies.InstalledAll(), demands)
 	switch {
 	case err != nil:
 		return &Reaction{errs: []error{fmt.Errorf("controller: failover %s-%s: %w",
-			c.topo.Name(ev.Link.From), c.topo.Name(ev.Link.To), err)}}
+			c.topo.Name(link.From), c.topo.Name(link.To), err)}}
 	case plan != nil:
 		return &Reaction{plan: plan}
 	}
-	return c.planHottest(c.Demands())
+	return c.planHottest(demands)
 }
 
 // reactToRecovery reassesses routing the moment a failed link returns.
@@ -117,8 +120,7 @@ func (c *Controller) reactToFailure(ev Event) *Reaction {
 // TE); otherwise the alarm path the monitor would eventually take runs
 // immediately on the hottest link, and a clean recovery, already at
 // target, commits nothing.
-func (c *Controller) reactToRecovery() *Reaction {
-	demands := c.Demands()
+func (c *Controller) reactToRecovery(demands []topo.Demand) *Reaction {
 	snap := c.preFailure
 	if len(c.failed) == 0 {
 		c.preFailure = nil
@@ -136,9 +138,9 @@ func (c *Controller) reactToRecovery() *Reaction {
 
 // revertPlan builds the plan restoring the pre-failure lie set, if doing
 // so strictly improves the analytic utilisation under current demands,
-// evaluated through the healed topology's artifact cache (the alarm path
-// after it reads the same loads). Prefixes that gained lies during the
-// failure episode get explicit empty entries so the commit withdraws
+// evaluated through the healed live topology's artifact cache (the alarm
+// path after it reads the same loads). Prefixes that gained lies during
+// the failure episode get explicit empty entries so the commit withdraws
 // them.
 func (c *Controller) revertPlan(snap, installed map[string][]fibbing.Lie, demands []topo.Demand) *Plan {
 	overlay := maps.Clone(snap)
@@ -147,7 +149,7 @@ func (c *Controller) revertPlan(snap, installed map[string][]fibbing.Lie, demand
 			overlay[prefix] = nil
 		}
 	}
-	arts := c.ensureArtifacts(c.topo)
+	arts := c.ensureArtifacts(c.live)
 	cur, err := arts.MaxUtil(installed, demands)
 	if err != nil {
 		return nil
@@ -165,57 +167,22 @@ func (c *Controller) revertPlan(snap, installed map[string][]fibbing.Lie, demand
 	}
 }
 
-// failoverPlan computes the reaction to one link pair's failure. The
-// lies are compiled against the *pre-failure* topology — what the
-// routers believe until the IGP dead interval expires — so traffic
-// leaves the dead link the moment the plan commits, instead of
-// blackholing through the convergence window.
-func (c *Controller) failoverPlan(link topo.Link) (*Plan, error) {
-	demands := c.Demands()
-	if len(demands) == 0 {
-		return nil, nil
-	}
-	// base: the controller topology minus *other* already-failed links
-	// (the IGP has noticed or will notice those); the link under study
-	// stays in, because routers still route over it right now.
-	others := slices.DeleteFunc(slices.Sorted(maps.Keys(c.failed)), func(id topo.LinkID) bool {
-		return id == canonicalLink(link)
-	})
-	base, bl := c.topo, link
-	if len(others) > 0 {
-		base = c.topo.CloneWithoutLinks(others...)
-		var ok bool
-		if bl, ok = base.FindLink(link.From, link.To); !ok {
-			return nil, fmt.Errorf("link not in planning topology")
-		}
-	}
-	reduced := base.CloneWithoutLinks(bl.ID)
-	if err := reduced.Validate(); err != nil {
-		return nil, fmt.Errorf("failure partitions the network: %w", err)
-	}
-	// Evaluate over the reduced topology (where traffic will physically
-	// flow) but compile against base (what the routers believe). The
-	// artifact cache is ephemeral — the reduced topology is this call's
-	// own — but shares the controller's cumulative stats.
-	arts := newPlanArtifacts(reduced, c.arts.stats, nil)
-	return failoverPin(arts, base, bl, c.lies.InstalledAll(), demands)
-}
-
 // failoverPin pins the post-failure IGP paths: for each demanded prefix
-// it reads the IGP's routing on the reduced topology (arts' binding,
+// it reads the IGP's routing on the live topology (arts' binding,
 // without the failed link), widens the split at the failed link's
 // endpoints — the routers inheriting the rerouted traffic — with their
 // unused downhill neighbours, and compiles the resulting DAG into lies
-// against base, the topology the routers still believe in (failed lives
-// in base's ID space). The result steers traffic off the dead link
-// immediately and keeps steering it after the IGP converges. It returns
-// no plan when some prefix cannot be pinned; the hottest-link planning
-// round owns that case.
-func failoverPin(arts *PlanArtifacts, base *topo.Topology, failed topo.Link,
+// against believed, the topology the routers still route on. The result
+// steers traffic off the dead link immediately and keeps steering it
+// after the IGP converges. Every other installed lie attached at a
+// router with no route to its prefix on the live topology is withdrawn:
+// no router can reach it. It returns no plan when some prefix cannot be
+// pinned; the hottest-link planning round owns that case.
+func failoverPin(arts *PlanArtifacts, believed *topo.Topology, failed topo.Link,
 	installed map[string][]fibbing.Lie, demands []topo.Demand) (*Plan, error) {
 	// One evaluator for what the routers still believe: every prefix's
 	// compile shares its trees.
-	ev := fibbing.NewEvaluator(base)
+	ev := fibbing.NewEvaluator(believed)
 	overlay := make(map[string][]fibbing.Lie)
 	for _, prefix := range prefixNamesOf(demands) {
 		views, err := arts.Views(prefix, nil)
@@ -227,6 +194,18 @@ func failoverPin(arts *PlanArtifacts, base *topo.Topology, failed topo.Link,
 			return nil, nil
 		}
 		overlay[prefix] = lies
+	}
+	for prefix, lies := range installed {
+		if _, pinned := overlay[prefix]; pinned {
+			continue
+		}
+		views, err := arts.Views(prefix, nil)
+		kept := slices.DeleteFunc(slices.Clone(lies), func(l fibbing.Lie) bool {
+			return err == nil && !routed(views, l.Attach)
+		})
+		if len(kept) < len(lies) {
+			overlay[prefix] = kept
+		}
 	}
 	if len(overlay) == 0 {
 		return nil, nil
@@ -240,7 +219,7 @@ func failoverPin(arts *PlanArtifacts, base *topo.Topology, failed topo.Link,
 		Lies:          overlay,
 		PredictedUtil: util,
 		Rationale: fmt.Sprintf("pinned post-failure paths around %s-%s",
-			base.Name(failed.From), base.Name(failed.To)),
+			believed.Name(failed.From), believed.Name(failed.To)),
 	}
 	plan.LieCost = liveLiesAfter(installed, plan)
 	return plan, nil
@@ -249,7 +228,7 @@ func failoverPin(arts *PlanArtifacts, base *topo.Topology, failed topo.Link,
 // failoverPinLies builds and compiles one prefix's pin DAG: the reduced
 // topology's IGP next hops for every transit router (views, fetched
 // memoised by the caller), widened at the failed link's endpoints,
-// compiled and verified against the base topology ev is bound to.
+// compiled and verified against the believed topology ev is bound to.
 func failoverPinLies(ev *fibbing.Evaluator, reduced *topo.Topology, views map[topo.NodeID]fibbing.RouteView, prefix string, failed topo.Link) ([]fibbing.Lie, bool) {
 	dag := fibbing.DAG{}
 	for n, v := range views {

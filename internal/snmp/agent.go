@@ -169,16 +169,17 @@ func (a *Agent) HandleRequest(req []byte) []byte {
 	return resp.Encode()
 }
 
-// ServeUDP answers requests on a packet connection until the connection is
-// closed. Intended to run in its own goroutine.
-func (a *Agent) ServeUDP(conn net.PacketConn) error {
+// ServeUDP answers requests on a packet connection with handle (an
+// Agent's HandleRequest, or a wrapper that guards it) until the
+// connection is closed. Intended to run in its own goroutine.
+func ServeUDP(conn net.PacketConn, handle func([]byte) []byte) error {
 	buf := make([]byte, 64*1024)
 	for {
 		n, addr, err := conn.ReadFrom(buf)
 		if err != nil {
 			return err
 		}
-		if resp := a.HandleRequest(buf[:n]); resp != nil {
+		if resp := handle(buf[:n]); resp != nil {
 			if _, err := conn.WriteTo(resp, addr); err != nil {
 				return err
 			}

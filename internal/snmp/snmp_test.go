@@ -276,7 +276,7 @@ func TestUDPLoopback(t *testing.T) {
 	}
 	defer conn.Close()
 	agent := NewAgent("public", testMIB())
-	go func() { _ = agent.ServeUDP(conn) }()
+	go func() { _ = ServeUDP(conn, agent.HandleRequest) }()
 
 	client := NewClient(UDPTransport{
 		Addr:    conn.LocalAddr().String(),
