@@ -11,15 +11,15 @@
 //
 // The controller is a policy engine with a pluggable reaction-strategy
 // API: on a raised alarm a Strategy proposes, a Plan is the typed
-// proposal (per-prefix lie sets plus predicted max utilisation), and a
-// southbound.Transaction commits the winner all-or-nothing. The Planner
-// asks the registered strategies in registration order and scores them;
-// the paper's congestion tiers are the stock strategies (local-ecmp,
-// lp-optimal) and custom policies register via controller.New(...,
-// WithStrategies(...)); the commands and the scenario harness always run
-// the stock set. Withdrawal, the failover pin and its revert are fixed
-// controller reactions, not strategies. See README.md ("The
-// reaction-strategy API").
+// proposal (per-prefix lie sets plus predicted max utilisation), and one
+// southbound LieManager.Commit installs the winner all-or-nothing. The
+// Planner asks the registered strategies in registration order and
+// scores them; the paper's congestion tiers are the stock strategies
+// (local-ecmp, lp-optimal) and custom policies register via
+// controller.New(..., WithStrategies(...)); the commands and the
+// scenario harness always run the stock set. Withdrawal, the failover
+// pin and its revert are fixed controller reactions, not strategies. See
+// README.md ("The reaction-strategy API").
 //
 // All traffic magnitudes are bit/s and the planning pipeline is
 // scale-invariant: the LP is normalised by te.ProblemScale and every

@@ -15,9 +15,10 @@ package controller
 // live until the controller plans over another topology instance or the
 // bound one's weights change. The epoch tables (views, loads,
 // lp-optimal's compiled overlays, QoE predictions) have keys that grow
-// with lie sets and demands, so the controller empties them whenever its
-// generation triple (topology gen, demand gen, lie gen) moves, which
-// bounds their memory to one planning epoch. A warm re-plan — the same
+// with lie sets and demands, so the controller empties them whenever a
+// planning input moves (a demand change, a commit that changed the lies,
+// a liveness change marks the cache stale), which bounds their memory to
+// one planning epoch. A warm re-plan — the same
 // question asked again while nothing moved — is then one lookup per
 // strategy plus the scoring lookups.
 //

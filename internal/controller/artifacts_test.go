@@ -121,7 +121,7 @@ func TestArtifactMemo(t *testing.T) {
 
 // TestArtifactsRebindOnWeightChange: a Sim's controller and IGP domain
 // share one topology, and Domain.SetLinkWeight rewrites it in place
-// without moving any planning generation. The evaluator and the spreads
+// without marking the artifact cache stale. The evaluator and the spreads
 // outlive epochs, so only the topology's version tells the controller
 // they are stale: after the change, the cache it plans through answers
 // Views and spread (plain and loop-free-alternate) exactly as a fresh

@@ -18,7 +18,7 @@
 // dies, and the revert when it heals; a failure the pin cannot answer and
 // a heal the revert does not undo run the one planning round on the
 // hottest link. Every reaction returns a Reaction, which Handle alone
-// commits (one southbound.Transaction, all-or-nothing) and records.
+// commits (one LieManager.Commit, all-or-nothing) and records.
 package controller
 
 import (
@@ -35,15 +35,6 @@ import (
 	"fibbing.net/fibbing/internal/te"
 	"fibbing.net/fibbing/internal/topo"
 )
-
-// planGens is the planning-input invalidation triple. The struct is
-// comparable: two equal triples mean demands, installed lies and the
-// liveness topology are all unchanged since the stamp was taken.
-type planGens struct {
-	topo   uint64
-	demand uint64
-	lie    uint64
-}
 
 // TargetUtil is the post-reaction utilisation the controller aims for:
 // a plan at or below it satisfies the reaction, and the planner stops
@@ -152,7 +143,7 @@ func finite(v float64, want bool) *float64 {
 // Controller is the policy engine. It consumes typed Events (monitor
 // alarms, demand changes, link liveness) and reacts: a raised alarm plans
 // over its registered strategies, every other trigger runs a fixed
-// reaction, and the resulting plan commits transactionally; all event
+// reaction, and the resulting plan commits all-or-nothing; all event
 // handling runs on the simulation scheduler's goroutine.
 type Controller struct {
 	topo    *topo.Topology
@@ -161,22 +152,9 @@ type Controller struct {
 	now     func() time.Duration
 	planner *Planner
 
-	// demand model: prefix -> ingress -> aggregate bit/s, maintained
-	// from demand events.
-	demand map[string]map[topo.NodeID]float64
-	// demandPeak mirrors demand with the largest aggregate each entry
-	// has reached: the scale reference for deciding an entry has
-	// drained to zero. After 100k joins and 100k leaves the residual is
-	// accumulated float roundoff proportional to the peak (~Gbit/s for
-	// production crowds), not to any single event's delta.
-	demandPeak map[string]map[topo.NodeID]float64
-	// members mirrors demand with session counts: each positive-delta
-	// demand event is one viewer joining, each negative-delta one
-	// leaving. The counts parameterise the QoE predictor (a 100-session
-	// aggregate stalls very differently from one fat flow of the same
-	// volume) and are maintained unconditionally so reports can predict
-	// QoE even when the planner scores on utilisation.
-	members map[string]map[topo.NodeID]int
+	// demand model: prefix -> ingress -> aggregate, maintained from
+	// demand events.
+	demand map[string]map[topo.NodeID]*demandEntry
 
 	// raised tracks links with active congestion alarms.
 	raised map[topo.LinkID]bool
@@ -193,20 +171,16 @@ type Controller struct {
 	// still evaluates better than the detour (see reactToRecovery).
 	preFailure map[string][]fibbing.Lie
 
-	// gens is the planning-input generation triple: demand changes,
-	// lie-set changes (commits) and topology changes (liveness failures
-	// and heals) each bump their own counter. An artifact cache stamped
-	// with an older triple is stale.
-	gens planGens
-
 	// Artifact cache for the planner hot path: arts memoises SPF trees
 	// and local-ecmp spreads for the planning topology, and
 	// believed-topology compilations, load estimates and lp-optimal's
-	// compiled overlays for the current gens epoch (see
-	// ensureArtifacts). Its stats and LP solver are handed on when it
-	// rebinds, so the counters stay cumulative.
-	arts     *PlanArtifacts
-	artsGens planGens
+	// compiled overlays for the current epoch (see ensureArtifacts). Its
+	// stats and LP solver are handed on when it rebinds, so the counters
+	// stay cumulative. stale is set when a planning input moves (a demand
+	// change, a commit that changed the lies, a liveness change): the
+	// next ensureArtifacts starts a new epoch.
+	arts  *PlanArtifacts
+	stale bool
 
 	// futile memoises the alarmed links whose planning round found no
 	// plan: while demands, installed lies and failed links stay put, a
@@ -244,18 +218,16 @@ func WithStrategies(strategies ...Strategy) Option {
 // no options it runs the stock strategies under the default policy.
 func New(t *topo.Topology, lies *southbound.LieManager, now func() time.Duration, opts ...Option) *Controller {
 	c := &Controller{
-		topo:       t,
-		lies:       lies,
-		now:        now,
-		planner:    NewPlanner(),
-		demand:     make(map[string]map[topo.NodeID]float64),
-		demandPeak: make(map[string]map[topo.NodeID]float64),
-		members:    make(map[string]map[topo.NodeID]int),
-		raised:     make(map[topo.LinkID]bool),
-		failed:     make(map[topo.LinkID]bool),
-		live:       t,
-		futile:     make(map[topo.LinkID]bool),
-		arts:       NewPlanArtifacts(t),
+		topo:    t,
+		lies:    lies,
+		now:     now,
+		planner: NewPlanner(),
+		demand:  make(map[string]map[topo.NodeID]*demandEntry),
+		raised:  make(map[topo.LinkID]bool),
+		failed:  make(map[topo.LinkID]bool),
+		live:    t,
+		futile:  make(map[topo.LinkID]bool),
+		arts:    NewPlanArtifacts(t),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -329,17 +301,17 @@ func (c *Controller) Handle(ev Event) {
 
 // ensureArtifacts returns the artifact cache for the given planning
 // topology. A new topology instance, or a weight change on the bound one,
-// rebinds it and drops every memo; a move of the gens triple alone starts
-// a new epoch, which drops the epoch tables and keeps the topology ones.
-// The cumulative stats and the LP solve counter survive both.
+// rebinds it and drops every memo; a stale mark alone starts a new epoch,
+// which drops the epoch tables and keeps the topology ones. The
+// cumulative stats and the LP solve counter survive both.
 func (c *Controller) ensureArtifacts(pt *topo.Topology) *PlanArtifacts {
 	switch {
 	case !c.arts.boundTo(pt):
 		c.arts = newPlanArtifacts(pt, c.arts.stats, c.arts.solver)
-	case c.artsGens != c.gens:
+	case c.stale:
 		c.arts.newEpoch()
 	}
-	c.artsGens = c.gens
+	c.stale = false
 	return c.arts
 }
 
@@ -349,50 +321,57 @@ func (c *Controller) ArtifactStats() ArtifactStats { return c.arts.Stats() }
 // LPStats snapshots the LP solve counter.
 func (c *Controller) LPStats() te.WarmLPStats { return c.arts.LPStats() }
 
+// demandEntry is one aggregate of the demand model. peak is the largest
+// rate the entry has reached: the scale reference for deciding it has
+// drained to zero. After 100k joins and 100k leaves the residual is
+// accumulated float roundoff proportional to the peak (~Gbit/s for
+// production crowds), not to any single event's delta. members counts
+// sessions: each positive-delta demand event is one viewer joining, each
+// negative-delta one leaving. The counts parameterise the QoE predictor
+// (a 100-session aggregate stalls very differently from one fat flow of
+// the same volume) and are kept even when the planner scores on
+// utilisation, so reports can predict QoE.
+type demandEntry struct {
+	rate, peak float64
+	members    int
+}
+
 func (c *Controller) applyDemand(ev Event) {
 	m := c.demand[ev.Prefix]
 	if m == nil {
 		if ev.DeltaRate <= 0 {
 			return
 		}
-		m = make(map[topo.NodeID]float64)
+		m = make(map[topo.NodeID]*demandEntry)
 		c.demand[ev.Prefix] = m
 	}
-	m[ev.Ingress] += ev.DeltaRate
-	pk := c.demandPeak[ev.Prefix]
-	if pk == nil {
-		pk = make(map[topo.NodeID]float64)
-		c.demandPeak[ev.Prefix] = pk
+	d := m[ev.Ingress]
+	if d == nil {
+		d = &demandEntry{}
+		m[ev.Ingress] = d
 	}
-	if m[ev.Ingress] > pk[ev.Ingress] {
-		pk[ev.Ingress] = m[ev.Ingress]
+	d.rate += ev.DeltaRate
+	if d.rate > d.peak {
+		d.peak = d.rate
 	}
 	// Session counting: one event, one viewer. Zero-delta events (rate
 	// renegotiations) leave the count alone.
-	mem := c.members[ev.Prefix]
-	if mem == nil {
-		mem = make(map[topo.NodeID]int)
-		c.members[ev.Prefix] = mem
-	}
 	switch {
 	case ev.DeltaRate > 0:
-		mem[ev.Ingress]++
-	case ev.DeltaRate < 0 && mem[ev.Ingress] > 0:
-		mem[ev.Ingress]--
+		d.members++
+	case ev.DeltaRate < 0 && d.members > 0:
+		d.members--
 	}
 	// Scale-relative zero test against the entry's peak: a full drain
 	// leaves add/subtract roundoff proportional to the peak aggregate,
 	// far above an absolute cutoff (or the final leave's own delta) once
 	// crowds reach Gbit/s. A surviving phantom entry would keep the
 	// planner chasing a prefix with no real traffic.
-	if m[ev.Ingress] <= 1e-9*math.Max(1, pk[ev.Ingress]) {
+	if d.rate <= 1e-9*math.Max(1, d.peak) {
 		delete(m, ev.Ingress)
-		delete(pk, ev.Ingress)
-		delete(mem, ev.Ingress)
 	}
 	clear(c.futile) // changed demands may make a rejected plan viable
-	// Cached artifacts were computed for the old demands.
-	c.gens.demand++
+	c.stale = true  // cached artifacts were computed for the old demands
 }
 
 // Demands snapshots the current demand model.
@@ -400,7 +379,7 @@ func (c *Controller) Demands() []topo.Demand {
 	var out []topo.Demand
 	for _, name := range slices.Sorted(maps.Keys(c.demand)) {
 		for _, in := range slices.Sorted(maps.Keys(c.demand[name])) {
-			out = append(out, topo.Demand{Ingress: in, PrefixName: name, Volume: c.demand[name][in]})
+			out = append(out, topo.Demand{Ingress: in, PrefixName: name, Volume: c.demand[name][in].rate})
 		}
 	}
 	return out
@@ -439,12 +418,16 @@ func routed(views map[topo.NodeID]fibbing.RouteView, n topo.NodeID) bool {
 // the default prediction horizon. The snapshot is deep-copied, so
 // callers may hold it across further demand events.
 func (c *Controller) QoEModel() qoe.Model {
-	members := make(map[string]map[topo.NodeID]int, len(c.members))
-	for prefix, mem := range c.members {
-		if len(mem) == 0 {
+	members := make(map[string]map[topo.NodeID]int, len(c.demand))
+	for prefix, m := range c.demand {
+		if len(m) == 0 {
 			continue
 		}
-		members[prefix] = maps.Clone(mem)
+		mem := make(map[topo.NodeID]int, len(m))
+		for in, d := range m {
+			mem[in] = d.members
+		}
+		members[prefix] = mem
 	}
 	return qoe.Model{Members: members, Horizon: qoe.DefaultHorizon}
 }
@@ -518,19 +501,13 @@ func (c *Controller) planHottest(demands []topo.Demand) *Reaction {
 	return c.planOn(pt, AlarmEvent(alarm), demands)
 }
 
-// commit applies the plan's per-prefix lie sets through one southbound
-// transaction: either every prefix reconciles or none does. It reports an
-// empty delta (the plan was already installed). Any commit attempt clears
-// the futile memo, since it may change the installed lies.
+// commit applies the plan's per-prefix lie sets in one LieManager.Commit:
+// either every prefix reconciles or none does. It reports an empty delta
+// (the plan was already installed). Any commit attempt clears the futile
+// memo, since it may change the installed lies.
 func (c *Controller) commit(plan *Plan) (empty bool, err error) {
 	clear(c.futile)
-	tx := c.lies.Begin()
-	for _, prefix := range plan.Prefixes() {
-		if err := tx.Apply(prefix, plan.Lies[prefix]); err != nil {
-			return false, fmt.Errorf("controller: commit %s: %w", plan.Strategy, err)
-		}
-	}
-	delta, err := tx.Commit()
+	delta, err := c.lies.Commit(plan.Lies)
 	if err != nil {
 		return false, fmt.Errorf("controller: commit %s: %w", plan.Strategy, err)
 	}
@@ -539,6 +516,6 @@ func (c *Controller) commit(plan *Plan) (empty bool, err error) {
 	}
 	// The installed lie set changed; cached artifacts were computed over
 	// the previous one.
-	c.gens.lie++
+	c.stale = true
 	return false, nil
 }

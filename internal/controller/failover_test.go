@@ -216,10 +216,10 @@ func TestFailoverCommitRollbackByteIdentical(t *testing.T) {
 }
 
 // TestEnsureArtifactsRebindsOnEachGeneration: a demand change, a
-// committed lie change and a liveness change each move the generation
-// triple on their own — landing in the same instant included — so the
-// artifact cache over an unchanged topology instance starts a new epoch
-// after each, and only after one. A new epoch recomputes the epoch
+// committed lie change and a liveness change each mark the artifact
+// cache stale on their own — landing in the same instant included — so
+// the cache over an unchanged topology instance starts a new epoch after
+// each, and only after one. A new epoch recomputes the epoch
 // tables (the plain-IGP view probed here) and keeps the topology binding
 // and its tables (local-ecmp's spread at B probed here).
 func TestEnsureArtifactsRebindsOnEachGeneration(t *testing.T) {

@@ -352,7 +352,7 @@ func TestPlannerNeverWorsensAcrossZoo(t *testing.T) {
 }
 
 // TestCommitRollbackAcrossZoo is the rollback half of the zoo property:
-// committing a plan through a Transaction whose injector dies at every
+// committing a plan through LieManager.Commit whose injector dies at every
 // possible call leaves the installed lies exactly as they were — no
 // half-installed multi-prefix state.
 func TestCommitRollbackAcrossZoo(t *testing.T) {
@@ -381,19 +381,9 @@ func TestCommitRollbackAcrossZoo(t *testing.T) {
 				}
 			}
 			inj.failAt = inj.calls + failAt
-			tx := mgr.Begin()
-			var commitErr error
-			for _, prefix := range plan.Prefixes() {
-				if commitErr = tx.Apply(prefix, plan.Lies[prefix]); commitErr != nil {
-					break
-				}
-			}
-			if commitErr == nil {
+			if _, err := mgr.Commit(plan.Lies); err == nil {
 				// The injector never hit failAt: the whole commit fits in
 				// fewer calls, so every failure point has been tested.
-				if _, err := tx.Commit(); err != nil {
-					t.Fatal(err)
-				}
 				break
 			}
 			got := mgr.InstalledAll()
@@ -421,7 +411,7 @@ func TestCommitRollbackAcrossZoo(t *testing.T) {
 
 // TestCustomStrategyEndToEnd registers a custom strategy on a live
 // controller via WithStrategies and drives it through the typed event
-// API: the custom plan must be committed through the transaction and
+// API: the custom plan must be committed through LieManager.Commit and
 // logged as a decision.
 func TestCustomStrategyEndToEnd(t *testing.T) {
 	fig1 := topo.Fig1(topo.Fig1Opts{})

@@ -42,7 +42,7 @@ func canonicalLink(l topo.Link) topo.LinkID {
 // symmetric failure, and BFD and the IGP dead interval announce the
 // same event at different timescales — and must not re-trigger the
 // reaction. On a change the live topology is rebuilt, the futile memo
-// cleared and the topology generation bumped: the planning universe
+// cleared and the artifact cache marked stale: the planning universe
 // moved.
 func (c *Controller) markFailed(l topo.Link, down bool) bool {
 	id := canonicalLink(l)
@@ -59,7 +59,7 @@ func (c *Controller) markFailed(l topo.Link, down bool) bool {
 		c.live = c.topo.CloneWithoutLinks(slices.Sorted(maps.Keys(c.failed))...)
 	}
 	clear(c.futile)
-	c.gens.topo++
+	c.stale = true
 	return true
 }
 

@@ -2,6 +2,7 @@ package scenarios
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"fibbing.net/fibbing/internal/controller"
@@ -84,8 +85,10 @@ func Violations(spec Spec, on, off *Report) []string {
 		}
 	}
 
-	// Lies must exist, target only the scenario's prefix, and react fast.
-	if on.Lies == 0 {
+	// Some commit must have installed lies (lies pinned and later
+	// reverted count), lies may target only the scenario's prefix, and
+	// the reaction must be fast.
+	if !slices.ContainsFunc(on.Decisions, func(d controller.Decision) bool { return d.Lies > 0 }) {
 		fail("controller never installed a lie")
 	}
 	for name, n := range on.LiesByPrefix {

@@ -8,6 +8,7 @@ package southbound
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 
 	"fibbing.net/fibbing/internal/fibbing"
@@ -86,7 +87,7 @@ func (m *LieManager) LieCount() int {
 	return n
 }
 
-// Delta is the minimal on-the-wire change one Apply performed: the lies
+// Delta is the minimal on-the-wire change one Commit performed: the lies
 // it injected and the lies it withdrew. Lies present before and after are
 // never re-signalled, so an empty delta means the IGP saw no traffic at
 // all. It is the southbound stage of the delta pipeline: each injected or
@@ -100,107 +101,127 @@ type Delta struct {
 // Empty reports whether the reconciliation touched the wire.
 func (d Delta) Empty() bool { return len(d.Injected) == 0 && len(d.Withdrawn) == 0 }
 
-// Apply reconciles the installed lies for one prefix towards desired:
-// lies present in both stay untouched; extra installed lies are withdrawn
-// (MaxAge re-origination); missing lies are injected fresh. It returns
-// the delta it signalled.
-//
-// Apply is atomic per prefix: when the injector fails mid-batch, the lies
-// it already signalled in this call are compensated (fresh injections are
-// MaxAged out, withdrawals are re-originated) before the error returns,
-// so a failed Apply leaves the prefix's live lie set exactly as it was.
-// If a compensation itself fails, the bookkeeping tracks what is actually
-// live on the wire and the returned error reports both failures.
-func (m *LieManager) Apply(prefix string, desired []fibbing.Lie) (Delta, error) {
-	cur := m.installed[prefix]
+// signal is one fake LSA of a commit: a lie's entry at the sequence
+// number it goes out with, and whether it is a withdrawal (MaxAge).
+type signal struct {
+	prefix   string
+	e        lieEntry
+	withdraw bool
+}
 
-	// Multiset diff on the Lie value.
-	remaining := make(map[fibbing.Lie]int, len(desired))
-	for _, l := range desired {
-		remaining[l]++
-	}
-	var keep []lieEntry
-	var drop []lieEntry
-	for _, e := range cur {
-		if remaining[e.lie] > 0 {
-			remaining[e.lie]--
-			keep = append(keep, e)
-		} else {
-			drop = append(drop, e)
-		}
-	}
-
-	var withdrawn []lieEntry // drops signalled so far (seq at their MaxAge origination)
-	var injected []lieEntry  // fresh lies signalled so far
-	// fail unwinds the lies this call already signalled, in reverse, and
-	// records whatever actually ends up live: kept entries, drops whose
-	// withdrawal never went out, compensated state for the rest.
-	fail := func(cause error) (Delta, error) {
-		final := append([]lieEntry(nil), keep...)
-		final = append(final, drop[len(withdrawn):]...) // never signalled: still live
-		var rollbackErrs []error
-		for i := len(injected) - 1; i >= 0; i-- {
-			e := injected[i]
-			lsa := e.lie.ToLSA(m.adv, e.lsid, e.seq+1)
-			lsa.Header.Age = ospf.MaxAgeSeconds
-			if err := m.inj.Inject(lsa); err != nil {
-				rollbackErrs = append(rollbackErrs, err)
-				final = append(final, e) // compensation failed: the lie is live
-			}
-		}
-		for i := len(withdrawn) - 1; i >= 0; i-- {
-			e := withdrawn[i]
-			e.seq++ // the fresh origination must beat the MaxAge LSA
-			if err := m.inj.Inject(e.lie.ToLSA(m.adv, e.lsid, e.seq)); err != nil {
-				rollbackErrs = append(rollbackErrs, err)
-				continue // stays withdrawn
-			}
-			final = append(final, e)
-		}
-		m.setInstalled(prefix, final)
-		if len(rollbackErrs) > 0 {
-			return Delta{}, fmt.Errorf("%w (rollback also failed: %v)", cause, rollbackErrs)
-		}
-		return Delta{}, cause
-	}
-
-	// Withdraw removed lies.
-	for _, e := range drop {
-		lsa := e.lie.ToLSA(m.adv, e.lsid, e.seq+1)
+func (m *LieManager) send(e lieEntry, maxAge bool) error {
+	lsa := e.lie.ToLSA(m.adv, e.lsid, e.seq)
+	if maxAge {
 		lsa.Header.Age = ospf.MaxAgeSeconds
-		if err := m.inj.Inject(lsa); err != nil {
-			return fail(fmt.Errorf("southbound: withdraw %v: %w", e.lie, err))
-		}
-		e.seq++
-		withdrawn = append(withdrawn, e)
 	}
-	// Inject new lies, deterministically ordered.
-	var missing []fibbing.Lie
-	for l, n := range remaining {
-		for i := 0; i < n; i++ {
-			missing = append(missing, l)
+	return m.inj.Inject(lsa)
+}
+
+// Commit reconciles the installed lies towards overlay, under the
+// planner's overlay rule: a named prefix ends with exactly its lies (nil
+// withdraws them all), and an unnamed prefix keeps its own. Lies present
+// before and after stay untouched; extra installed lies are withdrawn
+// (MaxAge re-origination) and missing ones injected fresh. The commit is
+// one ordered list of LSAs: prefixes in name order, and within a prefix
+// its withdrawals first, then its injections in lieCompare order. It
+// returns the delta it signalled.
+//
+// Commit is all-or-nothing: when the injector fails, the LSAs already
+// signalled are undone in reverse order (an injection is MaxAged out, a
+// withdrawal re-originated under its own LSID) before the error returns,
+// so a failed Commit leaves every live lie as it was. If an undo fails
+// too, the bookkeeping tracks what is actually live on the wire and the
+// error reports both failures.
+func (m *LieManager) Commit(overlay map[string][]fibbing.Lie) (Delta, error) {
+	var sigs []signal
+	next := make(map[string][]lieEntry, len(overlay))
+	for _, prefix := range slices.Sorted(maps.Keys(overlay)) {
+		// Multiset diff on the Lie value.
+		remaining := make(map[fibbing.Lie]int, len(overlay[prefix]))
+		for _, l := range overlay[prefix] {
+			remaining[l]++
+		}
+		var keep []lieEntry
+		for _, e := range m.installed[prefix] {
+			if remaining[e.lie] > 0 {
+				remaining[e.lie]--
+				keep = append(keep, e)
+				continue
+			}
+			e.seq++ // the MaxAge copy must beat the live one
+			sigs = append(sigs, signal{prefix: prefix, e: e, withdraw: true})
+		}
+		next[prefix] = keep
+		var missing []fibbing.Lie
+		for l, n := range remaining {
+			for i := 0; i < n; i++ {
+				missing = append(missing, l)
+			}
+		}
+		slices.SortFunc(missing, lieCompare)
+		for _, l := range missing {
+			sigs = append(sigs, signal{prefix: prefix, e: lieEntry{seq: 1, lie: l}})
 		}
 	}
-	slices.SortFunc(missing, lieCompare)
-	for _, l := range missing {
-		lsid := m.nextLSID + 1
-		e := lieEntry{lsid: lsid, seq: 1, lie: l}
-		if err := m.inj.Inject(l.ToLSA(m.adv, e.lsid, e.seq)); err != nil {
-			return fail(fmt.Errorf("southbound: inject %v: %w", l, err))
-		}
-		m.nextLSID = lsid
-		injected = append(injected, e)
-	}
-	keep = append(keep, injected...)
-	m.setInstalled(prefix, keep)
 	var delta Delta
-	for _, e := range withdrawn {
-		delta.Withdrawn = append(delta.Withdrawn, e.lie)
+	for i := range sigs {
+		s := &sigs[i]
+		verb := "withdraw"
+		if !s.withdraw {
+			verb, s.e.lsid = "inject", m.nextLSID+1
+		}
+		if err := m.send(s.e, s.withdraw); err != nil {
+			return Delta{}, m.undo(sigs[:i], fmt.Errorf("southbound: %s %v: %w", verb, s.e.lie, err))
+		}
+		if s.withdraw {
+			delta.Withdrawn = append(delta.Withdrawn, s.e.lie)
+			continue
+		}
+		m.nextLSID = s.e.lsid
+		next[s.prefix] = append(next[s.prefix], s.e)
+		delta.Injected = append(delta.Injected, s.e.lie)
 	}
-	for _, e := range injected {
-		delta.Injected = append(delta.Injected, e.lie)
+	for prefix, entries := range next {
+		m.setInstalled(prefix, entries)
 	}
 	return delta, nil
+}
+
+// undo reverts the signals a failed commit already sent, in reverse:
+// each goes out again at the next sequence number with its age flipped.
+// The installed lies are still the pre-commit ones; a signal whose undo
+// fails stands, and the bookkeeping follows it.
+func (m *LieManager) undo(sent []signal, cause error) error {
+	var errs []error
+	for i := len(sent) - 1; i >= 0; i-- {
+		s := sent[i]
+		e := s.e
+		e.seq++
+		es := m.installed[s.prefix]
+		same := func(x lieEntry) bool { return x.lsid == e.lsid }
+		if err := m.send(e, !s.withdraw); err != nil {
+			errs = append(errs, err)
+			if s.withdraw {
+				m.setInstalled(s.prefix, slices.DeleteFunc(es, same))
+			} else {
+				m.setInstalled(s.prefix, append(es, s.e))
+			}
+			continue
+		}
+		if s.withdraw {
+			es[slices.IndexFunc(es, same)] = e // re-originated: the live copy is newer
+		}
+	}
+	if len(errs) > 0 {
+		return fmt.Errorf("%w (undo also failed: %v)", cause, errs)
+	}
+	return cause
+}
+
+// Apply reconciles one prefix's lies towards desired: Commit of the
+// one-prefix overlay.
+func (m *LieManager) Apply(prefix string, desired []fibbing.Lie) (Delta, error) {
+	return m.Commit(map[string][]fibbing.Lie{prefix: desired})
 }
 
 func (m *LieManager) setInstalled(prefix string, entries []lieEntry) {
@@ -211,91 +232,15 @@ func (m *LieManager) setInstalled(prefix string, entries []lieEntry) {
 	m.installed[prefix] = entries
 }
 
-// Transaction is an all-or-nothing commit of a multi-prefix lie set: each
-// Apply reconciles one prefix, and a failure rolls every prefix the
-// transaction already touched back to its pre-transaction lies. The
-// controller's Planner commits whole Plans through it so a mid-apply
-// injector failure can never leave a half-installed multi-prefix state.
-type Transaction struct {
-	m      *LieManager
-	prev   map[string][]fibbing.Lie
-	order  []string
-	delta  Delta
-	closed bool
-}
-
-// Begin opens a transaction on the manager. Transactions must not
-// interleave with each other or with direct Apply calls.
-func (m *LieManager) Begin() *Transaction {
-	return &Transaction{m: m, prev: make(map[string][]fibbing.Lie)}
-}
-
-// Apply reconciles one prefix towards desired (nil/empty withdraws all of
-// its lies). On an injector error the transaction rolls back every prefix
-// it touched — including this one, whose per-prefix Apply already
-// self-compensated — and returns the error; the transaction is closed.
-func (t *Transaction) Apply(prefix string, desired []fibbing.Lie) error {
-	if t.closed {
-		return fmt.Errorf("southbound: transaction already closed")
-	}
-	if _, seen := t.prev[prefix]; !seen {
-		t.prev[prefix] = t.m.Installed(prefix)
-		t.order = append(t.order, prefix)
-	}
-	delta, err := t.m.Apply(prefix, desired)
-	t.delta.Injected = append(t.delta.Injected, delta.Injected...)
-	t.delta.Withdrawn = append(t.delta.Withdrawn, delta.Withdrawn...)
-	if err != nil {
-		if rerr := t.rollback(); rerr != nil {
-			return fmt.Errorf("%w (transaction rollback: %v)", err, rerr)
-		}
-		return err
-	}
-	return nil
-}
-
-// Commit finalises the transaction and returns the accumulated on-wire
-// delta. Committing a transaction that already failed (and so rolled
-// back) returns an error: the work was reverted, not applied.
-// Further calls on the transaction fail.
-func (t *Transaction) Commit() (Delta, error) {
-	if t.closed {
-		return Delta{}, fmt.Errorf("southbound: transaction already closed")
-	}
-	t.closed = true
-	return t.delta, nil
-}
-
-func (t *Transaction) rollback() error {
-	t.closed = true
-	t.delta = Delta{}
-	var errs []error
-	for i := len(t.order) - 1; i >= 0; i-- {
-		prefix := t.order[i]
-		if _, err := t.m.Apply(prefix, t.prev[prefix]); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("southbound: rollback: %v", errs)
-	}
-	return nil
-}
-
-// WithdrawAll flushes every live lie (controller shutdown, as Fibbing
-// prescribes: the network falls back to pure IGP routing).
+// WithdrawAll flushes every live lie in one commit (controller shutdown,
+// as Fibbing prescribes: the network falls back to pure IGP routing).
 func (m *LieManager) WithdrawAll() error {
-	prefixes := make([]string, 0, len(m.installed))
+	overlay := make(map[string][]fibbing.Lie, len(m.installed))
 	for prefix := range m.installed {
-		prefixes = append(prefixes, prefix)
+		overlay[prefix] = nil
 	}
-	slices.Sort(prefixes)
-	for _, prefix := range prefixes {
-		if _, err := m.Apply(prefix, nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := m.Commit(overlay)
+	return err
 }
 
 func lieCompare(a, b fibbing.Lie) int {
