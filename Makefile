@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz mutants goldens matrix failover qoe quickstart bench-e2e bench-check scale cover docs-check
+.PHONY: all build test race vet fuzz mutants goldens matrix failover qoe quickstart bench-e2e bench-check profile scale cover docs-check
 
 all: vet build test
 
@@ -105,6 +105,24 @@ bench-e2e:
 # root `./...` patterns never reach it.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# A fresh CPU and allocation profile of the matrix cells, to order the
+# sites a performance change starts from. TestScenarioMatrix and
+# TestFailoverInvariants run 21 of the loop-matrix workload's 23 cells
+# (all but its two @qoe cells), 60 passes, under go test's own
+# -cpuprofile and -memprofile. They also run every cell's controller-off
+# twin and the safety oracle, so the profile orders the sites but does
+# not size them: size a site with bench-e2e. Writes the test binary and
+# both profiles under .bench_build/profile/ and prints the top of each
+# (-top -cum; the memory one by bytes allocated).
+PROFILE_DIR = .bench_build/profile
+profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^(TestScenarioMatrix|TestFailoverInvariants)$$' -count=60 \
+	  -o $(PROFILE_DIR)/scenarios.test -outputdir $(CURDIR)/$(PROFILE_DIR) \
+	  -cpuprofile cpu.out -memprofile mem.out ./internal/scenarios
+	$(GO) tool pprof -top -cum $(PROFILE_DIR)/scenarios.test $(PROFILE_DIR)/cpu.out | head -40
+	$(GO) tool pprof -top -cum -sample_index=alloc_space $(PROFILE_DIR)/scenarios.test $(PROFILE_DIR)/mem.out | head -40
 
 # The large-topology scaling cells with wall-clock/event telemetry
 # (Gbit-capacity defaults; override with -capacity via `go run`).

@@ -15,13 +15,20 @@ package ospf
 // The cached graph uses stable slot indices: a router or fake node keeps
 // its graph index for as long as it lives, and freed slots are tombstoned
 // (no edges) rather than compacted, so previous trees stay addressable.
-// A full rebuild (fresh cache + full Dijkstra + whole-table diff) remains
-// the fallback for cache misses, inconsistencies, and degenerate slot
-// growth.
+//
+// A router's first run needs no rebuild either. Domain.Start leaves every
+// router of a flood component with the same LSDB, so it builds one cache
+// per component, the boot image (graph, slots, indexes and the announcer
+// index with its announcers resolved), and each router's first run clones
+// it and roots its own tree over the clone. A full rebuild (buildCache +
+// full Dijkstra + whole-table diff) is the fallback: for a router whose
+// LSDB changed before its first run, after a cache inconsistency, and to
+// compact tombstoned slots.
 
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"net/netip"
 	"slices"
 	"strings"
@@ -39,9 +46,16 @@ type lsaChange struct {
 
 // noteDBChange appends to the change log unless the mutation is
 // semantically neutral (a sequence-number refresh of identical content),
-// which keeps periodic re-origination from triggering any SPF work.
+// which keeps periodic re-origination from triggering any SPF work. With
+// no cache there is nothing to replay onto, since the next run rebuilds
+// from the LSDB; the change only drops the boot image, which no longer
+// matches the LSDB.
 func (r *Router) noteDBChange(old, new *LSA) {
 	if old == nil && new == nil {
+		return
+	}
+	if r.cache == nil {
+		r.image = nil
 		return
 	}
 	if old != nil && new != nil && lsaContentEqual(old, new) {
@@ -337,6 +351,47 @@ func (r *Router) buildCache() *spfCache {
 	}
 	slices.SortFunc(c.prefixes, func(a, b *prefixEntry) int { return a.compareStr(b.str) })
 	return c
+}
+
+// clone copies a boot image for one router's first run: the graph, the
+// slot table, both indexes and the announcer index, memos included. Each
+// of the entries, their LSA lists and their announcer lists is cut from
+// one backing array, every list capped at its length so that an insert
+// reallocates it alone. The image is only read, so the routers of one
+// component clone it side by side on the SPF workers.
+func (c *spfCache) clone() *spfCache {
+	n := &spfCache{
+		g:         c.g.Clone(),
+		slots:     slices.Clone(c.slots),
+		index:     maps.Clone(c.index),
+		fakeIdx:   maps.Clone(c.fakeIdx),
+		live:      c.live,
+		routerGen: c.routerGen,
+		byPrefix:  make(map[netip.Prefix]*prefixEntry, len(c.prefixes)),
+		prefixes:  make([]*prefixEntry, len(c.prefixes)),
+	}
+	nl, na := 0, 0
+	for _, e := range c.prefixes {
+		nl, na = nl+len(e.lsas), na+len(e.anns)
+	}
+	entries := make([]prefixEntry, len(c.prefixes))
+	lsas, anns := make([]*LSA, nl), make([]announcer, na)
+	for i, e := range c.prefixes {
+		x := &entries[i]
+		*x = prefixEntry{prefix: e.prefix, str: e.str, annsGen: e.annsGen}
+		x.lsas, lsas = carve(lsas, e.lsas)
+		x.anns, anns = carve(anns, e.anns)
+		n.byPrefix[x.prefix] = x
+		n.prefixes[i] = x
+	}
+	return n
+}
+
+// carve copies src to the front of backing and returns the copy, capped at
+// its length, and the rest of backing.
+func carve[T any](backing, src []T) (cut, rest []T) {
+	k := copy(backing, src)
+	return backing[:k:k], backing[k:]
 }
 
 // effects accumulates what a change-log replay did to the cache.

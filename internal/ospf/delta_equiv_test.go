@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fibbing.net/fibbing/internal/event"
+	"fibbing.net/fibbing/internal/fib"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -51,6 +52,15 @@ func routerLinks(tp *topo.Topology) []topo.Link {
 		out = append(out, l)
 	}
 	return out
+}
+
+// buildFullState computes a fresh cache and a from-scratch table directly
+// from the LSDB: the ground truth the delta pipeline must reproduce. ok is
+// false before the router originated its own Router LSA. It leaves the
+// router's cache and FIB alone, so the equivalence tests use it as the
+// reference oracle.
+func (r *Router) buildFullState() (c *spfCache, table *fib.Table, ok bool) {
+	return r.fullState(r.buildCache())
 }
 
 func assertFIBsMatchFull(t *testing.T, label string, d *Domain) {

@@ -152,6 +152,11 @@ func (d *Domain) Topology() *topo.Topology { return d.topo }
 // counts whole seconds from that date and acts only at the minute
 // sweeps, so this can move the purge of an LSA whose originator stopped
 // refreshing it by one sweep at most.
+//
+// The routers of a component whose LSDBs were empty before Start end it
+// holding the very same instances, so Start builds their first SPF cache
+// once, as the component's boot image, and each router's first run
+// clones it (see delta.go).
 func (d *Domain) Start() {
 	reach := d.floodReach()
 	// Size every LSDB for its component's LSAs: per router its Router LSA
@@ -168,8 +173,15 @@ func (d *Domain) Start() {
 			}
 		}
 	}
+	// A component whose LSDBs are all empty ends the boot with the same
+	// instances in each of them, so it gets a boot image; one whose LSDBs
+	// were not empty does not.
+	held := make(map[*Router]bool)
 	for node, r := range d.routers {
 		r.db.reserve(lsas[reach[node][0]])
+		if r.db.Len() > 0 {
+			held[reach[node][0]] = true
+		}
 	}
 	// Walk routers in topology-node order, not map order: origination and
 	// ticker phase are output-visible, and two runs of the same scenario
@@ -193,6 +205,20 @@ func (d *Domain) Start() {
 			}
 			// LSID 0 is the loopback; topology prefixes start at 1.
 			r.boot(r.prefixLSA(uint32(i)+1, p, a.Cost), reach[r.node])
+		}
+	}
+	// One boot image per component, complete before any SPF worker reads
+	// it: each member's first run clones it (recomputeFull).
+	for first := range lsas {
+		if held[first] {
+			continue
+		}
+		img := first.buildCache()
+		for _, e := range img.prefixes {
+			img.resolved(e)
+		}
+		for _, x := range reach[first.node] {
+			x.image = img
 		}
 	}
 }

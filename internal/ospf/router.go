@@ -127,8 +127,11 @@ type Router struct {
 
 	// Delta pipeline state: LSDB mutations logged since the last SPF run,
 	// and the incrementally maintained graph/tree they are replayed onto.
+	// Until the first run, image is the component's boot image that run
+	// clones (Domain.Start); an LSDB change before that run drops it.
 	changeLog   []lsaChange
 	cache       *spfCache
+	image       *spfCache
 	spfFullRuns uint64 // recomputations that rebuilt everything
 	spfIncRuns  uint64 // recomputations served by the delta pipeline
 
@@ -770,21 +773,20 @@ func (c *spfCache) announcerTouched(anns []announcer) bool {
 	return false
 }
 
-// buildFullState computes a fresh cache and a from-scratch table directly
-// from the LSDB: the ground truth the delta pipeline must reproduce. ok is
-// false before the router originated its own Router LSA. It mutates no
-// router state, so equivalence tests use it as the reference oracle.
-func (r *Router) buildFullState() (c *spfCache, table *fib.Table, ok bool) {
-	c = r.buildCache()
+// fullState roots this router's tree over c, a cache fresh from the LSDB,
+// and computes every prefix's route into a new table, resolving every
+// announcer memo on the way. It reports false before the router
+// originated its own Router LSA.
+func (r *Router) fullState(c *spfCache) (*spfCache, *fib.Table, bool) {
 	selfIdx, ok := c.index[r.id]
 	if !ok {
 		return nil, nil, false
 	}
 	c.tree = spf.Compute(c.g, selfIdx, nil)
-	table = fib.NewTable(r.node)
-	var anns []announcer
+	table := fib.NewTable(r.node)
 	for _, e := range c.prefixes {
-		if anns = c.announcers(e, anns[:0]); len(anns) == 0 {
+		anns := c.resolved(e)
+		if len(anns) == 0 {
 			continue
 		}
 		route, ok := r.routeFor(c, e.prefix, anns, selfIdx)
@@ -800,9 +802,17 @@ func (r *Router) buildFullState() (c *spfCache, table *fib.Table, ok bool) {
 
 // recomputeFull rebuilds the cache from the LSDB, runs a full Dijkstra,
 // recomputes every prefix, and emits the whole-table difference as a diff
-// so the data plane still re-paths selectively.
+// so the data plane still re-paths selectively. A router that still holds
+// its boot image clones it instead of rebuilding: its LSDB has not changed
+// since Start built the image.
 func (r *Router) recomputeFull() {
-	c, table, ok := r.buildFullState()
+	var fresh *spfCache
+	if r.image != nil {
+		fresh, r.image = r.image.clone(), nil
+	} else {
+		fresh = r.buildCache()
+	}
+	c, table, ok := r.fullState(fresh)
 	if !ok {
 		r.cache = nil
 		return // we have not originated our own Router LSA yet

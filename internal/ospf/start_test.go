@@ -388,6 +388,36 @@ func drawProgram(tp *topo.Topology, pick func(n int) int) igpProgram {
 	return p
 }
 
+// startFamilies are the topology families the synced start is held to
+// the flooded start over, each drawn from a seeded rng and its seed.
+var startFamilies = []struct {
+	name string
+	tp   func(rng *rand.Rand, seed int64) *topo.Topology
+}{
+	{"fig1", func(rng *rand.Rand, _ int64) *topo.Topology {
+		return topo.Fig1(topo.Fig1Opts{Delay: time.Duration(rng.Intn(5)) * time.Millisecond})
+	}},
+	{"abilene", func(rng *rand.Rand, _ int64) *topo.Topology {
+		return topo.Abilene(10e6, time.Duration(1+rng.Intn(5))*time.Millisecond)
+	}},
+	{"ring", func(rng *rand.Rand, seed int64) *topo.Topology {
+		return topo.Ring(topo.RingOpts{N: 5 + rng.Intn(20), Capacity: 10e6, MaxWeight: 4, Chords: rng.Intn(3), Seed: seed})
+	}},
+	{"grid", func(rng *rand.Rand, _ int64) *topo.Topology { return topo.Grid(3+rng.Intn(2), 3+rng.Intn(3), 10e6) }},
+	{"fattree4", func(_ *rand.Rand, seed int64) *topo.Topology {
+		return topo.FatTree(topo.FatTreeOpts{K: 4, Capacity: 10e6, MaxWeight: 3, Seed: seed})
+	}},
+	{"fattree8", func(_ *rand.Rand, seed int64) *topo.Topology {
+		return topo.FatTree(topo.FatTreeOpts{K: 8, Capacity: 10e6, MaxWeight: 3, Seed: seed})
+	}},
+	{"random", func(rng *rand.Rand, seed int64) *topo.Topology {
+		return topo.RandomConnected(topo.RandomOpts{Nodes: 8 + rng.Intn(8), Degree: 3, MaxWeight: 5, Prefixes: 2, Capacity: 10e6, Seed: seed})
+	}},
+	{"waxman", func(rng *rand.Rand, seed int64) *topo.Topology {
+		return topo.Waxman(topo.WaxmanOpts{Nodes: 8 + rng.Intn(10), Capacity: 10e6, MaxWeight: 5, Seed: seed})
+	}},
+}
+
 // TestSyncedStartMatchesFloodedStart: over Fig. 1, Abilene, ring, grid,
 // fat-tree k=4 and k=8, random and Waxman topologies, 20 seeds each, with
 // link delays that end the boot flood within spfDelay and delays that
@@ -397,36 +427,9 @@ func drawProgram(tp *topo.Topology, pick func(n int) int) igpProgram {
 // flooded start converged — run alike on the synced and the flooded
 // start.
 func TestSyncedStartMatchesFloodedStart(t *testing.T) {
-	families := []struct {
-		name string
-		tp   func(rng *rand.Rand, seed int64) *topo.Topology
-	}{
-		{"fig1", func(rng *rand.Rand, _ int64) *topo.Topology {
-			return topo.Fig1(topo.Fig1Opts{Delay: time.Duration(rng.Intn(5)) * time.Millisecond})
-		}},
-		{"abilene", func(rng *rand.Rand, _ int64) *topo.Topology {
-			return topo.Abilene(10e6, time.Duration(1+rng.Intn(5))*time.Millisecond)
-		}},
-		{"ring", func(rng *rand.Rand, seed int64) *topo.Topology {
-			return topo.Ring(topo.RingOpts{N: 5 + rng.Intn(20), Capacity: 10e6, MaxWeight: 4, Chords: rng.Intn(3), Seed: seed})
-		}},
-		{"grid", func(rng *rand.Rand, _ int64) *topo.Topology { return topo.Grid(3+rng.Intn(2), 3+rng.Intn(3), 10e6) }},
-		{"fattree4", func(_ *rand.Rand, seed int64) *topo.Topology {
-			return topo.FatTree(topo.FatTreeOpts{K: 4, Capacity: 10e6, MaxWeight: 3, Seed: seed})
-		}},
-		{"fattree8", func(_ *rand.Rand, seed int64) *topo.Topology {
-			return topo.FatTree(topo.FatTreeOpts{K: 8, Capacity: 10e6, MaxWeight: 3, Seed: seed})
-		}},
-		{"random", func(rng *rand.Rand, seed int64) *topo.Topology {
-			return topo.RandomConnected(topo.RandomOpts{Nodes: 8 + rng.Intn(8), Degree: 3, MaxWeight: 5, Prefixes: 2, Capacity: 10e6, Seed: seed})
-		}},
-		{"waxman", func(rng *rand.Rand, seed int64) *topo.Topology {
-			return topo.Waxman(topo.WaxmanOpts{Nodes: 8 + rng.Intn(10), Capacity: 10e6, MaxWeight: 5, Seed: seed})
-		}},
-	}
 	var runs, slow int
 	var synced, flooded uint64
-	for _, f := range families {
+	for _, f := range startFamilies {
 		for seed := int64(1); seed <= 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			tp := f.tp(rng, seed)

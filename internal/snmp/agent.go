@@ -23,7 +23,9 @@ func NewMIB() *MIB {
 	return &MIB{}
 }
 
-// Register binds an OID to a callback. Re-registering replaces.
+// Register binds an OID to a callback. Re-registering replaces. The MIB
+// keeps oid as it is given, without a copy: the caller must not modify it
+// afterwards. BindIFMIB hands over OIDs built for the purpose.
 func (m *MIB) Register(oid OID, fn func() Value) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -32,7 +34,7 @@ func (m *MIB) Register(oid OID, fn func() Value) {
 		m.fns[i] = fn
 		return
 	}
-	m.oids = slices.Insert(m.oids, i, oid.Append()) // copy
+	m.oids = slices.Insert(m.oids, i, oid)
 	m.fns = slices.Insert(m.fns, i, fn)
 }
 

@@ -160,12 +160,22 @@ func (g *Graph) Reverse() *Graph {
 	return r
 }
 
-// Clone returns a deep copy; edge slices are copied so the clone can be
-// extended without aliasing.
+// Clone returns a deep copy. The edge lists are cut from one backing
+// array, each capped at its length, so an append to one list of the clone
+// reallocates that list alone: the clone's other lists and g stay as they
+// were.
 func (g *Graph) Clone() *Graph {
+	total := 0
+	for _, es := range g.Out {
+		total += len(es)
+	}
 	c := NewGraph(g.NumNodes())
+	backing := make([]Edge, total)
 	for i, es := range g.Out {
-		c.Out[i] = append([]Edge(nil), es...)
+		if len(es) > 0 {
+			n := copy(backing, es)
+			c.Out[i], backing = backing[:n:n], backing[n:]
+		}
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package spf
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -242,6 +243,42 @@ func TestGraphCloneIndependence(t *testing.T) {
 	}
 	if len(g.Out[0]) == len(c.Out[0]) {
 		t.Fatalf("clone AddEdge affected original")
+	}
+}
+
+// TestGraphCloneIsolatesGrowth: the clone's edge lists share one backing
+// array, so growing one of them with ReplaceEdges must reallocate that
+// list alone and leave the clone's other lists and the original as they
+// were.
+func TestGraphCloneIsolatesGrowth(t *testing.T) {
+	_, g := fig1()
+	want := make([][]Edge, len(g.Out))
+	for i, es := range g.Out {
+		want[i] = slices.Clone(es)
+	}
+	for u := range g.Out {
+		c := g.Clone()
+		from := topo.NodeID(u)
+		to := topo.NodeID((u + 1) % len(g.Out))
+		// Keep the edges from -> to and add two: the list outgrows its cap.
+		var edges []Edge
+		for _, e := range c.Out[from] {
+			if e.To == to {
+				edges = append(edges, e)
+			}
+		}
+		edges = append(edges, Edge{Weight: 7, Link: topo.NoLink}, Edge{Weight: 9, Link: topo.NoLink})
+		c.ReplaceEdges(from, to, edges)
+		for v, es := range c.Out {
+			if v != u && !slices.Equal(es, want[v]) {
+				t.Fatalf("growing node %d of the clone changed its node %d: %v, want %v", u, v, es, want[v])
+			}
+		}
+		for v, es := range g.Out {
+			if !slices.Equal(es, want[v]) {
+				t.Fatalf("growing node %d of the clone changed the original's node %d: %v, want %v", u, v, es, want[v])
+			}
+		}
 	}
 }
 
