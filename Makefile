@@ -114,7 +114,9 @@ bench-check:
 # twin and the safety oracle, so the profile orders the sites but does
 # not size them: size a site with bench-e2e. Writes the test binary and
 # both profiles under .bench_build/profile/ and prints the top of each
-# (-top -cum; the memory one by bytes allocated).
+# (-top -cum): the CPU one, and the memory one twice, by bytes and by
+# objects allocated. The byte view hides sites that are small but
+# numerous, such as a trie node per route.
 PROFILE_DIR = .bench_build/profile
 profile:
 	mkdir -p $(PROFILE_DIR)
@@ -123,6 +125,7 @@ profile:
 	  -cpuprofile cpu.out -memprofile mem.out ./internal/scenarios
 	$(GO) tool pprof -top -cum $(PROFILE_DIR)/scenarios.test $(PROFILE_DIR)/cpu.out | head -40
 	$(GO) tool pprof -top -cum -sample_index=alloc_space $(PROFILE_DIR)/scenarios.test $(PROFILE_DIR)/mem.out | head -40
+	$(GO) tool pprof -top -cum -sample_index=alloc_objects $(PROFILE_DIR)/scenarios.test $(PROFILE_DIR)/mem.out | head -40
 
 # The large-topology scaling cells with wall-clock/event telemetry
 # (Gbit-capacity defaults; override with -capacity via `go run`).

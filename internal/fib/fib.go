@@ -27,7 +27,10 @@
 // next table with Clone, which is O(1) over a copy-on-write trie, and
 // patches the clone; the patch costs the routes it changes, not the table.
 // A stored Route's NextHops slice is immutable: the package never writes
-// to it after Install, clones share it, and callers must not either.
+// to it after Install, clones share it, and callers must not either. So
+// a producer may carve the next hops of many routes from one array, each
+// route's slice capped at its length (ospf's first SPF run does): no
+// append to one route's slice can reach the next route's next hops.
 package fib
 
 import (
@@ -154,6 +157,12 @@ func (t *Table) Install(route Route) error {
 	t.lpm.Insert(route.Prefix, route)
 	return nil
 }
+
+// Reserve readies the table for a bulk fill of n routes: their trie nodes
+// and stored values come from two arrays allocated here instead of from
+// one Install at a time (see lpm.Table.Reserve). The reservation ends at
+// the next Clone.
+func (t *Table) Reserve(n int) { t.lpm.Reserve(n) }
 
 // Remove deletes the route for the exact prefix.
 func (t *Table) Remove(p netip.Prefix) bool { return t.lpm.Remove(p) }

@@ -152,8 +152,9 @@ func (r *opReader) prefix() netip.Prefix {
 	return netip.PrefixFrom(a, lens[int(r.byte())%len(lens)]).Masked()
 }
 
-// runOps plays an operation sequence on a family of tables grown by Clone,
-// each paired with a reference trie that sees the same operations, and
+// runOps plays an operation sequence on a family of tables grown by Clone
+// and filled by Insert, also through Reserve, each paired with a
+// reference trie that sees the same operations, and
 // after every operation requires every member — not only the one it
 // touched — to match its reference: a write through one member that
 // reached a node another still shares would show in the other.
@@ -189,6 +190,18 @@ func runOps(data []byte) error {
 			if len(tables) < 5 {
 				tables, refs = append(tables, tables[i].Clone()), append(refs, refs[i].Clone())
 			}
+		case 12:
+			// A bulk fill through a reservation that may outlast it, so
+			// the Inserts, Removes and Clones that follow meet a table
+			// still handing out reserved slots.
+			n := int(r.byte() % 8)
+			tables[i].Reserve(n)
+			for fill := int(r.byte()) % (n + 1); fill > 0; fill-- {
+				p := r.prefix()
+				tables[i].Insert(p, step)
+				refs[i].Insert(p, step)
+				name(p)
+			}
 		default:
 			probes = append(probes, r.addr())
 		}
@@ -203,7 +216,7 @@ func runOps(data []byte) error {
 
 // TestTableMatchesReference holds the compressed trie to the one-bit trie
 // it replaced over random mixed IPv4/IPv6 sequences of inserts, removes,
-// clones, gets, lookups and walks.
+// reserved bulk fills, clones, gets, lookups and walks.
 func TestTableMatchesReference(t *testing.T) {
 	seeds := 100
 	if testing.Short() {
@@ -263,4 +276,67 @@ func FuzzTable(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestReserveFillsFromSlab: a table that reserved room for n prefixes
+// takes every node and value of their n Inserts from its two arrays, so
+// the whole fill costs the same few heap objects at 1, 7, 64 and 500
+// prefixes, in either family and however they nest (the trie's bound of
+// 2n-1 nodes is the reservation's). After a Clone, both tables write
+// their own nodes and values: a shared slab node is copied before a
+// write, and the room left is no one's.
+func TestReserveFillsFromSlab(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 7, 64, 500} {
+		prefixes := make([]netip.Prefix, 0, n)
+		seen := map[netip.Prefix]bool{}
+		for len(prefixes) < n {
+			var p netip.Prefix
+			if n > 64 { // more prefixes than the small universe holds
+				var a [4]byte
+				rng.Read(a[:])
+				p = netip.PrefixFrom(netip.AddrFrom4(a), 8+rng.Intn(25)).Masked()
+			} else {
+				b := make([]byte, 3)
+				rng.Read(b)
+				p = (&opReader{data: b}).prefix()
+			}
+			if !seen[p] {
+				seen[p] = true
+				prefixes = append(prefixes, p)
+			}
+		}
+		var tb *Table[int]
+		allocs := testing.AllocsPerRun(5, func() {
+			tb = New[int]()
+			tb.Reserve(n)
+			for i, p := range prefixes {
+				tb.Insert(p, i)
+			}
+		})
+		// The table, its owner mark and the two arrays.
+		if allocs > 4 {
+			t.Fatalf("%d reserved Inserts allocate %v objects, want at most 4", n, allocs)
+		}
+		ref := newRef[int]()
+		for i, p := range prefixes {
+			ref.Insert(p, i)
+		}
+		if err := matchesReference(tb, ref, prefixes, nil); err != nil {
+			t.Fatalf("%d prefixes: %v", n, err)
+		}
+		cl, cref := tb.Clone(), ref.Clone()
+		for i, p := range prefixes[:n/2+1] {
+			tb.Insert(p, -i)
+			ref.Insert(p, -i)
+			cl.Remove(p)
+			cref.Remove(p)
+		}
+		if err := matchesReference(tb, ref, prefixes, nil); err != nil {
+			t.Fatalf("%d prefixes, original after the clone: %v", n, err)
+		}
+		if err := matchesReference(cl, cref, prefixes, nil); err != nil {
+			t.Fatalf("%d prefixes, clone: %v", n, err)
+		}
+	}
 }

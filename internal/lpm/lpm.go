@@ -16,6 +16,14 @@
 // original; a later Insert or Remove on either table copies only the nodes
 // on its own path, so a clone is a snapshot that costs what is changed
 // after it, not what the table holds.
+//
+// A bulk fill (a router's whole FIB at once) reserves its room first:
+// Reserve allocates two arrays, one of nodes and one of values, and the
+// Inserts that follow take their nodes and values from them instead of
+// making up to three heap objects each. A slab node is owned like any
+// other, so copy-on-write does not change: after a Clone it is shared and
+// is copied to the heap before a write. Clone ends the reservation on
+// both sides, so no two tables ever hand out the same slot.
 package lpm
 
 import (
@@ -34,6 +42,10 @@ type Table[V any] struct {
 	// created since it was last on either side of a Clone. Every other
 	// node may be shared with another table and is copied before a write.
 	owner *byte
+	// nodes and vals are the free room Reserve set aside: Insert appends
+	// to them while they have capacity, and falls back to the heap after.
+	nodes []node[V]
+	vals  []V
 }
 
 // node is the prefix of its first bits bits of key (the rest zero). A
@@ -59,7 +71,48 @@ func New[V any]() *Table[V] {
 // tables may be used from different goroutines.
 func (t *Table[V]) Clone() *Table[V] {
 	t.owner = new(byte)
+	t.nodes, t.vals = nil, nil
 	return &Table[V]{v4: t.v4, v6: t.v6, size: t.size, owner: new(byte)}
+}
+
+// Reserve sets aside room for n Inserts: their values, and the nodes of a
+// trie of n prefixes (at most 2n-1), come from two arrays allocated here
+// rather than from the heap one Insert at a time. An Insert past the room,
+// such as one more fork when the table was not empty, takes the heap. The
+// reservation replaces any earlier one and ends at the next Clone.
+func (t *Table[V]) Reserve(n int) {
+	if n <= 0 {
+		t.nodes, t.vals = nil, nil
+		return
+	}
+	t.nodes, t.vals = make([]node[V], 0, 2*n-1), make([]V, 0, n)
+}
+
+// newNode returns a node of t's, from the reservation while it lasts.
+func (t *Table[V]) newNode(k key, bits int) *node[V] {
+	var n *node[V]
+	if len(t.nodes) < cap(t.nodes) {
+		t.nodes = t.nodes[:len(t.nodes)+1]
+		n = &t.nodes[len(t.nodes)-1]
+	} else {
+		n = new(node[V])
+	}
+	n.key, n.bits, n.owner = k, bits, t.owner
+	return n
+}
+
+// newVal returns a pointer to a copy of v, from the reservation while it
+// lasts.
+func (t *Table[V]) newVal(v *V) *V {
+	var p *V
+	if len(t.vals) < cap(t.vals) {
+		t.vals = t.vals[:len(t.vals)+1]
+		p = &t.vals[len(t.vals)-1]
+	} else {
+		p = new(V)
+	}
+	*p = *v
+	return p
 }
 
 // Len returns the number of installed prefixes.
@@ -172,7 +225,9 @@ func (t *Table[V]) Insert(p netip.Prefix, v V) {
 	for {
 		n := *at
 		if n == nil {
-			*at = &node[V]{key: k, bits: plen, val: &v, owner: t.owner}
+			leaf := t.newNode(k, plen)
+			leaf.val = t.newVal(&v)
+			*at = leaf
 			t.size++
 			return
 		}
@@ -183,7 +238,7 @@ func (t *Table[V]) Insert(p netip.Prefix, v V) {
 				if n.val == nil {
 					t.size++
 				}
-				n.val = &v
+				n.val = t.newVal(&v)
 				return
 			}
 			at = &n.child[k.bit(c)] // n covers p: descend
@@ -191,12 +246,13 @@ func (t *Table[V]) Insert(p netip.Prefix, v V) {
 		}
 		// p and n part at bit c, or p covers n (c == plen): either way a
 		// new node goes in n's place, with n below it.
-		leaf := &node[V]{key: k, bits: plen, val: &v, owner: t.owner}
+		leaf := t.newNode(k, plen)
+		leaf.val = t.newVal(&v)
 		if c == plen {
 			leaf.child[n.key.bit(c)] = n
 			*at = leaf
 		} else {
-			fork := &node[V]{key: k.masked(c), bits: c, owner: t.owner}
+			fork := t.newNode(k.masked(c), c)
 			fork.child[k.bit(c)] = leaf
 			fork.child[n.key.bit(c)] = n
 			*at = fork

@@ -21,8 +21,9 @@ import (
 // alarm handler reroutes mid-poll: a raise on the first link removes a
 // flow that also loads the link read after it, a repeat removes the
 // other, a clear puts both back. One watched OID is not served, so one
-// link fails every poll.
-func chainRun(t *testing.T, poll func(*Poller)) (log []string, failures uint64, errs []string) {
+// link fails every poll. Reports are logged only when listen is set;
+// without it the poller has no OnReport.
+func chainRun(t *testing.T, poll func(*Poller), listen bool) (log []string, failures uint64, errs []string) {
 	t.Helper()
 	tp := topo.New()
 	a, b, c := tp.AddNode("a"), tp.AddNode("b"), tp.AddNode("c")
@@ -65,7 +66,9 @@ func chainRun(t *testing.T, poll func(*Poller)) (log []string, failures uint64, 
 
 	base, surge := flow(1, 4e6), flow(2, 5e6)
 	raised := false
-	p.OnReport = func(r Report) { log = append(log, fmt.Sprintf("%v report %+v", sched.Now(), r)) }
+	if listen {
+		p.OnReport = func(r Report) { log = append(log, fmt.Sprintf("%v report %+v", sched.Now(), r)) }
+	}
 	p.OnAlarm = func(al Alarm) {
 		log = append(log, fmt.Sprintf("%v alarm %+v", sched.Now(), al))
 		if al.Link != ab {
@@ -92,10 +95,12 @@ func chainRun(t *testing.T, poll func(*Poller)) (log []string, failures uint64, 
 // TestBatchedPollMatchesPerLinkPoll: reading every counter before the
 // walk instead of between its alarm callbacks changes nothing — the same
 // reports, the same alarms at the same instants, the same failures —
-// because netsim's octet counters are functions of the instant.
+// because netsim's octet counters are functions of the instant. Without
+// a report listener the batched poll builds no report and raises the same
+// alarms.
 func TestBatchedPollMatchesPerLinkPoll(t *testing.T) {
-	wantLog, wantFailures, wantErrs := chainRun(t, refPoll)
-	gotLog, gotFailures, gotErrs := chainRun(t, (*Poller).poll)
+	wantLog, wantFailures, wantErrs := chainRun(t, refPoll, true)
+	gotLog, gotFailures, gotErrs := chainRun(t, (*Poller).poll, true)
 	alarms := 0
 	for _, line := range wantLog {
 		if strings.Contains(line, " alarm ") {
@@ -115,6 +120,13 @@ func TestBatchedPollMatchesPerLinkPoll(t *testing.T) {
 	}
 	if gotFailures != wantFailures || !slices.Equal(gotErrs, wantErrs) {
 		t.Fatalf("failures %d %v, per-link %d %v", gotFailures, gotErrs, wantFailures, wantErrs)
+	}
+
+	wantAlarms := slices.DeleteFunc(slices.Clone(wantLog), func(line string) bool { return strings.Contains(line, " report ") })
+	quietLog, quietFailures, quietErrs := chainRun(t, (*Poller).poll, false)
+	if !slices.Equal(quietLog, wantAlarms) || quietFailures != wantFailures || !slices.Equal(quietErrs, wantErrs) {
+		t.Fatalf("without a report listener the poll logged %v (%d failures), want the per-link poll's alarms %v (%d failures)",
+			quietLog, quietFailures, wantAlarms, wantFailures)
 	}
 }
 

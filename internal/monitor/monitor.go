@@ -104,7 +104,8 @@ type Poller struct {
 	cfg    Config
 	links  []WatchedLink
 
-	// OnReport fires after every poll cycle.
+	// OnReport fires after every poll cycle that read a rate. A poll
+	// builds its Report only while OnReport is set (read once per poll).
 	OnReport func(Report)
 	// OnAlarm fires on threshold crossings (after hysteresis).
 	OnAlarm func(Alarm)
@@ -179,7 +180,11 @@ func (p *Poller) Stop() {
 func (p *Poller) poll() {
 	now := p.sched.Now()
 	p.client.GetCounters(p.oids, p.counts, p.errs)
-	report := Report{At: now, Loads: make([]LinkLoad, 0, len(p.links))}
+	listen := p.OnReport != nil
+	var loads []LinkLoad
+	if listen {
+		loads = make([]LinkLoad, 0, len(p.links))
+	}
 	for i, wl := range p.links {
 		st := &p.state[i]
 		count, err := p.counts[i], p.errs[i]
@@ -201,13 +206,15 @@ func (p *Poller) poll() {
 		if wl.Capacity > 0 {
 			util = smoothed / wl.Capacity
 		}
-		report.Loads = append(report.Loads, LinkLoad{
-			Link: wl.Link, Name: wl.Name, RateBps: smoothed, Utilisation: util,
-		})
+		if listen {
+			loads = append(loads, LinkLoad{
+				Link: wl.Link, Name: wl.Name, RateBps: smoothed, Utilisation: util,
+			})
+		}
 		p.updateAlarm(wl, st, util)
 	}
-	if p.OnReport != nil && len(report.Loads) > 0 {
-		p.OnReport(report)
+	if listen && len(loads) > 0 {
+		p.OnReport(Report{At: now, Loads: loads})
 	}
 }
 

@@ -20,10 +20,16 @@ package ospf
 // router of a flood component with the same LSDB, so it builds one cache
 // per component, the boot image (graph, slots, indexes and the announcer
 // index with its announcers resolved), and each router's first run clones
-// it and roots its own tree over the clone. A full rebuild (buildCache +
-// full Dijkstra + whole-table diff) is the fallback: for a router whose
-// LSDB changed before its first run, after a cache inconsistency, and to
-// compact tombstoned slots.
+// it and roots its own tree over the clone. The clone copies the graph,
+// the slots and the two slot indexes, but shares the image's prefix
+// entries and its byPrefix map: an entry is copied on the first write to
+// it (see spfCache.own), and most entries are never written after boot.
+// The first run then builds its whole table at a cost per router, not per
+// route: the table reserves its trie nodes and values (fib.Table.Reserve)
+// and the routes' next hops are carved from a few shared chunks
+// (hopArena). A full rebuild (buildCache + full Dijkstra + whole-table
+// diff) is the fallback: for a router whose LSDB changed before its first
+// run, after a cache inconsistency, and to compact tombstoned slots.
 
 import (
 	"cmp"
@@ -150,9 +156,14 @@ type spfCache struct {
 
 	// The announcer index: who announces each prefix, kept in step with
 	// the LSDB by applyChange so an SPF run never rescans the database.
-	// prefixes holds the entries of byPrefix sorted by string form, the
-	// order in which routes are computed, diffed and their errors raised.
+	// prefixes holds the live entries sorted by string form, the order in
+	// which routes are computed, diffed and their errors raised; lookup
+	// finds an entry by prefix. A clone of a boot image reads through to
+	// the image (base): byPrefix holds only the entries it created or
+	// owns, and a nil for an image entry it pruned. A cache without base
+	// holds every entry in byPrefix.
 	byPrefix map[netip.Prefix]*prefixEntry
+	base     *spfCache
 	prefixes []*prefixEntry
 
 	// Per-run working state, kept between runs so that a steady-state run
@@ -165,6 +176,7 @@ type spfCache struct {
 	touched []uint64
 	nhs     []spf.NextHop
 	nodes   []topo.NodeID
+	hops    []fib.NextHop
 	gone    []netip.Prefix
 }
 
@@ -182,21 +194,61 @@ type prefixEntry struct {
 	anns    []announcer
 	annsGen uint64 // the routerGen anns was resolved at; 0: not resolved
 	dirty   bool   // listed in the current replay's effects
+	// shared marks an entry of a boot image: every clone of the image
+	// reads it, the SPF workers side by side, so nothing writes it. A
+	// cache writes a copy of its own instead (own).
+	shared bool
 }
 
 func (e *prefixEntry) compareStr(s string) int { return strings.Compare(e.str, s) }
 
 func lsaCompareKey(l *LSA, k Key) int { return keyCompare(l.Header.Key(), k) }
 
+// lookup returns the index entry of p, or nil.
+func (c *spfCache) lookup(p netip.Prefix) *prefixEntry {
+	if e, ok := c.byPrefix[p]; ok || c.base == nil {
+		return e
+	}
+	return c.base.byPrefix[p]
+}
+
+// setEntry files e (nil: a pruned image entry) under p in c's own map.
+func (c *spfCache) setEntry(p netip.Prefix, e *prefixEntry) {
+	if c.byPrefix == nil {
+		c.byPrefix = make(map[netip.Prefix]*prefixEntry)
+	}
+	c.byPrefix[p] = e
+}
+
 // entry returns the index entry of p and whether it had to be created; a
 // created entry is not yet in c.prefixes.
 func (c *spfCache) entry(p netip.Prefix) (e *prefixEntry, created bool) {
-	if e = c.byPrefix[p]; e != nil {
+	if e = c.lookup(p); e != nil {
 		return e, false
 	}
 	e = &prefixEntry{prefix: p, str: p.String()}
-	c.byPrefix[p] = e
+	c.setEntry(p, e)
 	return e, true
+}
+
+// own returns e for writing. An entry shared with the boot image is
+// replaced, in the index and in prefixes, by a copy of its own with its
+// own lists, once: a later call with the shared entry finds the copy. The
+// copy-on-write replaces the clone's per-entry copies; the boot image's
+// entries stay as Start left them.
+func (c *spfCache) own(e *prefixEntry) *prefixEntry {
+	if !e.shared {
+		return e
+	}
+	if x := c.byPrefix[e.prefix]; x != nil {
+		return x
+	}
+	x := &prefixEntry{prefix: e.prefix, str: e.str, lsas: slices.Clone(e.lsas),
+		anns: slices.Clone(e.anns), annsGen: e.annsGen}
+	c.setEntry(x.prefix, x)
+	at, _ := slices.BinarySearchFunc(c.prefixes, x.str, (*prefixEntry).compareStr)
+	c.prefixes[at] = x
+	return x
 }
 
 // announce files a Prefix or Fake LSA under its prefix and marks the
@@ -207,6 +259,7 @@ func (c *spfCache) announce(l *LSA) {
 		at, _ := slices.BinarySearchFunc(c.prefixes, e.str, (*prefixEntry).compareStr)
 		c.prefixes = slices.Insert(c.prefixes, at, e)
 	}
+	e = c.own(e)
 	at, _ := slices.BinarySearchFunc(e.lsas, l.Header.Key(), lsaCompareKey)
 	e.lsas = slices.Insert(e.lsas, at, l)
 	e.annsGen = 0
@@ -218,10 +271,11 @@ func (c *spfCache) announce(l *LSA) {
 // stays until the end of the SPF run (prune), which still has to delete
 // its route.
 func (c *spfCache) withdraw(l *LSA) bool {
-	e := c.byPrefix[l.Prefix]
+	e := c.lookup(l.Prefix)
 	if e == nil {
 		return false
 	}
+	e = c.own(e)
 	at, ok := slices.BinarySearchFunc(e.lsas, l.Header.Key(), lsaCompareKey)
 	if ok {
 		e.lsas = slices.Delete(e.lsas, at, at+1)
@@ -234,18 +288,23 @@ func (c *spfCache) withdraw(l *LSA) bool {
 // markDirty lists e in the replay's effects: its route is recomputed
 // whatever the tree patch touched.
 func (c *spfCache) markDirty(e *prefixEntry) {
-	if !e.dirty {
+	if e = c.own(e); !e.dirty {
 		e.dirty = true
 		c.eff.dirty = append(c.eff.dirty, e)
 	}
 }
 
-// prune drops e from the index if no LSA names its prefix any more.
+// prune drops e, an entry of c's own, from the index if no LSA names its
+// prefix any more.
 func (c *spfCache) prune(e *prefixEntry) {
 	if len(e.lsas) > 0 {
 		return
 	}
-	delete(c.byPrefix, e.prefix)
+	if c.base != nil && c.base.byPrefix[e.prefix] != nil {
+		c.byPrefix[e.prefix] = nil
+	} else {
+		delete(c.byPrefix, e.prefix)
+	}
 	if at, ok := slices.BinarySearchFunc(c.prefixes, e.str, (*prefixEntry).compareStr); ok {
 		c.prefixes = slices.Delete(c.prefixes, at, at+1)
 	}
@@ -354,44 +413,59 @@ func (r *Router) buildCache() *spfCache {
 }
 
 // clone copies a boot image for one router's first run: the graph, the
-// slot table, both indexes and the announcer index, memos included. Each
-// of the entries, their LSA lists and their announcer lists is cut from
-// one backing array, every list capped at its length so that an insert
-// reallocates it alone. The image is only read, so the routers of one
-// component clone it side by side on the SPF workers.
+// slot table and both slot indexes. The prefix entries, memos included,
+// and the map that finds them stay the image's, shared until the clone
+// first writes an entry (own). The image is only read, so the routers of
+// one component clone it side by side on the SPF workers.
 func (c *spfCache) clone() *spfCache {
-	n := &spfCache{
+	return &spfCache{
 		g:         c.g.Clone(),
 		slots:     slices.Clone(c.slots),
 		index:     maps.Clone(c.index),
 		fakeIdx:   maps.Clone(c.fakeIdx),
 		live:      c.live,
 		routerGen: c.routerGen,
-		byPrefix:  make(map[netip.Prefix]*prefixEntry, len(c.prefixes)),
-		prefixes:  make([]*prefixEntry, len(c.prefixes)),
+		base:      c,
+		prefixes:  slices.Clone(c.prefixes),
 	}
-	nl, na := 0, 0
-	for _, e := range c.prefixes {
-		nl, na = nl+len(e.lsas), na+len(e.anns)
-	}
-	entries := make([]prefixEntry, len(c.prefixes))
-	lsas, anns := make([]*LSA, nl), make([]announcer, na)
-	for i, e := range c.prefixes {
-		x := &entries[i]
-		*x = prefixEntry{prefix: e.prefix, str: e.str, annsGen: e.annsGen}
-		x.lsas, lsas = carve(lsas, e.lsas)
-		x.anns, anns = carve(anns, e.anns)
-		n.byPrefix[x.prefix] = x
-		n.prefixes[i] = x
-	}
-	return n
 }
 
-// carve copies src to the front of backing and returns the copy, capped at
-// its length, and the rest of backing.
-func carve[T any](backing, src []T) (cut, rest []T) {
-	k := copy(backing, src)
-	return backing[:k:k], backing[k:]
+// share seals c as a boot image: its announcer memos are resolved, and
+// its entries are marked shared, so a clone copies one before writing it.
+func (c *spfCache) share() {
+	for _, e := range c.prefixes {
+		c.resolved(e)
+		e.shared = true
+	}
+}
+
+// hopArena hands out the next-hop slices of one full run's routes. Each
+// is cut from a chunk the arena allocated and capped at its length, so the
+// run allocates a few chunks instead of a slice per route; fib never
+// writes a stored slice, and the cap keeps an append to one route's slice
+// off the next route's next hops. A nil arena hands out a fresh slice per
+// route: an incremental run's routes leave one by one in its diff.
+type hopArena struct {
+	free []fib.NextHop
+	left int // routes the run may still carve
+}
+
+// cut returns a copy of hops that the route may keep.
+func (a *hopArena) cut(hops []fib.NextHop) []fib.NextHop {
+	if a == nil {
+		return slices.Clone(hops)
+	}
+	if len(hops) > len(a.free) {
+		// Size the chunk as if every route still to come had as many
+		// next hops as this one: a component's routes mostly share their
+		// ECMP width.
+		a.free = make([]fib.NextHop, len(hops)*a.left)
+	}
+	a.left--
+	k := copy(a.free, hops)
+	cut := a.free[:k:k]
+	a.free = a.free[k:]
+	return cut
 }
 
 // effects accumulates what a change-log replay did to the cache.
@@ -488,6 +562,7 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange) {
 				for _, pl := range e.lsas {
 					if pl.Header.Type == TypePrefix && pl.Header.AdvRouter == x {
 						c.markDirty(e)
+						break
 					}
 				}
 			}
@@ -504,7 +579,7 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange) {
 			if f == nil || f.AttachedTo != x {
 				continue
 			}
-			if e := c.byPrefix[f.Prefix]; e != nil {
+			if e := c.lookup(f.Prefix); e != nil {
 				c.markDirty(e)
 			}
 			if attachIdx, ok := c.index[x]; ok {
@@ -595,6 +670,7 @@ type announcer struct {
 // stale (see prefixEntry).
 func (c *spfCache) resolved(e *prefixEntry) []announcer {
 	if e.annsGen != c.routerGen {
+		e = c.own(e)
 		e.anns = c.announcers(e, e.anns[:0])
 		e.annsGen = c.routerGen
 	}
@@ -623,8 +699,9 @@ func (c *spfCache) announcers(e *prefixEntry, buf []announcer) []announcer {
 // routeFor computes the route this router installs for one prefix: best
 // distance across announcers, deduplicated real ECMP next hops, plus one
 // extra weighted path per locally attached fake (Fibbing's uneven
-// splitting). ok is false when no route is installable.
-func (r *Router) routeFor(c *spfCache, p netip.Prefix, anns []announcer, selfIdx topo.NodeID) (fib.Route, bool) {
+// splitting). ok is false when no route is installable. The next hops are
+// built in the cache's scratch and handed out through arena.
+func (r *Router) routeFor(c *spfCache, p netip.Prefix, anns []announcer, selfIdx topo.NodeID, arena *hopArena) (fib.Route, bool) {
 	tree := c.tree
 	// A slot allocated since the tree was last patched has no edge yet (an
 	// edge would have forced an SPF run), so the tree does not cover it.
@@ -654,7 +731,7 @@ func (r *Router) routeFor(c *spfCache, p netip.Prefix, anns []announcer, selfIdx
 	// Real next hops count once however many announcers share them;
 	// every local fake adds one unit of weight to its forwarding neighbor,
 	// summed by Normalize, which merges equal (node, link) entries.
-	var nhs []fib.NextHop
+	nhs := c.hops[:0]
 	nodes := c.nodes[:0]
 	for _, a := range anns {
 		if !reachable(a.idx) || tree.Dist[a.idx]+int64(a.metric) != best {
@@ -695,10 +772,12 @@ func (r *Router) routeFor(c *spfCache, p netip.Prefix, anns []announcer, selfIdx
 		}
 		nhs = append(nhs, fib.NextHop{Node: node, Link: l.ID, Weight: 1})
 	}
+	c.hops = nhs
 	if len(nhs) == 0 {
 		return fib.Route{}, false
 	}
 	route := fib.Route{Prefix: p, NextHops: nhs, Distance: best}
 	route.Normalize()
+	route.NextHops = arena.cut(route.NextHops)
 	return route, true
 }

@@ -214,9 +214,7 @@ func (d *Domain) Start() {
 			continue
 		}
 		img := first.buildCache()
-		for _, e := range img.prefixes {
-			img.resolved(e)
-		}
+		img.share()
 		for _, x := range reach[first.node] {
 			x.image = img
 		}

@@ -49,13 +49,13 @@ func diffCaches(got, want *spfCache, ordered bool) error {
 	if got.live != want.live || got.routerGen != want.routerGen {
 		return fmt.Errorf("live %d gen %d, want live %d gen %d", got.live, got.routerGen, want.live, want.routerGen)
 	}
-	if len(got.prefixes) != len(want.prefixes) || len(got.byPrefix) != len(want.byPrefix) {
-		return fmt.Errorf("%d prefixes (%d by prefix), want %d", len(got.prefixes), len(got.byPrefix), len(want.prefixes))
+	if len(got.prefixes) != len(want.prefixes) || entryCount(got) != entryCount(want) {
+		return fmt.Errorf("%d prefixes (%d by prefix), want %d", len(got.prefixes), entryCount(got), len(want.prefixes))
 	}
 	for i, w := range want.prefixes {
 		e := got.prefixes[i]
 		switch {
-		case e.prefix != w.prefix || e.str != w.str || got.byPrefix[e.prefix] != e:
+		case e.prefix != w.prefix || e.str != w.str || got.lookup(e.prefix) != e:
 			return fmt.Errorf("entry %d is %s, want %s", i, e.str, w.str)
 		case !slices.Equal(e.lsas, w.lsas):
 			return fmt.Errorf("entry %s: LSAs %v, want %v", e.str, e.lsas, w.lsas)
@@ -78,15 +78,31 @@ func sortedEdges(es []spf.Edge) []spf.Edge {
 	return es
 }
 
-// scribble writes into every part of c that a later run writes in place:
-// it withdraws the first LSA of every entry (slices.Delete shifts the
-// list and zeroes its tail), zeroes every announcer memo, and grows every
-// node's edge list.
+// scribble writes into every part of c that a later run writes in place.
+// Each prefix entry meets one of the index's writers in turn: a
+// withdrawal of its first LSA (slices.Delete shifts the list and zeroes
+// its tail), a second announcement of it, a dirty mark, or a re-resolved
+// stale memo. Then every memo, stale after a router generation, is
+// re-resolved and zeroed, the dirty marks are cleared, and every node's
+// edge list grows.
 func scribble(c *spfCache) {
-	for _, e := range c.prefixes {
-		c.withdraw(e.lsas[0])
-		clear(e.anns)
+	c.routerGen++
+	for i, e := range c.prefixes {
+		switch i % 4 {
+		case 0:
+			c.withdraw(e.lsas[0])
+		case 1:
+			c.announce(e.lsas[0])
+		case 2:
+			c.markDirty(e)
+		default:
+			c.resolved(e)
+		}
 	}
+	for _, e := range c.prefixes {
+		clear(c.resolved(e))
+	}
+	c.eff.reset()
 	for u := range c.g.Out {
 		c.g.ReplaceEdges(topo.NodeID(u), topo.NodeID(u), []spf.Edge{{Weight: 1}, {Weight: 2}})
 	}

@@ -42,6 +42,26 @@ func (r *Router) collectAnnouncers(c *spfCache) (map[string][]announcer, map[str
 	return byPrefix, prefixOf
 }
 
+// entryCount returns how many prefixes c.lookup finds an entry for: those
+// of c's own map, and those of its boot image that c neither owns nor
+// pruned.
+func entryCount(c *spfCache) int {
+	n := 0
+	for _, e := range c.byPrefix {
+		if e != nil {
+			n++
+		}
+	}
+	if c.base != nil {
+		for p := range c.base.byPrefix {
+			if _, own := c.byPrefix[p]; !own {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // checkIndex compares a router's announcer index, as its SPF run left it,
 // with the oracle: the same prefixes in the same (string) order, each with
 // the same announcers in the same order — so also the same LSAs skipped
@@ -59,12 +79,12 @@ func checkIndex(r *Router) error {
 	}
 	slices.Sort(wantKeys)
 
-	if len(c.byPrefix) != len(c.prefixes) {
-		return fmt.Errorf("index has %d entries by prefix, %d in order", len(c.byPrefix), len(c.prefixes))
+	if n := entryCount(c); n != len(c.prefixes) {
+		return fmt.Errorf("index has %d entries by prefix, %d in order", n, len(c.prefixes))
 	}
 	var gotKeys []string
 	for i, e := range c.prefixes {
-		if c.byPrefix[e.prefix] != e || e.str != e.prefix.String() {
+		if c.lookup(e.prefix) != e || e.str != e.prefix.String() {
 			return fmt.Errorf("entry %d (%s) is not the entry of prefix %v", i, e.str, e.prefix)
 		}
 		if i > 0 && c.prefixes[i-1].str >= e.str {
@@ -188,7 +208,7 @@ func TestPrefixLSARemoveReAddOneWindow(t *testing.T) {
 	if _, had := a.FIB().Get(old.Prefix); had {
 		t.Fatal("route survived its only announcement")
 	}
-	if a.cache.byPrefix[old.Prefix] != nil {
+	if a.cache.lookup(old.Prefix) != nil {
 		t.Fatal("index entry survived its only announcement")
 	}
 
@@ -254,7 +274,7 @@ func TestFakeLSARemoveReAddOneWindow(t *testing.T) {
 	a.dbInstall(moved)
 	a.computeRoutes()
 	assertRouterMatchesFull(t, "fake re-originated for another prefix", a)
-	if e := a.cache.byPrefix[target]; e == nil || len(a.cache.announcers(e, nil)) != len(tp.Prefixes()[0].Attachments) {
+	if e := a.cache.lookup(target); e == nil || len(a.cache.announcers(e, nil)) != len(tp.Prefixes()[0].Attachments) {
 		t.Fatalf("the fake's old prefix kept or lost announcers: %+v", e)
 	}
 

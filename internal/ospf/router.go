@@ -720,7 +720,7 @@ func (r *Router) replayChanges(changes []lsaChange) {
 		if !touchedAll && !e.dirty && (len(touched) == 0 || !c.announcerTouched(anns)) {
 			continue
 		}
-		route, ok := r.routeFor(c, e.prefix, anns, selfIdx)
+		route, ok := r.routeFor(c, e.prefix, anns, selfIdx, nil)
 		old, had := r.fib.Get(e.prefix)
 		switch {
 		case ok && (!had || !route.Equal(old)):
@@ -775,8 +775,10 @@ func (c *spfCache) announcerTouched(anns []announcer) bool {
 
 // fullState roots this router's tree over c, a cache fresh from the LSDB,
 // and computes every prefix's route into a new table, resolving every
-// announcer memo on the way. It reports false before the router
-// originated its own Router LSA.
+// announcer memo on the way. The table is filled at a cost per run, not
+// per route: it reserves its trie for every prefix, and the routes' next
+// hops are carved from shared chunks (hopArena). It reports false before
+// the router originated its own Router LSA.
 func (r *Router) fullState(c *spfCache) (*spfCache, *fib.Table, bool) {
 	selfIdx, ok := c.index[r.id]
 	if !ok {
@@ -784,12 +786,19 @@ func (r *Router) fullState(c *spfCache) (*spfCache, *fib.Table, bool) {
 	}
 	c.tree = spf.Compute(c.g, selfIdx, nil)
 	table := fib.NewTable(r.node)
+	table.Reserve(len(c.prefixes))
+	arena := &hopArena{left: len(c.prefixes)}
+	// routeFor's scratch, sized once for a route's neighbors: a fresh
+	// cache would grow it by append over the first routes.
+	c.nhs = slices.Grow(c.nhs[:0], len(r.nbrList))
+	c.nodes = slices.Grow(c.nodes[:0], len(r.nbrList))
+	c.hops = slices.Grow(c.hops[:0], len(r.nbrList))
 	for _, e := range c.prefixes {
 		anns := c.resolved(e)
 		if len(anns) == 0 {
 			continue
 		}
-		route, ok := r.routeFor(c, e.prefix, anns, selfIdx)
+		route, ok := r.routeFor(c, e.prefix, anns, selfIdx, arena)
 		if !ok {
 			continue
 		}
