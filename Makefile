@@ -37,7 +37,9 @@ vet:
 # up to 8 routers with 0-3 ms links, against the flooded start its tests
 # keep) and the data plane's kept readings (join, leave, cap, FIB and
 # link programs over the topology zoo, against the per-call sums its
-# tests keep).
+# tests keep) and the full SPF run (graphs with parallel links,
+# zero-weight edges, weights at the overflow guard and skip sets, against
+# the append-grown Compute its tests keep).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/snmp
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/topo
@@ -52,6 +54,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzQuietBFD$$' -fuzztime=30s ./internal/bfd
 	$(GO) test -fuzz='^FuzzSyncedStart$$' -fuzztime=30s ./internal/ospf
 	$(GO) test -fuzz='^FuzzReadings$$' -fuzztime=30s ./internal/netsim
+	$(GO) test -fuzz='^FuzzCompute$$' -fuzztime=30s ./internal/spf
 
 # The mutation check: every mutant in testdata/mutants.txt (a file, a
 # snippet in it, its replacement, the test that must fail) is compiled

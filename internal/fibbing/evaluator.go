@@ -93,7 +93,8 @@ func (e *Evaluator) tree(d topo.NodeID) *revTree {
 	}
 	full := spf.Compute(e.rev, d, e.skip)
 	n := len(full.Dist)
-	tr := &revTree{dist: full.Dist, off: make([]int32, n+1)}
+	// Sized once: the predecessor edges bound the distinct parents.
+	tr := &revTree{dist: full.Dist, off: make([]int32, n+1), hops: make([]topo.NodeID, 0, full.NumPreds())}
 	for u := 0; u < n; u++ {
 		tr.hops = full.AppendParents(tr.hops, topo.NodeID(u))
 		tr.off[u+1] = int32(len(tr.hops))

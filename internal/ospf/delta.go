@@ -20,10 +20,11 @@ package ospf
 // router of a flood component with the same LSDB, so it builds one cache
 // per component, the boot image (graph, slots, indexes and the announcer
 // index with its announcers resolved), and each router's first run clones
-// it and roots its own tree over the clone. The clone copies the graph,
-// the slots and the two slot indexes, but shares the image's prefix
-// entries and its byPrefix map: an entry is copied on the first write to
-// it (see spfCache.own), and most entries are never written after boot.
+// it and roots its own tree over the clone. The clone copies the graph and
+// the slots, but shares the image's two slot indexes until its first
+// write to each (spfCache.ownIndex, ownFakeIdx), and its prefix entries
+// and byPrefix map: an entry is copied on the first write to it (see
+// spfCache.own). Most routers never write either after boot.
 // The first run then builds its whole table at a cost per router, not per
 // route: the table reserves its trie nodes and values (fib.Table.Reserve)
 // and the routes' next hops are carved from a few shared chunks
@@ -149,6 +150,10 @@ type spfCache struct {
 	live    int
 	tree    *spf.Tree // rooted at this router's own slot
 	spare   *spf.Tree // the tree that tree replaced: the next patch's storage
+
+	// A clone reads the boot image's index and fakeIdx until its first
+	// write to each, which copies the map (ownIndex, ownFakeIdx).
+	indexShared, fakeIdxShared bool
 
 	// routerGen counts router slot allocations and frees: the announcer
 	// memos of the prefix entries are valid for one generation.
@@ -381,7 +386,7 @@ func (r *Router) buildCache() *spfCache {
 	routerLSAs := r.db.ByType(TypeRouter)
 	byRouter := make(map[RouterID]*LSA, len(routerLSAs))
 	for _, l := range routerLSAs {
-		c.index[l.Header.AdvRouter] = c.allocSlot(slot{kind: slotRouter, router: l.Header.AdvRouter})
+		c.ownIndex()[l.Header.AdvRouter] = c.allocSlot(slot{kind: slotRouter, router: l.Header.AdvRouter})
 		byRouter[l.Header.AdvRouter] = l
 	}
 	for _, l := range routerLSAs {
@@ -402,7 +407,7 @@ func (r *Router) buildCache() *spfCache {
 	}
 	for _, l := range r.db.ByType(TypeFake) {
 		idx := c.allocSlot(slot{kind: slotFake, fake: l})
-		c.fakeIdx[l.Header.Key()] = idx
+		c.ownFakeIdx()[l.Header.Key()] = idx
 		if attach, ok := c.index[l.AttachedTo]; ok {
 			c.g.AddEdge(attach, spf.Edge{To: idx, Weight: int64(l.AttachCost), Link: topo.NoLink})
 		}
@@ -412,22 +417,43 @@ func (r *Router) buildCache() *spfCache {
 	return c
 }
 
-// clone copies a boot image for one router's first run: the graph, the
-// slot table and both slot indexes. The prefix entries, memos included,
-// and the map that finds them stay the image's, shared until the clone
-// first writes an entry (own). The image is only read, so the routers of
-// one component clone it side by side on the SPF workers.
+// clone copies a boot image for one router's first run: the graph and the
+// slot table. The two slot indexes stay the image's until the clone first
+// writes one (ownIndex, ownFakeIdx), and the prefix entries, memos
+// included, and the map that finds them until it first writes an entry
+// (own). The image is only read, so the routers of one component clone it
+// side by side on the SPF workers.
 func (c *spfCache) clone() *spfCache {
 	return &spfCache{
-		g:         c.g.Clone(),
-		slots:     slices.Clone(c.slots),
-		index:     maps.Clone(c.index),
-		fakeIdx:   maps.Clone(c.fakeIdx),
-		live:      c.live,
-		routerGen: c.routerGen,
-		base:      c,
-		prefixes:  slices.Clone(c.prefixes),
+		g:             c.g.Clone(),
+		slots:         slices.Clone(c.slots),
+		index:         c.index,
+		fakeIdx:       c.fakeIdx,
+		indexShared:   true,
+		fakeIdxShared: true,
+		live:          c.live,
+		routerGen:     c.routerGen,
+		base:          c,
+		prefixes:      slices.Clone(c.prefixes),
 	}
+}
+
+// ownIndex returns c.index for writing, first copying it if it is still
+// the boot image's.
+func (c *spfCache) ownIndex() map[RouterID]topo.NodeID {
+	if c.indexShared {
+		c.index, c.indexShared = maps.Clone(c.index), false
+	}
+	return c.index
+}
+
+// ownFakeIdx returns c.fakeIdx for writing, first copying it if it is
+// still the boot image's.
+func (c *spfCache) ownFakeIdx() map[Key]topo.NodeID {
+	if c.fakeIdxShared {
+		c.fakeIdx, c.fakeIdxShared = maps.Clone(c.fakeIdx), false
+	}
+	return c.fakeIdx
 }
 
 // share seals c as a boot image: its announcer memos are resolved, and
@@ -508,7 +534,7 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange) {
 				eff.rebuild = true
 				return
 			}
-			c.index[x] = c.allocSlot(slot{kind: slotRouter, router: x})
+			c.ownIndex()[x] = c.allocSlot(slot{kind: slotRouter, router: x})
 		}
 		if _, ok := c.index[x]; !ok {
 			eff.rebuild = true // change for a router the cache never saw
@@ -547,7 +573,7 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange) {
 				eff.addEdge(c.g.ReplaceEdges(yi, xi, nil), yi, xi)
 			}
 			c.freeSlot(xi)
-			delete(c.index, x)
+			delete(c.ownIndex(), x)
 		} else {
 			xl := r.routerLSA(x)
 			for _, y := range nbrs {
@@ -607,12 +633,12 @@ func (r *Router) applyChange(c *spfCache, ch lsaChange) {
 			}
 			if ch.new == nil {
 				c.freeSlot(idx)
-				delete(c.fakeIdx, k)
+				delete(c.ownFakeIdx(), k)
 				return
 			}
 			c.slots[idx].fake = ch.new
 		} else {
-			c.fakeIdx[k] = c.allocSlot(slot{kind: slotFake, fake: ch.new})
+			c.ownFakeIdx()[k] = c.allocSlot(slot{kind: slotFake, fake: ch.new})
 		}
 		idx := c.fakeIdx[k]
 		c.announce(ch.new)

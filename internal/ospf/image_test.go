@@ -78,14 +78,23 @@ func sortedEdges(es []spf.Edge) []spf.Edge {
 	return es
 }
 
-// scribble writes into every part of c that a later run writes in place.
-// Each prefix entry meets one of the index's writers in turn: a
+// scribble writes into every part of c, a clone r's first run would take,
+// that a later run writes in place. The slot indexes meet their writers
+// first: a fake is injected (fakeIdx), a router joins and r itself leaves
+// (index). Then each prefix entry meets one of the index's writers in
+// turn: a
 // withdrawal of its first LSA (slices.Delete shifts the list and zeroes
 // its tail), a second announcement of it, a dirty mark, or a re-resolved
 // stale memo. Then every memo, stale after a router generation, is
 // re-resolved and zeroed, the dirty marks are cleared, and every node's
 // edge list grows.
-func scribble(c *spfCache) {
+func scribble(r *Router, c *spfCache) {
+	r.applyChange(c, lsaChange{new: &LSA{
+		Header: Header{Type: TypeFake, AdvRouter: ControllerIDBase, LSID: 1, Seq: 1},
+		Prefix: c.prefixes[0].prefix, AttachedTo: r.id, AttachCost: 1,
+	}})
+	r.applyChange(c, lsaChange{new: &LSA{Header: Header{Type: TypeRouter, AdvRouter: RouterID(1 << 30), Seq: 1}}})
+	r.applyChange(c, lsaChange{old: r.routerLSA(r.id)})
 	c.routerGen++
 	for i, e := range c.prefixes {
 		switch i % 4 {
@@ -144,7 +153,10 @@ func TestBootImageMatchesPerRouterBuild(t *testing.T) {
 					t.Fatalf("%s: router %d: the image's clone departs from the per-router build: %v", label, r.id, err)
 				}
 			}
-			scribble(clones[0])
+			scribble(routers[0], clones[0])
+			if _, ok := clones[0].index[RouterID(1<<30)]; !ok || len(clones[0].fakeIdx) == 0 {
+				t.Fatalf("%s: the scribble left the clone's slot indexes unwritten", label)
+			}
 			for i, r := range routers {
 				if err := diffCaches(r.image, r.buildCache(), true); err != nil {
 					t.Fatalf("%s: router %d: writing into a clone changed the image: %v", label, r.id, err)

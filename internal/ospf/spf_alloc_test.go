@@ -152,19 +152,30 @@ func firstRunObjects(t *testing.T, scale int) (int, float64, *Domain) {
 // trie node and value per Install) the growth is at least 81.
 const firstRunGrowth = 3
 
+// firstRunObjectsBudget bounds the heap objects of one first run on the
+// igp-churn fabric (81 prefixes). Measured 22.5 since the run's tree is
+// carved from one predecessor array and the clone shares the image's slot
+// indexes until it writes them; 139.7 when Compute grew one predecessor
+// slice per node and every clone copied both indexes.
+const firstRunObjectsBudget = 26
+
 // TestFirstRunAllocations is the first-run twin of
 // TestIncrementalRunAllocations: a router's first SPF run, which clones
 // its component's boot image and builds its whole table, allocates per
-// router, not per route. Its trie comes from the table's reservation, its
-// routes' next hops from a few shared chunks, and its prefix entries stay
-// the image's, so doubling the prefixes leaves the objects per run
-// within firstRunGrowth. Every next-hop slice a first run stores is
+// router, not per route or per node. Its trie comes from the table's
+// reservation, its routes' next hops from a few shared chunks, its tree
+// from one predecessor array, and its prefix entries and slot indexes stay
+// the image's, so a run stays within firstRunObjectsBudget and doubling
+// the prefixes leaves it within firstRunGrowth. Every next-hop slice a first run stores is
 // capped at its length, so no append to one route's next hops reaches
 // another's.
 func TestFirstRunAllocations(t *testing.T) {
 	n, base, _ := firstRunObjects(t, 1)
 	n2, doubled, d := firstRunObjects(t, 2)
 	t.Logf("a first run allocates %.2f objects with %d prefixes, %.2f with %d", base, n, doubled, n2)
+	if base > firstRunObjectsBudget {
+		t.Fatalf("a first run allocates %.2f objects, over the budget of %v", base, firstRunObjectsBudget)
+	}
 	if doubled-base > firstRunGrowth {
 		t.Fatalf("doubling the prefixes grows a first run from %.2f to %.2f objects, over the bound of %v", base, doubled, firstRunGrowth)
 	}

@@ -1,0 +1,54 @@
+//go:build !race
+
+package spf
+
+import (
+	"math/rand"
+	"runtime/debug"
+	"testing"
+
+	"fibbing.net/fibbing/internal/topo"
+)
+
+// computeObjectsBudget bounds the heap objects of one Compute: the tree,
+// Dist, the list headers and the predecessor array, whatever the node
+// count. Measured 4 at 100 and at 1 000 nodes; growing one predecessor
+// slice per node by append made 108 and 1 096.
+const computeObjectsBudget = 5
+
+// TestComputeAllocations: a full SPF run allocates per tree, not per
+// node. The scratch comes from a pool, which the race detector drains at
+// random, so this file is not built under -race; no collection runs
+// inside the measured window either. ~0.01 s.
+func TestComputeAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var objects []float64
+	for _, n := range []int{100, 1000} {
+		g := randomGraph(rand.New(rand.NewSource(int64(n))), n)
+		got := testing.AllocsPerRun(20, func() { Compute(g, 0, nil) })
+		t.Logf("Compute on %d nodes: %v objects", n, got)
+		if got > computeObjectsBudget {
+			t.Fatalf("Compute on %d nodes allocates %v objects, over the budget of %d", n, got, computeObjectsBudget)
+		}
+		objects = append(objects, got)
+	}
+	if objects[0] != objects[1] {
+		t.Fatalf("Compute allocates %v objects at 100 nodes but %v at 1 000", objects[0], objects[1])
+	}
+}
+
+// TestFromTopologyAllocations: FromTopology makes the graph, its list
+// headers and one edge array, however large the topology. ~0.03 s.
+func TestFromTopologyAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tp := range []*topo.Topology{
+		topo.Fig1(topo.Fig1Opts{}),
+		topo.FatTree(topo.FatTreeOpts{K: 4}),
+		topo.FatTree(topo.FatTreeOpts{K: 16}),
+		topo.Waxman(topo.WaxmanOpts{Nodes: 200, Capacity: 10e6, MaxWeight: 5, Seed: 4}),
+	} {
+		if got := testing.AllocsPerRun(20, func() { FromTopology(tp) }); got > 3 {
+			t.Fatalf("FromTopology on %d nodes and %d links allocates %v objects, want at most 3", tp.NumNodes(), tp.NumLinks(), got)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package spf
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -126,6 +128,242 @@ func TestReplaceEdgesMatchesReference(t *testing.T) {
 	}
 }
 
+// computeReference is Compute as it was before the predecessor DAG was
+// read off the final distances, kept verbatim as the oracle: it grows one
+// predecessor slice per node by append, resetting it on every improvement.
+func computeReference(g *Graph, src topo.NodeID, skip func(topo.NodeID) bool) *Tree {
+	n := g.NumNodes()
+	t := &Tree{
+		Src:   src,
+		Dist:  make([]int64, n),
+		preds: make([][]pred, n),
+	}
+	for i := range t.Dist {
+		t.Dist[i] = Infinity
+	}
+	t.Dist[src] = 0
+	sc := getScratch()
+	defer sc.release()
+	done := sc.boolSlice(n)
+	h := &sc.h
+	h.push(item{node: src, dist: 0})
+	for !h.empty() {
+		it := h.pop()
+		u := it.node
+		if done[u] || it.dist > t.Dist[u] {
+			continue
+		}
+		done[u] = true
+		if u != src && skip != nil && skip(u) {
+			continue // reached, but never expanded as transit
+		}
+		du := t.Dist[u]
+		for _, e := range g.Out[u] {
+			alt := du + e.Weight
+			if alt < 0 { // overflow guard
+				continue
+			}
+			switch {
+			case alt < t.Dist[e.To]:
+				t.Dist[e.To] = alt
+				t.preds[e.To] = t.preds[e.To][:0]
+				t.preds[e.To] = append(t.preds[e.To], pred{from: u, link: e.Link})
+				h.push(item{node: e.To, dist: alt})
+			case alt == t.Dist[e.To]:
+				t.preds[e.To] = append(t.preds[e.To], pred{from: u, link: e.Link})
+			}
+		}
+	}
+	t.canonicalize()
+	return t
+}
+
+// fromTopologyReference is FromTopology as it was before its edge lists
+// were cut from one array, kept verbatim as the oracle: one AddEdge per
+// link.
+func fromTopologyReference(t *topo.Topology) *Graph {
+	g := NewGraph(t.NumNodes())
+	for _, l := range t.Links() {
+		g.AddEdge(l.From, Edge{To: l.To, Weight: l.Weight, Link: l.ID})
+	}
+	return g
+}
+
+// drawCompute decodes one Compute problem from data: a node count (1 to
+// 16), the source, a 16-bit skip mask (it may name the source), then one
+// edge per 4 bytes (from, to, weight, link). The weight byte's top two bits
+// pick a class: 0 or 1, small, within 63 of MaxInt64 (a path of two
+// overflows, one from the source may equal Infinity), or within 63 of
+// MaxInt64/2 (a path of two is huge, of three overflows). Links repeat
+// across 8 values, so parallel edges, duplicates among them, come up;
+// so do self-loops, zero-weight cycles and nodes no edge reaches.
+func drawCompute(data []byte) (g *Graph, src topo.NodeID, skip func(topo.NodeID) bool) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := 1 + next()%16
+	src = topo.NodeID(next() % n)
+	if mask := next() | next()<<8; mask != 0 {
+		skip = func(v topo.NodeID) bool { return mask>>(int(v)%16)&1 != 0 }
+	}
+	g = NewGraph(n)
+	for len(data) >= 4 {
+		from, to, wb, lb := next()%n, next()%n, next(), next()
+		v := int64(wb & 0x3f)
+		var w int64
+		switch wb >> 6 {
+		case 0:
+			w = v % 2
+		case 1:
+			w = 1 + v%8
+		case 2:
+			w = math.MaxInt64 - v
+		default:
+			w = math.MaxInt64/2 - v
+		}
+		g.AddEdge(topo.NodeID(from), Edge{To: topo.NodeID(to), Weight: w, Link: topo.LinkID(lb%8) - 1})
+	}
+	return g, src, skip
+}
+
+// checkCompute holds Compute to the reference on one problem: an Equal
+// tree (distances and canonical predecessor lists), each list capped at
+// its length.
+func checkCompute(g *Graph, src topo.NodeID, skip func(topo.NodeID) bool) error {
+	got, want := Compute(g, src, skip), computeReference(g, src, skip)
+	if !got.Equal(want) {
+		return fmt.Errorf("from %d: Compute gives dist %v preds %v, the reference dist %v preds %v",
+			src, got.Dist, got.preds, want.Dist, want.preds)
+	}
+	return capped(got)
+}
+
+// capped reports a predecessor list of t with room past its length: an
+// append to it would write into the next list cut from the same array.
+func capped(t *Tree) error {
+	for v, ps := range t.preds {
+		if cap(ps) != len(ps) {
+			return fmt.Errorf("node %d keeps %d predecessors in a slice of cap %d", v, len(ps), cap(ps))
+		}
+	}
+	return nil
+}
+
+// TestComputeMatchesReference holds Compute to computeReference on 20 000
+// problems drawn as FuzzCompute draws them (parallel links, zero-weight
+// edges and cycles, weights at the overflow guard, skip sets that include
+// the source, unreachable parts) and from every source of the topology
+// zoo, whose graphs FromTopology must build edge for edge as
+// fromTopologyReference does. The drawn problems must reach every case
+// that tells the two apart: an edge into a later-settled node that lost
+// to another path (the reference's reset), a zero-weight predecessor, a
+// skipped node, an edge the guard drops.
+func TestComputeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var lost, zero, skipped, guarded int
+	for i := 0; i < 20000; i++ {
+		data := make([]byte, 4+4*rng.Intn(40))
+		rng.Read(data)
+		g, src, skip := drawCompute(data)
+		if err := checkCompute(g, src, skip); err != nil {
+			t.Fatalf("case %d (%x): %v", i, data, err)
+		}
+		tree := Compute(g, src, skip)
+		for u, es := range g.Out {
+			du := tree.Dist[u]
+			if du == Infinity {
+				continue
+			}
+			if u != int(src) && skip != nil && skip(topo.NodeID(u)) {
+				skipped++
+				continue
+			}
+			for _, e := range es {
+				switch alt := du + e.Weight; {
+				case alt < 0:
+					guarded++
+				case e.Weight == 0 && alt == tree.Dist[e.To]:
+					zero++
+				case alt > tree.Dist[e.To] && tree.Dist[e.To] > du:
+					lost++
+				}
+			}
+		}
+	}
+	t.Logf("%d lost edges, %d zero-weight predecessors, %d skipped nodes, %d guarded edges", lost, zero, skipped, guarded)
+	if lost < 1000 || zero < 1000 || skipped < 1000 || guarded < 1000 {
+		t.Fatal("the drawn problems miss a case")
+	}
+	for i, tp := range chainZoo() {
+		g := FromTopology(tp)
+		ref := fromTopologyReference(tp)
+		for u := range ref.Out {
+			if !slices.Equal(g.Out[u], ref.Out[u]) {
+				t.Fatalf("zoo %d node %d: FromTopology lists %v, the reference %v", i, u, g.Out[u], ref.Out[u])
+			}
+		}
+		for src := range g.Out {
+			for _, skip := range []func(topo.NodeID) bool{nil, HostSkip(tp)} {
+				if err := checkCompute(g, topo.NodeID(src), skip); err != nil {
+					t.Fatalf("zoo %d: %v", i, err)
+				}
+			}
+		}
+	}
+}
+
+// FuzzCompute holds Compute to computeReference on arbitrary problems
+// (drawCompute).
+func FuzzCompute(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 0, 0, 1, 0x41, 0, 1, 2, 0x42, 1, 0, 2, 0x43, 2})
+	f.Add([]byte{4, 1, 0x06, 0, 1, 0, 0x80, 0, 1, 2, 0x00, 3, 2, 2, 0x00, 4, 2, 3, 0xc1, 5, 3, 1, 0xc2, 5})
+	f.Add([]byte{5, 2, 0xff, 0xff, 2, 4, 0x40, 0, 2, 4, 0x40, 0, 2, 4, 0x40, 1, 4, 3, 0x01, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			return
+		}
+		g, src, skip := drawCompute(data)
+		if err := checkCompute(g, src, skip); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestFromTopologyIsolatesGrowth: FromTopology's edge lists share one
+// backing array, so growing one of them with AddEdge must reallocate that
+// list alone and leave the graph's other lists as they were.
+func TestFromTopologyIsolatesGrowth(t *testing.T) {
+	for i, tp := range chainZoo() {
+		want := fromTopologyReference(tp)
+		for u := range want.Out {
+			g := FromTopology(tp)
+			g.AddEdge(topo.NodeID(u), Edge{To: topo.NodeID(u), Weight: 7, Link: topo.NoLink})
+			for v, es := range g.Out {
+				if v != u && !slices.Equal(es, want.Out[v]) {
+					t.Fatalf("zoo %d: growing node %d changed node %d: %v, want %v", i, u, v, es, want.Out[v])
+				}
+			}
+		}
+	}
+}
+
+// chainZoo is the topology zoo of the reuse-chain and reference tests.
+func chainZoo() []*topo.Topology {
+	return []*topo.Topology{
+		topo.Fig1(topo.Fig1Opts{}),
+		topo.Abilene(10e6, time.Millisecond),
+		topo.FatTree(topo.FatTreeOpts{K: 4, MaxWeight: 3, Seed: 2}),
+		topo.Ring(topo.RingOpts{N: 9, Capacity: 10e6, Chords: 2, Seed: 3}),
+		topo.Waxman(topo.WaxmanOpts{Nodes: 16, Capacity: 10e6, MaxWeight: 5, Seed: 4}),
+		topo.RandomConnected(topo.RandomOpts{Nodes: 12, Degree: 3, MaxWeight: 5, Prefixes: 2, Capacity: 10e6, Seed: 5}),
+	}
+}
+
 // cloneTree deep-copies the routing state of t (distances and every
 // predecessor list), sharing nothing with it.
 func cloneTree(t *Tree) *Tree {
@@ -142,18 +380,13 @@ func cloneTree(t *Tree) *Tree {
 // Dijkstra and a fresh-storage Incremental (touched set and fallback
 // included), and prev still equals the deep copy taken before the patch,
 // so neither the reused storage nor the shared predecessor lists leak
-// into the previous tree.
+// into the previous tree. The chain starts from a Compute tree, whose
+// lists are cut from one array: each is capped at its length, and the
+// tree stays equal to the copy taken before the chain until the chain
+// hands it back as storage.
 func TestIncrementalIntoChain(t *testing.T) {
-	zoo := []*topo.Topology{
-		topo.Fig1(topo.Fig1Opts{}),
-		topo.Abilene(10e6, time.Millisecond),
-		topo.FatTree(topo.FatTreeOpts{K: 4, MaxWeight: 3, Seed: 2}),
-		topo.Ring(topo.RingOpts{N: 9, Capacity: 10e6, Chords: 2, Seed: 3}),
-		topo.Waxman(topo.WaxmanOpts{Nodes: 16, Capacity: 10e6, MaxWeight: 5, Seed: 4}),
-		topo.RandomConnected(topo.RandomOpts{Nodes: 12, Degree: 3, MaxWeight: 5, Prefixes: 2, Capacity: 10e6, Seed: 5}),
-	}
 	patches, reused := 0, 0
-	for i, tp := range zoo {
+	for i, tp := range chainZoo() {
 		rng := rand.New(rand.NewSource(int64(i)))
 		g := FromTopology(tp)
 		skip := HostSkip(tp)
@@ -162,6 +395,10 @@ func TestIncrementalIntoChain(t *testing.T) {
 		}
 		n0 := g.NumNodes()
 		cur := Compute(g, 0, skip)
+		if err := capped(cur); err != nil {
+			t.Fatalf("zoo %d: the first tree: %v", i, err)
+		}
+		carved, carvedCopy := cur, cloneTree(cur)
 		var spare *Tree
 		for step := 0; step < 60; step++ {
 			changes := mutate(rng, g)
@@ -173,6 +410,9 @@ func TestIncrementalIntoChain(t *testing.T) {
 			}
 			before := cloneTree(cur)
 			fresh, freshTouched, freshFull := Incremental(g, cur, changes, skip)
+			if spare == carved {
+				carved = nil // handed back as storage: this patch overwrites it
+			}
 			tree, touched, full := IncrementalInto(spare, g, cur, changes, skip)
 			if want := Compute(g, 0, skip); !tree.Equal(want) {
 				t.Fatalf("zoo %d step %d: patched tree diverges from Compute (changes %v)", i, step, changes)
@@ -183,6 +423,9 @@ func TestIncrementalIntoChain(t *testing.T) {
 			}
 			if !before.Equal(cur) {
 				t.Fatalf("zoo %d step %d: the patch mutated prev", i, step)
+			}
+			if carved != nil && !carved.Equal(carvedCopy) {
+				t.Fatalf("zoo %d step %d: the chain changed the Compute tree it started from", i, step)
 			}
 			patches++
 			if spare != nil && tree == spare {

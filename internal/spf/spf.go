@@ -7,6 +7,12 @@
 // equal-cost paths, and count path multiplicities — the quantity Fibbing
 // manipulates to realise uneven splitting ratios.
 //
+// A full run (Compute) allocates a fixed number of objects whatever the
+// node count: the tree, Dist, the predecessor list headers and one
+// predecessor array every list is cut from. FromTopology likewise cuts
+// a graph's edge lists from one array. Both cap each list at its length,
+// so a later append to one list reallocates that list alone.
+//
 // Incremental (incremental.go) patches a Tree from a list of GraphChanges
 // instead of re-running Dijkstra, falling back to a full recompute when
 // the dirty region exceeds MaxDirtyFraction of the graph. It is the first
@@ -26,18 +32,21 @@ import (
 	"fibbing.net/fibbing/internal/topo"
 )
 
-// scratch is the reusable working state of one SPF run: the visited set
-// (Compute), the per-node flag vector and closure queue (Incremental), the
-// binary-heap backing array, and the DAG-walk state of Tree.NextHops. The
-// parallel simulation core runs many per-router SPF computations per tick
-// on worker goroutines, so the scratch is pooled — effectively per worker
-// — instead of allocated per run. Results (Dist, preds) never alias
-// scratch memory.
+// scratch is the reusable working state of one SPF run: the visited set,
+// expanded list and predecessor counts (Compute), the per-node flag vector
+// and closure queue (Incremental), the binary-heap backing array, and the
+// DAG-walk state of Tree.NextHops. The parallel simulation core runs many
+// per-router SPF computations per tick on worker goroutines, so the
+// scratch is pooled — effectively per worker — instead of allocated per
+// run. Results (Dist, preds) never alias scratch memory.
 type scratch struct {
 	done  []bool
 	flags []uint8
 	queue []topo.NodeID
 	h     heap
+	// npred counts Compute's predecessor edges per node; all zero
+	// between uses (buildPreds resets what it counted).
+	npred []int32
 
 	// NextHops state. seen and cnt are all-zero between uses: a walk
 	// resets exactly the entries it touched (the nodes in order), so a
@@ -82,6 +91,14 @@ func (s *scratch) walkSlices(n int) ([]bool, []int64) {
 		s.cnt = make([]int64, n)
 	}
 	return s.seen, s.cnt
+}
+
+// countSlice returns the npred vector grown to n nodes, all zero.
+func (s *scratch) countSlice(n int) []int32 {
+	if len(s.npred) < n {
+		s.npred = make([]int32, n)
+	}
+	return s.npred[:n]
 }
 
 func (s *scratch) flagSlice(n int) []uint8 {
@@ -234,10 +251,21 @@ func (g *Graph) ReplaceEdges(from, to topo.NodeID, edges []Edge) bool {
 // routers simply because shortest paths never improve through a stub of
 // equal cost — to be strict we keep host edges only between the host and
 // its attachment, which cannot create transit shortcuts.
+//
+// Each node's edges come in link ID order. The lists are cut from one
+// backing array sized by the out-degrees, each capped at its length, so
+// the graph costs three allocations and a later AddEdge or ReplaceEdges
+// that grows one list reallocates that list alone.
 func FromTopology(t *topo.Topology) *Graph {
 	g := NewGraph(t.NumNodes())
-	for _, l := range t.Links() {
-		g.AddEdge(l.From, Edge{To: l.To, Weight: l.Weight, Link: l.ID})
+	backing := make([]Edge, t.NumLinks())
+	for u := range g.Out {
+		d := len(t.OutLinks(topo.NodeID(u)))
+		g.Out[u], backing = backing[:0:d], backing[d:]
+	}
+	for id := range t.NumLinks() {
+		l := t.Link(topo.LinkID(id))
+		g.Out[l.From] = append(g.Out[l.From], Edge{To: l.To, Weight: l.Weight, Link: l.ID})
 	}
 	return g
 }
@@ -320,6 +348,10 @@ func (h *heap) empty() bool { return len(h.a) == 0 }
 // Compute runs Dijkstra from src and records the full ECMP predecessor DAG.
 // Nodes listed in skip are not expanded (used to exclude stub hosts from
 // transit); they may still be reached as leaves.
+//
+// Dijkstra settles the distances alone; the DAG is read off the final
+// ones afterwards (buildPreds), so a run allocates the tree, Dist, the
+// list headers and one predecessor array, whatever the node count.
 func Compute(g *Graph, src topo.NodeID, skip func(topo.NodeID) bool) *Tree {
 	n := g.NumNodes()
 	t := &Tree{
@@ -334,6 +366,7 @@ func Compute(g *Graph, src topo.NodeID, skip func(topo.NodeID) bool) *Tree {
 	sc := getScratch()
 	defer sc.release()
 	done := sc.boolSlice(n)
+	expanded := sc.queue[:0]
 	h := &sc.h
 	h.push(item{node: src, dist: 0})
 	for !h.empty() {
@@ -346,25 +379,56 @@ func Compute(g *Graph, src topo.NodeID, skip func(topo.NodeID) bool) *Tree {
 		if u != src && skip != nil && skip(u) {
 			continue // reached, but never expanded as transit
 		}
+		expanded = append(expanded, u)
 		du := t.Dist[u]
 		for _, e := range g.Out[u] {
 			alt := du + e.Weight
-			if alt < 0 { // overflow guard
-				continue
-			}
-			switch {
-			case alt < t.Dist[e.To]:
+			if alt >= 0 && alt < t.Dist[e.To] { // alt < 0: overflow guard
 				t.Dist[e.To] = alt
-				t.preds[e.To] = t.preds[e.To][:0]
-				t.preds[e.To] = append(t.preds[e.To], pred{from: u, link: e.Link})
 				h.push(item{node: e.To, dist: alt})
-			case alt == t.Dist[e.To]:
+			}
+		}
+	}
+	sc.queue = expanded
+	t.buildPreds(g, expanded, sc.countSlice(n))
+	t.canonicalize()
+	return t
+}
+
+// buildPreds fills t.preds from the final distances: every edge out of an
+// expanded node that lies on a shortest path (Dist[u] + w == Dist[v], with
+// Compute's overflow guard), zero-weight edges and edges into nodes
+// settled before u included. With non-negative weights an expanded node's
+// distance is final, so these are exactly the edges a relaxation would
+// have kept. The edges are counted first (into cnt, all zero on entry and
+// on return), so every list is cut from one backing array, capped at its
+// length: an append to one list reallocates that list alone.
+func (t *Tree) buildPreds(g *Graph, expanded []topo.NodeID, cnt []int32) {
+	total := 0
+	for _, u := range expanded {
+		du := t.Dist[u]
+		for _, e := range g.Out[u] {
+			if alt := du + e.Weight; alt >= 0 && alt == t.Dist[e.To] {
+				cnt[e.To]++
+				total++
+			}
+		}
+	}
+	backing := make([]pred, total)
+	for v, c := range cnt {
+		if c > 0 {
+			t.preds[v], backing = backing[:0:c], backing[c:]
+			cnt[v] = 0
+		}
+	}
+	for _, u := range expanded {
+		du := t.Dist[u]
+		for _, e := range g.Out[u] {
+			if alt := du + e.Weight; alt >= 0 && alt == t.Dist[e.To] {
 				t.preds[e.To] = append(t.preds[e.To], pred{from: u, link: e.Link})
 			}
 		}
 	}
-	t.canonicalize()
-	return t
 }
 
 // canonicalize sorts every predecessor list by (from, link) so that trees
@@ -430,6 +494,16 @@ func (t *Tree) AppendParents(buf []topo.NodeID, v topo.NodeID) []topo.NodeID {
 		}
 	}
 	return buf
+}
+
+// NumPreds returns the number of predecessor edges in the DAG, an upper
+// bound on the distinct parents AppendParents lists over all nodes.
+func (t *Tree) NumPreds() int {
+	n := 0
+	for _, ps := range t.preds {
+		n += len(ps)
+	}
+	return n
 }
 
 // Reachable reports whether dst was reached.
@@ -543,13 +617,7 @@ func (t *Tree) Paths(dst topo.NodeID, limit int) [][]topo.NodeID {
 			out = append(out, path)
 			return limit == 0 || len(out) < limit
 		}
-		ps := append([]pred(nil), t.preds[v]...)
-		for i := 1; i < len(ps); i++ {
-			for j := i; j > 0 && ps[j].from < ps[j-1].from; j-- {
-				ps[j], ps[j-1] = ps[j-1], ps[j]
-			}
-		}
-		for _, p := range ps {
+		for _, p := range t.preds[v] { // canonical order: ascending from
 			if !walk(p.from) {
 				return false
 			}
