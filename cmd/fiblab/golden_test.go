@@ -14,17 +14,15 @@ import (
 	"fibbing.net/fibbing/internal/golden"
 )
 
-// scrubbed are the report keys whose values depend on wall-clock time or
-// on the worker width, the set TestParallelCoreDeterminism scrubs too.
+// scrubbed are the report keys whose values depend on wall-clock time.
 // Everything else a cell reports is a pure function of its spec.
-var scrubbed = []string{"nanos", "max_batch", "parallel_batches"}
+var scrubbed = []string{"nanos"}
 
 // TestGoldenReports is the "same reports" tripwire: the matrix, failover
 // and QoE cells' JSON, scrubbed, must equal testdata/<mode>.json byte for
-// byte, and every cell must hold its invariants. The worker width is left
-// at its default, so the test doubles as a width-determinism check on
-// whatever host runs it. A change that moves a simulated outcome on
-// purpose reruns with -update and commits the moved lines.
+// byte, and every cell must hold its invariants. A change that moves a
+// simulated outcome on purpose reruns with -update and commits the moved
+// lines.
 func TestGoldenReports(t *testing.T) {
 	for _, mode := range []string{"matrix", "failover", "qoe"} {
 		t.Run(mode, func(t *testing.T) {

@@ -76,9 +76,9 @@ func runScale(s scenarios.Spec) (scaleResult, error) {
 func (r scaleResult) view() view {
 	rep := r.Report
 	return view{func(b *strings.Builder) {
-		fmt.Fprintf(b, "%-24s wall=%8.2fs events=%9d spf=%d inc/%d full reshare=%d inc/%d full sessions=%d aggs=%d settled=%.2f lies=%d batches=%d max-batch=%d\n",
+		fmt.Fprintf(b, "%-24s wall=%8.2fs events=%9d spf=%d inc/%d full reshare=%d inc/%d full sessions=%d aggs=%d settled=%.2f lies=%d\n",
 			rep.Scenario, r.WallClock, rep.Events, rep.SPFIncrementalRuns, rep.SPFFullRuns, rep.ReshareIncremental, rep.ReshareFull, rep.Sessions, rep.Aggregates,
-			rep.SettledUtilisation, rep.Lies, rep.ParallelBatches, rep.MaxBatch)
+			rep.SettledUtilisation, rep.Lies)
 	}, nil, rep}
 }
 

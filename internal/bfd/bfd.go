@@ -16,8 +16,7 @@
 // pipeline — bypassing the poll path entirely.
 //
 // Everything runs on the event.Scheduler and draws randomness from
-// per-endpoint seeded PRNGs, so runs are deterministic and byte-identical
-// at any worker-pool width (BFD events are plain sequential events).
+// per-endpoint seeded PRNGs, so runs are deterministic.
 //
 // On an established session a hello changes nothing: both ends are Up,
 // each hears Up and re-arms a detection timer the next hello cancels. So

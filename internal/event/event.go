@@ -3,38 +3,18 @@
 //
 // A Scheduler owns a virtual clock and a time-ordered queue of callbacks.
 // Events scheduled for the same instant fire in scheduling order (FIFO),
-// which keeps simulations deterministic.
-//
-// # Parallel batches
-//
-// Most events are opaque closures and must run one at a time. Events
-// scheduled with AtParallel/AfterParallel instead declare two phases: a
-// compute phase that only reads shared state and writes state owned by the
-// event, and a commit phase that publishes the result. When Step finds
-// a contiguous run of such events at the head instant it fans the compute
-// phases out to a worker pool and then runs the commit phases sequentially
-// in FIFO order — exactly the order the sequential core would have used, so
-// the output is byte-identical regardless of worker count.
-//
-// The independence contract for same-batch parallel events: a compute phase
-// must not write state read by another compute phase, must not touch the
-// scheduler (At/After/Cancel), and a commit phase must not cancel another
-// event in the same batch. Commits may schedule freely.
+// which keeps simulations deterministic. Every event runs on the goroutine
+// that drives the scheduler, one at a time.
 package event
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Scheduler is a discrete-event loop driven from one goroutine; worker
-// goroutines exist only inside Step, between fan-out and the
-// WaitGroup barrier. It is not safe for concurrent use; simulations drive
-// it from one goroutine and expose snapshots to others behind their own
-// locks.
+// Scheduler is a discrete-event loop driven from one goroutine. It is not
+// safe for concurrent use; simulations drive it from one goroutine and
+// expose snapshots to others behind their own locks.
 type Scheduler struct {
 	now time.Duration
 	// queue is a binary min-heap of chain heads on (at, seq): each entry
@@ -47,19 +27,14 @@ type Scheduler struct {
 	seq      uint64
 	ran      uint64
 	pending  int
-
-	workers int
-	batch   []*scheduled // scratch reused across Step calls
-	free    []*scheduled // recycled event structs: At is allocation-free
-	stats   ParallelStats
+	free     []*scheduled // recycled event structs: At is allocation-free
 }
 
-// ParallelStats is the scheduler's parallel-execution telemetry.
+// ParallelStats is always zero: events run one at a time. It is kept only
+// because bench/ reads it until ROADMAP item 1.
 type ParallelStats struct {
-	// Batches counts multi-event parallel batches executed.
-	Batches uint64 `json:"batches"`
-	// MaxBatch is the largest batch seen.
-	MaxBatch int `json:"max_batch"`
+	Batches  uint64 `json:"batches"`
+	MaxBatch int    `json:"max_batch"`
 }
 
 // Handle identifies a scheduled event so it can be cancelled. The zero
@@ -72,10 +47,9 @@ type Handle struct {
 }
 
 type scheduled struct {
-	at      time.Duration
-	seq     uint64
-	fn      func() // the event body; for parallel events, the commit phase
-	compute func() // non-nil marks a parallel-capable event
+	at  time.Duration
+	seq uint64
+	fn  func()
 	// prev/next link the event into its instant's FIFO chain; index is
 	// its heap slot while it heads the chain and -1 otherwise; queued
 	// holds from push until the event fires or is cancelled.
@@ -93,27 +67,18 @@ type scheduled struct {
 // than four in alternating benchmark pairs.
 const tailSlots = 4
 
-// NewScheduler returns a scheduler with the clock at zero and a worker
-// pool sized by GOMAXPROCS.
-func NewScheduler() *Scheduler { return &Scheduler{workers: runtime.GOMAXPROCS(0)} }
+// NewScheduler returns a scheduler with the clock at zero.
+func NewScheduler() *Scheduler { return &Scheduler{} }
 
-// SetWorkers sets the parallel-batch pool width. It is a test seam, not a
-// tuning knob: the determinism and allocation tests use it to compare the
-// pure sequential core (n = 1: parallel events still run, one at a time,
-// in FIFO order) with a wider pool; program code keeps the GOMAXPROCS
-// width NewScheduler picks. It must not be called between a batch's
-// compute and commit phases (i.e. from callbacks).
-func (s *Scheduler) SetWorkers(n int) { s.workers = n }
-
-// Parallel returns a snapshot of the parallel-execution telemetry.
-func (s *Scheduler) Parallel() ParallelStats { return s.stats }
+// Parallel returns the zero ParallelStats. It is kept only because bench/
+// reads it until ROADMAP item 1.
+func (s *Scheduler) Parallel() ParallelStats { return ParallelStats{} }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Ran returns the number of events executed so far (telemetry for tests
-// and benchmarks). Events run in a parallel batch count once each, so the
-// total matches the sequential core exactly.
+// and benchmarks).
 func (s *Scheduler) Ran() uint64 { return s.ran }
 
 // Pending returns the number of events still queued (scheduled, not yet
@@ -121,7 +86,12 @@ func (s *Scheduler) Ran() uint64 { return s.ran }
 // so this is O(1) — simulations poll it inside hot loops.
 func (s *Scheduler) Pending() int { return s.pending }
 
-func (s *Scheduler) newEvent(t time.Duration, compute, fn func()) Handle {
+// At schedules fn at absolute virtual time t. Scheduling in the past
+// (before Now) panics: that is always a simulation bug.
+func (s *Scheduler) At(t time.Duration, fn func()) Handle {
+	if fn == nil {
+		panic("event: nil callback")
+	}
 	if t < s.now {
 		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, s.now))
 	}
@@ -133,7 +103,7 @@ func (s *Scheduler) newEvent(t time.Duration, compute, fn func()) Handle {
 	} else {
 		ev = &scheduled{}
 	}
-	ev.at, ev.seq, ev.fn, ev.compute = t, s.seq, fn, compute
+	ev.at, ev.seq, ev.fn = t, s.seq, fn
 	s.seq++
 	s.push(ev)
 	s.pending++
@@ -143,17 +113,8 @@ func (s *Scheduler) newEvent(t time.Duration, compute, fn func()) Handle {
 // release returns a fired event struct to the freelist. The seq bump-proof
 // is the Handle.seq check: a stale handle never matches a recycled struct.
 func (s *Scheduler) release(ev *scheduled) {
-	ev.fn, ev.compute = nil, nil
+	ev.fn = nil
 	s.free = append(s.free, ev)
-}
-
-// At schedules fn at absolute virtual time t. Scheduling in the past
-// (before Now) panics: that is always a simulation bug.
-func (s *Scheduler) At(t time.Duration, fn func()) Handle {
-	if fn == nil {
-		panic("event: nil callback")
-	}
-	return s.newEvent(t, nil, fn)
 }
 
 // After schedules fn d after the current virtual time.
@@ -162,25 +123,6 @@ func (s *Scheduler) After(d time.Duration, fn func()) Handle {
 		panic("event: negative delay")
 	}
 	return s.At(s.now+d, fn)
-}
-
-// AtParallel schedules a two-phase event at absolute time t: compute may
-// run concurrently with other same-instant parallel events' computes (see
-// the package comment for the independence contract), then commit runs on
-// the scheduler goroutine in FIFO order. commit may be nil.
-func (s *Scheduler) AtParallel(t time.Duration, compute, commit func()) Handle {
-	if compute == nil {
-		panic("event: nil compute phase")
-	}
-	return s.newEvent(t, compute, commit)
-}
-
-// AfterParallel schedules a two-phase parallel event d after now.
-func (s *Scheduler) AfterParallel(d time.Duration, compute, commit func()) Handle {
-	if d < 0 {
-		panic("event: negative delay")
-	}
-	return s.AtParallel(s.now+d, compute, commit)
 }
 
 // Scheduled reports whether the event is still queued: scheduled, not
@@ -215,105 +157,20 @@ func (s *Scheduler) Cancel(h Handle) bool {
 	return true
 }
 
-// runOne executes a single event sequentially (compute then commit for
-// parallel events) and recycles its struct.
-func (s *Scheduler) runOne(ev *scheduled) {
-	s.ran++
-	s.pending--
-	compute, fn := ev.compute, ev.fn
-	s.release(ev)
-	if compute != nil {
-		compute()
-	}
-	if fn != nil {
-		fn()
-	}
-}
-
-// Step runs the earliest pending event, advancing the clock to its time.
-// When that event is parallel-capable it also drains the maximal
-// contiguous FIFO run of same-instant parallel events, fanning their
-// compute phases out to the worker pool before committing in FIFO order,
-// so the observable order is the sequential core's. It returns false when
-// the queue is empty.
+// Step runs the earliest pending event, advancing the clock to its time,
+// and recycles its struct. It returns false when the queue is empty.
 func (s *Scheduler) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
 	ev := s.pop()
 	s.now = ev.at
-	if ev.compute == nil || s.workers <= 1 {
-		s.runOne(ev)
-		return true
-	}
-	// Collect the batch: same instant, parallel, with no non-parallel
-	// event interleaved in FIFO order (the heap head is always the next
-	// FIFO event, so stopping at the first mismatch preserves ordering).
-	batch := append(s.batch[:0], ev)
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.at != ev.at || next.compute == nil {
-			break
-		}
-		batch = append(batch, s.pop())
-	}
-	s.batch = batch[:0] // retain scratch capacity, drop references below
-	if len(batch) == 1 {
-		s.runOne(ev)
-		return true
-	}
-	s.runBatch(batch)
-	for i := range batch {
-		batch[i] = nil
-	}
+	s.ran++
+	s.pending--
+	fn := ev.fn
+	s.release(ev)
+	fn()
 	return true
-}
-
-// runBatch fans compute phases out to min(workers, len(batch)) goroutines
-// coordinated by a WaitGroup and an atomic cursor, then commits in FIFO
-// order on the scheduler goroutine. A panicking compute is re-panicked
-// here after the pool drains, so the failure surfaces on the driving
-// goroutine like any sequential event panic.
-func (s *Scheduler) runBatch(batch []*scheduled) {
-	n := len(batch)
-	s.stats.Batches++
-	s.stats.MaxBatch = max(s.stats.MaxBatch, n)
-	w := min(s.workers, n)
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	panics := make([]any, w)
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func(slot int) {
-			defer wg.Done()
-			for {
-				j := cursor.Add(1) - 1
-				if j >= int64(n) {
-					return
-				}
-				func() {
-					defer func() {
-						if p := recover(); p != nil && panics[slot] == nil {
-							panics[slot] = p
-						}
-					}()
-					batch[j].compute()
-				}()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-	for _, ev := range batch {
-		ev.compute = nil // already ran
-		s.runOne(ev)
-	}
 }
 
 // RunUntil executes events until the clock would pass t; the clock is left

@@ -231,6 +231,103 @@ func TestPendingCounterMatchesScan(t *testing.T) {
 	}
 }
 
+// TestCancelRemovesFromHeap asserts the cancelled-event leak is gone: the
+// queue length shrinks immediately on Cancel instead of retaining dead
+// entries until their instant is reached.
+func TestCancelRemovesFromHeap(t *testing.T) {
+	s := NewScheduler()
+	var hs []Handle
+	for i := 0; i < 100; i++ {
+		hs = append(hs, s.At(time.Duration(i+1)*time.Hour, func() {}))
+	}
+	for i, h := range hs {
+		if i%2 == 0 {
+			if !s.Cancel(h) {
+				t.Fatalf("cancel %d failed", i)
+			}
+		}
+	}
+	if len(s.queue) != 50 {
+		t.Fatalf("queue holds %d entries after cancelling half, want 50", len(s.queue))
+	}
+	if s.Pending() != 50 {
+		t.Fatalf("Pending() = %d, want 50", s.Pending())
+	}
+	// Double-cancel and cancel-after-fire stay no-ops with recycled
+	// event structs: the handle's seq guard must reject stale structs.
+	if s.Cancel(hs[0]) {
+		t.Fatal("double cancel returned true")
+	}
+	h := s.At(time.Minute, func() {})
+	for s.Step() {
+	}
+	if s.Cancel(h) {
+		t.Fatal("cancel after fire returned true")
+	}
+}
+
+// TestStaleHandleAfterReuse: firing an event recycles its struct; a new
+// event reusing it must not be cancellable through the old handle.
+func TestStaleHandleAfterReuse(t *testing.T) {
+	s := NewScheduler()
+	stale := s.At(0, func() {})
+	s.Step() // fires, struct goes to the freelist
+	ran := false
+	s.At(time.Second, func() { ran = true }) // reuses the struct
+	if s.Cancel(stale) {
+		t.Fatal("stale handle cancelled a recycled event")
+	}
+	s.Run()
+	if !ran {
+		t.Fatal("recycled event did not fire")
+	}
+}
+
+// TestTickerTickAllocFree: after warm-up, each tick re-arms without
+// allocating (the hoisted closure plus the event-struct freelist).
+func TestTickerTickAllocFree(t *testing.T) {
+	s := NewScheduler()
+	tick := 0
+	s.NewTicker(time.Second, func() { tick++ })
+	s.RunUntil(10 * time.Second) // warm the freelist and heap capacity
+	allocs := testing.AllocsPerRun(100, func() {
+		s.RunUntil(s.Now() + time.Second)
+	})
+	if allocs > 0 {
+		t.Fatalf("ticker tick allocates %.1f times per period, want 0", allocs)
+	}
+	if tick < 100 {
+		t.Fatalf("ticks = %d", tick)
+	}
+}
+
+// TestSchedulingAllocFree: At on a warmed scheduler reuses freelist
+// structs — the flood hot path schedules millions of events — and
+// neither an append to a chain nor a mid-chain Cancel allocates.
+func TestSchedulingAllocFree(t *testing.T) {
+	s := NewScheduler()
+	fn := func() {}
+	for i := 0; i < 100; i++ {
+		s.At(time.Duration(i), fn)
+	}
+	for s.Step() {
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.After(time.Millisecond, fn)
+		mid := s.After(time.Millisecond, fn) // appended to the chain
+		s.After(time.Millisecond, fn)
+		s.Cancel(mid)
+		s.Step()
+		s.Step()
+	})
+	if s.Pending() != 0 {
+		t.Fatalf("Pending() = %d after each run fired what it scheduled", s.Pending())
+	}
+	if allocs > 0 {
+		t.Fatalf("schedule+step allocates %.1f times, want 0", allocs)
+	}
+}
+
 func BenchmarkScheduleAndRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

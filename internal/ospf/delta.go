@@ -200,8 +200,8 @@ type prefixEntry struct {
 	annsGen uint64 // the routerGen anns was resolved at; 0: not resolved
 	dirty   bool   // listed in the current replay's effects
 	// shared marks an entry of a boot image: every clone of the image
-	// reads it, the SPF workers side by side, so nothing writes it. A
-	// cache writes a copy of its own instead (own).
+	// reads it, so nothing writes it. A cache writes a copy of its own
+	// instead (own).
 	shared bool
 }
 
@@ -421,8 +421,8 @@ func (r *Router) buildCache() *spfCache {
 // slot table. The two slot indexes stay the image's until the clone first
 // writes one (ownIndex, ownFakeIdx), and the prefix entries, memos
 // included, and the map that finds them until it first writes an entry
-// (own). The image is only read, so the routers of one component clone it
-// side by side on the SPF workers.
+// (own). The image is only read, so every router of one component clones
+// the same image.
 func (c *spfCache) clone() *spfCache {
 	return &spfCache{
 		g:             c.g.Clone(),
@@ -767,7 +767,7 @@ func (r *Router) routeFor(c *spfCache, p netip.Prefix, anns []announcer, selfIdx
 			via := RouterNode(a.fake.ForwardVia)
 			l, ok := r.dom.topo.FindLink(r.node, via)
 			if !ok {
-				r.spfError(fmt.Errorf(
+				r.dom.protocolError(r.id, fmt.Errorf(
 					"ospf: fake LSA %s forwards via non-neighbor %d",
 					a.fake.Header.Key(), a.fake.ForwardVia))
 				continue

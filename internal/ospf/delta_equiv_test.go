@@ -15,9 +15,10 @@ import (
 // mutations, every router's incrementally maintained FIB is byte-identical
 // to a from-scratch recompute of its LSDB (buildFullState), and its
 // persistent announcer index equal to a from-scratch scan of the LSDB
-// (collectAnnouncers, index_test.go). 50 seeded random mutation sequences
-// sweep the topology zoo with link failures, heals, weight changes, and
-// lie installs/withdraws.
+// (collectAnnouncers, index_test.go), and the FIB deltas OnFIBDelta
+// published rebuild every FIB from an empty table. 50 seeded random
+// mutation sequences sweep the topology zoo with link failures, heals,
+// weight changes, and lie installs/withdraws.
 
 // equivTopology builds the zoo member for one sequence.
 func equivTopology(i int) (*topo.Topology, string) {
@@ -77,6 +78,36 @@ func assertFIBsMatchFull(t *testing.T, label string, d *Domain) {
 	}
 }
 
+// replayDeltas subscribes to d's FIB deltas and applies each to a replica
+// of its router's table, started empty: what a data plane that learns
+// forwarding only from OnFIBDelta holds.
+func replayDeltas(t *testing.T, d *Domain) map[topo.NodeID]*fib.Table {
+	replica := make(map[topo.NodeID]*fib.Table)
+	d.OnFIBDelta = func(n topo.NodeID, _ *fib.Table, diff *fib.Diff) {
+		if replica[n] == nil {
+			replica[n] = fib.NewTable(n)
+		}
+		if err := replica[n].ApplyDiff(diff); err != nil {
+			t.Fatalf("router %s: published delta does not apply: %v", d.Topology().Name(n), err)
+		}
+	}
+	return replica
+}
+
+func assertReplicasMatch(t *testing.T, label string, d *Domain, replica map[topo.NodeID]*fib.Table) {
+	t.Helper()
+	for n, r := range d.Routers() {
+		got := replica[n]
+		if got == nil {
+			got = fib.NewTable(n)
+		}
+		if got.String() != r.FIB().String() {
+			t.Fatalf("%s: router %s: the published deltas rebuild\n%s\nnot its FIB\n%s",
+				label, d.Topology().Name(n), got, r.FIB())
+		}
+	}
+}
+
 // TestRouterLSARemoveReAddOneWindow regression-tests the cache against a
 // Router LSA that is flushed and re-originated within one SPF debounce
 // window: the change log then carries a removal whose final-database view
@@ -122,11 +153,13 @@ func TestDeltaPipelineEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(1000 + seq)))
 		sched := event.NewScheduler()
 		d := NewDomain(tp, sched, Config{})
+		replica := replayDeltas(t, d)
 		d.Start()
 		if _, err := d.RunUntilConverged(sched.Now() + 120*time.Second); err != nil {
 			t.Fatalf("seq %d (%s): %v", seq, name, err)
 		}
 		assertFIBsMatchFull(t, fmt.Sprintf("seq %d (%s) after start", seq, name), d)
+		assertReplicasMatch(t, fmt.Sprintf("seq %d (%s) after start", seq, name), d, replica)
 		assertIndexesMatchOracle(t, fmt.Sprintf("seq %d (%s) after start", seq, name), d)
 
 		links := routerLinks(tp)
@@ -203,6 +236,7 @@ func TestDeltaPipelineEquivalence(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			assertFIBsMatchFull(t, label, d)
+			assertReplicasMatch(t, label, d, replica)
 			assertIndexesMatchOracle(t, label, d)
 		}
 		s := d.Stats()

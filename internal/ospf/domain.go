@@ -207,8 +207,8 @@ func (d *Domain) Start() {
 			r.boot(r.prefixLSA(uint32(i)+1, p, a.Cost), reach[r.node])
 		}
 	}
-	// One boot image per component, complete before any SPF worker reads
-	// it: each member's first run clones it (recomputeFull).
+	// One boot image per component, complete before any first SPF run
+	// reads it: each member's first run clones it (recomputeFull).
 	for first := range lsas {
 		if held[first] {
 			continue

@@ -10,15 +10,12 @@ import (
 )
 
 // convergedFatTree returns a fat-tree k=4 domain brought up by start
-// (Start, or the flooded refFloodedStart) and converged on the
-// sequential core (so SPF batches spawn no goroutines under
-// AllocsPerRun), and one of its adjacencies: router a, its neighbor entry
-// for b, and b.
+// (Start, or the flooded refFloodedStart) and converged, and one of its
+// adjacencies: router a, its neighbor entry for b, and b.
 func convergedFatTree(t testing.TB, start func(*Domain)) (d *Domain, a *Router, n *neighbor, b *Router) {
 	t.Helper()
 	tp := topo.FatTree(topo.FatTreeOpts{K: 4, Capacity: 10e6, MaxWeight: 3, Seed: 2})
 	sched := event.NewScheduler()
-	sched.SetWorkers(1)
 	d = NewDomain(tp, sched, Config{})
 	start(d)
 	if _, err := d.RunUntilConverged(time.Minute); err != nil {

@@ -318,7 +318,6 @@ func spfBytes(t *testing.T, extra int) (bytes, runs uint64) {
 		tp.AddPrefix(p, fmt.Sprintf("p%d", i), topo.Attachment{Node: h})
 	}
 	sched := event.NewScheduler()
-	sched.SetWorkers(1) // SPF runs one at a time: the deltas below do not overlap
 	d := NewDomain(tp, sched, Config{})
 	d.Start()
 	flip := func(w int64) {
@@ -343,11 +342,11 @@ func spfBytes(t *testing.T, extra int) (bytes, runs uint64) {
 	before := d.Stats()
 	var ms runtime.MemStats
 	for _, r := range d.Routers() {
-		compute := r.spfCompute
-		r.spfCompute = func() {
+		run := r.spf
+		r.spf = func() {
 			runtime.ReadMemStats(&ms)
 			start := ms.TotalAlloc
-			compute()
+			run()
 			runtime.ReadMemStats(&ms)
 			bytes += ms.TotalAlloc - start
 		}

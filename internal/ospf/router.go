@@ -102,20 +102,9 @@ type Router struct {
 	spfScheduled bool
 	spfRuns      uint64
 
-	// spfCompute/spfCommit are the two phases of the debounced SPF event,
-	// built once so re-arming the debounce allocates no closures. The
-	// compute phase is router-local (it may run on a worker goroutine
-	// alongside other routers' computes); the commit phase publishes the
-	// buffered results to the domain in FIFO order.
-	spfCompute, spfCommit func()
-
-	// Compute-phase emission buffers, flushed by spfCommit. The compute
-	// phase must not write shared domain state (Errors, subscribers), so
-	// FIB deltas and protocol errors raised during route computation are
-	// parked here.
-	pendingTable *fib.Table
-	pendingDiff  *fib.Diff
-	pendingErrs  []error
+	// spf is the debounced SPF event, built once so re-arming the
+	// debounce allocates no closure.
+	spf func()
 
 	// flushed remembers recently MaxAged LSAs (key -> seq/instant of the
 	// flush) so a neighbor's crossing retransmission of an older positive
@@ -159,35 +148,15 @@ func newRouter(dom *Domain, node topo.NodeID) *Router {
 		flushed: make(map[Key]flushMark),
 	}
 	r.db.SetClock(dom.sched.Now)
-	r.spfCompute = func() {
+	r.spf = func() {
 		r.spfScheduled = false
-		r.computeRoutes()
-	}
-	r.spfCommit = func() {
+		diff := r.computeRoutes()
 		r.dom.spfPending--
-		r.flushSPF()
+		if diff != nil {
+			r.dom.fibChanged(r.node, r.fib, diff)
+		}
 	}
 	return r
-}
-
-// flushSPF publishes the compute phase's buffered emissions: protocol
-// errors first (matching the sequential emission order — errors surface
-// before the diff that followed them), then the FIB delta.
-func (r *Router) flushSPF() {
-	for _, err := range r.pendingErrs {
-		r.dom.protocolError(r.id, err)
-	}
-	r.pendingErrs = r.pendingErrs[:0]
-	if r.pendingDiff != nil {
-		t, d := r.pendingTable, r.pendingDiff
-		r.pendingTable, r.pendingDiff = nil, nil
-		r.dom.fibChanged(r.node, t, d)
-	}
-}
-
-// spfError buffers a protocol error raised inside the SPF compute phase.
-func (r *Router) spfError(err error) {
-	r.pendingErrs = append(r.pendingErrs, err)
 }
 
 // ageSweep purges LSAs that reached MaxAge without a refresh — their
@@ -610,20 +579,16 @@ func (r *Router) helloTick() {
 
 // --- Route computation -------------------------------------------------
 
-// scheduleSPF arms the debounced recomputation as a two-phase parallel
-// event: when several routers' debounce windows expire at the same
-// instant (the common case after a flood round — every router schedules
-// at flood-arrival + spfDelay), the scheduler fans their compute phases
-// out to the worker pool and then commits (FIB deltas, protocol errors,
-// spfPending bookkeeping) sequentially in FIFO order, so the output is
-// byte-identical to the sequential core.
+// scheduleSPF arms the debounced recomputation: one event spfDelay from
+// now runs computeRoutes, and publishes the run's FIB delta after the
+// protocol errors the run raised.
 func (r *Router) scheduleSPF() {
 	if r.spfScheduled {
 		return
 	}
 	r.spfScheduled = true
 	r.dom.spfPending++
-	r.dom.sched.AfterParallel(spfDelay, r.spfCompute, r.spfCommit)
+	r.dom.sched.After(spfDelay, r.spf)
 }
 
 // computeRoutes updates the FIB from the LSDB. The default path is the
@@ -633,45 +598,44 @@ func (r *Router) scheduleSPF() {
 // fib.Diff. It falls back to recomputeFull when no cache exists, the
 // replay detects an inconsistency, or tombstoned slots dominate the cache.
 // The change log's storage and the cache's per-run state are kept, empty,
-// for the next run.
-func (r *Router) computeRoutes() {
+// for the next run. It returns the run's FIB delta, nil when the FIB did
+// not change; r.fib is the table the delta leads to.
+func (r *Router) computeRoutes() *fib.Diff {
 	r.spfRuns++
 	changes := r.changeLog
-	r.replayChanges(changes)
+	diff := r.replayChanges(changes)
 	if r.cache != nil {
 		r.cache.eff.reset()
 	}
 	clear(changes)
 	r.changeLog = changes[:0]
+	return diff
 }
 
 // replayChanges is computeRoutes' body: one run over the logged changes.
-func (r *Router) replayChanges(changes []lsaChange) {
+func (r *Router) replayChanges(changes []lsaChange) *fib.Diff {
 	if r.cache == nil {
-		r.recomputeFull()
-		return
+		return r.recomputeFull()
 	}
 	c := r.cache
 	eff := &c.eff
 	for _, ch := range changes {
 		r.applyChange(c, ch)
 		if eff.rebuild {
-			r.recomputeFull()
-			return
+			return r.recomputeFull()
 		}
 	}
 	if len(c.slots) > 2*c.live+16 {
 		// Tombstones dominate after heavy churn: compact via a rebuild.
-		r.recomputeFull()
-		return
+		return r.recomputeFull()
 	}
 	if len(eff.edges) == 0 && len(eff.dirty) == 0 {
-		return // sequence-number noise only: routing cannot have changed
+		return nil // sequence-number noise only: routing cannot have changed
 	}
 	selfIdx, ok := c.index[r.id]
 	if !ok {
 		r.cache = nil // our own LSA vanished; resync on the next run
-		return
+		return nil
 	}
 
 	// The patch is written into c.spare, the tree c.tree replaced. touched
@@ -700,7 +664,7 @@ func (r *Router) replayChanges(changes []lsaChange) {
 	}
 
 	if !touchedAll && len(touched) == 0 && len(eff.dirty) == 0 {
-		return // the changed edges carry none of our shortest paths
+		return nil // the changed edges carry none of our shortest paths
 	}
 	// Scan the index for prefixes to recompute. Its order (sorted by string
 	// form) is output-visible: it is the diff's change order and the order
@@ -739,16 +703,15 @@ func (r *Router) replayChanges(changes []lsaChange) {
 		c.prune(e)
 	}
 	if diff.Empty() {
-		return
+		return nil
 	}
 	table := r.fib.Clone()
 	if err := table.ApplyDiff(diff); err != nil {
-		r.spfError(err)
-		r.recomputeFull()
-		return
+		r.dom.protocolError(r.id, err)
+		return r.recomputeFull()
 	}
 	r.fib = table
-	r.pendingTable, r.pendingDiff = table, diff
+	return diff
 }
 
 // markTouched loads the touched slots into the cache's bitset.
@@ -803,7 +766,7 @@ func (r *Router) fullState(c *spfCache) (*spfCache, *fib.Table, bool) {
 			continue
 		}
 		if err := table.Install(route); err != nil {
-			r.spfError(err)
+			r.dom.protocolError(r.id, err)
 		}
 	}
 	return c, table, true
@@ -813,8 +776,8 @@ func (r *Router) fullState(c *spfCache) (*spfCache, *fib.Table, bool) {
 // recomputes every prefix, and emits the whole-table difference as a diff
 // so the data plane still re-paths selectively. A router that still holds
 // its boot image clones it instead of rebuilding: its LSDB has not changed
-// since Start built the image.
-func (r *Router) recomputeFull() {
+// since Start built the image. It returns the diff, nil when empty.
+func (r *Router) recomputeFull() *fib.Diff {
 	var fresh *spfCache
 	if r.image != nil {
 		fresh, r.image = r.image.clone(), nil
@@ -824,13 +787,14 @@ func (r *Router) recomputeFull() {
 	c, table, ok := r.fullState(fresh)
 	if !ok {
 		r.cache = nil
-		return // we have not originated our own Router LSA yet
+		return nil // we have not originated our own Router LSA yet
 	}
 	r.cache = c
 	r.spfFullRuns++
 	diff := fib.DiffTables(r.node, r.fib, table)
 	r.fib = table
-	if !diff.Empty() {
-		r.pendingTable, r.pendingDiff = table, diff
+	if diff.Empty() {
+		return nil
 	}
+	return diff
 }

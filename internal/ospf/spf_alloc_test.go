@@ -35,7 +35,6 @@ const spfObjectsBudget = 12
 func TestIncrementalRunAllocations(t *testing.T) {
 	tp := topo.FatTree(topo.FatTreeOpts{K: 8, Capacity: 10e6, MaxWeight: 3, Seed: 2})
 	sched := event.NewScheduler()
-	sched.SetWorkers(1) // SPF runs one at a time, on this goroutine
 	d := NewDomain(tp, sched, Config{})
 	d.Start()
 	var core topo.Link
@@ -67,11 +66,11 @@ func TestIncrementalRunAllocations(t *testing.T) {
 	var ms runtime.MemStats
 	var objects uint64
 	for _, r := range d.Routers() {
-		compute := r.spfCompute
-		r.spfCompute = func() {
+		run := r.spf
+		r.spf = func() {
 			runtime.ReadMemStats(&ms)
 			start := ms.Mallocs
-			compute()
+			run()
 			runtime.ReadMemStats(&ms)
 			objects += ms.Mallocs - start
 		}
@@ -114,17 +113,16 @@ func firstRunObjects(t *testing.T, scale int) (int, float64, *Domain) {
 		tp.AddPrefix(p, fmt.Sprintf("extra%d", i), topo.Attachment{Node: routers[i%len(routers)], Cost: 1})
 	}
 	sched := event.NewScheduler()
-	sched.SetWorkers(1) // SPF runs one at a time, on this goroutine
 	d := NewDomain(tp, sched, Config{})
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var ms runtime.MemStats
 	var objects uint64
 	for _, r := range d.Routers() { // before Start, which schedules the runs
-		compute := r.spfCompute
-		r.spfCompute = func() {
+		run := r.spf
+		r.spf = func() {
 			runtime.ReadMemStats(&ms)
 			start := ms.Mallocs
-			compute()
+			run()
 			runtime.ReadMemStats(&ms)
 			objects += ms.Mallocs - start
 		}

@@ -83,7 +83,7 @@ type linkShare struct {
 // forwarding walk te.LinkLoads uses too: routers in topological order,
 // smallest ready NodeID first, next hops in NodeID order. Every other
 // iteration order is explicitly sorted, so the result is byte-identical
-// regardless of map layout or worker width.
+// regardless of map layout.
 func PredictPlan(t *topo.Topology, views map[string]map[topo.NodeID]fibbing.RouteView, demands []topo.Demand, m Model) (PlanQoE, error) {
 	aggs := collectAggregates(demands, m)
 	if len(aggs) == 0 {

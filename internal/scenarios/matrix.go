@@ -80,13 +80,11 @@ func ScaleSpecs() []Spec {
 			Workload: "surge", Seed: 6},
 		{Name: "fattree-10gbit", Topo: TopoSpec{Family: "fattree", Size: 4, Seed: 2, Capacity: 10e9},
 			Workload: "surge", Seed: 7},
-		// The million-viewer tier unlocked by the parallel simulation core:
-		// thousand-router topologies (Waxman-1000 WAN, fat-tree k=16 = 320
-		// switches + 1024 hosts) at 10 Gbit/s with the 1.7x overload sliced
-		// into a million sessions. Sequential LSA flooding dominates these
-		// cells; the worker pool fans the per-router SPF recomputes out per
-		// batch tick while keeping the output byte-identical to the
-		// sequential core (width 1).
+		// The million-viewer tier: thousand-router topologies (Waxman-1000
+		// WAN, fat-tree k=16 = 320 switches + 1024 hosts) at 10 Gbit/s with
+		// the 1.7x overload sliced into a million sessions. LSA flooding
+		// dominates these cells; the aggregate traffic plane keeps the
+		// million sessions cheap.
 		{Name: "waxman1000-1m", Topo: TopoSpec{Family: "waxman", Size: 1000, Seed: 11, Capacity: 10e9},
 			Workload: "surge", Viewers: 1_000_000, Seed: 8},
 		{Name: "fattree16-1m", Topo: TopoSpec{Family: "fattree", Size: 16, Seed: 2, Capacity: 10e9},

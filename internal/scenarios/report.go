@@ -116,13 +116,10 @@ type Report struct {
 	// Deprecated: no effect (always zero), as LPWarmSolves.
 	LPFallbackSolves uint64 `json:"lp_fallback_solves,omitempty"`
 
-	// Deprecated: no effect (always zero): the pool width is not
-	// reported. Kept only because bench/ writes it until ROADMAP item 1.
+	// Deprecated: no effect (always zero): there is no pool width. Kept only because bench/ writes it until ROADMAP item 1.
 	Workers int `json:"workers,omitempty"`
-	// Parallel-core telemetry: how many multi-event SPF batches the
-	// scheduler executed and the largest batch. These fields are the only
-	// report content allowed to differ between worker widths — everything
-	// else is byte-identical by the determinism contract.
+	// Deprecated: no effect (always zero): events run one at a time.
+	// Kept only because bench/ reads it until ROADMAP item 1.
 	ParallelBatches uint64 `json:"parallel_batches,omitempty"`
 	MaxBatch        int    `json:"max_batch,omitempty"`
 

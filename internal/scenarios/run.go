@@ -295,9 +295,6 @@ func (c *cell) collect() *Report {
 	rep.ReshareIncremental = netStats.ReshareIncremental
 	rep.ReshareComponents = netStats.ReshareComponents
 	rep.Aggregates = netStats.Aggregates
-	par := sim.Sched.Parallel()
-	rep.ParallelBatches = par.Batches
-	rep.MaxBatch = par.MaxBatch
 	if len(c.demandsAtSettle) > 0 {
 		c.settledBounds()
 	}

@@ -18,7 +18,9 @@ package scenarios
 // where it loops and the twin does not, or drops where the twin delivers.
 
 import (
+	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"slices"
 	"strconv"
@@ -331,8 +333,7 @@ func TestSafetyOracleSeesPlantedDrop(t *testing.T) {
 }
 
 // TestSafetyOracleIsReadOnly: watching a run changes nothing it reports
-// but its event count (the oracle's own checks) and the parallel-batch
-// counters (a check can end a same-instant batch).
+// but its event count (the oracle's own checks).
 func TestSafetyOracleIsReadOnly(t *testing.T) {
 	t.Parallel()
 	spec := fig2Cell.withDefaults()
@@ -353,6 +354,24 @@ func TestSafetyOracleIsReadOnly(t *testing.T) {
 				spec.Name, plain[i].Controller, w, p)
 		}
 	}
+}
+
+// scrubbedReport is a report's JSON without the strategies' wall time.
+// The proposal and win counts, and every cache, LP and component counter,
+// stay; they are deterministic by construction.
+func scrubbedReport(t *testing.T, rep *Report) string {
+	t.Helper()
+	r := *rep
+	r.StrategyPerf = maps.Clone(rep.StrategyPerf)
+	for name, perf := range r.StrategyPerf {
+		perf.Nanos = 0
+		r.StrategyPerf[name] = perf
+	}
+	j, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatalf("%s: marshal report: %v", rep.Scenario, err)
+	}
+	return string(j)
 }
 
 // drawCells draws n small cells from the whole space — family and size,

@@ -38,10 +38,6 @@ type env struct {
 	// hop1A/hop1B name the first link of that shortest path (the failure
 	// schedules' victim).
 	hop1A, hop1B string
-	// hop2A/hop2B name the first link of the shortest path that remains
-	// once hop1 is gone: the second victim of the "cascade" schedule.
-	// Empty when hop1's loss disconnects the ingress.
-	hop2A, hop2B string
 }
 
 // buildEnv analyses a topology for the workload generators.
@@ -116,31 +112,31 @@ func buildEnv(tp *topo.Topology, prefix string) (*env, error) {
 		return nil, fmt.Errorf("scenarios: shortest path from %s has no capacitated link", e.primary)
 	}
 	e.hop1A, e.hop1B = tp.Name(path[0]), tp.Name(path[1])
+	return e, nil
+}
 
-	// Second victim for the cascade schedule: where would the reroute go
-	// once hop1 is dead? The first link of the shortest surviving path
-	// whose loss does not partition the network — failing the reroute's
-	// very first hop can isolate a degree-two ingress, and a partition is
-	// a different experiment.
-	if hop1, ok := tp.FindLink(path[0], path[1]); ok {
-		reduced := tp.CloneWithoutLinks(hop1.ID)
-		rg := spf.FromTopology(reduced)
-		rt := spf.Compute(rg, src, nil)
-		if rpaths := rt.Paths(attach, 1); len(rpaths) > 0 && len(rpaths[0]) >= 2 {
-			rp := rpaths[0]
-			for i := 0; i+1 < len(rp); i++ {
-				l, ok := reduced.FindLink(rp[i], rp[i+1])
-				if !ok {
-					continue
-				}
-				if reduced.CloneWithoutLinks(l.ID).Validate() == nil {
-					e.hop2A, e.hop2B = reduced.Name(rp[i]), reduced.Name(rp[i+1])
-					break
-				}
-			}
+// cascadeVictim is the "cascade" schedule's second victim: where would
+// the reroute go once hop1 is dead? The first link of the primary's
+// shortest surviving path whose loss, with hop1's, does not partition the
+// routers: failing the reroute's very first hop can isolate a degree-two
+// ingress, and a partition is a different experiment. ok is false when
+// no such link exists.
+func (e *env) cascadeVictim() (a, b string, ok bool) {
+	tp := e.tp
+	src := tp.MustNode(e.primary)
+	hop1, _ := tp.FindLink(src, tp.MustNode(e.hop1B))
+	rpaths := spf.Compute(spf.FromTopology(tp.CloneWithoutLinks(hop1.ID)), src, nil).Paths(e.attach, 1)
+	if len(rpaths) == 0 {
+		return "", "", false
+	}
+	rp := rpaths[0]
+	for i := 0; i+1 < len(rp); i++ {
+		l, _ := tp.FindLink(rp[i], rp[i+1])
+		if tp.RoutersConnectedWithout(hop1.ID, l.ID) {
+			return tp.Name(rp[i]), tp.Name(rp[i+1]), true
 		}
 	}
-	return e, nil
+	return "", "", false
 }
 
 // overloadFactor is every workload's steady demand relative to the
@@ -310,13 +306,14 @@ func buildFailures(kind string, e *env, duration time.Duration) ([]FailureEvent,
 		// once traffic has rerouted onto it — the backup path's first hop.
 		// The second failover plans over a topology already missing the
 		// first link, pinning paths the routers believe after one failure.
-		if e.hop2A == "" {
+		a, b, ok := e.cascadeVictim()
+		if !ok {
 			return nil, fmt.Errorf("scenarios: no second path from %s survives losing %s-%s; cascade impossible",
 				e.primary, e.hop1A, e.hop1B)
 		}
 		return []FailureEvent{
 			{At: 14 * time.Second, A: e.hop1A, B: e.hop1B, Up: false},
-			{At: 18 * time.Second, A: e.hop2A, B: e.hop2B, Up: false},
+			{At: 18 * time.Second, A: a, B: b, Up: false},
 		}, nil
 	default:
 		return nil, fmt.Errorf("scenarios: unknown failure schedule %q", kind)

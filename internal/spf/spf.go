@@ -35,10 +35,10 @@ import (
 // scratch is the reusable working state of one SPF run: the visited set,
 // expanded list and predecessor counts (Compute), the per-node flag vector
 // and closure queue (Incremental), the binary-heap backing array, and the
-// DAG-walk state of Tree.NextHops. The parallel simulation core runs many
-// per-router SPF computations per tick on worker goroutines, so the
-// scratch is pooled — effectively per worker — instead of allocated per
-// run. Results (Dist, preds) never alias scratch memory.
+// DAG-walk state of Tree.NextHops. It is pooled instead of allocated per
+// run, and the pool is a sync.Pool because independent simulations share
+// it when tests run them on parallel goroutines. Results (Dist, preds)
+// never alias scratch memory.
 type scratch struct {
 	done  []bool
 	flags []uint8

@@ -428,8 +428,27 @@ func (t *Topology) Validate() error {
 // must reach all). The search stops at hosts: the IGP forms no adjacency
 // across a host, so routers joined only through one are partitioned.
 func (t *Topology) checkConnected() error {
-	var start NodeID = NoNode
-	routers := 0
+	start, reached, routers := t.reachRouters(nil)
+	if reached != routers {
+		return fmt.Errorf("topo: router graph not connected (%d of %d reachable from %s)",
+			reached, routers, t.Name(start))
+	}
+	return nil
+}
+
+// RoutersConnectedWithout reports whether the routers stay connected, as
+// Validate requires, once the links in drop and their reverses are gone:
+// Validate's check on CloneWithoutLinks(drop...), without the clone.
+func (t *Topology) RoutersConnectedWithout(drop ...LinkID) bool {
+	_, reached, routers := t.reachRouters(drop)
+	return reached == routers
+}
+
+// reachRouters is the connectivity search: a BFS from the first router
+// over router-to-router links, skipping the links in drop and their
+// reverses. It returns the start and how many of the routers it reached.
+func (t *Topology) reachRouters(drop []LinkID) (start NodeID, reached, routers int) {
+	start = NoNode
 	for _, n := range t.nodes {
 		if !n.Host {
 			routers++
@@ -439,29 +458,29 @@ func (t *Topology) checkConnected() error {
 		}
 	}
 	if routers == 0 {
-		return nil
+		return start, 0, 0
+	}
+	gone := func(lid LinkID) bool {
+		for _, d := range drop {
+			if lid == d || (d >= 0 && int(d) < len(t.links) && lid == t.links[d].Reverse) {
+				return true
+			}
+		}
+		return false
 	}
 	seen := make([]bool, len(t.nodes))
 	queue := []NodeID{start}
 	seen[start] = true
-	reached := 1
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, lid := range t.out[u] {
+	for i := 0; i < len(queue); i++ {
+		for _, lid := range t.out[queue[i]] {
 			v := t.links[lid].To
-			if !seen[v] && !t.nodes[v].Host {
+			if !seen[v] && !t.nodes[v].Host && !gone(lid) {
 				seen[v] = true
-				reached++
 				queue = append(queue, v)
 			}
 		}
 	}
-	if reached != routers {
-		return fmt.Errorf("topo: router graph not connected (%d of %d reachable from %s)",
-			reached, routers, t.Name(start))
-	}
-	return nil
+	return start, len(queue), routers
 }
 
 // String renders the topology in the textual format accepted by Parse.
