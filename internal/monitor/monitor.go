@@ -13,6 +13,7 @@ package monitor
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"fibbing.net/fibbing/internal/event"
@@ -249,19 +250,51 @@ func (p *Poller) updateAlarm(wl WatchedLink, st *linkState, util float64) {
 }
 
 // WatchAllLinks builds the watch list for every capacitated router-router
-// link of a topology, polling the 64-bit IF-MIB counters.
+// link of a topology, polling the 64-bit IF-MIB counters. It allocates per
+// call, not per link: the OIDs are cut from one array and the names
+// ("from-to") from one string.
 func WatchAllLinks(t *topo.Topology) []WatchedLink {
-	var out []WatchedLink
-	for _, l := range t.Links() {
-		if t.Node(l.From).Host || t.Node(l.To).Host || l.Capacity <= 0 {
+	watched := func(l topo.Link) bool {
+		return !t.Node(l.From).Host && !t.Node(l.To).Host && l.Capacity > 0
+	}
+	n, nameLen := 0, 0
+	for id := range t.NumLinks() {
+		if l := t.Link(topo.LinkID(id)); watched(l) {
+			n++
+			nameLen += len(t.Name(l.From)) + len("-") + len(t.Name(l.To))
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	var names strings.Builder
+	names.Grow(nameLen)
+	for id := range t.NumLinks() {
+		if l := t.Link(topo.LinkID(id)); watched(l) {
+			names.WriteString(t.Name(l.From))
+			names.WriteByte('-')
+			names.WriteString(t.Name(l.To))
+		}
+	}
+	all := names.String()
+	out := make([]WatchedLink, 0, n)
+	arcs := make([]uint32, 0, n*(len(snmp.OIDIfHCOutOctets)+1))
+	off := 0
+	for id := range t.NumLinks() {
+		l := t.Link(topo.LinkID(id))
+		if !watched(l) {
 			continue
 		}
+		start := len(arcs)
+		arcs = append(append(arcs, snmp.OIDIfHCOutOctets...), snmp.IfIndex(l.ID))
+		end := off + len(t.Name(l.From)) + len("-") + len(t.Name(l.To))
 		out = append(out, WatchedLink{
 			Link:     l.ID,
-			OID:      snmp.OIDIfHCOutOctets.Append(snmp.IfIndex(l.ID)),
+			OID:      arcs[start:len(arcs):len(arcs)],
 			Capacity: l.Capacity,
-			Name:     fmt.Sprintf("%s-%s", t.Name(l.From), t.Name(l.To)),
+			Name:     all[off:end],
 		})
+		off = end
 	}
 	return out
 }

@@ -9,6 +9,8 @@ import (
 	"fmt"
 
 	"fibbing.net/fibbing/internal/metrics"
+	"fibbing.net/fibbing/internal/snmp"
+	"fibbing.net/fibbing/internal/topo"
 )
 
 func refPoll(p *Poller) {
@@ -43,4 +45,23 @@ func refPoll(p *Poller) {
 	if p.OnReport != nil && len(report.Loads) > 0 {
 		p.OnReport(report)
 	}
+}
+
+// refWatchAllLinks is WatchAllLinks as it stood before the carved watch
+// list, kept verbatim as the oracle of TestWatchAllLinksMatchesReference:
+// an OID and a name per link, and a list grown by append.
+func refWatchAllLinks(t *topo.Topology) []WatchedLink {
+	var out []WatchedLink
+	for _, l := range t.Links() {
+		if t.Node(l.From).Host || t.Node(l.To).Host || l.Capacity <= 0 {
+			continue
+		}
+		out = append(out, WatchedLink{
+			Link:     l.ID,
+			OID:      snmp.OIDIfHCOutOctets.Append(snmp.IfIndex(l.ID)),
+			Capacity: l.Capacity,
+			Name:     fmt.Sprintf("%s-%s", t.Name(l.From), t.Name(l.To)),
+		})
+	}
+	return out
 }

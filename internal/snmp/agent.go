@@ -1,7 +1,6 @@
 package snmp
 
 import (
-	"fmt"
 	"net"
 	"slices"
 	"sync"
@@ -10,13 +9,21 @@ import (
 	"fibbing.net/fibbing/internal/topo"
 )
 
-// MIB is a dynamic object tree: OIDs bound to value callbacks, evaluated
-// at query time (so counters read live state).
+// MIB is a dynamic object tree: OIDs bound to objects whose values are
+// read at query time (so counters read live state).
 type MIB struct {
 	mu   sync.RWMutex
-	oids []OID          // sorted; Get and Next binary-search it
-	fns  []func() Value // fns[i] serves oids[i]
+	oids []OID    // sorted; Get and Next binary-search it
+	objs []object // objs[i] serves oids[i]
 }
+
+// object is what the MIB serves at one OID: a value read when asked.
+type object interface{ value() Value }
+
+// funcObject serves a callback given to Register.
+type funcObject func() Value
+
+func (f funcObject) value() Value { return f() }
 
 // NewMIB returns an empty MIB.
 func NewMIB() *MIB {
@@ -25,32 +32,45 @@ func NewMIB() *MIB {
 
 // Register binds an OID to a callback. Re-registering replaces. The MIB
 // keeps oid as it is given, without a copy: the caller must not modify it
-// afterwards. BindIFMIB hands over OIDs built for the purpose.
+// afterwards. Registering in MIB order appends; out of order, each
+// registration is an insert.
 func (m *MIB) Register(oid OID, fn func() Value) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.insert(oid, funcObject(fn))
+}
+
+// insert binds oid to obj; the caller holds m.mu. An OID past the last
+// one is appended, any other one is placed by binary search, replacing
+// an equal one.
+func (m *MIB) insert(oid OID, obj object) {
+	if n := len(m.oids); n == 0 || m.oids[n-1].Cmp(oid) < 0 {
+		m.oids = append(m.oids, oid)
+		m.objs = append(m.objs, obj)
+		return
+	}
 	i, found := slices.BinarySearchFunc(m.oids, oid, OID.Cmp)
 	if found {
-		m.fns[i] = fn
+		m.objs[i] = obj
 		return
 	}
 	m.oids = slices.Insert(m.oids, i, oid)
-	m.fns = slices.Insert(m.fns, i, fn)
+	m.objs = slices.Insert(m.objs, i, obj)
 }
 
 // Get returns the value at an exact OID.
 func (m *MIB) Get(oid OID) (Value, bool) {
 	m.mu.RLock()
 	i, found := slices.BinarySearchFunc(m.oids, oid, OID.Cmp)
-	var fn func() Value
+	var obj object
 	if found {
-		fn = m.fns[i]
+		obj = m.objs[i]
 	}
 	m.mu.RUnlock()
 	if !found {
 		return Value{Kind: KindNoSuchObject}, false
 	}
-	return fn(), true
+	return obj.value(), true
 }
 
 // Next returns the first OID strictly after the given one, MIB-ordered.
@@ -64,7 +84,7 @@ func (m *MIB) Next(oid OID) (OID, Value, bool) {
 	if i == len(m.oids) {
 		return nil, Value{Kind: KindEndOfMibView}, false
 	}
-	return m.oids[i], m.fns[i](), true
+	return m.oids[i], m.objs[i].value(), true
 }
 
 // Len returns the number of registered objects.
@@ -209,22 +229,82 @@ func IfIndex(l topo.LinkID) uint32 { return uint32(l) + 1 }
 // transmitting side is the given router, reading live octet counters from
 // the fluid simulator. If node is topo.NoNode, all links are exported (a
 // single network-wide agent, which is what the demo controller polls).
+//
+// A bind allocates per call, not per link: the rows are cut from one
+// slice, the OIDs from one array, and each column object is a row seen
+// through the column's type. The columns go in one at a time, each in
+// ifIndex order, which is MIB order, so every OID is an append.
 func BindIFMIB(mib *MIB, net *netsim.Network, node topo.NodeID) {
 	t := net.Topology()
-	for _, l := range t.Links() {
-		if node != topo.NoNode && l.From != node {
-			continue
+	bound := func(l topo.Link) bool { return node == topo.NoNode || l.From == node }
+	n := 0
+	for id := range t.NumLinks() {
+		if bound(t.Link(topo.LinkID(id))) {
+			n++
 		}
-		l := l
-		idx := IfIndex(l.ID)
-		name := fmt.Sprintf("%s->%s", t.Name(l.From), t.Name(l.To))
-		mib.Register(OIDIfDescr.Append(idx), func() Value { return StringValue(name) })
-		mib.Register(OIDIfSpeed.Append(idx), func() Value { return GaugeValue(uint64(l.Capacity)) })
-		mib.Register(OIDIfOutOctets.Append(idx), func() Value {
-			return Counter32Value(net.Octets(l.ID))
-		})
-		mib.Register(OIDIfHCOutOctets.Append(idx), func() Value {
-			return Counter64Value(net.Octets(l.ID))
-		})
+	}
+	rows := make([]ifRow, 0, n)
+	for id := range t.NumLinks() {
+		if l := t.Link(topo.LinkID(id)); bound(l) {
+			rows = append(rows, ifRow{net: net, link: l.ID, speed: uint64(l.Capacity)})
+		}
+	}
+	width := 0
+	for _, c := range ifColumns {
+		width += len(c.oid) + 1
+	}
+	arcs := make([]uint32, 0, n*width)
+
+	mib.mu.Lock()
+	defer mib.mu.Unlock()
+	mib.oids = slices.Grow(mib.oids, len(ifColumns)*n)
+	mib.objs = slices.Grow(mib.objs, len(ifColumns)*n)
+	for _, c := range ifColumns {
+		for i := range rows {
+			start := len(arcs)
+			arcs = append(append(arcs, c.oid...), IfIndex(rows[i].link))
+			mib.insert(OID(arcs[start:len(arcs):len(arcs)]), c.object(&rows[i]))
+		}
 	}
 }
+
+// ifRow is one bound interface, read by its four IF-MIB columns.
+type ifRow struct {
+	net   *netsim.Network
+	link  topo.LinkID
+	speed uint64 // bit/s
+}
+
+// The columns of a row: each type is an object over the same ifRow.
+type (
+	ifDescr       ifRow
+	ifSpeed       ifRow
+	ifOutOctets   ifRow
+	ifHCOutOctets ifRow
+)
+
+// ifColumns lists the columns in MIB order.
+var ifColumns = [...]struct {
+	oid    OID
+	object func(*ifRow) object
+}{
+	{OIDIfDescr, func(r *ifRow) object { return (*ifDescr)(r) }},
+	{OIDIfSpeed, func(r *ifRow) object { return (*ifSpeed)(r) }},
+	{OIDIfOutOctets, func(r *ifRow) object { return (*ifOutOctets)(r) }},
+	{OIDIfHCOutOctets, func(r *ifRow) object { return (*ifHCOutOctets)(r) }},
+}
+
+// value names the link "from->to", built when read.
+func (r *ifDescr) value() Value {
+	t := r.net.Topology()
+	l := t.Link(r.link)
+	from, to := t.Name(l.From), t.Name(l.To)
+	name := make([]byte, 0, len(from)+len("->")+len(to))
+	return Value{Kind: KindOctetString, Bytes: append(append(append(name, from...), "->"...), to...)}
+}
+
+func (r *ifSpeed) value() Value { return GaugeValue(r.speed) }
+
+func (r *ifOutOctets) value() Value { return Counter32Value(r.net.Octets(r.link)) }
+
+func (r *ifHCOutOctets) value() Value { return Counter64Value(r.net.Octets(r.link)) }

@@ -18,8 +18,12 @@
 // results the caller keeps, decode through a fresh one). Agent and client
 // take that scratch from a pool per call, so both stay safe under
 // concurrent callers. The MIB is a sorted OID table with a parallel
-// callback slice, binary-searched by Get and Next alike; OID.String is for
-// logs and error texts only.
+// table of objects, each serving its value when read, binary-searched by
+// Get and Next alike; a registration past the last OID is an append.
+// BindIFMIB registers the IF-MIB column by column in MIB order, so a
+// bind appends every OID; its OIDs are cut from one array and its objects
+// are rows of one slice, so a bind allocates per call, not per link.
+// OID.String is for logs and error texts only.
 package snmp
 
 import (

@@ -6,7 +6,12 @@ package snmp
 // integer byte, OID and nesting level on the way out, one per OID, octet
 // string and message on the way in.
 
-import "fmt"
+import (
+	"fmt"
+
+	"fibbing.net/fibbing/internal/netsim"
+	"fibbing.net/fibbing/internal/topo"
+)
 
 func refAppendLength(b []byte, n int) []byte {
 	switch {
@@ -358,4 +363,27 @@ func refDecodeMessage(buf []byte) (*Message, error) {
 		m.PDU.VarBinds = append(m.PDU.VarBinds, VarBind{OID: oid, Value: val})
 	}
 	return m, nil
+}
+
+// refBindIFMIB is BindIFMIB as it stood before the carved binding, kept
+// verbatim as the oracle of TestBindIFMIBMatchesReference: a name, four
+// OIDs and four closures per link, registered four columns interleaved.
+func refBindIFMIB(mib *MIB, net *netsim.Network, node topo.NodeID) {
+	t := net.Topology()
+	for _, l := range t.Links() {
+		if node != topo.NoNode && l.From != node {
+			continue
+		}
+		l := l
+		idx := IfIndex(l.ID)
+		name := fmt.Sprintf("%s->%s", t.Name(l.From), t.Name(l.To))
+		mib.Register(OIDIfDescr.Append(idx), func() Value { return StringValue(name) })
+		mib.Register(OIDIfSpeed.Append(idx), func() Value { return GaugeValue(uint64(l.Capacity)) })
+		mib.Register(OIDIfOutOctets.Append(idx), func() Value {
+			return Counter32Value(net.Octets(l.ID))
+		})
+		mib.Register(OIDIfHCOutOctets.Append(idx), func() Value {
+			return Counter64Value(net.Octets(l.ID))
+		})
+	}
 }

@@ -366,7 +366,8 @@ func BenchmarkAgentRoundTrip(b *testing.B) {
 // TestMIBRegisterKeepsOrder registers out of order and re-registers: the
 // table stays sorted by insertion (no re-sort per Register), Get finds
 // every OID, Next walks them in MIB order, and a re-registration replaces
-// the callback without adding an entry.
+// the callback without adding an entry, also when it repeats the last OID
+// of an in-order run (the append path).
 func TestMIBRegisterKeepsOrder(t *testing.T) {
 	mib := NewMIB()
 	rng := rand.New(rand.NewSource(5))
@@ -417,6 +418,24 @@ func TestMIBRegisterKeepsOrder(t *testing.T) {
 	i, found := slices.BinarySearchFunc(mib.oids, o, OID.Cmp)
 	if !found || &mib.oids[i][0] != &o[0] {
 		t.Fatalf("MIB copied the OID it was given")
+	}
+
+	// In order, every registration appends; the last OID registered a
+	// second time replaces its entry instead of appending a twin.
+	inOrder := NewMIB()
+	for i := uint64(1); i <= n; i++ {
+		inOrder.Register(root.Append(10, uint32(i)), func() Value { return Counter64Value(i) })
+	}
+	last := root.Append(10, n)
+	inOrder.Register(last, func() Value { return Counter64Value(2 * n) })
+	if inOrder.Len() != n {
+		t.Fatalf("Len = %d after re-registering the last OID, want %d", inOrder.Len(), n)
+	}
+	if v, ok := inOrder.Get(last); !ok || v.Uint != 2*n {
+		t.Fatalf("Get(%v) = %v %v after re-registration, want %d", last, v.Uint, ok, 2*n)
+	}
+	if !slices.IsSortedFunc(inOrder.oids, OID.Cmp) {
+		t.Fatalf("oids not in MIB order")
 	}
 }
 

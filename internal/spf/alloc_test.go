@@ -37,6 +37,35 @@ func TestComputeAllocations(t *testing.T) {
 	}
 }
 
+// nextHopsObjectsBudget bounds the heap objects of one NextHops query on
+// fat-tree k=4 towards a 4-way ECMP destination: the result and what the
+// pooled walk state cannot hold. Measured 3; the reference, two maps per
+// ancestor of dst, makes 21, and the bound stays under a quarter of that.
+const nextHopsObjectsBudget = 4
+
+// TestNextHopsAllocatesFarLessThanReference: the walk state is pooled,
+// so a query allocates little beyond its result, where the reference
+// built two maps per ancestor of dst. ~0.01 s.
+func TestNextHopsAllocatesFarLessThanReference(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g := FromTopology(topo.FatTree(topo.FatTreeOpts{K: 4}))
+	tree := Compute(g, 0, nil)
+	dst := topo.NodeID(0)
+	for v := 0; v < g.NumNodes(); v++ {
+		if len(tree.NextHops(topo.NodeID(v))) > len(tree.NextHops(dst)) {
+			dst = topo.NodeID(v)
+		}
+	}
+	if len(tree.NextHops(dst)) < 2 {
+		t.Fatal("want an ECMP destination")
+	}
+	got := testing.AllocsPerRun(50, func() { tree.NextHops(dst) })
+	ref := testing.AllocsPerRun(50, func() { referenceNextHops(tree, dst) })
+	if got > nextHopsObjectsBudget {
+		t.Fatalf("NextHops allocates %v objects per call, budget %d; the reference %v", got, nextHopsObjectsBudget, ref)
+	}
+}
+
 // TestFromTopologyAllocations: FromTopology makes the graph, its list
 // headers and one edge array, however large the topology. ~0.03 s.
 func TestFromTopologyAllocations(t *testing.T) {

@@ -116,29 +116,6 @@ func TestNextHopsMatchesReference(t *testing.T) {
 	}
 }
 
-// TestNextHopsAllocatesFarLessThanReference: the walk state is pooled,
-// so a query allocates little beyond its result, where the reference
-// built two maps per ancestor of dst. The bound is relative because the
-// race detector makes sync.Pool drop items at random.
-func TestNextHopsAllocatesFarLessThanReference(t *testing.T) {
-	g := FromTopology(topo.FatTree(topo.FatTreeOpts{K: 4}))
-	tree := Compute(g, 0, nil)
-	dst := topo.NodeID(0)
-	for v := 0; v < g.NumNodes(); v++ {
-		if len(tree.NextHops(topo.NodeID(v))) > len(tree.NextHops(dst)) {
-			dst = topo.NodeID(v)
-		}
-	}
-	if len(tree.NextHops(dst)) < 2 {
-		t.Fatal("want an ECMP destination")
-	}
-	got := testing.AllocsPerRun(50, func() { tree.NextHops(dst) })
-	ref := testing.AllocsPerRun(50, func() { referenceNextHops(tree, dst) })
-	if got*4 > ref {
-		t.Fatalf("NextHops allocates %.0f times per call, reference %.0f: want at most a quarter", got, ref)
-	}
-}
-
 // TestReverseTreeIsDestinationRooted: a tree over g.Reverse() rooted at d
 // holds every node's distance to d, and its parents of u are exactly u's
 // next-hop nodes towards d in u's own forward tree.
