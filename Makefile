@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz mutants goldens matrix failover qoe quickstart bench-e2e bench-check profile scale cover docs-check
+.PHONY: all build test race vet fuzz mutants goldens matrix failover qoe quickstart bench-e2e bench-check pairs profile scale cover docs-check
 
 all: vet build test
 
@@ -19,7 +19,9 @@ vet:
 	$(GO) vet ./...
 
 # Short fuzz passes over the BER decoder (against the reference decoder
-# its tests keep), the topology parser, the analytic QoE session
+# its tests keep), the prepared counter poll (arbitrary responses to the
+# client and requests to the agent, against the whole-message poll its
+# tests keep), the topology parser, the analytic QoE session
 # predictor, the simplex core (against the dense reference solver its
 # tests keep), the min-max LP's column generation (against the node-link
 # LP its tests keep), the IGP's wire codec (a live router fed arbitrary bytes,
@@ -42,6 +44,7 @@ vet:
 # the append-grown Compute its tests keep).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/snmp
+	$(GO) test -fuzz='^FuzzPreparedPoll$$' -fuzztime=30s ./internal/snmp
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/topo
 	$(GO) test -fuzz='^FuzzPredictSession$$' -fuzztime=30s ./internal/qoe
 	$(GO) test -fuzz='^FuzzSolveLP$$' -fuzztime=30s ./internal/te
@@ -108,6 +111,23 @@ bench-e2e:
 # root `./...` patterns never reach it.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# Alternating pairs of the benchmark at BASE against the working tree:
+# `make pairs BASE=<rev>` (WORKLOAD, PAIRS, RUN_SECONDS and SEED — a
+# number, or `vary` for seed i on pair i — default to loop-matrix, 10, 8
+# and 1; not SECONDS, which is the name of bash's own clock).
+# Odd pairs run BASE first. Prints per end-to-end metric both medians,
+# both interquartile ranges, the working tree's wins out of the pairs and
+# the median's move, with nproc, GOMAXPROCS and the Go version; writes
+# only under .bench_build/ (the runs and table.txt under pairs/, the build
+# cache under gocache/ and tmp/).
+WORKLOAD ?= loop-matrix
+PAIRS ?= 10
+RUN_SECONDS ?= 8
+SEED ?= 1
+pairs:
+	@test -n "$(BASE)" || { echo "pairs: set BASE=<rev>" >&2; exit 2; }
+	bash tools/pairs.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(RUN_SECONDS)" "$(SEED)"
 
 # A fresh CPU and allocation profile of the matrix cells, to order the
 # sites a performance change starts from. TestScenarioMatrix and

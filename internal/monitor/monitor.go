@@ -4,11 +4,12 @@
 // hysteresis. This is the "monitors link loads using SNMP" component of
 // the paper's demo setup.
 //
-// A poll reads every watched counter up front — snmp.Client.GetCounters,
-// a few dozen counters per GET — and then walks the links in watch-list
-// order over the values. The counters are functions of the instant, so an
-// alarm handler that reroutes traffic mid-walk changes nothing the walk
-// still has to read; a quiet poll costs its requests, not its links.
+// A poll reads every watched counter up front — an snmp.CounterPoll that
+// NewPoller prepares once, a few dozen counters per GET — and then walks
+// the links in watch-list order over the values. The counters are
+// functions of the instant, so an alarm handler that reroutes traffic
+// mid-walk changes nothing the walk still has to read; a quiet poll costs
+// its requests, not its links.
 package monitor
 
 import (
@@ -111,13 +112,13 @@ type Poller struct {
 	// OnAlarm fires on threshold crossings (after hysteresis).
 	OnAlarm func(Alarm)
 
-	// Parallel to links: the OIDs handed to GetCounters, what it read,
-	// and each link's rate and alarm state.
-	oids   []snmp.OID
-	counts []uint64
-	errs   []error
-	state  []linkState
-	ticker *event.Ticker
+	// The prepared GETs of the links' counters and, parallel to links,
+	// what they read and each link's rate and alarm state.
+	counters *snmp.CounterPoll
+	counts   []uint64
+	errs     []error
+	state    []linkState
+	ticker   *event.Ticker
 	// Errors keeps the first maxPollErrors poll failures for diagnosis
 	// (an unreachable agent must not kill the loop — nor, over a long
 	// run, grow an unbounded error list). PollFailures counts every
@@ -150,15 +151,16 @@ func NewPoller(client *snmp.Client, sched *event.Scheduler, cfg Config, links []
 		sched:  sched,
 		cfg:    cfg.withDefaults(),
 		links:  links,
-		oids:   make([]snmp.OID, len(links)),
 		counts: make([]uint64, len(links)),
 		errs:   make([]error, len(links)),
 		state:  make([]linkState, len(links)),
 	}
+	oids := make([]snmp.OID, len(links))
 	for i, l := range links {
-		p.oids[i] = l.OID
+		oids[i] = l.OID
 		p.state[i].ewma.Alpha = ewmaAlpha
 	}
+	p.counters = client.PrepareCounters(oids)
 	return p
 }
 
@@ -180,7 +182,7 @@ func (p *Poller) Stop() {
 
 func (p *Poller) poll() {
 	now := p.sched.Now()
-	p.client.GetCounters(p.oids, p.counts, p.errs)
+	p.counters.Read(p.counts, p.errs)
 	listen := p.OnReport != nil
 	var loads []LinkLoad
 	if listen {

@@ -15,7 +15,30 @@ type MIB struct {
 	mu   sync.RWMutex
 	oids []OID    // sorted; Get and Next binary-search it
 	objs []object // objs[i] serves oids[i]
+	// resolved holds GET varbind lists already resolved against the
+	// table, keyed by the list's encoded bytes; resolvedBytes is the sum
+	// of the keys' lengths. Every insert empties it.
+	resolved      map[string][]resolvedVarBind
+	resolvedBytes int
 }
+
+// resolvedVarBind is one varbind of a resolved GET: the object serving
+// its OID (nil if none does) and the OID's canonical encoding, which is
+// what a response echoes.
+type resolvedVarBind struct {
+	obj  object
+	name []byte
+}
+
+// resolvedBytesPerObject bounds the resolved GET lists a MIB keeps, in
+// bytes of list per registered object, so that an agent on a socket
+// serving arbitrary requests keeps a table no larger than a multiple of
+// its MIB. A varbind asking for an IF-MIB object of an ifIndex below
+// 16 384 takes at most 18 bytes, so a poller that asks for every object
+// of the MIB once per poll, in requests of any size, fits. A full table keeps what it holds: a list
+// that does not fit is answered without being kept, and the lists kept
+// before it go on being hit.
+const resolvedBytesPerObject = 32
 
 // object is what the MIB serves at one OID: a value read when asked.
 type object interface{ value() Value }
@@ -44,6 +67,8 @@ func (m *MIB) Register(oid OID, fn func() Value) {
 // one is appended, any other one is placed by binary search, replacing
 // an equal one.
 func (m *MIB) insert(oid OID, obj object) {
+	clear(m.resolved)
+	m.resolvedBytes = 0
 	if n := len(m.oids); n == 0 || m.oids[n-1].Cmp(oid) < 0 {
 		m.oids = append(m.oids, oid)
 		m.objs = append(m.objs, obj)
@@ -61,16 +86,66 @@ func (m *MIB) insert(oid OID, obj object) {
 // Get returns the value at an exact OID.
 func (m *MIB) Get(oid OID) (Value, bool) {
 	m.mu.RLock()
-	i, found := slices.BinarySearchFunc(m.oids, oid, OID.Cmp)
-	var obj object
-	if found {
-		obj = m.objs[i]
-	}
+	obj := m.lookup(oid)
 	m.mu.RUnlock()
-	if !found {
+	if obj == nil {
 		return Value{Kind: KindNoSuchObject}, false
 	}
 	return obj.value(), true
+}
+
+// lookup returns the object at an exact OID, or nil; the caller holds
+// m.mu.
+func (m *MIB) lookup(oid OID) object {
+	if i, found := slices.BinarySearchFunc(m.oids, oid, OID.Cmp); found {
+		return m.objs[i]
+	}
+	return nil
+}
+
+// resolvedGet returns the resolved GET whose varbind list is vbl, or nil
+// if none is kept; room reports whether the table has room to keep vbl.
+func (m *MIB) resolvedGet(vbl []byte) (vbs []resolvedVarBind, room bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.resolved[string(vbl)], m.hasRoom(len(vbl))
+}
+
+// hasRoom reports whether n more bytes of list fit the resolved table;
+// the caller holds m.mu.
+func (m *MIB) hasRoom(n int) bool {
+	return m.resolvedBytes+n <= resolvedBytesPerObject*len(m.oids)
+}
+
+// resolveGet resolves the GET whose varbind list is vbl, decoded as vbs,
+// and keeps it under vbl's bytes, or returns nil if the table has no room
+// for it. It allocates per list, not per varbind.
+func (m *MIB) resolveGet(vbl []byte, vbs []VarBind) []resolvedVarBind {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if out, ok := m.resolved[string(vbl)]; ok {
+		return out // resolved by a concurrent miss
+	}
+	if !m.hasRoom(len(vbl)) {
+		return nil
+	}
+	size := 0
+	for i := range vbs {
+		size += tlvLen(oidLen(vbs[i].OID))
+	}
+	names := make([]byte, 0, size)
+	out := make([]resolvedVarBind, len(vbs))
+	for i, vb := range vbs {
+		start := len(names)
+		names = appendOID(names, vb.OID)
+		out[i] = resolvedVarBind{obj: m.lookup(vb.OID), name: names[start:len(names):len(names)]}
+	}
+	if m.resolved == nil {
+		m.resolved = make(map[string][]resolvedVarBind)
+	}
+	m.resolved[string(vbl)] = out
+	m.resolvedBytes += len(vbl)
+	return out
 }
 
 // Next returns the first OID strictly after the given one, MIB-ordered.
@@ -100,7 +175,7 @@ type Agent struct {
 	MIB       *MIB
 	// MaxVarBinds caps response size (tooBig guard): a GET or GETNEXT
 	// carrying more varbinds is answered tooBig with an empty list
-	// (RFC 3416 §4.2.1), a GETBULK stops repeating at the cap.
+	// (RFC 3416 §4.2.1), a GETBULK response is truncated at the cap.
 	MaxVarBinds int
 }
 
@@ -110,34 +185,38 @@ func NewAgent(community string, mib *MIB) *Agent {
 }
 
 // HandleRequest processes one encoded request and returns the encoded
-// response (nil for undecodable or unauthenticated requests, which SNMP
-// agents silently drop).
+// response in a fresh slice (nil for undecodable or unauthenticated
+// requests, which SNMP agents silently drop).
 func (a *Agent) HandleRequest(req []byte) []byte {
+	return a.appendResponse(nil, req)
+}
+
+// appendResponse is HandleRequest with the response appended to dst.
+//
+// A GET's varbind list is resolved once: the MIB keeps, under the list's
+// bytes, each varbind's object and its OID's canonical encoding, so a
+// request that repeats a list (a poller's, every poll) reads its values
+// without decoding, searching or encoding an OID. Every other request
+// has its varbind list decoded after the header already read.
+func (a *Agent) appendResponse(dst, req []byte) []byte {
 	x := exchanges.Get().(*exchange)
 	defer exchanges.Put(x)
-	msg, err := x.in.decode(req)
-	if err != nil {
-		return nil
-	}
-	if msg.Version != Version2c || msg.Community != a.Community {
+	var h header
+	vbl, err := h.read(req)
+	if err != nil || h.version != Version2c || string(h.community) != a.Community {
 		return nil // silent drop, as real agents do for bad communities
 	}
 	resp := &x.out
 	resp.Version, resp.Community = Version2c, a.Community
-	resp.PDU = PDU{Type: GetResponse, RequestID: msg.PDU.RequestID, VarBinds: resp.PDU.VarBinds[:0]}
+	resp.PDU = PDU{Type: GetResponse, RequestID: h.pdu.RequestID, VarBinds: resp.PDU.VarBinds[:0]}
+	if h.pdu.Type == GetRequest {
+		return a.appendGet(dst, x, &h, vbl)
+	}
+	msg, err := x.in.decodeList(&h, vbl)
+	if err != nil {
+		return nil
+	}
 	switch msg.PDU.Type {
-	case GetRequest:
-		if len(msg.PDU.VarBinds) > a.MaxVarBinds {
-			resp.PDU.ErrorStatus = ErrTooBig
-			break
-		}
-		for _, vb := range msg.PDU.VarBinds {
-			v, ok := a.MIB.Get(vb.OID)
-			if !ok {
-				v = Value{Kind: KindNoSuchObject}
-			}
-			resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: vb.OID, Value: v})
-		}
 	case GetNextRequest:
 		if len(msg.PDU.VarBinds) > a.MaxVarBinds {
 			resp.PDU.ErrorStatus = ErrTooBig
@@ -153,12 +232,17 @@ func (a *Agent) HandleRequest(req []byte) []byte {
 			resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: next, Value: v})
 		}
 	case GetBulkRequest:
+		// A response past MaxVarBinds is truncated, not failed (RFC 3416
+		// §4.2.3), non-repeaters and repetitions alike.
 		nonRep := int(msg.PDU.ErrorStatus)
 		maxRep := int(msg.PDU.ErrorIndex)
 		if maxRep < 1 {
 			maxRep = 1
 		}
 		for i, vb := range msg.PDU.VarBinds {
+			if len(resp.PDU.VarBinds) >= a.MaxVarBinds {
+				break
+			}
 			if i < nonRep {
 				next, v, ok := a.MIB.Next(vb.OID)
 				if !ok {
@@ -188,7 +272,60 @@ func (a *Agent) HandleRequest(req []byte) []byte {
 	default:
 		resp.PDU.ErrorStatus = ErrGenErr
 	}
-	return resp.Encode()
+	return resp.appendTo(dst)
+}
+
+// appendGet answers the GET whose header is h and whose varbind list is
+// vbl into x.out's envelope: from the MIB's resolved list if it keeps
+// one, else after decoding the list (an undecodable one is dropped) and
+// resolving it, or, when the MIB's table has no room for it, from the
+// decoded list as it stands. Each object is read once, in list order; a
+// GET of more than MaxVarBinds varbinds is answered tooBig with an empty
+// list (RFC 3416 §4.2.1), hit or miss.
+func (a *Agent) appendGet(dst []byte, x *exchange, h *header, vbl reader) []byte {
+	resp := &x.out
+	vbs, room := a.MIB.resolvedGet(vbl.buf)
+	if vbs == nil {
+		msg, err := x.in.decodeList(h, vbl)
+		if err != nil {
+			return nil
+		}
+		if len(msg.PDU.VarBinds) > a.MaxVarBinds {
+			resp.PDU.ErrorStatus = ErrTooBig
+			return resp.appendTo(dst)
+		}
+		if room {
+			vbs = a.MIB.resolveGet(vbl.buf, msg.PDU.VarBinds)
+		}
+		if vbs == nil {
+			for _, vb := range msg.PDU.VarBinds {
+				v, _ := a.MIB.Get(vb.OID)
+				resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: vb.OID, Value: v})
+			}
+			return resp.appendTo(dst)
+		}
+	}
+	if len(vbs) > a.MaxVarBinds {
+		resp.PDU.ErrorStatus = ErrTooBig
+		return resp.appendTo(dst)
+	}
+	size := 0
+	for _, rv := range vbs {
+		v := Value{Kind: KindNoSuchObject}
+		if rv.obj != nil {
+			v = rv.obj.value()
+		}
+		resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{Value: v})
+		size += tlvLen(len(rv.name) + tlvLen(valueLen(v)))
+	}
+	dst = resp.appendEnvelope(dst, size)
+	for i, rv := range vbs {
+		v := resp.PDU.VarBinds[i].Value
+		dst = appendHeader(dst, tagSequence, len(rv.name)+tlvLen(valueLen(v)))
+		dst = append(dst, rv.name...)
+		dst = appendValue(dst, v)
+	}
+	return dst
 }
 
 // ServeUDP answers requests on a packet connection with handle (an

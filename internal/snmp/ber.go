@@ -8,21 +8,33 @@
 // keeps that code path real — PDUs are encoded and decoded byte for byte —
 // while allowing the counter source to be the fluid simulator.
 //
-// What polling costs. Client.GetCounters reads a watch list in as few GET
-// requests as fit one chunk (getChunk varbinds) and checks that each
-// response echoes the names asked, in order. The codec allocates nothing
-// per value: Message.appendTo computes every length first and writes the
-// message in one pass into one buffer; a decoder parses into a Message
-// whose varbinds, OIDs and octet strings are slices of the decoder's own
-// arenas, valid until its next decode (DecodeMessage and Client.Get, whose
-// results the caller keeps, decode through a fresh one). Agent and client
-// take that scratch from a pool per call, so both stay safe under
-// concurrent callers. The MIB is a sorted OID table with a parallel
-// table of objects, each serving its value when read, binary-searched by
-// Get and Next alike; a registration past the last OID is an append.
-// BindIFMIB registers the IF-MIB column by column in MIB order, so a
-// bind appends every OID; its OIDs are cut from one array and its objects
-// are rows of one slice, so a bind allocates per call, not per link.
+// What polling costs. A poll is a prepared GET: Client.PrepareCounters
+// encodes the varbind list of each request of a watch list once (as few
+// requests as fit one chunk of getChunk varbinds), and CounterPoll.Read
+// writes only the envelope in front of each. It checks that a response
+// echoes the names asked, in order, by comparing each name's bytes with
+// the bytes asked, and decodes a name to arcs only where they differ.
+// The agent resolves a GET's varbind list once: the MIB keeps, under the
+// list's bytes, each varbind's object and its OID's canonical encoding,
+// so a repeated list is answered without decoding, searching or encoding
+// an OID; any registration empties that table, and it holds at most
+// resolvedBytesPerObject bytes of list per MIB object, enough for a poll
+// of the whole MIB, keeping what it holds once full. The codec allocates
+// nothing per value: Message.appendTo computes every length first and
+// writes the message in one pass into one buffer; a decoder parses into
+// a Message whose
+// varbinds, OIDs and octet strings are slices of the decoder's own
+// arenas, valid until its next decode (DecodeMessage and Client.Get,
+// whose results the caller keeps, decode through a fresh one). Agent and
+// client take that scratch from a pool per call, so both stay safe under
+// concurrent callers, and the in-process transport appends the agent's
+// response to the client's scratch, so a steady poll allocates nothing.
+// The MIB is a sorted OID table with a parallel table of objects, each
+// serving its value when read, binary-searched by Get and Next alike; a
+// registration past the last OID is an append. BindIFMIB registers the
+// IF-MIB column by column in MIB order, so a bind appends every OID; its
+// OIDs are cut from one array and its objects are rows of one slice, so
+// a bind allocates per call, not per link.
 // OID.String is for logs and error texts only.
 package snmp
 

@@ -82,6 +82,21 @@ func (m *Message) appendTo(dst []byte) []byte {
 	for i := range m.PDU.VarBinds {
 		vbl += tlvLen(varBindLen(&m.PDU.VarBinds[i]))
 	}
+	dst = m.appendEnvelope(dst, vbl)
+	for i := range m.PDU.VarBinds {
+		vb := &m.PDU.VarBinds[i]
+		dst = appendHeader(dst, tagSequence, varBindLen(vb))
+		dst = appendOID(dst, vb.OID)
+		dst = appendValue(dst, vb.Value)
+	}
+	return dst
+}
+
+// appendEnvelope appends m's encoding up to the header of its varbind
+// list, whose content is vbl bytes (m.PDU.VarBinds is not read), and
+// grows dst to hold the rest of the message: the caller appends the
+// varbinds.
+func (m *Message) appendEnvelope(dst []byte, vbl int) []byte {
 	pdu := tlvLen(intLen(int64(m.PDU.RequestID))) +
 		tlvLen(intLen(int64(m.PDU.ErrorStatus))) +
 		tlvLen(intLen(int64(m.PDU.ErrorIndex))) +
@@ -97,14 +112,7 @@ func (m *Message) appendTo(dst []byte) []byte {
 	dst = appendInt(dst, tagInteger, int64(m.PDU.RequestID))
 	dst = appendInt(dst, tagInteger, int64(m.PDU.ErrorStatus))
 	dst = appendInt(dst, tagInteger, int64(m.PDU.ErrorIndex))
-	dst = appendHeader(dst, tagSequence, vbl)
-	for i := range m.PDU.VarBinds {
-		vb := &m.PDU.VarBinds[i]
-		dst = appendHeader(dst, tagSequence, varBindLen(vb))
-		dst = appendOID(dst, vb.OID)
-		dst = appendValue(dst, vb.Value)
-	}
-	return dst
+	return appendHeader(dst, tagSequence, vbl)
 }
 
 // varBindLen is the content size of one varbind's sequence.
@@ -134,95 +142,35 @@ type decoder struct {
 }
 
 func (d *decoder) decode(buf []byte) (*Message, error) {
-	r := reader{buf: buf}
-	tag, content, err := r.readTLV()
+	var h header
+	vbl, err := h.read(buf)
 	if err != nil {
 		return nil, err
 	}
-	if tag != tagSequence {
-		return nil, fmt.Errorf("snmp: message is not a sequence (tag %#x)", tag)
-	}
-	if !r.done() {
-		return nil, fmt.Errorf("snmp: trailing bytes after message")
-	}
-	body := reader{buf: content}
+	return d.decodeList(&h, vbl)
+}
 
+// decodeList decodes the message whose header h has been read: the rest
+// of it is the varbind list vbl.
+func (d *decoder) decodeList(h *header, vbl reader) (*Message, error) {
 	m := &d.msg
 	d.vbs, d.arcs, d.octets = d.vbs[:0], d.arcs[:0], d.octets[:0]
-	m.PDU = PDU{}
-	tag, c, err := body.readTLV()
-	if err != nil || tag != tagInteger {
-		return nil, fmt.Errorf("snmp: missing version")
+	m.Version, m.PDU = h.version, h.pdu
+	if m.Community != string(h.community) { // the comparison does not allocate; a poller's community never changes
+		m.Community = string(h.community)
 	}
-	if m.Version, err = decodeInt(c); err != nil {
-		return nil, err
-	}
-	tag, c, err = body.readTLV()
-	if err != nil || tag != tagOctetString {
-		return nil, fmt.Errorf("snmp: missing community")
-	}
-	if m.Community != string(c) { // the comparison does not allocate; a poller's community never changes
-		m.Community = string(c)
-	}
-
-	tag, c, err = body.readTLV()
-	if err != nil {
-		return nil, fmt.Errorf("snmp: missing PDU")
-	}
-	switch PDUType(tag) {
-	case GetRequest, GetNextRequest, GetResponse, SetRequest, GetBulkRequest:
-		m.PDU.Type = PDUType(tag)
-	default:
-		return nil, fmt.Errorf("snmp: unsupported PDU type %#x", tag)
-	}
-	if !body.done() {
-		return nil, fmt.Errorf("snmp: trailing bytes after PDU")
-	}
-
-	p := reader{buf: c}
-	for i, dst := range [...]*int32{&m.PDU.RequestID, &m.PDU.ErrorStatus, &m.PDU.ErrorIndex} {
-		tag, c, err := p.readTLV()
-		if err != nil || tag != tagInteger {
-			return nil, fmt.Errorf("snmp: missing PDU header field %d", i)
-		}
-		v, err := decodeInt(c)
-		if err != nil {
-			return nil, err
-		}
-		*dst = int32(v)
-	}
-	tag, c, err = p.readTLV()
-	if err != nil || tag != tagSequence {
-		return nil, fmt.Errorf("snmp: missing varbind list")
-	}
-	if !p.done() {
-		return nil, fmt.Errorf("snmp: trailing bytes after varbinds")
-	}
-	vbl := reader{buf: c}
 	for !vbl.done() {
-		tag, c, err := vbl.readTLV()
-		if err != nil || tag != tagSequence {
-			return nil, fmt.Errorf("snmp: bad varbind")
-		}
-		vb := reader{buf: c}
-		tag, oc, err := vb.readTLV()
-		if err != nil || tag != tagOID {
-			return nil, fmt.Errorf("snmp: varbind without OID")
-		}
-		oid, err := d.decodeOID(oc)
+		vb, name, err := readVarBindName(&vbl)
 		if err != nil {
 			return nil, err
 		}
-		tag, vc, err := vb.readTLV()
-		if err != nil {
-			return nil, fmt.Errorf("snmp: varbind without value")
-		}
-		val, err := d.decodeValue(tag, vc)
+		oid, err := d.decodeOID(name)
 		if err != nil {
 			return nil, err
 		}
-		if !vb.done() {
-			return nil, fmt.Errorf("snmp: trailing bytes in varbind")
+		val, err := d.readVarBindValue(&vb)
+		if err != nil {
+			return nil, err
 		}
 		d.vbs = append(d.vbs, VarBind{OID: oid, Value: val})
 	}
@@ -230,6 +178,112 @@ func (d *decoder) decode(buf []byte) (*Message, error) {
 		m.PDU.VarBinds = d.vbs
 	}
 	return m, nil
+}
+
+// header is a message read up to its varbind list: the fields of a
+// Message but the varbinds, the community still in the input's bytes.
+type header struct {
+	version   int64
+	community []byte
+	pdu       PDU // VarBinds nil
+}
+
+// read parses buf up to its varbind list and returns a reader over the
+// list's content. It makes, in order, every check decode makes before the
+// first varbind.
+func (h *header) read(buf []byte) (reader, error) {
+	r := reader{buf: buf}
+	tag, content, err := r.readTLV()
+	if err != nil {
+		return reader{}, err
+	}
+	if tag != tagSequence {
+		return reader{}, fmt.Errorf("snmp: message is not a sequence (tag %#x)", tag)
+	}
+	if !r.done() {
+		return reader{}, fmt.Errorf("snmp: trailing bytes after message")
+	}
+	body := reader{buf: content}
+
+	tag, c, err := body.readTLV()
+	if err != nil || tag != tagInteger {
+		return reader{}, fmt.Errorf("snmp: missing version")
+	}
+	if h.version, err = decodeInt(c); err != nil {
+		return reader{}, err
+	}
+	tag, c, err = body.readTLV()
+	if err != nil || tag != tagOctetString {
+		return reader{}, fmt.Errorf("snmp: missing community")
+	}
+	h.community = c
+
+	tag, c, err = body.readTLV()
+	if err != nil {
+		return reader{}, fmt.Errorf("snmp: missing PDU")
+	}
+	switch PDUType(tag) {
+	case GetRequest, GetNextRequest, GetResponse, SetRequest, GetBulkRequest:
+		h.pdu.Type = PDUType(tag)
+	default:
+		return reader{}, fmt.Errorf("snmp: unsupported PDU type %#x", tag)
+	}
+	if !body.done() {
+		return reader{}, fmt.Errorf("snmp: trailing bytes after PDU")
+	}
+
+	p := reader{buf: c}
+	for i, dst := range [...]*int32{&h.pdu.RequestID, &h.pdu.ErrorStatus, &h.pdu.ErrorIndex} {
+		tag, c, err := p.readTLV()
+		if err != nil || tag != tagInteger {
+			return reader{}, fmt.Errorf("snmp: missing PDU header field %d", i)
+		}
+		v, err := decodeInt(c)
+		if err != nil {
+			return reader{}, err
+		}
+		*dst = int32(v)
+	}
+	tag, c, err = p.readTLV()
+	if err != nil || tag != tagSequence {
+		return reader{}, fmt.Errorf("snmp: missing varbind list")
+	}
+	if !p.done() {
+		return reader{}, fmt.Errorf("snmp: trailing bytes after varbinds")
+	}
+	return reader{buf: c}, nil
+}
+
+// readVarBindName reads the next varbind of a list up to its name: it
+// returns a reader over the rest of the varbind and the name's OID
+// content, not yet decoded.
+func readVarBindName(vbl *reader) (reader, []byte, error) {
+	tag, c, err := vbl.readTLV()
+	if err != nil || tag != tagSequence {
+		return reader{}, nil, fmt.Errorf("snmp: bad varbind")
+	}
+	vb := reader{buf: c}
+	tag, name, err := vb.readTLV()
+	if err != nil || tag != tagOID {
+		return reader{}, nil, fmt.Errorf("snmp: varbind without OID")
+	}
+	return vb, name, nil
+}
+
+// readVarBindValue decodes the rest of a varbind, after its name.
+func (d *decoder) readVarBindValue(vb *reader) (Value, error) {
+	tag, c, err := vb.readTLV()
+	if err != nil {
+		return Value{}, fmt.Errorf("snmp: varbind without value")
+	}
+	val, err := d.decodeValue(tag, c)
+	if err != nil {
+		return Value{}, err
+	}
+	if !vb.done() {
+		return Value{}, fmt.Errorf("snmp: trailing bytes in varbind")
+	}
+	return val, nil
 }
 
 // decodeOID parses OID content into the arc arena and returns the slice
@@ -299,14 +353,16 @@ func (d *decoder) decodeValue(tag byte, content []byte) (Value, error) {
 
 // exchange is the scratch of one request/response exchange, on either
 // side of it: the decoder the peer's message is parsed through, the
-// message being built and (client side) its encoding. HandleRequest and
-// GetCounters take one from exchanges for the length of a call, so
+// message being built and (client side) its encoding and the raw
+// response an in-process agent appends. HandleRequest and
+// CounterPoll.Read take one from exchanges for the length of a call, so
 // concurrent callers never share one; nothing that outlives the call may
 // point into it.
 type exchange struct {
 	in  decoder
 	out Message
 	buf []byte
+	raw []byte
 }
 
 var exchanges = sync.Pool{New: func() any { return new(exchange) }}

@@ -387,3 +387,167 @@ func refBindIFMIB(mib *MIB, net *netsim.Network, node topo.NodeID) {
 		})
 	}
 }
+
+// The counter poll as it stood before the prepared GET, kept verbatim
+// (names prefixed ref, methods made functions) as the oracle of
+// TestPreparedPollMatchesReference and FuzzPreparedPoll: the client
+// encoded every request whole, decoded every response whole and compared
+// each echoed name with the one asked as arcs; the agent decoded every
+// GET, binary-searched the MIB per varbind and encoded a fresh response.
+
+// refRoundTrip sends pdu, asking for oids, and checks the answer's envelope.
+// The request is built in x.out and the answer parsed through x.in, so the
+// returned message lives in x (see decoder).
+func refRoundTrip(c *Client, x *exchange, pdu PDU, oids []OID) (*Message, error) {
+	req := &x.out
+	req.Version, req.Community = Version2c, c.Community
+	pdu.RequestID = c.reqID.Add(1)
+	pdu.VarBinds = req.PDU.VarBinds[:0]
+	req.PDU = pdu
+	for _, o := range oids {
+		req.PDU.VarBinds = append(req.PDU.VarBinds, VarBind{OID: o, Value: Value{Kind: KindNull}})
+	}
+	x.buf = req.appendTo(x.buf[:0])
+	raw, err := c.Transport.RoundTrip(x.buf)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := x.in.decode(raw)
+	if err != nil {
+		return nil, err
+	}
+	if resp.PDU.Type != GetResponse {
+		return nil, fmt.Errorf("snmp: unexpected response type %v", resp.PDU.Type)
+	}
+	if resp.PDU.RequestID != req.PDU.RequestID {
+		return nil, fmt.Errorf("snmp: response ID %d != request %d", resp.PDU.RequestID, req.PDU.RequestID)
+	}
+	if resp.PDU.ErrorStatus != ErrNoError {
+		return nil, fmt.Errorf("snmp: error status %d at index %d", resp.PDU.ErrorStatus, resp.PDU.ErrorIndex)
+	}
+	return resp, nil
+}
+
+// refGet is one GET exchange. A response must echo the requested names in
+// order (RFC 3416 §4.2.1): with many counters per response, an agent that
+// reorders or drops one would otherwise credit a value to the wrong name.
+func refGet(c *Client, x *exchange, oids []OID) ([]VarBind, error) {
+	resp, err := refRoundTrip(c, x, PDU{Type: GetRequest}, oids)
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.PDU.VarBinds) != len(oids) {
+		return nil, fmt.Errorf("snmp: got %d varbinds, want %d", len(resp.PDU.VarBinds), len(oids))
+	}
+	for i, o := range oids {
+		if got := resp.PDU.VarBinds[i].OID; got.Cmp(o) != 0 {
+			return nil, fmt.Errorf("snmp: varbind %d answers %v, asked %v", i, got, o)
+		}
+	}
+	return resp.PDU.VarBinds, nil
+}
+
+// refGetCounters fetches oids[i] as a uint64 (Counter32/64, Gauge, TimeTicks,
+// Integer) into vals[i], or its failure into errs[i], for every i (vals
+// and errs are as long as oids), in as few GET requests as getChunk
+// allows. A request that fails as a whole — transport, error status, a
+// response that does not echo the names asked — fails each of its OIDs
+// with that error; a value that is not a counter fails only its own.
+// Steady state allocates nothing per counter.
+func refGetCounters(c *Client, oids []OID, vals []uint64, errs []error) {
+	x := exchanges.Get().(*exchange)
+	defer exchanges.Put(x)
+	for lo := 0; lo < len(oids); lo += getChunk {
+		hi := min(lo+getChunk, len(oids))
+		vbs, err := refGet(c, x, oids[lo:hi])
+		for i := lo; i < hi; i++ {
+			if err != nil {
+				vals[i], errs[i] = 0, err
+				continue
+			}
+			vals[i], errs[i] = counterOf(vbs[i-lo])
+		}
+	}
+}
+
+// refHandleRequest processes one encoded request and returns the encoded
+// response (nil for undecodable or unauthenticated requests, which SNMP
+// agents silently drop).
+func refHandleRequest(a *Agent, req []byte) []byte {
+	x := exchanges.Get().(*exchange)
+	defer exchanges.Put(x)
+	msg, err := x.in.decode(req)
+	if err != nil {
+		return nil
+	}
+	if msg.Version != Version2c || msg.Community != a.Community {
+		return nil // silent drop, as real agents do for bad communities
+	}
+	resp := &x.out
+	resp.Version, resp.Community = Version2c, a.Community
+	resp.PDU = PDU{Type: GetResponse, RequestID: msg.PDU.RequestID, VarBinds: resp.PDU.VarBinds[:0]}
+	switch msg.PDU.Type {
+	case GetRequest:
+		if len(msg.PDU.VarBinds) > a.MaxVarBinds {
+			resp.PDU.ErrorStatus = ErrTooBig
+			break
+		}
+		for _, vb := range msg.PDU.VarBinds {
+			v, ok := a.MIB.Get(vb.OID)
+			if !ok {
+				v = Value{Kind: KindNoSuchObject}
+			}
+			resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: vb.OID, Value: v})
+		}
+	case GetNextRequest:
+		if len(msg.PDU.VarBinds) > a.MaxVarBinds {
+			resp.PDU.ErrorStatus = ErrTooBig
+			break
+		}
+		for _, vb := range msg.PDU.VarBinds {
+			next, v, ok := a.MIB.Next(vb.OID)
+			if !ok {
+				resp.PDU.VarBinds = append(resp.PDU.VarBinds,
+					VarBind{OID: vb.OID, Value: Value{Kind: KindEndOfMibView}})
+				continue
+			}
+			resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: next, Value: v})
+		}
+	case GetBulkRequest:
+		nonRep := int(msg.PDU.ErrorStatus)
+		maxRep := int(msg.PDU.ErrorIndex)
+		if maxRep < 1 {
+			maxRep = 1
+		}
+		for i, vb := range msg.PDU.VarBinds {
+			if i < nonRep {
+				next, v, ok := a.MIB.Next(vb.OID)
+				if !ok {
+					resp.PDU.VarBinds = append(resp.PDU.VarBinds,
+						VarBind{OID: vb.OID, Value: Value{Kind: KindEndOfMibView}})
+					continue
+				}
+				resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: next, Value: v})
+				continue
+			}
+			cur := vb.OID
+			for r := 0; r < maxRep && len(resp.PDU.VarBinds) < a.MaxVarBinds; r++ {
+				next, v, ok := a.MIB.Next(cur)
+				if !ok {
+					resp.PDU.VarBinds = append(resp.PDU.VarBinds,
+						VarBind{OID: cur, Value: Value{Kind: KindEndOfMibView}})
+					break
+				}
+				resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{OID: next, Value: v})
+				cur = next
+			}
+		}
+	case SetRequest:
+		// Read-only agent.
+		resp.PDU.ErrorStatus = ErrReadOnly
+		resp.PDU.VarBinds = append(resp.PDU.VarBinds, msg.PDU.VarBinds...)
+	default:
+		resp.PDU.ErrorStatus = ErrGenErr
+	}
+	return resp.Encode()
+}

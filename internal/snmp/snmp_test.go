@@ -454,7 +454,9 @@ func counterMIB(n int) (*MIB, []OID) {
 
 // TestAgentTooBig: a GET or GETNEXT with more varbinds than MaxVarBinds
 // is answered tooBig with an empty varbind list (RFC 3416 §4.2.1); one at
-// the cap is served.
+// the cap is served, a GET also when the agent has resolved its list
+// before. A GETBULK response is cut at the cap (RFC 3416 §4.2.3), its
+// non-repeaters too.
 func TestAgentTooBig(t *testing.T) {
 	mib, oids := counterMIB(9)
 	agent := NewAgent("c", mib)
@@ -482,6 +484,67 @@ func TestAgentTooBig(t *testing.T) {
 	if _, err := client.Get(oids...); err == nil || !strings.Contains(err.Error(), "error status 1") {
 		t.Fatalf("Get past the cap: %v", err)
 	}
+	agent.MaxVarBinds = 9
+	if _, err := client.Get(oids...); err != nil {
+		t.Fatalf("Get at the raised cap: %v", err)
+	}
+	agent.MaxVarBinds = 8 // the list is resolved now: the cap holds on a hit too
+	if _, err := client.Get(oids...); err == nil || !strings.Contains(err.Error(), "error status 1") {
+		t.Fatalf("Get of a resolved list past the cap: %v", err)
+	}
+
+	agent.MaxVarBinds = 5
+	for _, bulk := range []struct{ nonRep, maxRep, n int }{{20, 1, 20}, {3, 4, 6}, {0, 30, 1}} {
+		req := &Message{Version: Version2c, Community: "c", PDU: PDU{
+			Type: GetBulkRequest, RequestID: 4, ErrorStatus: int32(bulk.nonRep), ErrorIndex: int32(bulk.maxRep)}}
+		for i := range bulk.n {
+			req.PDU.VarBinds = append(req.PDU.VarBinds, VarBind{OID: oids[i%len(oids)]})
+		}
+		resp, err := DecodeMessage(agent.HandleRequest(req.Encode()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.PDU.ErrorStatus != ErrNoError || len(resp.PDU.VarBinds) != agent.MaxVarBinds {
+			t.Fatalf("GETBULK of %d varbinds (%d non-repeaters, %d repetitions) at cap %d: status %d, %d varbinds",
+				bulk.n, bulk.nonRep, bulk.maxRep, agent.MaxVarBinds, resp.PDU.ErrorStatus, len(resp.PDU.VarBinds))
+		}
+	}
+}
+
+// stuckTransport answers every request with the same varbind, under the
+// request's ID: an agent whose GETNEXT never advances.
+type stuckTransport struct {
+	vb       VarBind
+	requests int
+}
+
+func (s *stuckTransport) RoundTrip(req []byte) ([]byte, error) {
+	s.requests++
+	m, err := DecodeMessage(req)
+	if err != nil {
+		return nil, err
+	}
+	return (&Message{Version: Version2c, Community: m.Community, PDU: PDU{
+		Type: GetResponse, RequestID: m.PDU.RequestID, VarBinds: []VarBind{s.vb}}}).Encode(), nil
+}
+
+// TestWalkFailsOnOIDNotIncreasing: against an agent that answers every
+// request with the same OID, Walk and BulkWalk visit it once and fail
+// with "OID not increasing" on the next answer, as net-snmp's snmpwalk
+// does, instead of going on for ever.
+func TestWalkFailsOnOIDNotIncreasing(t *testing.T) {
+	root := MustOID("1.3.6.1.2.1.2")
+	for name, walk := range map[string]func(*Client, func(VarBind) error) error{
+		"walk":      func(c *Client, fn func(VarBind) error) error { return c.Walk(root, fn) },
+		"bulk-walk": func(c *Client, fn func(VarBind) error) error { return c.BulkWalk(root, 4, fn) },
+	} {
+		tr := &stuckTransport{vb: VarBind{OID: root.Append(2, 1, 16, 1), Value: Counter64Value(1)}}
+		visited := 0
+		err := walk(NewClient(tr, "c"), func(VarBind) error { visited++; return nil })
+		if err == nil || !strings.Contains(err.Error(), "OID not increasing") || visited != 1 || tr.requests != 2 {
+			t.Fatalf("%s: %v after %d visits and %d requests", name, err, visited, tr.requests)
+		}
+	}
 }
 
 // countingTransport counts the requests it forwards and their varbinds.
@@ -501,10 +564,10 @@ func (c *countingTransport) RoundTrip(req []byte) ([]byte, error) {
 	return c.next.RoundTrip(req)
 }
 
-// TestGetCountersChunks: a long list goes out in ceil(n/getChunk) GETs,
-// none of which trips the default agent's tooBig guard; against an agent
-// with a smaller cap every OID of a too-big request reports it, and the
-// requests under the cap are still served.
+// TestGetCountersChunks: a prepared poll of a long list goes out in
+// ceil(n/getChunk) GETs, none of which trips the default agent's tooBig
+// guard; against an agent with a smaller cap every OID of a too-big
+// request reports it, and the requests under the cap are still served.
 func TestGetCountersChunks(t *testing.T) {
 	if getChunk >= NewAgent("", nil).MaxVarBinds {
 		t.Fatalf("getChunk %d is not under the default MaxVarBinds", getChunk)
@@ -515,7 +578,7 @@ func TestGetCountersChunks(t *testing.T) {
 	tr := &countingTransport{next: DirectTransport{Agent: agent}}
 	client := NewClient(tr, "c")
 	vals, errs := make([]uint64, n), make([]error, n)
-	client.GetCounters(oids, vals, errs)
+	client.PrepareCounters(oids).Read(vals, errs)
 	for i := range oids {
 		if errs[i] != nil || vals[i] != uint64(1000+i) {
 			t.Fatalf("counter %d = %d, %v", i, vals[i], errs[i])
@@ -526,7 +589,7 @@ func TestGetCountersChunks(t *testing.T) {
 	}
 
 	agent.MaxVarBinds = 10 // the two full chunks are too big, the 5-counter tail is not
-	client.GetCounters(oids, vals, errs)
+	client.PrepareCounters(oids).Read(vals, errs)
 	for i := range oids {
 		if tooBig := i < 2*getChunk; tooBig != (errs[i] != nil) {
 			t.Fatalf("counter %d at cap 10: %d, %v", i, vals[i], errs[i])
@@ -565,7 +628,7 @@ func TestGetVerifiesEchoedOIDs(t *testing.T) {
 	direct := DirectTransport{Agent: NewAgent("c", mib)}
 	vals, errs := make([]uint64, len(oids)), make([]error, len(oids))
 
-	NewClient(direct, "c").GetCounters(oids, vals, errs)
+	NewClient(direct, "c").PrepareCounters(oids).Read(vals, errs)
 	for i := range oids {
 		if bad := i == 2 || i == 6; bad != (errs[i] != nil) || (!bad && vals[i] != uint64(1000+i)) {
 			t.Fatalf("honest agent, counter %d = %d, %v", i, vals[i], errs[i])
@@ -578,7 +641,7 @@ func TestGetVerifiesEchoedOIDs(t *testing.T) {
 		"renamed": func(m *Message) { m.PDU.VarBinds[4].OID = OIDIfOutOctets.Append(5) },
 	} {
 		client := NewClient(tamperTransport{next: direct, tamper: tamper}, "c")
-		client.GetCounters(oids, vals, errs)
+		client.PrepareCounters(oids).Read(vals, errs)
 		for i := range oids {
 			if errs[i] == nil || vals[i] != 0 {
 				t.Fatalf("%s response credited counter %d = %d, %v", name, i, vals[i], errs[i])
@@ -591,14 +654,16 @@ func TestGetVerifiesEchoedOIDs(t *testing.T) {
 }
 
 // TestConcurrentAgentAndClient hammers one agent and one client from
-// several goroutines — GetCounters, Get, Walk and raw HandleRequest at
-// once, with Register running beside them — so that the race detector
-// sees the pooled exchange scratch and the MIB's tables shared.
+// several goroutines — one prepared poll shared by two, Get, Walk and raw
+// HandleRequest at once, with Register running beside them — so that the
+// race detector sees the pooled exchange scratch and the MIB's tables,
+// resolved GETs included, shared.
 func TestConcurrentAgentAndClient(t *testing.T) {
 	const n = getChunk + 10
 	mib, oids := counterMIB(n)
 	agent := NewAgent("c", mib)
 	client := NewClient(DirectTransport{Agent: agent}, "c")
+	poll := client.PrepareCounters(oids)
 	raw := (&Message{Version: Version2c, Community: "c",
 		PDU: PDU{Type: GetRequest, RequestID: 1, VarBinds: []VarBind{{OID: oids[3]}}}}).Encode()
 	rounds := 200
@@ -614,7 +679,7 @@ func TestConcurrentAgentAndClient(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				switch g % 4 {
 				case 0:
-					client.GetCounters(oids, vals, errs)
+					poll.Read(vals, errs)
 					for i := range oids {
 						if errs[i] != nil || vals[i] != uint64(1000+i) {
 							t.Errorf("goroutine %d: counter %d = %d, %v", g, i, vals[i], errs[i])
