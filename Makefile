@@ -88,10 +88,9 @@ matrix:
 failover:
 	$(GO) run ./cmd/fiblab -failover
 
-# The QoE comparison cells: each skew cell runs three times (score-mode
-# off/util/qoe) and the qoe run must deliver strictly fewer
-# stall-seconds — predicted and simulated — while staying admissible
-# (lies only on the crowd prefix, never worse than no-op).
+# The QoE cells: each skew cell, where every routing saturates, runs
+# controller on and off, and the controller run must stall at least 1 s
+# less than plain IGP (lies only on the crowd prefix).
 qoe:
 	$(GO) run ./cmd/fiblab -qoe
 

@@ -1,6 +1,6 @@
 // Command fiblab runs the scenario-matrix stress harness — a named cell,
-// an ad-hoc spec, the whole matrix, or the failover, score-mode and
-// scaling cells — and reports each cell as text or JSON.
+// an ad-hoc spec, the whole matrix, or the failover, QoE and scaling
+// cells — and reports each cell as text or JSON.
 //
 //	fiblab -list                    # print the matrix cells
 //	fiblab -run ring/surge          # one cell, controller on and off
@@ -12,7 +12,7 @@
 //
 // One mode flag picks the cells; every other flag overrides the same Spec
 // field of every cell in every mode, or is a usage error where the mode's
-// own arms set that field (-score-mode under -qoe; -bfd under -failover).
+// own arms set that field (-bfd under -failover).
 // Exit status: 1 when a cell violates its invariants (fiblab doubles as a
 // CI gate), 2 on a usage error.
 package main
@@ -29,7 +29,6 @@ import (
 	"strings"
 	"time"
 
-	"fibbing.net/fibbing/internal/controller"
 	"fibbing.net/fibbing/internal/scenarios"
 	"fibbing.net/fibbing/internal/topo"
 )
@@ -47,7 +46,6 @@ func (o options) apply(s scenarios.Spec) scenarios.Spec {
 	s.Duration = cmp.Or(o.over.Duration, s.Duration)
 	s.Viewers = cmp.Or(o.over.Viewers, s.Viewers)
 	s.Topo.Capacity = cmp.Or(o.over.Topo.Capacity, s.Topo.Capacity)
-	s.ScoreMode = cmp.Or(o.over.ScoreMode, s.ScoreMode)
 	s.BFD = s.BFD || o.over.BFD
 	return s
 }
@@ -59,6 +57,9 @@ type view struct {
 	violations []string
 	stats      *scenarios.Report
 }
+
+// comparisonView is the view of an on/off cell (matrix, ad hoc or QoE).
+func comparisonView(c *scenarios.Comparison) view { return view{c.Render, c.Violations, c.On} }
 
 // scaleResult is one scaling cell's cost record.
 type scaleResult struct {
@@ -93,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		matrix   = fs.Bool("matrix", false, "run the full scenario matrix")
 		scale    = fs.Bool("scale", false, "run the large-topology scaling cells (controller on), reporting wall-clock and events executed")
 		failover = fs.Bool("failover", false, "run the fast-failover cells: each compares BFD liveness detection against SNMP-poll failure detection")
-		qoeCells = fs.Bool("qoe", false, "run the score-mode comparison cells: each runs qoe scoring against util scoring (and plain IGP) on the same schedule")
+		qoeCells = fs.Bool("qoe", false, "run the QoE cells: skewed crowds that saturate every routing, controller on against plain IGP on the same schedule")
 		topoF    = fs.String("topo", "", "ad-hoc run: topology family (fig1, abilene, fattree, ring, grid, waxman, random)")
 		size     = fs.Int("size", 0, "ad-hoc run: topology size knob")
 		seed     = fs.Int64("seed", 0, "ad-hoc run: seed")
@@ -111,11 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if o.over.Topo.Capacity, err = topo.ParseBits(v); err == nil && o.over.Topo.Capacity <= 0 {
 			err = errors.New("capacity must be positive")
 		}
-		return err
-	})
-	fs.Func("score-mode", "planner scoring objective: util (default) or qoe (predicted stall-seconds first); a usage error with -qoe", func(v string) error {
-		_, err := controller.ParseScoreMode(v)
-		o.over.ScoreMode = v
 		return err
 	})
 	if err := fs.Parse(args); err != nil {
@@ -140,14 +136,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, s.Name)
 		}
 		return 0
-	case *failover && o.over.BFD, *qoeCells && o.over.ScoreMode != "":
-		return usage("-bfd with -failover, and -score-mode with -qoe, do not apply: the mode's own arms set those fields")
+	case *failover && o.over.BFD:
+		return usage("-bfd with -failover does not apply: the mode's own arms set that field")
 	case *failover:
 		return loop(scenarios.FailoverSpecs(), o, scenarios.CompareFailover,
 			func(c *scenarios.FailoverComparison) view { return view{c.Render, c.Violations, c.Fast} }, stdout, stderr)
 	case *qoeCells:
-		return loop(scenarios.QoESpecs(), o, scenarios.CompareScoreModes,
-			func(c *scenarios.ScoreModeComparison) view { return view{c.Render, c.Violations, c.QoE} }, stdout, stderr)
+		return loop(scenarios.QoESpecs(), o, scenarios.CompareQoE, comparisonView, stdout, stderr)
 	case *scale:
 		return loop(scenarios.ScaleSpecs(), o, runScale, scaleResult.view, stdout, stderr)
 	case *matrix:
@@ -162,8 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		cells = []scenarios.Spec{s}
 	}
-	return loop(cells, o, scenarios.Compare,
-		func(c *scenarios.Comparison) view { return view{c.Render, c.Violations, c.On} }, stdout, stderr)
+	return loop(cells, o, scenarios.Compare, comparisonView, stdout, stderr)
 }
 
 // loop is the one way fiblab runs cells: lay the overrides over each spec,

@@ -14,8 +14,7 @@ import (
 // overrideArgs sets every override flag at once, each to a value no cell
 // has of its own, so one run per mode shows where each of them landed.
 var overrideArgs = []string{
-	"-duration", "31s", "-viewers", "60", "-capacity", "20M",
-	"-score-mode", "qoe", "-bfd",
+	"-duration", "31s", "-viewers", "60", "-capacity", "20M", "-bfd",
 }
 
 // without drops the named flags (and their values) from overrideArgs.
@@ -38,7 +37,6 @@ func without(names ...string) []string {
 type armJSON struct {
 	Scenario    string `json:"scenario"`
 	Duration    int64  `json:"duration"`
-	ScoreMode   string `json:"score_mode"`
 	Sessions    int    `json:"sessions"`
 	BFDSessions int    `json:"bfd_sessions"`
 }
@@ -74,7 +72,7 @@ func TestOverridesReachEveryArm(t *testing.T) {
 		{"topo", []string{"-topo", "ring", "-size", "5"}, []string{"on", "off"}, nil},
 		{"matrix", []string{"-matrix"}, []string{"on", "off"}, nil},
 		{"failover", []string{"-failover"}, []string{"fast", "slow"}, []string{"-bfd"}},
-		{"qoe", []string{"-qoe"}, []string{"util", "qoe", "off"}, []string{"-score-mode"}},
+		{"qoe", []string{"-qoe"}, []string{"on", "off"}, nil},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
@@ -113,9 +111,6 @@ func TestOverridesReachEveryArm(t *testing.T) {
 				if spec.Duration.String() != "31s" || spec.Viewers != 60 || spec.Topo.Capacity != 20e6 {
 					t.Errorf("%s: overrides missing from the spec: %+v", spec.Name, spec)
 				}
-				if !rejected("-score-mode") && spec.ScoreMode != "qoe" {
-					t.Errorf("%s: -score-mode missing from the spec: %+v", spec.Name, spec)
-				}
 				if !rejected("-bfd") && !spec.BFD {
 					t.Errorf("%s: -bfd missing from the spec: %+v", spec.Name, spec)
 				}
@@ -130,9 +125,6 @@ func TestOverridesReachEveryArm(t *testing.T) {
 					// Only the surge workload honours the viewer count exactly.
 					if spec.Workload == "surge" && arm.Sessions != 60 {
 						t.Errorf("%s: arm %q ran %d sessions, want 60", spec.Name, key, arm.Sessions)
-					}
-					if !rejected("-score-mode") && arm.ScoreMode != "qoe" {
-						t.Errorf("%s: arm %q ran score mode %q", spec.Name, key, arm.ScoreMode)
 					}
 					if !rejected("-bfd") && arm.BFDSessions == 0 {
 						t.Errorf("%s: arm %q ran without BFD", spec.Name, key)
@@ -149,7 +141,7 @@ func TestOverridesReachEveryArm(t *testing.T) {
 func TestScaleMode(t *testing.T) {
 	t.Parallel()
 	small := []scenarios.Spec{{Name: "mini", Topo: scenarios.TopoSpec{Family: "fig1"}, Workload: "surge"}}
-	o := options{jsonOut: true, over: scenarios.Spec{Viewers: 60, ScoreMode: "qoe", BFD: true}}
+	o := options{jsonOut: true, over: scenarios.Spec{Viewers: 60, BFD: true}}
 	var stdout, stderr bytes.Buffer
 	if status := loop(small, o, runScale, scaleResult.view, &stdout, &stderr); status != 0 {
 		t.Fatalf("exit %d: %s", status, stderr.String())
@@ -165,7 +157,7 @@ func TestScaleMode(t *testing.T) {
 	if err := json.Unmarshal(cells[0]["report"], &arm); err != nil {
 		t.Fatal(err)
 	}
-	if arm.Scenario != "mini" || arm.Sessions != 60 || arm.ScoreMode != "qoe" || arm.BFDSessions == 0 {
+	if arm.Scenario != "mini" || arm.Sessions != 60 || arm.BFDSessions == 0 {
 		t.Fatalf("overrides missing from the scaling arm: %+v", arm)
 	}
 
@@ -186,7 +178,6 @@ func TestUsageErrors(t *testing.T) {
 	t.Parallel()
 	for _, args := range [][]string{
 		{"-run", "nosuch/cell"},
-		{"-matrix", "-score-mode", "blended"},
 		{"-matrix", "-capacity", "0"},
 		{"-matrix", "-qoe"},
 		{"-matrix", "-workers", "1"},

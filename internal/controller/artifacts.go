@@ -49,7 +49,7 @@ type ArtifactStats struct {
 	// QoEHits/QoEMisses count the QoE-prediction memo separately from the
 	// routing artifacts: the predictor is consulted once per candidate
 	// overlay per planning round, so its hit rate measures how much the
-	// QoE scoring path amortises, independent of the view/load caches.
+	// stall order amortises, independent of the view/load caches.
 	QoEHits   uint64 `json:"qoe_hits"`
 	QoEMisses uint64 `json:"qoe_misses"`
 }

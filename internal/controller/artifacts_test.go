@@ -193,21 +193,22 @@ type repeatProblem struct {
 	model   qoe.Model
 }
 
-// context builds the problem's PlanContext over arts in the given mode.
-func (p repeatProblem) context(arts *PlanArtifacts, mode ScoreMode) PlanContext {
-	ctx := AnalyticPlanContextCached(arts, p.tp, p.demands, nil, p.ev, Config{ScoreMode: mode})
-	if mode != ScoreUtil {
+// context builds the problem's PlanContext over arts, with the stall
+// predictor over the problem's viewers when withQoE is set.
+func (p repeatProblem) context(arts *PlanArtifacts, withQoE bool) PlanContext {
+	ctx := AnalyticPlanContextCached(arts, p.tp, p.demands, nil, p.ev, Config{})
+	if withQoE {
 		ctx = ctx.WithQoE(p.model)
 	}
 	return ctx
 }
 
 // repeatProblems is every zoo context (20 viewers per demand) plus the
-// problem shaped like the ring/skew@qoe cell: on a 9-ring, a crowd of 80
+// problem shaped like the ring/skew cell: on a 9-ring, a crowd of 80
 // thin sessions one hop downstream of 5 fat ones, each crowd worth 1.1x a
 // link, so they saturate a shared path. The fat crowd's router r5 routes
 // through the hot router r6, so it is no loop-free alternate and
-// lp-optimal wins under both score modes.
+// lp-optimal wins with and without a stall predictor.
 func repeatProblems(t *testing.T) []repeatProblem {
 	t.Helper()
 	var out []repeatProblem
@@ -261,12 +262,12 @@ func TestArtifactStatsRepeat(t *testing.T) {
 	const repeats = 30
 	planned := 0
 	for i, p := range repeatProblems(t) {
-		for _, mode := range []ScoreMode{ScoreUtil, ScoreQoE} {
+		for _, withQoE := range []bool{false, true} {
 			var wantStats ArtifactStats
 			var wantPlan string
 			for rep := 0; rep < repeats; rep++ {
 				arts := NewPlanArtifacts(p.tp)
-				plan, _ := NewPlanner().Plan(p.context(arts, mode))
+				plan, _ := NewPlanner().Plan(p.context(arts, withQoE))
 				stats, outcome := arts.Stats(), planOutcome(plan)
 				if rep == 0 {
 					wantStats, wantPlan = stats, outcome
@@ -276,10 +277,10 @@ func TestArtifactStatsRepeat(t *testing.T) {
 					continue
 				}
 				if stats != wantStats {
-					t.Fatalf("problem %d mode %v repeat %d: stats %+v, first run had %+v", i, mode, rep, stats, wantStats)
+					t.Fatalf("problem %d predictor %v repeat %d: stats %+v, first run had %+v", i, withQoE, rep, stats, wantStats)
 				}
 				if outcome != wantPlan {
-					t.Fatalf("problem %d mode %v repeat %d: plan %s, first run had %s", i, mode, rep, outcome, wantPlan)
+					t.Fatalf("problem %d predictor %v repeat %d: plan %s, first run had %s", i, withQoE, rep, outcome, wantPlan)
 				}
 			}
 		}

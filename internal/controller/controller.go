@@ -56,16 +56,6 @@ const DefaultMaxLPRouters = 500
 // withdrawn once every alarm has cleared.
 const DefaultWithdrawBelow = 0.2
 
-// Config parameterises the controller's policy.
-type Config struct {
-	// ScoreMode selects what the planner optimises: ScoreUtil (the zero
-	// value: max link utilisation, the historical behaviour) or ScoreQoE
-	// (predicted viewer stall-seconds first). Under ScoreQoE the
-	// controller equips every planning round with the QoE predictor over
-	// its tracked member counts.
-	ScoreMode ScoreMode
-}
-
 // Decision records one committed plan, for logs and experiments.
 type Decision struct {
 	At     time.Duration
@@ -86,8 +76,9 @@ type Reaction struct {
 	At      time.Duration `json:"at"`
 	Trigger string        `json:"trigger"` // the event kind's String()
 	Link    string        `json:"link"`    // the trigger's link, "From-To"
-	// The round, if one ran: the no-op plan's utilisation and (under
-	// ScoreQoE) stall score, and each proposal in registration order.
+	// The round, if one ran: the no-op plan's utilisation and (in a
+	// stall-order round) stall score, and each proposal in registration
+	// order.
 	BaseUtil   *float64    `json:"base_util,omitempty"`
 	BaseStall  *float64    `json:"base_stall,omitempty"`
 	Candidates []Candidate `json:"candidates,omitempty"`
@@ -104,7 +95,8 @@ type Reaction struct {
 }
 
 // Candidate is one proposal with Select's verdict on it: won, outscored
-// or inadmissible. PredictedStall is set under ScoreQoE only.
+// or inadmissible. PredictedStall is set in a stall-order round only
+// (see Planner.Select).
 type Candidate struct {
 	Strategy       string   `json:"strategy"`
 	PredictedUtil  *float64 `json:"predicted_util,omitempty"`
@@ -116,18 +108,18 @@ type Candidate struct {
 // roundRecord records a planning round: its baseline and Select's
 // verdict on each proposal (best is the winner).
 func roundRecord(ctx PlanContext, plans []*Plan, best *Plan) *Reaction {
-	qoeActive := ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil
-	r := &Reaction{BaseUtil: finite(ctx.BaseUtil, true), BaseStall: finite(ctx.BaseStall, qoeActive)}
+	byStall := stallOrder(ctx, plans)
+	r := &Reaction{BaseUtil: finite(ctx.BaseUtil, true), BaseStall: finite(ctx.BaseStall, byStall)}
 	for _, p := range plans {
 		verdict := "outscored"
 		switch {
 		case p == best:
 			verdict = "won"
-		case !admissible(ctx, p):
+		case !admissible(ctx, p, byStall):
 			verdict = "inadmissible"
 		}
 		r.Candidates = append(r.Candidates, Candidate{Strategy: p.Strategy, PredictedUtil: finite(p.PredictedUtil, true),
-			LieCost: p.LieCost, PredictedStall: finite(p.PredictedStall, qoeActive), Verdict: verdict})
+			LieCost: p.LieCost, PredictedStall: finite(p.PredictedStall, byStall), Verdict: verdict})
 	}
 	return r
 }
@@ -148,7 +140,6 @@ func finite(v float64, want bool) *float64 {
 type Controller struct {
 	topo    *topo.Topology
 	lies    *southbound.LieManager
-	cfg     Config
 	now     func() time.Duration
 	planner *Planner
 
@@ -199,11 +190,6 @@ type Controller struct {
 // Option configures a Controller at construction.
 type Option func(*Controller)
 
-// WithConfig sets the policy knobs.
-func WithConfig(cfg Config) Option {
-	return func(c *Controller) { c.cfg = cfg }
-}
-
 // WithStrategies replaces the stock strategy set. Strategies propose in
 // registration order, which is also the scoring tie-break.
 func WithStrategies(strategies ...Strategy) Option {
@@ -215,7 +201,7 @@ func WithStrategies(strategies ...Strategy) Option {
 }
 
 // New builds a controller injecting lies through the given manager. With
-// no options it runs the stock strategies under the default policy.
+// no options it runs the stock strategies.
 func New(t *topo.Topology, lies *southbound.LieManager, now func() time.Duration, opts ...Option) *Controller {
 	c := &Controller{
 		topo:    t,
@@ -329,8 +315,8 @@ func (c *Controller) LPStats() te.WarmLPStats { return c.arts.LPStats() }
 // sessions: each positive-delta demand event is one viewer joining, each
 // negative-delta one leaving. The counts parameterise the QoE predictor
 // (a 100-session aggregate stalls very differently from one fat flow of
-// the same volume) and are kept even when the planner scores on
-// utilisation, so reports can predict QoE.
+// the same volume) and are kept in every round, so reports can predict
+// QoE.
 type demandEntry struct {
 	rate, peak float64
 	members    int
@@ -416,7 +402,8 @@ func routed(views map[topo.NodeID]fibbing.RouteView, n topo.NodeID) bool {
 // counts per aggregate with the default playback config (each session
 // plays a fixed rate equal to its aggregate's per-session share) over
 // the default prediction horizon. The snapshot is deep-copied, so
-// callers may hold it across further demand events.
+// callers may hold it across further demand events. A saturated
+// planning round predicts stalls with it.
 func (c *Controller) QoEModel() qoe.Model {
 	members := make(map[string]map[topo.NodeID]int, len(c.demand))
 	for prefix, m := range c.demand {
@@ -462,11 +449,11 @@ func (c *Controller) planOn(pt *topo.Topology, ev Event, demands []topo.Demand) 
 	if c.futile[ev.Alarm.Link] {
 		return nil
 	}
-	ctx := buildPlanContext(c.ensureArtifacts(pt), pt, demands, c.lies.InstalledAll(), ev, c.cfg)
+	ctx := buildPlanContext(c.ensureArtifacts(pt), pt, demands, c.lies.InstalledAll(), ev)
 	if ctx.BaseUtil <= TargetUtil {
 		return nil // stale alarm
 	}
-	if c.cfg.ScoreMode != ScoreUtil {
+	if ctx.saturated() {
 		ctx = ctx.WithQoE(c.QoEModel())
 	}
 	plans, errs := c.planner.ProposeAll(ctx)

@@ -428,7 +428,6 @@ func TestReactionOmitsNonFiniteNumbers(t *testing.T) {
 	ctx := PlanContext{
 		BaseUtil:  math.Inf(1),
 		BaseStall: 10,
-		ScoreMode: ScoreQoE,
 		PredictQoE: func(map[string][]fibbing.Lie) (qoe.PlanQoE, error) {
 			return qoe.PlanQoE{}, errors.New("no viewer model")
 		},
@@ -446,5 +445,46 @@ func TestReactionOmitsNonFiniteNumbers(t *testing.T) {
 	const want = `{"at":0,"trigger":"","link":"","base_stall":10,"candidates":[{"strategy":"lp-optimal","predicted_util":0.9,"lie_cost":0,"verdict":"inadmissible"}]}`
 	if string(out) != want {
 		t.Fatalf("record = %s\n want %s", out, want)
+	}
+}
+
+// TestHealRevertsPinAtEqualUtilisation: a heal whose pre-failure lie set
+// evaluates at the same max utilisation as the pin still reverts, as it
+// leaves fewer live lies. On Fig1 the pin around a dead B-R2 keeps 3
+// lies, and after the heal the bare IGP loads the hottest link as fully
+// as the pin does: the pin buys nothing once the IGP routes round the
+// healed link, so the heal withdraws it.
+func TestHealRevertsPinAtEqualUtilisation(t *testing.T) {
+	r := newFailoverRig(t)
+	l := r.link(t, topo.Fig1B, topo.Fig1R2)
+	r.c.Handle(LinkDownEvent(l))
+	if len(r.c.Decisions) != 1 || r.c.Decisions[0].Strategy != "failover-pin" || r.mgr.LieCount() == 0 {
+		t.Fatalf("failure decisions %+v (%d lies), want one failover-pin", r.c.Decisions, r.mgr.LieCount())
+	}
+	pinned := r.mgr.InstalledAll()
+	r.c.Handle(LinkUpEvent(l))
+	// The tie the revert commits on: equal utilisation, fewer lies.
+	demands, _ := r.c.liveDemands()
+	arts := r.c.ensureArtifacts(r.c.live)
+	pin, err := arts.MaxUtil(pinned, demands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	igp, err := arts.MaxUtil(nil, demands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(pin-igp) > utilEps(pin, igp) {
+		t.Fatalf("pin %.6f and IGP %.6f differ after the heal; the test needs a tie", pin, igp)
+	}
+	if len(r.c.Errors) != 0 {
+		t.Fatalf("errors: %v", r.c.Errors)
+	}
+	if len(r.c.Decisions) != 2 || r.c.Decisions[1].Strategy != "failover-revert" || r.mgr.LieCount() != 0 {
+		t.Fatalf("heal decisions %+v (%d lies left), want failover-revert to the lie-free pre-failure set",
+			r.c.Decisions, r.mgr.LieCount())
+	}
+	if last := r.c.Reactions[len(r.c.Reactions)-1]; last.Trigger != "link-up" || last.Strategy != "failover-revert" {
+		t.Fatalf("heal reaction %+v, want link-up failover-revert", last)
 	}
 }

@@ -32,11 +32,13 @@ func utilEps(vals ...float64) float64 {
 // Planner chooses between competing congestion reactions: the
 // registered strategies propose one after another in registration order
 // for a raised alarm, the resulting plans are scored, and the best
-// admissible plan wins. Scoring order: target-utilisation satisfaction
-// first, then lie budget (total live lies after commit), then predicted
-// utilisation, then registration order as the deterministic tie-break.
-// Fixed lifecycle rules (withdrawal, failover, revert) are controller
-// reactions, not strategies.
+// admissible plan wins. The scoring order is target-utilisation
+// satisfaction first, then lie budget (total live lies after commit),
+// then predicted utilisation, then registration order as the
+// deterministic tie-break; in a saturated round where no proposal meets
+// the target, predicted stall goes first (see Select). Fixed lifecycle
+// rules (withdrawal, failover, revert) are controller reactions, not
+// strategies.
 type Planner struct {
 	strategies []Strategy
 
@@ -128,25 +130,28 @@ func (p *Planner) Plan(ctx PlanContext) (*Plan, []error) {
 // each plan's LieCost. What-if tools that want both the proposals and
 // the verdict call ProposeAll once and Select on the result instead of
 // running every strategy twice.
+//
+// Select has one rule. While some proposal meets the target, or the
+// round is not saturated, or the context has no stall predictor, plans
+// rank by the utilisation order. In a saturated round where no proposal
+// meets the target, routing cannot deliver more than the overloaded
+// links carry, so plans rank by predicted stall (filling each plan's
+// PredictedStall), with the utilisation order as the tie-break.
 func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
-	qoeActive := ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil
+	byStall := stallOrder(ctx, plans)
 	var best *Plan
 	for _, plan := range plans {
 		plan.LieCost = liveLiesAfter(ctx.Installed, plan)
-		if qoeActive {
+		if byStall {
 			// No stock strategy predicts QoE itself, so this is the
 			// overlay's first prediction in a round; it is a memo hit when
 			// an earlier round over the same state scored the same overlay.
-			if q, err := ctx.PredictQoE(plan.Lies); err == nil {
-				plan.PredictedStall = q.Score()
-			} else {
-				plan.PredictedStall = math.Inf(1)
-			}
+			plan.PredictedStall = predictedStall(ctx, plan.Lies)
 		}
-		if !admissible(ctx, plan) {
+		if !admissible(ctx, plan, byStall) {
 			continue
 		}
-		if best == nil || better(ctx, plan, best) {
+		if best == nil || better(plan, best, byStall) {
 			best = plan
 		}
 	}
@@ -156,23 +161,31 @@ func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
 	return best
 }
 
-// admissible gates plans: strictly improve on the
-// no-op plan, or reach the target without worsening it. Either way a
-// committed plan never increases the predicted max utilisation. Under
-// QoE scoring the never-worsen rule is restated in viewer terms: a plan
-// may exceed the utilisation target (or even the no-op utilisation) only
-// when its predicted stall score strictly improves on the no-op plan's —
-// viewers trade a hotter link for fewer stalled seconds, never for more.
-// All comparisons use the relative utilEps, so the verdict is identical
-// for rescaled versions of the same problem.
-func admissible(ctx PlanContext, plan *Plan) bool {
-	if ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil && !meetsTarget(plan.PredictedUtil) {
-		// QoE mode, above the target: only a strict stall improvement
-		// admits the plan. In particular a plan that merely improves the
-		// predicted utilisation (the util-mode gate below) is rejected when
-		// it gives those cooler links back by re-starving viewers — without
-		// this, a utilisation-motivated revert can undo a committed stall
-		// fix at the next alarm and the two objectives oscillate.
+// stallOrder reports whether a round ranks its plans by predicted
+// stall: the context has a stall predictor, the round is saturated and
+// no proposal meets the target.
+func stallOrder(ctx PlanContext, plans []*Plan) bool {
+	if ctx.PredictQoE == nil || !ctx.saturated() {
+		return false
+	}
+	for _, plan := range plans {
+		if meetsTarget(plan.PredictedUtil) {
+			return false
+		}
+	}
+	return true
+}
+
+// admissible gates plans. In the utilisation order a plan must strictly
+// improve on the no-op plan, or reach the target without worsening it:
+// either way a committed plan never increases the predicted max
+// utilisation. In the stall order a plan must strictly improve on the
+// no-op plan's predicted stalls: viewers may trade a hotter link for
+// fewer stalled seconds, never for as many or more. All comparisons use
+// the relative utilEps, so the verdict is identical for rescaled
+// versions of the same problem.
+func admissible(ctx PlanContext, plan *Plan, byStall bool) bool {
+	if byStall {
 		return plan.PredictedStall < ctx.BaseStall-utilEps(plan.PredictedStall, ctx.BaseStall)
 	}
 	if plan.PredictedUtil < ctx.BaseUtil-utilEps(plan.PredictedUtil, ctx.BaseUtil) {
@@ -186,23 +199,14 @@ func admissible(ctx PlanContext, plan *Plan) bool {
 // reaction target, within comparison noise.
 func meetsTarget(util float64) bool { return util <= TargetUtil+utilEps(util, TargetUtil) }
 
-// better reports whether a beats b under the scoring order. Strict: on a
-// full tie the earlier-registered plan (b) is kept.
-//
-// ScoreUtil orders by target satisfaction, lie cost, predicted
-// utilisation. ScoreQoE puts the predicted stall score first — fewer
-// stalled viewer-seconds beat everything, with the utilisation order as
-// the tie-break.
-func better(ctx PlanContext, a, b *Plan) bool {
-	if ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil && stallDiffers(a, b) {
+// better reports whether a beats b: fewer predicted stalled seconds
+// first in the stall order, then the utilisation order (target
+// satisfaction, lie cost, predicted utilisation). Strict: on a full tie
+// the earlier-registered plan (b) is kept.
+func better(a, b *Plan, byStall bool) bool {
+	if byStall && stallDiffers(a, b) {
 		return a.PredictedStall < b.PredictedStall
 	}
-	return betterUtil(a, b)
-}
-
-// betterUtil is the utilisation scoring order: target satisfaction, lie
-// cost, predicted utilisation.
-func betterUtil(a, b *Plan) bool {
 	if satA := meetsTarget(a.PredictedUtil); satA != meetsTarget(b.PredictedUtil) {
 		return satA
 	}
@@ -238,9 +242,10 @@ func liveLiesAfter(installed map[string][]fibbing.Lie, plan *Plan) int {
 
 // AnalyticPlanContext builds a PlanContext outside a running simulation —
 // for one-shot what-if planning (cmd/fibsim), tests, and benchmarks. The
-// installed map may be nil; cfg uses its usual defaults. The context
-// carries a fresh artifact cache, so the strategies of one planning round
-// share their SPF and evaluation work; repeat callers who want
+// installed map may be nil. The Config has no effect: it is kept only
+// because bench/ passes it until ROADMAP item 1. The context carries a
+// fresh artifact cache, so the strategies of one planning round share
+// their SPF and evaluation work; repeat callers who want
 // cross-invocation reuse pass a persistent cache to
 // AnalyticPlanContextCached instead.
 func AnalyticPlanContext(t *topo.Topology, demands []topo.Demand,
@@ -256,8 +261,8 @@ func AnalyticPlanContext(t *topo.Topology, demands []topo.Demand,
 // invalidation — pass a fresh or rebound cache whenever topology,
 // demands or installed lies change.
 func AnalyticPlanContextCached(arts *PlanArtifacts, t *topo.Topology, demands []topo.Demand,
-	installed map[string][]fibbing.Lie, ev Event, cfg Config) PlanContext {
-	return buildPlanContext(arts, t, demands, installed, ev, cfg)
+	installed map[string][]fibbing.Lie, ev Event, _ Config) PlanContext {
+	return buildPlanContext(arts, t, demands, installed, ev)
 }
 
 // buildPlanContext is the single assembly point for PlanContexts: the
@@ -268,7 +273,7 @@ func AnalyticPlanContextCached(arts *PlanArtifacts, t *topo.Topology, demands []
 // one bound to another topology or to weights since changed, is replaced
 // by a fresh one).
 func buildPlanContext(arts *PlanArtifacts, t *topo.Topology, demands []topo.Demand,
-	installed map[string][]fibbing.Lie, ev Event, cfg Config) PlanContext {
+	installed map[string][]fibbing.Lie, ev Event) PlanContext {
 	if arts == nil || !arts.boundTo(t) {
 		arts = NewPlanArtifacts(t)
 	}
@@ -292,7 +297,6 @@ func buildPlanContext(arts *PlanArtifacts, t *topo.Topology, demands []topo.Dema
 		Prefixes:  prefixNamesOf(demands),
 		Installed: installed,
 		BaseUtil:  base,
-		ScoreMode: cfg.ScoreMode,
 		Evaluate:  eval,
 	}
 }

@@ -24,9 +24,12 @@ func alarmOn(t *testing.T, tp *topo.Topology, a, b string, util float64) monitor
 }
 
 // TestStockStrategySelection is the table-driven selection test: each
-// stock strategy wins on a topology crafted for it, and local-ecmp
-// recruits an uphill loop-free alternate only when QoE scoring is live,
-// and never a neighbour whose route runs back through the hot router.
+// stock strategy wins on a topology crafted for it; Select ranks by
+// predicted stall only in a saturated round where no proposal meets the
+// target, and admits a plan there only if it beats the no-op's stalls;
+// local-ecmp recruits an uphill loop-free alternate only in such a
+// round, and never a neighbour whose route runs back through the hot
+// router.
 func TestStockStrategySelection(t *testing.T) {
 	fig1 := topo.Fig1(topo.Fig1Opts{})
 	blue := topo.Fig1BluePrefixName
@@ -59,6 +62,10 @@ func TestStockStrategySelection(t *testing.T) {
 	// runs through r4, so recruiting it next to r5 would loop the spread.
 	spur := topo.Ring(topo.RingOpts{N: 9, Capacity: 10e6})
 	spur.AddLink(spur.MustNode("r4"), spur.AddNode("x"), 1, topo.LinkOpts{Capacity: 10e6})
+	// noop proposes the installed lies unchanged: the no-op plan itself.
+	noop := strategyFunc{name: "noop", propose: func(ctx PlanContext) (*Plan, error) {
+		return &Plan{Strategy: "noop", Lies: map[string][]fibbing.Lie{}, PredictedUtil: ctx.BaseUtil}, nil
+	}}
 
 	cases := []struct {
 		name    string
@@ -67,7 +74,6 @@ func TestStockStrategySelection(t *testing.T) {
 		event   func() Event
 		// strategies is the planner's set; nil is the stock one.
 		strategies []Strategy
-		mode       ScoreMode
 		// model, when set, equips the context with this viewer model
 		// (WithQoE); nil leaves PredictQoE nil.
 		model *qoe.Model
@@ -76,6 +82,12 @@ func TestStockStrategySelection(t *testing.T) {
 		// wantLie, when set, is the winner's only lie, as "@attach via
 		// next-hop" in node IDs.
 		wantLie string
+		// byStall wants the round ranked by predicted stall; otherwise
+		// no proposal may carry a prediction.
+		byStall bool
+		// unpredicted wants no stall prediction at all, the no-op's
+		// included.
+		unpredicted bool
 	}{
 		{
 			// A single surge at B: spreading at the hot router reaches the
@@ -101,37 +113,42 @@ func TestStockStrategySelection(t *testing.T) {
 		{
 			// The ring is the worst case for local spreading: r5, the only
 			// alternative, is uphill (4 hops to r0, as from r4), the long
-			// way around. It is a loop-free alternate (4 < 1 + 4), and the
-			// LP is left out, so only the widened test can recruit it.
+			// way around. The round is saturated and there is no downstream
+			// spread, so with a predictor local-ecmp widens to loop-free
+			// alternates; r5 is one (4 < 1 + 4), and the LP is left out.
+			// The widened spread meets the target, so the utilisation
+			// order picks it.
 			name:       "local-ecmp recruits an uphill loop-free alternate under QoE scoring",
 			topo:       ring,
 			demands:    ringSurge,
 			event:      ringAlarm,
 			strategies: ringSet,
-			mode:       ScoreQoE,
 			model:      &thinCrowd,
 			want:       "local-ecmp",
 			wantLie:    "@4 via 5",
 		},
 		{
 			// "ksp" names the uphill detour a k-shortest-path plan would
-			// take around the ring; under util scoring nothing places it.
-			name:       "ksp abstains under util scoring",
-			topo:       ring,
-			demands:    ringSurge,
-			event:      ringAlarm,
-			strategies: ringSet,
+			// take around the ring. Below saturation the round keeps the
+			// utilisation order, so even with a predictor nothing places
+			// it, and nothing is predicted.
+			name:        "ksp abstains under util scoring",
+			topo:        ring,
+			demands:     []topo.Demand{{Ingress: r4, PrefixName: topo.RingPrefixName, Volume: 9e6}},
+			event:       ringAlarm,
+			strategies:  ringSet,
+			model:       &thinCrowd,
+			unpredicted: true,
 		},
 		{
-			// ScoreQoE without a stall predictor falls back to
-			// utilisation, as PlanContext.PredictQoE says, so the uphill
-			// detour stays off here too.
+			// A saturated round without a stall predictor keeps the
+			// utilisation order, as PlanContext.PredictQoE says, so the
+			// uphill detour stays off here too.
 			name:       "ksp abstains without a predictor",
 			topo:       ring,
 			demands:    ringSurge,
 			event:      ringAlarm,
 			strategies: ringSet,
-			mode:       ScoreQoE,
 		},
 		{
 			name:       "local-ecmp recruits the alternate but not a stub behind the hot router",
@@ -139,7 +156,6 @@ func TestStockStrategySelection(t *testing.T) {
 			demands:    ringSurge,
 			event:      func() Event { return AlarmEvent(alarmOn(t, spur, "r4", "r3", 0.99)) },
 			strategies: ringSet,
-			mode:       ScoreQoE,
 			model:      &thinCrowd,
 			want:       "local-ecmp",
 			wantLie:    "@4 via 5",
@@ -150,20 +166,90 @@ func TestStockStrategySelection(t *testing.T) {
 			demands:    backCrowds,
 			event:      func() Event { return AlarmEvent(alarmOn(t, ring, "r6", "r7", 0.99)) },
 			strategies: ringSet,
-			mode:       ScoreQoE,
 			model:      &backModel,
+			byStall:    true,
+		},
+		{
+			// Two crowds on the ring's disjoint directions: r4's route
+			// runs through r3, r5's through r6. Their 18 Mbit/s cannot fit
+			// the 20 Mbit/s into r0 at the target, so no plan meets it, but
+			// the round is below saturation (0.95): the LP's 0.9 wins on
+			// utilisation alone, and no stall is predicted.
+			name: "an unsaturated round keeps the utilisation order and predicts nothing",
+			topo: ring,
+			demands: []topo.Demand{
+				{Ingress: r4, PrefixName: topo.RingPrefixName, Volume: 8.5e6},
+				{Ingress: r5, PrefixName: topo.RingPrefixName, Volume: 9.5e6},
+			},
+			event: func() Event { return AlarmEvent(alarmOn(t, ring, "r5", "r6", 0.95)) },
+			model: &qoe.Model{
+				Members: map[string]map[topo.NodeID]int{topo.RingPrefixName: {r4: 40, r5: 40}},
+				Horizon: qoe.DefaultHorizon,
+			},
+			want:        "lp-optimal",
+			unpredicted: true,
+		},
+		{
+			// Saturated (1.06), but local-ecmp meets the target: the
+			// utilisation order decides, and no proposal is predicted.
+			name:    "a saturated round with a proposal at target keeps the utilisation order",
+			topo:    fig1,
+			demands: []topo.Demand{{Ingress: a, PrefixName: blue, Volume: 8e6}, {Ingress: b, PrefixName: blue, Volume: 9e6}},
+			event:   func() Event { return AlarmEvent(alarmOn(t, fig1, "B", "R2", 0.99)) },
+			model: &qoe.Model{
+				Members: map[string]map[topo.NodeID]int{blue: {a: 5, b: 40}},
+				Horizon: qoe.DefaultHorizon,
+			},
+			want: "local-ecmp",
+		},
+		{
+			// Saturated (2.5), and both ways round the ring still leave
+			// 1.25: the round ranks by predicted stall. The widened spread
+			// and the LP predict the same stalls, below the no-op's, so
+			// the utilisation order breaks the tie for the
+			// earlier-registered local-ecmp.
+			name:    "a saturated round with no proposal at target ranks by stall",
+			topo:    ring,
+			demands: []topo.Demand{{Ingress: r4, PrefixName: topo.RingPrefixName, Volume: 25e6}},
+			event:   ringAlarm,
+			model:   &thinCrowd,
+			want:    "local-ecmp",
+			byStall: true,
+		},
+		{
+			// In the stall order a plan must beat the no-op's stalls:
+			// the no-op plan itself only matches them.
+			name:       "the stall order rejects a plan that only matches the no-op's stalls",
+			topo:       ring,
+			demands:    ringSurge,
+			event:      ringAlarm,
+			strategies: []Strategy{noop},
+			model:      &thinCrowd,
+			byStall:    true,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := AnalyticPlanContext(tc.topo, tc.demands, nil, tc.event(), Config{ScoreMode: tc.mode})
+			ctx := AnalyticPlanContext(tc.topo, tc.demands, nil, tc.event(), Config{})
 			if tc.model != nil {
 				ctx = ctx.WithQoE(*tc.model)
 			}
 			planner := NewPlanner(tc.strategies...)
-			plan, errs := planner.Plan(ctx)
+			plans, errs := planner.ProposeAll(ctx)
 			for _, err := range errs {
 				t.Logf("strategy error: %v", err)
+			}
+			plan := planner.Select(ctx, plans)
+			if got := stallOrder(ctx, plans); got != tc.byStall {
+				t.Fatalf("stall order = %v, want %v (base %.3f)", got, tc.byStall, ctx.BaseUtil)
+			}
+			for _, p := range plans {
+				if predicted := p.PredictedStall != 0; predicted != tc.byStall {
+					t.Fatalf("%s predicted stall %v in a round whose stall order is %v", p.Strategy, p.PredictedStall, tc.byStall)
+				}
+			}
+			if misses := ctx.Artifacts.Stats().QoEMisses; tc.unpredicted && misses != 0 {
+				t.Fatalf("%d stall predictions, want none", misses)
 			}
 			if tc.want == "" {
 				if plan != nil {
@@ -188,6 +274,12 @@ func TestStockStrategySelection(t *testing.T) {
 				if len(got) != 1 || got[0] != tc.wantLie {
 					t.Fatalf("lies = %v, want [%s]", got, tc.wantLie)
 				}
+			}
+			if tc.byStall {
+				if plan.PredictedStall >= ctx.BaseStall {
+					t.Fatalf("winning plan stalls %.3f s, no-op %.3f s", plan.PredictedStall, ctx.BaseStall)
+				}
+				return
 			}
 			if plan.PredictedUtil > ctx.BaseUtil+1e-6 {
 				t.Fatalf("winning plan worsens predicted util: %.3f > base %.3f",

@@ -17,7 +17,7 @@ package controller
 //     leaves out (Controller.liveDemands) until a heal reconnects it.
 //   - Revert (reactToRecovery): when the last failed link heals, the
 //     pre-failure lie set comes back if it evaluates better than the
-//     detour.
+//     detour, or as well with fewer lies.
 
 import (
 	"fmt"
@@ -116,10 +116,10 @@ func (c *Controller) reactToFailure(link topo.Link, believed *topo.Topology, dem
 // reduced topology; waiting for the next SNMP alarm would leave that
 // detour saturating the restored network for seconds. When the last
 // failure heals, the pre-failure lie set is restored if it evaluates
-// better than the detour (the make-before-break revert of traditional
-// TE); otherwise the alarm path the monitor would eventually take runs
-// immediately on the hottest link, and a clean recovery, already at
-// target, commits nothing.
+// better than the detour, or as well with fewer live lies (the
+// make-before-break revert of traditional TE); otherwise the alarm path
+// the monitor would eventually take runs immediately on the hottest
+// link, and a clean recovery, already at target, commits nothing.
 func (c *Controller) reactToRecovery(demands []topo.Demand) *Reaction {
 	snap := c.preFailure
 	if len(c.failed) == 0 {
@@ -138,10 +138,12 @@ func (c *Controller) reactToRecovery(demands []topo.Demand) *Reaction {
 
 // revertPlan builds the plan restoring the pre-failure lie set, if doing
 // so strictly improves the analytic utilisation under current demands,
-// evaluated through the healed live topology's artifact cache (the alarm
-// path after it reads the same loads). Prefixes that gained lies during
-// the failure episode get explicit empty entries so the commit withdraws
-// them.
+// or leaves fewer live lies at equal utilisation (within utilEps): a
+// pin that no longer lowers the max utilisation buys nothing once the
+// IGP routes around the healed link again. Both are evaluated through
+// the healed live topology's artifact cache (the alarm path after it
+// reads the same loads). Prefixes that gained lies during the failure
+// episode get explicit empty entries so the commit withdraws them.
 func (c *Controller) revertPlan(snap, installed map[string][]fibbing.Lie, demands []topo.Demand) *Plan {
 	overlay := maps.Clone(snap)
 	for prefix := range installed {
@@ -155,16 +157,22 @@ func (c *Controller) revertPlan(snap, installed map[string][]fibbing.Lie, demand
 		return nil
 	}
 	old, err := arts.MaxUtil(overlay, demands)
-	if err != nil || old >= cur {
+	if err != nil {
 		return nil
 	}
-	return &Plan{
+	plan := &Plan{
 		Strategy:      "failover-revert",
 		Lies:          overlay,
 		PredictedUtil: old,
-		LieCost:       liveLiesAfter(installed, &Plan{Lies: overlay}),
 		Rationale:     fmt.Sprintf("restored pre-failure plan after heal (%.2f -> %.2f)", cur, old),
 	}
+	plan.LieCost = liveLiesAfter(installed, plan)
+	// The no-op plan keeps every installed lie.
+	fewer := plan.LieCost < liveLiesAfter(installed, &Plan{})
+	if old < cur || fewer && old <= cur+utilEps(old, cur) {
+		return plan
+	}
+	return nil
 }
 
 // failoverPin pins the post-failure IGP paths: for each demanded prefix

@@ -42,7 +42,6 @@ type SimOpts struct {
 	AttachAt     string         // controller PoP router, default R3
 	WithCtrl     bool           // false disables the Fibbing controller
 	Monitor      monitor.Config
-	Controller   Config
 	SampleEvery  time.Duration // counter advance and series sampling, default 1s
 	VideoSample  time.Duration // player tick, default 250ms
 	TrackPlayers bool          // attach a SimSession per flow
@@ -92,7 +91,7 @@ func NewSim(o SimOpts) (*Sim, error) {
 		return nil, fmt.Errorf("controller: attach node %q is not a router", o.AttachAt)
 	}
 	s.Lies = southbound.NewLieManager(southbound.DirectInjector{Router: pop}, ospf.ControllerIDBase)
-	s.Ctrl = New(s.Topo, s.Lies, s.Sched.Now, WithConfig(o.Controller))
+	s.Ctrl = New(s.Topo, s.Lies, s.Sched.Now)
 	if o.WithCtrl {
 		// The monitor's bare callback becomes a typed controller event.
 		s.Poller.OnAlarm = func(a monitor.Alarm) { s.Ctrl.Handle(AlarmEvent(a)) }

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"fmt"
 	"math"
 	"strings"
 
@@ -9,48 +8,40 @@ import (
 	"fibbing.net/fibbing/internal/qoe"
 )
 
-// ScoreMode selects what the planner optimises when scoring admissible
-// plans. The zero value is the historical behaviour (max utilisation),
-// so existing configurations are unchanged.
+// ScoreMode has no effect: the planner has one selection rule (see
+// Planner.Select).
+//
+// Deprecated: no effect. Kept only because bench/ reads it until ROADMAP item 1.
 type ScoreMode int
 
+// Deprecated: no effect. Kept only because bench/ reads them until ROADMAP item 1.
 const (
-	// ScoreUtil scores plans on predicted max link utilisation alone
-	// (the original planner order: target satisfaction, lie cost,
-	// predicted utilisation).
 	ScoreUtil ScoreMode = iota
-	// ScoreQoE scores plans on predicted viewer pain first: fewer
-	// stall-seconds beat a cooler link. Admissibility is restated in QoE
-	// terms — a plan may exceed the utilisation target only if its
-	// predicted stall-seconds strictly improve on the no-op plan.
 	ScoreQoE
 )
 
-// String returns the flag-format name ("util" or "qoe").
-func (m ScoreMode) String() string {
-	if m == ScoreQoE {
-		return "qoe"
-	}
-	return "util"
+// Config has no effect.
+//
+// Deprecated: no effect. Kept only because bench/ reads it until ROADMAP item 1.
+type Config struct {
+	// Deprecated: no effect. Kept only because bench/ reads it until ROADMAP item 1.
+	ScoreMode ScoreMode
 }
 
-// ParseScoreMode resolves the flag-format name, case-insensitively.
-// Empty means ScoreUtil.
-func ParseScoreMode(s string) (ScoreMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "util", "utilisation", "utilization":
-		return ScoreUtil, nil
-	case "qoe":
-		return ScoreQoE, nil
-	}
-	return ScoreUtil, fmt.Errorf("controller: unknown score mode %q (want util or qoe)", s)
-}
+// saturated reports whether the no-op plan overloads a link. Once a
+// link is over capacity, routing cannot raise what is delivered there:
+// the choice left is which viewers lose out, which is what the stall
+// predictor judges. It is the one test of that regime: planOn, WithQoE,
+// Select's stall order and local-ecmp's loop-free alternates all read
+// it.
+func (ctx PlanContext) saturated() bool { return ctx.BaseUtil > 1 }
 
 // WithQoE equips a context with the viewer model: it installs the
-// memoised stall predictor (the QoE sibling of Evaluate) and the no-op
-// plan's baseline score the admissibility restatement compares against.
-// Call it after buildPlanContext, before planning; contexts without it
-// score on utilisation terms alone.
+// memoised stall predictor (the QoE sibling of Evaluate) and, in a
+// saturated context, the no-op plan's stall score that Select's stall
+// order compares against. An unsaturated context never ranks by stall,
+// so it predicts nothing. Call it after buildPlanContext, before
+// planning.
 func (ctx PlanContext) WithQoE(model qoe.Model) PlanContext {
 	ctx.QoEModel = model
 	// The model never changes within one planning context: encode its
@@ -64,13 +55,18 @@ func (ctx PlanContext) WithQoE(model qoe.Model) PlanContext {
 	ctx.PredictQoE = func(overlay map[string][]fibbing.Lie) (qoe.PlanQoE, error) {
 		return arts.predictQoEKeyed(modelKey, mergeOverlay(installed, overlay), demands, model)
 	}
-	if len(ctx.Demands) == 0 {
+	if len(ctx.Demands) == 0 || !ctx.saturated() {
 		return ctx
 	}
-	if q, err := ctx.PredictQoE(nil); err == nil {
-		ctx.BaseStall = q.Score()
-	} else {
-		ctx.BaseStall = math.Inf(1)
-	}
+	ctx.BaseStall = predictedStall(ctx, nil)
 	return ctx
+}
+
+// predictedStall is the stall score PredictQoE gives an overlay, +Inf
+// when the prediction fails.
+func predictedStall(ctx PlanContext, overlay map[string][]fibbing.Lie) float64 {
+	if q, err := ctx.PredictQoE(overlay); err == nil {
+		return q.Score()
+	}
+	return math.Inf(1)
 }

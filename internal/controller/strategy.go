@@ -13,9 +13,9 @@ import (
 
 // PlanContext is everything a Strategy may consult when proposing a
 // congestion reaction: the topology, the demand model, the lies currently
-// installed, the raised alarm that triggered planning, the controller's
-// policy knobs, and a predicted-utilisation evaluator. The context is
-// immutable: strategies read it and never write through it.
+// installed, the raised alarm that triggered planning, and a
+// predicted-utilisation evaluator. The context is immutable: strategies
+// read it and never write through it.
 type PlanContext struct {
 	Topo *topo.Topology
 	// Artifacts is the shared memoisation layer for the expensive
@@ -40,21 +40,18 @@ type PlanContext struct {
 	// key replaces that prefix's installed lies (empty clears them),
 	// absent prefixes keep theirs. Evaluate(nil) == BaseUtil.
 	Evaluate func(overlay map[string][]fibbing.Lie) (float64, error)
-	// ScoreMode selects the planner's scoring order (utilisation or
-	// QoE); see the ScoreMode constants.
-	ScoreMode ScoreMode
 	// QoEModel describes the viewer population (member counts per
-	// aggregate, playback model) when QoE scoring is active; zero
-	// otherwise. Set by WithQoE.
+	// aggregate, playback model) when the context has a stall predictor;
+	// zero otherwise. Set by WithQoE.
 	QoEModel qoe.Model
 	// BaseStall is PredictQoE(nil).Score(): the no-op plan's predicted
-	// viewer pain, the baseline for QoE-terms admissibility. Zero when
-	// PredictQoE is nil.
+	// viewer pain, the baseline a plan must beat in Select's stall
+	// order. Zero unless WithQoE equipped a saturated context.
 	BaseStall float64
 	// PredictQoE is Evaluate's QoE sibling: the predicted aggregate
 	// viewer experience under the overlaid lies (same overlay semantics).
 	// Nil unless WithQoE equipped the context; strategies and scoring
-	// must treat nil as "QoE unavailable" and fall back to utilisation.
+	// must treat nil as "QoE unavailable" and keep the utilisation order.
 	PredictQoE func(overlay map[string][]fibbing.Lie) (qoe.PlanQoE, error)
 }
 
@@ -72,8 +69,8 @@ type Plan struct {
 	PredictedUtil float64
 	// PredictedStall is PredictQoE(Lies).Score(): the total predicted
 	// viewer pain (stall + startup-wait seconds) this plan is predicted
-	// to leave. Filled by the Planner before scoring when QoE scoring is
-	// active; zero otherwise.
+	// to leave. Filled by the Planner before scoring in a stall-order
+	// round (see Planner.Select); zero otherwise.
 	PredictedStall float64
 	// LieCost is the total number of live lies after committing the plan
 	// (filled by the Planner before scoring).
@@ -109,10 +106,11 @@ type Strategy interface {
 // DefaultStrategies is the stock strategy set, in priority (registration)
 // order: local ECMP spreading and the LP-optimal splits. Withdrawal is
 // not a strategy: it is a fixed controller reaction to the last alarm
-// clearing, whatever set is configured. There is no QoE strategy: under
-// ScoreQoE the planner re-ranks these strategies' candidates by
-// predicted stall instead, and local-ecmp widens its neighbour test to
-// loop-free alternates (see LocalECMPStrategy).
+// clearing, whatever set is configured. There is no QoE strategy: in a
+// saturated round where no proposal meets the target the planner ranks
+// these strategies' candidates by predicted stall instead, and
+// local-ecmp widens its neighbour test to loop-free alternates (see
+// LocalECMPStrategy).
 func DefaultStrategies() []Strategy {
 	return []Strategy{LocalECMPStrategy{}, LPOptimalStrategy{}}
 }
@@ -121,15 +119,15 @@ func DefaultStrategies() []Strategy {
 
 // LocalECMPStrategy is the demo's first move (Figure 1c's fB): at the hot
 // link's head router S, add unused neighbours as equal-cost paths, for
-// each prefix D with demand. Under utilisation scoring it recruits only
-// downstream neighbours N, dist(N,D) < dist(S,D). When QoE scoring is
-// live (ScoreQoE with PredictQoE set) it also recruits loop-free
+// each prefix D with demand. It recruits downstream neighbours N,
+// dist(N,D) < dist(S,D). In a saturated round with a stall predictor
+// where that spread misses the target, it widens to loop-free
 // alternates (RFC 5286), dist(N,D) < dist(N,S) + dist(S,D): a one-hop
 // uphill detour whose route to D does not come back through S. On a
 // skewed crowd such a detour can move the thin sessions off the fat
-// crowd's bottleneck, which the stall predictor rewards and the
-// utilisation score does not. Every downstream neighbour is a loop-free
-// alternate, so the QoE set contains the utilisation one.
+// crowd's bottleneck, which the stall order rewards. Every downstream
+// neighbour is a loop-free alternate, so the widened set contains the
+// downstream one.
 type LocalECMPStrategy struct{}
 
 // Name implements Strategy.
@@ -140,8 +138,18 @@ func (s LocalECMPStrategy) Propose(ctx PlanContext) (*Plan, error) {
 	if ctx.Event.Kind != EventAlarmRaised || len(ctx.Demands) == 0 {
 		return nil, nil
 	}
+	plan, err := s.spread(ctx, false)
+	if err == nil && ctx.PredictQoE != nil && ctx.saturated() && (plan == nil || !meetsTarget(plan.PredictedUtil)) {
+		return s.spread(ctx, true)
+	}
+	return plan, err
+}
+
+// spread proposes the spread at the hot router over every prefix with
+// demand: downstream neighbours only, or with lfa loop-free alternates
+// too.
+func (s LocalECMPStrategy) spread(ctx PlanContext, lfa bool) (*Plan, error) {
 	hot := ctx.Topo.Link(ctx.Event.Alarm.Link).From
-	lfa := ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil
 	overlay := make(map[string][]fibbing.Lie)
 	for _, prefix := range ctx.Prefixes {
 		if lies, ok := ctx.Artifacts.spread(prefix, hot, lfa); ok {

@@ -18,7 +18,7 @@ import (
 
 // matrixProblem is one planning question on a matrix topology: a seeded
 // demand draw, the alarm on the link plain IGP routing loads most, and
-// the viewers behind the demands for QoE scoring.
+// the viewers behind the demands for the stall predictor.
 type matrixProblem struct {
 	name    string
 	tp      *topo.Topology
@@ -27,9 +27,11 @@ type matrixProblem struct {
 	model   qoe.Model
 }
 
-func (p matrixProblem) context(arts *controller.PlanArtifacts, mode controller.ScoreMode) controller.PlanContext {
-	ctx := controller.AnalyticPlanContextCached(arts, p.tp, p.demands, nil, p.ev, controller.Config{ScoreMode: mode})
-	if mode == controller.ScoreQoE {
+// context builds the problem's PlanContext over arts, with the stall
+// predictor over the problem's viewers when withQoE is set.
+func (p matrixProblem) context(arts *controller.PlanArtifacts, withQoE bool) controller.PlanContext {
+	ctx := controller.AnalyticPlanContextCached(arts, p.tp, p.demands, nil, p.ev, controller.Config{})
+	if withQoE {
 		ctx = ctx.WithQoE(p.model)
 	}
 	return ctx
@@ -77,7 +79,8 @@ func matrixProblems(t *testing.T, ghost bool) [][]matrixProblem {
 	return out
 }
 
-var scoreModes = []controller.ScoreMode{controller.ScoreUtil, controller.ScoreQoE}
+// predictors plans every problem without and with a stall predictor.
+var predictors = []bool{false, true}
 
 // TestWarmReplanMakesNoMisses: the alarm train the controller sees when
 // an alarm keeps firing on unchanged state asks one question again and
@@ -88,27 +91,27 @@ func TestWarmReplanMakesNoMisses(t *testing.T) {
 	wins := map[string]int{}
 	for _, draws := range matrixProblems(t, false) {
 		for _, p := range draws {
-			for _, mode := range scoreModes {
+			for _, withQoE := range predictors {
 				arts := controller.NewPlanArtifacts(p.tp)
 				planner := controller.NewPlanner()
-				first, errs := planner.Plan(p.context(arts, mode))
+				first, errs := planner.Plan(p.context(arts, withQoE))
 				if len(errs) > 0 {
-					t.Fatalf("%s mode %v: %v", p.name, mode, errs)
+					t.Fatalf("%s predictor %v: %v", p.name, withQoE, errs)
 				}
 				cold := arts.Stats()
-				again, errs := planner.Plan(p.context(arts, mode))
+				again, errs := planner.Plan(p.context(arts, withQoE))
 				if len(errs) > 0 {
-					t.Fatalf("%s mode %v re-plan: %v", p.name, mode, errs)
+					t.Fatalf("%s predictor %v re-plan: %v", p.name, withQoE, errs)
 				}
 				warm := arts.Stats()
 				if warm.Misses != cold.Misses || warm.QoEMisses != cold.QoEMisses {
-					t.Fatalf("%s mode %v: the re-plan missed: %+v after the first plan, %+v after the second", p.name, mode, cold, warm)
+					t.Fatalf("%s predictor %v: the re-plan missed: %+v after the first plan, %+v after the second", p.name, withQoE, cold, warm)
 				}
 				if warm.Hits == cold.Hits {
-					t.Fatalf("%s mode %v: the re-plan made no lookup", p.name, mode)
+					t.Fatalf("%s predictor %v: the re-plan made no lookup", p.name, withQoE)
 				}
 				if (first == nil) != (again == nil) {
-					t.Fatalf("%s mode %v: plan %v, re-plan %v", p.name, mode, first, again)
+					t.Fatalf("%s predictor %v: plan %v, re-plan %v", p.name, withQoE, first, again)
 				}
 				if first == nil {
 					continue
@@ -116,8 +119,8 @@ func TestWarmReplanMakesNoMisses(t *testing.T) {
 				if again.Strategy != first.Strategy || !reflect.DeepEqual(again.Lies, first.Lies) ||
 					math.Float64bits(again.PredictedUtil) != math.Float64bits(first.PredictedUtil) ||
 					math.Float64bits(again.PredictedStall) != math.Float64bits(first.PredictedStall) {
-					t.Fatalf("%s mode %v: re-plan differs:\n first %s %v util %x stall %x\n again %s %v util %x stall %x",
-						p.name, mode, first.Strategy, first.Lies, math.Float64bits(first.PredictedUtil), math.Float64bits(first.PredictedStall),
+					t.Fatalf("%s predictor %v: re-plan differs:\n first %s %v util %x stall %x\n again %s %v util %x stall %x",
+						p.name, withQoE, first.Strategy, first.Lies, math.Float64bits(first.PredictedUtil), math.Float64bits(first.PredictedStall),
 						again.Strategy, again.Lies, math.Float64bits(again.PredictedUtil), math.Float64bits(again.PredictedStall))
 				}
 				wins[first.Strategy]++
@@ -140,6 +143,22 @@ func (s refLocalECMP) Propose(ctx controller.PlanContext) (*controller.Plan, err
 	if ctx.Event.Kind != controller.EventAlarmRaised || len(ctx.Demands) == 0 {
 		return nil, nil
 	}
+	plan, err := s.spread(ctx, false)
+	// The widening rule: a saturated context with a stall predictor
+	// where the downstream spread misses the target.
+	if err == nil && ctx.PredictQoE != nil && ctx.BaseUtil > 1 && (plan == nil || !refMeetsTarget(plan.PredictedUtil)) {
+		return s.spread(ctx, true)
+	}
+	return plan, err
+}
+
+// refMeetsTarget is the planner's target test: TargetUtil within the
+// relative comparison tolerance.
+func refMeetsTarget(util float64) bool {
+	return util <= controller.TargetUtil+1e-9*math.Max(1, math.Abs(util))
+}
+
+func (s refLocalECMP) spread(ctx controller.PlanContext, lfa bool) (*controller.Plan, error) {
 	hot := ctx.Topo.Link(ctx.Event.Alarm.Link).From
 	ev := fibbing.NewEvaluator(ctx.Topo)
 	overlay := make(map[string][]fibbing.Lie)
@@ -148,7 +167,7 @@ func (s refLocalECMP) Propose(ctx controller.PlanContext) (*controller.Plan, err
 		if err != nil {
 			continue
 		}
-		lies, ok := refLocalSpreadLies(ctx, ev, views, prefix, hot)
+		lies, ok := refLocalSpreadLies(ctx, ev, views, prefix, hot, lfa)
 		if ok {
 			overlay[prefix] = lies
 		}
@@ -169,9 +188,8 @@ func (s refLocalECMP) Propose(ctx controller.PlanContext) (*controller.Plan, err
 	}, nil
 }
 
-func refLocalSpreadLies(ctx controller.PlanContext, ev *fibbing.Evaluator, views map[topo.NodeID]fibbing.RouteView, prefix string, hot topo.NodeID) ([]fibbing.Lie, bool) {
+func refLocalSpreadLies(ctx controller.PlanContext, ev *fibbing.Evaluator, views map[topo.NodeID]fibbing.RouteView, prefix string, hot topo.NodeID, lfa bool) ([]fibbing.Lie, bool) {
 	t := ctx.Topo
-	lfa := ctx.ScoreMode == controller.ScoreQoE && ctx.PredictQoE != nil
 	hv, ok := views[hot]
 	if !ok || hv.Local || len(hv.NextHops) == 0 {
 		return nil, false
@@ -265,7 +283,8 @@ func (s refLPOptimal) Propose(ctx controller.PlanContext) (*controller.Plan, err
 // and lp-optimal to their uncached references: every proposal (lies,
 // prediction, rationale, "(pinned)" included) and every error text, and
 // the winner the planner picks from them. Each topology keeps one
-// artifact cache across both demand draws and both score modes, so a
+// artifact cache across both demand draws, without and with a stall
+// predictor, so a
 // spread memoised under one demand set answers for the next; a second
 // pass adds a demand no LP can route, for the error path.
 func TestMemoisedStrategiesMatchReferences(t *testing.T) {
@@ -276,17 +295,17 @@ func TestMemoisedStrategiesMatchReferences(t *testing.T) {
 		for _, draws := range matrixProblems(t, ghost) {
 			arts := controller.NewPlanArtifacts(draws[0].tp)
 			for _, p := range draws {
-				for _, mode := range scoreModes {
-					ctx := p.context(arts, mode)
-					refCtx := p.context(controller.NewPlanArtifacts(p.tp), mode)
+				for _, withQoE := range predictors {
+					ctx := p.context(arts, withQoE)
+					refCtx := p.context(controller.NewPlanArtifacts(p.tp), withQoE)
 					for i, s := range stock {
 						got, gotErr := s.Propose(ctx)
 						want, wantErr := refs[i].Propose(refCtx)
 						if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-							t.Fatalf("%s mode %v %s: error %v, reference %v", p.name, mode, s.Name(), gotErr, wantErr)
+							t.Fatalf("%s predictor %v %s: error %v, reference %v", p.name, withQoE, s.Name(), gotErr, wantErr)
 						}
 						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s mode %v %s:\n got  %+v\n want %+v", p.name, mode, s.Name(), got, want)
+							t.Fatalf("%s predictor %v %s:\n got  %+v\n want %+v", p.name, withQoE, s.Name(), got, want)
 						}
 						switch {
 						case gotErr != nil:
@@ -301,7 +320,7 @@ func TestMemoisedStrategiesMatchReferences(t *testing.T) {
 					got, _ := controller.NewPlanner().Plan(ctx)
 					want, _ := controller.NewPlanner(refLocalECMP{}, refLPOptimal{}).Plan(refCtx)
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s mode %v: winner\n got  %+v\n want %+v", p.name, mode, got, want)
+						t.Fatalf("%s predictor %v: winner\n got  %+v\n want %+v", p.name, withQoE, got, want)
 					}
 				}
 			}

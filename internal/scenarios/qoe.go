@@ -1,22 +1,19 @@
 package scenarios
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// The score-mode comparison cells: the same topology and schedule run
-// once per planner scoring objective, checking that QoE-aware scoring
-// actually buys fewer stalled viewer-seconds — predicted and simulated —
-// without breaking the never-worsen admissibility contract.
+// The QoE cells: a skewed crowd on a ring where every routing
+// saturates, run controller on and off on the same schedule. Once every
+// routing overloads a link, routing cannot deliver more, and the only
+// choice left is which viewers lose out: the planner ranks by predicted
+// stall there, and the controller arm must stall less than plain IGP.
 
-// QoESpecs returns the score-mode comparison cells. The skew schedule
-// overloads both of the ring's disjoint directions, so every routing
-// saturates and the planner's only real choice is which crowd eats the
-// shortfall (see buildWaves); the flashcrowd-qoe cells are the same
-// comparison with the overload sliced into tens of thousands of viewers
-// at 1 Gbit/s links, driving the score-mode machinery through the
-// aggregate traffic plane.
+// QoESpecs returns the QoE cells. The skew schedule overloads both of
+// the ring's disjoint directions, so every routing saturates and the
+// planner's only real choice is which crowd eats the shortfall (see
+// buildWaves); the flashcrowd-qoe cell is the same trade with the
+// overload sliced into tens of thousands of viewers at 1 Gbit/s links,
+// driving the stall order through the aggregate traffic plane.
 func QoESpecs() []Spec {
 	return named([]Spec{
 		{Topo: TopoSpec{Family: "ring", Size: 9}, Workload: "skew", Seed: 31},
@@ -26,71 +23,28 @@ func QoESpecs() []Spec {
 	})
 }
 
-// ScoreModeComparison is the outcome of one spec run under both scoring
-// objectives (plus the no-controller baseline) with the cross-mode
-// invariant violations found between them.
-type ScoreModeComparison struct {
-	Spec Spec    `json:"spec"`
-	Util *Report `json:"util"`
-	QoE  *Report `json:"qoe"`
-	Off  *Report `json:"off"`
-	// Violations is empty when the cell holds.
-	Violations []string `json:"violations,omitempty"`
-}
-
-// Render writes the comparison as an indented human-readable block.
-func (c *ScoreModeComparison) Render(b *strings.Builder) {
-	b.WriteString(c.Spec.Name + "\n")
-	for _, r := range []*Report{c.QoE, c.Util, c.Off} {
-		b.WriteString("  " + r.Summary() + "\n")
-	}
-	for _, r := range []*Report{c.QoE, c.Util} {
-		fmt.Fprintf(b, "    %s: predicted stalls %.1fs\n", r.Scenario, r.PredictedStallSeconds)
-	}
-	for _, v := range c.Violations {
-		b.WriteString("  VIOLATION: " + v + "\n")
-	}
-}
-
-// CompareScoreModes runs one spec three times — controller off,
-// controller on with utilisation scoring, controller on with QoE scoring
-// — and checks the score-mode invariants.
-func CompareScoreModes(spec Spec) (*ScoreModeComparison, error) {
+// CompareQoE runs one QoE cell controller on and off and checks
+// QoEViolations.
+func CompareQoE(spec Spec) (*Comparison, error) {
 	spec = spec.withDefaults()
-	r, err := runArms(spec, scoreModeArms(spec)...)
+	r, err := runArms(spec, onOff...)
 	if err != nil {
 		return nil, err
 	}
-	return &ScoreModeComparison{Spec: spec, Util: r[1], QoE: r[2], Off: r[0],
-		Violations: ScoreModeViolations(spec, r[1], r[2], r[0])}, nil
+	return &Comparison{Spec: spec, On: r[0], Off: r[1], Violations: QoEViolations(r[0], r[1])}, nil
 }
 
-// scoreModeArms are a score-mode cell's three runs, in report order: off,
-// util-scored, qoe-scored. spec must have its defaults filled in.
-func scoreModeArms(spec Spec) []arm {
-	scored := func(mode string) func(*Spec) {
-		return func(s *Spec) { s.ScoreMode, s.Name = mode, spec.Name+"@"+mode }
-	}
-	return []arm{{"off", nil, false}, {"util", scored("util"), true}, {"qoe", scored("qoe"), true}}
-}
-
-// ScoreModeViolations checks the cross-mode invariants of one score-mode
-// comparison cell and returns human-readable violations (empty means the
-// cell holds):
+// QoEViolations checks a QoE cell's invariants and returns
+// human-readable violations (empty means the cell holds):
 //
 //   - the workload must actually stress the network (plain IGP saturates
 //     and installs no lies),
-//   - QoE scoring must commit plans: lies exist and touch only the
+//   - the controller must commit plans: lies exist and touch only the
 //     target prefix,
-//   - the tentpole claim: the QoE-scored run ends with strictly fewer
-//     simulated stall-seconds than the utilisation-scored run, and its
-//     analytic prediction agrees about the direction,
-//   - never-worsen, restated in QoE terms: however hot the QoE-scored
-//     plan lets a link run, viewers must not stall more than under plain
-//     IGP,
+//   - the controller arm must stall at least beatStallMargin less than
+//     plain IGP,
 //   - no run may corrupt the protocol machinery.
-func ScoreModeViolations(spec Spec, util, qoe, off *Report) []string {
-	spec = spec.withDefaults()
+func QoEViolations(on, off *Report) []string {
 	var v []string
 	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
 
@@ -101,30 +55,19 @@ func ScoreModeViolations(spec Spec, util, qoe, off *Report) []string {
 	if off.Lies != 0 {
 		fail("controller-off run installed %d lies", off.Lies)
 	}
-	if qoe.Lies == 0 {
-		fail("qoe-scored run never installed a lie")
+	if on.Lies == 0 {
+		fail("controller run never installed a lie")
 	}
-	for name, n := range qoe.LiesByPrefix {
-		if name != qoe.TargetPrefix && n > 0 {
-			fail("%d lies touch prefix %q (target %q)", n, name, qoe.TargetPrefix)
+	for name, n := range on.LiesByPrefix {
+		if name != on.TargetPrefix && n > 0 {
+			fail("%d lies touch prefix %q (target %q)", n, name, on.TargetPrefix)
 		}
 	}
-
-	// The tentpole comparison, on both the simulated and the predicted
-	// figure: QoE scoring must buy strictly fewer stalled seconds.
-	if qoe.StallSeconds > util.StallSeconds-beatStallMargin {
-		fail("qoe scoring does not beat util scoring on simulated stalls: %.1fs vs %.1fs (margin %.1fs)",
-			qoe.StallSeconds, util.StallSeconds, beatStallMargin)
+	if on.StallSeconds > off.StallSeconds-beatStallMargin {
+		fail("controller does not beat IGP on stalls: %.1fs vs %.1fs (margin %.1fs)",
+			on.StallSeconds, off.StallSeconds, beatStallMargin)
 	}
-	if qoe.PredictedStallSeconds >= util.PredictedStallSeconds {
-		fail("qoe scoring does not beat util scoring on predicted stalls: %.1fs vs %.1fs",
-			qoe.PredictedStallSeconds, util.PredictedStallSeconds)
-	}
-
-	// Never-worsen in QoE terms, against the plain-IGP baseline.
-	v = append(v, StallNoWorseThan(qoe, off, 0)...)
-
-	for _, r := range []*Report{util, qoe, off} {
+	for _, r := range []*Report{on, off} {
 		if len(r.ProtocolErrors) > 0 {
 			fail("protocol errors (%s): %v", r.Scenario, r.ProtocolErrors)
 		}

@@ -27,8 +27,9 @@ type Report struct {
 	// TargetPrefix is the destination prefix the workload aims at (and
 	// the only prefix lies may touch).
 	TargetPrefix string `json:"target_prefix"`
-	// ScoreMode is the planner's plan-scoring objective the run used
-	// ("util" or "qoe"; see controller.ScoreMode).
+	// ScoreMode echoes Spec.ScoreMode unparsed.
+	//
+	// Deprecated: no effect. Kept only because bench/ reads it until ROADMAP item 1.
 	ScoreMode string `json:"score_mode,omitempty"`
 
 	// Utilisation. The fluid data plane caps link rates at capacity, so
@@ -54,9 +55,8 @@ type Report struct {
 	MeanRebuffer     float64 `json:"mean_rebuffer"`
 	// PredictedStallSeconds is the analytic QoE predictor's stall
 	// estimate for the settled demands routed over the final routing
-	// state — the figure the qoe score mode plans against, reported for
-	// every run so the score-mode cells can check that predicted and
-	// simulated stalls move together. 0 when no demand settled.
+	// state — the figure a saturated planning round ranks by, reported
+	// for every run. 0 when no demand settled.
 	PredictedStallSeconds float64 `json:"predicted_stall_seconds,omitempty"`
 
 	// Delivery.
@@ -105,7 +105,7 @@ type Report struct {
 	PlanCacheHits   uint64 `json:"plan_cache_hits,omitempty"`
 	PlanCacheMisses uint64 `json:"plan_cache_misses,omitempty"`
 	// QoECacheHits/Misses split the artifact cache's memoised QoE
-	// predictions (populated only when a QoE-aware score mode runs),
+	// predictions (populated only by saturated planning rounds),
 	// deterministic for the same reason.
 	QoECacheHits   uint64 `json:"qoe_cache_hits,omitempty"`
 	QoECacheMisses uint64 `json:"qoe_cache_misses,omitempty"`

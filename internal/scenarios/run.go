@@ -124,10 +124,6 @@ func build(spec Spec, withCtrl bool) (*cell, error) {
 	}
 
 	p, _ := tp.PrefixByName(prefix)
-	scoreMode, err := controller.ParseScoreMode(spec.ScoreMode)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", spec.Name, err)
-	}
 	var bfdCfg *bfd.Config
 	if spec.BFD {
 		bfdCfg = &bfd.Config{Seed: spec.Seed}
@@ -141,7 +137,6 @@ func build(spec Spec, withCtrl bool) (*cell, error) {
 		SampleEvery:  500 * time.Millisecond,
 		VideoSample:  250 * time.Millisecond,
 		Monitor:      monitor.Config{HighThreshold: hotThreshold},
-		Controller:   controller.Config{ScoreMode: scoreMode},
 		BFD:          bfdCfg,
 	})
 	if err != nil {
@@ -150,7 +145,7 @@ func build(spec Spec, withCtrl bool) (*cell, error) {
 	rep := &Report{
 		Scenario:         spec.Name,
 		Controller:       withCtrl,
-		ScoreMode:        scoreMode.String(),
+		ScoreMode:        spec.ScoreMode,
 		Duration:         spec.Duration,
 		TargetPrefix:     prefix,
 		FirstHotAt:       -1,
@@ -406,11 +401,10 @@ func (c *cell) settledBounds() {
 	}
 	// The final routing state, compiled once: the uncapped utilisation
 	// walks it, and so does the analytic stall predictor over the settled
-	// demands and the controller's member census — the same estimate the
-	// qoe score mode plans against. The prediction is reported for every
-	// run (any score mode, controller on or off) so the score-mode
-	// comparison cells can check that predicted and simulated stalls move
-	// together.
+	// demands and the controller's member census — the same estimate a
+	// saturated planning round ranks by. The prediction is reported for
+	// every run, controller on or off, so predicted and simulated stalls
+	// can be read side by side.
 	liesNow := map[string][]fibbing.Lie{rep.TargetPrefix: sim.Lies.Installed(rep.TargetPrefix)}
 	views, err := te.DemandViews(tp, liesNow, demands)
 	if err != nil {
@@ -468,6 +462,9 @@ type arm struct {
 	withCtrl bool
 }
 
+// onOff are the arms of a controller-on/off comparison, in report order.
+var onOff = []arm{{"on", nil, true}, {"off", nil, false}}
+
 // runArms runs the arms of a comparison cell one after another, each from
 // a fresh simulation, and returns their reports in arm order.
 func runArms(spec Spec, arms ...arm) ([]*Report, error) {
@@ -489,7 +486,7 @@ func runArms(spec Spec, arms ...arm) ([]*Report, error) {
 // Compare runs both sides of a spec and checks the invariants.
 func Compare(spec Spec) (*Comparison, error) {
 	spec = spec.withDefaults()
-	r, err := runArms(spec, arm{"on", nil, true}, arm{"off", nil, false})
+	r, err := runArms(spec, onOff...)
 	if err != nil {
 		return nil, err
 	}

@@ -153,7 +153,7 @@ type Spec struct {
 	Topo TopoSpec `json:"topo"`
 	// Workload is one of "surge", "flash", "ramp", "dual", "steady",
 	// "skew" (a thin crowd and a fat crowd with very different
-	// per-session rates — the score-mode comparison cells' schedule) or
+	// per-session rates — the QoE cells' schedule) or
 	// "fig2" (the paper's demo timeline, flashcrowd.Fig2Schedule; fig1
 	// topology only, and its last wave at 35 s needs a longer Duration).
 	Workload string `json:"workload"`
@@ -176,10 +176,10 @@ type Spec struct {
 	// thousand viewers through the aggregate traffic plane at 1 Gbit/s
 	// link capacity.
 	Viewers int `json:"viewers,omitempty"`
-	// ScoreMode selects the planner's plan-scoring objective: "util"
-	// (default — the historical max-utilisation ordering) or "qoe"
-	// (predicted stall score first, utilisation as tie-break). Parsed
-	// with controller.ParseScoreMode.
+	// ScoreMode has no effect on the run: the planner has one selection
+	// rule. Report.ScoreMode echoes it.
+	//
+	// Deprecated: no effect. Kept only because bench/ reads it until ROADMAP item 1.
 	ScoreMode string `json:"score_mode,omitempty"`
 	// BFD attaches per-link liveness sessions (default 50 ms hellos,
 	// detect multiplier 3): link failures reach the controller in
@@ -198,9 +198,6 @@ func (s Spec) withDefaults() Spec {
 		}
 		if s.BFD {
 			s.Name += "+bfd"
-		}
-		if s.ScoreMode != "" {
-			s.Name += "@" + s.ScoreMode
 		}
 	}
 	return s

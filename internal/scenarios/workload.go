@@ -235,8 +235,7 @@ func buildWaves(kind string, e *env, duration time.Duration, seed int64) ([]flas
 			{At: 1 * time.Second, Ingress: e.primary, Flows: e.flowsFor(0.8), Rate: rate},
 		}, nil
 	case "skew":
-		// Heterogeneous member density, the score-mode comparison cells'
-		// schedule: a large crowd of thin sessions at the primary ingress
+		// Heterogeneous member density, the QoE cells' schedule: a large crowd of thin sessions at the primary ingress
 		// and a handful of fat sessions at the secondary, each crowd worth
 		// 1.1x its own path's bottleneck. Both default paths saturate on
 		// their own, and since the total demand exceeds what any routing
