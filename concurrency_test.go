@@ -12,13 +12,11 @@ import (
 
 // syncAllowed names the program files that may import sync or
 // sync/atomic, as filepath.Match patterns relative to the module root.
-// They hold the concurrency that exists: the SPF scratch pool that
-// independent simulations share when tests run them on parallel
-// goroutines, the SNMP agent and client with their exchange pool, and
-// fibbingd's pacing mutex between the scheduler and its UDP agent.
-// Everything else runs on the scheduler's goroutine and takes no lock.
+// They hold the concurrency that exists: the SNMP agent and client with
+// their exchange pool, and fibbingd's pacing mutex between the scheduler
+// and its UDP agent. Everything else runs on the scheduler's goroutine
+// and takes no lock; whatever runs SPF owns its scratch.
 var syncAllowed = []string{
-	"internal/spf/spf.go",
 	"internal/snmp/*.go",
 	"cmd/fibbingd/main.go",
 }

@@ -105,17 +105,18 @@ type Candidate struct {
 	Verdict        string   `json:"verdict"`
 }
 
-// roundRecord records a planning round: its baseline and Select's
-// verdict on each proposal (best is the winner).
-func roundRecord(ctx PlanContext, plans []*Plan, best *Plan) *Reaction {
+// roundRecord records a planning round: its baselines and Select's
+// verdict on each proposal (best is the winner, baseStall the stall
+// baseline rank returned).
+func roundRecord(ctx PlanContext, plans []*Plan, best *Plan, baseStall float64) *Reaction {
 	byStall := stallOrder(ctx, plans)
-	r := &Reaction{BaseUtil: finite(ctx.BaseUtil, true), BaseStall: finite(ctx.BaseStall, byStall)}
+	r := &Reaction{BaseUtil: finite(ctx.BaseUtil, true), BaseStall: finite(baseStall, byStall)}
 	for _, p := range plans {
 		verdict := "outscored"
 		switch {
 		case p == best:
 			verdict = "won"
-		case !admissible(ctx, p, byStall):
+		case !admissible(ctx, p, byStall, baseStall):
 			verdict = "inadmissible"
 		}
 		r.Candidates = append(r.Candidates, Candidate{Strategy: p.Strategy, PredictedUtil: finite(p.PredictedUtil, true),
@@ -457,8 +458,8 @@ func (c *Controller) planOn(pt *topo.Topology, ev Event, demands []topo.Demand) 
 		ctx = ctx.WithQoE(c.QoEModel())
 	}
 	plans, errs := c.planner.ProposeAll(ctx)
-	best := c.planner.Select(ctx, plans)
-	r := roundRecord(ctx, plans, best)
+	best, baseStall := c.planner.rank(ctx, plans)
+	r := roundRecord(ctx, plans, best, baseStall)
 	if best == nil {
 		for _, err := range errs {
 			r.errs = append(r.errs, fmt.Errorf("controller: %w", err))

@@ -426,8 +426,7 @@ func TestHealReplansHottestLink(t *testing.T) {
 // leaves them out and still marshals.
 func TestReactionOmitsNonFiniteNumbers(t *testing.T) {
 	ctx := PlanContext{
-		BaseUtil:  math.Inf(1),
-		BaseStall: 10,
+		BaseUtil: math.Inf(1),
 		PredictQoE: func(map[string][]fibbing.Lie) (qoe.PlanQoE, error) {
 			return qoe.PlanQoE{}, errors.New("no viewer model")
 		},
@@ -437,7 +436,7 @@ func TestReactionOmitsNonFiniteNumbers(t *testing.T) {
 	if best != nil || !math.IsInf(plans[0].PredictedStall, 1) {
 		t.Fatalf("Select picked %+v with stall %v; want no winner and a +Inf stall", best, plans[0].PredictedStall)
 	}
-	r := roundRecord(ctx, plans, best)
+	r := roundRecord(ctx, plans, best, 10)
 	out, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)

@@ -138,8 +138,18 @@ func (p *Planner) Plan(ctx PlanContext) (*Plan, []error) {
 // links carry, so plans rank by predicted stall (filling each plan's
 // PredictedStall), with the utilisation order as the tie-break.
 func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
+	best, _ := p.rank(ctx, plans)
+	return best
+}
+
+// rank is Select, also returning the round's stall baseline: the no-op
+// plan's predicted stall score, which a plan must beat in the stall
+// order. Only a stall-order round predicts it; any other round returns 0.
+func (p *Planner) rank(ctx PlanContext, plans []*Plan) (best *Plan, baseStall float64) {
 	byStall := stallOrder(ctx, plans)
-	var best *Plan
+	if byStall {
+		baseStall = predictedStall(ctx, nil)
+	}
 	for _, plan := range plans {
 		plan.LieCost = liveLiesAfter(ctx.Installed, plan)
 		if byStall {
@@ -148,7 +158,7 @@ func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
 			// an earlier round over the same state scored the same overlay.
 			plan.PredictedStall = predictedStall(ctx, plan.Lies)
 		}
-		if !admissible(ctx, plan, byStall) {
+		if !admissible(ctx, plan, byStall, baseStall) {
 			continue
 		}
 		if best == nil || better(plan, best, byStall) {
@@ -158,7 +168,7 @@ func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
 	if best != nil {
 		p.perfFor(best.Strategy).Wins++
 	}
-	return best
+	return best, baseStall
 }
 
 // stallOrder reports whether a round ranks its plans by predicted
@@ -180,13 +190,13 @@ func stallOrder(ctx PlanContext, plans []*Plan) bool {
 // improve on the no-op plan, or reach the target without worsening it:
 // either way a committed plan never increases the predicted max
 // utilisation. In the stall order a plan must strictly improve on the
-// no-op plan's predicted stalls: viewers may trade a hotter link for
-// fewer stalled seconds, never for as many or more. All comparisons use
-// the relative utilEps, so the verdict is identical for rescaled
-// versions of the same problem.
-func admissible(ctx PlanContext, plan *Plan, byStall bool) bool {
+// no-op plan's predicted stalls (baseStall): viewers may trade a hotter
+// link for fewer stalled seconds, never for as many or more. All
+// comparisons use the relative utilEps, so the verdict is identical for
+// rescaled versions of the same problem.
+func admissible(ctx PlanContext, plan *Plan, byStall bool, baseStall float64) bool {
 	if byStall {
-		return plan.PredictedStall < ctx.BaseStall-utilEps(plan.PredictedStall, ctx.BaseStall)
+		return plan.PredictedStall < baseStall-utilEps(plan.PredictedStall, baseStall)
 	}
 	if plan.PredictedUtil < ctx.BaseUtil-utilEps(plan.PredictedUtil, ctx.BaseUtil) {
 		return true

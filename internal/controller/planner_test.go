@@ -83,11 +83,9 @@ func TestStockStrategySelection(t *testing.T) {
 		// next-hop" in node IDs.
 		wantLie string
 		// byStall wants the round ranked by predicted stall; otherwise
-		// no proposal may carry a prediction.
+		// nothing is predicted, neither a proposal's stalls nor the
+		// no-op's.
 		byStall bool
-		// unpredicted wants no stall prediction at all, the no-op's
-		// included.
-		unpredicted bool
 	}{
 		{
 			// A single surge at B: spreading at the hot router reaches the
@@ -132,13 +130,12 @@ func TestStockStrategySelection(t *testing.T) {
 			// take around the ring. Below saturation the round keeps the
 			// utilisation order, so even with a predictor nothing places
 			// it, and nothing is predicted.
-			name:        "ksp abstains under util scoring",
-			topo:        ring,
-			demands:     []topo.Demand{{Ingress: r4, PrefixName: topo.RingPrefixName, Volume: 9e6}},
-			event:       ringAlarm,
-			strategies:  ringSet,
-			model:       &thinCrowd,
-			unpredicted: true,
+			name:       "ksp abstains under util scoring",
+			topo:       ring,
+			demands:    []topo.Demand{{Ingress: r4, PrefixName: topo.RingPrefixName, Volume: 9e6}},
+			event:      ringAlarm,
+			strategies: ringSet,
+			model:      &thinCrowd,
 		},
 		{
 			// A saturated round without a stall predictor keeps the
@@ -186,8 +183,7 @@ func TestStockStrategySelection(t *testing.T) {
 				Members: map[string]map[topo.NodeID]int{topo.RingPrefixName: {r4: 40, r5: 40}},
 				Horizon: qoe.DefaultHorizon,
 			},
-			want:        "lp-optimal",
-			unpredicted: true,
+			want: "lp-optimal",
 		},
 		{
 			// Saturated (1.06), but local-ecmp meets the target: the
@@ -239,7 +235,7 @@ func TestStockStrategySelection(t *testing.T) {
 			for _, err := range errs {
 				t.Logf("strategy error: %v", err)
 			}
-			plan := planner.Select(ctx, plans)
+			plan, baseStall := planner.rank(ctx, plans)
 			if got := stallOrder(ctx, plans); got != tc.byStall {
 				t.Fatalf("stall order = %v, want %v (base %.3f)", got, tc.byStall, ctx.BaseUtil)
 			}
@@ -248,8 +244,8 @@ func TestStockStrategySelection(t *testing.T) {
 					t.Fatalf("%s predicted stall %v in a round whose stall order is %v", p.Strategy, p.PredictedStall, tc.byStall)
 				}
 			}
-			if misses := ctx.Artifacts.Stats().QoEMisses; tc.unpredicted && misses != 0 {
-				t.Fatalf("%d stall predictions, want none", misses)
+			if misses := ctx.Artifacts.Stats().QoEMisses; (misses != 0) != tc.byStall {
+				t.Fatalf("%d stall predictions in a round whose stall order is %v", misses, tc.byStall)
 			}
 			if tc.want == "" {
 				if plan != nil {
@@ -276,8 +272,8 @@ func TestStockStrategySelection(t *testing.T) {
 				}
 			}
 			if tc.byStall {
-				if plan.PredictedStall >= ctx.BaseStall {
-					t.Fatalf("winning plan stalls %.3f s, no-op %.3f s", plan.PredictedStall, ctx.BaseStall)
+				if plan.PredictedStall >= baseStall {
+					t.Fatalf("winning plan stalls %.3f s, no-op %.3f s", plan.PredictedStall, baseStall)
 				}
 				return
 			}

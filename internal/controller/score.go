@@ -31,19 +31,16 @@ type Config struct {
 // saturated reports whether the no-op plan overloads a link. Once a
 // link is over capacity, routing cannot raise what is delivered there:
 // the choice left is which viewers lose out, which is what the stall
-// predictor judges. It is the one test of that regime: planOn, WithQoE,
-// Select's stall order and local-ecmp's loop-free alternates all read
-// it.
+// predictor judges. It is the one test of that regime: planOn, Select's
+// stall order and local-ecmp's loop-free alternates all read it.
 func (ctx PlanContext) saturated() bool { return ctx.BaseUtil > 1 }
 
 // WithQoE equips a context with the viewer model: it installs the
-// memoised stall predictor (the QoE sibling of Evaluate) and, in a
-// saturated context, the no-op plan's stall score that Select's stall
-// order compares against. An unsaturated context never ranks by stall,
-// so it predicts nothing. Call it after buildPlanContext, before
-// planning.
+// memoised stall predictor (the QoE sibling of Evaluate). It predicts
+// nothing itself; Select predicts the no-op plan's stalls, the baseline
+// of its stall order, in a stall-order round only. Call it after
+// buildPlanContext, before planning.
 func (ctx PlanContext) WithQoE(model qoe.Model) PlanContext {
-	ctx.QoEModel = model
 	// The model never changes within one planning context: encode its
 	// part of the memo keys once instead of on every candidate lookup.
 	var sb strings.Builder
@@ -55,10 +52,6 @@ func (ctx PlanContext) WithQoE(model qoe.Model) PlanContext {
 	ctx.PredictQoE = func(overlay map[string][]fibbing.Lie) (qoe.PlanQoE, error) {
 		return arts.predictQoEKeyed(modelKey, mergeOverlay(installed, overlay), demands, model)
 	}
-	if len(ctx.Demands) == 0 || !ctx.saturated() {
-		return ctx
-	}
-	ctx.BaseStall = predictedStall(ctx, nil)
 	return ctx
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/qoe"
-	"fibbing.net/fibbing/internal/spf"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -40,14 +39,6 @@ type PlanContext struct {
 	// key replaces that prefix's installed lies (empty clears them),
 	// absent prefixes keep theirs. Evaluate(nil) == BaseUtil.
 	Evaluate func(overlay map[string][]fibbing.Lie) (float64, error)
-	// QoEModel describes the viewer population (member counts per
-	// aggregate, playback model) when the context has a stall predictor;
-	// zero otherwise. Set by WithQoE.
-	QoEModel qoe.Model
-	// BaseStall is PredictQoE(nil).Score(): the no-op plan's predicted
-	// viewer pain, the baseline a plan must beat in Select's stall
-	// order. Zero unless WithQoE equipped a saturated context.
-	BaseStall float64
 	// PredictQoE is Evaluate's QoE sibling: the predicted aggregate
 	// viewer experience under the overlaid lies (same overlay semantics).
 	// Nil unless WithQoE equipped the context; strategies and scoring
@@ -177,10 +168,9 @@ func (s LocalECMPStrategy) spread(ctx PlanContext, lfa bool) (*Plan, error) {
 // neighbour (and, with lfa, every loop-free alternate), evenly, then
 // compiles and verifies it. It reads only the binding's topology,
 // plain-IGP views and evaluator, so PlanArtifacts.spread keeps its
-// outcome for the binding's life. The loop-free-alternate test runs one
-// SPF per candidate neighbour that is not downstream; the spread memo
-// makes that once per binding. ok is false when no spread exists or it
-// fails to compile/verify.
+// outcome for the binding's life. The loop-free-alternate test reads
+// dist(N,S) off the evaluator's reverse tree rooted at S. ok is false
+// when no spread exists or it fails to compile/verify.
 func localSpreadLies(a *PlanArtifacts, prefix string, hot topo.NodeID, lfa bool) ([]fibbing.Lie, bool) {
 	t := a.topo
 	views, err := a.Views(prefix, nil)
@@ -195,11 +185,6 @@ func localSpreadLies(a *PlanArtifacts, prefix string, hot topo.NodeID, lfa bool)
 	for nh := range hv.NextHops {
 		desired[nh] = 1
 	}
-	var g *spf.Graph
-	var skip func(topo.NodeID) bool
-	if lfa {
-		g, skip = spf.FromTopology(t), spf.HostSkip(t)
-	}
 	added := false
 	for _, lid := range t.OutLinks(hot) {
 		v := t.Link(lid).To
@@ -211,7 +196,7 @@ func localSpreadLies(a *PlanArtifacts, prefix string, hot topo.NodeID, lfa bool)
 			continue
 		}
 		if vv.Local || len(vv.NextHops) > 0 && (vv.Dist < hv.Dist ||
-			lfa && vv.Dist < spf.Compute(g, v, skip).Dist[hot]+hv.Dist) {
+			lfa && vv.Dist < a.eval.DistTo(v, hot)+hv.Dist) {
 			desired[v] = 1
 			added = true
 		}

@@ -30,6 +30,9 @@ type Evaluator struct {
 	skip    func(topo.NodeID) bool
 	// trees[d] is the reverse tree rooted at d, nil until asked for.
 	trees []*revTree
+	// sc is the working memory of the reverse trees' SPF runs, made by
+	// init with rev: an evaluator that is never asked costs no scratch.
+	sc *spf.Scratch
 
 	prefixes map[string]*prefixState
 }
@@ -80,6 +83,7 @@ func (e *Evaluator) init() {
 	e.rev = spf.FromTopology(e.t).Reverse()
 	e.skip = spf.HostSkip(e.t)
 	e.trees = make([]*revTree, len(nodes))
+	e.sc = new(spf.Scratch)
 }
 
 // tree returns the reverse tree rooted at d. Running Compute over the
@@ -91,7 +95,7 @@ func (e *Evaluator) tree(d topo.NodeID) *revTree {
 	if tr := e.trees[d]; tr != nil {
 		return tr
 	}
-	full := spf.Compute(e.rev, d, e.skip)
+	full := e.sc.Compute(e.rev, d, e.skip)
 	n := len(full.Dist)
 	// Sized once: the predecessor edges bound the distinct parents.
 	tr := &revTree{dist: full.Dist, off: make([]int32, n+1), hops: make([]topo.NodeID, 0, full.NumPreds())}
@@ -101,6 +105,15 @@ func (e *Evaluator) tree(d topo.NodeID) *revTree {
 	}
 	e.trees[d] = tr
 	return tr
+}
+
+// DistTo returns u's IGP distance to d, spf.Infinity when u has no path
+// there through routers. It reads d's reverse tree, which a forward SPF
+// from u would only repeat: the host-skip rule admits the same paths in
+// both directions.
+func (e *Evaluator) DistTo(u, d topo.NodeID) int64 {
+	e.init()
+	return e.tree(d).dist[u]
 }
 
 func (e *Evaluator) prefix(name string) (*prefixState, error) {

@@ -1,5 +1,3 @@
-//go:build !race
-
 package fibbing
 
 import (
@@ -14,8 +12,7 @@ import (
 // and per trial only the delivery check and the views of the few routers
 // the dropped group reaches at their best distance. Re-evaluating the
 // whole network on every trial allocates a view map and a next-hop map per
-// router per trial, several times the bound. The race detector adds
-// allocations of its own, so the file is not built under -race.
+// router per trial, several times the bound.
 func TestReduceLiesAllocations(t *testing.T) {
 	tp := topo.FatTree(topo.FatTreeOpts{K: 4})
 	dag := DAG{tp.MustNode("p3e1"): {tp.MustNode("p3a0"): 1, tp.MustNode("p3a1"): 2}}

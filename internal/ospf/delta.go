@@ -3,7 +3,7 @@ package ospf
 // This file is the IGP stage of the delta pipeline. Every LSDB mutation is
 // logged between SPF runs; when the debounced recomputation fires, the log
 // is replayed onto a cached SPF graph as edge-level GraphChanges, the
-// shortest-path tree is patched with spf.IncrementalInto (into the storage
+// shortest-path tree is patched with Scratch.IncrementalInto (into the storage
 // of the tree it replaced the run before), and only prefixes whose
 // announcers were touched (or whose LSAs changed) have their routes
 // recomputed. The result leaves the router as a fib.Diff instead of a
@@ -781,7 +781,7 @@ func (r *Router) routeFor(c *spfCache, p netip.Prefix, anns []announcer, selfIdx
 			nhs = append(nhs, fib.NextHop{Node: via, Link: l.ID, Weight: 1})
 			continue
 		}
-		c.nhs = tree.AppendNextHops(c.nhs[:0], a.idx)
+		c.nhs = r.dom.spfScratch.AppendNextHops(c.nhs[:0], tree, a.idx)
 		for _, nh := range c.nhs {
 			if node, ok := c.routerNode(nh.Node); ok {
 				nodes = append(nodes, node)

@@ -7,6 +7,7 @@ import (
 
 	"fibbing.net/fibbing/internal/event"
 	"fibbing.net/fibbing/internal/fib"
+	"fibbing.net/fibbing/internal/spf"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -64,6 +65,10 @@ type Domain struct {
 	// encodes and checksums its instance once however many neighbors get
 	// a copy. Sends never nest, so one buffer serves the whole domain.
 	lsaScratch []byte
+
+	// spfScratch is the working memory of every router's SPF run. Runs
+	// never nest, so one scratch serves the whole domain.
+	spfScratch spf.Scratch
 
 	defaultDelay time.Duration
 }

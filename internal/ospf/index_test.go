@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -333,12 +332,9 @@ func spfBytes(t *testing.T, extra int) (bytes, runs uint64) {
 		}
 	}
 	flip(1) // cold convergence
-	flip(3) // and one flip to fill spf's scratch pool
+	flip(3) // and one flip to size the domain's SPF scratch and the spare trees
 	flip(1)
 
-	// No collection inside the measured window: one would empty the pool
-	// and charge its refill to whichever SPF run came next.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	before := d.Stats()
 	var ms runtime.MemStats
 	for _, r := range d.Routers() {

@@ -8,7 +8,6 @@ import (
 
 	"fibbing.net/fibbing/internal/event"
 	"fibbing.net/fibbing/internal/fib"
-	"fibbing.net/fibbing/internal/spf"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -644,7 +643,7 @@ func (r *Router) replayChanges(changes []lsaChange) *fib.Diff {
 	touchedAll := false
 	var touched []topo.NodeID
 	if len(eff.edges) > 0 {
-		tree, t, full := spf.IncrementalInto(c.spare, c.g, c.tree, eff.edges, nil)
+		tree, t, full := r.dom.spfScratch.IncrementalInto(c.spare, c.g, c.tree, eff.edges, nil)
 		if tree != c.tree {
 			c.spare, c.tree = c.tree, tree
 		}
@@ -747,7 +746,7 @@ func (r *Router) fullState(c *spfCache) (*spfCache, *fib.Table, bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	c.tree = spf.Compute(c.g, selfIdx, nil)
+	c.tree = r.dom.spfScratch.Compute(c.g, selfIdx, nil)
 	table := fib.NewTable(r.node)
 	table.Reserve(len(c.prefixes))
 	arena := &hopArena{left: len(c.prefixes)}

@@ -1,5 +1,3 @@
-//go:build !race
-
 package ospf
 
 import (
@@ -29,9 +27,8 @@ const spfObjectsBudget = 12
 // igp-churn fabric, a run allocates what it hands on — the predecessor
 // lists its patch rewrote, the changed routes, the diff and the new table —
 // and none of its working state: the tree it patches into, the replay's
-// edge lists, the announcer resolution and the touched set are reused.
-// The race detector drops sync.Pool items at random, so this file is not
-// built under -race.
+// edge lists, the announcer resolution, the touched set and the domain's
+// SPF scratch are reused.
 func TestIncrementalRunAllocations(t *testing.T) {
 	tp := topo.FatTree(topo.FatTreeOpts{K: 8, Capacity: 10e6, MaxWeight: 3, Seed: 2})
 	sched := event.NewScheduler()
@@ -54,14 +51,11 @@ func TestIncrementalRunAllocations(t *testing.T) {
 		}
 	}
 	flip(core.Weight)        // cold convergence
-	for i := 0; i < 2; i++ { // every router's spare tree and scratch in place
+	for i := 0; i < 2; i++ { // every router's spare tree and the scratch in place
 		flip(core.Weight + 1)
 		flip(core.Weight)
 	}
 
-	// No collection inside the measured window: one would empty spf's
-	// scratch pool and charge its refill to whichever run came next.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	before := d.Stats()
 	var ms runtime.MemStats
 	var objects uint64

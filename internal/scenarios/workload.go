@@ -49,9 +49,10 @@ func buildEnv(tp *topo.Topology, prefix string) (*env, error) {
 	attach := p.Attachments[0].Node
 
 	// Distances from the attachment; links are symmetric so this equals
-	// the distance towards it.
+	// the distance towards it. Both SPF runs share one scratch.
 	g := spf.FromTopology(tp)
-	tree := spf.Compute(g, attach, nil)
+	var sc spf.Scratch
+	tree := sc.Compute(g, attach, nil)
 
 	type cand struct {
 		id   topo.NodeID
@@ -92,7 +93,7 @@ func buildEnv(tp *topo.Topology, prefix string) (*env, error) {
 
 	// Bottleneck capacity and first hop of the primary's shortest path.
 	src := tp.MustNode(e.primary)
-	fromSrc := spf.Compute(g, src, nil)
+	fromSrc := sc.Compute(g, src, nil)
 	paths := fromSrc.Paths(attach, 1)
 	if len(paths) == 0 || len(paths[0]) < 2 {
 		return nil, fmt.Errorf("scenarios: no path %s -> %s", e.primary, tp.Name(attach))

@@ -1,5 +1,3 @@
-//go:build !race
-
 package spf
 
 import (
@@ -10,22 +8,20 @@ import (
 	"fibbing.net/fibbing/internal/topo"
 )
 
-// computeObjectsBudget bounds the heap objects of one Compute: the tree,
-// Dist, the list headers and the predecessor array, whatever the node
-// count. Measured 4 at 100 and at 1 000 nodes; growing one predecessor
-// slice per node by append made 108 and 1 096.
+// computeObjectsBudget bounds the heap objects of one Compute in an owned
+// Scratch: the tree, Dist, the list headers and the predecessor array,
+// whatever the node count. Measured 4 at 100 and at 1 000 nodes; growing
+// one predecessor slice per node by append made 108 and 1 096.
 const computeObjectsBudget = 5
 
-// TestComputeAllocations: a full SPF run allocates per tree, not per
-// node. The scratch comes from a pool, which the race detector drains at
-// random, so this file is not built under -race; no collection runs
-// inside the measured window either. ~0.01 s.
+// TestComputeAllocations: a full SPF run in an owned Scratch, the way
+// programs run it, allocates per tree, not per node. ~0.01 s.
 func TestComputeAllocations(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var objects []float64
 	for _, n := range []int{100, 1000} {
 		g := randomGraph(rand.New(rand.NewSource(int64(n))), n)
-		got := testing.AllocsPerRun(20, func() { Compute(g, 0, nil) })
+		var sc Scratch
+		got := testing.AllocsPerRun(20, func() { sc.Compute(g, 0, nil) })
 		t.Logf("Compute on %d nodes: %v objects", n, got)
 		if got > computeObjectsBudget {
 			t.Fatalf("Compute on %d nodes allocates %v objects, over the budget of %d", n, got, computeObjectsBudget)
@@ -37,17 +33,16 @@ func TestComputeAllocations(t *testing.T) {
 	}
 }
 
-// nextHopsObjectsBudget bounds the heap objects of one NextHops query on
-// fat-tree k=4 towards a 4-way ECMP destination: the result and what the
-// pooled walk state cannot hold. Measured 3; the reference, two maps per
-// ancestor of dst, makes 21, and the bound stays under a quarter of that.
+// nextHopsObjectsBudget bounds the heap objects of one next-hop query
+// in an owned Scratch on fat-tree k=4 towards a 4-way ECMP destination:
+// the result. Measured 1; the reference, two maps per ancestor of dst,
+// makes 21, and the bound stays under a quarter of that.
 const nextHopsObjectsBudget = 4
 
-// TestNextHopsAllocatesFarLessThanReference: the walk state is pooled,
-// so a query allocates little beyond its result, where the reference
-// built two maps per ancestor of dst. ~0.01 s.
+// TestNextHopsAllocatesFarLessThanReference: the walk state lives in the
+// caller's Scratch, so a query allocates little beyond its result, where
+// the reference built two maps per ancestor of dst. ~0.01 s.
 func TestNextHopsAllocatesFarLessThanReference(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g := FromTopology(topo.FatTree(topo.FatTreeOpts{K: 4}))
 	tree := Compute(g, 0, nil)
 	dst := topo.NodeID(0)
@@ -59,7 +54,8 @@ func TestNextHopsAllocatesFarLessThanReference(t *testing.T) {
 	if len(tree.NextHops(dst)) < 2 {
 		t.Fatal("want an ECMP destination")
 	}
-	got := testing.AllocsPerRun(50, func() { tree.NextHops(dst) })
+	var sc Scratch
+	got := testing.AllocsPerRun(50, func() { sc.AppendNextHops(nil, tree, dst) })
 	ref := testing.AllocsPerRun(50, func() { referenceNextHops(tree, dst) })
 	if got > nextHopsObjectsBudget {
 		t.Fatalf("NextHops allocates %v objects per call, budget %d; the reference %v", got, nextHopsObjectsBudget, ref)

@@ -49,12 +49,14 @@ const MaxDirtyFraction = 0.5
 // Compute(g, prev.Src, skip) returns, provided prev itself was produced by
 // Compute or Incremental on the earlier graph with the same skip function,
 // and changes covers every adjacency that differs between the two graphs.
+// It works in a fresh Scratch; a caller that patches trees repeatedly owns
+// one and calls its IncrementalInto.
 func Incremental(g *Graph, prev *Tree, changes []GraphChange, skip func(topo.NodeID) bool) (t *Tree, touched []topo.NodeID, full bool) {
-	return IncrementalInto(nil, g, prev, changes, skip)
+	return new(Scratch).IncrementalInto(nil, g, prev, changes, skip)
 }
 
-// IncrementalInto is Incremental writing the patched tree into dst's
-// storage — its distance and predecessor arrays, its children CSR and the
+// IncrementalInto is Incremental working in s and writing the patched
+// tree into dst's storage — its distance and predecessor arrays, its children CSR and the
 // backing of the touched list — instead of fresh memory; a nil dst
 // allocates. dst must not be prev, and is consumed whenever the result is
 // neither prev (nothing was dirty) nor a full recompute's fresh tree. Its
@@ -63,7 +65,7 @@ func Incremental(g *Graph, prev *Tree, changes []GraphChange, skip func(topo.Nod
 // in the result's storage and stays valid until the result is itself
 // passed as dst. Arrays that must grow get headroom, because a graph whose
 // nodes come and go keeps growing by a few nodes between compactions.
-func IncrementalInto(dst *Tree, g *Graph, prev *Tree, changes []GraphChange, skip func(topo.NodeID) bool) (t *Tree, touched []topo.NodeID, full bool) {
+func (s *Scratch) IncrementalInto(dst *Tree, g *Graph, prev *Tree, changes []GraphChange, skip func(topo.NodeID) bool) (t *Tree, touched []topo.NodeID, full bool) {
 	if prev == nil {
 		panic("spf: Incremental without a previous tree")
 	}
@@ -75,7 +77,7 @@ func IncrementalInto(dst *Tree, g *Graph, prev *Tree, changes []GraphChange, ski
 	pn := len(prev.Dist)
 	if pn > n {
 		// The graph shrank under us; index mappings are gone.
-		return Compute(g, src, skip), nil, true
+		return s.Compute(g, src, skip), nil, true
 	}
 
 	// flags packs the per-node state of the whole pass into one
@@ -88,9 +90,7 @@ func IncrementalInto(dst *Tree, g *Graph, prev *Tree, changes []GraphChange, ski
 		fDone
 		fSeen
 	)
-	sc := getScratch()
-	defer sc.release()
-	flags := sc.flagSlice(n)
+	flags := s.flagSlice(n)
 	nDirty := 0
 	mark := func(v topo.NodeID) {
 		if v != src && flags[v]&fDirty == 0 {
@@ -103,7 +103,7 @@ func IncrementalInto(dst *Tree, g *Graph, prev *Tree, changes []GraphChange, ski
 		mark(topo.NodeID(v))
 	}
 	// queue collects the worse seeds, then runs their closure.
-	queue := sc.queue[:0]
+	queue := fit(s.queue, n)[:0]
 	for _, c := range changes {
 		u, v := c.From, c.To
 		if int(u) >= n || int(v) >= n || v == src {
@@ -163,13 +163,12 @@ func IncrementalInto(dst *Tree, g *Graph, prev *Tree, changes []GraphChange, ski
 		}
 	}
 
+	s.queue = queue
 	if nDirty == 0 {
-		sc.queue = queue
 		return prev, nil, false
 	}
 	if float64(nDirty) > MaxDirtyFraction*float64(n) {
-		sc.queue = queue
-		return Compute(g, src, skip), nil, true
+		return s.Compute(g, src, skip), nil, true
 	}
 
 	if dst == nil {
@@ -194,7 +193,8 @@ func IncrementalInto(dst *Tree, g *Graph, prev *Tree, changes []GraphChange, ski
 		}
 	}
 
-	h := &sc.h
+	h := &s.h
+	h.a = fit(h.a, n)[:0]
 	relax := func(u topo.NodeID, du int64, e Edge) {
 		alt := du + e.Weight
 		if alt < 0 { // overflow guard
@@ -291,7 +291,7 @@ func IncrementalInto(dst *Tree, g *Graph, prev *Tree, changes []GraphChange, ski
 			}
 		}
 	}
-	sc.queue = queue
+	s.queue = queue
 	touched = t.touched[:0]
 	for v := 0; v < n; v++ {
 		if flags[v]&fTouched != 0 {

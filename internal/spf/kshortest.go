@@ -44,7 +44,8 @@ func KShortestSpurLimit(g *Graph, src, dst topo.NodeID, k, spurLimit int, skip f
 		return sum
 	}
 
-	first := Compute(g, src, skip)
+	var sc Scratch // the first search and every spur search share it
+	first := sc.Compute(g, src, skip)
 	fp := first.Paths(dst, 1)
 	if len(fp) == 0 {
 		return nil
@@ -88,7 +89,7 @@ func KShortestSpurLimit(g *Graph, src, dst topo.NodeID, k, spurLimit int, skip f
 					fg.AddEdge(topo.NodeID(u), e)
 				}
 			}
-			st := Compute(fg, spur, skip)
+			st := sc.Compute(fg, spur, skip)
 			sp := st.Paths(dst, 1)
 			if len(sp) == 0 {
 				continue

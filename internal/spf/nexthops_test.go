@@ -101,13 +101,16 @@ func nextHopsZoo() map[string]*Graph {
 
 // TestNextHopsMatchesReference pins the slice-indexed NextHops to the
 // map-of-maps implementation it replaced: same nodes, links, path
-// multiplicities and order, from every source to every destination.
+// multiplicities and order, from every source to every destination. Every
+// walk runs in one Scratch, so a walk that leaves its state dirty
+// misleads the next.
 func TestNextHopsMatchesReference(t *testing.T) {
+	var sc Scratch
 	for name, g := range nextHopsZoo() {
 		for src := 0; src < g.NumNodes(); src++ {
-			tree := Compute(g, topo.NodeID(src), nil)
+			tree := sc.Compute(g, topo.NodeID(src), nil)
 			for dst := 0; dst < g.NumNodes(); dst++ {
-				got, want := tree.NextHops(topo.NodeID(dst)), referenceNextHops(tree, topo.NodeID(dst))
+				got, want := sc.AppendNextHops(nil, tree, topo.NodeID(dst)), referenceNextHops(tree, topo.NodeID(dst))
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s %d->%d: got %+v, want %+v", name, src, dst, got, want)
 				}

@@ -142,10 +142,8 @@ func computeReference(g *Graph, src topo.NodeID, skip func(topo.NodeID) bool) *T
 		t.Dist[i] = Infinity
 	}
 	t.Dist[src] = 0
-	sc := getScratch()
-	defer sc.release()
-	done := sc.boolSlice(n)
-	h := &sc.h
+	done := make([]bool, n)
+	h := &heap{}
 	h.push(item{node: src, dist: 0})
 	for !h.empty() {
 		it := h.pop()
@@ -234,8 +232,8 @@ func drawCompute(data []byte) (g *Graph, src topo.NodeID, skip func(topo.NodeID)
 // checkCompute holds Compute to the reference on one problem: an Equal
 // tree (distances and canonical predecessor lists), each list capped at
 // its length.
-func checkCompute(g *Graph, src topo.NodeID, skip func(topo.NodeID) bool) error {
-	got, want := Compute(g, src, skip), computeReference(g, src, skip)
+func checkCompute(sc *Scratch, g *Graph, src topo.NodeID, skip func(topo.NodeID) bool) error {
+	got, want := sc.Compute(g, src, skip), computeReference(g, src, skip)
 	if !got.Equal(want) {
 		return fmt.Errorf("from %d: Compute gives dist %v preds %v, the reference dist %v preds %v",
 			src, got.Dist, got.preds, want.Dist, want.preds)
@@ -262,18 +260,21 @@ func capped(t *Tree) error {
 // fromTopologyReference does. The drawn problems must reach every case
 // that tells the two apart: an edge into a later-settled node that lost
 // to another path (the reference's reset), a zero-weight predecessor, a
-// skipped node, an edge the guard drops.
+// skipped node, an edge the guard drops. Every problem, of whatever size,
+// runs in one Scratch, so a vector a run fails to reset or to resize
+// shows up in the next.
 func TestComputeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var lost, zero, skipped, guarded int
+	var sc Scratch // every problem runs in the one scratch, as a domain's routers do
 	for i := 0; i < 20000; i++ {
 		data := make([]byte, 4+4*rng.Intn(40))
 		rng.Read(data)
 		g, src, skip := drawCompute(data)
-		if err := checkCompute(g, src, skip); err != nil {
+		if err := checkCompute(&sc, g, src, skip); err != nil {
 			t.Fatalf("case %d (%x): %v", i, data, err)
 		}
-		tree := Compute(g, src, skip)
+		tree := sc.Compute(g, src, skip)
 		for u, es := range g.Out {
 			du := tree.Dist[u]
 			if du == Infinity {
@@ -309,7 +310,7 @@ func TestComputeMatchesReference(t *testing.T) {
 		}
 		for src := range g.Out {
 			for _, skip := range []func(topo.NodeID) bool{nil, HostSkip(tp)} {
-				if err := checkCompute(g, topo.NodeID(src), skip); err != nil {
+				if err := checkCompute(&sc, g, topo.NodeID(src), skip); err != nil {
 					t.Fatalf("zoo %d: %v", i, err)
 				}
 			}
@@ -328,7 +329,7 @@ func FuzzCompute(f *testing.F) {
 			return
 		}
 		g, src, skip := drawCompute(data)
-		if err := checkCompute(g, src, skip); err != nil {
+		if err := checkCompute(new(Scratch), g, src, skip); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -383,9 +384,13 @@ func cloneTree(t *Tree) *Tree {
 // into the previous tree. The chain starts from a Compute tree, whose
 // lists are cut from one array: each is capped at its length, and the
 // tree stays equal to the copy taken before the chain until the chain
-// hands it back as storage.
+// hands it back as storage. Every patch and every next-hop walk of the
+// chain runs in one Scratch, which the growing graphs keep resizing; the
+// walks must match the reference's from the source to every node.
 func TestIncrementalIntoChain(t *testing.T) {
 	patches, reused := 0, 0
+	var sc Scratch
+	var nhs []NextHop
 	for i, tp := range chainZoo() {
 		rng := rand.New(rand.NewSource(int64(i)))
 		g := FromTopology(tp)
@@ -413,7 +418,7 @@ func TestIncrementalIntoChain(t *testing.T) {
 			if spare == carved {
 				carved = nil // handed back as storage: this patch overwrites it
 			}
-			tree, touched, full := IncrementalInto(spare, g, cur, changes, skip)
+			tree, touched, full := sc.IncrementalInto(spare, g, cur, changes, skip)
 			if want := Compute(g, 0, skip); !tree.Equal(want) {
 				t.Fatalf("zoo %d step %d: patched tree diverges from Compute (changes %v)", i, step, changes)
 			}
@@ -423,6 +428,12 @@ func TestIncrementalIntoChain(t *testing.T) {
 			}
 			if !before.Equal(cur) {
 				t.Fatalf("zoo %d step %d: the patch mutated prev", i, step)
+			}
+			for v := range g.NumNodes() {
+				nhs = sc.AppendNextHops(nhs[:0], tree, topo.NodeID(v))
+				if want := referenceNextHops(tree, topo.NodeID(v)); !slices.Equal(nhs, want) {
+					t.Fatalf("zoo %d step %d: next hops to %d are %+v, the reference's %+v", i, step, v, nhs, want)
+				}
 			}
 			if carved != nil && !carved.Equal(carvedCopy) {
 				t.Fatalf("zoo %d step %d: the chain changed the Compute tree it started from", i, step)
@@ -455,5 +466,5 @@ func TestIncrementalIntoRejectsPrev(t *testing.T) {
 			t.Fatal("IncrementalInto(prev, …, prev, …) did not panic")
 		}
 	}()
-	IncrementalInto(prev, g, prev, nil, nil)
+	new(Scratch).IncrementalInto(prev, g, prev, nil, nil)
 }

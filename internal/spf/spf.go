@@ -7,105 +7,78 @@
 // equal-cost paths, and count path multiplicities — the quantity Fibbing
 // manipulates to realise uneven splitting ratios.
 //
-// A full run (Compute) allocates a fixed number of objects whatever the
-// node count: the tree, Dist, the predecessor list headers and one
-// predecessor array every list is cut from. FromTopology likewise cuts
-// a graph's edge lists from one array. Both cap each list at its length,
-// so a later append to one list reallocates that list alone.
+// A run's working memory is a Scratch that whoever runs SPF owns: an IGP
+// domain keeps one for all its routers, a what-if evaluator one for its
+// reverse trees. Compute, Incremental and Tree.NextHops work in a fresh
+// one, for callers that run SPF once. On an owned Scratch a full run
+// (Scratch.Compute) allocates a fixed number of objects whatever the node
+// count: the tree, Dist, the predecessor list headers and one predecessor
+// array every list is cut from. FromTopology likewise cuts a graph's edge
+// lists from one array. Both cap each list at its length, so a later
+// append to one list reallocates that list alone.
 //
 // Incremental (incremental.go) patches a Tree from a list of GraphChanges
 // instead of re-running Dijkstra, falling back to a full recompute when
 // the dirty region exceeds MaxDirtyFraction of the graph. It is the first
 // stage of the delta pipeline: IGP change → patched tree → FIB diff →
 // selective flow re-routing. A caller that patches one tree after another
-// keeps two: the current tree and the one it replaced. IncrementalInto
-// writes the next patch into the replaced tree's arrays, so a steady-state
-// patch allocates only the predecessor lists it rewrites.
+// keeps two: the current tree and the one it replaced.
+// Scratch.IncrementalInto writes the next patch into the replaced tree's
+// arrays, so a steady-state patch allocates only the predecessor lists it
+// rewrites.
 package spf
 
 import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"fibbing.net/fibbing/internal/topo"
 )
 
-// scratch is the reusable working state of one SPF run: the visited set,
-// expanded list and predecessor counts (Compute), the per-node flag vector
-// and closure queue (Incremental), the binary-heap backing array, and the
-// DAG-walk state of Tree.NextHops. It is pooled instead of allocated per
-// run, and the pool is a sync.Pool because independent simulations share
-// it when tests run them on parallel goroutines. Results (Dist, preds)
-// never alias scratch memory.
-type scratch struct {
+// Scratch is the working memory of SPF runs: the visited set, expanded
+// list and predecessor counts (Compute), the per-node flag vector and
+// closure queue (IncrementalInto), the binary-heap backing array, and the
+// DAG-walk state of AppendNextHops. Whoever runs SPF owns one and hands
+// every run to it, so its vectors grow to the largest graph it has seen
+// and then stop allocating. The zero value is ready to use; a Scratch
+// serves one run at a time. Results (Dist, preds) never alias it.
+type Scratch struct {
 	done  []bool
 	flags []uint8
 	queue []topo.NodeID
 	h     heap
 	// npred counts Compute's predecessor edges per node; all zero
-	// between uses (buildPreds resets what it counted).
+	// between uses (buildPreds resets what it counted), so sizing it
+	// needs no clearing: fresh memory is zero too.
 	npred []int32
 
-	// NextHops state. seen and cnt are all-zero between uses: a walk
-	// resets exactly the entries it touched (the nodes in order), so a
-	// query costs its ancestor closure, not the graph.
+	// AppendNextHops state. seen and cnt are all-zero between uses: a
+	// walk resets exactly the entries it touched (the nodes in order), so
+	// a query costs its ancestor closure, not the graph.
 	seen  []bool
 	cnt   []int64
 	order []topo.NodeID
 	stack []dagFrame
 }
 
-// dagFrame is one level of NextHops' iterative depth-first walk: a node
-// and the index of its next unvisited predecessor edge.
+// dagFrame is one level of AppendNextHops' iterative depth-first walk: a
+// node and the index of its next unvisited predecessor edge.
 type dagFrame struct {
 	node topo.NodeID
 	next int
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-func getScratch() *scratch { return scratchPool.Get().(*scratch) }
-
-func (s *scratch) release() {
-	s.h.a = s.h.a[:0]
-	scratchPool.Put(s)
-}
-
-func (s *scratch) boolSlice(n int) []bool {
-	if cap(s.done) < n {
-		s.done = make([]bool, n)
-	}
-	s.done = s.done[:n]
+// boolSlice returns the visited vector sized to n nodes, all false.
+func (s *Scratch) boolSlice(n int) []bool {
+	s.done = fit(s.done, n)
 	clear(s.done)
 	return s.done
 }
 
-// walkSlices returns the NextHops visited and path-count vectors, grown
-// to n nodes (fresh memory is zero, kept memory was reset by its last
-// user).
-func (s *scratch) walkSlices(n int) ([]bool, []int64) {
-	if len(s.seen) < n {
-		s.seen = make([]bool, n)
-		s.cnt = make([]int64, n)
-	}
-	return s.seen, s.cnt
-}
-
-// countSlice returns the npred vector grown to n nodes, all zero.
-func (s *scratch) countSlice(n int) []int32 {
-	if len(s.npred) < n {
-		s.npred = make([]int32, n)
-	}
-	return s.npred[:n]
-}
-
-func (s *scratch) flagSlice(n int) []uint8 {
-	if cap(s.flags) < n {
-		s.flags = make([]uint8, n)
-	}
-	s.flags = s.flags[:n]
+// flagSlice returns the flag vector sized to n nodes, all zero.
+func (s *Scratch) flagSlice(n int) []uint8 {
+	s.flags = fit(s.flags, n)
 	clear(s.flags)
 	return s.flags
 }
@@ -347,12 +320,18 @@ func (h *heap) empty() bool { return len(h.a) == 0 }
 
 // Compute runs Dijkstra from src and records the full ECMP predecessor DAG.
 // Nodes listed in skip are not expanded (used to exclude stub hosts from
-// transit); they may still be reached as leaves.
-//
-// Dijkstra settles the distances alone; the DAG is read off the final
-// ones afterwards (buildPreds), so a run allocates the tree, Dist, the
-// list headers and one predecessor array, whatever the node count.
+// transit); they may still be reached as leaves. It works in a fresh
+// Scratch; a caller that runs SPF more than once owns one and calls its
+// Compute.
 func Compute(g *Graph, src topo.NodeID, skip func(topo.NodeID) bool) *Tree {
+	return new(Scratch).Compute(g, src, skip)
+}
+
+// Compute is the package's Compute working in s. Dijkstra settles the
+// distances alone; the DAG is read off the final ones afterwards
+// (buildPreds), so a run allocates the tree, Dist, the list headers and
+// one predecessor array, whatever the node count.
+func (s *Scratch) Compute(g *Graph, src topo.NodeID, skip func(topo.NodeID) bool) *Tree {
 	n := g.NumNodes()
 	t := &Tree{
 		Src:   src,
@@ -363,11 +342,10 @@ func Compute(g *Graph, src topo.NodeID, skip func(topo.NodeID) bool) *Tree {
 		t.Dist[i] = Infinity
 	}
 	t.Dist[src] = 0
-	sc := getScratch()
-	defer sc.release()
-	done := sc.boolSlice(n)
-	expanded := sc.queue[:0]
-	h := &sc.h
+	done := s.boolSlice(n)
+	expanded := fit(s.queue, n)[:0]
+	h := &s.h
+	h.a = fit(h.a, n)[:0]
 	h.push(item{node: src, dist: 0})
 	for !h.empty() {
 		it := h.pop()
@@ -389,8 +367,8 @@ func Compute(g *Graph, src topo.NodeID, skip func(topo.NodeID) bool) *Tree {
 			}
 		}
 	}
-	sc.queue = expanded
-	t.buildPreds(g, expanded, sc.countSlice(n))
+	s.queue, s.npred = expanded, fit(s.npred, n)
+	t.buildPreds(g, expanded, s.npred)
 	t.canonicalize()
 	return t
 }
@@ -524,14 +502,17 @@ type NextHop struct {
 
 // NextHops returns the ECMP next hops from Src towards dst, including the
 // per-next-hop shortest-path multiplicity. The result is sorted by node ID
-// for determinism. Returns nil if dst is unreachable or dst == Src.
+// for determinism. Returns nil if dst is unreachable or dst == Src. It
+// walks in a fresh Scratch; a caller that asks more than once owns one and
+// calls its AppendNextHops.
 func (t *Tree) NextHops(dst topo.NodeID) []NextHop {
-	return t.AppendNextHops(nil, dst)
+	return new(Scratch).AppendNextHops(nil, t, dst)
 }
 
-// AppendNextHops appends NextHops(dst) to buf and returns the extended
-// slice, so a caller that only reads the next hops can reuse one buffer.
-func (t *Tree) AppendNextHops(buf []NextHop, dst topo.NodeID) []NextHop {
+// AppendNextHops appends t.NextHops(dst) to buf and returns the extended
+// slice, walking in s, so a caller that only reads the next hops can reuse
+// one buffer.
+func (s *Scratch) AppendNextHops(buf []NextHop, t *Tree, dst topo.NodeID) []NextHop {
 	if dst == t.Src || !t.Reachable(dst) {
 		return buf
 	}
@@ -541,10 +522,10 @@ func (t *Tree) AppendNextHops(buf []NextHop, dst topo.NodeID) []NextHop {
 	// latter for every ancestor of dst in one backward sweep: depth-first
 	// post-order over the predecessor edges lists ancestors first, so its
 	// reverse hands each node its final count before passing it upstream.
-	sc := getScratch()
-	defer sc.release()
-	seen, cnt := sc.walkSlices(len(t.preds))
-	order, stack := sc.order[:0], sc.stack[:0]
+	n := len(t.preds)
+	s.seen, s.cnt = fit(s.seen, n), fit(s.cnt, n)
+	seen, cnt := s.seen, s.cnt
+	order, stack := fit(s.order, n)[:0], fit(s.stack, n)[:0]
 	seen[dst] = true
 	stack = append(stack, dagFrame{node: dst})
 	for len(stack) > 0 {
@@ -583,7 +564,7 @@ func (t *Tree) AppendNextHops(buf []NextHop, dst topo.NodeID) []NextHop {
 	for _, v := range order {
 		seen[v], cnt[v] = false, 0
 	}
-	sc.order, sc.stack = order, stack
+	s.order, s.stack = order, stack
 	sortNextHops(out[base:])
 	return out
 }
