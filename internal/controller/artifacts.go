@@ -3,30 +3,29 @@ package controller
 // The planner's amortisation layer. Every strategy of a planning round —
 // and every successive planner invocation between state changes — used
 // to recompute the same expensive inputs from scratch: the reverse SPF
-// trees, the believed-topology compilation (fibbing.Evaluate per prefix
-// and lie set), the strategies' compiled and verified lie sets, and the
-// fluid load estimates behind PlanContext.Evaluate. PlanArtifacts
-// memoises all of them, keyed by value-complete cache keys (topology
-// binding by pointer and Topology.Version, lie sets and demand volumes
-// encoded into the key), so a stale entry is impossible by construction.
-// The tables come in two lifetimes. The topology tables (the evaluator
-// and local-ecmp's verified spreads) depend
-// on the binding alone and are bounded by the topology's size, so they
-// live until the controller plans over another topology instance or the
-// bound one's weights change. The epoch tables (views, loads,
-// lp-optimal's compiled overlays, QoE predictions) have keys that grow
-// with lie sets and demands, so the controller empties them whenever a
-// planning input moves (a demand change, a commit that changed the lies,
-// a liveness change marks the cache stale), which bounds their memory to
-// one planning epoch. A warm re-plan — the same
+// trees and plain-IGP views, the strategies' compiled and verified lie
+// sets, and the fluid load estimates behind PlanContext.Evaluate.
+// PlanArtifacts memoises all of them, keyed by value-complete cache keys
+// (topology binding by pointer and Topology.Version, lie sets and demand
+// volumes encoded into the key), so a stale entry is impossible by
+// construction. The tables come in two lifetimes. The topology tables
+// (the evaluator, with its trees and IGP views, and local-ecmp's
+// verified spreads) depend on the binding alone and are bounded by the
+// topology's size, so they live until the controller plans over another
+// topology instance or the bound one's weights change. The epoch tables
+// (loads, lp-optimal's compiled overlays, QoE predictions) have keys
+// that grow with lie sets and demands, so the controller empties them
+// whenever a planning input moves (a demand change, a commit that
+// changed the lies, a liveness change marks the cache stale), which
+// bounds their memory to one planning epoch. A warm re-plan — the same
 // question asked again while nothing moved — is then one lookup per
 // strategy plus the scoring lookups.
 //
 // Hit/miss accounting is deterministic because planning is: the Planner
 // proposes strategy by strategy in registration order on the control
 // loop's goroutine, so one event sequence produces exactly one sequence
-// of lookups — the counters are byte-identical across scheduler worker
-// widths and core counts and safe to publish in scenario Reports.
+// of lookups — the counters are the same at every GOMAXPROCS and safe to
+// publish in scenario Reports.
 
 import (
 	"fmt"
@@ -49,7 +48,7 @@ type ArtifactStats struct {
 	// QoEHits/QoEMisses count the QoE-prediction memo separately from the
 	// routing artifacts: the predictor is consulted once per candidate
 	// overlay per planning round, so its hit rate measures how much the
-	// stall order amortises, independent of the view/load caches.
+	// stall order amortises, independent of the routing tables.
 	QoEHits   uint64 `json:"qoe_hits"`
 	QoEMisses uint64 `json:"qoe_misses"`
 }
@@ -69,9 +68,12 @@ func pair[V any](val V, err error) result[V] { return result[V]{val, err} }
 
 func (r result[V]) get() (V, error) { return r.val, r.err }
 
-// loadsEntry caches one fluid routing of a full lie set: the per-link
-// loads and the max utilisation derived from them.
+// loadsEntry caches one fluid routing of a full lie set: the demanded
+// prefixes' views it walked, the per-link loads and the max utilisation
+// derived from them. views is nil when compiling them failed, and err is
+// then that failure; otherwise err is the walk's.
 type loadsEntry struct {
+	views map[string]map[topo.NodeID]fibbing.RouteView
 	loads map[topo.LinkID]float64
 	util  float64
 	err   error
@@ -116,9 +118,10 @@ type PlanArtifacts struct {
 
 	// The topology tables: each a function of the binding alone, bounded
 	// by the topology's size, so they live as long as the binding. eval
-	// is the what-if evaluator every Views, lp and spreads miss goes
-	// through: it shares reverse SPF trees across strategies, lie sets
-	// and epochs. Its internal tree cache is not a counted lookup.
+	// is the what-if evaluator every loads, lp and spreads miss goes
+	// through: it shares reverse SPF trees and plain-IGP views across
+	// strategies, lie sets and epochs. Its internal caches are not
+	// counted lookups.
 	// spreads holds one entry per (prefix, router, LFA mode) at most: a
 	// spread reads only the plain-IGP views, the topology and eval.
 	eval    *fibbing.Evaluator
@@ -127,7 +130,6 @@ type PlanArtifacts struct {
 	// The epoch tables: their keys grow with lie sets and demands, so
 	// newEpoch empties them whenever the controller's planning inputs
 	// move.
-	views map[string]result[map[topo.NodeID]fibbing.RouteView]
 	loads map[string]loadsEntry
 	lp    map[string]lpEntry
 	qoe   map[string]result[qoe.PlanQoE]
@@ -174,7 +176,6 @@ func (a *PlanArtifacts) boundTo(t *topo.Topology) bool {
 
 // newEpoch empties the epoch tables and keeps the topology tables.
 func (a *PlanArtifacts) newEpoch() {
-	a.views = make(map[string]result[map[topo.NodeID]fibbing.RouteView])
 	a.loads = make(map[string]loadsEntry)
 	a.lp = make(map[string]lpEntry)
 	a.qoe = make(map[string]result[qoe.PlanQoE])
@@ -182,8 +183,8 @@ func (a *PlanArtifacts) newEpoch() {
 
 // memo is the one lookup every table goes through: a found key counts a
 // hit; otherwise compute runs, its value is stored and counts a miss.
-// compute may make nested lookups through memo (a load estimate reads
-// Views) but never of its own key.
+// compute may make nested lookups through memo (a QoE prediction reads
+// its loads entry's views) but never of its own key.
 func memo[K comparable, V any](table map[K]V, key K, c counters, compute func() V) V {
 	if v, ok := table[key]; ok {
 		*c.hits++
@@ -200,37 +201,6 @@ func (a *PlanArtifacts) Stats() ArtifactStats { return *a.stats }
 
 // LPStats snapshots the LP solve counter.
 func (a *PlanArtifacts) LPStats() te.WarmLPStats { return a.solver.Stats() }
-
-// Views returns the memoised believed-topology compilation for one
-// prefix under the given lie set (nil lies = the plain IGP view). A miss
-// is a scan over the shared evaluator's reverse trees, plus one Dijkstra
-// per attach router it has not seen yet.
-func (a *PlanArtifacts) Views(prefix string, lies []fibbing.Lie) (map[topo.NodeID]fibbing.RouteView, error) {
-	var sb strings.Builder
-	sb.WriteString(prefix)
-	encodeLies(&sb, lies)
-	return memo(a.views, sb.String(), a.planCount, func() result[map[topo.NodeID]fibbing.RouteView] {
-		return pair(a.eval.Evaluate(prefix, lies))
-	}).get()
-}
-
-// demandViews returns the believed views of every demanded prefix under
-// the full lie set, each through Views — so two lie sets differing in one
-// prefix share the other prefixes' compilations.
-func (a *PlanArtifacts) demandViews(lies map[string][]fibbing.Lie, demands []topo.Demand) (map[string]map[topo.NodeID]fibbing.RouteView, error) {
-	views := make(map[string]map[topo.NodeID]fibbing.RouteView)
-	for _, d := range demands {
-		if _, ok := views[d.PrefixName]; ok {
-			continue
-		}
-		v, err := a.Views(d.PrefixName, lies[d.PrefixName])
-		if err != nil {
-			return nil, err
-		}
-		views[d.PrefixName] = v
-	}
-	return views, nil
-}
 
 // MaxUtil routes demands over the full lie set (all prefixes, merged)
 // with the fluid model and returns the max link utilisation, memoised on
@@ -249,15 +219,15 @@ func (a *PlanArtifacts) Loads(lies map[string][]fibbing.Lie, demands []topo.Dema
 
 func (a *PlanArtifacts) loadsFor(lies map[string][]fibbing.Lie, demands []topo.Demand) loadsEntry {
 	return memo(a.loads, loadsKey(lies, demands), a.planCount, func() loadsEntry {
-		views, err := a.demandViews(lies, demands)
+		views, err := te.DemandViews(a.eval, lies, demands)
 		if err != nil {
 			return loadsEntry{err: err}
 		}
 		loads, err := te.LinkLoads(a.topo, views, demands)
 		if err != nil {
-			return loadsEntry{err: err}
+			return loadsEntry{views: views, err: err}
 		}
-		return loadsEntry{loads: loads, util: te.MaxUtilOfLoads(a.topo, loads)}
+		return loadsEntry{views: views, loads: loads, util: te.MaxUtilOfLoads(a.topo, loads)}
 	})
 }
 
@@ -305,20 +275,21 @@ func (a *PlanArtifacts) spread(prefix string, hot topo.NodeID, lfa bool) ([]fibb
 }
 
 // predictQoEKeyed maps the full lie set and demand set to the analytic
-// plan-level QoE prediction (qoe.PredictPlan over the memoised per-prefix
-// views), memoised on the (lies, demands, model) value under the QoE
-// counters. modelKey is encodeModel's output for model: the planner
-// consults the predictor once per candidate overlay under an unchanging
-// model, so WithQoE encodes it once per planning context instead of once
-// per lookup.
+// plan-level QoE prediction (qoe.PredictPlan over the views of the
+// (lies, demands) loads entry, so an overlay already scored costs one
+// loads hit and no view work), memoised on the (lies, demands, model)
+// value under the QoE counters. modelKey is encodeModel's output for
+// model: the planner consults the predictor once per candidate overlay
+// under an unchanging model, so WithQoE encodes it once per planning
+// context instead of once per lookup.
 func (a *PlanArtifacts) predictQoEKeyed(modelKey string, lies map[string][]fibbing.Lie, demands []topo.Demand, model qoe.Model) (qoe.PlanQoE, error) {
 	key := loadsKey(lies, demands) + "!" + modelKey
 	return memo(a.qoe, key, a.qoeCount, func() result[qoe.PlanQoE] {
-		views, err := a.demandViews(lies, demands)
-		if err != nil {
-			return result[qoe.PlanQoE]{err: err}
+		e := a.loadsFor(lies, demands)
+		if e.views == nil {
+			return result[qoe.PlanQoE]{err: e.err}
 		}
-		return pair(qoe.PredictPlan(a.topo, views, demands, model))
+		return pair(qoe.PredictPlan(a.topo, e.views, demands, model))
 	}).get()
 }
 

@@ -29,12 +29,12 @@ func spreadOutcome(lies []fibbing.Lie, ok bool) outcome {
 	return outcome{val: lies}
 }
 
-// TestArtifactMemo drives the one memo helper through every public face
-// of the cache: a first lookup stores (counting one miss per table it
-// fills, nested lookups included, without deadlocking on the cache's own
-// lock), a second lookup is exactly one hit that replays the first
-// outcome — the identical error value for a failing key, so a failure is
-// computed once.
+// TestArtifactMemo drives the one memo helper through every face of the
+// cache: a first lookup stores (counting one miss per table it fills,
+// nested lookups included, and a hit for each nested entry an earlier
+// lookup stored), a second lookup is exactly one hit that replays the
+// first outcome — the identical error value for a failing key, so a
+// failure is computed once.
 func TestArtifactMemo(t *testing.T) {
 	fig1 := topo.Fig1(topo.Fig1Opts{})
 	blue := topo.Fig1BluePrefixName
@@ -45,69 +45,82 @@ func TestArtifactMemo(t *testing.T) {
 
 	cases := []struct {
 		name string
-		// misses is what the first lookup on an empty cache stores: its own
-		// entry plus the nested tables it fills.
-		misses  ArtifactStats
+		// before, if set, runs on the empty cache ahead of the first lookup.
+		before func(t *testing.T, a *PlanArtifacts)
+		// first is what the first lookup adds to the counters: a miss for
+		// its own entry and each nested one it fills, a hit for each
+		// nested one before stored.
+		first   ArtifactStats
 		wantErr bool
 		lookup  func(a *PlanArtifacts) outcome
 	}{
-		{name: "Views", misses: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
-			v, err := a.Views(blue, nil)
-			return outcome{v, err}
-		}},
-		{name: "Views fails", misses: ArtifactStats{Misses: 1}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
-			v, err := a.Views("no-such-prefix", nil)
-			return outcome{v, err}
-		}},
-		{name: "MaxUtil reads Views", misses: ArtifactStats{Misses: 2}, lookup: func(a *PlanArtifacts) outcome {
+		{name: "MaxUtil reads Views", first: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			u, err := a.MaxUtil(nil, demands)
 			return outcome{u, err}
 		}},
-		{name: "Loads over a failing view", misses: ArtifactStats{Misses: 2}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
+		{name: "Loads over a failing view", first: ArtifactStats{Misses: 1}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
 			l, err := a.Loads(nil, ghost)
 			return outcome{l, err}
 		}},
-		{name: "lp", misses: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
+		{name: "lp", first: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			e := a.lpOptimal(demands)
 			return outcome{e, e.err}
 		}},
-		{name: "lp fails on a ghost prefix", misses: ArtifactStats{Misses: 1}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
+		{name: "lp fails on a ghost prefix", first: ArtifactStats{Misses: 1}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
 			e := a.lpOptimal(ghost)
 			return outcome{e, e.err}
 		}},
-		{name: "spread reads Views", misses: ArtifactStats{Misses: 2}, lookup: func(a *PlanArtifacts) outcome {
+		{name: "spread reads Views", first: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			return spreadOutcome(a.spread(blue, b, false))
 		}},
-		{name: "spread finds none", misses: ArtifactStats{Misses: 2}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
+		{name: "spread finds none", first: ArtifactStats{Misses: 1}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
 			return spreadOutcome(a.spread(blue, fig1.MustNode("A"), false)) // A's one uphill neighbour R1 is no downstream
 		}},
-		{name: "spread under LFA reads Views", misses: ArtifactStats{Misses: 2}, lookup: func(a *PlanArtifacts) outcome {
+		{name: "spread under LFA reads Views", first: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			return spreadOutcome(a.spread(blue, fig1.MustNode("A"), true)) // but R1 is a loop-free alternate
 		}},
-		{name: "predictQoE reads Views", misses: ArtifactStats{Misses: 1, QoEMisses: 1}, lookup: func(a *PlanArtifacts) outcome {
+		{name: "predictQoE reads Views", first: ArtifactStats{Misses: 1, QoEMisses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			q, err := a.predictQoEKeyed("m", nil, demands, model)
 			return outcome{q, err}
 		}},
+		{name: "predictQoE after MaxUtil reads its loads entry", first: ArtifactStats{Hits: 1, QoEMisses: 1},
+			before: func(t *testing.T, a *PlanArtifacts) {
+				if _, err := a.MaxUtil(nil, demands); err != nil {
+					t.Fatal(err)
+				}
+			},
+			lookup: func(a *PlanArtifacts) outcome {
+				q, err := a.predictQoEKeyed("m", nil, demands, model)
+				return outcome{q, err}
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := NewPlanArtifacts(fig1)
+			if tc.before != nil {
+				tc.before(t, a)
+			}
+			start := a.Stats()
+			since := func() ArtifactStats {
+				s := a.Stats()
+				return ArtifactStats{s.Hits - start.Hits, s.Misses - start.Misses, s.QoEHits - start.QoEHits, s.QoEMisses - start.QoEMisses}
+			}
 			first := tc.lookup(a)
 			if (first.err != nil) != tc.wantErr {
 				t.Fatalf("first lookup err = %v, want an error: %v", first.err, tc.wantErr)
 			}
-			if got := a.Stats(); got != tc.misses {
-				t.Fatalf("after the first lookup stats = %+v, want %+v", got, tc.misses)
+			if got := since(); got != tc.first {
+				t.Fatalf("the first lookup counted %+v, want %+v", got, tc.first)
 			}
 			second := tc.lookup(a)
-			want := tc.misses
-			if tc.misses.QoEMisses > 0 {
-				want.QoEHits = 1
+			want := tc.first
+			if tc.first.QoEMisses > 0 {
+				want.QoEHits++
 			} else {
-				want.Hits = 1
+				want.Hits++
 			}
-			if got := a.Stats(); got != want {
-				t.Fatalf("after the second lookup stats = %+v, want %+v", got, want)
+			if got := since(); got != want {
+				t.Fatalf("the two lookups counted %+v, want %+v", got, want)
 			}
 			if first.err != second.err {
 				t.Fatalf("error not replayed: %v then %v", first.err, second.err)
@@ -124,8 +137,8 @@ func TestArtifactMemo(t *testing.T) {
 // without marking the artifact cache stale. The evaluator and the spreads
 // outlive epochs, so only the topology's version tells the controller
 // they are stale: after the change, the cache it plans through answers
-// Views and spread (plain and loop-free-alternate) exactly as a fresh
-// cache over the mutated topology does.
+// the evaluator's IGP views and spread (plain and loop-free-alternate)
+// exactly as a fresh cache over the mutated topology does.
 func TestArtifactsRebindOnWeightChange(t *testing.T) {
 	s, err := NewSim(SimOpts{WithCtrl: true})
 	if err != nil {
@@ -141,7 +154,7 @@ func TestArtifactsRebindOnWeightChange(t *testing.T) {
 	if len(c.Decisions) == 0 {
 		t.Fatal("the first plan committed nothing")
 	}
-	before, err := c.ensureArtifacts(tp).Views(blue, nil)
+	before, err := c.ensureArtifacts(tp).eval.IGPView(blue)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +176,11 @@ func TestArtifactsRebindOnWeightChange(t *testing.T) {
 			t.Fatalf("LFA spread at %s after the weight change:\n got  %v %v\n want %v %v", tp.Name(n.ID), gotOK, got, wantOK, want)
 		}
 	}
-	got, err := arts.Views(blue, nil)
+	got, err := arts.eval.IGPView(blue)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := fresh.Views(blue, nil)
+	want, _ := fresh.eval.IGPView(blue)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("IGP views after the weight change:\n got  %v\n want %v", got, want)
 	}

@@ -383,7 +383,7 @@ func (c *Controller) liveDemands() (live []topo.Demand, stranded []string) {
 	}
 	arts := c.ensureArtifacts(c.live)
 	for _, d := range demands {
-		if views, err := arts.Views(d.PrefixName, nil); err == nil && !routed(views, d.Ingress) {
+		if views, err := arts.eval.IGPView(d.PrefixName); err == nil && !routed(views, d.Ingress) {
 			stranded = append(stranded, d.PrefixName+"@"+c.topo.Name(d.Ingress))
 			continue
 		}

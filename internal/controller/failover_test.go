@@ -220,17 +220,19 @@ func TestFailoverCommitRollbackByteIdentical(t *testing.T) {
 // cache stale on their own — landing in the same instant included — so
 // the cache over an unchanged topology instance starts a new epoch after
 // each, and only after one. A new epoch recomputes the epoch
-// tables (the plain-IGP view probed here) and keeps the topology binding
-// and its tables (local-ecmp's spread at B probed here).
+// tables (a load estimate over a demand the controller never plans,
+// probed here) and keeps the topology binding and its tables
+// (local-ecmp's spread at B probed here).
 func TestEnsureArtifactsRebindsOnEachGeneration(t *testing.T) {
 	r := newFailoverRig(t)
 	b := r.tp.MustNode(topo.Fig1B)
+	demands := []topo.Demand{{Ingress: b, PrefixName: topo.Fig1BluePrefixName, Volume: 1}}
 	probe := func() (*PlanArtifacts, uint64) {
 		t.Helper()
 		a := r.c.ensureArtifacts(r.tp)
 		misses := a.Stats().Misses
 		a.spread(topo.Fig1BluePrefixName, b, false)
-		if _, err := a.Views(topo.Fig1BluePrefixName, nil); err != nil {
+		if _, err := a.MaxUtil(nil, demands); err != nil {
 			t.Fatal(err)
 		}
 		return a, a.Stats().Misses - misses
@@ -247,7 +249,7 @@ func TestEnsureArtifactsRebindsOnEachGeneration(t *testing.T) {
 			t.Fatalf("%s: new epoch = %v, want %v", what, got, want)
 		}
 		if misses > 1 {
-			t.Fatalf("%s: %d misses, want only the view's: the spread did not survive", what, misses)
+			t.Fatalf("%s: %d misses, want only the load estimate's: the spread did not survive", what, misses)
 		}
 	}
 	rebinds("nothing", false, func() {})

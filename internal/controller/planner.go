@@ -265,9 +265,9 @@ func AnalyticPlanContext(t *topo.Topology, demands []topo.Demand,
 
 // AnalyticPlanContextCached is AnalyticPlanContext with a caller-owned
 // artifact cache: successive contexts built over the same cache (same
-// topology, unchanged demands/lies) reuse each other's SPF trees,
-// believed-topology compilations, local-ecmp spreads, lp-optimal's
-// compiled overlays, load estimates and QoE predictions. The caller owns
+// topology, unchanged demands/lies) reuse each other's SPF trees and
+// plain-IGP views, local-ecmp spreads, lp-optimal's compiled overlays,
+// load estimates (with the views they walked) and QoE predictions. The caller owns
 // invalidation — pass a fresh or rebound cache whenever topology,
 // demands or installed lies change.
 func AnalyticPlanContextCached(arts *PlanArtifacts, t *topo.Topology, demands []topo.Demand,

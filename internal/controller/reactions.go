@@ -193,7 +193,7 @@ func failoverPin(arts *PlanArtifacts, believed *topo.Topology, failed topo.Link,
 	ev := fibbing.NewEvaluator(believed)
 	overlay := make(map[string][]fibbing.Lie)
 	for _, prefix := range prefixNamesOf(demands) {
-		views, err := arts.Views(prefix, nil)
+		views, err := arts.eval.IGPView(prefix)
 		if err != nil {
 			return nil, nil
 		}
@@ -207,7 +207,7 @@ func failoverPin(arts *PlanArtifacts, believed *topo.Topology, failed topo.Link,
 		if _, pinned := overlay[prefix]; pinned {
 			continue
 		}
-		views, err := arts.Views(prefix, nil)
+		views, err := arts.eval.IGPView(prefix)
 		kept := slices.DeleteFunc(slices.Clone(lies), func(l fibbing.Lie) bool {
 			return err == nil && !routed(views, l.Attach)
 		})

@@ -18,9 +18,9 @@ import (
 type PlanContext struct {
 	Topo *topo.Topology
 	// Artifacts is the shared memoisation layer for the expensive
-	// planner inputs (SPF trees, believed-topology compilations, the
-	// stock strategies' compiled lies, load estimates), always bound to
-	// Topo (buildPlanContext guarantees it).
+	// planner inputs (the evaluator's SPF trees and plain-IGP views, the
+	// stock strategies' compiled lies, load estimates, QoE predictions),
+	// always bound to Topo (buildPlanContext guarantees it).
 	Artifacts *PlanArtifacts
 	// Event is what triggered planning: an EventAlarmRaised whose Alarm
 	// carries the hot link.
@@ -173,7 +173,7 @@ func (s LocalECMPStrategy) spread(ctx PlanContext, lfa bool) (*Plan, error) {
 // when no spread exists or it fails to compile/verify.
 func localSpreadLies(a *PlanArtifacts, prefix string, hot topo.NodeID, lfa bool) ([]fibbing.Lie, bool) {
 	t := a.topo
-	views, err := a.Views(prefix, nil)
+	views, err := a.eval.IGPView(prefix)
 	if err != nil {
 		return nil, false
 	}

@@ -406,7 +406,7 @@ func (c *cell) settledBounds() {
 	// every run, controller on or off, so predicted and simulated stalls
 	// can be read side by side.
 	liesNow := map[string][]fibbing.Lie{rep.TargetPrefix: sim.Lies.Installed(rep.TargetPrefix)}
-	views, err := te.DemandViews(tp, liesNow, demands)
+	views, err := te.DemandViews(fibbing.NewEvaluator(tp), liesNow, demands)
 	if err != nil {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("analytic bound unavailable: %v", err),
 			fmt.Sprintf("QoE prediction unavailable: %v", err))

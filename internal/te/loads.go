@@ -82,7 +82,7 @@ func IGPLoads(t *topo.Topology, demands []topo.Demand) (map[topo.LinkID]float64,
 
 // LoadsWithLies routes demands over the Fibbing-augmented network.
 func LoadsWithLies(t *topo.Topology, liesByPrefix map[string][]fibbing.Lie, demands []topo.Demand) (map[topo.LinkID]float64, error) {
-	views, err := DemandViews(t, liesByPrefix, demands)
+	views, err := DemandViews(fibbing.NewEvaluator(t), liesByPrefix, demands)
 	if err != nil {
 		return nil, err
 	}
@@ -90,18 +90,26 @@ func LoadsWithLies(t *topo.Topology, liesByPrefix map[string][]fibbing.Lie, dema
 }
 
 // DemandViews compiles the believed routing of every demanded prefix
-// under its lies: the view set LinkLoads and qoe.PredictPlan walk. The
-// prefixes share one evaluator, so a router that anchors lies for
-// several of them costs one SPF tree, not one per prefix. The first
-// failing prefix in demand order names the error.
-func DemandViews(t *topo.Topology, liesByPrefix map[string][]fibbing.Lie, demands []topo.Demand) (map[string]map[topo.NodeID]fibbing.RouteView, error) {
-	ev := fibbing.NewEvaluator(t)
+// under its lies over ev's topology: the view set LinkLoads and
+// qoe.PredictPlan walk. The prefixes share ev, so a router that anchors
+// lies for several of them costs one SPF tree, not one per prefix, and
+// a caller that keeps ev shares the trees across calls. A prefix without
+// lies gets ev's IGP view, which ev keeps and shares: the returned views
+// are read-only. The first failing prefix in demand order names the
+// error.
+func DemandViews(ev *fibbing.Evaluator, liesByPrefix map[string][]fibbing.Lie, demands []topo.Demand) (map[string]map[topo.NodeID]fibbing.RouteView, error) {
 	views := make(map[string]map[topo.NodeID]fibbing.RouteView)
 	for _, d := range demands {
 		if _, ok := views[d.PrefixName]; ok {
 			continue
 		}
-		v, err := ev.Evaluate(d.PrefixName, liesByPrefix[d.PrefixName])
+		var v map[topo.NodeID]fibbing.RouteView
+		var err error
+		if lies := liesByPrefix[d.PrefixName]; len(lies) == 0 {
+			v, err = ev.IGPView(d.PrefixName)
+		} else {
+			v, err = ev.Evaluate(d.PrefixName, lies)
+		}
 		if err != nil {
 			return nil, err
 		}
