@@ -241,11 +241,15 @@ scale:
 # change (series on request, the rate vector held to the per-call sums
 # kept in its tests): 94.1% for internal/netsim at GOMAXPROCS 1, 2, 4 and
 # 8 (93.8% before); floor raised to the measured value.
+# Measured when the reshare became one walk per dirty component (the
+# full-solve fallback, the union-find re-partition and two guards that
+# could not fire deleted): 95.5% for internal/netsim at GOMAXPROCS 1, 2,
+# 4 and 8 (94.1% before); floor raised to the measured value.
 cover:
 	@$(GO) test -cover ./... > cover.out.tmp; s=$$?; cat cover.out.tmp; \
 	if [ $$s -ne 0 ]; then rm -f cover.out.tmp; exit $$s; fi; \
 	for want in internal/qoe:90.0 internal/controller:88.1 internal/spf:94.1 internal/ospf:92.9 \
-	    internal/lpm:96.1 internal/video:86.5 internal/netsim:94.1 \
+	    internal/lpm:96.1 internal/video:86.5 internal/netsim:95.5 \
 	    internal/fibbing:92.0 internal/te:86.8 internal/event:94.6 \
 	    internal/monitor:98.6 internal/bfd:97.1; do \
 	  pkg=$${want%%:*}; floor=$${want##*:}; \

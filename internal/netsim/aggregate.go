@@ -3,7 +3,7 @@ package netsim
 // This file is the aggregate plane: the path-class data structures flows
 // collapse into, the link<->aggregate incidence index, and the incremental
 // weighted max-min solver scoped to the dirty bottleneck-dependency
-// component. classify.go holds the forwarding walk that sorts flows into
+// components. classify.go holds the forwarding walk that sorts flows into
 // aggregates.
 
 import (
@@ -93,6 +93,7 @@ type Aggregate struct {
 	rate        float64 // per-member allocated rate, bit/s
 	perFlowBits float64 // integrated per-member delivered volume, bits
 	solveIdx    int     // scratch index of the current solve
+	walk        uint64  // the last reshare walk that reached it
 }
 
 // Weight returns the member count.
@@ -154,6 +155,7 @@ func (a *Aggregate) sameTrace(tr *trace) bool {
 type linkState struct {
 	capacity float64
 	aggs     map[int64]*Aggregate
+	walk     uint64 // the last reshare walk that reached it
 }
 
 func (n *Network) linkFor(lid topo.LinkID) *linkState {
@@ -259,9 +261,8 @@ func (n *Network) dropAgg(a *Aggregate) {
 			if len(ls.aggs) == 0 {
 				// The link leaves the incidence graph; drop its dirty
 				// mark too — a sole occupant's departure couples to
-				// nothing, and a stale mark would inflate the
-				// >50%-dirty fallback's numerator against a shrunken
-				// denominator.
+				// nothing, and reshare walks only from links that
+				// carry aggregates.
 				delete(n.links, lid)
 				delete(n.dirty, lid)
 			}
@@ -269,88 +270,41 @@ func (n *Network) dropAgg(a *Aggregate) {
 	}
 }
 
-// reshare recomputes max-min fair rates. When only a bounded set of links
-// changed membership, the solve is scoped to the bottleneck-dependency
-// component: the connected component of the link<->aggregate incidence
-// graph reachable from the dirty links. Rates couple only through shared
-// links, so aggregates outside the closure keep their allocation exactly.
-// A full solve handles the rest (>50% of active links dirty, SetTable).
+// reshare recomputes max-min fair rates where membership changed. Rates
+// couple only through shared links, so it solves exactly the
+// bottleneck-dependency components of the dirty links: from each dirty
+// link, in LinkID order, that no earlier walk has reached, one walk
+// gathers the link's connected component of the link<->aggregate
+// incidence graph, and solveComponent solves it. Aggregates outside those
+// components keep their allocation exactly. A reshare whose walks reached
+// every active link counts as full, any other as incremental.
 func (n *Network) reshare() {
-	// Fallback denominator: links currently carrying aggregates. When
-	// most of the active incidence graph is dirty, the closure would
-	// re-solve nearly everything anyway, and counting that as
-	// "incremental" would defeat the telemetry's point.
-	if n.dirtyAll || 2*len(n.dirty) > len(n.links) {
-		n.dirtyAll = false
-		clear(n.dirty)
-		n.solveAll()
-		n.stats.ReshareFull++
-		return
-	}
 	if len(n.dirty) == 0 {
 		return
 	}
-	// Close the dirty links over the incidence component.
-	linkSeen := make(map[topo.LinkID]bool, len(n.dirty))
-	var queue, compLinks []topo.LinkID
+	c := &n.comp
+	c.roots = c.roots[:0]
 	for lid := range n.dirty {
-		if n.links[lid] != nil {
-			linkSeen[lid] = true
-			queue = append(queue, lid)
-		}
+		c.roots = append(c.roots, lid)
 	}
 	clear(n.dirty)
-	aggSeen := make(map[int64]bool)
-	var compAggs []*Aggregate
-	for len(queue) > 0 {
-		lid := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		compLinks = append(compLinks, lid)
-		for _, a := range n.links[lid].aggs {
-			if aggSeen[a.id] {
-				continue
-			}
-			aggSeen[a.id] = true
-			compAggs = append(compAggs, a)
-			for _, l2 := range a.capLinks {
-				if !linkSeen[l2] {
-					linkSeen[l2] = true
-					queue = append(queue, l2)
-				}
-			}
+	slices.Sort(c.roots)
+	n.walk++
+	reached := 0
+	for _, lid := range c.roots {
+		if n.links[lid].walk == n.walk {
+			continue
 		}
+		n.gather(lid)
+		reached += len(c.links)
+		n.solveComponent()
+		n.stats.ReshareComponents++
 	}
-	if len(compAggs) == 0 {
-		return // departed aggregates left empty links behind
+	if reached == len(n.links) {
+		n.stats.ReshareFull++
+	} else {
+		n.stats.ReshareIncremental++
 	}
-	n.solve(compAggs, compLinks)
-	n.stats.ReshareIncremental++
-}
-
-// solveAll runs the solver over every aggregate: blocked ones get zero,
-// unconstrained ones their cap (or the greedy sentinel), the rest the
-// global progressive filling.
-func (n *Network) solveAll() {
-	n.ratesStale = true
-	var aggs []*Aggregate
-	for _, a := range n.aggByID {
-		switch {
-		case a.blocked:
-			a.rate = 0
-		case len(a.capLinks) == 0:
-			a.rate = a.maxRate
-			if a.rate == 0 {
-				a.rate = uncappedRate
-			}
-		default:
-			aggs = append(aggs, a)
-		}
-	}
-	links := make([]topo.LinkID, 0, len(n.links))
-	for lid := range n.links {
-		links = append(links, lid)
-	}
-	n.solve(aggs, links)
 }
 
 // solveLink is one capacitated link materialized for a solve: capacity
@@ -361,102 +315,80 @@ type solveLink struct {
 }
 
 // component is one connected component of the link<->aggregate incidence
-// graph: an independent weighted max-min problem. Aggregates and links are
-// in id order, so the per-component solve is deterministic.
+// graph, an independent weighted max-min problem, gathered by one walk.
+// Aggregates are in id order and links in LinkID order, so the solve
+// sums every float in the same order whatever the maps' order. Its
+// slices are scratch that every reshare reuses.
 type component struct {
 	aggs  []*Aggregate
 	links []solveLink
+
+	roots   []topo.LinkID // the reshare's dirty links, sorted
+	ids     []topo.LinkID // the walk's links, its queue until it ends
+	members []*Aggregate  // backing array of links' member lists
+	frozen  []bool        // by solveIdx
 }
 
-// solve partitions the scope into connected components of the
-// link<->aggregate incidence graph and solves each independently, in
-// min-aggregate-id order. Rates couple only through shared links, and the
-// max-min allocation is unique, so the partitioned solve equals the
-// combined solve exactly — and a reshare costs the components it touches,
-// not the whole scope's freeze rounds.
-//
-// Every aggregate incident to a scope link must be in aggs (guaranteed by
-// component closure), so allocations outside the scope are untouched. An
-// aggregate of weight w behaves exactly like w identical per-flow shares:
-// the solution equals the per-flow global solve restricted to the scope.
-func (n *Network) solve(aggs []*Aggregate, linkIDs []topo.LinkID) {
-	slices.SortFunc(aggs, func(x, y *Aggregate) int { return cmp.Compare(x.id, y.id) })
-	slices.Sort(linkIDs)
-	for i, a := range aggs {
-		a.solveIdx = i
-	}
-	// Union-find over scratch indices: each link unions its members. The
-	// final partition is iteration-order independent, so building it from
-	// map-ordered member sets stays deterministic.
-	parent := make([]int, len(aggs))
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	links := make([]solveLink, 0, len(linkIDs))
-	for _, lid := range linkIDs {
-		ls := n.links[lid]
-		if ls == nil || len(ls.aggs) == 0 {
-			continue
-		}
-		members := make([]*Aggregate, 0, len(ls.aggs))
+func byID(x, y *Aggregate) int { return cmp.Compare(x.id, y.id) }
+
+// gather walks the incidence component of the link root into n.comp,
+// marking every link and aggregate it reaches with the current walk
+// number.
+func (n *Network) gather(root topo.LinkID) {
+	c := &n.comp
+	c.aggs = c.aggs[:0]
+	n.links[root].walk = n.walk
+	c.ids = append(c.ids[:0], root)
+	total := 0
+	for i := 0; i < len(c.ids); i++ {
+		ls := n.links[c.ids[i]]
+		total += len(ls.aggs)
 		for _, a := range ls.aggs {
-			members = append(members, a)
-		}
-		// Members stay map-ordered here; solveComponent sorts them.
-		links = append(links, solveLink{capacity: ls.capacity, members: members})
-		root := find(members[0].solveIdx)
-		for _, m := range members[1:] {
-			parent[find(m.solveIdx)] = root
+			if a.walk == n.walk {
+				continue
+			}
+			a.walk = n.walk
+			c.aggs = append(c.aggs, a)
+			for _, l2 := range a.capLinks {
+				if ls2 := n.links[l2]; ls2.walk != n.walk {
+					ls2.walk = n.walk
+					c.ids = append(c.ids, l2)
+				}
+			}
 		}
 	}
-	// Group into components, ordered by smallest aggregate id. Scanning
-	// aggs in id order makes both the component order and each component's
-	// internal order deterministic.
-	slot := make([]int, len(aggs)) // root index -> component index + 1
-	var comps []*component
-	for _, a := range aggs {
-		r := find(a.solveIdx)
-		ci := slot[r]
-		if ci == 0 {
-			comps = append(comps, &component{})
-			ci = len(comps)
-			slot[r] = ci
+	slices.SortFunc(c.aggs, byID)
+	slices.Sort(c.ids)
+	// Grown up front, the backing array never moves under the member
+	// lists already carved from it.
+	c.members = slices.Grow(c.members[:0], total)
+	c.links = c.links[:0]
+	for _, lid := range c.ids {
+		ls := n.links[lid]
+		lo := len(c.members)
+		for _, a := range ls.aggs {
+			c.members = append(c.members, a)
 		}
-		comps[ci-1].aggs = append(comps[ci-1].aggs, a)
-	}
-	for _, l := range links {
-		c := comps[slot[find(l.members[0].solveIdx)]-1]
-		c.links = append(c.links, l)
-	}
-	n.stats.ReshareComponents += uint64(len(comps))
-	for _, c := range comps {
-		n.solveComponent(c)
+		members := c.members[lo:len(c.members):len(c.members)]
+		// Headroom sums floats in member order, and float addition does
+		// not associate: a map-ordered scan could freeze links
+		// differently run to run.
+		slices.SortFunc(members, byID)
+		c.links = append(c.links, solveLink{capacity: ls.capacity, members: members})
 	}
 }
 
-// solveComponent runs weighted max-min progressive filling over one
-// component. It touches only the component's own aggregates and
-// materialized links.
-func (n *Network) solveComponent(comp *component) {
-	aggs, links := comp.aggs, comp.links
+// solveComponent runs weighted max-min progressive filling over the
+// component gather left in n.comp. It touches only the component's own
+// aggregates.
+func (n *Network) solveComponent() {
+	aggs, links := n.comp.aggs, n.comp.links
 	n.ratesStale = true
 	for i, a := range aggs {
 		a.solveIdx = i
 	}
-	// Deterministic member order per link: headroom sums floats in member
-	// order, and float addition does not associate — an unsorted
-	// (map-ordered) scan could freeze links differently run to run.
-	for _, l := range links {
-		slices.SortFunc(l.members, func(x, y *Aggregate) int { return cmp.Compare(x.id, y.id) })
-	}
-	frozen := make([]bool, len(aggs)) // indexed bitset, one allocation per solve
+	frozen := append(n.comp.frozen[:0], make([]bool, len(aggs))...)
+	n.comp.frozen = frozen
 	nFrozen := 0
 	headroom := func(l solveLink) (remaining float64, unfrozen int) {
 		remaining = l.capacity
@@ -502,20 +434,6 @@ func (n *Network) solveComponent(comp *component) {
 		}
 		if progressed {
 			continue // shares relax; recompute
-		}
-		if math.IsInf(share, 1) {
-			for _, a := range aggs {
-				if frozen[a.solveIdx] {
-					continue
-				}
-				a.rate = a.maxRate
-				if a.rate == 0 {
-					a.rate = uncappedRate
-				}
-				frozen[a.solveIdx] = true
-				nFrozen++
-			}
-			break
 		}
 		// Freeze aggregates on bottleneck links at the fair share.
 		for _, l := range links {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -24,14 +25,23 @@ func multiLineTopo(k int) *topo.Topology {
 	return t
 }
 
-// runMultiLine drives k disjoint lines with two greedy flows each and
-// returns the per-flow rates plus stats.
-func runMultiLine(t *testing.T, k int) ([]float64, Stats) {
+// multiLine is a network over multiLineTopo(k) with two greedy flows on
+// each line, solved once.
+type multiLine struct {
+	tp    *topo.Topology
+	sched *event.Scheduler
+	net   *Network
+	ids   [][]FlowID // by line
+	port  uint16     // the last flow's source port
+}
+
+// runMultiLine drives k disjoint lines with two greedy flows each up to
+// the first second.
+func runMultiLine(t *testing.T, k int) *multiLine {
 	t.Helper()
 	tp := multiLineTopo(k)
 	sched := event.NewScheduler()
-	net := New(tp, sched, time.Second)
-	var ids []FlowID
+	m := &multiLine{tp: tp, sched: sched, net: New(tp, sched, time.Second), ids: make([][]FlowID, k)}
 	for i := 0; i < k; i++ {
 		a, b := tp.MustNode(fmt.Sprintf("a%d", i)), tp.MustNode(fmt.Sprintf("b%d", i))
 		l, _ := tp.FindLink(a, b)
@@ -44,38 +54,99 @@ func runMultiLine(t *testing.T, k int) ([]float64, Stats) {
 		if err := tb.Install(fib.Route{Prefix: pfx, Local: true}); err != nil {
 			t.Fatal(err)
 		}
-		net.SetTable(a, ta)
-		net.SetTable(b, tb)
-		dst := fmt.Sprintf("10.%d.0.1", 100+i)
-		ids = append(ids, net.AddFlow(a, key(dst, uint16(2*i+1)), 0))
-		ids = append(ids, net.AddFlow(a, key(dst, uint16(2*i+2)), 0))
+		m.net.SetTable(a, ta)
+		m.net.SetTable(b, tb)
+		m.join(i)
+		m.join(i)
 	}
 	sched.RunUntil(time.Second)
-	if err := net.VerifyMaxMin(1e-9); err != nil {
-		t.Fatal(err)
-	}
-	rates := make([]float64, len(ids))
-	for i, id := range ids {
-		rates[i] = net.Flow(id).Rate()
-	}
-	return rates, net.Stats()
+	return m
+}
+
+// join adds one greedy flow on the given line.
+func (m *multiLine) join(line int) {
+	m.port++
+	dst := fmt.Sprintf("10.%d.0.1", 100+line)
+	m.ids[line] = append(m.ids[line], m.net.AddFlow(m.tp.MustNode(fmt.Sprintf("a%d", line)), key(dst, m.port), 0))
 }
 
 // TestReshareComponents checks that disjoint traffic regions are solved as
-// independent components: the partition shows in the telemetry and every
-// flow gets its line's exact fair share.
+// independent components, each gathered and solved once per reshare: the
+// counters show one reshare per instant with one component per line it
+// reached, full only when it reached every active line, and every flow
+// gets its line's exact fair share while an unreached line's rates keep
+// their bits.
 func TestReshareComponents(t *testing.T) {
 	const k = 5
-	rates, stats := runMultiLine(t, k)
-
-	// The initial full solve covers all k disjoint lines at once, so at
-	// least one solve must have split into k components.
-	if stats.ReshareComponents < k {
-		t.Fatalf("ReshareComponents = %d, want >= %d", stats.ReshareComponents, k)
+	for _, tc := range []struct {
+		name string
+		step func(m *multiLine)
+		// The step's reshares, full and incremental, and the components
+		// they solved; the lines it joins a flow on.
+		full, incremental, components uint64
+		joined                        []int
+	}{
+		{name: "first solve"},
+		{
+			name:        "three joins at one instant",
+			step:        func(m *multiLine) { m.join(0); m.join(1); m.join(2) },
+			incremental: 1, components: 3,
+			joined: []int{0, 1, 2},
+		},
+		{
+			name: "identical table",
+			step: func(m *multiLine) {
+				a := m.tp.MustNode("a0")
+				m.net.SetTable(a, m.net.tables[a])
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := runMultiLine(t, k)
+			before, rates := m.net.Stats(), m.rates()
+			if tc.step == nil {
+				// The first instant reaches every line: one full reshare.
+				before, tc.full, tc.components = Stats{}, 1, k
+			} else {
+				tc.step(m)
+				m.sched.RunUntil(2 * time.Second)
+			}
+			if err := m.net.VerifyMaxMin(1e-9); err != nil {
+				t.Fatal(err)
+			}
+			got := m.net.Stats()
+			if d := got.ReshareFull - before.ReshareFull; d != tc.full {
+				t.Errorf("ReshareFull moved by %d, want %d", d, tc.full)
+			}
+			if d := got.ReshareIncremental - before.ReshareIncremental; d != tc.incremental {
+				t.Errorf("ReshareIncremental moved by %d, want %d", d, tc.incremental)
+			}
+			if d := got.ReshareComponents - before.ReshareComponents; d != tc.components {
+				t.Errorf("ReshareComponents moved by %d, want %d", d, tc.components)
+			}
+			for line, ids := range m.ids {
+				want := 10e6 / float64(len(ids))
+				for i, id := range ids {
+					r := m.net.Flow(id).Rate()
+					if r != want {
+						t.Errorf("line %d flow %d rate = %v, want %v (%d greedy flows on a 10M line)", line, i, r, want, len(ids))
+					}
+					if !slices.Contains(tc.joined, line) && i < len(rates[line]) && r != rates[line][i] {
+						t.Errorf("line %d flow %d rate moved %v -> %v, but no flow joined its line", line, i, rates[line][i], r)
+					}
+				}
+			}
+		})
 	}
-	for i, r := range rates {
-		if r != 5e6 {
-			t.Fatalf("flow %d rate = %v, want 5e6 (two greedy flows on a 10M line)", i, r)
+}
+
+// rates returns every flow's rate, by line.
+func (m *multiLine) rates() [][]float64 {
+	out := make([][]float64, len(m.ids))
+	for line, ids := range m.ids {
+		for _, id := range ids {
+			out[line] = append(out[line], m.net.Flow(id).Rate())
 		}
 	}
+	return out
 }

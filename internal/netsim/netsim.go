@@ -39,11 +39,11 @@
 // no path, so any change re-traces its members in full.
 //
 // Sharing: a link<->aggregate incidence index tracks which links changed
-// membership; reshare closes the dirty link set over the
-// bottleneck-dependency component (the connected component of the
-// incidence graph) and re-runs weighted max-min progressive filling only
-// there, falling back to a full solve when more than half the active links
-// are dirty — the data-plane sibling of spf.Incremental's dirty region.
+// membership; reshare walks from the dirty links to their
+// bottleneck-dependency components (the connected components of the
+// incidence graph), each gathered by one walk, and re-runs weighted
+// max-min progressive filling only there. A member that does not move
+// dirties nothing, so a SetTable that re-paths no one re-solves nothing.
 package netsim
 
 import (
@@ -112,14 +112,14 @@ func (f *Flow) Blocked() bool { return f.agg != nil && f.agg.blocked }
 
 // Stats is the traffic plane's cost telemetry.
 type Stats struct {
-	// ReshareFull counts global max-min solves (all aggregates);
-	// ReshareIncremental counts component-scoped solves.
+	// ReshareFull counts reshares whose walks reached every active link
+	// (one carrying aggregates); ReshareIncremental counts the others.
 	ReshareFull        uint64
 	ReshareIncremental uint64
 	// ReshareComponents counts the connected incidence components solved
 	// across all reshares. Components are independent max-min problems,
-	// solved one after another; the partition depends only on the
-	// incidence graph.
+	// each gathered by one walk from a dirty link and solved on its own;
+	// the partition depends only on the incidence graph.
 	ReshareComponents uint64
 	// Aggregates and Flows are the current population sizes; their ratio
 	// is the compression the aggregate plane achieves.
@@ -171,11 +171,11 @@ type Network struct {
 	byID    []*Aggregate // eachByID's sort scratch
 
 	// dirty is the set of capacitated links whose aggregate membership
-	// changed since the last reshare; dirtyAll forces a global solve.
-	// The >50%-dirty fallback (the analogue of spf.MaxDirtyFraction)
-	// measures against len(links), the active incidence graph.
-	dirty    map[topo.LinkID]bool
-	dirtyAll bool
+	// changed since the last reshare; each is in links. walk numbers the
+	// reshares, whose walks gather their components into comp.
+	dirty map[topo.LinkID]bool
+	walk  uint64
+	comp  component
 
 	stats Stats
 
@@ -525,7 +525,6 @@ func (n *Network) reroute() {
 	var work []*Aggregate
 	if n.invalidAll {
 		n.invalidAll = false
-		n.dirtyAll = true
 		for _, a := range n.aggByID {
 			a.touched = allHops
 			work = append(work, a)

@@ -335,7 +335,9 @@ func BenchmarkReshare100Flows(b *testing.B) {
 	sched.RunUntil(time.Second)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.dirtyAll = true
+		for lid := range net.links {
+			net.dirty[lid] = true
+		}
 		net.reshare()
 	}
 }

@@ -86,15 +86,15 @@ type Report struct {
 	Events             uint64 `json:"events,omitempty"`
 	SPFIncrementalRuns uint64 `json:"spf_incremental_runs,omitempty"`
 	SPFFullRuns        uint64 `json:"spf_full_runs,omitempty"`
-	// ReshareIncremental counts component-scoped max-min solves,
-	// ReshareFull global ones; their ratio is the data plane's
-	// incremental hit rate. Aggregates is the final path-class count —
+	// ReshareFull counts reshares whose walks reached every active link
+	// (one carrying aggregates), ReshareIncremental the others; their
+	// ratio is the data plane's incremental hit rate. Aggregates is the final path-class count —
 	// against Sessions it shows the aggregate plane's compression.
 	ReshareIncremental uint64 `json:"reshare_incremental_runs,omitempty"`
 	ReshareFull        uint64 `json:"reshare_full_runs,omitempty"`
 	// ReshareComponents counts the independent max-min components solved
-	// across all reshares; the partition depends only on the incidence
-	// graph.
+	// across all reshares, each gathered by one walk from a dirty link;
+	// the partition depends only on the incidence graph.
 	ReshareComponents uint64 `json:"reshare_components,omitempty"`
 	Aggregates        int    `json:"aggregates,omitempty"`
 
