@@ -245,6 +245,12 @@ scale:
 # full-solve fallback, the union-find re-partition and two guards that
 # could not fire deleted): 95.5% for internal/netsim at GOMAXPROCS 1, 2,
 # 4 and 8 (94.1% before); floor raised to the measured value.
+# Measured when the scheduler started carving its events and tickers
+# from chunks and the IGP domain its routers, adjacencies, rings and
+# packet buffers from slabs (the retransmission list now one ring, its
+# misuse panics and Ring.Init tested): 99.4% for internal/event and 93.5%
+# for internal/ospf at GOMAXPROCS 1, 2, 4 and 8 (96.8% and 93.4%
+# before); floors unchanged.
 cover:
 	@$(GO) test -cover ./... > cover.out.tmp; s=$$?; cat cover.out.tmp; \
 	if [ $$s -ne 0 ]; then rm -f cover.out.tmp; exit $$s; fi; \

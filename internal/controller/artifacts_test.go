@@ -54,7 +54,7 @@ func TestArtifactMemo(t *testing.T) {
 		wantErr bool
 		lookup  func(a *PlanArtifacts) outcome
 	}{
-		{name: "MaxUtil reads Views", first: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
+		{name: "MaxUtil compiles the views", first: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			u, err := a.MaxUtil(nil, demands)
 			return outcome{u, err}
 		}},
@@ -70,16 +70,16 @@ func TestArtifactMemo(t *testing.T) {
 			e := a.lpOptimal(ghost)
 			return outcome{e, e.err}
 		}},
-		{name: "spread reads Views", first: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
+		{name: "spread reads the IGP views", first: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			return spreadOutcome(a.spread(blue, b, false))
 		}},
 		{name: "spread finds none", first: ArtifactStats{Misses: 1}, wantErr: true, lookup: func(a *PlanArtifacts) outcome {
 			return spreadOutcome(a.spread(blue, fig1.MustNode("A"), false)) // A's one uphill neighbour R1 is no downstream
 		}},
-		{name: "spread under LFA reads Views", first: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
+		{name: "spread under LFA reads the IGP views", first: ArtifactStats{Misses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			return spreadOutcome(a.spread(blue, fig1.MustNode("A"), true)) // but R1 is a loop-free alternate
 		}},
-		{name: "predictQoE reads Views", first: ArtifactStats{Misses: 1, QoEMisses: 1}, lookup: func(a *PlanArtifacts) outcome {
+		{name: "predictQoE compiles the views", first: ArtifactStats{Misses: 1, QoEMisses: 1}, lookup: func(a *PlanArtifacts) outcome {
 			q, err := a.predictQoEKeyed("m", nil, demands, model)
 			return outcome{q, err}
 		}},

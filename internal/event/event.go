@@ -28,6 +28,11 @@ type Scheduler struct {
 	ran      uint64
 	pending  int
 	free     []*scheduled // recycled event structs: At is allocation-free
+	// events is the rest of the chunk At carves a struct from when free
+	// is empty, and tickers the rest of NewTicker's: a scheduler that
+	// reaches P pending events allocates P/chunk chunks, not P structs.
+	events  []scheduled
+	tickers []Ticker
 }
 
 // ParallelStats is always zero: events run one at a time. It is kept only
@@ -46,15 +51,27 @@ type Handle struct {
 	seq uint64
 }
 
+// Callback is an event body that is not a closure: a pointer to state
+// that already exists (an adjacency, a ticker) whose Fire runs the event,
+// so scheduling it allocates nothing.
+type Callback interface{ Fire() }
+
+// Func is a plain function as a Callback. A func value is one pointer,
+// so the conversion allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 type scheduled struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
+	fn  Callback
 	// prev/next link the event into its instant's FIFO chain; index is
 	// its heap slot while it heads the chain and -1 otherwise; queued
 	// holds from push until the event fires or is cancelled.
 	prev, next *scheduled
-	index      int
+	index      int32
 	queued     bool
 }
 
@@ -66,6 +83,24 @@ type scheduled struct {
 // at every switch. Two slots ran igp-churn and loop-matrix 2-3 % slower
 // than four in alternating benchmark pairs.
 const tailSlots = 4
+
+// chunk is the number of structs in an event or ticker chunk. A
+// cell's scheduler peaks at tens to hundreds of pending events, so a
+// small chunk costs a few allocations per hundred events and leaves at
+// most chunk-1 structs unused; chunks doubled up to 256 left four times
+// as many (measured over the loop-matrix cells).
+const chunk = 32
+
+// carve returns the next struct of *slab, refilling an empty slab with a
+// new chunk first.
+func carve[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, chunk)
+	}
+	v := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return v
+}
 
 // NewScheduler returns a scheduler with the clock at zero.
 func NewScheduler() *Scheduler { return &Scheduler{} }
@@ -92,6 +127,14 @@ func (s *Scheduler) At(t time.Duration, fn func()) Handle {
 	if fn == nil {
 		panic("event: nil callback")
 	}
+	return s.AtCall(t, Func(fn))
+}
+
+// AtCall schedules c.Fire at absolute virtual time t, as At does.
+func (s *Scheduler) AtCall(t time.Duration, c Callback) Handle {
+	if c == nil {
+		panic("event: nil callback")
+	}
 	if t < s.now {
 		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, s.now))
 	}
@@ -101,9 +144,9 @@ func (s *Scheduler) At(t time.Duration, fn func()) Handle {
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		ev = &scheduled{}
+		ev = carve(&s.events)
 	}
-	ev.at, ev.seq, ev.fn = t, s.seq, fn
+	ev.at, ev.seq, ev.fn = t, s.seq, c
 	s.seq++
 	s.push(ev)
 	s.pending++
@@ -123,6 +166,14 @@ func (s *Scheduler) After(d time.Duration, fn func()) Handle {
 		panic("event: negative delay")
 	}
 	return s.At(s.now+d, fn)
+}
+
+// AfterCall schedules c.Fire d after the current virtual time.
+func (s *Scheduler) AfterCall(d time.Duration, c Callback) Handle {
+	if d < 0 {
+		panic("event: negative delay")
+	}
+	return s.AtCall(s.now+d, c)
 }
 
 // Scheduled reports whether the event is still queued: scheduled, not
@@ -169,7 +220,7 @@ func (s *Scheduler) Step() bool {
 	s.pending--
 	fn := ev.fn
 	s.release(ev)
-	fn()
+	fn.Fire()
 	return true
 }
 
@@ -277,7 +328,7 @@ func (s *Scheduler) unlink(ev *scheduled) {
 		s.queue[i] = next
 		return
 	}
-	s.remove(i)
+	s.remove(int(i))
 }
 
 // remove deletes the chain head at slot i, refilling the slot with the
@@ -307,11 +358,11 @@ func (s *Scheduler) up(i int, ev *scheduled) {
 			break
 		}
 		q[i] = q[p]
-		q[i].index = i
+		q[i].index = int32(i)
 		i = p
 	}
 	q[i] = ev
-	ev.index = i
+	ev.index = int32(i)
 }
 
 // down places ev at the hole i or below it, pulling earlier children up.
@@ -329,22 +380,37 @@ func (s *Scheduler) down(i int, ev *scheduled) {
 			break
 		}
 		q[i] = q[c]
-		q[i].index = i
+		q[i].index = int32(i)
 		i = c
 	}
 	q[i] = ev
-	ev.index = i
+	ev.index = int32(i)
 }
 
 // Ticker fires a callback at a fixed period until stopped, mirroring
 // time.Ticker inside virtual time (used by the SNMP poller and LSA refresh).
+// Tickers are carved from the scheduler's ticker chunks, and each tick is
+// the ticker itself as its event's Callback (see tick), so neither
+// starting nor re-arming one allocates.
 type Ticker struct {
 	s      *Scheduler
 	period time.Duration
 	fn     func()
-	tick   func() // built once; re-arming allocates no closures
 	handle Handle
 	stop   bool
+}
+
+// tick is a Ticker as the Callback of its next tick.
+type tick Ticker
+
+// Fire runs the tick and re-arms unless the callback stopped the
+// ticker; Stop cancels the pending tick, so a stopped ticker never fires.
+func (k *tick) Fire() {
+	t := (*Ticker)(k)
+	t.fn()
+	if !t.stop {
+		t.arm()
+	}
 }
 
 // NewTicker starts a ticker whose first tick fires one period from now.
@@ -352,22 +418,14 @@ func (s *Scheduler) NewTicker(period time.Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic("event: non-positive ticker period")
 	}
-	t := &Ticker{s: s, period: period, fn: fn}
-	t.tick = func() {
-		if t.stop {
-			return
-		}
-		t.fn()
-		if !t.stop {
-			t.arm()
-		}
-	}
+	t := carve(&s.tickers)
+	*t = Ticker{s: s, period: period, fn: fn}
 	t.arm()
 	return t
 }
 
 func (t *Ticker) arm() {
-	t.handle = t.s.After(t.period, t.tick)
+	t.handle = t.s.AfterCall(t.period, (*tick)(t))
 }
 
 // Stop cancels the ticker.

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"time"
@@ -181,6 +182,27 @@ func TestNilCallbackPanics(t *testing.T) {
 	s.At(time.Second, nil)
 }
 
+// TestSchedulingMisusePanics: every way of scheduling a callback rejects
+// a nil one, a negative delay and a non-positive ticker period.
+func TestSchedulingMisusePanics(t *testing.T) {
+	for name, misuse := range map[string]func(s *Scheduler){
+		"AtCall nil":         func(s *Scheduler) { s.AtCall(time.Second, nil) },
+		"After negative":     func(s *Scheduler) { s.After(-1, func() {}) },
+		"AfterCall negative": func(s *Scheduler) { s.AfterCall(-1, Func(func() {})) },
+		"NewTicker zero":     func(s *Scheduler) { s.NewTicker(0, func() {}) },
+		"AtCall in the past": func(s *Scheduler) { s.RunUntil(time.Second); s.AtCall(0, Func(func() {})) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("want panic")
+				}
+			}()
+			misuse(NewScheduler())
+		})
+	}
+}
+
 // pendingScan is the O(n) definition Pending replaced: the number of
 // queued events, the chain lengths summed over the heap's heads. Since
 // Cancel unlinks its event immediately, every queued event is live.
@@ -325,6 +347,69 @@ func TestSchedulingAllocFree(t *testing.T) {
 	}
 	if allocs > 0 {
 		t.Fatalf("schedule+step allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestCarvedEventsAreDistinct: events carved from the chunks while the
+// freelist is empty are P distinct structs, each still queued under its
+// own handle until it fires, and they fire in scheduling order.
+func TestCarvedEventsAreDistinct(t *testing.T) {
+	const p = 3*chunk + 5
+	s := NewScheduler()
+	var fired []int
+	handles := make([]Handle, p)
+	seen := make(map[*scheduled]bool, p)
+	for i := range handles {
+		handles[i] = s.At(time.Duration(i%7), func() { fired = append(fired, i) })
+		if seen[handles[i].ev] {
+			t.Fatalf("event %d got a struct an earlier pending event holds", i)
+		}
+		seen[handles[i].ev] = true
+	}
+	for i, h := range handles {
+		if !h.Scheduled() {
+			t.Fatalf("event %d is not queued before any event fired", i)
+		}
+	}
+	s.Run()
+	if len(fired) != p {
+		t.Fatalf("%d events fired, want %d", len(fired), p)
+	}
+	for i := 1; i < p; i++ {
+		a, b := fired[i-1], fired[i]
+		if a%7 > b%7 || a%7 == b%7 && a > b {
+			t.Fatalf("event %d fired before event %d", a, b)
+		}
+	}
+}
+
+// TestSchedulerAllocsPerChunk holds a scheduler's growth to its chunks:
+// reaching P pending events allocates the P/chunk chunks that carve P
+// structs and the heap slice's doublings, not one object per event.
+// Tickers are carved the same way.
+func TestSchedulerAllocsPerChunk(t *testing.T) {
+	const p = 4096
+	fn := func() {}
+	budget := float64(p/chunk + 2*bits.Len(p) + 2)
+	got := testing.AllocsPerRun(5, func() {
+		s := NewScheduler()
+		for i := range p {
+			s.At(time.Duration(i), fn)
+		}
+	})
+	t.Logf("%d pending events: %.0f objects", p, got)
+	if got > budget {
+		t.Errorf("%d pending events allocate %.0f objects, want at most %.0f", p, got, budget)
+	}
+	got = testing.AllocsPerRun(5, func() {
+		s := NewScheduler()
+		for range p {
+			s.NewTicker(time.Second, fn)
+		}
+	})
+	t.Logf("%d tickers: %.0f objects", p, got)
+	if got > 2*budget {
+		t.Errorf("%d tickers allocate %.0f objects, want at most %.0f", p, got, 2*budget)
 	}
 }
 

@@ -95,7 +95,7 @@ func checkChains(t testing.TB, s *Scheduler) {
 	chains := map[time.Duration][]span{}
 	n := 0
 	for i, head := range s.queue {
-		if head.index != i || head.prev != nil {
+		if int(head.index) != i || head.prev != nil {
 			t.Fatalf("queue[%d]: index %d, has prev %v", i, head.index, head.prev != nil)
 		}
 		if i > 0 && before(head, s.queue[(i-1)/2]) {
@@ -138,7 +138,7 @@ func checkChains(t testing.TB, s *Scheduler) {
 		for head.prev != nil {
 			head = head.prev
 		}
-		if head.index < 0 || head.index >= len(s.queue) || s.queue[head.index] != head {
+		if head.index < 0 || int(head.index) >= len(s.queue) || s.queue[head.index] != head {
 			t.Fatalf("tails[%d] (seq %d) belongs to no chain in the heap", i, tail.seq)
 		}
 		if seen[tail.at] {

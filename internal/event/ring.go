@@ -11,6 +11,17 @@ type Ring[T any] struct {
 	n    int
 }
 
+// Init gives an empty ring buf as its first buffer, in place of the four
+// items its first Push would allocate: an owner of many rings sizes them
+// once and carves their buffers from one slab. len(buf) must be a power
+// of two; the ring grows past it as past a buffer of its own.
+func (q *Ring[T]) Init(buf []T) {
+	if q.n != 0 || len(buf)&(len(buf)-1) != 0 {
+		panic("event: Ring.Init on a non-empty ring or with a length that is not a power of two")
+	}
+	q.buf, q.head = buf, 0
+}
+
 // Len returns the number of items held.
 func (q *Ring[T]) Len() int { return q.n }
 

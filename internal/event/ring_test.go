@@ -34,3 +34,46 @@ func TestRingFIFO(t *testing.T) {
 		}
 	}
 }
+
+// TestRingInit carves two rings' first buffers from one slab: each
+// stays FIFO as it grows past its buffer, and neither writes into the
+// other's part of the slab. Init takes only an empty ring and a length
+// that is a power of two.
+func TestRingInit(t *testing.T) {
+	slab := make([]int, 8)
+	var a, b Ring[int]
+	a.Init(slab[0:4:4])
+	b.Init(slab[4:8:8])
+	for i := range 4 {
+		b.Push(100 + i)
+	}
+	for i := range 11 {
+		a.Push(i)
+	}
+	if a.Cap() != 16 || b.Cap() != 4 {
+		t.Fatalf("caps %d and %d, want 16 and 4", a.Cap(), b.Cap())
+	}
+	for i := range 11 {
+		if got := a.Pop(); got != i {
+			t.Fatalf("a popped %d, want %d", got, i)
+		}
+	}
+	for i := range 4 {
+		if got := b.Pop(); got != 100+i {
+			t.Fatalf("b popped %d, want %d", got, 100+i)
+		}
+	}
+	for name, init := range map[string]func(){
+		"length 3":       func() { var q Ring[int]; q.Init(make([]int, 3)) },
+		"non-empty ring": func() { var q Ring[int]; q.Push(1); q.Init(make([]int, 4)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Init with %s: want panic", name)
+				}
+			}()
+			init()
+		}()
+	}
+}

@@ -14,7 +14,9 @@ import (
 // twoIslands builds two link-disjoint diamonds (s1->{u1,v1}->d1 and
 // s2->{u2,v2}->d2) in one topology, so the incidence graph has two
 // bottleneck-dependency components and churn in one must never re-solve
-// — or perturb — the other.
+// — or perturb — the other. Each island has a second ingress, x->u, whose
+// traffic shares u->d with the diamond's u path and nothing else: the
+// aggregates of an island overlap on part of their paths.
 func twoIslands() *topo.Topology {
 	t := topo.New()
 	for _, island := range []string{"1", "2"} {
@@ -22,6 +24,8 @@ func twoIslands() *topo.Topology {
 		u := t.AddNode("u" + island)
 		v := t.AddNode("v" + island)
 		d := t.AddNode("d" + island)
+		x := t.AddNode("x" + island)
+		t.AddLink(x, u, 1, topo.LinkOpts{Capacity: 10e6})
 		t.AddLink(s, u, 1, topo.LinkOpts{Capacity: 10e6})
 		t.AddLink(s, v, 2, topo.LinkOpts{Capacity: 10e6})
 		t.AddLink(u, d, 1, topo.LinkOpts{Capacity: 10e6})
@@ -33,10 +37,18 @@ func twoIslands() *topo.Topology {
 }
 
 // installIsland wires an island's tables: the ingress ECMPs over both
-// middle routers so flows spread into distinct aggregates.
+// middle routers so flows spread into distinct aggregates, and the second
+// ingress forwards via u.
 func installIsland(t *testing.T, net *Network, tp *topo.Topology, island, prefix string) {
 	t.Helper()
 	s, u, v, d := tp.MustNode("s"+island), tp.MustNode("u"+island), tp.MustNode("v"+island), tp.MustNode("d"+island)
+	x := tp.MustNode("x" + island)
+	lxu, _ := tp.FindLink(x, u)
+	tx := fib.NewTable(x)
+	if err := tx.Install(fib.Route{Prefix: mustPfx(prefix), NextHops: []fib.NextHop{{Node: u, Link: lxu.ID, Weight: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	net.SetTable(x, tx)
 	lsu, _ := tp.FindLink(s, u)
 	lsv, _ := tp.FindLink(s, v)
 	lud, _ := tp.FindLink(u, d)
@@ -67,7 +79,10 @@ func installIsland(t *testing.T, net *Network, tp *topo.Topology, island, prefix
 // are component-scoped (incremental, not full), (b) every flow's rate —
 // including island 2's, whose links are outside every dirty component —
 // matches a from-scratch per-flow global max-min solve, so no stale rate
-// survives anywhere.
+// survives anywhere. The storm's flows enter at s1; the greedy flows at
+// x1 share only u1->d1 with them, so a walk that stops at the dirty links
+// instead of following each aggregate's other links solves s1's u-path
+// aggregates without x1's share of u1->d1 and over-allocates it.
 func TestChurnStormComponentScoped(t *testing.T) {
 	tp := twoIslands()
 	sched := event.NewScheduler()
@@ -76,14 +91,21 @@ func TestChurnStormComponentScoped(t *testing.T) {
 	installIsland(t, net, tp, "2", "10.51.0.0/16")
 
 	s1, s2 := tp.MustNode("s1"), tp.MustNode("s2")
-	// Steady population on both islands.
+	// Steady population on both islands, and greedy flows at the second
+	// ingresses.
 	var island1 []FlowID
 	for i := 0; i < 40; i++ {
 		island1 = append(island1, net.AddFlow(s1, key("10.50.0.9", uint16(i)), 1e6))
 	}
+	for i := 0; i < 10; i++ {
+		net.AddFlow(tp.MustNode("x1"), key("10.50.0.9", uint16(3000+i)), 0)
+	}
 	var island2 []FlowID
 	for i := 0; i < 40; i++ {
 		island2 = append(island2, net.AddFlow(s2, key("10.51.0.9", uint16(1000+i)), 0))
+	}
+	for i := 0; i < 10; i++ {
+		island2 = append(island2, net.AddFlow(tp.MustNode("x2"), key("10.51.0.9", uint16(3000+i)), 0))
 	}
 	sched.RunUntil(time.Second)
 	if err := net.VerifyMaxMin(1e-9); err != nil {

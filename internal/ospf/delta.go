@@ -775,7 +775,7 @@ func (r *Router) routeFor(c *spfCache, p netip.Prefix, anns []announcer, selfIdx
 			// A fake next hop is only usable while the adjacency to its
 			// forwarding address is up — otherwise the lie would blackhole
 			// traffic after a link failure.
-			if nb := r.nbrs[a.fake.ForwardVia]; nb == nil || !nb.up {
+			if nb := r.neighbor(a.fake.ForwardVia); nb == nil || !nb.up {
 				continue
 			}
 			nhs = append(nhs, fib.NextHop{Node: via, Link: l.ID, Weight: 1})

@@ -1,8 +1,10 @@
 package ospf
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"fibbing.net/fibbing/internal/event"
@@ -58,8 +60,13 @@ type Domain struct {
 	// keeps nothing but the LSAs it installs, which materialiseLSA copies
 	// out field by field — so flooding stops churning the allocator. The
 	// pool is touched only from scheduler events — never from SPF compute
-	// phases — so no locking is needed.
-	bufPool [][]byte
+	// phases — so no locking is needed. A buffer the pool cannot supply is
+	// carved from bufSlab, bufSize bytes of capacity each: the domain's
+	// largest packet, so no buffer regrows whatever it carries next.
+	bufPool  [][]byte
+	bufSlab  []byte
+	bufSize  int
+	bufChunk int // buffers per slab chunk: one per adjacency
 
 	// lsaScratch holds the wire form of the LSA being sent, so one flood
 	// encodes and checksums its instance once however many neighbors get
@@ -74,16 +81,26 @@ type Domain struct {
 }
 
 // getBuf returns an empty slice to build a packet of the given size in:
-// recycled capacity when the pool has any (append grows it if it falls
-// short), one exact allocation otherwise.
+// a recycled buffer when the pool has one, else the next bufSize bytes of
+// the slab, which is refilled with a chunk of bufChunk buffers when
+// empty. Every packet the domain builds fits in bufSize; a larger one
+// gets an exact allocation of its own.
 func (d *Domain) getBuf(size int) []byte {
+	if size > d.bufSize {
+		return make([]byte, 0, size)
+	}
 	if n := len(d.bufPool); n > 0 {
 		b := d.bufPool[n-1]
 		d.bufPool[n-1] = nil
 		d.bufPool = d.bufPool[:n-1]
 		return b[:0]
 	}
-	return make([]byte, 0, size)
+	if len(d.bufSlab) == 0 {
+		d.bufSlab = make([]byte, d.bufChunk*d.bufSize)
+	}
+	b := d.bufSlab[:0:d.bufSize]
+	d.bufSlab = d.bufSlab[d.bufSize:]
+	return b
 }
 
 func (d *Domain) putBuf(b []byte) {
@@ -99,29 +116,88 @@ func (d *Domain) encodeLSA(l *LSA) []byte {
 	return d.lsaScratch
 }
 
+// The first buffers of an adjacency's rings, carved from the domain's
+// slabs; a ring that outgrows its buffer doubles as before. A commit
+// floods each of its LSAs as an update of its own, so a ring peaks at
+// about the largest commit's LSA count: 14-16 on most adjacencies of the
+// loop-matrix cells, 61 on the busiest. Rings that started at 4 grew
+// twice on most of them.
+const (
+	wireFirst = 16
+	rxmtFirst = 16
+)
+
 // NewDomain builds the IGP domain for a topology: one router per non-host
 // node and one adjacency per directed link between routers. It does not
 // start the protocol; call Start. The Config is ignored (see Config).
+//
+// The domain owns its routers' and adjacencies' memory, sized here from
+// the topology: the routers are one slab, the adjacencies another, and so
+// are their rings' first buffers and the routers' neighbor lists (each a
+// run of one slab of pointers, sorted by router, then neighbor). The
+// packet buffers are carved from chunks of one buffer per adjacency, as
+// many as one hello round has in flight, each sized for the largest
+// packet the domain builds.
 func NewDomain(t *topo.Topology, sched *event.Scheduler, _ Config) *Domain {
 	d := &Domain{
 		topo:         t,
 		sched:        sched,
-		routers:      make(map[topo.NodeID]*Router),
 		linkDown:     make([]bool, t.NumLinks()),
 		defaultDelay: time.Millisecond,
 	}
+	nr, na := 0, 0
+	for _, n := range t.Nodes() {
+		if !n.Host {
+			nr++
+		}
+	}
+	for _, l := range t.Links() {
+		if !t.Node(l.From).Host && !t.Node(l.To).Host {
+			na++ // host access links carry no IGP
+		}
+	}
+	d.routers = make(map[topo.NodeID]*Router, nr)
+	routers := make([]Router, 0, nr)
 	for _, n := range t.Nodes() {
 		if n.Host {
 			continue
 		}
-		d.routers[n.ID] = newRouter(d, n.ID)
+		routers = append(routers, Router{})
+		r := &routers[len(routers)-1]
+		initRouter(r, d, n.ID)
+		d.routers[n.ID] = r
 	}
+	nbrs := make([]neighbor, na)
+	lists := make([]*neighbor, 0, na)
+	wire := make([][]byte, wireFirst*na)
+	rxmt := make([]rxmtEntry, rxmtFirst*na)
 	for _, l := range t.Links() {
-		if d.routers[l.From] == nil || d.routers[l.To] == nil {
-			continue // host access links carry no IGP
+		r, peer := d.routers[l.From], d.routers[l.To]
+		if r == nil || peer == nil {
+			continue
 		}
-		d.routers[l.From].addNeighbor(l)
+		i := len(lists)
+		n := &nbrs[i]
+		*n = neighbor{id: NodeRouterID(l.To), link: l, up: true, self: r, peer: peer}
+		n.wire.Init(wire[wireFirst*i : wireFirst*(i+1) : wireFirst*(i+1)])
+		n.rxmt.Init(rxmt[rxmtFirst*i : rxmtFirst*(i+1) : rxmtFirst*(i+1)])
+		lists = append(lists, n)
 	}
+	slices.SortFunc(lists, func(a, b *neighbor) int {
+		return cmp.Or(cmp.Compare(a.self.node, b.self.node), cmp.Compare(a.id, b.id))
+	})
+	maxLinks := 0
+	for i := 0; i < len(lists); {
+		r, j := lists[i].self, i+1
+		for j < len(lists) && lists[j].self == r {
+			j++
+		}
+		r.nbrList = lists[i:j:j]
+		maxLinks = max(maxLinks, j-i)
+		i = j
+	}
+	d.bufSize = packetHeaderLen + 2 + max(routerLSALen(maxLinks), maxPrefixLSALen)
+	d.bufChunk = max(na, 1)
 	return d
 }
 
@@ -283,11 +359,11 @@ func (d *Domain) deliver(n *neighbor, data []byte) {
 		d.inflight++
 	}
 	n.wire.Push(data)
-	d.sched.After(delay, n.rx)
+	d.sched.AfterCall(delay, (*wireArrival)(n))
 }
 
 // receive is the arrival of the oldest packet in flight from router from
-// towards n: the body of every n.rx event.
+// towards n: the body of every wireArrival event.
 func (d *Domain) receive(from RouterID, n *neighbor) {
 	data := n.wire.Pop()
 	if PacketType(data[0]) != PktHello {
@@ -334,7 +410,7 @@ func (d *Domain) SetLinkWeight(a, b topo.NodeID, w int64) error {
 		if r == nil {
 			continue
 		}
-		for _, n := range r.nbrs {
+		for _, n := range r.nbrList {
 			if n.link.ID == l.ID || n.link.ID == l.Reverse {
 				n.link.Weight = w
 			}
@@ -374,8 +450,8 @@ func (d *Domain) Converged() bool {
 		return false
 	}
 	for _, r := range d.routers {
-		for _, n := range r.nbrs {
-			if n.up && len(n.unacked) > 0 {
+		for _, n := range r.nbrList {
+			if n.up && n.listed > 0 {
 				return false
 			}
 		}

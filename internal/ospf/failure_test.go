@@ -84,43 +84,40 @@ func TestRetransmitTimersFireInArmOrder(t *testing.T) {
 }
 
 // checkRetransmitLists holds every adjacency's retransmission list to the
-// invariants its one timer rests on: the ring is in due order, every
-// listed instance has a ring entry with its due, a live adjacency with
-// anything listed has its timer armed at or before the ring's front, and
-// an empty list leaves neither entries nor a timer behind. ring is
-// scratch storage reused across calls.
+// invariants its one timer rests on: the ring is in due order, listed
+// counts its live entries, no key has two, a live adjacency with anything
+// listed has its timer armed at or before the ring's front, and an empty
+// list leaves neither entries nor a timer behind. ring is scratch storage
+// reused across calls.
 func checkRetransmitLists(t *testing.T, d *Domain, step int, ring *[]rxmtEntry) {
 	t.Helper()
 	for _, r := range d.routers {
 		for _, n := range r.nbrList {
 			entries := ringEntries(n, (*ring)[:0])
 			*ring = entries
-			if len(n.unacked) == 0 {
+			if n.listed == 0 {
 				if len(entries) != 0 || n.rxmtTimer.Scheduled() {
 					t.Fatalf("event %d: router %d lists nothing towards %d but holds %d entries (timer armed: %v)",
 						step, r.id, n.id, len(entries), n.rxmtTimer.Scheduled())
 				}
 				continue
 			}
-			// Count the listed keys that have their entry. A key sent twice
-			// at one instant has two equal entries, both in the run of
-			// entries due at that instant, which starts at run: only the
-			// first counts.
-			listed, run := 0, 0
+			live := 0
 			for i, e := range entries {
-				if i > 0 && e.due != entries[i-1].due {
-					if e.due < entries[i-1].due {
-						t.Fatalf("event %d: router %d's ring towards %d is out of due order at %d", step, r.id, n.id, i)
-					}
-					run = i
+				if i > 0 && e.due < entries[i-1].due {
+					t.Fatalf("event %d: router %d's ring towards %d is out of due order at %d", step, r.id, n.id, i)
 				}
-				if p, ok := n.unacked[e.key]; ok && p.due == e.due && !slices.Contains(entries[run:i], e) {
-					listed++
+				if e.lsa == nil {
+					continue
+				}
+				live++
+				if slices.ContainsFunc(entries[:i], func(o rxmtEntry) bool { return o.lsa != nil && o.key == e.key }) {
+					t.Fatalf("event %d: router %d lists %v towards %d twice", step, r.id, e.key, n.id)
 				}
 			}
-			if listed != len(n.unacked) {
-				t.Fatalf("event %d: router %d lists %d keys towards %d, %d of them with a ring entry at their due",
-					step, r.id, len(n.unacked), n.id, listed)
+			if live != n.listed {
+				t.Fatalf("event %d: router %d counts %d keys listed towards %d, its ring holds %d live entries",
+					step, r.id, n.listed, n.id, live)
 			}
 			if !n.up {
 				continue
@@ -131,6 +128,14 @@ func checkRetransmitLists(t *testing.T, d *Domain, step int, ring *[]rxmtEntry) 
 			}
 		}
 	}
+}
+
+// listedTo returns the instance n's retransmission list holds for k.
+func listedTo(n *neighbor, k Key) (*LSA, bool) {
+	if e := n.listedEntry(k); e != nil {
+		return e.lsa, true
+	}
+	return nil, false
 }
 
 // ringEntries appends n's ring, front first, to buf. It pops every entry
@@ -216,8 +221,8 @@ func TestRetransmitTimerOnDownAdjacency(t *testing.T) {
 	stale := own.Clone()
 	stale.Header.Seq--
 	a.HandlePacket(b.id, appendUpdateLSA(appendPacketHeader(nil, PktLSUpdate, b.id, 1), stale.Encode()))
-	if p, ok := n.unacked[own.Header.Key()]; !ok || p.lsa != own || !n.rxmtTimer.Scheduled() {
-		t.Fatalf("a did not list its instance towards b: %+v, timer armed %v", p, n.rxmtTimer.Scheduled())
+	if l, ok := listedTo(n, own.Header.Key()); !ok || l != own || !n.rxmtTimer.Scheduled() {
+		t.Fatalf("a did not list its instance towards b: %v, timer armed %v", l, n.rxmtTimer.Scheduled())
 	}
 	for n.rxmtTimer.Scheduled() {
 		sent := a.PacketsSent
@@ -228,8 +233,8 @@ func TestRetransmitTimerOnDownAdjacency(t *testing.T) {
 			t.Fatalf("the timer sent %d packets towards a neighbor held down", a.PacketsSent-sent)
 		}
 	}
-	if len(n.unacked) != 0 || n.rxmt.Len() != 0 {
-		t.Fatalf("after the timer: %d listed, %d ring entries, want none", len(n.unacked), n.rxmt.Len())
+	if n.listed != 0 || n.rxmt.Len() != 0 {
+		t.Fatalf("after the timer: %d listed, %d ring entries, want none", n.listed, n.rxmt.Len())
 	}
 }
 
@@ -320,21 +325,37 @@ func TestImpliedAck(t *testing.T) {
 	r2.db.Install(newer)
 
 	// B floods its stale instance directly to R2.
-	var nbr *neighbor
-	for _, n := range b.nbrs {
-		if n.id == r2.id {
-			nbr = n
-		}
-	}
+	nbr := b.neighbor(r2.id)
 	b.sendUpdate(nbr, stale)
 	if _, err := d.RunUntilConverged(d.Scheduler().Now() + 60*time.Second); err != nil {
 		t.Fatalf("livelock: %v", err)
 	}
-	if len(nbr.unacked) != 0 {
-		t.Fatalf("unacked entries left: %d", len(nbr.unacked))
+	if nbr.listed != 0 {
+		t.Fatalf("unacked entries left: %d", nbr.listed)
 	}
 	// B must have adopted the newer instance.
 	if got, _ := b.db.Get(Key{Type: TypeRouter, AdvRouter: b.id, LSID: 0}); got.Header.Seq < newer.Header.Seq {
 		t.Fatalf("B still at seq %d", got.Header.Seq)
+	}
+}
+
+// TestResendSupersedesListedInstance sends a's Router LSA towards b
+// twice before b can ack: the second send supersedes the first, so the
+// list holds one live entry for the key, the second send's, and b's
+// acks leave nothing listed.
+func TestResendSupersedesListedInstance(t *testing.T) {
+	d, a, n, _ := convergedFatTree(t, (*Domain).Start)
+	k := Key{Type: TypeRouter, AdvRouter: a.id}
+	own, _ := a.db.Get(k)
+	a.sendUpdate(n, own)
+	a.sendUpdate(n, own)
+	if first := n.rxmt.At(n.rxmt.Len() - 2); n.listed != 1 || first.lsa != nil {
+		t.Fatalf("after two sends of one key: %d listed, first entry live: %v", n.listed, first.lsa != nil)
+	}
+	if _, err := d.RunUntilConverged(d.sched.Now() + time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if n.listed != 0 || n.rxmt.Len() != 0 {
+		t.Fatalf("after convergence: %d listed, %d ring entries", n.listed, n.rxmt.Len())
 	}
 }

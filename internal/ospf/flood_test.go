@@ -1,6 +1,7 @@
 package ospf
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func convergedFatTree(t testing.TB, start func(*Domain)) (d *Domain, a *Router, 
 	for _, l := range tp.Links() {
 		if !tp.Node(l.From).Host && !tp.Node(l.To).Host {
 			a, b = d.Router(l.From), d.Router(l.To)
-			return d, a, a.nbrs[b.id], b
+			return d, a, a.neighbor(b.id), b
 		}
 	}
 	t.Fatal("fat-tree has no router link")
@@ -104,6 +105,52 @@ func TestFloodingAllocations(t *testing.T) {
 	}
 }
 
+// bootBudget is what NewDomain and Start may allocate on a fat-tree k=4
+// (20 routers, 32 links between them). Measured at 659 objects when the
+// domain started carving its routers, adjacencies, rings and packet
+// buffers from slabs; 1258 before, with every adjacency's neighbor, map,
+// closures and list growth its own objects.
+const bootBudget = 680
+
+// TestBootAllocations holds a domain's set-up to its budget: building
+// and booting it allocates per router and per LSA, not per adjacency.
+func TestBootAllocations(t *testing.T) {
+	tp := topo.FatTree(topo.FatTreeOpts{K: 4, Capacity: 10e6, MaxWeight: 3, Seed: 2})
+	got := testing.AllocsPerRun(20, func() {
+		NewDomain(tp, event.NewScheduler(), Config{}).Start()
+	})
+	t.Logf("NewDomain and Start on fat-tree k=4: %.0f objects", got)
+	if got > bootBudget {
+		t.Errorf("NewDomain and Start on fat-tree k=4: %.0f objects, over the budget of %d", got, bootBudget)
+	}
+}
+
+// TestPacketBuffersDisjoint carves more packet buffers than one slab
+// chunk holds: each has exactly the domain's buffer size as capacity, so
+// a packet filling one leaves every other intact, and one that outgrows
+// it is moved by append instead of running into the next.
+func TestPacketBuffersDisjoint(t *testing.T) {
+	tp := topo.FatTree(topo.FatTreeOpts{K: 4, Capacity: 10e6, MaxWeight: 3, Seed: 2})
+	d := NewDomain(tp, event.NewScheduler(), Config{})
+	bufs := make([][]byte, d.bufChunk+2)
+	for i := range bufs {
+		b := d.getBuf(packetHeaderLen)
+		if len(b) != 0 || cap(b) != d.bufSize {
+			t.Fatalf("buffer %d: len %d cap %d, want 0 and %d", i, len(b), cap(b), d.bufSize)
+		}
+		bufs[i] = append(b, bytes.Repeat([]byte{byte(i)}, d.bufSize)...)
+	}
+	grown := append(bufs[0], 0xff)
+	for i, b := range bufs {
+		if !bytes.Equal(b, bytes.Repeat([]byte{byte(i)}, d.bufSize)) {
+			t.Fatalf("buffer %d was overwritten by another", i)
+		}
+	}
+	if &grown[0] == &bufs[0][0] {
+		t.Fatal("a packet outgrowing its buffer was appended in place")
+	}
+}
+
 // TestDuplicateAcksFollowTable19 holds the ack a duplicate update draws
 // to RFC 2328 §13.5, Table 19, on a converged fat-tree k=4: a duplicate
 // that was an implied ack of the very instance pending towards its sender
@@ -119,9 +166,9 @@ func TestDuplicateAcksFollowTable19(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, nb := range [2]*neighbor{n, ba} {
-			if len(nb.unacked) != 0 || nb.rxmt.Len() != 0 || nb.rxmtTimer.Scheduled() {
+			if nb.listed != 0 || nb.rxmt.Len() != 0 || nb.rxmtTimer.Scheduled() {
 				t.Fatalf("after convergence %d listed, %d ring entries, timer armed %v",
-					len(nb.unacked), nb.rxmt.Len(), nb.rxmtTimer.Scheduled())
+					nb.listed, nb.rxmt.Len(), nb.rxmtTimer.Scheduled())
 			}
 		}
 		if len(d.Errors) > 0 {
@@ -134,7 +181,7 @@ func TestDuplicateAcksFollowTable19(t *testing.T) {
 		// the instance towards the other and receives the other's copy
 		// as a duplicate: both copies are implied acks and no ack is sent.
 		d, a, n, b := convergedFatTree(t, (*Domain).Start)
-		ba := b.nbrs[a.id]
+		ba := b.neighbor(a.id)
 		mine, _ := a.db.Get(key(a))
 		theirs, _ := b.db.Get(key(a))
 		a.sendUpdate(n, mine)
@@ -156,7 +203,7 @@ func TestDuplicateAcksFollowTable19(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, a, n, b := convergedFatTree(t, (*Domain).Start)
-			ba := b.nbrs[a.id]
+			ba := b.neighbor(a.id)
 			own, _ := b.db.Get(key(a))
 			if tc.older {
 				l := own.Clone()
@@ -168,7 +215,7 @@ func TestDuplicateAcksFollowTable19(t *testing.T) {
 			if got := b.PacketsSent - sent; got != 1 {
 				t.Errorf("the duplicate drew %d acks, want 1", got)
 			}
-			if _, listed := ba.unacked[key(a)]; listed {
+			if _, listed := listedTo(ba, key(a)); listed {
 				t.Errorf("b still lists the key towards a after the duplicate")
 			}
 			converge(t, d, n, ba)

@@ -339,13 +339,13 @@ func spfBytes(t *testing.T, extra int) (bytes, runs uint64) {
 	var ms runtime.MemStats
 	for _, r := range d.Routers() {
 		run := r.spf
-		r.spf = func() {
+		r.spf = event.Func(func() {
 			runtime.ReadMemStats(&ms)
 			start := ms.TotalAlloc
-			run()
+			run.Fire()
 			runtime.ReadMemStats(&ms)
 			bytes += ms.TotalAlloc - start
-		}
+		})
 	}
 	for i := 0; i < 4; i++ {
 		flip(3)

@@ -154,6 +154,13 @@ func (l *LSA) Clone() *LSA {
 // length(2) checksum(2) = 20 bytes, followed by the body.
 const headerLen = 20
 
+// routerLSALen is the wire length of a Router LSA with n links, and
+// maxPrefixLSALen that of the longest LSA of the other types: a v6 fake
+// LSA, its address, length and four 32-bit fields.
+const maxPrefixLSALen = headerLen + 16 + 1 + 16
+
+func routerLSALen(n int) int { return headerLen + 2 + 8*n }
+
 const (
 	flagV6 = 1 << 0 // prefix address is 16 bytes instead of 4
 )

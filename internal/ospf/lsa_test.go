@@ -69,6 +69,28 @@ func TestFakeLSARoundTrip(t *testing.T) {
 
 func uint32ID(r RouterID) RouterID { return r }
 
+// TestEncodedLengths holds the lengths a domain sizes its packet buffers
+// by to the encoder: routerLSALen(n) is a Router LSA with n links, and no
+// Prefix or fake LSA, v4 or v6, is longer than maxPrefixLSALen.
+func TestEncodedLengths(t *testing.T) {
+	for n := range 10 {
+		l := &LSA{Header: Header{Type: TypeRouter, AdvRouter: 1, Seq: 1}, RouterLinks: make([]RouterLink, n)}
+		if got := len(l.Encode()); got != routerLSALen(n) {
+			t.Errorf("Router LSA with %d links: %d bytes, routerLSALen says %d", n, got, routerLSALen(n))
+		}
+	}
+	longest := 0
+	for _, typ := range []LSAType{TypePrefix, TypeFake} {
+		for _, p := range []string{"10.66.0.0/16", "2001:db8::/32"} {
+			l := &LSA{Header: Header{Type: typ, AdvRouter: 1, Seq: 1}, Prefix: netip.MustParsePrefix(p)}
+			longest = max(longest, len(l.Encode()))
+		}
+	}
+	if longest != maxPrefixLSALen {
+		t.Errorf("the longest Prefix or fake LSA is %d bytes, maxPrefixLSALen says %d", longest, maxPrefixLSALen)
+	}
+}
+
 func TestIPv6PrefixLSA(t *testing.T) {
 	l := &LSA{
 		Header: Header{Type: TypePrefix, AdvRouter: 1, LSID: 9, Seq: 1},

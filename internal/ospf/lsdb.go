@@ -24,10 +24,9 @@ type dbEntry struct {
 }
 
 // NewLSDB returns an empty database. The clock (used for aging) may be
-// nil, in which case ages are static.
-func NewLSDB() *LSDB {
-	return &LSDB{entries: make(map[Key]dbEntry)}
-}
+// nil, in which case ages are static. Its map is made by the first
+// reserve or Install.
+func NewLSDB() *LSDB { return &LSDB{} }
 
 // reserve sizes an empty database for n entries; Domain.Start knows how
 // many LSAs a router's component originates before it installs them.
@@ -52,6 +51,9 @@ func (db *LSDB) Get(k Key) (*LSA, bool) {
 // is stored as-is; callers must not mutate it after.
 func (db *LSDB) Install(l *LSA) (old *LSA) {
 	k := l.Header.Key()
+	if db.entries == nil {
+		db.entries = make(map[Key]dbEntry)
+	}
 	old = db.entries[k].lsa
 	e := dbEntry{lsa: l}
 	if db.now != nil {

@@ -27,48 +27,78 @@ const (
 // benchmark module, which passes it.
 type Config struct{}
 
-// neighbor is the per-adjacency state.
+// neighbor is the per-adjacency state. NewDomain carves every neighbor,
+// its wire and retransmission rings' first buffers and the routers'
+// neighbor lists from slabs it sizes from the topology; its events are
+// the neighbor itself as a Callback (wireArrival, rxmtDue), so an
+// adjacency allocates nothing of its own.
 type neighbor struct {
 	id        RouterID
 	link      topo.Link // directed link self -> neighbor
 	up        bool
 	wasDown   bool // declared dead at least once (gates the up callback)
 	lastHello time.Duration
-	unacked   map[Key]pendingLSA
+	self      *Router // the router at this end
 
-	// The retransmission list towards the neighbor runs on one timer
-	// (RFC 2328 §13.6). Every entry is due rxmtInterval after its send,
-	// so rxmt, which holds the entries in send order, holds them in due
-	// order too; rxmtTimer is armed at the front's due and its body,
-	// rxmtFire, resends whatever is due and re-arms. An entry whose key
-	// was acked or resent since stays in the ring until it reaches the
-	// front (see retransmitDue); the ring and the timer go when unacked
-	// empties.
+	// The retransmission list towards the neighbor (RFC 2328 §13.6) is
+	// the ring rxmt: every update sent, in send order, with the instance
+	// sent. Every entry is due rxmtInterval after its send, so the ring
+	// is in due order too, and one timer runs it: rxmtTimer is armed at
+	// the front's due and its body, retransmitDue, resends whatever is
+	// due and re-arms. An entry is live until an ack or a later send of
+	// its key clears it; a cleared entry stays in the ring until it
+	// reaches the front. listed counts the live entries, at most one per
+	// key; the ring and the timer go when it falls to zero.
 	rxmt      event.Ring[rxmtEntry]
 	rxmtTimer event.Handle
-	rxmtFire  func()
+	listed    int
 
 	// The transport half of the adjacency (see Domain.deliver): peer is the
 	// router at the far end, wire the packets travelling towards it in send
-	// order, rx the one event body that receives the oldest of them.
+	// order, each received by one wireArrival event.
 	peer *Router
 	wire event.Ring[[]byte]
-	rx   func()
 }
 
-// pendingLSA is an update awaiting its ack: the instance to retransmit and
-// the instant it is due to be resent.
-type pendingLSA struct {
+// wireArrival is a neighbor as the Callback of a packet's arrival at its
+// far end: the oldest packet on its wire.
+type wireArrival neighbor
+
+func (a *wireArrival) Fire() {
+	n := (*neighbor)(a)
+	n.self.dom.receive(n.self.id, n)
+}
+
+// rxmtDue is a neighbor as the Callback of its retransmission timer.
+type rxmtDue neighbor
+
+func (a *rxmtDue) Fire() {
+	n := (*neighbor)(a)
+	n.self.retransmitDue(n)
+}
+
+// rxmtEntry is one send in a neighbor's retransmission ring: the key and
+// the instance sent, and the instant it is due to be resent. lsa is nil
+// once the entry is cleared.
+type rxmtEntry struct {
+	key Key
 	lsa *LSA
 	due time.Duration
 }
 
-// rxmtEntry is one send in a neighbor's retransmission ring: the key sent
-// and the instant it is due to be resent. It is live while the key's
-// pendingLSA has the same due; an ack or a newer send leaves it stale.
-type rxmtEntry struct {
-	key Key
-	due time.Duration
+// listedEntry returns the live entry for k in n's retransmission ring,
+// nil if n lists no instance of k. The ring holds about one commit's
+// updates, so a scan beats a map.
+func (n *neighbor) listedEntry(k Key) *rxmtEntry {
+	if n.listed == 0 {
+		return nil
+	}
+	for i := range n.rxmt.Len() {
+		if e := n.rxmt.At(i); e.lsa != nil && e.key == k {
+			return e
+		}
+	}
+	return nil
 }
 
 // rxmtKeep is the largest ring buffer a neighbor keeps once its
@@ -88,11 +118,9 @@ type Router struct {
 	node topo.NodeID
 	id   RouterID
 
-	nbrs map[RouterID]*neighbor
-	// nbrList holds the same adjacencies sorted by router ID: every
+	// nbrList holds the router's adjacencies sorted by router ID: every
 	// output-visible iteration (flooding, hellos, LSA origination) walks
-	// the list so two runs of the same scenario emit identical event
-	// sequences (Go map order is randomised per process).
+	// it, and neighbor looks an adjacency up in it.
 	nbrList []*neighbor
 	db      *LSDB
 	fib     *fib.Table
@@ -101,9 +129,9 @@ type Router struct {
 	spfScheduled bool
 	spfRuns      uint64
 
-	// spf is the debounced SPF event, built once so re-arming the
-	// debounce allocates no closure.
-	spf func()
+	// spf is the debounced SPF event, the router itself as a spfRun; a
+	// field, so that the allocation tests can wrap a run.
+	spf event.Callback
 
 	// flushed remembers recently MaxAged LSAs (key -> seq/instant of the
 	// flush) so a neighbor's crossing retransmission of an older positive
@@ -135,27 +163,33 @@ type flushMark struct {
 	at  time.Duration
 }
 
-func newRouter(dom *Domain, node topo.NodeID) *Router {
-	r := &Router{
+// initRouter sets up r, carved by NewDomain, as the router at node.
+func initRouter(r *Router, dom *Domain, node topo.NodeID) {
+	*r = Router{
 		dom:     dom,
 		node:    node,
 		id:      NodeRouterID(node),
-		nbrs:    make(map[RouterID]*neighbor),
 		db:      NewLSDB(),
 		fib:     fib.NewTable(node),
 		ownSeq:  make(map[Key]uint32),
 		flushed: make(map[Key]flushMark),
 	}
 	r.db.SetClock(dom.sched.Now)
-	r.spf = func() {
-		r.spfScheduled = false
-		diff := r.computeRoutes()
-		r.dom.spfPending--
-		if diff != nil {
-			r.dom.fibChanged(r.node, r.fib, diff)
-		}
+	r.spf = (*spfRun)(r)
+}
+
+// spfRun is a router as the Callback of its debounced SPF run: it
+// computes the routes and publishes the run's FIB delta.
+type spfRun Router
+
+func (s *spfRun) Fire() {
+	r := (*Router)(s)
+	r.spfScheduled = false
+	diff := r.computeRoutes()
+	r.dom.spfPending--
+	if diff != nil {
+		r.dom.fibChanged(r.node, r.fib, diff)
 	}
-	return r
 }
 
 // ageSweep purges LSAs that reached MaxAge without a refresh — their
@@ -216,20 +250,13 @@ func (r *Router) Neighbors() []RouterID {
 	return out
 }
 
-func (r *Router) addNeighbor(link topo.Link) {
-	id := NodeRouterID(link.To)
-	n := &neighbor{
-		id:      id,
-		link:    link,
-		up:      true,
-		unacked: make(map[Key]pendingLSA),
-		peer:    r.dom.routers[link.To],
+// neighbor returns the adjacency towards the router id, nil if none.
+func (r *Router) neighbor(id RouterID) *neighbor {
+	i, ok := slices.BinarySearchFunc(r.nbrList, id, func(n *neighbor, id RouterID) int { return cmp.Compare(n.id, id) })
+	if !ok {
+		return nil
 	}
-	n.rx = func() { r.dom.receive(r.id, n) }
-	n.rxmtFire = func() { r.retransmitDue(n) }
-	r.nbrs[id] = n
-	r.nbrList = append(r.nbrList, n)
-	slices.SortFunc(r.nbrList, func(a, b *neighbor) int { return cmp.Compare(a.id, b.id) })
+	return r.nbrList[i]
 }
 
 // --- Origination -------------------------------------------------------
@@ -343,7 +370,7 @@ func (r *Router) sendEncoded(n *neighbor, l *LSA, enc []byte) {
 	due := r.listRetransmit(n, l.Header.Key(), l)
 	if !n.rxmtTimer.Scheduled() {
 		// An idle timer means an empty ring: this entry is its front.
-		n.rxmtTimer = r.dom.sched.At(due, n.rxmtFire)
+		n.rxmtTimer = r.dom.sched.AtCall(due, (*rxmtDue)(n))
 	}
 }
 
@@ -358,17 +385,21 @@ func (r *Router) transmitUpdate(n *neighbor, enc []byte) {
 // instant. Arming the timer is the caller's.
 func (r *Router) listRetransmit(n *neighbor, k Key, l *LSA) time.Duration {
 	due := r.dom.sched.Now() + rxmtInterval
-	n.unacked[k] = pendingLSA{lsa: l, due: due}
-	n.rxmt.Push(rxmtEntry{key: k, due: due})
+	if e := n.listedEntry(k); e != nil {
+		e.lsa = nil
+		n.listed--
+	}
+	n.rxmt.Push(rxmtEntry{key: k, lsa: l, due: due})
+	n.listed++
 	return due
 }
 
 // retransmitDue is the body of n's retransmission timer. It resends every
-// live entry that is due, in send order, pops the stale entries it meets
-// on the way, and re-arms at the first live entry still ahead. Each
+// live entry that is due, in send order, pops the cleared entries it
+// meets on the way, and re-arms at the first live entry still ahead. Each
 // instance is thus resent exactly rxmtInterval after its last send. The
-// timer is armed only while unacked is non-empty, and every listed key
-// has a live entry, so the walk always ends at one. A down adjacency
+// timer is armed only while n lists a key, and every listed key has a
+// live entry, so the walk always ends at one. A down adjacency
 // resends nothing: its list is dropped, as helloTick drops it when the
 // neighbor dies.
 func (r *Router) retransmitDue(n *neighbor) {
@@ -379,24 +410,24 @@ func (r *Router) retransmitDue(n *neighbor) {
 	now := r.dom.sched.Now()
 	for {
 		e := n.rxmt.Peek()
-		p, ok := n.unacked[e.key]
 		switch {
-		case !ok || p.due != e.due:
-			n.rxmt.Pop() // stale: acked or resent since
+		case e.lsa == nil:
+			n.rxmt.Pop() // cleared: acked or resent since
 		case e.due > now:
-			n.rxmtTimer = r.dom.sched.At(e.due, n.rxmtFire)
+			n.rxmtTimer = r.dom.sched.AtCall(e.due, (*rxmtDue)(n))
 			return
 		default:
 			n.rxmt.Pop()
-			r.transmitUpdate(n, r.dom.encodeLSA(p.lsa))
-			r.listRetransmit(n, e.key, p.lsa)
+			n.listed--
+			r.transmitUpdate(n, r.dom.encodeLSA(e.lsa))
+			r.listRetransmit(n, e.key, e.lsa)
 		}
 	}
 }
 
 // dropRetransmits empties n's retransmission list, its ring and its timer.
 func (r *Router) dropRetransmits(n *neighbor) {
-	clear(n.unacked)
+	n.listed = 0
 	r.dom.sched.Cancel(n.rxmtTimer)
 	if n.rxmt.Cap() > rxmtKeep {
 		n.rxmt = event.Ring[rxmtEntry]{}
@@ -412,16 +443,16 @@ func (r *Router) dropRetransmits(n *neighbor) {
 // the entry it cleared held the very instance h describes: the same seq,
 // and a flush only if h is one.
 func (r *Router) clearAcked(n *neighbor, h Header) (same bool) {
-	k := h.Key()
-	p, ok := n.unacked[k]
-	if !ok || p.lsa.Header.Seq > h.Seq {
+	e := n.listedEntry(h.Key())
+	if e == nil || e.lsa.Header.Seq > h.Seq {
 		return false
 	}
-	delete(n.unacked, k)
-	if len(n.unacked) == 0 {
+	l := e.lsa
+	e.lsa = nil
+	if n.listed--; n.listed == 0 {
 		r.dropRetransmits(n)
 	}
-	return p.lsa.Header.Seq == h.Seq && (p.lsa.Header.Age >= MaxAgeSeconds) == (h.Age >= MaxAgeSeconds)
+	return l.Header.Seq == h.Seq && (l.Header.Age >= MaxAgeSeconds) == (h.Age >= MaxAgeSeconds)
 }
 
 func (r *Router) sendAck(n *neighbor, h Header) {
@@ -455,8 +486,8 @@ func (r *Router) HandlePacket(from RouterID, data []byte) {
 		r.dom.protocolError(r.id, fmt.Errorf("ospf: source mismatch %d != %d", pkt.From, from))
 		return
 	}
-	n, ok := r.nbrs[from]
-	if !ok {
+	n := r.neighbor(from)
+	if n == nil {
 		r.dom.protocolError(r.id, fmt.Errorf("ospf: packet from non-neighbor %d", from))
 		return
 	}
@@ -587,7 +618,7 @@ func (r *Router) scheduleSPF() {
 	}
 	r.spfScheduled = true
 	r.dom.spfPending++
-	r.dom.sched.After(spfDelay, r.spf)
+	r.dom.sched.AfterCall(spfDelay, r.spf)
 }
 
 // computeRoutes updates the FIB from the LSDB. The default path is the

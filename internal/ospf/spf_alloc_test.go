@@ -61,13 +61,13 @@ func TestIncrementalRunAllocations(t *testing.T) {
 	var objects uint64
 	for _, r := range d.Routers() {
 		run := r.spf
-		r.spf = func() {
+		r.spf = event.Func(func() {
 			runtime.ReadMemStats(&ms)
 			start := ms.Mallocs
-			run()
+			run.Fire()
 			runtime.ReadMemStats(&ms)
 			objects += ms.Mallocs - start
-		}
+		})
 	}
 	for i := 0; i < 4; i++ {
 		flip(core.Weight + 1)
@@ -113,13 +113,13 @@ func firstRunObjects(t *testing.T, scale int) (int, float64, *Domain) {
 	var objects uint64
 	for _, r := range d.Routers() { // before Start, which schedules the runs
 		run := r.spf
-		r.spf = func() {
+		r.spf = event.Func(func() {
 			runtime.ReadMemStats(&ms)
 			start := ms.Mallocs
-			run()
+			run.Fire()
 			runtime.ReadMemStats(&ms)
 			objects += ms.Mallocs - start
-		}
+		})
 	}
 	d.Start()
 	for _, r := range d.Routers() {

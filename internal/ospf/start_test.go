@@ -195,8 +195,8 @@ func requireQuietStart(t testing.TB, label string, d *Domain, cut bool) {
 	}
 	for _, r := range d.routers {
 		for _, n := range r.nbrList {
-			if len(n.unacked) != 0 || n.rxmt.Len() != 0 || n.rxmtTimer.Scheduled() {
-				t.Fatalf("%s: router %d lists %d updates towards %d after Start", label, r.id, len(n.unacked), n.id)
+			if n.listed != 0 || n.rxmt.Len() != 0 || n.rxmtTimer.Scheduled() {
+				t.Fatalf("%s: router %d lists %d updates towards %d after Start", label, r.id, n.listed, n.id)
 			}
 		}
 	}

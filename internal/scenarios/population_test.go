@@ -63,10 +63,12 @@ var populationCols = func() []string {
 }()
 
 // drawVerdict is what the golden keeps of one draw: its lines and its
-// figure in each count column.
+// figure in each count column. frontier is the frontier check's tally on
+// the controller arm, which the golden does not keep.
 type drawVerdict struct {
-	lines  []string
-	counts map[string]int
+	lines    []string
+	counts   map[string]int
+	frontier frontierTally
 }
 
 // stressed reports whether the draw built and stressed the IGP path.
@@ -99,6 +101,10 @@ func judgeDraw(t *testing.T, spec Spec) drawVerdict {
 	unsafe, _ := judgeTwin(d.watch, d.twin)
 	for _, c := range unsafe {
 		line("unsafe " + c.String())
+	}
+	v.frontier = calibrateFrontier(d.watch, unsafe)
+	for _, m := range v.frontier.missed {
+		t.Errorf("%s: the frontier check flagged no commit before the unsafe check %s", spec.Name, m)
 	}
 	if len(unsafe) > 0 {
 		v.counts["unsafe"] = 1
@@ -172,5 +178,13 @@ func TestGoldenPopulation(t *testing.T) {
 		t.Logf("a -run pattern left draws out; the golden holds all %d", len(specs))
 		return
 	}
+	var f frontierTally
+	for _, v := range verdicts {
+		f.commits += v.frontier.commits
+		f.flagged += v.frontier.flagged
+		f.falseAlarms += v.frontier.falseAlarms
+	}
+	t.Logf("frontier check: %d commits, %d flagged, %d false alarms (flagged where the oracle saw nothing unsafe)",
+		f.commits, f.flagged, f.falseAlarms)
 	golden.Check(t, "population.txt", renderPopulation(verdicts))
 }

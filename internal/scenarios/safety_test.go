@@ -69,12 +69,23 @@ type safetyWatch struct {
 	instants []time.Duration
 	checks   []safetyCheck
 	pending  bool // a check is scheduled for the current instant
+
+	// The frontier check's state (frontier_test.go): the point of
+	// presence the lies flood from, the lie set and the links the IGP
+	// held down at the last check, whether an adjacency changed since,
+	// and every commit it judged.
+	attach     topo.NodeID
+	lies       map[string][]fibbing.Lie
+	down       []topo.LinkID
+	adjChanged bool
+	commits    []frontierCommit
 }
 
 // watchSafety arms the oracle on a simulation RunWatched hands its
 // watcher; failures is the cell's failure schedule.
 func watchSafety(sim *controller.Sim, failures []FailureEvent) *safetyWatch {
 	w := &safetyWatch{sim: sim}
+	w.watchFrontier()
 	prev := sim.Domain.OnFIBDelta
 	sim.Domain.OnFIBDelta = func(n topo.NodeID, tb *fib.Table, d *fib.Diff) {
 		if prev != nil {
@@ -99,9 +110,11 @@ func (w *safetyWatch) schedule() {
 	}
 }
 
-// check judges every topology prefix on the routers' installed FIBs.
+// check judges every topology prefix on the routers' installed FIBs, and
+// runs the frontier check on a commit made since the last check.
 func (w *safetyWatch) check() {
 	w.pending = false
+	w.noteCommit()
 	sim, tp := w.sim, w.sim.Topo
 	now := sim.Sched.Now()
 	w.instants = append(w.instants, now)
@@ -459,20 +472,24 @@ func runDrawn(spec Spec) (drawnRun, error) {
 // TestSafetyOverDrawnCells runs the safety oracle off the matrix: 40
 // small cells drawn from every topology family, workload and failure
 // schedule, each run with and without the controller, and the controller
-// arm held to the twin rule (requireSafe, knownUnsafeDraws excepted).
+// arm held to the twin rule (requireSafe, knownUnsafeDraws excepted). The
+// frontier check must have flagged the commit before each unsafe check,
+// the known ones included; its false alarms are logged.
 // Whether a drawn cell stresses the IGP path is left open (many do not,
 // by design), so Violations is not asserted; TestGoldenPopulation records
 // it over 400 draws. A draw the harness rejects at build is logged and
 // counted, never skipped silently.
 func TestSafetyOverDrawnCells(t *testing.T) {
 	specs := drawCells(50, 40)
-	var cells, rejected, checks, decided atomic.Int64
+	var cells, rejected, checks, decided, commits, falseAlarms atomic.Int64
 	t.Cleanup(func() {
 		if cells.Load() != int64(len(specs)) {
 			return
 		}
 		t.Logf("%d cells (%d rejected at build), %d safety checks, %d cells decided",
 			cells.Load(), rejected.Load(), checks.Load(), decided.Load())
+		t.Logf("frontier check: %d commits, %d false alarms (flagged where the oracle saw nothing unsafe)",
+			commits.Load(), falseAlarms.Load())
 		if n := checks.Load(); n < drawnCheckFloor {
 			t.Errorf("%d safety checks over the drawn cells, want >= %d", n, drawnCheckFloor)
 		}
@@ -494,6 +511,13 @@ func TestSafetyOverDrawnCells(t *testing.T) {
 				return
 			}
 			checks.Add(int64(requireSafe(t, d.on, d.watch, d.twin, knownUnsafeDraws[spec.Name]...)))
+			unsafe, _ := judgeTwin(d.watch, d.twin)
+			f := calibrateFrontier(d.watch, unsafe)
+			for _, m := range f.missed {
+				t.Errorf("the frontier check flagged no commit before the unsafe check %s", m)
+			}
+			commits.Add(int64(f.commits))
+			falseAlarms.Add(int64(f.falseAlarms))
 			if len(d.on.Decisions) > 0 {
 				decided.Add(1)
 			}

@@ -3,7 +3,7 @@
 package fibbing
 
 // The mutation check: every mutant in testdata/mutants.txt must be killed
-// by the test its entry names. Run it with `make mutants`; the build tag
+// by each test its entry names. Run it with `make mutants`; the build tag
 // keeps it out of `go test ./...`. A mutant is applied with `go test
 // -overlay`, so the tree is never copied or written.
 
@@ -21,8 +21,9 @@ import (
 
 // mutant is one entry of testdata/mutants.txt.
 type mutant struct {
-	line                            int
-	name, file, old, new, pkg, kill string
+	line                      int
+	name, file, old, new, pkg string
+	kills                     []string
 }
 
 // parseMutants reads the entries: blank-line separated blocks of
@@ -43,7 +44,7 @@ func parseMutants(path string) ([]mutant, error) {
 		}
 		m := *cur
 		cur = nil
-		if m.name == "" || m.file == "" || m.old == "" || m.pkg == "" || m.kill == "" {
+		if m.name == "" || m.file == "" || m.old == "" || m.pkg == "" || len(m.kills) == 0 {
 			return fmt.Errorf("%s:%d: entry needs name, file, old, pkg and kill", path, m.line)
 		}
 		if seen[m.name] {
@@ -90,7 +91,7 @@ func parseMutants(path string) ([]mutant, error) {
 		case "pkg":
 			cur.pkg = val
 		case "kill":
-			cur.kill = val
+			cur.kills = append(cur.kills, val)
 		default:
 			return nil, fmt.Errorf("%s:%d: unknown key %q", path, n, key)
 		}
@@ -121,13 +122,15 @@ func TestMutants(t *testing.T) {
 	// failure would prove nothing.
 	clean := map[[2]string]bool{}
 	for _, m := range ms {
-		key := [2]string{m.pkg, m.kill}
-		if clean[key] {
-			continue
-		}
-		clean[key] = true
-		if out, passed := runTest(t, root, m.pkg, m.kill, ""); !passed {
-			t.Fatalf("%s %s fails on the unmutated tree:\n%s", m.pkg, m.kill, out)
+		for _, kill := range m.kills {
+			key := [2]string{m.pkg, kill}
+			if clean[key] {
+				continue
+			}
+			clean[key] = true
+			if out, passed := runTest(t, root, m.pkg, kill, ""); !passed {
+				t.Fatalf("%s %s fails on the unmutated tree:\n%s", m.pkg, kill, out)
+			}
 		}
 	}
 
@@ -155,9 +158,11 @@ func TestMutants(t *testing.T) {
 			if err := os.WriteFile(overlayPath, overlay, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, passed := runTest(t, root, m.pkg, m.kill, overlayPath); passed {
-				t.Errorf("%s: mutant survived: %s %s passes with %q replaced by %q in %s",
-					where, m.pkg, m.kill, m.old, m.new, m.file)
+			for _, kill := range m.kills {
+				if _, passed := runTest(t, root, m.pkg, kill, overlayPath); passed {
+					t.Errorf("%s: mutant survived: %s %s passes with %q replaced by %q in %s",
+						where, m.pkg, kill, m.old, m.new, m.file)
+				}
 			}
 		})
 	}
