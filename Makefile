@@ -33,7 +33,8 @@ vet:
 # programs over the topology zoo, against the WalkTrace walk its tests
 # keep), the compiled forwarding walk under link loads, the QoE
 # predictor and the delivery check (arbitrary view sets on up to 8
-# nodes, against the map walks its tests keep), the quiet BFD engine
+# nodes, against the map walks its tests keep, and the predictor's
+# values against the exact max-min reference), the quiet BFD engine
 # (fail/heal programs on up to 6 routers, against the event-driven
 # engine its tests keep), the IGP's synced start (change programs on
 # up to 8 routers with 0-3 ms links, against the flooded start its tests

@@ -294,8 +294,7 @@ func (a *PlanArtifacts) predictQoEKeyed(modelKey string, lies map[string][]fibbi
 }
 
 // encodeModel appends a value-complete encoding of a qoe.Model: member
-// counts in sorted (prefix, ingress) order, then the playback config and
-// horizon (exact float bits for the ladder).
+// counts in sorted (prefix, ingress) order, then the horizon.
 func encodeModel(sb *strings.Builder, m qoe.Model) {
 	prefixes := make([]string, 0, len(m.Members))
 	for name := range m.Members {
@@ -317,17 +316,6 @@ func encodeModel(sb *strings.Builder, m qoe.Model) {
 			sb.WriteString(strconv.Itoa(m.Members[name][n]))
 		}
 	}
-	sb.WriteByte('/')
-	for _, r := range m.Session.Ladder {
-		sb.WriteByte(',')
-		sb.WriteString(strconv.FormatFloat(r, 'x', -1, 64))
-	}
-	sb.WriteByte('/')
-	sb.WriteString(strconv.FormatInt(int64(m.Session.SegmentDuration), 10))
-	sb.WriteByte('/')
-	sb.WriteString(strconv.FormatFloat(m.Session.SafetyFactor, 'x', -1, 64))
-	sb.WriteByte('/')
-	sb.WriteString(strconv.FormatFloat(m.Session.StartupBuffer, 'x', -1, 64))
 	sb.WriteByte('/')
 	sb.WriteString(strconv.FormatInt(int64(m.Horizon), 10))
 }

@@ -13,7 +13,8 @@ import (
 // each route's next hops come in NodeID order with their links resolved,
 // so a walker that accumulates floats adds them in the same order on
 // every call, whatever the maps' layout. The load model (te.LinkLoads)
-// and the QoE predictor (qoe.PredictPlan) push volume over one.
+// pushes volume over one, and the QoE predictor (qoe.PredictPlan)
+// shares the links among the sessions that cross one.
 //
 // Building a Walk never fails. A hop that is not a link, a router with
 // no way on and a cycle are left in place for the walker to report when

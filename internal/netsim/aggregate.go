@@ -327,6 +327,7 @@ type component struct {
 	ids     []topo.LinkID // the walk's links, its queue until it ends
 	members []*Aggregate  // backing array of links' member lists
 	frozen  []bool        // by solveIdx
+	nFrozen int
 }
 
 func byID(x, y *Aggregate) int { return cmp.Compare(x.id, y.id) }
@@ -378,78 +379,128 @@ func (n *Network) gather(root topo.LinkID) {
 	}
 }
 
-// solveComponent runs weighted max-min progressive filling over the
-// component gather left in n.comp. It touches only the component's own
-// aggregates.
+// solveComponent solves the component gather left in n.comp with Fill.
+// It touches only the component's own aggregates.
 func (n *Network) solveComponent() {
-	aggs, links := n.comp.aggs, n.comp.links
 	n.ratesStale = true
-	for i, a := range aggs {
+	c := &n.comp
+	for i, a := range c.aggs {
 		a.solveIdx = i
 	}
-	frozen := append(n.comp.frozen[:0], make([]bool, len(aggs))...)
-	n.comp.frozen = frozen
-	nFrozen := 0
-	headroom := func(l solveLink) (remaining float64, unfrozen int) {
-		remaining = l.capacity
-		for _, m := range l.members {
-			if frozen[m.solveIdx] {
-				remaining -= m.rate * float64(m.weight)
-			} else {
-				unfrozen += m.weight
-			}
-		}
-		return remaining, unfrozen
-	}
-	for iter := 0; iter <= len(aggs); iter++ {
-		if nFrozen == len(aggs) {
-			break
-		}
+	c.frozen = append(c.frozen[:0], make([]bool, len(c.aggs))...)
+	c.nFrozen = 0
+	Fill(c)
+}
+
+// Sharing is a weighted max-min fair-sharing problem as progressive
+// filling sees it: capacitated links, indexed from 0, and the traffic
+// that crosses them. Each unit of traffic stands for a weight of
+// members, and all rising members share one per-member rate until a
+// full link or their own cap freezes them. The data plane's components
+// are Sharings whose aggregates cross their links whole; the QoE
+// predictor's plans are Sharings whose aggregates split over forwarding
+// graphs.
+type Sharing interface {
+	// Links returns the number of links.
+	Links() int
+	// Headroom returns link k's capacity less the load of its frozen
+	// traffic, and the member weight of the rising traffic across it.
+	Headroom(k int) (remaining, rising float64)
+	// FreezeCapped freezes at its cap every rising aggregate whose cap
+	// is positive and at most share, and reports whether any froze.
+	FreezeCapped(share float64) bool
+	// FreezeLink freezes at share all rising traffic across link k.
+	FreezeLink(k int, share float64)
+	// Settled reports that no traffic is rising.
+	Settled() bool
+}
+
+// Fill solves p by progressive filling. The rising members' rate climbs
+// to the fair share of the tightest link. Traffic whose cap is at most
+// that share freezes at its cap, and the share is taken again;
+// otherwise every link that the share fills, in index order, freezes
+// its rising traffic there. Filling stops when no traffic rises or no
+// rising traffic crosses a link; such traffic without a cap keeps the
+// rate it came with.
+func Fill(p Sharing) {
+	for !p.Settled() {
 		// Fair share candidate: the tightest link.
 		share := math.Inf(1)
-		for _, l := range links {
-			remaining, w := headroom(l)
+		for k := range p.Links() {
+			remaining, w := p.Headroom(k)
 			if w == 0 {
 				continue
 			}
-			if s := remaining / float64(w); s < share {
+			if s := remaining / w; s < share {
 				share = s
 			}
 		}
 		if share < 0 {
 			share = 0
 		}
-		// Application-limited aggregates below the share freeze at their cap.
-		progressed := false
-		for _, a := range aggs {
-			if frozen[a.solveIdx] {
-				continue
-			}
-			if a.maxRate > 0 && a.maxRate <= share {
-				a.rate = a.maxRate
-				frozen[a.solveIdx] = true
-				nFrozen++
-				progressed = true
-			}
-		}
-		if progressed {
+		// Application-limited traffic below the share freezes at its cap.
+		if p.FreezeCapped(share) {
 			continue // shares relax; recompute
 		}
-		// Freeze aggregates on bottleneck links at the fair share.
-		for _, l := range links {
-			remaining, w := headroom(l)
+		// Freeze the traffic on bottleneck links at the fair share.
+		froze := false
+		for k := range p.Links() {
+			remaining, w := p.Headroom(k)
 			if w == 0 {
 				continue
 			}
-			if remaining/float64(w) <= share+shareEps(share) {
-				for _, m := range l.members {
-					if !frozen[m.solveIdx] {
-						m.rate = share
-						frozen[m.solveIdx] = true
-						nFrozen++
-					}
-				}
+			if remaining/w <= share+shareEps(share) {
+				p.FreezeLink(k, share)
+				froze = true
 			}
+		}
+		if !froze {
+			return
+		}
+	}
+}
+
+// The component is the data plane's Sharing: each aggregate crosses
+// every link that lists it, whole, and a link's headroom sums its
+// members in id order, so equal components give bit-identical rates.
+
+func (c *component) Links() int { return len(c.links) }
+
+func (c *component) Settled() bool { return c.nFrozen == len(c.aggs) }
+
+func (c *component) Headroom(k int) (remaining, rising float64) {
+	l := &c.links[k]
+	remaining = l.capacity
+	unfrozen := 0
+	for _, m := range l.members {
+		if c.frozen[m.solveIdx] {
+			remaining -= m.rate * float64(m.weight)
+		} else {
+			unfrozen += m.weight
+		}
+	}
+	return remaining, float64(unfrozen)
+}
+
+func (c *component) FreezeCapped(share float64) bool {
+	progressed := false
+	for _, a := range c.aggs {
+		if !c.frozen[a.solveIdx] && a.maxRate > 0 && a.maxRate <= share {
+			a.rate = a.maxRate
+			c.frozen[a.solveIdx] = true
+			c.nFrozen++
+			progressed = true
+		}
+	}
+	return progressed
+}
+
+func (c *component) FreezeLink(k int, share float64) {
+	for _, m := range c.links[k].members {
+		if !c.frozen[m.solveIdx] {
+			m.rate = share
+			c.frozen[m.solveIdx] = true
+			c.nFrozen++
 		}
 	}
 }

@@ -388,3 +388,34 @@ func TestRateSumsIgnoreMapOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestFillStopsOffLinks holds Fill's stop rule on a component laid out by
+// hand: the textbook two-link problem above plus an uncapped aggregate
+// that crosses no link. Filling ends with the textbook rates and leaves
+// the stray aggregate the rate it came with; a loop that waited for it
+// to freeze would never end.
+func TestFillStopsOffLinks(t *testing.T) {
+	a, b, c := &Aggregate{weight: 1}, &Aggregate{weight: 1}, &Aggregate{weight: 1}
+	stray := &Aggregate{weight: 1, rate: 5}
+	comp := &component{
+		aggs: []*Aggregate{a, b, c, stray},
+		links: []solveLink{
+			{capacity: 10e6, members: []*Aggregate{a, c}},
+			{capacity: 6e6, members: []*Aggregate{b, c}},
+		},
+		frozen: make([]bool, 4),
+	}
+	for i, x := range comp.aggs {
+		x.solveIdx = i
+	}
+	Fill(comp)
+	for _, x := range []struct {
+		name string
+		got  float64
+		want float64
+	}{{"A", a.rate, 7e6}, {"B", b.rate, 3e6}, {"C", c.rate, 3e6}, {"stray", stray.rate, 5}} {
+		if math.Abs(x.got-x.want) > 1e-6 {
+			t.Errorf("%s = %v, want %v", x.name, x.got, x.want)
+		}
+	}
+}

@@ -139,6 +139,7 @@ type Router struct {
 	// OSPF's "retain the MaxAge LSA until every neighbor acked it".
 	// Without it, heavy lie churn (the controller replacing one large
 	// plan with another) ping-pongs flush/reinstall floods forever.
+	// Made at the first flush: most routers never see one.
 	flushed map[Key]flushMark
 
 	// Delta pipeline state: LSDB mutations logged since the last SPF run,
@@ -166,13 +167,12 @@ type flushMark struct {
 // initRouter sets up r, carved by NewDomain, as the router at node.
 func initRouter(r *Router, dom *Domain, node topo.NodeID) {
 	*r = Router{
-		dom:     dom,
-		node:    node,
-		id:      NodeRouterID(node),
-		db:      NewLSDB(),
-		fib:     fib.NewTable(node),
-		ownSeq:  make(map[Key]uint32),
-		flushed: make(map[Key]flushMark),
+		dom:    dom,
+		node:   node,
+		id:     NodeRouterID(node),
+		db:     NewLSDB(),
+		fib:    fib.NewTable(node),
+		ownSeq: make(map[Key]uint32),
 	}
 	r.db.SetClock(dom.sched.Now)
 	r.spf = (*spfRun)(r)
@@ -585,6 +585,9 @@ func (r *Router) installAndFlood(l *LSA, except RouterID) {
 func (r *Router) noteFlush(h Header) {
 	k := h.Key()
 	if m, ok := r.flushed[k]; !ok || h.Seq > m.seq {
+		if r.flushed == nil {
+			r.flushed = make(map[Key]flushMark)
+		}
 		r.flushed[k] = flushMark{seq: h.Seq, at: r.dom.sched.Now()}
 	}
 }

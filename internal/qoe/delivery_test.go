@@ -54,7 +54,7 @@ func TestPredictPlanSingleMember(t *testing.T) {
 	}
 }
 
-// TestPredictPlanProtectsThinSessions pins the water-filling pass: a thin
+// TestPredictPlanProtectsThinSessions pins the max-min solve: a thin
 // crowd and a fat crowd share one saturated link, and max-min fair
 // sharing must starve only the fat sessions. The expected figures are
 // closed-form: with thin demand fully satisfied, the fat sessions split
@@ -78,7 +78,7 @@ func TestPredictPlanProtectsThinSessions(t *testing.T) {
 	if q.Sessions != 45 {
 		t.Fatalf("sessions = %d, want 45", q.Sessions)
 	}
-	// Water-fill by hand: thin rate 137.5k < fair share, so the 40 thin
+	// Max-min by hand: thin rate 137.5k < fair share, so the 40 thin
 	// sessions are whole (no stalls); the 5 fat sessions split the
 	// residual 4.5 Mbit/s: phi = 0.9/1.1 of their 1.1 Mbit/s rate.
 	f := (cap - 5.5e6) / 5 / (5.5e6 / 5)
@@ -94,8 +94,8 @@ func TestPredictPlanProtectsThinSessions(t *testing.T) {
 }
 
 // TestPredictPlanDeterministic runs the same congested prediction twice
-// and expects bit-identical totals: every iteration in the delivery model
-// is explicitly sorted, so map layout must not leak into the floats.
+// and expects bit-identical totals: paths come in walk order and links in
+// LinkID order, so map layout must not leak into the floats.
 func TestPredictPlanDeterministic(t *testing.T) {
 	tp, a, b := starTopo(10e6)
 	views, err := fibbing.Evaluate(tp, "vid", nil)
@@ -108,7 +108,6 @@ func TestPredictPlanDeterministic(t *testing.T) {
 	}
 	m := Model{
 		Members: map[string]map[topo.NodeID]int{"vid": {a: 17, b: 3}},
-		Session: SessionConfig{Ladder: []float64{0.2e6, 0.5e6, 1.0e6}},
 		Horizon: 17 * time.Second,
 	}
 	first, err := PredictPlan(tp, map[string]map[topo.NodeID]fibbing.RouteView{"vid": views}, demands, m)
@@ -123,5 +122,73 @@ func TestPredictPlanDeterministic(t *testing.T) {
 		if again != first {
 			t.Fatalf("run %d: %+v != %+v", i, again, first)
 		}
+	}
+}
+
+// TestPredictPlanExactMaxMin pins the allocation across two bottlenecks,
+// where sharing each link on its own goes wrong. Links x->y carry 10
+// Mbit/s and y->d 4 Mbit/s; prefix far sits at d and near at y, and one
+// 10 Mbit/s session each plays far from x, near from x and far from y.
+// The far sessions split y->d at 2 Mbit/s each, so near takes the 8
+// Mbit/s of x->y that far@x leaves: f = 0.8 waits 2.5 s and stalls
+// 0.2 x 27.5 s, and each far session (f = 0.2) waits 10 s and stalls
+// 0.8 x 20 s. Water-filling x->y alone would hand near 5 Mbit/s, for
+// 45 s of stalls and 24 s of waiting.
+func TestPredictPlanExactMaxMin(t *testing.T) {
+	tp := topo.New()
+	x := tp.AddNode("x")
+	y := tp.AddNode("y")
+	d := tp.AddNode("d")
+	tp.AddLink(x, y, 1, topo.LinkOpts{Capacity: 10e6})
+	tp.AddLink(y, d, 1, topo.LinkOpts{Capacity: 4e6})
+	tp.AddPrefix(netip.MustParsePrefix("10.0.0.0/24"), "far", topo.Attachment{Node: d})
+	tp.AddPrefix(netip.MustParsePrefix("10.0.1.0/24"), "near", topo.Attachment{Node: y})
+	views := map[string]map[topo.NodeID]fibbing.RouteView{}
+	for _, p := range []string{"far", "near"} {
+		v, err := fibbing.Evaluate(tp, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[p] = v
+	}
+	demands := []topo.Demand{
+		{Ingress: x, PrefixName: "far", Volume: 10e6},
+		{Ingress: x, PrefixName: "near", Volume: 10e6},
+		{Ingress: y, PrefixName: "far", Volume: 10e6},
+	}
+	q, err := PredictPlan(tp, views, demands, Model{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Sessions != 3 {
+		t.Fatalf("sessions = %d, want 3", q.Sessions)
+	}
+	if math.Abs(q.StallSeconds-37.5) > 1e-9 || math.Abs(q.StartupWaitSeconds-22.5) > 1e-9 {
+		t.Errorf("stalls %.6fs, startup wait %.6fs; want 37.5s and 22.5s", q.StallSeconds, q.StartupWaitSeconds)
+	}
+}
+
+// TestPredictPlanWideECMP solves a plan whose paths cannot be listed:
+// between the corners of a 16x16 grid of unit weights run C(30, 15),
+// some 155 million, equal-cost paths. Half the traffic crosses each of
+// the corner's two links and each of the prefix's two, and no other
+// link carries as much, so the 10 sessions of 4 Mbit/s each get
+// 10 Mbit/s / 5 = 2 Mbit/s.
+func TestPredictPlanWideECMP(t *testing.T) {
+	tp := topo.Grid(16, 16, 10e6)
+	views, err := fibbing.Evaluate(tp, "corner", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := PredictPlan(tp, map[string]map[topo.NodeID]fibbing.RouteView{"corner": views},
+		[]topo.Demand{{Ingress: 0, PrefixName: "corner", Volume: 40e6}},
+		Model{Members: map[string]map[topo.NodeID]int{"corner": {0: 10}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := PredictSession(SessionConfig{Ladder: []float64{4e6}}, 2e6, DefaultHorizon)
+	if q.Sessions != 10 || math.Abs(q.StallSeconds-10*want.StallSeconds) > 1e-9 ||
+		math.Abs(q.StartupWaitSeconds-10*want.StartupWaitSeconds) > 1e-9 {
+		t.Fatalf("PredictPlan = %+v, want 10 sessions at 2 Mbit/s: %+v each", q, want)
 	}
 }

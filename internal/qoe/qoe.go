@@ -10,11 +10,11 @@
 // delivery, so the planner should be able to score a candidate lie set on
 // what viewers would feel, not only on max link utilisation. The session
 // model is calibrated against internal/video's ABR simulation
-// (TestPredictorMatchesSimulation pins the agreement); the plan model is
-// an analytic approximation of the fluid data plane's max-min fair
-// allocation — per-link water-filling over the offered aggregates,
-// bottleneck (min) combination along forwarding paths — cheap enough to
-// memoise per candidate plan inside the planner's artifact cache.
+// (TestPredictorMatchesSimulation pins the agreement); the plan model
+// splits each demand aggregate's sessions over its forwarding graph and
+// shares the links among them with the data plane's own progressive
+// filling (netsim.Fill), cheap enough to memoise per candidate plan
+// inside the planner's artifact cache.
 package qoe
 
 import (

@@ -10,8 +10,11 @@ package scenarios
 // fibbing.CheckDelivery on each prefix, at most one per distinct arrival
 // instant, for every prefix the commit touches. A commit the IGP's own
 // change rides with (a failover pin, its revert) adds the flood of that
-// change from the changed links' ends. It only reports: the safety
-// oracle's runs carry it, and it changes no decision and no golden.
+// change from the changed links' ends. A failing state is flagged by the
+// oracle's twin rule: only where it loops and the lie-free IGP mix at
+// that instant does not, or drops where that mix delivers. It only
+// reports: the safety oracle's runs carry it, and it changes no decision
+// and no golden.
 
 import (
 	"fmt"
@@ -22,6 +25,7 @@ import (
 	"fibbing.net/fibbing/internal/controller"
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/ospf"
+	"fibbing.net/fibbing/internal/spf"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -170,12 +174,48 @@ func (w *safetyWatch) frontierVerdicts(down []topo.LinkID, after map[string][]fi
 			}
 			return 0
 		}
+		// twin is the verdict of the lie-free IGP mix at an instant, what
+		// the no-controller twin forwards by, as the oracle gives it: a
+		// router without a route drops. Its views are evaluated at the
+		// first state that fails.
+		var igp [2]map[topo.NodeID]fibbing.RouteView
+		var igpErr error
+		twin := func(at time.Duration) string {
+			if igp[0] == nil && igpErr == nil {
+				for i, live := range tps {
+					if i == 1 && len(ends) == 0 {
+						igp[1] = igp[0]
+						break
+					}
+					if igp[i], igpErr = evaluateLive(w.sim.Topo, live, p, nil); igpErr != nil {
+						break
+					}
+				}
+			}
+			if igpErr != nil {
+				return igpErr.Error()
+			}
+			mixed := make(map[topo.NodeID]fibbing.RouteView, len(igp[0]))
+			for u := range topo.NodeID(tp.NumNodes()) {
+				v, ok := igp[switched(topoAt[u], at)][u]
+				if !tp.Node(u).Host && (!ok || !v.Local && v.Dist == spf.Infinity) {
+					return tp.Name(u) + " has no route"
+				}
+				if ok {
+					mixed[u] = v
+				}
+			}
+			if err := fibbing.CheckDelivery(tp, mixed); err != nil {
+				return err.Error()
+			}
+			return ""
+		}
 		for k, at := range instants {
 			mixed := make(map[topo.NodeID]fibbing.RouteView, len(views[0][0]))
 			for u := range views[0][0] {
 				mixed[u] = views[switched(topoAt[u], at)][switched(lieAt[u], at)][u]
 			}
-			if err := fibbing.CheckDelivery(tp, mixed); err != nil {
+			if err := fibbing.CheckDelivery(tp, mixed); err != nil && worseThanTwin(err.Error(), twin(at)) {
 				flagged[p] = fmt.Sprintf("state %d of %d (+%v): %v", k+1, len(instants), at, err)
 				break
 			}
@@ -321,10 +361,10 @@ func arrivals(t *topo.Topology, sources ...topo.NodeID) []time.Duration {
 // frontierTally is the frontier check's calibration against the oracle
 // on one controller arm: the commits it judged and flagged, the oracle's
 // unsafe checks it missed, and the flagged commits at which the oracle
-// saw nothing unsafe.
+// saw nothing unsafe (false alarms).
 type frontierTally struct {
-	commits, flagged, falseAlarms int
-	missed                        []string
+	commits, flagged    int
+	missed, falseAlarms []string
 }
 
 // calibrateFrontier holds the frontier check to the oracle's unsafe
@@ -345,7 +385,9 @@ func calibrateFrontier(on *safetyWatch, unsafe []safetyCheck) frontierTally {
 		if len(cm.flagged) > 0 {
 			tally.flagged++
 			if !explained[i] {
-				tally.falseAlarms++
+				for _, p := range slices.Sorted(maps.Keys(cm.flagged)) {
+					tally.falseAlarms = append(tally.falseAlarms, fmt.Sprintf("+%v %s: %s", cm.at, p, cm.flagged[p]))
+				}
 			}
 		}
 	}

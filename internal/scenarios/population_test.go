@@ -106,6 +106,9 @@ func judgeDraw(t *testing.T, spec Spec) drawVerdict {
 	for _, m := range v.frontier.missed {
 		t.Errorf("%s: the frontier check flagged no commit before the unsafe check %s", spec.Name, m)
 	}
+	for _, a := range v.frontier.falseAlarms {
+		t.Errorf("%s: the frontier check flagged a commit the oracle finds safe: %s", spec.Name, a)
+	}
 	if len(unsafe) > 0 {
 		v.counts["unsafe"] = 1
 	}
@@ -178,13 +181,13 @@ func TestGoldenPopulation(t *testing.T) {
 		t.Logf("a -run pattern left draws out; the golden holds all %d", len(specs))
 		return
 	}
-	var f frontierTally
+	var commits, flagged, falseAlarms int
 	for _, v := range verdicts {
-		f.commits += v.frontier.commits
-		f.flagged += v.frontier.flagged
-		f.falseAlarms += v.frontier.falseAlarms
+		commits += v.frontier.commits
+		flagged += v.frontier.flagged
+		falseAlarms += len(v.frontier.falseAlarms)
 	}
 	t.Logf("frontier check: %d commits, %d flagged, %d false alarms (flagged where the oracle saw nothing unsafe)",
-		f.commits, f.flagged, f.falseAlarms)
+		commits, flagged, falseAlarms)
 	golden.Check(t, "population.txt", renderPopulation(verdicts))
 }

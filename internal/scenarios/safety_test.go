@@ -172,11 +172,18 @@ func judgeTwin(on, twin *safetyWatch) (unsafe, shared []safetyCheck) {
 		switch {
 		case loops(c.Verdict) && loops(t):
 			shared = append(shared, c)
-		case loops(c.Verdict), c.Verdict != "" && t == "":
+		case worseThanTwin(c.Verdict, t):
 			unsafe = append(unsafe, c)
 		}
 	}
 	return unsafe, shared
+}
+
+// worseThanTwin is the twin rule on one prefix at one instant: the
+// verdict loops where the twin's does not, or drops where the twin
+// delivers.
+func worseThanTwin(verdict, twin string) bool {
+	return loops(verdict) && !loops(twin) || verdict != "" && twin == ""
 }
 
 // requireSafe holds a controller arm to the oracle: no check is unsafe
@@ -474,7 +481,7 @@ func runDrawn(spec Spec) (drawnRun, error) {
 // schedule, each run with and without the controller, and the controller
 // arm held to the twin rule (requireSafe, knownUnsafeDraws excepted). The
 // frontier check must have flagged the commit before each unsafe check,
-// the known ones included; its false alarms are logged.
+// the known ones included, and no commit the oracle finds safe.
 // Whether a drawn cell stresses the IGP path is left open (many do not,
 // by design), so Violations is not asserted; TestGoldenPopulation records
 // it over 400 draws. A draw the harness rejects at build is logged and
@@ -516,8 +523,11 @@ func TestSafetyOverDrawnCells(t *testing.T) {
 			for _, m := range f.missed {
 				t.Errorf("the frontier check flagged no commit before the unsafe check %s", m)
 			}
+			for _, a := range f.falseAlarms {
+				t.Errorf("the frontier check flagged a commit the oracle finds safe: %s", a)
+			}
 			commits.Add(int64(f.commits))
-			falseAlarms.Add(int64(f.falseAlarms))
+			falseAlarms.Add(int64(len(f.falseAlarms)))
 			if len(d.on.Decisions) > 0 {
 				decided.Add(1)
 			}

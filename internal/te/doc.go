@@ -47,9 +47,9 @@
 // LinkLoads/IGPLoads/LoadsWithLies (loads.go) propagate a demand set
 // over route views to per-link bit/s loads — the shared evaluator under
 // the planner's predictions and every experiment. They push volume over
-// a fibbing.Walk, the walk order the QoE predictor (qoe.PredictPlan)
-// shares, so a router where paths merge sums its inputs in the same
-// order on every call and the loads are bit-identical across calls.
+// a fibbing.Walk, the graph the QoE predictor (qoe.PredictPlan) shares
+// links over too; a router where paths merge sums its inputs in the same
+// order on every call, so the loads are bit-identical across calls.
 //
 // # Numerical conditioning
 //

@@ -2,10 +2,13 @@ package te_test
 
 // The parent walks of the forwarding graph, verbatim but for their
 // names and package qualifiers: te.LinkLoads with its map-order
-// propagate, qoe.PredictPlan with topoWalk and sortedHops, and
-// fibbing.CheckDelivery with its map of visit states. The programs now
-// compile each view set into a fibbing.Walk; walk_equiv_test.go holds
-// them to these.
+// propagate, qoe.PredictPlan's verdict walk (topoWalk, sortedHops and
+// offerVolumes) and fibbing.CheckDelivery with its map of visit states.
+// The programs now compile each view set into a fibbing.Walk;
+// walk_equiv_test.go holds them to these. refPredictErr keeps only the
+// verdict of the parent predictor: its values came from per-link
+// water-filling, and the predictor's values are now held to the exact
+// reference in maxmin_reference_test.go.
 
 import (
 	"fmt"
@@ -115,55 +118,19 @@ type aggregate struct {
 	rate    float64 // per-session offered rate: volume/members
 }
 
-// linkShare is one aggregate's offered volume on one link.
-type linkShare struct {
-	agg int     // index into the sorted aggregate slice
-	vol float64 // offered volume (bit/s) of that aggregate on this link
-}
-
-// refPredictPlan is the parent qoe.PredictPlan.
-func refPredictPlan(t *topo.Topology, views map[string]map[topo.NodeID]fibbing.RouteView, demands []topo.Demand, m qoe.Model) (qoe.PlanQoE, error) {
-	aggs := collectAggregates(demands, m)
-	if len(aggs) == 0 {
-		return qoe.PlanQoE{}, nil
-	}
-	horizon := m.Horizon
-	if horizon <= 0 {
-		horizon = qoe.DefaultHorizon
-	}
-
-	// Pass 1: per-aggregate offered volume on every link.
-	offers := make(map[topo.LinkID][]linkShare)
-	for i, a := range aggs {
+// refPredictErr is the parent qoe.PredictPlan's verdict: each
+// aggregate's volume walked over its prefix's views.
+func refPredictErr(t *topo.Topology, views map[string]map[topo.NodeID]fibbing.RouteView, demands []topo.Demand, m qoe.Model) error {
+	for _, a := range collectAggregates(demands, m) {
 		v, ok := views[a.prefix]
 		if !ok {
-			return qoe.PlanQoE{}, fmt.Errorf("qoe: no route views for prefix %q", a.prefix)
+			return fmt.Errorf("qoe: no route views for prefix %q", a.prefix)
 		}
-		if err := offerVolumes(t, v, a.ingress, a.volume, i, offers); err != nil {
-			return qoe.PlanQoE{}, fmt.Errorf("qoe: prefix %s: %w", a.prefix, err)
+		if err := offerVolumes(t, v, a.ingress, a.volume); err != nil {
+			return fmt.Errorf("qoe: prefix %s: %w", a.prefix, err)
 		}
 	}
-
-	// Pass 2a: water-fill each capacity-constrained link, yielding a
-	// per-link per-aggregate survival factor (1 when unconstrained).
-	factors := linkFactors(t, aggs, offers)
-
-	// Pass 2b: per aggregate, bottleneck-combine the link factors along
-	// its DAG to a delivered fraction, then predict the member sessions.
-	var out qoe.PlanQoE
-	for i, a := range aggs {
-		frac := survivingFraction(t, views[a.prefix], a.ingress, i, factors)
-		cfg := m.Session
-		if cfg.Ladder == nil {
-			cfg.Ladder = []float64{a.rate}
-		}
-		p := qoe.PredictSession(cfg, frac*a.rate, horizon)
-		out.StallSeconds += a.members * p.StallSeconds
-		out.StartupWaitSeconds += a.members * p.StartupWaitSeconds
-		out.Switches += a.members * p.Switches
-		out.Sessions += int(math.Round(a.members))
-	}
-	return out, nil
+	return nil
 }
 
 // collectAggregates merges demands per (prefix, ingress), attaches the
@@ -262,9 +229,8 @@ func sortedHops(w fibbing.NextHopWeights) []topo.NodeID {
 }
 
 // offerVolumes pushes one aggregate's volume through its forwarding DAG
-// (ECMP-weight-proportional splits) and records the per-link offered
-// volume under the aggregate's index.
-func offerVolumes(t *topo.Topology, views map[topo.NodeID]fibbing.RouteView, ingress topo.NodeID, volume float64, agg int, offers map[topo.LinkID][]linkShare) error {
+// (ECMP-weight-proportional splits).
+func offerVolumes(t *topo.Topology, views map[topo.NodeID]fibbing.RouteView, ingress topo.NodeID, volume float64) error {
 	vol := map[topo.NodeID]float64{ingress: volume}
 	return topoWalk(views, func(u topo.NodeID) error {
 		view := views[u]
@@ -278,149 +244,13 @@ func offerVolumes(t *topo.Topology, views map[topo.NodeID]fibbing.RouteView, ing
 		}
 		for _, nh := range sortedHops(view.NextHops) {
 			share := x * float64(view.NextHops[nh]) / float64(total)
-			l, ok := t.FindLink(u, nh)
-			if !ok {
+			if _, ok := t.FindLink(u, nh); !ok {
 				return fmt.Errorf("no link %s->%s", t.Name(u), t.Name(nh))
 			}
-			offers[l.ID] = append(offers[l.ID], linkShare{agg: agg, vol: share})
 			vol[nh] += share
 		}
 		return nil
 	})
-}
-
-// linkFactors water-fills every capacity-constrained link and returns,
-// per link, the survival factor of each aggregate present on it: the
-// fraction of a member session's rate that survives that hop under
-// max-min fair sharing.
-func linkFactors(t *topo.Topology, aggs []aggregate, offers map[topo.LinkID][]linkShare) map[topo.LinkID]map[int]float64 {
-	ids := make([]topo.LinkID, 0, len(offers))
-	for id := range offers {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	factors := make(map[topo.LinkID]map[int]float64, len(offers))
-	for _, id := range ids {
-		cap := t.Link(id).Capacity
-		if cap <= 0 {
-			continue // unconstrained link: factor 1 for everyone
-		}
-		shares := offers[id]
-		// Merge duplicate entries for the same aggregate (a DAG can route
-		// an aggregate onto the same link via several branches).
-		byAgg := make(map[int]float64, len(shares))
-		total := 0.0
-		for _, s := range shares {
-			byAgg[s.agg] += s.vol
-			total += s.vol
-		}
-		if total <= cap {
-			continue
-		}
-		// Water-fill: fractional session count per aggregate is the
-		// member count scaled by the share of the aggregate's volume that
-		// reaches this link; each such session asks for its rate r.
-		type group struct {
-			agg  int
-			n    float64
-			rate float64
-		}
-		groups := make([]group, 0, len(byAgg))
-		for agg, vol := range byAgg {
-			a := aggs[agg]
-			groups = append(groups, group{agg: agg, n: a.members * vol / a.volume, rate: a.rate})
-		}
-		slices.SortFunc(groups, func(x, y group) int {
-			if x.rate != y.rate {
-				if x.rate < y.rate {
-					return -1
-				}
-				return 1
-			}
-			return x.agg - y.agg
-		})
-		remCap, remN := cap, 0.0
-		for _, g := range groups {
-			remN += g.n
-		}
-		share := 0.0
-		for _, g := range groups {
-			if remN <= 0 {
-				break
-			}
-			share = remCap / remN
-			if g.rate <= share {
-				// Fully satisfied demand: remove it and water-fill the rest.
-				remCap -= g.n * g.rate
-				remN -= g.n
-				continue
-			}
-			break
-		}
-		f := make(map[int]float64, len(groups))
-		for _, g := range groups {
-			if g.rate <= share {
-				f[g.agg] = 1
-			} else if g.rate > 0 {
-				f[g.agg] = share / g.rate
-			}
-		}
-		factors[id] = f
-	}
-	return factors
-}
-
-// survivingFraction bottleneck-combines the per-link survival factors
-// along one aggregate's forwarding DAG: traffic entering a link is
-// damped to min(carried-so-far, link factor); at merge points the
-// per-path minima combine by volume-weighted mean. The result is the
-// fraction of a member session's rate that reaches the prefix.
-func survivingFraction(t *topo.Topology, views map[topo.NodeID]fibbing.RouteView, ingress topo.NodeID, agg int, factors map[topo.LinkID]map[int]float64) float64 {
-	arrived := map[topo.NodeID]float64{ingress: 1}
-	damp := map[topo.NodeID]float64{ingress: 1} // arrival-weighted mean min-factor
-	delivered := 0.0
-	err := topoWalk(views, func(u topo.NodeID) error {
-		view := views[u]
-		a := arrived[u]
-		if a <= 0 {
-			return nil
-		}
-		if view.Local {
-			delivered += a * damp[u]
-			return nil
-		}
-		total := view.NextHops.Total()
-		if total == 0 {
-			return nil // stranded; offerVolumes already rejected this DAG
-		}
-		for _, nh := range sortedHops(view.NextHops) {
-			share := a * float64(view.NextHops[nh]) / float64(total)
-			phi := 1.0
-			if l, ok := t.FindLink(u, nh); ok {
-				if f, ok := factors[l.ID]; ok {
-					if v, ok := f[agg]; ok {
-						phi = v
-					}
-				}
-			}
-			m := math.Min(damp[u], phi)
-			// Volume-weighted mean of the per-path min factors at the
-			// merge point: damp holds sum(a_e*m_e)/sum(a_e).
-			prev := arrived[nh]
-			arrived[nh] = prev + share
-			if arrived[nh] > 0 {
-				damp[nh] = (damp[nh]*prev + m*share) / arrived[nh]
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0
-	}
-	if delivered < 0 {
-		return 0
-	}
-	return math.Min(1, delivered)
 }
 
 // refCheckDelivery is the parent fibbing.CheckDelivery.
